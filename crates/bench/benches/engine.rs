@@ -12,13 +12,12 @@
 //!   sweep through `gridworld::sweep` pinned to 1 vs. 4 workers (on a
 //!   multi-core host the parallel one should win; see also
 //!   `figures --stats`).
-//! * `vm_steady_tree` / `vm_steady_bytecode` — the same
-//!   interpreter-bound steady-state workload `figures --stats` records
-//!   in `BENCH_engine.json`, run to completion under each `VmKind`.
-//!   The bytecode row is the one the ROADMAP's ≥5× claim rests on.
+//! * `vm_steady` — the same interpreter-bound steady-state workload
+//!   `figures --stats` records in `BENCH_engine.json`, run to
+//!   completion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ftsh::{parse, Env, Vm, VmKind};
+use ftsh::{parse, Vm};
 use gridworld::{run_submission, sweep, SubmitParams};
 use retry::{Discipline, Dur, Time};
 
@@ -32,44 +31,6 @@ const READER: &str = "try for 900 seconds\n\
                           end\n\
                         end\n\
                       end\n";
-
-/// The interpreter-bound workload from `figures --stats`, shortened to
-/// bench-iteration size: assignments, string conds, forany, all over
-/// interpolated words, with every spawned command failing so the retry
-/// loop spins the interpreter rather than the (absent) plant.
-fn steady_source() -> String {
-    let body = "  a=${b}\n  if ${a} .eql. base\n    c=${a}${b}\n  else\n    c=err\n  end\n  forany v in ${a} ${c}\n    d=${v}\n  end\n  e=${d}\n"
-        .repeat(64);
-    format!("b=base\ntry 100 times every 1 ms\n{body}  failure\nend\n")
-}
-
-/// Drive one VM through the steady workload to completion; returns ticks.
-fn steady_run(kind: VmKind, script: &ftsh::ast::Script) -> u64 {
-    use ftsh::vm::{CmdResult, Effect, VmStatus};
-    let mut vm = Vm::with_kind(kind, script, Env::new(), 7);
-    vm.set_log_detail(false);
-    let mut now = Time::ZERO;
-    let mut ticks = 0u64;
-    let mut effects = Vec::new();
-    loop {
-        ticks += 1;
-        let status = vm.tick_into(now, &mut effects);
-        for e in effects.drain(..) {
-            if let Effect::Start { token, .. } = e {
-                vm.complete(token, CmdResult::fail());
-            }
-        }
-        match status {
-            VmStatus::Done { .. } => break,
-            VmStatus::Running { next_wake } => {
-                if let Some(w) = next_wake {
-                    now = now.max(w);
-                }
-            }
-        }
-    }
-    ticks
-}
 
 fn submission_point(d: Discipline, n: usize) -> u64 {
     run_submission(
@@ -125,12 +86,10 @@ fn bench(c: &mut Criterion) {
         });
     });
 
-    let steady = parse(&steady_source()).unwrap();
-    g.bench_function("vm_steady_tree", |b| {
-        b.iter(|| std::hint::black_box(steady_run(VmKind::Tree, &steady)));
-    });
-    g.bench_function("vm_steady_bytecode", |b| {
-        b.iter(|| std::hint::black_box(steady_run(VmKind::Bytecode, &steady)));
+    // `figures --stats`' workload, shortened to bench-iteration size.
+    let steady = parse(&egbench::vm_steady_source(100)).unwrap();
+    g.bench_function("vm_steady", |b| {
+        b.iter(|| std::hint::black_box(egbench::vm_steady_run(&steady)));
     });
 
     let points: Vec<(Discipline, usize)> = Discipline::ALL

@@ -5,8 +5,8 @@
 //! ```
 //!
 //! Every script in the corpus runs through the 3-way matrix — the
-//! tree-walking `ftsh::Vm`, the bytecode VM, and the real-process
-//! `procman` driver — under the same fault plan, and every pair of
+//! tree-walking oracle, `ftsh::Vm`, and the real-process `procman`
+//! driver — under the same fault plan, and every pair of
 //! outcomes is diffed (see `egbench::conformance`). Writes a markdown
 //! divergence report
 //! (default `results/conformance.md`) and a sample `PLAN.json`

@@ -150,24 +150,25 @@ impl PassStats {
 }
 
 /// Run every named figure once with the sweep pinned to `threads`
-/// workers, sampling the engine counters around the pass.
+/// workers, summing each run's own engine counters.
 fn run_pass(threads: usize, figs: &[String], scale: Scale, seed: u64) -> PassStats {
     std::env::set_var("EG_SWEEP_THREADS", threads.to_string());
     // What the engine actually resolves the request to, before the
     // per-figure point cap (usize::MAX points ⇒ cap never binds).
     let threads_effective = gridworld::sweep::configured_threads(usize::MAX);
-    let ticks0 = gridworld::driver::vm_ticks_total();
     let allocs0 = ALLOCS.load(Ordering::Relaxed);
     let start = Instant::now();
-    // Events are aggregated per run (each figure sums its own queues),
-    // not read from the deprecated process-global counter, so another
-    // thread's simulations can never contaminate the sample.
+    // Events and ticks are aggregated per run (each figure sums its
+    // own drivers' counters), so another thread's simulations can
+    // never contaminate the sample.
     let mut events = 0u64;
     let mut clamps = 0u64;
+    let mut vm_ticks = 0u64;
     for name in figs {
         let run = by_name_full(name, scale, seed, false).expect("stats figure exists");
         events += run.events_popped;
         clamps += run.clamps;
+        vm_ticks += run.vm_ticks;
         std::hint::black_box(&run.set);
     }
     let wall_s = start.elapsed().as_secs_f64();
@@ -178,79 +179,24 @@ fn run_pass(threads: usize, figs: &[String], scale: Scale, seed: u64) -> PassSta
         wall_s,
         events,
         clamps,
-        vm_ticks: gridworld::driver::vm_ticks_total() - ticks0,
+        vm_ticks,
         allocs: ALLOCS.load(Ordering::Relaxed) - allocs0,
     }
 }
 
-/// Steady-state interpreter microbench: one VM re-running a
-/// control-and-variable-heavy script under a bounded retry loop with
-/// instant virtual completions. This isolates statement
-/// interpretation — the part the bytecode backend compiles — from
-/// command dispatch, which both backends share with the driver.
-fn vm_steady_source() -> String {
-    let body = "  a=${b}\n  if ${a} .eql. base\n    c=${a}${b}\n  else\n    c=err\n  end\n  forany v in ${a} ${c}\n    d=${v}\n  end\n  e=${d}\n"
-        .repeat(64);
-    format!("b=base\ntry 2000 times every 1 ms\n{body}  failure\nend\n")
-}
-
-/// Run one backend through the steady workload; returns (ticks, wall seconds).
-fn vm_steady_leg(kind: ftsh::VmKind, src: &str) -> (u64, f64) {
-    use ftsh::vm::{CmdResult, Effect, VmStatus};
-    use retry::Time;
-    let script = ftsh::parse(src).expect("steady workload parses");
-    let mut vm = ftsh::Vm::with_kind(kind, &script, ftsh::Env::new(), 7);
-    vm.set_log_detail(false);
-    let mut now = Time::ZERO;
-    let mut ticks = 0u64;
-    let mut effects = Vec::new();
-    let start = Instant::now();
-    loop {
-        ticks += 1;
-        let status = vm.tick_into(now, &mut effects);
-        for e in effects.drain(..) {
-            if let Effect::Start { token, .. } = e {
-                vm.complete(token, CmdResult::fail());
-            }
-        }
-        match status {
-            VmStatus::Done { .. } => break,
-            VmStatus::Running { next_wake } => {
-                if let Some(w) = next_wake {
-                    now = now.max(w);
-                }
-            }
-        }
-    }
-    (ticks, start.elapsed().as_secs_f64())
-}
-
-/// The tree-vs-bytecode comparison rows for `BENCH_engine.json`.
+/// The interpreter row for `BENCH_engine.json`; returns (json, ticks/s).
 fn vm_bench_json() -> (String, f64) {
-    let src = vm_steady_source();
-    // Warm caches (and the compile cache) before either timed leg.
-    let _ = vm_steady_leg(ftsh::VmKind::Tree, &src);
-    let (tree_ticks, tree_wall) = vm_steady_leg(ftsh::VmKind::Tree, &src);
-    let (byte_ticks, byte_wall) = vm_steady_leg(ftsh::VmKind::Bytecode, &src);
-    let rate = |ticks: u64, wall: f64| if wall > 0.0 { ticks as f64 / wall } else { 0.0 };
-    let tree_rate = rate(tree_ticks, tree_wall);
-    let byte_rate = rate(byte_ticks, byte_wall);
-    let speedup = if tree_rate > 0.0 {
-        byte_rate / tree_rate
-    } else {
-        0.0
-    };
-    let leg = |name: &str, ticks: u64, wall: f64, r: f64| {
-        format!(
-            "    \"{name}\": {{\"ticks\": {ticks}, \"wall_s\": {wall:.6}, \"ticks_per_sec\": {r:.0}}}"
-        )
-    };
+    let script = ftsh::parse(&egbench::vm_steady_source(2000)).expect("steady workload parses");
+    // Warm caches (and the compile cache) before the timed leg.
+    egbench::vm_steady_run(&script);
+    let start = Instant::now();
+    let ticks = egbench::vm_steady_run(&script);
+    let wall = start.elapsed().as_secs_f64();
+    let rate = if wall > 0.0 { ticks as f64 / wall } else { 0.0 };
     let json = format!(
-        "{{\n    \"workload\": \"steady-interp mixed x64, 2000 attempts\",\n{},\n{},\n    \"bytecode_speedup\": {speedup:.2}\n  }}",
-        leg("tree", tree_ticks, tree_wall, tree_rate),
-        leg("bytecode", byte_ticks, byte_wall, byte_rate),
+        "{{\n    \"workload\": \"steady-interp mixed x64, 2000 attempts\",\n    \"ticks\": {ticks},\n    \"wall_s\": {wall:.6},\n    \"ticks_per_sec\": {rate:.0}\n  }}"
     );
-    (json, speedup)
+    (json, rate)
 }
 
 /// Parse `"max_allocs_per_tick": <float>` out of `BENCH_budget.json`
@@ -337,9 +283,9 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64) -> ExitCode {
         .as_ref()
         .map_or_else(|| "null".to_string(), PassStats::to_json);
     let speedup_json = speedup.map_or_else(|| "null".to_string(), |s| format!("{s:.2}"));
-    eprintln!("== stats: steady-state interpreter (tree vs bytecode) ==");
-    let (vm_json, vm_speedup) = vm_bench_json();
-    eprintln!("   bytecode is {vm_speedup:.2}x the tree-walker on the steady workload");
+    eprintln!("== stats: steady-state interpreter ==");
+    let (vm_json, vm_rate) = vm_bench_json();
+    eprintln!("   {vm_rate:.0} ticks/s on the steady workload");
     let json = format!(
         "{{\n  \"harness\": \"figures --stats\",\n  \"scale\": \"{scale:?}\",\n  \"seed\": {seed},\n  \"figures\": [{fig_list}],\n  \"host_cpus\": {host_cpus},\n  \"peak_rss_kb\": {rss},\n  \"sequential\": {},\n  \"parallel\": {par_json},\n  \"speedup\": {speedup_json},\n  \"vm\": {vm_json}\n}}\n",
         seq.to_json(),

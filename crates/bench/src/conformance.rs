@@ -4,19 +4,19 @@
 //! across execution substrates*: the same script means the same thing
 //! whether its commands are real POSIX processes (§4's process
 //! manager) or simulated completions (the gridworld reproduction).
-//! This module tests that claim mechanically — and, since the engine
-//! grew a compiled backend, that both interpreters agree with each
-//! other. Every corpus script in `crates/bench/conformance/` is run
-//! three times under an equivalent [`FaultPlan`]:
+//! This module tests that claim mechanically — and, since the
+//! interpreter is a compiled one, that it agrees with the tree-walking
+//! reference semantics. Every corpus script in
+//! `crates/bench/conformance/` is run three times under an equivalent
+//! [`FaultPlan`]:
 //!
-//! * **tree** — the reference tree-walking [`ftsh::Vm`] driven by a
-//!   virtual clock; command behaviour comes from a small closed model
-//!   (`true`, `false`, `echo`, `cat`, and the
-//!   `unreliable`/`slow`/`noisy` fault shims) with failures drawn from
-//!   the plan's `cmd-fail-first` specs;
-//! * **byte** — the same script and model under the bytecode VM
-//!   (`EG_FTSH_VM=bytecode`), the compiled backend that must preserve
-//!   tree semantics exactly;
+//! * **tree** — the tree-walking oracle ([`ftsh::tree::TreeVm`],
+//!   compiled only for this harness) driven by a virtual clock; command
+//!   behaviour comes from a small closed model (`true`, `false`,
+//!   `echo`, `cat`, and the `unreliable`/`slow`/`noisy` fault shims)
+//!   with failures drawn from the plan's `cmd-fail-first` specs;
+//! * **byte** — the same script and model under [`ftsh::Vm`], the
+//!   bytecode interpreter everything else in the workspace runs;
 //! * **real** — the VM driven by `procman` against real processes,
 //!   with `unreliable`/`slow`/`noisy` realised as generated shell
 //!   shims whose failure budgets are seeded from the *same* plan.
@@ -28,8 +28,11 @@
 //! kills). Any difference is a *divergence* — evidence either that
 //! simulated failure semantics have drifted from the real ones, or
 //! that the bytecode lowering has drifted from the reference walker.
+//! (The finer-grained tick-by-tick comparison of the two simulated
+//! machines is `tests/lockstep.rs`.)
 
-use ftsh::vm::{CmdInput, CmdResult, CommandSpec, Effect, Vm, VmKind, VmStatus};
+use ftsh::tree::TreeVm;
+use ftsh::vm::{CmdInput, CmdResult, CmdToken, CommandSpec, Effect, Tick, Vm, VmStatus};
 use ftsh::{parse, Env, Redir, RedirTarget, Script, Seg, Stmt};
 use retry::{Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
@@ -74,9 +77,9 @@ pub struct Observation {
 pub struct Verdict {
     /// Corpus entry name.
     pub name: String,
-    /// Simulated observation from the reference tree-walker.
+    /// Simulated observation from the tree-walking oracle.
     pub sim: Observation,
-    /// Simulated observation from the bytecode VM.
+    /// Simulated observation from the interpreter ([`Vm`]).
     pub sim_byte: Observation,
     /// Real-process observation.
     pub real: Observation,
@@ -247,21 +250,55 @@ fn model_command(
     }
 }
 
-/// Run a corpus script through the default simulated interpreter.
-pub fn run_sim(script: &Script, plan: &FaultPlan, shimdir: &str) -> Observation {
-    run_sim_kind(script, plan, shimdir, VmKind::selected())
-}
-
-/// Run a corpus script through the simulated interpreter `kind`
-/// (tree-walker or bytecode VM) under `plan`.
-pub fn run_sim_kind(script: &Script, plan: &FaultPlan, shimdir: &str, kind: VmKind) -> Observation {
-    let vars = observable_vars(script);
+fn sim_env(shimdir: &str) -> Env {
     let mut env = Env::new();
     env.set("shimdir", shimdir);
-    let mut vm = Vm::with_kind(kind, script, env, plan.seed);
+    env
+}
+
+/// Run a corpus script through the interpreter ([`Vm`]) on the
+/// simulated side, under `plan`.
+pub fn run_sim(script: &Script, plan: &FaultPlan, shimdir: &str) -> Observation {
+    let vm = Vm::with_env_seed(script, sim_env(shimdir), plan.seed);
+    drive_sim(
+        vm,
+        Vm::set_tracer,
+        Vm::tick,
+        Vm::complete,
+        Vm::env,
+        script,
+        plan,
+    )
+}
+
+/// [`run_sim`] on the tree-walking oracle.
+pub fn run_sim_tree(script: &Script, plan: &FaultPlan, shimdir: &str) -> Observation {
+    let vm = TreeVm::with_env_seed(script, sim_env(shimdir), plan.seed);
+    drive_sim(
+        vm,
+        TreeVm::set_tracer,
+        TreeVm::tick,
+        TreeVm::complete,
+        TreeVm::env,
+        script,
+        plan,
+    )
+}
+
+/// The simulated executor, written once for both machines: they share
+/// no trait, only the four methods passed in.
+fn drive_sim<M>(
+    mut vm: M,
+    set_tracer: fn(&mut M, SharedSink, i64),
+    tick: fn(&mut M, Time) -> Tick,
+    complete: fn(&mut M, CmdToken, CmdResult),
+    env: fn(&M) -> &Env,
+    script: &Script,
+    plan: &FaultPlan,
+) -> Observation {
+    let vars = observable_vars(script);
     let buf = Arc::new(Mutex::new(VecSink::new()));
-    let sink: SharedSink = buf.clone();
-    vm.set_tracer(sink, 0);
+    set_tracer(&mut vm, buf.clone(), 0);
 
     let mut fail_left: HashMap<String, u32> = HashMap::new();
     // (due, token, result): completions sorted by time then token so
@@ -270,7 +307,7 @@ pub fn run_sim_kind(script: &Script, plan: &FaultPlan, shimdir: &str, kind: VmKi
     let mut now = Time::ZERO;
     for step in 0.. {
         assert!(step < MAX_SIM_STEPS, "sim executor stalled (harness bug)");
-        let tick = vm.tick(now);
+        let tick = tick(&mut vm, now);
         for eff in tick.effects {
             match eff {
                 Effect::Start { token, spec, .. } => {
@@ -285,7 +322,7 @@ pub fn run_sim_kind(script: &Script, plan: &FaultPlan, shimdir: &str, kind: VmKi
                 let records = buf.lock().unwrap().take();
                 return Observation {
                     success,
-                    bindings: bindings_of(vm.env(), &vars),
+                    bindings: bindings_of(env(&vm), &vars),
                     trace_counts: tag_counts(&records),
                 };
             }
@@ -301,7 +338,7 @@ pub fn run_sim_kind(script: &Script, plan: &FaultPlan, shimdir: &str, kind: VmKi
                 now = now.max(next);
                 while pending.first().is_some_and(|p| p.0 <= now) {
                     let (_, token, result) = pending.remove(0);
-                    vm.complete(token, result);
+                    complete(&mut vm, token, result);
                 }
             }
         }
@@ -430,12 +467,12 @@ fn verdict_word(success: bool) -> &'static str {
     }
 }
 
-/// Run one corpus entry through the full 3-way matrix — tree-walker,
-/// bytecode VM, and real processes — and diff every pair.
+/// Run one corpus entry through the full 3-way matrix — tree-walking
+/// oracle, interpreter, and real processes — and diff every pair.
 pub fn check(entry: &CorpusScript) -> Result<Verdict, String> {
     let script = parse(&entry.source).map_err(|e| format!("{}: parse: {e}", entry.name))?;
-    let sim = run_sim_kind(&script, &entry.plan, "/shim", VmKind::Tree);
-    let sim_byte = run_sim_kind(&script, &entry.plan, "/shim", VmKind::Bytecode);
+    let sim = run_sim_tree(&script, &entry.plan, "/shim");
+    let sim_byte = run_sim(&script, &entry.plan, "/shim");
     let real = run_real(&script, &entry.plan).map_err(|e| format!("{}: real: {e}", entry.name))?;
     let mut divergences = diff_labeled(&sim, &sim_byte, "tree", "byte");
     divergences.extend(diff_labeled(&sim, &real, "tree", "real"));

@@ -38,6 +38,46 @@ pub fn emit(name: &str, set: &SeriesSet) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
+/// The steady-state interpreter workload `figures --stats` records and
+/// the `engine/vm_steady` criterion row tracks: a control-and-variable
+/// heavy script (assignments, string conds, forany, all over
+/// interpolated words) under a bounded retry loop of `attempts`, whose
+/// one command per attempt fails so the loop spins the interpreter
+/// rather than the (absent) plant.
+pub fn vm_steady_source(attempts: u32) -> String {
+    let body = "  a=${b}\n  if ${a} .eql. base\n    c=${a}${b}\n  else\n    c=err\n  end\n  forany v in ${a} ${c}\n    d=${v}\n  end\n  e=${d}\n"
+        .repeat(64);
+    format!("b=base\ntry {attempts} times every 1 ms\n{body}  failure\nend\n")
+}
+
+/// Drive one VM through a [`vm_steady_source`] script to completion
+/// with instant virtual completions; returns the tick count.
+pub fn vm_steady_run(script: &ftsh::Script) -> u64 {
+    use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
+    let mut vm = Vm::with_seed(script, 7);
+    vm.set_log_detail(false);
+    let mut now = retry::Time::ZERO;
+    let mut ticks = 0u64;
+    let mut effects = Vec::new();
+    loop {
+        ticks += 1;
+        let status = vm.tick_into(now, &mut effects);
+        for e in effects.drain(..) {
+            if let Effect::Start { token, .. } = e {
+                vm.complete(token, CmdResult::fail());
+            }
+        }
+        match status {
+            VmStatus::Done { .. } => return ticks,
+            VmStatus::Running { next_wake } => {
+                if let Some(w) = next_wake {
+                    now = now.max(w);
+                }
+            }
+        }
+    }
+}
+
 /// A compact textual summary of a figure for EXPERIMENTS.md-style
 /// reporting: last value of each series.
 pub fn summarize(set: &SeriesSet) -> String {

@@ -204,32 +204,6 @@ pub fn arena_config(opts: &LiveOptions) -> GriddConfig {
     }
 }
 
-/// The ftsh script one live client runs: `jobs` sequential submission
-/// units, each an attempt-budgeted `try` whose failure is absorbed so
-/// the next unit still runs. The Ethernet variant prefixes the
-/// carrier-sense probe — one failing command when the medium is busy,
-/// turning the stampede into a deferral.
-pub fn client_script(
-    discipline: Discipline,
-    gridctl: &str,
-    addr: &str,
-    client: usize,
-    jobs: usize,
-) -> String {
-    let mut s = String::new();
-    for k in 1..=jobs {
-        let _ = writeln!(s, "try for 6 seconds or 8 times");
-        if discipline.uses_carrier_sense() {
-            let _ = writeln!(s, "  {gridctl} {addr} {client} sense 1");
-        }
-        let _ = writeln!(s, "  {gridctl} {addr} {client} submit job-{client}-{k}");
-        let _ = writeln!(s, "catch");
-        let _ = writeln!(s, "  true");
-        let _ = writeln!(s, "end");
-    }
-    s
-}
-
 /// The live backoff policy: the paper's exponential shape scaled to
 /// the arena's seconds-long window (100 ms base, 2 s cap). Fixed runs
 /// with no backoff, as always.
@@ -241,8 +215,7 @@ pub fn live_backoff(discipline: Discipline) -> BackoffPolicy {
 }
 
 /// Run one discipline's population against a fresh daemon: one epoll
-/// swarm of lightweight clients over persistent connections, replacing
-/// the old thread + `gridctl`-process-per-verb design.
+/// swarm of lightweight clients over persistent connections.
 pub fn run_discipline(
     discipline: Discipline,
     opts: &LiveOptions,
@@ -260,8 +233,7 @@ pub fn run_discipline(
     let (clients, crashes) = handle.snapshot();
     handle.shutdown();
 
-    // The merged in-memory trace lands exactly where the old per-client
-    // JSONL merge did; the postmortem pipeline is unchanged.
+    // The merged in-memory trace feeds the postmortem pipeline.
     let trace = std::mem::take(&mut report.trace);
     let merged = opts.out_dir.join(format!("live-{label}.jsonl"));
     std::fs::write(&merged, simgrid::trace::to_jsonl(&trace))?;
@@ -383,26 +355,6 @@ fn render_table(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn generated_scripts_parse_for_every_discipline() {
-        for d in Discipline::ALL {
-            let text = client_script(d, "/usr/bin/gridctl", "127.0.0.1:7177", 3, 4);
-            let script = ftsh::parse(&text).expect("script parses");
-            let printed = ftsh::pretty(&script);
-            assert_eq!(ftsh::parse(&printed).expect("reparses"), script);
-            assert_eq!(
-                text.matches("submit job-3-").count(),
-                4,
-                "one submit per unit"
-            );
-            assert_eq!(
-                text.matches("sense 1").count(),
-                if d.uses_carrier_sense() { 4 } else { 0 },
-                "carrier sense iff Ethernet"
-            );
-        }
-    }
 
     #[test]
     fn arena_plan_forces_schedd_kills() {

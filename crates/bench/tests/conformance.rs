@@ -1,5 +1,5 @@
 //! Tier-1 gate: the conformance corpus runs through the full 3-way
-//! matrix (tree-walker, bytecode VM, real processes) with zero
+//! matrix (tree-walking oracle, `ftsh::Vm`, real processes) with zero
 //! unexplained divergences.
 
 use egbench::conformance::{corpus_dir, report, run_corpus};

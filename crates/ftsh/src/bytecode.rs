@@ -1,16 +1,18 @@
 //! Compilation of the spanned AST to flat bytecode.
 //!
-//! The tree-walking VM executes the shared `Arc<[Stmt]>` AST by
-//! reference: every tick it re-matches statement nodes, pushes
-//! `Block`-holding frames (two `Arc` refcount bumps each), and resolves
-//! every variable through a `HashMap<Istr, Istr>`. At population scale
-//! that dispatch is the simulation floor. This module compiles a script
-//! once into a [`Prog`]: a flat `Vec<Op>` with explicit jump targets,
-//! word templates whose variable references are preresolved to *slots*
+//! Walking the shared `Arc<[Stmt]>` AST directly means re-matching
+//! statement nodes every tick, pushing `Block`-holding frames (two
+//! `Arc` refcount bumps each), and resolving every variable through a
+//! `HashMap<Istr, Istr>`; at population scale that dispatch is the
+//! simulation floor. This module compiles a script once into a
+//! [`Prog`]: a flat `Vec<Op>` with explicit jump targets, word
+//! templates whose variable references are preresolved to *slots*
 //! (indices into a per-task `Vec<Option<Istr>>`), and side tables for
 //! commands, conditions, `try` budgets and loop value lists. The
-//! interpreter (`crate::cvm::Cvm`) then runs a jump-threaded loop over
-//! plain array indexing.
+//! interpreter ([`crate::Vm`]) then runs a jump-threaded loop over
+//! plain array indexing, and the static analyses in `ftshlint` walk
+//! the same program (source spans ride in side tables for their
+//! diagnostics).
 //!
 //! Lowering rules (the equivalence argument is spelled out in
 //! DESIGN.md §12):
@@ -22,19 +24,19 @@
 //!   `TrySession`), [`Op::TryAttempt`] (admission: budget check, log,
 //!   trace), the body group, and [`Op::TryResult`] (success pops;
 //!   failure consults the session for backoff-sleep-and-loop, catch
-//!   entry, or exhaustion) — the exact decision order of the tree VM.
+//!   entry, or exhaustion) — the exact decision order of the oracle.
 //! * `forany`/`forall` lower to enter ops that expand the value list at
 //!   runtime and a result op (`forany`) or task spawning (`forall`,
 //!   whose branch region ends in [`Op::TaskEnd`] like the root).
 //! * Function bodies compile out of line, ending in [`Op::Ret`];
 //!   [`Op::FuncDef`] binds name → entry at execution time, preserving
-//!   the tree VM's definition-before-use and later-override semantics.
+//!   definition-before-use and later-override semantics.
 //!
 //! Compiled programs are cached process-wide, keyed on the identity of
 //! the script's statement allocation: a population of VMs built from
 //! one parsed script compiles once.
 
-use crate::ast::{Block, Cond, CondOp, Redir, RedirTarget, Script, Seg, Stmt, TrySpec, Word};
+use crate::ast::{Block, Cond, CondOp, Redir, RedirTarget, Script, Seg, Span, Stmt, TrySpec, Word};
 use crate::intern::Istr;
 use retry::Dur;
 use std::collections::HashMap;
@@ -106,9 +108,8 @@ pub struct TryTpl {
     pub every: Option<Dur>,
 }
 
-/// A compiled redirection. Applied left to right at dispatch, exactly
-/// like the tree VM (a later `>` overrides an earlier one; its `both`
-/// flag wins).
+/// A compiled redirection. Applied left to right at dispatch (a later
+/// `>` overrides an earlier one; its `both` flag wins).
 #[derive(Debug)]
 pub enum RedirTpl {
     /// `< source` / `-< var`.
@@ -283,46 +284,22 @@ pub struct Prog {
     pub tries: Box<[TryTpl]>,
     /// Command side table.
     pub cmds: Box<[CmdTpl]>,
+    /// Source span of each command's argv\[0\], parallel to `cmds`
+    /// (unknown for programmatically built scripts). Only diagnostics
+    /// read it; the interpreter never does.
+    pub cmd_spans: Box<[Span]>,
     /// Function id → name.
     pub func_names: Box<[Istr]>,
+    /// A representative source span per function, parallel to
+    /// `func_names`: the first spanned construct inside the first
+    /// definition that has one (function statements carry no span of
+    /// their own).
+    pub func_spans: Box<[Span]>,
     /// Function name → id (assigned whole-script in a pre-pass, so
     /// [`FuncRef::Static`] resolves regardless of definition order).
     pub func_ids: HashMap<Istr, u32>,
     /// The static variable-name table.
     pub slots: SlotMap,
-}
-
-impl Prog {
-    /// The statically-known control-flow successors of the op at `ip`:
-    /// the CFG edge list a static analyzer walks. Straight-line ops
-    /// fall through; jumps and `EvalCond` list every target. The
-    /// structured result ops — [`Op::TryResult`], [`Op::ForAnyResult`]
-    /// — return no successors because their targets live in the
-    /// runtime frame, not the op: analyzers handle them through the
-    /// region bounds recorded on the matching enter op ([`Op::TryEnter`]
-    /// / [`Op::ForAnyEnter`] / [`Op::ForAllEnter`] carry `end_ip`, and
-    /// `TryEnter` the catch entry). [`Op::TaskEnd`] and [`Op::Ret`]
-    /// terminate their task/function region.
-    #[must_use]
-    pub fn successors(&self, ip: Ip) -> Vec<Ip> {
-        match self.ops[ip as usize] {
-            Op::Success
-            | Op::Failure
-            | Op::Assign { .. }
-            | Op::FuncDef { .. }
-            | Op::Cmd(_)
-            | Op::TryEnter { .. }
-            | Op::TryAttempt
-            | Op::ForAnyEnter { .. }
-            | Op::ForAllEnter { .. } => vec![ip + 1],
-            Op::Jmp(t) => vec![t],
-            Op::JmpIfFail(t) => vec![ip + 1, t],
-            Op::EvalCond {
-                on_false, on_err, ..
-            } => vec![ip + 1, on_false, on_err],
-            Op::TryResult | Op::ForAnyResult | Op::TaskEnd | Op::Ret => Vec::new(),
-        }
-    }
 }
 
 /// Where a pending fail-edge must be patched once the group's result
@@ -344,7 +321,9 @@ struct Compiler {
     conds: Vec<CondTpl>,
     tries: Vec<TryTpl>,
     cmds: Vec<CmdTpl>,
+    cmd_spans: Vec<Span>,
     func_names: Vec<Istr>,
+    func_spans: Vec<Span>,
     func_ids: HashMap<Istr, u32>,
     slot_names: Vec<Istr>,
     slot_by_name: HashMap<Istr, SlotIx>,
@@ -454,10 +433,15 @@ impl Compiler {
             match s {
                 Stmt::Function { name, body } => {
                     let n = Istr::from(name.as_str());
-                    if !self.func_ids.contains_key(&n) {
-                        let id = self.func_names.len() as u32;
-                        self.func_names.push(n.clone());
-                        self.func_ids.insert(n, id);
+                    let next = self.func_names.len() as u32;
+                    let id = *self.func_ids.entry(n.clone()).or_insert(next);
+                    if id == next {
+                        self.func_names.push(n);
+                        self.func_spans.push(Span::default());
+                    }
+                    let span = &mut self.func_spans[id as usize];
+                    if !span.is_known() {
+                        *span = first_span(body).unwrap_or_default();
                     }
                     self.collect_funcs(body);
                 }
@@ -652,6 +636,8 @@ impl Compiler {
                     })
                     .collect();
                 self.cmds.push(CmdTpl { argv, redirs, func });
+                self.cmd_spans
+                    .push(cmd.words.first().map(Word::span).unwrap_or_default());
                 let cix = (self.cmds.len() - 1) as u32;
                 self.emit(Op::Cmd(cix));
                 let j = self.emit(Op::JmpIfFail(0));
@@ -696,7 +682,9 @@ impl Compiler {
             conds: self.conds.into(),
             tries: self.tries.into(),
             cmds: self.cmds.into(),
+            cmd_spans: self.cmd_spans.into(),
             func_names: self.func_names.into(),
+            func_spans: self.func_spans.into(),
             func_ids: self.func_ids,
             slots: SlotMap {
                 names: self.slot_names.into(),
@@ -705,6 +693,25 @@ impl Compiler {
             },
         }
     }
+}
+
+/// First known source span inside a block, in source order.
+fn first_span(stmts: &[Stmt]) -> Option<Span> {
+    let known = |span: Span| Some(span).filter(|s| s.is_known());
+    stmts.iter().find_map(|s| match s {
+        Stmt::Command(c) => c.words.first().and_then(|w| known(w.span())),
+        Stmt::Assign { value, .. } => known(value.span()),
+        Stmt::Try { spec, body, catch } => known(spec.span)
+            .or_else(|| first_span(body))
+            .or_else(|| catch.as_ref().and_then(|c| first_span(c))),
+        Stmt::ForAny { body, .. } | Stmt::ForAll { body, .. } | Stmt::Function { body, .. } => {
+            first_span(body)
+        }
+        Stmt::If { cond, then, els } => known(cond.lhs.span())
+            .or_else(|| first_span(then))
+            .or_else(|| els.as_ref().and_then(|e| first_span(e))),
+        Stmt::Failure | Stmt::Success => None,
+    })
 }
 
 /// Is `name` a positional parameter (`*`, or all ASCII digits — the

@@ -31,8 +31,8 @@ pub fn eval_cond(cond: &Cond, env: &Env) -> Result<bool, CondError> {
     eval_cond_values(cond.op, &lhs, &rhs)
 }
 
-/// Evaluate a comparison whose operands are already expanded. The
-/// tree-walking VM expands through [`Env`]; the bytecode VM expands
+/// Evaluate a comparison whose operands are already expanded.
+/// [`eval_cond`] expands through [`Env`]; the interpreter expands
 /// through its slot table — both funnel into this one definition of
 /// the operators.
 pub fn eval_cond_values(op: CondOp, lhs: &str, rhs: &str) -> Result<bool, CondError> {

@@ -1,15 +1,14 @@
-//! The compiled-bytecode VM.
+//! The interpreter: a bytecode machine.
 //!
-//! [`Cvm`] executes the flat program produced by [`crate::bytecode`]
-//! with the *same observable behaviour* as the tree-walking
-//! interpreter: identical effects, identical log and trace events in
-//! identical order, and identical RNG draws (the only draws are inside
-//! `TrySession::on_failure`, reached under exactly the same control
-//! flow), so simulated figures are byte-identical across backends.
-//! What changes is the cost per step: dispatch is a jump-threaded loop
-//! over copyable ops, sequencing needs no frames at all (it is jump
-//! targets), and statically-known variables live in a plain slot
-//! vector instead of a hash map.
+//! [`Vm`] executes the flat program produced by [`crate::bytecode`]:
+//! dispatch is a jump-threaded loop over copyable ops, sequencing
+//! needs no frames at all (it is jump targets), and statically-known
+//! variables live in a plain slot vector instead of a hash map. Its
+//! semantics are pinned against the tree-walking oracle
+//! (`crate::tree`, test-only): identical effects, identical log and
+//! trace events in identical order, and identical RNG draws (the only
+//! draws are inside `TrySession::on_failure`, reached under exactly
+//! the same control flow).
 //!
 //! Variables the program can only name at run time — computed capture
 //! targets, positional parameters past the ones mentioned statically —
@@ -29,7 +28,7 @@ use crate::vm::{
 };
 use crate::words::{trim_capture, Env};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngExt, SeedableRng};
 use retry::{BackoffPolicy, NextAttempt, Time, TryBudget, TrySession};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
 use std::collections::HashMap;
@@ -37,8 +36,7 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Variable scope of one task: slot vector for statically-known names
-/// plus a spill map for dynamic ones. Cloned per `forall` branch, like
-/// the tree VM's `Env`.
+/// plus a spill map for dynamic ones. Cloned per `forall` branch.
 #[derive(Clone, Debug)]
 struct CEnv {
     slots: Vec<Option<Istr>>,
@@ -269,9 +267,24 @@ struct CTask {
     call_depth: u32,
 }
 
-/// The bytecode interpreter backend. Same driving interface as the
-/// tree VM; constructed through the [`crate::Vm`] facade.
-pub(crate) struct Cvm {
+/// The virtual machine for one script execution.
+///
+/// Manual driving (what `procman` and `gridworld` do internally):
+///
+/// ```
+/// use ftsh::parse;
+/// use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
+/// use retry::Time;
+///
+/// let script = parse("hello world\n").unwrap();
+/// let mut vm = Vm::with_seed(&script, 1);
+/// let tick = vm.tick(Time::ZERO);
+/// let Effect::Start { token, spec, .. } = &tick.effects[0] else { panic!() };
+/// assert_eq!(spec.argv, ["hello", "world"]);
+/// vm.complete(*token, CmdResult::ok(""));
+/// assert!(matches!(vm.tick(Time::ZERO).status, VmStatus::Done { success: true }));
+/// ```
+pub struct Vm {
     prog: Arc<Prog>,
     tasks: Vec<Option<CTask>>,
     token_ctr: CmdToken,
@@ -290,6 +303,8 @@ pub(crate) struct Cvm {
     max_parallel: Option<usize>,
     tracer: Option<SharedSink>,
     trace_client: i64,
+    /// Emptied argv vectors handed back via [`Vm::recycle_spec`];
+    /// command dispatch draws from here before allocating.
     spare_argv: Vec<Vec<Istr>>,
     /// Retired `forany` value vectors, reused by the next loop entry
     /// so steady-state iteration never allocates.
@@ -300,8 +315,23 @@ pub(crate) struct Cvm {
     scratch: String,
 }
 
-impl Cvm {
-    pub fn with_env_seed(script: &Script, env: Env, seed: u64) -> Cvm {
+impl Vm {
+    /// Build a VM for a script with an empty environment and an
+    /// entropy-seeded RNG for backoff jitter.
+    pub fn new(script: &Script) -> Vm {
+        Vm::with_env_seed(script, Env::new(), rand::rng().random())
+    }
+
+    /// Build a VM with a fixed RNG seed (deterministic backoff jitter).
+    pub fn with_seed(script: &Script, seed: u64) -> Vm {
+        Vm::with_env_seed(script, Env::new(), seed)
+    }
+
+    /// Build a VM with an initial environment and seed. The script
+    /// compiles once per parsed allocation
+    /// ([`bytecode::compile_cached`]): a population built from one
+    /// script shares one program.
+    pub fn with_env_seed(script: &Script, env: Env, seed: u64) -> Vm {
         let prog = bytecode::compile_cached(script);
         let root = CTask {
             frames: Vec::new(),
@@ -313,7 +343,7 @@ impl Cvm {
             call_depth: 0,
         };
         let n_funcs = prog.func_names.len();
-        Cvm {
+        Vm {
             prog,
             tasks: vec![Some(root)],
             token_ctr: 0,
@@ -344,64 +374,100 @@ impl Cvm {
         }
     }
 
+    /// Hand a finished command's spec back so its argv buffer can be
+    /// reused by the next dispatch. Purely an optimisation: a driver
+    /// that drops specs instead loses nothing but the recycling.
     pub fn recycle_spec(&mut self, spec: CommandSpec) {
         let mut argv = spec.argv;
         argv.clear();
+        // A handful covers any realistic burst of parallel branches;
+        // beyond that, let excess buffers drop.
         if self.spare_argv.len() < 8 {
             self.spare_argv.push(argv);
         }
     }
 
-    pub fn adopt_spares(&mut self, prev: &mut Cvm) {
+    /// Move the spare buffers of a retiring VM into this one. Drivers
+    /// that replace a client's VM per work unit call this so the
+    /// recycled argv pool survives the replacement.
+    pub fn adopt_spares(&mut self, prev: &mut Vm) {
         if self.spare_argv.is_empty() {
             std::mem::swap(&mut self.spare_argv, &mut prev.spare_argv);
         }
     }
 
+    /// Install a structured-trace sink; every span and command event
+    /// this VM produces is recorded there, attributed to `client`
+    /// (the scenario's client index, or [`NO_ID`] outside a
+    /// population). With no sink installed — the default — every
+    /// emission site is a single `Option` test: the tick path stays
+    /// allocation-free.
     pub fn set_tracer(&mut self, sink: SharedSink, client: i64) {
         self.tracer = Some(sink);
         self.trace_client = client;
     }
 
+    /// True when a trace sink is installed.
     pub fn has_tracer(&self) -> bool {
         self.tracer.is_some()
     }
 
+    /// Emit a structured trace record (no-op without a sink).
     #[inline]
     fn trace(&self, tid: TaskId, ev: TraceEv) {
         simgrid::trace::emit(&self.tracer, self.now, self.trace_client, tid as i64, ev);
     }
 
+    /// Override the backoff policy used by `try` blocks that do not
+    /// specify `every`. This is how the Fixed discipline (no delay) and
+    /// the jitter ablations are expressed.
     pub fn set_default_backoff(&mut self, p: BackoffPolicy) {
         self.default_backoff = p;
     }
 
+    /// The backoff policy `try` blocks without `every` run under.
     pub fn default_backoff(&self) -> BackoffPolicy {
         self.default_backoff
     }
 
+    /// Throttle `forall`: at most `n` branches run concurrently, the
+    /// rest start as slots free up. §4 notes that "the creation of
+    /// processes must be governed by an Ethernet-like algorithm": this
+    /// is the limited-allocation obligation applied to the process
+    /// table itself. `None` (the default) spawns every branch at once.
     pub fn set_max_parallel(&mut self, n: Option<usize>) {
         self.max_parallel = n.map(|n| n.max(1));
     }
 
+    /// The execution log so far.
     pub fn log(&self) -> &EventLog {
         &self.log
     }
 
+    /// Switch the execution log between full event retention (the
+    /// default) and counters-only mode — see [`EventLog::set_detailed`].
+    /// Population drivers run counters-only: the [`LogSummary`] still
+    /// aggregates exactly, but a million ticks retain no per-event
+    /// storage.
+    ///
+    /// [`LogSummary`]: crate::log::LogSummary
     pub fn set_log_detail(&mut self, detailed: bool) {
         self.log.set_detailed(detailed);
     }
 
+    /// The root environment: the variables visible after completion
+    /// (materialized when the script finishes; empty mid-run).
     pub fn env(&self) -> &Env {
-        // The root's environment is materialized when the script
-        // finishes; mid-run it is empty (no driver reads it mid-run).
         &self.final_env
     }
 
+    /// The script outcome, if finished.
     pub fn outcome(&self) -> Option<bool> {
         self.outcome
     }
 
+    /// Report an in-flight command as finished. Stale tokens (already
+    /// cancelled) are ignored. Call [`Vm::tick`] afterwards.
     pub fn complete(&mut self, token: CmdToken, result: CmdResult) {
         let Some(pos) = self.token_task.iter().position(|&(t, _)| t == token) else {
             return; // cancelled earlier; the race is benign
@@ -459,12 +525,18 @@ impl Cvm {
         task.state = CState::Ready;
     }
 
+    /// Advance every runnable strand at virtual instant `now`.
     pub fn tick(&mut self, now: Time) -> Tick {
         let mut effects = Vec::new();
         let status = self.tick_into(now, &mut effects);
         Tick { effects, status }
     }
 
+    /// [`Vm::tick`] into a caller-owned effects buffer: `out` is
+    /// cleared and refilled, and its capacity is recycled into the
+    /// VM's internal buffer — a driver ticking thousands of VMs in a
+    /// loop reuses one allocation instead of taking a fresh `Vec`
+    /// per tick.
     pub fn tick_into(&mut self, now: Time, out: &mut Vec<Effect>) -> VmStatus {
         debug_assert!(now >= self.now, "tick time went backwards");
         self.now = now;
@@ -954,7 +1026,6 @@ impl Cvm {
         );
         if argv.first().map(|s| s.is_empty()).unwrap_or(true) {
             // A command whose name expanded to nothing cannot run.
-            // (argv is dropped, not recycled — exactly the tree VM.)
             task.res = false;
             task.ip += 1;
             return ControlFlow::Continue(());

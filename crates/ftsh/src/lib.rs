@@ -29,10 +29,14 @@
 //!
 //! ## Architecture
 //!
-//! [`parse`] turns source into a [`Script`]. [`Vm`] interprets it as a
-//! **resumable stack machine**: [`Vm::tick`] returns commands to start
-//! or cancel plus the next deadline, and the caller supplies results
-//! via [`Vm::complete`]. Drivers:
+//! [`parse`] turns source into a [`Script`]; [`bytecode`] compiles it
+//! once into a flat program, and [`Vm`] — the one interpreter — runs
+//! that program as a **resumable stack machine**: [`Vm::tick`] returns
+//! commands to start or cancel plus the next deadline, and the caller
+//! supplies results via [`Vm::complete`]. (The tree-walking reference
+//! semantics `Vm` is tested against is `tree::TreeVm`, which exists
+//! only under `cfg(test)` or the `tree-oracle` feature: a differential
+//! oracle, not a second backend.) Drivers:
 //!
 //! * [`VmDriver`] (here) — synchronous closure executor, with
 //!   [`SimClock`] (virtual time) or [`WallClock`];
@@ -54,6 +58,8 @@ pub mod lexer;
 pub mod log;
 pub mod parser;
 pub mod pretty;
+#[cfg(any(test, feature = "tree-oracle"))]
+pub mod tree;
 pub mod vm;
 pub mod words;
 
@@ -68,7 +74,7 @@ pub use log::{EventLog, LogEvent, LogKind, LogSummary, ProgramStats};
 pub use parser::parse;
 pub use pretty::pretty;
 pub use vm::{
-    CmdInput, CmdResult, CmdToken, CommandSpec, Effect, OutSink, TaskId, Tick, Vm, VmKind, VmStatus,
+    CmdInput, CmdResult, CmdToken, CommandSpec, Effect, OutSink, TaskId, Tick, Vm, VmStatus,
 };
 pub use words::Env;
 

@@ -124,18 +124,7 @@ impl Env {
 
     /// Expand a slice of words.
     pub fn expand_all(&self, ws: &[Word]) -> Vec<Istr> {
-        let mut out = Vec::with_capacity(ws.len());
-        self.expand_all_into(ws, &mut out);
-        out
-    }
-
-    /// [`expand_all`](Self::expand_all) into a caller-owned buffer:
-    /// `out` is cleared and refilled, reusing its capacity. The VM's
-    /// command dispatch recycles argv vectors through this so a
-    /// steady-state script execution allocates nothing per command.
-    pub fn expand_all_into(&self, ws: &[Word], out: &mut Vec<Istr>) {
-        out.clear();
-        out.extend(ws.iter().map(|w| self.expand(w)));
+        ws.iter().map(|w| self.expand(w)).collect()
     }
 }
 

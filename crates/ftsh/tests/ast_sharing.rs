@@ -3,7 +3,8 @@
 //! holds a reference-counted handle to the same statement block.
 
 use ftsh::ast::Block;
-use ftsh::{parse, Env, Vm, VmKind};
+use ftsh::tree::TreeVm;
+use ftsh::{parse, Env, Vm};
 
 const POPULATION: usize = 1000;
 
@@ -25,8 +26,8 @@ fn thousand_tree_vms_share_one_ast() {
     let base = script.stmts.ref_count();
     assert_eq!(base, 1, "freshly parsed script owns its block alone");
 
-    let vms: Vec<Vm> = (0..POPULATION)
-        .map(|i| Vm::with_kind(VmKind::Tree, &script, Env::new(), i as u64))
+    let vms: Vec<TreeVm> = (0..POPULATION)
+        .map(|i| TreeVm::with_env_seed(&script, Env::new(), i as u64))
         .collect();
 
     // Each tree VM adds exactly one strong reference to the top-level
@@ -46,11 +47,11 @@ fn thousand_bytecode_vms_compile_once() {
 
     let base = script.stmts.ref_count();
 
-    // The bytecode backend holds no AST references at all: the first
+    // The interpreter holds no AST references at all: the first
     // construction compiles the script (the program cache keeps only a
     // weak AST handle) and the rest share the compiled program.
     let vms: Vec<Vm> = (0..POPULATION)
-        .map(|i| Vm::with_kind(VmKind::Bytecode, &script, Env::new(), i as u64))
+        .map(|i| Vm::with_seed(&script, i as u64))
         .collect();
     assert_eq!(
         script.stmts.ref_count(),

@@ -1,14 +1,15 @@
-//! Differential property test for the compiled backend: random
-//! (bounded) scripts are pretty-printed, reparsed, compiled, and then
-//! driven in lockstep on the tree-walking VM and the bytecode VM with
-//! a scripted command oracle. At every tick the two backends must
+//! Differential property test for the interpreter: random (bounded)
+//! scripts are pretty-printed, reparsed, compiled, and then driven in
+//! lockstep on the tree-walking oracle (`ftsh::tree`) and on `Vm` with
+//! a scripted command oracle. At every tick the two machines must
 //! produce the *identical* effect stream — same tokens, same argv,
 //! same redirections, same cancels, same status and wake time — and at
 //! the end the same outcome and the same final environment. This is
 //! the mechanical form of DESIGN.md §12's equivalence argument.
 
 use ftsh::ast::{Command, Cond, CondOp, Redir, RedirTarget, Script, Stmt, TrySpec, Word};
-use ftsh::vm::{CmdResult, Effect, Vm, VmKind, VmStatus};
+use ftsh::tree::TreeVm;
+use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
 use ftsh::{parse, pretty, Env};
 use proptest::prelude::*;
 use retry::{Dur, Time};
@@ -155,8 +156,8 @@ proptest! {
             Err(e) => return Err(TestCaseError::fail(format!("pretty output must reparse: {e}\n{text}"))),
         };
 
-        let mut tree = Vm::with_kind(VmKind::Tree, &reparsed, Env::new(), seed);
-        let mut byte = Vm::with_kind(VmKind::Bytecode, &reparsed, Env::new(), seed);
+        let mut tree = TreeVm::with_env_seed(&reparsed, Env::new(), seed);
+        let mut byte = Vm::with_seed(&reparsed, seed);
 
         let mut flips = outcome_bits;
         let mut next_flip = || {
@@ -205,7 +206,7 @@ proptest! {
                         now = now.max(w);
                     } else {
                         // Complete one pending command — same token,
-                        // same result, on both backends, in an order
+                        // same result, on both machines, in an order
                         // scripted by the oracle bits.
                         let token = pending.remove(next_ix(pending.len()));
                         let result = if next_flip() {

@@ -1,4 +1,4 @@
-//! Worst-case retry-budget envelopes.
+//! Worst-case retry-budget envelopes: the arithmetic.
 //!
 //! The envelope of a statement is a supremum on the wall-clock time the
 //! *control structure itself* can consume: backoff delays between
@@ -13,36 +13,18 @@
 //! doubled per consecutive failure, capped at 1 h, then multiplied by a
 //! random spreading factor drawn from [1, 2). The supremum takes the
 //! jitter at its (open) upper edge, so the bound is tight but not
-//! attained. Those constants are one [`BudgetPolicy`] — the default —
-//! and every entry point has a `_with` form taking another (the live
-//! arena's collectives run 100 ms / 2 s). [`Dur::MAX`] is the
-//! "unbounded" sentinel and prints as `forever`.
+//! attained. Those constants are one [`BudgetPolicy`] — the default;
+//! the live arena's collectives run another (100 ms / 2 s).
+//! [`Dur::MAX`] is the "unbounded" sentinel and prints as `forever`.
 //!
-//! ## Soundness
-//!
-//! Function calls are resolved against the *whole script*, exactly as
-//! the bytecode compiler's pre-pass assigns function ids: a call site
-//! is charged its callee's summary wherever the definition appears.
-//! Two constructs have no finite static bound and saturate to
-//! [`Dur::MAX`] rather than silently costing zero:
-//!
-//! * **recursion** (self- or mutual): the call graph cycle means no
-//!   finite unrolling bounds the retry structure — reported via
-//!   [`BudgetAnalysis::recursive`];
-//! * **dynamic dispatch** (`${cmd} ...` where the script defines any
-//!   function): the callee set is unknown at compile time — reported
-//!   via [`BudgetAnalysis::dynamic`].
+//! This module is the policy and the closed forms; the walk that
+//! applies them to a script — one derivation, over the compiled
+//! bytecode — is [`crate::check::envelope_report`].
 
-use ftsh::{Script, Span, Stmt};
 use retry::Dur;
-use std::collections::{HashMap, HashSet};
 
-/// The paper's base delay (1 s).
-pub const BASE: Dur = Dur::from_secs(1);
-/// The paper's delay cap (1 h).
-pub const CAP: Dur = Dur::from_hours(1);
 /// Open upper edge of the paper's random spreading factor [1, 2).
-pub const JITTER_HI: f64 = 2.0;
+const JITTER_HI: f64 = 2.0;
 
 /// The backoff-policy inputs of the envelope analysis: base delay,
 /// cap, and the (open) upper edge of the jitter factor.
@@ -59,8 +41,8 @@ pub struct BudgetPolicy {
 impl BudgetPolicy {
     /// The paper's §4 policy: 1 s base doubled to a 1 h cap, ×[1, 2).
     pub const PAPER: BudgetPolicy = BudgetPolicy {
-        base: BASE,
-        cap: CAP,
+        base: Dur::from_secs(1),
+        cap: Dur::from_hours(1),
         jitter_hi: JITTER_HI,
     };
 
@@ -73,53 +55,42 @@ impl BudgetPolicy {
     };
 
     /// Supremum of the total backoff delay across `delays` consecutive
-    /// failures under this policy.
+    /// failures under this policy: the k-th delay is
+    /// `min(base * 2^(k-1), cap) * jitter`, `jitter < jitter_hi`.
+    ///
+    /// ```
+    /// use ftshlint::budget::BudgetPolicy;
+    /// use retry::Dur;
+    ///
+    /// // try 5 times: four delays of sup 2,4,8,16 s.
+    /// assert_eq!(BudgetPolicy::PAPER.worst_backoff_total(4), Dur::from_secs(30));
+    /// ```
     pub fn worst_backoff_total(&self, delays: u32) -> Dur {
-        worst_backoff_total_with(self.base, self.cap, self.jitter_hi, delays)
+        let cap_us = self.cap.as_micros() as u128;
+        let mut d = self.base.as_micros() as u128;
+        let mut sum: u128 = 0;
+        let mut k: u64 = 0;
+        let m = u64::from(delays);
+        // Doubling reaches the cap within ~64 iterations; the rest of
+        // the delays sit at the cap and are charged in closed form.
+        while k < m && d < cap_us {
+            sum += d;
+            d *= 2;
+            k += 1;
+        }
+        sum += u128::from(m - k) * cap_us;
+        let jittered = (sum as f64) * self.jitter_hi;
+        if jittered >= u64::MAX as f64 {
+            Dur::MAX
+        } else {
+            Dur::from_micros(jittered.round() as u64)
+        }
     }
 }
 
 impl Default for BudgetPolicy {
     fn default() -> BudgetPolicy {
         BudgetPolicy::PAPER
-    }
-}
-
-/// Supremum of the total exponential-backoff delay across `delays`
-/// consecutive failures under the paper's policy: the k-th delay is
-/// `min(base * 2^(k-1), cap) * jitter`, `jitter < 2`.
-///
-/// ```
-/// use ftshlint::budget::worst_backoff_total;
-/// use retry::Dur;
-///
-/// // try 5 times: four delays of sup 2,4,8,16 s.
-/// assert_eq!(worst_backoff_total(4), Dur::from_secs(30));
-/// ```
-pub fn worst_backoff_total(delays: u32) -> Dur {
-    worst_backoff_total_with(BASE, CAP, JITTER_HI, delays)
-}
-
-/// [`worst_backoff_total`] under an explicit doubling policy.
-pub fn worst_backoff_total_with(base: Dur, cap: Dur, jitter_hi: f64, delays: u32) -> Dur {
-    let cap_us = cap.as_micros() as u128;
-    let mut d = base.as_micros() as u128;
-    let mut sum: u128 = 0;
-    let mut k: u64 = 0;
-    let m = u64::from(delays);
-    // Doubling reaches the cap within ~64 iterations; the rest of the
-    // delays sit at the cap and are charged in closed form.
-    while k < m && d < cap_us {
-        sum += d;
-        d *= 2;
-        k += 1;
-    }
-    sum += u128::from(m - k) * cap_us;
-    let jittered = (sum as f64) * jitter_hi;
-    if jittered >= u64::MAX as f64 {
-        Dur::MAX
-    } else {
-        Dur::from_micros(jittered.round() as u64)
     }
 }
 
@@ -138,8 +109,7 @@ pub(crate) fn sat_add(a: Dur, b: Dur) -> Dur {
 }
 
 /// Worst-case cost of one `try` region given its body and catch
-/// envelopes — shared by the AST analysis here and the bytecode
-/// analysis in `crate::check`, so the two derive identical bounds.
+/// envelopes.
 pub(crate) fn try_cost(
     policy: &BudgetPolicy,
     time: Option<Dur>,
@@ -169,109 +139,13 @@ pub(crate) fn try_cost(
     sat_add(per_try, catch_env)
 }
 
-/// What the envelope analysis found beyond the bound itself.
-#[derive(Debug, Default)]
-pub struct BudgetAnalysis {
-    /// Worst-case retry envelope of the whole script.
-    pub envelope: Dur,
-    /// Functions on a call-graph cycle (each charged [`Dur::MAX`]),
-    /// with a representative source span from the body.
-    pub recursive: Vec<(String, Span)>,
-    /// Call sites whose argv[0] is computed while the script defines
-    /// functions: the callee set is unknown, charged [`Dur::MAX`].
-    pub dynamic: Vec<Span>,
-}
-
-impl BudgetAnalysis {
-    /// Analyze `script` under the paper's default policy.
-    pub fn of_script(script: &Script) -> BudgetAnalysis {
-        BudgetAnalysis::of_script_with(script, &BudgetPolicy::PAPER)
-    }
-
-    /// Analyze `script` under an explicit policy.
-    pub fn of_script_with(script: &Script, policy: &BudgetPolicy) -> BudgetAnalysis {
-        let mut a = Analyzer {
-            policy: *policy,
-            funcs: HashMap::new(),
-            summaries: HashMap::new(),
-            in_progress: HashSet::new(),
-            recursive: HashSet::new(),
-            dynamic: Vec::new(),
-        };
-        a.collect(&script.stmts);
-        let envelope = a.block(&script.stmts);
-        let mut recursive: Vec<(String, Span)> = a
-            .recursive
-            .iter()
-            .map(|name| {
-                let span = a
-                    .funcs
-                    .get(name.as_str())
-                    .and_then(|bodies| bodies.iter().find_map(|b| first_span(b)))
-                    .unwrap_or_default();
-                (name.clone(), span)
-            })
-            .collect();
-        recursive.sort_by(|a, b| a.0.cmp(&b.0));
-        BudgetAnalysis {
-            envelope,
-            recursive,
-            dynamic: a.dynamic,
-        }
-    }
-}
-
-/// Envelope analysis over one script: the compatibility entry point
-/// (the envelope alone, default policy).
-pub struct Envelope;
-
-impl Envelope {
-    /// Worst-case retry envelope of a whole script.
-    pub fn of_script(script: &Script) -> Dur {
-        BudgetAnalysis::of_script(script).envelope
-    }
-}
-
-/// First known source span inside a block, for diagnostics on
-/// constructs (functions) that carry no span of their own.
-fn first_span(stmts: &[Stmt]) -> Option<Span> {
-    for s in stmts {
-        let found = match s {
-            Stmt::Command(c) => c
-                .words
-                .first()
-                .map(ftsh::Word::span)
-                .filter(|s| s.is_known()),
-            Stmt::Assign { value, .. } => Some(value.span()).filter(|s| s.is_known()),
-            Stmt::Try { spec, body, catch } => Some(spec.span)
-                .filter(|s| s.is_known())
-                .or_else(|| first_span(body))
-                .or_else(|| catch.as_ref().and_then(|c| first_span(c))),
-            Stmt::ForAny { body, .. } | Stmt::ForAll { body, .. } | Stmt::Function { body, .. } => {
-                first_span(body)
-            }
-            Stmt::If { cond, then, els } => Some(cond.lhs.span())
-                .filter(|s| s.is_known())
-                .or_else(|| first_span(then))
-                .or_else(|| els.as_ref().and_then(|e| first_span(e))),
-            Stmt::Failure | Stmt::Success => None,
-        };
-        if found.is_some() {
-            return found;
-        }
-    }
-    None
-}
-
 /// Whether a computed word could ever expand to `name`. Substitution
 /// segments expand to arbitrary strings (including empty), so the
 /// word's literal runs must appear in `name` in order — anchored at
 /// whichever ends of the word are literal. `${shimdir}/unreliable`
 /// can therefore never name a function called `fetch` (every
 /// expansion ends in `/unreliable`), while a bare `${cmd}` can name
-/// anything. Shared by the AST analyzer here and the bytecode walker
-/// in `crate::check`, so both draw the `FuncRef::Dynamic` line in the
-/// same place.
+/// anything.
 pub(crate) fn pattern_can_match(
     lits: &[&str],
     anchored_start: bool,
@@ -313,149 +187,23 @@ pub(crate) fn pattern_can_match(
     true
 }
 
-/// [`pattern_can_match`] over an AST word.
-fn word_can_expand_to(w: &ftsh::Word, name: &str) -> bool {
-    let segs = w.segs();
-    let lits: Vec<&str> = segs
-        .iter()
-        .filter_map(|s| match s {
-            ftsh::Seg::Lit(l) => Some(&**l),
-            ftsh::Seg::Var(_) => None,
-        })
-        .collect();
-    let anchored_start = matches!(segs.first(), Some(ftsh::Seg::Lit(_)));
-    let anchored_end = matches!(segs.last(), Some(ftsh::Seg::Lit(_)));
-    pattern_can_match(&lits, anchored_start, anchored_end, name)
-}
-
-struct Analyzer<'a> {
-    policy: BudgetPolicy,
-    /// Every definition of each function name, collected whole-script
-    /// (like the bytecode compiler's pre-pass); redefinition summaries
-    /// take the max over bodies.
-    funcs: HashMap<&'a str, Vec<&'a [Stmt]>>,
-    summaries: HashMap<&'a str, Dur>,
-    in_progress: HashSet<&'a str>,
-    recursive: HashSet<String>,
-    dynamic: Vec<Span>,
-}
-
-impl<'a> Analyzer<'a> {
-    fn collect(&mut self, stmts: &'a [Stmt]) {
-        for s in stmts {
-            match s {
-                Stmt::Function { name, body } => {
-                    self.funcs.entry(name.as_str()).or_default().push(body);
-                    self.collect(body);
-                }
-                Stmt::Try { body, catch, .. } => {
-                    self.collect(body);
-                    if let Some(c) = catch {
-                        self.collect(c);
-                    }
-                }
-                Stmt::ForAny { body, .. } | Stmt::ForAll { body, .. } => self.collect(body),
-                Stmt::If { then, els, .. } => {
-                    self.collect(then);
-                    if let Some(e) = els {
-                        self.collect(e);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn func_cost(&mut self, name: &'a str) -> Dur {
-        if let Some(&d) = self.summaries.get(name) {
-            return d;
-        }
-        if self.in_progress.contains(name) {
-            // Call-graph cycle: no finite unrolling bounds the
-            // envelope. Everything on the cycle saturates.
-            self.recursive.insert(name.to_string());
-            return Dur::MAX;
-        }
-        self.in_progress.insert(name);
-        let bodies = self.funcs.get(name).cloned().unwrap_or_default();
-        let mut cost = Dur::ZERO;
-        for body in bodies {
-            cost = cost.max(self.block(body));
-        }
-        self.in_progress.remove(name);
-        self.summaries.insert(name, cost);
-        cost
-    }
-
-    fn block(&mut self, stmts: &'a [Stmt]) -> Dur {
-        let mut total = Dur::ZERO;
-        for s in stmts {
-            total = sat_add(total, self.stmt(s));
-        }
-        total
-    }
-
-    fn stmt(&mut self, stmt: &'a Stmt) -> Dur {
-        match stmt {
-            Stmt::Command(c) => match c.words.first() {
-                Some(w0) => match w0.as_lit() {
-                    Some(name) if self.funcs.contains_key(name) => self.func_cost(name),
-                    Some(_) => Dur::ZERO,
-                    None if self.funcs.keys().any(|name| word_can_expand_to(w0, name)) => {
-                        // Computed argv[0] whose expansions include at
-                        // least one defined function name: the callee
-                        // is unknown, so the call is unbounded.
-                        self.dynamic.push(w0.span());
-                        Dur::MAX
-                    }
-                    // Computed, but provably never a defined function
-                    // (e.g. `${shimdir}/tool`): a plain external
-                    // command.
-                    None => Dur::ZERO,
-                },
-                None => Dur::ZERO,
-            },
-            Stmt::Assign { .. } | Stmt::Failure | Stmt::Success => Dur::ZERO,
-            // Defining costs nothing; calls are charged the summary.
-            Stmt::Function { .. } => Dur::ZERO,
-            Stmt::If { then, els, .. } => {
-                let t = self.block(then);
-                let e = els.as_ref().map_or(Dur::ZERO, |b| self.block(b));
-                t.max(e)
-            }
-            Stmt::ForAny { values, body, .. } => {
-                // Sequential worst case: every alternative is attempted.
-                sat_mul(self.block(body), values.len() as u64)
-            }
-            Stmt::ForAll { body, .. } => {
-                // Parallel branches share the same body; the slowest
-                // branch bounds the join.
-                self.block(body)
-            }
-            Stmt::Try { spec, body, catch } => {
-                let body_env = self.block(body);
-                let catch_env = catch.as_ref().map_or(Dur::ZERO, |b| self.block(b));
-                let policy = self.policy;
-                try_cost(
-                    &policy,
-                    spec.time,
-                    spec.attempts,
-                    spec.every,
-                    body_env,
-                    catch_env,
-                )
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{envelope_report, EnvelopeReport};
+    use ftsh::bytecode::compile;
     use ftsh::parse;
 
+    fn analyze(src: &str, policy: &BudgetPolicy) -> EnvelopeReport {
+        envelope_report(&compile(&parse(src).unwrap().stmts), policy)
+    }
+
     fn envelope(src: &str) -> Dur {
-        Envelope::of_script(&parse(src).unwrap())
+        analyze(src, &BudgetPolicy::PAPER).envelope
+    }
+
+    fn worst_backoff_total(delays: u32) -> Dur {
+        BudgetPolicy::PAPER.worst_backoff_total(delays)
     }
 
     /// The paper's policy: delays sup 2*min(2^(k-1), 3600) seconds.
@@ -516,9 +264,7 @@ mod tests {
     #[test]
     fn attempt_limited_try_under_arena_policy() {
         // Same scripts, arena constants: the whole closed form shifts.
-        let env = |src: &str| {
-            BudgetAnalysis::of_script_with(&parse(src).unwrap(), &BudgetPolicy::ARENA).envelope
-        };
+        let env = |src: &str| analyze(src, &BudgetPolicy::ARENA).envelope;
         // try 5 times: 2*(0.1+0.2+0.4+0.8) = 3 s.
         assert_eq!(env("try 5 times\n  work\nend\n"), Dur::from_secs(3));
         // try 10 times: 2*(3.1 + 4*2.0) = 22.2 s (cap from delay 6).
@@ -604,9 +350,9 @@ mod tests {
 
     #[test]
     fn calls_before_the_definition_are_charged() {
-        // The bytecode compiler resolves function ids whole-script, so
-        // a call textually before the definition still dispatches to
-        // it; the envelope must charge it the same way.
+        // The compiler resolves function ids whole-script, so a call
+        // textually before the definition still dispatches to it; the
+        // envelope charges it the same way.
         let src = "f\nfunction f\n  try 5 times\n    work\n  end\nend\n";
         assert_eq!(envelope(src), Dur::from_secs(30));
     }
@@ -614,7 +360,7 @@ mod tests {
     #[test]
     fn self_recursion_saturates_and_is_reported() {
         let src = "function f\n  work\n  f\nend\nf\n";
-        let a = BudgetAnalysis::of_script(&parse(src).unwrap());
+        let a = analyze(src, &BudgetPolicy::PAPER);
         assert_eq!(a.envelope, Dur::MAX);
         assert_eq!(a.recursive.len(), 1);
         assert_eq!(a.recursive[0].0, "f");
@@ -625,7 +371,7 @@ mod tests {
     fn mutual_and_forward_recursion_saturate() {
         // f calls g, g calls f: both sit on the cycle.
         let src = "function f\n  g\nend\nfunction g\n  f\nend\nf\n";
-        let a = BudgetAnalysis::of_script(&parse(src).unwrap());
+        let a = analyze(src, &BudgetPolicy::PAPER);
         assert_eq!(a.envelope, Dur::MAX);
         // At least the detection point is named; the envelope is MAX
         // regardless of which cycle member is reported.
@@ -633,7 +379,7 @@ mod tests {
         // An uncalled recursive function still surfaces the diagnostic
         // but cannot blow up the main envelope.
         let src = "function f\n  f\nend\ntrue\n";
-        let a = BudgetAnalysis::of_script(&parse(src).unwrap());
+        let a = analyze(src, &BudgetPolicy::PAPER);
         assert_eq!(a.envelope, Dur::ZERO);
         assert!(a.recursive.is_empty(), "never costed, never flagged");
     }
@@ -642,13 +388,13 @@ mod tests {
     fn dynamic_dispatch_saturates_and_is_reported() {
         // ${cmd} could name f: the callee set is unknown.
         let src = "function f\n  work\nend\ncmd=f\n${cmd} x\n";
-        let a = BudgetAnalysis::of_script(&parse(src).unwrap());
+        let a = analyze(src, &BudgetPolicy::PAPER);
         assert_eq!(a.envelope, Dur::MAX);
         assert_eq!(a.dynamic.len(), 1);
         // Without any defined functions a computed argv0 is plain
         // external work: zero, no diagnostic.
         let src = "cmd=ls\n${cmd} x\n";
-        let a = BudgetAnalysis::of_script(&parse(src).unwrap());
+        let a = analyze(src, &BudgetPolicy::PAPER);
         assert_eq!(a.envelope, Dur::ZERO);
         assert!(a.dynamic.is_empty());
     }

@@ -3,12 +3,12 @@
 //!
 //! Three layers, each feeding the next:
 //!
-//! 1. **Bytecode envelope** — [`prog_envelope`] re-derives the
-//!    worst-case retry envelope of `crate::budget` on the compiled
-//!    [`Prog`] instead of the AST. The two walk different IRs through
-//!    the same shared `try_cost`, so equal answers on every corpus
-//!    script are strong evidence both are right (the parity property
-//!    test enforces it).
+//! 1. **Retry envelope** — [`envelope_report`] derives the worst-case
+//!    retry envelope (the arithmetic is `crate::budget`'s) by walking
+//!    the compiled [`Prog`] — the same program the interpreter runs,
+//!    so the bound is about the code that executes. It is the only
+//!    envelope derivation: `lint_script` reports it and its
+//!    unbounded-call diagnostics, [`check`] budgets jobs with it.
 //! 2. **Key effects** — [`crate::keyflow::key_effects`] summarizes
 //!    each job's store traffic: what it publishes, what it must fetch
 //!    first, and under which retry budget.
@@ -35,7 +35,7 @@ use crate::budget::{pattern_can_match, sat_add, sat_mul, try_cost, BudgetPolicy}
 use crate::keyflow::{key_effects, KeyEffects};
 use crate::Severity;
 use ftsh::bytecode::{compile_cached, CmdTpl, FuncRef, Ip, Op, Prog, SegTpl, WordTpl, NO_CATCH};
-use ftsh::Script;
+use ftsh::{Script, Span};
 use gridworld::coord::{
     allreduce_aloha_text, allreduce_ethernet_text, dag_job_script_text, DagSpec,
 };
@@ -49,18 +49,40 @@ use std::fmt::Write as _;
 // Bytecode retry envelope
 // ---------------------------------------------------------------------
 
-/// Worst-case retry envelope of a compiled program under `policy`.
+/// What the envelope walk found: the bound, and the two constructs
+/// that have no finite one.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EnvelopeReport {
+    /// Worst-case retry envelope of the whole script ([`Dur::MAX`] =
+    /// unbounded).
+    pub envelope: Dur,
+    /// Functions at which a call-graph cycle closed (each charged
+    /// [`Dur::MAX`]), sorted by name, with a representative source
+    /// span from the body.
+    pub recursive: Vec<(String, Span)>,
+    /// argv\[0\] spans of call sites that are computed and could name
+    /// a defined function: the callee set is unknown, charged
+    /// [`Dur::MAX`].
+    pub dynamic: Vec<Span>,
+}
+
+/// Worst-case retry envelope of a compiled program under `policy`,
+/// with the call sites that made it unbounded.
 ///
-/// Mirrors `budget::BudgetAnalysis` op for op: group cost is the sum
-/// of statement costs (including statements after a `failure` — the
-/// AST analyzer charges them too, and parity is the point), `if` is
-/// the max over branches, `try` goes through the shared `try_cost`,
-/// `forany` multiplies its body by the alternative count, `forall`
-/// branches run concurrently so the body counts once, and function
-/// calls use memoized max-over-bodies summaries with call-graph
-/// cycles and dynamic dispatch collapsing to [`Dur::MAX`].
+/// Group cost is the sum of statement costs (including statements
+/// after a `failure`: an upper bound may over-count), `if` is the max
+/// over branches, `try` goes through `budget::try_cost`, `forany`
+/// multiplies its body by the alternative count, `forall` branches run
+/// concurrently so the body counts once. Calls resolve against the
+/// *whole script*, exactly as the compiler's pre-pass assigns function
+/// ids — a call site is charged its callee's memoized max-over-bodies
+/// summary wherever the definition appears — and the two constructs
+/// with no finite static bound saturate to [`Dur::MAX`] rather than
+/// silently costing zero: recursion (self- or mutual) and dynamic
+/// dispatch (`${cmd} ...` that could expand to a defined function's
+/// name).
 #[must_use]
-pub fn prog_envelope(prog: &Prog, policy: &BudgetPolicy) -> Dur {
+pub fn envelope_report(prog: &Prog, policy: &BudgetPolicy) -> EnvelopeReport {
     let mut func_entries: HashMap<u32, Vec<Ip>> = HashMap::new();
     for op in &prog.ops {
         if let Op::FuncDef { func, entry } = *op {
@@ -73,15 +95,22 @@ pub fn prog_envelope(prog: &Prog, policy: &BudgetPolicy) -> Dur {
         func_entries,
         summaries: HashMap::new(),
         in_progress: HashSet::new(),
+        recursive: BTreeMap::new(),
+        dynamic: Vec::new(),
     };
-    walker.cost(0, prog.ops.len() as Ip)
+    let envelope = walker.cost(0, prog.ops.len() as Ip);
+    EnvelopeReport {
+        envelope,
+        recursive: walker.recursive.into_iter().collect(),
+        dynamic: walker.dynamic,
+    }
 }
 
-/// [`prog_envelope`] from source, through the process-wide bytecode
+/// The envelope alone, from source, through the process-wide bytecode
 /// cache.
 #[must_use]
 pub fn bytecode_envelope(script: &Script, policy: &BudgetPolicy) -> Dur {
-    prog_envelope(&compile_cached(script), policy)
+    envelope_report(&compile_cached(script), policy).envelope
 }
 
 /// Whether a `FuncRef::Dynamic` command could actually dispatch to a
@@ -124,6 +153,8 @@ struct CostWalker<'p> {
     func_entries: HashMap<u32, Vec<Ip>>,
     summaries: HashMap<u32, Dur>,
     in_progress: HashSet<u32>,
+    recursive: BTreeMap<String, Span>,
+    dynamic: Vec<Span>,
 }
 
 impl CostWalker<'_> {
@@ -134,6 +165,11 @@ impl CostWalker<'_> {
             return d;
         }
         if !self.in_progress.insert(id) {
+            let (name, span) = (
+                &self.prog.func_names[id as usize],
+                self.prog.func_spans[id as usize],
+            );
+            self.recursive.insert(name.to_string(), span);
             return Dur::MAX;
         }
         let entries = self.func_entries.get(&id).cloned().unwrap_or_default();
@@ -217,7 +253,10 @@ impl CostWalker<'_> {
                     let cmd = &self.prog.cmds[cix as usize];
                     let call = match cmd.func {
                         FuncRef::Static(id) => self.func_cost(id),
-                        FuncRef::Dynamic if could_dispatch_function(self.prog, cmd) => Dur::MAX,
+                        FuncRef::Dynamic if could_dispatch_function(self.prog, cmd) => {
+                            self.dynamic.push(self.prog.cmd_spans[cix as usize]);
+                            Dur::MAX
+                        }
                         FuncRef::Dynamic | FuncRef::None => Dur::ZERO,
                     };
                     total = sat_add(total, call);
@@ -1040,36 +1079,6 @@ mod tests {
             FaultKind::ClientKill { client, restart },
         ));
         plan
-    }
-
-    // ---- envelope parity (smoke; the corpus property test is in
-    // tests/envelope_parity.rs) ---------------------------------------
-
-    #[test]
-    fn bytecode_envelope_matches_ast_on_structured_scripts() {
-        let sources = [
-            "try for 30 seconds\n  cmd\nend\n",
-            "try 3 times every 5 seconds\n  a\n  b\nend\n",
-            "if ${x} .eq. 1\n  try for 10 seconds\n    a\n  end\nelse\n  try for 99 seconds\n    b\n  end\nend\n",
-            "forany host in a b c\n  try for 60 seconds\n    fetch ${host}\n  end\nend\n",
-            "forall peer in p q\n  try for 60 seconds\n    fetch ${peer}\n  end\nend\n",
-            "function f\n  try for 7 seconds\n    x\n  end\nend\nf\nf\n",
-            "try for 600 seconds\n  df merge -> n\n  if ${n} .lt. 3\n    failure\n  else\n    fetch a\n  end\nend\n",
-        ];
-        for src in sources {
-            let script = ftsh::parse(src).expect("parses");
-            let ast = crate::budget::BudgetAnalysis::of_script(&script).envelope;
-            let bc = bytecode_envelope(&script, &BudgetPolicy::PAPER);
-            assert_eq!(ast, bc, "envelope parity on {src:?}");
-        }
-    }
-
-    #[test]
-    fn bytecode_envelope_collapses_on_recursion_and_dynamic_dispatch() {
-        let rec = ftsh::parse("function f\n  f\nend\nf\n").expect("parses");
-        assert_eq!(bytecode_envelope(&rec, &BudgetPolicy::PAPER), Dur::MAX);
-        let dyn_ = ftsh::parse("function f\n  x\nend\n${cmd}\n").expect("parses");
-        assert_eq!(bytecode_envelope(&dyn_, &BudgetPolicy::PAPER), Dur::MAX);
     }
 
     // ---- clean workflows --------------------------------------------

@@ -4,14 +4,16 @@
 //! client and a destructive one is *discipline*: bounded retries,
 //! exponential backoff with room to breathe, sensing the medium before
 //! committing work, and transactional I/O so killed attempts leave no
-//! debris. All of those properties are visible in the AST before a
-//! script ever runs — this crate checks them statically.
+//! debris. All of those properties are visible before a script ever
+//! runs — this crate checks them statically: the structural rules on
+//! the spanned AST, the retry envelope on the compiled bytecode.
 //!
 //! [`lint`] parses a script and produces a [`Report`]: structured
 //! [`Diagnostic`]s (rule id, severity, byte span, message, suggestion),
 //! a [`Discipline`] classification (Ethernet / Aloha / Fixed /
 //! straight-line, after §5's three client personalities), and the
-//! worst-case retry envelope of the whole script (see [`budget`]).
+//! worst-case retry envelope of the whole script (derived by
+//! [`check::envelope_report`] with the arithmetic in [`budget`]).
 //!
 //! ## Rules
 //!
@@ -432,7 +434,7 @@ pub fn lint_script(script: &Script, src: &str, opts: &Options) -> Report {
     let mut flow = rules::DataflowWalker::new(&mut diags, &defines, &script.stmts);
     flow.block(&script.stmts);
 
-    let analysis = budget::BudgetAnalysis::of_script_with(script, &opts.policy);
+    let analysis = check::envelope_report(&ftsh::bytecode::compile_cached(script), &opts.policy);
     for (name, span) in &analysis.recursive {
         diags.push(Diagnostic {
             rule: "recursive-function",

@@ -550,6 +550,8 @@ pub struct AllReduceOutcome {
     pub client_totals: ftsh::LogSummary,
     /// Events popped from this run's own queue.
     pub events_popped: u64,
+    /// VM ticks this run's driver issued.
+    pub vm_ticks: u64,
     /// Past-scheduled events clamped forward to `now`.
     pub queue_clamps: u64,
 }
@@ -608,6 +610,7 @@ pub fn run_allreduce_traced(
     }
     driver.run_until(Time::ZERO + duration);
     let events_popped = driver.events_popped();
+    let vm_ticks = driver.vm_ticks();
     let queue_clamps = driver.clamps();
     if queue_clamps > 0 {
         simgrid::trace::emit(
@@ -646,6 +649,7 @@ pub fn run_allreduce_traced(
         failed_fetches: w.misses,
         client_totals: totals,
         events_popped,
+        vm_ticks,
         queue_clamps,
     }
 }

@@ -15,17 +15,6 @@ use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::trace::{emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{EventQueue, SimRng};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide count of VM ticks across every driver on any thread.
-/// The perf harness samples this around a run to normalise allocation
-/// counts to allocations-per-tick; it never affects behaviour.
-static VM_TICKS: AtomicU64 = AtomicU64::new(0);
-
-/// Total VM ticks process-wide since start (monotonic).
-pub fn vm_ticks_total() -> u64 {
-    VM_TICKS.load(Ordering::Relaxed)
-}
 
 /// A client index within a scenario.
 pub type ClientId = usize;
@@ -280,6 +269,7 @@ pub struct SimDriver<W: CommandWorld> {
     /// Reusable effects buffer swapped into each VM tick, so the hot
     /// loop never allocates a fresh `Vec` per tick.
     effects_buf: Vec<Effect>,
+    vm_ticks: u64,
 }
 
 impl<W: CommandWorld> SimDriver<W> {
@@ -322,6 +312,7 @@ impl<W: CommandWorld> SimDriver<W> {
             tracer: None,
             faults: None,
             effects_buf: Vec::new(),
+            vm_ticks: 0,
         }
     }
 
@@ -368,6 +359,14 @@ impl<W: CommandWorld> SimDriver<W> {
     /// not contaminate each other's counts.
     pub fn events_popped(&self) -> u64 {
         self.queue.popped()
+    }
+
+    /// VM ticks this driver has issued. Per-driver like
+    /// [`events_popped`](Self::events_popped): the perf harness divides
+    /// allocations by it, and concurrent runs must not see each
+    /// other's ticks.
+    pub fn vm_ticks(&self) -> u64 {
+        self.vm_ticks
     }
 
     /// Past-schedules clamped to `now` by this run's queue. Nonzero
@@ -665,7 +664,7 @@ impl<W: CommandWorld> SimDriver<W> {
             let Some(vm) = self.vms[client].as_mut() else {
                 break 'driving;
             };
-            VM_TICKS.fetch_add(1, Ordering::Relaxed);
+            self.vm_ticks += 1;
             let status = vm.tick_into(vm_now, &mut effects);
             let mut completed_inline = false;
             for eff in effects.drain(..) {
@@ -970,6 +969,35 @@ mod tests {
         // Resume: more work happens.
         d.run_until(Time::from_secs(60));
         assert!(d.world.units > units_at_30);
+    }
+
+    #[test]
+    fn tick_counter_is_per_driver() {
+        // Two drivers on two threads, one doing three times the work:
+        // each reports exactly its own ticks (one start tick plus one
+        // completion tick per unit), whatever the other is doing.
+        let ticks = |max_units: u32| {
+            let world = ToyWorld {
+                fail_first: 0,
+                failures_injected: 0,
+                successes: 0,
+                units: 0,
+                max_units,
+                script: "work\n",
+                cancel_count: 0,
+            };
+            let vm = world.vm(0);
+            let mut d = SimDriver::new(world, vec![vm]);
+            d.run_until(Time::from_secs(100_000));
+            d.vm_ticks()
+        };
+        let (small, large) = std::thread::scope(|s| {
+            let a = s.spawn(|| ticks(100));
+            let b = s.spawn(|| ticks(300));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(small, 200);
+        assert_eq!(large, 600);
     }
 }
 

@@ -32,6 +32,9 @@ pub struct FigureRun {
     /// Events popped across every simulation run behind this figure
     /// (aggregated per run — see [`crate::driver::SimDriver::events_popped`]).
     pub events_popped: u64,
+    /// VM ticks issued across every run behind this figure (per-driver
+    /// counts summed — see [`crate::driver::SimDriver::vm_ticks`]).
+    pub vm_ticks: u64,
     /// Past-scheduled events clamped forward to `now`, summed over
     /// every run behind this figure. Always zero in a healthy run;
     /// surfaced by `figures --stats` as a regression tripwire.
@@ -69,31 +72,58 @@ fn merge_plan(base: FaultPlan, custom: Option<&FaultPlan>) -> Option<FaultPlan> 
     })
 }
 
-/// Take the records out of a point's collector.
-fn drain(handle: Option<Arc<Mutex<VecSink>>>) -> Vec<TraceRecord> {
-    handle
-        .map(|h| h.lock().expect("trace sink lock").take())
-        .unwrap_or_default()
+/// What one simulation run contributes to its figure besides the
+/// plotted values: its engine-work counters and its trace records.
+struct RunWork {
+    events_popped: u64,
+    vm_ticks: u64,
+    clamps: u64,
+    trace: Vec<TraceRecord>,
 }
 
-/// Split per-point `(value, events, clamps, records)` tuples into the
-/// value vector, the event and clamp totals, and the in-order
-/// concatenated trace.
-#[allow(clippy::type_complexity)]
-fn collect_points(
-    results: Vec<(f64, u64, u64, Vec<TraceRecord>)>,
-) -> (Vec<f64>, u64, u64, Vec<TraceRecord>) {
-    let mut values = Vec::with_capacity(results.len());
-    let mut events = 0u64;
-    let mut clamps = 0u64;
-    let mut trace = Vec::new();
-    for (v, e, c, t) in results {
-        values.push(v);
-        events += e;
-        clamps += c;
-        trace.extend(t);
+/// One run's [`RunWork`]: the counters every scenario outcome carries,
+/// plus whatever the point's trace collector gathered.
+fn work(
+    events_popped: u64,
+    vm_ticks: u64,
+    clamps: u64,
+    handle: Option<Arc<Mutex<VecSink>>>,
+) -> RunWork {
+    RunWork {
+        events_popped,
+        vm_ticks,
+        clamps,
+        trace: handle
+            .map(|h| h.lock().expect("trace sink lock").take())
+            .unwrap_or_default(),
     }
-    (values, events, clamps, trace)
+}
+
+impl FigureRun {
+    /// A figure from its series and the work of every run behind it,
+    /// summed — and the traces concatenated — in run order.
+    fn assemble(
+        set: SeriesSet,
+        works: impl IntoIterator<Item = RunWork>,
+        traced: bool,
+    ) -> FigureRun {
+        let mut run = FigureRun {
+            set,
+            events_popped: 0,
+            vm_ticks: 0,
+            clamps: 0,
+            trace: traced.then(Vec::new),
+        };
+        for w in works {
+            run.events_popped += w.events_popped;
+            run.vm_ticks += w.vm_ticks;
+            run.clamps += w.clamps;
+            if let Some(trace) = &mut run.trace {
+                trace.extend(w.trace);
+            }
+        }
+        run
+    }
 }
 
 /// The cross product of disciplines and population sizes, in figure
@@ -171,19 +201,12 @@ fn fig1_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         let o = run_submission_traced(params, window, sink);
         (
             o.jobs_submitted as f64,
-            o.events_popped,
-            o.queue_clamps,
-            drain(handle),
+            work(o.events_popped, o.vm_ticks, o.queue_clamps, handle),
         )
     });
-    let (jobs, events_popped, clamps, trace) = collect_points(results);
+    let (jobs, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
     series_per_discipline(&mut set, &ns, jobs);
-    FigureRun {
-        set,
-        events_popped,
-        clamps,
-        trace: traced.then_some(trace),
-    }
+    FigureRun::assemble(set, works, traced)
 }
 
 /// Figure 1x — *Submission at Population Extremes*: Figure 1's
@@ -237,12 +260,10 @@ fn fig1x_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) ->
         let o = run_submission_traced(params, window, sink);
         (
             o.jobs_submitted as f64,
-            o.events_popped,
-            o.queue_clamps,
-            drain(handle),
+            work(o.events_popped, o.vm_ticks, o.queue_clamps, handle),
         )
     });
-    let (jobs, events_popped, clamps, trace) = collect_points(results);
+    let (jobs, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
     let mut it = jobs.into_iter();
     for d in FIG1X_DISCIPLINES {
         let mut series = Series::new(d.label());
@@ -251,12 +272,7 @@ fn fig1x_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) ->
         }
         set.add(series);
     }
-    FigureRun {
-        set,
-        events_popped,
-        clamps,
-        trace: traced.then_some(trace),
-    }
+    FigureRun::assemble(set, works, traced)
 }
 
 fn submit_timeline(
@@ -280,6 +296,7 @@ fn submit_timeline(
     let window = scale.pick(Dur::from_secs(1800), Dur::from_secs(300));
     let (sink, handle) = point_sink(traced);
     let o = run_submission_traced(params, window, sink);
+    let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
     let mut set = SeriesSet::new(title, "Time (s)", "Available FDs / Jobs Submitted");
     let mut fd = o.fd_series;
     fd.name = "Available FDs".into();
@@ -287,12 +304,7 @@ fn submit_timeline(
     jobs.name = "Jobs Submitted".into();
     set.add(fd);
     set.add(jobs);
-    FigureRun {
-        set,
-        events_popped: o.events_popped,
-        clamps: o.queue_clamps,
-        trace: traced.then(|| drain(handle)),
-    }
+    FigureRun::assemble(set, [work], traced)
 }
 
 /// Figure 2 — *Timeline of Aloha Submitter*: available FDs and
@@ -340,7 +352,7 @@ fn buffer_run(
     seed: u64,
     traced: bool,
     plan: Option<&FaultPlan>,
-) -> (f64, u64, u64, u64, Vec<TraceRecord>) {
+) -> (f64, u64, RunWork) {
     let total = scale.pick(Dur::from_secs(180), Dur::from_secs(120));
     let measure_from = scale.pick(Dur::from_secs(120), Dur::from_secs(80));
     let mut params = BufferParams {
@@ -356,9 +368,7 @@ fn buffer_run(
     (
         consumed,
         o.collisions,
-        o.events_popped,
-        o.queue_clamps,
-        drain(handle),
+        work(o.events_popped, o.vm_ticks, o.queue_clamps, handle),
     )
 }
 
@@ -377,17 +387,12 @@ fn fig4_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
     );
     let points = cross_points(&ns);
     let results = sweep::map(&points, |&(d, n)| {
-        let (consumed, _, events, clamps, recs) = buffer_run(d, n, scale, seed, traced, plan);
-        (consumed, events, clamps, recs)
+        let (consumed, _, work) = buffer_run(d, n, scale, seed, traced, plan);
+        (consumed, work)
     });
-    let (consumed, events_popped, clamps, trace) = collect_points(results);
+    let (consumed, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
     series_per_discipline(&mut set, &ns, consumed);
-    FigureRun {
-        set,
-        events_popped,
-        clamps,
-        trace: traced.then_some(trace),
-    }
+    FigureRun::assemble(set, works, traced)
 }
 
 /// Figure 5 — *Buffer Collisions*: mid-write ENOSPC collisions over
@@ -405,17 +410,12 @@ fn fig5_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
     );
     let points = cross_points(&ns);
     let results = sweep::map(&points, |&(d, n)| {
-        let (_, collisions, events, clamps, recs) = buffer_run(d, n, scale, seed, traced, plan);
-        (collisions as f64, events, clamps, recs)
+        let (_, collisions, work) = buffer_run(d, n, scale, seed, traced, plan);
+        (collisions as f64, work)
     });
-    let (collisions, events_popped, clamps, trace) = collect_points(results);
+    let (collisions, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
     series_per_discipline(&mut set, &ns, collisions);
-    FigureRun {
-        set,
-        events_popped,
-        clamps,
-        trace: traced.then_some(trace),
-    }
+    FigureRun::assemble(set, works, traced)
 }
 
 fn reader_figure(
@@ -435,6 +435,7 @@ fn reader_figure(
     let window = scale.pick(Dur::from_secs(900), Dur::from_secs(300));
     let (sink, handle) = point_sink(traced);
     let o = run_blackhole_traced(params, window, sink);
+    let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
     let mut set = SeriesSet::new(title, "Time (s)", "Number of Events");
     let mut t = o.transfer_series;
     t.name = "Transfers".into();
@@ -448,12 +449,7 @@ fn reader_figure(
         s.name = "Collisions".into();
         set.add(s);
     }
-    FigureRun {
-        set,
-        events_popped: o.events_popped,
-        clamps: o.queue_clamps,
-        trace: traced.then(|| drain(handle)),
-    }
+    FigureRun::assemble(set, [work], traced)
 }
 
 /// Figure 6 — *Aloha File Reader*: cumulative transfers and collisions
@@ -544,28 +540,14 @@ fn fig8_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         params.fault_plan = merge_plan(kill.clone(), plan).or(Some(kill));
         let (sink, handle) = point_sink(traced);
         let o = run_allreduce_traced(params, window, sink);
-        (
-            o.round_series,
-            o.events_popped,
-            o.queue_clamps,
-            drain(handle),
-        )
+        let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
+        (o.round_series, work)
     });
-    let mut events_popped = 0u64;
-    let mut clamps = 0u64;
-    let mut trace = Vec::new();
-    for (series, e, c, recs) in results {
-        set.add(series);
-        events_popped += e;
-        clamps += c;
-        trace.extend(recs);
+    let (series, works): (Vec<Series>, Vec<RunWork>) = results.into_iter().unzip();
+    for s in series {
+        set.add(s);
     }
-    FigureRun {
-        set,
-        events_popped,
-        clamps,
-        trace: traced.then_some(trace),
-    }
+    FigureRun::assemble(set, works, traced)
 }
 
 /// Figure 9 — *Swift-Style DAG Workflow*: per-job completion time for
@@ -624,23 +606,14 @@ fn fig9_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         params.fault_plan = merge_plan(faults.clone(), plan).or(Some(faults));
         let (sink, handle) = point_sink(traced);
         let o = run_dag_traced(params, window, sink);
-        (o.job_series, o.events_popped, o.queue_clamps, drain(handle))
+        let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
+        (o.job_series, work)
     });
-    let mut events_popped = 0u64;
-    let mut clamps = 0u64;
-    let mut trace = Vec::new();
-    for (series, e, c, recs) in results {
-        set.add(series);
-        events_popped += e;
-        clamps += c;
-        trace.extend(recs);
+    let (series, works): (Vec<Series>, Vec<RunWork>) = results.into_iter().unzip();
+    for s in series {
+        set.add(s);
     }
-    FigureRun {
-        set,
-        events_popped,
-        clamps,
-        trace: traced.then_some(trace),
-    }
+    FigureRun::assemble(set, works, traced)
 }
 
 /// Ablation A — carrier-sense threshold sweep: jobs submitted and
@@ -680,32 +653,17 @@ fn ablation_threshold_run(
         };
         params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
         let o = run_submission_traced(params, window, sink);
-        (
-            o.jobs_submitted,
-            o.crashes,
-            o.events_popped,
-            o.queue_clamps,
-            drain(handle),
-        )
+        let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
+        ((o.jobs_submitted, o.crashes), work)
     });
-    let mut events_popped = 0u64;
-    let mut clamps = 0u64;
-    let mut trace = Vec::new();
-    for (&t, (j, c, e, cl, recs)) in thresholds.iter().zip(outcomes) {
+    let (counts, works): (Vec<(u64, u64)>, Vec<RunWork>) = outcomes.into_iter().unzip();
+    for (&t, (j, c)) in thresholds.iter().zip(counts) {
         jobs.push_xy(t as f64, j as f64);
         crashes.push_xy(t as f64, c as f64);
-        events_popped += e;
-        clamps += cl;
-        trace.extend(recs);
     }
     set.add(jobs);
     set.add(crashes);
-    FigureRun {
-        set,
-        events_popped,
-        clamps,
-        trace: traced.then_some(trace),
-    }
+    FigureRun::assemble(set, works, traced)
 }
 
 /// Ablation B — the shared-channel story of §3: throughput S vs.
@@ -777,12 +735,9 @@ pub fn by_name_with_plan(
         "fig8" => fig8_run(scale, seed, traced, plan),
         "fig9" => fig9_run(scale, seed, traced, plan),
         "ablation-threshold" => ablation_threshold_run(scale, seed, traced, plan),
-        "ablation-channel" => FigureRun {
-            set: ablation_channel_saturation(scale, seed),
-            events_popped: 0,
-            clamps: 0,
-            trace: traced.then(Vec::new),
-        },
+        "ablation-channel" => {
+            FigureRun::assemble(ablation_channel_saturation(scale, seed), [], traced)
+        }
         _ => return None,
     })
 }

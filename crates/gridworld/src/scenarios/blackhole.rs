@@ -395,6 +395,8 @@ pub struct BlackHoleOutcome {
     pub longest_stall: Dur,
     /// Events popped from this run's own queue (per-run engine work).
     pub events_popped: u64,
+    /// VM ticks this run's driver issued.
+    pub vm_ticks: u64,
     /// Past-scheduled events the queue clamped forward to `now`.
     pub queue_clamps: u64,
 }
@@ -435,6 +437,7 @@ pub fn run_blackhole_traced(
     }
     driver.run_until(Time::ZERO + duration);
     let events_popped = driver.events_popped();
+    let vm_ticks = driver.vm_ticks();
     let queue_clamps = driver.clamps();
     if queue_clamps > 0 {
         simgrid::trace::emit(
@@ -466,6 +469,7 @@ pub fn run_blackhole_traced(
         deferral_series: w.deferral_series.clone(),
         longest_stall: longest,
         events_popped,
+        vm_ticks,
         queue_clamps,
     }
 }

@@ -482,6 +482,8 @@ pub struct BufferOutcome {
     pub occupancy_series: Series,
     /// Events popped from this run's own queue (per-run engine work).
     pub events_popped: u64,
+    /// VM ticks this run's driver issued.
+    pub vm_ticks: u64,
     /// Past-scheduled events the queue clamped forward to `now`.
     pub queue_clamps: u64,
 }
@@ -540,6 +542,7 @@ pub fn run_buffer_traced(
     driver.schedule_world(Time::ZERO, BufferEv::Sample);
     driver.run_until(Time::ZERO + duration);
     let events_popped = driver.events_popped();
+    let vm_ticks = driver.vm_ticks();
     let queue_clamps = driver.clamps();
     if queue_clamps > 0 {
         simgrid::trace::emit(
@@ -563,6 +566,7 @@ pub fn run_buffer_traced(
         collision_series: w.collision_series.clone(),
         occupancy_series: w.occupancy_series.clone(),
         events_popped,
+        vm_ticks,
         queue_clamps,
     }
 }

@@ -556,6 +556,8 @@ pub struct SubmitOutcome {
     pub sojourn_p95: Option<f64>,
     /// Events popped from this run's own queue (per-run engine work).
     pub events_popped: u64,
+    /// VM ticks this run's driver issued.
+    pub vm_ticks: u64,
     /// Past-scheduled events the queue clamped forward to `now`
     /// (nonzero means scenario or driver code asked for an instant
     /// already in the past).
@@ -625,6 +627,7 @@ pub fn run_submission_traced(
     driver.schedule_world(Time::ZERO, SubmitEv::Sample);
     driver.run_until(Time::ZERO + duration);
     let events_popped = driver.events_popped();
+    let vm_ticks = driver.vm_ticks();
     let queue_clamps = driver.clamps();
     if queue_clamps > 0 {
         simgrid::trace::emit(
@@ -654,6 +657,7 @@ pub fn run_submission_traced(
         sojourn_p50: p50,
         sojourn_p95: p95,
         events_popped,
+        vm_ticks,
         queue_clamps,
     }
 }
