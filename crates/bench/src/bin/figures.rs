@@ -36,9 +36,9 @@
 //! `--live` is the arena mode: instead of simulating, it starts a real
 //! `gridd` daemon in-process and races N concurrent real clients per
 //! discipline against it — Aloha first, then Ethernet — under forced
-//! schedd crashes. The population is one epoll swarm of lightweight
-//! client tasks batching verbs over persistent TCP connections, so N
-//! scales to 1000+ on one core. The merged JSONL trace (the usual
+//! schedd crashes. The population is one epoll swarm of ftsh VMs, each
+//! running the generated arena script with its verbs mapped onto a
+//! persistent TCP connection, so N scales to 1000+ on one core. The merged JSONL trace (the usual
 //! schema), postmortems, and the live-vs-sim comparison land in
 //! `results/`; the exit code is nonzero unless the live daemon
 //! confirms the simulator's Ethernet > Aloha prediction — and, with

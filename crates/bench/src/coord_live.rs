@@ -1,32 +1,44 @@
 //! The live coordinated-workload smoke: the fig8 all-reduce re-run on
 //! real wall-clock against a real `gridd` daemon.
 //!
-//! N real rank threads barrier through the daemon's file server, whose
-//! physics mirror the sim's `OpQueue`: a single-server FIFO where a
-//! blind `get` miss is an expensive directory scan
-//! ([`GriddConfig::file_miss_service`]) while the `stat` probe answers
-//! from the directory cache for free. One rank dies mid-run and
-//! rejoins after a downtime — the live analogue of the sim's
-//! `client-kill` + restart — and while the barrier holds for the
-//! straggler, the Aloha population's blind polling congests the FIFO
-//! that the straggler's own re-publish then has to queue behind. The
-//! Ethernet population senses instead, so its time-to-global-completion
-//! is predicted (by the fig8 sim) to be no worse — the daemon either
-//! confirms that ordering or the smoke fails.
+//! The ranks are ftsh VMs running the scripts the simulator runs —
+//! [`gridworld::coord::allreduce_text`], one VM per rank-round built
+//! by the sim's own [`rank_unit_vm`] — on the [`crate::swarm`]
+//! reactor. This module is their verb table (`compute` → a timer,
+//! `publish` → `put`, `fetch` → `get`, `probe` → one pipelined `stat`
+//! per peer, summed) and the round bookkeeping; barriers, retries and
+//! backoff are the script's.
+//!
+//! The daemon's file server mirrors the sim's `OpQueue`: a
+//! single-server FIFO where a blind `get` miss is an expensive
+//! directory scan ([`GriddConfig::file_miss_service`]) while the
+//! `stat` probe answers from the directory cache for free. One rank
+//! dies mid-run and rejoins after a downtime — a `client-kill` spec
+//! with a restart delay, the same spec the static pre-flight reasons
+//! about — and while the barrier holds for the straggler, the Aloha
+//! population's blind polling congests the FIFO that the straggler's
+//! own re-publish then has to queue behind. The Ethernet population
+//! senses instead, so its time-to-global-completion is predicted (by
+//! the fig8 sim) to be no worse — the daemon either confirms that
+//! ordering or the smoke fails.
 
-use gridd::{GridConn, GridError, GriddConfig};
+use crate::swarm::{self, Harness, Verb};
+use ftsh::vm::{CommandSpec, Vm};
+use ftshlint::check::{check, WorkflowSpec};
+use gridd::{GriddConfig, Request};
+use gridworld::coord::{allreduce_text, rank_unit_vm, AllReduceParams};
 use gridworld::figures::{by_name_with_plan, Scale};
-use retry::Discipline;
-use simgrid::faults::FaultPlan;
-use simgrid::{Series, SeriesSet};
+use retry::{Discipline, Dur, Time};
+use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
+use simgrid::{Series, SeriesSet, SimRng};
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Parameters of the live all-reduce.
 #[derive(Clone, Debug)]
 pub struct CoordLiveOptions {
-    /// Rank threads (the barrier width).
+    /// Ranks (the barrier width).
     pub ranks: usize,
     /// Rounds each rank must complete.
     pub rounds: u32,
@@ -101,156 +113,163 @@ pub struct CoordReport {
     pub confirms: bool,
 }
 
-/// Deterministic per-(rank, round) jitter in `0..span`, from the seed.
-fn jitter(seed: u64, rank: usize, round: u32, span: Duration) -> Duration {
-    let mut x = seed ^ (rank as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(round) << 32;
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-    x ^= x >> 33;
-    Duration::from_micros(x % (span.as_micros().max(1) as u64))
+/// One discipline's rank population, stated once: the scenario at
+/// live scale, the rank script, and the round bookkeeping. The static
+/// pre-flight and the launcher both start from [`Ranks::new`], so what
+/// the checker proves is about the program the ranks execute. On the
+/// swarm this is the ranks' verb table — the live counterpart of the
+/// sim's `AllReduceWorld`, minus the store (the daemon is the store).
+struct Ranks {
+    /// Rank count, rounds, `try` budgets, backoff envelope, and the
+    /// kill plan (`fault_plan`): rank 1 is killed one compute into the
+    /// last round's window and rejoins after the downtime, or — with
+    /// `rejoin: false` — never.
+    params: AllReduceParams,
+    /// The rank script's source: what the checker analyses and what
+    /// `script` was parsed from.
+    source: String,
+    script: ftsh::Script,
+    rng: SimRng,
+    /// The round each rank is working on (== `rounds` once retired).
+    rank_round: Vec<u32>,
 }
 
-/// Reconnect until the daemon answers (it never goes down in this
-/// smoke; this only rides out the rejoin race).
-fn connect(addr: &str, rank: usize) -> GridConn {
-    loop {
-        match GridConn::connect(addr, rank as u32, Duration::from_secs(10)) {
-            Ok(c) => return c,
-            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+impl Ranks {
+    fn new(discipline: Discipline, opts: &CoordLiveOptions) -> Ranks {
+        let compute = Dur::from_std(opts.compute);
+        let kill_at = compute * u64::from(opts.rounds.max(1) - 1);
+        let plan = FaultPlan::new(opts.seed).with(FaultSpec::once(
+            Time::ZERO + kill_at,
+            FaultKind::ClientKill {
+                client: 1,
+                restart: opts.rejoin.then(|| Dur::from_std(opts.downtime)),
+            },
+        ));
+        let params = AllReduceParams {
+            n_ranks: opts.ranks,
+            rounds: opts.rounds,
+            discipline,
+            compute_base: compute,
+            compute_jitter: compute,
+            // Rounds run in fractions of a second here, so the fig8
+            // backoff envelope (0.5–4 s) tightens with them.
+            backoff_base: Dur::from_millis(25),
+            backoff_cap: Dur::from_millis(400),
+            success_think: Dur::ZERO,
+            failure_think: Dur::from_millis(25),
+            seed: opts.seed,
+            fault_plan: Some(plan),
+            ..AllReduceParams::default()
+        };
+        let source = allreduce_text(
+            discipline,
+            params.n_ranks,
+            params.round_timeout,
+            params.fetch_timeout,
+        );
+        Ranks {
+            script: ftsh::parse(&source).expect("generated script parses"),
+            source,
+            rng: SimRng::new(params.seed),
+            rank_round: vec![0; params.n_ranks],
+            params,
         }
+    }
+
+    /// The workflow the checker reasons about: one unit per
+    /// (rank, round), every unit running `source`.
+    fn spec(&self) -> WorkflowSpec {
+        let p = &self.params;
+        let spec = WorkflowSpec::allreduce(
+            p.discipline,
+            p.n_ranks,
+            p.rounds,
+            p.round_timeout,
+            p.fetch_timeout,
+            p.compute_base,
+        );
+        assert!(
+            spec.jobs.iter().all(|job| job.source == self.source),
+            "the checker must analyse the text the ranks run"
+        );
+        spec
+    }
+
+    /// A fresh VM for `rank`'s current round.
+    fn rank_vm(&mut self, rank: usize) -> Vm {
+        let seed = self.rng.next_u64();
+        rank_unit_vm(
+            &self.script,
+            &self.params,
+            rank,
+            self.rank_round[rank],
+            seed,
+        )
     }
 }
 
-/// Retry a poisoned-connection operation once on a fresh connection.
-fn with_retry<T>(
-    conn: &mut GridConn,
-    addr: &str,
-    rank: usize,
-    mut op: impl FnMut(&mut GridConn) -> Result<T, GridError>,
-) -> Result<T, GridError> {
-    match op(conn) {
-        Err(GridError::Io(_) | GridError::Proto(_)) => {
-            *conn = connect(addr, rank);
-            op(conn)
+impl Harness for Ranks {
+    fn verb(&mut self, client: usize, spec: &CommandSpec) -> Verb {
+        let arg = |i: usize| spec.argv.get(i).map_or("", ftsh::Istr::as_str);
+        let client = client as u32;
+        match spec.program() {
+            "compute" => {
+                let jitter = self
+                    .rng
+                    .uniform(0.0, self.params.compute_jitter.as_secs_f64().max(1e-9));
+                Verb::Local((self.params.compute_base + Dur::from_secs_f64(jitter)).to_std())
+            }
+            "publish" => Verb::Act(Request::Put {
+                client,
+                name: format!("{}.{}", arg(1), arg(2)),
+                data: b"v".to_vec(),
+            }),
+            "fetch" => Verb::Act(Request::Get {
+                client,
+                name: format!("{}.{}", arg(1), arg(2)),
+            }),
+            // The carrier-sense probe: one free `stat` per peer; the
+            // replies sum to the round's landed-key count.
+            "probe" => Verb::Sense {
+                requests: (0..self.params.n_ranks)
+                    .map(|peer| Request::Stat {
+                        client,
+                        name: format!("r{peer}.{}", arg(1)),
+                    })
+                    .collect(),
+                busy_below: self.params.n_ranks as u64,
+            },
+            _ => Verb::Unknown,
         }
-        r => r,
+    }
+
+    fn unit_done(&mut self, rank: usize, success: bool) -> Option<(Vm, Duration)> {
+        let think = if success {
+            self.rank_round[rank] += 1;
+            if self.rank_round[rank] >= self.params.rounds {
+                return None; // all rounds done: retire
+            }
+            self.params.success_think
+        } else {
+            // Round budget exhausted: the whole rank-round re-runs.
+            self.params.failure_think
+        };
+        Some((self.rank_vm(rank), think.to_std()))
+    }
+
+    fn revive(&mut self, rank: usize) -> Option<Vm> {
+        // A rank that already finished every round stays retired.
+        (self.rank_round[rank] < self.params.rounds).then(|| self.rank_vm(rank))
     }
 }
 
-/// One rank's life: `rounds` barriered rounds. The designated kill
-/// rank drops its connection at the start of round 1's compute, sleeps
-/// the downtime, reconnects and re-runs the round — everyone else's
-/// barrier holds until its late partial lands.
-#[allow(clippy::too_many_arguments)]
-fn run_rank(
-    discipline: Discipline,
-    addr: String,
-    rank: usize,
-    opts: CoordLiveOptions,
-    kill_rank: usize,
-) -> (u64, u64) {
-    let mut conn = connect(&addr, rank);
-    let mut kills = 0u64;
-    let mut restarts = 0u64;
-    let mut round = 0u32;
-    while round < opts.rounds {
-        if rank == kill_rank && round == opts.rounds - 1 && kills == 0 {
-            kills += 1;
-            if !opts.rejoin {
-                // Permanent loss: the rank is gone and its partial
-                // never lands. Only reachable when the pre-flight
-                // check is bypassed — every peer's barrier will hang.
-                return (kills, restarts);
-            }
-            // The mid-run kill: drop the connection, stay down, rejoin.
-            drop(std::mem::replace(&mut conn, connect(&addr, rank)));
-            std::thread::sleep(opts.downtime);
-            restarts += 1;
-        }
-        // Compute the partial.
-        std::thread::sleep(opts.compute + jitter(opts.seed, rank, round, opts.compute));
-        // Publish it.
-        let key = |r: usize, k: u32| format!("r{r}.{k}");
-        loop {
-            match with_retry(&mut conn, &addr, rank, |c| c.put(&key(rank, round), b"v")) {
-                Ok(()) => break,
-                Err(_) => std::thread::sleep(Duration::from_millis(25)),
-            }
-        }
-        // The barrier: every peer's partial for this round.
-        match discipline {
-            Discipline::Ethernet => {
-                // Sense the carrier (free stats) until the whole round
-                // is present, with exponential backoff; then fetch —
-                // all hits.
-                let mut delay = Duration::from_millis(25);
-                loop {
-                    let mut landed = 0usize;
-                    for peer in 0..opts.ranks {
-                        let k = key(peer, round);
-                        if matches!(with_retry(&mut conn, &addr, rank, |c| c.stat(&k)), Ok(true)) {
-                            landed += 1;
-                        }
-                    }
-                    if landed == opts.ranks {
-                        break;
-                    }
-                    std::thread::sleep(delay + jitter(opts.seed, rank, round ^ 0x55, delay));
-                    delay = (delay * 2).min(Duration::from_millis(400));
-                }
-                for peer in 0..opts.ranks {
-                    let k = key(peer, round);
-                    let _ = with_retry(&mut conn, &addr, rank, |c| c.get(&k));
-                }
-            }
-            Discipline::Aloha | Discipline::Fixed => {
-                // Poll each peer blindly: every miss is an expensive
-                // scan holding the file server.
-                for peer in 0..opts.ranks {
-                    let k = key(peer, round);
-                    loop {
-                        match with_retry(&mut conn, &addr, rank, |c| c.get(&k)) {
-                            Ok(_) => break,
-                            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-                        }
-                    }
-                }
-            }
-        }
-        round += 1;
-    }
-    (kills, restarts)
-}
-
-/// Static pre-flight of one live run: the equivalent all-reduce
-/// workflow (rank 1 killed at the start of the last round's compute,
-/// rejoining after the downtime or — with `rejoin: false` — never)
-/// checked under that fault plan. Returns the `unsatisfiable-barrier`
-/// findings; any means the barrier is proven unclearable and the rank
-/// population must not be launched.
-pub fn preflight_barrier_proofs(discipline: Discipline, opts: &CoordLiveOptions) -> Vec<String> {
-    use ftshlint::check::{check, WorkflowSpec};
-    use retry::{Dur, Time};
-    use simgrid::faults::{FaultKind, FaultSpec};
-
-    let compute = Dur::from_std(opts.compute);
-    let spec = WorkflowSpec::allreduce(
-        discipline,
-        opts.ranks,
-        opts.rounds,
-        Dur::from_secs(600),
-        Dur::from_secs(60),
-        compute,
-    );
-    let kill_at = Dur::from_micros(compute.as_micros() * u64::from(opts.rounds.max(1) - 1));
-    let plan = FaultPlan::new(opts.seed).with(FaultSpec::once(
-        Time::ZERO + kill_at,
-        FaultKind::ClientKill {
-            client: 1,
-            restart: opts.rejoin.then(|| Dur::from_std(opts.downtime)),
-        },
-    ));
-    let report = check(&spec, Some(&plan), Dur::from_secs(600));
+/// Static pre-flight of one live run: the workflow the ranks would
+/// execute, checked under the kill plan they would suffer. Returns the
+/// `unsatisfiable-barrier` findings; any means the barrier is proven
+/// unclearable and the rank population must not be launched.
+fn preflight_barrier_proofs(ranks: &Ranks) -> Vec<String> {
+    let plan = ranks.params.effective_fault_plan();
+    let report = check(&ranks.spec(), Some(&plan), Dur::from_secs(600));
     report
         .rule("unsatisfiable-barrier")
         .map(ToString::to_string)
@@ -262,7 +281,8 @@ pub fn run_coord_discipline(
     discipline: Discipline,
     opts: &CoordLiveOptions,
 ) -> std::io::Result<CoordOutcome> {
-    let proofs = preflight_barrier_proofs(discipline, opts);
+    let mut ranks = Ranks::new(discipline, opts);
+    let proofs = preflight_barrier_proofs(&ranks);
     if !proofs.is_empty() {
         return Err(std::io::Error::other(format!(
             "refusing to launch {} ranks: the checker proves the barrier unsatisfiable\n  {}",
@@ -279,35 +299,25 @@ pub fn run_coord_discipline(
         ..GriddConfig::default()
     };
     let handle = gridd::start(cfg)?;
-    let addr = handle.addr().to_string();
 
-    let t0 = Instant::now();
-    let threads: Vec<_> = (0..opts.ranks)
-        .map(|rank| {
-            let addr = addr.clone();
-            let o = opts.clone();
-            std::thread::spawn(move || run_rank(discipline, addr, rank, o, 1))
-        })
+    let vms = (0..opts.ranks)
+        .map(|rank| (ranks.rank_vm(rank), Duration::ZERO))
         .collect();
-    let mut kills = 0u64;
-    let mut restarts = 0u64;
-    for t in threads {
-        let (k, r) = t.join().expect("rank thread");
-        kills += k;
-        restarts += r;
-    }
-    let wall_s = t0.elapsed().as_secs_f64();
+    let kills = ranks.params.effective_fault_plan().client_kills();
+    let watchdog = ranks.params.round_timeout.to_std() * opts.rounds;
+    let report = swarm::drive(ranks, &handle.addr().to_string(), vms, &kills, watchdog);
 
     let (clients, _) = handle.snapshot();
     handle.shutdown();
+    let report = report?;
     Ok(CoordOutcome {
         discipline,
-        wall_s,
+        wall_s: report.wall_s,
         misses: clients.iter().map(|c| c.get_err).sum(),
         senses: clients.iter().map(|c| c.df_calls).sum(),
         hits: clients.iter().map(|c| c.get_ok).sum(),
-        kills,
-        restarts,
+        kills: report.kills,
+        restarts: report.restarts,
     })
 }
 
@@ -412,22 +422,117 @@ fn render_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::swarm::{dry_run, spec};
+    use ftsh::vm::CmdResult;
+    use gridd::Response;
+    use simgrid::trace::TraceEv;
+
+    fn quick(d: Discipline) -> Ranks {
+        Ranks::new(d, &CoordLiveOptions::quick(7, std::env::temp_dir()))
+    }
 
     #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let span = Duration::from_millis(60);
-        let a = jitter(7, 2, 1, span);
-        assert_eq!(a, jitter(7, 2, 1, span));
-        assert!(a < span);
-        assert_ne!(jitter(7, 2, 1, span), jitter(7, 3, 1, span));
+    fn rank_table_maps_verbs_and_folds_replies() {
+        let mut t = quick(Discipline::Ethernet);
+        let name = || "r2.1".to_string();
+        let ok = Response::Ok {
+            info: "1 bytes".into(),
+        };
+        let (verb, result, evs) = dry_run(&mut t, &spec(&["publish", "r2", "1"]), &[ok]);
+        let data = b"v".to_vec();
+        let put = Request::Put {
+            client: 0,
+            name: name(),
+            data,
+        };
+        assert_eq!(verb, Verb::Act(put));
+        assert!(result.unwrap().unwrap().success);
+        assert!(evs.is_empty());
+
+        // fetch -> get: data is a hit, not-found the expensive miss.
+        let hit = Response::Data {
+            data: b"v".to_vec(),
+        };
+        let (verb, result, _) = dry_run(&mut t, &spec(&["fetch", "r2", "1"]), &[hit]);
+        assert_eq!(
+            verb,
+            Verb::Act(Request::Get {
+                client: 0,
+                name: name()
+            })
+        );
+        assert!(result.unwrap().unwrap().success);
+        let miss = Response::Err {
+            code: gridd::ErrCode::NotFound,
+            msg: String::new(),
+        };
+        let (_, result, _) = dry_run(&mut t, &spec(&["fetch", "r2", "1"]), &[miss]);
+        assert!(!result.unwrap().unwrap().success);
+
+        // probe -> one stat per peer; the 0|1 replies fold into the
+        // landed count the script compares against the rank count.
+        let free = |slots| Response::Free { slots };
+        let probe = spec(&["probe", "1"]);
+        let (verb, result, evs) = dry_run(&mut t, &probe, &[free(1), free(0), free(1), free(1)]);
+        let stats = (0..4).map(|p| Request::Stat {
+            client: 0,
+            name: format!("r{p}.1"),
+        });
+        let sense = Verb::Sense {
+            requests: stats.collect(),
+            busy_below: 4,
+        };
+        assert_eq!(verb, sense);
+        assert_eq!(result.unwrap().unwrap(), CmdResult::ok("3"));
+        assert_eq!(evs, [TraceEv::CarrierSense { free: 3 }, TraceEv::Deferral]);
+        // Three of four replies: the command is still in flight.
+        let (_, result, evs) = dry_run(&mut t, &probe, &[free(1), free(1), free(1)]);
+        assert_eq!(result, None);
+        assert!(evs.is_empty());
+        // A full round is sensed free: no deferral.
+        let (_, result, evs) = dry_run(&mut t, &probe, &[free(1), free(1), free(1), free(1)]);
+        assert_eq!(result.unwrap().unwrap(), CmdResult::ok("4"));
+        assert_eq!(evs, [TraceEv::CarrierSense { free: 4 }]);
+
+        // compute is local work inside the jitter envelope; anything
+        // else is not in the table.
+        let (verb, result, _) = dry_run(&mut t, &spec(&["compute", "r2", "1"]), &[]);
+        let Verb::Local(work) = verb else {
+            panic!("compute is local, got {verb:?}");
+        };
+        assert!((60..120).contains(&work.as_millis()), "{work:?}");
+        assert_eq!(result, None);
+        let (verb, result, _) = dry_run(&mut t, &spec(&["wget", "x"]), &[]);
+        assert_eq!(verb, Verb::Unknown);
+        assert!(!result.unwrap().unwrap().success);
+    }
+
+    #[test]
+    fn checker_and_ranks_share_one_text() {
+        for d in Discipline::ALL {
+            let ranks = quick(d);
+            let p = &ranks.params;
+            // `spec` itself asserts every job's source is byte-equal to
+            // the text the rank VMs were parsed from...
+            let spec = ranks.spec();
+            assert_eq!(spec.jobs.len(), p.n_ranks * p.rounds as usize);
+            assert_eq!(ranks.script, ftsh::parse(&spec.jobs[0].source).unwrap());
+            // ...and it is the script the simulator runs.
+            let sim =
+                gridworld::coord::allreduce_script(d, p.n_ranks, p.round_timeout, p.fetch_timeout);
+            assert_eq!(ranks.script, sim, "{d}");
+            // One kill, of rank 1, from the plan the checker is given.
+            let kills = p.effective_fault_plan().client_kills();
+            assert_eq!(kills.len(), 1);
+            assert_eq!((kills[0].client, kills[0].restart.is_some()), (1, true));
+        }
     }
 
     #[test]
     fn preflight_accepts_the_rejoining_smoke() {
-        let opts = CoordLiveOptions::quick(7, std::env::temp_dir());
         for d in Discipline::ALL {
             assert!(
-                preflight_barrier_proofs(d, &opts).is_empty(),
+                preflight_barrier_proofs(&quick(d)).is_empty(),
                 "the shipping smoke must pass pre-flight under {d}"
             );
         }
@@ -437,7 +542,7 @@ mod tests {
     fn preflight_refuses_a_rank_that_never_rejoins() {
         let mut opts = CoordLiveOptions::quick(7, std::env::temp_dir());
         opts.rejoin = false;
-        let proofs = preflight_barrier_proofs(Discipline::Ethernet, &opts);
+        let proofs = preflight_barrier_proofs(&Ranks::new(Discipline::Ethernet, &opts));
         assert!(!proofs.is_empty(), "a permanent kill must be proven fatal");
         assert!(
             proofs[0].contains("unsatisfiable-barrier"),

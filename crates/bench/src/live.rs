@@ -4,11 +4,12 @@
 //! Where the simulator multiplexes hundreds of virtual clients over
 //! one event queue, the arena runs N *real* clients over real TCP at
 //! a daemon whose schedd crashes under real concurrent overload (plus
-//! whatever the fault plan forces). The population is a
-//! [`crate::swarm`] — lightweight state machines multiplexed on one
-//! epoll reactor, batching verbs over persistent connections — so the
-//! arena scales from the historical 8 clients to 1000+ on one core.
-//! The swarm emits the PR 2 trace schema in memory; the merged trace
+//! whatever the fault plan forces). The clients are the same kind of
+//! thing in both worlds: ftsh VMs running an ftsh script — here
+//! [`gridworld::scripts::arena_script`], driven by the
+//! [`crate::swarm`] reactor over persistent connections, so the arena
+//! scales from the historical 8 clients to 1000+ on one core. The VMs
+//! record the structured trace schema into one sink; the merged trace
 //! feeds the existing postmortem with zero schema changes.
 //!
 //! This is also the multi-client extension of the conformance
@@ -16,11 +17,13 @@
 //! of completed jobs, and the daemon either confirms it (`CONFIRMS`)
 //! or not — the verdict lands in `results/live_arena.md`.
 
-use gridd::{ClientSnapshot, GriddConfig};
+use crate::swarm::{self, Harness, SwarmReport, Verb};
+use ftsh::vm::{CommandSpec, Vm};
+use gridd::{ClientSnapshot, GriddConfig, Request};
 use gridworld::figures::{by_name_with_plan, Scale};
+use gridworld::scripts::{arena_script, arena_worst_case, ARENA_SENSE_THRESHOLD};
 use retry::{BackoffPolicy, Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
-use simgrid::trace::TraceRecord;
 use simgrid::{Series, SeriesSet};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -107,16 +110,10 @@ pub struct DisciplineOutcome {
     pub clients: Vec<ClientSnapshot>,
     /// Schedd crashes during the run (overload + plan-forced).
     pub crashes: u64,
-    /// Merged, time-sorted trace of every client.
-    pub trace: Vec<TraceRecord>,
     /// Wall-clock the whole population took.
     pub wall_s: f64,
     /// Client-observed dispatch rate (responses per second).
     pub dispatch_rate: f64,
-    /// Requests the population put on the wire.
-    pub verbs_sent: u64,
-    /// Malformed or mismatched frames seen by clients (must be 0).
-    pub protocol_errors: u64,
 }
 
 impl DisciplineOutcome {
@@ -206,7 +203,8 @@ pub fn arena_config(opts: &LiveOptions) -> GriddConfig {
 
 /// The live backoff policy: the paper's exponential shape scaled to
 /// the arena's seconds-long window (100 ms base, 2 s cap). Fixed runs
-/// with no backoff, as always.
+/// with no backoff, as always. [`run_population`] installs it on every
+/// client VM — the one place the arena's policy is applied.
 pub fn live_backoff(discipline: Discipline) -> BackoffPolicy {
     match discipline {
         Discipline::Fixed => BackoffPolicy::None,
@@ -214,30 +212,75 @@ pub fn live_backoff(discipline: Discipline) -> BackoffPolicy {
     }
 }
 
-/// Run one discipline's population against a fresh daemon: one epoll
-/// swarm of lightweight clients over persistent connections.
+/// The arena's verb table: `sense` reads the schedd's free slots;
+/// `submit <job>` commits the job.
+struct ArenaVerbs;
+
+impl Harness for ArenaVerbs {
+    fn verb(&mut self, client: usize, spec: &CommandSpec) -> Verb {
+        let client = client as u32;
+        match (spec.program(), spec.argv.get(1)) {
+            ("sense", None) => Verb::Sense {
+                requests: vec![Request::Df { client }],
+                busy_below: ARENA_SENSE_THRESHOLD,
+            },
+            ("submit", Some(job)) => Verb::Act(Request::Submit {
+                client,
+                job: job.to_string(),
+            }),
+            _ => Verb::Unknown,
+        }
+    }
+}
+
+/// Run one discipline's population against the daemon at `addr`, to
+/// completion: every client is a VM running [`arena_script`] — parsed
+/// once, shared, `${client}` in the environment — under
+/// [`live_backoff`], on the [`crate::swarm`] reactor. Starts are
+/// spread over ~0.5 ms per client (at least 200 ms), so a thousand
+/// connects do not land in one accept burst.
+pub fn run_population(
+    discipline: Discipline,
+    opts: &LiveOptions,
+    addr: &str,
+) -> std::io::Result<SwarmReport> {
+    let script = arena_script(discipline, opts.jobs);
+    let stagger = Duration::from_millis((opts.clients as u64 / 2).max(200));
+    let n = opts.clients.max(1);
+    let vms = (0..opts.clients)
+        .map(|id| {
+            let mut env = ftsh::Env::new();
+            env.set("client", id.to_string());
+            let seed = opts.seed ^ (id as u64).wrapping_mul(0x9E37);
+            let mut vm = Vm::with_env_seed(&script, env, seed);
+            vm.set_default_backoff(live_backoff(discipline));
+            (vm, stagger.mul_f64(id as f64 / n as f64))
+        })
+        .collect();
+    let watchdog = arena_worst_case(opts.jobs).to_std() + stagger + Duration::from_secs(10);
+    swarm::drive(ArenaVerbs, addr, vms, &[], watchdog)
+}
+
+/// Run one discipline's population against a fresh daemon, and leave
+/// its merged trace and postmortem under `out_dir`.
 pub fn run_discipline(
     discipline: Discipline,
     opts: &LiveOptions,
 ) -> std::io::Result<DisciplineOutcome> {
     std::fs::create_dir_all(&opts.out_dir)?;
     let handle = gridd::start(arena_config(opts))?;
-    let addr = handle.addr().to_string();
     let label = discipline.label().to_lowercase();
 
-    let mut sopts =
-        crate::swarm::SwarmOptions::arena(discipline, opts.clients, opts.jobs, addr, opts.seed);
-    sopts.backoff = live_backoff(discipline);
-    let mut report = crate::swarm::run(sopts)?;
-
+    let report = run_population(discipline, opts, &handle.addr().to_string());
     let (clients, crashes) = handle.snapshot();
     handle.shutdown();
+    let report = report?;
 
     // The merged in-memory trace feeds the postmortem pipeline.
-    let trace = std::mem::take(&mut report.trace);
+    let trace = &report.trace;
     let merged = opts.out_dir.join(format!("live-{label}.jsonl"));
-    std::fs::write(&merged, simgrid::trace::to_jsonl(&trace))?;
-    let summary = simgrid::TraceSummary::from_records(&trace);
+    std::fs::write(&merged, simgrid::trace::to_jsonl(trace))?;
+    let summary = simgrid::TraceSummary::from_records(trace);
     std::fs::write(
         opts.out_dir.join(format!("live-{label}-postmortem.txt")),
         summary.render(),
@@ -247,11 +290,8 @@ pub fn run_discipline(
         discipline,
         clients,
         crashes,
-        trace,
         wall_s: report.wall_s,
         dispatch_rate: report.dispatch_rate(),
-        verbs_sent: report.verbs_sent,
-        protocol_errors: report.protocol_errors,
     })
 }
 
@@ -355,6 +395,10 @@ fn render_table(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::swarm::{dry_run, spec};
+    use ftsh::vm::CmdResult;
+    use gridd::Response;
+    use simgrid::trace::TraceEv;
 
     #[test]
     fn arena_plan_forces_schedd_kills() {
@@ -366,5 +410,132 @@ mod tests {
             .collect();
         assert_eq!(kills.len(), 1);
         assert_eq!(kills[0].count, 2);
+    }
+
+    #[test]
+    fn arena_table_maps_verbs_and_folds_replies() {
+        let mut t = ArenaVerbs;
+        // sense -> df; the script gets the count to compare.
+        let free = |slots| [Response::Free { slots }];
+        let (verb, result, evs) = dry_run(&mut t, &spec(&["sense"]), &free(3));
+        let sense = Verb::Sense {
+            requests: vec![Request::Df { client: 0 }],
+            busy_below: 1,
+        };
+        assert_eq!(verb, sense);
+        assert_eq!(result, Some(Ok(CmdResult::ok("3"))));
+        assert_eq!(evs, [TraceEv::CarrierSense { free: 3 }]);
+        // Zero slots: the read is recorded as a deferral.
+        let (_, result, evs) = dry_run(&mut t, &spec(&["sense"]), &free(0));
+        assert_eq!(result, Some(Ok(CmdResult::ok("0"))));
+        assert_eq!(evs, [TraceEv::CarrierSense { free: 0 }, TraceEv::Deferral]);
+        // submit -> submit; ok succeeds, err fails, neither is traced
+        // by the driver.
+        let ok = Response::Ok { info: "id".into() };
+        let (verb, result, evs) = dry_run(&mut t, &spec(&["submit", "job-0-1"]), &[ok]);
+        let submit = Request::Submit {
+            client: 0,
+            job: "job-0-1".into(),
+        };
+        assert_eq!(verb, Verb::Act(submit));
+        assert!(result.unwrap().unwrap().success);
+        assert!(evs.is_empty());
+        let busy = Response::Err {
+            code: gridd::ErrCode::Busy,
+            msg: String::new(),
+        };
+        let (_, result, _) = dry_run(&mut t, &spec(&["submit", "j"]), &[busy]);
+        assert!(!result.unwrap().unwrap().success);
+        // A reply of the wrong kind is a protocol error, not a result.
+        let (_, result, _) = dry_run(&mut t, &spec(&["submit", "j"]), &free(1));
+        assert_eq!(result, Some(Err(())));
+        // Anything else is not in the table and fails inline.
+        let (verb, result, _) = dry_run(&mut t, &spec(&["condor_submit", "x"]), &[]);
+        assert_eq!(verb, Verb::Unknown);
+        assert!(!result.unwrap().unwrap().success);
+        assert_eq!(t.verb(0, &spec(&["submit"])), Verb::Unknown);
+    }
+
+    /// `clients` clients pushing two jobs each at a calm daemon (no
+    /// crashes, no forced kills: pure throughput).
+    fn population(
+        discipline: Discipline,
+        clients: usize,
+        slots: u64,
+        service_ms: u64,
+    ) -> (SwarmReport, Vec<ClientSnapshot>) {
+        let handle = gridd::start(GriddConfig {
+            slots,
+            service: Duration::from_millis(service_ms),
+            crash_overloads: u32::MAX,
+            backlog: clients.max(64) * 2,
+            ..GriddConfig::default()
+        })
+        .expect("daemon starts");
+        let opts = LiveOptions {
+            clients,
+            jobs: 2,
+            ..LiveOptions::quick(11, std::env::temp_dir())
+        };
+        let report = run_population(discipline, &opts, &handle.addr().to_string());
+        let (snaps, _) = handle.snapshot();
+        handle.shutdown();
+        (
+            report.expect("every client finishes on a clean wire"),
+            snaps,
+        )
+    }
+
+    fn count(report: &SwarmReport, pred: impl Fn(&TraceEv) -> bool) -> usize {
+        report.trace.iter().filter(|r| pred(&r.ev)).count()
+    }
+
+    #[test]
+    fn swarm_pushes_jobs_through() {
+        let (report, snaps) = population(Discipline::Ethernet, 32, 8, 20);
+        let ok: u64 = snaps.iter().map(|c| c.submit_ok).sum();
+        assert!(ok > 0, "some jobs must complete");
+        assert!(report.dispatch_rate() > 0.0);
+        // Persistent connections batch verbs: more replies than units.
+        assert!(report.responses > 32 * 2);
+        // One VM per client, each finishing its script.
+        assert_eq!(
+            count(&report, |ev| matches!(ev, TraceEv::UnitDone { ok: true })),
+            32
+        );
+    }
+
+    #[test]
+    fn aloha_swarm_runs_blind() {
+        let (report, _) = population(Discipline::Aloha, 16, 4, 20);
+        // Aloha never senses: no CarrierSense events in its trace.
+        assert_eq!(
+            count(&report, |ev| matches!(ev, TraceEv::CarrierSense { .. })),
+            0
+        );
+    }
+
+    /// Regression: the arena used to install the exponential policy
+    /// for every discipline, so a Fixed population backed off unless
+    /// the caller remembered to overwrite it.
+    #[test]
+    fn fixed_swarm_never_backs_off() {
+        // One slot, eight clients: most submits are refused busy.
+        let (report, _) = population(Discipline::Fixed, 8, 1, 40);
+        assert!(
+            count(
+                &report,
+                |ev| matches!(ev, TraceEv::AttemptStart { attempt, .. } if *attempt > 1)
+            ) > 0,
+            "the contended pool must force retries"
+        );
+        assert_eq!(
+            count(
+                &report,
+                |ev| matches!(ev, TraceEv::Backoff { delay, .. } if !delay.is_zero())
+            ),
+            0,
+            "Fixed retries with no delay"
+        );
     }
 }

@@ -1,95 +1,165 @@
-//! The client swarm: N lightweight grid clients multiplexed on one
-//! epoll reactor, replacing the live arena's thread-per-client ftsh
-//! VMs (and the `gridctl` process per verb they forked).
+//! The client swarm: the third driver of [`ftsh::Vm`], after
+//! `procman` (real processes) and `gridworld::SimDriver` (the event
+//! queue) — N grid clients, each a real ftsh VM running a real ftsh
+//! script, multiplexed over sockets on one epoll reactor.
 //!
-//! Each client is a few hundred bytes of state machine running the
-//! exact discipline the old generated scripts expressed — `try for 6
-//! seconds or 8 times`, exponential backoff, Ethernet's carrier-sense
-//! prelude, failures absorbed by an empty `catch` — but batching its
-//! verbs over one *persistent* connection instead of a fresh process
-//! and TCP handshake per verb. That is what lets the arena scale from
-//! 8 real clients to 1000+ on one core, and it emits the same PR 2
-//! trace schema ([`simgrid::trace::TraceEv`]) in memory, so the merged
-//! trace feeds the existing postmortem unchanged.
+//! The reactor owns the wiring and nothing else. A VM's
+//! [`Effect::Start`] is looked up in the harness's verb table
+//! ([`Harness::verb`]) and becomes wire [`Request`]s pipelined on the
+//! client's *persistent* connection; the daemon answers a connection
+//! in order, so replies complete the in-flight commands first in,
+//! first out. (Its free sense verbs answer at once and would overtake
+//! file service still queued on the same connection; neither script
+//! senses while committed work is in flight.) [`Effect::Cancel`] — a `try` deadline landing
+//! mid-command — sacrifices the connection, exactly what killing a
+//! per-verb process would do: the late reply must never be taken for
+//! the answer to a later command, and the sibling commands in flight
+//! on that connection complete as failures. The VM's `next_wake` goes
+//! on the timer wheel. Every attempt, backoff, timeout, catch and
+//! unit-done record in the merged trace is the VM's own; the reactor
+//! adds only `carrier-sense` and `deferral`, as the simulated worlds
+//! do.
+//!
+//! Two harnesses ride the reactor: the arena population of
+//! [`crate::live`] (`sense` → `df`, `submit` → `submit`, over
+//! [`gridworld::scripts::arena_script`]) and the coordinated ranks of
+//! [`crate::coord_live`] (the fig8 all-reduce scripts the simulator
+//! runs). Neither contains retry logic: the budget is in the script
+//! and the backoff policy is installed on the VM.
 //!
 //! The reactor reuses the daemon's own readiness toolkit
 //! ([`gridd::poll`]): one epoll instance for sockets, one timer wheel
-//! for staggered starts, backoff sleeps, and unit deadlines.
+//! for staggered starts, VM wake-ups, local work and rank kills.
 
+use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Effect, Vm, VmStatus};
+use ftsh::Istr;
 use gridd::poll::{set_nonblocking, Epoll, Event, TimerWheel};
 use gridd::proto::{frame_into, FrameBuf, Request, Response};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use retry::{BackoffPolicy, Discipline, Dur, Time};
-use simgrid::trace::{TraceEv, TraceRecord};
+use retry::{Dur, Time};
+use simgrid::faults::ClientKillInfo;
+use simgrid::trace::{TraceEv, TraceRecord, TraceSink as _, VecSink, NO_ID};
+use std::collections::VecDeque;
 use std::io::{self, Read as _, Write as _};
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Swarm parameters. One swarm runs one discipline's population.
-#[derive(Clone, Debug)]
-pub struct SwarmOptions {
-    /// The retry discipline every client runs.
-    pub discipline: Discipline,
-    /// Population size.
-    pub clients: usize,
-    /// Jobs each client pushes through the schedd, sequentially.
-    pub jobs: usize,
-    /// Daemon address (`host:port`).
-    pub addr: String,
-    /// Seed for per-client jitter streams.
-    pub seed: u64,
-    /// Per-unit budget: `try for <this> or <attempts> times`.
-    pub unit_budget: Duration,
-    /// Per-unit attempt cap.
-    pub unit_attempts: u32,
-    /// Backoff between failed attempts.
-    pub backoff: BackoffPolicy,
-    /// Client starts are spread uniformly over this window, so a
-    /// thousand connects do not land in one accept burst.
-    pub stagger: Duration,
+// ------------------------------------------------------------ verb tables
+
+/// What a verb table makes of one started command.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Verb {
+    /// Not in the table: the command fails on the spot.
+    Unknown,
+    /// Local work, no wire traffic: succeeds after the delay.
+    Local(Duration),
+    /// Committed work: one request; an `ok`/`data` reply is success,
+    /// an `err` reply failure.
+    Act(Request),
+    /// A free carrier-sense read: the requests are pipelined and their
+    /// `free` replies summed. The command succeeds with the sum as its
+    /// output — the script compares it, as the §5 Ethernet clients do
+    /// — and a sum under `busy_below` is recorded as a deferral.
+    Sense {
+        /// The reads, one reply each.
+        requests: Vec<Request>,
+        /// The threshold the script defers under.
+        busy_below: u64,
+    },
 }
 
-impl SwarmOptions {
-    /// The arena's standard client behaviour: `try for 6 seconds or 8
-    /// times`, 100 ms–2 s exponential backoff, starts spread over
-    /// ~0.5 ms per client (at least the old arena's 200 ms).
-    pub fn arena(
-        discipline: Discipline,
-        clients: usize,
-        jobs: usize,
-        addr: String,
-        seed: u64,
-    ) -> SwarmOptions {
-        SwarmOptions {
-            discipline,
-            clients,
-            jobs,
-            addr,
-            seed,
-            unit_budget: Duration::from_secs(6),
-            unit_attempts: 8,
-            backoff: BackoffPolicy::exponential(Dur::from_millis(100), Dur::from_secs(2)),
-            stagger: Duration::from_millis((clients as u64 / 2).max(200)),
-        }
+/// One population's half of the swarm: the verb table that maps its
+/// scripts' commands onto the wire, and what follows a finished unit.
+pub trait Harness {
+    /// Map a command a client's VM started.
+    fn verb(&mut self, client: usize, spec: &CommandSpec) -> Verb;
+
+    /// A client's script finished (one work unit). Return the next VM
+    /// and how long to wait before starting it, or `None` to retire
+    /// the client.
+    fn unit_done(&mut self, client: usize, success: bool) -> Option<(Vm, Duration)> {
+        let _ = (client, success);
+        None
+    }
+
+    /// A killed client's restart delay elapsed. Return the replacement
+    /// VM, or `None` to leave the client dead.
+    fn revive(&mut self, client: usize) -> Option<Vm> {
+        let _ = client;
+        None
     }
 }
+
+/// One wire verb in flight on a client's connection.
+struct Call {
+    token: CmdToken,
+    /// The deferral threshold of a sense read; `None` for an act.
+    busy_below: Option<u64>,
+    /// Replies still owed.
+    left: usize,
+    /// Sum of the `free` replies so far.
+    free: u64,
+    ok: bool,
+}
+
+impl Call {
+    fn new(token: CmdToken, busy_below: Option<u64>, requests: usize) -> Call {
+        Call {
+            token,
+            busy_below,
+            left: requests,
+            free: 0,
+            ok: true,
+        }
+    }
+
+    /// Fold one reply in. `Ok(true)` when it was the call's last;
+    /// `Err` when its kind does not fit the verb — a wire-protocol bug.
+    fn reply(&mut self, resp: &Response) -> Result<bool, ()> {
+        match (self.busy_below, resp) {
+            (Some(_), Response::Free { slots }) => self.free += slots,
+            (None, Response::Ok { .. } | Response::Data { .. }) => {}
+            (None, Response::Err { .. }) => self.ok = false,
+            _ => return Err(()),
+        }
+        self.left -= 1;
+        Ok(self.left == 0)
+    }
+
+    /// Every reply is in: the command's result. A sense read is
+    /// recorded (`carrier-sense`, plus `deferral` when it read busy)
+    /// the way the simulated worlds record theirs.
+    fn finish(&self, mut record: impl FnMut(TraceEv)) -> CmdResult {
+        let Some(busy_below) = self.busy_below else {
+            return CmdResult {
+                success: self.ok,
+                stdout: Istr::empty(),
+            };
+        };
+        record(TraceEv::CarrierSense { free: self.free });
+        if self.free < busy_below {
+            record(TraceEv::Deferral);
+        }
+        CmdResult::ok(self.free.to_string())
+    }
+}
+
+// ---------------------------------------------------------------- report
 
 /// What the swarm did, measured at the client side.
 #[derive(Clone, Debug, Default)]
 pub struct SwarmReport {
     /// Merged, time-sorted trace of every client.
     pub trace: Vec<TraceRecord>,
-    /// Requests written to the wire.
-    pub verbs_sent: u64,
     /// Well-formed responses decoded.
     pub responses: u64,
-    /// Frames that failed to decode or had the wrong kind — any
-    /// nonzero value is a wire-protocol bug.
-    pub protocol_errors: u64,
     /// Re-connects after resets/timeouts (first connects excluded).
     pub reconnects: u64,
+    /// Clients killed mid-run by the kill plan.
+    pub kills: u64,
+    /// Killed clients the harness re-admitted.
+    pub restarts: u64,
     /// Wall-clock for the whole population.
     pub wall_s: f64,
 }
@@ -106,95 +176,110 @@ impl SwarmReport {
     }
 }
 
-/// What a client is waiting on.
-#[derive(Clone, Copy, PartialEq)]
-enum Phase {
-    /// Stagger timer not fired yet.
-    Waiting,
-    /// Sense probe in flight (Ethernet only).
-    Sensing,
-    /// Submit in flight.
-    Submitting,
-    /// Backoff timer pending.
-    Backoff,
-    /// All units finished.
-    Done,
-}
+// --------------------------------------------------------------- reactor
 
-/// Timer completions. `unit` guards staleness: a timer scheduled for
-/// unit k is ignored once the client has moved past unit k.
+/// Timer completions. `epoch` guards staleness: a client's epoch moves
+/// whenever its VM is replaced or killed, and token numbering restarts
+/// with every VM, so a timer armed for an earlier unit must not touch
+/// the next.
 enum Tev {
-    Start { id: usize },
-    BackoffDone { id: usize, unit: usize },
-    UnitDeadline { id: usize, unit: usize },
+    /// Tick the VM: its start, a backoff wake-up or a `try` deadline.
+    Wake { id: usize, epoch: u64, at: Time },
+    /// A [`Verb::Local`] finished.
+    LocalDone {
+        id: usize,
+        epoch: u64,
+        token: CmdToken,
+    },
+    /// The kill plan takes a client down.
+    Kill { id: usize, restart: Option<Dur> },
+    /// A killed client's downtime is over.
+    Revive { id: usize },
 }
 
+#[derive(Default)]
 struct Client {
+    vm: Option<Vm>,
+    epoch: u64,
+    /// Earliest VM wake-up already on the wheel.
+    armed: Option<Time>,
+    /// A command completed since the VM was last ticked.
+    dirty: bool,
     stream: Option<TcpStream>,
     frames: FrameBuf,
     out: Vec<u8>,
     out_pos: usize,
-    phase: Phase,
-    /// 1-based current unit (job); 0 before the start timer.
-    unit: usize,
-    /// Attempts used in the current unit.
-    attempt: u32,
-    unit_deadline: Instant,
-    rng: StdRng,
     ever_connected: bool,
+    /// Wire verbs awaiting replies, oldest first.
+    calls: VecDeque<Call>,
 }
 
 /// The reactor: clients, sockets, timers, and the collected report.
-struct Swarm {
-    opts: SwarmOptions,
+struct Swarm<'a, H> {
+    harness: H,
+    addr: &'a str,
     epoll: Epoll,
     timers: TimerWheel<Tev>,
     clients: Vec<Client>,
+    /// Clients not yet retired (or dead for good).
+    live: usize,
     start: Instant,
+    /// The one trace sink: every VM records into it, and so does the
+    /// reactor's own carrier-sense bookkeeping.
+    sink: Arc<Mutex<VecSink>>,
+    effects: Vec<Effect>,
+    /// Frames that failed to decode or had the wrong kind. Any is a
+    /// wire-protocol bug and fails the run.
+    protocol_errors: u64,
     report: SwarmReport,
-    done_count: usize,
 }
 
-/// Run one swarm to completion (or a safety cap: every unit budget
-/// plus slack). Returns the client-side report; daemon-side counters
-/// come from [`gridd::GriddHandle::snapshot`].
-pub fn run(opts: SwarmOptions) -> io::Result<SwarmReport> {
+/// Drive a population to completion: client `i` starts on `vms[i].0`
+/// after the offset `vms[i].1` and runs until the harness retires it.
+/// `kills` (client-kill triggers of a fault plan, on the run's own
+/// clock) take clients down mid-run; `watchdog` bounds the whole run,
+/// which fails if anyone is still going when it fires — or if a
+/// single malformed or mismatched frame was seen on the wire.
+/// Daemon-side counters come from [`gridd::GriddHandle::snapshot`].
+pub fn drive<H: Harness>(
+    harness: H,
+    addr: &str,
+    vms: Vec<(Vm, Duration)>,
+    kills: &[ClientKillInfo],
+    watchdog: Duration,
+) -> io::Result<SwarmReport> {
     let start = Instant::now();
-    let cap =
-        start + opts.unit_budget * (opts.jobs as u32 + 1) + opts.stagger + Duration::from_secs(10);
-    let clients: Vec<Client> = (0..opts.clients)
-        .map(|id| Client {
-            stream: None,
-            frames: FrameBuf::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            phase: Phase::Waiting,
-            unit: 0,
-            attempt: 0,
-            unit_deadline: start,
-            rng: StdRng::seed_from_u64(opts.seed ^ (id as u64).wrapping_mul(0x9E37)),
-            ever_connected: false,
-        })
-        .collect();
     let mut swarm = Swarm {
+        harness,
+        addr,
         epoll: Epoll::new()?,
         timers: TimerWheel::new(start),
-        clients,
+        clients: Vec::with_capacity(vms.len()),
+        live: vms.len(),
         start,
+        sink: Arc::new(Mutex::new(VecSink::new())),
+        effects: Vec::new(),
+        protocol_errors: 0,
         report: SwarmReport::default(),
-        done_count: 0,
-        opts,
     };
-    // Spread the starts across the stagger window.
-    let n = swarm.opts.clients.max(1);
-    for id in 0..swarm.opts.clients {
-        let offset = swarm.opts.stagger.mul_f64(id as f64 / n as f64);
-        swarm.timers.schedule(start + offset, Tev::Start { id });
+    for (id, (vm, offset)) in vms.into_iter().enumerate() {
+        swarm.clients.push(Client::default());
+        swarm.install(id, vm, offset);
+    }
+    for k in kills.iter().filter(|k| k.client < swarm.clients.len()) {
+        swarm.timers.schedule(
+            swarm.instant(k.at),
+            Tev::Kill {
+                id: k.client,
+                restart: k.restart,
+            },
+        );
     }
 
+    let cap = start + watchdog;
     let mut events: Vec<Event> = Vec::new();
     let mut fired: Vec<Tev> = Vec::new();
-    while swarm.done_count < swarm.opts.clients {
+    while swarm.live > 0 {
         let now = Instant::now();
         if now >= cap {
             break;
@@ -203,7 +288,7 @@ pub fn run(opts: SwarmOptions) -> io::Result<SwarmReport> {
         for tev in fired.drain(..) {
             swarm.on_timer(tev);
         }
-        if swarm.done_count >= swarm.opts.clients {
+        if swarm.live == 0 {
             break;
         }
         let timeout = swarm
@@ -220,21 +305,202 @@ pub fn run(opts: SwarmOptions) -> io::Result<SwarmReport> {
             if ev.readable || ev.hangup {
                 swarm.on_readable(id);
             }
+            swarm.settle(id);
         }
     }
-    swarm.report.wall_s = start.elapsed().as_secs_f64();
-    swarm.report.trace.sort_by_key(|r| (r.t, r.client, r.task));
-    Ok(swarm.report)
+    if swarm.live > 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("{} client(s) still running after {watchdog:?}", swarm.live),
+        ));
+    }
+    if swarm.protocol_errors > 0 {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{} protocol error(s) on the wire", swarm.protocol_errors),
+        ));
+    }
+    let mut report = swarm.report;
+    report.wall_s = start.elapsed().as_secs_f64();
+    report.trace = swarm.sink.lock().expect("trace sink lock").take();
+    report.trace.sort_by_key(|r| (r.t, r.client, r.task));
+    Ok(report)
 }
 
-impl Swarm {
-    fn trace(&mut self, id: usize, ev: TraceEv) {
-        self.report.trace.push(TraceRecord {
-            t: Time::from_micros(self.start.elapsed().as_micros() as u64),
-            client: id as i64,
-            task: 0,
-            ev,
-        });
+impl<H: Harness> Swarm<'_, H> {
+    /// The run's clock as the VMs see it.
+    fn now(&self) -> Time {
+        Time::from_micros(self.start.elapsed().as_micros() as u64)
+    }
+
+    fn instant(&self, at: Time) -> Instant {
+        self.start + Duration::from_micros(at.as_micros())
+    }
+
+    // ---------------------------------------------------------- driving
+
+    /// Give client `id` a fresh VM, first ticked after `delay`.
+    fn install(&mut self, id: usize, mut vm: Vm, delay: Duration) {
+        vm.set_tracer(self.sink.clone(), id as i64);
+        // Only the trace is read back; retaining every VM's event log
+        // across a large population is pure allocation churn.
+        vm.set_log_detail(false);
+        let c = &mut self.clients[id];
+        c.vm = Some(vm);
+        c.epoch += 1;
+        c.armed = None;
+        let at = self.now() + Dur::from_std(delay);
+        self.arm(id, at);
+    }
+
+    /// Make sure the wheel wakes client `id`'s VM no later than `at`.
+    fn arm(&mut self, id: usize, at: Time) {
+        let c = &mut self.clients[id];
+        if c.armed.is_some_and(|armed| armed <= at) {
+            return;
+        }
+        c.armed = Some(at);
+        let epoch = c.epoch;
+        let when = self.instant(at);
+        self.timers.schedule(when, Tev::Wake { id, epoch, at });
+    }
+
+    fn on_timer(&mut self, tev: Tev) {
+        match tev {
+            Tev::Wake { id, epoch, at } => {
+                let c = &mut self.clients[id];
+                if c.epoch != epoch {
+                    return;
+                }
+                if c.armed == Some(at) {
+                    c.armed = None;
+                }
+                self.tick(id);
+            }
+            Tev::LocalDone { id, epoch, token } => {
+                if self.clients[id].epoch == epoch {
+                    self.complete(id, token, CmdResult::ok(""));
+                    self.settle(id);
+                }
+            }
+            Tev::Kill { id, restart } => {
+                // Only a kill that finds a live VM counts (and earns a
+                // revival), as in the simulator.
+                if self.clients[id].vm.take().is_none() {
+                    return;
+                }
+                self.report.kills += 1;
+                self.clients[id].epoch += 1;
+                self.clients[id].calls.clear();
+                self.drop_stream(id);
+                match restart {
+                    Some(down) => self
+                        .timers
+                        .schedule(Instant::now() + down.to_std(), Tev::Revive { id }),
+                    None => self.live -= 1,
+                }
+            }
+            Tev::Revive { id } => match self.harness.revive(id) {
+                Some(vm) => {
+                    self.report.restarts += 1;
+                    self.install(id, vm, Duration::ZERO);
+                }
+                None => self.live -= 1,
+            },
+        }
+    }
+
+    /// Tick client `id`'s VM if a completion is waiting for it.
+    fn settle(&mut self, id: usize) {
+        if self.clients[id].dirty {
+            self.tick(id);
+        }
+    }
+
+    /// Tick client `id`'s VM until it waits on the world again, and
+    /// act on what it asks for.
+    fn tick(&mut self, id: usize) {
+        loop {
+            let now = self.now();
+            let c = &mut self.clients[id];
+            c.dirty = false;
+            let Some(vm) = c.vm.as_mut() else {
+                return;
+            };
+            let mut effects = std::mem::take(&mut self.effects);
+            let status = vm.tick_into(now, &mut effects);
+            for eff in effects.drain(..) {
+                match eff {
+                    Effect::Start { token, spec, .. } => self.start(id, token, &spec),
+                    Effect::Cancel { token } => self.cancel(id, token),
+                }
+            }
+            self.effects = effects;
+            if self.clients[id].dirty {
+                continue; // something completed on the spot: step again
+            }
+            match status {
+                VmStatus::Running { next_wake } => {
+                    if let Some(at) = next_wake {
+                        self.arm(id, at);
+                    }
+                }
+                VmStatus::Done { success } => {
+                    self.clients[id].vm = None;
+                    match self.harness.unit_done(id, success) {
+                        Some((vm, delay)) => self.install(id, vm, delay),
+                        None => {
+                            self.drop_stream(id);
+                            self.live -= 1;
+                        }
+                    }
+                }
+            }
+            return;
+        }
+    }
+
+    /// Report a command finished to client `id`'s VM.
+    fn complete(&mut self, id: usize, token: CmdToken, result: CmdResult) {
+        let c = &mut self.clients[id];
+        if let Some(vm) = c.vm.as_mut() {
+            vm.complete(token, result);
+            c.dirty = true;
+        }
+    }
+
+    fn start(&mut self, id: usize, token: CmdToken, spec: &CommandSpec) {
+        match self.harness.verb(id, spec) {
+            Verb::Unknown => self.complete(id, token, CmdResult::fail()),
+            Verb::Local(work) => {
+                let epoch = self.clients[id].epoch;
+                self.timers
+                    .schedule(Instant::now() + work, Tev::LocalDone { id, epoch, token });
+            }
+            Verb::Act(req) => self.send(id, Call::new(token, None, 1), &[req]),
+            Verb::Sense {
+                requests,
+                busy_below,
+            } => self.send(
+                id,
+                Call::new(token, Some(busy_below), requests.len()),
+                &requests,
+            ),
+        }
+    }
+
+    /// The VM gave up on an in-flight command (a `try` deadline). Its
+    /// reply must not be taken for the answer to a later command, so
+    /// the persistent connection is sacrificed — exactly what killing
+    /// a per-verb process would do — and the siblings in flight on it
+    /// fail. Local work needs nothing: the VM ignores the stale
+    /// completion.
+    fn cancel(&mut self, id: usize, token: CmdToken) {
+        let calls = &mut self.clients[id].calls;
+        if let Some(pos) = calls.iter().position(|c| c.token == token) {
+            calls.remove(pos);
+            self.on_conn_lost(id);
+        }
     }
 
     // ------------------------------------------------------------ wiring
@@ -246,7 +512,7 @@ impl Swarm {
         if self.clients[id].stream.is_some() {
             return true;
         }
-        let Ok(stream) = TcpStream::connect(&self.opts.addr) else {
+        let Ok(stream) = TcpStream::connect(self.addr) else {
             return false;
         };
         let _ = stream.set_nodelay(true);
@@ -264,9 +530,6 @@ impl Swarm {
         let c = &mut self.clients[id];
         c.ever_connected = true;
         c.stream = Some(stream);
-        c.frames = FrameBuf::new();
-        c.out.clear();
-        c.out_pos = 0;
         true
     }
 
@@ -280,378 +543,167 @@ impl Swarm {
         c.out_pos = 0;
     }
 
-    /// Queue a request on the persistent connection and push bytes.
-    fn send(&mut self, id: usize, req: &Request) {
+    /// Queue a verb's requests on the persistent connection and push
+    /// bytes.
+    fn send(&mut self, id: usize, call: Call, reqs: &[Request]) {
+        // Queued first: if the connection cannot be had, the call
+        // fails with everything else in flight.
+        self.clients[id].calls.push_back(call);
         if !self.ensure_connected(id) {
             self.on_conn_lost(id);
             return;
         }
-        frame_into(&mut self.clients[id].out, &req.encode());
-        self.report.verbs_sent += 1;
+        for req in reqs {
+            frame_into(&mut self.clients[id].out, &req.encode());
+        }
         self.flush(id);
     }
 
     /// Push queued bytes; on `WouldBlock` arm write interest.
     fn flush(&mut self, id: usize) {
-        let Some(mut stream) = self.clients[id].stream.take() else {
+        let c = &mut self.clients[id];
+        let Some(stream) = c.stream.as_mut() else {
             return;
         };
-        let (dead, blocked) = {
-            let c = &mut self.clients[id];
-            let mut dead = false;
-            let mut blocked = false;
-            while c.out_pos < c.out.len() {
-                match stream.write(&c.out[c.out_pos..]) {
-                    Ok(0) => {
-                        dead = true;
-                        break;
-                    }
-                    Ok(n) => c.out_pos += n,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        blocked = true;
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if !dead && !blocked {
+        // `Some(blocked)` once the socket took all it will; `None`
+        // when it is dead.
+        let blocked = loop {
+            if c.out_pos == c.out.len() {
                 c.out.clear();
                 c.out_pos = 0;
+                break Some(false);
             }
-            (dead, blocked)
+            match stream.write(&c.out[c.out_pos..]) {
+                Ok(0) => break None,
+                Ok(n) => c.out_pos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break Some(true),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => break None,
+            }
         };
-        if dead {
-            let _ = self.epoll.delete(stream.as_raw_fd());
-            drop(stream);
-            self.on_conn_lost(id);
-            return;
+        match blocked {
+            Some(blocked) => {
+                let _ = self
+                    .epoll
+                    .modify(stream.as_raw_fd(), id as u64, true, blocked);
+            }
+            None => self.on_conn_lost(id),
         }
-        let _ = self
-            .epoll
-            .modify(stream.as_raw_fd(), id as u64, true, blocked);
-        self.clients[id].stream = Some(stream);
     }
 
     fn on_readable(&mut self, id: usize) {
-        let Some(mut stream) = self.clients[id].stream.take() else {
+        let c = &mut self.clients[id];
+        let Some(stream) = c.stream.as_mut() else {
             return;
         };
         let mut scratch = [0u8; 4096];
-        let mut dead = false;
-        loop {
+        let dead = loop {
             match stream.read(&mut scratch) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(n) => self.clients[id].frames.extend(&scratch[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Ok(0) => break true,
+                Ok(n) => c.frames.extend(&scratch[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => {
-                    dead = true;
-                    break;
-                }
+                Err(_) => break true,
+            }
+        };
+        // Process every complete frame already received — a response
+        // may complete a command even if the daemon closed right after
+        // writing it.
+        loop {
+            let resp = match self.clients[id].frames.next_frame() {
+                Ok(Some(payload)) => Response::decode(&payload).ok(),
+                Ok(None) => break,
+                Err(_) => None,
+            };
+            if !resp.is_some_and(|resp| self.on_response(id, &resp)) {
+                self.protocol_errors += 1;
+                self.on_conn_lost(id);
+                return;
             }
         }
         if dead {
-            let _ = self.epoll.delete(stream.as_raw_fd());
-            drop(stream);
-        } else {
-            self.clients[id].stream = Some(stream);
-        }
-        // Process every complete frame already received — a response
-        // may complete the attempt even if the daemon closed right
-        // after writing it.
-        loop {
-            match self.clients[id].frames.next_frame() {
-                Ok(Some(payload)) => match Response::decode(&payload) {
-                    Ok(resp) => {
-                        self.report.responses += 1;
-                        self.on_response(id, resp);
-                    }
-                    Err(_) => {
-                        self.report.protocol_errors += 1;
-                        self.drop_stream(id);
-                        self.on_conn_lost(id);
-                        return;
-                    }
-                },
-                Ok(None) => break,
-                Err(_) => {
-                    self.report.protocol_errors += 1;
-                    self.drop_stream(id);
-                    self.on_conn_lost(id);
-                    return;
-                }
-            }
-        }
-        // Only report the loss if the responses above did not already
-        // move the client on (e.g. onto a fresh connection).
-        if dead && self.clients[id].stream.is_none() {
             self.on_conn_lost(id);
         }
     }
 
-    /// The connection reset under us (daemon msg-loss, swallow close,
-    /// backpressure drop, or a refused connect). An in-flight verb
-    /// becomes a failed attempt; the next attempt reconnects.
+    /// Fold a reply into the oldest call in flight; `false` when it
+    /// fits none (the wrong kind, or nothing was in flight — only
+    /// possible through a protocol bug, since a cancelled command
+    /// takes its connection with it).
+    fn on_response(&mut self, id: usize, resp: &Response) -> bool {
+        self.report.responses += 1;
+        let calls = &mut self.clients[id].calls;
+        let Some(Ok(last)) = calls.front_mut().map(|call| call.reply(resp)) else {
+            return false;
+        };
+        if last {
+            let call = calls.pop_front().expect("replied to the front call");
+            let (t, sink) = (self.now(), &self.sink);
+            let result = call.finish(|ev| {
+                sink.lock().expect("trace sink lock").record(&TraceRecord {
+                    t,
+                    client: id as i64,
+                    task: NO_ID,
+                    ev,
+                });
+            });
+            self.complete(id, call.token, result);
+        }
+        true
+    }
+
+    /// The connection is gone (daemon msg-loss, swallow close,
+    /// backpressure drop, a refused connect, or a cancel sacrificing
+    /// it). Every verb in flight on it becomes a failed command; the
+    /// next one reconnects.
     fn on_conn_lost(&mut self, id: usize) {
         self.drop_stream(id);
-        let phase = self.clients[id].phase;
-        match phase {
-            Phase::Sensing | Phase::Submitting => {
-                let program = if phase == Phase::Sensing {
-                    "sense"
-                } else {
-                    "submit"
-                };
-                self.trace(
-                    id,
-                    TraceEv::CmdEnd {
-                        program: program.into(),
-                        ok: false,
-                    },
-                );
-                self.attempt_failed(id);
-            }
-            _ => {}
+        while let Some(call) = self.clients[id].calls.pop_front() {
+            self.complete(id, call.token, CmdResult::fail());
         }
     }
+}
 
-    // ------------------------------------------------------- discipline
-
-    fn on_timer(&mut self, tev: Tev) {
-        match tev {
-            Tev::Start { id } => {
-                if self.clients[id].phase == Phase::Waiting {
-                    self.start_unit(id);
-                }
-            }
-            Tev::BackoffDone { id, unit } => {
-                let c = &self.clients[id];
-                if c.phase == Phase::Backoff && c.unit == unit {
-                    self.start_attempt(id);
-                }
-            }
-            Tev::UnitDeadline { id, unit } => {
-                let (phase, cur) = {
-                    let c = &self.clients[id];
-                    (c.phase, c.unit)
-                };
-                if phase == Phase::Done || cur != unit {
-                    return;
-                }
-                match phase {
-                    Phase::Sensing | Phase::Submitting => {
-                        // Mid-attempt: cancel the in-flight verb. Its
-                        // response must not bleed into the next unit's
-                        // request stream, so the persistent connection
-                        // is sacrificed — exactly what killing the old
-                        // per-verb gridctl process did.
-                        let program = if phase == Phase::Sensing {
-                            "sense"
-                        } else {
-                            "submit"
-                        };
-                        self.trace(
-                            id,
-                            TraceEv::CmdKilled {
-                                program: program.into(),
-                            },
-                        );
-                        self.drop_stream(id);
-                        self.trace(id, TraceEv::TryTimeout);
-                    }
-                    _ => self.trace(id, TraceEv::TryExhausted),
-                }
-                self.unit_failed(id);
-            }
-        }
-    }
-
-    fn start_unit(&mut self, id: usize) {
-        let finished = {
-            let c = &mut self.clients[id];
-            c.unit += 1;
-            c.unit > self.opts.jobs
+/// Socket-free exercise of a verb table: start `spec` as client 0,
+/// feed the scripted `replies`, and return the verb, the command's
+/// result (`None` while replies are owed, or for local work;
+/// `Some(Err)` on a reply of the wrong kind) and the trace records the
+/// fold emitted.
+#[cfg(test)]
+pub(crate) fn dry_run<H: Harness>(
+    harness: &mut H,
+    spec: &CommandSpec,
+    replies: &[Response],
+) -> (Verb, Option<Result<CmdResult, ()>>, Vec<TraceEv>) {
+    let verb = harness.verb(0, spec);
+    let mut call = match &verb {
+        Verb::Unknown => return (verb, Some(Ok(CmdResult::fail())), Vec::new()),
+        Verb::Local(_) => return (verb, None, Vec::new()),
+        Verb::Act(_) => Call::new(1, None, 1),
+        Verb::Sense {
+            requests,
+            busy_below,
+        } => Call::new(1, Some(*busy_below), requests.len()),
+    };
+    let mut evs = Vec::new();
+    let mut result = None;
+    for resp in replies {
+        result = match call.reply(resp) {
+            Ok(true) => Some(Ok(call.finish(|ev| evs.push(ev)))),
+            Ok(false) => None,
+            Err(()) => Some(Err(())),
         };
-        if finished {
-            self.clients[id].phase = Phase::Done;
-            self.done_count += 1;
-            self.trace(id, TraceEv::UnitDone { ok: true });
-            self.drop_stream(id);
-            return;
-        }
-        let now = Instant::now();
-        let deadline = now + self.opts.unit_budget;
-        let unit = {
-            let c = &mut self.clients[id];
-            c.attempt = 0;
-            c.unit_deadline = deadline;
-            c.unit
-        };
-        self.timers
-            .schedule(deadline, Tev::UnitDeadline { id, unit });
-        self.start_attempt(id);
     }
+    (verb, result, evs)
+}
 
-    fn start_attempt(&mut self, id: usize) {
-        let now = Instant::now();
-        let exhausted = {
-            let c = &self.clients[id];
-            c.attempt >= self.opts.unit_attempts || now >= c.unit_deadline
-        };
-        if exhausted {
-            self.trace(id, TraceEv::TryExhausted);
-            self.unit_failed(id);
-            return;
-        }
-        let (attempt, budget) = {
-            let c = &mut self.clients[id];
-            c.attempt += 1;
-            (c.attempt, c.unit_deadline.saturating_duration_since(now))
-        };
-        self.trace(
-            id,
-            TraceEv::AttemptStart {
-                attempt,
-                budget: Some(Dur::from_micros(budget.as_micros() as u64)),
-            },
-        );
-        if self.opts.discipline.uses_carrier_sense() {
-            self.clients[id].phase = Phase::Sensing;
-            self.trace(
-                id,
-                TraceEv::CmdStart {
-                    program: "sense".into(),
-                },
-            );
-            self.send(id, &Request::Df { client: id as u32 });
-        } else {
-            self.send_submit(id);
-        }
-    }
-
-    fn send_submit(&mut self, id: usize) {
-        self.clients[id].phase = Phase::Submitting;
-        let job = format!("job-{id}-{}", self.clients[id].unit);
-        self.trace(
-            id,
-            TraceEv::CmdStart {
-                program: "submit".into(),
-            },
-        );
-        self.send(
-            id,
-            &Request::Submit {
-                client: id as u32,
-                job,
-            },
-        );
-    }
-
-    fn on_response(&mut self, id: usize, resp: Response) {
-        match self.clients[id].phase {
-            Phase::Sensing => match resp {
-                Response::Free { slots } => {
-                    self.trace(id, TraceEv::CarrierSense { free: slots });
-                    self.trace(
-                        id,
-                        TraceEv::CmdEnd {
-                            program: "sense".into(),
-                            ok: slots > 0,
-                        },
-                    );
-                    if slots > 0 {
-                        self.send_submit(id);
-                    } else {
-                        // Medium busy: defer instead of stampeding.
-                        self.trace(id, TraceEv::Deferral);
-                        self.attempt_failed(id);
-                    }
-                }
-                _ => {
-                    self.report.protocol_errors += 1;
-                    self.drop_stream(id);
-                    self.on_conn_lost(id);
-                }
-            },
-            Phase::Submitting => match resp {
-                Response::Ok { .. } => {
-                    let attempt = self.clients[id].attempt;
-                    self.trace(
-                        id,
-                        TraceEv::CmdEnd {
-                            program: "submit".into(),
-                            ok: true,
-                        },
-                    );
-                    self.trace(id, TraceEv::AttemptOk { attempt });
-                    self.start_unit(id);
-                }
-                Response::Err { .. } => {
-                    self.trace(
-                        id,
-                        TraceEv::CmdEnd {
-                            program: "submit".into(),
-                            ok: false,
-                        },
-                    );
-                    self.attempt_failed(id);
-                }
-                _ => {
-                    self.report.protocol_errors += 1;
-                    self.drop_stream(id);
-                    self.on_conn_lost(id);
-                }
-            },
-            // Late frame after a phase change — only possible through a
-            // protocol bug, since timeouts drop the connection.
-            _ => self.report.protocol_errors += 1,
-        }
-    }
-
-    /// One attempt failed: back off and re-admit, budget permitting.
-    fn attempt_failed(&mut self, id: usize) {
-        let now = Instant::now();
-        let backoff = self.opts.backoff;
-        let verdict = {
-            let c = &mut self.clients[id];
-            if c.attempt >= self.opts.unit_attempts {
-                None
-            } else {
-                let delay = backoff.delay_after(c.attempt, &mut c.rng);
-                let wake = now + delay.to_std();
-                if wake >= c.unit_deadline {
-                    // The budget cannot cover another admission.
-                    None
-                } else {
-                    Some((c.attempt, delay, wake, c.unit))
-                }
-            }
-        };
-        match verdict {
-            None => {
-                self.trace(id, TraceEv::TryExhausted);
-                self.unit_failed(id);
-            }
-            Some((attempt, delay, wake, unit)) => {
-                self.clients[id].phase = Phase::Backoff;
-                self.trace(id, TraceEv::Backoff { attempt, delay });
-                self.timers.schedule(wake, Tev::BackoffDone { id, unit });
-            }
-        }
-    }
-
-    /// The unit's `try` failed; the empty `catch` absorbs it and the
-    /// client moves to its next job.
-    fn unit_failed(&mut self, id: usize) {
-        self.trace(id, TraceEv::CatchEntered);
-        self.start_unit(id);
+#[cfg(test)]
+pub(crate) fn spec(argv: &[&str]) -> CommandSpec {
+    CommandSpec {
+        argv: argv.iter().map(|w| ftsh::Istr::from(*w)).collect(),
+        input: None,
+        output: None,
+        both: false,
     }
 }
 
@@ -659,50 +711,72 @@ impl Swarm {
 mod tests {
     use super::*;
 
-    fn daemon(slots: u64, clients: usize) -> gridd::GriddHandle {
-        gridd::start(gridd::GriddConfig {
-            slots,
-            service: Duration::from_millis(20),
-            crash_overloads: u32::MAX, // never crash: pure throughput
-            backlog: clients.max(64) * 2,
+    /// `submit <job>` and nothing else.
+    struct SubmitOnly;
+
+    impl Harness for SubmitOnly {
+        fn verb(&mut self, client: usize, spec: &CommandSpec) -> Verb {
+            match (spec.program(), spec.argv.get(1)) {
+                ("submit", Some(job)) => Verb::Act(Request::Submit {
+                    client: client as u32,
+                    job: job.to_string(),
+                }),
+                _ => Verb::Unknown,
+            }
+        }
+    }
+
+    /// A `try` deadline landing mid-`submit`: the VM (not the driver)
+    /// records the kill and the timeout, the connection is sacrificed
+    /// and re-dialled once, and the slow daemon's late reply — written
+    /// to the dead connection — never completes a command of the next
+    /// unit.
+    #[test]
+    fn deadline_mid_submit_sacrifices_the_connection() {
+        // Service (400 ms) outlasts the first unit's budget (100 ms),
+        // but not the second's.
+        let handle = gridd::start(gridd::GriddConfig {
+            slots: 2,
+            service: Duration::from_millis(400),
             ..gridd::GriddConfig::default()
         })
-        .expect("daemon starts")
-    }
-
-    #[test]
-    fn swarm_pushes_jobs_through_without_protocol_errors() {
-        let handle = daemon(8, 32);
-        let opts = SwarmOptions {
-            stagger: Duration::from_millis(50),
-            ..SwarmOptions::arena(Discipline::Ethernet, 32, 2, handle.addr().to_string(), 11)
-        };
-        let report = run(opts).expect("swarm runs");
-        let (snaps, _) = handle.snapshot();
+        .expect("daemon starts");
+        let script = ftsh::parse(
+            "try for 100 ms\n  submit slow\ncatch\n  success\nend\n\
+             try for 5 seconds\n  submit next\nend\n",
+        )
+        .unwrap();
+        let vm = Vm::with_seed(&script, 1);
+        let addr = handle.addr().to_string();
+        let report = drive(
+            SubmitOnly,
+            &addr,
+            vec![(vm, Duration::ZERO)],
+            &[],
+            Duration::from_secs(20),
+        )
+        .expect("swarm runs");
         handle.shutdown();
-        let ok: u64 = snaps.iter().map(|c| c.submit_ok).sum();
-        assert!(ok > 0, "some jobs must complete");
-        assert_eq!(report.protocol_errors, 0);
-        assert!(report.responses > 0);
-        assert!(report.dispatch_rate() > 0.0);
-        // Persistent connections batch verbs: more verbs than units.
-        assert!(report.verbs_sent > 32 * 2);
-    }
 
-    #[test]
-    fn aloha_swarm_runs_blind() {
-        let handle = daemon(4, 16);
-        let opts = SwarmOptions {
-            stagger: Duration::from_millis(20),
-            ..SwarmOptions::arena(Discipline::Aloha, 16, 2, handle.addr().to_string(), 12)
-        };
-        let report = run(opts).expect("swarm runs");
-        handle.shutdown();
-        assert_eq!(report.protocol_errors, 0);
-        // Aloha never senses: no CarrierSense events in its trace.
-        assert!(!report
-            .trace
-            .iter()
-            .any(|r| matches!(r.ev, TraceEv::CarrierSense { .. })));
+        assert_eq!(report.reconnects, 1);
+        let evs: Vec<&TraceEv> = report.trace.iter().map(|r| &r.ev).collect();
+        let at = |want: &TraceEv| evs.iter().position(|ev| *ev == want);
+        let killed = at(&TraceEv::CmdKilled {
+            program: "submit".into(),
+        })
+        .expect("the VM kills the in-flight submit");
+        let timeout = at(&TraceEv::TryTimeout).expect("the VM times the try out");
+        assert!(killed < timeout);
+        // The second unit's submit ran its full service: the only
+        // successful command end comes after the timeout, and only one
+        // reply was ever decoded.
+        assert_eq!(report.responses, 1);
+        let ok_end = at(&TraceEv::CmdEnd {
+            program: "submit".into(),
+            ok: true,
+        })
+        .expect("the second submit completes");
+        assert!(ok_end > timeout);
+        assert_eq!(evs.last(), Some(&&TraceEv::UnitDone { ok: true }));
     }
 }

@@ -103,27 +103,13 @@ fn live_daemon_matches_sim_kill_accounting() {
 fn stress_swarm_1000_clients() {
     let opts = egbench::live::LiveOptions::sized(1000, 4242, std::env::temp_dir());
     let h = gridd::start(egbench::live::arena_config(&opts)).unwrap();
-    let mut sopts = egbench::swarm::SwarmOptions::arena(
-        Discipline::Ethernet,
-        opts.clients,
-        opts.jobs,
-        h.addr().to_string(),
-        opts.seed,
-    );
-    sopts.backoff = egbench::live::live_backoff(Discipline::Ethernet);
-    let report = egbench::swarm::run(sopts).unwrap();
+    let report = egbench::live::run_population(Discipline::Ethernet, &opts, &h.addr().to_string());
+    let (clients, _) = h.snapshot();
     h.shutdown();
-    let ok_units = report
-        .trace
-        .iter()
-        .filter(|r| matches!(r.ev, simgrid::trace::TraceEv::UnitDone { ok: true }))
-        .count();
-    assert_eq!(
-        report.protocol_errors, 0,
-        "wire must stay clean at 1000 clients"
-    );
+    let report = report.expect("every client finishes and the wire stays clean at 1000 clients");
+    let jobs_done: u64 = clients.iter().map(|c| c.submit_ok).sum();
     assert!(
-        ok_units > 0,
+        jobs_done > 0,
         "the arena must push jobs through: {} responses, {} reconnects",
         report.responses,
         report.reconnects

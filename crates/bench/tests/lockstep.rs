@@ -5,8 +5,8 @@
 //! `bytecode_props` covers *random* scripts; this covers the real ones —
 //! every script `gridworld::scripts` and `gridworld::coord` generate for
 //! Fixed/Aloha/Ethernet (under the backoff policy each discipline
-//! installs), the conformance corpus, and the example and procman
-//! scripts. Both machines get the same seed and the same seeded command
+//! installs), the live arena's generated script included, the
+//! conformance corpus, and the example and procman scripts. Both machines get the same seed and the same seeded command
 //! outcomes, and at every tick must agree on the effect stream and the
 //! status — including `next_wake`, which moves with every backoff jitter
 //! draw, so identical wake instants mean identical RNG consumption. This
@@ -17,8 +17,10 @@
 use ftsh::tree::TreeVm;
 use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
 use ftsh::{parse, Env, Script};
-use gridworld::coord::{allreduce_script, dag_job_script, DagSpec};
-use gridworld::scripts::{buffer_script, reader_script, submit_script};
+use gridworld::coord::{allreduce_script, allreduce_text, dag_job_script, DagSpec};
+use gridworld::scripts::{
+    arena_script, arena_text, arena_worst_case, buffer_script, reader_script, submit_script,
+};
 use retry::{BackoffPolicy, Discipline, Dur, Time};
 use simgrid::trace::{SharedSink, VecSink};
 use simgrid::SimRng;
@@ -59,6 +61,11 @@ fn scenario_cases() -> Vec<Case> {
             });
         }
         cases.push(Case {
+            name: format!("arena/{label}"),
+            script: arena_script(d, 4),
+            backoff: egbench::live::live_backoff(d),
+        });
+        cases.push(Case {
             name: format!("allreduce/{label}"),
             script: allreduce_script(d, 4, Dur::from_secs(600), Dur::from_secs(60)),
             backoff: coord_backoff(d),
@@ -97,6 +104,7 @@ fn case_env() -> Env {
         ("h3", "gamma"),
         ("rank", "r1"),
         ("round", "0"),
+        ("client", "7"),
         ("shimdir", "/shim"),
     ] {
         env.set(k, v);
@@ -222,9 +230,38 @@ fn run(cases: &[Case]) {
 #[test]
 fn scenario_and_coord_scripts_run_in_lockstep_under_every_discipline() {
     let cases = scenario_cases();
-    // 3 scenarios + all-reduce + 8 diamond jobs, per discipline.
-    assert_eq!(cases.len(), 3 * (3 + 1 + 8));
+    // 3 scenarios + arena + all-reduce + 8 diamond jobs, per discipline.
+    assert_eq!(cases.len(), 3 * (3 + 1 + 1 + 8));
     run(&cases);
+}
+
+/// The scripts the live world executes pass the same gate the corpus
+/// does for the §5 scripts: no error-severity lint finding. The arena
+/// script's envelope is also what the swarm sizes its watchdog from.
+#[test]
+fn live_scripts_lint_without_errors() {
+    let opts = ftshlint::Options {
+        defines: ["client", "rank", "round"].map(String::from).to_vec(),
+        policy: ftshlint::budget::BudgetPolicy::ARENA,
+        ..ftshlint::Options::default()
+    };
+    for d in Discipline::ALL {
+        let arena = arena_text(d, 4);
+        let rank = allreduce_text(d, 4, Dur::from_secs(600), Dur::from_secs(60));
+        for (what, src) in [("arena", &arena), ("allreduce", &rank)] {
+            let script = parse(src).unwrap_or_else(|e| panic!("{what}/{d}: {e}"));
+            let report = ftshlint::lint_script(&script, src, &opts);
+            let errors: Vec<_> = report
+                .diagnostics
+                .iter()
+                .filter(|diag| diag.severity == ftshlint::Severity::Error)
+                .collect();
+            assert!(errors.is_empty(), "{what}/{d}: {errors:?}");
+            if what == "arena" {
+                assert_eq!(report.envelope, arena_worst_case(4), "{d}");
+            }
+        }
+    }
 }
 
 #[test]

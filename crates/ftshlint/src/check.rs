@@ -36,9 +36,7 @@ use crate::keyflow::{key_effects, KeyEffects};
 use crate::Severity;
 use ftsh::bytecode::{compile_cached, CmdTpl, FuncRef, Ip, Op, Prog, SegTpl, WordTpl, NO_CATCH};
 use ftsh::{Script, Span};
-use gridworld::coord::{
-    allreduce_aloha_text, allreduce_ethernet_text, dag_job_script_text, DagSpec,
-};
+use gridworld::coord::{allreduce_text, dag_job_script_text, DagSpec};
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::FaultPlan;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -352,10 +350,7 @@ impl WorkflowSpec {
         fetch_timeout: Dur,
         compute_base: Dur,
     ) -> WorkflowSpec {
-        let source = match discipline {
-            Discipline::Ethernet => allreduce_ethernet_text(n_ranks, round_timeout, fetch_timeout),
-            Discipline::Aloha | Discipline::Fixed => allreduce_aloha_text(n_ranks, round_timeout),
-        };
+        let source = allreduce_text(discipline, n_ranks, round_timeout, fetch_timeout);
         let mut jobs = Vec::new();
         for round in 0..rounds {
             let barrier: Vec<String> = (0..n_ranks).map(|j| format!("r{j} {round}")).collect();

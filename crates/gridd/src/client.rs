@@ -1,17 +1,12 @@
 //! A small synchronous client for the gridd protocol.
 //!
-//! Two styles:
-//!
-//! * [`GridClient`] — one TCP connection per operation. The daemon's
-//!   fault plan can reset connections at will (`msg-loss`), so a fresh
-//!   connect per verb keeps every operation independently retryable —
-//!   exactly what an ftsh `try` block wants to wrap.
-//! * [`GridConn`] — one persistent connection batching many verbs.
-//!   This is what the 1000-client live arena uses: connection setup is
-//!   paid once, then requests and responses stream over the same
-//!   socket. A transport error poisons the connection; the caller
-//!   reconnects (and the arena counts the reconnect), which keeps the
-//!   retry story identical to the per-op client.
+//! [`GridClient`] dials one TCP connection per operation. The daemon's
+//! fault plan can reset connections at will (`msg-loss`), so a fresh
+//! connect per verb keeps every operation independently retryable —
+//! exactly what an ftsh `try` block wants to wrap. (Populations that
+//! pipeline many verbs over one persistent connection speak
+//! [`crate::proto`] directly from their own reactor, as the bench
+//! crate's client swarm does.)
 
 use crate::proto::{read_frame, write_frame, ErrCode, ProtoError, Request, Response};
 use std::io::{self};
@@ -146,130 +141,6 @@ impl GridClient {
 
     /// The daemon's per-client counters as metrics JSON.
     pub fn stats(&self) -> Result<String, GridError> {
-        match self.call(&Request::Stats)? {
-            Response::Stats { json } => Ok(json),
-            _ => Err(GridError::Unexpected("stats wants stats")),
-        }
-    }
-}
-
-/// A persistent connection to one gridd endpoint.
-///
-/// Unlike [`GridClient`], which dials per verb, `GridConn` holds one
-/// TCP stream and pipelines request/response pairs over it. Any
-/// transport error leaves the stream in an unknown framing state, so
-/// the first error poisons the connection: every later call returns
-/// [`GridError::Io`] until the caller makes a fresh [`GridConn`].
-pub struct GridConn {
-    stream: Option<TcpStream>,
-    client: u32,
-}
-
-impl GridConn {
-    /// Dial `addr` once; subsequent verbs reuse the connection.
-    pub fn connect(
-        addr: impl AsRef<str>,
-        client: u32,
-        timeout: Duration,
-    ) -> Result<GridConn, GridError> {
-        let stream = TcpStream::connect(addr.as_ref())?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        Ok(GridConn {
-            stream: Some(stream),
-            client,
-        })
-    }
-
-    /// Whether the connection is still usable (no transport error yet).
-    pub fn alive(&self) -> bool {
-        self.stream.is_some()
-    }
-
-    fn call(&mut self, req: &Request) -> Result<Response, GridError> {
-        let Some(stream) = self.stream.as_mut() else {
-            return Err(GridError::Io(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "connection poisoned by an earlier transport error",
-            )));
-        };
-        let r = (|| -> Result<Response, GridError> {
-            write_frame(stream, &req.encode())?;
-            let payload = read_frame(stream)?;
-            Response::decode(&payload).map_err(GridError::Proto)
-        })();
-        match r {
-            // Server-side errors keep the stream's framing intact; only
-            // transport/protocol faults poison the connection.
-            Ok(Response::Err { code, msg }) => Err(GridError::Server(code, msg)),
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.stream = None;
-                Err(e)
-            }
-        }
-    }
-
-    /// Submit a job; returns the job id the schedd assigned.
-    pub fn submit(&mut self, job: &str) -> Result<String, GridError> {
-        match self.call(&Request::Submit {
-            client: self.client,
-            job: job.into(),
-        })? {
-            Response::Ok { info } => Ok(info),
-            _ => Err(GridError::Unexpected("submit wants ok")),
-        }
-    }
-
-    /// Store `data` under `name` on the file server.
-    pub fn put(&mut self, name: &str, data: &[u8]) -> Result<(), GridError> {
-        match self.call(&Request::Put {
-            client: self.client,
-            name: name.into(),
-            data: data.to_vec(),
-        })? {
-            Response::Ok { .. } => Ok(()),
-            _ => Err(GridError::Unexpected("put wants ok")),
-        }
-    }
-
-    /// Fetch the file stored under `name`.
-    pub fn get(&mut self, name: &str) -> Result<Vec<u8>, GridError> {
-        match self.call(&Request::Get {
-            client: self.client,
-            name: name.into(),
-        })? {
-            Response::Data { data } => Ok(data),
-            _ => Err(GridError::Unexpected("get wants data")),
-        }
-    }
-
-    /// Free schedd capacity right now (the carrier-sense read).
-    pub fn df(&mut self) -> Result<u64, GridError> {
-        match self.call(&Request::Df {
-            client: self.client,
-        })? {
-            Response::Free { slots } => Ok(slots),
-            _ => Err(GridError::Unexpected("df wants free")),
-        }
-    }
-
-    /// Does `name` exist on the file server right now? The file
-    /// server's carrier-sense read: free, never queued behind file
-    /// service.
-    pub fn stat(&mut self, name: &str) -> Result<bool, GridError> {
-        match self.call(&Request::Stat {
-            client: self.client,
-            name: name.into(),
-        })? {
-            Response::Free { slots } => Ok(slots > 0),
-            _ => Err(GridError::Unexpected("stat wants free")),
-        }
-    }
-
-    /// The daemon's per-client counters as metrics JSON.
-    pub fn stats(&mut self) -> Result<String, GridError> {
         match self.call(&Request::Stats)? {
             Response::Stats { json } => Ok(json),
             _ => Err(GridError::Unexpected("stats wants stats")),

@@ -17,10 +17,10 @@
 //!   latency stalls, black-hole swallows, deadlines), token-bucket
 //!   service slots, crash physics, and
 //!   [`simgrid::faults::FaultPlan`]-driven misbehaviour;
-//! * [`client`] — [`GridClient`] (one connection per operation, behind
-//!   the `gridctl` binary ftsh scripts drive) and [`GridConn`] (one
-//!   persistent connection batching many verbs, behind the live
-//!   arena's client swarm).
+//! * [`client`] — [`GridClient`]: one connection per operation, behind
+//!   the `gridctl` binary real ftsh scripts drive. The live harnesses'
+//!   client swarm does not use it: it pipelines [`proto`] frames over
+//!   persistent connections from its own [`poll`] reactor.
 
 #![warn(missing_docs)]
 
@@ -29,7 +29,7 @@ pub mod poll;
 pub mod proto;
 pub mod server;
 
-pub use client::{GridClient, GridConn, GridError};
+pub use client::{GridClient, GridError};
 pub use proto::{ErrCode, Request, Response};
 pub use server::{start, ClientSnapshot, GriddConfig, GriddHandle};
 
@@ -279,29 +279,6 @@ mod tests {
         );
         // The parked client sees its connection die, not a success.
         assert!(bg.join().unwrap().is_err());
-    }
-
-    #[test]
-    fn persistent_conn_batches_many_verbs() {
-        let h = start(quick_config()).unwrap();
-        let mut conn = GridConn::connect(h.addr().to_string(), 9, Duration::from_secs(5)).unwrap();
-        // Many verbs over one socket: the server's state machine must
-        // frame each response back on the same connection.
-        assert_eq!(conn.df().unwrap(), 2);
-        conn.put("batch.txt", b"over one socket").unwrap();
-        assert_eq!(conn.get("batch.txt").unwrap(), b"over one socket");
-        let id = conn.submit("batched-job").unwrap();
-        assert!(id.starts_with("batched-job@"), "{id}");
-        // A server-side error must not poison the stream...
-        assert!(matches!(
-            conn.get("missing"),
-            Err(GridError::Server(ErrCode::NotFound, _))
-        ));
-        assert!(conn.alive());
-        assert_eq!(conn.df().unwrap(), 2);
-        let json = conn.stats().unwrap();
-        assert!(json.contains("\"submit_ok\""), "{json}");
-        h.shutdown();
     }
 
     #[test]

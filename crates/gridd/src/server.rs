@@ -58,7 +58,7 @@
 
 use crate::poll::{set_nonblocking, waker, Epoll, Event, TimerWheel, WakeRx, Waker};
 use crate::proto::{frame_into, ErrCode, FrameBuf, Request, Response};
-use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
+use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::{Series, SeriesSet, SimRng};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -176,24 +176,6 @@ struct Windows {
 
 const FOREVER: Duration = Duration::from_secs(u32::MAX as u64);
 
-/// Every wall-clock occurrence of a (possibly repeating) spec. The
-/// arithmetic runs in u128 microseconds and saturates, so a
-/// long-period repeating spec can never overflow (`Duration * u32`
-/// panics; this does not).
-fn occurrences(spec: &FaultSpec) -> Vec<Duration> {
-    let first = u128::from(spec.at.as_micros());
-    let (period, count) = match spec.every {
-        None => (0u128, 1u64),
-        Some(every) => (every.to_std().as_micros(), u64::from(spec.count.max(1))),
-    };
-    (0..count)
-        .map(|k| {
-            let us = first.saturating_add(period.saturating_mul(u128::from(k)));
-            Duration::from_micros(u64::try_from(us).unwrap_or(u64::MAX))
-        })
-        .collect()
-}
-
 /// Coalesce possibly-overlapping windows into a disjoint, sorted set.
 fn coalesce(mut windows: Vec<Window>) -> Vec<Window> {
     windows.sort_by_key(|w| w.start);
@@ -218,16 +200,22 @@ impl Windows {
         // black-hole enables open a window closed by the next disable.
         let mut bh_events: Vec<(Duration, bool)> = Vec::new();
         for spec in &plan.specs {
+            // The spec's trigger instants, on the wall clock.
+            let triggers = || {
+                spec.triggers()
+                    .into_iter()
+                    .map(|at| Duration::from_micros(at.as_micros()))
+            };
             match &spec.kind {
                 FaultKind::ScheddKill { downtime } => {
                     let d = downtime.map(|d| d.to_std()).unwrap_or(default_downtime);
-                    for at in occurrences(spec) {
+                    for at in triggers() {
                         kills.push((at, d));
                     }
                 }
-                FaultKind::ScheddRestart => restarts.extend(occurrences(spec)),
+                FaultKind::ScheddRestart => restarts.extend(triggers()),
                 FaultKind::EnospcWindow { duration } => {
-                    for at in occurrences(spec) {
+                    for at in triggers() {
                         w.enospc.push(Window {
                             start: at,
                             end: at + duration.to_std(),
@@ -238,7 +226,7 @@ impl Windows {
                     delta_bytes,
                     duration,
                 } => {
-                    for at in occurrences(spec) {
+                    for at in triggers() {
                         w.df_lie.push((
                             Window {
                                 start: at,
@@ -249,7 +237,7 @@ impl Windows {
                     }
                 }
                 FaultKind::ServerBlackHole { enable, .. } => {
-                    for at in occurrences(spec) {
+                    for at in triggers() {
                         bh_events.push((at, *enable));
                     }
                 }
@@ -258,7 +246,7 @@ impl Windows {
                     duration,
                     ..
                 } => {
-                    for at in occurrences(spec) {
+                    for at in triggers() {
                         w.msg_loss.push((
                             Window {
                                 start: at,
@@ -271,7 +259,7 @@ impl Windows {
                 FaultKind::LatencySpike {
                     extra, duration, ..
                 } => {
-                    for at in occurrences(spec) {
+                    for at in triggers() {
                         w.latency.push((
                             Window {
                                 start: at,
@@ -1405,6 +1393,7 @@ fn stats_json(inner: &Inner) -> String {
 mod tests {
     use super::*;
     use retry::{Dur, Time};
+    use simgrid::faults::FaultSpec;
 
     fn plan_with(specs: Vec<FaultSpec>) -> FaultPlan {
         let mut p = FaultPlan::new(7);
@@ -1492,37 +1481,6 @@ mod tests {
         let w = Windows::compile(&plan, Duration::from_secs(1));
         assert_eq!(w.df_delta(Duration::from_secs(1)), -100);
         assert_eq!(w.df_delta(Duration::from_secs(6)), 0);
-    }
-
-    #[test]
-    fn occurrences_saturate_instead_of_panicking() {
-        // A long-period repeating spec whose later occurrences would
-        // overflow `Duration * u32` (the old arithmetic panicked here).
-        let spec = FaultSpec::repeating(
-            Time::from_micros(u64::MAX - 10),
-            Dur::from_micros(u64::MAX / 2),
-            1000,
-            FaultKind::ScheddRestart,
-        );
-        let all = occurrences(&spec);
-        assert_eq!(all.len(), 1000);
-        assert_eq!(all[0], Duration::from_micros(u64::MAX - 10));
-        // Every subsequent occurrence saturates at the u64 ceiling.
-        assert_eq!(*all.last().unwrap(), Duration::from_micros(u64::MAX));
-        assert!(all.windows(2).all(|p| p[0] <= p[1]), "monotonic");
-    }
-
-    #[test]
-    fn occurrences_boundary_is_exact_below_saturation() {
-        let spec = FaultSpec::repeating(
-            Time::from_secs(10),
-            Dur::from_secs(3600),
-            100_000,
-            FaultKind::ScheddRestart,
-        );
-        let all = occurrences(&spec);
-        assert_eq!(all.len(), 100_000);
-        assert_eq!(all[99_999], Duration::from_secs(10 + 3600 * 99_999));
     }
 
     #[test]

@@ -117,6 +117,20 @@ pub fn allreduce_ethernet_text(n_ranks: usize, round_timeout: Dur, fetch_timeout
     )
 }
 
+/// The rank script's source for one discipline — the one text the
+/// simulator, the static checker and the live ranks all start from.
+pub fn allreduce_text(
+    discipline: Discipline,
+    n_ranks: usize,
+    round_timeout: Dur,
+    fetch_timeout: Dur,
+) -> String {
+    match discipline {
+        Discipline::Ethernet => allreduce_ethernet_text(n_ranks, round_timeout, fetch_timeout),
+        Discipline::Aloha | Discipline::Fixed => allreduce_aloha_text(n_ranks, round_timeout),
+    }
+}
+
 /// The rank script for one discipline.
 pub fn allreduce_script(
     discipline: Discipline,
@@ -124,10 +138,7 @@ pub fn allreduce_script(
     round_timeout: Dur,
     fetch_timeout: Dur,
 ) -> Script {
-    let text = match discipline {
-        Discipline::Ethernet => allreduce_ethernet_text(n_ranks, round_timeout, fetch_timeout),
-        Discipline::Aloha | Discipline::Fixed => allreduce_aloha_text(n_ranks, round_timeout),
-    };
+    let text = allreduce_text(discipline, n_ranks, round_timeout, fetch_timeout);
     ftsh::parse(&text).expect("generated script parses")
 }
 
@@ -300,8 +311,8 @@ impl AllReduceWorld {
 
 /// Build the VM one rank runs for one round: `${rank}`/`${round}` come
 /// in through the environment, so one shared AST serves every rank and
-/// round.
-fn rank_unit_vm(
+/// round. The live ranks are built by this same function.
+pub fn rank_unit_vm(
     script: &Script,
     params: &AllReduceParams,
     rank: ClientId,

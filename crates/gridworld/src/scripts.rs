@@ -1,5 +1,6 @@
-//! The ftsh scripts the simulated clients run — transcribed from §5 of
-//! the paper, one per scenario and discipline.
+//! The ftsh scripts the clients run — transcribed from §5 of the
+//! paper, one per scenario and discipline, plus the generated script
+//! of the live arena's clients.
 //!
 //! The three disciplines are "minor variations on scripts written with
 //! ftsh" (§5): the Fixed client is the Aloha script run with no
@@ -7,7 +8,8 @@
 //! carrier-sense prelude.
 
 use ftsh::{parse, Env, Script, Vm};
-use retry::{BackoffPolicy, Discipline};
+use retry::{Discipline, Dur};
+use std::fmt::Write as _;
 
 /// Submission scenario (§5, Figures 1–3). The Aloha client is:
 ///
@@ -125,6 +127,68 @@ pub fn reader_ethernet() -> Script {
     .expect("static script parses")
 }
 
+/// Budgets of one live-arena unit: `try for 6 seconds or 8 times`.
+const ARENA_UNIT_BUDGET: Dur = Dur::from_secs(6);
+const ARENA_UNIT_ATTEMPTS: u32 = 8;
+/// Free schedd slots under which the live-arena Ethernet client defers.
+pub const ARENA_SENSE_THRESHOLD: u64 = 1;
+
+/// The script one live-arena client runs against a real `gridd`:
+/// `jobs` sequential submission units, each an attempt- and
+/// time-budgeted `try` whose failure the `catch` absorbs so the next
+/// unit still runs. The Ethernet variant senses the carrier the way
+/// [`submit_ethernet`] does — read the schedd's free slots, defer
+/// while there are none — turning a stampede into a deferral.
+/// `${client}` comes in through the environment, so one parsed script
+/// serves the whole population.
+///
+/// ```text
+/// try for 6 seconds or 8 times
+///   sense -> free
+///   if ${free} .lt. 1
+///     failure
+///   else
+///     submit job-${client}-1
+///   end
+/// catch
+///   success
+/// end
+/// ```
+pub fn arena_text(discipline: Discipline, jobs: usize) -> String {
+    let mut s = String::new();
+    for k in 1..=jobs {
+        let _ = writeln!(
+            s,
+            "try for {} seconds or {ARENA_UNIT_ATTEMPTS} times",
+            ARENA_UNIT_BUDGET.as_secs()
+        );
+        let submit = format!("submit job-${{client}}-{k}");
+        if discipline.uses_carrier_sense() {
+            let _ = writeln!(
+                s,
+                "  sense -> free\n  if ${{free}} .lt. {ARENA_SENSE_THRESHOLD}"
+            );
+            let _ = writeln!(s, "    failure\n  else\n    {submit}\n  end");
+        } else {
+            let _ = writeln!(s, "  {submit}");
+        }
+        let _ = writeln!(s, "catch\n  success\nend");
+    }
+    s
+}
+
+/// [`arena_text`], parsed.
+pub fn arena_script(discipline: Discipline, jobs: usize) -> Script {
+    parse(&arena_text(discipline, jobs)).expect("generated script parses")
+}
+
+/// The longest an [`arena_script`] client can run: every unit is
+/// bounded by its `try for` budget. The live harness sizes its
+/// watchdog from this.
+pub fn arena_worst_case(jobs: usize) -> Dur {
+    ARENA_UNIT_BUDGET * jobs as u64
+}
+
 /// Build a VM for one work unit under a discipline: the discipline's
 /// backoff policy is installed as the VM default (Fixed ⇒ no delay).
 pub fn unit_vm(script: &Script, discipline: Discipline, env: Env, seed: u64) -> Vm {
@@ -159,12 +223,6 @@ pub fn reader_script(discipline: Discipline) -> Script {
     }
 }
 
-/// Default Fixed-policy helper: scripts run with no delay between
-/// retries.
-pub fn fixed_backoff() -> BackoffPolicy {
-    BackoffPolicy::None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,6 +253,24 @@ mod tests {
         assert!(p.contains("estimate-space"));
         let p = pretty(&reader_ethernet());
         assert!(p.contains("/flag"));
+    }
+
+    #[test]
+    fn arena_script_is_one_budgeted_unit_per_job() {
+        let aloha = arena_text(Discipline::Aloha, 3);
+        assert_eq!(aloha.matches("try for 6 seconds or 8 times").count(), 3);
+        assert!(aloha.contains("submit job-${client}-3"));
+        assert!(!aloha.contains("sense"), "aloha submits blind");
+        assert_eq!(aloha, arena_text(Discipline::Fixed, 3));
+        let eth = arena_text(Discipline::Ethernet, 3);
+        assert_eq!(
+            eth.matches("  sense -> free\n  if ${free} .lt. 1\n")
+                .count(),
+            3
+        );
+        assert_eq!(eth.matches("    submit job-${client}-").count(), 3);
+        assert_eq!(arena_script(Discipline::Ethernet, 3).len(), 3);
+        assert_eq!(arena_worst_case(3), Dur::from_secs(18));
     }
 
     #[test]

@@ -299,6 +299,21 @@ impl FaultSpec {
         debug_assert!(kind.is_physics(), "not a physics kind: {}", kind.tag());
         FaultSpec::once(Time::ZERO, kind)
     }
+
+    /// All trigger instants of the spec: `at`, then `count - 1` repeats
+    /// spaced `every` apart (a spec without `every` fires once). The
+    /// one expansion every consumer of a plan uses — the static
+    /// checker, the simulator's blackout windows and the daemon's
+    /// wall-clock windows. `Time + Dur * k` saturates, so a long-period
+    /// spec pins at the ceiling instead of overflowing.
+    pub fn triggers(&self) -> Vec<Time> {
+        match self.every {
+            None => vec![self.at],
+            Some(every) => (0..u64::from(self.count.max(1)))
+                .map(|k| self.at + every * k)
+                .collect(),
+        }
+    }
 }
 
 /// One expanded [`FaultKind::ClientKill`] trigger, as reported by
@@ -311,17 +326,6 @@ pub struct ClientKillInfo {
     pub at: Time,
     /// Downtime before the client restarts (`None`: it never does).
     pub restart: Option<Dur>,
-}
-
-/// All trigger instants of a spec: `at`, then `count - 1` repeats
-/// spaced `every` apart (a spec without `every` fires once).
-fn spec_triggers(spec: &FaultSpec) -> Vec<Time> {
-    match spec.every {
-        None => vec![spec.at],
-        Some(every) => (0..u64::from(spec.count.max(1)))
-            .map(|k| spec.at + every * k)
-            .collect(),
-    }
 }
 
 /// A seeded collection of [`FaultSpec`]s: the whole adversarial
@@ -408,7 +412,7 @@ impl FaultPlan {
             let FaultKind::ClientKill { client, restart } = spec.kind else {
                 continue;
             };
-            for at in spec_triggers(spec) {
+            for at in spec.triggers() {
                 kills.push(ClientKillInfo {
                     client,
                     at,
@@ -430,7 +434,7 @@ impl FaultPlan {
             let FaultKind::EnospcWindow { duration } = spec.kind else {
                 continue;
             };
-            for at in spec_triggers(spec) {
+            for at in spec.triggers() {
                 if at > horizon {
                     continue;
                 }
@@ -983,6 +987,37 @@ pub mod json {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn triggers_saturate_instead_of_panicking() {
+        // A long-period repeating spec whose later triggers would
+        // overflow a u64 of microseconds.
+        let spec = FaultSpec::repeating(
+            Time::from_micros(u64::MAX - 10),
+            Dur::from_micros(u64::MAX / 2),
+            1000,
+            FaultKind::ScheddRestart,
+        );
+        let all = spec.triggers();
+        assert_eq!(all.len(), 1000);
+        assert_eq!(all[0], Time::from_micros(u64::MAX - 10));
+        // Every subsequent trigger saturates at the u64 ceiling.
+        assert_eq!(*all.last().unwrap(), Time::from_micros(u64::MAX));
+        assert!(all.windows(2).all(|p| p[0] <= p[1]), "monotonic");
+    }
+
+    #[test]
+    fn triggers_boundary_is_exact_below_saturation() {
+        let spec = FaultSpec::repeating(
+            Time::from_secs(10),
+            Dur::from_secs(3600),
+            100_000,
+            FaultKind::ScheddRestart,
+        );
+        let all = spec.triggers();
+        assert_eq!(all.len(), 100_000);
+        assert_eq!(all[99_999], Time::from_secs(10 + 3600 * 99_999));
+    }
 
     fn sample_plan() -> FaultPlan {
         FaultPlan::new(42)
