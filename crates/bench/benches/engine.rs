@@ -15,8 +15,14 @@
 //! * `vm_steady` — the same interpreter-bound steady-state workload
 //!   `figures --stats` records in `BENCH_engine.json`, run to
 //!   completion.
+//! * `vm_calls` / `vm_forall_loop` — the workloads behind `--stats`'
+//!   `calls_allocs_per_call` and `forall_iter_ratio_800_over_50`: a
+//!   loop of nothing but function calls, and `forall` in a retry loop
+//!   (800 iterations, so a per-iteration cost that grows with the
+//!   branches already retired shows).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use ftsh::vm::CmdResult;
 use ftsh::{parse, Vm};
 use gridworld::{run_submission, sweep, SubmitParams};
 use retry::{Discipline, Dur, Time};
@@ -90,6 +96,15 @@ fn bench(c: &mut Criterion) {
     let steady = parse(&egbench::vm_steady_source(100)).unwrap();
     g.bench_function("vm_steady", |b| {
         b.iter(|| std::hint::black_box(egbench::vm_steady_run(&steady)));
+    });
+
+    let calls = parse(&egbench::vm_calls_source(100)).unwrap();
+    g.bench_function("vm_calls", |b| {
+        b.iter(|| std::hint::black_box(egbench::vm_drive(&calls, &CmdResult::fail())));
+    });
+    let forall = parse(&egbench::vm_forall_loop_source(800)).unwrap();
+    g.bench_function("vm_forall_loop", |b| {
+        b.iter(|| std::hint::black_box(egbench::vm_drive(&forall, &CmdResult::ok("ok"))));
     });
 
     let points: Vec<(Discipline, usize)> = Discipline::ALL

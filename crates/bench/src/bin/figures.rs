@@ -184,30 +184,91 @@ fn run_pass(threads: usize, figs: &[String], scale: Scale, seed: u64) -> PassSta
     }
 }
 
-/// The interpreter row for `BENCH_engine.json`; returns (json, ticks/s).
-fn vm_bench_json() -> (String, f64) {
+/// What the `vm` section of `BENCH_engine.json` measures.
+struct VmStats {
+    ticks: u64,
+    wall_s: f64,
+    /// Heap allocations per function call on [`egbench::vm_calls_source`]
+    /// (exact: the difference between two run lengths).
+    calls_allocs_per_call: f64,
+    /// Time per iteration of [`egbench::vm_forall_loop_source`] at 800
+    /// iterations over the same at 50: 1.0 when an iteration costs the
+    /// same however many branch tasks came and went before it.
+    forall_iter_ratio_800_over_50: f64,
+}
+
+impl VmStats {
+    fn ticks_per_sec(&self) -> f64 {
+        if self.wall_s > 0.0 {
+            self.ticks as f64 / self.wall_s
+        } else {
+            0.0
+        }
+    }
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\n    \"workload\": \"steady-interp mixed x64, 2000 attempts\",\n    \"ticks\": {},\n    \"wall_s\": {:.6},\n    \"ticks_per_sec\": {:.0},\n    \"calls_allocs_per_call\": {:.2},\n    \"forall_iter_ratio_800_over_50\": {:.2}\n  }}",
+            self.ticks,
+            self.wall_s,
+            self.ticks_per_sec(),
+            self.calls_allocs_per_call,
+            self.forall_iter_ratio_800_over_50,
+        )
+    }
+}
+
+/// The interpreter rows for `BENCH_engine.json`.
+fn vm_bench() -> VmStats {
+    use ftsh::vm::CmdResult;
     let script = ftsh::parse(&egbench::vm_steady_source(2000)).expect("steady workload parses");
     // Warm caches (and the compile cache) before the timed leg.
     egbench::vm_steady_run(&script);
     let start = Instant::now();
     let ticks = egbench::vm_steady_run(&script);
-    let wall = start.elapsed().as_secs_f64();
-    let rate = if wall > 0.0 { ticks as f64 / wall } else { 0.0 };
-    let json = format!(
-        "{{\n    \"workload\": \"steady-interp mixed x64, 2000 attempts\",\n    \"ticks\": {ticks},\n    \"wall_s\": {wall:.6},\n    \"ticks_per_sec\": {rate:.0}\n  }}"
-    );
-    (json, rate)
+    let wall_s = start.elapsed().as_secs_f64();
+
+    // Two run lengths: set-up allocations cancel in the difference.
+    let calls_allocs = |attempts: u32| {
+        let script = ftsh::parse(&egbench::vm_calls_source(attempts)).expect("calls parses");
+        egbench::vm_drive(&script, &CmdResult::fail());
+        let before = ALLOCS.load(Ordering::Relaxed);
+        egbench::vm_drive(&script, &CmdResult::fail());
+        ALLOCS.load(Ordering::Relaxed) - before
+    };
+    let extra_calls = 200 * egbench::VM_CALLS_PER_ATTEMPT;
+    let calls_allocs_per_call = (calls_allocs(300) - calls_allocs(100)) as f64 / extra_calls as f64;
+
+    // The same 800 iterations as one run and as sixteen runs of 50,
+    // best of five each.
+    let ok = CmdResult::ok("ok");
+    let forall_s = |iters: u32, runs: u32| {
+        let script = ftsh::parse(&egbench::vm_forall_loop_source(iters)).expect("forall parses");
+        (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..runs {
+                    egbench::vm_drive(&script, &ok);
+                }
+                start.elapsed().as_secs_f64()
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let forall_iter_ratio_800_over_50 = forall_s(800, 1) / forall_s(50, 16);
+    VmStats {
+        ticks,
+        wall_s,
+        calls_allocs_per_call,
+        forall_iter_ratio_800_over_50,
+    }
 }
 
-/// Parse `"max_allocs_per_tick": <float>` out of `BENCH_budget.json`
-/// (flat object, no serde in the workspace).
-fn parse_alloc_budget(text: &str) -> Option<f64> {
-    let tail = text.split("\"max_allocs_per_tick\"").nth(1)?;
+/// Parse `"<key>": <float>` out of `BENCH_budget.json` (flat object,
+/// no serde in the workspace).
+fn parse_budget(text: &str, key: &str) -> Option<f64> {
+    let tail = text.split(&format!("\"{key}\"")).nth(1)?;
     let val = tail.split(':').nth(1)?;
-    val.trim()
-        .trim_end_matches(&[',', '}', '\n', ' '][..])
-        .parse()
-        .ok()
+    val.split([',', '}', '\n']).next()?.trim().parse().ok()
 }
 
 /// The perf baseline harness behind `--stats`.
@@ -284,8 +345,14 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64) -> ExitCode {
         .map_or_else(|| "null".to_string(), PassStats::to_json);
     let speedup_json = speedup.map_or_else(|| "null".to_string(), |s| format!("{s:.2}"));
     eprintln!("== stats: steady-state interpreter ==");
-    let (vm_json, vm_rate) = vm_bench_json();
-    eprintln!("   {vm_rate:.0} ticks/s on the steady workload");
+    let vm = vm_bench();
+    let vm_json = vm.to_json();
+    eprintln!(
+        "   {:.0} ticks/s on the steady workload, {:.2} allocs/call, forall iter x{:.2} at 800 vs 50",
+        vm.ticks_per_sec(),
+        vm.calls_allocs_per_call,
+        vm.forall_iter_ratio_800_over_50
+    );
     let json = format!(
         "{{\n  \"harness\": \"figures --stats\",\n  \"scale\": \"{scale:?}\",\n  \"seed\": {seed},\n  \"figures\": [{fig_list}],\n  \"host_cpus\": {host_cpus},\n  \"peak_rss_kb\": {rss},\n  \"sequential\": {},\n  \"parallel\": {par_json},\n  \"speedup\": {speedup_json},\n  \"vm\": {vm_json}\n}}\n",
         seq.to_json(),
@@ -303,30 +370,36 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64) -> ExitCode {
     }
 
     // Perf-regression tripwire: `BENCH_budget.json` next to the
-    // recorded baseline caps allocations-per-tick; CI fails the build
-    // when the sequential pass exceeds it.
+    // recorded baseline caps allocations-per-tick of the sequential
+    // pass and the two interpreter scaling rows; CI fails the build
+    // when a measurement exceeds its cap.
     let budget_path = egbench::workspace_root().join("BENCH_budget.json");
     if let Ok(text) = std::fs::read_to_string(&budget_path) {
-        match parse_alloc_budget(&text) {
-            Some(budget) => {
-                let apt = seq.allocs_per_tick();
-                if apt > budget {
-                    eprintln!(
-                        "   BUDGET EXCEEDED: {apt:.2} allocs/tick > budget {budget:.2} \
-                         (from {})",
-                        budget_path.display()
-                    );
-                    return ExitCode::FAILURE;
-                }
-                eprintln!("   within alloc budget: {apt:.2} <= {budget:.2} allocs/tick");
-            }
-            None => {
+        for (key, what, measured) in [
+            ("max_allocs_per_tick", "allocs/tick", seq.allocs_per_tick()),
+            (
+                "max_calls_allocs_per_call",
+                "allocs/call",
+                vm.calls_allocs_per_call,
+            ),
+            (
+                "max_forall_iter_ratio_800_over_50",
+                "forall iter ratio",
+                vm.forall_iter_ratio_800_over_50,
+            ),
+        ] {
+            let Some(budget) = parse_budget(&text, key) else {
+                eprintln!("   cannot parse {key} from {}", budget_path.display());
+                return ExitCode::FAILURE;
+            };
+            if measured > budget {
                 eprintln!(
-                    "   cannot parse max_allocs_per_tick from {}",
+                    "   BUDGET EXCEEDED: {measured:.2} {what} > budget {budget:.2} (from {})",
                     budget_path.display()
                 );
                 return ExitCode::FAILURE;
             }
+            eprintln!("   within budget: {measured:.2} <= {budget:.2} {what}");
         }
     }
     ExitCode::SUCCESS

@@ -50,10 +50,45 @@ pub fn vm_steady_source(attempts: u32) -> String {
     format!("b=base\ntry {attempts} times every 1 ms\n{body}  failure\nend\n")
 }
 
-/// Drive one VM through a [`vm_steady_source`] script to completion
-/// with instant virtual completions; returns the tick count.
-pub fn vm_steady_run(script: &ftsh::Script) -> u64 {
-    use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
+/// The call-path workload behind `figures --stats`'
+/// `calls_allocs_per_call` and the `engine/vm_calls` criterion row:
+/// `attempts` iterations of [`VM_CALLS_PER_ATTEMPT`] function calls and
+/// nothing else. `step` takes two arguments, reads `${*}` (so the join
+/// is paid) and calls `leaf` with its own arguments swapped, which
+/// shadows and restores them; neither body runs a command or builds a
+/// string, so every allocation counted is the call path's own.
+pub fn vm_calls_source(attempts: u32) -> String {
+    let calls = "  step ${a} x\n".repeat(VM_CALLS_PER_ATTEMPT as usize / 2);
+    format!(
+        "function leaf\n  b=${{1}}\nend\n\
+         function step\n  leaf ${{2}} ${{1}}\n  c=${{*}}\nend\n\
+         a=seed\ntry {attempts} times every 1 ms\n{calls}  failure\nend\n"
+    )
+}
+
+/// Function calls one attempt of [`vm_calls_source`] makes (`step` and
+/// the `leaf` inside it each count).
+pub const VM_CALLS_PER_ATTEMPT: u64 = 16;
+
+/// The `forall`-in-a-retry-loop workload behind `figures --stats`'
+/// `forall_iter_ratio_800_over_50` and the `engine/vm_forall_loop`
+/// criterion row: `iters` iterations of two four-branch `forall`s, the
+/// `try … forall … end` shape of the paper's §4 scripts. Every branch
+/// task retires before the next iteration starts, so the cost of one
+/// iteration must not depend on how many came before.
+pub fn vm_forall_loop_source(iters: u32) -> String {
+    let body =
+        "  forall part in p0 p1 p2 p3\n    probe ${part} -> got\n    work ${part} ${got}\n  end\n"
+            .repeat(2);
+    format!("try {iters} times every 1 ms\n{body}  failure\nend\n")
+}
+
+/// Drive one VM through `script` to completion on a virtual clock:
+/// every command completes at once with `result`, and the clock jumps
+/// to the next wake-up whenever a tick starts nothing. Returns the tick
+/// count.
+pub fn vm_drive(script: &ftsh::Script, result: &ftsh::vm::CmdResult) -> u64 {
+    use ftsh::vm::{Effect, Vm, VmStatus};
     let mut vm = Vm::with_seed(script, 7);
     vm.set_log_detail(false);
     let mut now = retry::Time::ZERO;
@@ -62,20 +97,28 @@ pub fn vm_steady_run(script: &ftsh::Script) -> u64 {
     loop {
         ticks += 1;
         let status = vm.tick_into(now, &mut effects);
+        let idle = effects.is_empty();
         for e in effects.drain(..) {
-            if let Effect::Start { token, .. } = e {
-                vm.complete(token, CmdResult::fail());
+            if let Effect::Start { token, spec, .. } = e {
+                vm.complete(token, result.clone());
+                vm.recycle_spec(spec);
             }
         }
         match status {
             VmStatus::Done { .. } => return ticks,
             VmStatus::Running { next_wake } => {
-                if let Some(w) = next_wake {
+                if let (true, Some(w)) = (idle, next_wake) {
                     now = now.max(w);
                 }
             }
         }
     }
+}
+
+/// [`vm_drive`] for a [`vm_steady_source`] script, whose one command
+/// per attempt fails.
+pub fn vm_steady_run(script: &ftsh::Script) -> u64 {
+    vm_drive(script, &ftsh::vm::CmdResult::fail())
 }
 
 /// A compact textual summary of a figure for EXPERIMENTS.md-style

@@ -16,7 +16,7 @@
 
 use ftsh::tree::TreeVm;
 use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
-use ftsh::{parse, Env, Script};
+use ftsh::{parse, Env, LogSummary, Script};
 use gridworld::coord::{allreduce_script, allreduce_text, dag_job_script, DagSpec};
 use gridworld::scripts::{
     arena_script, arena_text, arena_worst_case, buffer_script, reader_script, submit_script,
@@ -29,7 +29,7 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 const SEEDS: u64 = 8;
-const MAX_STEPS: usize = 5_000;
+const MAX_STEPS: usize = 50_000;
 
 struct Case {
     name: String,
@@ -140,7 +140,11 @@ const OUTPUTS: [&str; 8] = [
 /// Latencies straddle the scripts' 5 s / 60 s / 600 s deadlines.
 const LATENCIES_MS: [u64; 6] = [0, 0, 20, 900, 7_000, 90_000];
 
-fn lockstep(case: &Case, seed: u64) {
+/// `holds`: whether the world may leave a command unanswered for good,
+/// which only a script with every command under a deadline survives.
+/// Returns the interpreter's log summary when the script ran to its end
+/// (`None`: both machines wait forever on a held command, identically).
+fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
     let what = format!("{} (seed {seed})", case.name);
     let mut tree = TreeVm::with_env_seed(&case.script, case_env(), seed);
     let mut vm = Vm::with_env_seed(&case.script, case_env(), seed);
@@ -168,10 +172,12 @@ fn lockstep(case: &Case, seed: u64) {
         assert_eq!(a, b, "{what}: tick {step} at {now:?} diverges");
         for eff in a.effects {
             match eff {
+                // `hang` never answers: only a deadline ends it.
+                Effect::Start { spec, .. } if spec.program() == "hang" => {}
                 Effect::Start { token, .. } => {
                     let result = match pick(10) {
-                        0 => continue, // hold: only a deadline ends it
-                        1..=4 => CmdResult::fail(),
+                        0 if holds => continue, // only a deadline ends it
+                        0..=4 => CmdResult::fail(),
                         _ => CmdResult::ok(OUTPUTS[pick(OUTPUTS.len())]),
                     };
                     let due = now
@@ -217,12 +223,13 @@ fn lockstep(case: &Case, seed: u64) {
             "{what}: final bindings"
         );
     }
+    finished.then(|| vm.log().summary())
 }
 
 fn run(cases: &[Case]) {
     for case in cases {
         for seed in 0..SEEDS {
-            lockstep(case, 2003 + seed);
+            lockstep(case, 2003 + seed, true);
         }
     }
 }
@@ -259,6 +266,188 @@ fn live_scripts_lint_without_errors() {
             assert!(errors.is_empty(), "{what}/{d}: {errors:?}");
             if what == "arena" {
                 assert_eq!(report.envelope, arena_worst_case(4), "{d}");
+            }
+        }
+    }
+}
+
+/// What the generated and corpus scripts leave thin: `forall` in a long
+/// retry loop (branch tasks retiring by the hundred), and every corner
+/// of the call path — argument counts, `$0`/`$*`/unbound positionals,
+/// shadow and restore, the recursion guard, dynamic dispatch,
+/// positionals reached only through a computed name, and a deadline
+/// unwinding through calls.
+const CALL_AND_LOOP_CASES: [(&str, &str); 9] = [
+    (
+        "forall-in-try-300",
+        "try 300 times every 1 ms\n\
+           forall p in a b c\n\
+             try for 5 seconds\n\
+               probe ${p} -> got\n\
+               work ${p} ${got}\n\
+             end\n\
+           end\n\
+           failure\n\
+         end\n",
+    ),
+    (
+        "forall-in-function-in-forall-branch",
+        "function fan\n\
+           forall q in x y\n\
+             work ${0} ${1} ${q} ${*}\n\
+           end\n\
+           n=2\n\
+           forall r in u v\n\
+             cat ${r} -< ${n}\n\
+           end\n\
+         end\n\
+         forall p in a b\n\
+           fan ${p} extra\n\
+         end\n",
+    ),
+    (
+        "argument-counts",
+        "function show\n\
+           echo ${0} ${1} ${3} ${12} ${13} ${*}\n\
+         end\n\
+         try 3 times every 1 ms\n\
+           show\n\
+           show one\n\
+           show one two three\n\
+           show a1 a2 a3 a4 a5 a6 a7 a8 a9 a10 a11 a12\n\
+           echo top ${0} ${1} ${*}\n\
+         end\n",
+    ),
+    (
+        "shadow-and-restore",
+        "function inner\n\
+           echo inner ${0} ${1} ${2} ${*} ${007}\n\
+         end\n\
+         function outer\n\
+           echo before ${1} ${2} ${*} ${007}\n\
+           inner ${2} shadow\n\
+           echo between ${1} ${2} ${*}\n\
+           inner\n\
+           echo after ${0} ${1} ${2} ${*}\n\
+         end\n\
+         n=1\n\
+         try 5 times every 1 ms\n\
+           echo kept -> ${n}\n\
+           echo spelt -> 007\n\
+         end\n\
+         try 3 times every 1 ms\n\
+           outer first second\n\
+         end\n\
+         cat ${007} -< ${n}\n",
+    ),
+    (
+        "recursion-guard",
+        "function down\n\
+           n=${n}x\n\
+           down ${n} ${1}\n\
+         end\n\
+         try 1 times\n\
+           down seed\n\
+         catch\n\
+           echo reached ${n} ${1}\n\
+         end\n",
+    ),
+    (
+        "dynamic-dispatch",
+        "function greet\n\
+           echo hello ${1} ${2} ${*}\n\
+         end\n\
+         try 3 times every 1 ms\n\
+           cmd=greet\n\
+           ${cmd} a b\n\
+           cmd=external\n\
+           ${cmd} a b\n\
+         end\n",
+    ),
+    (
+        "computed-positional-names",
+        "function noop\n\
+           success\n\
+         end\n\
+         function feed\n\
+           n=1\n\
+           cat -< ${n}\n\
+           noop p q r\n\
+           cat -< ${n}\n\
+           n=*\n\
+           cat -< ${n}\n\
+           n=2\n\
+           more ->> ${n}\n\
+           cat -< ${n}\n\
+           n=7\n\
+           cat -< ${n}\n\
+           n=0\n\
+           cat -< ${n}\n\
+         end\n\
+         n=1\n\
+         try 5 times every 1 ms\n\
+           echo kept -> ${n}\n\
+         end\n\
+         try 4 times every 1 ms\n\
+           feed alpha beta\n\
+         end\n\
+         n=1\n\
+         cat -< ${n}\n\
+         n=*\n\
+         cat -< ${n}\n",
+    ),
+    (
+        "computed-positional-names-with-static-mentions",
+        "function feed\n\
+           n=1\n\
+           cat ${1} -< ${n}\n\
+           n=*\n\
+           cat ${*} -< ${n}\n\
+           more ->> ${n}\n\
+           cat ${*} -< ${n}\n\
+         end\n\
+         try 4 times every 1 ms\n\
+           feed alpha beta\n\
+         end\n",
+    ),
+    (
+        "deadline-unwinds-two-calls",
+        "function leaf\n\
+           hang ${1} ${*}\n\
+         end\n\
+         function mid\n\
+           leaf ${2} deeper\n\
+         end\n\
+         function top\n\
+           try for 5 seconds\n\
+             mid ${1} below\n\
+           catch\n\
+             echo caught ${0} ${1} ${*}\n\
+           end\n\
+           echo after ${0} ${1} ${*}\n\
+         end\n\
+         top arg\n",
+    ),
+];
+
+#[test]
+fn forall_loops_and_the_call_path_run_in_lockstep() {
+    for (name, source) in CALL_AND_LOOP_CASES {
+        let case = Case {
+            name: name.to_string(),
+            script: parse(source).unwrap_or_else(|e| panic!("{name}: {e}")),
+            backoff: BackoffPolicy::ethernet(),
+        };
+        for seed in 0..SEEDS {
+            let summary =
+                lockstep(&case, 2003 + seed, false).unwrap_or_else(|| panic!("{name}: stuck"));
+            match name {
+                // The outer try runs out its whole budget, every seed.
+                "forall-in-try-300" => assert!(summary.attempts >= 300, "{name}: {summary:?}"),
+                "deadline-unwinds-two-calls" => {
+                    assert_eq!(summary.commands_cancelled, 1, "{name}: {summary:?}");
+                }
+                _ => {}
             }
         }
     }

@@ -157,15 +157,17 @@ pub struct CmdTpl {
 }
 
 /// The static variable-name table: every name the script mentions
-/// statically gets a slot; dynamic sets (computed capture targets,
-/// high positional parameters) route through `by_name` and fall back
-/// to a per-task spill map.
+/// statically gets a slot; dynamic sets (computed capture targets)
+/// route through `by_name` and fall back to a per-task spill map.
 #[derive(Debug)]
 pub struct SlotMap {
     /// Slot index → variable name.
     pub names: Box<[Istr]>,
-    /// Per-slot: is this a positional name (`*` or all digits)?
-    pub positional: Box<[bool]>,
+    /// The slots with positional names, and what a call binds to each.
+    /// A call boundary touches exactly these slots, so a function call
+    /// costs in proportion to the positionals the script mentions, not
+    /// to its variable count.
+    pub positional: Box<[(SlotIx, PosArg)]>,
     /// Variable name → slot index.
     pub by_name: HashMap<Istr, SlotIx>,
 }
@@ -670,10 +672,11 @@ impl Compiler {
     }
 
     fn finish(self) -> Prog {
-        let positional: Box<[bool]> = self
+        let positional: Box<[(SlotIx, PosArg)]> = self
             .slot_names
             .iter()
-            .map(|n| is_positional_name(n))
+            .enumerate()
+            .filter_map(|(s, n)| Some((s as SlotIx, pos_arg(n)?)))
             .collect();
         Prog {
             ops: self.ops.into(),
@@ -714,11 +717,37 @@ fn first_span(stmts: &[Stmt]) -> Option<Span> {
     })
 }
 
-/// Is `name` a positional parameter (`*`, or all ASCII digits — the
-/// same predicate [`crate::words::Env::clear_positionals`] uses, empty
-/// string included)?
+/// What a function call binds to a positional name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PosArg {
+    /// `${N}`, N in canonical decimal: argv\[N\] (`${0}` is the
+    /// function's own name).
+    Arg(usize),
+    /// `${*}`: the arguments after the name, space-joined.
+    Star,
+    /// Positional by the predicate, so unbound at every call boundary,
+    /// but spelt as no call binds it (`""`, `"007"`).
+    Unbound,
+}
+
+/// Classify `name` as a positional parameter: `*`, or all ASCII digits
+/// — the same predicate [`crate::words::Env::clear_positionals`] uses,
+/// empty string included. `None` for an ordinary variable name.
+pub(crate) fn pos_arg(name: &str) -> Option<PosArg> {
+    if name == "*" {
+        return Some(PosArg::Star);
+    }
+    if !name.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    let canonical = name == "0" || !(name.is_empty() || name.starts_with('0'));
+    let index = name.parse().ok().filter(|_| canonical);
+    Some(index.map_or(PosArg::Unbound, PosArg::Arg))
+}
+
+/// Is `name` a positional parameter?
 pub fn is_positional_name(name: &str) -> bool {
-    name == "*" || name.chars().all(|c| c.is_ascii_digit())
+    pos_arg(name).is_some()
 }
 
 /// Compile a statement block into a program.
@@ -812,5 +841,10 @@ mod tests {
         assert!(is_positional_name("")); // vacuous, as in Env
         assert!(!is_positional_name("x"));
         assert!(!is_positional_name("1a"));
+        // Only the spelling a call uses names an argument.
+        assert_eq!(pos_arg("12"), Some(PosArg::Arg(12)));
+        assert_eq!(pos_arg("007"), Some(PosArg::Unbound));
+        assert_eq!(pos_arg(""), Some(PosArg::Unbound));
+        assert_eq!(pos_arg("99999999999999999999999"), Some(PosArg::Unbound));
     }
 }

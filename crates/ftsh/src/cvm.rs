@@ -11,14 +11,21 @@
 //! the same control flow).
 //!
 //! Variables the program can only name at run time — computed capture
-//! targets, positional parameters past the ones mentioned statically —
-//! spill into a per-task side map; [`CEnv::set_dyn`] routes by the
-//! compiler's name table, so a name never lives in both places.
+//! targets, initial bindings it never mentions — spill into a per-task
+//! side map; [`CEnv::set_dyn`] routes by the compiler's name table, so
+//! a name never lives in both places. Function arguments the body never
+//! mentions stay on the task's call-window stack ([`Win`]) and are read
+//! from there by the rare run-time-named lookup.
+//!
+//! Scheduling state is one table of *live* tasks in ascending
+//! [`TaskId`] order (ids are spawn ordinals and are never reused), so a
+//! tick costs in proportion to the tasks alive now, not to the tasks
+//! the script ever spawned (DESIGN.md §12).
 
 use crate::ast::Script;
 use crate::bytecode::{
-    self, is_positional_name, CmdTpl, FuncRef, Op, Prog, RedirTpl, SegTpl, SlotIx, SlotMap,
-    WordTpl, NO_CATCH,
+    self, is_positional_name, pos_arg, CmdTpl, FuncRef, Op, PosArg, Prog, RedirTpl, SegTpl, SlotIx,
+    SlotMap, WordTpl, NO_CATCH,
 };
 use crate::cond::eval_cond_values;
 use crate::intern::Istr;
@@ -36,8 +43,8 @@ use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Variable scope of one task: slot vector for statically-known names
-/// plus a spill map for dynamic ones. Cloned per `forall` branch.
-#[derive(Clone, Debug)]
+/// plus a spill map for dynamic ones. Copied per `forall` branch.
+#[derive(Debug)]
 struct CEnv {
     slots: Vec<Option<Istr>>,
     extra: HashMap<Istr, Istr>,
@@ -69,15 +76,6 @@ impl CEnv {
         self.slots[s as usize] = Some(v);
     }
 
-    /// Look up by name (redirection sources resolve their target name
-    /// at run time).
-    fn get_dyn(&self, m: &SlotMap, name: &str) -> Option<&Istr> {
-        match m.by_name.get(name) {
-            Some(&s) => self.get_slot(s),
-            None => self.extra.get(name),
-        }
-    }
-
     /// Bind by name, routing to the slot when the name is statically
     /// known so reads through slots always see it.
     fn set_dyn(&mut self, m: &SlotMap, name: Istr, value: Istr) {
@@ -86,32 +84,6 @@ impl CEnv {
             None => {
                 self.extra.insert(name, value);
             }
-        }
-    }
-
-    /// Append by name (the `->>` capture form), mirroring
-    /// [`Env::append`].
-    fn append_dyn(&mut self, m: &SlotMap, name: &Istr, value: &str) {
-        let joined = |v: &Istr| {
-            let mut s = String::with_capacity(v.len() + value.len());
-            s.push_str(v);
-            s.push_str(value);
-            Istr::from(s)
-        };
-        match m.by_name.get(name.as_str()) {
-            Some(&s) => {
-                let slot = &mut self.slots[s as usize];
-                *slot = Some(match slot {
-                    Some(v) => joined(v),
-                    None => Istr::from(value),
-                });
-            }
-            None => match self.extra.get_mut(name.as_str()) {
-                Some(v) => *v = joined(v),
-                None => {
-                    self.extra.insert(name.clone(), Istr::from(value));
-                }
-            },
         }
     }
 
@@ -165,32 +137,6 @@ impl CEnv {
         }
     }
 
-    fn snapshot_positionals(&self, m: &SlotMap) -> Vec<(Istr, Istr)> {
-        let mut out = Vec::new();
-        for (i, v) in self.slots.iter().enumerate() {
-            if m.positional[i] {
-                if let Some(v) = v {
-                    out.push((m.names[i].clone(), v.clone()));
-                }
-            }
-        }
-        for (k, v) in &self.extra {
-            if is_positional_name(k) {
-                out.push((k.clone(), v.clone()));
-            }
-        }
-        out
-    }
-
-    fn clear_positionals(&mut self, m: &SlotMap) {
-        for (i, v) in self.slots.iter_mut().enumerate() {
-            if m.positional[i] {
-                *v = None;
-            }
-        }
-        self.extra.retain(|k, _| !is_positional_name(k));
-    }
-
     /// Copy every binding out into a plain [`Env`] (the root task's
     /// final environment).
     fn materialize(&self, m: &SlotMap) -> Env {
@@ -225,18 +171,59 @@ enum CFrame {
         body_ip: u32,
         end_ip: u32,
     },
+    /// Always the top frame of a task in `WaitingChildren`; its
+    /// branches are the live tasks whose `parent` is this task.
     ForAll {
-        children: Vec<TaskId>,
-        /// Branch bindings not yet spawned (throttled parallelism).
+        /// Branches running now.
+        live: usize,
+        /// Branch bindings not yet spawned, next one last.
         pending: Vec<Istr>,
         var: SlotIx,
         branch_ip: u32,
         end_ip: u32,
     },
     Call {
-        saved_positionals: Vec<(Istr, Istr)>,
+        /// Height of the task's window stack when the call began:
+        /// everything above belongs to this call.
+        base: u32,
+        /// The caller's `args_at`.
+        args_at: u32,
         ret_ip: u32,
     },
+}
+
+/// One entry of a task's call-window stack. A call pushes the
+/// positional bindings it displaces, then its own arguments; returning
+/// pops both, putting the displaced bindings back.
+#[derive(Clone, Debug)]
+enum Win {
+    /// An argument of an active call, `argv[0]` first.
+    Arg(Istr),
+    /// A caller's binding of a positional slot.
+    Slot(SlotIx, Istr),
+    /// A caller's binding of a positional name in the spill map.
+    Extra(Istr, Istr),
+}
+
+/// Argument `i` of a window.
+fn arg(args: &[Win], i: usize) -> Option<Istr> {
+    match args.get(i)? {
+        Win::Arg(a) => Some(a.clone()),
+        _ => None,
+    }
+}
+
+/// `${*}`: the arguments after the function name, space-joined.
+fn star_into(args: &[Win], buf: &mut String) {
+    buf.clear();
+    for (i, a) in args.iter().skip(1).enumerate() {
+        if i > 0 {
+            buf.push(' ');
+        }
+        if let Win::Arg(a) = a {
+            buf.push_str(a);
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -255,8 +242,17 @@ enum CState {
 
 #[derive(Debug)]
 struct CTask {
+    /// Spawn ordinal: the root is 0, every branch takes the next
+    /// number, and no number is used twice.
+    id: TaskId,
     frames: Vec<CFrame>,
     env: CEnv,
+    /// Call-window stack; see [`Win`].
+    win: Vec<Win>,
+    /// Where the innermost active call's arguments start in `win`
+    /// (they run to the top). A `forall` branch starts with a copy of
+    /// its parent's innermost window at 0.
+    args_at: u32,
     /// Instruction pointer into the shared program.
     ip: u32,
     /// The result register: outcome of the last completed statement.
@@ -265,6 +261,125 @@ struct CTask {
     parent: Option<TaskId>,
     /// Number of `Call` frames (function recursion guard).
     call_depth: u32,
+}
+
+impl CTask {
+    fn new(id: TaskId, env: CEnv) -> CTask {
+        CTask {
+            id,
+            frames: Vec::new(),
+            env,
+            win: Vec::new(),
+            args_at: 0,
+            ip: 0,
+            res: true,
+            state: CState::Ready,
+            parent: None,
+            call_depth: 0,
+        }
+    }
+
+    /// Look a variable up by a name computed at run time (the source
+    /// of a `-<` redirection, the old value under `->>`).
+    fn lookup(&self, m: &SlotMap, name: &str) -> Option<Istr> {
+        if let Some(&s) = m.by_name.get(name) {
+            return self.env.get_slot(s).cloned();
+        }
+        if let Some(v) = self.env.extra.get(name) {
+            return Some(v.clone());
+        }
+        // A positional the program never mentions: still on the window.
+        let args = &self.win[self.args_at as usize..];
+        match pos_arg(name)? {
+            PosArg::Arg(i) => arg(args, i),
+            PosArg::Star => {
+                let mut joined = String::new();
+                star_into(args, &mut joined);
+                Some(Istr::from(joined))
+            }
+            PosArg::Unbound => None,
+        }
+    }
+
+    /// Append by name (the `->>` capture form), mirroring
+    /// [`Env::append`].
+    fn append(&mut self, m: &SlotMap, name: &Istr, value: &str) {
+        let joined = match self.lookup(m, name) {
+            Some(old) => {
+                let mut s = String::with_capacity(old.len() + value.len());
+                s.push_str(&old);
+                s.push_str(value);
+                Istr::from(s)
+            }
+            None => Istr::from(value),
+        };
+        self.env.set_dyn(m, name.clone(), joined);
+    }
+
+    /// Enter a function: shelve every positional binding the caller
+    /// holds, push `argv` as the new window (emptying it) and bind the
+    /// positionals the program mentions. `${*}` is joined here only
+    /// when it has a slot; otherwise [`CTask::lookup`] joins on demand.
+    fn enter_call(&mut self, m: &SlotMap, argv: &mut Vec<Istr>, ret_ip: u32, buf: &mut String) {
+        let base = self.win.len() as u32;
+        for &(s, _) in &*m.positional {
+            if let Some(v) = self.env.slots[s as usize].take() {
+                self.win.push(Win::Slot(s, v));
+            }
+        }
+        if !self.env.extra.is_empty() {
+            let win = &mut self.win;
+            self.env.extra.retain(|k, v| {
+                let shelve = is_positional_name(k);
+                if shelve {
+                    win.push(Win::Extra(k.clone(), v.clone()));
+                }
+                !shelve
+            });
+        }
+        self.frames.push(CFrame::Call {
+            base,
+            args_at: self.args_at,
+            ret_ip,
+        });
+        self.call_depth += 1;
+        self.args_at = self.win.len() as u32;
+        self.win.extend(argv.drain(..).map(Win::Arg));
+        let window = &self.win[self.args_at as usize..];
+        for &(s, which) in &*m.positional {
+            self.env.slots[s as usize] = match which {
+                PosArg::Arg(i) => arg(window, i),
+                PosArg::Star => {
+                    star_into(window, buf);
+                    Some(Istr::from(buf.as_str()))
+                }
+                PosArg::Unbound => None,
+            };
+        }
+    }
+
+    /// Leave a function (its `Ret`, or a deadline unwinding through
+    /// the popped `Call` frame, whose fields these are): unbind the
+    /// callee's positionals and put the caller's back.
+    fn leave_call(&mut self, m: &SlotMap, base: u32, args_at: u32) {
+        self.call_depth -= 1;
+        for &(s, _) in &*m.positional {
+            self.env.slots[s as usize] = None;
+        }
+        if !self.env.extra.is_empty() {
+            self.env.extra.retain(|k, _| !is_positional_name(k));
+        }
+        for w in self.win.drain(base as usize..) {
+            match w {
+                Win::Arg(_) => {}
+                Win::Slot(s, v) => self.env.slots[s as usize] = Some(v),
+                Win::Extra(k, v) => {
+                    self.env.extra.insert(k, v);
+                }
+            }
+        }
+        self.args_at = args_at;
+    }
 }
 
 /// The virtual machine for one script execution.
@@ -286,7 +401,13 @@ struct CTask {
 /// ```
 pub struct Vm {
     prog: Arc<Prog>,
-    tasks: Vec<Option<CTask>>,
+    /// The live tasks, in ascending id order. A finished or cancelled
+    /// task leaves at once, so every per-tick pass is over tasks that
+    /// can still act, and walking the table front to back visits them
+    /// lowest id first.
+    tasks: Vec<CTask>,
+    /// The id the next `forall` branch takes.
+    next_id: TaskId,
     token_ctr: CmdToken,
     /// In-flight commands; linear scan beats hashing at realistic
     /// in-flight counts (a handful per VM).
@@ -303,16 +424,30 @@ pub struct Vm {
     max_parallel: Option<usize>,
     tracer: Option<SharedSink>,
     trace_client: i64,
-    /// Emptied argv vectors handed back via [`Vm::recycle_spec`];
-    /// command dispatch draws from here before allocating.
-    spare_argv: Vec<Vec<Istr>>,
-    /// Retired `forany` value vectors, reused by the next loop entry
-    /// so steady-state iteration never allocates.
-    spare_values: Vec<Vec<Istr>>,
+    /// Emptied string vectors: argv handed back via
+    /// [`Vm::recycle_spec`], value lists of finished `forany`/`forall`
+    /// loops. Command dispatch and loop entry draw from here before
+    /// allocating, so steady-state iteration never allocates.
+    spare_vecs: Vec<Vec<Istr>>,
+    /// Retired `forall` branches, emptied but keeping their buffers;
+    /// [`Vm::spawn_pending`] refills one instead of allocating.
+    spare_tasks: Vec<CTask>,
     /// Mixed-word expansion buffer: segments build here, then one
     /// exact-sized `Istr` copy leaves — no intermediate `String` per
     /// expansion.
     scratch: String,
+    /// The right-hand side of a condition, while `scratch` holds the
+    /// left.
+    scratch_rhs: String,
+}
+
+/// Cap on each of the spare pools: a handful covers any realistic
+/// burst of parallel branches; beyond that, let excess buffers drop.
+const SPARES: usize = 8;
+
+/// Position of task `id` in a table sorted by id.
+fn pos_of(tasks: &[CTask], id: TaskId) -> Option<usize> {
+    tasks.binary_search_by_key(&id, |t| t.id).ok()
 }
 
 impl Vm {
@@ -333,19 +468,12 @@ impl Vm {
     /// script shares one program.
     pub fn with_env_seed(script: &Script, env: Env, seed: u64) -> Vm {
         let prog = bytecode::compile_cached(script);
-        let root = CTask {
-            frames: Vec::new(),
-            env: CEnv::from_env(&env, &prog.slots),
-            ip: 0,
-            res: true,
-            state: CState::Ready,
-            parent: None,
-            call_depth: 0,
-        };
+        let root = CTask::new(0, CEnv::from_env(&env, &prog.slots));
         let n_funcs = prog.func_names.len();
         Vm {
             prog,
-            tasks: vec![Some(root)],
+            tasks: vec![root],
+            next_id: 1,
             token_ctr: 0,
             token_task: Vec::new(),
             fn_entries: vec![None; n_funcs],
@@ -359,18 +487,26 @@ impl Vm {
             max_parallel: None,
             tracer: None,
             trace_client: NO_ID,
-            spare_argv: Vec::new(),
-            spare_values: Vec::new(),
+            spare_vecs: Vec::new(),
+            spare_tasks: Vec::new(),
             scratch: String::new(),
+            scratch_rhs: String::new(),
         }
     }
 
-    /// Reclaim the value vector of a popped `forany` frame.
-    fn recycle_forany(&mut self, frame: Option<CFrame>) {
-        if let Some(CFrame::ForAny { values, .. }) = frame {
-            if self.spare_values.len() < 8 {
-                self.spare_values.push(values);
-            }
+    fn recycle_vec(&mut self, mut v: Vec<Istr>) {
+        v.clear();
+        if self.spare_vecs.len() < SPARES {
+            self.spare_vecs.push(v);
+        }
+    }
+
+    /// Reclaim the value vector of a popped loop frame.
+    fn recycle_frame(&mut self, frame: Option<CFrame>) {
+        match frame {
+            Some(CFrame::ForAny { values, .. }) => self.recycle_vec(values),
+            Some(CFrame::ForAll { pending, .. }) => self.recycle_vec(pending),
+            _ => {}
         }
     }
 
@@ -378,22 +514,26 @@ impl Vm {
     /// reused by the next dispatch. Purely an optimisation: a driver
     /// that drops specs instead loses nothing but the recycling.
     pub fn recycle_spec(&mut self, spec: CommandSpec) {
-        let mut argv = spec.argv;
-        argv.clear();
-        // A handful covers any realistic burst of parallel branches;
-        // beyond that, let excess buffers drop.
-        if self.spare_argv.len() < 8 {
-            self.spare_argv.push(argv);
-        }
+        self.recycle_vec(spec.argv);
     }
 
     /// Move the spare buffers of a retiring VM into this one. Drivers
     /// that replace a client's VM per work unit call this so the
-    /// recycled argv pool survives the replacement.
+    /// recycled pools survive the replacement.
     pub fn adopt_spares(&mut self, prev: &mut Vm) {
-        if self.spare_argv.is_empty() {
-            std::mem::swap(&mut self.spare_argv, &mut prev.spare_argv);
+        if self.spare_vecs.is_empty() {
+            std::mem::swap(&mut self.spare_vecs, &mut prev.spare_vecs);
         }
+        if self.spare_tasks.is_empty() {
+            std::mem::swap(&mut self.spare_tasks, &mut prev.spare_tasks);
+        }
+    }
+
+    /// Tasks alive right now: the root plus every running `forall`
+    /// branch. For tests that pin the task table's size.
+    #[doc(hidden)]
+    pub fn live_tasks(&self) -> usize {
+        self.tasks.len()
     }
 
     /// Install a structured-trace sink; every span and command event
@@ -473,7 +613,8 @@ impl Vm {
             return; // cancelled earlier; the race is benign
         };
         let (_, tid) = self.token_task.swap_remove(pos);
-        let task = self.tasks[tid].as_mut().expect("token mapped to dead task");
+        let pos = pos_of(&self.tasks, tid).expect("token mapped to dead task");
+        let task = &mut self.tasks[pos];
         let (program, out_var) = match &task.state {
             CState::RunningCmd {
                 token: t,
@@ -488,7 +629,7 @@ impl Vm {
         if let Some((name, append)) = out_var {
             let value = trim_capture(&result.stdout);
             if append {
-                task.env.append_dyn(&self.prog.slots, &name, value);
+                task.append(&self.prog.slots, &name, value);
             } else if value.len() == result.stdout.len() {
                 task.env
                     .set_dyn(&self.prog.slots, name.clone(), result.stdout.clone());
@@ -543,9 +684,21 @@ impl Vm {
         self.effects.clear();
 
         if self.outcome.is_none() {
-            self.fire_deadlines();
-            self.wake_sleepers();
-            self.step_all();
+            // One refcount bump per tick on the program every VM of
+            // the process shares; the table is lifted out so a task
+            // can be stepped in place while `self` stays borrowable.
+            let prog = Arc::clone(&self.prog);
+            let mut tasks = std::mem::take(&mut self.tasks);
+            self.fire_deadlines(&prog, &mut tasks);
+            for task in &mut tasks {
+                // A sleeper's instruction pointer was parked on the
+                // admission op when its backoff began.
+                if matches!(task.state, CState::Sleeping { until } if until <= now) {
+                    task.state = CState::Ready;
+                }
+            }
+            self.step_all(&prog, &mut tasks);
+            self.tasks = tasks;
         }
 
         let status = match self.outcome {
@@ -563,47 +716,37 @@ impl Vm {
     // Internals
     // ------------------------------------------------------------------
 
-    fn fire_deadlines(&mut self) {
-        let prog = Arc::clone(&self.prog);
-        for tid in 0..self.tasks.len() {
-            let Some(task) = &self.tasks[tid] else {
-                continue;
-            };
+    fn fire_deadlines(&mut self, prog: &Prog, tasks: &mut Vec<CTask>) {
+        let mut pos = 0;
+        while pos < tasks.len() {
+            let task = &mut tasks[pos];
             let expired = task.frames.iter().position(|f| match f {
                 CFrame::Try {
                     session, in_catch, ..
                 } => !in_catch && session.expired(self.now),
                 _ => false,
             });
-            let Some(i) = expired else { continue };
-
-            let mut task = self.tasks[tid].take().expect("checked live");
-            while task.frames.len() > i + 1 {
-                let f = task.frames.pop().expect("len checked");
-                match f {
-                    CFrame::ForAll { children, .. } => {
-                        for c in children {
-                            self.cancel_subtree(c);
-                        }
+            if let Some(i) = expired {
+                let forked = matches!(task.frames.last(), Some(CFrame::ForAll { .. }));
+                while task.frames.len() > i + 1 {
+                    if let Some(CFrame::Call { base, args_at, .. }) = task.frames.pop() {
+                        task.leave_call(&prog.slots, base, args_at);
                     }
-                    CFrame::Call {
-                        saved_positionals, ..
-                    } => {
-                        task.call_depth -= 1;
-                        task.env.clear_positionals(&prog.slots);
-                        for (k, v) in saved_positionals {
-                            task.env.set_dyn(&prog.slots, k, v);
-                        }
-                    }
-                    _ => {}
                 }
+                if forked {
+                    // Branches have higher ids: they sit past `pos`,
+                    // and removing them leaves `pos` where it is.
+                    let id = task.id;
+                    self.cancel_children(tasks, id, pos + 1);
+                }
+                let task = &mut tasks[pos];
+                self.cancel_running_cmd(task);
+                self.log.push(self.now, task.id, LogKind::TryTimeout);
+                self.trace(task.id, TraceEv::TryTimeout);
+                self.fail_try_frame(task);
+                task.state = CState::Ready;
             }
-            self.cancel_running_cmd(tid, &mut task);
-            self.log.push(self.now, tid, LogKind::TryTimeout);
-            self.trace(tid, TraceEv::TryTimeout);
-            self.fail_try_frame(tid, &mut task);
-            task.state = CState::Ready;
-            self.tasks[tid] = Some(task);
+            pos += 1;
         }
     }
 
@@ -611,7 +754,8 @@ impl Vm {
     /// the instruction pointer at its catch handler, or pop it and
     /// leave failure in the result register (the op at `end_ip` is the
     /// fail-check). Does not touch the task state.
-    fn fail_try_frame(&mut self, tid: TaskId, task: &mut CTask) {
+    fn fail_try_frame(&mut self, task: &mut CTask) {
+        let tid = task.id;
         let Some(CFrame::Try {
             catch_ip,
             end_ip,
@@ -636,7 +780,7 @@ impl Vm {
         }
     }
 
-    fn cancel_running_cmd(&mut self, tid: TaskId, task: &mut CTask) {
+    fn cancel_running_cmd(&mut self, task: &mut CTask) {
         if let CState::RunningCmd { token, program, .. } = &task.state {
             self.effects.push(Effect::Cancel { token: *token });
             if let Some(pos) = self.token_task.iter().position(|(t, _)| t == token) {
@@ -644,7 +788,7 @@ impl Vm {
             }
             if self.tracer.is_some() {
                 self.trace(
-                    tid,
+                    task.id,
                     TraceEv::CmdKilled {
                         program: program.to_string(),
                     },
@@ -652,7 +796,7 @@ impl Vm {
             }
             self.log.push(
                 self.now,
-                tid,
+                task.id,
                 LogKind::CmdCancelled {
                     program: program.clone(),
                 },
@@ -660,76 +804,111 @@ impl Vm {
         }
     }
 
-    fn cancel_subtree(&mut self, tid: TaskId) {
-        let Some(mut task) = self.tasks[tid].take() else {
-            return;
+    /// Cancel every branch of task `pid`, lowest id first and each
+    /// one's own branches right after it. `from` is any position at or
+    /// before the first of them.
+    fn cancel_children(&mut self, tasks: &mut Vec<CTask>, pid: TaskId, from: usize) {
+        let mut pos = from;
+        while pos < tasks.len() {
+            if tasks[pos].parent != Some(pid) {
+                pos += 1;
+                continue;
+            }
+            let mut child = tasks.remove(pos);
+            self.cancel_running_cmd(&mut child);
+            if matches!(child.state, CState::WaitingChildren) {
+                self.cancel_children(tasks, child.id, pos);
+            }
+            self.retire(child);
+        }
+    }
+
+    /// Keep a dead branch's buffers, emptied, for the next spawn.
+    fn retire(&mut self, mut task: CTask) {
+        if self.spare_tasks.len() < SPARES {
+            task.frames.clear();
+            task.env.slots.clear();
+            task.env.extra.clear();
+            task.win.clear();
+            task.state = CState::Ready;
+            self.spare_tasks.push(task);
+        }
+    }
+
+    /// Step ready tasks, lowest id first, until none is ready. No task
+    /// before the cursor is ready: stepping a task wakes nothing but
+    /// its parent (when its last branch ends), and [`Vm::finish`] then
+    /// moves the cursor back there.
+    fn step_all(&mut self, prog: &Prog, tasks: &mut Vec<CTask>) {
+        let mut at = 0;
+        while at < tasks.len() && self.outcome.is_none() {
+            if !matches!(tasks[at].state, CState::Ready) {
+                at += 1;
+                continue;
+            }
+            if let Some(result) = self.run_task(prog, &mut tasks[at]) {
+                at = self.finish(prog, tasks, at, result);
+            } else {
+                if matches!(tasks[at].state, CState::WaitingChildren) {
+                    self.spawn_pending(tasks, at);
+                }
+                at += 1;
+            }
+        }
+    }
+
+    /// The task at `at` ran off the end of its code. Returns where the
+    /// step cursor goes next.
+    fn finish(&mut self, prog: &Prog, tasks: &mut Vec<CTask>, at: usize, result: bool) -> usize {
+        let task = &tasks[at];
+        let Some(pid) = task.parent else {
+            self.final_env = task.env.materialize(&prog.slots);
+            self.outcome = Some(result);
+            self.log
+                .push(self.now, task.id, LogKind::ScriptDone { success: result });
+            self.trace(task.id, TraceEv::UnitDone { ok: result });
+            return at;
         };
-        self.cancel_running_cmd(tid, &mut task);
-        for f in task.frames.drain(..) {
-            if let CFrame::ForAll { children, .. } = f {
-                for c in children {
-                    self.cancel_subtree(c);
-                }
-            }
+        let branch = tasks.remove(at);
+        self.retire(branch);
+        // A cancelled parent takes its branches with it, so a branch
+        // that ran has a live parent — before it, the id being lower.
+        let ppos = pos_of(tasks, pid).expect("a branch outlived its forall");
+        let parent = &mut tasks[ppos];
+        let Some(CFrame::ForAll {
+            live,
+            pending,
+            end_ip,
+            ..
+        }) = parent.frames.last_mut()
+        else {
+            unreachable!("child finished but parent is not in a forall")
+        };
+        *live -= 1;
+        if result && (*live > 0 || !pending.is_empty()) {
+            // A slot freed up: start the next throttled branch. What
+            // slid into `at` has a higher id than the branch that left.
+            self.spawn_pending(tasks, ppos);
+            return at;
         }
-    }
-
-    fn wake_sleepers(&mut self) {
-        for task in self.tasks.iter_mut().flatten() {
-            if let CState::Sleeping { until } = task.state {
-                if until <= self.now {
-                    // The instruction pointer was parked on the
-                    // admission op when the backoff began.
-                    task.state = CState::Ready;
-                }
-            }
+        // Joined — or the first failure, which aborts all outstanding
+        // branches; pending ones never start.
+        parent.ip = *end_ip;
+        parent.res = result;
+        parent.state = CState::Ready;
+        let frame = parent.frames.pop();
+        self.recycle_frame(frame);
+        if !result {
+            self.cancel_children(tasks, pid, ppos + 1);
         }
-    }
-
-    fn step_all(&mut self) {
-        loop {
-            let ready = (0..self.tasks.len()).find(|&i| {
-                matches!(
-                    self.tasks[i].as_ref().map(|t| &t.state),
-                    Some(CState::Ready)
-                )
-            });
-            let Some(tid) = ready else { break };
-            self.step_task(tid);
-            if self.outcome.is_some() {
-                break;
-            }
-        }
-    }
-
-    fn step_task(&mut self, tid: TaskId) {
-        let mut task = self.tasks[tid].take().expect("stepping a dead task");
-        match self.run_task(tid, &mut task) {
-            None => {
-                self.tasks[tid] = Some(task);
-            }
-            Some(result) => {
-                if let Some(pid) = task.parent {
-                    self.child_finished(pid, tid, result);
-                } else {
-                    self.final_env = task.env.materialize(&self.prog.slots);
-                    self.outcome = Some(result);
-                    self.log
-                        .push(self.now, tid, LogKind::ScriptDone { success: result });
-                    self.trace(tid, TraceEv::UnitDone { ok: result });
-                }
-            }
-        }
+        ppos
     }
 
     /// The dispatch loop: run one task until it blocks or finishes.
     /// Returns `Some(result)` when its code region ends.
     #[allow(clippy::too_many_lines)]
-    fn run_task(&mut self, tid: TaskId, task: &mut CTask) -> Option<bool> {
-        if !matches!(task.state, CState::Ready) {
-            return None;
-        }
-        let prog = Arc::clone(&self.prog);
+    fn run_task(&mut self, prog: &Prog, task: &mut CTask) -> Option<bool> {
+        let tid = task.id;
         loop {
             match prog.ops[task.ip as usize] {
                 Op::Success => {
@@ -776,9 +955,9 @@ impl Vm {
                     on_err,
                 } => {
                     let c = &prog.conds[cond as usize];
-                    let (mut sl, mut sr) = (String::new(), String::new());
-                    let lhs = task.env.expand_str(&prog.words[c.lhs as usize], &mut sl);
-                    let rhs = task.env.expand_str(&prog.words[c.rhs as usize], &mut sr);
+                    let (sl, sr) = (&mut self.scratch, &mut self.scratch_rhs);
+                    let lhs = task.env.expand_str(&prog.words[c.lhs as usize], sl);
+                    let rhs = task.env.expand_str(&prog.words[c.rhs as usize], sr);
                     match eval_cond_values(c.op, lhs, rhs) {
                         Ok(true) => {
                             task.res = true;
@@ -838,7 +1017,7 @@ impl Vm {
                     } else {
                         self.log.push(self.now, tid, LogKind::TryExhausted);
                         self.trace(tid, TraceEv::TryExhausted);
-                        self.fail_try_frame(tid, task);
+                        self.fail_try_frame(task);
                     }
                 }
                 Op::TryResult => {
@@ -878,14 +1057,13 @@ impl Vm {
                             NextAttempt::Exhausted => {
                                 self.log.push(self.now, tid, LogKind::TryExhausted);
                                 self.trace(tid, TraceEv::TryExhausted);
-                                self.fail_try_frame(tid, task);
+                                self.fail_try_frame(task);
                             }
                         }
                     }
                 }
                 Op::ForAnyEnter { list, var, end_ip } => {
-                    let mut values = self.spare_values.pop().unwrap_or_default();
-                    values.clear();
+                    let mut values = self.spare_vecs.pop().unwrap_or_default();
                     values.extend(
                         prog.lists[list as usize]
                             .iter()
@@ -918,13 +1096,13 @@ impl Vm {
                     };
                     if res {
                         let end = *end_ip;
-                        self.recycle_forany(task.frames.pop());
+                        self.recycle_frame(task.frames.pop());
                         task.ip = end;
                     } else {
                         *idx += 1;
                         if *idx >= values.len() {
                             let end = *end_ip;
-                            self.recycle_forany(task.frames.pop());
+                            self.recycle_frame(task.frames.pop());
                             task.res = false;
                             task.ip = end;
                         } else {
@@ -939,64 +1117,48 @@ impl Vm {
                     }
                 }
                 Op::ForAllEnter { list, var, end_ip } => {
-                    let values: Vec<Istr> = prog.lists[list as usize]
-                        .iter()
-                        .map(|&w| task.env.expand(&prog.words[w as usize]))
-                        .collect();
+                    let mut pending = self.spare_vecs.pop().unwrap_or_default();
+                    pending.extend(
+                        prog.lists[list as usize]
+                            .iter()
+                            .map(|&w| task.env.expand(&prog.words[w as usize])),
+                    );
                     self.log.push(
                         self.now,
                         tid,
                         LogKind::ForAllSpawn {
-                            branches: values.len(),
+                            branches: pending.len(),
                         },
                     );
-                    let limit = self.max_parallel.unwrap_or(values.len()).max(1);
-                    let branch_ip = task.ip + 1;
-                    let (now_vals, later_vals) = if values.len() > limit {
-                        let later = values[limit..].to_vec();
-                        (values[..limit].to_vec(), later)
-                    } else {
-                        (values, Vec::new())
-                    };
-                    let mut children = Vec::with_capacity(now_vals.len());
-                    for v in now_vals {
-                        children.push(self.spawn_branch(tid, &task.env, var, v, branch_ip));
-                    }
-                    // Pending branches start in reverse-pop order.
-                    let mut pending = later_vals;
+                    // Branches start in list order, popped off the
+                    // back; `step_all` spawns them once this returns.
                     pending.reverse();
                     task.frames.push(CFrame::ForAll {
-                        children,
+                        live: 0,
                         pending,
                         var,
-                        branch_ip,
+                        branch_ip: task.ip + 1,
                         end_ip,
                     });
                     task.state = CState::WaitingChildren;
-                    task.ip = end_ip; // resumed here by child_finished
+                    task.ip = end_ip; // resumed here by `finish`
                     return None;
                 }
                 Op::TaskEnd => return Some(task.res),
                 Op::Ret => {
                     let Some(CFrame::Call {
-                        saved_positionals,
+                        base,
+                        args_at,
                         ret_ip,
-                    }) = task.frames.last_mut()
+                    }) = task.frames.pop()
                     else {
                         unreachable!("Ret without a call frame")
                     };
-                    let saved = std::mem::take(saved_positionals);
-                    let rip = *ret_ip;
-                    task.frames.pop();
-                    task.call_depth -= 1;
-                    task.env.clear_positionals(&prog.slots);
-                    for (k, v) in saved {
-                        task.env.set_dyn(&prog.slots, k, v);
-                    }
-                    task.ip = rip; // res carries the body's result
+                    task.leave_call(&prog.slots, base, args_at);
+                    task.ip = ret_ip; // res carries the body's result
                 }
                 Op::Cmd(cix) => {
-                    if let ControlFlow::Break(blocked) = self.dispatch_cmd(tid, task, &prog, cix) {
+                    if let ControlFlow::Break(blocked) = self.dispatch_cmd(task, prog, cix) {
                         return blocked;
                     }
                 }
@@ -1011,14 +1173,13 @@ impl Vm {
     /// task blocked on the spawned command).
     fn dispatch_cmd(
         &mut self,
-        tid: TaskId,
         task: &mut CTask,
         prog: &Prog,
         cix: u32,
     ) -> ControlFlow<Option<bool>> {
+        let tid = task.id;
         let cmd: &CmdTpl = &prog.cmds[cix as usize];
-        let mut argv = self.spare_argv.pop().unwrap_or_default();
-        argv.clear();
+        let mut argv = self.spare_vecs.pop().unwrap_or_default();
         argv.extend(
             cmd.argv
                 .iter()
@@ -1026,6 +1187,7 @@ impl Vm {
         );
         if argv.first().map(|s| s.is_empty()).unwrap_or(true) {
             // A command whose name expanded to nothing cannot run.
+            self.recycle_vec(argv);
             task.res = false;
             task.ip += 1;
             return ControlFlow::Continue(());
@@ -1043,32 +1205,13 @@ impl Vm {
         if let Some(entry) = entry {
             if task.call_depth >= 64 {
                 // Runaway recursion is just another untyped failure.
+                self.recycle_vec(argv);
                 task.res = false;
                 task.ip += 1;
                 return ControlFlow::Continue(());
             }
-            let saved = task.env.snapshot_positionals(&prog.slots);
-            task.env.clear_positionals(&prog.slots);
-            task.env
-                .set_dyn(&prog.slots, Istr::from("0"), argv[0].clone());
-            for (i, a) in argv[1..].iter().enumerate() {
-                task.env
-                    .set_dyn(&prog.slots, Istr::from((i + 1).to_string()), a.clone());
-            }
-            task.env.set_dyn(
-                &prog.slots,
-                Istr::from("*"),
-                Istr::from(argv[1..].join(" ")),
-            );
-            task.frames.push(CFrame::Call {
-                saved_positionals: saved,
-                ret_ip: task.ip + 1,
-            });
-            task.call_depth += 1;
-            argv.clear();
-            if self.spare_argv.len() < 8 {
-                self.spare_argv.push(argv);
-            }
+            task.enter_call(&prog.slots, &mut argv, task.ip + 1, &mut self.scratch);
+            self.recycle_vec(argv);
             task.res = true;
             task.ip = entry;
             return ControlFlow::Continue(());
@@ -1083,12 +1226,7 @@ impl Vm {
                 RedirTpl::In { var, source } => {
                     let name = task.env.expand(&prog.words[*source as usize]);
                     input = Some(if *var {
-                        CmdInput::Data(
-                            task.env
-                                .get_dyn(&prog.slots, &name)
-                                .cloned()
-                                .unwrap_or_default(),
-                        )
+                        CmdInput::Data(task.lookup(&prog.slots, &name).unwrap_or_default())
                     } else {
                         CmdInput::File(name)
                     });
@@ -1150,74 +1288,49 @@ impl Vm {
         ControlFlow::Break(None)
     }
 
-    fn spawn_branch(
-        &mut self,
-        parent: TaskId,
-        parent_env: &CEnv,
-        var: SlotIx,
-        value: Istr,
-        branch_ip: u32,
-    ) -> TaskId {
-        let mut env = parent_env.clone();
-        env.set_slot(var, value);
-        let child = CTask {
-            frames: Vec::new(),
-            env,
-            ip: branch_ip,
-            res: true,
-            state: CState::Ready,
-            parent: Some(parent),
-            call_depth: 0,
-        };
-        self.tasks.push(Some(child));
-        self.tasks.len() - 1
-    }
-
-    fn child_finished(&mut self, pid: TaskId, child: TaskId, res: bool) {
-        let Some(mut parent) = self.tasks[pid].take() else {
-            return; // parent already cancelled
-        };
-        let Some(CFrame::ForAll {
-            children,
-            pending,
-            var,
-            branch_ip,
-            end_ip,
-        }) = parent.frames.last_mut()
-        else {
-            unreachable!("child finished but parent is not in a forall")
-        };
-        children.retain(|&c| c != child);
-        if !res {
-            // First failure aborts all outstanding branches; pending
-            // ones never start.
-            pending.clear();
-            let remaining = std::mem::take(children);
-            let end = *end_ip;
-            parent.frames.pop();
-            parent.state = CState::Ready;
-            parent.res = false;
-            parent.ip = end;
-            for c in remaining {
-                self.cancel_subtree(c);
+    /// Start branches of the `forall` that `tasks[ppos]` waits on, in
+    /// list order, until the parallelism limit or the list runs out.
+    /// A branch is a copy of its parent's scope and innermost call
+    /// window with the loop variable bound; its id is the highest yet,
+    /// so pushing it keeps the table sorted.
+    fn spawn_pending(&mut self, tasks: &mut Vec<CTask>, ppos: usize) {
+        let limit = self.max_parallel.unwrap_or(usize::MAX);
+        loop {
+            let parent = &mut tasks[ppos];
+            let Some(CFrame::ForAll {
+                live,
+                pending,
+                var,
+                branch_ip,
+                ..
+            }) = parent.frames.last_mut()
+            else {
+                unreachable!("spawning for a task that is not in a forall")
+            };
+            if *live >= limit {
+                return;
             }
-        } else if let Some(value) = pending.pop() {
-            // A slot freed up: start the next throttled branch.
-            let var = *var;
-            let bip = *branch_ip;
-            let env = parent.env.clone();
-            let new_child = self.spawn_branch(pid, &env, var, value, bip);
-            if let Some(CFrame::ForAll { children, .. }) = parent.frames.last_mut() {
-                children.push(new_child);
-            }
-        } else if children.is_empty() {
-            let end = *end_ip;
-            parent.frames.pop();
-            parent.state = CState::Ready;
-            parent.res = true;
-            parent.ip = end;
+            let Some(value) = pending.pop() else { return };
+            *live += 1;
+            // A retired branch's buffers, emptied, or fresh ones.
+            let spare = self.spare_tasks.pop();
+            let mut child = CTask {
+                id: self.next_id,
+                parent: Some(parent.id),
+                ip: *branch_ip,
+                res: true,
+                args_at: 0,
+                call_depth: 0,
+                ..spare.unwrap_or_else(|| CTask::new(0, CEnv::new(0)))
+            };
+            self.next_id += 1;
+            child.env.slots.clone_from(&parent.env.slots);
+            child.env.extra.clone_from(&parent.env.extra);
+            child.env.set_slot(*var, value);
+            let window = &parent.win[parent.args_at as usize..];
+            child.win.extend_from_slice(window);
+            tasks.push(child);
         }
-        self.tasks[pid] = Some(parent);
     }
 
     fn next_wake(&self) -> Option<Time> {
@@ -1228,7 +1341,7 @@ impl Vm {
                 _ => t,
             });
         };
-        for task in self.tasks.iter().flatten() {
+        for task in &self.tasks {
             if let CState::Sleeping { until } = task.state {
                 consider(until);
             }

@@ -22,38 +22,78 @@ const KEYWORDS: &[&str] = &[
     "success", "every", "times", "for", "or",
 ];
 
+/// The functions generated scripts define, as the regex of names a
+/// context may call. A body calls only names after its own and never
+/// dispatches through a variable, so no script recurses (a recursion
+/// without commands would spin inside one tick; the depth guard has its
+/// own lockstep case).
+const TOP_CALLEES: &str = "fa|fb";
+const FA_CALLEES: &str = "fb";
+const FB_CALLEES: &str = "";
+
 fn ident(regex: &'static str) -> impl Strategy<Value = String> {
-    regex.prop_filter("keyword", |s| !KEYWORDS.contains(&s.as_str()))
+    regex.prop_filter("keyword", |s| {
+        !KEYWORDS.contains(&s.as_str()) && s != "fa" && s != "fb"
+    })
 }
 
 fn arb_word() -> impl Strategy<Value = Word> {
     prop_oneof![
-        ident("[a-z]{1,6}").prop_map(Word::lit),
-        ident("[a-z]{1,4}").prop_map(Word::var),
+        4 => ident("[a-z]{1,6}").prop_map(Word::lit),
+        4 => ident("[a-z]{1,4}").prop_map(Word::var),
+        // Positionals: the name, bound arguments, one past any call's
+        // last, and the joined rest.
+        2 => "0|1|2|3|13|\\*".prop_map(Word::var),
+        // What a variable must hold for `-< ${v}` to name a positional
+        // or for `${v} a b` to reach a function.
+        1 => "1|2|\\*|fa|fb".prop_map(Word::lit),
     ]
 }
 
-/// A command with an optional `->`/`->>`/`->&` variable capture, so
-/// redirection lowering and the I/O transaction paths get exercised.
-fn arb_cmd() -> impl Strategy<Value = Stmt> {
+/// A command — to an external program, to one of `callees`, or (at top
+/// level) through a variable — with 0 to 3 or 12 arguments, an optional
+/// `->`/`->>`/`->&` variable capture and an optional `-<` read of the
+/// variable a word names at run time, so redirection lowering, the I/O
+/// transaction paths and the call path get exercised.
+fn arb_cmd(callees: &'static str) -> impl Strategy<Value = Stmt> {
+    // Zero-weight arms are never drawn.
+    let calls = 2 * u32::from(!callees.is_empty());
+    let dispatch = u32::from(callees == TOP_CALLEES);
+    let program = prop_oneof![
+        3 => ident("[a-z]{1,6}").prop_map(Word::lit),
+        calls => callees.prop_map(Word::lit),
+        dispatch => ident("[a-z]{1,4}").prop_map(Word::var),
+    ];
     (
-        ident("[a-z]{1,6}"),
-        proptest::collection::vec(arb_word(), 0..3),
+        program,
+        prop_oneof![
+            9 => proptest::collection::vec(arb_word(), 0..4),
+            1 => proptest::collection::vec(arb_word(), 12..13),
+        ],
         proptest::option::of((ident("[a-z]{1,4}"), any::<bool>(), any::<bool>())),
+        // The read's source is a name computed at run time; a literal
+        // positional name reaches arguments the body never mentions.
+        proptest::option::of(prop_oneof![
+            2 => arb_word(),
+            3 => "0|1|2|\\*".prop_map(Word::lit),
+        ]),
     )
-        .prop_map(|(p, mut args, capture)| {
-            let mut words = vec![Word::lit(p)];
+        .prop_map(|(p, mut args, capture, input)| {
+            let mut words = vec![p];
             words.append(&mut args);
-            let redirs = capture
-                .map(|(var, append, both)| {
-                    vec![Redir::Out {
-                        to: RedirTarget::Variable,
-                        append,
-                        both,
-                        target: Word::lit(var),
-                    }]
+            let mut redirs: Vec<Redir> = input
+                .map(|source| Redir::In {
+                    from: RedirTarget::Variable,
+                    source,
                 })
-                .unwrap_or_default();
+                .into_iter()
+                .collect();
+            redirs.extend(capture.map(|(var, append, both)| Redir::Out {
+                to: RedirTarget::Variable,
+                append,
+                both,
+                target: Word::lit(var),
+            }));
             Stmt::Command(Command { words, redirs })
         })
 }
@@ -64,17 +104,17 @@ fn arb_assign() -> impl Strategy<Value = Stmt> {
 
 /// Statements whose `try` budgets are always bounded, so every script
 /// terminates under any executor (mirrors `vm_fuzz`).
-fn arb_stmt(depth: u32) -> BoxedStrategy<Stmt> {
+fn arb_stmt(depth: u32, callees: &'static str) -> BoxedStrategy<Stmt> {
     if depth == 0 {
         prop_oneof![
-            5 => arb_cmd(),
+            5 => arb_cmd(callees),
             2 => arb_assign(),
             1 => Just(Stmt::Failure),
             1 => Just(Stmt::Success),
         ]
         .boxed()
     } else {
-        let body = || proptest::collection::vec(arb_stmt(depth - 1), 0..3);
+        let body = || proptest::collection::vec(arb_stmt(depth - 1, callees), 0..3);
         let try_s = (1u32..4, 0u64..20, body(), proptest::option::of(body())).prop_map(
             |(attempts, secs, b, c)| Stmt::Try {
                 spec: TrySpec {
@@ -118,14 +158,26 @@ fn arb_stmt(depth: u32) -> BoxedStrategy<Stmt> {
                 els: e.map(Into::into),
             },
         );
+        // Functions are defined (and redefined) only at top level.
+        let define = |name: &'static str, callees| {
+            proptest::collection::vec(arb_stmt(depth - 1, callees), 0..3).prop_map(move |b| {
+                Stmt::Function {
+                    name: name.into(),
+                    body: b.into(),
+                }
+            })
+        };
+        let funcs = u32::from(callees == TOP_CALLEES);
         prop_oneof![
-            4 => arb_cmd(),
+            4 => arb_cmd(callees),
             2 => arb_assign(),
             2 => try_s,
             2 => forany,
             2 => forall,
             1 => ifs,
             1 => Just(Stmt::Failure),
+            funcs => define("fa", FA_CALLEES),
+            funcs => define("fb", FB_CALLEES),
         ]
         .boxed()
     }
@@ -138,11 +190,11 @@ fn final_bindings(env: &Env) -> BTreeMap<String, String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(192))]
+    #![proptest_config(ProptestConfig::with_cases(384))]
 
     #[test]
     fn bytecode_effect_stream_matches_tree_walker(
-        stmts in proptest::collection::vec(arb_stmt(2), 1..5),
+        stmts in proptest::collection::vec(arb_stmt(2, TOP_CALLEES), 1..5),
         seed in any::<u64>(),
         outcome_bits in any::<u64>(),
         order_bits in any::<u64>(),

@@ -750,3 +750,136 @@ fn deadline_kill_restores_caller_positionals() {
         "caller's positionals restored after the killed call"
     );
 }
+
+/// Drive `src` to completion with every command succeeding at once,
+/// asserting after each tick that at most `bound` tasks are alive.
+/// Returns the `task` of the last `Effect::Start` and of the last
+/// `cmd-start` trace record.
+fn run_with_bounded_table(src: &str, max_parallel: Option<usize>, bound: usize) -> (usize, usize) {
+    use ftsh::trace::{SharedSink, TraceEv, VecSink};
+    use std::sync::{Arc, Mutex};
+
+    let script = parse(src).unwrap_or_else(|e| panic!("parse: {e}"));
+    let mut vm = Vm::with_seed(&script, 99);
+    vm.set_log_detail(false);
+    vm.set_max_parallel(max_parallel);
+    let trace = Arc::new(Mutex::new(VecSink::new()));
+    vm.set_tracer(trace.clone() as SharedSink, 0);
+    let mut now = Time::ZERO;
+    let mut effects = Vec::new();
+    let mut last_started = 0;
+    loop {
+        let status = vm.tick_into(now, &mut effects);
+        assert!(
+            vm.live_tasks() <= bound,
+            "{} live tasks at {now:?}, want at most {bound}",
+            vm.live_tasks()
+        );
+        let mut started = false;
+        for e in effects.drain(..) {
+            if let Effect::Start { token, task, spec } = e {
+                started = true;
+                last_started = task;
+                vm.complete(token, CmdResult::ok(""));
+                vm.recycle_spec(spec);
+            }
+        }
+        match status {
+            VmStatus::Done { success } => {
+                assert!(!success, "the loop body always fails");
+                break;
+            }
+            VmStatus::Running { next_wake: Some(t) } if !started => now = now.max(t),
+            VmStatus::Running { next_wake: None } if !started => panic!("vm stalled"),
+            VmStatus::Running { .. } => {}
+        }
+    }
+    let records = trace.lock().unwrap().take();
+    let last_traced = records
+        .iter()
+        .rev()
+        .find(|r| matches!(r.ev, TraceEv::CmdStart { .. }))
+        .expect("commands ran")
+        .task;
+    let last_traced = usize::try_from(last_traced).expect("trace records carry the task id");
+    (last_started, last_traced)
+}
+
+#[test]
+fn forall_in_a_loop_keeps_the_task_table_bounded() {
+    // Regression: finished branches used to stay in the task table for
+    // the life of the VM, so this loop held 40 001 entries at the end
+    // and every tick walked all of them.
+    const ITERS: usize = 5_000;
+    let src = format!(
+        "try {ITERS} times every 1 ms\n\
+           forall p in a b c d\n\
+             probe ${{p}}\n\
+           end\n\
+           forall q in a b c d\n\
+             work ${{q}}\n\
+           end\n\
+           failure\n\
+         end\n"
+    );
+    // The root is task 0 and every branch takes the next ordinal, so
+    // the last of ITERS x 2 x 4 branches is task ITERS * 8: ids are
+    // never reused, however few tasks are alive.
+    let last = ITERS * 8;
+    for (max_parallel, bound) in [(None, 5), (Some(1), 2), (Some(2), 3)] {
+        let (started, traced) = run_with_bounded_table(&src, max_parallel, bound);
+        assert_eq!(started, last, "max_parallel {max_parallel:?}");
+        assert_eq!(traced, last, "max_parallel {max_parallel:?}");
+    }
+}
+
+#[test]
+fn deadline_after_many_retired_branches_cancels_each_inflight_command_once() {
+    let mut h = Harness::new(
+        "try for 60 seconds\n\
+           try 25 times every 1 ms\n\
+             forall p in a b c d\n\
+               quick ${p}\n\
+             end\n\
+             failure\n\
+           catch\n\
+             success\n\
+           end\n\
+           forall q in w x y z\n\
+             hang ${q}\n\
+           end\n\
+         end\n",
+    );
+    // Retire 100 branches, then leave four commands in flight.
+    let mut quick = 0;
+    loop {
+        let status = h.tick();
+        if h.pending_programs().contains(&"quick") {
+            for (token, _) in std::mem::take(&mut h.pending) {
+                quick += 1;
+                h.vm.complete(token, CmdResult::ok(""));
+            }
+            continue;
+        }
+        if h.pending.len() == 4 {
+            break;
+        }
+        match status {
+            VmStatus::Running { next_wake: Some(t) } => h.advance_to(t),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(quick, 100);
+    assert_eq!(h.pending_programs(), ["hang"; 4]);
+    assert_eq!(h.vm.live_tasks(), 5);
+    let mut inflight: Vec<u64> = h.pending.iter().map(|(t, _)| *t).collect();
+
+    h.advance_to(Time::from_secs(60));
+    let status = h.tick();
+    assert!(matches!(status, VmStatus::Done { success: false }));
+    h.cancelled.sort_unstable();
+    inflight.sort_unstable();
+    assert_eq!(h.cancelled, inflight, "one cancel per in-flight command");
+    assert_eq!(h.vm.live_tasks(), 1);
+    assert_eq!(h.vm.log().summary().commands_cancelled, 4);
+}

@@ -31,7 +31,8 @@
 //! is what turns a set of per-job summaries into a runtime key graph.
 
 use ftsh::bytecode::{
-    compile_cached, CmdTpl, FuncRef, Ip, Op, Prog, RedirTpl, SegTpl, WordIx, WordTpl, NO_CATCH,
+    compile_cached, CmdTpl, FuncRef, Ip, Op, PosArg, Prog, RedirTpl, SegTpl, WordIx, WordTpl,
+    NO_CATCH,
 };
 use ftsh::Script;
 use retry::Dur;
@@ -448,25 +449,16 @@ impl Walker<'_> {
         }
         let cmd = &self.prog.cmds[cix as usize];
         let args: Vec<AbsVal> = cmd.argv.iter().map(|&w| self.eval(w, st)).collect();
-        let saved: Vec<(usize, AbsVal)> = self
-            .prog
-            .slots
-            .positional
+        let positional = &*self.prog.slots.positional;
+        let saved: Vec<(usize, AbsVal)> = positional
             .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p)
-            .map(|(i, _)| (i, st.slots[i].clone()))
+            .map(|&(s, _)| (s as usize, st.slots[s as usize].clone()))
             .collect();
-        for &(i, _) in &saved {
-            let name = self.prog.slots.names[i].as_str();
-            st.slots[i] = if name == "*" {
-                join_with_spaces(&args[1..])
-            } else {
-                // All-digit name: positional k reads argv[k].
-                name.parse::<usize>()
-                    .ok()
-                    .and_then(|k| args.get(k).cloned())
-                    .unwrap_or_else(AbsVal::unset)
+        for &(s, which) in positional {
+            st.slots[s as usize] = match which {
+                PosArg::Star => join_with_spaces(&args[1..]),
+                PosArg::Arg(k) => args.get(k).cloned().unwrap_or_else(AbsVal::unset),
+                PosArg::Unbound => AbsVal::unset(),
             };
         }
         self.call_stack.push(entry);
