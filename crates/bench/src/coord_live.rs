@@ -9,7 +9,7 @@
 //! per peer, summed) and the round bookkeeping; barriers, retries and
 //! backoff are the script's.
 //!
-//! The daemon's file server mirrors the sim's `OpQueue`: a
+//! The daemon's file server mirrors the sim's store (`coord::Store`): a
 //! single-server FIFO where a blind `get` miss is an expensive
 //! directory scan ([`GriddConfig::file_miss_service`]) while the
 //! `stat` probe answers from the directory cache for free. One rank

@@ -38,12 +38,11 @@ pub fn emit(name: &str, set: &SeriesSet) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// The steady-state interpreter workload `figures --stats` records and
-/// the `engine/vm_steady` criterion row tracks: a control-and-variable
-/// heavy script (assignments, string conds, forany, all over
-/// interpolated words) under a bounded retry loop of `attempts`, whose
-/// one command per attempt fails so the loop spins the interpreter
-/// rather than the (absent) plant.
+/// The steady-state interpreter workload `figures --stats` records: a
+/// control-and-variable heavy script (assignments, string conds,
+/// forany, all over interpolated words) under a bounded retry loop of
+/// `attempts`, whose one command per attempt fails so the loop spins
+/// the interpreter rather than the (absent) plant.
 pub fn vm_steady_source(attempts: u32) -> String {
     let body = "  a=${b}\n  if ${a} .eql. base\n    c=${a}${b}\n  else\n    c=err\n  end\n  forany v in ${a} ${c}\n    d=${v}\n  end\n  e=${d}\n"
         .repeat(64);
@@ -51,12 +50,12 @@ pub fn vm_steady_source(attempts: u32) -> String {
 }
 
 /// The call-path workload behind `figures --stats`'
-/// `calls_allocs_per_call` and the `engine/vm_calls` criterion row:
-/// `attempts` iterations of [`VM_CALLS_PER_ATTEMPT`] function calls and
-/// nothing else. `step` takes two arguments, reads `${*}` (so the join
-/// is paid) and calls `leaf` with its own arguments swapped, which
-/// shadows and restores them; neither body runs a command or builds a
-/// string, so every allocation counted is the call path's own.
+/// `calls_allocs_per_call`: `attempts` iterations of
+/// [`VM_CALLS_PER_ATTEMPT`] function calls and nothing else. `step`
+/// takes two arguments, reads `${*}` (so the join is paid) and calls
+/// `leaf` with its own arguments swapped, which shadows and restores
+/// them; neither body runs a command or builds a string, so every
+/// allocation counted is the call path's own.
 pub fn vm_calls_source(attempts: u32) -> String {
     let calls = "  step ${a} x\n".repeat(VM_CALLS_PER_ATTEMPT as usize / 2);
     format!(
@@ -71,11 +70,11 @@ pub fn vm_calls_source(attempts: u32) -> String {
 pub const VM_CALLS_PER_ATTEMPT: u64 = 16;
 
 /// The `forall`-in-a-retry-loop workload behind `figures --stats`'
-/// `forall_iter_ratio_800_over_50` and the `engine/vm_forall_loop`
-/// criterion row: `iters` iterations of two four-branch `forall`s, the
-/// `try … forall … end` shape of the paper's §4 scripts. Every branch
-/// task retires before the next iteration starts, so the cost of one
-/// iteration must not depend on how many came before.
+/// `forall_iter_ratio_800_over_50`: `iters` iterations of two
+/// four-branch `forall`s, the `try … forall … end` shape of the
+/// paper's §4 scripts. Every branch task retires before the next
+/// iteration starts, so the cost of one iteration must not depend on
+/// how many came before.
 pub fn vm_forall_loop_source(iters: u32) -> String {
     let body =
         "  forall part in p0 p1 p2 p3\n    probe ${part} -> got\n    work ${part} ${got}\n  end\n"

@@ -606,6 +606,25 @@ impl Vm {
         self.outcome
     }
 
+    /// The program of in-flight command `token`, or `None` when this VM
+    /// is not waiting on it (never started here, completed, or
+    /// cancelled). This table is the one record of what is in flight:
+    /// a driver asks instead of keeping its own.
+    pub fn in_flight(&self, token: CmdToken) -> Option<&Istr> {
+        let &(_, tid) = self.token_task.iter().find(|&&(t, _)| t == token)?;
+        match &self.tasks[pos_of(&self.tasks, tid)?].state {
+            CState::RunningCmd { program, .. } => Some(program),
+            _ => None,
+        }
+    }
+
+    /// The tokens of every in-flight command, ascending (issue order).
+    pub fn in_flight_tokens(&self) -> Vec<CmdToken> {
+        let mut tokens: Vec<CmdToken> = self.token_task.iter().map(|&(t, _)| t).collect();
+        tokens.sort_unstable();
+        tokens
+    }
+
     /// Report an in-flight command as finished. Stale tokens (already
     /// cancelled) are ignored. Call [`Vm::tick`] afterwards.
     pub fn complete(&mut self, token: CmdToken, result: CmdResult) {

@@ -7,7 +7,7 @@
 //! completes only when all N keys landed.
 //!
 //! The contended resource is the store's single-server FIFO front end
-//! ([`OpQueue`]). A fetch of a key that is not there yet is an
+//! ([`Store`]). A fetch of a key that is not there yet is an
 //! *expensive miss* (an exhaustive directory scan holding the server),
 //! so a discipline that polls blindly for a straggler degrades
 //! everyone's puts and gets. The Ethernet rank instead probes a cached
@@ -25,14 +25,14 @@
 //! key is late: the carrier stays sensed-busy until the straggler
 //! lands.
 
-use crate::coord::{coord_vm, OpQueue, StoreOp};
+use crate::coord::{coord_vm, Store, StoreOp};
 use crate::driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
-use simgrid::{Series, SimRng};
+use simgrid::{Admission, Series, ServerKind, SimRng};
 use std::collections::{HashMap, HashSet};
 
 /// The space-separated peer list `r0 r1 … rN-1` the barrier `forall`
@@ -239,7 +239,7 @@ pub struct AllReduceWorld {
     params: AllReduceParams,
     script: Script,
     rng: SimRng,
-    store: OpQueue<(u32, usize)>,
+    store: Store<(u32, usize)>,
     /// Landed keys: `(round, rank)`, deduplicated.
     keys: HashSet<(u32, usize)>,
     /// Landed-key count per round — what the carrier-sense probe reads.
@@ -279,7 +279,7 @@ impl AllReduceWorld {
         AllReduceWorld {
             script,
             rng: SimRng::new(params.seed),
-            store: OpQueue::new(),
+            store: Store::new(ServerKind::Normal),
             keys: HashSet::new(),
             landed: vec![0; rounds],
             rank_round: vec![0; params.n_ranks],
@@ -294,6 +294,18 @@ impl AllReduceWorld {
             probe_out: HashMap::new(),
             params,
         }
+    }
+
+    /// The store began service `seq`: price the operation at its head
+    /// against the key space as it stands — a get of an absent key is
+    /// the expensive scan — and schedule the service's end.
+    fn begin_service(&self, ctx: &mut Ctx<'_, AllReduceEv>, seq: u64) {
+        let dur = match self.store.serving() {
+            Some((_, _, StoreOp::Put(_))) => self.params.put_service,
+            Some((_, _, StoreOp::Get(k))) if self.keys.contains(k) => self.params.get_service,
+            _ => self.params.miss_service,
+        };
+        ctx.schedule(ctx.now() + dur, AllReduceEv::StoreDone { seq });
     }
 
     /// A fresh VM for `rank`'s current round.
@@ -335,24 +347,6 @@ pub fn rank_unit_vm(
 /// `"r7"` → `7`.
 fn parse_rank(word: &str) -> Option<usize> {
     word.strip_prefix('r')?.parse().ok()
-}
-
-/// Store service time of one op given the current key space: a get of
-/// an absent key is the expensive scan.
-fn op_cost<'a>(
-    p: &'a AllReduceParams,
-    keys: &'a HashSet<(u32, usize)>,
-) -> impl Fn(&StoreOp<(u32, usize)>) -> Dur + 'a {
-    move |op| match op {
-        StoreOp::Put(_) => p.put_service,
-        StoreOp::Get(k) => {
-            if keys.contains(k) {
-                p.get_service
-            } else {
-                p.miss_service
-            }
-        }
-    }
 }
 
 impl CommandWorld for AllReduceWorld {
@@ -417,9 +411,8 @@ impl CommandWorld for AllReduceWorld {
                 } else {
                     StoreOp::Get((round, rank))
                 };
-                let cost = op_cost(&self.params, &self.keys);
-                if let Some((seq, dur)) = self.store.submit(client, token, op, cost) {
-                    ctx.schedule(ctx.now() + dur, AllReduceEv::StoreDone { seq });
+                if let Admission::Serving(seq) = self.store.connect((client, token, op)) {
+                    self.begin_service(ctx, seq);
                 }
                 ExecOutcome::Held
             }
@@ -428,9 +421,11 @@ impl CommandWorld for AllReduceWorld {
     }
 
     fn cancelled(&mut self, ctx: &mut Ctx<'_, AllReduceEv>, client: ClientId, token: CmdToken) {
-        let cost = op_cost(&self.params, &self.keys);
-        if let Some((seq, dur)) = self.store.cancel(client, token, cost) {
-            ctx.schedule(ctx.now() + dur, AllReduceEv::StoreDone { seq });
+        let left = self
+            .store
+            .disconnect(|&(c, t, _)| (c, t) == (client, token));
+        if let Some(seq) = left.started {
+            self.begin_service(ctx, seq);
         }
     }
 
@@ -453,12 +448,11 @@ impl CommandWorld for AllReduceWorld {
     fn on_event(&mut self, ctx: &mut Ctx<'_, AllReduceEv>, ev: AllReduceEv) -> Vec<Completion> {
         let mut out = Vec::new();
         let AllReduceEv::StoreDone { seq } = ev;
-        let cost = op_cost(&self.params, &self.keys);
-        let Some(((client, token, op), next)) = self.store.service_done(seq, cost) else {
-            return out;
+        let Some(((client, token, op), next)) = self.store.finish(seq) else {
+            return out; // that service was aborted by a cancel
         };
-        if let Some((seq, dur)) = next {
-            ctx.schedule(ctx.now() + dur, AllReduceEv::StoreDone { seq });
+        if let Some(seq) = next {
+            self.begin_service(ctx, seq);
         }
         match op {
             StoreOp::Put(key) => {

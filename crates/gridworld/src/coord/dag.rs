@@ -10,7 +10,7 @@
 //!   backoff until all of them do, only then committing fetches.
 //! * The **Aloha** job blindly fetches each input until it appears;
 //!   every poll of an absent key is an expensive store miss
-//!   (see [`OpQueue`]). **Fixed** is the same script with no backoff.
+//!   (see [`Store`]). **Fixed** is the same script with no backoff.
 //!
 //! After its inputs land the job runs (local compute, no contention)
 //! and publishes its outputs, retrying under the same discipline —
@@ -23,15 +23,15 @@
 //! [`FaultPlan`](simgrid::faults::FaultPlan), so DAGs are data, not
 //! code.
 
-use crate::coord::{coord_vm, OpQueue, StoreOp};
+use crate::coord::{coord_vm, Store, StoreOp};
 use crate::driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
-use simgrid::faults::json::{self, Value};
 use simgrid::faults::{FaultKind, FaultPlan};
+use simgrid::json::{self, Value};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
-use simgrid::{json_escape, Series, SimRng};
+use simgrid::{json_escape, Admission, Series, ServerKind, SimRng};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -420,7 +420,7 @@ pub struct DagWorld {
     scripts: Vec<Script>,
     name_to_idx: HashMap<String, usize>,
     rng: SimRng,
-    store: OpQueue<String>,
+    store: Store<String>,
     keys: HashSet<String>,
     /// Puts fail at the store until this instant (ENOSPC window).
     enospc_until: Time,
@@ -441,23 +441,6 @@ pub struct DagWorld {
     pub restarts: u64,
     trace: Option<SharedSink>,
     probe_out: HashMap<usize, ftsh::Istr>,
-}
-
-/// Store service time of one op given the current key space.
-fn op_cost<'a>(
-    p: &'a DagParams,
-    keys: &'a HashSet<String>,
-) -> impl Fn(&StoreOp<String>) -> Dur + 'a {
-    move |op| match op {
-        StoreOp::Put(_) => p.put_service,
-        StoreOp::Get(k) => {
-            if keys.contains(k) {
-                p.get_service
-            } else {
-                p.miss_service
-            }
-        }
-    }
 }
 
 impl DagWorld {
@@ -489,7 +472,7 @@ impl DagWorld {
             scripts,
             name_to_idx,
             rng: SimRng::new(params.seed),
-            store: OpQueue::new(),
+            store: Store::new(ServerKind::Normal),
             keys,
             enospc_until: Time::ZERO,
             done: vec![false; n],
@@ -504,6 +487,18 @@ impl DagWorld {
             probe_out: HashMap::new(),
             params,
         }
+    }
+
+    /// The store began service `seq`: price the operation at its head
+    /// against the key space as it stands — a get of an absent key is
+    /// the expensive scan — and schedule the service's end.
+    fn begin_service(&self, ctx: &mut Ctx<'_, DagEv>, seq: u64) {
+        let dur = match self.store.serving() {
+            Some((_, _, StoreOp::Put(_))) => self.params.put_service,
+            Some((_, _, StoreOp::Get(k))) if self.keys.contains(k) => self.params.get_service,
+            _ => self.params.miss_service,
+        };
+        ctx.schedule(ctx.now() + dur, DagEv::StoreDone { seq });
     }
 
     fn job_vm(&mut self, client: ClientId) -> Vm {
@@ -581,9 +576,8 @@ impl CommandWorld for DagWorld {
                 } else {
                     StoreOp::Get(key.to_string())
                 };
-                let cost = op_cost(&self.params, &self.keys);
-                if let Some((seq, dur)) = self.store.submit(client, token, op, cost) {
-                    ctx.schedule(ctx.now() + dur, DagEv::StoreDone { seq });
+                if let Admission::Serving(seq) = self.store.connect((client, token, op)) {
+                    self.begin_service(ctx, seq);
                 }
                 ExecOutcome::Held
             }
@@ -592,9 +586,11 @@ impl CommandWorld for DagWorld {
     }
 
     fn cancelled(&mut self, ctx: &mut Ctx<'_, DagEv>, client: ClientId, token: CmdToken) {
-        let cost = op_cost(&self.params, &self.keys);
-        if let Some((seq, dur)) = self.store.cancel(client, token, cost) {
-            ctx.schedule(ctx.now() + dur, DagEv::StoreDone { seq });
+        let left = self
+            .store
+            .disconnect(|(c, t, _)| (*c, *t) == (client, token));
+        if let Some(seq) = left.started {
+            self.begin_service(ctx, seq);
         }
     }
 
@@ -616,12 +612,11 @@ impl CommandWorld for DagWorld {
     fn on_event(&mut self, ctx: &mut Ctx<'_, DagEv>, ev: DagEv) -> Vec<Completion> {
         let mut out = Vec::new();
         let DagEv::StoreDone { seq } = ev;
-        let cost = op_cost(&self.params, &self.keys);
-        let Some(((client, token, op), next)) = self.store.service_done(seq, cost) else {
-            return out;
+        let Some(((client, token, op), next)) = self.store.finish(seq) else {
+            return out; // that service was aborted by a cancel
         };
-        if let Some((seq, dur)) = next {
-            ctx.schedule(ctx.now() + dur, DagEv::StoreDone { seq });
+        if let Some(seq) = next {
+            self.begin_service(ctx, seq);
         }
         match op {
             StoreOp::Put(key) => {

@@ -25,8 +25,9 @@
 //!
 //! ## The contended resource
 //!
-//! Both worlds share one store model, [`OpQueue`]: a single-server
-//! FIFO in front of the key space. Publishing and fetching consume
+//! Both worlds share one store model, [`Store`]: a single-server
+//! FIFO in front of the key space — the same [`FileServer`] the
+//! black-hole scenario's replicas are. Publishing and fetching consume
 //! server time; a fetch of a key that does not exist yet is an
 //! *expensive miss* (an exhaustive directory scan), so blind polling
 //! for a straggler's output degrades everyone's service. The
@@ -41,7 +42,7 @@ use crate::scripts::unit_vm;
 use ftsh::vm::CmdToken;
 use ftsh::{Env, Script, Vm};
 use retry::{BackoffPolicy, Discipline, Dur};
-use std::collections::VecDeque;
+use simgrid::FileServer;
 
 pub mod allreduce;
 pub mod dag;
@@ -64,113 +65,13 @@ pub enum StoreOp<K> {
     Get(K),
 }
 
-/// The single-server FIFO front end of the shared store: every put and
-/// get waits its turn, and the server works on exactly one operation
-/// at a time. The queue does not know the key space — callers decide
-/// each operation's service time (hit vs. expensive miss) and apply
-/// its effect when the service completes.
-///
-/// Every started service gets a fresh sequence number; a `ServiceDone`
-/// event carrying a stale number (the service was aborted by a cancel)
-/// is ignored by [`service_done`](OpQueue::service_done).
-#[derive(Debug)]
-pub struct OpQueue<K> {
-    queue: VecDeque<(ClientId, CmdToken, StoreOp<K>)>,
-    serving: Option<(ClientId, CmdToken, StoreOp<K>)>,
-    seq: u64,
-}
-
-impl<K> Default for OpQueue<K> {
-    fn default() -> OpQueue<K> {
-        OpQueue::new()
-    }
-}
-
-impl<K> OpQueue<K> {
-    /// An empty, idle store queue.
-    pub fn new() -> OpQueue<K> {
-        OpQueue {
-            queue: VecDeque::new(),
-            serving: None,
-            seq: 0,
-        }
-    }
-
-    /// Enqueue one operation. If the server was idle it starts at
-    /// once: the caller must schedule a `ServiceDone` for the returned
-    /// `(seq, dur)`, where `dur` came from `dur_of` on the op now
-    /// being served.
-    pub fn submit(
-        &mut self,
-        client: ClientId,
-        token: CmdToken,
-        op: StoreOp<K>,
-        dur_of: impl FnOnce(&StoreOp<K>) -> Dur,
-    ) -> Option<(u64, Dur)> {
-        self.queue.push_back((client, token, op));
-        if self.serving.is_none() {
-            self.begin(dur_of)
-        } else {
-            None
-        }
-    }
-
-    /// The service with sequence number `seq` finished. Returns the
-    /// completed operation plus, if more work is queued, the next
-    /// service to schedule. A stale `seq` returns `None`.
-    #[allow(clippy::type_complexity)]
-    pub fn service_done(
-        &mut self,
-        seq: u64,
-        dur_of: impl FnOnce(&StoreOp<K>) -> Dur,
-    ) -> Option<((ClientId, CmdToken, StoreOp<K>), Option<(u64, Dur)>)> {
-        if seq != self.seq || self.serving.is_none() {
-            return None;
-        }
-        let done = self.serving.take().expect("checked");
-        let next = self.begin(dur_of);
-        Some((done, next))
-    }
-
-    /// A client's command was cancelled: drop its queued operations
-    /// and abort its in-service one. If the abort freed the server and
-    /// work is queued, the next service starts (schedule its
-    /// `ServiceDone`).
-    pub fn cancel(
-        &mut self,
-        client: ClientId,
-        token: CmdToken,
-        dur_of: impl FnOnce(&StoreOp<K>) -> Dur,
-    ) -> Option<(u64, Dur)> {
-        self.queue.retain(|&(c, t, _)| (c, t) != (client, token));
-        match &self.serving {
-            Some((c, t, _)) if (*c, *t) == (client, token) => {
-                self.serving = None;
-                self.begin(dur_of)
-            }
-            _ => None,
-        }
-    }
-
-    /// Operations waiting or in service (store congestion).
-    pub fn depth(&self) -> usize {
-        self.queue.len() + usize::from(self.serving.is_some())
-    }
-
-    /// The operation currently being served, if any.
-    pub fn serving(&self) -> Option<&(ClientId, CmdToken, StoreOp<K>)> {
-        self.serving.as_ref()
-    }
-
-    fn begin(&mut self, dur_of: impl FnOnce(&StoreOp<K>) -> Dur) -> Option<(u64, Dur)> {
-        debug_assert!(self.serving.is_none());
-        let head = self.queue.pop_front()?;
-        let dur = dur_of(&head.2);
-        self.serving = Some(head);
-        self.seq += 1;
-        Some((self.seq, dur))
-    }
-}
+/// The front end of the shared store: the simulator's one
+/// single-server FIFO ([`FileServer`]), whose jobs are the puts and
+/// gets of in-flight commands. Every operation waits its turn and the
+/// server works on exactly one at a time. The server does not know the
+/// key space — a world prices each operation when its service starts
+/// (hit vs. expensive miss) and applies its effect when it ends.
+pub type Store<K> = FileServer<(ClientId, CmdToken, StoreOp<K>)>;
 
 /// Build one coord work-unit VM. Collective rounds complete in
 /// seconds, not the submit scenario's minutes, so Aloha and Ethernet
@@ -198,49 +99,6 @@ mod tests {
 
     fn dur(ms: u64) -> Dur {
         Dur::from_millis(ms)
-    }
-
-    #[test]
-    fn fifo_order_and_seq_invalidation() {
-        let mut q: OpQueue<u32> = OpQueue::new();
-        let cost = |op: &StoreOp<u32>| match op {
-            StoreOp::Put(_) => dur(100),
-            StoreOp::Get(_) => dur(50),
-        };
-        let first = q.submit(0, 1, StoreOp::Put(7), cost);
-        assert_eq!(first, Some((1, dur(100))));
-        assert_eq!(q.submit(1, 1, StoreOp::Get(7), cost), None);
-        assert_eq!(q.depth(), 2);
-
-        // Stale sequence numbers are ignored.
-        assert!(q.service_done(99, cost).is_none());
-
-        let ((c, t, op), next) = q.service_done(1, cost).expect("head served");
-        assert_eq!((c, t, op), (0, 1, StoreOp::Put(7)));
-        assert_eq!(next, Some((2, dur(50))));
-        let ((c, _, _), next) = q.service_done(2, cost).expect("second served");
-        assert_eq!(c, 1);
-        assert!(next.is_none());
-        assert_eq!(q.depth(), 0);
-    }
-
-    #[test]
-    fn cancel_aborts_service_and_starts_next() {
-        let mut q: OpQueue<u32> = OpQueue::new();
-        let cost = |_: &StoreOp<u32>| dur(10);
-        let (seq, _) = q.submit(0, 1, StoreOp::Get(1), cost).expect("starts");
-        q.submit(1, 1, StoreOp::Get(2), cost);
-        q.submit(1, 2, StoreOp::Get(3), cost);
-        // Cancelling a queued (not serving) op removes it silently.
-        assert!(q.cancel(1, 2, cost).is_none());
-        // Cancelling the in-service op starts client 1's first get;
-        // the aborted service's seq goes stale.
-        let next = q.cancel(0, 1, cost).expect("next starts");
-        assert!(q.service_done(seq, cost).is_none(), "aborted seq is stale");
-        let ((c, t, _), more) = q.service_done(next.0, cost).expect("served");
-        assert_eq!((c, t), (1, 1));
-        assert!(more.is_none());
-        assert_eq!(q.depth(), 0);
     }
 
     #[test]

@@ -8,13 +8,26 @@
 //! plumbing: wake-ups at backoff instants and `try` deadlines, command
 //! completion routing, cancellation of in-flight work, and work-unit
 //! restarts.
+//!
+//! What is in flight is recorded once, in each client's VM. The driver
+//! keeps no table of its own: a completion is delivered iff it carries
+//! the client's current work-unit epoch *and* the client's VM still
+//! waits on its token ([`Vm::in_flight`]); anything else — the `try`
+//! deadline won the race, the unit retired, the client was killed — is
+//! dropped on arrival without ticking the VM. The epoch is needed
+//! because token numbering restarts with every unit's VM: a stale
+//! completion must not be mistaken for the next unit's command of the
+//! same number. What a world holds for a command it answered
+//! [`ExecOutcome::Held`] is the world's own business; it is told
+//! [`cancelled`](CommandWorld::cancelled) exactly when the VM gives up
+//! on a command whose completion has not been delivered (held, or
+//! scheduled with [`ExecOutcome::At`]), a client kill included.
 
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Effect, Vm, VmStatus};
 use retry::Time;
 use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::trace::{emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{EventQueue, SimRng};
-use std::collections::{HashMap, HashSet};
 
 /// A client index within a scenario.
 pub type ClientId = usize;
@@ -30,12 +43,17 @@ pub enum SimEv<W> {
         client: ClientId,
         /// The client's work-unit epoch when the command started (VM
         /// token numbering restarts with every unit, so completions
-        /// from a finished unit must not leak into the next).
-        epoch: u64,
+        /// from a finished unit must not leak into the next). 32 bits,
+        /// so the variant — and with it every queued event — stays
+        /// 48 bytes with the `delayed` flag aboard.
+        epoch: u32,
         /// The VM's token for the command.
         token: CmdToken,
         /// Result to deliver.
         result: CmdResult,
+        /// A latency spike already held this message once (a spike
+        /// adds its extra exactly once per message).
+        delayed: bool,
     },
     /// A scenario-specific event.
     World(W),
@@ -76,7 +94,7 @@ pub struct Ctx<'a, W> {
     /// The scenario's event queue; schedule [`SimEv::World`] events or
     /// [`SimEv::CmdDone`] completions here.
     pub queue: &'a mut EventQueue<SimEv<W>>,
-    epochs: &'a [u64],
+    epochs: &'a [u32],
 }
 
 impl<W> Ctx<'_, W> {
@@ -109,6 +127,7 @@ impl<W> Ctx<'_, W> {
                 epoch: self.epochs[client],
                 token,
                 result,
+                delayed: false,
             },
         );
     }
@@ -189,23 +208,10 @@ struct FaultState {
     /// Monotonicity clamp for each client's skewed clock (a VM must
     /// never observe time running backwards when skew changes mid-run).
     last_vm_now: Vec<Time>,
-    /// Program name per live asynchronous command, kept only when the
-    /// plan contains channel faults.
-    programs: HashMap<(ClientId, u64, CmdToken), String>,
-    track_programs: bool,
-    /// Completions already delayed once by a latency spike (so a spike
-    /// adds its extra exactly once per message).
-    delayed: HashSet<(ClientId, u64, CmdToken)>,
 }
 
 impl FaultState {
     fn new(plan: FaultPlan, n_clients: usize) -> FaultState {
-        let track_programs = plan.specs.iter().any(|s| {
-            matches!(
-                s.kind,
-                FaultKind::MsgLoss { .. } | FaultKind::LatencySpike { .. }
-            )
-        });
         let rng = plan.rng();
         let fired = vec![0; plan.specs.len()];
         FaultState {
@@ -216,9 +222,6 @@ impl FaultState {
             latency: Vec::new(),
             skew_us: vec![0; n_clients],
             last_vm_now: vec![Time::ZERO; n_clients],
-            programs: HashMap::new(),
-            track_programs,
-            delayed: HashSet::new(),
         }
     }
 
@@ -254,11 +257,9 @@ pub struct SimDriver<W: CommandWorld> {
     pub log_totals: ftsh::LogSummary,
     queue: EventQueue<SimEv<W::Ev>>,
     vms: Vec<Option<Vm>>,
-    epochs: Vec<u64>,
-    cancelled: HashSet<(ClientId, u64, CmdToken)>,
-    /// Tokens currently live with the world or scheduled; used to
-    /// suppress stale completions.
-    live: HashSet<(ClientId, u64, CmdToken)>,
+    /// Work units each client has retired (or lost to a kill); stamped
+    /// on scheduled completions.
+    epochs: Vec<u32>,
     /// Structured-trace sink shared by every client VM (and installed
     /// on replacement VMs as units complete). `None` ⇒ tracing off and
     /// the tick path pays nothing.
@@ -307,8 +308,6 @@ impl<W: CommandWorld> SimDriver<W> {
             queue,
             vms,
             epochs: vec![0; n],
-            cancelled: HashSet::new(),
-            live: HashSet::new(),
             tracer: None,
             faults: None,
             effects_buf: Vec::new(),
@@ -381,6 +380,24 @@ impl<W: CommandWorld> SimDriver<W> {
         self.queue.now()
     }
 
+    /// Run one world callback with a [`Ctx`] over the queue.
+    fn ask<R>(&mut self, f: impl FnOnce(&mut W, &mut Ctx<'_, W::Ev>) -> R) -> R {
+        let mut ctx = Ctx {
+            queue: &mut self.queue,
+            epochs: &self.epochs,
+        };
+        f(&mut self.world, &mut ctx)
+    }
+
+    /// Run a world callback that may release held commands, and
+    /// deliver what it releases.
+    fn react(&mut self, now: Time, f: impl FnOnce(&mut W, &mut Ctx<'_, W::Ev>) -> Vec<Completion>) {
+        for c in self.ask(f) {
+            let epoch = self.epochs[c.client];
+            self.deliver(c.client, epoch, c.token, c.result, false, now);
+        }
+    }
+
     /// Run until the queue drains or virtual time would pass `end`.
     /// Events strictly after `end` remain unpopped, so the final clock
     /// never exceeds `end`.
@@ -397,20 +414,9 @@ impl<W: CommandWorld> SimDriver<W> {
                     epoch,
                     token,
                     result,
-                } => self.deliver(client, epoch, token, result, now),
-                SimEv::World(w) => {
-                    let completions = {
-                        let mut ctx = Ctx {
-                            queue: &mut self.queue,
-                            epochs: &self.epochs,
-                        };
-                        self.world.on_event(&mut ctx, w)
-                    };
-                    for c in completions {
-                        let epoch = self.epochs[c.client];
-                        self.deliver(c.client, epoch, c.token, c.result, now);
-                    }
-                }
+                    delayed,
+                } => self.deliver(client, epoch, token, result, delayed, now),
+                SimEv::World(w) => self.react(now, |world, ctx| world.on_event(ctx, w)),
                 SimEv::Fault(i) => self.trigger_fault(i, now),
                 SimEv::Revive(c) => self.revive_client(c, now),
             }
@@ -464,17 +470,7 @@ impl<W: CommandWorld> SimDriver<W> {
                 let killed = self.kill_client(c);
                 // Let the world observe the kill (round accounting,
                 // resource bookkeeping) after the VM is gone.
-                let completions = {
-                    let mut ctx = Ctx {
-                        queue: &mut self.queue,
-                        epochs: &self.epochs,
-                    };
-                    self.world.inject_fault(&mut ctx, &spec.kind)
-                };
-                for comp in completions {
-                    let epoch = self.epochs[comp.client];
-                    self.deliver(comp.client, epoch, comp.token, comp.result, now);
-                }
+                self.react(now, |world, ctx| world.inject_fault(ctx, &spec.kind));
                 // Only a kill that found a live VM earns a revival: a
                 // client that already retired (or was killed twice)
                 // must not be resurrected by a stale restart delay.
@@ -482,28 +478,16 @@ impl<W: CommandWorld> SimDriver<W> {
                     self.queue.schedule_keyed(c, now + delay, SimEv::Revive(c));
                 }
             }
-            kind => {
-                let completions = {
-                    let mut ctx = Ctx {
-                        queue: &mut self.queue,
-                        epochs: &self.epochs,
-                    };
-                    self.world.inject_fault(&mut ctx, kind)
-                };
-                for c in completions {
-                    let epoch = self.epochs[c.client];
-                    self.deliver(c.client, epoch, c.token, c.result, now);
-                }
-            }
+            kind => self.react(now, |world, ctx| world.inject_fault(ctx, kind)),
         }
     }
 
     /// Tear down client `client` right now: its VM is dropped
-    /// mid-unit, every in-flight command is cancelled (so the world
-    /// releases held resources), and the epoch bump swallows any
-    /// completion already in the queue. The client stays dead until a
-    /// [`SimEv::Revive`] asks the world for a replacement. Returns
-    /// whether a live VM was actually torn down.
+    /// mid-unit, every command it had in flight is cancelled in token
+    /// order (so the world releases held resources), and the epoch
+    /// bump swallows any completion already in the queue. The client
+    /// stays dead until a [`SimEv::Revive`] asks the world for a
+    /// replacement. Returns whether a live VM was actually torn down.
     fn kill_client(&mut self, client: ClientId) -> bool {
         let Some(slot) = self.vms.get_mut(client) else {
             return false; // plan named a client outside this population
@@ -512,25 +496,8 @@ impl<W: CommandWorld> SimDriver<W> {
             return false; // already dead (or retired): kill is a no-op
         };
         self.log_totals += vm.log().summary();
-        let epoch = self.epochs[client];
-        let mut in_flight: Vec<(ClientId, u64, CmdToken)> = self
-            .live
-            .iter()
-            .filter(|k| k.0 == client && k.1 == epoch)
-            .copied()
-            .collect();
-        in_flight.sort_unstable(); // deterministic world-callback order
-        for key in in_flight {
-            self.live.remove(&key);
-            if let Some(fs) = &mut self.faults {
-                fs.programs.remove(&key);
-                fs.delayed.remove(&key);
-            }
-            let mut ctx = Ctx {
-                queue: &mut self.queue,
-                epochs: &self.epochs,
-            };
-            self.world.cancelled(&mut ctx, client, key.2);
+        for token in vm.in_flight_tokens() {
+            self.ask(|world, ctx| world.cancelled(ctx, client, token));
         }
         self.epochs[client] += 1;
         true
@@ -544,25 +511,26 @@ impl<W: CommandWorld> SimDriver<W> {
             Some(None) => {}
             _ => return, // still alive, or out of range
         }
-        let next = {
-            let mut ctx = Ctx {
-                queue: &mut self.queue,
-                epochs: &self.epochs,
-            };
-            self.world.restart_client(&mut ctx, client)
-        };
-        if let Some((mut vm, at)) = next {
-            vm.set_log_detail(false);
-            if let Some(sink) = &self.tracer {
-                vm.set_tracer(sink.clone(), client as i64);
-            }
-            self.vms[client] = Some(vm);
-            if at <= now {
+        if let Some((vm, at)) = self.ask(|world, ctx| world.restart_client(ctx, client)) {
+            if self.install(client, vm, at, now) {
                 self.tick_client(client, now);
-            } else {
-                self.queue.schedule_keyed(client, at, SimEv::Wake(client));
             }
         }
+    }
+
+    /// Put the world's next VM for `client` in its slot, set up the way
+    /// the driver runs every VM. Returns whether it starts right now;
+    /// otherwise its first wake-up is on the queue.
+    fn install(&mut self, client: ClientId, mut vm: Vm, at: Time, now: Time) -> bool {
+        vm.set_log_detail(false);
+        if let Some(sink) = &self.tracer {
+            vm.set_tracer(sink.clone(), client as i64);
+        }
+        self.vms[client] = Some(vm);
+        if at > now {
+            self.queue.schedule_keyed(client, at, SimEv::Wake(client));
+        }
+        at <= now
     }
 
     /// The instant client `client`'s VM observes when ticked at `now`:
@@ -600,60 +568,47 @@ impl<W: CommandWorld> SimDriver<W> {
         }
     }
 
+    /// A completion arrives for `client`'s command `token`, issued in
+    /// work unit `epoch`. Delivered only if that unit is still current
+    /// and its VM still waits on the token; channel faults apply to
+    /// what is deliverable.
     fn deliver(
         &mut self,
         client: ClientId,
-        epoch: u64,
+        epoch: u32,
         token: CmdToken,
-        result: CmdResult,
+        mut result: CmdResult,
+        delayed: bool,
         now: Time,
     ) {
-        let key = (client, epoch, token);
-        if self.cancelled.remove(&key) {
-            if let Some(fs) = &mut self.faults {
-                fs.programs.remove(&key);
-                fs.delayed.remove(&key);
-            }
-            return; // the try deadline beat the completion
-        }
-        if epoch != self.epochs[client] || !self.live.contains(&key) {
+        if epoch != self.epochs[client] {
             return; // unit already retired
         }
-        let mut result = result;
+        let Some(vm) = self.vms[client].as_mut() else {
+            return;
+        };
+        let Some(program) = vm.in_flight(token) else {
+            return; // the try deadline beat the completion
+        };
         if let Some(fs) = &mut self.faults {
-            if fs.track_programs {
-                if let Some(program) = fs.programs.get(&key) {
-                    // A latency spike holds the message once; on its
-                    // delayed arrival it is subject to loss as usual.
-                    if !fs.delayed.contains(&key) {
-                        if let Some(extra) = fs.latency_extra(program, now) {
-                            fs.delayed.insert(key);
-                            self.queue.schedule_keyed(
-                                client,
-                                now + extra,
-                                SimEv::CmdDone {
-                                    client,
-                                    epoch,
-                                    token,
-                                    result,
-                                },
-                            );
-                            return;
-                        }
-                    }
-                    let program = program.clone();
-                    if fs.lose(&program, now) {
-                        result = CmdResult::fail();
-                    }
-                }
-                fs.programs.remove(&key);
-                fs.delayed.remove(&key);
+            // A latency spike holds the message once; on its delayed
+            // arrival it is subject to loss as usual.
+            if let (false, Some(extra)) = (delayed, fs.latency_extra(program, now)) {
+                let held = SimEv::CmdDone {
+                    client,
+                    epoch,
+                    token,
+                    result,
+                    delayed: true,
+                };
+                self.queue.schedule_keyed(client, now + extra, held);
+                return;
+            }
+            if fs.lose(program, now) {
+                result = CmdResult::fail();
             }
         }
-        self.live.remove(&key);
-        if let Some(vm) = self.vms[client].as_mut() {
-            vm.complete(token, result);
-        }
+        vm.complete(token, result);
         self.tick_client(client, now);
     }
 
@@ -667,77 +622,52 @@ impl<W: CommandWorld> SimDriver<W> {
             self.vm_ticks += 1;
             let status = vm.tick_into(vm_now, &mut effects);
             let mut completed_inline = false;
-            for eff in effects.drain(..) {
+            let mut next = 0;
+            while let Some(eff) = effects.get(next) {
+                next += 1;
                 match eff {
                     Effect::Start { token, spec, .. } => {
-                        let outcome = {
-                            let mut ctx = Ctx {
-                                queue: &mut self.queue,
-                                epochs: &self.epochs,
-                            };
-                            self.world.exec(&mut ctx, client, token, &spec)
-                        };
-                        match outcome {
+                        let token = *token;
+                        match self.ask(|world, ctx| world.exec(ctx, client, token, spec)) {
                             ExecOutcome::Now(result) => {
                                 let vm = self.vms[client].as_mut().expect("vm present");
                                 vm.complete(token, result);
                                 completed_inline = true;
+                                // A `forall` sibling can fail in the very
+                                // tick that started this command. The
+                                // world has answered already, so the
+                                // cancel queued behind has nothing to
+                                // release.
+                                let cancel = Effect::Cancel { token };
+                                if let Some(i) = effects[next..].iter().position(|e| *e == cancel) {
+                                    effects.remove(next + i);
+                                }
                             }
                             ExecOutcome::At(at, result) => {
-                                let epoch = self.epochs[client];
-                                self.live.insert((client, epoch, token));
-                                if let Some(fs) = &mut self.faults {
-                                    if fs.track_programs {
-                                        fs.programs.insert(
-                                            (client, epoch, token),
-                                            spec.program().to_string(),
-                                        );
-                                    }
-                                }
-                                self.queue.schedule_keyed(
+                                let done = SimEv::CmdDone {
                                     client,
-                                    at,
-                                    SimEv::CmdDone {
-                                        client,
-                                        epoch,
-                                        token,
-                                        result,
-                                    },
-                                );
+                                    epoch: self.epochs[client],
+                                    token,
+                                    result,
+                                    delayed: false,
+                                };
+                                self.queue.schedule_keyed(client, at, done);
                             }
-                            ExecOutcome::Held => {
-                                let epoch = self.epochs[client];
-                                self.live.insert((client, epoch, token));
-                                if let Some(fs) = &mut self.faults {
-                                    if fs.track_programs {
-                                        fs.programs.insert(
-                                            (client, epoch, token),
-                                            spec.program().to_string(),
-                                        );
-                                    }
-                                }
-                            }
-                        }
-                        // The spec has served its purpose; hand its
-                        // argv buffer back for the next dispatch.
-                        if let Some(vm) = self.vms[client].as_mut() {
-                            vm.recycle_spec(spec);
+                            ExecOutcome::Held => {}
                         }
                     }
                     Effect::Cancel { token } => {
-                        let epoch = self.epochs[client];
-                        if self.live.remove(&(client, epoch, token)) {
-                            self.cancelled.insert((client, epoch, token));
-                            if let Some(fs) = &mut self.faults {
-                                fs.programs.remove(&(client, epoch, token));
-                            }
-                            let mut ctx = Ctx {
-                                queue: &mut self.queue,
-                                epochs: &self.epochs,
-                            };
-                            self.world.cancelled(&mut ctx, client, token);
-                        }
+                        let token = *token;
+                        self.ask(|world, ctx| world.cancelled(ctx, client, token));
                     }
+                }
+            }
+            // The specs have served their purpose; hand their argv
+            // buffers back for the next dispatch.
+            let vm = self.vms[client].as_mut().expect("vm present");
+            for eff in effects.drain(..) {
+                if let Effect::Start { spec, .. } = eff {
+                    vm.recycle_spec(spec);
                 }
             }
             if completed_inline {
@@ -748,35 +678,18 @@ impl<W: CommandWorld> SimDriver<W> {
                     // Retire the unit; its epoch's stale completions
                     // will be dropped on arrival.
                     self.epochs[client] += 1;
-                    let mut retired = self.vms[client].take();
-                    if let Some(vm) = &retired {
-                        self.log_totals += vm.log().summary();
-                    }
-                    let next = {
-                        let mut ctx = Ctx {
-                            queue: &mut self.queue,
-                            epochs: &self.epochs,
-                        };
-                        self.world.unit_done(&mut ctx, client, success)
+                    let mut retired = self.vms[client].take().expect("vm present");
+                    self.log_totals += retired.log().summary();
+                    let Some((mut vm, at)) =
+                        self.ask(|world, ctx| world.unit_done(ctx, client, success))
+                    else {
+                        break 'driving; // client retired
                     };
-                    match next {
-                        Some((mut vm, at)) => {
-                            if let Some(old) = retired.as_mut() {
-                                vm.adopt_spares(old);
-                            }
-                            vm.set_log_detail(false);
-                            if let Some(sink) = &self.tracer {
-                                vm.set_tracer(sink.clone(), client as i64);
-                            }
-                            self.vms[client] = Some(vm);
-                            if at <= now {
-                                continue; // start immediately
-                            }
-                            self.queue.schedule_keyed(client, at, SimEv::Wake(client));
-                            break 'driving;
-                        }
-                        None => break 'driving, // client retired
+                    vm.adopt_spares(&mut retired);
+                    if self.install(client, vm, at, now) {
+                        continue; // start immediately
                     }
+                    break 'driving;
                 }
                 VmStatus::Running { next_wake: Some(t) } => {
                     let t = self.unskew(client, t);
@@ -926,6 +839,62 @@ mod tests {
     }
 
     #[test]
+    fn cancelled_held_commands_leave_no_residue() {
+        // 1 000 units, each holding one command until its 1 s `try`
+        // deadline kills it (a unit every 2 s). A held command that
+        // dies this way never completes, so nothing would ever clean up
+        // a driver-side record of it; the only record of a command in
+        // flight is its VM's, and that goes with the cancel.
+        let world = ToyWorld {
+            fail_first: 0,
+            failures_injected: 0,
+            successes: 0,
+            units: 0,
+            max_units: 1000,
+            script: "try for 1 second or 1 times\n hang\nend\n",
+            cancel_count: 0,
+        };
+        let vm = world.vm(0);
+        let mut d = SimDriver::new(world, vec![vm]);
+        // Inside the last unit: 999 kills behind, one command held.
+        d.run_until(Time::from_secs(1998) + Dur::from_millis(500));
+        assert_eq!(d.world.cancel_count, 999);
+        let vm = d.vms[0].as_ref().expect("last unit running");
+        assert_eq!(vm.in_flight_tokens(), [0]);
+        d.run_until(Time::from_secs(100_000));
+        assert_eq!((d.world.units, d.world.cancel_count), (1000, 1000));
+        assert!(d
+            .vms
+            .iter()
+            .flatten()
+            .all(|vm| vm.in_flight_tokens().is_empty()));
+        assert!(d.queue.is_empty(), "nothing left to arrive");
+    }
+
+    #[test]
+    fn command_answered_inline_is_not_cancelled_afterwards() {
+        // Branch `a` starts a command the world answers on the spot;
+        // branch `b` fails in the same tick, so the VM queues a cancel
+        // for that command right behind its start. The world no longer
+        // holds it and must not be asked to release it.
+        let world = ToyWorld {
+            fail_first: 0,
+            failures_injected: 0,
+            successes: 0,
+            units: 0,
+            max_units: 1,
+            script: "forall x in a b\n if ${x} .eql. a\n  instant\n else\n  failure\n end\nend\n",
+            cancel_count: 0,
+        };
+        let vm = world.vm(0);
+        let mut d = SimDriver::new(world, vec![vm]);
+        d.run_until(Time::from_secs(10));
+        assert_eq!((d.world.units, d.world.successes), (1, 0));
+        assert_eq!(d.world.cancel_count, 0);
+        assert_eq!(d.vm_ticks(), 2, "the inline answer earns one more tick");
+    }
+
+    #[test]
     fn many_clients_interleave() {
         let world = ToyWorld {
             fail_first: 0,
@@ -1013,6 +982,9 @@ mod epoch_tests {
     struct StaleWorld {
         delivered: u32,
         units: u32,
+        /// `Some(lag)`: the command is instead scheduled with
+        /// [`ExecOutcome::At`], `lag` ahead.
+        at_lag: Option<Dur>,
     }
 
     impl CommandWorld for StaleWorld {
@@ -1025,6 +997,9 @@ mod epoch_tests {
             token: CmdToken,
             _spec: &CommandSpec,
         ) -> ExecOutcome {
+            if let Some(lag) = self.at_lag {
+                return ExecOutcome::At(ctx.now() + lag, CmdResult::ok("stale"));
+            }
             // Schedule a completion far in the future — after the unit
             // will have died and been replaced.
             ctx.schedule_completion(
@@ -1062,20 +1037,28 @@ mod epoch_tests {
 
     #[test]
     fn stale_completions_never_cross_unit_epochs() {
-        let script = parse("try for 5 seconds or 1 times\n hang\nend\n").unwrap();
-        let vm = Vm::with_seed(&script, 0);
-        let world = StaleWorld {
-            delivered: 0,
-            units: 0,
-        };
-        let mut d = SimDriver::new(world, vec![vm]);
-        // Run long enough for all stale completions (t+100s) to fire.
-        d.run_until(Time::from_secs(1000));
-        assert_eq!(d.world.units, 3, "three units each timed out");
-        assert_eq!(
-            d.world.delivered, 0,
-            "no stale completion may succeed a later unit"
-        );
+        // Held with a completion 100 s out: it fires after every unit
+        // is gone. `At` 7 s out: the first unit's completion fires at
+        // t = 7 s, while the second unit (5 s..10 s) waits on a command
+        // of its own with the very same token number — only the epoch
+        // tells them apart.
+        for at_lag in [None, Some(Dur::from_secs(7))] {
+            let script = parse("try for 5 seconds or 1 times\n hang\nend\n").unwrap();
+            let vm = Vm::with_seed(&script, 0);
+            let world = StaleWorld {
+                delivered: 0,
+                units: 0,
+                at_lag,
+            };
+            let mut d = SimDriver::new(world, vec![vm]);
+            // Run long enough for all stale completions (t+100s) to fire.
+            d.run_until(Time::from_secs(1000));
+            assert_eq!(d.world.units, 3, "three units each timed out");
+            assert_eq!(
+                d.world.delivered, 0,
+                "no stale completion may succeed a later unit"
+            );
+        }
     }
 }
 
@@ -1095,6 +1078,8 @@ mod fault_tests {
         units: u32,
         max_units: u32,
         cancel_count: u32,
+        /// Tokens the driver reported cancelled, in callback order.
+        cancelled: Vec<CmdToken>,
         injected: Vec<String>,
         revive: bool,
         revivals: u32,
@@ -1107,6 +1092,7 @@ mod fault_tests {
                 units: 0,
                 max_units,
                 cancel_count: 0,
+                cancelled: Vec::new(),
                 injected: Vec::new(),
                 revive: false,
                 revivals: 0,
@@ -1142,8 +1128,9 @@ mod fault_tests {
             }
         }
 
-        fn cancelled(&mut self, _ctx: &mut Ctx<'_, ()>, _client: ClientId, _token: CmdToken) {
+        fn cancelled(&mut self, _ctx: &mut Ctx<'_, ()>, _client: ClientId, token: CmdToken) {
             self.cancel_count += 1;
+            self.cancelled.push(token);
         }
 
         fn on_event(&mut self, _ctx: &mut Ctx<'_, ()>, _ev: ()) -> Vec<Completion> {
@@ -1226,6 +1213,57 @@ mod fault_tests {
         d.run_until(Time::from_secs(100));
         assert_eq!(d.world.successes, 1, "delayed is not lost");
         assert_eq!(d.now(), Time::from_secs(7));
+    }
+
+    #[test]
+    fn spiked_then_cancelled_completion_is_dropped_without_a_tick() {
+        // +5 s on `work`: its t = 2 s completion is held to t = 7 s.
+        // The 4 s deadline cancels the command first; the script
+        // catches that and moves on to `hang` (token 1, held until its
+        // own deadline at t = 14 s). When the held message arrives the
+        // unit is still current, but its VM no longer waits on token 0,
+        // so the message is dropped: the world hears of each cancel
+        // exactly once and the VM is ticked three times (start,
+        // t = 4 s, t = 14 s), not four.
+        let script = "try for 4 seconds or 1 times\n work\ncatch\n success\nend\n\
+                      try for 10 seconds or 1 times\n hang\nend\n";
+        let mut d = SimDriver::new(WorkWorld::new(1), vec![WorkWorld::vm(script, 0)]);
+        d.arm_faults(FaultPlan::new(1).with(FaultSpec::once(
+            Time::ZERO,
+            FaultKind::LatencySpike {
+                channel: "work".into(),
+                extra: Dur::from_secs(5),
+                duration: Dur::from_secs(60),
+            },
+        )));
+        d.run_until(Time::from_secs(10));
+        assert_eq!(d.now(), Time::from_secs(7), "the held message did arrive");
+        assert_eq!((d.world.cancelled.as_slice(), d.vm_ticks()), (&[0][..], 2));
+        d.run_until(Time::from_secs(100));
+        assert_eq!(d.world.cancelled, [0, 1]);
+        assert_eq!(d.vm_ticks(), 3);
+        assert_eq!((d.world.units, d.world.successes), (1, 0));
+    }
+
+    #[test]
+    fn client_kill_cancels_in_flight_commands_in_token_order() {
+        // Four `forall` branches start tokens 0..=3; `work` (token 0)
+        // completes at t = 2 s, which reshuffles the VM's in-flight
+        // table. The kill at t = 3 s finds three commands in flight
+        // and must release them lowest token first, whatever order the
+        // VM keeps them in.
+        let script = "forall x in work hang hang hang\n ${x}\nend\n";
+        let mut d = SimDriver::new(WorkWorld::new(1), vec![WorkWorld::vm(script, 0)]);
+        d.arm_faults(FaultPlan::new(1).with(FaultSpec::once(
+            Time::from_secs(3),
+            FaultKind::ClientKill {
+                client: 0,
+                restart: None,
+            },
+        )));
+        d.run_until(Time::from_secs(100));
+        assert_eq!(d.world.cancelled, [1, 2, 3]);
+        assert_eq!(d.world.units, 0, "killed mid-unit");
     }
 
     #[test]

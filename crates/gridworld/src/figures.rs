@@ -150,7 +150,7 @@ fn series_per_discipline(set: &mut SeriesSet, ns: &[usize], values: Vec<f64>) {
 }
 
 /// Scale of a figure run: `full` matches the paper's population sizes
-/// and windows; `quick` is a reduced version for CI and Criterion.
+/// and windows; `quick` is a reduced version for CI.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Paper-scale populations and windows.

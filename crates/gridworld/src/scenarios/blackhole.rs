@@ -16,7 +16,6 @@ use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
 use simgrid::{Admission, FileServer, Series, ServerKind, SimRng};
-use std::collections::HashMap;
 
 /// Parameters of the reader scenario (defaults: the paper's numbers).
 #[derive(Clone, Debug)]
@@ -94,24 +93,26 @@ pub enum BlackHoleEv {
     },
 }
 
+/// One `wget` connected to a replica: the job a server queues.
+#[derive(Clone, Copy, Debug)]
+struct Fetch {
+    client: ClientId,
+    token: CmdToken,
+    /// Bytes requested.
+    size: u64,
+}
+
 /// The replica-servers world.
 pub struct BlackHoleWorld {
     params: BlackHoleParams,
     /// The effective fault plan (custom or built-in physics).
     fault_plan: FaultPlan,
-    /// Which servers are currently black holes (toggled by injected
-    /// [`FaultKind::ServerBlackHole`] faults).
-    black_hole: Vec<bool>,
     script: Script,
     rng: SimRng,
-    servers: Vec<FileServer<(ClientId, CmdToken)>>,
-    server_seq: Vec<u64>,
-    /// The connection currently being served, per server.
-    active_transfer: Vec<Option<(ClientId, CmdToken)>>,
-    /// Bytes requested per in-flight connection.
-    request_size: HashMap<(ClientId, CmdToken), u64>,
-    /// Which server each in-flight connection is on.
-    conn_server: HashMap<(ClientId, CmdToken), usize>,
+    /// The replicas, in `params.servers` order; which of them are
+    /// black holes right now is each server's own kind (toggled by
+    /// injected [`FaultKind::ServerBlackHole`] faults).
+    servers: Vec<FileServer<Fetch>>,
     /// Successful 100 MB transfers.
     pub transfers: u64,
     /// Failed/killed data-transfer attempts (Figure 6's collisions).
@@ -137,36 +138,17 @@ impl BlackHoleWorld {
             .fault_plan
             .clone()
             .unwrap_or_else(|| params.builtin_fault_plan());
-        let black_hole: Vec<bool> = params
+        let traps = fault_plan.black_hole_physics().unwrap_or_default();
+        let servers = params
             .servers
             .iter()
-            .map(|name| {
-                fault_plan
-                    .black_hole_physics()
-                    .is_some_and(|traps| traps.iter().any(|t| t == name))
-            })
-            .collect();
-        let servers = black_hole
-            .iter()
-            .map(|&trap| {
-                let kind = if trap {
-                    ServerKind::BlackHole
-                } else {
-                    ServerKind::Normal
-                };
-                FileServer::new(kind, params.bandwidth)
-            })
+            .map(|name| FileServer::new(server_kind(traps.contains(name))))
             .collect();
         BlackHoleWorld {
             script: reader_script(params.discipline),
-            fault_plan,
-            black_hole,
             rng: SimRng::new(params.seed),
-            server_seq: vec![0; params.servers.len()],
-            active_transfer: vec![None; params.servers.len()],
             servers,
-            request_size: HashMap::new(),
-            conn_server: HashMap::new(),
+            fault_plan,
             transfers: 0,
             collisions: 0,
             deferrals: 0,
@@ -183,24 +165,18 @@ impl BlackHoleWorld {
         self.params.servers.iter().position(|s| s == host)
     }
 
-    /// Start serving the given connection: schedule its completion.
-    fn start_transfer(
-        &mut self,
-        ctx: &mut Ctx<'_, BlackHoleEv>,
-        server: usize,
-        conn: (ClientId, CmdToken),
-    ) {
-        let size = self.request_size[&conn];
-        self.server_seq[server] += 1;
-        self.active_transfer[server] = Some(conn);
-        let dur = self.servers[server].transfer_time(size);
-        ctx.schedule(
-            ctx.now() + dur,
-            BlackHoleEv::TransferDone {
-                server,
-                seq: self.server_seq[server],
-            },
-        );
+    /// How long a transfer of `bytes` takes once being served.
+    fn transfer_time(&self, bytes: u64) -> Dur {
+        Dur::from_secs_f64(bytes as f64 / self.params.bandwidth as f64)
+    }
+
+    /// `server` began service `seq`, if it began one: schedule the end
+    /// of the transfer now at its head.
+    fn begin_transfer(&self, ctx: &mut Ctx<'_, BlackHoleEv>, server: usize, seq: Option<u64>) {
+        if let (Some(seq), Some(job)) = (seq, self.servers[server].serving()) {
+            let at = ctx.now() + self.transfer_time(job.size);
+            ctx.schedule(at, BlackHoleEv::TransferDone { server, seq });
+        }
     }
 
     fn unit_env(&mut self) -> ftsh::Env {
@@ -229,6 +205,14 @@ impl BlackHoleWorld {
             self.collision_series.push(now, self.collisions as f64);
             simgrid::trace::emit(&self.trace, now, client as i64, NO_ID, TraceEv::Collision);
         }
+    }
+}
+
+fn server_kind(black_hole: bool) -> ServerKind {
+    if black_hole {
+        ServerKind::BlackHole
+    } else {
+        ServerKind::Normal
     }
 }
 
@@ -264,43 +248,35 @@ impl CommandWorld for BlackHoleWorld {
         } else {
             self.params.data_size
         };
-        if path == "flag" && !self.black_hole[server] {
+        if path == "flag" && self.servers[server].kind() == ServerKind::Normal {
             // A live server answers the one-byte liveness probe promptly
             // even while a bulk transfer occupies its data channel —
             // carrier sensing distinguishes dead from busy (§5). Only a
             // black hole leaves the probe hanging.
-            let dur = self.params.connect_latency + self.servers[server].transfer_time(size);
+            let dur = self.params.connect_latency + self.transfer_time(size);
             return ExecOutcome::At(ctx.now() + dur, CmdResult::ok(""));
         }
-        let conn = (client, token);
-        self.request_size.insert(conn, size);
-        self.conn_server.insert(conn, server);
-        match self.servers[server].connect(conn) {
-            Admission::Serving => {
-                self.start_transfer(ctx, server, conn);
-                ExecOutcome::Held
-            }
-            Admission::Queued | Admission::Hung => ExecOutcome::Held,
+        let job = Fetch {
+            client,
+            token,
+            size,
+        };
+        if let Admission::Serving(seq) = self.servers[server].connect(job) {
+            self.begin_transfer(ctx, server, Some(seq));
         }
+        ExecOutcome::Held
     }
 
     fn cancelled(&mut self, ctx: &mut Ctx<'_, BlackHoleEv>, client: ClientId, token: CmdToken) {
-        let conn = (client, token);
-        let Some(server) = self.conn_server.remove(&conn) else {
-            return;
-        };
-        let size = self.request_size.remove(&conn).unwrap_or(0);
-        let was_flag = size == self.params.flag_size;
-        self.record_miss(ctx.now(), client, was_flag);
-        if self.active_transfer[server] == Some(conn) {
-            // The killed client was the one being served: invalidate
-            // its completion and promote the next in line.
-            self.server_seq[server] += 1;
-            self.active_transfer[server] = None;
-        }
-        let d = self.servers[server].disconnect(conn);
-        if let Some(next) = d.promoted {
-            self.start_transfer(ctx, server, next);
+        // Whichever server the connection is on lets it go; if it was
+        // the one being served, the next in line takes over.
+        for server in 0..self.servers.len() {
+            let left = self.servers[server].disconnect(|j| (j.client, j.token) == (client, token));
+            if let Some(job) = left.job {
+                self.record_miss(ctx.now(), client, job.size == self.params.flag_size);
+                self.begin_transfer(ctx, server, left.started);
+                return;
+            }
         }
     }
 
@@ -311,21 +287,12 @@ impl CommandWorld for BlackHoleWorld {
     ) -> Vec<Completion> {
         if let FaultKind::ServerBlackHole { server, enable } = kind {
             if let Some(idx) = self.host_index(server) {
-                if *enable && self.active_transfer[idx].take().is_some() {
-                    // The in-flight transfer falls silent: invalidate
-                    // its scheduled completion. The client stays
-                    // connected (Held) until its own deadline fires.
-                    self.server_seq[idx] += 1;
-                }
-                self.black_hole[idx] = *enable;
-                let new_kind = if *enable {
-                    ServerKind::BlackHole
-                } else {
-                    ServerKind::Normal
-                };
-                if let Some(next) = self.servers[idx].set_kind(new_kind) {
-                    self.start_transfer(ctx, idx, next);
-                }
+                // Collapsing, the in-flight transfer falls silent (its
+                // scheduled completion goes stale) and the client stays
+                // connected (Held) until its own deadline fires;
+                // recovering, the head of the line resumes.
+                let resumed = self.servers[idx].set_kind(server_kind(*enable));
+                self.begin_transfer(ctx, idx, resumed);
             }
         }
         Vec::new()
@@ -335,27 +302,20 @@ impl CommandWorld for BlackHoleWorld {
         let mut out = Vec::new();
         match ev {
             BlackHoleEv::TransferDone { server, seq } => {
-                if seq != self.server_seq[server] {
+                let Some((job, next)) = self.servers[server].finish(seq) else {
                     return out; // that transfer was killed
-                }
-                let Some(conn) = self.active_transfer[server].take() else {
-                    return out;
                 };
-                let size = self.request_size.remove(&conn).unwrap_or(0);
-                self.conn_server.remove(&conn);
-                if size == self.params.data_size {
+                if job.size == self.params.data_size {
                     self.transfers += 1;
                     self.transfer_series.push(ctx.now(), self.transfers as f64);
-                    self.per_client_successes[conn.0].push(ctx.now());
+                    self.per_client_successes[job.client].push(ctx.now());
                 }
                 out.push(Completion {
-                    client: conn.0,
-                    token: conn.1,
+                    client: job.client,
+                    token: job.token,
                     result: CmdResult::ok(""),
                 });
-                if let Some(next) = self.servers[server].finish_current() {
-                    self.start_transfer(ctx, server, next);
-                }
+                self.begin_transfer(ctx, server, next);
                 out
             }
         }
@@ -553,6 +513,16 @@ mod tests {
         let b = run(Discipline::Aloha);
         assert_eq!(a.transfers, b.transfers);
         assert_eq!(a.collisions, b.collisions);
+    }
+
+    #[test]
+    fn transfer_time_scales_with_size() {
+        let w = BlackHoleWorld::new(BlackHoleParams::default());
+        let t = w.transfer_time(100 << 20);
+        assert!(
+            (t.as_secs_f64() - 10.0).abs() < 1e-9,
+            "100MB at 10MB/s is 10s"
+        );
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! * [`DiskBuffer`] — a shared output buffer with in-progress vs.
 //!   complete files, mid-write ENOSPC, and the paper's free-space
 //!   estimator for carrier sense;
-//! * [`FileServer`] — a single-threaded file server with a FIFO accept
-//!   queue, or a *black hole* that accepts connections and never sends
-//!   a byte.
+//! * [`FileServer`] — the single-threaded server with a FIFO accept
+//!   queue, or a *black hole* that accepts connections and never
+//!   serves them. Generic over its jobs and free of any clock: the
+//!   replica file servers of the third scenario and the key store of
+//!   the coordinated workloads are both this one model.
 //!
 //! Time is `retry::Time` — the same virtual instants the ftsh VM
 //! consumes — so whole populations of VMs can be multiplexed over one
@@ -26,6 +28,7 @@
 pub mod channel;
 pub mod events;
 pub mod faults;
+pub mod json;
 pub mod metrics;
 pub mod postmortem;
 pub mod resources;

@@ -15,8 +15,8 @@
 //!
 //! * **Traces off ⇒ zero cost.** Emission sites are guarded by a
 //!   single `Option` test; no allocation, no formatting, no lock when
-//!   no sink is installed. The `engine` bench and `figures --stats`
-//!   hold this at ≤ 2% of the committed baseline.
+//!   no sink is installed. `figures --stats` holds this at ≤ 2% of
+//!   the committed baseline.
 //! * **Bit-determinism per seed.** Records carry integer microsecond
 //!   timestamps and serialize with a fixed field order, so two runs at
 //!   the same seed produce byte-identical JSONL — traces are
@@ -24,6 +24,7 @@
 //!   per-point buffers in point order to match the sequential run
 //!   exactly.
 
+use crate::json::{self, Value};
 use crate::metrics::json_escape;
 use retry::{Dur, Time};
 use std::collections::VecDeque;
@@ -235,35 +236,25 @@ impl TraceRecord {
     ///
     /// [`to_json_line`]: TraceRecord::to_json_line
     pub fn parse_json_line(line: &str) -> Result<TraceRecord, String> {
-        let fields = parse_flat_object(line)?;
-        let num = |k: &str| -> Result<i64, String> {
-            match fields.iter().find(|(key, _)| key == k) {
-                Some((_, JVal::Num(n))) => Ok(*n),
-                Some(_) => Err(format!("field {k:?} is not a number")),
-                None => Err(format!("missing field {k:?}")),
-            }
-        };
+        let doc = json::parse(line)?;
+        let fields = doc.as_object().ok_or("expected a JSON object")?;
+        let field = |k: &str| json::get(fields, k).ok_or_else(|| format!("missing field {k:?}"));
         let opt_num = |k: &str| -> Result<Option<i64>, String> {
-            match fields.iter().find(|(key, _)| key == k) {
-                Some((_, JVal::Num(n))) => Ok(Some(*n)),
-                Some((_, JVal::Null)) => Ok(None),
-                Some(_) => Err(format!("field {k:?} is not a number or null")),
-                None => Err(format!("missing field {k:?}")),
+            match field(k)? {
+                Value::Int(n) => Ok(Some(*n)),
+                Value::Null => Ok(None),
+                _ => Err(format!("field {k:?} is not an integer or null")),
             }
         };
+        let num = |k: &str| opt_num(k)?.ok_or_else(|| format!("field {k:?} is not an integer"));
         let text = |k: &str| -> Result<String, String> {
-            match fields.iter().find(|(key, _)| key == k) {
-                Some((_, JVal::Str(s))) => Ok(s.clone()),
-                Some(_) => Err(format!("field {k:?} is not a string")),
-                None => Err(format!("missing field {k:?}")),
-            }
+            let s = field(k)?.as_str();
+            Ok(s.ok_or_else(|| format!("field {k:?} is not a string"))?
+                .to_string())
         };
         let flag = |k: &str| -> Result<bool, String> {
-            match fields.iter().find(|(key, _)| key == k) {
-                Some((_, JVal::Bool(b))) => Ok(*b),
-                Some(_) => Err(format!("field {k:?} is not a bool")),
-                None => Err(format!("missing field {k:?}")),
-            }
+            let b = field(k)?.as_bool();
+            b.ok_or_else(|| format!("field {k:?} is not a bool"))
         };
         let tag = text("ev")?;
         let ev = match tag.as_str() {
@@ -315,116 +306,6 @@ impl TraceRecord {
             ev,
         })
     }
-}
-
-/// A scalar value inside one flat JSON object.
-enum JVal {
-    Num(i64),
-    Str(String),
-    Bool(bool),
-    Null,
-}
-
-/// Minimal scanner for the flat (non-nested) JSON objects this module
-/// emits; the workspace deliberately carries no serde dependency.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, JVal)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = Vec::new();
-    if chars.next() != Some('{') {
-        return Err("expected '{'".into());
-    }
-    loop {
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-        match chars.peek() {
-            Some('}') => {
-                chars.next();
-                break;
-            }
-            Some(',') => {
-                chars.next();
-                continue;
-            }
-            Some('"') => {}
-            _ => return Err("expected key".into()),
-        }
-        let key = parse_string(&mut chars)?;
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-        if chars.next() != Some(':') {
-            return Err(format!("missing ':' after {key:?}"));
-        }
-        while chars.peek().is_some_and(|c| c.is_whitespace()) {
-            chars.next();
-        }
-        let val = match chars.peek() {
-            Some('"') => JVal::Str(parse_string(&mut chars)?),
-            Some('t') => {
-                expect_word(&mut chars, "true")?;
-                JVal::Bool(true)
-            }
-            Some('f') => {
-                expect_word(&mut chars, "false")?;
-                JVal::Bool(false)
-            }
-            Some('n') => {
-                expect_word(&mut chars, "null")?;
-                JVal::Null
-            }
-            Some(c) if *c == '-' || c.is_ascii_digit() => {
-                let mut s = String::new();
-                while chars
-                    .peek()
-                    .is_some_and(|c| *c == '-' || c.is_ascii_digit())
-                {
-                    s.push(chars.next().expect("peeked"));
-                }
-                JVal::Num(s.parse().map_err(|e| format!("bad number {s:?}: {e}"))?)
-            }
-            _ => return Err(format!("bad value for {key:?}")),
-        };
-        fields.push((key, val));
-    }
-    Ok(fields)
-}
-
-fn parse_string(chars: &mut std::iter::Peekable<std::str::Chars>) -> Result<String, String> {
-    if chars.next() != Some('"') {
-        return Err("expected '\"'".into());
-    }
-    let mut out = String::new();
-    loop {
-        match chars.next() {
-            None => return Err("unterminated string".into()),
-            Some('"') => return Ok(out),
-            Some('\\') => match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('t') => out.push('\t'),
-                Some('u') => {
-                    let hex: String = (0..4).filter_map(|_| chars.next()).collect();
-                    let code = u32::from_str_radix(&hex, 16)
-                        .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                    out.push(char::from_u32(code).ok_or("bad codepoint")?);
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            Some(c) => out.push(c),
-        }
-    }
-}
-
-fn expect_word(chars: &mut std::iter::Peekable<std::str::Chars>, word: &str) -> Result<(), String> {
-    for want in word.chars() {
-        if chars.next() != Some(want) {
-            return Err(format!("expected {word:?}"));
-        }
-    }
-    Ok(())
 }
 
 /// Receives trace records. Implementations must be cheap: emission
@@ -686,6 +567,17 @@ mod tests {
             let back = TraceRecord::parse_json_line(&line).expect("parses");
             assert_eq!(back, r, "roundtrip failed for {line}");
         }
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_round_trip_exactly() {
+        // The shared reader keeps integer literals as integers; routed
+        // through `f64`, 2^53 + 1 would come back as 2^53.
+        let big = (1u64 << 53) + 1;
+        let r = rec(big, 3, TraceEv::QueueClamps { count: big + 2 });
+        let line = r.to_json_line();
+        assert!(line.contains("9007199254740993") && line.contains("9007199254740995"));
+        assert_eq!(TraceRecord::parse_json_line(&line).unwrap(), r);
     }
 
     #[test]
