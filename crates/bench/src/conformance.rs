@@ -425,14 +425,8 @@ pub fn run_real(script: &Script, plan: &FaultPlan) -> std::io::Result<Observatio
     })
 }
 
-/// Diff two observations into human-readable divergences, with the
-/// default `sim`/`real` side labels.
-pub fn diff(sim: &Observation, real: &Observation) -> Vec<String> {
-    diff_labeled(sim, real, "sim", "real")
-}
-
-/// Diff two observations, naming each side (`tree`, `byte`, `real`,
-/// …) in the rendered divergences.
+/// Diff two observations into human-readable divergences, naming
+/// each side (`tree`, `byte`, `real`, …) in them.
 pub fn diff_labeled(a: &Observation, b: &Observation, an: &str, bn: &str) -> Vec<String> {
     let mut out = Vec::new();
     if a.success != b.success {
@@ -581,11 +575,12 @@ mod tests {
             trace_counts: [("cmd-start", 2)].into_iter().collect(),
         };
         let mut b = a.clone();
-        assert!(diff(&a, &b).is_empty());
+        assert!(diff_labeled(&a, &b, "sim", "real").is_empty());
         b.success = false;
         b.bindings.insert("x".into(), "2".into());
         b.trace_counts.insert("cmd-start", 3);
-        let d = diff(&a, &b);
+        let d = diff_labeled(&a, &b, "sim", "real");
         assert_eq!(d.len(), 3, "{d:?}");
+        assert!(d[1].contains("sim=\"1\" real=\"2\""), "{d:?}");
     }
 }

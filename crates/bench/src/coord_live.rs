@@ -9,10 +9,13 @@
 //! per peer, summed) and the round bookkeeping; barriers, retries and
 //! backoff are the script's.
 //!
-//! The daemon's file server mirrors the sim's store (`coord::Store`): a
-//! single-server FIFO where a blind `get` miss is an expensive
-//! directory scan ([`GriddConfig::file_miss_service`]) while the
-//! `stat` probe answers from the directory cache for free. One rank
+//! The daemon's file server is the sim's store ([`simgrid::KeyStore`],
+//! `coord::Store` in the simulated worlds): a single-server FIFO
+//! where a blind `get` miss is an expensive directory scan
+//! ([`GriddConfig::file_miss_service`]), a put lands when it is served
+//! rather than when it arrives, and the `stat` probe reads the key
+//! space for free. A rank's `forall` of fetches is pipelined on its
+//! one connection and queues at the server all at once. One rank
 //! dies mid-run and rejoins after a downtime — a `client-kill` spec
 //! with a restart delay, the same spec the static pre-flight reasons
 //! about — and while the barrier holds for the straggler, the Aloha

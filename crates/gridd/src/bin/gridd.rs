@@ -1,7 +1,7 @@
 //! The `gridd` daemon binary.
 //!
 //! ```text
-//! gridd [--listen ADDR] [--faults PLAN.json] [--threads N]
+//! gridd [--listen ADDR] [--faults PLAN.json]
 //!       [--slots N] [--service-ms MS] [--crash-overloads N]
 //!       [--downtime-ms MS] [--deadline-ms MS] [--print-addr]
 //! ```
@@ -9,8 +9,7 @@
 //! Binds (default `127.0.0.1:7177`; `:0` picks a free port), prints
 //! `gridd listening on ADDR` (stdout, flushed — machine-readable with
 //! `--print-addr`, which prints *only* the address), then serves until
-//! killed. `EG_GRIDD_THREADS` sizes the worker pool when `--threads`
-//! is absent.
+//! killed.
 
 use gridd::GriddConfig;
 use std::io::Write as _;
@@ -19,7 +18,7 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: gridd [--listen ADDR] [--faults PLAN.json] [--threads N] \
+        "usage: gridd [--listen ADDR] [--faults PLAN.json] \
          [--slots N] [--service-ms MS] [--crash-overloads N] \
          [--downtime-ms MS] [--deadline-ms MS] [--print-addr]"
     );
@@ -45,7 +44,6 @@ fn main() -> ExitCode {
         }
         match a.as_str() {
             "--listen" => cfg.listen = next_parse!(String),
-            "--threads" => cfg.threads = next_parse!(usize),
             "--slots" => cfg.slots = next_parse!(u64),
             "--service-ms" => cfg.service = Duration::from_millis(next_parse!(u64)),
             "--crash-overloads" => cfg.crash_overloads = next_parse!(u32),

@@ -20,6 +20,7 @@
 //! | `put`    | client id, file name, data| `ok` (bytes stored)    |
 //! | `get`    | client id, file name      | `data` (file contents) |
 //! | `df`     | client id                 | `free` (free slots)    |
+//! | `stat`   | client id, file name      | `free` (1 if it exists)|
 //! | `stats`  | —                         | `stats` (metrics JSON) |
 //!
 //! Failures come back as `err` with an [`ErrCode`] and a message.
@@ -438,6 +439,20 @@ impl Request {
         };
         c.finish()?;
         Ok(req)
+    }
+
+    /// The verb's name as the table above spells it — also the
+    /// *channel* a fault plan's `msg-loss` and `latency-spike` specs
+    /// name at the daemon.
+    pub fn verb(&self) -> &'static str {
+        match self {
+            Request::Submit { .. } => "submit",
+            Request::Put { .. } => "put",
+            Request::Get { .. } => "get",
+            Request::Df { .. } => "df",
+            Request::Stat { .. } => "stat",
+            Request::Stats => "stats",
+        }
     }
 
     /// The client index this request carries, if any.

@@ -25,15 +25,15 @@
 //! key is late: the carrier stays sensed-busy until the straggler
 //! lands.
 
-use crate::coord::{coord_vm, Store, StoreOp};
+use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
 use crate::driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
-use simgrid::{Admission, Series, ServerKind, SimRng};
-use std::collections::{HashMap, HashSet};
+use simgrid::{Series, Served, SimRng, StoreOp};
+use std::collections::HashMap;
 
 /// The space-separated peer list `r0 r1 … rN-1` the barrier `forall`
 /// iterates over.
@@ -224,24 +224,13 @@ impl AllReduceParams {
     }
 }
 
-/// Scenario events.
-#[derive(Debug)]
-pub enum AllReduceEv {
-    /// The store finished the service with this sequence number.
-    StoreDone {
-        /// Sequence number stamped when the service began.
-        seq: u64,
-    },
-}
-
 /// The store + round-accounting world.
 pub struct AllReduceWorld {
     params: AllReduceParams,
     script: Script,
     rng: SimRng,
+    /// Keys are `(round, rank)`; a re-publish overwrites.
     store: Store<(u32, usize)>,
-    /// Landed keys: `(round, rank)`, deduplicated.
-    keys: HashSet<(u32, usize)>,
     /// Landed-key count per round — what the carrier-sense probe reads.
     landed: Vec<u32>,
     /// The round each rank is currently working on (== `rounds` once
@@ -253,8 +242,6 @@ pub struct AllReduceWorld {
     pub round_done_at: Vec<Option<Time>>,
     /// Carrier-sense deferrals (Ethernet only).
     pub deferrals: u64,
-    /// Expensive store misses served (blind polls of absent keys).
-    pub misses: u64,
     /// Rank-rounds that failed outright (round budget exhausted) and
     /// were re-run, plus rank-rounds wiped by a kill: work lost.
     pub rounds_lost: u64,
@@ -279,14 +266,12 @@ impl AllReduceWorld {
         AllReduceWorld {
             script,
             rng: SimRng::new(params.seed),
-            store: Store::new(ServerKind::Normal),
-            keys: HashSet::new(),
+            store: Store::new(params.put_service, params.get_service, params.miss_service),
             landed: vec![0; rounds],
             rank_round: vec![0; params.n_ranks],
             round_done: vec![0; rounds],
             round_done_at: vec![None; rounds],
             deferrals: 0,
-            misses: 0,
             rounds_lost: 0,
             kills: 0,
             restarts: 0,
@@ -294,18 +279,6 @@ impl AllReduceWorld {
             probe_out: HashMap::new(),
             params,
         }
-    }
-
-    /// The store began service `seq`: price the operation at its head
-    /// against the key space as it stands — a get of an absent key is
-    /// the expensive scan — and schedule the service's end.
-    fn begin_service(&self, ctx: &mut Ctx<'_, AllReduceEv>, seq: u64) {
-        let dur = match self.store.serving() {
-            Some((_, _, StoreOp::Put(_))) => self.params.put_service,
-            Some((_, _, StoreOp::Get(k))) if self.keys.contains(k) => self.params.get_service,
-            _ => self.params.miss_service,
-        };
-        ctx.schedule(ctx.now() + dur, AllReduceEv::StoreDone { seq });
     }
 
     /// A fresh VM for `rank`'s current round.
@@ -350,11 +323,11 @@ fn parse_rank(word: &str) -> Option<usize> {
 }
 
 impl CommandWorld for AllReduceWorld {
-    type Ev = AllReduceEv;
+    type Ev = StoreDone;
 
     fn exec(
         &mut self,
-        ctx: &mut Ctx<'_, AllReduceEv>,
+        ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
         token: CmdToken,
         spec: &CommandSpec,
@@ -407,33 +380,22 @@ impl CommandWorld for AllReduceWorld {
                     return ExecOutcome::Now(CmdResult::fail());
                 };
                 let op = if verb == "publish" {
-                    StoreOp::Put((round, rank))
+                    StoreOp::Put((round, rank), ())
                 } else {
                     StoreOp::Get((round, rank))
                 };
-                if let Admission::Serving(seq) = self.store.connect((client, token, op)) {
-                    self.begin_service(ctx, seq);
-                }
+                schedule_done(ctx, self.store.request((client, token), op));
                 ExecOutcome::Held
             }
             _ => ExecOutcome::Now(CmdResult::fail()),
         }
     }
 
-    fn cancelled(&mut self, ctx: &mut Ctx<'_, AllReduceEv>, client: ClientId, token: CmdToken) {
-        let left = self
-            .store
-            .disconnect(|&(c, t, _)| (c, t) == (client, token));
-        if let Some(seq) = left.started {
-            self.begin_service(ctx, seq);
-        }
+    fn cancelled(&mut self, ctx: &mut Ctx<'_, StoreDone>, client: ClientId, token: CmdToken) {
+        schedule_done(ctx, self.store.leave(|&who| who == (client, token)));
     }
 
-    fn inject_fault(
-        &mut self,
-        _ctx: &mut Ctx<'_, AllReduceEv>,
-        kind: &FaultKind,
-    ) -> Vec<Completion> {
+    fn inject_fault(&mut self, _ctx: &mut Ctx<'_, StoreDone>, kind: &FaultKind) -> Vec<Completion> {
         if let FaultKind::ClientKill { client, .. } = kind {
             if *client < self.params.n_ranks
                 && self.rank_round.get(*client).copied().unwrap_or(u32::MAX) < self.params.rounds
@@ -445,52 +407,35 @@ impl CommandWorld for AllReduceWorld {
         Vec::new()
     }
 
-    fn on_event(&mut self, ctx: &mut Ctx<'_, AllReduceEv>, ev: AllReduceEv) -> Vec<Completion> {
-        let mut out = Vec::new();
-        let AllReduceEv::StoreDone { seq } = ev;
-        let Some(((client, token, op), next)) = self.store.finish(seq) else {
-            return out; // that service was aborted by a cancel
+    fn on_event(&mut self, ctx: &mut Ctx<'_, StoreDone>, ev: StoreDone) -> Vec<Completion> {
+        let StoreDone { seq } = ev;
+        // Re-publishes after a rank restart overwrite: the barrier
+        // count never sees a key twice.
+        let mut round = 0;
+        let admit = |key: &(u32, usize), (): &(), _: Option<&()>| {
+            round = key.0 as usize;
+            true
         };
-        if let Some(seq) = next {
-            self.begin_service(ctx, seq);
-        }
-        match op {
-            StoreOp::Put(key) => {
-                // Re-publishes after a rank restart deduplicate: the
-                // barrier count never sees a key twice.
-                if self.keys.insert(key) {
-                    if let Some(c) = self.landed.get_mut(key.0 as usize) {
-                        *c += 1;
-                    }
+        let Some(done) = self.store.finish(seq, admit) else {
+            return Vec::new(); // that service was aborted by a cancel
+        };
+        schedule_done(ctx, done.next);
+        let success = match done.served {
+            Served::Stored { new } => {
+                if let (true, Some(c)) = (new, self.landed.get_mut(round)) {
+                    *c += 1;
                 }
-                out.push(Completion {
-                    client,
-                    token,
-                    result: CmdResult::ok(""),
-                });
+                true
             }
-            StoreOp::Get(key) => {
-                let hit = self.keys.contains(&key);
-                if !hit {
-                    self.misses += 1;
-                }
-                out.push(Completion {
-                    client,
-                    token,
-                    result: if hit {
-                        CmdResult::ok("")
-                    } else {
-                        CmdResult::fail()
-                    },
-                });
-            }
-        }
-        out
+            Served::Hit(()) => true,
+            Served::Miss(_) | Served::Refused => false,
+        };
+        vec![store_reply(done.who, success)]
     }
 
     fn unit_done(
         &mut self,
-        ctx: &mut Ctx<'_, AllReduceEv>,
+        ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
         success: bool,
     ) -> Option<(Vm, Time)> {
@@ -517,7 +462,7 @@ impl CommandWorld for AllReduceWorld {
 
     fn restart_client(
         &mut self,
-        ctx: &mut Ctx<'_, AllReduceEv>,
+        ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
     ) -> Option<(Vm, Time)> {
         // A rank that already finished every round stays retired.
@@ -651,7 +596,7 @@ pub fn run_allreduce_traced(
         kills: w.kills,
         restarts: w.restarts,
         deferrals: w.deferrals,
-        failed_fetches: w.misses,
+        failed_fetches: w.store.misses(),
         client_totals: totals,
         events_popped,
         vm_ticks,

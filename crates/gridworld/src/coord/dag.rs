@@ -23,15 +23,15 @@
 //! [`FaultPlan`](simgrid::faults::FaultPlan), so DAGs are data, not
 //! code.
 
-use crate::coord::{coord_vm, Store, StoreOp};
+use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
 use crate::driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
-use simgrid::faults::{FaultKind, FaultPlan};
+use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::json::{self, Value};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
-use simgrid::{json_escape, Admission, Series, ServerKind, SimRng};
+use simgrid::{json_escape, Series, Served, SimRng, StoreOp};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -404,16 +404,6 @@ impl DagParams {
     }
 }
 
-/// Scenario events.
-#[derive(Debug)]
-pub enum DagEv {
-    /// The store finished the service with this sequence number.
-    StoreDone {
-        /// Sequence number stamped when the service began.
-        seq: u64,
-    },
-}
-
 /// The store + workflow-accounting world.
 pub struct DagWorld {
     params: DagParams,
@@ -421,16 +411,13 @@ pub struct DagWorld {
     name_to_idx: HashMap<String, usize>,
     rng: SimRng,
     store: Store<String>,
-    keys: HashSet<String>,
-    /// Puts fail at the store until this instant (ENOSPC window).
-    enospc_until: Time,
+    /// The plan's windows: puts fail at the store inside an ENOSPC one.
+    windows: FaultWindows,
     done: Vec<bool>,
     /// When each job completed.
     pub done_at: Vec<Option<Time>>,
     /// Carrier-sense deferrals (Ethernet only).
     pub deferrals: u64,
-    /// Expensive store misses served.
-    pub misses: u64,
     /// Publishes failed by an ENOSPC window.
     pub puts_failed: u64,
     /// Jobs re-run after a failed unit.
@@ -466,19 +453,20 @@ impl DagWorld {
             .enumerate()
             .map(|(i, j)| (j.name.clone(), i))
             .collect();
-        let keys: HashSet<String> = params.spec.external_inputs().into_iter().collect();
+        let mut store = Store::new(params.put_service, params.get_service, params.miss_service);
+        for key in params.spec.external_inputs() {
+            store.stage(key, ());
+        }
         let n = params.spec.jobs.len();
         DagWorld {
             scripts,
             name_to_idx,
             rng: SimRng::new(params.seed),
-            store: Store::new(ServerKind::Normal),
-            keys,
-            enospc_until: Time::ZERO,
+            store,
+            windows: params.effective_fault_plan().windows(Dur::ZERO),
             done: vec![false; n],
             done_at: vec![None; n],
             deferrals: 0,
-            misses: 0,
             puts_failed: 0,
             retries: 0,
             kills: 0,
@@ -487,18 +475,6 @@ impl DagWorld {
             probe_out: HashMap::new(),
             params,
         }
-    }
-
-    /// The store began service `seq`: price the operation at its head
-    /// against the key space as it stands — a get of an absent key is
-    /// the expensive scan — and schedule the service's end.
-    fn begin_service(&self, ctx: &mut Ctx<'_, DagEv>, seq: u64) {
-        let dur = match self.store.serving() {
-            Some((_, _, StoreOp::Put(_))) => self.params.put_service,
-            Some((_, _, StoreOp::Get(k))) if self.keys.contains(k) => self.params.get_service,
-            _ => self.params.miss_service,
-        };
-        ctx.schedule(ctx.now() + dur, DagEv::StoreDone { seq });
     }
 
     fn job_vm(&mut self, client: ClientId) -> Vm {
@@ -515,11 +491,11 @@ impl DagWorld {
 }
 
 impl CommandWorld for DagWorld {
-    type Ev = DagEv;
+    type Ev = StoreDone;
 
     fn exec(
         &mut self,
-        ctx: &mut Ctx<'_, DagEv>,
+        ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
         token: CmdToken,
         spec: &CommandSpec,
@@ -539,7 +515,7 @@ impl CommandWorld for DagWorld {
                     return ExecOutcome::Now(CmdResult::fail());
                 };
                 let job = &self.params.spec.jobs[idx];
-                let present = job.inputs.iter().filter(|k| self.keys.contains(*k)).count();
+                let present = job.inputs.iter().filter(|k| self.store.contains(k)).count();
                 simgrid::trace::emit(
                     &self.trace,
                     ctx.now(),
@@ -572,94 +548,53 @@ impl CommandWorld for DagWorld {
                     return ExecOutcome::Now(CmdResult::fail());
                 }
                 let op = if verb == "publish" {
-                    StoreOp::Put(key.to_string())
+                    StoreOp::Put(key.to_string(), ())
                 } else {
                     StoreOp::Get(key.to_string())
                 };
-                if let Admission::Serving(seq) = self.store.connect((client, token, op)) {
-                    self.begin_service(ctx, seq);
-                }
+                schedule_done(ctx, self.store.request((client, token), op));
                 ExecOutcome::Held
             }
             _ => ExecOutcome::Now(CmdResult::fail()),
         }
     }
 
-    fn cancelled(&mut self, ctx: &mut Ctx<'_, DagEv>, client: ClientId, token: CmdToken) {
-        let left = self
-            .store
-            .disconnect(|(c, t, _)| (*c, *t) == (client, token));
-        if let Some(seq) = left.started {
-            self.begin_service(ctx, seq);
-        }
+    fn cancelled(&mut self, ctx: &mut Ctx<'_, StoreDone>, client: ClientId, token: CmdToken) {
+        schedule_done(ctx, self.store.leave(|&who| who == (client, token)));
     }
 
-    fn inject_fault(&mut self, ctx: &mut Ctx<'_, DagEv>, kind: &FaultKind) -> Vec<Completion> {
-        match kind {
-            FaultKind::ClientKill { client, .. }
-                if *client < self.done.len() && !self.done[*client] =>
-            {
+    fn inject_fault(&mut self, _ctx: &mut Ctx<'_, StoreDone>, kind: &FaultKind) -> Vec<Completion> {
+        if let FaultKind::ClientKill { client, .. } = kind {
+            if *client < self.done.len() && !self.done[*client] {
                 self.kills += 1;
             }
-            FaultKind::EnospcWindow { duration } => {
-                self.enospc_until = self.enospc_until.max(ctx.now() + *duration);
-            }
-            _ => {}
         }
         Vec::new()
     }
 
-    fn on_event(&mut self, ctx: &mut Ctx<'_, DagEv>, ev: DagEv) -> Vec<Completion> {
-        let mut out = Vec::new();
-        let DagEv::StoreDone { seq } = ev;
-        let Some(((client, token, op), next)) = self.store.finish(seq) else {
-            return out; // that service was aborted by a cancel
+    fn on_event(&mut self, ctx: &mut Ctx<'_, StoreDone>, ev: StoreDone) -> Vec<Completion> {
+        let StoreDone { seq } = ev;
+        // Mid-flight store corruption: the ENOSPC window fails every
+        // write; the job's `try` re-publishes after it.
+        let admit = !self.windows.enospc_active(ctx.now());
+        let Some(done) = self.store.finish(seq, |_, (), _| admit) else {
+            return Vec::new(); // that service was aborted by a cancel
         };
-        if let Some(seq) = next {
-            self.begin_service(ctx, seq);
-        }
-        match op {
-            StoreOp::Put(key) => {
-                // Mid-flight store corruption: the ENOSPC window fails
-                // every write; the job's `try` re-publishes after it.
-                if ctx.now() < self.enospc_until {
-                    self.puts_failed += 1;
-                    out.push(Completion {
-                        client,
-                        token,
-                        result: CmdResult::fail(),
-                    });
-                } else {
-                    self.keys.insert(key);
-                    out.push(Completion {
-                        client,
-                        token,
-                        result: CmdResult::ok(""),
-                    });
-                }
+        schedule_done(ctx, done.next);
+        let success = match done.served {
+            Served::Stored { .. } | Served::Hit(()) => true,
+            Served::Miss(_) => false,
+            Served::Refused => {
+                self.puts_failed += 1;
+                false
             }
-            StoreOp::Get(key) => {
-                let hit = self.keys.contains(&key);
-                if !hit {
-                    self.misses += 1;
-                }
-                out.push(Completion {
-                    client,
-                    token,
-                    result: if hit {
-                        CmdResult::ok("")
-                    } else {
-                        CmdResult::fail()
-                    },
-                });
-            }
-        }
-        out
+        };
+        vec![store_reply(done.who, success)]
     }
 
     fn unit_done(
         &mut self,
-        ctx: &mut Ctx<'_, DagEv>,
+        ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
         success: bool,
     ) -> Option<(Vm, Time)> {
@@ -673,7 +608,11 @@ impl CommandWorld for DagWorld {
         Some((vm, ctx.now() + self.params.failure_think))
     }
 
-    fn restart_client(&mut self, ctx: &mut Ctx<'_, DagEv>, client: ClientId) -> Option<(Vm, Time)> {
+    fn restart_client(
+        &mut self,
+        ctx: &mut Ctx<'_, StoreDone>,
+        client: ClientId,
+    ) -> Option<(Vm, Time)> {
         if client >= self.done.len() || self.done[client] {
             return None;
         }
@@ -803,7 +742,7 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, trace: Option<SharedSink
         job_series,
         retries: w.retries,
         deferrals: w.deferrals,
-        failed_fetches: w.misses,
+        failed_fetches: w.store.misses(),
         puts_failed: w.puts_failed,
         kills: w.kills,
         restarts: w.restarts,

@@ -25,24 +25,25 @@
 //!
 //! ## The contended resource
 //!
-//! Both worlds share one store model, [`Store`]: a single-server
-//! FIFO in front of the key space — the same [`FileServer`] the
-//! black-hole scenario's replicas are. Publishing and fetching consume
-//! server time; a fetch of a key that does not exist yet is an
-//! *expensive miss* (an exhaustive directory scan), so blind polling
-//! for a straggler's output degrades everyone's service. The
-//! carrier-sense probe reads a cached key count without touching the
-//! server — sensing is free, committing work is not, exactly the
-//! asymmetry §6 of the paper builds its Ethernet discipline on.
+//! Both worlds — and the live daemon's file server — are one store,
+//! [`simgrid::KeyStore`]: a key space behind a single-server FIFO (the
+//! same [`simgrid::FileServer`] the black-hole scenario's replicas
+//! are). Publishing and fetching consume server time; a fetch of a key
+//! that does not exist yet is an *expensive miss* (an exhaustive
+//! directory scan), so blind polling for a straggler's output degrades
+//! everyone's service. The carrier-sense probe reads the key space
+//! without touching the server — sensing is free, committing work is
+//! not, exactly the asymmetry §6 of the paper builds its Ethernet
+//! discipline on.
 //!
 //! [`FaultKind::ClientKill`]: simgrid::faults::FaultKind::ClientKill
 
-use crate::driver::ClientId;
+use crate::driver::{ClientId, Completion, Ctx};
 use crate::scripts::unit_vm;
-use ftsh::vm::CmdToken;
+use ftsh::vm::{CmdResult, CmdToken};
 use ftsh::{Env, Script, Vm};
 use retry::{BackoffPolicy, Discipline, Dur};
-use simgrid::FileServer;
+use simgrid::{KeyStore, Started};
 
 pub mod allreduce;
 pub mod dag;
@@ -56,22 +57,38 @@ pub use dag::{
     DagSpec,
 };
 
-/// One operation queued at the shared store.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StoreOp<K> {
-    /// Publish (put) a key.
-    Put(K),
-    /// Look a key up (get).
-    Get(K),
+/// The shared store as the simulated worlds use it: keys carry no
+/// payload, and an operation belongs to the command that issued it.
+pub type Store<K> = KeyStore<K, (), (ClientId, CmdToken)>;
+
+/// The one scenario event of both coordinated worlds: the store
+/// finished a service.
+#[derive(Debug)]
+pub struct StoreDone {
+    /// Sequence number stamped when the service began.
+    pub seq: u64,
 }
 
-/// The front end of the shared store: the simulator's one
-/// single-server FIFO ([`FileServer`]), whose jobs are the puts and
-/// gets of in-flight commands. Every operation waits its turn and the
-/// server works on exactly one at a time. The server does not know the
-/// key space — a world prices each operation when its service starts
-/// (hit vs. expensive miss) and applies its effect when it ends.
-pub type Store<K> = FileServer<(ClientId, CmdToken, StoreOp<K>)>;
+/// The store started a service: put its end on the virtual clock.
+fn schedule_done(ctx: &mut Ctx<'_, StoreDone>, started: Option<Started>) {
+    if let Some(Started { seq, dur }) = started {
+        ctx.schedule(ctx.now() + dur, StoreDone { seq });
+    }
+}
+
+/// Tell the command behind a finished store operation how it went.
+fn store_reply((client, token): (ClientId, CmdToken), success: bool) -> Completion {
+    let result = if success {
+        CmdResult::ok("")
+    } else {
+        CmdResult::fail()
+    };
+    Completion {
+        client,
+        token,
+        result,
+    }
+}
 
 /// Build one coord work-unit VM. Collective rounds complete in
 /// seconds, not the submit scenario's minutes, so Aloha and Ethernet

@@ -25,7 +25,7 @@
 
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Effect, Vm, VmStatus};
 use retry::Time;
-use simgrid::faults::{FaultKind, FaultPlan};
+use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::trace::{emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{EventQueue, SimRng};
 
@@ -165,11 +165,13 @@ pub trait CommandWorld: Sized {
         success: bool,
     ) -> Option<(Vm, Time)>;
 
-    /// An armed fault plan injected a world-physical fault (schedd
-    /// kill/restart, ENOSPC window, free-space lie, black-hole toggle).
-    /// Return any held-command completions the fault releases. The
-    /// default ignores the fault — worlds opt in to the kinds they
-    /// model.
+    /// An armed fault plan injected a fault that changes world state
+    /// (schedd kill/restart, black-hole toggle, client kill). Return
+    /// any held-command completions the fault releases. The default
+    /// ignores the fault — worlds opt in to the kinds they model. The
+    /// kinds that are pure time windows (ENOSPC, free-space lie) never
+    /// arrive here: a world reads them from its plan's
+    /// [`FaultPlan::windows`] table.
     fn inject_fault(&mut self, ctx: &mut Ctx<'_, Self::Ev>, kind: &FaultKind) -> Vec<Completion> {
         let _ = (ctx, kind);
         Vec::new()
@@ -199,10 +201,9 @@ struct FaultState {
     rng: SimRng,
     /// Triggers fired so far, per spec index.
     fired: Vec<u32>,
-    /// Active message-loss windows: `(channel, probability, until)`.
-    loss: Vec<(String, f64, Time)>,
-    /// Active latency-spike windows: `(channel, extra, until)`.
-    latency: Vec<(String, retry::Dur, Time)>,
+    /// The plan's windows; the driver reads the per-channel loss and
+    /// latency ones (a channel is a program name).
+    windows: FaultWindows,
     /// Per-client VM clock offsets in microseconds.
     skew_us: Vec<i64>,
     /// Monotonicity clamp for each client's skewed clock (a VM must
@@ -214,36 +215,22 @@ impl FaultState {
     fn new(plan: FaultPlan, n_clients: usize) -> FaultState {
         let rng = plan.rng();
         let fired = vec![0; plan.specs.len()];
+        // No forced downtime is read here, so no default is needed.
+        let windows = plan.windows(retry::Dur::ZERO);
         FaultState {
             plan,
             rng,
             fired,
-            loss: Vec::new(),
-            latency: Vec::new(),
+            windows,
             skew_us: vec![0; n_clients],
             last_vm_now: vec![Time::ZERO; n_clients],
         }
     }
 
-    /// The extra delay an active latency spike adds to a completion of
-    /// `program` arriving at `now`, if any.
-    fn latency_extra(&self, program: &str, now: Time) -> Option<retry::Dur> {
-        self.latency
-            .iter()
-            .filter(|(ch, _, until)| ch == program && now < *until)
-            .map(|(_, extra, _)| *extra)
-            .max()
-    }
-
     /// Whether an active loss window swallows a completion of
     /// `program` arriving at `now` (draws from the plan RNG stream).
     fn lose(&mut self, program: &str, now: Time) -> bool {
-        let p: f64 = self
-            .loss
-            .iter()
-            .filter(|(ch, _, until)| ch == program && now < *until)
-            .map(|(_, p, _)| *p)
-            .fold(0.0, f64::max);
+        let p = self.windows.loss_probability(program, now);
         p > 0.0 && self.rng.chance(p)
     }
 }
@@ -448,18 +435,13 @@ impl<W: CommandWorld> SimDriver<W> {
             },
         );
         match &spec.kind {
-            FaultKind::MsgLoss {
-                channel,
-                probability,
-                duration,
-            } => fs
-                .loss
-                .push((channel.clone(), *probability, now + *duration)),
-            FaultKind::LatencySpike {
-                channel,
-                extra,
-                duration,
-            } => fs.latency.push((channel.clone(), *extra, now + *duration)),
+            // Pure time windows change no state when they open: the
+            // driver (channels) and the worlds (ENOSPC, lies) look
+            // them up in the plan's window table when it matters.
+            FaultKind::MsgLoss { .. }
+            | FaultKind::LatencySpike { .. }
+            | FaultKind::EnospcWindow { .. }
+            | FaultKind::FreeSpaceLie { .. } => {}
             FaultKind::ClockSkew { client, skew_us } => {
                 if let Some(s) = fs.skew_us.get_mut(*client) {
                     *s = *skew_us;
@@ -593,7 +575,8 @@ impl<W: CommandWorld> SimDriver<W> {
         if let Some(fs) = &mut self.faults {
             // A latency spike holds the message once; on its delayed
             // arrival it is subject to loss as usual.
-            if let (false, Some(extra)) = (delayed, fs.latency_extra(program, now)) {
+            let extra = fs.windows.extra_latency(program, now);
+            if !delayed && !extra.is_zero() {
                 let held = SimEv::CmdDone {
                     client,
                     epoch,

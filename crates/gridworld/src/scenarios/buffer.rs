@@ -18,7 +18,7 @@ use crate::scripts::{buffer_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
-use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
+use simgrid::faults::{FaultKind, FaultPlan, FaultSpec, FaultWindows};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
 use simgrid::{DiskBuffer, FileId, Series, SimRng, WriteError};
 use std::collections::HashMap;
@@ -137,13 +137,10 @@ pub struct BufferWorld {
     params: BufferParams,
     /// The effective fault plan (custom or built-in physics).
     fault_plan: FaultPlan,
-    /// Injected [`FaultKind::EnospcWindow`]: every write chunk landing
-    /// before this instant fails with ENOSPC regardless of occupancy.
-    enospc_until: Time,
-    /// Injected [`FaultKind::FreeSpaceLie`]: `(delta_bytes, until)` —
-    /// the carrier-sense estimate is skewed by `delta_bytes` while the
-    /// window is open.
-    space_lie: (i64, Time),
+    /// The plan's windows: a write chunk landing inside an
+    /// [`FaultKind::EnospcWindow`] fails regardless of occupancy, and
+    /// a [`FaultKind::FreeSpaceLie`] skews the carrier-sense estimate.
+    windows: FaultWindows,
     script: Script,
     rng: SimRng,
     /// The shared buffer.
@@ -185,9 +182,9 @@ impl BufferWorld {
         let capacity = fault_plan.capacity_physics().unwrap_or(params.capacity);
         BufferWorld {
             script: buffer_script(params.discipline),
+            // This world has no schedd, hence no downtime default.
+            windows: fault_plan.windows(Dur::ZERO),
             fault_plan,
-            enospc_until: Time::ZERO,
-            space_lie: (0, Time::ZERO),
             rng: SimRng::new(params.seed),
             disk: DiskBuffer::new(capacity),
             active: HashMap::new(),
@@ -236,11 +233,10 @@ impl CommandWorld for BufferWorld {
             }
             // The Ethernet estimator over the observable buffer state.
             "estimate-space" => {
-                let mut est = self.disk.ethernet_estimate_free();
-                let (delta, until) = self.space_lie;
-                if ctx.now() < until {
-                    est = est.saturating_add(delta);
-                }
+                let est = self
+                    .disk
+                    .ethernet_estimate_free()
+                    .saturating_add(self.windows.df_delta(ctx.now()));
                 simgrid::trace::emit(
                     &self.trace,
                     ctx.now(),
@@ -305,22 +301,6 @@ impl CommandWorld for BufferWorld {
         }
     }
 
-    fn inject_fault(&mut self, ctx: &mut Ctx<'_, BufferEv>, kind: &FaultKind) -> Vec<Completion> {
-        match kind {
-            FaultKind::EnospcWindow { duration } => {
-                self.enospc_until = self.enospc_until.max(ctx.now() + *duration);
-            }
-            FaultKind::FreeSpaceLie {
-                delta_bytes,
-                duration,
-            } => {
-                self.space_lie = (*delta_bytes, ctx.now() + *duration);
-            }
-            _ => {}
-        }
-        Vec::new()
-    }
-
     fn on_event(&mut self, ctx: &mut Ctx<'_, BufferEv>, ev: BufferEv) -> Vec<Completion> {
         let mut out = Vec::new();
         match ev {
@@ -342,7 +322,7 @@ impl CommandWorld for BufferWorld {
                 self.bytes_attempted += bytes;
                 // An injected ENOSPC window fails every write landing
                 // inside it, occupancy notwithstanding.
-                let res = if ctx.now() < self.enospc_until {
+                let res = if self.windows.enospc_active(ctx.now()) {
                     self.disk.force_enospc(file).and(Err(WriteError::NoSpace))
                 } else {
                     self.disk.write(file, bytes)

@@ -302,10 +302,10 @@ impl FaultSpec {
 
     /// All trigger instants of the spec: `at`, then `count - 1` repeats
     /// spaced `every` apart (a spec without `every` fires once). The
-    /// one expansion every consumer of a plan uses — the static
-    /// checker, the simulator's blackout windows and the daemon's
-    /// wall-clock windows. `Time + Dur * k` saturates, so a long-period
-    /// spec pins at the ceiling instead of overflowing.
+    /// one expansion every consumer of a plan uses (the driver's
+    /// [`FaultPlan::windows`] table and the static checker's kill list
+    /// alike). `Time + Dur * k` saturates, so a long-period spec pins
+    /// at the ceiling instead of overflowing.
     pub fn triggers(&self) -> Vec<Time> {
         match self.every {
             None => vec![self.at],
@@ -424,32 +424,114 @@ impl FaultPlan {
         kills
     }
 
+    /// The plan's time-triggered specs expanded into [`FaultWindows`]:
+    /// the one plan → windows compiler, shared by the simulator's
+    /// drivers and worlds, the static checker and the live daemon.
+    /// `default_downtime` stands in for a `schedd-kill` spec that names
+    /// no downtime of its own.
+    pub fn windows(&self, default_downtime: Dur) -> FaultWindows {
+        let mut w = FaultWindows::default();
+        let mut kills: Vec<(Time, Dur)> = Vec::new();
+        let mut restarts: Vec<Time> = Vec::new();
+        let mut enospc: Vec<Window> = Vec::new();
+        let mut bh_events: Vec<(Time, bool)> = Vec::new();
+        for (_, spec) in self.injections() {
+            let triggers = spec.triggers();
+            // The windows of a spec that holds for `d` from each trigger.
+            let lasting = |d: Dur| triggers.iter().map(move |&at| Window::lasting(at, d));
+            match &spec.kind {
+                FaultKind::ScheddKill { downtime } => {
+                    let d = downtime.unwrap_or(default_downtime);
+                    kills.extend(triggers.iter().map(|&at| (at, d)));
+                }
+                FaultKind::ScheddRestart => restarts.extend(&triggers),
+                FaultKind::ServerBlackHole { enable, .. } => {
+                    bh_events.extend(triggers.iter().map(|&at| (at, *enable)));
+                }
+                FaultKind::EnospcWindow { duration } => enospc.extend(lasting(*duration)),
+                FaultKind::FreeSpaceLie {
+                    delta_bytes,
+                    duration,
+                } => w
+                    .df_lie
+                    .extend(lasting(*duration).map(|win| (win, *delta_bytes))),
+                FaultKind::MsgLoss {
+                    channel,
+                    probability,
+                    duration,
+                } => w
+                    .msg_loss
+                    .extend(lasting(*duration).map(|win| (win, channel.clone(), *probability))),
+                FaultKind::LatencySpike {
+                    channel,
+                    extra,
+                    duration,
+                } => w
+                    .latency
+                    .extend(lasting(*duration).map(|win| (win, channel.clone(), *extra))),
+                // Not windows: a skew or a client kill changes a VM,
+                // and the physics kinds are construction-time constants.
+                FaultKind::ClockSkew { .. }
+                | FaultKind::ClientKill { .. }
+                | FaultKind::CmdFailFirst { .. }
+                | FaultKind::ScheddCrashOnStarvation { .. }
+                | FaultKind::EnospcAtCapacity { .. }
+                | FaultKind::BlackHoleServers { .. } => {}
+            }
+        }
+        // A kill opens a downtime window; the first restart inside it
+        // closes it early. A kill that lands while the schedd is
+        // already down kills nothing: no longer outage, no second crash.
+        kills.sort_by_key(|&(at, _)| at);
+        restarts.sort();
+        for (at, downtime) in kills {
+            if w.sched_down.last().is_some_and(|open| at < open.end) {
+                continue;
+            }
+            let natural_end = at + downtime;
+            let end = restarts
+                .iter()
+                .copied()
+                .find(|&r| r > at && r < natural_end)
+                .unwrap_or(natural_end);
+            w.sched_down.push(Window { start: at, end });
+        }
+        w.enospc = coalesce(enospc);
+        // The estimator tells one lie at a time: the latest to start.
+        w.df_lie.sort_by_key(|(win, _)| win.start);
+        // A black-hole enable opens a window the next disable closes.
+        bh_events.sort_by_key(|&(at, _)| at);
+        let mut open: Option<Time> = None;
+        for (at, enable) in bh_events {
+            match (enable, open) {
+                (true, None) => open = Some(at),
+                (false, Some(start)) => {
+                    w.black_hole.push(Window { start, end: at });
+                    open = None;
+                }
+                _ => {}
+            }
+        }
+        if let Some(start) = open {
+            w.black_hole.push(Window {
+                start,
+                end: Time::MAX,
+            });
+        }
+        w
+    }
+
     /// The [`FaultKind::EnospcWindow`] blackout intervals the plan
     /// schedules up to `horizon`, with repeats expanded, overlaps
     /// merged, and ends clipped to the horizon. During a blackout every
     /// publish/put fails.
     pub fn enospc_blackouts(&self, horizon: Time) -> Vec<(Time, Time)> {
-        let mut spans: Vec<(Time, Time)> = Vec::new();
-        for (_, spec) in self.injections() {
-            let FaultKind::EnospcWindow { duration } = spec.kind else {
-                continue;
-            };
-            for at in spec.triggers() {
-                if at > horizon {
-                    continue;
-                }
-                spans.push((at, (at + duration).min(horizon)));
-            }
-        }
-        spans.sort_by_key(|&(s, _)| s);
-        let mut merged: Vec<(Time, Time)> = Vec::new();
-        for (s, e) in spans {
-            match merged.last_mut() {
-                Some((_, pe)) if s <= *pe => *pe = (*pe).max(e),
-                _ => merged.push((s, e)),
-            }
-        }
-        merged
+        self.windows(Dur::ZERO)
+            .enospc
+            .iter()
+            .filter(|w| w.start <= horizon)
+            .map(|w| (w.start, w.end.min(horizon)))
+            .collect()
     }
 
     /// The instant from which ENOSPC blackouts tile the rest of the
@@ -648,6 +730,121 @@ impl FaultPlan {
             }
         }
         Ok(FaultPlan { seed, specs })
+    }
+}
+
+/// One half-open window `[start, end)` on the plan's clock (virtual
+/// time in the simulator, time since start at the daemon).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Window {
+    start: Time,
+    end: Time,
+}
+
+impl Window {
+    fn lasting(start: Time, duration: Dur) -> Window {
+        Window {
+            start,
+            end: start + duration,
+        }
+    }
+
+    fn contains(&self, t: Time) -> bool {
+        t >= self.start && t < self.end
+    }
+}
+
+/// Coalesce possibly-overlapping windows into a disjoint, sorted set.
+fn coalesce(mut windows: Vec<Window>) -> Vec<Window> {
+    windows.sort_by_key(|w| w.start);
+    let mut out: Vec<Window> = Vec::with_capacity(windows.len());
+    for w in windows {
+        match out.last_mut() {
+            Some(prev) if w.start <= prev.end => prev.end = prev.end.max(w.end),
+            _ => out.push(w),
+        }
+    }
+    out
+}
+
+/// A plan compiled onto its clock ([`FaultPlan::windows`]): every
+/// fault that is purely "this holds from `t` for `d`" becomes a window
+/// answered by lookup, so the simulator (virtual time), the daemon
+/// (time since start) and the static checker read one table. A window
+/// covers its trigger instant and excludes its end.
+#[derive(Clone, Debug, Default)]
+pub struct FaultWindows {
+    /// Forced schedd downtime, disjoint and sorted by start.
+    sched_down: Vec<Window>,
+    /// Writes fail with ENOSPC; disjoint and sorted by start.
+    enospc: Vec<Window>,
+    /// Free-space estimates skewed by this much; sorted by start.
+    df_lie: Vec<(Window, i64)>,
+    /// The file server swallows requests without answering.
+    black_hole: Vec<Window>,
+    /// Replies on the named channel lost with this probability.
+    msg_loss: Vec<(Window, String, f64)>,
+    /// Replies on the named channel delayed by this much.
+    latency: Vec<(Window, String, Dur)>,
+}
+
+impl FaultWindows {
+    /// Is the schedd inside a forced kill window at `t`?
+    pub fn sched_forced_down(&self, t: Time) -> bool {
+        self.sched_down.iter().any(|w| w.contains(t))
+    }
+
+    /// How many forced kill windows have *opened* by `t`. Added to a
+    /// schedd's own crash count this is its crash epoch: a job accepted
+    /// before a kill and completing after it sees a different epoch and
+    /// is lost — the broadcast jam.
+    pub fn forced_starts(&self, t: Time) -> u64 {
+        self.sched_down.iter().take_while(|w| w.start <= t).count() as u64
+    }
+
+    /// Does a write landing at `t` fail with ENOSPC?
+    pub fn enospc_active(&self, t: Time) -> bool {
+        self.enospc.iter().any(|w| w.contains(t))
+    }
+
+    /// The skew a free-space estimate read at `t` carries: that of the
+    /// lie that started last (declaration order breaks ties), for as
+    /// long as its own window lasts — a new lie replaces the old one.
+    pub fn df_delta(&self, t: Time) -> i64 {
+        let latest = self.df_lie.iter().rev().find(|(w, _)| w.start <= t);
+        latest.filter(|(w, _)| t < w.end).map_or(0, |(_, d)| *d)
+    }
+
+    /// When the black hole a request arriving at `t` falls into closes
+    /// ([`Time::MAX`] for one never disabled), if it falls into one.
+    pub fn black_hole_until(&self, t: Time) -> Option<Time> {
+        self.black_hole
+            .iter()
+            .find(|w| w.contains(t))
+            .map(|w| w.end)
+    }
+
+    /// The probability that a reply on `channel` at `t` is lost: the
+    /// worst of the windows open on that channel. A channel is the name
+    /// the caller gives the operation — the program name in a
+    /// simulated script, the wire verb at the daemon.
+    pub fn loss_probability(&self, channel: &str, t: Time) -> f64 {
+        self.msg_loss
+            .iter()
+            .filter(|(w, ch, _)| ch == channel && w.contains(t))
+            .map(|(_, _, p)| *p)
+            .fold(0.0, f64::max)
+    }
+
+    /// The delay a reply on `channel` at `t` suffers: the longest of
+    /// the spikes open on that channel (zero outside every spike).
+    pub fn extra_latency(&self, channel: &str, t: Time) -> Dur {
+        self.latency
+            .iter()
+            .filter(|(w, ch, _)| ch == channel && w.contains(t))
+            .map(|(_, _, d)| *d)
+            .max()
+            .unwrap_or(Dur::ZERO)
     }
 }
 
@@ -962,6 +1159,222 @@ mod tests {
             .detail(),
             "client=4 restart_us=none"
         );
+    }
+
+    fn plan_with(specs: Vec<FaultSpec>) -> FaultPlan {
+        let mut p = FaultPlan::new(7);
+        p.specs = specs;
+        p
+    }
+
+    #[test]
+    fn windows_expand_repeats_and_pair_black_holes() {
+        let plan = plan_with(vec![
+            FaultSpec::repeating(
+                Time::from_secs(1),
+                Dur::from_secs(10),
+                3,
+                FaultKind::ScheddKill {
+                    downtime: Some(Dur::from_secs(2)),
+                },
+            ),
+            FaultSpec::once(
+                Time::from_secs(5),
+                FaultKind::ServerBlackHole {
+                    server: "yyy".into(),
+                    enable: true,
+                },
+            ),
+            FaultSpec::once(
+                Time::from_secs(8),
+                FaultKind::ServerBlackHole {
+                    server: "yyy".into(),
+                    enable: false,
+                },
+            ),
+        ]);
+        let w = plan.windows(Dur::from_secs(1));
+        assert_eq!(w.sched_down.len(), 3);
+        assert!(w.sched_forced_down(Time::from_secs(12)));
+        assert!(!w.sched_forced_down(Time::from_secs(4)));
+        assert_eq!(w.black_hole.len(), 1);
+        assert_eq!(
+            w.black_hole_until(Time::from_secs(6)),
+            Some(Time::from_secs(8))
+        );
+        assert_eq!(w.black_hole_until(Time::from_secs(9)), None);
+    }
+
+    #[test]
+    fn restart_truncates_kill_window() {
+        let plan = plan_with(vec![
+            FaultSpec::once(
+                Time::from_secs(1),
+                FaultKind::ScheddKill {
+                    downtime: Some(Dur::from_secs(10)),
+                },
+            ),
+            FaultSpec::once(Time::from_secs(3), FaultKind::ScheddRestart),
+        ]);
+        let w = plan.windows(Dur::from_secs(1));
+        assert!(w.sched_forced_down(Time::from_secs(2)));
+        assert!(!w.sched_forced_down(Time::from_secs(4)));
+    }
+
+    #[test]
+    fn unterminated_black_hole_stays_open() {
+        let plan = plan_with(vec![FaultSpec::once(
+            Time::from_secs(2),
+            FaultKind::ServerBlackHole {
+                server: "yyy".into(),
+                enable: true,
+            },
+        )]);
+        let w = plan.windows(Dur::from_secs(1));
+        assert!(w.black_hole_until(Time::from_secs(1)).is_none());
+        assert!(w.black_hole_until(Time::from_secs(1000)).is_some());
+    }
+
+    fn lie(at: u64, delta_bytes: i64, secs: u64) -> FaultSpec {
+        FaultSpec::once(
+            Time::from_secs(at),
+            FaultKind::FreeSpaceLie {
+                delta_bytes,
+                duration: Dur::from_secs(secs),
+            },
+        )
+    }
+
+    #[test]
+    fn lie_window_applies_then_lapses() {
+        let w = plan_with(vec![lie(0, -100, 5)]).windows(Dur::from_secs(1));
+        assert_eq!(w.df_delta(Time::from_secs(1)), -100);
+        assert_eq!(w.df_delta(Time::from_secs(6)), 0);
+    }
+
+    #[test]
+    fn a_new_lie_replaces_the_old_one() {
+        // Declared out of order on purpose: [0, 10) says -100, then
+        // [2, 4) says +7. The later start wins while it lasts, and the
+        // lie it replaced does not come back when it ends.
+        let w = plan_with(vec![lie(2, 7, 2), lie(0, -100, 10)]).windows(Dur::ZERO);
+        assert_eq!(w.df_delta(Time::from_secs(1)), -100);
+        assert_eq!(w.df_delta(Time::from_secs(2)), 7);
+        assert_eq!(w.df_delta(Time::from_secs(3)), 7);
+        assert_eq!(w.df_delta(Time::from_secs(4)), 0);
+        assert_eq!(w.df_delta(Time::from_secs(9)), 0);
+    }
+
+    #[test]
+    fn forced_starts_counts_window_openings() {
+        let plan = plan_with(vec![FaultSpec::repeating(
+            Time::from_secs(1),
+            Dur::from_secs(10),
+            3,
+            FaultKind::ScheddKill {
+                downtime: Some(Dur::from_secs(2)),
+            },
+        )]);
+        let w = plan.windows(Dur::from_secs(1));
+        assert_eq!(w.forced_starts(Time::from_micros(500_000)), 0);
+        assert_eq!(w.forced_starts(Time::from_secs(1)), 1);
+        assert_eq!(w.forced_starts(Time::from_secs(5)), 1);
+        assert_eq!(w.forced_starts(Time::from_secs(11)), 2);
+        assert_eq!(w.forced_starts(Time::from_secs(100)), 3);
+    }
+
+    #[test]
+    fn a_kill_while_already_down_is_ignored() {
+        let kill = |at: u64| {
+            FaultSpec::once(
+                Time::from_secs(at),
+                FaultKind::ScheddKill {
+                    downtime: Some(Dur::from_secs(5)),
+                },
+            )
+        };
+        // The second kill finds the schedd dead: the outage stays the
+        // first kill's [1, 6), and the third, at its very end, is a
+        // fresh crash.
+        let w = plan_with(vec![kill(1), kill(3), kill(6)]).windows(Dur::from_secs(1));
+        assert_eq!(w.sched_down.len(), 2);
+        assert!(w.sched_forced_down(Time::from_secs(5)));
+        assert_eq!(w.forced_starts(Time::from_secs(5)), 1, "one broadcast jam");
+        assert!(w.sched_forced_down(Time::from_secs(6)));
+        assert_eq!(w.forced_starts(Time::from_secs(6)), 2);
+        assert!(!w.sched_forced_down(Time::from_secs(11)));
+    }
+
+    #[test]
+    fn loss_and_latency_are_per_channel() {
+        let plan = plan_with(vec![
+            FaultSpec::repeating(
+                Time::from_secs(1),
+                Dur::from_secs(10),
+                2,
+                FaultKind::MsgLoss {
+                    channel: "get".into(),
+                    probability: 0.25,
+                    duration: Dur::from_secs(2),
+                },
+            ),
+            FaultSpec::once(
+                Time::from_secs(2),
+                FaultKind::MsgLoss {
+                    channel: "get".into(),
+                    probability: 0.75,
+                    duration: Dur::from_secs(5),
+                },
+            ),
+            FaultSpec::once(
+                Time::from_secs(1),
+                FaultKind::LatencySpike {
+                    channel: "submit".into(),
+                    extra: Dur::from_millis(40),
+                    duration: Dur::from_secs(1),
+                },
+            ),
+        ]);
+        let w = plan.windows(Dur::ZERO);
+        assert_eq!(w.loss_probability("get", Time::from_secs(1)), 0.25);
+        assert_eq!(w.loss_probability("get", Time::from_secs(2)), 0.75, "worst");
+        assert_eq!(
+            w.loss_probability("get", Time::from_secs(12)),
+            0.25,
+            "repeat"
+        );
+        assert_eq!(w.loss_probability("get", Time::from_secs(13)), 0.0);
+        assert_eq!(w.loss_probability("put", Time::from_secs(2)), 0.0);
+        let at = Time::from_micros(1_500_000);
+        assert_eq!(w.extra_latency("submit", at), Dur::from_millis(40));
+        assert_eq!(w.extra_latency("get", at), Dur::ZERO);
+        assert_eq!(w.extra_latency("submit", Time::from_secs(2)), Dur::ZERO);
+    }
+
+    #[test]
+    fn enospc_blackouts_merge_and_clip_to_the_horizon() {
+        let window = |at: u64, secs: u64| {
+            FaultSpec::once(
+                Time::from_secs(at),
+                FaultKind::EnospcWindow {
+                    duration: Dur::from_secs(secs),
+                },
+            )
+        };
+        let plan = plan_with(vec![
+            window(20, 100),
+            window(1, 3),
+            window(3, 4),
+            window(50, 1),
+        ]);
+        let t = Time::from_secs;
+        assert_eq!(plan.enospc_blackouts(t(30)), [(t(1), t(7)), (t(20), t(30))]);
+        assert_eq!(plan.enospc_permanent_from(t(30)), Some(t(20)));
+        assert_eq!(plan.enospc_permanent_from(t(200)), None);
+        assert_eq!(plan.longest_enospc_blackout(t(30)), Dur::from_secs(10));
+        assert_eq!(plan.enospc_blackouts(t(10)), [(t(1), t(7))]);
+        let w = plan.windows(Dur::ZERO);
+        assert!(w.enospc_active(t(6)) && !w.enospc_active(t(7)));
     }
 
     #[test]

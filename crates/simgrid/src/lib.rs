@@ -4,7 +4,7 @@
 //! Condor scheduler driven to file-descriptor exhaustion, an NFS buffer
 //! filled by producers, and replicated web servers, one of which is a
 //! black hole. This crate is the synthetic equivalent: a deterministic
-//! discrete-event kernel ([`EventQueue`]) plus models of the three
+//! discrete-event kernel ([`EventQueue`]) plus models of the
 //! contended resources:
 //!
 //! * [`FdTable`] — a kernel file-descriptor table with conservation
@@ -16,8 +16,16 @@
 //! * [`FileServer`] — the single-threaded server with a FIFO accept
 //!   queue, or a *black hole* that accepts connections and never
 //!   serves them. Generic over its jobs and free of any clock: the
-//!   replica file servers of the third scenario and the key store of
-//!   the coordinated workloads are both this one model.
+//!   replica file servers of the third scenario are this model, and
+//!   so is the server inside a [`KeyStore`];
+//! * [`KeyStore`] — the put/get key space behind one such server:
+//!   operations priced when their service starts, taking effect when
+//!   it ends. The coordinated workloads' store and the live daemon's
+//!   file server are both this one value.
+//!
+//! [`faults`] holds the fault-plan language and the one compiler from
+//! a plan to time windows ([`faults::FaultWindows`]) that the
+//! simulator, the static checker and the daemon read.
 //!
 //! Time is `retry::Time` — the same virtual instants the ftsh VM
 //! consumes — so whole populations of VMs can be multiplexed over one
@@ -43,5 +51,6 @@ pub use postmortem::TraceSummary;
 pub use resources::disk::{DiskBuffer, FileId, WriteError};
 pub use resources::fdtable::{FdExhausted, FdTable};
 pub use resources::server::{Admission, FileServer, ServerKind};
+pub use resources::store::{Finished, KeyStore, Served, Started, StoreOp};
 pub use rng::SimRng;
 pub use trace::{SharedSink, TraceEv, TraceRecord, TraceSink};
