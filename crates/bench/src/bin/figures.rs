@@ -1,7 +1,7 @@
 //! Regenerate the paper's figures.
 //!
 //! ```text
-//! figures [--quick] [--seed N] [fig1 fig2 ... | all]
+//! figures [--quick] [--seed N] [--out DIR] [fig1 fig2 ... | all]
 //! figures --trace OUT.jsonl [--seed N] [figs...]
 //! figures --faults PLAN.json [figs...]
 //! figures --stats [--quick] [--seed N] [figs...]
@@ -9,9 +9,10 @@
 //! ```
 //!
 //! Prints each figure as an aligned table (the rows the paper plots)
-//! and writes `results/figN.json`. Default scale is `--full`
-//! (paper-size populations and windows); `--quick` runs the reduced
-//! versions used in CI.
+//! and writes `results/figN.json` — or `DIR/figN.json` with `--out
+//! DIR`, which is also where `--live` and `--coord-live` put theirs.
+//! Default scale is `--full` (paper-size populations and windows);
+//! `--quick` runs the reduced versions used in CI.
 //!
 //! `--trace` additionally records the structured trace of every
 //! simulation behind the figure — attempt spans with backoff draws and
@@ -59,6 +60,7 @@ use gridworld::figures::{
     ALL_FIGURES, COORD_FIGURES, EXTENDED_FIGURES,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -471,14 +473,15 @@ fn run_live(
     seed: u64,
     clients: Option<usize>,
     min_dispatch: Option<f64>,
+    out_dir: PathBuf,
 ) -> ExitCode {
     // An explicit population size picks physics scaled to it; the
     // quick/full presets keep their historical tuning otherwise.
     let opts = match clients {
-        Some(n) => egbench::live::LiveOptions::sized(n, seed, egbench::results_dir()),
+        Some(n) => egbench::live::LiveOptions::sized(n, seed, out_dir),
         None => match scale {
-            Scale::Quick => egbench::live::LiveOptions::quick(seed, egbench::results_dir()),
-            Scale::Full => egbench::live::LiveOptions::full(seed, egbench::results_dir()),
+            Scale::Quick => egbench::live::LiveOptions::quick(seed, out_dir),
+            Scale::Full => egbench::live::LiveOptions::full(seed, out_dir),
         },
     };
     eprintln!(
@@ -540,8 +543,8 @@ fn run_live(
 /// The live coordinated-workload smoke behind `--coord-live`: a real
 /// all-reduce population against a real daemon, gated on the sim's
 /// Ethernet <= Aloha time-to-global-completion prediction.
-fn run_coord_live(seed: u64) -> ExitCode {
-    let opts = egbench::coord_live::CoordLiveOptions::quick(seed, egbench::results_dir());
+fn run_coord_live(seed: u64, out_dir: PathBuf) -> ExitCode {
+    let opts = egbench::coord_live::CoordLiveOptions::quick(seed, out_dir);
     eprintln!(
         "== live all-reduce: {} real ranks x {} rounds per discipline (seed {seed}) ==",
         opts.ranks, opts.rounds
@@ -677,6 +680,7 @@ fn main() -> ExitCode {
     let mut live_clients: Option<usize> = None;
     let mut min_dispatch: Option<f64> = None;
     let mut trace_base: Option<String> = None;
+    let mut out_dir = egbench::results_dir();
     let mut plan: Option<simgrid::FaultPlan> = None;
     let mut wanted: Vec<String> = Vec::new();
 
@@ -716,6 +720,13 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
+            "--out" => match it.next() {
+                Some(dir) => out_dir = PathBuf::from(dir),
+                None => {
+                    eprintln!("--out needs a directory");
+                    return ExitCode::from(2);
+                }
+            },
             "--seed" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(s) => seed = s,
                 None => {
@@ -752,17 +763,17 @@ fn main() -> ExitCode {
             other => {
                 eprintln!("unknown argument: {other}");
                 eprintln!(
-                    "usage: figures [--quick] [--seed N] [--stats] [--live [--live-clients N] [--min-dispatch V]] [--coord-live] [--check-only] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | ablation-threshold | ablation-channel]\n       figures postmortem TRACE.jsonl [--timeline] [--rounds] [--client N]"
+                    "usage: figures [--quick] [--seed N] [--out DIR] [--stats] [--live [--live-clients N] [--min-dispatch V]] [--coord-live] [--check-only] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | ablation-threshold | ablation-channel]\n       figures postmortem TRACE.jsonl [--timeline] [--rounds] [--client N]"
                 );
                 return ExitCode::from(2);
             }
         }
     }
     if live {
-        return run_live(scale, seed, live_clients, min_dispatch);
+        return run_live(scale, seed, live_clients, min_dispatch, out_dir);
     }
     if coord_live {
-        return run_coord_live(seed);
+        return run_coord_live(seed, out_dir);
     }
     if check_only {
         if wanted.is_empty() {
@@ -788,7 +799,7 @@ fn main() -> ExitCode {
                         run.clamps
                     );
                 }
-                match egbench::emit(&name, &run.set) {
+                match egbench::emit(&out_dir, &name, &run.set) {
                     Ok(path) => {
                         if chart {
                             println!("{}", run.set.to_ascii_chart(64, 16));

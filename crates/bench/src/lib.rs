@@ -26,12 +26,11 @@ pub fn results_dir() -> PathBuf {
     workspace_root().join("results")
 }
 
-/// Print a figure as an aligned table and persist it as JSON and CSV.
-/// Returns the JSON path.
-pub fn emit(name: &str, set: &SeriesSet) -> std::io::Result<PathBuf> {
+/// Print a figure as an aligned table and persist it as JSON and CSV
+/// under `dir`. Returns the JSON path.
+pub fn emit(dir: &Path, name: &str, set: &SeriesSet) -> std::io::Result<PathBuf> {
     println!("{}", set.to_table());
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, set.to_json_pretty())?;
     std::fs::write(dir.join(format!("{name}.csv")), set.to_csv())?;

@@ -302,6 +302,13 @@ pub struct Prog {
     pub func_ids: HashMap<Istr, u32>,
     /// The static variable-name table.
     pub slots: SlotMap,
+    /// The deepest a task's frame stack gets from lexical nesting
+    /// alone: `try`, `forany` and `forall` frames within one task's
+    /// code, plus the call frame under a function body. A task
+    /// reserves this many frames at its first push; a call made from
+    /// inside a construct pushes past it and the stack grows as any
+    /// `Vec` does.
+    pub frame_depth: u32,
 }
 
 /// Where a pending fail-edge must be patched once the group's result
@@ -332,6 +339,9 @@ struct Compiler {
     /// Function bodies awaiting out-of-line compilation:
     /// (`FuncDef` op index to patch, body).
     deferred: Vec<(usize, Block)>,
+    /// Frames the code being compiled sits under, and the most seen.
+    depth: u32,
+    frame_depth: u32,
 }
 
 impl Compiler {
@@ -363,6 +373,12 @@ impl Compiler {
                 *on_err = target;
             }
         }
+    }
+
+    /// The code compiled next runs under one more frame.
+    fn enter_frame(&mut self) {
+        self.depth += 1;
+        self.frame_depth = self.frame_depth.max(self.depth);
     }
 
     fn patch_fails(&mut self, fails: Vec<Pending>, target: Ip) {
@@ -525,6 +541,7 @@ impl Compiler {
                     end_ip: 0,
                 });
                 self.emit(Op::TryAttempt);
+                self.enter_frame();
                 let mut body_fails = Vec::new();
                 self.group(body, &mut body_fails);
                 let body_result = self.here();
@@ -542,6 +559,7 @@ impl Compiler {
                     }
                     None => NO_CATCH,
                 };
+                self.depth -= 1;
                 let end = self.here();
                 let Op::TryEnter {
                     catch_ip: c,
@@ -564,8 +582,10 @@ impl Compiler {
                     var,
                     end_ip: 0,
                 });
+                self.enter_frame();
                 let mut body_fails = Vec::new();
                 self.group(body, &mut body_fails);
+                self.depth -= 1;
                 let result = self.here();
                 self.emit(Op::ForAnyResult);
                 self.patch_fails(body_fails, result);
@@ -585,8 +605,14 @@ impl Compiler {
                     var,
                     end_ip: 0,
                 });
+                // The parent holds the `forall` frame; each branch is a
+                // task of its own with an empty stack.
+                self.enter_frame();
+                self.depth -= 1;
+                let parent = std::mem::take(&mut self.depth);
                 let mut branch_fails = Vec::new();
                 self.group(body, &mut branch_fails);
+                self.depth = parent;
                 let te = self.here();
                 self.emit(Op::TaskEnd);
                 self.patch_fails(branch_fails, te);
@@ -658,6 +684,8 @@ impl Compiler {
                 (*op_ix, body.clone())
             };
             let entry = self.here();
+            self.depth = 0;
+            self.enter_frame(); // the call frame
             let mut fails = Vec::new();
             self.group(&body, &mut fails);
             let ret = self.here();
@@ -694,6 +722,7 @@ impl Compiler {
                 positional,
                 by_name: self.slot_by_name,
             },
+            frame_depth: self.frame_depth,
         }
     }
 }
@@ -814,6 +843,21 @@ mod tests {
                 "{name} should have a slot"
             );
         }
+    }
+
+    #[test]
+    fn frame_depth_is_the_deepest_lexical_nesting_of_one_task() {
+        let depth = |src: &str| compile(&parse(src).unwrap().stmts).frame_depth;
+        assert_eq!(depth("a\nb=1\n"), 0);
+        assert_eq!(depth("try 2 times\n a\nend\ntry 3 times\n b\nend\n"), 1);
+        let reader =
+            "try for 9 seconds\n forany h in a b\n  try 2 times\n   get ${h}\n  end\n end\nend\n";
+        assert_eq!(depth(reader), 3);
+        // The parent holds the forall frame; a branch starts empty.
+        assert_eq!(depth("forall x in a b\n try 2 times\n  c\n end\nend\n"), 1);
+        assert_eq!(depth("try 2 times\n forall x in a b\n  c\n end\nend\n"), 2);
+        // A function body runs under its call frame.
+        assert_eq!(depth("function f\n try 2 times\n  c\n end\nend\nf\n"), 2);
     }
 
     #[test]

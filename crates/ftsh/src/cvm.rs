@@ -40,7 +40,7 @@ use retry::{BackoffPolicy, NextAttempt, Time, TryBudget, TrySession};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Variable scope of one task: slot vector for statically-known names
 /// plus a spill map for dynamic ones. Copied per `forall` branch.
@@ -279,6 +279,16 @@ impl CTask {
         }
     }
 
+    /// Push a control frame. The first push reserves exactly the depth
+    /// the compiler measured, so a script nested one deep holds one
+    /// frame's worth of heap rather than `Vec`'s default four.
+    fn push_frame(&mut self, prog: &Prog, frame: CFrame) {
+        if self.frames.capacity() == 0 {
+            self.frames.reserve_exact(prog.frame_depth as usize);
+        }
+        self.frames.push(frame);
+    }
+
     /// Look a variable up by a name computed at run time (the source
     /// of a `-<` redirection, the old value under `->>`).
     fn lookup(&self, m: &SlotMap, name: &str) -> Option<Istr> {
@@ -320,7 +330,8 @@ impl CTask {
     /// holds, push `argv` as the new window (emptying it) and bind the
     /// positionals the program mentions. `${*}` is joined here only
     /// when it has a slot; otherwise [`CTask::lookup`] joins on demand.
-    fn enter_call(&mut self, m: &SlotMap, argv: &mut Vec<Istr>, ret_ip: u32, buf: &mut String) {
+    fn enter_call(&mut self, prog: &Prog, argv: &mut Vec<Istr>, ret_ip: u32, buf: &mut String) {
+        let m = &prog.slots;
         let base = self.win.len() as u32;
         for &(s, _) in &*m.positional {
             if let Some(v) = self.env.slots[s as usize].take() {
@@ -337,11 +348,12 @@ impl CTask {
                 !shelve
             });
         }
-        self.frames.push(CFrame::Call {
+        let frame = CFrame::Call {
             base,
             args_at: self.args_at,
             ret_ip,
-        });
+        };
+        self.push_frame(prog, frame);
         self.call_depth += 1;
         self.args_at = self.win.len() as u32;
         self.win.extend(argv.drain(..).map(Win::Arg));
@@ -409,18 +421,20 @@ pub struct Vm {
     /// The id the next `forall` branch takes.
     next_id: TaskId,
     token_ctr: CmdToken,
-    /// In-flight commands; linear scan beats hashing at realistic
-    /// in-flight counts (a handful per VM).
-    token_task: Vec<(CmdToken, TaskId)>,
     /// Per-function entry point, bound when its `FuncDef` executes.
     fn_entries: Vec<Option<u32>>,
     rng: StdRng,
     log: EventLog,
     outcome: Option<bool>,
     default_backoff: BackoffPolicy,
+    /// The caller's buffer for the length of a [`Vm::tick_into`], an
+    /// unallocated placeholder between ticks.
     effects: Vec<Effect>,
     now: Time,
-    final_env: Env,
+    /// The root task's bindings, copied out the first time
+    /// [`Vm::env`] is asked after the script finished. A population
+    /// driver never asks, and so never pays for the copy.
+    final_env: OnceLock<Box<Env>>,
     max_parallel: Option<usize>,
     tracer: Option<SharedSink>,
     trace_client: i64,
@@ -475,7 +489,6 @@ impl Vm {
             tasks: vec![root],
             next_id: 1,
             token_ctr: 0,
-            token_task: Vec::new(),
             fn_entries: vec![None; n_funcs],
             rng: StdRng::seed_from_u64(seed),
             log: EventLog::new(),
@@ -483,7 +496,7 @@ impl Vm {
             default_backoff: BackoffPolicy::ethernet(),
             effects: Vec::new(),
             now: Time::ZERO,
-            final_env: Env::new(),
+            final_env: OnceLock::new(),
             max_parallel: None,
             tracer: None,
             trace_client: NO_ID,
@@ -497,6 +510,10 @@ impl Vm {
     fn recycle_vec(&mut self, mut v: Vec<Istr>) {
         v.clear();
         if self.spare_vecs.len() < SPARES {
+            if self.spare_vecs.capacity() == 0 {
+                // One spare is all a sequential script ever pools.
+                self.spare_vecs.reserve_exact(1);
+            }
             self.spare_vecs.push(v);
         }
     }
@@ -528,6 +545,11 @@ impl Vm {
             std::mem::swap(&mut self.spare_tasks, &mut prev.spare_tasks);
         }
     }
+
+    /// Bytes one control frame takes on a task's frame stack. For
+    /// tests that pin the per-client footprint.
+    #[doc(hidden)]
+    pub const FRAME_BYTES: usize = std::mem::size_of::<CFrame>();
 
     /// Tasks alive right now: the root plus every running `forall`
     /// branch. For tests that pin the task table's size.
@@ -596,9 +618,15 @@ impl Vm {
     }
 
     /// The root environment: the variables visible after completion
-    /// (materialized when the script finishes; empty mid-run).
+    /// (empty mid-run).
     pub fn env(&self) -> &Env {
-        &self.final_env
+        static EMPTY: OnceLock<Env> = OnceLock::new();
+        if self.outcome.is_none() {
+            return EMPTY.get_or_init(Env::new);
+        }
+        // The root task stays in the table once the script is done.
+        self.final_env
+            .get_or_init(|| Box::new(self.tasks[0].env.materialize(&self.prog.slots)))
     }
 
     /// The script outcome, if finished.
@@ -608,19 +636,25 @@ impl Vm {
 
     /// The program of in-flight command `token`, or `None` when this VM
     /// is not waiting on it (never started here, completed, or
-    /// cancelled). This table is the one record of what is in flight:
-    /// a driver asks instead of keeping its own.
+    /// cancelled). The waiting task's state is the one record of what
+    /// is in flight: a driver asks instead of keeping its own, and so
+    /// does the VM — a scan of the live tasks, a handful per VM.
     pub fn in_flight(&self, token: CmdToken) -> Option<&Istr> {
-        let &(_, tid) = self.token_task.iter().find(|&&(t, _)| t == token)?;
-        match &self.tasks[pos_of(&self.tasks, tid)?].state {
-            CState::RunningCmd { program, .. } => Some(program),
+        self.tasks.iter().find_map(|t| match &t.state {
+            CState::RunningCmd {
+                token: tk, program, ..
+            } if *tk == token => Some(program),
             _ => None,
-        }
+        })
     }
 
     /// The tokens of every in-flight command, ascending (issue order).
     pub fn in_flight_tokens(&self) -> Vec<CmdToken> {
-        let mut tokens: Vec<CmdToken> = self.token_task.iter().map(|&(t, _)| t).collect();
+        let running = self.tasks.iter().filter_map(|t| match t.state {
+            CState::RunningCmd { token, .. } => Some(token),
+            _ => None,
+        });
+        let mut tokens: Vec<CmdToken> = running.collect();
         tokens.sort_unstable();
         tokens
     }
@@ -628,22 +662,19 @@ impl Vm {
     /// Report an in-flight command as finished. Stale tokens (already
     /// cancelled) are ignored. Call [`Vm::tick`] afterwards.
     pub fn complete(&mut self, token: CmdToken, result: CmdResult) {
-        let Some(pos) = self.token_task.iter().position(|&(t, _)| t == token) else {
+        let waiting = self
+            .tasks
+            .iter_mut()
+            .find(|t| matches!(t.state, CState::RunningCmd { token: tk, .. } if tk == token));
+        let Some(task) = waiting else {
             return; // cancelled earlier; the race is benign
         };
-        let (_, tid) = self.token_task.swap_remove(pos);
-        let pos = pos_of(&self.tasks, tid).expect("token mapped to dead task");
-        let task = &mut self.tasks[pos];
-        let (program, out_var) = match &task.state {
-            CState::RunningCmd {
-                token: t,
-                program,
-                out_var,
-            } => {
-                debug_assert_eq!(*t, token, "token/task mismatch");
-                (program.clone(), out_var.clone())
-            }
-            other => panic!("complete() on task not running a command: {other:?}"),
+        let tid = task.id;
+        let CState::RunningCmd {
+            program, out_var, ..
+        } = std::mem::replace(&mut task.state, CState::Ready)
+        else {
+            unreachable!("matched above")
         };
         if let Some((name, append)) = out_var {
             let value = trim_capture(&result.stdout);
@@ -682,7 +713,6 @@ impl Vm {
         // op (on its fail-check); the command's outcome lands in the
         // result register.
         task.res = result.success;
-        task.state = CState::Ready;
     }
 
     /// Advance every runnable strand at virtual instant `now`.
@@ -693,14 +723,15 @@ impl Vm {
     }
 
     /// [`Vm::tick`] into a caller-owned effects buffer: `out` is
-    /// cleared and refilled, and its capacity is recycled into the
-    /// VM's internal buffer — a driver ticking thousands of VMs in a
-    /// loop reuses one allocation instead of taking a fresh `Vec`
-    /// per tick.
+    /// cleared and refilled in place. The tick builds its effects in
+    /// `out`'s own allocation and hands it straight back, so the VM
+    /// never owns an effects buffer — a driver ticking thousands of
+    /// VMs in a loop keeps one buffer, always the same one, hot.
     pub fn tick_into(&mut self, now: Time, out: &mut Vec<Effect>) -> VmStatus {
         debug_assert!(now >= self.now, "tick time went backwards");
         self.now = now;
-        self.effects.clear();
+        out.clear();
+        std::mem::swap(&mut self.effects, out);
 
         if self.outcome.is_none() {
             // One refcount bump per tick on the program every VM of
@@ -726,7 +757,6 @@ impl Vm {
                 next_wake: self.next_wake(),
             },
         };
-        out.clear();
         std::mem::swap(&mut self.effects, out);
         status
     }
@@ -802,9 +832,6 @@ impl Vm {
     fn cancel_running_cmd(&mut self, task: &mut CTask) {
         if let CState::RunningCmd { token, program, .. } = &task.state {
             self.effects.push(Effect::Cancel { token: *token });
-            if let Some(pos) = self.token_task.iter().position(|(t, _)| t == token) {
-                self.token_task.swap_remove(pos);
-            }
             if self.tracer.is_some() {
                 self.trace(
                     task.id,
@@ -866,7 +893,7 @@ impl Vm {
                 continue;
             }
             if let Some(result) = self.run_task(prog, &mut tasks[at]) {
-                at = self.finish(prog, tasks, at, result);
+                at = self.finish(tasks, at, result);
             } else {
                 if matches!(tasks[at].state, CState::WaitingChildren) {
                     self.spawn_pending(tasks, at);
@@ -878,10 +905,9 @@ impl Vm {
 
     /// The task at `at` ran off the end of its code. Returns where the
     /// step cursor goes next.
-    fn finish(&mut self, prog: &Prog, tasks: &mut Vec<CTask>, at: usize, result: bool) -> usize {
+    fn finish(&mut self, tasks: &mut Vec<CTask>, at: usize, result: bool) -> usize {
         let task = &tasks[at];
         let Some(pid) = task.parent else {
-            self.final_env = task.env.materialize(&prog.slots);
             self.outcome = Some(result);
             self.log
                 .push(self.now, task.id, LogKind::ScriptDone { success: result });
@@ -1012,13 +1038,14 @@ impl Vm {
                         attempt_limit: t.attempts,
                         backoff,
                     };
-                    task.frames.push(CFrame::Try {
+                    let frame = CFrame::Try {
                         session: TrySession::start(budget, self.now),
                         attempt_ip: task.ip + 1,
                         catch_ip,
                         end_ip,
                         in_catch: false,
-                    });
+                    };
+                    task.push_frame(prog, frame);
                     task.ip += 1;
                 }
                 Op::TryAttempt => {
@@ -1091,13 +1118,14 @@ impl Vm {
                     let value = values[0].clone();
                     self.log.for_any_next(self.now, tid, &value);
                     task.env.set_slot(var, value);
-                    task.frames.push(CFrame::ForAny {
+                    let frame = CFrame::ForAny {
                         values,
                         idx: 0,
                         var,
                         body_ip: task.ip + 1,
                         end_ip,
-                    });
+                    };
+                    task.push_frame(prog, frame);
                     task.res = true;
                     task.ip += 1;
                 }
@@ -1152,13 +1180,14 @@ impl Vm {
                     // Branches start in list order, popped off the
                     // back; `step_all` spawns them once this returns.
                     pending.reverse();
-                    task.frames.push(CFrame::ForAll {
+                    let frame = CFrame::ForAll {
                         live: 0,
                         pending,
                         var,
                         branch_ip: task.ip + 1,
                         end_ip,
-                    });
+                    };
+                    task.push_frame(prog, frame);
                     task.state = CState::WaitingChildren;
                     task.ip = end_ip; // resumed here by `finish`
                     return None;
@@ -1229,7 +1258,7 @@ impl Vm {
                 task.ip += 1;
                 return ControlFlow::Continue(());
             }
-            task.enter_call(&prog.slots, &mut argv, task.ip + 1, &mut self.scratch);
+            task.enter_call(prog, &mut argv, task.ip + 1, &mut self.scratch);
             self.recycle_vec(argv);
             task.res = true;
             task.ip = entry;
@@ -1277,7 +1306,6 @@ impl Vm {
 
         let token = self.token_ctr;
         self.token_ctr += 1;
-        self.token_task.push((token, tid));
         let spec = CommandSpec {
             argv,
             input,

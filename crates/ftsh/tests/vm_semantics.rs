@@ -883,3 +883,79 @@ fn deadline_after_many_retired_branches_cancels_each_inflight_command_once() {
     assert_eq!(h.vm.live_tasks(), 1);
     assert_eq!(h.vm.log().summary().commands_cancelled, 4);
 }
+
+// ---------------------------------------------------------------------
+// The effects buffer belongs to the caller
+// ---------------------------------------------------------------------
+
+/// Three commands start in the first tick; a 2 s deadline cancels the
+/// two still running in a later one.
+const BUFFER_SCRIPT: &str = "try for 2 seconds\n\
+                               forall x in a b c\n\
+                                 run-${x}\n\
+                               end\n\
+                             end\n";
+
+#[test]
+fn tick_into_clears_what_the_caller_left_in_the_buffer() {
+    let script = parse(BUFFER_SCRIPT).unwrap();
+    let mut vm = Vm::with_seed(&script, 1);
+    let mut out = vec![Effect::Cancel { token: 77 }, Effect::Cancel { token: 78 }];
+    vm.tick_into(Time::ZERO, &mut out);
+    let tokens: Vec<u64> = out
+        .iter()
+        .map(|e| match e {
+            Effect::Start { token, .. } => *token,
+            Effect::Cancel { token } => panic!("stale cancel {token} survived the tick"),
+        })
+        .collect();
+    assert_eq!(tokens, [0, 1, 2]);
+    // A tick with nothing to report leaves the buffer empty, not stale.
+    vm.tick_into(Time::from_secs(1), &mut out);
+    assert!(out.is_empty());
+}
+
+#[test]
+fn a_vm_keeps_neither_of_two_alternating_buffers() {
+    // The VM builds a tick's effects in the caller's allocation and
+    // hands the same allocation back: a driver's one buffer stays its
+    // own (and hot), and a VM between ticks owns no effects block.
+    let script = parse(BUFFER_SCRIPT).unwrap();
+    let mut vm = Vm::with_seed(&script, 1);
+    let mut a: Vec<Effect> = Vec::with_capacity(4);
+    let mut b: Vec<Effect> = Vec::with_capacity(16);
+    let (a_at, b_at) = (a.as_ptr(), b.as_ptr());
+    vm.tick_into(Time::ZERO, &mut a);
+    assert_eq!(a.len(), 3);
+    vm.complete(1, CmdResult::ok(""));
+    vm.tick_into(Time::from_secs(1), &mut b);
+    assert!(b.is_empty());
+    vm.tick_into(Time::from_secs(2), &mut a);
+    assert_eq!(
+        a,
+        [Effect::Cancel { token: 0 }, Effect::Cancel { token: 2 }]
+    );
+    let status = vm.tick_into(Time::from_secs(3), &mut b);
+    assert_eq!(status, VmStatus::Done { success: false });
+    assert_eq!((a.capacity(), a.as_ptr()), (4, a_at));
+    assert_eq!((b.capacity(), b.as_ptr()), (16, b_at));
+}
+
+#[test]
+fn tick_and_tick_into_report_the_same_effects() {
+    let script = parse(BUFFER_SCRIPT).unwrap();
+    let mut by_value = Vm::with_seed(&script, 1);
+    let mut in_place = Vm::with_seed(&script, 1);
+    let mut out = Vec::new();
+    for (secs, finished) in [(0, Some(1)), (1, None), (2, None), (3, None)] {
+        let now = Time::from_secs(secs);
+        let tick = by_value.tick(now);
+        let status = in_place.tick_into(now, &mut out);
+        assert_eq!((&tick.effects, tick.status), (&out, status), "at {now:?}");
+        if let Some(token) = finished {
+            by_value.complete(token, CmdResult::ok(""));
+            in_place.complete(token, CmdResult::ok(""));
+        }
+    }
+    assert_eq!(by_value.outcome(), Some(false));
+}

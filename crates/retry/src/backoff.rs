@@ -117,46 +117,6 @@ impl BackoffPolicy {
     }
 }
 
-/// Mutable backoff progress for one unit of work: counts consecutive
-/// failures and produces the next delay. Reset on success.
-#[derive(Clone, Debug)]
-pub struct BackoffState {
-    policy: BackoffPolicy,
-    failures: u32,
-}
-
-impl BackoffState {
-    /// Fresh state with no recorded failures.
-    pub fn new(policy: BackoffPolicy) -> BackoffState {
-        BackoffState {
-            policy,
-            failures: 0,
-        }
-    }
-
-    /// The policy this state advances under.
-    pub fn policy(&self) -> &BackoffPolicy {
-        &self.policy
-    }
-
-    /// Consecutive failures recorded since the last success.
-    pub fn failures(&self) -> u32 {
-        self.failures
-    }
-
-    /// Record a failure and return the delay to wait before retrying.
-    pub fn on_failure<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Dur {
-        self.failures = self.failures.saturating_add(1);
-        self.policy.delay_after(self.failures, rng)
-    }
-
-    /// Record a success: the failure streak resets so the next failure
-    /// starts again from the base delay.
-    pub fn on_success(&mut self) {
-        self.failures = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,19 +183,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn state_counts_and_resets() {
-        let mut r = rng();
-        let mut st = BackoffState::new(BackoffPolicy::ethernet().without_jitter());
-        assert_eq!(st.failures(), 0);
-        assert_eq!(st.on_failure(&mut r), Dur::from_secs(1));
-        assert_eq!(st.on_failure(&mut r), Dur::from_secs(2));
-        assert_eq!(st.failures(), 2);
-        st.on_success();
-        assert_eq!(st.failures(), 0);
-        assert_eq!(st.on_failure(&mut r), Dur::from_secs(1));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! made, the consecutive-failure backoff streak, and the absolute
 //! deadline.
 
-use crate::backoff::{BackoffPolicy, BackoffState};
+use crate::backoff::BackoffPolicy;
 use crate::time::{Dur, Time};
 use rand::Rng;
 
@@ -93,10 +93,12 @@ pub enum NextAttempt {
 /// ```
 #[derive(Clone, Debug)]
 pub struct TrySession {
+    /// The limits, and the one copy of the backoff policy.
     budget: TryBudget,
-    backoff: BackoffState,
     started: Time,
     attempts: u32,
+    /// Consecutive failures since the last success.
+    failures: u32,
 }
 
 impl TrySession {
@@ -104,10 +106,10 @@ impl TrySession {
     /// from this moment.
     pub fn start(budget: TryBudget, now: Time) -> TrySession {
         TrySession {
-            backoff: BackoffState::new(budget.backoff),
             budget,
             started: now,
             attempts: 0,
+            failures: 0,
         }
     }
 
@@ -167,7 +169,8 @@ impl TrySession {
                 return NextAttempt::Exhausted;
             }
         }
-        let delay = self.backoff.on_failure(rng);
+        self.failures = self.failures.saturating_add(1);
+        let delay = self.budget.backoff.delay_after(self.failures, rng);
         let wake = now.saturating_add(delay);
         match self.deadline() {
             Some(d) if wake >= d => NextAttempt::Exhausted,
@@ -178,12 +181,12 @@ impl TrySession {
     /// Record that the current attempt succeeded (resets the backoff
     /// streak; relevant when a session is reused as a work loop).
     pub fn on_success(&mut self) {
-        self.backoff.on_success();
+        self.failures = 0;
     }
 
     /// Consecutive failures since the last success.
     pub fn failure_streak(&self) -> u32 {
-        self.backoff.failures()
+        self.failures
     }
 }
 
@@ -282,6 +285,11 @@ mod tests {
         assert_eq!(s.failure_streak(), 2);
         s.on_success();
         assert_eq!(s.failure_streak(), 0);
+        // The next failure starts again from the base delay.
+        assert_eq!(
+            s.on_failure(Time::ZERO, &mut r),
+            NextAttempt::RetryAt(Time::from_secs(1))
+        );
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod budget;
 pub mod discipline;
 pub mod time;
 
-pub use backoff::{BackoffPolicy, BackoffState};
+pub use backoff::BackoffPolicy;
 pub use budget::{NextAttempt, TryBudget, TrySession};
 pub use discipline::{CarrierDecision, CarrierSense, Discipline, FreeCapacitySense};
 pub use time::{parse_duration, Dur, Time};

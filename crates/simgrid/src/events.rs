@@ -13,20 +13,41 @@
 //! comparison-heavy `BinaryHeap`: a population of 100k clients keyed by
 //! client id spreads across shards whose heaps are each a fraction of
 //! the total, shrinking both the `O(log n)` factor and the working set
-//! each push/pop touches. Each shard is a two-level calendar: a *near*
-//! heap holding events below the shard's current window and a *far*
-//! heap for everything later; when the near heap drains, the window
-//! advances to just past the earliest far event and the events that
-//! fall inside are migrated over.
+//! each push/pop touches.
+//!
+//! # Three tiers
+//!
+//! Each shard is a calendar of one-second buckets (bucket = timestamp
+//! / [`WINDOW_US`]) in three tiers (DESIGN.md §10):
+//!
+//! * **near** — a heap of every event in the shard's current bucket
+//!   or earlier. Pops come from here only.
+//! * **ring** — the buckets just ahead, each an *unsorted* `Vec`
+//!   (scheduling is one append), with an occupancy bitmap so the
+//!   earliest non-empty one is found in a few word tests however
+//!   sparse the schedule. Most far events of a large world are `try`
+//!   deadlines that are re-armed before they fire; here they cost one
+//!   append into a bucket the run never opens.
+//! * **beyond** — a heap for events past the ring's horizon
+//!   (hour-long backoffs, `Time::MAX`). The ring is sized on demand:
+//!   it starts empty and doubles only while `beyond` holds more events
+//!   than the ring has slots, so a twenty-client world keeps one small
+//!   heap and allocates no ring at all.
+//!
+//! When the near heap drains, the earliest non-empty bucket — merged
+//! with whatever `beyond` holds for that same bucket — *becomes* the
+//! near heap in one `O(n)` heapify, and the drained near buffer goes
+//! to a bounded pool that new buckets draw from.
 //!
 //! The cross-shard merge is deterministic by construction: every event
 //! is stamped with one **queue-global** sequence number at schedule
 //! time, and `pop` takes the minimum `(timestamp, seq)` across shard
-//! heads. That is exactly the order the old single-heap kernel
-//! produced, so pop order — and therefore every figure byte — is
-//! invariant under the shard count and under how events are routed to
-//! shards. Routing (`schedule_keyed`) affects locality only, never
-//! order.
+//! heads. A shard's head is the minimum of its near heap, and every
+//! event outside near lies in a later bucket, so that is exactly the
+//! order a single heap would produce: pop order — and therefore every
+//! figure byte — is invariant under the shard count, under how events
+//! are routed to shards (`schedule_keyed` affects locality only), and
+//! under which tier an event waited in.
 
 use retry::Time;
 use std::cmp::Ordering;
@@ -36,6 +57,12 @@ struct Entry<E> {
     at: Time,
     seq: u64,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn bucket(&self) -> u64 {
+        self.at.as_micros() / WINDOW_US
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -59,51 +86,183 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Width of a shard's near window. One virtual second: coarse enough
-/// that a drained window refills with a batch of events, fine enough
-/// that the near heap stays a fraction of the shard.
+/// Width of one calendar bucket. One virtual second: coarse enough
+/// that a bucket refills the near heap with a batch of events, fine
+/// enough that the near heap stays a fraction of the shard.
 const WINDOW_US: u64 = 1_000_000;
 
-/// One calendar shard: `near` holds events strictly below
-/// `window_end`, `far` everything at or beyond it. Invariant
-/// (maintained by every `&mut` entry point): `near` is non-empty
-/// whenever the shard is non-empty, so peeking is pure.
+/// Most buckets a shard's ring grows to. `try for 5 minutes` deadlines
+/// (300 buckets ahead) fit; the rare event further out waits in the
+/// `beyond` heap.
+const RING_MAX: usize = 512;
+
+/// Fewest buckets an allocated ring has: one bitmap word.
+const RING_MIN: usize = 64;
+
+/// Most drained bucket buffers a shard keeps for reuse. In steady
+/// state one bucket opens per bucket drained, so a handful covers it;
+/// past that, buffers are freed rather than hoarded.
+const POOL_MAX: usize = 4;
+
+/// One calendar shard. Invariants (maintained by every `&mut` entry
+/// point): `near` holds exactly the events whose bucket is ≤ `cur`,
+/// and is non-empty whenever the shard is, so peeking is pure; ring
+/// slot `b % ring.len()` holds the events of bucket `b` for `b` in
+/// `(cur, cur + ring.len()]` that arrived while `b` was within that
+/// horizon; everything else waits in `beyond`.
 struct Shard<E> {
     near: BinaryHeap<Entry<E>>,
-    far: BinaryHeap<Entry<E>>,
-    window_end: Time,
+    /// The bucket `near` is at.
+    cur: u64,
+    /// Unsorted buckets; the length is zero or a power of two.
+    ring: Vec<Vec<Entry<E>>>,
+    /// One bit per ring slot: set iff the slot's bucket is non-empty.
+    occupied: Vec<u64>,
+    /// Events in the ring.
+    ring_events: usize,
+    beyond: BinaryHeap<Entry<E>>,
+    /// Emptied buffers of drained buckets.
+    pool: Vec<Vec<Entry<E>>>,
 }
 
 impl<E> Shard<E> {
     fn new() -> Shard<E> {
         Shard {
             near: BinaryHeap::new(),
-            far: BinaryHeap::new(),
-            window_end: Time::ZERO,
+            cur: 0,
+            ring: Vec::new(),
+            occupied: Vec::new(),
+            ring_events: 0,
+            beyond: BinaryHeap::new(),
+            pool: Vec::new(),
         }
     }
 
     fn push(&mut self, e: Entry<E>) {
-        if e.at < self.window_end {
+        let bucket = e.bucket();
+        if self.near.is_empty() {
+            // The shard is empty: its calendar restarts at this event.
+            self.cur = bucket;
+        }
+        if bucket <= self.cur {
             self.near.push(e);
+        } else if bucket - self.cur <= self.ring.len() as u64 {
+            self.push_ring(bucket, e);
         } else {
-            self.far.push(e);
-            self.refill();
+            self.beyond.push(e);
+            // A ring earns its slots: it never has more of them than
+            // `beyond` held events when it was built or doubled.
+            if self.beyond.len() > self.ring.len().max(RING_MIN / 2) && self.ring.len() < RING_MAX {
+                self.grow_ring();
+            }
         }
     }
 
-    /// Restore the invariant after the near heap may have drained:
-    /// advance the window to one span past the earliest far event and
-    /// migrate everything that now falls inside.
-    fn refill(&mut self) {
-        if !self.near.is_empty() {
-            return;
+    /// Append to the ring slot of `bucket`, which is within the
+    /// horizon.
+    fn push_ring(&mut self, bucket: u64, e: Entry<E>) {
+        let slot = bucket as usize & (self.ring.len() - 1);
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if self.occupied[word] & bit == 0 {
+            self.occupied[word] |= bit;
+            if let Some(buf) = self.pool.pop() {
+                self.ring[slot] = buf;
+            }
         }
-        let Some(head) = self.far.peek() else { return };
-        self.window_end = Time::from_micros(head.at.as_micros().saturating_add(WINDOW_US));
-        while self.far.peek().is_some_and(|e| e.at < self.window_end) {
-            let e = self.far.pop().expect("peeked");
-            self.near.push(e);
+        self.ring[slot].push(e);
+        self.ring_events += 1;
+    }
+
+    /// `beyond` has outgrown the ring: double the ring (each occupied
+    /// bucket keeps its buffer, re-slotted) and move over what now
+    /// falls within the horizon.
+    fn grow_ring(&mut self) {
+        let old_len = self.ring.len();
+        let len = (old_len * 2).max(RING_MIN);
+        let fresh = std::iter::repeat_with(Vec::new).take(len).collect();
+        let old = std::mem::replace(&mut self.ring, fresh);
+        self.occupied = vec![0; len / 64];
+        for (i, buf) in old.into_iter().enumerate() {
+            if !buf.is_empty() {
+                // The one bucket of (cur, cur + old_len] in old slot `i`.
+                let ahead = i.wrapping_sub(self.cur as usize + 1) & (old_len - 1);
+                let slot = (self.cur as usize + 1 + ahead) & (len - 1);
+                self.occupied[slot / 64] |= 1 << (slot % 64);
+                self.ring[slot] = buf;
+            }
+        }
+        let mut kept = Vec::new();
+        for e in std::mem::take(&mut self.beyond).into_vec() {
+            let bucket = e.bucket();
+            if bucket - self.cur <= len as u64 {
+                self.push_ring(bucket, e);
+            } else {
+                kept.push(e);
+            }
+        }
+        self.beyond = BinaryHeap::from(kept);
+    }
+
+    /// The earliest non-empty ring bucket, if any: a circular scan of
+    /// the occupancy bitmap from the slot of `cur + 1`.
+    fn first_ring_bucket(&self) -> Option<u64> {
+        if self.ring_events == 0 {
+            return None;
+        }
+        let mask = self.ring.len() - 1;
+        let start = (self.cur + 1) as usize & mask;
+        let words = self.occupied.len();
+        // The start word twice: its high bits first, its low bits last.
+        for k in 0..=words {
+            let w = (start / 64 + k) % words;
+            let mut bits = self.occupied[w];
+            if k == 0 {
+                bits &= !0 << (start % 64);
+            } else if k == words {
+                bits &= !(!0 << (start % 64));
+            }
+            if bits != 0 {
+                let slot = w * 64 + bits.trailing_zeros() as usize;
+                return Some(self.cur + 1 + (slot.wrapping_sub(start) & mask) as u64);
+            }
+        }
+        unreachable!("ring_events > 0 with an empty bitmap")
+    }
+
+    /// The near heap has drained: make the earliest later bucket — its
+    /// ring slot plus whatever `beyond` holds for it — the near heap,
+    /// and pool the drained buffer.
+    fn advance(&mut self) {
+        let in_ring = self.first_ring_bucket();
+        let in_beyond = self.beyond.peek().map(Entry::bucket);
+        let next = match (in_ring, in_beyond) {
+            (Some(r), Some(b)) => r.min(b),
+            (Some(b), None) | (None, Some(b)) => b,
+            (None, None) => return,
+        };
+        let mut bucket = if in_ring == Some(next) {
+            let slot = next as usize & (self.ring.len() - 1);
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            let bucket = std::mem::take(&mut self.ring[slot]);
+            self.ring_events -= bucket.len();
+            bucket
+        } else {
+            self.pool.pop().unwrap_or_default()
+        };
+        while self.beyond.peek().is_some_and(|e| e.bucket() == next) {
+            bucket.push(self.beyond.pop().expect("peeked"));
+        }
+        let drained = std::mem::replace(&mut self.near, BinaryHeap::from(bucket));
+        self.recycle(drained.into_vec());
+        self.cur = next;
+    }
+
+    /// Keep an emptied buffer for the next bucket that opens, up to
+    /// the pool bound.
+    fn recycle(&mut self, buf: Vec<Entry<E>>) {
+        debug_assert!(buf.is_empty());
+        if buf.capacity() > 0 && self.pool.len() < POOL_MAX {
+            self.pool.push(buf);
         }
     }
 
@@ -114,12 +273,14 @@ impl<E> Shard<E> {
 
     fn pop(&mut self) -> Option<Entry<E>> {
         let e = self.near.pop();
-        self.refill();
+        if self.near.is_empty() {
+            self.advance();
+        }
         e
     }
 
     fn len(&self) -> usize {
-        self.near.len() + self.far.len()
+        self.near.len() + self.ring_events + self.beyond.len()
     }
 }
 
@@ -432,6 +593,224 @@ mod tests {
         }
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, (0..50).collect::<Vec<_>>());
+    }
+
+    /// A one-shard queue whose ring has been made to exist: forty
+    /// events at T+100 s outgrow `beyond`, and popping them leaves an
+    /// empty shard at bucket 100 with a 64-slot ring. Returns the next
+    /// free event number.
+    fn with_ring() -> (EventQueue<u64>, u64) {
+        let mut q = EventQueue::with_shards(1);
+        q.schedule(Time::ZERO, 0);
+        for i in 1..=40 {
+            q.schedule(Time::from_secs(100), i);
+        }
+        for i in 0..=40 {
+            assert_eq!(q.pop().map(|(_, e)| e), Some(i));
+        }
+        assert_eq!(q.shards[0].ring.len(), RING_MIN);
+        assert_eq!((q.shards[0].cur, q.len()), (100, 0));
+        (q, 41)
+    }
+
+    #[test]
+    fn small_schedules_allocate_no_ring() {
+        let mut q = EventQueue::with_shards(1);
+        for i in 0..=(RING_MIN / 2) as u64 {
+            q.schedule(Time::from_secs(10 * i), i);
+        }
+        let s = &q.shards[0];
+        assert_eq!((s.near.len(), s.beyond.len()), (1, RING_MIN / 2));
+        assert!(s.ring.is_empty() && s.occupied.is_empty());
+        // One more far event than that, and the ring is worth having.
+        q.schedule(Time::from_secs(5), 99);
+        let s = &q.shards[0];
+        assert_eq!(s.ring.len(), RING_MIN);
+        // Buckets 5..=60 are within the horizon; 70..=320 are not.
+        assert_eq!((s.ring_events, s.beyond.len()), (7, 26));
+    }
+
+    #[test]
+    fn event_exactly_at_window_end_belongs_to_the_next_bucket() {
+        let (mut q, n) = with_ring();
+        let end = Time::from_secs(101);
+        let last_of_100 = Time::from_micros(end.as_micros() - 1);
+        q.schedule(Time::from_secs(100), n); // keeps the shard at bucket 100
+        q.schedule(end, n + 1); // first instant of bucket 101
+        q.schedule(last_of_100, n + 2);
+        q.schedule(end, n + 3);
+        let s = &q.shards[0];
+        assert_eq!((s.near.len(), s.ring_events), (2, 2));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let want = [
+            (Time::from_secs(100), n),
+            (last_of_100, n + 2),
+            (end, n + 1),
+            (end, n + 3),
+        ];
+        assert_eq!(order, want);
+    }
+
+    #[test]
+    fn bucket_fed_from_ring_and_beyond_pops_in_one_order() {
+        let (mut q, n) = with_ring();
+        let at = |us: u64| Time::from_micros(200 * WINDOW_US + us);
+        q.schedule(Time::from_secs(100), n); // keeps the shard at bucket 100
+        q.schedule(at(7), n + 1); // 100 buckets ahead: past the 64-slot horizon
+        q.schedule(at(3), n + 2);
+        assert_eq!(q.shards[0].beyond.len(), 2);
+        q.schedule(Time::from_secs(150), n + 3);
+        assert_eq!(q.pop(), Some((Time::from_secs(100), n)));
+        // The shard moved to bucket 150: bucket 200 is within the
+        // horizon now, and what arrives for it goes to the ring.
+        assert_eq!(q.shards[0].cur, 150);
+        q.schedule(at(5), n + 4);
+        q.schedule(at(3), n + 5);
+        q.schedule(at(0), n + 6);
+        let s = &q.shards[0];
+        assert_eq!((s.near.len(), s.ring_events, s.beyond.len()), (1, 3, 2));
+        assert_eq!(q.pop(), Some((Time::from_secs(150), n + 3)));
+        let s = &q.shards[0];
+        assert_eq!((s.near.len(), s.ring_events, s.beyond.len()), (5, 0, 0));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        let want = [
+            (at(0), n + 6),
+            (at(3), n + 2),
+            (at(3), n + 5),
+            (at(5), n + 4),
+            (at(7), n + 1),
+        ];
+        assert_eq!(order, want);
+    }
+
+    #[test]
+    fn beyond_head_earlier_than_the_ring_opens_first() {
+        let (mut q, n) = with_ring();
+        q.schedule(Time::from_secs(100), n);
+        q.schedule(Time::from_secs(170), n + 1); // beyond (70 ahead)
+        q.schedule(Time::from_secs(140), n + 2); // ring
+        assert_eq!(q.pop().map(|(_, e)| e), Some(n));
+        q.schedule(Time::from_secs(180), n + 3); // ring (40 ahead of 140)
+        assert_eq!(q.pop().map(|(_, e)| e), Some(n + 2));
+        // Ring holds bucket 180, beyond holds bucket 170: 170 is next.
+        let s = &q.shards[0];
+        assert_eq!((s.cur, s.ring_events, s.beyond.len()), (170, 1, 0));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(n + 1));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(n + 3));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn len_and_is_empty_count_all_three_tiers() {
+        let (mut q, n) = with_ring();
+        assert!(q.is_empty());
+        q.schedule(Time::from_secs(100), n); // near
+        q.schedule(Time::from_secs(130), n + 1); // ring
+        q.schedule(Time::from_secs(131), n + 2); // ring
+        q.schedule(Time::from_secs(3600), n + 3); // beyond
+        q.schedule(Time::MAX, n + 4); // beyond
+        let s = &q.shards[0];
+        assert_eq!((s.near.len(), s.ring_events, s.beyond.len()), (1, 2, 2));
+        for left in (0..5).rev() {
+            assert_eq!((q.len(), q.is_empty()), (left + 1, false));
+            assert!(q.pop().is_some());
+            assert_eq!(q.len(), left);
+        }
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.now(), Time::MAX);
+        // An emptied shard restarts its calendar where it is told to.
+        q.schedule(Time::MAX, n + 5);
+        assert_eq!((q.len(), q.peek_time()), (1, Some(Time::MAX)));
+    }
+
+    #[test]
+    fn sparse_year_of_hourly_events_then_never() {
+        // One event an hour for a year, then one at `Time::MAX`: 8 760
+        // occupied buckets among 1.8e13. Finding each next bucket is a
+        // bitmap scan and a heap peek, never a walk over empty buckets
+        // — which would not get to the last event in a lifetime.
+        const HOURS: u64 = 24 * 365;
+        for up_front in [true, false] {
+            let mut q = EventQueue::with_shards(1);
+            let hour = |h: u64| Time::from_secs(3600 * h);
+            q.schedule(Time::MAX, u64::MAX);
+            q.schedule(hour(1), 1);
+            if up_front {
+                (2..=HOURS).for_each(|h| q.schedule(hour(h), h));
+            }
+            for h in 1..=HOURS {
+                assert_eq!(q.pop(), Some((hour(h), h)));
+                if !up_front && h < HOURS {
+                    q.schedule(hour(h + 1), h + 1);
+                }
+            }
+            assert_eq!(q.pop(), Some((Time::MAX, u64::MAX)));
+            assert!(q.is_empty());
+            assert!(q.shards[0].ring.len() <= RING_MAX);
+        }
+    }
+
+    #[test]
+    fn drained_buckets_do_not_accumulate_capacity() {
+        // 10 000 buckets of 32 events each pass through the ring. What
+        // the shard still holds afterwards is the near buffer and the
+        // pool — a handful of bucket-sized buffers, not 10 000.
+        const BUCKETS: u64 = 10_000;
+        const PER_BUCKET: u64 = 32;
+        let mut q = EventQueue::with_shards(1);
+        let fill = |q: &mut EventQueue<u64>, b: u64| {
+            for i in 0..PER_BUCKET {
+                q.schedule(Time::from_micros(b * WINDOW_US + i), b);
+            }
+        };
+        // Keep 300 buckets scheduled ahead of the clock, as `try for 5
+        // minutes` deadlines do.
+        (0..300).for_each(|b| fill(&mut q, b));
+        for b in 0..BUCKETS {
+            if b + 300 < BUCKETS {
+                fill(&mut q, b + 300);
+            }
+            for _ in 0..PER_BUCKET {
+                assert_eq!(q.pop().map(|(_, e)| e), Some(b));
+            }
+        }
+        assert!(q.is_empty());
+        let s = &q.shards[0];
+        assert_eq!(s.ring.len(), RING_MAX);
+        assert!(
+            s.ring.iter().all(|b| b.capacity() == 0),
+            "emptied slots hold nothing"
+        );
+        assert!(s.pool.len() <= POOL_MAX);
+        let retained: usize = s.near.capacity() + s.pool.iter().map(Vec::capacity).sum::<usize>();
+        assert!(
+            retained <= (POOL_MAX + 1) * 2 * PER_BUCKET as usize,
+            "{retained} entries of capacity retained"
+        );
+    }
+
+    #[test]
+    fn clamped_schedule_lands_in_the_current_bucket() {
+        let (mut q, n) = with_ring();
+        q.schedule(Time::from_secs(100) + Dur::from_millis(500), n);
+        q.schedule(Time::from_secs(101), n + 1);
+        q.schedule(Time::from_secs(7200), n + 2);
+        assert_eq!(q.pop().map(|(_, e)| e), Some(n));
+        // Only a compiled-away debug_assert guards this in release.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        // Asked for T+3 s at T+100.5 s: clamped to now. The shard has
+        // moved on to bucket 101, and an instant at or before its
+        // bucket goes to the near heap, ahead of what is there.
+        q.schedule(Time::from_secs(3), n + 3);
+        assert_eq!(q.clamped(), 1);
+        assert_eq!((q.shards[0].cur, q.shards[0].near.len()), (101, 2));
+        let now = Time::from_secs(100) + Dur::from_millis(500);
+        assert_eq!(q.pop(), Some((now, n + 3)));
+        assert_eq!(q.pop().map(|(_, e)| e), Some(n + 1));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

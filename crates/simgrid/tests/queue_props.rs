@@ -1,7 +1,8 @@
 //! Differential property test for the sharded event kernel: for
 //! arbitrary interleavings of schedules and pops, every shard count
 //! must yield the identical `(time, event)` sequence as a reference
-//! single-heap queue — the legacy kernel the shards replaced.
+//! single-heap queue — the legacy kernel the shards and their bucket
+//! calendar replaced.
 
 use proptest::prelude::*;
 use retry::Time;
@@ -32,28 +33,77 @@ impl LegacyQueue {
     }
 }
 
-/// One step of an interleaving: schedule an event some microseconds
-/// past the current clock (routed by `key`), or pop the head.
+/// The kernel's bucket width, restated: instants on either side of a
+/// multiple of it are where a calendar can misfile an event.
+const BUCKET_US: u64 = 1_000_000;
+
+/// When a scheduled event is due, relative to the current clock.
+#[derive(Clone, Debug)]
+enum When {
+    /// `mantissa × 10^exp` microseconds from now: a heavy tail from
+    /// 1 µs to ten days, so one interleaving mixes events of the
+    /// current bucket, of the ring, and past any ring's horizon.
+    In { mantissa: u64, exp: u32 },
+    /// Exactly on the boundary `buckets` buckets ahead (the first
+    /// instant of that bucket), or one microsecond before it (the last
+    /// instant of the bucket before).
+    Boundary { buckets: u64, before: bool },
+    /// `Time::MAX`.
+    Never,
+}
+
+impl When {
+    fn at(&self, now: Time) -> Time {
+        let now = now.as_micros();
+        Time::from_micros(match *self {
+            When::In { mantissa, exp } => now.saturating_add(mantissa * 10u64.pow(exp)),
+            When::Boundary { buckets, before } => (now / BUCKET_US)
+                .saturating_add(buckets)
+                .saturating_mul(BUCKET_US)
+                .saturating_sub(u64::from(before))
+                .max(now),
+            When::Never => u64::MAX,
+        })
+    }
+}
+
+/// One step of an interleaving: schedule events (each routed by its
+/// key) — one, or a burst large enough to outgrow a shard's `beyond`
+/// heap and make it build a ring — or pop a run of heads. With the
+/// heavy tail above a long run carries the clock hours forward, so the
+/// ring wraps many times within one case.
 #[derive(Clone, Debug)]
 enum Op {
-    Schedule { delta_us: u64, key: usize },
-    Pop,
+    Schedule(Vec<(When, usize)>),
+    Pop(usize),
+}
+
+fn event_strategy() -> impl Strategy<Value = (When, usize)> {
+    let when = prop_oneof![
+        12 => (1u64..10, 0u32..12).prop_map(|(mantissa, exp)| When::In { mantissa, exp }),
+        4 => (1u64..700, any::<bool>()).prop_map(|(buckets, before)| When::Boundary {
+            buckets,
+            before
+        }),
+        1 => Just(When::Never),
+    ];
+    (when, 0usize..64)
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (0u64..3_000_000, 0usize..64).prop_map(|(delta_us, key)| Op::Schedule {
-            delta_us,
-            key
-        }),
-        2 => Just(Op::Pop),
+        6 => proptest::collection::vec(event_strategy(), 1..2).prop_map(Op::Schedule),
+        1 => proptest::collection::vec(event_strategy(), 20..300).prop_map(Op::Schedule),
+        3 => Just(Op::Pop(1)),
+        1 => (2usize..200).prop_map(Op::Pop),
     ]
 }
 
 proptest! {
-    /// The sharded kernel is observationally identical to the legacy
+    /// The sharded calendar is observationally identical to the legacy
     /// single heap under any schedule/pop interleaving and any shard
-    /// count, including the final drain.
+    /// count, including the final drain — whichever tier each event
+    /// waited in.
     #[test]
     fn sharded_matches_legacy_queue(
         ops in proptest::collection::vec(op_strategy(), 1..200),
@@ -63,22 +113,25 @@ proptest! {
         let mut sharded = EventQueue::with_shards(nshards);
         let mut next_event = 0u32;
         for op in &ops {
-            match *op {
-                Op::Schedule { delta_us, key } => {
-                    // Both clocks advance identically, so `at` is never
-                    // in the past for either queue.
-                    let at = Time::from_micros(
-                        legacy.now.as_micros().saturating_add(delta_us),
-                    );
-                    legacy.schedule(at, next_event);
-                    sharded.schedule_keyed(key, at, next_event);
-                    next_event += 1;
-                }
-                Op::Pop => {
-                    prop_assert_eq!(sharded.pop(), legacy.pop());
-                    prop_assert_eq!(sharded.now(), legacy.now);
-                }
+            let (events, pops) = match op {
+                Op::Schedule(events) => (&events[..], 0),
+                Op::Pop(n) => (&[][..], *n),
+            };
+            for (when, key) in events {
+                // Both clocks advance identically, so `at` is never in
+                // the past for either queue.
+                let at = when.at(legacy.now);
+                legacy.schedule(at, next_event);
+                sharded.schedule_keyed(*key, at, next_event);
+                next_event += 1;
             }
+            for _ in 0..pops {
+                prop_assert_eq!(sharded.peek_time(), legacy.heap.peek().map(|e| e.0 .0));
+                prop_assert_eq!(sharded.pop(), legacy.pop());
+                prop_assert_eq!(sharded.now(), legacy.now);
+            }
+            prop_assert_eq!(sharded.len(), legacy.heap.len());
+            prop_assert_eq!(sharded.is_empty(), legacy.heap.is_empty());
         }
         loop {
             let (s, l) = (sharded.pop(), legacy.pop());
@@ -89,5 +142,6 @@ proptest! {
         }
         prop_assert!(sharded.is_empty());
         prop_assert_eq!(sharded.len(), 0);
+        prop_assert_eq!(sharded.clamped(), 0);
     }
 }
