@@ -13,6 +13,11 @@
 //! is what stands in for running whole figures on the oracle: a figure is
 //! these scripts under these policies, and a scenario world only ever
 //! sees the effect stream.
+//!
+//! A third machine rides along — the interpreter the way a population
+//! runs it, counters only and no sink — so every case also shows that
+//! what a VM records changes nothing it does, and that its counters,
+//! its retained records and its sink tell one story.
 
 use ftsh::tree::TreeVm;
 use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
@@ -22,8 +27,8 @@ use gridworld::scripts::{
     arena_script, arena_text, arena_worst_case, buffer_script, reader_script, submit_script,
 };
 use retry::{BackoffPolicy, Discipline, Dur, Time};
-use simgrid::trace::{SharedSink, VecSink};
-use simgrid::SimRng;
+use simgrid::trace::{SharedSink, TraceRecord, VecSink};
+use simgrid::{SimRng, TraceSummary};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -123,6 +128,25 @@ fn sink() -> (SharedSink, Arc<Mutex<VecSink>>) {
     (buf.clone() as SharedSink, buf)
 }
 
+/// The summary a record stream adds up to, counted by kind by the
+/// trace reader — not by the VM's own counters.
+fn counted(records: &[TraceRecord]) -> LogSummary {
+    let s = TraceSummary::from_records(records);
+    LogSummary {
+        commands_started: s.cmd_starts,
+        commands_succeeded: s.cmd_ok,
+        commands_failed: s.cmd_failed,
+        commands_cancelled: s.cmd_killed,
+        attempts: s.attempts,
+        backoffs: s.backoff_us.len() as u64,
+        total_backoff: Dur::from_micros(s.backoff_us.iter().sum()),
+        exhausted_tries: s.exhausted,
+        timed_out_tries: s.timeouts,
+        catches: s.catches,
+        alternatives_tried: s.alternatives,
+    }
+}
+
 /// Captured outputs straddle every carrier-sense threshold the scripts
 /// compare against (rank counts, input counts, 1000 free FDs), plus
 /// one non-numeric value that makes `.lt.` itself fail.
@@ -148,12 +172,17 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
     let what = format!("{} (seed {seed})", case.name);
     let mut tree = TreeVm::with_env_seed(&case.script, case_env(), seed);
     let mut vm = Vm::with_env_seed(&case.script, case_env(), seed);
+    // The interpreter again, recording nothing but its counters.
+    let mut bare = Vm::with_env_seed(&case.script, case_env(), seed);
+    bare.set_log_detail(false);
     tree.set_default_backoff(case.backoff);
     vm.set_default_backoff(case.backoff);
+    bare.set_default_backoff(case.backoff);
     // Every other seed also throttles `forall` to two live branches.
     let throttle = seed.is_multiple_of(2).then_some(2);
     tree.set_max_parallel(throttle);
     vm.set_max_parallel(throttle);
+    bare.set_max_parallel(throttle);
     let (tree_sink, tree_trace) = sink();
     let (vm_sink, vm_trace) = sink();
     tree.set_tracer(tree_sink, 0);
@@ -170,6 +199,7 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
         let a = tree.tick(now);
         let b = vm.tick(now);
         assert_eq!(a, b, "{what}: tick {step} at {now:?} diverges");
+        assert_eq!(b, bare.tick(now), "{what}: tick {step}, recording or not");
         for eff in a.effects {
             match eff {
                 // `hang` never answers: only a deadline ends it.
@@ -205,17 +235,24 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
         while pending.first().is_some_and(|p| p.0 <= now) {
             let (_, token, result) = pending.remove(0);
             tree.complete(token, result.clone());
+            bare.complete(token, result.clone());
             vm.complete(token, result);
         }
     }
 
     assert_eq!(tree.outcome(), vm.outcome(), "{what}: outcome");
-    assert_eq!(tree.log().events(), vm.log().events(), "{what}: event log");
-    assert_eq!(
-        tree_trace.lock().unwrap().take(),
-        vm_trace.lock().unwrap().take(),
-        "{what}: trace records"
-    );
+    assert_eq!(vm.outcome(), bare.outcome(), "{what}: outcome, bare");
+    let records = vm.log().events();
+    assert_eq!(tree.log().events(), records, "{what}: records");
+    for (whose, trace) in [("tree", tree_trace), ("vm", vm_trace)] {
+        let sunk = trace.lock().unwrap().take();
+        assert_eq!(sunk, records, "{what}: what the {whose}'s sink received");
+    }
+    let summary = vm.log().summary();
+    assert_eq!(counted(records), summary, "{what}: counters vs records");
+    assert_eq!(tree.log().summary(), summary, "{what}: counters, tree");
+    assert_eq!(bare.log().summary(), summary, "{what}: counters, bare");
+    assert!(bare.log().is_empty(), "{what}: counters-only keeps nothing");
     if finished {
         assert_eq!(
             bindings(tree.env()),

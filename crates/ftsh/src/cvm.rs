@@ -5,8 +5,8 @@
 //! needs no frames at all (it is jump targets), and statically-known
 //! variables live in a plain slot vector instead of a hash map. Its
 //! semantics are pinned against the tree-walking oracle
-//! (`crate::tree`, test-only): identical effects, identical log and
-//! trace events in identical order, and identical RNG draws (the only
+//! (`crate::tree`, test-only): identical effects, identical records
+//! in identical order, and identical RNG draws (the only
 //! draws are inside `TrySession::on_failure`, reached under exactly
 //! the same control flow).
 //!
@@ -29,7 +29,7 @@ use crate::bytecode::{
 };
 use crate::cond::eval_cond_values;
 use crate::intern::Istr;
-use crate::log::{EventLog, LogKind};
+use crate::log::EventLog;
 use crate::vm::{
     CmdInput, CmdResult, CmdToken, CommandSpec, Effect, OutSink, TaskId, Tick, VmStatus,
 };
@@ -37,7 +37,7 @@ use crate::words::{trim_capture, Env};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use retry::{BackoffPolicy, NextAttempt, Time, TryBudget, TrySession};
-use simgrid::trace::{SharedSink, TraceEv, NO_ID};
+use simgrid::trace::{SharedSink, TraceEv, TraceRecord, NO_ID};
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
@@ -558,12 +558,11 @@ impl Vm {
         self.tasks.len()
     }
 
-    /// Install a structured-trace sink; every span and command event
-    /// this VM produces is recorded there, attributed to `client`
-    /// (the scenario's client index, or [`NO_ID`] outside a
-    /// population). With no sink installed — the default — every
-    /// emission site is a single `Option` test: the tick path stays
-    /// allocation-free.
+    /// Install a structured-trace sink; every record this VM emits
+    /// goes there too, attributed to `client` (the scenario's client
+    /// index, or [`NO_ID`] outside a population). With no sink
+    /// installed — the default — and the log counters-only, no record
+    /// is built: the tick path stays allocation-free.
     pub fn set_tracer(&mut self, sink: SharedSink, client: i64) {
         self.tracer = Some(sink);
         self.trace_client = client;
@@ -574,10 +573,27 @@ impl Vm {
         self.tracer.is_some()
     }
 
-    /// Emit a structured trace record (no-op without a sink).
+    /// Emit the record of one transition of task `tid`. `ev` runs only
+    /// when someone will receive what it builds — the VM's own log
+    /// while it is detailed, the sink if one is installed — and both
+    /// get the same record. A kind that [`LogSummary`] counts bumps its
+    /// counter beside the call, whoever listens.
+    ///
+    /// [`LogSummary`]: crate::log::LogSummary
     #[inline]
-    fn trace(&self, tid: TaskId, ev: TraceEv) {
-        simgrid::trace::emit(&self.tracer, self.now, self.trace_client, tid as i64, ev);
+    fn emit(&mut self, tid: TaskId, ev: impl FnOnce() -> TraceEv) {
+        if self.log.is_detailed() || self.tracer.is_some() {
+            let rec = TraceRecord {
+                t: self.now,
+                client: self.trace_client,
+                task: tid as i64,
+                ev: ev(),
+            };
+            if let Some(sink) = &self.tracer {
+                sink.lock().expect("trace sink poisoned").record(&rec);
+            }
+            self.log.keep(rec);
+        }
     }
 
     /// Override the backoff policy used by `try` blocks that do not
@@ -606,11 +622,10 @@ impl Vm {
         &self.log
     }
 
-    /// Switch the execution log between full event retention (the
+    /// Switch the execution log between full record retention (the
     /// default) and counters-only mode — see [`EventLog::set_detailed`].
     /// Population drivers run counters-only: the [`LogSummary`] still
-    /// aggregates exactly, but a million ticks retain no per-event
-    /// storage.
+    /// aggregates exactly, but a million ticks retain no record.
     ///
     /// [`LogSummary`]: crate::log::LogSummary
     pub fn set_log_detail(&mut self, detailed: bool) {
@@ -676,6 +691,10 @@ impl Vm {
         else {
             unreachable!("matched above")
         };
+        // The instruction pointer already sits just past the dispatch
+        // op (on its fail-check); the command's outcome lands in the
+        // result register.
+        task.res = result.success;
         if let Some((name, append)) = out_var {
             let value = trim_capture(&result.stdout);
             if append {
@@ -687,32 +706,20 @@ impl Vm {
                 task.env
                     .set_dyn(&self.prog.slots, name.clone(), Istr::from(value));
             }
-            self.log.var_set(self.now, tid, &name);
+            self.emit(tid, || TraceEv::VarSet {
+                name: name.to_string(),
+            });
         }
-        if self.tracer.is_some() {
-            simgrid::trace::emit(
-                &self.tracer,
-                self.now,
-                self.trace_client,
-                tid as i64,
-                TraceEv::CmdEnd {
-                    program: program.to_string(),
-                    ok: result.success,
-                },
-            );
+        let ok = result.success;
+        if ok {
+            self.log.summary.commands_succeeded += 1;
+        } else {
+            self.log.summary.commands_failed += 1;
         }
-        self.log.push(
-            self.now,
-            tid,
-            LogKind::CmdEnd {
-                program,
-                success: result.success,
-            },
-        );
-        // The instruction pointer already sits just past the dispatch
-        // op (on its fail-check); the command's outcome lands in the
-        // result register.
-        task.res = result.success;
+        self.emit(tid, || TraceEv::CmdEnd {
+            program: program.to_string(),
+            ok,
+        });
     }
 
     /// Advance every runnable strand at virtual instant `now`.
@@ -790,8 +797,8 @@ impl Vm {
                 }
                 let task = &mut tasks[pos];
                 self.cancel_running_cmd(task);
-                self.log.push(self.now, task.id, LogKind::TryTimeout);
-                self.trace(task.id, TraceEv::TryTimeout);
+                self.log.summary.timed_out_tries += 1;
+                self.emit(task.id, || TraceEv::TryTimeout);
                 self.fail_try_frame(task);
                 task.state = CState::Ready;
             }
@@ -817,8 +824,8 @@ impl Vm {
         if *catch_ip != NO_CATCH && !*in_catch {
             *in_catch = true;
             let catch_ip = *catch_ip;
-            self.log.push(self.now, tid, LogKind::CatchEntered);
-            self.trace(tid, TraceEv::CatchEntered);
+            self.log.summary.catches += 1;
+            self.emit(tid, || TraceEv::CatchEntered);
             task.ip = catch_ip;
             task.res = true;
         } else {
@@ -832,21 +839,10 @@ impl Vm {
     fn cancel_running_cmd(&mut self, task: &mut CTask) {
         if let CState::RunningCmd { token, program, .. } = &task.state {
             self.effects.push(Effect::Cancel { token: *token });
-            if self.tracer.is_some() {
-                self.trace(
-                    task.id,
-                    TraceEv::CmdKilled {
-                        program: program.to_string(),
-                    },
-                );
-            }
-            self.log.push(
-                self.now,
-                task.id,
-                LogKind::CmdCancelled {
-                    program: program.clone(),
-                },
-            );
+            self.log.summary.commands_cancelled += 1;
+            self.emit(task.id, || TraceEv::CmdKilled {
+                program: program.to_string(),
+            });
         }
     }
 
@@ -909,9 +905,7 @@ impl Vm {
         let task = &tasks[at];
         let Some(pid) = task.parent else {
             self.outcome = Some(result);
-            self.log
-                .push(self.now, task.id, LogKind::ScriptDone { success: result });
-            self.trace(task.id, TraceEv::UnitDone { ok: result });
+            self.emit(task.id, || TraceEv::UnitDone { ok: result });
             return at;
         };
         let branch = tasks.remove(at);
@@ -989,8 +983,9 @@ impl Vm {
                     if let Some(v) = v {
                         task.env.set_slot(slot, v);
                     }
-                    self.log
-                        .var_set(self.now, tid, &prog.slots.names[slot as usize]);
+                    self.emit(tid, || TraceEv::VarSet {
+                        name: prog.slots.names[slot as usize].to_string(),
+                    });
                     task.res = true;
                     task.ip += 1;
                 }
@@ -1055,14 +1050,13 @@ impl Vm {
                     if session.begin_attempt(self.now) {
                         let attempt = session.attempts();
                         let budget = session.deadline().map(|d| d.saturating_since(self.now));
-                        self.log
-                            .push(self.now, tid, LogKind::TryAttempt { attempt });
-                        self.trace(tid, TraceEv::AttemptStart { attempt, budget });
+                        self.log.summary.attempts += 1;
+                        self.emit(tid, || TraceEv::AttemptStart { attempt, budget });
                         task.res = true;
                         task.ip += 1;
                     } else {
-                        self.log.push(self.now, tid, LogKind::TryExhausted);
-                        self.trace(tid, TraceEv::TryExhausted);
+                        self.log.summary.exhausted_tries += 1;
+                        self.emit(tid, || TraceEv::TryExhausted);
                         self.fail_try_frame(task);
                     }
                 }
@@ -1086,7 +1080,7 @@ impl Vm {
                         let attempt = session.attempts();
                         let end = *end_ip;
                         task.frames.pop();
-                        self.trace(tid, TraceEv::AttemptOk { attempt });
+                        self.emit(tid, || TraceEv::AttemptOk { attempt });
                         task.ip = end;
                     } else {
                         let attempt = session.attempts();
@@ -1094,15 +1088,16 @@ impl Vm {
                         match session.on_failure(self.now, &mut self.rng) {
                             NextAttempt::RetryAt(t) => {
                                 let delay = t.saturating_since(self.now);
-                                self.log.push(self.now, tid, LogKind::Backoff { delay });
-                                self.trace(tid, TraceEv::Backoff { attempt, delay });
+                                self.log.summary.backoffs += 1;
+                                self.log.summary.total_backoff += delay;
+                                self.emit(tid, || TraceEv::Backoff { attempt, delay });
                                 task.state = CState::Sleeping { until: t };
                                 task.ip = aip;
                                 return None;
                             }
                             NextAttempt::Exhausted => {
-                                self.log.push(self.now, tid, LogKind::TryExhausted);
-                                self.trace(tid, TraceEv::TryExhausted);
+                                self.log.summary.exhausted_tries += 1;
+                                self.emit(tid, || TraceEv::TryExhausted);
                                 self.fail_try_frame(task);
                             }
                         }
@@ -1116,7 +1111,10 @@ impl Vm {
                             .map(|&w| task.env.expand(&prog.words[w as usize])),
                     );
                     let value = values[0].clone();
-                    self.log.for_any_next(self.now, tid, &value);
+                    self.log.summary.alternatives_tried += 1;
+                    self.emit(tid, || TraceEv::ForAnyNext {
+                        value: value.to_string(),
+                    });
                     task.env.set_slot(var, value);
                     let frame = CFrame::ForAny {
                         values,
@@ -1156,7 +1154,10 @@ impl Vm {
                             let value = values[*idx].clone();
                             let var = *var;
                             let bip = *body_ip;
-                            self.log.for_any_next(self.now, tid, &value);
+                            self.log.summary.alternatives_tried += 1;
+                            self.emit(tid, || TraceEv::ForAnyNext {
+                                value: value.to_string(),
+                            });
                             task.env.set_slot(var, value);
                             task.res = true;
                             task.ip = bip;
@@ -1170,13 +1171,9 @@ impl Vm {
                             .iter()
                             .map(|&w| task.env.expand(&prog.words[w as usize])),
                     );
-                    self.log.push(
-                        self.now,
-                        tid,
-                        LogKind::ForAllSpawn {
-                            branches: pending.len(),
-                        },
-                    );
+                    self.emit(tid, || TraceEv::ForAllSpawn {
+                        branches: pending.len() as u64,
+                    });
                     // Branches start in list order, popped off the
                     // back; `step_all` spawns them once this returns.
                     pending.reverse();
@@ -1312,15 +1309,11 @@ impl Vm {
             output,
             both,
         };
-        self.log.cmd_start(self.now, tid, &spec.argv);
-        if self.tracer.is_some() {
-            self.trace(
-                tid,
-                TraceEv::CmdStart {
-                    program: spec.program().to_string(),
-                },
-            );
-        }
+        self.log.summary.commands_started += 1;
+        self.emit(tid, || TraceEv::CmdStart {
+            program: spec.program().to_string(),
+            args: spec.argv[1..].iter().map(Istr::to_string).collect(),
+        });
         task.state = CState::RunningCmd {
             token,
             program: spec.argv.first().cloned().unwrap_or_default(),

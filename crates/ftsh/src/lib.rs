@@ -40,7 +40,7 @@
 //!
 //! * [`VmDriver`] (here) — synchronous closure executor, with
 //!   [`SimClock`] (virtual time) or [`WallClock`];
-//! * `procman::RealDriver` — real POSIX processes in their own
+//! * `procman::run_vm` — real POSIX processes in their own
 //!   sessions, SIGTERM→SIGKILL on deadline;
 //! * `gridworld` — hundreds of VMs inside a discrete-event simulation.
 
@@ -70,7 +70,7 @@ pub use cond::{eval_cond, eval_cond_values};
 pub use errors::{line_col, ParseError};
 pub use intern::Istr;
 pub use interp::{Clock, DriveError, RunOutcome, SimClock, VmDriver, WallClock};
-pub use log::{EventLog, LogEvent, LogKind, LogSummary, ProgramStats};
+pub use log::{EventLog, LogSummary};
 pub use parser::parse;
 pub use pretty::pretty;
 pub use vm::{
@@ -78,7 +78,8 @@ pub use vm::{
 };
 pub use words::Env;
 
-/// The shared structured-trace vocabulary ([`simgrid::trace`],
-/// re-exported so `procman` and scripts driving [`Vm`] directly can
-/// install sinks without a simulator dependency).
-pub use simgrid::trace;
+/// The shared structured-trace vocabulary ([`simgrid::trace`]) and its
+/// reader ([`simgrid::postmortem`]), re-exported so `procman` and
+/// scripts driving [`Vm`] directly can install sinks and analyse
+/// [`EventLog::events`] without a simulator dependency.
+pub use simgrid::{postmortem, trace};

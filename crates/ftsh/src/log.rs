@@ -4,101 +4,29 @@
 //! about the program. Online or post-mortem analysis may determine more
 //! detailed reasons for process failure, the exact resources used to
 //! execute the program, the frequency of each failure branch, and so
-//! forth."* The VM records one [`LogEvent`] per interesting transition;
-//! [`LogSummary`] is the post-mortem analysis.
+//! forth."* The VM emits one [`TraceRecord`] per interesting
+//! transition — the same record the simulator's worlds and the live
+//! swarm write, so one reader ([`simgrid::postmortem`]) analyses any of
+//! them — and [`LogSummary`] counts the transitions as they happen.
 //!
-//! The log has *varying detail* in a literal sense: counters (the
-//! [`LogSummary`]) are maintained incrementally on every push, while
-//! the per-event record is only stored when the log is in detailed
-//! mode. Large VM populations run counters-only
-//! ([`EventLog::set_detailed`]`(false)`), so a million ticks of
-//! simulation cost zero log allocations; interactive and post-mortem
-//! runs keep the full event stream.
+//! The log has *varying detail* in a literal sense. The counters are
+//! bumped at every emission site whatever else is switched on. A record
+//! is built only when someone will receive it: this log, while it is
+//! in detailed mode (the default), and the sink installed with
+//! `Vm::set_tracer`, if any. Large VM populations run counters-only
+//! ([`EventLog::set_detailed`]`(false)`) with no sink, so a million
+//! ticks of simulation build no record and allocate nothing for the
+//! log; interactive and post-mortem runs keep the full stream.
 
-use crate::intern::Istr;
-use retry::{Dur, Time};
+use retry::Dur;
+use simgrid::trace::TraceRecord;
 
-/// Kinds of logged transitions.
-#[derive(Clone, Debug, PartialEq)]
-pub enum LogKind {
-    /// A command was dispatched to the executor.
-    CmdStart {
-        /// Expanded argv.
-        argv: Vec<Istr>,
-    },
-    /// A command finished.
-    CmdEnd {
-        /// Expanded `argv[0]` for correlation.
-        program: Istr,
-        /// Whether it exited successfully.
-        success: bool,
-    },
-    /// A command was cancelled by a deadline.
-    CmdCancelled {
-        /// Expanded `argv[0]`.
-        program: Istr,
-    },
-    /// A `try` opened an attempt.
-    TryAttempt {
-        /// 1-based attempt number within the try session.
-        attempt: u32,
-    },
-    /// A failed attempt scheduled a backoff delay.
-    Backoff {
-        /// How long the client will stay off the medium.
-        delay: Dur,
-    },
-    /// A `try` ran out of budget (time or attempts).
-    TryExhausted,
-    /// A `try` deadline expired while work was in flight; the work was
-    /// forcibly terminated.
-    TryTimeout,
-    /// Control entered a `catch` handler.
-    CatchEntered,
-    /// `forany` moved on to its next alternative.
-    ForAnyNext {
-        /// The value now bound to the loop variable.
-        value: Istr,
-    },
-    /// `forall` spawned its parallel branches.
-    ForAllSpawn {
-        /// Number of branches.
-        branches: usize,
-    },
-    /// A variable was assigned (assignment or capture).
-    VarSet {
-        /// Variable name.
-        name: Istr,
-    },
-    /// The whole script finished.
-    ScriptDone {
-        /// Overall outcome.
-        success: bool,
-    },
-}
-
-/// One logged transition.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LogEvent {
-    /// Virtual instant of the transition.
-    pub time: Time,
-    /// The VM task that made it (0 is the root; `forall` branches get
-    /// fresh ids).
-    pub task: usize,
-    /// What happened.
-    pub kind: LogKind,
-}
-
-/// Append-only event log with an incrementally-maintained summary.
-///
-/// Counters are updated on every push regardless of detail mode; the
-/// per-event stream is only retained while `detailed` is true (the
-/// default). Counters-only mode makes pushing whose payloads are
-/// interned strings completely allocation-free.
+/// The records a VM retained and the counters it always keeps.
 #[derive(Clone, Debug)]
 pub struct EventLog {
-    events: Vec<LogEvent>,
-    summary: LogSummary,
+    events: Vec<TraceRecord>,
+    /// Bumped by the VM beside each emission, in either detail mode.
+    pub(crate) summary: LogSummary,
     detailed: bool,
 }
 
@@ -118,101 +46,31 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// Switch event retention on or off. Counters keep accumulating in
-    /// either mode; events already stored are kept.
+    /// Switch record retention on or off. Counters keep accumulating in
+    /// either mode; records already stored are kept.
     pub fn set_detailed(&mut self, detailed: bool) {
         self.detailed = detailed;
     }
 
-    /// Whether the per-event stream is being retained.
+    /// Whether records are being retained.
     pub fn is_detailed(&self) -> bool {
         self.detailed
     }
 
-    /// Record an event.
-    pub fn push(&mut self, time: Time, task: usize, kind: LogKind) {
-        self.count(&kind);
+    /// Retain `rec` if the log is detailed.
+    pub(crate) fn keep(&mut self, rec: TraceRecord) {
         if self.detailed {
-            self.events.push(LogEvent { time, task, kind });
+            self.events.push(rec);
         }
     }
 
-    /// Record a command dispatch without materialising the argv vector
-    /// unless it will actually be stored — the hot-path variant of
-    /// pushing [`LogKind::CmdStart`].
-    pub fn cmd_start(&mut self, time: Time, task: usize, argv: &[Istr]) {
-        self.summary.commands_started += 1;
-        if self.detailed {
-            self.events.push(LogEvent {
-                time,
-                task,
-                kind: LogKind::CmdStart {
-                    argv: argv.to_vec(),
-                },
-            });
-        }
-    }
-
-    /// Record a `forany` alternative without cloning the value unless
-    /// the event will actually be stored — the hot-path variant of
-    /// pushing [`LogKind::ForAnyNext`].
-    pub fn for_any_next(&mut self, time: Time, task: usize, value: &Istr) {
-        self.summary.alternatives_tried += 1;
-        if self.detailed {
-            self.events.push(LogEvent {
-                time,
-                task,
-                kind: LogKind::ForAnyNext {
-                    value: value.clone(),
-                },
-            });
-        }
-    }
-
-    /// Record a variable assignment without cloning the name unless
-    /// the event will actually be stored — the hot-path variant of
-    /// pushing [`LogKind::VarSet`] (which no counter tracks).
-    pub fn var_set(&mut self, time: Time, task: usize, name: &Istr) {
-        if self.detailed {
-            self.events.push(LogEvent {
-                time,
-                task,
-                kind: LogKind::VarSet { name: name.clone() },
-            });
-        }
-    }
-
-    fn count(&mut self, kind: &LogKind) {
-        let s = &mut self.summary;
-        match kind {
-            LogKind::CmdStart { .. } => s.commands_started += 1,
-            LogKind::CmdEnd { success, .. } => {
-                if *success {
-                    s.commands_succeeded += 1;
-                } else {
-                    s.commands_failed += 1;
-                }
-            }
-            LogKind::CmdCancelled { .. } => s.commands_cancelled += 1,
-            LogKind::TryAttempt { .. } => s.attempts += 1,
-            LogKind::Backoff { delay } => {
-                s.backoffs += 1;
-                s.total_backoff += *delay;
-            }
-            LogKind::TryExhausted => s.exhausted_tries += 1,
-            LogKind::TryTimeout => s.timed_out_tries += 1,
-            LogKind::CatchEntered => s.catches += 1,
-            LogKind::ForAnyNext { .. } => s.alternatives_tried += 1,
-            _ => {}
-        }
-    }
-
-    /// All retained events in order (empty in counters-only mode).
-    pub fn events(&self) -> &[LogEvent] {
+    /// All retained records in emission order (empty in counters-only
+    /// mode).
+    pub fn events(&self) -> &[TraceRecord] {
         &self.events
     }
 
-    /// Number of retained events.
+    /// Number of retained records.
     pub fn len(&self) -> usize {
         self.events.len()
     }
@@ -227,195 +85,6 @@ impl EventLog {
     pub fn summary(&self) -> LogSummary {
         self.summary
     }
-}
-
-impl EventLog {
-    /// Per-program statistics: (starts, successes, failures,
-    /// cancellations), keyed by `argv[0]` — "the frequency of each
-    /// failure branch" of §4's post-mortem analysis.
-    pub fn per_program(&self) -> std::collections::BTreeMap<String, ProgramStats> {
-        let mut map = std::collections::BTreeMap::<String, ProgramStats>::default();
-        for e in &self.events {
-            match &e.kind {
-                LogKind::CmdStart { argv } => {
-                    if let Some(p) = argv.first() {
-                        map.entry(p.to_string()).or_default().started += 1;
-                    }
-                }
-                LogKind::CmdEnd { program, success } => {
-                    let st = map.entry(program.to_string()).or_default();
-                    if *success {
-                        st.succeeded += 1;
-                    } else {
-                        st.failed += 1;
-                    }
-                }
-                LogKind::CmdCancelled { program } => {
-                    map.entry(program.to_string()).or_default().cancelled += 1;
-                }
-                _ => {}
-            }
-        }
-        map
-    }
-
-    /// How often each `forany` alternative was tried, keyed by the
-    /// bound value — which alternates actually carried the load.
-    pub fn alternative_frequency(&self) -> std::collections::BTreeMap<String, u64> {
-        let mut map = std::collections::BTreeMap::<String, u64>::default();
-        for e in &self.events {
-            if let LogKind::ForAnyNext { value } = &e.kind {
-                *map.entry(value.to_string()).or_default() += 1;
-            }
-        }
-        map
-    }
-}
-
-impl EventLog {
-    /// Bridge this VM-local log into the cross-layer structured-trace
-    /// pipeline: replay every event as a [`TraceRecord`] attributed to
-    /// `client`. This is the post-hoc path for runs that finished
-    /// without a live tracer (e.g. a real-driver run whose log is only
-    /// inspected after failure); live tracing via `Vm::set_tracer`
-    /// additionally carries span budgets, which the log does not
-    /// retain, so replayed `attempt-start` records have no budget and
-    /// backoffs borrow the last attempt number seen on the task.
-    ///
-    /// [`TraceRecord`]: simgrid::trace::TraceRecord
-    pub fn replay_into(&self, sink: &mut dyn simgrid::trace::TraceSink, client: i64) {
-        use simgrid::trace::{TraceEv, TraceRecord};
-        let mut last_attempt = std::collections::HashMap::<usize, u32>::default();
-        for e in &self.events {
-            let ev = match &e.kind {
-                LogKind::CmdStart { argv } => TraceEv::CmdStart {
-                    program: argv.first().map(Istr::to_string).unwrap_or_default(),
-                },
-                LogKind::CmdEnd { program, success } => TraceEv::CmdEnd {
-                    program: program.to_string(),
-                    ok: *success,
-                },
-                LogKind::CmdCancelled { program } => TraceEv::CmdKilled {
-                    program: program.to_string(),
-                },
-                LogKind::TryAttempt { attempt } => {
-                    last_attempt.insert(e.task, *attempt);
-                    TraceEv::AttemptStart {
-                        attempt: *attempt,
-                        budget: None,
-                    }
-                }
-                LogKind::Backoff { delay } => TraceEv::Backoff {
-                    attempt: last_attempt.get(&e.task).copied().unwrap_or(0),
-                    delay: *delay,
-                },
-                LogKind::TryExhausted => TraceEv::TryExhausted,
-                LogKind::TryTimeout => TraceEv::TryTimeout,
-                LogKind::CatchEntered => TraceEv::CatchEntered,
-                LogKind::ScriptDone { success } => TraceEv::UnitDone { ok: *success },
-                // Variable and loop bookkeeping has no cross-layer
-                // trace counterpart.
-                LogKind::ForAnyNext { .. }
-                | LogKind::ForAllSpawn { .. }
-                | LogKind::VarSet { .. } => continue,
-            };
-            sink.record(&TraceRecord {
-                t: e.time,
-                client,
-                task: e.task as i64,
-                ev,
-            });
-        }
-    }
-
-    /// Render a human-readable per-task timeline — one swimlane per VM
-    /// task, with command durations and retry structure:
-    ///
-    /// ```text
-    /// task 0
-    ///     0.000s  attempt #1
-    ///     0.000s  wget http://x/f ... failed (2.000s)
-    ///     2.000s  backoff 1s
-    /// ```
-    pub fn render_timeline(&self) -> String {
-        use std::fmt::Write;
-        // Group events per task, preserving order.
-        let mut tasks: Vec<usize> = self.events.iter().map(|e| e.task).collect();
-        tasks.sort_unstable();
-        tasks.dedup();
-        let mut out = String::new();
-        for task in tasks {
-            let _ = writeln!(out, "task {task}");
-            let events: Vec<&LogEvent> = self.events.iter().filter(|e| e.task == task).collect();
-            let mut cmd_started_at: Option<Time> = None;
-            for e in &events {
-                let t = e.time.as_secs_f64();
-                match &e.kind {
-                    LogKind::CmdStart { argv } => {
-                        cmd_started_at = Some(e.time);
-                        let _ = writeln!(out, "  {t:>9.3}s  run {}", argv.join(" "));
-                    }
-                    LogKind::CmdEnd { program, success } => {
-                        let dur = cmd_started_at
-                            .take()
-                            .map(|s| e.time.saturating_since(s).as_secs_f64())
-                            .unwrap_or(0.0);
-                        let verdict = if *success { "ok" } else { "failed" };
-                        let _ = writeln!(out, "  {t:>9.3}s  └ {program} {verdict} ({dur:.3}s)");
-                    }
-                    LogKind::CmdCancelled { program } => {
-                        let dur = cmd_started_at
-                            .take()
-                            .map(|s| e.time.saturating_since(s).as_secs_f64())
-                            .unwrap_or(0.0);
-                        let _ = writeln!(out, "  {t:>9.3}s  └ {program} KILLED ({dur:.3}s)");
-                    }
-                    LogKind::TryAttempt { attempt } => {
-                        let _ = writeln!(out, "  {t:>9.3}s  attempt #{attempt}");
-                    }
-                    LogKind::Backoff { delay } => {
-                        let _ = writeln!(out, "  {t:>9.3}s  backoff {delay}");
-                    }
-                    LogKind::TryExhausted => {
-                        let _ = writeln!(out, "  {t:>9.3}s  try exhausted");
-                    }
-                    LogKind::TryTimeout => {
-                        let _ = writeln!(out, "  {t:>9.3}s  try deadline expired");
-                    }
-                    LogKind::CatchEntered => {
-                        let _ = writeln!(out, "  {t:>9.3}s  catch");
-                    }
-                    LogKind::ForAnyNext { value } => {
-                        let _ = writeln!(out, "  {t:>9.3}s  forany -> {value}");
-                    }
-                    LogKind::ForAllSpawn { branches } => {
-                        let _ = writeln!(out, "  {t:>9.3}s  forall x{branches}");
-                    }
-                    LogKind::VarSet { name } => {
-                        let _ = writeln!(out, "  {t:>9.3}s  set {name}");
-                    }
-                    LogKind::ScriptDone { success } => {
-                        let verdict = if *success { "SUCCESS" } else { "FAILURE" };
-                        let _ = writeln!(out, "  {t:>9.3}s  script done: {verdict}");
-                    }
-                }
-            }
-        }
-        out
-    }
-}
-
-/// Per-program counters from [`EventLog::per_program`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProgramStats {
-    /// Times the program was dispatched.
-    pub started: u64,
-    /// Times it exited zero.
-    pub succeeded: u64,
-    /// Times it exited nonzero.
-    pub failed: u64,
-    /// Times a deadline killed it.
-    pub cancelled: u64,
 }
 
 /// Aggregated view of an [`EventLog`].
@@ -464,6 +133,8 @@ impl std::ops::AddAssign for LogSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retry::Time;
+    use simgrid::trace::{TraceEv, NO_ID};
 
     #[test]
     fn summary_addition_accumulates() {
@@ -485,171 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts() {
-        let mut log = EventLog::new();
-        let t = Time::ZERO;
-        log.push(
-            t,
-            0,
-            LogKind::CmdStart {
-                argv: vec!["wget".into()],
-            },
-        );
-        log.push(
-            t,
-            0,
-            LogKind::CmdEnd {
-                program: "wget".into(),
-                success: false,
-            },
-        );
-        log.push(
-            t,
-            0,
-            LogKind::Backoff {
-                delay: Dur::from_secs(1),
-            },
-        );
-        log.push(t, 0, LogKind::TryAttempt { attempt: 2 });
-        log.push(
-            t,
-            0,
-            LogKind::CmdStart {
-                argv: vec!["wget".into()],
-            },
-        );
-        log.push(
-            t,
-            0,
-            LogKind::CmdEnd {
-                program: "wget".into(),
-                success: true,
-            },
-        );
-        log.push(t, 0, LogKind::ScriptDone { success: true });
-        let s = log.summary();
-        assert_eq!(s.commands_started, 2);
-        assert_eq!(s.commands_succeeded, 1);
-        assert_eq!(s.commands_failed, 1);
-        assert_eq!(s.backoffs, 1);
-        assert_eq!(s.total_backoff, Dur::from_secs(1));
-        assert_eq!(s.attempts, 1);
-    }
-
-    #[test]
-    fn per_program_and_alternatives() {
-        let mut log = EventLog::new();
-        let t = Time::ZERO;
-        log.push(
-            t,
-            0,
-            LogKind::CmdStart {
-                argv: vec!["wget".into(), "u".into()],
-            },
-        );
-        log.push(
-            t,
-            0,
-            LogKind::CmdEnd {
-                program: "wget".into(),
-                success: false,
-            },
-        );
-        log.push(
-            t,
-            0,
-            LogKind::ForAnyNext {
-                value: "yyy".into(),
-            },
-        );
-        log.push(
-            t,
-            0,
-            LogKind::CmdStart {
-                argv: vec!["wget".into(), "v".into()],
-            },
-        );
-        log.push(
-            t,
-            0,
-            LogKind::CmdCancelled {
-                program: "wget".into(),
-            },
-        );
-        log.push(
-            t,
-            0,
-            LogKind::CmdStart {
-                argv: vec!["tar".into()],
-            },
-        );
-        log.push(
-            t,
-            0,
-            LogKind::CmdEnd {
-                program: "tar".into(),
-                success: true,
-            },
-        );
-        let per = log.per_program();
-        assert_eq!(per["wget"].started, 2);
-        assert_eq!(per["wget"].failed, 1);
-        assert_eq!(per["wget"].cancelled, 1);
-        assert_eq!(per["tar"].succeeded, 1);
-        let alts = log.alternative_frequency();
-        assert_eq!(alts["yyy"], 1);
-    }
-
-    #[test]
-    fn timeline_renders_swimlanes() {
-        let mut log = EventLog::new();
-        log.push(Time::ZERO, 0, LogKind::TryAttempt { attempt: 1 });
-        log.push(
-            Time::ZERO,
-            0,
-            LogKind::CmdStart {
-                argv: vec!["wget".into(), "u".into()],
-            },
-        );
-        log.push(
-            Time::from_secs(2),
-            0,
-            LogKind::CmdEnd {
-                program: "wget".into(),
-                success: false,
-            },
-        );
-        log.push(
-            Time::from_secs(2),
-            0,
-            LogKind::Backoff {
-                delay: Dur::from_secs(1),
-            },
-        );
-        log.push(
-            Time::from_secs(3),
-            1,
-            LogKind::CmdStart {
-                argv: vec!["tar".into()],
-            },
-        );
-        log.push(
-            Time::from_secs(4),
-            1,
-            LogKind::CmdCancelled {
-                program: "tar".into(),
-            },
-        );
-        let text = log.render_timeline();
-        assert!(text.contains("task 0"));
-        assert!(text.contains("task 1"));
-        assert!(text.contains("run wget u"));
-        assert!(text.contains("wget failed (2.000s)"));
-        assert!(text.contains("backoff 1s"));
-        assert!(text.contains("tar KILLED (1.000s)"));
-    }
-
-    #[test]
     fn empty_log() {
         let log = EventLog::new();
         assert!(log.is_empty());
@@ -658,91 +164,25 @@ mod tests {
 
     #[test]
     fn counters_only_mode_keeps_summary_but_no_events() {
+        let rec = TraceRecord {
+            t: Time::ZERO,
+            client: NO_ID,
+            task: 0,
+            ev: TraceEv::AttemptStart {
+                attempt: 1,
+                budget: None,
+            },
+        };
         let mut log = EventLog::new();
+        assert!(log.is_detailed());
+        log.summary.attempts += 1;
+        log.keep(rec.clone());
         log.set_detailed(false);
         assert!(!log.is_detailed());
-        let argv: Vec<Istr> = vec!["wget".into(), "u".into()];
-        log.cmd_start(Time::ZERO, 0, &argv);
-        log.push(
-            Time::ZERO,
-            0,
-            LogKind::CmdEnd {
-                program: "wget".into(),
-                success: true,
-            },
-        );
-        log.push(Time::ZERO, 0, LogKind::TryAttempt { attempt: 1 });
-        assert!(log.is_empty());
-        let s = log.summary();
-        assert_eq!(s.commands_started, 1);
-        assert_eq!(s.commands_succeeded, 1);
-        assert_eq!(s.attempts, 1);
-    }
-
-    #[test]
-    fn cmd_start_matches_pushed_variant() {
-        let mut a = EventLog::new();
-        let argv: Vec<Istr> = vec!["tar".into(), "xf".into()];
-        a.cmd_start(Time::ZERO, 3, &argv);
-        let mut b = EventLog::new();
-        b.push(Time::ZERO, 3, LogKind::CmdStart { argv: argv.clone() });
-        assert_eq!(a.events(), b.events());
-        assert_eq!(a.summary(), b.summary());
-    }
-
-    #[test]
-    fn replay_bridges_log_into_trace() {
-        use simgrid::trace::{TraceEv, VecSink};
-        let mut log = EventLog::new();
-        log.push(Time::ZERO, 0, LogKind::TryAttempt { attempt: 1 });
-        log.push(
-            Time::ZERO,
-            0,
-            LogKind::CmdStart {
-                argv: vec!["wget".into(), "u".into()],
-            },
-        );
-        log.push(
-            Time::from_secs(2),
-            0,
-            LogKind::CmdEnd {
-                program: "wget".into(),
-                success: false,
-            },
-        );
-        log.push(
-            Time::from_secs(2),
-            0,
-            LogKind::Backoff {
-                delay: Dur::from_secs(1),
-            },
-        );
-        log.push(Time::from_secs(3), 0, LogKind::VarSet { name: "x".into() });
-        log.push(
-            Time::from_secs(4),
-            0,
-            LogKind::ScriptDone { success: false },
-        );
-        let mut sink = VecSink::new();
-        log.replay_into(&mut sink, 7);
-        let recs = sink.records();
-        // VarSet has no trace counterpart; everything else maps 1:1.
-        assert_eq!(recs.len(), 5);
-        assert!(recs.iter().all(|r| r.client == 7));
-        assert_eq!(
-            recs[0].ev,
-            TraceEv::AttemptStart {
-                attempt: 1,
-                budget: None
-            }
-        );
-        assert_eq!(
-            recs[3].ev,
-            TraceEv::Backoff {
-                attempt: 1,
-                delay: Dur::from_secs(1)
-            }
-        );
-        assert_eq!(recs[4].ev, TraceEv::UnitDone { ok: false });
+        log.summary.attempts += 1;
+        log.keep(rec.clone());
+        // What was stored stays; what came after was only counted.
+        assert_eq!(log.events(), [rec]);
+        assert_eq!((log.len(), log.summary().attempts), (1, 2));
     }
 }

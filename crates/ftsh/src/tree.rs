@@ -7,14 +7,14 @@
 //! under `cfg(test)` or the `tree-oracle` feature, which the
 //! differential harnesses enable to drive both machines in lockstep
 //! and diff every observable — effects, wake instants (hence RNG
-//! draws), log events, trace records and final bindings. It has the
+//! draws), records and final bindings. It has the
 //! same driving surface as [`crate::Vm`] minus the performance
 //! plumbing an oracle has no use for.
 
 use crate::ast::{Block, Command, Redir, RedirTarget, Script, Stmt, TrySpec};
 use crate::cond::eval_cond;
 use crate::intern::Istr;
-use crate::log::{EventLog, LogKind};
+use crate::log::EventLog;
 use crate::vm::{
     CmdInput, CmdResult, CmdToken, CommandSpec, Effect, OutSink, TaskId, Tick, VmStatus,
 };
@@ -22,7 +22,7 @@ use crate::words::{trim_capture, Env};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retry::{BackoffPolicy, Dur, NextAttempt, Time, TryBudget, TrySession};
-use simgrid::trace::{SharedSink, TraceEv, NO_ID};
+use simgrid::trace::{SharedSink, TraceEv, TraceRecord, NO_ID};
 use std::collections::HashMap;
 
 #[derive(Clone, Copy, Debug)]
@@ -136,17 +136,27 @@ impl TreeVm {
         }
     }
 
-    /// Install a structured-trace sink; every span and command event
-    /// this VM produces is recorded there, attributed to `client`.
+    /// Install a structured-trace sink; every record this VM emits
+    /// goes there too, attributed to `client`.
     pub fn set_tracer(&mut self, sink: SharedSink, client: i64) {
         self.tracer = Some(sink);
         self.trace_client = client;
     }
 
-    /// Emit a structured trace record (no-op without a sink).
-    #[inline]
-    fn trace(&self, tid: TaskId, ev: TraceEv) {
-        simgrid::trace::emit(&self.tracer, self.now, self.trace_client, tid as i64, ev);
+    /// Emit the record of one transition of task `tid`, to the VM's own
+    /// log and to the sink if one is installed. The kinds the summary
+    /// counts bump their counter beside the call.
+    fn emit(&mut self, tid: TaskId, ev: TraceEv) {
+        let rec = TraceRecord {
+            t: self.now,
+            client: self.trace_client,
+            task: tid as i64,
+            ev,
+        };
+        if let Some(sink) = &self.tracer {
+            sink.lock().expect("trace sink poisoned").record(&rec);
+        }
+        self.log.keep(rec);
     }
 
     /// Override the backoff policy used by `try` blocks that do not
@@ -199,6 +209,8 @@ impl TreeVm {
             }
             other => panic!("complete() on task not running a command: {other:?}"),
         };
+        let ok = result.success;
+        task.state = TaskState::Ready(Ctl::Return(ok));
         if let Some((name, append)) = out_var {
             let value = trim_capture(&result.stdout);
             if append {
@@ -206,29 +218,16 @@ impl TreeVm {
             } else {
                 task.env.set(name.clone(), value);
             }
-            self.log.var_set(self.now, tid, &name);
+            let name = name.to_string();
+            self.emit(tid, TraceEv::VarSet { name });
         }
-        // Field-level borrow (not the `trace` helper): `task` still
-        // mutably borrows `self.tasks` here.
-        simgrid::trace::emit(
-            &self.tracer,
-            self.now,
-            self.trace_client,
-            tid as i64,
-            TraceEv::CmdEnd {
-                program: program.to_string(),
-                ok: result.success,
-            },
-        );
-        self.log.push(
-            self.now,
-            tid,
-            LogKind::CmdEnd {
-                program,
-                success: result.success,
-            },
-        );
-        task.state = TaskState::Ready(Ctl::Return(result.success));
+        if ok {
+            self.log.summary.commands_succeeded += 1;
+        } else {
+            self.log.summary.commands_failed += 1;
+        }
+        let program = program.to_string();
+        self.emit(tid, TraceEv::CmdEnd { program, ok });
     }
 
     /// Advance every runnable strand at virtual instant `now`.
@@ -296,8 +295,8 @@ impl TreeVm {
                 }
             }
             self.cancel_running_cmd(tid, &mut task);
-            self.log.push(self.now, tid, LogKind::TryTimeout);
-            self.trace(tid, TraceEv::TryTimeout);
+            self.log.summary.timed_out_tries += 1;
+            self.emit(tid, TraceEv::TryTimeout);
             self.fail_try_frame(tid, &mut task);
             self.tasks[tid] = Some(task);
         }
@@ -314,8 +313,8 @@ impl TreeVm {
         };
         if let (Some(c), false) = (catch.clone(), *in_catch) {
             *in_catch = true;
-            self.log.push(self.now, tid, LogKind::CatchEntered);
-            self.trace(tid, TraceEv::CatchEntered);
+            self.log.summary.catches += 1;
+            self.emit(tid, TraceEv::CatchEntered);
             task.frames.push(Frame::Seq { stmts: c, idx: 0 });
             task.state = TaskState::Ready(Ctl::Exec);
         } else {
@@ -328,17 +327,11 @@ impl TreeVm {
         if let TaskState::RunningCmd { token, program, .. } = &task.state {
             self.effects.push(Effect::Cancel { token: *token });
             self.token_task.remove(token);
-            self.trace(
+            self.log.summary.commands_cancelled += 1;
+            self.emit(
                 tid,
                 TraceEv::CmdKilled {
                     program: program.to_string(),
-                },
-            );
-            self.log.push(
-                self.now,
-                tid,
-                LogKind::CmdCancelled {
-                    program: program.clone(),
                 },
             );
         }
@@ -402,9 +395,7 @@ impl TreeVm {
                 } else {
                     self.final_env = std::mem::take(&mut task.env);
                     self.outcome = Some(result);
-                    self.log
-                        .push(self.now, tid, LogKind::ScriptDone { success: result });
-                    self.trace(tid, TraceEv::UnitDone { ok: result });
+                    self.emit(tid, TraceEv::UnitDone { ok: result });
                 }
             }
         }
@@ -465,21 +456,22 @@ impl TreeVm {
                 } else if res {
                     let attempt = session.attempts();
                     task.frames.pop();
-                    self.trace(tid, TraceEv::AttemptOk { attempt });
+                    self.emit(tid, TraceEv::AttemptOk { attempt });
                     Flow::Continue(Ctl::Return(true))
                 } else {
                     let attempt = session.attempts();
                     match session.on_failure(self.now, &mut self.rng) {
                         NextAttempt::RetryAt(t) => {
                             let delay = t.saturating_since(self.now);
-                            self.log.push(self.now, tid, LogKind::Backoff { delay });
-                            self.trace(tid, TraceEv::Backoff { attempt, delay });
+                            self.log.summary.backoffs += 1;
+                            self.log.summary.total_backoff += delay;
+                            self.emit(tid, TraceEv::Backoff { attempt, delay });
                             task.state = TaskState::Sleeping { until: t };
                             Flow::Blocked
                         }
                         NextAttempt::Exhausted => {
-                            self.log.push(self.now, tid, LogKind::TryExhausted);
-                            self.trace(tid, TraceEv::TryExhausted);
+                            self.log.summary.exhausted_tries += 1;
+                            self.emit(tid, TraceEv::TryExhausted);
                             self.fail_try_frame(tid, task);
                             match task.state {
                                 TaskState::Ready(c) => Flow::Continue(c),
@@ -507,11 +499,11 @@ impl TreeVm {
                         let value = values[*idx].clone();
                         let var = var.clone();
                         let body = body.clone();
-                        self.log.push(
-                            self.now,
+                        self.log.summary.alternatives_tried += 1;
+                        self.emit(
                             tid,
-                            LogKind::ForAnyNext {
-                                value: value.clone(),
+                            TraceEv::ForAnyNext {
+                                value: value.to_string(),
                             },
                         );
                         task.env.set(var, value);
@@ -591,9 +583,8 @@ impl TreeVm {
             }
             Act::Stmt(block, idx) => self.exec_stmt(tid, task, &block[idx]),
             Act::EnterTryBody(body, attempt, budget) => {
-                self.log
-                    .push(self.now, tid, LogKind::TryAttempt { attempt });
-                self.trace(tid, TraceEv::AttemptStart { attempt, budget });
+                self.log.summary.attempts += 1;
+                self.emit(tid, TraceEv::AttemptStart { attempt, budget });
                 task.frames.push(Frame::Seq {
                     stmts: body,
                     idx: 0,
@@ -601,8 +592,8 @@ impl TreeVm {
                 Flow::Continue(Ctl::Exec)
             }
             Act::TrySpent => {
-                self.log.push(self.now, tid, LogKind::TryExhausted);
-                self.trace(tid, TraceEv::TryExhausted);
+                self.log.summary.exhausted_tries += 1;
+                self.emit(tid, TraceEv::TryExhausted);
                 self.fail_try_frame(tid, task);
                 match task.state {
                     TaskState::Ready(c) => Flow::Continue(c),
@@ -610,11 +601,11 @@ impl TreeVm {
                 }
             }
             Act::BindForAny(var, value, body) => {
-                self.log.push(
-                    self.now,
+                self.log.summary.alternatives_tried += 1;
+                self.emit(
                     tid,
-                    LogKind::ForAnyNext {
-                        value: value.clone(),
+                    TraceEv::ForAnyNext {
+                        value: value.to_string(),
                     },
                 );
                 task.env.set(var, value);
@@ -633,9 +624,8 @@ impl TreeVm {
             Stmt::Success => Flow::Continue(Ctl::Return(true)),
             Stmt::Assign { var, value } => {
                 let v = task.env.expand(value);
-                let name = Istr::from(var.as_str());
-                task.env.set(name.clone(), v);
-                self.log.var_set(self.now, tid, &name);
+                task.env.set(var.as_str(), v);
+                self.emit(tid, TraceEv::VarSet { name: var.clone() });
                 Flow::Continue(Ctl::Return(true))
             }
             Stmt::If { cond, then, els } => match eval_cond(cond, &task.env) {
@@ -681,11 +671,10 @@ impl TreeVm {
             Stmt::ForAll { var, values, body } => {
                 let values = task.env.expand_all(values);
                 let body = body.clone();
-                self.log.push(
-                    self.now,
+                self.emit(
                     tid,
-                    LogKind::ForAllSpawn {
-                        branches: values.len(),
+                    TraceEv::ForAllSpawn {
+                        branches: values.len() as u64,
                     },
                 );
                 let limit = self.max_parallel.unwrap_or(values.len()).max(1);
@@ -808,11 +797,12 @@ impl TreeVm {
             output,
             both,
         };
-        self.log.cmd_start(self.now, tid, &spec.argv);
-        self.trace(
+        self.log.summary.commands_started += 1;
+        self.emit(
             tid,
             TraceEv::CmdStart {
                 program: spec.program().to_string(),
+                args: spec.argv[1..].iter().map(Istr::to_string).collect(),
             },
         );
         task.state = TaskState::RunningCmd {

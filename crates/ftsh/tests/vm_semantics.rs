@@ -2,8 +2,9 @@
 //! tick/complete interface so asynchrony, cancellation, and virtual
 //! time are fully controlled.
 
+use ftsh::parse;
+use ftsh::trace::TraceEv;
 use ftsh::vm::{CmdResult, CommandSpec, Effect, Tick, Vm, VmStatus};
-use ftsh::{parse, LogKind};
 use retry::{BackoffPolicy, Dur, Time};
 
 /// A manual test driver: collects started commands so the test decides
@@ -187,11 +188,9 @@ fn try_deadline_cancels_inflight_command() {
     assert_eq!(h.cancelled.len(), 1);
     assert!(matches!(status, VmStatus::Done { success: false }));
     // Log records the forcible termination.
-    let kinds: Vec<_> = h.vm.log().events().iter().map(|e| &e.kind).collect();
-    assert!(kinds.iter().any(|k| matches!(k, LogKind::TryTimeout)));
-    assert!(kinds
-        .iter()
-        .any(|k| matches!(k, LogKind::CmdCancelled { .. })));
+    let kinds: Vec<_> = h.vm.log().events().iter().map(|e| &e.ev).collect();
+    assert!(kinds.iter().any(|k| matches!(k, TraceEv::TryTimeout)));
+    assert!(kinds.iter().any(|k| matches!(k, TraceEv::CmdKilled { .. })));
 }
 
 #[test]
@@ -386,8 +385,8 @@ fn every_interval_overrides_backoff() {
         h.vm.log()
             .events()
             .iter()
-            .filter_map(|e| match e.kind {
-                LogKind::Backoff { delay } => Some(delay),
+            .filter_map(|e| match e.ev {
+                TraceEv::Backoff { delay, .. } => Some(delay),
                 _ => None,
             })
             .collect();
@@ -756,7 +755,7 @@ fn deadline_kill_restores_caller_positionals() {
 /// Returns the `task` of the last `Effect::Start` and of the last
 /// `cmd-start` trace record.
 fn run_with_bounded_table(src: &str, max_parallel: Option<usize>, bound: usize) -> (usize, usize) {
-    use ftsh::trace::{SharedSink, TraceEv, VecSink};
+    use ftsh::trace::{SharedSink, VecSink};
     use std::sync::{Arc, Mutex};
 
     let script = parse(src).unwrap_or_else(|e| panic!("parse: {e}"));

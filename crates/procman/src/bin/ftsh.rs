@@ -35,14 +35,21 @@
 //! errors, parse errors, or lint findings — so callers can tell "the
 //! work failed" (retryable) from "the script is malformed" (not).
 
-use ftsh::{parse, pretty, LogKind, Vm};
+use ftsh::postmortem::{render_log, render_timeline};
+use ftsh::{parse, pretty, Vm};
 use procman::{run_vm_traced, RealOptions};
 
 use retry::{BackoffPolicy, Dur};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
-    eprintln!("usage: ftsh [--check|--lint|--pretty|--log] SCRIPT\n       ftsh -c 'script text'");
+    eprintln!(concat!(
+        "usage: ftsh [MODE] [OPTIONS] SCRIPT.ftsh | -c 'script text'\n",
+        "       ftsh --repl\n",
+        "modes:   --check | --lint [--max-budget DUR] [--define NAME]... | --pretty\n",
+        "options: --log  --timeline  --trace OUT.jsonl\n",
+        "         --backoff-base MILLIS  --backoff-cap SECONDS  --no-jitter  --seed N",
+    ));
     ExitCode::from(2)
 }
 
@@ -214,30 +221,10 @@ fn main() -> ExitCode {
     let report = run_vm_traced(vm, &opts, trace_sink);
 
     if show_timeline {
-        eprint!("{}", report.log.render_timeline());
+        eprint!("{}", render_timeline(report.log.events(), None));
     }
     if show_log {
-        for e in report.log.events() {
-            let what = match &e.kind {
-                LogKind::CmdStart { argv } => format!("start {}", argv.join(" ")),
-                LogKind::CmdEnd { program, success } => {
-                    format!("end {program} ({})", if *success { "ok" } else { "failed" })
-                }
-                LogKind::CmdCancelled { program } => format!("killed {program}"),
-                LogKind::TryAttempt { attempt } => format!("attempt #{attempt}"),
-                LogKind::Backoff { delay } => format!("backoff {delay}"),
-                LogKind::TryExhausted => "try exhausted".into(),
-                LogKind::TryTimeout => "try deadline expired".into(),
-                LogKind::CatchEntered => "catch".into(),
-                LogKind::ForAnyNext { value } => format!("forany -> {value}"),
-                LogKind::ForAllSpawn { branches } => format!("forall x{branches}"),
-                LogKind::VarSet { name } => format!("set {name}"),
-                LogKind::ScriptDone { success } => {
-                    format!("done ({})", if *success { "ok" } else { "failed" })
-                }
-            };
-            eprintln!("[{:>10.3}] task {} {}", e.time.as_secs_f64(), e.task, what);
-        }
+        eprint!("{}", render_log(report.log.events()));
         let s = report.log.summary();
         eprintln!(
             "-- {} commands, {} attempts, {} backoffs ({} total), {} timeouts",

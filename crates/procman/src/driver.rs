@@ -108,9 +108,10 @@ pub fn run_script(script: &Script, opts: &RealOptions) -> RealReport {
 }
 
 /// [`run_vm`] with an optional structured-trace sink installed on the
-/// VM (as client 0): attempt spans, backoffs, and command boundaries
-/// are recorded live while the real processes run — the same schema
-/// the simulator emits, so one post-mortem pipeline reads both.
+/// VM (as client 0): every record the VM emits — the ones
+/// [`RealReport::log`] retains — is also written there live while the
+/// real processes run, in the schema the simulator emits, so one
+/// post-mortem pipeline reads both.
 pub fn run_vm_traced(
     mut vm: Vm,
     opts: &RealOptions,
@@ -418,7 +419,7 @@ mod tests {
         assert_eq!(starts, 2, "both real attempts recorded");
         assert!(recs
             .iter()
-            .any(|r| matches!(&r.ev, TraceEv::CmdStart { program } if program == "false")));
+            .any(|r| matches!(&r.ev, TraceEv::CmdStart { program, .. } if program == "false")));
         assert!(recs
             .iter()
             .any(|r| matches!(r.ev, TraceEv::UnitDone { ok: false })));

@@ -108,7 +108,87 @@ fn log_mode_reports_attempts() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("attempt #3"), "log shows attempts: {err}");
-    assert!(err.contains("try exhausted"), "log shows exhaustion: {err}");
+    assert!(
+        err.contains("try budget exhausted"),
+        "log shows exhaustion: {err}"
+    );
+}
+
+/// A `forany` that falls through to its second alternative, a `->`
+/// capture and a two-branch `forall`: every kind only the in-VM log
+/// used to hold.
+const FORANY_CAPTURE_FORALL: &str = "try for 10 seconds\n\
+       forany h in a b\n\
+         sh -c \"test ${h} = b && echo picked-${h}\" -> out\n\
+       end\n\
+     end\n\
+     forall t in 0.05 0.1\n\
+       sleep ${t}\n\
+     end\n";
+
+#[test]
+fn the_trace_file_alone_is_the_log() {
+    use ftsh::postmortem::{alternative_frequency, per_program, render_log};
+    use ftsh::trace::{from_jsonl, shared, JsonlSink};
+
+    let dir = std::env::temp_dir().join(format!("ftsh-trace-log-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let read_back = |path: &std::path::Path| {
+        from_jsonl(&std::fs::read_to_string(path).unwrap()).expect("trace file parses")
+    };
+
+    // Through the CLI: what `--log` printed is what the file renders to.
+    let cli_trace = dir.join("cli.jsonl");
+    let out = ftsh()
+        .args(["--seed", "1", "--log", "--trace"])
+        .arg(&cli_trace)
+        .args(["-c", FORANY_CAPTURE_FORALL])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    let err = String::from_utf8_lossy(&out.stderr);
+    let logged: String = err
+        .lines()
+        .filter(|l| !l.starts_with("-- "))
+        .flat_map(|l| [l, "\n"])
+        .collect();
+    assert_eq!(logged, render_log(&read_back(&cli_trace)));
+    for fact in [
+        "forany -> a",
+        "forany -> b",
+        "exec sh -c test a = b && echo picked-a",
+        "set out",
+        "forall x2",
+        "exec sleep 0.05",
+        "exec sleep 0.1",
+        "try succeeded on attempt #1",
+        "unit done (success)",
+    ] {
+        assert!(logged.contains(fact), "{fact:?} missing from {logged}");
+    }
+
+    // Through the library: the file holds the records the report kept,
+    // so §4's questions have the same answers from either.
+    let lib_trace = dir.join("lib.jsonl");
+    let file = std::io::BufWriter::new(std::fs::File::create(&lib_trace).unwrap());
+    let vm = ftsh::Vm::with_seed(&ftsh::parse(FORANY_CAPTURE_FORALL).unwrap(), 1);
+    let report = procman::run_vm_traced(
+        vm,
+        &procman::RealOptions::default(),
+        Some(shared(JsonlSink::new(file))),
+    );
+    assert!(report.success);
+    let from_file = read_back(&lib_trace);
+    // The report's VM ran as client 0, like its sink says.
+    assert_eq!(report.log.events(), from_file);
+    let alternatives = alternative_frequency(&from_file);
+    assert_eq!(alternatives, alternative_frequency(report.log.events()));
+    assert_eq!((alternatives["a"], alternatives["b"]), (1, 1));
+    let programs = per_program(&from_file);
+    assert_eq!(programs, per_program(report.log.events()));
+    assert_eq!((programs["sh"].failed, programs["sh"].succeeded), (1, 1));
+    assert_eq!(programs["sleep"].succeeded, 2);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -119,8 +199,12 @@ fn missing_file_is_a_usage_error() {
 
 #[test]
 fn usage_error_on_bad_flags() {
-    let st = ftsh().arg("--bogus").status().unwrap();
-    assert_eq!(st.code(), Some(2));
+    let out = ftsh().arg("--bogus").output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    for flag in ["--timeline", "--trace", "--repl", "--seed"] {
+        assert!(err.contains(flag), "usage names {flag}: {err}");
+    }
     let st = ftsh().args(["-c"]).status().unwrap();
     assert_eq!(st.code(), Some(2));
 }

@@ -1,12 +1,15 @@
 //! Post-mortem analysis of structured traces (§4's "the log is the
-//! artifact" workflow): reconstruct per-client timelines and aggregate
-//! retry/backoff distributions from a trace file, with no access to
-//! the run that produced it.
+//! artifact" workflow): reconstruct per-client timelines, aggregate
+//! retry/backoff distributions and count "the frequency of each
+//! failure branch" from a record stream — a VM's own retained log or
+//! a trace file, with no access to the run that produced it. The one
+//! table that puts an event into words (`describe`) is here, so
+//! every view of a run reads the same.
 
 use crate::metrics::percentile;
 use crate::trace::{TraceEv, TraceRecord, NO_ID};
 use retry::Time;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// Aggregates over one trace: span outcomes, backoff-delay samples,
@@ -40,6 +43,12 @@ pub struct TraceSummary {
     pub cmd_failed: u64,
     /// Commands cancelled in flight.
     pub cmd_killed: u64,
+    /// `forany` alternatives bound (each loop's first one included).
+    pub alternatives: u64,
+    /// `forall` statements that spawned their branches.
+    pub forall_spawns: u64,
+    /// Variables bound by assignment or capture.
+    pub vars_set: u64,
     /// Whole script units completed.
     pub units_done: u64,
     /// Units that completed successfully.
@@ -98,6 +107,9 @@ impl TraceSummary {
                     }
                 }
                 TraceEv::CmdKilled { .. } => s.cmd_killed += 1,
+                TraceEv::ForAnyNext { .. } => s.alternatives += 1,
+                TraceEv::ForAllSpawn { .. } => s.forall_spawns += 1,
+                TraceEv::VarSet { .. } => s.vars_set += 1,
                 TraceEv::UnitDone { ok } => {
                     s.units_done += 1;
                     if *ok {
@@ -198,6 +210,11 @@ impl TraceSummary {
         );
         let _ = writeln!(
             out,
+            "{:<22} {} forany alternatives, {} forall spawns, {} variables set",
+            "script steps", self.alternatives, self.forall_spawns, self.vars_set
+        );
+        let _ = writeln!(
+            out,
             "{:<22} {} ({} ok)",
             "units completed", self.units_done, self.units_ok
         );
@@ -222,9 +239,70 @@ impl TraceSummary {
     }
 }
 
-/// One human-readable line body for a trace event.
-fn describe(ev: &TraceEv) -> String {
-    match ev {
+/// Per-program counters from [`per_program`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProgramStats {
+    /// Times the program was dispatched.
+    pub started: u64,
+    /// Times it exited zero.
+    pub succeeded: u64,
+    /// Times it exited nonzero.
+    pub failed: u64,
+    /// Times a deadline killed it.
+    pub cancelled: u64,
+}
+
+/// Per-program statistics keyed by `argv[0]` — "the frequency of each
+/// failure branch" of §4's post-mortem analysis.
+pub fn per_program(records: &[TraceRecord]) -> BTreeMap<String, ProgramStats> {
+    let mut map = BTreeMap::<String, ProgramStats>::new();
+    for r in records {
+        match &r.ev {
+            TraceEv::CmdStart { program, .. } => {
+                map.entry(program.clone()).or_default().started += 1;
+            }
+            TraceEv::CmdEnd { program, ok: true } => {
+                map.entry(program.clone()).or_default().succeeded += 1;
+            }
+            TraceEv::CmdEnd { program, ok: false } => {
+                map.entry(program.clone()).or_default().failed += 1;
+            }
+            TraceEv::CmdKilled { program } => {
+                map.entry(program.clone()).or_default().cancelled += 1;
+            }
+            _ => {}
+        }
+    }
+    map
+}
+
+/// How often each `forany` alternative was tried, keyed by the bound
+/// value — which alternates actually carried the load.
+pub fn alternative_frequency(records: &[TraceRecord]) -> BTreeMap<String, u64> {
+    let mut map = BTreeMap::<String, u64>::new();
+    for r in records {
+        if let TraceEv::ForAnyNext { value } = &r.ev {
+            *map.entry(value.clone()).or_default() += 1;
+        }
+    }
+    map
+}
+
+/// When the command each `(client, task)` has in flight started: a
+/// task runs one command at a time, so its `cmd-end` or `cmd-killed`
+/// closes the `cmd-start` before it.
+type InFlight = HashMap<(i64, i64), Time>;
+
+/// The words for one record — the only place an event kind is turned
+/// into text. A command's end carries its duration when `in_flight`
+/// saw it start (a ring-truncated trace may not have).
+fn describe(r: &TraceRecord, in_flight: &mut InFlight) -> String {
+    let key = (r.client, r.task);
+    let took = |in_flight: &mut InFlight| match in_flight.remove(&key) {
+        Some(t0) => format!(" ({:.3}s)", r.t.saturating_since(t0).as_secs_f64()),
+        None => String::new(),
+    };
+    match &r.ev {
         TraceEv::AttemptStart { attempt, budget } => match budget {
             Some(d) => format!("try attempt #{attempt} (budget {:.1}s)", d.as_secs_f64()),
             None => format!("try attempt #{attempt} (unbounded)"),
@@ -237,11 +315,23 @@ fn describe(ev: &TraceEv) -> String {
         TraceEv::TryExhausted => "try budget exhausted".into(),
         TraceEv::TryTimeout => "try deadline fired mid-attempt".into(),
         TraceEv::CatchEntered => "entered catch block".into(),
-        TraceEv::CmdStart { program } => format!("exec {program}"),
-        TraceEv::CmdEnd { program, ok } => {
-            format!("{program} {}", if *ok { "ok" } else { "failed" })
+        TraceEv::CmdStart { program, args } => {
+            in_flight.insert(key, r.t);
+            let mut line = format!("exec {program}");
+            for a in args {
+                line.push(' ');
+                line.push_str(a);
+            }
+            line
         }
-        TraceEv::CmdKilled { program } => format!("{program} killed"),
+        TraceEv::CmdEnd { program, ok } => {
+            let verdict = if *ok { "ok" } else { "failed" };
+            format!("{program} {verdict}{}", took(in_flight))
+        }
+        TraceEv::CmdKilled { program } => format!("{program} killed{}", took(in_flight)),
+        TraceEv::ForAnyNext { value } => format!("forany -> {value}"),
+        TraceEv::ForAllSpawn { branches } => format!("forall x{branches}"),
+        TraceEv::VarSet { name } => format!("set {name}"),
         TraceEv::UnitDone { ok } => {
             format!("unit done ({})", if *ok { "success" } else { "failure" })
         }
@@ -263,35 +353,58 @@ fn describe(ev: &TraceEv) -> String {
     }
 }
 
-/// Reconstruct per-client timelines: one block per client (emission
-/// order preserved within a client), world-scope events under their
-/// own heading. Pass `only` to restrict to a single client.
+/// The execution log as text: one line per record in emission order,
+/// each naming the client and task it belongs to (whichever it has).
+pub fn render_log(records: &[TraceRecord]) -> String {
+    let mut in_flight = InFlight::new();
+    let mut out = String::new();
+    for r in records {
+        let _ = write!(out, "[{:>10.3}s]", r.t.as_secs_f64());
+        if r.client != NO_ID {
+            let _ = write!(out, " client {}", r.client);
+        }
+        if r.task != NO_ID {
+            let _ = write!(out, " task {}", r.task);
+        }
+        let _ = writeln!(out, "  {}", describe(r, &mut in_flight));
+    }
+    out
+}
+
+/// Reconstruct swimlanes: one block per client, inside it one lane per
+/// VM task (emission order preserved within a lane). Records that name
+/// no task — what the world saw of a client: carrier sense, deferrals,
+/// collisions — head their client's block; records that name no client
+/// come first, world-scope events under their own heading and then the
+/// lanes of a VM run outside any population. Pass `only` to restrict to
+/// a single client.
 pub fn render_timeline(records: &[TraceRecord], only: Option<i64>) -> String {
-    let mut by_client: BTreeMap<i64, Vec<&TraceRecord>> = BTreeMap::new();
+    let mut lanes: BTreeMap<(i64, i64), Vec<&TraceRecord>> = BTreeMap::new();
     for r in records {
         if only.is_some_and(|c| c != r.client) {
             continue;
         }
-        by_client.entry(r.client).or_default().push(r);
+        lanes.entry((r.client, r.task)).or_default().push(r);
     }
+    let mut in_flight = InFlight::new();
     let mut out = String::new();
-    for (client, recs) in &by_client {
-        if *client == NO_ID {
-            let _ = writeln!(out, "== world ==");
-        } else {
+    let mut block = None;
+    for ((client, task), recs) in &lanes {
+        if *client != NO_ID && block != Some(*client) {
             let _ = writeln!(out, "== client {client} ==");
+            block = Some(*client);
+        }
+        if *task != NO_ID {
+            let _ = writeln!(out, "task {task}");
+        } else if *client == NO_ID {
+            let _ = writeln!(out, "== world ==");
         }
         for r in recs {
-            let task = if r.task == NO_ID {
-                "      ".to_string()
-            } else {
-                format!("task {}", r.task)
-            };
             let _ = writeln!(
                 out,
-                "  [{:>10.3}s] {task}  {}",
+                "  [{:>10.3}s]  {}",
                 r.t.as_secs_f64(),
-                describe(&r.ev)
+                describe(r, &mut in_flight)
             );
         }
     }
@@ -397,6 +510,7 @@ mod tests {
                 0,
                 TraceEv::CmdStart {
                     program: "wget".into(),
+                    args: vec!["http://x/f".into()],
                 },
             ),
             rec(
@@ -441,6 +555,7 @@ mod tests {
         assert_eq!(s.backoff_us, vec![2_000_000]);
         assert_eq!(s.cmd_starts, 1);
         assert_eq!(s.cmd_failed, 1);
+        assert_eq!((s.alternatives, s.forall_spawns, s.vars_set), (0, 0, 0));
         assert_eq!(s.units_done, 1);
         assert_eq!(s.units_ok, 1);
         assert_eq!(s.carrier_reads, 1);
@@ -466,10 +581,124 @@ mod tests {
         assert!(t.contains("== client 1 =="));
         assert!(t.contains("== world =="));
         assert!(t.contains("try attempt #1 (budget 60.0s)"));
+        assert!(t.contains("exec wget http://x/f"));
+        assert!(t.contains("wget failed (2.000s)"));
         assert!(t.contains("medium busy, deferring"));
         let only1 = render_timeline(&sample(), Some(1));
         assert!(!only1.contains("client 0"));
         assert!(only1.contains("carrier sense: free=3"));
+    }
+
+    /// A `forall` with one branch killed, as a VM outside a population
+    /// records it (no client id).
+    fn forall_run() -> Vec<TraceRecord> {
+        let at = |t_s: u64, task: i64, ev: TraceEv| TraceRecord {
+            t: Time::from_secs(t_s),
+            client: NO_ID,
+            task,
+            ev,
+        };
+        let start = |program: &str, arg: &str| TraceEv::CmdStart {
+            program: program.into(),
+            args: vec![arg.into()],
+        };
+        vec![
+            at(0, 0, TraceEv::ForAllSpawn { branches: 2 }),
+            at(0, 1, start("wget", "u")),
+            at(0, 2, start("tar", "xf")),
+            at(
+                2,
+                1,
+                TraceEv::CmdEnd {
+                    program: "wget".into(),
+                    ok: false,
+                },
+            ),
+            at(
+                2,
+                2,
+                TraceEv::CmdKilled {
+                    program: "tar".into(),
+                },
+            ),
+            at(
+                2,
+                0,
+                TraceEv::ForAnyNext {
+                    value: "yyy".into(),
+                },
+            ),
+            at(2, 0, start("wget", "v")),
+            at(
+                3,
+                0,
+                TraceEv::VarSet {
+                    name: "page".into(),
+                },
+            ),
+            at(
+                3,
+                0,
+                TraceEv::CmdEnd {
+                    program: "wget".into(),
+                    ok: true,
+                },
+            ),
+            at(3, 0, TraceEv::UnitDone { ok: true }),
+        ]
+    }
+
+    #[test]
+    fn timeline_gives_each_task_a_lane_and_each_command_its_duration() {
+        let t = render_timeline(&forall_run(), None);
+        let lines: Vec<&str> = t.lines().collect();
+        let lane = |head: &str| lines.iter().position(|l| *l == head).expect(head);
+        let (t0, t1, t2) = (lane("task 0"), lane("task 1"), lane("task 2"));
+        assert!(t0 < t1 && t1 < t2, "{t}");
+        assert!(!t.contains("=="), "no client, no world heading: {t}");
+        assert!(lines[t0 + 1].ends_with("forall x2"), "{t}");
+        assert!(lines[t1 + 1].ends_with("exec wget u"), "{t}");
+        assert!(lines[t1 + 2].ends_with("wget failed (2.000s)"), "{t}");
+        assert!(lines[t2 + 2].ends_with("tar killed (2.000s)"), "{t}");
+        assert!(t.contains("forany -> yyy") && t.contains("set page"), "{t}");
+        assert!(t.contains("wget ok (1.000s)"), "{t}");
+    }
+
+    #[test]
+    fn log_is_emission_order_with_the_same_words() {
+        let recs = forall_run();
+        let log = render_log(&recs);
+        assert_eq!(log.lines().count(), recs.len());
+        let first = log.lines().next().unwrap();
+        assert_eq!(first, "[     0.000s] task 0  forall x2");
+        assert!(log.contains("] task 2  tar killed (2.000s)"), "{log}");
+        // Every line of the log is a line of the timeline, lane aside.
+        let timeline = render_timeline(&recs, None);
+        for line in log.lines() {
+            let words = line.rsplit_once("  ").unwrap().1;
+            assert!(timeline.contains(words), "{words} not in {timeline}");
+        }
+        // Attributed records say whose they are.
+        let mut world = sample();
+        world.truncate(1);
+        assert!(render_log(&world).contains("] client 0 task 1  try attempt #1"));
+    }
+
+    #[test]
+    fn per_program_and_alternatives() {
+        let recs = forall_run();
+        let per = per_program(&recs);
+        assert_eq!(per["wget"].started, 2);
+        assert_eq!(per["wget"].failed, 1);
+        assert_eq!(per["wget"].succeeded, 1);
+        assert_eq!(per["tar"].started, 1);
+        assert_eq!(per["tar"].cancelled, 1);
+        assert_eq!(alternative_frequency(&recs)["yyy"], 1);
+        let s = TraceSummary::from_records(&recs);
+        assert_eq!((s.alternatives, s.forall_spawns, s.vars_set), (1, 1, 1));
+        assert!(s
+            .render()
+            .contains("1 forany alternatives, 1 forall spawns, 1 variables set"));
     }
 
     #[test]

@@ -3,20 +3,25 @@
 //!
 //! Section 4 treats the ftsh log as a first-class object: attempt
 //! counts, failure-branch frequency, post-mortem timelines. This
-//! module is the shared vocabulary for that data across every
-//! execution mode: the ftsh VM emits one span per `try` attempt
-//! (attempt number, budget remaining, backoff delay drawn, outcome),
-//! the scenario worlds emit the contention counters the figures plot
-//! (deferrals, collisions, carrier-sense reads, schedd crashes, ENOSPC
-//! hits), and both the sim driver (`gridworld::driver`) and the real
-//! driver (`procman::driver`) route them through one [`TraceSink`].
+//! module is the one vocabulary for that data across every execution
+//! mode. The ftsh VM's log *is* these records: one per transition —
+//! a span per `try` attempt (attempt number, budget remaining, backoff
+//! delay drawn, outcome), each command with its whole argv, each
+//! `forany` alternative, `forall` spawn and variable binding — kept by
+//! the VM while its log is detailed and handed to a [`TraceSink`] when
+//! one is installed. The scenario worlds emit the contention counters
+//! the figures plot (deferrals, collisions, carrier-sense reads, schedd
+//! crashes, ENOSPC hits), and both the sim driver (`gridworld::driver`)
+//! and the real driver (`procman::driver`) route everything through one
+//! sink.
 //!
 //! Two properties are load-bearing:
 //!
-//! * **Traces off ⇒ zero cost.** Emission sites are guarded by a
-//!   single `Option` test; no allocation, no formatting, no lock when
-//!   no sink is installed. `figures --stats` holds this at ≤ 2% of
-//!   the committed baseline.
+//! * **Traces off ⇒ zero cost.** A world's emission site is a single
+//!   `Option` test, a VM's one test of "detailed or sink"; no record is
+//!   built, nothing allocated, formatted or locked when nobody
+//!   listens. `figures --stats` holds this at ≤ 2% of the committed
+//!   baseline.
 //! * **Bit-determinism per seed.** Records carry integer microsecond
 //!   timestamps and serialize with a fixed field order, so two runs at
 //!   the same seed produce byte-identical JSONL — traces are
@@ -70,6 +75,8 @@ pub enum TraceEv {
     CmdStart {
         /// Program name (argv\[0\]).
         program: String,
+        /// The arguments after it (argv\[1..\]), expanded.
+        args: Vec<String>,
     },
     /// An external command completed.
     CmdEnd {
@@ -82,6 +89,21 @@ pub enum TraceEv {
     CmdKilled {
         /// Program name (argv\[0\]).
         program: String,
+    },
+    /// `forany` bound its loop variable to the next alternative.
+    ForAnyNext {
+        /// The value now bound.
+        value: String,
+    },
+    /// `forall` spawned its parallel branches.
+    ForAllSpawn {
+        /// Number of branches.
+        branches: u64,
+    },
+    /// A variable was bound (assignment or `->` capture).
+    VarSet {
+        /// Variable name.
+        name: String,
     },
     /// The client's whole script finished one unit of work.
     UnitDone {
@@ -135,6 +157,9 @@ impl TraceEv {
             TraceEv::CmdStart { .. } => "cmd-start",
             TraceEv::CmdEnd { .. } => "cmd-end",
             TraceEv::CmdKilled { .. } => "cmd-killed",
+            TraceEv::ForAnyNext { .. } => "forany-next",
+            TraceEv::ForAllSpawn { .. } => "forall-spawn",
+            TraceEv::VarSet { .. } => "var-set",
             TraceEv::UnitDone { .. } => "unit-done",
             TraceEv::CarrierSense { .. } => "carrier-sense",
             TraceEv::Deferral => "deferral",
@@ -196,11 +221,28 @@ impl TraceRecord {
                     delay.as_micros()
                 );
             }
-            TraceEv::CmdStart { program } | TraceEv::CmdKilled { program } => {
+            TraceEv::CmdStart { program, args } => {
+                let _ = write!(out, ",\"program\":\"{}\",\"args\":[", json_escape(program));
+                for (i, a) in args.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { "," };
+                    let _ = write!(out, "{sep}\"{}\"", json_escape(a));
+                }
+                out.push(']');
+            }
+            TraceEv::CmdKilled { program } => {
                 let _ = write!(out, ",\"program\":\"{}\"", json_escape(program));
             }
             TraceEv::CmdEnd { program, ok } => {
                 let _ = write!(out, ",\"program\":\"{}\",\"ok\":{ok}", json_escape(program));
+            }
+            TraceEv::ForAnyNext { value } => {
+                let _ = write!(out, ",\"value\":\"{}\"", json_escape(value));
+            }
+            TraceEv::ForAllSpawn { branches } => {
+                let _ = write!(out, ",\"branches\":{branches}");
+            }
+            TraceEv::VarSet { name } => {
+                let _ = write!(out, ",\"name\":\"{}\"", json_escape(name));
             }
             TraceEv::UnitDone { ok } => {
                 let _ = write!(out, ",\"ok\":{ok}");
@@ -232,7 +274,8 @@ impl TraceRecord {
     }
 
     /// Parse one JSONL line produced by [`to_json_line`]. Returns an
-    /// error message naming the missing or malformed field.
+    /// error message naming the missing, malformed or out-of-range
+    /// field: a trace file may come from anyone.
     ///
     /// [`to_json_line`]: TraceRecord::to_json_line
     pub fn parse_json_line(line: &str) -> Result<TraceRecord, String> {
@@ -247,10 +290,19 @@ impl TraceRecord {
             }
         };
         let num = |k: &str| opt_num(k)?.ok_or_else(|| format!("field {k:?} is not an integer"));
+        let uint = |k: &str| in_range::<u64>(k, num(k)?);
+        let attempt = || in_range::<u32>("attempt", num("attempt")?);
         let text = |k: &str| -> Result<String, String> {
             let s = field(k)?.as_str();
             Ok(s.ok_or_else(|| format!("field {k:?} is not a string"))?
                 .to_string())
+        };
+        let texts = |k: &str| -> Result<Vec<String>, String> {
+            let items = field(k)?.as_array();
+            let items = items.ok_or_else(|| format!("field {k:?} is not an array"))?;
+            let strs = items.iter().map(|v| v.as_str().map(str::to_string));
+            strs.collect::<Option<_>>()
+                .ok_or_else(|| format!("field {k:?} holds a non-string"))
         };
         let flag = |k: &str| -> Result<bool, String> {
             let b = field(k)?.as_bool();
@@ -259,21 +311,25 @@ impl TraceRecord {
         let tag = text("ev")?;
         let ev = match tag.as_str() {
             "attempt-start" => TraceEv::AttemptStart {
-                attempt: num("attempt")? as u32,
-                budget: opt_num("budget_us")?.map(|us| Dur::from_micros(us as u64)),
+                attempt: attempt()?,
+                budget: match opt_num("budget_us")? {
+                    Some(us) => Some(Dur::from_micros(in_range("budget_us", us)?)),
+                    None => None,
+                },
             },
             "attempt-ok" => TraceEv::AttemptOk {
-                attempt: num("attempt")? as u32,
+                attempt: attempt()?,
             },
             "backoff" => TraceEv::Backoff {
-                attempt: num("attempt")? as u32,
-                delay: Dur::from_micros(num("delay_us")? as u64),
+                attempt: attempt()?,
+                delay: Dur::from_micros(uint("delay_us")?),
             },
             "try-exhausted" => TraceEv::TryExhausted,
             "try-timeout" => TraceEv::TryTimeout,
             "catch" => TraceEv::CatchEntered,
             "cmd-start" => TraceEv::CmdStart {
                 program: text("program")?,
+                args: texts("args")?,
             },
             "cmd-end" => TraceEv::CmdEnd {
                 program: text("program")?,
@@ -282,9 +338,18 @@ impl TraceRecord {
             "cmd-killed" => TraceEv::CmdKilled {
                 program: text("program")?,
             },
+            "forany-next" => TraceEv::ForAnyNext {
+                value: text("value")?,
+            },
+            "forall-spawn" => TraceEv::ForAllSpawn {
+                branches: uint("branches")?,
+            },
+            "var-set" => TraceEv::VarSet {
+                name: text("name")?,
+            },
             "unit-done" => TraceEv::UnitDone { ok: flag("ok")? },
             "carrier-sense" => TraceEv::CarrierSense {
-                free: num("free")? as u64,
+                free: uint("free")?,
             },
             "deferral" => TraceEv::Deferral,
             "collision" => TraceEv::Collision,
@@ -295,17 +360,22 @@ impl TraceRecord {
                 detail: text("detail")?,
             },
             "queue-clamps" => TraceEv::QueueClamps {
-                count: num("count")? as u64,
+                count: uint("count")?,
             },
             other => return Err(format!("unknown ev tag {other:?}")),
         };
         Ok(TraceRecord {
-            t: Time::from_micros(num("t")? as u64),
+            t: Time::from_micros(uint("t")?),
             client: num("client")?,
             task: num("task")?,
             ev,
         })
     }
+}
+
+/// `n` as field `k`'s type, or an error naming the field.
+fn in_range<T: TryFrom<i64>>(k: &str, n: i64) -> Result<T, String> {
+    T::try_from(n).map_err(|_| format!("field {k:?} is out of range: {n}"))
 }
 
 /// Receives trace records. Implementations must be cheap: emission
@@ -521,52 +591,130 @@ mod tests {
         }
     }
 
-    #[test]
-    fn json_roundtrip_every_variant() {
-        let evs = vec![
+    /// Every string a script can put into a record, chosen to break a
+    /// hand-rolled codec: quotes, backslashes, line breaks, control
+    /// characters, non-ASCII, and nothing at all.
+    const HOSTILE: &str = "cut -d\" \" -f2 \\n\\\\ \n\r\t\u{1} \u{e9}\u{4e16}\u{1f980} ]}";
+
+    /// The sample after `ev` in the round-trip walk, `None` after the
+    /// last. Matching on the variant with no wildcard arm is the point:
+    /// a kind added to [`TraceEv`] does not compile until it has a
+    /// sample here, and the walk reaches it.
+    fn next_sample(ev: &TraceEv) -> Option<TraceEv> {
+        let hostile = || HOSTILE.to_string();
+        Some(match ev {
             TraceEv::AttemptStart {
-                attempt: 3,
-                budget: Some(Dur::from_secs(40)),
-            },
-            TraceEv::AttemptStart {
-                attempt: 1,
+                budget: Some(_), ..
+            } => TraceEv::AttemptStart {
+                attempt: u32::MAX,
                 budget: None,
             },
-            TraceEv::AttemptOk { attempt: 2 },
-            TraceEv::Backoff {
+            TraceEv::AttemptStart { budget: None, .. } => TraceEv::AttemptOk { attempt: 2 },
+            TraceEv::AttemptOk { .. } => TraceEv::Backoff {
                 attempt: 1,
                 delay: Dur::from_millis(1500),
             },
-            TraceEv::TryExhausted,
-            TraceEv::TryTimeout,
-            TraceEv::CatchEntered,
-            TraceEv::CmdStart {
-                program: "wget".into(),
+            TraceEv::Backoff { .. } => TraceEv::TryExhausted,
+            TraceEv::TryExhausted => TraceEv::TryTimeout,
+            TraceEv::TryTimeout => TraceEv::CatchEntered,
+            TraceEv::CatchEntered => TraceEv::CmdStart {
+                program: hostile(),
+                args: vec![hostile(), String::new(), "plain".into()],
             },
-            TraceEv::CmdEnd {
-                program: "cut -d\" \" -f2".into(),
+            TraceEv::CmdStart { args, .. } if !args.is_empty() => TraceEv::CmdStart {
+                program: "true".into(),
+                args: Vec::new(),
+            },
+            TraceEv::CmdStart { .. } => TraceEv::CmdEnd {
+                program: hostile(),
                 ok: false,
             },
-            TraceEv::CmdKilled {
-                program: "line\nbreak".into(),
+            TraceEv::CmdEnd { .. } => TraceEv::CmdKilled { program: hostile() },
+            TraceEv::CmdKilled { .. } => TraceEv::ForAnyNext { value: hostile() },
+            TraceEv::ForAnyNext { value } if !value.is_empty() => TraceEv::ForAnyNext {
+                value: String::new(),
             },
-            TraceEv::UnitDone { ok: true },
-            TraceEv::CarrierSense { free: 42 },
-            TraceEv::Deferral,
-            TraceEv::Collision,
-            TraceEv::ScheddCrash,
-            TraceEv::Enospc,
-            TraceEv::FaultInjected {
+            TraceEv::ForAnyNext { .. } => TraceEv::ForAllSpawn { branches: 3 },
+            TraceEv::ForAllSpawn { .. } => TraceEv::VarSet { name: hostile() },
+            TraceEv::VarSet { .. } => TraceEv::UnitDone { ok: true },
+            TraceEv::UnitDone { .. } => TraceEv::CarrierSense { free: 42 },
+            TraceEv::CarrierSense { .. } => TraceEv::Deferral,
+            TraceEv::Deferral => TraceEv::Collision,
+            TraceEv::Collision => TraceEv::ScheddCrash,
+            TraceEv::ScheddCrash => TraceEv::Enospc,
+            TraceEv::Enospc => TraceEv::FaultInjected {
                 kind: "schedd-kill".into(),
-                detail: "downtime_us=5000000".into(),
+                detail: hostile(),
             },
-        ];
-        for (i, ev) in evs.into_iter().enumerate() {
-            let r = rec(i as u64 * 1_000_000, i as i64, ev);
+            TraceEv::FaultInjected { .. } => TraceEv::QueueClamps { count: 7 },
+            TraceEv::QueueClamps { .. } => return None,
+        })
+    }
+
+    #[test]
+    fn json_roundtrip_every_variant() {
+        let mut ev = Some(TraceEv::AttemptStart {
+            attempt: 3,
+            budget: Some(Dur::from_secs(40)),
+        });
+        let mut tags = std::collections::BTreeSet::new();
+        let mut i = 0;
+        while let Some(e) = ev {
+            ev = next_sample(&e);
+            tags.insert(e.tag());
+            let r = rec(i * 1_000_000, i as i64, e);
             let line = r.to_json_line();
+            assert!(!line.contains('\n'), "one record, one line: {line}");
             let back = TraceRecord::parse_json_line(&line).expect("parses");
             assert_eq!(back, r, "roundtrip failed for {line}");
+            i += 1;
         }
+        assert_eq!((tags.len(), i), (20, 23), "kinds and samples walked");
+    }
+
+    #[test]
+    fn out_of_range_and_mistyped_fields_are_rejected_by_name() {
+        let line = |rest: &str| format!("{{\"t\":1,\"client\":0,\"task\":0,{rest}}}");
+        for (rest, field) in [
+            ("\"ev\":\"attempt-ok\",\"attempt\":4294967297", "attempt"),
+            ("\"ev\":\"attempt-ok\",\"attempt\":-1", "attempt"),
+            (
+                "\"ev\":\"attempt-start\",\"attempt\":1,\"budget_us\":-5",
+                "budget_us",
+            ),
+            (
+                "\"ev\":\"backoff\",\"attempt\":1,\"delay_us\":-1",
+                "delay_us",
+            ),
+            ("\"ev\":\"carrier-sense\",\"free\":-3", "free"),
+            ("\"ev\":\"queue-clamps\",\"count\":-1", "count"),
+            ("\"ev\":\"forall-spawn\",\"branches\":-2", "branches"),
+            (
+                "\"ev\":\"cmd-start\",\"program\":\"p\",\"args\":[\"a\",7]",
+                "args",
+            ),
+            (
+                "\"ev\":\"cmd-start\",\"program\":\"p\",\"args\":\"a\"",
+                "args",
+            ),
+            ("\"ev\":\"cmd-start\",\"program\":\"p\"", "args"),
+            ("\"ev\":\"forany-next\",\"value\":3", "value"),
+            ("\"ev\":\"var-set\"", "name"),
+        ] {
+            let err = TraceRecord::parse_json_line(&line(rest)).unwrap_err();
+            assert!(err.contains(&format!("{field:?}")), "{rest}: {err}");
+        }
+        // A negative instant would read back as one 584 000 years out.
+        let err =
+            TraceRecord::parse_json_line("{\"t\":-1,\"client\":0,\"task\":0,\"ev\":\"deferral\"}")
+                .unwrap_err();
+        assert!(
+            err.contains("\"t\"") && err.contains("out of range"),
+            "{err}"
+        );
+        // The ids are signed on purpose: -1 is NO_ID.
+        let ok = "{\"t\":0,\"client\":-1,\"task\":-1,\"ev\":\"deferral\"}";
+        assert_eq!(TraceRecord::parse_json_line(ok).unwrap().client, NO_ID);
     }
 
     #[test]

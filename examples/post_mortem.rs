@@ -6,6 +6,7 @@
 //! cargo run --example post_mortem
 //! ```
 
+use ethernet_grid::ftsh::postmortem::{alternative_frequency, per_program};
 use ethernet_grid::ftsh::{parse, SimClock, Vm, VmDriver};
 
 fn main() {
@@ -61,7 +62,7 @@ end
     );
 
     println!("per-program breakdown:");
-    for (prog, st) in log.per_program() {
+    for (prog, st) in per_program(log.events()) {
         println!(
             "  {prog:<10} started {:>3}  ok {:>3}  failed {:>3}  killed {:>3}",
             st.started, st.succeeded, st.failed, st.cancelled
@@ -69,7 +70,7 @@ end
     }
 
     println!("\nforany alternative frequency (who carried the load):");
-    for (value, n) in log.alternative_frequency() {
+    for (value, n) in alternative_frequency(log.events()) {
         println!("  {value:<14} tried {n} time(s)");
     }
 }

@@ -2,7 +2,8 @@
 //! parsed once, exercised against the in-process executor, the real
 //! POSIX driver, and the discrete-event grid worlds.
 
-use ethernet_grid::ftsh::{parse, pretty, LogKind, SimClock, Vm, VmDriver};
+use ethernet_grid::ftsh::trace::TraceEv;
+use ethernet_grid::ftsh::{parse, pretty, SimClock, Vm, VmDriver};
 use ethernet_grid::gridworld::{
     run_blackhole, run_buffer, run_submission, BlackHoleParams, BufferParams, SubmitParams,
 };
@@ -76,11 +77,9 @@ fn real_deadline_kill_is_visible_in_log() {
     );
     assert!(!report.success);
     assert!(report.elapsed < Duration::from_secs(8));
-    let kinds: Vec<_> = report.log.events().iter().map(|e| &e.kind).collect();
-    assert!(kinds.iter().any(|k| matches!(k, LogKind::TryTimeout)));
-    assert!(kinds
-        .iter()
-        .any(|k| matches!(k, LogKind::CmdCancelled { .. })));
+    let kinds: Vec<_> = report.log.events().iter().map(|e| &e.ev).collect();
+    assert!(kinds.iter().any(|k| matches!(k, TraceEv::TryTimeout)));
+    assert!(kinds.iter().any(|k| matches!(k, TraceEv::CmdKilled { .. })));
 }
 
 #[test]
