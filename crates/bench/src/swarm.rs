@@ -34,7 +34,7 @@
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Effect, Vm, VmStatus};
 use ftsh::Istr;
 use gridd::poll::{set_nonblocking, Epoll, Event, TimerWheel};
-use gridd::proto::{frame_into, FrameBuf, Request, Response};
+use gridd::proto::{FrameBuf, Request, Response};
 use retry::{Dur, Time};
 use simgrid::faults::ClientKillInfo;
 use simgrid::trace::{TraceEv, TraceRecord, TraceSink as _, VecSink, NO_ID};
@@ -209,6 +209,8 @@ struct Client {
     frames: FrameBuf,
     out: Vec<u8>,
     out_pos: usize,
+    /// Epoll holds write interest for the socket (read interest always).
+    want_write: bool,
     ever_connected: bool,
     /// Wire verbs awaiting replies, oldest first.
     calls: VecDeque<Call>,
@@ -228,6 +230,9 @@ struct Swarm<'a, H> {
     /// reactor's own carrier-sense bookkeeping.
     sink: Arc<Mutex<VecSink>>,
     effects: Vec<Effect>,
+    /// The one buffer every socket is read through; a read that does
+    /// not fill it has emptied the socket.
+    read_buf: Box<[u8]>,
     /// Frames that failed to decode or had the wrong kind. Any is a
     /// wire-protocol bug and fails the run.
     protocol_errors: u64,
@@ -259,6 +264,7 @@ pub fn drive<H: Harness>(
         start,
         sink: Arc::new(Mutex::new(VecSink::new())),
         effects: Vec::new(),
+        read_buf: vec![0; 4096].into_boxed_slice(),
         protocol_errors: 0,
         report: SwarmReport::default(),
     };
@@ -541,6 +547,7 @@ impl<H: Harness> Swarm<'_, H> {
         c.frames = FrameBuf::new();
         c.out.clear();
         c.out_pos = 0;
+        c.want_write = false;
     }
 
     /// Queue a verb's requests on the persistent connection and push
@@ -554,12 +561,13 @@ impl<H: Harness> Swarm<'_, H> {
             return;
         }
         for req in reqs {
-            frame_into(&mut self.clients[id].out, &req.encode());
+            req.encode_frame(&mut self.clients[id].out);
         }
         self.flush(id);
     }
 
-    /// Push queued bytes; on `WouldBlock` arm write interest.
+    /// Push queued bytes; write interest follows whether the socket
+    /// took them all, and epoll is told only when that changes.
     fn flush(&mut self, id: usize) {
         let c = &mut self.clients[id];
         let Some(stream) = c.stream.as_mut() else {
@@ -582,10 +590,12 @@ impl<H: Harness> Swarm<'_, H> {
             }
         };
         match blocked {
+            Some(blocked) if blocked == c.want_write => {}
             Some(blocked) => {
-                let _ = self
-                    .epoll
-                    .modify(stream.as_raw_fd(), id as u64, true, blocked);
+                let fd = stream.as_raw_fd();
+                if self.epoll.modify(fd, id as u64, true, blocked).is_ok() {
+                    c.want_write = blocked;
+                }
             }
             None => self.on_conn_lost(id),
         }
@@ -596,11 +606,18 @@ impl<H: Harness> Swarm<'_, H> {
         let Some(stream) = c.stream.as_mut() else {
             return;
         };
-        let mut scratch = [0u8; 4096];
+        let buf = &mut self.read_buf[..];
+        // Level-triggered: a short read ends the loop, and whatever
+        // lands later (an end of stream included) raises a new event.
         let dead = loop {
-            match stream.read(&mut scratch) {
+            match stream.read(buf) {
                 Ok(0) => break true,
-                Ok(n) => c.frames.extend(&scratch[..n]),
+                Ok(n) => {
+                    c.frames.extend(&buf[..n]);
+                    if n < buf.len() {
+                        break false;
+                    }
+                }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => break true,
@@ -610,8 +627,8 @@ impl<H: Harness> Swarm<'_, H> {
         // may complete a command even if the daemon closed right after
         // writing it.
         loop {
-            let resp = match self.clients[id].frames.next_frame() {
-                Ok(Some(payload)) => Response::decode(&payload).ok(),
+            let resp = match self.clients[id].frames.next_slice() {
+                Ok(Some(payload)) => Response::decode(payload).ok(),
                 Ok(None) => break,
                 Err(_) => None,
             };

@@ -86,27 +86,100 @@ mod tests {
         assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
     }
 
+    /// Pipeline `reqs` (a `None` is a well-formed frame with an unknown
+    /// verb tag) in one write.
+    fn pipeline(s: &mut TcpStream, reqs: &[Option<Request>]) {
+        let mut bytes = Vec::new();
+        for req in reqs {
+            match req {
+                Some(req) => req.encode_frame(&mut bytes),
+                None => proto::frame_into(&mut bytes, &[0x7f]),
+            }
+        }
+        s.write_all(&bytes).unwrap();
+    }
+
+    fn connect(h: &GriddHandle) -> TcpStream {
+        let s = TcpStream::connect(h.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        s
+    }
+
+    /// The next reply on `s`, waited for as long as its read timeout.
+    pub(crate) fn reply(s: &mut TcpStream) -> Response {
+        Response::decode(&proto::read_frame(s).expect("a reply")).expect("well-formed")
+    }
+
+    /// What was served ahead of the bad frame is answered ahead of the
+    /// `bad` (replies wait for the end of the event now, and the close
+    /// must not overtake them); nothing behind it is served.
     #[test]
     fn protocol_error_is_answered_then_the_connection_closes() {
         let h = start(quick_config()).unwrap();
-        let mut s = TcpStream::connect(h.addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        // A well-formed frame carrying an unknown verb tag, with a
-        // valid request pipelined behind it.
-        let mut bytes = Vec::new();
-        proto::frame_into(&mut bytes, &[0x7f]);
-        proto::frame_into(&mut bytes, &Request::Df { client: 0 }.encode());
-        s.write_all(&bytes).unwrap();
-        let reply = proto::read_frame(&mut s).expect("the error is reported");
+        let mut s = connect(&h);
+        let df = || Some(Request::Df { client: 0 });
+        pipeline(&mut s, &[df(), df(), None, df()]);
+        assert_eq!(reply(&mut s), Response::Free { slots: 2 });
+        assert_eq!(reply(&mut s), Response::Free { slots: 2 });
         assert!(matches!(
-            Response::decode(&reply),
-            Ok(Response::Err {
+            reply(&mut s),
+            Response::Err {
                 code: ErrCode::Bad,
                 ..
-            })
+            }
         ));
         // Nothing after the bad frame is served: end of stream.
         assert_eq!(s.read(&mut [0u8; 16]).unwrap(), 0);
+        let (rows, _) = h.snapshot();
+        assert_eq!(rows[0].df_calls, 2);
+        h.shutdown();
+    }
+
+    /// A lost message resets the connection *behind* the reply to the
+    /// request served before it.
+    #[test]
+    fn a_reset_does_not_overtake_the_reply_before_it() {
+        use retry::{Dur, Time};
+        use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
+        let mut cfg = quick_config();
+        cfg.plan = FaultPlan::new(3).with(FaultSpec::once(
+            Time::ZERO,
+            FaultKind::MsgLoss {
+                channel: "get".into(),
+                probability: 1.0,
+                duration: Dur::from_secs(3600),
+            },
+        ));
+        let h = start(cfg).unwrap();
+        let mut s = connect(&h);
+        let name = "f".to_string();
+        let get = Request::Get { client: 0, name };
+        pipeline(&mut s, &[Some(Request::Df { client: 0 }), Some(get)]);
+        assert_eq!(reply(&mut s), Response::Free { slots: 2 });
+        assert!(proto::read_frame(&mut s).is_err(), "then the reset");
+        let (rows, _) = h.snapshot();
+        assert_eq!((rows[0].df_calls, rows[0].resets), (1, 1));
+        h.shutdown();
+    }
+
+    /// What a peer sent before it half-closed is served, and answered,
+    /// before the hang-up is acted on. (It used to depend on whether
+    /// the FIN had arrived by the reactor's second `read`.)
+    #[test]
+    fn bytes_ahead_of_a_half_close_are_served_and_answered() {
+        let h = start(quick_config()).unwrap();
+        let mut s = connect(&h);
+        let put = Request::Put {
+            client: 0,
+            name: "last-words".into(),
+            data: b"x".to_vec(),
+        };
+        pipeline(&mut s, &[Some(put)]);
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        assert!(matches!(reply(&mut s), Response::Ok { .. }));
+        assert_eq!(s.read(&mut [0u8; 16]).unwrap(), 0, "then the close");
+        let c = GridClient::new(h.addr().to_string(), 1);
+        assert!(c.stat("last-words").unwrap());
         h.shutdown();
     }
 

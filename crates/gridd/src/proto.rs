@@ -24,6 +24,18 @@
 //! | `stats`  | —                         | `stats` (metrics JSON) |
 //!
 //! Failures come back as `err` with an [`ErrCode`] and a message.
+//!
+//! ## Two ways through the codec
+//!
+//! The owning one — [`Request::encode`] / [`frame_into`] on the way
+//! out, [`FrameBuf::next_frame`] on the way in — hands every payload
+//! over as a `Vec` of its own. The reactors on either end of a
+//! connection use the other: [`Request::encode_frame`] and
+//! [`Response::encode_frame`] append a whole frame to the connection's
+//! outgoing buffer (one field table per direction serves both
+//! encoders), and [`FrameBuf::next_slice`] lends the payload out of the
+//! receive buffer for `decode` to read, so a message is copied once
+//! into its frame and once out of it.
 
 use std::io::{self, Read, Write};
 
@@ -236,14 +248,37 @@ pub fn frame_into(out: &mut Vec<u8>, payload: &[u8]) {
 
 /// An incremental frame decoder for non-blocking sockets: bytes arrive
 /// in whatever chunks the kernel hands over, [`FrameBuf::extend`]
-/// accumulates them, and [`FrameBuf::next_frame`] yields each complete
-/// payload as soon as its last byte lands. The length word is
+/// accumulates them, and [`FrameBuf::next_slice`] lends each complete
+/// payload out of the buffer as soon as its last byte lands
+/// ([`FrameBuf::next_frame`] copies it out instead). The length word is
 /// validated against [`MAX_FRAME`] *before* the payload is buffered,
-/// so a hostile peer cannot balloon memory with a lying header.
+/// so a hostile peer cannot balloon memory with a lying header, and a
+/// buffer that one large frame made grow gives the memory back once
+/// the frames are small again.
 #[derive(Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
     pos: usize,
+}
+
+/// Capacity an emptied per-connection buffer ([`FrameBuf`], the
+/// reactor's outgoing bytes) keeps once it is back to small messages,
+/// so that one bulk transfer does not cost a connection its size in
+/// memory for the rest of its life.
+pub(crate) const KEEP: usize = 4096;
+
+/// Empty `buf`. If what it held fit in [`KEEP`], capacity above that
+/// goes back to the allocator: whatever made the buffer grow is not
+/// being followed by more of the same. (Trimming after *every* fill
+/// makes a connection that moves 64 KiB files re-grow the buffer for
+/// each — measured at +8 % on `live_verbs`' `setup_s`, eight such
+/// `put`s.)
+pub(crate) fn clear_and_trim(buf: &mut Vec<u8>) {
+    let fit = buf.len() <= KEEP;
+    buf.clear();
+    if fit && buf.capacity() > KEEP {
+        buf.shrink_to(KEEP);
+    }
 }
 
 impl FrameBuf {
@@ -268,23 +303,34 @@ impl FrameBuf {
         self.buf.len() - self.pos
     }
 
-    /// Pop the next complete frame payload, `Ok(None)` while one is
-    /// still partial, or an error for an over-cap length word.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
-        let avail = &self.buf[self.pos..];
-        if avail.len() < 4 {
+    /// Lend the next complete frame payload out of the buffer,
+    /// `Ok(None)` while one is still partial, or an error for an
+    /// over-cap length word. The call that finds the buffer consumed
+    /// to its end is the one that empties (and trims) it.
+    pub fn next_slice(&mut self) -> Result<Option<&[u8]>, ProtoError> {
+        let (len, at) = (self.buf.len(), self.pos + 4);
+        if len < at {
+            if self.pos == len && len > 0 {
+                clear_and_trim(&mut self.buf);
+                self.pos = 0;
+            }
             return Ok(None);
         }
-        let n = u32::from_be_bytes([avail[0], avail[1], avail[2], avail[3]]) as usize;
+        let n = u32::from_be_bytes(self.buf[self.pos..at].try_into().expect("4 bytes")) as usize;
         if n > MAX_FRAME {
             return Err(ProtoError::TooLarge(n));
         }
-        if avail.len() < 4 + n {
+        let end = at + n;
+        if len < end {
             return Ok(None);
         }
-        let payload = avail[4..4 + n].to_vec();
-        self.pos += 4 + n;
-        Ok(Some(payload))
+        self.pos = end;
+        Ok(Some(&self.buf[at..end]))
+    }
+
+    /// [`FrameBuf::next_slice`], copied out.
+    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
+        Ok(self.next_slice()?.map(<[u8]>::to_vec))
     }
 }
 
@@ -305,6 +351,17 @@ fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_bytes(buf, s.as_bytes());
+}
+
+/// Append one whole frame to `out`: reserve the length word, let
+/// `fields` write the payload behind it, then patch the length in.
+fn frame_with(out: &mut Vec<u8>, fields: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    fields(out);
+    let n = out.len() - at - 4;
+    debug_assert!(n <= MAX_FRAME);
+    out[at..at + 4].copy_from_slice(&(n as u32).to_be_bytes());
 }
 
 struct Cursor<'a> {
@@ -378,38 +435,53 @@ const RESP_STATS: u8 = 0x83;
 const RESP_ERR: u8 = 0x84;
 
 impl Request {
-    /// Encode into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+    /// The payload: tag byte, then the verb's fields. Always inlined:
+    /// [`Request::encode`] must compile to what it was while it held
+    /// this `match` itself, with the `Vec` a local and not a pointer.
+    #[inline(always)]
+    fn put_fields(&self, b: &mut Vec<u8>) {
         match self {
             Request::Submit { client, job } => {
                 b.push(REQ_SUBMIT);
-                put_u32(&mut b, *client);
-                put_str(&mut b, job);
+                put_u32(b, *client);
+                put_str(b, job);
             }
             Request::Put { client, name, data } => {
                 b.push(REQ_PUT);
-                put_u32(&mut b, *client);
-                put_str(&mut b, name);
-                put_bytes(&mut b, data);
+                put_u32(b, *client);
+                put_str(b, name);
+                put_bytes(b, data);
             }
             Request::Get { client, name } => {
                 b.push(REQ_GET);
-                put_u32(&mut b, *client);
-                put_str(&mut b, name);
+                put_u32(b, *client);
+                put_str(b, name);
             }
             Request::Df { client } => {
                 b.push(REQ_DF);
-                put_u32(&mut b, *client);
+                put_u32(b, *client);
             }
             Request::Stat { client, name } => {
                 b.push(REQ_STAT);
-                put_u32(&mut b, *client);
-                put_str(&mut b, name);
+                put_u32(b, *client);
+                put_str(b, name);
             }
             Request::Stats => b.push(REQ_STATS),
         }
+    }
+
+    /// Encode into a frame payload.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::new();
+        self.put_fields(&mut b);
         b
+    }
+
+    /// Append the request to `out` as one whole frame — what
+    /// [`frame_into`] makes of [`Request::encode`], without the
+    /// payload's own buffer in between.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
+        frame_with(out, |b| self.put_fields(b));
     }
 
     /// Decode a frame payload.
@@ -469,33 +541,47 @@ impl Request {
 }
 
 impl Response {
-    /// Encode into a frame payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
+    /// The payload: status byte, then the status's fields. Always
+    /// inlined, as [`Request`]'s is.
+    #[inline(always)]
+    fn put_fields(&self, b: &mut Vec<u8>) {
         match self {
             Response::Ok { info } => {
                 b.push(RESP_OK);
-                put_str(&mut b, info);
+                put_str(b, info);
             }
             Response::Data { data } => {
                 b.push(RESP_DATA);
-                put_bytes(&mut b, data);
+                put_bytes(b, data);
             }
             Response::Free { slots } => {
                 b.push(RESP_FREE);
-                put_u64(&mut b, *slots);
+                put_u64(b, *slots);
             }
             Response::Stats { json } => {
                 b.push(RESP_STATS);
-                put_str(&mut b, json);
+                put_str(b, json);
             }
             Response::Err { code, msg } => {
                 b.push(RESP_ERR);
                 b.push(code.to_u8());
-                put_str(&mut b, msg);
+                put_str(b, msg);
             }
         }
+    }
+
+    /// Encode into a frame payload.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut b = Vec::new();
+        self.put_fields(&mut b);
         b
+    }
+
+    /// Append the response to `out` as one whole frame — what
+    /// [`frame_into`] makes of [`Response::encode`], without the
+    /// payload's own buffer in between.
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
+        frame_with(out, |b| self.put_fields(b));
     }
 
     /// Decode a frame payload.
@@ -652,6 +738,155 @@ mod tests {
         }
         // Consumed bytes must not accumulate forever.
         assert!(fb.buf.len() < 16 * 1024, "buffer grew to {}", fb.buf.len());
+    }
+
+    /// One of every message, the awkward sizes included: empty strings
+    /// and blobs, and a blob that fills a frame to the byte.
+    fn every_request() -> Vec<Request> {
+        let (client, name) = (7, || "n".to_string());
+        let full = vec![0xAB; MAX_FRAME - (1 + 4 + 4 + 1 + 4)];
+        vec![
+            Request::Submit {
+                client,
+                job: name(),
+            },
+            Request::Submit {
+                client,
+                job: String::new(),
+            },
+            Request::Put {
+                client,
+                name: String::new(),
+                data: Vec::new(),
+            },
+            Request::Put {
+                client,
+                name: name(),
+                data: full,
+            },
+            Request::Get {
+                client,
+                name: name(),
+            },
+            Request::Df { client },
+            Request::Stat {
+                client,
+                name: String::new(),
+            },
+            Request::Stats,
+        ]
+    }
+
+    fn every_response() -> Vec<Response> {
+        let code = ErrCode::NotFound;
+        vec![
+            Response::Ok {
+                info: String::new(),
+            },
+            Response::Ok { info: "j@1".into() },
+            Response::Data { data: Vec::new() },
+            Response::Data {
+                data: vec![0xCD; MAX_FRAME - (1 + 4)],
+            },
+            Response::Free { slots: u64::MAX },
+            Response::Stats { json: "{}".into() },
+            Response::Err {
+                code,
+                msg: String::new(),
+            },
+            Response::Err {
+                code,
+                msg: "no such file".into(),
+            },
+        ]
+    }
+
+    /// `encode_frame` appends exactly what `frame_into` makes of
+    /// `encode`, behind whatever the buffer already held.
+    #[test]
+    fn framing_in_place_matches_the_owning_encoder() {
+        fn check(payload: Vec<u8>, encode_frame: impl Fn(&mut Vec<u8>)) {
+            let mut want = b"earlier".to_vec();
+            frame_into(&mut want, &payload);
+            let mut got = b"earlier".to_vec();
+            encode_frame(&mut got);
+            assert!(got == want, "a {}-byte payload differs", payload.len());
+        }
+        for r in every_request() {
+            check(r.encode(), |out| r.encode_frame(out));
+        }
+        for r in every_response() {
+            check(r.encode(), |out| r.encode_frame(out));
+        }
+    }
+
+    /// However the stream is cut up, the borrowing and the owning call
+    /// yield the same frames.
+    #[test]
+    fn frame_buf_yields_the_same_frames_however_fed_and_however_asked() {
+        let mut wire = Vec::new();
+        let mut want = Vec::new();
+        for r in every_request()
+            .into_iter()
+            .filter(|r| r.encode().len() < 64)
+        {
+            r.encode_frame(&mut wire);
+            want.push(r.encode());
+        }
+        frame_into(&mut wire, &[]); // a zero-length frame is a frame
+        want.push(Vec::new());
+        for piece in [wire.len(), 1, 7] {
+            let (mut lent, mut owned) = (FrameBuf::new(), FrameBuf::new());
+            let (mut from_lent, mut from_owned) = (Vec::new(), Vec::new());
+            for bytes in wire.chunks(piece) {
+                lent.extend(bytes);
+                while let Some(frame) = lent.next_slice().unwrap() {
+                    from_lent.push(frame.to_vec());
+                }
+                owned.extend(bytes);
+                while let Some(frame) = owned.next_frame().unwrap() {
+                    from_owned.push(frame);
+                }
+            }
+            assert_eq!(from_lent, want, "lent, in {piece}-byte pieces");
+            assert_eq!(from_owned, want, "owned, in {piece}-byte pieces");
+            assert_eq!((lent.pending(), owned.pending()), (0, 0));
+        }
+        // The length word alone is enough to refuse, either way.
+        let lying = ((MAX_FRAME + 1) as u32).to_be_bytes();
+        let (mut lent, mut owned) = (FrameBuf::new(), FrameBuf::new());
+        lent.extend(&lying);
+        owned.extend(&lying);
+        let too_large = ProtoError::TooLarge(MAX_FRAME + 1);
+        assert_eq!(lent.next_slice().unwrap_err(), too_large);
+        assert_eq!(owned.next_frame().unwrap_err(), too_large);
+    }
+
+    /// One large frame does not cost the connection its size for good:
+    /// the buffer keeps the memory while large frames keep coming and
+    /// gives it back with the first fill that did not need it.
+    #[test]
+    fn frame_buf_gives_back_what_one_large_frame_made_it_allocate() {
+        let mut fb = FrameBuf::new();
+        let mut wire = Vec::new();
+        frame_into(&mut wire, &vec![7; MAX_FRAME]);
+        for _ in 0..2 {
+            for piece in wire.chunks(16 * 1024) {
+                assert_eq!(fb.next_slice(), Ok(None));
+                fb.extend(piece);
+            }
+            assert_eq!(fb.next_slice().unwrap().map(<[u8]>::len), Some(MAX_FRAME));
+            assert_eq!(fb.next_slice(), Ok(None));
+            assert!(fb.buf.capacity() >= MAX_FRAME, "kept for the next one");
+        }
+        let mut small = Vec::new();
+        Request::Df { client: 1 }.encode_frame(&mut small);
+        for _ in 0..100 {
+            fb.extend(&small);
+            assert!(fb.next_slice().unwrap().is_some());
+            assert_eq!(fb.next_slice(), Ok(None));
+            assert!(fb.buf.capacity() <= KEEP, "{} kept", fb.buf.capacity());
+        }
     }
 
     #[test]
