@@ -1,15 +1,19 @@
 //! Readiness and timers for the event-driven server core: a thin safe
-//! wrapper over Linux `epoll` (via the workspace's raw `libc` shim), a
-//! two-level timer wheel, and a cross-thread waker.
+//! wrapper over Linux `epoll` (via the workspace's raw `libc` shim),
+//! the simulator's event calendar as a timer store, and a cross-thread
+//! waker.
 //!
 //! The old server pinned one OS thread per connection and *slept*
 //! through every service time, latency spike, and black-hole window —
 //! which caps the daemon near the worker-pool size. Everything here
 //! exists so that a connection is just a few hundred bytes of state
-//! and a wait is just a wheel entry: the [`Epoll`] instance says which
-//! sockets can make progress, the [`TimerWheel`] says which deferred
-//! completions are due, and one thread multiplexes thousands of both.
+//! and a wait is just a calendar entry: the [`Epoll`] instance says
+//! which sockets can make progress, the [`TimerWheel`] says which
+//! deferred completions are due, and one thread multiplexes thousands
+//! of both.
 
+use retry::{Dur, Time};
+use simgrid::EventQueue;
 use std::io::{self, Read as _, Write as _};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
@@ -204,164 +208,73 @@ impl WakeRx {
     }
 }
 
-// ----------------------------------------------------------- timer wheel
+// ---------------------------------------------------------------- timers
 
-/// Milliseconds per wheel tick.
-const TICK_MS: u64 = 1;
-/// Near-window slots (must be a power of two): ~4 s of 1 ms ticks.
-const WHEEL_SLOTS: usize = 4096;
-
-struct FarEntry<T> {
-    tick: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for FarEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.tick == other.tick && self.seq == other.seq
-    }
-}
-impl<T> Eq for FarEntry<T> {}
-impl<T> PartialOrd for FarEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for FarEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest tick.
-        (other.tick, other.seq).cmp(&(self.tick, self.seq))
-    }
-}
-
-/// A two-level timer wheel: a ring of 1 ms slots covering the next
-/// ~4 s (service holds, latency stalls, backoff sleeps) and an
-/// overflow heap for everything farther out (connection deadlines,
-/// kill windows), cascaded into the ring as the cursor approaches.
-/// Timers never fire early; ties fire in schedule order.
+/// The reactors' timer store: the simulator's own calendar,
+/// [`EventQueue`], on microseconds since `epoch` — one future-event
+/// list, here on the wall clock (DESIGN.md §11). A deadline is rounded
+/// *up* to a microsecond when scheduled and `now` is rounded *down*
+/// when advancing, so a timer never fires early; timers fire in
+/// deadline order, ties in schedule order.
 pub struct TimerWheel<T> {
     epoch: Instant,
-    ring: Vec<Vec<(u64, u64, T)>>, // (absolute tick, seq, item)
-    cursor: u64,                   // next tick not yet fired
-    far: std::collections::BinaryHeap<FarEntry<T>>,
-    seq: u64,
-    len: usize,
+    queue: EventQueue<T>,
 }
 
 impl<T> TimerWheel<T> {
-    /// A wheel whose tick 0 is `epoch` (usually the loop's start).
+    /// A timer store whose microsecond 0 is `epoch` (usually the
+    /// loop's start).
     pub fn new(epoch: Instant) -> TimerWheel<T> {
         TimerWheel {
             epoch,
-            ring: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            cursor: 0,
-            far: std::collections::BinaryHeap::new(),
-            seq: 0,
-            len: 0,
+            queue: EventQueue::new(),
         }
     }
 
     /// Pending timer count.
     pub fn len(&self) -> usize {
-        self.len
+        self.queue.len()
     }
 
     /// True when no timers are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn tick_ceil(&self, at: Instant) -> u64 {
-        let us = at.saturating_duration_since(self.epoch).as_micros() as u64;
-        us.div_ceil(TICK_MS * 1000)
+        self.queue.is_empty()
     }
 
     /// Schedule `item` to fire at `at` (never earlier; instants already
     /// in the past fire on the next [`TimerWheel::advance`]).
     pub fn schedule(&mut self, at: Instant, item: T) {
-        let tick = self.tick_ceil(at).max(self.cursor);
-        let seq = self.seq;
-        self.seq += 1;
-        self.len += 1;
-        if tick < self.cursor + WHEEL_SLOTS as u64 {
-            self.ring[(tick as usize) & (WHEEL_SLOTS - 1)].push((tick, seq, item));
-        } else {
-            self.far.push(FarEntry { tick, seq, item });
-        }
+        let since = at.saturating_duration_since(self.epoch);
+        let us = since.as_micros() as u64 + u64::from(since.subsec_nanos() % 1000 != 0);
+        // The queue's clock is the last deadline it fired. On a wall
+        // clock an instant behind that is merely due, not the ordering
+        // bug the queue's own past-schedule check is there to catch.
+        let at = Time::from_micros(us).max(self.queue.now());
+        self.queue.schedule(at, item);
     }
 
     /// Fire every timer due at or before `now`, in deadline order
-    /// (schedule order within a tick), appending the items to `fired`.
+    /// (schedule order among equal deadlines), appending the items to
+    /// `fired`.
     pub fn advance(&mut self, now: Instant, fired: &mut Vec<T>) {
-        let target =
-            now.saturating_duration_since(self.epoch).as_micros() as u64 / (TICK_MS * 1000);
-        while self.cursor <= target {
-            let slot = (self.cursor as usize) & (WHEEL_SLOTS - 1);
-            if !self.ring[slot].is_empty() {
-                // All entries in a slot share the tick (the window is
-                // narrower than the ring), but keep the guard exact.
-                let due: Vec<(u64, u64, T)> = {
-                    let v = &mut self.ring[slot];
-                    let mut taken = Vec::with_capacity(v.len());
-                    let mut keep = Vec::new();
-                    for e in v.drain(..) {
-                        if e.0 <= target {
-                            taken.push(e);
-                        } else {
-                            keep.push(e);
-                        }
-                    }
-                    *v = keep;
-                    taken
-                };
-                for (_, _, item) in due {
-                    self.len -= 1;
-                    fired.push(item);
-                }
-            }
-            self.cursor += 1;
-            // Cascade far timers that now fall inside the near window.
-            while let Some(top) = self.far.peek() {
-                if top.tick >= self.cursor + WHEEL_SLOTS as u64 {
-                    break;
-                }
-                let e = self.far.pop().expect("peeked entry");
-                if e.tick <= target {
-                    self.len -= 1;
-                    fired.push(e.item);
-                } else {
-                    self.ring[(e.tick as usize) & (WHEEL_SLOTS - 1)].push((e.tick, e.seq, e.item));
-                }
-            }
+        let now = Time::ZERO + Dur::from_std(now.saturating_duration_since(self.epoch));
+        while self.queue.peek_time().is_some_and(|at| at <= now) {
+            fired.push(self.queue.pop().expect("peeked").1);
         }
     }
 
-    /// The next deadline at or after `now`, or `None` when the wheel is
-    /// empty. Drives the epoll wait timeout.
+    /// The earliest pending deadline, or `None` when there are no
+    /// timers. Drives the epoll wait timeout.
     pub fn next_deadline(&self) -> Option<Instant> {
-        if self.len == 0 {
-            return None;
-        }
-        let mut best: Option<u64> = None;
-        for off in 0..WHEEL_SLOTS as u64 {
-            let tick = self.cursor + off;
-            let slot = (tick as usize) & (WHEEL_SLOTS - 1);
-            if self.ring[slot].iter().any(|(t, _, _)| *t == tick) {
-                best = Some(tick);
-                break;
-            }
-        }
-        if let Some(far) = self.far.peek() {
-            best = Some(best.map_or(far.tick, |b| b.min(far.tick)));
-        }
-        best.map(|tick| self.epoch + Duration::from_millis(tick * TICK_MS))
+        let at = self.queue.peek_time()?;
+        Some(self.epoch + Duration::from_micros(at.as_micros()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simgrid::SimRng;
 
     #[test]
     fn wheel_fires_in_deadline_order_and_never_early() {
@@ -431,6 +344,103 @@ mod tests {
         let mut fired = Vec::new();
         w.advance(t0 + Duration::from_millis(8), &mut fired);
         assert_eq!(fired, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn timers_inside_one_millisecond_fire_in_deadline_order() {
+        let t0 = Instant::now();
+        let mut w: TimerWheel<&str> = TimerWheel::new(t0);
+        w.schedule(t0 + Duration::from_micros(5_600), "later");
+        w.schedule(t0 + Duration::from_micros(5_300), "sooner");
+        let mut fired = Vec::new();
+        w.advance(t0 + Duration::from_micros(5_299), &mut fired);
+        assert!(fired.is_empty(), "nothing due yet");
+        w.advance(t0 + Duration::from_millis(6), &mut fired);
+        assert_eq!(fired, ["sooner", "later"]);
+    }
+
+    #[test]
+    fn next_deadline_is_not_rounded_to_a_millisecond() {
+        let t0 = Instant::now();
+        let mut w: TimerWheel<()> = TimerWheel::new(t0);
+        w.schedule(t0 + Duration::from_micros(2_300), ());
+        let next = w.next_deadline().unwrap();
+        assert!(next >= t0 + Duration::from_micros(2_300));
+        assert!(next < t0 + Duration::from_micros(2_400));
+    }
+
+    /// The contract, against a sorted `Vec`: one seeded stream of
+    /// schedules, advances and peeks around a moving `now`, with
+    /// deadlines from 50 ms in the past (some before the epoch) to two
+    /// hours out, sub-microsecond offsets and exact ties.
+    #[test]
+    fn generated_schedules_match_a_sorted_vec() {
+        const NS: i64 = 1_000_000_000;
+        // The epoch sits a second after `base`, so an instant up to a
+        // second before it is still `base` plus something.
+        let base = Instant::now();
+        let epoch = base + Duration::from_secs(1);
+        let instant = |ns: i64| base + Duration::from_nanos((NS + ns) as u64);
+        for seed in 0..8 {
+            let mut rng = SimRng::new(seed);
+            let mut pick = |n: i64| rng.range_u64(0, n as u64) as i64;
+            let mut w: TimerWheel<usize> = TimerWheel::new(epoch);
+            // (effective µs, id) in firing order; ids count up, so they
+            // are the schedule order. `deadline_ns[id]` is what was asked.
+            let mut oracle: Vec<(u64, usize)> = Vec::new();
+            let mut deadline_ns: Vec<i64> = Vec::new();
+            // A deadline behind the last one fired joins it.
+            let mut frontier_us = 0u64;
+            let mut now = NS / 100;
+            let mut fired = Vec::new();
+            for _ in 0..3_000 {
+                match pick(10) {
+                    0..=5 => {
+                        let at = match pick(6) {
+                            0 => now - pick(NS / 20),
+                            1 => now + pick(1_000_000),
+                            2 => now + pick(1_000) * 1_000_000,
+                            3 => now + pick(4 * NS),
+                            4 => now + pick(7_200 * NS),
+                            _ => *deadline_ns.last().unwrap_or(&now),
+                        };
+                        let id = deadline_ns.len();
+                        deadline_ns.push(at);
+                        w.schedule(instant(at), id);
+                        let us = (at.max(0) as u64).div_ceil(1_000).max(frontier_us);
+                        let pos = oracle.partition_point(|&e| e <= (us, id));
+                        oracle.insert(pos, (us, id));
+                    }
+                    _ => {
+                        now += match pick(16) {
+                            0..=6 => pick(300_000),
+                            7..=10 => pick(NS / 50),
+                            11..=14 => pick(2 * NS),
+                            _ => pick(3_600 * NS),
+                        };
+                        fired.clear();
+                        w.advance(instant(now), &mut fired);
+                        let due = oracle.partition_point(|&(us, _)| us as i64 * 1_000 <= now);
+                        if due > 0 {
+                            frontier_us = oracle[due - 1].0;
+                        }
+                        let want: Vec<usize> = oracle.drain(..due).map(|(_, id)| id).collect();
+                        assert_eq!(fired, want, "seed {seed}: (deadline, schedule) order");
+                        for &id in &fired {
+                            assert!(
+                                deadline_ns[id] <= now,
+                                "seed {seed}: timer {id} fired early"
+                            );
+                        }
+                    }
+                }
+                assert_eq!((w.len(), w.is_empty()), (oracle.len(), oracle.is_empty()));
+                let want = oracle
+                    .first()
+                    .map(|&(us, _)| epoch + Duration::from_micros(us));
+                assert_eq!(w.next_deadline(), want, "seed {seed}: next deadline");
+            }
+        }
     }
 
     #[test]

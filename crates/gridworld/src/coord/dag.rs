@@ -696,27 +696,8 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, trace: Option<SharedSink
         .collect();
     let plan = world.params.effective_fault_plan();
     let mut driver = SimDriver::with_starts(world, vms, starts);
-    if let Some(sink) = trace {
-        driver.set_trace(sink);
-    }
-    if plan.injections().next().is_some() {
-        driver.arm_faults(plan);
-    }
-    driver.run_until(Time::ZERO + duration);
-    let events_popped = driver.events_popped();
-    let vm_ticks = driver.vm_ticks();
-    let queue_clamps = driver.clamps();
-    if queue_clamps > 0 {
-        simgrid::trace::emit(
-            &driver.trace().cloned(),
-            driver.now(),
-            NO_ID,
-            NO_ID,
-            TraceEv::QueueClamps {
-                count: queue_clamps,
-            },
-        );
-    }
+    let (events_popped, vm_ticks, queue_clamps) =
+        driver.run_traced(trace, plan, Time::ZERO + duration, |_| {});
     let totals = driver.log_totals;
     let w = &driver.world;
     let mut job_series = Series::new(params.discipline.label());

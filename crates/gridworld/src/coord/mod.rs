@@ -19,9 +19,8 @@
 //!
 //! Both families run on the same [`SimDriver`](crate::driver)
 //! machinery as the paper scenarios — shared `Arc<[Stmt]>` ASTs,
-//! structured traces, byte-identical results across sweep threads and
-//! event-queue shards — and against the real `gridd` daemon via the
-//! bench live driver.
+//! structured traces, byte-identical results across sweep threads —
+//! and against the real `gridd` daemon via the bench live driver.
 //!
 //! ## The contended resource
 //!

@@ -119,8 +119,7 @@ impl<W> Ctx<'_, W> {
         token: CmdToken,
         result: CmdResult,
     ) {
-        self.queue.schedule_keyed(
-            client,
+        self.queue.schedule(
             at,
             SimEv::CmdDone {
                 client,
@@ -276,7 +275,7 @@ impl<W: CommandWorld> SimDriver<W> {
         assert_eq!(vms.len(), starts.len(), "one start time per client");
         let mut queue = EventQueue::new();
         for (c, &at) in starts.iter().enumerate() {
-            queue.schedule_keyed(c, at, SimEv::Wake(c));
+            queue.schedule(at, SimEv::Wake(c));
         }
         let n = vms.len();
         let vms: Vec<Option<Vm>> = vms
@@ -332,12 +331,6 @@ impl<W: CommandWorld> SimDriver<W> {
             }
         }
         self.tracer = Some(sink);
-    }
-
-    /// The trace sink, if one is installed (for worlds that emit their
-    /// own records).
-    pub fn trace(&self) -> Option<&SharedSink> {
-        self.tracer.as_ref()
     }
 
     /// Events popped from this run's own queue — the per-run
@@ -410,6 +403,35 @@ impl<W: CommandWorld> SimDriver<W> {
         }
     }
 
+    /// What every scenario's `run_*_traced` does with the driver it
+    /// built: install the sink, arm `plan` if it injects anything, let
+    /// `first_events` schedule the world's opening events (after the
+    /// plan's, so an injection at the same instant fires first), run
+    /// until `end`, and return `(events popped, VM ticks, queue
+    /// clamps)`. A nonzero clamp count also goes on the trace.
+    pub fn run_traced(
+        &mut self,
+        trace: Option<SharedSink>,
+        plan: FaultPlan,
+        end: Time,
+        first_events: impl FnOnce(&mut Self),
+    ) -> (u64, u64, u64) {
+        if let Some(sink) = trace {
+            self.set_trace(sink);
+        }
+        if plan.injections().next().is_some() {
+            self.arm_faults(plan);
+        }
+        first_events(self);
+        self.run_until(end);
+        let clamps = self.clamps();
+        if clamps > 0 {
+            let ev = TraceEv::QueueClamps { count: clamps };
+            emit(&self.tracer, self.now(), NO_ID, NO_ID, ev);
+        }
+        (self.events_popped(), self.vm_ticks(), clamps)
+    }
+
     /// Fire spec `i` of the armed plan at `now`: emit the trace
     /// record, apply (or forward) the fault, and reschedule the next
     /// trigger of a repeating spec.
@@ -457,7 +479,7 @@ impl<W: CommandWorld> SimDriver<W> {
                 // client that already retired (or was killed twice)
                 // must not be resurrected by a stale restart delay.
                 if let (true, Some(delay)) = (killed, restart) {
-                    self.queue.schedule_keyed(c, now + delay, SimEv::Revive(c));
+                    self.queue.schedule(now + delay, SimEv::Revive(c));
                 }
             }
             kind => self.react(now, |world, ctx| world.inject_fault(ctx, kind)),
@@ -510,7 +532,7 @@ impl<W: CommandWorld> SimDriver<W> {
         }
         self.vms[client] = Some(vm);
         if at > now {
-            self.queue.schedule_keyed(client, at, SimEv::Wake(client));
+            self.queue.schedule(at, SimEv::Wake(client));
         }
         at <= now
     }
@@ -584,7 +606,7 @@ impl<W: CommandWorld> SimDriver<W> {
                     result,
                     delayed: true,
                 };
-                self.queue.schedule_keyed(client, now + extra, held);
+                self.queue.schedule(now + extra, held);
                 return;
             }
             if fs.lose(program, now) {
@@ -634,7 +656,7 @@ impl<W: CommandWorld> SimDriver<W> {
                                     result,
                                     delayed: false,
                                 };
-                                self.queue.schedule_keyed(client, at, done);
+                                self.queue.schedule(at, done);
                             }
                             ExecOutcome::Held => {}
                         }
@@ -676,8 +698,7 @@ impl<W: CommandWorld> SimDriver<W> {
                 }
                 VmStatus::Running { next_wake: Some(t) } => {
                     let t = self.unskew(client, t);
-                    self.queue
-                        .schedule_keyed(client, t.max(now), SimEv::Wake(client));
+                    self.queue.schedule(t.max(now), SimEv::Wake(client));
                     break 'driving;
                 }
                 VmStatus::Running { next_wake: None } => break 'driving,

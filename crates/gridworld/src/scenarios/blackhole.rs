@@ -389,27 +389,8 @@ pub fn run_blackhole_traced(
     }
     let plan = world.fault_plan.clone();
     let mut driver = SimDriver::new(world, vms);
-    if let Some(sink) = trace {
-        driver.set_trace(sink);
-    }
-    if plan.injections().next().is_some() {
-        driver.arm_faults(plan);
-    }
-    driver.run_until(Time::ZERO + duration);
-    let events_popped = driver.events_popped();
-    let vm_ticks = driver.vm_ticks();
-    let queue_clamps = driver.clamps();
-    if queue_clamps > 0 {
-        simgrid::trace::emit(
-            &driver.trace().cloned(),
-            driver.now(),
-            simgrid::trace::NO_ID,
-            simgrid::trace::NO_ID,
-            simgrid::trace::TraceEv::QueueClamps {
-                count: queue_clamps,
-            },
-        );
-    }
+    let (events_popped, vm_ticks, queue_clamps) =
+        driver.run_traced(trace, plan, Time::ZERO + duration, |_| {});
     let w = &driver.world;
     let mut longest = Dur::ZERO;
     for times in &w.per_client_successes {

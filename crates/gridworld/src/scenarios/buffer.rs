@@ -512,29 +512,11 @@ pub fn run_buffer_traced(
         .collect();
     let plan = world.fault_plan.clone();
     let mut driver = SimDriver::new(world, vms);
-    if let Some(sink) = trace {
-        driver.set_trace(sink);
-    }
-    if plan.injections().next().is_some() {
-        driver.arm_faults(plan);
-    }
-    driver.schedule_world(Time::ZERO, BufferEv::ConsumerTick);
-    driver.schedule_world(Time::ZERO, BufferEv::Sample);
-    driver.run_until(Time::ZERO + duration);
-    let events_popped = driver.events_popped();
-    let vm_ticks = driver.vm_ticks();
-    let queue_clamps = driver.clamps();
-    if queue_clamps > 0 {
-        simgrid::trace::emit(
-            &driver.trace().cloned(),
-            driver.now(),
-            simgrid::trace::NO_ID,
-            simgrid::trace::NO_ID,
-            simgrid::trace::TraceEv::QueueClamps {
-                count: queue_clamps,
-            },
-        );
-    }
+    let (events_popped, vm_ticks, queue_clamps) =
+        driver.run_traced(trace, plan, Time::ZERO + duration, |d| {
+            d.schedule_world(Time::ZERO, BufferEv::ConsumerTick);
+            d.schedule_world(Time::ZERO, BufferEv::Sample);
+        });
     let w = &driver.world;
     BufferOutcome {
         files_consumed: w.files_consumed,

@@ -618,28 +618,10 @@ pub fn run_submission_traced(
         .collect();
     let plan = world.fault_plan.clone();
     let mut driver = SimDriver::with_starts(world, vms, starts);
-    if let Some(sink) = trace {
-        driver.set_trace(sink);
-    }
-    if plan.injections().next().is_some() {
-        driver.arm_faults(plan);
-    }
-    driver.schedule_world(Time::ZERO, SubmitEv::Sample);
-    driver.run_until(Time::ZERO + duration);
-    let events_popped = driver.events_popped();
-    let vm_ticks = driver.vm_ticks();
-    let queue_clamps = driver.clamps();
-    if queue_clamps > 0 {
-        simgrid::trace::emit(
-            &driver.trace().cloned(),
-            driver.now(),
-            NO_ID,
-            NO_ID,
-            TraceEv::QueueClamps {
-                count: queue_clamps,
-            },
-        );
-    }
+    let (events_popped, vm_ticks, queue_clamps) =
+        driver.run_traced(trace, plan, Time::ZERO + duration, |d| {
+            d.schedule_world(Time::ZERO, SubmitEv::Sample);
+        });
     let totals = driver.log_totals;
     let w = &driver.world;
     let mut sojourns = w.sojourns.clone();

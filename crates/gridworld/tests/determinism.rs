@@ -99,42 +99,6 @@ fn figures_are_bit_identical_across_sweep_schedules() {
         "the aggressive plan must actually perturb the figure"
     );
 
-    // Shard invariance: the event kernel's shard count is a layout
-    // choice, not a schedule choice. Regenerating a figure under
-    // EG_SIM_SHARDS=1/2/4 must yield byte-identical series JSON and
-    // trace JSONL — the cross-shard merge orders by (time, global
-    // sequence), which no shard assignment can perturb.
-    for name in GATE_FIGURES {
-        std::env::set_var("EG_SWEEP_THREADS", "2");
-        let mut runs = Vec::new();
-        for shards in ["1", "2", "4"] {
-            std::env::set_var("EG_SIM_SHARDS", shards);
-            let run = by_name_full(name, Scale::Quick, 0xDE7E_0007, true).expect("known figure");
-            runs.push((
-                shards,
-                run.set.to_json(),
-                to_jsonl(&run.trace.expect("traced")),
-                run.events_popped,
-            ));
-        }
-        std::env::remove_var("EG_SIM_SHARDS");
-        let (_, series_one, trace_one, events_one) = &runs[0];
-        for (shards, series, trace, events) in &runs[1..] {
-            assert_eq!(
-                series_one, series,
-                "{name}: series JSON must not depend on EG_SIM_SHARDS={shards}"
-            );
-            assert_eq!(
-                trace_one, trace,
-                "{name}: trace JSONL must not depend on EG_SIM_SHARDS={shards}"
-            );
-            assert_eq!(
-                events_one, events,
-                "{name}: events popped must not depend on EG_SIM_SHARDS={shards}"
-            );
-        }
-    }
-
     // The analyzer reproduces Figure 7's deferral count from the trace
     // alone: the last value of the figure's "Deferrals" series equals
     // the number of deferral records.

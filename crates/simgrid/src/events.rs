@@ -1,27 +1,24 @@
-//! The discrete-event kernel: a virtual clock driven by a sharded
-//! future-event list.
+//! The discrete-event kernel: a clock driven by one future-event
+//! calendar.
 //!
 //! Determinism is load-bearing for the reproduction: given the same
 //! seed, a scenario must produce bit-identical figure data. Events at
 //! equal instants therefore break ties by insertion order (a strictly
 //! increasing sequence number), never by heap internals.
 //!
-//! # Sharding
-//!
-//! Internally the queue is split into [`EventQueue::shards`] shards so
-//! one large world does not funnel every operation through a single
-//! comparison-heavy `BinaryHeap`: a population of 100k clients keyed by
-//! client id spreads across shards whose heaps are each a fraction of
-//! the total, shrinking both the `O(log n)` factor and the working set
-//! each push/pop touches.
+//! The queue does not care where its timestamps come from. The
+//! simulator pops it as fast as it can and calls the result virtual
+//! time; `gridd::poll::TimerWheel` feeds it microseconds since the
+//! reactor started and pops only what the wall clock has reached. One
+//! calendar, two clocks (DESIGN.md §10 and §11).
 //!
 //! # Three tiers
 //!
-//! Each shard is a calendar of one-second buckets (bucket = timestamp
-//! / [`WINDOW_US`]) in three tiers (DESIGN.md §10):
+//! The calendar is cut into one-second buckets (bucket = timestamp /
+//! [`WINDOW_US`]) kept in three tiers:
 //!
-//! * **near** — a heap of every event in the shard's current bucket
-//!   or earlier. Pops come from here only.
+//! * **near** — a heap of every event in the current bucket or
+//!   earlier. Pops come from here only.
 //! * **ring** — the buckets just ahead, each an *unsorted* `Vec`
 //!   (scheduling is one append), with an occupancy bitmap so the
 //!   earliest non-empty one is found in a few word tests however
@@ -31,23 +28,20 @@
 //! * **beyond** — a heap for events past the ring's horizon
 //!   (hour-long backoffs, `Time::MAX`). The ring is sized on demand:
 //!   it starts empty and doubles only while `beyond` holds more events
-//!   than the ring has slots, so a twenty-client world keeps one small
-//!   heap and allocates no ring at all.
+//!   than the ring has slots, so a twenty-client world — or a reactor
+//!   with a handful of far timers — keeps one small heap and allocates
+//!   no ring at all.
 //!
 //! When the near heap drains, the earliest non-empty bucket — merged
 //! with whatever `beyond` holds for that same bucket — *becomes* the
 //! near heap in one `O(n)` heapify, and the drained near buffer goes
 //! to a bounded pool that new buckets draw from.
 //!
-//! The cross-shard merge is deterministic by construction: every event
-//! is stamped with one **queue-global** sequence number at schedule
-//! time, and `pop` takes the minimum `(timestamp, seq)` across shard
-//! heads. A shard's head is the minimum of its near heap, and every
+//! Every event is stamped with a sequence number at schedule time, and
+//! `pop` takes the minimum `(timestamp, seq)` of the near heap. Every
 //! event outside near lies in a later bucket, so that is exactly the
 //! order a single heap would produce: pop order — and therefore every
-//! figure byte — is invariant under the shard count, under how events
-//! are routed to shards (`schedule_keyed` affects locality only), and
-//! under which tier an event waited in.
+//! figure byte — does not depend on which tier an event waited in.
 
 use retry::Time;
 use std::cmp::Ordering;
@@ -86,12 +80,12 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// Width of one calendar bucket. One virtual second: coarse enough
-/// that a bucket refills the near heap with a batch of events, fine
-/// enough that the near heap stays a fraction of the shard.
+/// Width of one calendar bucket. One second: coarse enough that a
+/// bucket refills the near heap with a batch of events, fine enough
+/// that the near heap stays a fraction of the queue.
 const WINDOW_US: u64 = 1_000_000;
 
-/// Most buckets a shard's ring grows to. `try for 5 minutes` deadlines
+/// Most buckets the ring grows to. `try for 5 minutes` deadlines
 /// (300 buckets ahead) fit; the rare event further out waits in the
 /// `beyond` heap.
 const RING_MAX: usize = 512;
@@ -99,18 +93,31 @@ const RING_MAX: usize = 512;
 /// Fewest buckets an allocated ring has: one bitmap word.
 const RING_MIN: usize = 64;
 
-/// Most drained bucket buffers a shard keeps for reuse. In steady
+/// Most drained bucket buffers the queue keeps for reuse. In steady
 /// state one bucket opens per bucket drained, so a handful covers it;
 /// past that, buffers are freed rather than hoarded.
 const POOL_MAX: usize = 4;
 
-/// One calendar shard. Invariants (maintained by every `&mut` entry
+/// A deterministic future-event list with its own clock.
+///
+/// Invariants of the calendar (maintained by every `&mut` entry
 /// point): `near` holds exactly the events whose bucket is ≤ `cur`,
-/// and is non-empty whenever the shard is, so peeking is pure; ring
+/// and is non-empty whenever the queue is, so peeking is pure; ring
 /// slot `b % ring.len()` holds the events of bucket `b` for `b` in
 /// `(cur, cur + ring.len()]` that arrived while `b` was within that
 /// horizon; everything else waits in `beyond`.
-struct Shard<E> {
+///
+/// ```
+/// use retry::Time;
+/// use simgrid::EventQueue;
+///
+/// let mut q = EventQueue::new();
+/// q.schedule(Time::from_secs(3), "later");
+/// q.schedule(Time::from_secs(1), "sooner");
+/// assert_eq!(q.pop(), Some((Time::from_secs(1), "sooner")));
+/// assert_eq!(q.now(), Time::from_secs(1));
+/// ```
+pub struct EventQueue<E> {
     near: BinaryHeap<Entry<E>>,
     /// The bucket `near` is at.
     cur: u64,
@@ -123,11 +130,22 @@ struct Shard<E> {
     beyond: BinaryHeap<Entry<E>>,
     /// Emptied buffers of drained buckets.
     pool: Vec<Vec<Entry<E>>>,
+    seq: u64,
+    now: Time,
+    popped: u64,
+    clamped: u64,
 }
 
-impl<E> Shard<E> {
-    fn new() -> Shard<E> {
-        Shard {
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        EventQueue::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// An empty queue at `T+0`.
+    pub fn new() -> EventQueue<E> {
+        EventQueue {
             near: BinaryHeap::new(),
             cur: 0,
             ring: Vec::new(),
@@ -135,13 +153,70 @@ impl<E> Shard<E> {
             ring_events: 0,
             beyond: BinaryHeap::new(),
             pool: Vec::new(),
+            seq: 0,
+            now: Time::ZERO,
+            popped: 0,
+            clamped: 0,
         }
     }
 
-    fn push(&mut self, e: Entry<E>) {
+    /// Vestige of the sharded queue, kept only because the frozen
+    /// `benchmark/` names it; delete with the next `benchmark/` change.
+    #[doc(hidden)]
+    pub fn with_shards(_nshards: usize) -> EventQueue<E> {
+        EventQueue::new()
+    }
+
+    /// Vestige of the sharded queue, as [`EventQueue::with_shards`].
+    #[doc(hidden)]
+    pub fn schedule_keyed(&mut self, _key: usize, at: Time, event: E) {
+        self.schedule(at, event);
+    }
+
+    /// Events popped from *this* queue since construction. Per-queue
+    /// so one run's throughput is attributable even while sweep
+    /// workers run other simulations concurrently.
+    pub fn popped(&self) -> u64 {
+        self.popped
+    }
+
+    /// How many schedules targeted an instant already in the past and
+    /// were clamped to `now`. A nonzero count is a latent ordering bug
+    /// in the scenario; `figures --stats` and the postmortem surface
+    /// it rather than letting the clamp silently "fix" it.
+    pub fn clamped(&self) -> u64 {
+        self.clamped
+    }
+
+    /// The queue's current instant (the timestamp of the last popped
+    /// event, or zero).
+    pub fn now(&self) -> Time {
+        self.now
+    }
+
+    /// Schedule `event` at absolute instant `at`. Scheduling in the
+    /// past is a logic error in debug builds; in release it clamps to
+    /// `now` (the event fires immediately, preserving progress) and
+    /// increments [`clamped`].
+    ///
+    /// [`clamped`]: EventQueue::clamped
+    pub fn schedule(&mut self, at: Time, event: E) {
+        debug_assert!(at >= self.now, "scheduling into the past");
+        let at = if at < self.now {
+            self.clamped += 1;
+            self.now
+        } else {
+            at
+        };
+        let e = Entry {
+            at,
+            seq: self.seq,
+            event,
+        };
+        self.seq += 1;
         let bucket = e.bucket();
         if self.near.is_empty() {
-            // The shard is empty: its calendar restarts at this event.
+            // The queue is empty: its calendar restarts at this event.
             self.cur = bucket;
         }
         if bucket <= self.cur {
@@ -232,7 +307,7 @@ impl<E> Shard<E> {
     /// The near heap has drained: make the earliest later bucket — its
     /// ring slot plus whatever `beyond` holds for it — the near heap,
     /// and pool the drained buffer.
-    fn advance(&mut self) {
+    fn open_next_bucket(&mut self) {
         let in_ring = self.first_ring_bucket();
         let in_beyond = self.beyond.peek().map(Entry::bucket);
         let next = match (in_ring, in_beyond) {
@@ -266,178 +341,17 @@ impl<E> Shard<E> {
         }
     }
 
-    /// The shard's earliest `(timestamp, seq)`, if any.
-    fn head(&self) -> Option<(Time, u64)> {
-        self.near.peek().map(|e| (e.at, e.seq))
-    }
-
-    fn pop(&mut self) -> Option<Entry<E>> {
-        let e = self.near.pop();
-        if self.near.is_empty() {
-            self.advance();
-        }
-        e
-    }
-
-    fn len(&self) -> usize {
-        self.near.len() + self.ring_events + self.beyond.len()
-    }
-}
-
-/// How many shards a queue built with [`EventQueue::new`] gets:
-/// `EG_SIM_SHARDS` when set to a positive integer, else 4. The shard
-/// count never affects pop order — only locality — so this is a pure
-/// tuning knob.
-fn configured_shards() -> usize {
-    std::env::var("EG_SIM_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(4)
-}
-
-/// A deterministic future-event list with its own clock.
-///
-/// ```
-/// use retry::Time;
-/// use simgrid::EventQueue;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(Time::from_secs(3), "later");
-/// q.schedule(Time::from_secs(1), "sooner");
-/// assert_eq!(q.pop(), Some((Time::from_secs(1), "sooner")));
-/// assert_eq!(q.now(), Time::from_secs(1));
-/// ```
-pub struct EventQueue<E> {
-    shards: Vec<Shard<E>>,
-    seq: u64,
-    now: Time,
-    popped: u64,
-    clamped: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// An empty queue at `T+0` with the configured shard count
-    /// (`EG_SIM_SHARDS`, default 4).
-    pub fn new() -> EventQueue<E> {
-        EventQueue::with_shards(configured_shards())
-    }
-
-    /// An empty queue at `T+0` with exactly `nshards` shards
-    /// (`nshards` ≥ 1 enforced). Pop order is identical for every
-    /// shard count.
-    pub fn with_shards(nshards: usize) -> EventQueue<E> {
-        let nshards = nshards.max(1);
-        EventQueue {
-            shards: (0..nshards).map(|_| Shard::new()).collect(),
-            seq: 0,
-            now: Time::ZERO,
-            popped: 0,
-            clamped: 0,
-        }
-    }
-
-    /// Number of shards this queue spreads events across.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Events popped from *this* queue since construction. Per-queue
-    /// so one run's throughput is attributable even while sweep
-    /// workers run other simulations concurrently.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-
-    /// How many schedules targeted an instant already in the past and
-    /// were clamped to `now`. A nonzero count is a latent ordering bug
-    /// in the scenario; `figures --stats` and the postmortem surface
-    /// it rather than letting the clamp silently "fix" it.
-    pub fn clamped(&self) -> u64 {
-        self.clamped
-    }
-
-    /// The current virtual instant (the timestamp of the last popped
-    /// event, or zero).
-    pub fn now(&self) -> Time {
-        self.now
-    }
-
-    /// Schedule `event` at absolute instant `at`. Scheduling in the
-    /// past is a logic error in debug builds; in release it clamps to
-    /// `now` (the event fires immediately, preserving progress) and
-    /// increments [`clamped`].
-    ///
-    /// [`clamped`]: EventQueue::clamped
-    pub fn schedule(&mut self, at: Time, event: E) {
-        self.schedule_keyed(0, at, event);
-    }
-
-    /// Schedule `event` at `at`, routed to the shard `key` maps to
-    /// (`key % shards`). Keying by client/resource id keeps one
-    /// client's events on one small heap; the choice of key can never
-    /// change pop order, only locality.
-    pub fn schedule_keyed(&mut self, key: usize, at: Time, event: E) {
-        debug_assert!(at >= self.now, "scheduling into the past");
-        let at = if at < self.now {
-            self.clamped += 1;
-            self.now
-        } else {
-            at
-        };
-        let shard = key % self.shards.len();
-        self.shards[shard].push(Entry {
-            at,
-            seq: self.seq,
-            event,
-        });
-        self.seq += 1;
-    }
-
-    /// Schedule `event` after a delay from now.
-    pub fn schedule_in(&mut self, delay: retry::Dur, event: E) {
-        self.schedule(self.now.saturating_add(delay), event);
-    }
-
-    /// Schedule `event` after a delay from now, routed by `key` as in
-    /// [`schedule_keyed`].
-    ///
-    /// [`schedule_keyed`]: EventQueue::schedule_keyed
-    pub fn schedule_in_keyed(&mut self, key: usize, delay: retry::Dur, event: E) {
-        self.schedule_keyed(key, self.now.saturating_add(delay), event);
-    }
-
-    /// The index of the shard holding the global minimum
-    /// `(timestamp, seq)`, if any event is pending.
-    fn min_shard(&self) -> Option<usize> {
-        let mut best: Option<(Time, u64, usize)> = None;
-        for (i, s) in self.shards.iter().enumerate() {
-            if let Some((at, seq)) = s.head() {
-                if best.is_none_or(|(bt, bs, _)| (at, seq) < (bt, bs)) {
-                    best = Some((at, seq, i));
-                }
-            }
-        }
-        best.map(|(_, _, i)| i)
-    }
-
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.min_shard()
-            .and_then(|i| self.shards[i].head())
-            .map(|(at, _)| at)
+        self.near.peek().map(|e| e.at)
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let i = self.min_shard()?;
-        let e = self.shards[i].pop().expect("shard head exists");
+        let e = self.near.pop()?;
+        if self.near.is_empty() {
+            self.open_next_bucket();
+        }
         debug_assert!(e.at >= self.now, "clock went backwards");
         self.now = e.at;
         self.popped += 1;
@@ -446,12 +360,12 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(Shard::len).sum()
+        self.near.len() + self.ring_events + self.beyond.len()
     }
 
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.near.is_empty())
+        self.near.is_empty()
     }
 }
 
@@ -481,39 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn ties_break_by_insertion_order_across_shards() {
-        // Same instant, every event on a different shard: the global
-        // seq stamp still decides, not shard index or routing.
-        let mut q = EventQueue::with_shards(4);
-        for i in 0..100usize {
-            q.schedule_keyed(103 - i, Time::from_secs(7), i);
-        }
-        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pop_order_is_invariant_under_shard_count() {
-        let schedule_all = |q: &mut EventQueue<usize>| {
-            for i in 0..200usize {
-                let t = Time::from_micros(((i * 37) % 50) as u64 * 700_000);
-                q.schedule_keyed(i % 7, t, i);
-            }
-        };
-        let drain = |q: &mut EventQueue<usize>| -> Vec<(Time, usize)> {
-            std::iter::from_fn(|| q.pop()).collect()
-        };
-        let mut reference = EventQueue::with_shards(1);
-        schedule_all(&mut reference);
-        let want = drain(&mut reference);
-        for n in [2, 3, 4, 8, 64] {
-            let mut q = EventQueue::with_shards(n);
-            schedule_all(&mut q);
-            assert_eq!(drain(&mut q), want, "shard count {n} changed pop order");
-        }
-    }
-
-    #[test]
     fn clock_advances_with_pops() {
         let mut q = EventQueue::new();
         q.schedule(Time::from_secs(2), ());
@@ -523,16 +404,6 @@ mod tests {
         assert_eq!(q.now(), Time::from_secs(2));
         q.pop();
         assert_eq!(q.now(), Time::from_secs(9));
-    }
-
-    #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::from_secs(10), "first");
-        q.pop();
-        q.schedule_in(Dur::from_secs(5), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, Time::from_secs(15));
     }
 
     #[test]
@@ -585,9 +456,9 @@ mod tests {
 
     #[test]
     fn far_window_migration_preserves_order() {
-        // Spread events far beyond one near window on a single shard
-        // so every pop path (drain, refill, migrate) is exercised.
-        let mut q = EventQueue::with_shards(1);
+        // Spread events far beyond one near window so every pop path
+        // (drain, refill, migrate) is exercised.
+        let mut q = EventQueue::new();
         for i in (0..50u64).rev() {
             q.schedule(Time::from_secs(i * 3), i);
         }
@@ -595,12 +466,12 @@ mod tests {
         assert_eq!(order, (0..50).collect::<Vec<_>>());
     }
 
-    /// A one-shard queue whose ring has been made to exist: forty
-    /// events at T+100 s outgrow `beyond`, and popping them leaves an
-    /// empty shard at bucket 100 with a 64-slot ring. Returns the next
-    /// free event number.
+    /// A queue whose ring has been made to exist: forty events at
+    /// T+100 s outgrow `beyond`, and popping them leaves an empty queue
+    /// at bucket 100 with a 64-slot ring. Returns the next free event
+    /// number.
     fn with_ring() -> (EventQueue<u64>, u64) {
-        let mut q = EventQueue::with_shards(1);
+        let mut q = EventQueue::new();
         q.schedule(Time::ZERO, 0);
         for i in 1..=40 {
             q.schedule(Time::from_secs(100), i);
@@ -608,23 +479,23 @@ mod tests {
         for i in 0..=40 {
             assert_eq!(q.pop().map(|(_, e)| e), Some(i));
         }
-        assert_eq!(q.shards[0].ring.len(), RING_MIN);
-        assert_eq!((q.shards[0].cur, q.len()), (100, 0));
+        assert_eq!(q.ring.len(), RING_MIN);
+        assert_eq!((q.cur, q.len()), (100, 0));
         (q, 41)
     }
 
     #[test]
     fn small_schedules_allocate_no_ring() {
-        let mut q = EventQueue::with_shards(1);
+        let mut q = EventQueue::new();
         for i in 0..=(RING_MIN / 2) as u64 {
             q.schedule(Time::from_secs(10 * i), i);
         }
-        let s = &q.shards[0];
+        let s = &q;
         assert_eq!((s.near.len(), s.beyond.len()), (1, RING_MIN / 2));
         assert!(s.ring.is_empty() && s.occupied.is_empty());
         // One more far event than that, and the ring is worth having.
         q.schedule(Time::from_secs(5), 99);
-        let s = &q.shards[0];
+        let s = &q;
         assert_eq!(s.ring.len(), RING_MIN);
         // Buckets 5..=60 are within the horizon; 70..=320 are not.
         assert_eq!((s.ring_events, s.beyond.len()), (7, 26));
@@ -635,11 +506,11 @@ mod tests {
         let (mut q, n) = with_ring();
         let end = Time::from_secs(101);
         let last_of_100 = Time::from_micros(end.as_micros() - 1);
-        q.schedule(Time::from_secs(100), n); // keeps the shard at bucket 100
+        q.schedule(Time::from_secs(100), n); // keeps the queue at bucket 100
         q.schedule(end, n + 1); // first instant of bucket 101
         q.schedule(last_of_100, n + 2);
         q.schedule(end, n + 3);
-        let s = &q.shards[0];
+        let s = &q;
         assert_eq!((s.near.len(), s.ring_events), (2, 2));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         let want = [
@@ -655,22 +526,22 @@ mod tests {
     fn bucket_fed_from_ring_and_beyond_pops_in_one_order() {
         let (mut q, n) = with_ring();
         let at = |us: u64| Time::from_micros(200 * WINDOW_US + us);
-        q.schedule(Time::from_secs(100), n); // keeps the shard at bucket 100
+        q.schedule(Time::from_secs(100), n); // keeps the queue at bucket 100
         q.schedule(at(7), n + 1); // 100 buckets ahead: past the 64-slot horizon
         q.schedule(at(3), n + 2);
-        assert_eq!(q.shards[0].beyond.len(), 2);
+        assert_eq!(q.beyond.len(), 2);
         q.schedule(Time::from_secs(150), n + 3);
         assert_eq!(q.pop(), Some((Time::from_secs(100), n)));
-        // The shard moved to bucket 150: bucket 200 is within the
+        // The queue moved to bucket 150: bucket 200 is within the
         // horizon now, and what arrives for it goes to the ring.
-        assert_eq!(q.shards[0].cur, 150);
+        assert_eq!(q.cur, 150);
         q.schedule(at(5), n + 4);
         q.schedule(at(3), n + 5);
         q.schedule(at(0), n + 6);
-        let s = &q.shards[0];
+        let s = &q;
         assert_eq!((s.near.len(), s.ring_events, s.beyond.len()), (1, 3, 2));
         assert_eq!(q.pop(), Some((Time::from_secs(150), n + 3)));
-        let s = &q.shards[0];
+        let s = &q;
         assert_eq!((s.near.len(), s.ring_events, s.beyond.len()), (5, 0, 0));
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
         let want = [
@@ -693,7 +564,7 @@ mod tests {
         q.schedule(Time::from_secs(180), n + 3); // ring (40 ahead of 140)
         assert_eq!(q.pop().map(|(_, e)| e), Some(n + 2));
         // Ring holds bucket 180, beyond holds bucket 170: 170 is next.
-        let s = &q.shards[0];
+        let s = &q;
         assert_eq!((s.cur, s.ring_events, s.beyond.len()), (170, 1, 0));
         assert_eq!(q.pop().map(|(_, e)| e), Some(n + 1));
         assert_eq!(q.pop().map(|(_, e)| e), Some(n + 3));
@@ -709,7 +580,7 @@ mod tests {
         q.schedule(Time::from_secs(131), n + 2); // ring
         q.schedule(Time::from_secs(3600), n + 3); // beyond
         q.schedule(Time::MAX, n + 4); // beyond
-        let s = &q.shards[0];
+        let s = &q;
         assert_eq!((s.near.len(), s.ring_events, s.beyond.len()), (1, 2, 2));
         for left in (0..5).rev() {
             assert_eq!((q.len(), q.is_empty()), (left + 1, false));
@@ -719,7 +590,7 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
         assert_eq!(q.now(), Time::MAX);
-        // An emptied shard restarts its calendar where it is told to.
+        // An emptied queue restarts its calendar where it is told to.
         q.schedule(Time::MAX, n + 5);
         assert_eq!((q.len(), q.peek_time()), (1, Some(Time::MAX)));
     }
@@ -732,7 +603,7 @@ mod tests {
         // — which would not get to the last event in a lifetime.
         const HOURS: u64 = 24 * 365;
         for up_front in [true, false] {
-            let mut q = EventQueue::with_shards(1);
+            let mut q = EventQueue::new();
             let hour = |h: u64| Time::from_secs(3600 * h);
             q.schedule(Time::MAX, u64::MAX);
             q.schedule(hour(1), 1);
@@ -747,18 +618,18 @@ mod tests {
             }
             assert_eq!(q.pop(), Some((Time::MAX, u64::MAX)));
             assert!(q.is_empty());
-            assert!(q.shards[0].ring.len() <= RING_MAX);
+            assert!(q.ring.len() <= RING_MAX);
         }
     }
 
     #[test]
     fn drained_buckets_do_not_accumulate_capacity() {
         // 10 000 buckets of 32 events each pass through the ring. What
-        // the shard still holds afterwards is the near buffer and the
+        // the queue still holds afterwards is the near buffer and the
         // pool — a handful of bucket-sized buffers, not 10 000.
         const BUCKETS: u64 = 10_000;
         const PER_BUCKET: u64 = 32;
-        let mut q = EventQueue::with_shards(1);
+        let mut q = EventQueue::new();
         let fill = |q: &mut EventQueue<u64>, b: u64| {
             for i in 0..PER_BUCKET {
                 q.schedule(Time::from_micros(b * WINDOW_US + i), b);
@@ -776,7 +647,7 @@ mod tests {
             }
         }
         assert!(q.is_empty());
-        let s = &q.shards[0];
+        let s = &q;
         assert_eq!(s.ring.len(), RING_MAX);
         assert!(
             s.ring.iter().all(|b| b.capacity() == 0),
@@ -801,12 +672,12 @@ mod tests {
         if cfg!(debug_assertions) {
             return;
         }
-        // Asked for T+3 s at T+100.5 s: clamped to now. The shard has
+        // Asked for T+3 s at T+100.5 s: clamped to now. The queue has
         // moved on to bucket 101, and an instant at or before its
         // bucket goes to the near heap, ahead of what is there.
         q.schedule(Time::from_secs(3), n + 3);
         assert_eq!(q.clamped(), 1);
-        assert_eq!((q.shards[0].cur, q.shards[0].near.len()), (101, 2));
+        assert_eq!((q.cur, q.near.len()), (101, 2));
         let now = Time::from_secs(100) + Dur::from_millis(500);
         assert_eq!(q.pop(), Some((now, n + 3)));
         assert_eq!(q.pop().map(|(_, e)| e), Some(n + 1));
@@ -815,7 +686,7 @@ mod tests {
 
     #[test]
     fn past_schedule_clamps_and_counts() {
-        let mut q = EventQueue::with_shards(2);
+        let mut q = EventQueue::new();
         q.schedule(Time::from_secs(10), "a");
         q.pop();
         assert_eq!(q.clamped(), 0);

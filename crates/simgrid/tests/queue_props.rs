@@ -1,8 +1,7 @@
-//! Differential property test for the sharded event kernel: for
-//! arbitrary interleavings of schedules and pops, every shard count
-//! must yield the identical `(time, event)` sequence as a reference
-//! single-heap queue — the legacy kernel the shards and their bucket
-//! calendar replaced.
+//! Differential property test for the event kernel: for arbitrary
+//! interleavings of schedules and pops, the bucket calendar must yield
+//! the identical `(time, event)` sequence as a reference single-heap
+//! queue — the legacy kernel it replaced.
 
 use proptest::prelude::*;
 use retry::Time;
@@ -67,81 +66,78 @@ impl When {
     }
 }
 
-/// One step of an interleaving: schedule events (each routed by its
-/// key) — one, or a burst large enough to outgrow a shard's `beyond`
-/// heap and make it build a ring — or pop a run of heads. With the
-/// heavy tail above a long run carries the clock hours forward, so the
-/// ring wraps many times within one case.
+/// One step of an interleaving: schedule events — one, or a burst
+/// large enough to outgrow the `beyond` heap and make the queue build
+/// a ring — or pop a run of heads. With the heavy tail above a long
+/// run carries the clock hours forward, so the ring wraps many times
+/// within one case.
 #[derive(Clone, Debug)]
 enum Op {
-    Schedule(Vec<(When, usize)>),
+    Schedule(Vec<When>),
     Pop(usize),
 }
 
-fn event_strategy() -> impl Strategy<Value = (When, usize)> {
-    let when = prop_oneof![
+fn when_strategy() -> impl Strategy<Value = When> {
+    prop_oneof![
         12 => (1u64..10, 0u32..12).prop_map(|(mantissa, exp)| When::In { mantissa, exp }),
         4 => (1u64..700, any::<bool>()).prop_map(|(buckets, before)| When::Boundary {
             buckets,
             before
         }),
         1 => Just(When::Never),
-    ];
-    (when, 0usize..64)
+    ]
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        6 => proptest::collection::vec(event_strategy(), 1..2).prop_map(Op::Schedule),
-        1 => proptest::collection::vec(event_strategy(), 20..300).prop_map(Op::Schedule),
+        6 => proptest::collection::vec(when_strategy(), 1..2).prop_map(Op::Schedule),
+        1 => proptest::collection::vec(when_strategy(), 20..300).prop_map(Op::Schedule),
         3 => Just(Op::Pop(1)),
         1 => (2usize..200).prop_map(Op::Pop),
     ]
 }
 
 proptest! {
-    /// The sharded calendar is observationally identical to the legacy
-    /// single heap under any schedule/pop interleaving and any shard
-    /// count, including the final drain — whichever tier each event
-    /// waited in.
+    /// The calendar is observationally identical to the legacy single
+    /// heap under any schedule/pop interleaving, including the final
+    /// drain — whichever tier each event waited in.
     #[test]
-    fn sharded_matches_legacy_queue(
+    fn calendar_matches_legacy_queue(
         ops in proptest::collection::vec(op_strategy(), 1..200),
-        nshards in 1usize..9,
     ) {
         let mut legacy = LegacyQueue::default();
-        let mut sharded = EventQueue::with_shards(nshards);
+        let mut calendar = EventQueue::new();
         let mut next_event = 0u32;
         for op in &ops {
             let (events, pops) = match op {
                 Op::Schedule(events) => (&events[..], 0),
                 Op::Pop(n) => (&[][..], *n),
             };
-            for (when, key) in events {
+            for when in events {
                 // Both clocks advance identically, so `at` is never in
                 // the past for either queue.
                 let at = when.at(legacy.now);
                 legacy.schedule(at, next_event);
-                sharded.schedule_keyed(*key, at, next_event);
+                calendar.schedule(at, next_event);
                 next_event += 1;
             }
             for _ in 0..pops {
-                prop_assert_eq!(sharded.peek_time(), legacy.heap.peek().map(|e| e.0 .0));
-                prop_assert_eq!(sharded.pop(), legacy.pop());
-                prop_assert_eq!(sharded.now(), legacy.now);
+                prop_assert_eq!(calendar.peek_time(), legacy.heap.peek().map(|e| e.0 .0));
+                prop_assert_eq!(calendar.pop(), legacy.pop());
+                prop_assert_eq!(calendar.now(), legacy.now);
             }
-            prop_assert_eq!(sharded.len(), legacy.heap.len());
-            prop_assert_eq!(sharded.is_empty(), legacy.heap.is_empty());
+            prop_assert_eq!(calendar.len(), legacy.heap.len());
+            prop_assert_eq!(calendar.is_empty(), legacy.heap.is_empty());
         }
         loop {
-            let (s, l) = (sharded.pop(), legacy.pop());
+            let (s, l) = (calendar.pop(), legacy.pop());
             prop_assert_eq!(&s, &l);
             if s.is_none() {
                 break;
             }
         }
-        prop_assert!(sharded.is_empty());
-        prop_assert_eq!(sharded.len(), 0);
-        prop_assert_eq!(sharded.clamped(), 0);
+        prop_assert!(calendar.is_empty());
+        prop_assert_eq!(calendar.len(), 0);
+        prop_assert_eq!(calendar.clamped(), 0);
     }
 }
