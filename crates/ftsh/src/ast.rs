@@ -81,21 +81,37 @@ pub enum Seg {
 ///
 /// Equality and hashing compare segments only — the source [`Span`] is
 /// diagnostic metadata.
-#[derive(Clone, Eq, Default)]
+#[derive(Clone, Default)]
 pub struct Word {
-    segs: Vec<Seg>,
+    segs: Segs,
     span: Span,
+}
+
+/// A word's segments. Most words are one literal or one substitution,
+/// held inline; the rest (and the empty word) are a boxed slice.
+#[derive(Clone)]
+enum Segs {
+    One(Seg),
+    Many(Box<[Seg]>),
+}
+
+impl Default for Segs {
+    fn default() -> Segs {
+        Segs::Many(Box::default())
+    }
 }
 
 impl PartialEq for Word {
     fn eq(&self, other: &Word) -> bool {
-        self.segs == other.segs
+        self.segs() == other.segs()
     }
 }
 
+impl Eq for Word {}
+
 impl std::hash::Hash for Word {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.segs.hash(state);
+        self.segs().hash(state);
     }
 }
 
@@ -114,8 +130,19 @@ impl Word {
                 (_, s) => merged.push(s),
             }
         }
+        Word::from_merged(merged)
+    }
+
+    /// A word from segments with no two literals adjacent.
+    pub(crate) fn from_merged(segs: impl IntoIterator<Item = Seg>) -> Word {
+        let mut segs = segs.into_iter();
+        let segs = match (segs.next(), segs.next()) {
+            (None, _) => Segs::default(),
+            (Some(one), None) => Segs::One(one),
+            (Some(a), Some(b)) => Segs::Many([a, b].into_iter().chain(segs).collect()),
+        };
         Word {
-            segs: merged,
+            segs,
             span: Span::default(),
         }
     }
@@ -126,19 +153,13 @@ impl Word {
         if s.is_empty() {
             Word::default()
         } else {
-            Word {
-                segs: vec![Seg::Lit(s)],
-                span: Span::default(),
-            }
+            Word::from_merged([Seg::Lit(s)])
         }
     }
 
     /// A single-variable word (`${name}`).
     pub fn var(name: impl Into<Istr>) -> Word {
-        Word {
-            segs: vec![Seg::Var(name.into())],
-            span: Span::default(),
-        }
+        Word::from_merged([Seg::Var(name.into())])
     }
 
     /// The same word carrying a source span.
@@ -155,12 +176,15 @@ impl Word {
 
     /// The segments of this word.
     pub fn segs(&self) -> &[Seg] {
-        &self.segs
+        match &self.segs {
+            Segs::One(seg) => std::slice::from_ref(seg),
+            Segs::Many(segs) => segs,
+        }
     }
 
     /// If the word is a single literal, that literal.
     pub fn as_lit(&self) -> Option<&str> {
-        match self.segs.as_slice() {
+        match self.segs() {
             [Seg::Lit(s)] => Some(s.as_str()),
             [] => Some(""),
             _ => None,
@@ -169,14 +193,14 @@ impl Word {
 
     /// True if any segment is a substitution.
     pub fn has_vars(&self) -> bool {
-        self.segs.iter().any(|s| matches!(s, Seg::Var(_)))
+        self.segs().iter().any(|s| matches!(s, Seg::Var(_)))
     }
 }
 
 impl fmt::Debug for Word {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "w\"")?;
-        for s in &self.segs {
+        for s in self.segs() {
             match s {
                 Seg::Lit(l) => write!(f, "{l}")?,
                 Seg::Var(v) => write!(f, "${{{v}}}")?,

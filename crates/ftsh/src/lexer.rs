@@ -9,27 +9,41 @@
 //! `->&`, `-<`) as distinct tokens when they stand alone. Every token
 //! carries the byte [`Span`] of its source text, which the parser
 //! threads into the AST for diagnostics.
+//!
+//! The lexer scans bytes and emits spans: a word token is `Copy` and
+//! its text is `&src[span]`. It slices only at ASCII delimiters, so
+//! every span falls on a UTF-8 boundary. A *plain* word (no quote,
+//! escape or `$`) is its own literal; any other word is decoded, when a
+//! caller wants its segments, by [`scan_word`] — the function that
+//! found where the word ends, so every quoting rule, error message and
+//! error span lives in one place.
 
 use crate::ast::{Seg, Span, Word};
 use crate::errors::ParseError;
+use std::borrow::Cow;
 
-/// A lexical token with its source line (1-based) and byte span for
-/// diagnostics.
-#[derive(Clone, Debug, PartialEq)]
+/// A lexical token: what was read, where, and on which line.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Token {
     /// What was read.
     pub kind: TokenKind,
-    /// Source line the token started on.
+    /// Source line (1-based) the token ends on: a word joined across a
+    /// `\`-newline or holding a quoted newline ends on a later line
+    /// than it starts.
     pub line: u32,
     /// Byte range of the token's source text.
     pub span: Span,
 }
 
 /// The kinds of token ftsh understands.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TokenKind {
-    /// A word: literal and `${...}` segments.
-    Word(Word),
+    /// A word: its text is `&src[span]`, and [`Token::word`] decodes
+    /// its segments.
+    Word {
+        /// No quote, escape or `$`: the text is the word's literal.
+        plain: bool,
+    },
     /// `>` or `->` etc.; `var` is true for the dash-prefixed variable
     /// forms, `append` for `>>` forms, `both` for `>&` forms.
     RedirOut {
@@ -45,322 +59,378 @@ pub enum TokenKind {
         /// Dash-prefixed form reads from a shell variable.
         var: bool,
     },
-    /// `=` in an assignment (only recognized when a word has the shape
-    /// `name=value`; the lexer leaves that to the parser, so this kind
-    /// is currently unused by the lexer itself).
-    Equals,
     /// End of a statement line.
     Newline,
     /// End of input.
     Eof,
 }
 
-type Chars<'a> = std::iter::Peekable<std::str::CharIndices<'a>>;
-
-/// Lexer state for the word currently under construction.
-#[derive(Default)]
-struct WordBuf {
-    segs: Vec<Seg>,
-    lit: String,
-    /// Byte offset where the word began.
-    start: Option<usize>,
-    /// True if quotes made an (possibly empty) word.
-    open: bool,
+impl Token {
+    /// The word this token spells, decoded from `src` (the text it was
+    /// lexed from); `None` for operators, newlines and end of input.
+    ///
+    /// # Panics
+    /// May panic if `src` is not the text this token was lexed from.
+    pub fn word(&self, src: &str) -> Option<Word> {
+        matches!(self.kind, TokenKind::Word { .. }).then(|| Words::default().word(src, *self))
+    }
 }
 
-impl WordBuf {
-    fn mark(&mut self, at: usize) {
-        self.start.get_or_insert(at);
-    }
-
-    fn flush_lit(&mut self) {
-        if !self.lit.is_empty() {
-            self.segs
-                .push(Seg::Lit(std::mem::take(&mut self.lit).into()));
-        }
-    }
-
-    /// Emit the pending word (if any) ending at byte offset `end`.
-    fn flush(&mut self, out: &mut Vec<Token>, line: u32, end: usize) {
-        self.flush_lit();
-        if !self.segs.is_empty() || self.open {
-            let start = self.start.take().unwrap_or(end);
-            let span = Span::new(start as u32, end as u32);
-            out.push(Token {
-                kind: TokenKind::Word(
-                    Word::from_segs(std::mem::take(&mut self.segs)).with_span(span),
-                ),
-                line,
-                span,
-            });
-        }
-        self.open = false;
-        self.start = None;
-    }
+/// The source text of `span`.
+fn text(src: &str, span: Span) -> &str {
+    &src[span.start as usize..span.end as usize]
 }
 
 /// Lex a whole script into tokens. Returns a token stream always
 /// terminated by [`TokenKind::Eof`].
 pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
+    let bytes = src.as_bytes();
+    let len = bytes.len();
     let mut out = Vec::new();
-    let mut chars: Chars<'_> = src.char_indices().peekable();
     let mut line: u32 = 1;
-    let mut w = WordBuf::default();
-    let len = src.len();
-
-    // Next byte offset the cursor will read (== len at end of input).
-    fn cursor(chars: &mut Chars<'_>, len: usize) -> usize {
-        chars.peek().map_or(len, |&(i, _)| i)
-    }
-
-    fn peek_ch(chars: &mut Chars<'_>) -> Option<char> {
-        chars.peek().map(|&(_, c)| c)
-    }
-
-    fn push_newline(out: &mut Vec<Token>, line: u32, at: usize) {
-        if !matches!(out.last().map(|t| &t.kind), Some(TokenKind::Newline) | None) {
-            let span = Span::new(at as u32, at as u32 + 1);
-            out.push(Token {
-                kind: TokenKind::Newline,
-                line,
-                span,
-            });
-        }
-    }
-
-    // Read a ${name} or $name substitution; the leading '$' (at byte
-    // offset `dollar`) is consumed.
-    fn read_var(chars: &mut Chars<'_>, line: u32, dollar: usize) -> Result<String, ParseError> {
-        let at = |end: usize| Span::new(dollar as u32, end as u32);
-        match peek_ch(chars) {
-            Some('{') => {
-                chars.next();
-                let mut name = String::new();
-                loop {
-                    match chars.next() {
-                        Some((_, '}')) => break,
-                        Some((i, '\n')) => {
-                            return Err(
-                                ParseError::new(line, "unterminated ${...}").with_span(at(i))
-                            );
-                        }
-                        Some((_, c)) => name.push(c),
-                        None => {
-                            return Err(ParseError::new(line, "unterminated ${...}")
-                                .with_span(at(dollar + 2)));
-                        }
-                    }
+    let mut i = 0;
+    let token = |kind, line, start: usize, end: usize| Token {
+        kind,
+        line,
+        span: Span::new(start as u32, end as u32),
+    };
+    while let Some(&b) = bytes.get(i) {
+        match b {
+            b'\n' => {
+                // Blank lines collapse into one newline token.
+                if !at_line_start(&out) {
+                    out.push(token(TokenKind::Newline, line, i, i + 1));
                 }
-                if name.is_empty() {
-                    return Err(ParseError::new(line, "empty variable name in ${}")
-                        .with_span(at(dollar + 3)));
-                }
-                Ok(name)
+                line += 1;
+                i += 1;
+            }
+            b' ' | b'\t' | b'\r' => i += 1,
+            // A comment runs to the newline, which ends the line as usual.
+            b'#' => {
+                i = bytes[i..]
+                    .iter()
+                    .position(|&c| c == b'\n')
+                    .map_or(len, |n| i + n);
+            }
+            // A continuation between words: the newline is swallowed.
+            b'\\' if bytes.get(i + 1) == Some(&b'\n') => {
+                line += 1;
+                i += 2;
+            }
+            b'<' => {
+                out.push(token(TokenKind::RedirIn { var: false }, line, i, i + 1));
+                i += 1;
+            }
+            b'-' if bytes.get(i + 1) == Some(&b'<') => {
+                out.push(token(TokenKind::RedirIn { var: true }, line, i, i + 2));
+                i += 2;
+            }
+            b'>' | b'-' if b == b'>' || bytes.get(i + 1) == Some(&b'>') => {
+                let var = b == b'-';
+                let start = i;
+                i += 1 + usize::from(var);
+                let append = bytes.get(i) == Some(&b'>');
+                i += usize::from(append);
+                let both = bytes.get(i) == Some(&b'&');
+                i += usize::from(both);
+                let kind = TokenKind::RedirOut { var, append, both };
+                out.push(token(kind, line, start, i));
             }
             _ => {
-                let mut name = String::new();
-                while let Some(&(_, c)) = chars.peek() {
-                    if c.is_ascii_alphanumeric() || c == '_' {
-                        name.push(c);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                if name.is_empty() {
-                    return Err(ParseError::new(line, "lone '$' (use \\$ for a literal)")
-                        .with_span(at(dollar + 1)));
-                }
-                Ok(name)
+                let (end, plain) = scan_word(src, i, &mut line, &mut ())?;
+                out.push(token(TokenKind::Word { plain }, line, i, end));
+                i = end;
             }
         }
+    }
+    if !at_line_start(&out) {
+        out.push(token(TokenKind::Newline, line, len, len));
+    }
+    out.push(token(TokenKind::Eof, line, len, len));
+    Ok(out)
+}
+
+/// True when no statement line is open: nothing lexed yet, or a newline
+/// last.
+fn at_line_start(out: &[Token]) -> bool {
+    matches!(out.last().map(|t| t.kind), Some(TokenKind::Newline) | None)
+}
+
+/// Receives a word's segments as [`scan_word`] decodes them: literal
+/// runs in order, consecutive runs belonging to one literal segment,
+/// and substitutions.
+trait WordSink {
+    /// A run of literal text (possibly empty).
+    fn lit(&mut self, run: &str);
+    /// A `${name}` or `$name` substitution.
+    fn var(&mut self, name: &str);
+}
+
+/// Finding where a word ends needs none of its segments.
+impl WordSink for () {
+    fn lit(&mut self, _: &str) {}
+    fn var(&mut self, _: &str) {}
+}
+
+/// The literal a word spells, or `None` once a substitution shows it
+/// has none.
+impl WordSink for Option<String> {
+    fn lit(&mut self, run: &str) {
+        if let Some(s) = self {
+            s.push_str(run);
+        }
+    }
+    fn var(&mut self, _: &str) {
+        *self = None;
+    }
+}
+
+/// Scan the word starting at byte `start` of `src`, reporting its
+/// segments to `out`, and return where it ends and whether it is plain.
+/// A word ends at unquoted whitespace, a newline, a `#` or the end of
+/// input; `line` advances past the newlines it swallows.
+fn scan_word(
+    src: &str,
+    start: usize,
+    line: &mut u32,
+    out: &mut impl WordSink,
+) -> Result<(usize, bool), ParseError> {
+    let bytes = src.as_bytes();
+    let len = bytes.len();
+    let mut i = start;
+    // Start of the literal run not yet reported.
+    let mut run = start;
+    let mut plain = true;
+    loop {
+        // Skip the plain run: word ends, quotes, escapes and
+        // substitutions stop it.
+        while i < len
+            && !matches!(
+                bytes[i],
+                b' ' | b'\t' | b'\r' | b'\n' | b'#' | b'\\' | b'"' | b'\'' | b'$'
+            )
+        {
+            i += 1;
+        }
+        let Some(&b) = bytes.get(i) else { break };
+        if matches!(b, b' ' | b'\t' | b'\r' | b'\n' | b'#') {
+            break;
+        }
+        plain = false;
+        out.lit(&src[run..i]);
+        (i, run) = match b {
+            b'\\' => match bytes.get(i + 1) {
+                Some(b'\n') => {
+                    *line += 1;
+                    (i + 2, i + 2)
+                }
+                // The escaped character starts the next run.
+                Some(_) => (i + 2, i + 1),
+                None => {
+                    return Err(ParseError::new(*line, "trailing backslash")
+                        .with_span(Span::new(i as u32, len as u32)))
+                }
+            },
+            b'"' => {
+                let end = double_quoted(src, i, line, out)?;
+                (end, end)
+            }
+            b'\'' => {
+                let close = single_quoted(src, i, line)?;
+                out.lit(&src[i + 1..close]);
+                (close + 1, close + 1)
+            }
+            _ => {
+                let end = substitution(src, i, *line, out)?;
+                (end, end)
+            }
+        };
+    }
+    out.lit(&src[run..i]);
+    Ok((i, plain))
+}
+
+/// The `"..."` opening at byte `open`: newlines and escaped characters
+/// are literal, `\`-newline is swallowed, `$` substitutes. Returns the
+/// offset past the closing quote.
+fn double_quoted(
+    src: &str,
+    open: usize,
+    line: &mut u32,
+    out: &mut impl WordSink,
+) -> Result<usize, ParseError> {
+    let bytes = src.as_bytes();
+    let len = bytes.len();
+    let unterminated = |line| {
+        ParseError::new(line, "unterminated double quote")
+            .with_span(Span::new(open as u32, len as u32))
+    };
+    let mut i = open + 1;
+    let mut run = i;
+    loop {
+        while i < len && !matches!(bytes[i], b'"' | b'\\' | b'$' | b'\n') {
+            i += 1;
+        }
+        match bytes.get(i) {
+            None => return Err(unterminated(*line)),
+            Some(b'"') => {
+                out.lit(&src[run..i]);
+                return Ok(i + 1);
+            }
+            Some(b'\n') => {
+                *line += 1;
+                i += 1;
+            }
+            Some(b'\\') => {
+                out.lit(&src[run..i]);
+                (i, run) = match bytes.get(i + 1) {
+                    Some(b'\n') => {
+                        *line += 1;
+                        (i + 2, i + 2)
+                    }
+                    Some(_) => (i + 2, i + 1),
+                    None => return Err(unterminated(*line)),
+                };
+            }
+            Some(_) => {
+                out.lit(&src[run..i]);
+                i = substitution(src, i, *line, out)?;
+                run = i;
+            }
+        }
+    }
+}
+
+/// The `'...'` opening at byte `open`, all literal: returns the offset
+/// of the closing quote.
+fn single_quoted(src: &str, open: usize, line: &mut u32) -> Result<usize, ParseError> {
+    for (n, &b) in src.as_bytes()[open + 1..].iter().enumerate() {
+        match b {
+            b'\'' => return Ok(open + 1 + n),
+            b'\n' => *line += 1,
+            _ => {}
+        }
+    }
+    Err(ParseError::new(*line, "unterminated single quote")
+        .with_span(Span::new(open as u32, src.len() as u32)))
+}
+
+/// The `${name}` or `$name` at byte `dollar`: reports the name and
+/// returns the offset past it.
+fn substitution(
+    src: &str,
+    dollar: usize,
+    line: u32,
+    out: &mut impl WordSink,
+) -> Result<usize, ParseError> {
+    let bytes = src.as_bytes();
+    let at = |end: usize| Span::new(dollar as u32, end as u32);
+    if bytes.get(dollar + 1) == Some(&b'{') {
+        let from = dollar + 2;
+        let Some(n) = bytes[from..].iter().position(|&b| b == b'}' || b == b'\n') else {
+            return Err(ParseError::new(line, "unterminated ${...}").with_span(at(dollar + 2)));
+        };
+        let to = from + n;
+        if bytes[to] == b'\n' {
+            return Err(ParseError::new(line, "unterminated ${...}").with_span(at(to)));
+        }
+        if to == from {
+            return Err(
+                ParseError::new(line, "empty variable name in ${}").with_span(at(dollar + 3))
+            );
+        }
+        out.var(&src[from..to]);
+        Ok(to + 1)
+    } else {
+        let from = dollar + 1;
+        let n = bytes[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_alphanumeric() || **b == b'_')
+            .count();
+        if n == 0 {
+            return Err(
+                ParseError::new(line, "lone '$' (use \\$ for a literal)").with_span(at(dollar + 1))
+            );
+        }
+        out.var(&src[from..from + n]);
+        Ok(from + n)
+    }
+}
+
+/// The literal spelling of `tok` if it is a fully literal word:
+/// borrowed from `src` for a plain word, decoded for any other.
+pub(crate) fn literal(src: &str, tok: Token) -> Option<Cow<'_, str>> {
+    match tok.kind {
+        TokenKind::Word { plain: true } => Some(Cow::Borrowed(text(src, tok.span))),
+        TokenKind::Word { plain: false } => {
+            let mut lit = Some(String::new());
+            decode(src, tok, &mut lit);
+            lit.map(Cow::Owned)
+        }
+        _ => None,
+    }
+}
+
+/// Re-scan word token `tok`, which [`lex`] accepted from `src`,
+/// reporting its segments to `out`.
+fn decode(src: &str, tok: Token, out: &mut impl WordSink) {
+    let mut line = tok.line;
+    scan_word(src, tok.span.start as usize, &mut line, out)
+        .expect("lex accepted this word from this source");
+}
+
+/// Builds [`Word`]s from word tokens, reusing its buffers from one
+/// word to the next.
+#[derive(Default)]
+pub(crate) struct Words {
+    /// The literal segment being decoded.
+    lit: String,
+    /// The segments decoded so far.
+    segs: Vec<Seg>,
+}
+
+impl Words {
+    /// The word that word token `tok`, lexed from `src`, spells.
+    pub(crate) fn word(&mut self, src: &str, tok: Token) -> Word {
+        let word = if tok.kind == (TokenKind::Word { plain: true }) {
+            Word::lit(text(src, tok.span))
+        } else {
+            decode(src, tok, self);
+            self.end_lit();
+            Word::from_merged(self.segs.drain(..))
+        };
+        word.with_span(tok.span)
     }
 
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '\n' => {
-                w.flush(&mut out, line, i);
-                // Collapse duplicate newlines.
-                push_newline(&mut out, line, i);
-                line += 1;
-            }
-            ' ' | '\t' | '\r' => {
-                w.flush(&mut out, line, i);
-            }
-            '#' => {
-                // Comment to end of line.
-                w.flush(&mut out, line, i);
-                for (j, c) in chars.by_ref() {
-                    if c == '\n' {
-                        push_newline(&mut out, line, j);
-                        line += 1;
-                        break;
-                    }
-                }
-            }
-            '\\' => {
-                match chars.next() {
-                    Some((_, '\n')) => {
-                        line += 1; // continuation: the newline is swallowed
-                    }
-                    Some((_, e)) => {
-                        w.mark(i);
-                        w.lit.push(e);
-                    }
-                    None => {
-                        return Err(ParseError::new(line, "trailing backslash")
-                            .with_span(Span::new(i as u32, len as u32)))
-                    }
-                }
-            }
-            '"' => {
-                w.mark(i);
-                w.open = true;
-                loop {
-                    match chars.next() {
-                        Some((_, '"')) => break,
-                        Some((_, '\\')) => match chars.next() {
-                            Some((_, '\n')) => line += 1,
-                            Some((_, e)) => w.lit.push(e),
-                            None => {
-                                return Err(ParseError::new(line, "unterminated double quote")
-                                    .with_span(Span::new(i as u32, len as u32)))
-                            }
-                        },
-                        Some((j, '$')) => {
-                            w.flush_lit();
-                            w.segs.push(Seg::Var(read_var(&mut chars, line, j)?.into()));
-                        }
-                        Some((_, '\n')) => {
-                            w.lit.push('\n');
-                            line += 1;
-                        }
-                        Some((_, e)) => w.lit.push(e),
-                        None => {
-                            return Err(ParseError::new(line, "unterminated double quote")
-                                .with_span(Span::new(i as u32, len as u32)))
-                        }
-                    }
-                }
-            }
-            '\'' => {
-                w.mark(i);
-                w.open = true;
-                loop {
-                    match chars.next() {
-                        Some((_, '\'')) => break,
-                        Some((_, '\n')) => {
-                            w.lit.push('\n');
-                            line += 1;
-                        }
-                        Some((_, e)) => w.lit.push(e),
-                        None => {
-                            return Err(ParseError::new(line, "unterminated single quote")
-                                .with_span(Span::new(i as u32, len as u32)))
-                        }
-                    }
-                }
-            }
-            '$' => {
-                w.mark(i);
-                w.flush_lit();
-                w.segs.push(Seg::Var(read_var(&mut chars, line, i)?.into()));
-            }
-            '>' if w.segs.is_empty() && w.lit.is_empty() && !w.open => {
-                let append = matches!(peek_ch(&mut chars), Some('>'));
-                if append {
-                    chars.next();
-                }
-                let both = matches!(peek_ch(&mut chars), Some('&'));
-                if both {
-                    chars.next();
-                }
-                let span = Span::new(i as u32, cursor(&mut chars, len) as u32);
-                out.push(Token {
-                    kind: TokenKind::RedirOut {
-                        var: false,
-                        append,
-                        both,
-                    },
-                    line,
-                    span,
-                });
-            }
-            '<' if w.segs.is_empty() && w.lit.is_empty() && !w.open => {
-                out.push(Token {
-                    kind: TokenKind::RedirIn { var: false },
-                    line,
-                    span: Span::new(i as u32, i as u32 + 1),
-                });
-            }
-            '-' if w.segs.is_empty()
-                && w.lit.is_empty()
-                && !w.open
-                && matches!(peek_ch(&mut chars), Some('>' | '<')) =>
-            {
-                match chars.next() {
-                    Some((_, '>')) => {
-                        let append = matches!(peek_ch(&mut chars), Some('>'));
-                        if append {
-                            chars.next();
-                        }
-                        let both = matches!(peek_ch(&mut chars), Some('&'));
-                        if both {
-                            chars.next();
-                        }
-                        let span = Span::new(i as u32, cursor(&mut chars, len) as u32);
-                        out.push(Token {
-                            kind: TokenKind::RedirOut {
-                                var: true,
-                                append,
-                                both,
-                            },
-                            line,
-                            span,
-                        });
-                    }
-                    Some((j, '<')) => out.push(Token {
-                        kind: TokenKind::RedirIn { var: true },
-                        line,
-                        span: Span::new(i as u32, j as u32 + 1),
-                    }),
-                    _ => unreachable!(),
-                }
-            }
-            other => {
-                w.mark(i);
-                w.lit.push(other);
-            }
+    fn end_lit(&mut self) {
+        if !self.lit.is_empty() {
+            self.segs.push(Seg::Lit(self.lit.as_str().into()));
+            self.lit.clear();
         }
     }
-    w.flush(&mut out, line, len);
-    if !matches!(out.last().map(|t| &t.kind), Some(TokenKind::Newline) | None) {
-        out.push(Token {
-            kind: TokenKind::Newline,
-            line,
-            span: Span::point(len as u32),
-        });
+}
+
+impl WordSink for Words {
+    fn lit(&mut self, run: &str) {
+        self.lit.push_str(run);
     }
-    out.push(Token {
-        kind: TokenKind::Eof,
-        line,
-        span: Span::point(len as u32),
-    });
-    Ok(out)
+
+    fn var(&mut self, name: &str) {
+        self.end_lit();
+        self.segs.push(Seg::Var(name.into()));
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn words(src: &str) -> Vec<String> {
+    /// The decoded words of `src`, in order.
+    fn words(src: &str) -> Vec<Word> {
         lex(src)
             .unwrap()
-            .into_iter()
-            .filter_map(|t| match t.kind {
-                TokenKind::Word(w) => Some(format!("{w:?}")),
-                _ => None,
-            })
+            .iter()
+            .filter_map(|t| t.word(src))
             .collect()
     }
 
@@ -372,70 +442,53 @@ mod tests {
     fn simple_words() {
         let ks = kinds("wget http://server/file.tar.gz\n");
         assert_eq!(ks.len(), 4); // two words, newline, eof
-        assert!(matches!(ks[0], TokenKind::Word(_)));
+        assert!(matches!(ks[0], TokenKind::Word { plain: true }));
         assert!(matches!(ks[2], TokenKind::Newline));
         assert!(matches!(ks[3], TokenKind::Eof));
     }
 
     #[test]
     fn variables_brace_and_bare() {
-        let ks = kinds("echo ${server} $x\n");
-        if let TokenKind::Word(w) = &ks[1] {
-            assert_eq!(w.segs(), &[Seg::Var("server".into())]);
-        } else {
-            panic!("expected word");
-        }
-        if let TokenKind::Word(w) = &ks[2] {
-            assert_eq!(w.segs(), &[Seg::Var("x".into())]);
-        } else {
-            panic!("expected word");
-        }
+        let ws = words("echo ${server} $x\n");
+        assert_eq!(ws[1].segs(), &[Seg::Var("server".into())]);
+        assert_eq!(ws[2].segs(), &[Seg::Var("x".into())]);
+        assert!(matches!(
+            kinds("echo ${server}\n")[1],
+            TokenKind::Word { plain: false }
+        ));
     }
 
     #[test]
     fn mixed_word_segments() {
-        let ks = kinds("wget http://${server}/file\n");
-        if let TokenKind::Word(w) = &ks[1] {
-            assert_eq!(
-                w.segs(),
-                &[
-                    Seg::Lit("http://".into()),
-                    Seg::Var("server".into()),
-                    Seg::Lit("/file".into())
-                ]
-            );
-        } else {
-            panic!("expected word");
-        }
+        assert_eq!(
+            words("wget http://${server}/file\n")[1].segs(),
+            &[
+                Seg::Lit("http://".into()),
+                Seg::Var("server".into()),
+                Seg::Lit("/file".into())
+            ]
+        );
     }
 
     #[test]
     fn double_quotes_group_and_substitute() {
-        let ks = kinds("echo \"got file from ${server}\"\n");
-        if let TokenKind::Word(w) = &ks[1] {
-            assert_eq!(
-                w.segs(),
-                &[Seg::Lit("got file from ".into()), Seg::Var("server".into())]
-            );
-        } else {
-            panic!("expected word");
-        }
+        assert_eq!(
+            words("echo \"got file from ${server}\"\n")[1].segs(),
+            &[Seg::Lit("got file from ".into()), Seg::Var("server".into())]
+        );
     }
 
     #[test]
     fn single_quotes_are_literal() {
-        let ks = kinds("echo '${not_a_var}'\n");
-        if let TokenKind::Word(w) = &ks[1] {
-            assert_eq!(w.segs(), &[Seg::Lit("${not_a_var}".into())]);
-        } else {
-            panic!("expected word");
-        }
+        assert_eq!(
+            words("echo '${not_a_var}'\n")[1].segs(),
+            &[Seg::Lit("${not_a_var}".into())]
+        );
     }
 
     #[test]
     fn empty_quoted_word_is_a_word() {
-        let ks = kinds("echo \"\"\n");
-        assert!(matches!(&ks[1], TokenKind::Word(w) if w.segs().is_empty()));
+        assert!(words("echo \"\"\n")[1].segs().is_empty());
     }
 
     #[test]
@@ -443,7 +496,7 @@ mod tests {
         let ks = kinds("wget url # fetch it\nnext\n");
         let n_words = ks
             .iter()
-            .filter(|k| matches!(k, TokenKind::Word(_)))
+            .filter(|k| matches!(k, TokenKind::Word { .. }))
             .count();
         assert_eq!(n_words, 3); // wget, url, next
     }
@@ -520,16 +573,14 @@ mod tests {
 
     #[test]
     fn dash_not_followed_by_angle_is_a_word() {
-        let ks = kinds("rm -f file\n");
-        assert!(matches!(&ks[1], TokenKind::Word(w) if w.segs() == [Seg::Lit("-f".into())]));
+        assert_eq!(words("rm -f file\n")[1].segs(), [Seg::Lit("-f".into())]);
     }
 
     #[test]
     fn angle_inside_word_is_literal() {
         // `a>b` as a single word: the operator form requires a word break.
-        let ks = kinds("echo a>b\n");
         // 'a' is under construction when '>' arrives, so it stays literal.
-        assert!(matches!(&ks[1], TokenKind::Word(w) if w.segs() == [Seg::Lit("a>b".into())]));
+        assert_eq!(words("echo a>b\n")[1].segs(), [Seg::Lit("a>b".into())]);
     }
 
     #[test]
@@ -554,8 +605,10 @@ mod tests {
 
     #[test]
     fn escaped_dollar() {
-        let ks = kinds("echo \\$HOME\n");
-        assert!(matches!(&ks[1], TokenKind::Word(w) if w.segs() == [Seg::Lit("$HOME".into())]));
+        assert_eq!(
+            words("echo \\$HOME\n")[1].segs(),
+            [Seg::Lit("$HOME".into())]
+        );
     }
 
     #[test]
@@ -570,14 +623,12 @@ mod tests {
         let toks = lex(src).unwrap();
         let spans: Vec<Span> = toks
             .iter()
-            .filter(|t| matches!(t.kind, TokenKind::Word(_)))
+            .filter(|t| matches!(t.kind, TokenKind::Word { .. }))
             .map(|t| t.span)
             .collect();
         assert_eq!(spans, vec![Span::new(0, 4), Span::new(5, 20)]);
         // The Word carries the same span as its token.
-        if let TokenKind::Word(w) = &toks[0].kind {
-            assert_eq!(w.span(), Span::new(0, 4));
-        }
+        assert_eq!(toks[0].word(src).unwrap().span(), Span::new(0, 4));
         assert_eq!(&src[0..4], "wget");
         assert_eq!(&src[5..20], "http://server/f");
     }
@@ -588,7 +639,7 @@ mod tests {
         let toks = lex(src).unwrap();
         let spans: Vec<Span> = toks
             .iter()
-            .filter(|t| matches!(t.kind, TokenKind::Word(_)))
+            .filter(|t| matches!(t.kind, TokenKind::Word { .. }))
             .map(|t| t.span)
             .collect();
         assert_eq!(spans[1], Span::new(5, 10)); // "a b" including quotes
@@ -610,7 +661,7 @@ mod tests {
         let toks = lex(src).unwrap();
         let words: Vec<&Token> = toks
             .iter()
-            .filter(|t| matches!(t.kind, TokenKind::Word(_)))
+            .filter(|t| matches!(t.kind, TokenKind::Word { .. }))
             .collect();
         assert_eq!(words[0].span, Span::new(0, 1));
         assert_eq!(words[1].span, Span::new(2, 4));

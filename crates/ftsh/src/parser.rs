@@ -4,13 +4,18 @@
 //! `failure`, `success`) are recognized positionally: only a fully
 //! literal word at the start of a statement can open a construct, as in
 //! the Bourne shell family.
+//!
+//! The parser walks the lexer's `Copy` tokens by index. Keywords,
+//! numbers, units and operators are read as `&str` slices of the source
+//! and never allocated; only the words that land in the AST are built.
 
 use crate::ast::{
-    Block, Command, Cond, CondOp, Redir, RedirTarget, Script, Span, Stmt, TrySpec, Word,
+    Block, Command, Cond, CondOp, Redir, RedirTarget, Script, Seg, Span, Stmt, TrySpec, Word,
 };
 use crate::errors::ParseError;
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{lex, literal, Token, TokenKind, Words};
 use retry::time::parse_duration;
+use std::borrow::Cow;
 
 /// Parse a complete script.
 ///
@@ -22,32 +27,36 @@ use retry::time::parse_duration;
 /// assert!(parse("try without end\n").is_err());
 /// ```
 pub fn parse(src: &str) -> Result<Script, ParseError> {
-    let toks = lex(src)?;
     let mut p = Parser {
-        toks,
+        src,
+        toks: lex(src)?,
         pos: 0,
         last_span: Span::default(),
+        words: Words::default(),
     };
     let stmts = p.stmt_list(&[])?;
     p.expect_eof()?;
     Ok(Script { stmts })
 }
 
-struct Parser {
+struct Parser<'s> {
+    src: &'s str,
     toks: Vec<Token>,
     pos: usize,
     /// Span of the last consumed non-newline token; statement spans
     /// run from their first token to this.
     last_span: Span,
+    /// Builds the words that enter the AST.
+    words: Words,
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
-        &self.toks[self.pos.min(self.toks.len() - 1)]
+impl<'s> Parser<'s> {
+    fn peek(&self) -> Token {
+        self.toks[self.pos.min(self.toks.len() - 1)]
     }
 
     fn next(&mut self) -> Token {
-        let t = self.toks[self.pos.min(self.toks.len() - 1)].clone();
+        let t = self.peek();
         if self.pos < self.toks.len() - 1 {
             self.pos += 1;
         }
@@ -66,13 +75,15 @@ impl Parser {
         ParseError::new(self.line(), msg).with_span(self.peek().span)
     }
 
+    /// The literal spelling of `tok` if it is a fully literal word.
+    fn lit(&self, tok: Token) -> Option<Cow<'s, str>> {
+        literal(self.src, tok)
+    }
+
     /// The literal spelling of the next token if it is a fully literal
     /// word.
-    fn peek_lit(&self) -> Option<&str> {
-        match &self.peek().kind {
-            TokenKind::Word(w) => w.as_lit(),
-            _ => None,
-        }
+    fn peek_lit(&self) -> Option<Cow<'s, str>> {
+        self.lit(self.peek())
     }
 
     fn eat_newlines(&mut self) {
@@ -101,7 +112,7 @@ impl Parser {
     }
 
     fn expect_keyword(&mut self, kw: &str) -> Result<(), ParseError> {
-        if self.peek_lit() == Some(kw) {
+        if self.peek_lit().as_deref() == Some(kw) {
             self.next();
             Ok(())
         } else {
@@ -109,25 +120,37 @@ impl Parser {
         }
     }
 
-    fn next_word(&mut self, what: &str) -> Result<Word, ParseError> {
-        match self.next() {
-            Token {
-                kind: TokenKind::Word(w),
-                ..
-            } => Ok(w),
-            t => Err(ParseError::new(t.line, format!("expected {what}")).with_span(t.span)),
+    /// The next token, which must be a word.
+    fn next_word_token(&mut self, what: &str) -> Result<Token, ParseError> {
+        let t = self.next();
+        match t.kind {
+            TokenKind::Word { .. } => Ok(t),
+            _ => Err(ParseError::new(t.line, format!("expected {what}")).with_span(t.span)),
         }
     }
 
+    fn next_word(&mut self, what: &str) -> Result<Word, ParseError> {
+        let t = self.next_word_token(what)?;
+        Ok(self.words.word(self.src, t))
+    }
+
     fn next_number(&mut self, what: &str) -> Result<u64, ParseError> {
-        let line = self.line();
-        let span = self.peek().span;
-        let w = self.next_word(what)?;
-        w.as_lit()
+        let t = self.next_word_token(what)?;
+        self.lit(t)
             .and_then(|s| s.parse::<u64>().ok())
             .ok_or_else(|| {
-                ParseError::new(line, format!("expected a number for {what}")).with_span(span)
+                ParseError::new(t.line, format!("expected a number for {what}")).with_span(t.span)
             })
+    }
+
+    /// The next word as an identifier (a function name, a loop
+    /// variable); `msg` if it is not one.
+    fn next_ident(&mut self, what: &str, msg: &str) -> Result<String, ParseError> {
+        let t = self.next_word_token(what)?;
+        self.lit(t)
+            .filter(|n| is_ident(n))
+            .map(Cow::into_owned)
+            .ok_or_else(|| ParseError::new(t.line, msg).with_span(t.span))
     }
 
     /// Parse statements until one of `terminators` appears in command
@@ -137,10 +160,12 @@ impl Parser {
         let mut spans = Vec::new();
         loop {
             self.eat_newlines();
-            match &self.peek().kind {
+            let t = self.peek();
+            match t.kind {
                 TokenKind::Eof => return Ok(Block::with_spans(out, spans)),
-                TokenKind::Word(w) => {
-                    if let Some(l) = w.as_lit() {
+                TokenKind::Word { .. } => {
+                    let kw = self.lit(t);
+                    if let Some(l) = kw.as_deref() {
                         if terminators.contains(&l) {
                             return Ok(Block::with_spans(out, spans));
                         }
@@ -148,17 +173,18 @@ impl Parser {
                             return Err(self.err(format!("'{l}' without a matching construct")));
                         }
                     }
-                    let start = self.peek().span.start;
-                    out.push(self.stmt()?);
-                    spans.push(Span::new(start, self.last_span.end));
+                    out.push(self.stmt(kw.as_deref())?);
+                    spans.push(Span::new(t.span.start, self.last_span.end));
                 }
                 _ => return Err(self.err("statement cannot begin with a redirection")),
             }
         }
     }
 
-    fn stmt(&mut self) -> Result<Stmt, ParseError> {
-        match self.peek_lit() {
+    /// The statement starting at the next token, whose literal spelling
+    /// is `kw`.
+    fn stmt(&mut self, kw: Option<&str>) -> Result<Stmt, ParseError> {
+        match kw {
             Some("try") => self.try_stmt(),
             Some("forany") => self.for_stmt(false),
             Some("forall") => self.for_stmt(true),
@@ -186,7 +212,7 @@ impl Parser {
         self.expect_keyword("try")?;
         let mut spec = TrySpec::default();
         loop {
-            match self.peek_lit() {
+            match self.peek_lit().as_deref() {
                 Some("for") => {
                     self.next();
                     let n = self.next_number("a time limit")?;
@@ -209,11 +235,13 @@ impl Parser {
                     }
                 }
                 Some(_) if self.looks_like_times() => {
+                    let count_span = self.peek().span;
                     let n = self.next_number("an attempt count")?;
                     self.expect_keyword("times")
                         .or_else(|_| self.expect_keyword("time"))?;
-                    let n = u32::try_from(n)
-                        .map_err(|_| ParseError::new(line, "attempt count too large"))?;
+                    let n = u32::try_from(n).map_err(|_| {
+                        ParseError::new(line, "attempt count too large").with_span(count_span)
+                    })?;
                     if spec.attempts.replace(n).is_some() {
                         return Err(ParseError::new(line, "duplicate 'times' clause")
                             .with_span(self.last_span));
@@ -225,7 +253,7 @@ impl Parser {
         spec.span = Span::new(header_start, self.last_span.end);
         self.expect_newline("'try' header")?;
         let body = self.stmt_list(&["catch", "end"])?;
-        let catch = if self.peek_lit() == Some("catch") {
+        let catch = if self.peek_lit().as_deref() == Some("catch") {
             self.next();
             self.expect_newline("'catch'")?;
             Some(self.stmt_list(&["end"])?)
@@ -241,38 +269,26 @@ impl Parser {
 
     /// Parse the unit word of a `for`/`every` clause into a duration.
     fn time_unit(&mut self, amount: u64) -> Result<retry::Dur, ParseError> {
-        let unit_line = self.line();
-        let unit_span = self.peek().span;
-        let unit = self.next_word("a time unit")?;
-        let unit = unit
-            .as_lit()
-            .ok_or_else(|| {
-                ParseError::new(unit_line, "time unit must be literal").with_span(unit_span)
-            })?
-            .to_string();
+        let t = self.next_word_token("a time unit")?;
+        let unit = self.lit(t).ok_or_else(|| {
+            ParseError::new(t.line, "time unit must be literal").with_span(t.span)
+        })?;
         parse_duration(amount, &unit).ok_or_else(|| {
-            ParseError::new(unit_line, format!("unknown time unit '{unit}'")).with_span(unit_span)
+            ParseError::new(t.line, format!("unknown time unit '{unit}'")).with_span(t.span)
         })
     }
 
     fn function_stmt(&mut self) -> Result<Stmt, ParseError> {
         let line = self.line();
+        let header_start = self.peek().span.start;
         self.expect_keyword("function")?;
-        let name_line = self.line();
-        let name_span = self.peek().span;
-        let name = self.next_word("a function name")?;
-        let name = name
-            .as_lit()
-            .filter(|n| is_ident(n))
-            .ok_or_else(|| {
-                ParseError::new(name_line, "function name must be an identifier")
-                    .with_span(name_span)
-            })?
-            .to_string();
+        let name = self.next_ident("a function name", "function name must be an identifier")?;
+        let header = Span::new(header_start, self.last_span.end);
         self.expect_newline("'function' header")?;
         let body = self.stmt_list(&["end"])?;
-        self.expect_keyword("end")
-            .map_err(|_| ParseError::new(line, "'function' without matching 'end'"))?;
+        self.expect_keyword("end").map_err(|_| {
+            ParseError::new(line, "'function' without matching 'end'").with_span(header)
+        })?;
         self.expect_newline("'end'")?;
         Ok(Stmt::Function { name, body })
     }
@@ -281,46 +297,37 @@ impl Parser {
     fn looks_like_times(&self) -> bool {
         let is_num = self
             .peek_lit()
-            .map(|l| !l.is_empty() && l.chars().all(|c| c.is_ascii_digit()))
-            .unwrap_or(false);
-        if !is_num {
-            return false;
-        }
-        match &self.toks.get(self.pos + 1).map(|t| &t.kind) {
-            Some(TokenKind::Word(w)) => matches!(w.as_lit(), Some("times" | "time")),
-            _ => false,
-        }
+            .is_some_and(|l| !l.is_empty() && l.bytes().all(|c| c.is_ascii_digit()));
+        is_num
+            && self
+                .toks
+                .get(self.pos + 1)
+                .and_then(|&t| self.lit(t))
+                .is_some_and(|l| matches!(&*l, "times" | "time"))
     }
 
     fn for_stmt(&mut self, all: bool) -> Result<Stmt, ParseError> {
         let line = self.line();
         let kw = if all { "forall" } else { "forany" };
+        let header_start = self.peek().span.start;
         self.expect_keyword(kw)?;
-        let var_line = self.line();
-        let var_span = self.peek().span;
-        let var = self.next_word("a loop variable")?;
-        let var = var
-            .as_lit()
-            .filter(|v| is_ident(v))
-            .ok_or_else(|| {
-                ParseError::new(var_line, "loop variable must be an identifier").with_span(var_span)
-            })?
-            .to_string();
+        let var = self.next_ident("a loop variable", "loop variable must be an identifier")?;
         self.expect_keyword("in")?;
         let mut values = Vec::new();
-        while let TokenKind::Word(_) = self.peek().kind {
+        while let TokenKind::Word { .. } = self.peek().kind {
             values.push(self.next_word("a value")?);
         }
+        let header = Span::new(header_start, self.last_span.end);
         if values.is_empty() {
-            return Err(ParseError::new(
-                line,
-                format!("'{kw}' needs at least one value"),
-            ));
+            return Err(
+                ParseError::new(line, format!("'{kw}' needs at least one value")).with_span(header),
+            );
         }
         self.expect_newline(&format!("'{kw}' header"))?;
         let body = self.stmt_list(&["end"])?;
-        self.expect_keyword("end")
-            .map_err(|_| ParseError::new(line, format!("'{kw}' without matching 'end'")))?;
+        self.expect_keyword("end").map_err(|_| {
+            ParseError::new(line, format!("'{kw}' without matching 'end'")).with_span(header)
+        })?;
         self.expect_newline("'end'")?;
         if all {
             Ok(Stmt::ForAll { var, values, body })
@@ -331,22 +338,25 @@ impl Parser {
 
     fn if_stmt(&mut self) -> Result<Stmt, ParseError> {
         let line = self.line();
+        let header_start = self.peek().span.start;
         self.expect_keyword("if")?;
         let lhs = self.next_word("a comparison operand")?;
-        let op_line = self.line();
-        let op_span = self.peek().span;
-        let op = self.next_word("a comparison operator")?;
-        let op = op.as_lit().and_then(CondOp::from_spelling).ok_or_else(|| {
-            ParseError::new(
-                op_line,
-                "expected .lt. .le. .gt. .ge. .eq. .ne. .eql. or .neql.",
-            )
-            .with_span(op_span)
-        })?;
+        let t = self.next_word_token("a comparison operator")?;
+        let op = self
+            .lit(t)
+            .and_then(|op| CondOp::from_spelling(&op))
+            .ok_or_else(|| {
+                ParseError::new(
+                    t.line,
+                    "expected .lt. .le. .gt. .ge. .eq. .ne. .eql. or .neql.",
+                )
+                .with_span(t.span)
+            })?;
         let rhs = self.next_word("a comparison operand")?;
+        let header = Span::new(header_start, self.last_span.end);
         self.expect_newline("'if' condition")?;
         let then = self.stmt_list(&["else", "end"])?;
-        let els = if self.peek_lit() == Some("else") {
+        let els = if self.peek_lit().as_deref() == Some("else") {
             self.next();
             self.expect_newline("'else'")?;
             Some(self.stmt_list(&["end"])?)
@@ -354,7 +364,7 @@ impl Parser {
             None
         };
         self.expect_keyword("end")
-            .map_err(|_| ParseError::new(line, "'if' without matching 'end'"))?;
+            .map_err(|_| ParseError::new(line, "'if' without matching 'end'").with_span(header))?;
         self.expect_newline("'end'")?;
         Ok(Stmt::If {
             cond: Cond { lhs, op, rhs },
@@ -366,7 +376,6 @@ impl Parser {
     fn command_or_assign(&mut self) -> Result<Stmt, ParseError> {
         let line = self.line();
         let first = self.next_word("a command")?;
-        let first_span = first.span();
 
         // Assignment: a lone word of the shape name=value.
         if matches!(self.peek().kind, TokenKind::Newline | TokenKind::Eof) {
@@ -381,20 +390,20 @@ impl Parser {
             redirs: Vec::new(),
         };
         loop {
-            match &self.peek().kind {
-                TokenKind::Word(_) => {
-                    let w = self.next_word("a word")?;
+            let t = self.peek();
+            match t.kind {
+                TokenKind::Word { .. } => {
                     if !cmd.redirs.is_empty() {
                         return Err(ParseError::new(
                             line,
                             "command arguments must precede redirections",
                         )
-                        .with_span(w.span()));
+                        .with_span(t.span));
                     }
+                    let w = self.next_word("a word")?;
                     cmd.words.push(w);
                 }
                 TokenKind::RedirOut { var, append, both } => {
-                    let (var, append, both) = (*var, *append, *both);
                     self.next();
                     let target = self.next_word("a redirection target")?;
                     cmd.redirs.push(Redir::Out {
@@ -409,7 +418,6 @@ impl Parser {
                     });
                 }
                 TokenKind::RedirIn { var } => {
-                    let var = *var;
                     self.next();
                     let source = self.next_word("a redirection source")?;
                     cmd.redirs.push(Redir::In {
@@ -422,9 +430,6 @@ impl Parser {
                     });
                 }
                 TokenKind::Newline | TokenKind::Eof => break,
-                TokenKind::Equals => {
-                    return Err(ParseError::new(line, "unexpected '='").with_span(first_span));
-                }
             }
         }
         self.expect_newline("command")?;
@@ -444,7 +449,6 @@ pub fn is_ident(s: &str) -> bool {
 
 /// If `w` looks like `name=value` (name a valid identifier), split it.
 fn split_assignment(w: &Word) -> Option<(String, Word)> {
-    use crate::ast::Seg;
     let segs = w.segs();
     let Some(Seg::Lit(first)) = segs.first() else {
         return None;
@@ -454,16 +458,10 @@ fn split_assignment(w: &Word) -> Option<(String, Word)> {
     if !is_ident(name) {
         return None;
     }
-    let mut value_segs = Vec::new();
     let rest = &first[eq + 1..];
-    if !rest.is_empty() {
-        value_segs.push(Seg::Lit(rest.into()));
-    }
-    value_segs.extend(segs[1..].iter().cloned());
-    Some((
-        name.to_string(),
-        Word::from_segs(value_segs).with_span(w.span()),
-    ))
+    let rest = (!rest.is_empty()).then(|| Seg::Lit(rest.into()));
+    let value = Word::from_merged(rest.into_iter().chain(segs[1..].iter().cloned()));
+    Some((name.to_string(), value.with_span(w.span())))
 }
 
 #[cfg(test)]
@@ -787,6 +785,18 @@ mod tests {
         let e = parse("try for 5 minutes\nx\n").unwrap_err();
         let sp = e.span.expect("span");
         assert_eq!(sp.start, 0);
+        // So does every other open construct, and a loop short of a
+        // value; a count too large points at the count.
+        for (src, at) in [
+            ("function f\nx\n", "function f"),
+            ("forany v in a b\nx\n", "forany v in a b"),
+            ("forall v in\nx\nend\n", "forall v in"),
+            ("if a .lt. b\nx\n", "if a .lt. b"),
+            ("try 99999999999 times\nx\nend\n", "99999999999"),
+        ] {
+            let sp = parse(src).unwrap_err().span.expect("span");
+            assert_eq!(&src[sp.start as usize..sp.end as usize], at, "{src:?}");
+        }
 
         // Stray terminator points at itself.
         let src = "wget u\nend\n";
