@@ -220,22 +220,30 @@ impl VmStats {
     }
 }
 
+/// Drive one VM (seed 7, log counters-only) through `script` on a
+/// virtual clock, every command succeeding at once with output `ok`.
+/// Returns the tick count.
+fn vm_run(script: &ftsh::Script) -> u64 {
+    let mut driver = ftsh::VmDriver::new(ftsh::Vm::with_seed(script, 7));
+    driver.vm_mut().set_log_detail(false);
+    driver.run_to_completion(|_| Ok("ok".into())).ticks()
+}
+
 /// The interpreter rows for `BENCH_engine.json`.
 fn vm_bench() -> VmStats {
-    use ftsh::vm::CmdResult;
     let script = ftsh::parse(&egbench::vm_steady_source(2000)).expect("steady workload parses");
     // Warm caches (and the compile cache) before the timed leg.
-    egbench::vm_steady_run(&script);
+    vm_run(&script);
     let start = Instant::now();
-    let ticks = egbench::vm_steady_run(&script);
+    let ticks = vm_run(&script);
     let wall_s = start.elapsed().as_secs_f64();
 
     // Two run lengths: set-up allocations cancel in the difference.
     let calls_allocs = |attempts: u32| {
         let script = ftsh::parse(&egbench::vm_calls_source(attempts)).expect("calls parses");
-        egbench::vm_drive(&script, &CmdResult::fail());
+        vm_run(&script);
         let before = ALLOCS.load(Ordering::Relaxed);
-        egbench::vm_drive(&script, &CmdResult::fail());
+        vm_run(&script);
         ALLOCS.load(Ordering::Relaxed) - before
     };
     let extra_calls = 200 * egbench::VM_CALLS_PER_ATTEMPT;
@@ -243,14 +251,13 @@ fn vm_bench() -> VmStats {
 
     // The same 800 iterations as one run and as sixteen runs of 50,
     // best of five each.
-    let ok = CmdResult::ok("ok");
     let forall_s = |iters: u32, runs: u32| {
         let script = ftsh::parse(&egbench::vm_forall_loop_source(iters)).expect("forall parses");
         (0..5)
             .map(|_| {
                 let start = Instant::now();
                 for _ in 0..runs {
-                    egbench::vm_drive(&script, &ok);
+                    vm_run(&script);
                 }
                 start.elapsed().as_secs_f64()
             })

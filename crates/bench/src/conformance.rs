@@ -209,7 +209,9 @@ fn model_command(
     let tick = Dur::from_millis(1);
     match basename(spec.program()) {
         "true" => (tick, CmdResult::ok("")),
-        "false" => (tick, CmdResult::fail()),
+        // No shim is written for `missing`: the real side cannot load
+        // it, and §2 makes that just another failure.
+        "false" | "missing" => (tick, CmdResult::fail()),
         "echo" => {
             let mut out = spec.argv[1..].join(" ");
             out.push('\n');

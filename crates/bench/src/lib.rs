@@ -81,44 +81,6 @@ pub fn vm_forall_loop_source(iters: u32) -> String {
     format!("try {iters} times every 1 ms\n{body}  failure\nend\n")
 }
 
-/// Drive one VM through `script` to completion on a virtual clock:
-/// every command completes at once with `result`, and the clock jumps
-/// to the next wake-up whenever a tick starts nothing. Returns the tick
-/// count.
-pub fn vm_drive(script: &ftsh::Script, result: &ftsh::vm::CmdResult) -> u64 {
-    use ftsh::vm::{Effect, Vm, VmStatus};
-    let mut vm = Vm::with_seed(script, 7);
-    vm.set_log_detail(false);
-    let mut now = retry::Time::ZERO;
-    let mut ticks = 0u64;
-    let mut effects = Vec::new();
-    loop {
-        ticks += 1;
-        let status = vm.tick_into(now, &mut effects);
-        let idle = effects.is_empty();
-        for e in effects.drain(..) {
-            if let Effect::Start { token, spec, .. } = e {
-                vm.complete(token, result.clone());
-                vm.recycle_spec(spec);
-            }
-        }
-        match status {
-            VmStatus::Done { .. } => return ticks,
-            VmStatus::Running { next_wake } => {
-                if let (true, Some(w)) = (idle, next_wake) {
-                    now = now.max(w);
-                }
-            }
-        }
-    }
-}
-
-/// [`vm_drive`] for a [`vm_steady_source`] script, whose one command
-/// per attempt fails.
-pub fn vm_steady_run(script: &ftsh::Script) -> u64 {
-    vm_drive(script, &ftsh::vm::CmdResult::fail())
-}
-
 /// A compact textual summary of a figure for EXPERIMENTS.md-style
 /// reporting: last value of each series.
 pub fn summarize(set: &SeriesSet) -> String {

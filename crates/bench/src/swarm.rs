@@ -1,7 +1,9 @@
-//! The client swarm: the third driver of [`ftsh::Vm`], after
-//! `procman` (real processes) and `gridworld::SimDriver` (the event
-//! queue) — N grid clients, each a real ftsh VM running a real ftsh
-//! script, multiplexed over sockets on one epoll reactor.
+//! The client swarm: N grid clients, each a real ftsh VM running a
+//! real ftsh script, multiplexed over sockets on one epoll reactor.
+//! Like `procman` (real processes) and `gridworld::SimDriver` (the
+//! event queue), it drives each [`ftsh::Vm`] by [`ftsh::step`] and
+//! brings only its own world: the transport, the clock and the unit
+//! lifecycle.
 //!
 //! The reactor owns the wiring and nothing else. A VM's
 //! [`Effect::Start`] is looked up in the harness's verb table
@@ -31,7 +33,7 @@
 //! ([`gridd::poll`]): one epoll instance for sockets, one timer wheel
 //! for staggered starts, VM wake-ups, local work and rank kills.
 
-use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Effect, Vm, VmStatus};
+use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Effect, Executor, Vm, VmStatus};
 use ftsh::Istr;
 use gridd::poll::{set_nonblocking, Epoll, Event, TimerWheel};
 use gridd::proto::{FrameBuf, Request, Response};
@@ -203,8 +205,8 @@ struct Client {
     epoch: u64,
     /// Earliest VM wake-up already on the wheel.
     armed: Option<Time>,
-    /// A command completed since the VM was last ticked.
-    dirty: bool,
+    /// Commands completed since the VM last ran, in completion order.
+    done: Vec<(CmdToken, CmdResult)>,
     stream: Option<TcpStream>,
     frames: FrameBuf,
     out: Vec<u8>,
@@ -418,61 +420,45 @@ impl<H: Harness> Swarm<'_, H> {
 
     /// Tick client `id`'s VM if a completion is waiting for it.
     fn settle(&mut self, id: usize) {
-        if self.clients[id].dirty {
+        if !self.clients[id].done.is_empty() {
             self.tick(id);
         }
     }
 
-    /// Tick client `id`'s VM until it waits on the world again, and
-    /// act on what it asks for.
+    /// Hand client `id`'s VM what completed since it last ran, step it
+    /// until it waits on the world again, and act on how it stands.
     fn tick(&mut self, id: usize) {
-        loop {
-            let now = self.now();
-            let c = &mut self.clients[id];
-            c.dirty = false;
-            let Some(vm) = c.vm.as_mut() else {
-                return;
-            };
-            let mut effects = std::mem::take(&mut self.effects);
-            let status = vm.tick_into(now, &mut effects);
-            for eff in effects.drain(..) {
-                match eff {
-                    Effect::Start { token, spec, .. } => self.start(id, token, &spec),
-                    Effect::Cancel { token } => self.cancel(id, token),
-                }
-            }
-            self.effects = effects;
-            if self.clients[id].dirty {
-                continue; // something completed on the spot: step again
-            }
-            match status {
-                VmStatus::Running { next_wake } => {
-                    if let Some(at) = next_wake {
-                        self.arm(id, at);
-                    }
-                }
-                VmStatus::Done { success } => {
-                    self.clients[id].vm = None;
-                    match self.harness.unit_done(id, success) {
-                        Some((vm, delay)) => self.install(id, vm, delay),
-                        None => {
-                            self.drop_stream(id);
-                            self.live -= 1;
-                        }
-                    }
-                }
-            }
+        let Some(mut vm) = self.clients[id].vm.take() else {
             return;
+        };
+        for (token, result) in self.clients[id].done.drain(..) {
+            vm.complete(token, result);
+        }
+        let now = self.now();
+        let mut effects = std::mem::take(&mut self.effects);
+        let (status, _) = step(&mut vm, now, &mut effects, &mut Wire { swarm: self, id });
+        self.effects = effects;
+        match status {
+            VmStatus::Running { next_wake } => {
+                self.clients[id].vm = Some(vm);
+                if let Some(at) = next_wake {
+                    self.arm(id, at);
+                }
+            }
+            VmStatus::Done { success } => match self.harness.unit_done(id, success) {
+                Some((vm, delay)) => self.install(id, vm, delay),
+                None => {
+                    self.drop_stream(id);
+                    self.live -= 1;
+                }
+            },
         }
     }
 
-    /// Report a command finished to client `id`'s VM.
+    /// A command of client `id` finished; its VM is told when it next
+    /// runs — at once if it is stepping.
     fn complete(&mut self, id: usize, token: CmdToken, result: CmdResult) {
-        let c = &mut self.clients[id];
-        if let Some(vm) = c.vm.as_mut() {
-            vm.complete(token, result);
-            c.dirty = true;
-        }
+        self.clients[id].done.push((token, result));
     }
 
     fn start(&mut self, id: usize, token: CmdToken, spec: &CommandSpec) {
@@ -678,6 +664,34 @@ impl<H: Harness> Swarm<'_, H> {
         while let Some(call) = self.clients[id].calls.pop_front() {
             self.complete(id, call.token, CmdResult::fail());
         }
+    }
+}
+
+/// Client `id`'s commands as the reactor carries them out while its VM
+/// steps.
+struct Wire<'s, 'a, H> {
+    swarm: &'s mut Swarm<'a, H>,
+    id: usize,
+}
+
+impl<H: Harness> Wire<'_, '_, H> {
+    /// Deliver what the start or cancel just completed.
+    fn hand_over(&mut self, answers: &mut Answers<'_>) {
+        for (token, result) in self.swarm.clients[self.id].done.drain(..) {
+            answers.answer(token, result);
+        }
+    }
+}
+
+impl<H: Harness> Executor for Wire<'_, '_, H> {
+    fn start(&mut self, token: CmdToken, spec: &CommandSpec, answers: &mut Answers<'_>) {
+        self.swarm.start(self.id, token, spec);
+        self.hand_over(answers);
+    }
+
+    fn cancel(&mut self, token: CmdToken, answers: &mut Answers<'_>) {
+        self.swarm.cancel(self.id, token);
+        self.hand_over(answers);
     }
 }
 

@@ -2,91 +2,24 @@
 //!
 //! [`VmDriver`] runs a [`Vm`] to completion against a closure executor:
 //! each command is executed synchronously the moment the VM asks for
-//! it. Combined with [`SimClock`] this gives instant, deterministic
-//! script execution where backoff delays advance virtual time instead
-//! of sleeping — ideal for tests and for reasoning about scripts.
-//! Combined with [`WallClock`] the delays really sleep (the `procman`
-//! crate provides the full real-process driver with kill escalation;
-//! this one is for in-process executors).
+//! it, and time is virtual — the driver jumps straight to each backoff
+//! wake-up or `try` deadline instead of sleeping. That gives instant,
+//! deterministic script execution, ideal for tests and for reasoning
+//! about scripts (the `procman` crate provides the real-process driver
+//! with kill escalation).
 //!
 //! Note the executor is synchronous, so `forall` branches are started
 //! in order and their commands run sequentially; the VM semantics
 //! (all-must-succeed, abort-on-first-failure) are preserved.
 
-use crate::vm::{CmdResult, CommandSpec, Effect, Tick, Vm, VmStatus};
+use crate::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Executor, Vm, VmStatus};
 use retry::Time;
-
-/// A source of virtual "now" plus the ability to wait until an instant.
-pub trait Clock {
-    /// The current instant.
-    fn now(&self) -> Time;
-    /// Block (or pretend to) until `t`.
-    fn advance_to(&mut self, t: Time);
-}
-
-/// A clock that moves only when asked: `advance_to` jumps straight to
-/// the target. Backoffs and deadlines cost nothing in real time.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SimClock {
-    now: Time,
-}
-
-impl SimClock {
-    /// A clock at `T+0`.
-    pub fn new() -> SimClock {
-        SimClock::default()
-    }
-}
-
-impl Clock for SimClock {
-    fn now(&self) -> Time {
-        self.now
-    }
-    fn advance_to(&mut self, t: Time) {
-        if t > self.now {
-            self.now = t;
-        }
-    }
-}
-
-/// Real time: `now` is the elapsed wall-clock since construction and
-/// `advance_to` actually sleeps.
-#[derive(Clone, Copy, Debug)]
-pub struct WallClock {
-    start: std::time::Instant,
-}
-
-impl WallClock {
-    /// Start the epoch now.
-    pub fn new() -> WallClock {
-        WallClock {
-            start: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for WallClock {
-    fn default() -> Self {
-        WallClock::new()
-    }
-}
-
-impl Clock for WallClock {
-    fn now(&self) -> Time {
-        Time::from_micros(self.start.elapsed().as_micros().min(u64::MAX as u128) as u64)
-    }
-    fn advance_to(&mut self, t: Time) {
-        let now = self.now();
-        if t > now {
-            std::thread::sleep((t - now).to_std());
-        }
-    }
-}
 
 /// The final state of a driven script.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RunOutcome {
     success: bool,
+    ticks: u64,
 }
 
 impl RunOutcome {
@@ -94,36 +27,27 @@ impl RunOutcome {
     pub fn success(&self) -> bool {
         self.success
     }
-}
 
-/// Errors a synchronous drive can hit.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DriveError {
-    /// The VM reported it was waiting on a command completion that the
-    /// synchronous executor cannot produce — a driver bug.
-    Stuck,
-}
-
-impl std::fmt::Display for DriveError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DriveError::Stuck => write!(f, "vm is waiting on a command that never completes"),
-        }
+    /// How many times the VM was ticked to get there.
+    pub fn ticks(&self) -> u64 {
+        self.ticks
     }
 }
 
-impl std::error::Error for DriveError {}
-
-/// Drives a [`Vm`] with a [`Clock`] and a synchronous executor closure.
-pub struct VmDriver<C: Clock> {
+/// Drives a [`Vm`] on a virtual clock with a synchronous executor
+/// closure.
+pub struct VmDriver {
     vm: Vm,
-    clock: C,
+    now: Time,
 }
 
-impl<C: Clock> VmDriver<C> {
-    /// Pair a VM with a clock.
-    pub fn new(vm: Vm, clock: C) -> VmDriver<C> {
-        VmDriver { vm, clock }
+impl VmDriver {
+    /// A driver for `vm`, its clock at `T+0`.
+    pub fn new(vm: Vm) -> VmDriver {
+        VmDriver {
+            vm,
+            now: Time::ZERO,
+        }
     }
 
     /// Access the VM (e.g. its log) after or during a run.
@@ -144,59 +68,50 @@ impl<C: Clock> VmDriver<C> {
         self.vm.set_tracer(sink, client);
     }
 
-    /// The clock.
-    pub fn clock(&self) -> &C {
-        &self.clock
+    /// The virtual instant the run has reached.
+    pub fn now(&self) -> Time {
+        self.now
     }
 
     /// Run the script to completion. `exec` is called once per command;
-    /// `Ok(stdout)` is success, `Err(())` failure. Panics are not
+    /// `Ok(stdout)` is success, `Err(_)` failure. Panics are not
     /// caught.
-    pub fn run_to_completion<F>(&mut self, mut exec: F) -> RunOutcome
+    pub fn run_to_completion<F>(&mut self, exec: F) -> RunOutcome
     where
         F: FnMut(&CommandSpec) -> Result<String, String>,
     {
-        self.try_run(|spec| exec(spec))
-            .expect("synchronous executor cannot leave the vm stuck")
-    }
-
-    /// Like [`VmDriver::run_to_completion`] but reports driver errors
-    /// instead of panicking.
-    pub fn try_run<F>(&mut self, mut exec: F) -> Result<RunOutcome, DriveError>
-    where
-        F: FnMut(&CommandSpec) -> Result<String, String>,
-    {
+        let mut exec = Inline(exec);
+        let mut effects = Vec::new();
+        let mut ticks = 0;
         loop {
-            let Tick { effects, status } = self.vm.tick(self.clock.now());
-            let mut completed_any = false;
-            for eff in effects {
-                match eff {
-                    Effect::Start { token, spec, .. } => {
-                        let result = match exec(&spec) {
-                            Ok(out) => CmdResult {
-                                success: true,
-                                stdout: out.into(),
-                            },
-                            Err(_) => CmdResult::fail(),
-                        };
-                        self.vm.complete(token, result);
-                        completed_any = true;
-                    }
-                    Effect::Cancel { .. } => {
-                        // Synchronous commands are already finished by
-                        // the time a cancel could be issued.
-                    }
+            let (status, n) = step(&mut self.vm, self.now, &mut effects, &mut exec);
+            ticks += n;
+            match status {
+                VmStatus::Done { success } => return RunOutcome { success, ticks },
+                VmStatus::Running { next_wake: Some(t) } => self.now = self.now.max(t),
+                VmStatus::Running { next_wake: None } => {
+                    unreachable!("a synchronous executor leaves no command in flight")
                 }
             }
-            if completed_any {
-                continue;
-            }
-            match status {
-                VmStatus::Done { success } => return Ok(RunOutcome { success }),
-                VmStatus::Running { next_wake: Some(t) } => self.clock.advance_to(t),
-                VmStatus::Running { next_wake: None } => return Err(DriveError::Stuck),
-            }
         }
+    }
+}
+
+/// A closure that runs each command to its end as it starts.
+struct Inline<F>(F);
+
+impl<F: FnMut(&CommandSpec) -> Result<String, String>> Executor for Inline<F> {
+    fn start(&mut self, token: CmdToken, spec: &CommandSpec, answers: &mut Answers<'_>) {
+        let result = match (self.0)(spec) {
+            Ok(out) => CmdResult::ok(out),
+            Err(_) => CmdResult::fail(),
+        };
+        answers.answer(token, result);
+    }
+
+    fn cancel(&mut self, _: CmdToken, _: &mut Answers<'_>) {
+        // Synchronous commands are already finished by the time a
+        // cancel could be issued.
     }
 }
 
@@ -208,11 +123,11 @@ mod tests {
     fn drive(
         src: &str,
         mut exec: impl FnMut(&CommandSpec) -> Result<String, String>,
-    ) -> (bool, SimClock) {
+    ) -> (bool, Time) {
         let script = parse(src).unwrap();
-        let mut d = VmDriver::new(Vm::with_seed(&script, 1), SimClock::new());
+        let mut d = VmDriver::new(Vm::with_seed(&script, 1));
         let out = d.run_to_completion(&mut exec);
-        (out.success(), *d.clock())
+        (out.success(), d.now())
     }
 
     #[test]
@@ -244,7 +159,7 @@ mod tests {
     #[test]
     fn try_retries_until_success() {
         let mut failures_left = 3;
-        let (ok, clock) = drive("try 10 times\n flaky\nend\n", |_| {
+        let (ok, now) = drive("try 10 times\n flaky\nend\n", |_| {
             if failures_left > 0 {
                 failures_left -= 1;
                 Err("flaky".into())
@@ -254,7 +169,7 @@ mod tests {
         });
         assert!(ok);
         // Backoff 1+2+4 seconds minimum (jittered up to 2x each).
-        let t = clock.now().as_secs_f64();
+        let t = now.as_secs_f64();
         assert!((7.0..14.001).contains(&t), "elapsed {t}");
     }
 
@@ -275,7 +190,7 @@ mod tests {
         use std::sync::{Arc, Mutex};
 
         let script = parse("try 3 times\n flaky\nend\n").unwrap();
-        let mut d = VmDriver::new(Vm::with_seed(&script, 1), SimClock::new());
+        let mut d = VmDriver::new(Vm::with_seed(&script, 1));
         let ring = Arc::new(Mutex::new(RingSink::new(64)));
         d.set_tracer(ring.clone(), 42);
         assert!(d.vm().has_tracer());
@@ -306,23 +221,5 @@ mod tests {
                 .count(),
             2
         );
-    }
-
-    #[test]
-    fn wall_clock_actually_waits() {
-        let script = parse("try for 1 hour every 30 ms\n flaky\nend\n").unwrap();
-        let mut fails = 2;
-        let mut d = VmDriver::new(Vm::with_seed(&script, 1), WallClock::new());
-        let started = std::time::Instant::now();
-        let out = d.run_to_completion(|_| {
-            if fails > 0 {
-                fails -= 1;
-                Err("x".into())
-            } else {
-                Ok(String::new())
-            }
-        });
-        assert!(out.success());
-        assert!(started.elapsed() >= std::time::Duration::from_millis(60));
     }
 }

@@ -36,13 +36,17 @@
 //! supplies results via [`Vm::complete`]. (The tree-walking reference
 //! semantics `Vm` is tested against is `tree::TreeVm`, which exists
 //! only under `cfg(test)` or the `tree-oracle` feature: a differential
-//! oracle, not a second backend.) Drivers:
+//! oracle, not a second backend.) Every driver drives it by one rule,
+//! [`step`], and supplies an [`Executor`] for its world:
 //!
-//! * [`VmDriver`] (here) — synchronous closure executor, with
-//!   [`SimClock`] (virtual time) or [`WallClock`];
+//! * [`VmDriver`] (here) — synchronous closure executor on a virtual
+//!   clock;
 //! * `procman::run_vm` — real POSIX processes in their own
 //!   sessions, SIGTERM→SIGKILL on deadline;
-//! * `gridworld` — hundreds of VMs inside a discrete-event simulation.
+//! * `gridworld::SimDriver` — hundreds of VMs inside a discrete-event
+//!   simulation;
+//! * `egbench::swarm` — thousands of VMs on one epoll reactor against a
+//!   live `gridd`.
 
 #![warn(missing_docs)]
 
@@ -69,12 +73,13 @@ pub use ast::{
 pub use cond::{eval_cond, eval_cond_values};
 pub use errors::{line_col, ParseError};
 pub use intern::Istr;
-pub use interp::{Clock, DriveError, RunOutcome, SimClock, VmDriver, WallClock};
+pub use interp::{RunOutcome, VmDriver};
 pub use log::{EventLog, LogSummary};
 pub use parser::parse;
 pub use pretty::pretty;
 pub use vm::{
-    CmdInput, CmdResult, CmdToken, CommandSpec, Effect, OutSink, TaskId, Tick, Vm, VmStatus,
+    step, Answers, CmdInput, CmdResult, CmdToken, CommandSpec, Effect, Executor, OutSink, TaskId,
+    Tick, Vm, VmStatus,
 };
 pub use words::Env;
 

@@ -21,8 +21,9 @@
 //! then fails like any other untyped failure.
 //!
 //! This module holds the driving vocabulary (tokens, specs, effects,
-//! statuses); the machine itself is the bytecode interpreter in
-//! `cvm.rs`, re-exported here as [`Vm`].
+//! statuses) and the one rule every driver drives by, [`step`]; the
+//! machine itself is the bytecode interpreter in `cvm.rs`, re-exported
+//! here as [`Vm`].
 
 pub use crate::cvm::Vm;
 use crate::intern::Istr;
@@ -158,4 +159,146 @@ pub struct Tick {
     pub effects: Vec<Effect>,
     /// Whether to keep driving.
     pub status: VmStatus,
+}
+
+/// What a driver does with the commands a VM starts and cancels — the
+/// part of driving a VM that belongs to its world. [`step`] is the
+/// rest.
+pub trait Executor {
+    /// Start command `token`. A result known before this returns goes
+    /// to `answers` — this command's, or those of others that starting
+    /// it cost (a lost connection fails every call in flight on it).
+    /// Any other result is the driver's to deliver later with
+    /// [`Vm::complete`].
+    fn start(&mut self, token: CmdToken, spec: &CommandSpec, answers: &mut Answers<'_>);
+
+    /// The VM gave up on in-flight command `token`; no result for it is
+    /// wanted. Results this costs other commands go to `answers`.
+    fn cancel(&mut self, token: CmdToken, answers: &mut Answers<'_>);
+}
+
+/// Where an [`Executor`] hands the results it has at once. Each goes
+/// to the VM the moment it is given.
+pub struct Answers<'a> {
+    vm: &'a mut Vm,
+    /// The batch's effects not yet routed: the first `live` of them.
+    /// A cancel for a command answered here is moved past `live`.
+    rest: &'a mut [Effect],
+    live: usize,
+    given: bool,
+}
+
+impl Answers<'_> {
+    /// Complete command `token` with `result` now. A cancel for it
+    /// still queued in this batch is dropped: the executor has answered
+    /// already, so there is nothing left to stop.
+    #[inline]
+    pub fn answer(&mut self, token: CmdToken, result: CmdResult) {
+        self.vm.complete(token, result);
+        self.given = true;
+        let cancel = Effect::Cancel { token };
+        if let Some(i) = self.rest[..self.live].iter().position(|e| *e == cancel) {
+            self.rest[i..self.live].rotate_left(1);
+            self.live -= 1;
+        }
+    }
+}
+
+/// Drive `vm` at `now` until it waits on the world: tick it into the
+/// caller's `effects` buffer ([`Vm::tick_into`]), route each effect
+/// through `exec` in order, hand the specs back ([`Vm::recycle_spec`]),
+/// and tick again while anything was answered inline. Returns the last
+/// tick's status and how many ticks were taken.
+///
+/// Inlined into each driver's loop, as the loops it replaced were
+/// written: the simulator steps a VM per event, and out of line the
+/// call showed in its per-event cost.
+#[inline]
+pub fn step(
+    vm: &mut Vm,
+    now: Time,
+    effects: &mut Vec<Effect>,
+    exec: &mut impl Executor,
+) -> (VmStatus, u64) {
+    let mut ticks = 0;
+    loop {
+        ticks += 1;
+        let status = vm.tick_into(now, effects);
+        let mut answered = false;
+        let mut next = 0;
+        while next < effects.len() {
+            let (routed, rest) = effects.split_at_mut(next + 1);
+            let mut answers = Answers {
+                vm: &mut *vm,
+                live: rest.len(),
+                rest,
+                given: false,
+            };
+            match &routed[next] {
+                Effect::Start { token, spec, .. } => exec.start(*token, spec, &mut answers),
+                Effect::Cancel { token } => exec.cancel(*token, &mut answers),
+            }
+            answered |= answers.given;
+            next += 1;
+            let kept = next + answers.live;
+            effects.truncate(kept);
+        }
+        for eff in effects.drain(..) {
+            if let Effect::Start { spec, .. } = eff {
+                vm.recycle_spec(spec);
+            }
+        }
+        if !answered {
+            return (status, ticks);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::parse;
+
+    /// Holds each command it starts; the second start loses both held
+    /// commands at once, the way a dropped connection fails every call
+    /// in flight on it.
+    #[derive(Default)]
+    struct Lossy {
+        held: Vec<CmdToken>,
+        cancelled: Vec<CmdToken>,
+    }
+
+    impl Executor for Lossy {
+        fn start(&mut self, token: CmdToken, _: &CommandSpec, answers: &mut Answers<'_>) {
+            self.held.push(token);
+            if self.held.len() == 2 {
+                for lost in self.held.drain(..) {
+                    answers.answer(lost, CmdResult::fail());
+                }
+            }
+        }
+
+        fn cancel(&mut self, token: CmdToken, _: &mut Answers<'_>) {
+            self.cancelled.push(token);
+        }
+    }
+
+    #[test]
+    fn answers_for_other_commands_drop_their_queued_cancels() {
+        // Branches a, b and d start commands and branch c fails in the
+        // same tick, so the VM queues a cancel behind each start. The
+        // start of b answers a and b; only d's cancel is left to route.
+        let script = parse(
+            "forall x in a b d c\n if ${x} .eql. c\n  failure\n else\n  cmd ${x}\n end\nend\n",
+        )
+        .unwrap();
+        let mut vm = Vm::with_seed(&script, 1);
+        let mut exec = Lossy::default();
+        let mut effects = Vec::new();
+        let (status, ticks) = step(&mut vm, Time::ZERO, &mut effects, &mut exec);
+        assert_eq!(status, VmStatus::Done { success: false });
+        assert_eq!(ticks, 2, "answers given inline earn one more tick");
+        assert_eq!(exec.held.len(), 1);
+        assert_eq!(exec.cancelled, exec.held);
+    }
 }

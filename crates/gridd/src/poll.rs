@@ -245,7 +245,7 @@ impl<T> TimerWheel<T> {
     /// in the past fire on the next [`TimerWheel::advance`]).
     pub fn schedule(&mut self, at: Instant, item: T) {
         let since = at.saturating_duration_since(self.epoch);
-        let us = since.as_micros() as u64 + u64::from(since.subsec_nanos() % 1000 != 0);
+        let us = since.as_micros() as u64 + u64::from(!since.subsec_nanos().is_multiple_of(1000));
         // The queue's clock is the last deadline it fired. On a wall
         // clock an instant behind that is merely due, not the ordering
         // bug the queue's own past-schedule check is there to catch.
@@ -294,10 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn far_timers_cascade_into_the_ring() {
+    fn a_far_timer_stays_pending_until_its_deadline() {
         let t0 = Instant::now();
         let mut w: TimerWheel<&str> = TimerWheel::new(t0);
-        // Far beyond the ~4 s near window.
         w.schedule(t0 + Duration::from_secs(30), "far");
         w.schedule(t0 + Duration::from_millis(50), "near");
         assert_eq!(w.len(), 2);

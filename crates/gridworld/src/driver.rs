@@ -23,7 +23,7 @@
 //! on a command whose completion has not been delivered (held, or
 //! scheduled with [`ExecOutcome::At`]), a client kill included.
 
-use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Effect, Vm, VmStatus};
+use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Effect, Executor, Vm, VmStatus};
 use retry::Time;
 use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::trace::{emit, SharedSink, TraceEv, NO_ID};
@@ -617,67 +617,26 @@ impl<W: CommandWorld> SimDriver<W> {
         self.tick_client(client, now);
     }
 
+    /// Step client `client`'s VM with the world as its executor, then
+    /// retire a finished unit (starting the next one if it is due now)
+    /// or arm the VM's next wake-up.
     fn tick_client(&mut self, client: ClientId, now: Time) {
         let mut effects = std::mem::take(&mut self.effects_buf);
-        'driving: loop {
+        loop {
             let vm_now = self.vm_now(client, now);
             let Some(vm) = self.vms[client].as_mut() else {
-                break 'driving;
+                break;
             };
-            self.vm_ticks += 1;
-            let status = vm.tick_into(vm_now, &mut effects);
-            let mut completed_inline = false;
-            let mut next = 0;
-            while let Some(eff) = effects.get(next) {
-                next += 1;
-                match eff {
-                    Effect::Start { token, spec, .. } => {
-                        let token = *token;
-                        match self.ask(|world, ctx| world.exec(ctx, client, token, spec)) {
-                            ExecOutcome::Now(result) => {
-                                let vm = self.vms[client].as_mut().expect("vm present");
-                                vm.complete(token, result);
-                                completed_inline = true;
-                                // A `forall` sibling can fail in the very
-                                // tick that started this command. The
-                                // world has answered already, so the
-                                // cancel queued behind has nothing to
-                                // release.
-                                let cancel = Effect::Cancel { token };
-                                if let Some(i) = effects[next..].iter().position(|e| *e == cancel) {
-                                    effects.remove(next + i);
-                                }
-                            }
-                            ExecOutcome::At(at, result) => {
-                                let done = SimEv::CmdDone {
-                                    client,
-                                    epoch: self.epochs[client],
-                                    token,
-                                    result,
-                                    delayed: false,
-                                };
-                                self.queue.schedule(at, done);
-                            }
-                            ExecOutcome::Held => {}
-                        }
-                    }
-                    Effect::Cancel { token } => {
-                        let token = *token;
-                        self.ask(|world, ctx| world.cancelled(ctx, client, token));
-                    }
-                }
-            }
-            // The specs have served their purpose; hand their argv
-            // buffers back for the next dispatch.
-            let vm = self.vms[client].as_mut().expect("vm present");
-            for eff in effects.drain(..) {
-                if let Effect::Start { spec, .. } = eff {
-                    vm.recycle_spec(spec);
-                }
-            }
-            if completed_inline {
-                continue; // commands finished synchronously: step again
-            }
+            let mut exec = WorldExec {
+                world: &mut self.world,
+                ctx: Ctx {
+                    queue: &mut self.queue,
+                    epochs: &self.epochs,
+                },
+                client,
+            };
+            let (status, ticks) = step(vm, vm_now, &mut effects, &mut exec);
+            self.vm_ticks += ticks;
             match status {
                 VmStatus::Done { success } => {
                     // Retire the unit; its epoch's stale completions
@@ -688,23 +647,47 @@ impl<W: CommandWorld> SimDriver<W> {
                     let Some((mut vm, at)) =
                         self.ask(|world, ctx| world.unit_done(ctx, client, success))
                     else {
-                        break 'driving; // client retired
+                        break; // client retired
                     };
                     vm.adopt_spares(&mut retired);
                     if self.install(client, vm, at, now) {
                         continue; // start immediately
                     }
-                    break 'driving;
+                    break;
                 }
                 VmStatus::Running { next_wake: Some(t) } => {
                     let t = self.unskew(client, t);
                     self.queue.schedule(t.max(now), SimEv::Wake(client));
-                    break 'driving;
+                    break;
                 }
-                VmStatus::Running { next_wake: None } => break 'driving,
+                VmStatus::Running { next_wake: None } => break,
             }
         }
         self.effects_buf = effects;
+    }
+}
+
+/// The world as one client's [`Executor`]: it decides each command's
+/// fate and is told of each cancel.
+struct WorldExec<'a, W: CommandWorld> {
+    world: &'a mut W,
+    ctx: Ctx<'a, W::Ev>,
+    client: ClientId,
+}
+
+impl<W: CommandWorld> Executor for WorldExec<'_, W> {
+    fn start(&mut self, token: CmdToken, spec: &CommandSpec, answers: &mut Answers<'_>) {
+        match self.world.exec(&mut self.ctx, self.client, token, spec) {
+            ExecOutcome::Now(result) => answers.answer(token, result),
+            ExecOutcome::At(at, result) => {
+                self.ctx.schedule_completion(at, self.client, token, result);
+            }
+            ExecOutcome::Held => {}
+        }
+    }
+
+    fn cancel(&mut self, token: CmdToken, _: &mut Answers<'_>) {
+        self.world.cancelled(&mut self.ctx, self.client, token);
     }
 }
 

@@ -10,7 +10,7 @@
 //! deadline.
 
 use crate::session::{ProcessOutcome, SessionChild, SpawnError};
-use ftsh::vm::{CmdResult, CmdToken, Effect, Tick, Vm, VmStatus};
+use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Executor, Vm, VmStatus};
 use ftsh::{EventLog, Script};
 use retry::Time;
 use std::collections::HashMap;
@@ -130,117 +130,72 @@ pub fn run_vm(mut vm: Vm, opts: &RealOptions) -> RealReport {
     let now = |start: Instant| {
         Time::from_micros(start.elapsed().as_micros().min(u64::MAX as u128) as u64)
     };
-    let (tx, rx) = mpsc::channel::<(CmdToken, CmdResult, ProcessOutcome)>();
-    let mut running: HashMap<CmdToken, i32> = HashMap::new();
-    let mut programs: HashMap<CmdToken, String> = HashMap::new();
+    let (tx, rx) = mpsc::channel::<Finished>();
+    let mut sessions = Sessions {
+        running: HashMap::new(),
+        programs: HashMap::new(),
+        tx,
+        kill_grace: opts.kill_grace,
+    };
     let mut process_outcomes: Vec<(String, ProcessOutcome)> = Vec::new();
+    let mut effects = Vec::new();
 
     let success = loop {
         if opts.handle_sigterm && TERM_REQUESTED.load(Ordering::SeqCst) {
             // The parent shell wants us gone: take our children with
             // us, as §4 prescribes.
-            for (_, pid) in running.drain() {
+            for (_, pid) in sessions.running.drain() {
                 SessionChild::kill_escalate(pid, opts.kill_grace);
             }
             break false;
         }
-        let Tick { effects, status } = vm.tick(now(start));
-        for eff in effects {
-            match eff {
-                Effect::Start { token, spec, .. } => match SessionChild::spawn(&spec) {
-                    Ok(child) => {
-                        running.insert(token, child.pid());
-                        programs.insert(token, spec.program().to_string());
-                        let tx = tx.clone();
-                        std::thread::spawn(move || {
-                            let (outcome, out) = child.wait_detailed();
-                            let _ = tx.send((
-                                token,
-                                CmdResult {
-                                    success: outcome.success(),
-                                    stdout: out.into(),
-                                },
-                                outcome,
-                            ));
-                        });
-                    }
-                    Err(SpawnError::Spawn(_) | SpawnError::Redirect(_)) => {
-                        // "The program could not be loaded and run" is
-                        // just another untyped failure.
-                        vm.complete(token, CmdResult::fail());
-                    }
-                },
-                Effect::Cancel { token } => {
-                    if let Some(pid) = running.remove(&token) {
-                        SessionChild::kill_escalate(pid, opts.kill_grace);
-                        // The monitor thread will still send a result;
-                        // the VM ignores stale tokens.
-                    }
-                }
-            }
-        }
-
-        match status {
+        let next_wake = match step(&mut vm, now(start), &mut effects, &mut sessions).0 {
             VmStatus::Done { success } => break success,
-            VmStatus::Running { next_wake } => {
-                let wait = match next_wake {
-                    Some(t) => {
-                        let n = now(start);
-                        if t <= n {
-                            // A wake is already due; tick again without
-                            // draining the channel.
-                            continue;
-                        }
-                        Some((t - n).to_std())
-                    }
-                    None => None,
-                };
-                // Slice long waits so the SIGTERM flag is noticed
-                // within ~200 ms even mid-sleep.
-                let slice = Duration::from_millis(200);
-                let wait = match (opts.handle_sigterm, wait) {
-                    (true, Some(d)) => Some(d.min(slice)),
-                    (true, None) if !running.is_empty() => Some(slice),
-                    (_, w) => w,
-                };
-                let received = match wait {
-                    Some(d) => rx.recv_timeout(d).ok(),
-                    None => {
-                        if running.is_empty() {
-                            // Nothing running and nothing to wake:
-                            // the only way out is completions already
-                            // queued in the channel.
-                            rx.try_recv().ok()
-                        } else {
-                            rx.recv().ok()
-                        }
-                    }
-                };
-                match received {
-                    Some((token, result, outcome)) => {
-                        if let Some(p) = programs.remove(&token) {
-                            process_outcomes.push((p, outcome));
-                        }
-                        vm.complete(token, result);
-                        running.remove(&token);
-                        // Drain any further completions that raced in.
-                        while let Ok((t, r, o)) = rx.try_recv() {
-                            if let Some(p) = programs.remove(&t) {
-                                process_outcomes.push((p, o));
-                            }
-                            vm.complete(t, r);
-                            running.remove(&t);
-                        }
-                    }
-                    None => {
-                        if wait.is_none() && running.is_empty() {
-                            // Deadlocked VM; cannot happen with a
-                            // well-formed script, but never spin.
-                            break false;
-                        }
-                    }
+            VmStatus::Running { next_wake } => next_wake,
+        };
+        let wait = match next_wake {
+            Some(t) => {
+                let n = now(start);
+                if t <= n {
+                    // A wake is already due; tick again without
+                    // draining the channel.
+                    continue;
                 }
+                Some((t - n).to_std())
             }
+            None => None,
+        };
+        // Slice long waits so the SIGTERM flag is noticed within
+        // ~200 ms even mid-sleep.
+        let slice = Duration::from_millis(200);
+        let idle = sessions.running.is_empty();
+        let wait = match (opts.handle_sigterm, wait) {
+            (true, Some(d)) => Some(d.min(slice)),
+            (true, None) if !idle => Some(slice),
+            (_, w) => w,
+        };
+        let received = match wait {
+            Some(d) => rx.recv_timeout(d).ok(),
+            // Nothing running and nothing to wake: the only way out is
+            // completions already queued in the channel.
+            None if idle => rx.try_recv().ok(),
+            None => rx.recv().ok(),
+        };
+        let Some(first) = received else {
+            if wait.is_none() && idle {
+                // Deadlocked VM; cannot happen with a well-formed
+                // script, but never spin.
+                break false;
+            }
+            continue;
+        };
+        // Deliver it, and any further completions that raced in.
+        for (token, result, outcome) in std::iter::once(first).chain(rx.try_iter()) {
+            if let Some(p) = sessions.programs.remove(&token) {
+                process_outcomes.push((p, outcome));
+            }
+            vm.complete(token, result);
+            sessions.running.remove(&token);
         }
     };
 
@@ -248,14 +203,14 @@ pub fn run_vm(mut vm: Vm, opts: &RealOptions) -> RealReport {
     // threads shortly after SIGTERM/SIGKILL; collect those stragglers
     // so the post-mortem record is complete.
     let drain_deadline = Instant::now() + opts.kill_grace + Duration::from_secs(2);
-    while !programs.is_empty() {
+    while !sessions.programs.is_empty() {
         let left = drain_deadline.saturating_duration_since(Instant::now());
         if left.is_zero() {
             break;
         }
         match rx.recv_timeout(left) {
             Ok((t, _r, o)) => {
-                if let Some(p) = programs.remove(&t) {
+                if let Some(p) = sessions.programs.remove(&t) {
                     process_outcomes.push((p, o));
                 }
             }
@@ -269,6 +224,53 @@ pub fn run_vm(mut vm: Vm, opts: &RealOptions) -> RealReport {
         elapsed: start.elapsed(),
         process_outcomes,
         final_env: vm.env().clone(),
+    }
+}
+
+/// A finished process as its monitor thread reports it.
+type Finished = (CmdToken, CmdResult, ProcessOutcome);
+
+/// [`run_vm`]'s executor: every command a session of its own, watched
+/// by a monitor thread that reports on `tx`.
+struct Sessions {
+    /// Session leader of each command in flight.
+    running: HashMap<CmdToken, i32>,
+    /// Program of each command whose process outcome is still to come.
+    programs: HashMap<CmdToken, String>,
+    tx: mpsc::Sender<Finished>,
+    kill_grace: Duration,
+}
+
+impl Executor for Sessions {
+    fn start(&mut self, token: CmdToken, spec: &CommandSpec, answers: &mut Answers<'_>) {
+        match SessionChild::spawn(spec) {
+            Ok(child) => {
+                self.running.insert(token, child.pid());
+                self.programs.insert(token, spec.program().to_string());
+                let tx = self.tx.clone();
+                std::thread::spawn(move || {
+                    let (outcome, out) = child.wait_detailed();
+                    let result = CmdResult {
+                        success: outcome.success(),
+                        stdout: out.into(),
+                    };
+                    let _ = tx.send((token, result, outcome));
+                });
+            }
+            Err(SpawnError::Spawn(_) | SpawnError::Redirect(_)) => {
+                // "The program could not be loaded and run" is just
+                // another untyped failure.
+                answers.answer(token, CmdResult::fail());
+            }
+        }
+    }
+
+    fn cancel(&mut self, token: CmdToken, _: &mut Answers<'_>) {
+        if let Some(pid) = self.running.remove(&token) {
+            SessionChild::kill_escalate(pid, self.kill_grace);
+            // The monitor thread will still send a result; the VM
+            // ignores stale tokens.
+        }
     }
 }
 
@@ -392,6 +394,32 @@ mod tests {
     fn missing_program_fails_cleanly() {
         let r = run("/definitely/not/a/program\n");
         assert!(!r.success);
+    }
+
+    #[test]
+    fn unloadable_program_is_retried_like_any_failure() {
+        let r = run("try 3 times every 10 ms\n /no/such/prog\nend\n");
+        assert!(!r.success);
+        assert_eq!(r.log.summary().attempts, 3);
+    }
+
+    #[test]
+    fn forany_falls_through_an_unloadable_program() {
+        let r = run("forany c in /no/such/prog true\n ${c}\nend\n");
+        assert!(r.success);
+    }
+
+    #[test]
+    fn unloadable_program_exhausts_attempts_long_before_the_deadline() {
+        let started = Instant::now();
+        let r = run("try for 10 seconds or 3 times every 10 ms\n /no/such/prog\nend\n");
+        assert!(!r.success);
+        assert_eq!(r.log.summary().attempts, 3);
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "each failed spawn must be retried at once, took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

@@ -264,6 +264,28 @@ mod tests {
         }
     }
 
+    /// A file a child touches once it is ready (a trap installed, a
+    /// grandchild forked), for [`await_ready`] to poll.
+    fn ready_marker(name: &str) -> std::path::PathBuf {
+        let path = std::env::temp_dir().join(format!("ftsh-ready-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        path
+    }
+
+    /// Block, for at most 10 s, until the child has touched `marker`.
+    fn await_ready(marker: &std::path::Path) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !marker.exists() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "child never signalled {}",
+                marker.display()
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let _ = std::fs::remove_file(marker);
+    }
+
     #[test]
     fn true_succeeds_false_fails() {
         let c = SessionChild::spawn(&spec(&["true"])).unwrap();
@@ -374,9 +396,11 @@ mod tests {
     fn session_kill_reaches_grandchildren() {
         // sh spawns a sleeping grandchild; killing the session must
         // reach it because the whole tree shares the session id.
-        let c = SessionChild::spawn(&spec(&["sh", "-c", "sleep 30 & wait"])).unwrap();
+        let ready = ready_marker("grandchild");
+        let script = format!("sleep 30 & touch {}; wait", ready.display());
+        let c = SessionChild::spawn(&spec(&["sh", "-c", &script])).unwrap();
         let pid = c.pid();
-        std::thread::sleep(Duration::from_millis(100));
+        await_ready(&ready);
         SessionChild::kill_escalate(pid, Duration::from_millis(200));
         let started = std::time::Instant::now();
         let (ok, _) = c.wait();
@@ -405,10 +429,14 @@ mod tests {
     #[test]
     fn stubborn_child_is_force_killed_at_grace() {
         // Ignore SIGTERM and busy-loop; only SIGKILL can end this.
-        let c =
-            SessionChild::spawn(&spec(&["sh", "-c", "trap '' TERM; while :; do :; done"])).unwrap();
-        // Let the trap install before the SIGTERM arrives.
-        std::thread::sleep(Duration::from_millis(200));
+        let ready = ready_marker("stubborn");
+        let script = format!(
+            "trap '' TERM; touch {}; while :; do :; done",
+            ready.display()
+        );
+        let c = SessionChild::spawn(&spec(&["sh", "-c", &script])).unwrap();
+        // The trap is installed before the SIGTERM arrives.
+        await_ready(&ready);
         let h = SessionChild::escalate(c.pid(), Duration::from_millis(300));
         let (outcome, _) = c.wait_detailed();
         assert_eq!(outcome, ProcessOutcome::Signaled(libc::SIGKILL));
@@ -430,19 +458,27 @@ mod tests {
         // no session may survive, no process group may be orphaned.
         const N: usize = 8;
         let mut kids = Vec::with_capacity(N);
+        let mut markers = Vec::with_capacity(N);
         for i in 0..N {
+            let ready = ready_marker(&format!("concurrent-{i}"));
             let script = if i % 2 == 0 {
                 // Compliant: TERM kills the shell and its grandchild.
-                "sleep 30 & wait"
+                format!("sleep 30 & touch {}; wait", ready.display())
             } else {
                 // Stubborn: ignores TERM; only the KILL at grace end
                 // can take the group down.
-                "trap '' TERM; sleep 30 & while :; do sleep 1; done"
+                format!(
+                    "trap '' TERM; sleep 30 & touch {}; while :; do sleep 1; done",
+                    ready.display()
+                )
             };
-            kids.push(SessionChild::spawn(&spec(&["sh", "-c", script])).unwrap());
+            kids.push(SessionChild::spawn(&spec(&["sh", "-c", &script])).unwrap());
+            markers.push(ready);
         }
-        // Let the traps install and the grandchildren fork.
-        std::thread::sleep(Duration::from_millis(300));
+        // Every trap is installed and every grandchild forked.
+        for ready in &markers {
+            await_ready(ready);
+        }
 
         let pids: Vec<i32> = kids.iter().map(|c| c.pid()).collect();
         let handles: Vec<_> = pids

@@ -401,12 +401,25 @@ fn sigterm_relays_to_nested_shells_and_their_children() {
     // protocol.
     use std::io::Read;
     let ftsh_bin = env!("CARGO_BIN_EXE_ftsh");
+    // The child shell touches `ready` from its script, so both shells
+    // have their SIGTERM hooks installed by the time it appears.
+    let ready = std::env::temp_dir().join(format!("ftsh-cli-ready-{}", std::process::id()));
+    let _ = std::fs::remove_file(&ready);
+    let inner = format!("touch {}\nsleep 30\n", ready.display());
     let mut child = ftsh()
-        .args(["-c", &format!("{ftsh_bin} -c \"sleep 30\"\n")])
+        .args(["-c", &format!("{ftsh_bin} -c \"{inner}\"\n")])
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(600));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !ready.exists() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "child shell never started"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let _ = std::fs::remove_file(&ready);
     // SIGTERM the parent shell process itself.
     unsafe {
         libc::kill(child.id() as i32, libc::SIGTERM);

@@ -7,7 +7,7 @@
 //! ```
 
 use ethernet_grid::ftsh::postmortem::{alternative_frequency, per_program};
-use ethernet_grid::ftsh::{parse, SimClock, Vm, VmDriver};
+use ethernet_grid::ftsh::{parse, Vm, VmDriver};
 
 fn main() {
     // A function wrapping the paper's probe-then-fetch idiom; the
@@ -29,7 +29,7 @@ try for 10 minutes
 end
 ";
     let script = parse(src).expect("script parses");
-    let mut driver = VmDriver::new(Vm::with_seed(&script, 42), SimClock::new());
+    let mut driver = VmDriver::new(Vm::with_seed(&script, 42));
 
     let mut flaky_left = 2;
     let out = driver.run_to_completion(|spec| {

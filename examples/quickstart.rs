@@ -8,7 +8,7 @@
 //! 2. against real POSIX processes (`/bin/sh` and friends);
 //! 3. inspecting the execution log the shell keeps.
 
-use ethernet_grid::ftsh::{parse, pretty, Clock, SimClock, Vm, VmDriver};
+use ethernet_grid::ftsh::{parse, pretty, Vm, VmDriver};
 use ethernet_grid::procman::{run_script, RealOptions};
 
 fn main() {
@@ -29,7 +29,7 @@ end
     // --- 1. Virtual time + toy executor -----------------------------
     // Here `fetch-file` fails on xxx, succeeds on yyy. Backoff delays
     // cost nothing: the clock is simulated.
-    let mut driver = VmDriver::new(Vm::with_seed(&script, 7), SimClock::new());
+    let mut driver = VmDriver::new(Vm::with_seed(&script, 7));
     let outcome = driver.run_to_completion(|spec| {
         println!("  [sim] {}", spec.argv.join(" "));
         if spec.argv.get(1).map(|s| s.as_str()) == Some("yyy") {
@@ -41,7 +41,7 @@ end
     println!(
         "simulated run: {} (virtual time {:.1}s)\n",
         if outcome.success() { "ok" } else { "failed" },
-        driver.clock().now().as_secs_f64()
+        driver.now().as_secs_f64()
     );
 
     // --- 2. Real processes ------------------------------------------

@@ -21,7 +21,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use ethernet_grid::ftsh::{parse, SimClock, Vm, VmDriver};
+//! use ethernet_grid::ftsh::{parse, Vm, VmDriver};
 //!
 //! let script = parse(
 //!     "try for 10 seconds\n\
@@ -30,10 +30,11 @@
 //! )
 //! .unwrap();
 //!
-//! // Drive the script with a toy executor: every command succeeds.
+//! // Drive the script with a toy executor on a virtual clock: every
+//! // command succeeds.
 //! // A fixed seed makes the run (and this doctest) deterministic;
 //! // `Vm::new` seeds backoff jitter from entropy instead.
-//! let mut driver = VmDriver::new(Vm::with_seed(&script, 42), SimClock::new());
+//! let mut driver = VmDriver::new(Vm::with_seed(&script, 42));
 //! let outcome = driver.run_to_completion(|_cmd| Ok(String::new()));
 //! assert!(outcome.success());
 //! ```

@@ -3,7 +3,7 @@
 //! POSIX driver, and the discrete-event grid worlds.
 
 use ethernet_grid::ftsh::trace::TraceEv;
-use ethernet_grid::ftsh::{parse, pretty, SimClock, Vm, VmDriver};
+use ethernet_grid::ftsh::{parse, pretty, Vm, VmDriver};
 use ethernet_grid::gridworld::{
     run_blackhole, run_buffer, run_submission, BlackHoleParams, BufferParams, SubmitParams,
 };
@@ -46,7 +46,7 @@ fn same_script_runs_simulated_and_real() {
     // Simulated: cmd=flaky-twice.
     let mut env = ethernet_grid::ftsh::Env::new();
     env.set("cmd", "anything");
-    let mut d = VmDriver::new(Vm::with_env_seed(&script, env, 3), SimClock::new());
+    let mut d = VmDriver::new(Vm::with_env_seed(&script, env, 3));
     let mut failures = 1;
     let out = d.run_to_completion(|_| {
         if failures > 0 {
