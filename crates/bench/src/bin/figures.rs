@@ -114,6 +114,8 @@ struct PassStats {
     events: u64,
     /// Past-scheduled events clamped forward to `now` across the pass.
     clamps: u64,
+    /// Events scheduled past their run's end, counted and not stored.
+    discarded: u64,
     vm_ticks: u64,
     allocs: u64,
 }
@@ -137,13 +139,14 @@ impl PassStats {
 
     fn to_json(&self) -> String {
         format!(
-            "{{\n    \"threads_requested\": {},\n    \"threads_effective\": {},\n    \"wall_s\": {:.6},\n    \"events\": {},\n    \"events_per_sec\": {:.1},\n    \"queue_clamps\": {},\n    \"vm_ticks\": {},\n    \"allocations\": {},\n    \"allocs_per_tick\": {:.2}\n  }}",
+            "{{\n    \"threads_requested\": {},\n    \"threads_effective\": {},\n    \"wall_s\": {:.6},\n    \"events\": {},\n    \"events_per_sec\": {:.1},\n    \"queue_clamps\": {},\n    \"events_discarded\": {},\n    \"vm_ticks\": {},\n    \"allocations\": {},\n    \"allocs_per_tick\": {:.2}\n  }}",
             self.threads_requested,
             self.threads_effective,
             self.wall_s,
             self.events,
             self.events_per_sec(),
             self.clamps,
+            self.discarded,
             self.vm_ticks,
             self.allocs,
             self.allocs_per_tick(),
@@ -165,11 +168,13 @@ fn run_pass(threads: usize, figs: &[String], scale: Scale, seed: u64) -> PassSta
     // never contaminate the sample.
     let mut events = 0u64;
     let mut clamps = 0u64;
+    let mut discarded = 0u64;
     let mut vm_ticks = 0u64;
     for name in figs {
         let run = by_name_full(name, scale, seed, false).expect("stats figure exists");
         events += run.events_popped;
         clamps += run.clamps;
+        discarded += run.discarded;
         vm_ticks += run.vm_ticks;
         std::hint::black_box(&run.set);
     }
@@ -181,6 +186,7 @@ fn run_pass(threads: usize, figs: &[String], scale: Scale, seed: u64) -> PassSta
         wall_s,
         events,
         clamps,
+        discarded,
         vm_ticks,
         allocs: ALLOCS.load(Ordering::Relaxed) - allocs0,
     }

@@ -504,6 +504,8 @@ pub struct AllReduceOutcome {
     pub vm_ticks: u64,
     /// Past-scheduled events clamped forward to `now`.
     pub queue_clamps: u64,
+    /// Events scheduled past the window's end, counted and not stored.
+    pub events_discarded: u64,
 }
 
 /// Run the all-reduce for up to `duration` of virtual time.
@@ -552,7 +554,7 @@ pub fn run_allreduce_traced(
         .collect();
     let plan = world.params.effective_fault_plan();
     let mut driver = SimDriver::with_starts(world, vms, starts);
-    let (events_popped, vm_ticks, queue_clamps) =
+    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
         driver.run_traced(trace, plan, Time::ZERO + duration, |_| {});
     let totals = driver.log_totals;
     let w = &driver.world;
@@ -582,6 +584,7 @@ pub fn run_allreduce_traced(
         events_popped,
         vm_ticks,
         queue_clamps,
+        events_discarded,
     }
 }
 

@@ -653,6 +653,8 @@ pub struct DagOutcome {
     pub vm_ticks: u64,
     /// Past-scheduled events clamped forward to `now`.
     pub queue_clamps: u64,
+    /// Events scheduled past the window's end, counted and not stored.
+    pub events_discarded: u64,
 }
 
 /// Run the workflow for up to `duration` of virtual time.
@@ -696,7 +698,7 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, trace: Option<SharedSink
         .collect();
     let plan = world.params.effective_fault_plan();
     let mut driver = SimDriver::with_starts(world, vms, starts);
-    let (events_popped, vm_ticks, queue_clamps) =
+    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
         driver.run_traced(trace, plan, Time::ZERO + duration, |_| {});
     let totals = driver.log_totals;
     let w = &driver.world;
@@ -731,6 +733,7 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, trace: Option<SharedSink
         events_popped,
         vm_ticks,
         queue_clamps,
+        events_discarded,
     }
 }
 

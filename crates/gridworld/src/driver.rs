@@ -355,6 +355,13 @@ impl<W: CommandWorld> SimDriver<W> {
         self.queue.clamped()
     }
 
+    /// Events [`run_traced`](Self::run_traced) did not store because
+    /// they fell after its end — mostly `try` deadlines past the
+    /// window. They were never going to be popped.
+    pub fn discarded(&self) -> u64 {
+        self.queue.discarded()
+    }
+
     /// The current virtual instant.
     pub fn now(&self) -> Time {
         self.queue.now()
@@ -380,7 +387,8 @@ impl<W: CommandWorld> SimDriver<W> {
 
     /// Run until the queue drains or virtual time would pass `end`.
     /// Events strictly after `end` remain unpopped, so the final clock
-    /// never exceeds `end`.
+    /// never exceeds `end`. Resumable: it sets no end on the queue, so
+    /// those events are still stored and a later call pops them.
     pub fn run_until(&mut self, end: Time) {
         while let Some(t) = self.queue.peek_time() {
             if t > end {
@@ -408,14 +416,22 @@ impl<W: CommandWorld> SimDriver<W> {
     /// `first_events` schedule the world's opening events (after the
     /// plan's, so an injection at the same instant fires first), run
     /// until `end`, and return `(events popped, VM ticks, queue
-    /// clamps)`. A nonzero clamp count also goes on the trace.
+    /// clamps, events discarded)`. A nonzero clamp count also goes on
+    /// the trace.
+    ///
+    /// One-shot: before anything is armed it gives the queue `end`, so
+    /// every wake, completion, world event, fault re-trigger and
+    /// revival scheduled after it is counted (see
+    /// [`discarded`](Self::discarded)) rather than stored. Such an
+    /// event would never be popped, so nothing observable changes.
     pub fn run_traced(
         &mut self,
         trace: Option<SharedSink>,
         plan: FaultPlan,
         end: Time,
         first_events: impl FnOnce(&mut Self),
-    ) -> (u64, u64, u64) {
+    ) -> (u64, u64, u64, u64) {
+        self.queue.set_end(end);
         if let Some(sink) = trace {
             self.set_trace(sink);
         }
@@ -429,7 +445,12 @@ impl<W: CommandWorld> SimDriver<W> {
             let ev = TraceEv::QueueClamps { count: clamps };
             emit(&self.tracer, self.now(), NO_ID, NO_ID, ev);
         }
-        (self.events_popped(), self.vm_ticks(), clamps)
+        (
+            self.events_popped(),
+            self.vm_ticks(),
+            clamps,
+            self.discarded(),
+        )
     }
 
     /// Fire spec `i` of the armed plan at `now`: emit the trace
@@ -925,6 +946,49 @@ mod tests {
         // Resume: more work happens.
         d.run_until(Time::from_secs(60));
         assert!(d.world.units > units_at_30);
+    }
+
+    #[test]
+    fn run_traced_stores_nothing_past_its_end() {
+        // A hanging command inside `try for 5 minutes` arms its deadline
+        // wake at T+300 s; a 10 s run would never pop it.
+        let world = ToyWorld {
+            fail_first: 0,
+            failures_injected: 0,
+            successes: 0,
+            units: 0,
+            max_units: 1,
+            script: "try for 5 minutes\n hang\nend\n",
+            cancel_count: 0,
+        };
+        let vm = world.vm(0);
+        let mut d = SimDriver::new(world, vec![vm]);
+        let (popped, _, _, discarded) =
+            d.run_traced(None, FaultPlan::new(0), Time::from_secs(10), |_| {});
+        assert_eq!(popped, 1, "the start wake only");
+        assert!(discarded > 0 && discarded == d.discarded());
+        assert!(d.queue.is_empty(), "the deadline wake was not stored");
+    }
+
+    #[test]
+    fn run_traced_pops_an_event_exactly_at_its_end() {
+        // `work` completes at exactly T+2 s, the end: it fires. The
+        // next unit's start wake (T+3 s) is past the end.
+        let world = ToyWorld {
+            fail_first: 0,
+            failures_injected: 0,
+            successes: 0,
+            units: 0,
+            max_units: 5,
+            script: "work\n",
+            cancel_count: 0,
+        };
+        let vm = world.vm(0);
+        let mut d = SimDriver::new(world, vec![vm]);
+        d.run_traced(None, FaultPlan::new(0), Time::from_secs(2), |_| {});
+        assert_eq!((d.world.successes, d.now()), (1, Time::from_secs(2)));
+        assert_eq!(d.discarded(), 1);
+        assert!(d.queue.is_empty());
     }
 
     #[test]

@@ -39,6 +39,10 @@ pub struct FigureRun {
     /// every run behind this figure. Always zero in a healthy run;
     /// surfaced by `figures --stats` as a regression tripwire.
     pub clamps: u64,
+    /// Events scheduled past their run's end and so never stored,
+    /// summed over every run behind this figure (see
+    /// [`crate::driver::SimDriver::discarded`]).
+    pub discarded: u64,
     /// Structured-trace records, present only when tracing was
     /// requested. Timestamps restart at `T+0` for each sweep point.
     pub trace: Option<Vec<TraceRecord>>,
@@ -78,25 +82,24 @@ struct RunWork {
     events_popped: u64,
     vm_ticks: u64,
     clamps: u64,
+    discarded: u64,
     trace: Vec<TraceRecord>,
 }
 
-/// One run's [`RunWork`]: the counters every scenario outcome carries,
-/// plus whatever the point's trace collector gathered.
-fn work(
-    events_popped: u64,
-    vm_ticks: u64,
-    clamps: u64,
-    handle: Option<Arc<Mutex<VecSink>>>,
-) -> RunWork {
-    RunWork {
-        events_popped,
-        vm_ticks,
-        clamps,
-        trace: handle
-            .map(|h| h.lock().expect("trace sink lock").take())
-            .unwrap_or_default(),
-    }
+/// One run's [`RunWork`]: the counters every scenario outcome `o`
+/// carries, plus whatever the point's trace collector gathered.
+macro_rules! work {
+    ($o:ident, $handle:expr) => {
+        RunWork {
+            events_popped: $o.events_popped,
+            vm_ticks: $o.vm_ticks,
+            clamps: $o.queue_clamps,
+            discarded: $o.events_discarded,
+            trace: $handle
+                .map(|h| h.lock().expect("trace sink lock").take())
+                .unwrap_or_default(),
+        }
+    };
 }
 
 impl FigureRun {
@@ -112,12 +115,14 @@ impl FigureRun {
             events_popped: 0,
             vm_ticks: 0,
             clamps: 0,
+            discarded: 0,
             trace: traced.then(Vec::new),
         };
         for w in works {
             run.events_popped += w.events_popped;
             run.vm_ticks += w.vm_ticks;
             run.clamps += w.clamps;
+            run.discarded += w.discarded;
             if let Some(trace) = &mut run.trace {
                 trace.extend(w.trace);
             }
@@ -199,10 +204,7 @@ fn fig1_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         };
         params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
         let o = run_submission_traced(params, window, sink);
-        (
-            o.jobs_submitted as f64,
-            work(o.events_popped, o.vm_ticks, o.queue_clamps, handle),
-        )
+        (o.jobs_submitted as f64, work!(o, handle))
     });
     let (jobs, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
     series_per_discipline(&mut set, &ns, jobs);
@@ -258,10 +260,7 @@ fn fig1x_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) ->
         };
         params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
         let o = run_submission_traced(params, window, sink);
-        (
-            o.jobs_submitted as f64,
-            work(o.events_popped, o.vm_ticks, o.queue_clamps, handle),
-        )
+        (o.jobs_submitted as f64, work!(o, handle))
     });
     let (jobs, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
     let mut it = jobs.into_iter();
@@ -296,7 +295,7 @@ fn submit_timeline(
     let window = scale.pick(Dur::from_secs(1800), Dur::from_secs(300));
     let (sink, handle) = point_sink(traced);
     let o = run_submission_traced(params, window, sink);
-    let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
+    let work = work!(o, handle);
     let mut set = SeriesSet::new(title, "Time (s)", "Available FDs / Jobs Submitted");
     let mut fd = o.fd_series;
     fd.name = "Available FDs".into();
@@ -365,11 +364,7 @@ fn buffer_run(
     let (sink, handle) = point_sink(traced);
     let o = run_buffer_traced(params, total, sink);
     let consumed = o.consumed_between(Time::ZERO + measure_from, Time::ZERO + total);
-    (
-        consumed,
-        o.collisions,
-        work(o.events_popped, o.vm_ticks, o.queue_clamps, handle),
-    )
+    (consumed, o.collisions, work!(o, handle))
 }
 
 /// Figure 4 — *Buffer Throughput*: files consumed in the steady-state
@@ -435,7 +430,7 @@ fn reader_figure(
     let window = scale.pick(Dur::from_secs(900), Dur::from_secs(300));
     let (sink, handle) = point_sink(traced);
     let o = run_blackhole_traced(params, window, sink);
-    let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
+    let work = work!(o, handle);
     let mut set = SeriesSet::new(title, "Time (s)", "Number of Events");
     let mut t = o.transfer_series;
     t.name = "Transfers".into();
@@ -540,7 +535,7 @@ fn fig8_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         params.fault_plan = merge_plan(kill.clone(), plan).or(Some(kill));
         let (sink, handle) = point_sink(traced);
         let o = run_allreduce_traced(params, window, sink);
-        let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
+        let work = work!(o, handle);
         (o.round_series, work)
     });
     let (series, works): (Vec<Series>, Vec<RunWork>) = results.into_iter().unzip();
@@ -606,7 +601,7 @@ fn fig9_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         params.fault_plan = merge_plan(faults.clone(), plan).or(Some(faults));
         let (sink, handle) = point_sink(traced);
         let o = run_dag_traced(params, window, sink);
-        let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
+        let work = work!(o, handle);
         (o.job_series, work)
     });
     let (series, works): (Vec<Series>, Vec<RunWork>) = results.into_iter().unzip();
@@ -653,7 +648,7 @@ fn ablation_threshold_run(
         };
         params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
         let o = run_submission_traced(params, window, sink);
-        let work = work(o.events_popped, o.vm_ticks, o.queue_clamps, handle);
+        let work = work!(o, handle);
         ((o.jobs_submitted, o.crashes), work)
     });
     let (counts, works): (Vec<(u64, u64)>, Vec<RunWork>) = outcomes.into_iter().unzip();

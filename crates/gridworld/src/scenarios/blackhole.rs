@@ -359,6 +359,8 @@ pub struct BlackHoleOutcome {
     pub vm_ticks: u64,
     /// Past-scheduled events the queue clamped forward to `now`.
     pub queue_clamps: u64,
+    /// Events scheduled past the window's end, counted and not stored.
+    pub events_discarded: u64,
 }
 
 /// Run the scenario for `duration` of virtual time (paper: 900 s).
@@ -389,7 +391,7 @@ pub fn run_blackhole_traced(
     }
     let plan = world.fault_plan.clone();
     let mut driver = SimDriver::new(world, vms);
-    let (events_popped, vm_ticks, queue_clamps) =
+    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
         driver.run_traced(trace, plan, Time::ZERO + duration, |_| {});
     let w = &driver.world;
     let mut longest = Dur::ZERO;
@@ -412,6 +414,7 @@ pub fn run_blackhole_traced(
         events_popped,
         vm_ticks,
         queue_clamps,
+        events_discarded,
     }
 }
 

@@ -466,6 +466,8 @@ pub struct BufferOutcome {
     pub vm_ticks: u64,
     /// Past-scheduled events the queue clamped forward to `now`.
     pub queue_clamps: u64,
+    /// Events scheduled past the window's end, counted and not stored.
+    pub events_discarded: u64,
 }
 
 impl BufferOutcome {
@@ -512,7 +514,7 @@ pub fn run_buffer_traced(
         .collect();
     let plan = world.fault_plan.clone();
     let mut driver = SimDriver::new(world, vms);
-    let (events_popped, vm_ticks, queue_clamps) =
+    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
         driver.run_traced(trace, plan, Time::ZERO + duration, |d| {
             d.schedule_world(Time::ZERO, BufferEv::ConsumerTick);
             d.schedule_world(Time::ZERO, BufferEv::Sample);
@@ -530,6 +532,7 @@ pub fn run_buffer_traced(
         events_popped,
         vm_ticks,
         queue_clamps,
+        events_discarded,
     }
 }
 

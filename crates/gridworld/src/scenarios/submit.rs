@@ -562,6 +562,8 @@ pub struct SubmitOutcome {
     /// (nonzero means scenario or driver code asked for an instant
     /// already in the past).
     pub queue_clamps: u64,
+    /// Events scheduled past the window's end, counted and not stored.
+    pub events_discarded: u64,
 }
 
 /// Run the scenario for `duration` of virtual time.
@@ -618,7 +620,7 @@ pub fn run_submission_traced(
         .collect();
     let plan = world.fault_plan.clone();
     let mut driver = SimDriver::with_starts(world, vms, starts);
-    let (events_popped, vm_ticks, queue_clamps) =
+    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
         driver.run_traced(trace, plan, Time::ZERO + duration, |d| {
             d.schedule_world(Time::ZERO, SubmitEv::Sample);
         });
@@ -641,6 +643,7 @@ pub fn run_submission_traced(
         events_popped,
         vm_ticks,
         queue_clamps,
+        events_discarded,
     }
 }
 

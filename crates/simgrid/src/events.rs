@@ -22,9 +22,8 @@
 //! * **ring** — the buckets just ahead, each an *unsorted* `Vec`
 //!   (scheduling is one append), with an occupancy bitmap so the
 //!   earliest non-empty one is found in a few word tests however
-//!   sparse the schedule. Most far events of a large world are `try`
-//!   deadlines that are re-armed before they fire; here they cost one
-//!   append into a bucket the run never opens.
+//!   sparse the schedule. Most far events of a large world are backoffs
+//!   and `try` deadlines; here each costs one append.
 //! * **beyond** — a heap for events past the ring's horizon
 //!   (hour-long backoffs, `Time::MAX`). The ring is sized on demand:
 //!   it starts empty and doubles only while `beyond` holds more events
@@ -42,6 +41,16 @@
 //! event outside near lies in a later bucket, so that is exactly the
 //! order a single heap would produce: pop order — and therefore every
 //! figure byte — does not depend on which tier an event waited in.
+//!
+//! # An end
+//!
+//! A run that will never pop past some instant can say so
+//! ([`EventQueue::set_end`]): from then on an event scheduled after
+//! the end is counted ([`EventQueue::discarded`]) and not stored. Pop
+//! order is the minimum `(timestamp, seq)` of what is stored, so
+//! leaving out events that would never be popped does not reorder the
+//! rest. In a figure run most such events are `try` deadlines past its
+//! window.
 
 use retry::Time;
 use std::cmp::Ordering;
@@ -132,8 +141,11 @@ pub struct EventQueue<E> {
     pool: Vec<Vec<Entry<E>>>,
     seq: u64,
     now: Time,
+    /// The last instant the run will pop; later events are not stored.
+    end: Time,
     popped: u64,
     clamped: u64,
+    discarded: u64,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -155,8 +167,10 @@ impl<E> EventQueue<E> {
             pool: Vec::new(),
             seq: 0,
             now: Time::ZERO,
+            end: Time::MAX,
             popped: 0,
             clamped: 0,
+            discarded: 0,
         }
     }
 
@@ -188,6 +202,22 @@ impl<E> EventQueue<E> {
         self.clamped
     }
 
+    /// Promise that nothing after `end` will be popped: every later
+    /// [`schedule`] past it is discarded and counted in [`discarded`]
+    /// instead of stored. Events already stored are kept. The default
+    /// end is `Time::MAX`, where nothing is discarded.
+    ///
+    /// [`schedule`]: EventQueue::schedule
+    /// [`discarded`]: EventQueue::discarded
+    pub fn set_end(&mut self, end: Time) {
+        self.end = end;
+    }
+
+    /// How many schedules fell after the end and were not stored.
+    pub fn discarded(&self) -> u64 {
+        self.discarded
+    }
+
     /// The queue's current instant (the timestamp of the last popped
     /// event, or zero).
     pub fn now(&self) -> Time {
@@ -197,9 +227,12 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at absolute instant `at`. Scheduling in the
     /// past is a logic error in debug builds; in release it clamps to
     /// `now` (the event fires immediately, preserving progress) and
-    /// increments [`clamped`].
+    /// increments [`clamped`]. An instant after the [end] is counted in
+    /// [`discarded`] and the event dropped.
     ///
     /// [`clamped`]: EventQueue::clamped
+    /// [end]: EventQueue::set_end
+    /// [`discarded`]: EventQueue::discarded
     pub fn schedule(&mut self, at: Time, event: E) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let at = if at < self.now {
@@ -208,6 +241,10 @@ impl<E> EventQueue<E> {
         } else {
             at
         };
+        if at > self.end {
+            self.discarded += 1;
+            return;
+        }
         let e = Entry {
             at,
             seq: self.seq,
@@ -682,6 +719,20 @@ mod tests {
         assert_eq!(q.pop(), Some((now, n + 3)));
         assert_eq!(q.pop().map(|(_, e)| e), Some(n + 1));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn events_after_the_end_are_counted_not_stored() {
+        let mut q = EventQueue::new();
+        q.set_end(Time::from_secs(10));
+        q.schedule(Time::from_secs(300), "deadline");
+        q.schedule(Time::from_secs(10), "at the end");
+        q.schedule(Time::MAX, "never");
+        q.schedule(Time::from_secs(2), "sooner");
+        assert_eq!((q.len(), q.discarded()), (2, 2));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["sooner", "at the end"]);
+        assert!(q.is_empty());
     }
 
     #[test]

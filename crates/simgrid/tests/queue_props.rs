@@ -1,7 +1,8 @@
 //! Differential property test for the event kernel: for arbitrary
 //! interleavings of schedules and pops, the bucket calendar must yield
 //! the identical `(time, event)` sequence as a reference single-heap
-//! queue — the legacy kernel it replaced.
+//! queue — the legacy kernel it replaced — and, given an end, that
+//! sequence cut at the end, with everything later counted as discarded.
 
 use proptest::prelude::*;
 use retry::Time;
@@ -97,6 +98,75 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Where a run ends: on a bucket boundary, one microsecond either side
+/// of it — near the clock's start, where boundary schedules land on it,
+/// or far past any ring's horizon — or never.
+fn end_strategy() -> impl Strategy<Value = Time> {
+    let boundary = |buckets: std::ops::Range<u64>| {
+        (buckets, -1i64..2)
+            .prop_map(|(b, side)| Time::from_micros((b * BUCKET_US).saturating_add_signed(side)))
+    };
+    prop_oneof![
+        3 => boundary(1..700),
+        1 => boundary(700..100_000),
+        1 => Just(Time::MAX),
+    ]
+}
+
+/// Run `ops` through the legacy heap and through a calendar given
+/// `end`, and check that the calendar pops exactly the legacy heap's
+/// events at or before `end`, in the same order — including the final
+/// drain, whichever tier each event waited in — and counts every later
+/// one as discarded instead of storing it. Neither queue is popped past
+/// `end`, so both clocks advance identically.
+fn check_against_legacy(end: Time, ops: &[Op]) -> Result<(), TestCaseError> {
+    let mut legacy = LegacyQueue::default();
+    let mut calendar = EventQueue::new();
+    calendar.set_end(end);
+    let mut next_event = 0u32;
+    // The legacy queue's head, if a run ending at `end` would pop it.
+    let due = |legacy: &LegacyQueue| legacy.heap.peek().map(|e| e.0 .0).filter(|&at| at <= end);
+    for op in ops {
+        let (events, pops) = match op {
+            Op::Schedule(events) => (&events[..], 0),
+            Op::Pop(n) => (&[][..], *n),
+        };
+        for when in events {
+            // Both clocks advance identically, so `at` is never in the
+            // past for either queue.
+            let at = when.at(legacy.now);
+            legacy.schedule(at, next_event);
+            calendar.schedule(at, next_event);
+            next_event += 1;
+        }
+        for _ in 0..pops {
+            prop_assert_eq!(calendar.peek_time(), due(&legacy));
+            let want = due(&legacy).and_then(|_| legacy.pop());
+            prop_assert_eq!(calendar.pop(), want);
+            prop_assert_eq!(calendar.now(), legacy.now);
+        }
+        let stored = calendar.len() as u64;
+        prop_assert_eq!(stored + calendar.discarded(), legacy.heap.len() as u64);
+        prop_assert_eq!(calendar.is_empty(), due(&legacy).is_none());
+    }
+    loop {
+        let want = due(&legacy).and_then(|_| legacy.pop());
+        let got = calendar.pop();
+        prop_assert_eq!(&got, &want);
+        if got.is_none() {
+            break;
+        }
+    }
+    prop_assert!(calendar.is_empty());
+    prop_assert_eq!(calendar.len(), 0);
+    prop_assert_eq!(calendar.discarded(), legacy.heap.len() as u64);
+    if end == Time::MAX {
+        prop_assert_eq!(calendar.discarded(), 0);
+    }
+    prop_assert_eq!(calendar.clamped(), 0);
+    Ok(())
+}
+
 proptest! {
     /// The calendar is observationally identical to the legacy single
     /// heap under any schedule/pop interleaving, including the final
@@ -105,39 +175,16 @@ proptest! {
     fn calendar_matches_legacy_queue(
         ops in proptest::collection::vec(op_strategy(), 1..200),
     ) {
-        let mut legacy = LegacyQueue::default();
-        let mut calendar = EventQueue::new();
-        let mut next_event = 0u32;
-        for op in &ops {
-            let (events, pops) = match op {
-                Op::Schedule(events) => (&events[..], 0),
-                Op::Pop(n) => (&[][..], *n),
-            };
-            for when in events {
-                // Both clocks advance identically, so `at` is never in
-                // the past for either queue.
-                let at = when.at(legacy.now);
-                legacy.schedule(at, next_event);
-                calendar.schedule(at, next_event);
-                next_event += 1;
-            }
-            for _ in 0..pops {
-                prop_assert_eq!(calendar.peek_time(), legacy.heap.peek().map(|e| e.0 .0));
-                prop_assert_eq!(calendar.pop(), legacy.pop());
-                prop_assert_eq!(calendar.now(), legacy.now);
-            }
-            prop_assert_eq!(calendar.len(), legacy.heap.len());
-            prop_assert_eq!(calendar.is_empty(), legacy.heap.is_empty());
-        }
-        loop {
-            let (s, l) = (calendar.pop(), legacy.pop());
-            prop_assert_eq!(&s, &l);
-            if s.is_none() {
-                break;
-            }
-        }
-        prop_assert!(calendar.is_empty());
-        prop_assert_eq!(calendar.len(), 0);
-        prop_assert_eq!(calendar.clamped(), 0);
+        check_against_legacy(Time::MAX, &ops)?;
+    }
+
+    /// Given an end, the calendar pops exactly what the legacy heap pops
+    /// by then, in the same order, and stores nothing it would not pop.
+    #[test]
+    fn calendar_with_an_end_matches_legacy_queue_up_to_it(
+        end in end_strategy(),
+        ops in proptest::collection::vec(op_strategy(), 1..200),
+    ) {
+        check_against_legacy(end, &ops)?;
     }
 }
