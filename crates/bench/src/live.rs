@@ -22,7 +22,7 @@ use ftsh::vm::{CommandSpec, Vm};
 use gridd::{ClientSnapshot, GriddConfig, Request};
 use gridworld::figures::{by_name_with_plan, Scale};
 use gridworld::scripts::{arena_script, arena_worst_case, ARENA_SENSE_THRESHOLD};
-use retry::{BackoffPolicy, Discipline, Dur, Time};
+use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
 use simgrid::{Series, SeriesSet};
 use std::fmt::Write as _;
@@ -201,16 +201,11 @@ pub fn arena_config(opts: &LiveOptions) -> GriddConfig {
     }
 }
 
-/// The live backoff policy: the paper's exponential shape scaled to
-/// the arena's seconds-long window (100 ms base, 2 s cap). Fixed runs
-/// with no backoff, as always. [`run_population`] installs it on every
-/// client VM — the one place the arena's policy is applied.
-pub fn live_backoff(discipline: Discipline) -> BackoffPolicy {
-    match discipline {
-        Discipline::Fixed => BackoffPolicy::None,
-        _ => BackoffPolicy::exponential(Dur::from_millis(100), Dur::from_secs(2)),
-    }
-}
+/// The arena's backoff `(base, cap)`: the paper's exponential shape
+/// scaled to the arena's seconds-long window. [`run_population`]
+/// installs `discipline.backoff_within(base, cap)` on every client VM —
+/// the one place the arena's policy is applied.
+pub const ARENA_BACKOFF: (Dur, Dur) = (Dur::from_millis(100), Dur::from_secs(2));
 
 /// The arena's verb table: `sense` reads the schedd's free slots;
 /// `submit <job>` commits the job.
@@ -236,7 +231,7 @@ impl Harness for ArenaVerbs {
 /// Run one discipline's population against the daemon at `addr`, to
 /// completion: every client is a VM running [`arena_script`] — parsed
 /// once, shared, `${client}` in the environment — under
-/// [`live_backoff`], on the [`crate::swarm`] reactor. Starts are
+/// [`ARENA_BACKOFF`], on the [`crate::swarm`] reactor. Starts are
 /// spread over ~0.5 ms per client (at least 200 ms), so a thousand
 /// connects do not land in one accept burst.
 pub fn run_population(
@@ -247,13 +242,14 @@ pub fn run_population(
     let script = arena_script(discipline, opts.jobs);
     let stagger = Duration::from_millis((opts.clients as u64 / 2).max(200));
     let n = opts.clients.max(1);
+    let (base, cap) = ARENA_BACKOFF;
     let vms = (0..opts.clients)
         .map(|id| {
             let mut env = ftsh::Env::new();
             env.set("client", id.to_string());
             let seed = opts.seed ^ (id as u64).wrapping_mul(0x9E37);
             let mut vm = Vm::with_env_seed(&script, env, seed);
-            vm.set_default_backoff(live_backoff(discipline));
+            vm.set_default_backoff(discipline.backoff_within(base, cap));
             (vm, stagger.mul_f64(id as f64 / n as f64))
         })
         .collect();

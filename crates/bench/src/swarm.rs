@@ -39,7 +39,7 @@ use gridd::poll::{set_nonblocking, Epoll, Event, TimerWheel};
 use gridd::proto::{FrameBuf, Request, Response};
 use retry::{Dur, Time};
 use simgrid::faults::ClientKillInfo;
-use simgrid::trace::{TraceEv, TraceRecord, TraceSink as _, VecSink, NO_ID};
+use simgrid::trace::{carrier_sense, TraceEv, TraceRecord, TraceSink as _, VecSink, NO_ID};
 use std::collections::VecDeque;
 use std::io::{self, Read as _, Write as _};
 use std::net::TcpStream;
@@ -132,17 +132,14 @@ impl Call {
     /// Every reply is in: the command's result. A sense read is
     /// recorded (`carrier-sense`, plus `deferral` when it read busy)
     /// the way the simulated worlds record theirs.
-    fn finish(&self, mut record: impl FnMut(TraceEv)) -> CmdResult {
+    fn finish(&self, record: impl FnMut(TraceEv)) -> CmdResult {
         let Some(busy_below) = self.busy_below else {
             return CmdResult {
                 success: self.ok,
                 stdout: Istr::empty(),
             };
         };
-        record(TraceEv::CarrierSense { free: self.free });
-        if self.free < busy_below {
-            record(TraceEv::Deferral);
-        }
+        carrier_sense(self.free, busy_below, record);
         CmdResult::ok(self.free.to_string())
     }
 }

@@ -5,7 +5,8 @@
 //! `bytecode_props` covers *random* scripts; this covers the real ones —
 //! every script `gridworld::scripts` and `gridworld::coord` generate for
 //! Fixed/Aloha/Ethernet (under the backoff policy each discipline
-//! installs), the live arena's generated script included, the
+//! installs, read from the world's own defaults), the live arena's
+//! generated script included, the
 //! conformance corpus, and the example and procman scripts. Both machines get the same seed and the same seeded command
 //! outcomes, and at every tick must agree on the effect stream and the
 //! status — including `next_wake`, which moves with every backoff jitter
@@ -19,10 +20,13 @@
 //! what a VM records changes nothing it does, and that its counters,
 //! its retained records and its sink tell one story.
 
+use egbench::live::ARENA_BACKOFF;
 use ftsh::tree::TreeVm;
 use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
 use ftsh::{parse, Env, LogSummary, Script};
-use gridworld::coord::{allreduce_script, allreduce_text, dag_job_script, DagSpec};
+use gridworld::coord::{
+    allreduce_script, allreduce_text, dag_job_script, AllReduceParams, DagParams, DagSpec,
+};
 use gridworld::scripts::{
     arena_script, arena_text, arena_worst_case, buffer_script, reader_script, submit_script,
 };
@@ -42,16 +46,12 @@ struct Case {
     backoff: BackoffPolicy,
 }
 
-/// The coordinated workloads' tightened exponential (`coord_vm`).
-fn coord_backoff(d: Discipline) -> BackoffPolicy {
-    match d {
-        Discipline::Fixed => BackoffPolicy::None,
-        _ => BackoffPolicy::exponential(Dur::from_millis(500), Dur::from_secs(8)),
-    }
-}
-
 fn scenario_cases() -> Vec<Case> {
     let mut cases = Vec::new();
+    // The policies fig8, fig9 and the live arena install, read from
+    // where they are set.
+    let (rank, dag) = (AllReduceParams::default(), DagParams::default());
+    let arena = ARENA_BACKOFF;
     for d in Discipline::ALL {
         let label = d.label();
         for (scenario, script) in [
@@ -68,18 +68,18 @@ fn scenario_cases() -> Vec<Case> {
         cases.push(Case {
             name: format!("arena/{label}"),
             script: arena_script(d, 4),
-            backoff: egbench::live::live_backoff(d),
+            backoff: d.backoff_within(arena.0, arena.1),
         });
         cases.push(Case {
             name: format!("allreduce/{label}"),
             script: allreduce_script(d, 4, Dur::from_secs(600), Dur::from_secs(60)),
-            backoff: coord_backoff(d),
+            backoff: d.backoff_within(rank.backoff_base, rank.backoff_cap),
         });
         for job in &DagSpec::diamond().jobs {
             cases.push(Case {
                 name: format!("dag/{label}/{}", job.name),
                 script: dag_job_script(d, job, Dur::from_secs(600), Dur::from_secs(60)),
-                backoff: coord_backoff(d),
+                backoff: d.backoff_within(dag.backoff_base, dag.backoff_cap),
             });
         }
     }
@@ -286,7 +286,7 @@ fn scenario_and_coord_scripts_run_in_lockstep_under_every_discipline() {
 fn live_scripts_lint_without_errors() {
     let opts = ftshlint::Options {
         defines: ["client", "rank", "round"].map(String::from).to_vec(),
-        policy: ftshlint::budget::BudgetPolicy::ARENA,
+        policy: BackoffPolicy::exponential(ARENA_BACKOFF.0, ARENA_BACKOFF.1),
         ..ftshlint::Options::default()
     };
     for d in Discipline::ALL {

@@ -31,7 +31,7 @@
 
 use ftshlint::check::{check, Verdict, WorkflowJob, WorkflowSpec};
 use ftshlint::{lint, markdown_report, Options, Report, RULES};
-use retry::{parse_duration, Dur};
+use retry::{parse_duration, BackoffPolicy, Dur};
 use std::process::ExitCode;
 
 struct Cli {
@@ -71,6 +71,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         workflow: false,
         files: Vec::new(),
     };
+    let (mut base, mut cap) = (Dur::from_secs(1), Dur::from_hours(1));
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = |flag: &str| {
@@ -94,12 +95,12 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             "--backoff-base" => {
                 let v = val("--backoff-base")?;
-                cli.opts.policy.base = parse_dur_arg(&v)
+                base = parse_dur_arg(&v)
                     .ok_or_else(|| format!("cannot parse duration '{v}' (try '500ms', '1s')"))?;
             }
             "--backoff-cap" => {
                 let v = val("--backoff-cap")?;
-                cli.opts.policy.cap = parse_dur_arg(&v)
+                cap = parse_dur_arg(&v)
                     .ok_or_else(|| format!("cannot parse duration '{v}' (try '4s', '1h')"))?;
             }
             "--workflow" => cli.workflow = true,
@@ -127,6 +128,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
     if cli.files.is_empty() {
         return Err(usage());
     }
+    cli.opts.policy = BackoffPolicy::exponential(base, cap);
     Ok(cli)
 }
 

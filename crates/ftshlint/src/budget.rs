@@ -9,90 +9,18 @@
 //! does), while an attempt-limited `try` contributes its worst-case
 //! backoff total plus `n` bodies.
 //!
-//! The backoff arithmetic follows §4 of the paper: base delay 1 s,
-//! doubled per consecutive failure, capped at 1 h, then multiplied by a
-//! random spreading factor drawn from [1, 2). The supremum takes the
-//! jitter at its (open) upper edge, so the bound is tight but not
-//! attained. Those constants are one [`BudgetPolicy`] — the default;
-//! the live arena's collectives run another (100 ms / 2 s).
-//! [`Dur::MAX`] is the "unbounded" sentinel and prints as `forever`.
+//! The backoff arithmetic is [`BackoffPolicy::worst_total`]: §4's
+//! schedule (1 s doubled per consecutive failure to a 1 h cap, times a
+//! random spreading factor drawn from [1, 2)) by default, or whatever
+//! base and cap the caller configures — DESIGN §14 lists the four the
+//! repo installs. [`Dur::MAX`] is the "unbounded" sentinel and prints
+//! as `forever`.
 //!
-//! This module is the policy and the closed forms; the walk that
-//! applies them to a script — one derivation, over the compiled
-//! bytecode — is [`crate::check::envelope_report`].
+//! This module is the region cost and the saturating arithmetic; the
+//! walk that applies them to a script — one derivation, over the
+//! compiled bytecode — is [`crate::check::envelope_report`].
 
-use retry::Dur;
-
-/// Open upper edge of the paper's random spreading factor [1, 2).
-const JITTER_HI: f64 = 2.0;
-
-/// The backoff-policy inputs of the envelope analysis: base delay,
-/// cap, and the (open) upper edge of the jitter factor.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BudgetPolicy {
-    /// First-delay base.
-    pub base: Dur,
-    /// Per-delay cap the doubling saturates at.
-    pub cap: Dur,
-    /// Supremum of the random spreading factor.
-    pub jitter_hi: f64,
-}
-
-impl BudgetPolicy {
-    /// The paper's §4 policy: 1 s base doubled to a 1 h cap, ×[1, 2).
-    pub const PAPER: BudgetPolicy = BudgetPolicy {
-        base: Dur::from_secs(1),
-        cap: Dur::from_hours(1),
-        jitter_hi: JITTER_HI,
-    };
-
-    /// The live arena's collective policy: rounds complete in seconds,
-    /// so backoff runs 100 ms doubled to a 2 s cap, ×[1, 2).
-    pub const ARENA: BudgetPolicy = BudgetPolicy {
-        base: Dur::from_millis(100),
-        cap: Dur::from_secs(2),
-        jitter_hi: JITTER_HI,
-    };
-
-    /// Supremum of the total backoff delay across `delays` consecutive
-    /// failures under this policy: the k-th delay is
-    /// `min(base * 2^(k-1), cap) * jitter`, `jitter < jitter_hi`.
-    ///
-    /// ```
-    /// use ftshlint::budget::BudgetPolicy;
-    /// use retry::Dur;
-    ///
-    /// // try 5 times: four delays of sup 2,4,8,16 s.
-    /// assert_eq!(BudgetPolicy::PAPER.worst_backoff_total(4), Dur::from_secs(30));
-    /// ```
-    pub fn worst_backoff_total(&self, delays: u32) -> Dur {
-        let cap_us = self.cap.as_micros() as u128;
-        let mut d = self.base.as_micros() as u128;
-        let mut sum: u128 = 0;
-        let mut k: u64 = 0;
-        let m = u64::from(delays);
-        // Doubling reaches the cap within ~64 iterations; the rest of
-        // the delays sit at the cap and are charged in closed form.
-        while k < m && d < cap_us {
-            sum += d;
-            d *= 2;
-            k += 1;
-        }
-        sum += u128::from(m - k) * cap_us;
-        let jittered = (sum as f64) * self.jitter_hi;
-        if jittered >= u64::MAX as f64 {
-            Dur::MAX
-        } else {
-            Dur::from_micros(jittered.round() as u64)
-        }
-    }
-}
-
-impl Default for BudgetPolicy {
-    fn default() -> BudgetPolicy {
-        BudgetPolicy::PAPER
-    }
-}
+use retry::{BackoffPolicy, Dur};
 
 pub(crate) fn sat_mul(d: Dur, n: u64) -> Dur {
     if d == Dur::MAX {
@@ -111,7 +39,7 @@ pub(crate) fn sat_add(a: Dur, b: Dur) -> Dur {
 /// Worst-case cost of one `try` region given its body and catch
 /// envelopes.
 pub(crate) fn try_cost(
-    policy: &BudgetPolicy,
+    policy: &BackoffPolicy,
     time: Option<Dur>,
     attempts: Option<u32>,
     every: Option<Dur>,
@@ -124,7 +52,7 @@ pub(crate) fn try_cost(
             let delays = n.saturating_sub(1);
             let waits = match every {
                 Some(e) => sat_mul(e, u64::from(delays)),
-                None => policy.worst_backoff_total(delays),
+                None => policy.worst_total(delays),
             };
             sat_add(bodies, waits)
         }
@@ -194,58 +122,12 @@ mod tests {
     use ftsh::bytecode::compile;
     use ftsh::parse;
 
-    fn analyze(src: &str, policy: &BudgetPolicy) -> EnvelopeReport {
+    fn analyze(src: &str, policy: &BackoffPolicy) -> EnvelopeReport {
         envelope_report(&compile(&parse(src).unwrap().stmts), policy)
     }
 
     fn envelope(src: &str) -> Dur {
-        analyze(src, &BudgetPolicy::PAPER).envelope
-    }
-
-    fn worst_backoff_total(delays: u32) -> Dur {
-        BudgetPolicy::PAPER.worst_backoff_total(delays)
-    }
-
-    /// The paper's policy: delays sup 2*min(2^(k-1), 3600) seconds.
-    #[test]
-    fn backoff_totals_match_paper_policy() {
-        assert_eq!(worst_backoff_total(0), Dur::ZERO);
-        // One delay: base 1 s, jitter sup 2.
-        assert_eq!(worst_backoff_total(1), Dur::from_secs(2));
-        // try 5 times: 2*(1+2+4+8) = 30 s.
-        assert_eq!(worst_backoff_total(4), Dur::from_secs(30));
-        // try 10 times: 2*(2^9 - 1) = 1022 s.
-        assert_eq!(worst_backoff_total(9), Dur::from_secs(1022));
-        // try 13 times: 2*(2^12 - 1) = 8190 s.
-        assert_eq!(worst_backoff_total(12), Dur::from_secs(8190));
-        // try 15 times: the 13th and 14th delays hit the 1 h cap:
-        // 2*4095 + 2*2*3600 = 22590 s.
-        assert_eq!(worst_backoff_total(14), Dur::from_secs(22_590));
-    }
-
-    /// The arena policy: 100 ms base doubled to a 2 s cap — the k-th
-    /// delay is sup 2*min(0.1*2^(k-1), 2) seconds.
-    #[test]
-    fn backoff_totals_match_arena_policy() {
-        let arena = BudgetPolicy::ARENA;
-        assert_eq!(arena.worst_backoff_total(0), Dur::ZERO);
-        // One delay: 100 ms, jitter sup 2.
-        assert_eq!(arena.worst_backoff_total(1), Dur::from_millis(200));
-        // Four delays: 2*(0.1+0.2+0.4+0.8) = 3 s.
-        assert_eq!(arena.worst_backoff_total(4), Dur::from_secs(3));
-        // Ten delays: doubling 0.1..=1.6 (sum 3.1), then 2.0 reached at
-        // delay 6; delays 6..=10 sit at the 2 s cap.
-        // 2*(3.1 + 5*2.0) = 26.2 s.
-        assert_eq!(arena.worst_backoff_total(10), Dur::from_millis(26_200));
-    }
-
-    #[test]
-    fn capped_tail_is_charged_in_closed_form() {
-        // 1000 delays: 12 uncapped (sum 4095 s), 988 at the cap.
-        let want = Dur::from_secs(2 * (4095 + 988 * 3600));
-        assert_eq!(worst_backoff_total(1000), want);
-        // Absurd counts saturate instead of overflowing.
-        assert_eq!(worst_backoff_total(u32::MAX), Dur::MAX);
+        analyze(src, &BackoffPolicy::ethernet()).envelope
     }
 
     #[test]
@@ -264,7 +146,8 @@ mod tests {
     #[test]
     fn attempt_limited_try_under_arena_policy() {
         // Same scripts, arena constants: the whole closed form shifts.
-        let env = |src: &str| analyze(src, &BudgetPolicy::ARENA).envelope;
+        let arena = BackoffPolicy::exponential(Dur::from_millis(100), Dur::from_secs(2));
+        let env = |src: &str| analyze(src, &arena).envelope;
         // try 5 times: 2*(0.1+0.2+0.4+0.8) = 3 s.
         assert_eq!(env("try 5 times\n  work\nend\n"), Dur::from_secs(3));
         // try 10 times: 2*(3.1 + 4*2.0) = 22.2 s (cap from delay 6).
@@ -360,7 +243,7 @@ mod tests {
     #[test]
     fn self_recursion_saturates_and_is_reported() {
         let src = "function f\n  work\n  f\nend\nf\n";
-        let a = analyze(src, &BudgetPolicy::PAPER);
+        let a = analyze(src, &BackoffPolicy::ethernet());
         assert_eq!(a.envelope, Dur::MAX);
         assert_eq!(a.recursive.len(), 1);
         assert_eq!(a.recursive[0].0, "f");
@@ -371,7 +254,7 @@ mod tests {
     fn mutual_and_forward_recursion_saturate() {
         // f calls g, g calls f: both sit on the cycle.
         let src = "function f\n  g\nend\nfunction g\n  f\nend\nf\n";
-        let a = analyze(src, &BudgetPolicy::PAPER);
+        let a = analyze(src, &BackoffPolicy::ethernet());
         assert_eq!(a.envelope, Dur::MAX);
         // At least the detection point is named; the envelope is MAX
         // regardless of which cycle member is reported.
@@ -379,7 +262,7 @@ mod tests {
         // An uncalled recursive function still surfaces the diagnostic
         // but cannot blow up the main envelope.
         let src = "function f\n  f\nend\ntrue\n";
-        let a = analyze(src, &BudgetPolicy::PAPER);
+        let a = analyze(src, &BackoffPolicy::ethernet());
         assert_eq!(a.envelope, Dur::ZERO);
         assert!(a.recursive.is_empty(), "never costed, never flagged");
     }
@@ -388,13 +271,13 @@ mod tests {
     fn dynamic_dispatch_saturates_and_is_reported() {
         // ${cmd} could name f: the callee set is unknown.
         let src = "function f\n  work\nend\ncmd=f\n${cmd} x\n";
-        let a = analyze(src, &BudgetPolicy::PAPER);
+        let a = analyze(src, &BackoffPolicy::ethernet());
         assert_eq!(a.envelope, Dur::MAX);
         assert_eq!(a.dynamic.len(), 1);
         // Without any defined functions a computed argv0 is plain
         // external work: zero, no diagnostic.
         let src = "cmd=ls\n${cmd} x\n";
-        let a = analyze(src, &BudgetPolicy::PAPER);
+        let a = analyze(src, &BackoffPolicy::ethernet());
         assert_eq!(a.envelope, Dur::ZERO);
         assert!(a.dynamic.is_empty());
     }

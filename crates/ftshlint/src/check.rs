@@ -31,13 +31,13 @@
 //! would-be errors degrade to warnings: the abstract interpreter can
 //! no longer enumerate every produce, so nothing is provable.
 
-use crate::budget::{pattern_can_match, sat_add, sat_mul, try_cost, BudgetPolicy};
+use crate::budget::{pattern_can_match, sat_add, sat_mul, try_cost};
 use crate::keyflow::{key_effects, KeyEffects};
 use crate::Severity;
 use ftsh::bytecode::{compile_cached, CmdTpl, FuncRef, Ip, Op, Prog, SegTpl, WordTpl, NO_CATCH};
 use ftsh::{Script, Span};
 use gridworld::coord::{allreduce_text, dag_job_script_text, DagSpec};
-use retry::{Discipline, Dur, Time};
+use retry::{BackoffPolicy, Discipline, Dur, Time};
 use simgrid::faults::FaultPlan;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -80,7 +80,7 @@ pub struct EnvelopeReport {
 /// dispatch (`${cmd} ...` that could expand to a defined function's
 /// name).
 #[must_use]
-pub fn envelope_report(prog: &Prog, policy: &BudgetPolicy) -> EnvelopeReport {
+pub fn envelope_report(prog: &Prog, policy: &BackoffPolicy) -> EnvelopeReport {
     let mut func_entries: HashMap<u32, Vec<Ip>> = HashMap::new();
     for op in &prog.ops {
         if let Op::FuncDef { func, entry } = *op {
@@ -107,7 +107,7 @@ pub fn envelope_report(prog: &Prog, policy: &BudgetPolicy) -> EnvelopeReport {
 /// The envelope alone, from source, through the process-wide bytecode
 /// cache.
 #[must_use]
-pub fn bytecode_envelope(script: &Script, policy: &BudgetPolicy) -> Dur {
+pub fn bytecode_envelope(script: &Script, policy: &BackoffPolicy) -> Dur {
     envelope_report(&compile_cached(script), policy).envelope
 }
 
@@ -147,7 +147,7 @@ fn word_could_name(prog: &Prog, wix: u32, name: &str) -> bool {
 
 struct CostWalker<'p> {
     prog: &'p Prog,
-    policy: &'p BudgetPolicy,
+    policy: &'p BackoffPolicy,
     func_entries: HashMap<u32, Vec<Ip>>,
     summaries: HashMap<u32, Dur>,
     in_progress: HashSet<u32>,
@@ -525,7 +525,7 @@ enum DeadReason {
 /// duration). Uses the default (paper) backoff policy for envelopes.
 #[must_use]
 pub fn check(spec: &WorkflowSpec, plan: Option<&FaultPlan>, horizon: Dur) -> CheckReport {
-    check_with(spec, plan, horizon, &BudgetPolicy::PAPER)
+    check_with(spec, plan, horizon, &BackoffPolicy::ethernet())
 }
 
 /// [`check`] under an explicit backoff policy.
@@ -544,7 +544,7 @@ pub fn check_with(
     spec: &WorkflowSpec,
     plan: Option<&FaultPlan>,
     horizon: Dur,
-    policy: &BudgetPolicy,
+    policy: &BackoffPolicy,
 ) -> CheckReport {
     let mut findings = Vec::new();
     let mut jobs = Vec::new();

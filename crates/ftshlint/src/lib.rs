@@ -347,10 +347,11 @@ pub struct Options {
     /// Rule ids suppressed for every file (merged with in-file
     /// `# lint: allow` annotations).
     pub allow: Vec<String>,
-    /// Backoff constants the envelope analysis assumes (defaults to
-    /// the paper's 1 s base / 1 h cap; `--backoff-base/--backoff-cap`
+    /// The backoff policy the envelope analysis charges and the
+    /// `retry-without-backoff-room` rule fits against (defaults to the
+    /// paper's 1 s base / 1 h cap; `--backoff-base/--backoff-cap`
     /// select e.g. the live arena's 100 ms / 2 s).
-    pub policy: budget::BudgetPolicy,
+    pub policy: retry::BackoffPolicy,
 }
 
 /// Everything the analyzer learned about one script.
@@ -411,7 +412,7 @@ pub fn lint_script(script: &Script, src: &str, opts: &Options) -> Report {
     defines.extend(notes.defines);
 
     let mut diags = Vec::new();
-    let mut disc = rules::DisciplineWalker::new(&mut diags);
+    let mut disc = rules::DisciplineWalker::new(&mut diags, &opts.policy);
     disc.block(&script.stmts);
     let (saw_try, saw_aloha, saw_fixed) = (disc.saw_try, disc.saw_aloha, disc.saw_fixed);
 
@@ -675,6 +676,39 @@ mod tests {
         // A fixed interval wider than the whole budget can never fire.
         let r = run("try for 5 seconds or 9 times every 10 seconds\n  work\nend\n");
         assert!(rules_of(&r).contains(&"retry-without-backoff-room"));
+    }
+
+    #[test]
+    fn backoff_room_is_judged_against_the_configured_policy() {
+        let src = "try for 500 ms\n  work\nend\n";
+        let r = run(src);
+        let d = r
+            .diagnostics
+            .iter()
+            .find(|d| d.rule == "retry-without-backoff-room")
+            .expect("500 ms cannot fit the paper's 1 s base");
+        assert_eq!(
+            d.message,
+            "a `for 500ms` budget cannot fit the 1 s base backoff delay: the loop \
+             exhausts after one attempt"
+        );
+        assert_eq!(r.discipline, Discipline::Fixed);
+        let arena = Options {
+            policy: retry::BackoffPolicy::exponential(Dur::from_millis(100), Dur::from_secs(2)),
+            ..Default::default()
+        };
+        let r = lint(src, &arena).unwrap();
+        assert!(
+            !rules_of(&r).contains(&"retry-without-backoff-room"),
+            "{r:?}"
+        );
+        assert_eq!(r.discipline, Discipline::Ethernet);
+        // The message names the configured base.
+        let r = lint("try for 100 ms\n  work\nend\n", &arena).unwrap();
+        assert!(r
+            .diagnostics
+            .iter()
+            .any(|d| d.message.contains("the 0.1 s base")));
     }
 
     #[test]

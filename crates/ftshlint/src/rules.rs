@@ -7,12 +7,8 @@
 
 use crate::{Diagnostic, Severity};
 use ftsh::{Block, Redir, RedirTarget, Seg, Span, Stmt, Word};
-use retry::Dur;
+use retry::{BackoffPolicy, Dur};
 use std::collections::{HashMap, HashSet};
-
-/// Base backoff delay from §4 of the paper (1 s): a time budget below
-/// this cannot fit even the first retry delay.
-const BACKOFF_BASE: Dur = Dur::from_secs(1);
 
 // ---------------------------------------------------------------------
 // Discipline rules
@@ -20,6 +16,10 @@ const BACKOFF_BASE: Dur = Dur::from_secs(1);
 
 pub(crate) struct DisciplineWalker<'a> {
     pub diags: &'a mut Vec<Diagnostic>,
+    /// The shortest first delay the configured policy draws (1 s under
+    /// §4's schedule): a time budget no longer than this cannot fit
+    /// even one retry.
+    first_delay: Dur,
     /// Tightest enclosing `try for` budget, if any.
     outer_time: Option<Dur>,
     /// How many `try` bodies enclose the current statement.
@@ -33,9 +33,10 @@ pub(crate) struct DisciplineWalker<'a> {
 }
 
 impl<'a> DisciplineWalker<'a> {
-    pub fn new(diags: &'a mut Vec<Diagnostic>) -> DisciplineWalker<'a> {
+    pub fn new(diags: &'a mut Vec<Diagnostic>, policy: &BackoffPolicy) -> DisciplineWalker<'a> {
         DisciplineWalker {
             diags,
+            first_delay: policy.without_jitter().worst_total(1),
             outer_time: None,
             retry_depth: 0,
             saw_try: false,
@@ -184,15 +185,16 @@ impl<'a> DisciplineWalker<'a> {
             }
             None => {
                 if let Some(t) = spec.time {
-                    if t <= BACKOFF_BASE && spec.attempts != Some(1) {
+                    if t <= self.first_delay && spec.attempts != Some(1) {
                         self.saw_fixed = true;
                         self.diags.push(Diagnostic {
                             rule: "retry-without-backoff-room",
                             severity: Severity::Warning,
                             span: at,
                             message: format!(
-                                "a `for {t}` budget cannot fit the 1 s base backoff \
-                                 delay: the loop exhausts after one attempt"
+                                "a `for {t}` budget cannot fit the {} s base backoff \
+                                 delay: the loop exhausts after one attempt",
+                                self.first_delay.as_secs_f64()
                             ),
                             suggestion: Some(
                                 "grow the budget past the base delay, or make the single \

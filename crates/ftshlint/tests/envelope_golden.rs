@@ -10,15 +10,14 @@
 //! `dynamic-dispatch-unbounded` diagnostics (rule, message, span) the
 //! AST analyzer used to produce.
 
-use ftshlint::budget::BudgetPolicy;
 use ftshlint::check::bytecode_envelope;
 use ftshlint::{lint, Options};
-use retry::Dur;
+use retry::{BackoffPolicy, Dur};
 use std::path::{Path, PathBuf};
 
 const FOREVER: u64 = u64::MAX;
 
-/// `(script stem, PAPER envelope ms, ARENA envelope ms)`.
+/// `(script stem, paper-policy envelope ms, arena 100 ms / 2 s envelope ms)`.
 type Row = (&'static str, u64, u64);
 
 /// Per corpus directory, its rows — recorded at the last commit where
@@ -101,9 +100,15 @@ fn every_corpus_script_keeps_its_golden_envelope() {
             let rel = format!("{dir}/{stem}.ftsh");
             let src = read(&rel);
             let script = ftsh::parse(&src).unwrap_or_else(|e| panic!("{rel}: {}", e.render(&src)));
-            for (policy, want) in [(BudgetPolicy::PAPER, paper), (BudgetPolicy::ARENA, arena)] {
+            for (policy, want) in [
+                (BackoffPolicy::ethernet(), paper),
+                (
+                    BackoffPolicy::exponential(Dur::from_millis(100), Dur::from_secs(2)),
+                    arena,
+                ),
+            ] {
                 let got = bytecode_envelope(&script, &policy);
-                assert_eq!(got, envelope_of(want), "{rel} under base={:?}", policy.base);
+                assert_eq!(got, envelope_of(want), "{rel} under {policy:?}");
             }
         }
     }

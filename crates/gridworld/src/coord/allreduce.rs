@@ -31,7 +31,7 @@ use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
-use simgrid::trace::{SharedSink, TraceEv, NO_ID};
+use simgrid::trace::{carrier_sense, emit, SharedSink, NO_ID};
 use simgrid::{Series, Served, SimRng, StoreOp};
 use std::collections::HashMap;
 
@@ -349,24 +349,11 @@ impl CommandWorld for AllReduceWorld {
                     return ExecOutcome::Now(CmdResult::fail());
                 };
                 let count = self.landed.get(round as usize).copied().unwrap_or(0);
-                simgrid::trace::emit(
-                    &self.trace,
-                    ctx.now(),
-                    client as i64,
-                    NO_ID,
-                    TraceEv::CarrierSense {
-                        free: u64::from(count),
-                    },
-                );
-                if (count as usize) < self.params.n_ranks {
+                let now = ctx.now();
+                if carrier_sense(u64::from(count), self.params.n_ranks as u64, |ev| {
+                    emit(&self.trace, now, client as i64, NO_ID, ev);
+                }) {
                     self.deferrals += 1;
-                    simgrid::trace::emit(
-                        &self.trace,
-                        ctx.now(),
-                        client as i64,
-                        NO_ID,
-                        TraceEv::Deferral,
-                    );
                 }
                 let out = self
                     .probe_out

@@ -30,7 +30,7 @@ use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::json::{self, Value};
-use simgrid::trace::{SharedSink, TraceEv, NO_ID};
+use simgrid::trace::{carrier_sense, emit, SharedSink, NO_ID};
 use simgrid::{json_escape, Series, Served, SimRng, StoreOp};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -516,24 +516,11 @@ impl CommandWorld for DagWorld {
                 };
                 let job = &self.params.spec.jobs[idx];
                 let present = job.inputs.iter().filter(|k| self.store.contains(k)).count();
-                simgrid::trace::emit(
-                    &self.trace,
-                    ctx.now(),
-                    client as i64,
-                    NO_ID,
-                    TraceEv::CarrierSense {
-                        free: present as u64,
-                    },
-                );
-                if present < job.inputs.len() {
+                let now = ctx.now();
+                if carrier_sense(present as u64, job.inputs.len() as u64, |ev| {
+                    emit(&self.trace, now, client as i64, NO_ID, ev);
+                }) {
                     self.deferrals += 1;
-                    simgrid::trace::emit(
-                        &self.trace,
-                        ctx.now(),
-                        client as i64,
-                        NO_ID,
-                        TraceEv::Deferral,
-                    );
                 }
                 let out = self
                     .probe_out

@@ -38,10 +38,9 @@
 //! [`FaultKind::ClientKill`]: simgrid::faults::FaultKind::ClientKill
 
 use crate::driver::{ClientId, Completion, Ctx};
-use crate::scripts::unit_vm;
 use ftsh::vm::{CmdResult, CmdToken};
 use ftsh::{Env, Script, Vm};
-use retry::{BackoffPolicy, Discipline, Dur};
+use retry::{Discipline, Dur};
 use simgrid::{KeyStore, Started};
 
 pub mod allreduce;
@@ -90,10 +89,9 @@ fn store_reply((client, token): (ClientId, CmdToken), success: bool) -> Completi
 }
 
 /// Build one coord work-unit VM. Collective rounds complete in
-/// seconds, not the submit scenario's minutes, so Aloha and Ethernet
-/// run the exponential policy tightened to `backoff_base..backoff_cap`
-/// (still with the ×[1,2) spreading factor); Fixed keeps hammering
-/// with no delay.
+/// seconds, not the submit scenario's minutes, so the discipline's
+/// policy is scaled to `backoff_base..backoff_cap`
+/// ([`Discipline::backoff_within`]).
 pub fn coord_vm(
     script: &Script,
     discipline: Discipline,
@@ -102,16 +100,15 @@ pub fn coord_vm(
     backoff_base: Dur,
     backoff_cap: Dur,
 ) -> Vm {
-    let mut vm = unit_vm(script, discipline, env, seed);
-    if discipline != Discipline::Fixed {
-        vm.set_default_backoff(BackoffPolicy::exponential(backoff_base, backoff_cap));
-    }
+    let mut vm = Vm::with_env_seed(script, env, seed);
+    vm.set_default_backoff(discipline.backoff_within(backoff_base, backoff_cap));
     vm
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use retry::BackoffPolicy;
 
     fn dur(ms: u64) -> Dur {
         Dur::from_millis(ms)

@@ -665,7 +665,7 @@ fn ablation_threshold_run(
 /// offered load G for the three station disciplines on a slotted
 /// medium (the "Aloha saturates" remark, mechanically).
 pub fn ablation_channel_saturation(scale: Scale, seed: u64) -> SeriesSet {
-    use simgrid::{simulate_channel, ChannelDiscipline};
+    use simgrid::simulate_channel;
     let ps: Vec<f64> = scale.pick(
         vec![0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1],
         vec![0.005, 0.05],
@@ -676,12 +676,8 @@ pub fn ablation_channel_saturation(scale: Scale, seed: u64) -> SeriesSet {
         "Offered load G (new frames/slot)",
         "Throughput S (successes/slot)",
     );
-    for (d, label) in [
-        (ChannelDiscipline::Ethernet, "Ethernet"),
-        (ChannelDiscipline::Aloha, "Aloha"),
-        (ChannelDiscipline::Fixed, "Fixed"),
-    ] {
-        let mut series = Series::new(label);
+    for d in Discipline::ALL {
+        let mut series = Series::new(d.label());
         for &p in &ps {
             let st = simulate_channel(d, 50, p, slots, seed);
             series.push_xy(st.offered_load(), st.throughput());

@@ -19,7 +19,7 @@ use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec, FaultWindows};
-use simgrid::trace::{SharedSink, TraceEv, NO_ID};
+use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{DiskBuffer, FileId, Series, SimRng, WriteError};
 use std::collections::HashMap;
 
@@ -237,24 +237,12 @@ impl CommandWorld for BufferWorld {
                     .disk
                     .ethernet_estimate_free()
                     .saturating_add(self.windows.df_delta(ctx.now()));
-                simgrid::trace::emit(
-                    &self.trace,
-                    ctx.now(),
-                    client as i64,
-                    NO_ID,
-                    TraceEv::CarrierSense {
-                        free: est.max(0) as u64,
-                    },
-                );
-                if est <= 0 {
+                // Busy when nothing is estimated free (`est <= 0`).
+                let now = ctx.now();
+                if carrier_sense(est.max(0) as u64, 1, |ev| {
+                    emit(&self.trace, now, client as i64, NO_ID, ev);
+                }) {
                     self.deferrals += 1;
-                    simgrid::trace::emit(
-                        &self.trace,
-                        ctx.now(),
-                        client as i64,
-                        NO_ID,
-                        TraceEv::Deferral,
-                    );
                 }
                 ExecOutcome::At(
                     ctx.now() + self.params.probe_cost,
@@ -334,7 +322,7 @@ impl CommandWorld for BufferWorld {
                         // only learns at close time (NFS semantics),
                         // so the failure lands when the write would
                         // have finished.
-                        simgrid::trace::emit(
+                        emit(
                             &self.trace,
                             ctx.now(),
                             client as i64,

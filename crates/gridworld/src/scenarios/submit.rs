@@ -32,7 +32,7 @@ use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
-use simgrid::trace::{SharedSink, TraceEv, NO_ID};
+use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{FdTable, Series, SimRng};
 use std::collections::{HashMap, VecDeque};
 
@@ -82,9 +82,6 @@ pub struct SubmitParams {
     pub sample_every: Dur,
     /// Master seed.
     pub seed: u64,
-    /// Override the discipline's backoff policy (for ablations such as
-    /// removing the random spreading factor).
-    pub backoff_override: Option<retry::BackoffPolicy>,
     /// Fault plan for this run. `None` ⇒ [`builtin_fault_plan`]: the
     /// scenario's stock failure physics, nothing injected.
     ///
@@ -128,7 +125,6 @@ impl Default for SubmitParams {
             start_stagger: Dur::from_secs(10),
             sample_every: Dur::from_secs(5),
             seed: 0x5eed,
-            backoff_override: None,
             fault_plan: None,
         }
     }
@@ -304,7 +300,7 @@ impl SubmitWorld {
     /// [`FaultKind::ScheddKill`] faults may override the default.
     fn crash_after(&mut self, ctx: &mut Ctx<'_, SubmitEv>, out: &mut Vec<Completion>, down: Dur) {
         self.crashes += 1;
-        simgrid::trace::emit(&self.trace, ctx.now(), NO_ID, NO_ID, TraceEv::ScheddCrash);
+        emit(&self.trace, ctx.now(), NO_ID, NO_ID, TraceEv::ScheddCrash);
         self.schedd_up = false;
         self.gap_pending = false;
         self.service_seq += 1; // invalidate any pending ServiceDone
@@ -351,23 +347,11 @@ impl CommandWorld for SubmitWorld {
         match spec.program() {
             // The carrier-sense probe: report free descriptors.
             "cut" => {
-                let free = self.fds.free();
-                simgrid::trace::emit(
-                    &self.trace,
-                    ctx.now(),
-                    client as i64,
-                    NO_ID,
-                    TraceEv::CarrierSense { free },
-                );
-                if free < self.params.threshold {
+                let (free, now) = (self.fds.free(), ctx.now());
+                if carrier_sense(free, self.params.threshold, |ev| {
+                    emit(&self.trace, now, client as i64, NO_ID, ev);
+                }) {
                     self.deferrals += 1;
-                    simgrid::trace::emit(
-                        &self.trace,
-                        ctx.now(),
-                        client as i64,
-                        NO_ID,
-                        TraceEv::Deferral,
-                    );
                 }
                 // Interned per distinct count, with no trailing
                 // newline so the VM's capture fast path can bind the
@@ -521,10 +505,7 @@ impl CommandWorld for SubmitWorld {
             self.params.failure_think
         };
         let seed = self.rng.next_u64();
-        let mut vm = unit_vm(&self.script, self.params.discipline, ftsh::Env::new(), seed);
-        if let Some(p) = self.params.backoff_override {
-            vm.set_default_backoff(p);
-        }
+        let vm = unit_vm(&self.script, self.params.discipline, ftsh::Env::new(), seed);
         Some((vm, ctx.now() + think))
     }
 }
@@ -600,16 +581,12 @@ pub fn run_submission_traced(
     let mut rng = SimRng::new(params.seed ^ 0xC11E);
     let vms: Vec<Vm> = (0..params.n_clients)
         .map(|c| {
-            let mut vm = unit_vm(
+            unit_vm(
                 &world.script,
                 params.discipline,
                 ftsh::Env::new(),
                 rng.fork(c as u64).next_u64(),
-            );
-            if let Some(p) = params.backoff_override {
-                vm.set_default_backoff(p);
-            }
-            vm
+            )
         })
         .collect();
     let starts: Vec<Time> = (0..params.n_clients)

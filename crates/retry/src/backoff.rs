@@ -4,8 +4,10 @@
 //! second, doubled after every failure, up to a maximum of one hour.
 //! Each delay interval is multiplied by a random factor between one and
 //! two in order to distribute the expected values."* Those defaults are
-//! [`BackoffPolicy::ethernet`]; everything is tunable because §8 frames
-//! the limits as "the user's limit of tolerance for failures".
+//! [`BackoffPolicy::ethernet`]; base and cap are tunable because §8
+//! frames the limits as "the user's limit of tolerance for failures".
+//! This one type is both what a VM draws its delays from and what the
+//! static analyzer charges ([`BackoffPolicy::worst_total`]).
 
 use crate::time::Dur;
 use rand::{Rng, RngExt};
@@ -19,19 +21,15 @@ pub enum BackoffPolicy {
     None,
     /// A constant delay between attempts (`try ... every 10 seconds`).
     Constant(Dur),
-    /// Exponential backoff: `base * growth^k`, capped, then multiplied
-    /// by a random factor drawn uniformly from `[jitter_lo, jitter_hi)`.
+    /// Exponential backoff: `base * 2^k`, capped, then (with `jitter`)
+    /// multiplied by a random factor drawn uniformly from `[1, 2)`.
     Exponential {
-        /// First delay, before growth (paper: 1 s).
+        /// First delay, before doubling (paper: 1 s).
         base: Dur,
-        /// Multiplier applied per consecutive failure (paper: 2.0).
-        growth: f64,
         /// Upper bound on the un-jittered delay (paper: 1 h).
         cap: Dur,
-        /// Lower edge of the random spreading factor (paper: 1.0).
-        jitter_lo: f64,
-        /// Upper edge of the random spreading factor (paper: 2.0).
-        jitter_hi: f64,
+        /// Whether the `[1, 2)` spreading factor applies (paper: yes).
+        jitter: bool,
     },
 }
 
@@ -48,39 +46,27 @@ impl BackoffPolicy {
     /// assert!(d >= Dur::from_secs(4) && d < Dur::from_secs(8));
     /// ```
     pub fn ethernet() -> BackoffPolicy {
-        BackoffPolicy::Exponential {
-            base: Dur::from_secs(1),
-            growth: 2.0,
-            cap: Dur::from_hours(1),
-            jitter_lo: 1.0,
-            jitter_hi: 2.0,
-        }
+        BackoffPolicy::exponential(Dur::from_secs(1), Dur::from_hours(1))
     }
 
     /// Exponential with a custom base and cap, keeping the paper's
-    /// doubling growth and [1, 2) jitter.
+    /// doubling and [1, 2) jitter.
     pub fn exponential(base: Dur, cap: Dur) -> BackoffPolicy {
         BackoffPolicy::Exponential {
             base,
-            growth: 2.0,
             cap,
-            jitter_lo: 1.0,
-            jitter_hi: 2.0,
+            jitter: true,
         }
     }
 
     /// Remove the randomized spreading (useful for deterministic tests
-    /// and for the ablation bench that shows why jitter matters).
+    /// and for the ablation that shows why jitter matters).
     pub fn without_jitter(self) -> BackoffPolicy {
         match self {
-            BackoffPolicy::Exponential {
-                base, growth, cap, ..
-            } => BackoffPolicy::Exponential {
+            BackoffPolicy::Exponential { base, cap, .. } => BackoffPolicy::Exponential {
                 base,
-                growth,
                 cap,
-                jitter_lo: 1.0,
-                jitter_hi: 1.0,
+                jitter: false,
             },
             other => other,
         }
@@ -96,24 +82,63 @@ impl BackoffPolicy {
         match *self {
             BackoffPolicy::None => Dur::ZERO,
             BackoffPolicy::Constant(d) => d,
-            BackoffPolicy::Exponential {
-                base,
-                growth,
-                cap,
-                jitter_lo,
-                jitter_hi,
-            } => {
+            BackoffPolicy::Exponential { base, cap, jitter } => {
                 let exponent = (failures - 1).min(63);
-                let grown = base.mul_f64(growth.powi(exponent as i32));
-                let capped = grown.min(cap);
-                let factor = if jitter_hi > jitter_lo {
-                    rng.random_range(jitter_lo..jitter_hi)
+                let capped = base.mul_f64(2f64.powi(exponent as i32)).min(cap);
+                let factor = if jitter {
+                    rng.random_range(1.0..2.0)
                 } else {
-                    jitter_lo
+                    1.0
                 };
                 capped.mul_f64(factor)
             }
         }
+    }
+
+    /// Supremum of the total delay across `delays` consecutive
+    /// failures: the k-th delay is `min(base * 2^(k-1), cap)` times a
+    /// factor below 2 (exactly 1 without jitter). The supremum takes
+    /// the jitter at its open upper edge, so a jittered bound is tight
+    /// but never attained. [`Dur::MAX`] means the sum overflowed.
+    ///
+    /// ```
+    /// use retry::{BackoffPolicy, Dur};
+    ///
+    /// // try 5 times: four delays of sup 2, 4, 8, 16 s.
+    /// assert_eq!(BackoffPolicy::ethernet().worst_total(4), Dur::from_secs(30));
+    /// ```
+    pub fn worst_total(&self, delays: u32) -> Dur {
+        let (base, cap, jitter) = match *self {
+            BackoffPolicy::None => return Dur::ZERO,
+            BackoffPolicy::Constant(d) => return d * u64::from(delays),
+            BackoffPolicy::Exponential { base, cap, jitter } => (base, cap, jitter),
+        };
+        let cap_us = cap.as_micros() as u128;
+        let mut d = base.as_micros() as u128;
+        let mut sum: u128 = 0;
+        let mut k: u64 = 0;
+        let m = u64::from(delays);
+        // Doubling reaches the cap within ~64 iterations; the rest of
+        // the delays sit at the cap and are charged in closed form.
+        while k < m && d < cap_us {
+            sum += d;
+            d *= 2;
+            k += 1;
+        }
+        sum += u128::from(m - k) * cap_us;
+        let jittered = (sum as f64) * if jitter { 2.0 } else { 1.0 };
+        if jittered >= u64::MAX as f64 {
+            Dur::MAX
+        } else {
+            Dur::from_micros(jittered.round() as u64)
+        }
+    }
+}
+
+impl Default for BackoffPolicy {
+    /// The paper's policy, [`BackoffPolicy::ethernet`].
+    fn default() -> BackoffPolicy {
+        BackoffPolicy::ethernet()
     }
 }
 
@@ -189,5 +214,49 @@ mod tests {
     fn zero_failures_means_no_delay() {
         let mut r = rng();
         assert_eq!(BackoffPolicy::ethernet().delay_after(0, &mut r), Dur::ZERO);
+    }
+
+    /// The paper's policy: delays sup 2*min(2^(k-1), 3600) seconds.
+    #[test]
+    fn worst_totals_match_paper_policy() {
+        let paper = BackoffPolicy::ethernet();
+        assert_eq!(paper.worst_total(0), Dur::ZERO);
+        // One delay: base 1 s, jitter sup 2.
+        assert_eq!(paper.worst_total(1), Dur::from_secs(2));
+        // try 5 times: 2*(1+2+4+8) = 30 s.
+        assert_eq!(paper.worst_total(4), Dur::from_secs(30));
+        // try 10 times: 2*(2^9 - 1) = 1022 s.
+        assert_eq!(paper.worst_total(9), Dur::from_secs(1022));
+        // try 13 times: 2*(2^12 - 1) = 8190 s.
+        assert_eq!(paper.worst_total(12), Dur::from_secs(8190));
+        // try 15 times: the 13th and 14th delays hit the 1 h cap:
+        // 2*4095 + 2*2*3600 = 22590 s.
+        assert_eq!(paper.worst_total(14), Dur::from_secs(22_590));
+    }
+
+    /// The live arena's policy: 100 ms base doubled to a 2 s cap — the
+    /// k-th delay is sup 2*min(0.1*2^(k-1), 2) seconds.
+    #[test]
+    fn worst_totals_match_arena_policy() {
+        let arena = BackoffPolicy::exponential(Dur::from_millis(100), Dur::from_secs(2));
+        assert_eq!(arena.worst_total(0), Dur::ZERO);
+        // One delay: 100 ms, jitter sup 2.
+        assert_eq!(arena.worst_total(1), Dur::from_millis(200));
+        // Four delays: 2*(0.1+0.2+0.4+0.8) = 3 s.
+        assert_eq!(arena.worst_total(4), Dur::from_secs(3));
+        // Ten delays: doubling 0.1..=1.6 (sum 3.1), then 2.0 reached at
+        // delay 6; delays 6..=10 sit at the 2 s cap.
+        // 2*(3.1 + 5*2.0) = 26.2 s.
+        assert_eq!(arena.worst_total(10), Dur::from_millis(26_200));
+    }
+
+    #[test]
+    fn capped_tail_is_charged_in_closed_form() {
+        let paper = BackoffPolicy::ethernet();
+        // 1000 delays: 12 uncapped (sum 4095 s), 988 at the cap.
+        let want = Dur::from_secs(2 * (4095 + 988 * 3600));
+        assert_eq!(paper.worst_total(1000), want);
+        // Absurd counts saturate instead of overflowing.
+        assert_eq!(paper.worst_total(u32::MAX), Dur::MAX);
     }
 }

@@ -41,15 +41,6 @@ impl TryBudget {
         }
     }
 
-    /// `try for <d> or <n> times` — whichever expires first.
-    pub fn for_time_or_times(d: Dur, n: u32) -> TryBudget {
-        TryBudget {
-            time_limit: Some(d),
-            attempt_limit: Some(n),
-            backoff: BackoffPolicy::ethernet(),
-        }
-    }
-
     /// Unlimited attempts and time (the bare `try ... end` loop); only
     /// sensible nested under an outer bounded try.
     pub fn unbounded() -> TryBudget {
@@ -97,7 +88,7 @@ pub struct TrySession {
     budget: TryBudget,
     started: Time,
     attempts: u32,
-    /// Consecutive failures since the last success.
+    /// Consecutive failures so far.
     failures: u32,
 }
 
@@ -120,19 +111,9 @@ impl TrySession {
             .map(|d| self.started.saturating_add(d))
     }
 
-    /// Instant the session was opened.
-    pub fn started(&self) -> Time {
-        self.started
-    }
-
     /// Attempts started so far.
     pub fn attempts(&self) -> u32 {
         self.attempts
-    }
-
-    /// The budget this session runs under.
-    pub fn budget(&self) -> &TryBudget {
-        &self.budget
     }
 
     /// True if the deadline has passed at `now`.
@@ -176,17 +157,6 @@ impl TrySession {
             Some(d) if wake >= d => NextAttempt::Exhausted,
             _ => NextAttempt::RetryAt(wake),
         }
-    }
-
-    /// Record that the current attempt succeeded (resets the backoff
-    /// streak; relevant when a session is reused as a work loop).
-    pub fn on_success(&mut self) {
-        self.failures = 0;
-    }
-
-    /// Consecutive failures since the last success.
-    pub fn failure_streak(&self) -> u32 {
-        self.failures
     }
 }
 
@@ -276,27 +246,13 @@ mod tests {
     }
 
     #[test]
-    fn success_resets_streak() {
-        let mut r = rng();
-        let mut s = TrySession::start(nojitter(TryBudget::unbounded()), Time::ZERO);
-        assert!(s.begin_attempt(Time::ZERO));
-        s.on_failure(Time::ZERO, &mut r);
-        s.on_failure(Time::ZERO, &mut r);
-        assert_eq!(s.failure_streak(), 2);
-        s.on_success();
-        assert_eq!(s.failure_streak(), 0);
-        // The next failure starts again from the base delay.
-        assert_eq!(
-            s.on_failure(Time::ZERO, &mut r),
-            NextAttempt::RetryAt(Time::from_secs(1))
-        );
-    }
-
-    #[test]
     fn both_limits_whichever_first() {
         let mut r = rng();
         // Generous time, tight attempts.
-        let b = nojitter(TryBudget::for_time_or_times(Dur::from_hours(1), 2));
+        let b = TryBudget {
+            attempt_limit: Some(2),
+            ..nojitter(TryBudget::for_time(Dur::from_hours(1)))
+        };
         let mut s = TrySession::start(b, Time::ZERO);
         assert!(s.begin_attempt(Time::ZERO));
         assert!(matches!(

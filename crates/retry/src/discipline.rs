@@ -12,7 +12,6 @@
 //!   perform carrier sense before accessing a resource".
 
 use crate::backoff::BackoffPolicy;
-use crate::budget::TryBudget;
 use crate::time::Dur;
 
 /// The three client algorithms of §5.
@@ -30,18 +29,21 @@ impl Discipline {
     /// All three, in the order the paper's figures list them.
     pub const ALL: [Discipline; 3] = [Discipline::Ethernet, Discipline::Aloha, Discipline::Fixed];
 
-    /// The delay policy this discipline applies between failures.
+    /// The delay policy this discipline applies between failures under
+    /// the paper's §4 schedule (1 s doubled to a 1 h cap, ×[1, 2)).
     pub fn backoff(self) -> BackoffPolicy {
-        match self {
-            Discipline::Fixed => BackoffPolicy::None,
-            Discipline::Aloha | Discipline::Ethernet => BackoffPolicy::ethernet(),
-        }
+        self.backoff_within(Dur::from_secs(1), Dur::from_hours(1))
     }
 
-    /// A per-work-unit budget as used in the submission scenario
-    /// (`try for 5 minutes`), under this discipline's backoff.
-    pub fn budget_for(self, limit: Dur) -> TryBudget {
-        TryBudget::for_time(limit).with_backoff(self.backoff())
+    /// The delay policy this discipline applies with the paper's
+    /// exponential shape scaled to `base` doubled up to `cap` — for
+    /// worlds whose rounds take seconds, not minutes. Fixed never
+    /// delays, whatever the scale.
+    pub fn backoff_within(self, base: Dur, cap: Dur) -> BackoffPolicy {
+        match self {
+            Discipline::Fixed => BackoffPolicy::None,
+            Discipline::Aloha | Discipline::Ethernet => BackoffPolicy::exponential(base, cap),
+        }
     }
 
     /// Whether the client measures the resource before consuming it.
@@ -77,67 +79,6 @@ impl std::str::FromStr for Discipline {
     }
 }
 
-/// The outcome of a carrier-sense measurement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CarrierDecision {
-    /// Capacity appears available: proceed to consume the resource.
-    Clear,
-    /// The medium is busy: fail this attempt immediately (cheaply) so
-    /// the surrounding `try` backs off.
-    Defer,
-}
-
-/// Anything that can measure whether a shared resource has capacity.
-///
-/// In the paper this is a shell fragment (`cut -f2 /proc/sys/fs/file-nr`
-/// compared against 1000, or free-space estimation in the buffer
-/// scenario); here it is a trait so the simulator and the real shell
-/// share the decision logic.
-pub trait CarrierSense {
-    /// Probe the medium and decide whether to proceed.
-    fn sense(&mut self) -> CarrierDecision;
-}
-
-/// Carrier sense on a measured amount of *free* capacity: clear while
-/// the probe reports at least `threshold` units free.
-///
-/// This is exactly the paper's submission client, which defers while
-/// fewer than 1000 file descriptors are free.
-///
-/// ```
-/// use retry::{CarrierDecision, CarrierSense, FreeCapacitySense};
-///
-/// let mut free = 2048u64;
-/// let mut sense = FreeCapacitySense::new(|| free, 1000);
-/// assert_eq!(sense.sense(), CarrierDecision::Clear);
-/// ```
-pub struct FreeCapacitySense<F> {
-    probe: F,
-    threshold: u64,
-}
-
-impl<F: FnMut() -> u64> FreeCapacitySense<F> {
-    /// Build from a probe returning free units and a minimum threshold.
-    pub fn new(probe: F, threshold: u64) -> Self {
-        FreeCapacitySense { probe, threshold }
-    }
-
-    /// The configured threshold.
-    pub fn threshold(&self) -> u64 {
-        self.threshold
-    }
-}
-
-impl<F: FnMut() -> u64> CarrierSense for FreeCapacitySense<F> {
-    fn sense(&mut self) -> CarrierDecision {
-        if (self.probe)() >= self.threshold {
-            CarrierDecision::Clear
-        } else {
-            CarrierDecision::Defer
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,6 +88,15 @@ mod tests {
         assert_eq!(Discipline::Fixed.backoff(), BackoffPolicy::None);
         assert_eq!(Discipline::Aloha.backoff(), BackoffPolicy::ethernet());
         assert_eq!(Discipline::Ethernet.backoff(), BackoffPolicy::ethernet());
+        // Scaled, Fixed still never delays.
+        let (base, cap) = (Dur::from_millis(500), Dur::from_secs(4));
+        let scaled = BackoffPolicy::exponential(base, cap);
+        assert_eq!(
+            Discipline::Fixed.backoff_within(base, cap),
+            BackoffPolicy::None
+        );
+        assert_eq!(Discipline::Aloha.backoff_within(base, cap), scaled);
+        assert_eq!(Discipline::Ethernet.backoff_within(base, cap), scaled);
     }
 
     #[test]
@@ -164,33 +114,5 @@ mod tests {
             assert_eq!(d.to_string(), d.label());
         }
         assert!("csma".parse::<Discipline>().is_err());
-    }
-
-    #[test]
-    fn free_capacity_sense_thresholds() {
-        let mut level = 1500u64;
-        {
-            let mut s = FreeCapacitySense::new(|| level, 1000);
-            assert_eq!(s.sense(), CarrierDecision::Clear);
-        }
-        level = 999;
-        {
-            let mut s = FreeCapacitySense::new(|| level, 1000);
-            assert_eq!(s.sense(), CarrierDecision::Defer);
-        }
-        level = 1000;
-        {
-            let mut s = FreeCapacitySense::new(|| level, 1000);
-            assert_eq!(s.sense(), CarrierDecision::Clear, "threshold is inclusive");
-        }
-    }
-
-    #[test]
-    fn budget_for_combines() {
-        let b = Discipline::Fixed.budget_for(Dur::from_mins(5));
-        assert_eq!(b.time_limit, Some(Dur::from_mins(5)));
-        assert_eq!(b.backoff, BackoffPolicy::None);
-        let b = Discipline::Aloha.budget_for(Dur::from_mins(5));
-        assert_eq!(b.backoff, BackoffPolicy::ethernet());
     }
 }

@@ -8,13 +8,15 @@
 //! * **Exponential backoff** — after each failure a client delays before
 //!   retrying, doubling the delay, capped, and multiplied by a random
 //!   factor in `[1, 2)` so that competing clients spread out in time
-//!   ([`BackoffPolicy`]).
+//!   ([`BackoffPolicy`], which also bounds the total a static analyzer
+//!   charges for it).
 //! * **Bounded tolerance** — the user expresses *their* limit of
 //!   tolerance for failure as a deadline, an attempt count, or both
 //!   ([`TryBudget`], [`TrySession`]).
 //! * **Carrier sense** — before consuming a resource an Ethernet client
 //!   measures whether there is capacity, and defers if not
-//!   ([`CarrierSense`], [`Discipline`]).
+//!   ([`Discipline`]; the worlds record each reading through
+//!   `simgrid::trace::carrier_sense`).
 //!
 //! Everything here is independent of wall-clock time: callers supply
 //! "now" as a [`Time`] value, which lets the very same code drive both
@@ -31,5 +33,5 @@ pub mod time;
 
 pub use backoff::BackoffPolicy;
 pub use budget::{NextAttempt, TryBudget, TrySession};
-pub use discipline::{CarrierDecision, CarrierSense, Discipline, FreeCapacitySense};
+pub use discipline::Discipline;
 pub use time::{parse_duration, Dur, Time};

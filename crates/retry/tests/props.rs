@@ -6,6 +6,29 @@ use rand::SeedableRng;
 use retry::time::parse_duration;
 use retry::{BackoffPolicy, Dur, Time};
 
+/// Every policy the repo installs: the paper's (fig1–fig7 and the
+/// analyzer's default), fig8/fig9's 500 ms / 4 s, coord-live's
+/// 25 ms / 400 ms, the live arena's 100 ms / 2 s, a constant `every`
+/// interval, and Fixed's no delay at all.
+fn installed_policies() -> [BackoffPolicy; 6] {
+    let ms = Dur::from_millis;
+    [
+        BackoffPolicy::ethernet(),
+        BackoffPolicy::exponential(ms(500), ms(4000)),
+        BackoffPolicy::exponential(ms(25), ms(400)),
+        BackoffPolicy::exponential(ms(100), ms(2000)),
+        BackoffPolicy::Constant(ms(10)),
+        BackoffPolicy::None,
+    ]
+}
+
+/// Σ `delay_after(1..=k)` drawn from one seeded stream, as a `try`
+/// failing `k` times in a row draws them.
+fn drawn_total(p: &BackoffPolicy, k: u32, seed: u64) -> Dur {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (1..=k).fold(Dur::ZERO, |sum, i| sum + p.delay_after(i, &mut rng))
+}
+
 proptest! {
     /// Time + Dur arithmetic is consistent: (t + d) - t == d whenever
     /// no saturation occurs.
@@ -90,6 +113,42 @@ proptest! {
         prop_assert!(d.as_micros() < cap.as_micros() * 2 + 2);
         // Without jitter the cap is exact at every attempt count.
         prop_assert!(p.without_jitter().delay_after(k, &mut rng) <= cap);
+    }
+
+    /// The static envelope bounds what a VM can actually wait: under
+    /// every policy the repo installs, the seeded sum of the first `k`
+    /// drawn delays never exceeds `worst_total(k)` — for the first 64
+    /// failures and deep into the capped tail.
+    #[test]
+    fn drawn_delays_never_exceed_the_envelope(
+        k in 1u32..65,
+        tail in 65u32..2048,
+        seed in any::<u64>(),
+    ) {
+        for p in installed_policies() {
+            for n in [k, tail] {
+                let drawn = drawn_total(&p, n, seed);
+                prop_assert!(drawn <= p.worst_total(n), "{:?} k={} drew {}", p, n, drawn);
+            }
+        }
+    }
+
+    /// For the exponential policies the envelope is exactly the jitter
+    /// factor's open upper edge (2) times the un-jittered schedule, and
+    /// without jitter it is that schedule itself.
+    #[test]
+    fn exponential_envelope_is_twice_the_unjittered_sum(k in 1u32..65, tail in 65u32..2048) {
+        for p in installed_policies() {
+            if !matches!(p, BackoffPolicy::Exponential { .. }) {
+                continue;
+            }
+            let flat = p.without_jitter();
+            for n in [k, tail] {
+                let sum = drawn_total(&flat, n, 0);
+                prop_assert_eq!(p.worst_total(n), sum * 2, "{:?} k={}", p, n);
+                prop_assert_eq!(flat.worst_total(n), sum, "{:?} k={}", flat, n);
+            }
+        }
     }
 
     /// Display uses the largest exact unit: whole hours print as

@@ -7,7 +7,8 @@
 //! cargo run -p eg-simgrid --example channel_saturation
 //! ```
 
-use simgrid::{simulate_channel, ChannelDiscipline};
+use retry::Discipline;
+use simgrid::simulate_channel;
 use std::fmt::Write as _;
 
 fn main() {
@@ -17,11 +18,7 @@ fn main() {
     );
     for p in [0.002, 0.005, 0.01, 0.02, 0.05, 0.1] {
         let mut row = format!("{:>8.2}", 50.0 * p);
-        for d in [
-            ChannelDiscipline::Fixed,
-            ChannelDiscipline::Aloha,
-            ChannelDiscipline::Ethernet,
-        ] {
+        for d in [Discipline::Fixed, Discipline::Aloha, Discipline::Ethernet] {
             let s = simulate_channel(d, 50, p, 50_000, 1);
             let _ = write!(row, " {:>10.3}", s.throughput());
         }

@@ -20,17 +20,7 @@
 //! carrier-sensing discipline.
 
 use crate::rng::SimRng;
-
-/// Station discipline on the shared channel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChannelDiscipline {
-    /// Retransmit immediately.
-    Fixed,
-    /// Randomized exponential backoff after collisions.
-    Aloha,
-    /// Listen-before-talk carrier sense + backoff.
-    Ethernet,
-}
+use retry::Discipline;
 
 /// Result of a channel simulation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -70,14 +60,15 @@ struct Station {
 /// load G ≈ n·p_new). Returns the aggregate statistics.
 ///
 /// ```
-/// use simgrid::{simulate_channel, ChannelDiscipline};
+/// use retry::Discipline;
+/// use simgrid::simulate_channel;
 ///
-/// let aloha = simulate_channel(ChannelDiscipline::Aloha, 50, 0.05, 10_000, 1);
-/// let csma = simulate_channel(ChannelDiscipline::Ethernet, 50, 0.05, 10_000, 1);
+/// let aloha = simulate_channel(Discipline::Aloha, 50, 0.05, 10_000, 1);
+/// let csma = simulate_channel(Discipline::Ethernet, 50, 0.05, 10_000, 1);
 /// assert!(csma.throughput() > aloha.throughput());
 /// ```
 pub fn simulate_channel(
-    discipline: ChannelDiscipline,
+    discipline: Discipline,
     n_stations: usize,
     p_new: f64,
     slots: u64,
@@ -122,8 +113,7 @@ pub fn simulate_channel(
         // sense it busy and politely hold for the next slot (no backoff
         // penalty — deferral is not a collision). Ties within the
         // propagation window collide.
-        let transmitters: Vec<usize> = if discipline == ChannelDiscipline::Ethernet && due.len() > 1
-        {
+        let transmitters: Vec<usize> = if discipline == Discipline::Ethernet && due.len() > 1 {
             let offsets: Vec<u64> = due.iter().map(|_| rng.range_u64(0, MINI_SLOTS)).collect();
             let min = *offsets.iter().min().expect("due nonempty");
             due.iter()
@@ -148,8 +138,8 @@ pub fn simulate_channel(
                     let st = &mut stations[i];
                     st.collisions = st.collisions.saturating_add(1);
                     let delay = match discipline {
-                        ChannelDiscipline::Fixed => 1,
-                        ChannelDiscipline::Aloha | ChannelDiscipline::Ethernet => {
+                        Discipline::Fixed => 1,
+                        Discipline::Aloha | Discipline::Ethernet => {
                             // Binary exponential backoff, capped window.
                             let window = 1u64 << st.collisions.min(10);
                             1 + rng.range_u64(0, window)
@@ -169,14 +159,14 @@ mod tests {
 
     #[test]
     fn empty_channel_is_idle() {
-        let s = simulate_channel(ChannelDiscipline::Aloha, 10, 0.0, 1000, 1);
+        let s = simulate_channel(Discipline::Aloha, 10, 0.0, 1000, 1);
         assert_eq!(s.successes, 0);
         assert_eq!(s.idle, 1000);
     }
 
     #[test]
     fn single_station_never_collides() {
-        let s = simulate_channel(ChannelDiscipline::Fixed, 1, 0.5, 10_000, 1);
+        let s = simulate_channel(Discipline::Fixed, 1, 0.5, 10_000, 1);
         assert_eq!(s.collisions, 0);
         assert!(s.throughput() > 0.4);
     }
@@ -185,7 +175,7 @@ mod tests {
     fn fixed_discipline_livelocks_under_load() {
         // Two stations colliding with immediate retransmit never
         // recover: throughput collapses.
-        let s = simulate_channel(ChannelDiscipline::Fixed, 20, 0.2, 10_000, 1);
+        let s = simulate_channel(Discipline::Fixed, 20, 0.2, 10_000, 1);
         assert!(
             s.throughput() < 0.02,
             "fixed should livelock, got S={}",
@@ -200,15 +190,15 @@ mod tests {
         // order of 1/e ≈ 0.37 for slotted / 0.18 for the classic pure
         // model; our backoff variant must land well above Fixed and
         // meaningfully below Ethernet at high load.
-        let s = simulate_channel(ChannelDiscipline::Aloha, 50, 0.02, 20_000, 1);
+        let s = simulate_channel(Discipline::Aloha, 50, 0.02, 20_000, 1);
         let t = s.throughput();
         assert!((0.10..0.60).contains(&t), "aloha S={t}");
     }
 
     #[test]
     fn ethernet_beats_aloha_at_high_load() {
-        let a = simulate_channel(ChannelDiscipline::Aloha, 50, 0.05, 20_000, 1);
-        let e = simulate_channel(ChannelDiscipline::Ethernet, 50, 0.05, 20_000, 1);
+        let a = simulate_channel(Discipline::Aloha, 50, 0.05, 20_000, 1);
+        let e = simulate_channel(Discipline::Ethernet, 50, 0.05, 20_000, 1);
         assert!(
             e.throughput() > a.throughput(),
             "ethernet {} vs aloha {}",
@@ -219,7 +209,7 @@ mod tests {
 
     #[test]
     fn offered_load_accounts_new_frames_only() {
-        let s = simulate_channel(ChannelDiscipline::Aloha, 10, 0.1, 5_000, 2);
+        let s = simulate_channel(Discipline::Aloha, 10, 0.1, 5_000, 2);
         // G is computed from arrivals, not retransmissions.
         assert!(s.offered_load() <= 10.0 * 0.1 + 0.1);
         assert!(s.offered > 0);
@@ -227,14 +217,14 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let a = simulate_channel(ChannelDiscipline::Aloha, 30, 0.03, 10_000, 7);
-        let b = simulate_channel(ChannelDiscipline::Aloha, 30, 0.03, 10_000, 7);
+        let a = simulate_channel(Discipline::Aloha, 30, 0.03, 10_000, 7);
+        let b = simulate_channel(Discipline::Aloha, 30, 0.03, 10_000, 7);
         assert_eq!(a, b);
     }
 
     #[test]
     fn conservation_of_slots() {
-        let s = simulate_channel(ChannelDiscipline::Ethernet, 25, 0.05, 8_000, 3);
+        let s = simulate_channel(Discipline::Ethernet, 25, 0.05, 8_000, 3);
         assert_eq!(s.successes + s.collisions + s.idle, s.slots);
     }
 }

@@ -43,7 +43,7 @@ pub mod resources;
 pub mod rng;
 pub mod trace;
 
-pub use channel::{simulate_channel, ChannelDiscipline, ChannelStats};
+pub use channel::{simulate_channel, ChannelStats};
 pub use events::EventQueue;
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use metrics::{json_escape, percentile, Series, SeriesSet};

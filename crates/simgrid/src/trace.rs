@@ -409,6 +409,19 @@ pub fn emit(sink: &Option<SharedSink>, t: Time, client: i64, task: i64, ev: Trac
     }
 }
 
+/// One carrier-sense reading, recorded the same way by every world and
+/// the live swarm: `carrier-sense` with the level read, then `deferral`
+/// when it is below `busy_below`. Returns whether the medium read busy.
+#[inline]
+pub fn carrier_sense(free: u64, busy_below: u64, mut record: impl FnMut(TraceEv)) -> bool {
+    record(TraceEv::CarrierSense { free });
+    let busy = free < busy_below;
+    if busy {
+        record(TraceEv::Deferral);
+    }
+    busy
+}
+
 /// A bounded in-memory ring keeping the most recent `cap` records —
 /// the "flight recorder" for long real-driver runs where a full trace
 /// would be unbounded.
