@@ -1,13 +1,13 @@
 //! Readiness and timers for the event-driven server core: a thin safe
 //! wrapper over Linux `epoll` (via the workspace's raw `libc` shim),
-//! the simulator's event calendar as a timer store, and a cross-thread
-//! waker.
+//! the simulator's event queue (a radix heap) as a timer store, and a
+//! cross-thread waker.
 //!
 //! The old server pinned one OS thread per connection and *slept*
 //! through every service time, latency spike, and black-hole window —
 //! which caps the daemon near the worker-pool size. Everything here
 //! exists so that a connection is just a few hundred bytes of state
-//! and a wait is just a calendar entry: the [`Epoll`] instance says
+//! and a wait is just a queue entry: the [`Epoll`] instance says
 //! which sockets can make progress, the [`TimerWheel`] says which
 //! deferred completions are due, and one thread multiplexes thousands
 //! of both.
@@ -210,12 +210,14 @@ impl WakeRx {
 
 // ---------------------------------------------------------------- timers
 
-/// The reactors' timer store: the simulator's own calendar,
+/// The reactors' timer store: the simulator's own radix queue,
 /// [`EventQueue`], on microseconds since `epoch` — one future-event
 /// list, here on the wall clock (DESIGN.md §11). A deadline is rounded
 /// *up* to a microsecond when scheduled and `now` is rounded *down*
 /// when advancing, so a timer never fires early; timers fire in
-/// deadline order, ties in schedule order.
+/// deadline order, ties in schedule order. A deadline is clamped to the
+/// last one fired before it is scheduled: the radix queue takes no key
+/// below that.
 pub struct TimerWheel<T> {
     epoch: Instant,
     queue: EventQueue<T>,

@@ -32,8 +32,7 @@ use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::trace::{carrier_sense, emit, SharedSink, NO_ID};
-use simgrid::{Series, Served, SimRng, StoreOp};
-use std::collections::HashMap;
+use simgrid::{IdMap, Series, Served, SimRng, StoreOp};
 
 /// The space-separated peer list `r0 r1 … rN-1` the barrier `forall`
 /// iterates over.
@@ -251,7 +250,7 @@ pub struct AllReduceWorld {
     pub restarts: u64,
     trace: Option<SharedSink>,
     /// Interned probe outputs per distinct landed count.
-    probe_out: HashMap<u32, ftsh::Istr>,
+    probe_out: IdMap<u32, ftsh::Istr>,
 }
 
 impl AllReduceWorld {
@@ -276,7 +275,7 @@ impl AllReduceWorld {
             kills: 0,
             restarts: 0,
             trace: None,
-            probe_out: HashMap::new(),
+            probe_out: IdMap::default(),
             params,
         }
     }

@@ -31,7 +31,7 @@ use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::json::{self, Value};
 use simgrid::trace::{carrier_sense, emit, SharedSink, NO_ID};
-use simgrid::{json_escape, Series, Served, SimRng, StoreOp};
+use simgrid::{json_escape, IdMap, Series, Served, SimRng, StoreOp};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -427,7 +427,7 @@ pub struct DagWorld {
     /// Jobs re-admitted after a kill.
     pub restarts: u64,
     trace: Option<SharedSink>,
-    probe_out: HashMap<usize, ftsh::Istr>,
+    probe_out: IdMap<usize, ftsh::Istr>,
 }
 
 impl DagWorld {
@@ -472,7 +472,7 @@ impl DagWorld {
             kills: 0,
             restarts: 0,
             trace: None,
-            probe_out: HashMap::new(),
+            probe_out: IdMap::default(),
             params,
         }
     }

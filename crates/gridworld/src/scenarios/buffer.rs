@@ -20,8 +20,7 @@ use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec, FaultWindows};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
-use simgrid::{DiskBuffer, FileId, Series, SimRng, WriteError};
-use std::collections::HashMap;
+use simgrid::{DiskBuffer, FileId, IdMap, Series, SimRng, WriteError};
 
 /// One mebibyte.
 pub const MB: u64 = 1 << 20;
@@ -146,7 +145,7 @@ pub struct BufferWorld {
     /// The shared buffer.
     pub disk: DiskBuffer,
     /// In-flight writes by (client, token).
-    active: HashMap<(ClientId, CmdToken), ActiveWrite>,
+    active: IdMap<(ClientId, CmdToken), ActiveWrite>,
     consumer_busy: bool,
     /// Cumulative bytes producers attempted to write (successful or
     /// rejected) — the filesystem's ingress load.
@@ -187,7 +186,7 @@ impl BufferWorld {
             fault_plan,
             rng: SimRng::new(params.seed),
             disk: DiskBuffer::new(capacity),
-            active: HashMap::new(),
+            active: IdMap::default(),
             consumer_busy: false,
             bytes_attempted: 0,
             io_snapshot: (Time::ZERO, 0),

@@ -33,8 +33,8 @@ use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
-use simgrid::{FdTable, Series, SimRng};
-use std::collections::{HashMap, VecDeque};
+use simgrid::{FdTable, IdMap, Series, SimRng};
+use std::collections::VecDeque;
 
 /// Parameters of the submission scenario. Defaults reproduce the
 /// paper's setup (see DESIGN.md, experiments E1–E3).
@@ -159,10 +159,10 @@ pub enum SubmitEv {
 enum SubState {
     /// Client-side startup in progress (holds attempt FDs).
     Starting,
-    /// Connected, waiting in the schedd's FIFO.
-    Queued,
-    /// Being serviced.
-    Serving,
+    /// Connected at `since`, waiting in the schedd's FIFO.
+    Queued { since: Time },
+    /// Connected at `since`, being serviced.
+    Serving { since: Time },
 }
 
 /// The schedd + FD-table world.
@@ -178,12 +178,10 @@ pub struct SubmitWorld {
     rng: SimRng,
     fds: FdTable,
     schedd_up: bool,
-    /// Live submission attempts and where they are.
-    subs: HashMap<(ClientId, CmdToken), SubState>,
+    /// Live submission attempts, where they are, and since when.
+    subs: IdMap<(ClientId, CmdToken), SubState>,
     /// FIFO of connected submissions waiting for service.
     queue: VecDeque<(ClientId, CmdToken)>,
-    /// When each live submission connected (for sojourn stats).
-    enqueued_at: HashMap<(ClientId, CmdToken), Time>,
     /// Sojourn (connect-to-served) times of completed submissions, in
     /// seconds.
     pub sojourns: Vec<f64>,
@@ -211,7 +209,7 @@ pub struct SubmitWorld {
     /// handful of counts is reported millions of times, so the probe
     /// path reuses one `Istr` per distinct value instead of formatting
     /// a fresh `String` each time.
-    probe_out: HashMap<u64, ftsh::Istr>,
+    probe_out: IdMap<u64, ftsh::Istr>,
 }
 
 impl SubmitWorld {
@@ -232,9 +230,8 @@ impl SubmitWorld {
             rng: SimRng::new(params.seed),
             fds: FdTable::new(params.fd_capacity),
             schedd_up: true,
-            subs: HashMap::new(),
+            subs: IdMap::default(),
             queue: VecDeque::new(),
-            enqueued_at: HashMap::new(),
             sojourns: Vec::new(),
             serving: None,
             service_seq: 0,
@@ -247,7 +244,7 @@ impl SubmitWorld {
             fd_series: Series::new("available FDs"),
             jobs_series: Series::new("jobs submitted"),
             trace: None,
-            probe_out: HashMap::new(),
+            probe_out: IdMap::default(),
             script,
             params,
         }
@@ -263,7 +260,6 @@ impl SubmitWorld {
         if self.subs.remove(&conn).is_some() {
             self.fds.release(self.params.fds_per_attempt);
         }
-        self.enqueued_at.remove(&conn);
     }
 
     /// Begin servicing the head of the queue. On transient-FD
@@ -275,7 +271,11 @@ impl SubmitWorld {
             return;
         };
         self.serving = Some(head);
-        self.subs.insert(head, SubState::Serving);
+        if let Some(state) = self.subs.get_mut(&head) {
+            if let SubState::Queued { since } = *state {
+                *state = SubState::Serving { since };
+            }
+        }
         if self.fds.alloc(self.service_fds).is_err() {
             self.crash(ctx, out);
             return;
@@ -389,11 +389,11 @@ impl CommandWorld for SubmitWorld {
         match self.subs.get(&conn) {
             None => {}
             Some(SubState::Starting) => self.release_sub(conn),
-            Some(SubState::Queued) => {
+            Some(SubState::Queued { .. }) => {
                 self.queue.retain(|&c| c != conn);
                 self.release_sub(conn);
             }
-            Some(SubState::Serving) => {
+            Some(SubState::Serving { .. }) => {
                 self.serving = None;
                 self.service_seq += 1;
                 if self.transient_held {
@@ -446,9 +446,9 @@ impl CommandWorld for SubmitWorld {
                     });
                     return out;
                 }
-                self.subs.insert(conn, SubState::Queued);
+                self.subs
+                    .insert(conn, SubState::Queued { since: ctx.now() });
                 self.queue.push_back(conn);
-                self.enqueued_at.insert(conn, ctx.now());
                 if self.serving.is_none() && !self.gap_pending {
                     self.start_service(ctx, &mut out);
                 }
@@ -462,9 +462,9 @@ impl CommandWorld for SubmitWorld {
                     self.fds.release(self.service_fds);
                     self.transient_held = false;
                 }
-                if let Some(&t0) = self.enqueued_at.get(&conn) {
+                if let Some(&SubState::Serving { since }) = self.subs.get(&conn) {
                     self.sojourns
-                        .push(ctx.now().saturating_since(t0).as_secs_f64());
+                        .push(ctx.now().saturating_since(since).as_secs_f64());
                 }
                 self.release_sub(conn);
                 self.jobs_submitted += 1;

@@ -15,7 +15,7 @@
 //! forces the sequential baseline the perf harness compares against.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
+use std::sync::{Once, OnceLock};
 
 /// The worker count [`map`] would use for `n_items` points: available
 /// parallelism capped by the item count, overridden by
@@ -26,26 +26,33 @@ use std::sync::Once;
 /// typo like `EG_SWEEP_THREADS=two` cannot silently benchmark the
 /// wrong configuration.
 pub fn configured_threads(n_items: usize) -> usize {
-    let default = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     let n = match std::env::var("EG_SWEEP_THREADS") {
-        Ok(v) => match parse_thread_override(&v) {
-            Some(t) => t,
-            None => {
-                static WARN: Once = Once::new();
-                WARN.call_once(|| {
-                    eprintln!(
-                        "warning: ignoring EG_SWEEP_THREADS={v:?}: \
-                         expected a positive integer, using default ({default})"
-                    );
-                });
-                default
-            }
-        },
-        Err(_) => default,
+        Ok(v) => parse_thread_override(&v).unwrap_or_else(|| {
+            let default = host_threads();
+            static WARN: Once = Once::new();
+            WARN.call_once(|| {
+                eprintln!(
+                    "warning: ignoring EG_SWEEP_THREADS={v:?}: \
+                     expected a positive integer, using default ({default})"
+                );
+            });
+            default
+        }),
+        Err(_) => host_threads(),
     };
     n.min(n_items).max(1)
+}
+
+/// The host's available parallelism, asked once per process: the
+/// answer comes from cgroup files (≈20 µs a call), and a figure run
+/// sweeps many times.
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Parse an `EG_SWEEP_THREADS` value: a positive integer, or `None`

@@ -25,7 +25,8 @@
 //!
 //! [`faults`] holds the fault-plan language and the one compiler from
 //! a plan to time windows ([`faults::FaultWindows`]) that the
-//! simulator, the static checker and the daemon read.
+//! simulator, the static checker and the daemon read. [`IdMap`] is
+//! the deterministic lookup table the worlds key by client and token.
 //!
 //! Time is `retry::Time` — the same virtual instants the ftsh VM
 //! consumes — so whole populations of VMs can be multiplexed over one
@@ -36,6 +37,7 @@
 pub mod channel;
 pub mod events;
 pub mod faults;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod postmortem;
@@ -46,6 +48,7 @@ pub mod trace;
 pub use channel::{simulate_channel, ChannelStats};
 pub use events::EventQueue;
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
+pub use hash::IdMap;
 pub use metrics::{json_escape, percentile, Series, SeriesSet};
 pub use postmortem::TraceSummary;
 pub use resources::disk::{DiskBuffer, FileId, WriteError};

@@ -1,12 +1,15 @@
-//! Differential property test for the event kernel: for arbitrary
-//! interleavings of schedules and pops, the bucket calendar must yield
-//! the identical `(time, event)` sequence as a reference single-heap
-//! queue — the legacy kernel it replaced — and, given an end, that
-//! sequence cut at the end, with everything later counted as discarded.
+//! Differential tests for the event kernel: for arbitrary
+//! interleavings of schedules and pops, the radix queue must yield the
+//! identical `(time, event)` sequence as a reference single-heap queue
+//! — the legacy kernel, which breaks ties by a sequence number the
+//! radix queue does not store — and, given an end, that sequence cut at
+//! the end, with everything later counted as discarded. A proptest
+//! explores shrinkable interleavings; a seeded long haul pushes
+//! millions of operations over every bucket.
 
 use proptest::prelude::*;
 use retry::Time;
-use simgrid::EventQueue;
+use simgrid::{EventQueue, SimRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -33,21 +36,24 @@ impl LegacyQueue {
     }
 }
 
-/// The kernel's bucket width, restated: instants on either side of a
-/// multiple of it are where a calendar can misfile an event.
+/// One second: instants on either side of a multiple of it (or of
+/// any power of two) are where a bucketed queue can misfile an event.
 const BUCKET_US: u64 = 1_000_000;
 
 /// When a scheduled event is due, relative to the current clock.
 #[derive(Clone, Debug)]
 enum When {
     /// `mantissa × 10^exp` microseconds from now: a heavy tail from
-    /// 1 µs to ten days, so one interleaving mixes events of the
-    /// current bucket, of the ring, and past any ring's horizon.
+    /// 1 µs to ten days, so one interleaving mixes events in low and
+    /// high radix buckets.
     In { mantissa: u64, exp: u32 },
     /// Exactly on the boundary `buckets` buckets ahead (the first
     /// instant of that bucket), or one microsecond before it (the last
     /// instant of the bucket before).
     Boundary { buckets: u64, before: bool },
+    /// Exactly the current instant: the FIFO of events at `now`,
+    /// behind whatever is already due.
+    Now,
     /// `Time::MAX`.
     Never,
 }
@@ -62,16 +68,16 @@ impl When {
                 .saturating_mul(BUCKET_US)
                 .saturating_sub(u64::from(before))
                 .max(now),
+            When::Now => now,
             When::Never => u64::MAX,
         })
     }
 }
 
 /// One step of an interleaving: schedule events — one, or a burst
-/// large enough to outgrow the `beyond` heap and make the queue build
-/// a ring — or pop a run of heads. With the heavy tail above a long
-/// run carries the clock hours forward, so the ring wraps many times
-/// within one case.
+/// that fills many buckets at once — or pop a run of heads. With the
+/// heavy tail above a long run carries the clock hours forward, so
+/// buckets are emptied and refilled many times within one case.
 #[derive(Clone, Debug)]
 enum Op {
     Schedule(Vec<When>),
@@ -85,6 +91,7 @@ fn when_strategy() -> impl Strategy<Value = When> {
             buckets,
             before
         }),
+        2 => Just(When::Now),
         1 => Just(When::Never),
     ]
 }
@@ -98,9 +105,9 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Where a run ends: on a bucket boundary, one microsecond either side
-/// of it — near the clock's start, where boundary schedules land on it,
-/// or far past any ring's horizon — or never.
+/// Where a run ends: on a one-second boundary, one microsecond either
+/// side of it — near the clock's start, where boundary schedules land
+/// on it, or far past it — or never.
 fn end_strategy() -> impl Strategy<Value = Time> {
     let boundary = |buckets: std::ops::Range<u64>| {
         (buckets, -1i64..2)
@@ -113,16 +120,16 @@ fn end_strategy() -> impl Strategy<Value = Time> {
     ]
 }
 
-/// Run `ops` through the legacy heap and through a calendar given
-/// `end`, and check that the calendar pops exactly the legacy heap's
+/// Run `ops` through the legacy heap and through the radix queue given
+/// `end`, and check that the queue pops exactly the legacy heap's
 /// events at or before `end`, in the same order — including the final
-/// drain, whichever tier each event waited in — and counts every later
-/// one as discarded instead of storing it. Neither queue is popped past
-/// `end`, so both clocks advance identically.
+/// drain, whichever bucket each event waited in — and counts every
+/// later one as discarded instead of storing it. Neither queue is
+/// popped past `end`, so both clocks advance identically.
 fn check_against_legacy(end: Time, ops: &[Op]) -> Result<(), TestCaseError> {
     let mut legacy = LegacyQueue::default();
-    let mut calendar = EventQueue::new();
-    calendar.set_end(end);
+    let mut queue = EventQueue::new();
+    queue.set_end(end);
     let mut next_event = 0u32;
     // The legacy queue's head, if a run ending at `end` would pop it.
     let due = |legacy: &LegacyQueue| legacy.heap.peek().map(|e| e.0 .0).filter(|&at| at <= end);
@@ -136,41 +143,41 @@ fn check_against_legacy(end: Time, ops: &[Op]) -> Result<(), TestCaseError> {
             // past for either queue.
             let at = when.at(legacy.now);
             legacy.schedule(at, next_event);
-            calendar.schedule(at, next_event);
+            queue.schedule(at, next_event);
             next_event += 1;
         }
         for _ in 0..pops {
-            prop_assert_eq!(calendar.peek_time(), due(&legacy));
+            prop_assert_eq!(queue.peek_time(), due(&legacy));
             let want = due(&legacy).and_then(|_| legacy.pop());
-            prop_assert_eq!(calendar.pop(), want);
-            prop_assert_eq!(calendar.now(), legacy.now);
+            prop_assert_eq!(queue.pop(), want);
+            prop_assert_eq!(queue.now(), legacy.now);
         }
-        let stored = calendar.len() as u64;
-        prop_assert_eq!(stored + calendar.discarded(), legacy.heap.len() as u64);
-        prop_assert_eq!(calendar.is_empty(), due(&legacy).is_none());
+        let stored = queue.len() as u64;
+        prop_assert_eq!(stored + queue.discarded(), legacy.heap.len() as u64);
+        prop_assert_eq!(queue.is_empty(), due(&legacy).is_none());
     }
     loop {
         let want = due(&legacy).and_then(|_| legacy.pop());
-        let got = calendar.pop();
+        let got = queue.pop();
         prop_assert_eq!(&got, &want);
         if got.is_none() {
             break;
         }
     }
-    prop_assert!(calendar.is_empty());
-    prop_assert_eq!(calendar.len(), 0);
-    prop_assert_eq!(calendar.discarded(), legacy.heap.len() as u64);
+    prop_assert!(queue.is_empty());
+    prop_assert_eq!(queue.len(), 0);
+    prop_assert_eq!(queue.discarded(), legacy.heap.len() as u64);
     if end == Time::MAX {
-        prop_assert_eq!(calendar.discarded(), 0);
+        prop_assert_eq!(queue.discarded(), 0);
     }
-    prop_assert_eq!(calendar.clamped(), 0);
+    prop_assert_eq!(queue.clamped(), 0);
     Ok(())
 }
 
 proptest! {
-    /// The calendar is observationally identical to the legacy single
-    /// heap under any schedule/pop interleaving, including the final
-    /// drain — whichever tier each event waited in.
+    /// The radix queue is observationally identical to the legacy
+    /// single heap under any schedule/pop interleaving, including the
+    /// final drain — whichever bucket each event waited in.
     #[test]
     fn calendar_matches_legacy_queue(
         ops in proptest::collection::vec(op_strategy(), 1..200),
@@ -178,8 +185,9 @@ proptest! {
         check_against_legacy(Time::MAX, &ops)?;
     }
 
-    /// Given an end, the calendar pops exactly what the legacy heap pops
-    /// by then, in the same order, and stores nothing it would not pop.
+    /// Given an end, the radix queue pops exactly what the legacy heap
+    /// pops by then, in the same order, and stores nothing it would not
+    /// pop.
     #[test]
     fn calendar_with_an_end_matches_legacy_queue_up_to_it(
         end in end_strategy(),
@@ -187,4 +195,73 @@ proptest! {
     ) {
         check_against_legacy(end, &ops)?;
     }
+}
+
+/// The long haul: 400 seeds × 20 000 operations each, checked against
+/// the legacy heap after every one. Delays are drawn at a random scale
+/// from 1 µs to 2^40 µs (so every bucket below 41 fills and drains,
+/// and `Time::MAX` fills bucket 64), schedules come in bursts of up to
+/// 200, one in eight lands exactly on `now`, and one in eight repeats
+/// the instant of the schedule before it.
+#[test]
+fn long_haul_matches_legacy_queue() {
+    const SEEDS: u64 = 400;
+    const OPS: usize = 20_000;
+    let (mut pops, mut deepest) = (0u64, 0usize);
+    for seed in 0..SEEDS {
+        let mut rng = SimRng::new(seed);
+        let mut legacy = LegacyQueue::default();
+        let mut radix = EventQueue::new();
+        let mut next_event = 0u32;
+        let mut last_at = Time::ZERO;
+        let mut ops = 0;
+        while ops < OPS {
+            if rng.range_u64(0, 2) == 0 {
+                let burst = if rng.range_u64(0, 8) == 0 {
+                    rng.range_u64(2, 201)
+                } else {
+                    1
+                };
+                for _ in 0..burst {
+                    let now = legacy.now.as_micros();
+                    let at = match rng.range_u64(0, 16) {
+                        0 | 1 => now,
+                        2 | 3 => last_at.as_micros().max(now),
+                        4 => u64::MAX,
+                        _ => {
+                            let scale = rng.range_u64(0, 41);
+                            now.saturating_add(rng.range_u64(1, (1 << scale) + 1))
+                        }
+                    };
+                    last_at = Time::from_micros(at);
+                    legacy.schedule(last_at, next_event);
+                    radix.schedule(last_at, next_event);
+                    next_event = next_event.wrapping_add(1);
+                    ops += 1;
+                }
+            } else {
+                for _ in 0..rng.range_u64(1, 17) {
+                    let want_peek = legacy.heap.peek().map(|e| e.0 .0);
+                    assert_eq!(radix.peek_time(), want_peek, "seed {seed} op {ops}: peek");
+                    let want = legacy.pop();
+                    assert_eq!(radix.pop(), want, "seed {seed} op {ops}: pop");
+                    pops += u64::from(want.is_some());
+                    ops += 1;
+                }
+            }
+            assert_eq!(radix.now(), legacy.now, "seed {seed} op {ops}: now");
+            assert_eq!(radix.len(), legacy.heap.len(), "seed {seed} op {ops}: len");
+            assert_eq!(radix.is_empty(), legacy.heap.is_empty());
+            deepest = deepest.max(radix.len());
+        }
+        while let Some(want) = legacy.pop() {
+            assert_eq!(radix.pop(), Some(want), "seed {seed}: drain");
+            pops += 1;
+        }
+        assert_eq!(radix.pop(), None);
+        assert_eq!((radix.clamped(), radix.discarded()), (0, 0));
+    }
+    // Most operations pop something, and the queue gets deep.
+    assert!(pops > SEEDS * OPS as u64 / 2, "{pops} pops");
+    assert!(deepest > 2_000, "{deepest} deep at most");
 }
