@@ -26,7 +26,7 @@
 //! lands.
 
 use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
-use crate::driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
@@ -381,7 +381,7 @@ impl CommandWorld for AllReduceWorld {
         schedule_done(ctx, self.store.leave(|&who| who == (client, token)));
     }
 
-    fn inject_fault(&mut self, _ctx: &mut Ctx<'_, StoreDone>, kind: &FaultKind) -> Vec<Completion> {
+    fn inject_fault(&mut self, _ctx: &mut Ctx<'_, StoreDone>, kind: &FaultKind) {
         if let FaultKind::ClientKill { client, .. } = kind {
             if *client < self.params.n_ranks
                 && self.rank_round.get(*client).copied().unwrap_or(u32::MAX) < self.params.rounds
@@ -390,10 +390,9 @@ impl CommandWorld for AllReduceWorld {
                 self.rounds_lost += 1;
             }
         }
-        Vec::new()
     }
 
-    fn on_event(&mut self, ctx: &mut Ctx<'_, StoreDone>, ev: StoreDone) -> Vec<Completion> {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, StoreDone>, ev: StoreDone) {
         let StoreDone { seq } = ev;
         // Re-publishes after a rank restart overwrite: the barrier
         // count never sees a key twice.
@@ -403,7 +402,7 @@ impl CommandWorld for AllReduceWorld {
             true
         };
         let Some(done) = self.store.finish(seq, admit) else {
-            return Vec::new(); // that service was aborted by a cancel
+            return; // that service was aborted by a cancel
         };
         schedule_done(ctx, done.next);
         let success = match done.served {
@@ -416,7 +415,7 @@ impl CommandWorld for AllReduceWorld {
             Served::Hit(()) => true,
             Served::Miss(_) | Served::Refused => false,
         };
-        vec![store_reply(done.who, success)]
+        store_reply(ctx, done.who, success);
     }
 
     fn unit_done(

@@ -24,7 +24,7 @@
 //! code.
 
 use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
-use crate::driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
@@ -550,22 +550,21 @@ impl CommandWorld for DagWorld {
         schedule_done(ctx, self.store.leave(|&who| who == (client, token)));
     }
 
-    fn inject_fault(&mut self, _ctx: &mut Ctx<'_, StoreDone>, kind: &FaultKind) -> Vec<Completion> {
+    fn inject_fault(&mut self, _ctx: &mut Ctx<'_, StoreDone>, kind: &FaultKind) {
         if let FaultKind::ClientKill { client, .. } = kind {
             if *client < self.done.len() && !self.done[*client] {
                 self.kills += 1;
             }
         }
-        Vec::new()
     }
 
-    fn on_event(&mut self, ctx: &mut Ctx<'_, StoreDone>, ev: StoreDone) -> Vec<Completion> {
+    fn on_event(&mut self, ctx: &mut Ctx<'_, StoreDone>, ev: StoreDone) {
         let StoreDone { seq } = ev;
         // Mid-flight store corruption: the ENOSPC window fails every
         // write; the job's `try` re-publishes after it.
         let admit = !self.windows.enospc_active(ctx.now());
         let Some(done) = self.store.finish(seq, |_, (), _| admit) else {
-            return Vec::new(); // that service was aborted by a cancel
+            return; // that service was aborted by a cancel
         };
         schedule_done(ctx, done.next);
         let success = match done.served {
@@ -576,7 +575,7 @@ impl CommandWorld for DagWorld {
                 false
             }
         };
-        vec![store_reply(done.who, success)]
+        store_reply(ctx, done.who, success);
     }
 
     fn unit_done(

@@ -37,7 +37,7 @@
 //!
 //! [`FaultKind::ClientKill`]: simgrid::faults::FaultKind::ClientKill
 
-use crate::driver::{ClientId, Completion, Ctx};
+use crate::driver::{ClientId, Ctx};
 use ftsh::vm::{CmdResult, CmdToken};
 use ftsh::{Env, Script, Vm};
 use retry::{Discipline, Dur};
@@ -75,17 +75,13 @@ fn schedule_done(ctx: &mut Ctx<'_, StoreDone>, started: Option<Started>) {
 }
 
 /// Tell the command behind a finished store operation how it went.
-fn store_reply((client, token): (ClientId, CmdToken), success: bool) -> Completion {
+fn store_reply(ctx: &mut Ctx<'_, StoreDone>, (client, token): (ClientId, CmdToken), success: bool) {
     let result = if success {
         CmdResult::ok("")
     } else {
         CmdResult::fail()
     };
-    Completion {
-        client,
-        token,
-        result,
-    }
+    ctx.complete(client, token, result);
 }
 
 /// Build one coord work-unit VM. Collective rounds complete in

@@ -72,29 +72,21 @@ pub enum ExecOutcome {
     /// Completes at the given instant with this result, unless the VM
     /// cancels it first.
     At(Time, CmdResult),
-    /// The world holds it and will complete it later by returning a
-    /// [`Completion`] from [`CommandWorld::on_event`] (e.g. a transfer
-    /// that starts only when a server queue drains).
+    /// The world holds it and will complete it later, through
+    /// [`Ctx::complete`] or [`Ctx::schedule_completion`] (e.g. a
+    /// transfer that starts only when a server queue drains).
     Held,
 }
 
-/// A deferred completion produced by the world.
-#[derive(Debug)]
-pub struct Completion {
-    /// Owning client.
-    pub client: ClientId,
-    /// Command token.
-    pub token: CmdToken,
-    /// Result to deliver.
-    pub result: CmdResult,
-}
+/// A held command's result, released by a world callback and
+/// delivered when that callback returns.
+type Release = (ClientId, CmdToken, CmdResult);
 
 /// Access to the event queue (and clock) for world callbacks.
 pub struct Ctx<'a, W> {
-    /// The scenario's event queue; schedule [`SimEv::World`] events or
-    /// [`SimEv::CmdDone`] completions here.
-    pub queue: &'a mut EventQueue<SimEv<W>>,
+    queue: &'a mut EventQueue<SimEv<W>>,
     epochs: &'a [u32],
+    released: &'a mut Vec<Release>,
 }
 
 impl<W> Ctx<'_, W> {
@@ -130,6 +122,18 @@ impl<W> Ctx<'_, W> {
             },
         );
     }
+
+    /// Complete a currently held command now. Releases are delivered
+    /// in call order when the callback returns, at the same instant
+    /// and with the same epoch and in-flight checks as any completion;
+    /// they add no queue event. Not for [`CommandWorld::exec`] or
+    /// [`CommandWorld::cancelled`], which run inside a VM step: answer
+    /// there through [`ExecOutcome`] or [`schedule_completion`].
+    ///
+    /// [`schedule_completion`]: Self::schedule_completion
+    pub fn complete(&mut self, client: ClientId, token: CmdToken, result: CmdResult) {
+        self.released.push((client, token, result));
+    }
 }
 
 /// A scenario: what commands do, and what happens between work units.
@@ -151,9 +155,9 @@ pub trait CommandWorld: Sized {
     /// it held.
     fn cancelled(&mut self, ctx: &mut Ctx<'_, Self::Ev>, client: ClientId, token: CmdToken);
 
-    /// A scenario event fired. Return any held-command completions it
-    /// triggers.
-    fn on_event(&mut self, ctx: &mut Ctx<'_, Self::Ev>, ev: Self::Ev) -> Vec<Completion>;
+    /// A scenario event fired. Complete whatever held commands it
+    /// releases with [`Ctx::complete`].
+    fn on_event(&mut self, ctx: &mut Ctx<'_, Self::Ev>, ev: Self::Ev);
 
     /// A client's script finished (one work unit). Return the next VM
     /// and the instant it should start, or `None` to retire the client.
@@ -165,16 +169,13 @@ pub trait CommandWorld: Sized {
     ) -> Option<(Vm, Time)>;
 
     /// An armed fault plan injected a fault that changes world state
-    /// (schedd kill/restart, black-hole toggle, client kill). Return
-    /// any held-command completions the fault releases. The default
-    /// ignores the fault — worlds opt in to the kinds they model. The
-    /// kinds that are pure time windows (ENOSPC, free-space lie) never
-    /// arrive here: a world reads them from its plan's
-    /// [`FaultPlan::windows`] table.
-    fn inject_fault(&mut self, ctx: &mut Ctx<'_, Self::Ev>, kind: &FaultKind) -> Vec<Completion> {
-        let _ = (ctx, kind);
-        Vec::new()
-    }
+    /// (schedd kill/restart, black-hole toggle, client kill). Complete
+    /// whatever held commands the fault releases with
+    /// [`Ctx::complete`]. The default ignores the fault — worlds opt in
+    /// to the kinds they model. The kinds that are pure time windows
+    /// (ENOSPC, free-space lie) never arrive here: a world reads them
+    /// from its plan's [`FaultPlan::windows`] table.
+    fn inject_fault(&mut self, _ctx: &mut Ctx<'_, Self::Ev>, _kind: &FaultKind) {}
 
     /// A client killed by a [`FaultKind::ClientKill`] injection has
     /// reached its restart instant. Return the replacement VM and the
@@ -256,6 +257,9 @@ pub struct SimDriver<W: CommandWorld> {
     /// Reusable effects buffer swapped into each VM tick, so the hot
     /// loop never allocates a fresh `Vec` per tick.
     effects_buf: Vec<Effect>,
+    /// Reusable buffer world callbacks release held commands into
+    /// ([`Ctx::complete`]).
+    released: Vec<Release>,
     vm_ticks: u64,
 }
 
@@ -297,6 +301,7 @@ impl<W: CommandWorld> SimDriver<W> {
             tracer: None,
             faults: None,
             effects_buf: Vec::new(),
+            released: Vec::new(),
             vm_ticks: 0,
         }
     }
@@ -367,22 +372,27 @@ impl<W: CommandWorld> SimDriver<W> {
         self.queue.now()
     }
 
-    /// Run one world callback with a [`Ctx`] over the queue.
+    /// Run one world callback with a [`Ctx`] over the queue, then
+    /// deliver, in release order, the held commands it completed.
     fn ask<R>(&mut self, f: impl FnOnce(&mut W, &mut Ctx<'_, W::Ev>) -> R) -> R {
-        let mut ctx = Ctx {
-            queue: &mut self.queue,
-            epochs: &self.epochs,
-        };
-        f(&mut self.world, &mut ctx)
-    }
-
-    /// Run a world callback that may release held commands, and
-    /// deliver what it releases.
-    fn react(&mut self, now: Time, f: impl FnOnce(&mut W, &mut Ctx<'_, W::Ev>) -> Vec<Completion>) {
-        for c in self.ask(f) {
-            let epoch = self.epochs[c.client];
-            self.deliver(c.client, epoch, c.token, c.result, false, now);
+        // Taken, not borrowed: a delivery ticks a VM, and a tick may
+        // run further callbacks.
+        let mut released = std::mem::take(&mut self.released);
+        let r = f(
+            &mut self.world,
+            &mut Ctx {
+                queue: &mut self.queue,
+                epochs: &self.epochs,
+                released: &mut released,
+            },
+        );
+        let now = self.queue.now();
+        for (client, token, result) in released.drain(..) {
+            let epoch = self.epochs[client];
+            self.deliver(client, epoch, token, result, false, now);
         }
+        self.released = released;
+        r
     }
 
     /// Run until the queue drains or virtual time would pass `end`.
@@ -404,7 +414,7 @@ impl<W: CommandWorld> SimDriver<W> {
                     result,
                     delayed,
                 } => self.deliver(client, epoch, token, result, delayed, now),
-                SimEv::World(w) => self.react(now, |world, ctx| world.on_event(ctx, w)),
+                SimEv::World(w) => self.ask(|world, ctx| world.on_event(ctx, w)),
                 SimEv::Fault(i) => self.trigger_fault(i, now),
                 SimEv::Revive(c) => self.revive_client(c, now),
             }
@@ -495,7 +505,7 @@ impl<W: CommandWorld> SimDriver<W> {
                 let killed = self.kill_client(c);
                 // Let the world observe the kill (round accounting,
                 // resource bookkeeping) after the VM is gone.
-                self.react(now, |world, ctx| world.inject_fault(ctx, &spec.kind));
+                self.ask(|world, ctx| world.inject_fault(ctx, &spec.kind));
                 // Only a kill that found a live VM earns a revival: a
                 // client that already retired (or was killed twice)
                 // must not be resurrected by a stale restart delay.
@@ -503,7 +513,7 @@ impl<W: CommandWorld> SimDriver<W> {
                     self.queue.schedule(now + delay, SimEv::Revive(c));
                 }
             }
-            kind => self.react(now, |world, ctx| world.inject_fault(ctx, kind)),
+            kind => self.ask(|world, ctx| world.inject_fault(ctx, kind)),
         }
     }
 
@@ -653,10 +663,15 @@ impl<W: CommandWorld> SimDriver<W> {
                 ctx: Ctx {
                     queue: &mut self.queue,
                     epochs: &self.epochs,
+                    released: &mut self.released,
                 },
                 client,
             };
             let (status, ticks) = step(vm, vm_now, &mut effects, &mut exec);
+            debug_assert!(
+                self.released.is_empty(),
+                "exec and cancelled answer through ExecOutcome, not Ctx::complete"
+            );
             self.vm_ticks += ticks;
             match status {
                 VmStatus::Done { success } => {
@@ -766,9 +781,7 @@ mod tests {
             self.cancel_count += 1;
         }
 
-        fn on_event(&mut self, _ctx: &mut Ctx<'_, ()>, _ev: ()) -> Vec<Completion> {
-            Vec::new()
-        }
+        fn on_event(&mut self, _ctx: &mut Ctx<'_, ()>, _ev: ()) {}
 
         fn unit_done(
             &mut self,
@@ -1022,6 +1035,87 @@ mod tests {
 }
 
 #[cfg(test)]
+mod release_tests {
+    use super::*;
+    use ftsh::parse;
+
+    /// `hold` is held until the world's event, which releases every
+    /// held command, last held first; `mark` logs who ran it, and when.
+    #[derive(Default)]
+    struct ReleaseWorld {
+        held: Vec<(ClientId, CmdToken)>,
+        marks: Vec<(ClientId, Time)>,
+    }
+
+    impl CommandWorld for ReleaseWorld {
+        type Ev = ();
+
+        fn exec(
+            &mut self,
+            ctx: &mut Ctx<'_, ()>,
+            client: ClientId,
+            token: CmdToken,
+            spec: &CommandSpec,
+        ) -> ExecOutcome {
+            match spec.program() {
+                "hold" => {
+                    self.held.push((client, token));
+                    ExecOutcome::Held
+                }
+                "mark" => {
+                    self.marks.push((client, ctx.now()));
+                    ExecOutcome::Now(CmdResult::ok(""))
+                }
+                _ => ExecOutcome::Held,
+            }
+        }
+
+        /// A cancelled command stays on `held`, so the event releases it
+        /// anyway.
+        fn cancelled(&mut self, _ctx: &mut Ctx<'_, ()>, _client: ClientId, _token: CmdToken) {}
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_, ()>, (): ()) {
+            while let Some((client, token)) = self.held.pop() {
+                ctx.complete(client, token, CmdResult::ok(""));
+            }
+        }
+
+        fn unit_done(&mut self, _: &mut Ctx<'_, ()>, _: ClientId, _: bool) -> Option<(Vm, Time)> {
+            None
+        }
+    }
+
+    #[test]
+    fn releases_land_at_the_event_in_release_order_and_queue_nothing() {
+        // Clients 0 and 1 hold until the world event at t = 5 s. Client
+        // 2's hold is cancelled by its 2 s deadline, and the client
+        // moves on to a command nobody answers.
+        let hold = parse("hold\nmark\n").unwrap();
+        let gives_up = parse("try for 2 seconds or 1 times\n hold\ncatch\n hang\nend\n").unwrap();
+        let vms = vec![
+            Vm::with_seed(&hold, 0),
+            Vm::with_seed(&hold, 1),
+            Vm::with_seed(&gives_up, 2),
+        ];
+        let mut d = SimDriver::new(ReleaseWorld::default(), vms);
+        d.schedule_world(Time::from_secs(5), ());
+        d.run_until(Time::from_secs(4));
+        assert_eq!(d.world.held, [(0, 0), (1, 0), (2, 0)]);
+        let (popped, ticks) = (d.events_popped(), d.vm_ticks());
+        d.run_until(Time::from_secs(100));
+        // Released 2, 1, 0. Each live release is delivered at once, at
+        // the event's instant: two ticks apiece (the release, then
+        // `mark`'s inline answer). Client 2 no longer waits on its
+        // token, so its release is dropped without a tick.
+        let t5 = Time::from_secs(5);
+        assert_eq!(d.world.marks, [(1, t5), (0, t5)]);
+        assert_eq!(d.vm_ticks(), ticks + 4);
+        assert_eq!(d.events_popped(), popped + 1, "the world event alone");
+        assert!(d.queue.is_empty());
+    }
+}
+
+#[cfg(test)]
 mod epoch_tests {
     use super::*;
     use ftsh::parse;
@@ -1064,9 +1158,7 @@ mod epoch_tests {
 
         fn cancelled(&mut self, _ctx: &mut Ctx<'_, ()>, _c: ClientId, _t: CmdToken) {}
 
-        fn on_event(&mut self, _ctx: &mut Ctx<'_, ()>, _ev: ()) -> Vec<Completion> {
-            Vec::new()
-        }
+        fn on_event(&mut self, _ctx: &mut Ctx<'_, ()>, _ev: ()) {}
 
         fn unit_done(
             &mut self,
@@ -1184,13 +1276,10 @@ mod fault_tests {
             self.cancelled.push(token);
         }
 
-        fn on_event(&mut self, _ctx: &mut Ctx<'_, ()>, _ev: ()) -> Vec<Completion> {
-            Vec::new()
-        }
+        fn on_event(&mut self, _ctx: &mut Ctx<'_, ()>, _ev: ()) {}
 
-        fn inject_fault(&mut self, _ctx: &mut Ctx<'_, ()>, kind: &FaultKind) -> Vec<Completion> {
+        fn inject_fault(&mut self, _ctx: &mut Ctx<'_, ()>, kind: &FaultKind) {
             self.injected.push(kind.tag().to_string());
-            Vec::new()
         }
 
         fn restart_client(

@@ -15,7 +15,7 @@ pub mod scenarios;
 pub mod scripts;
 pub mod sweep;
 
-pub use driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver, SimEv};
+pub use driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver, SimEv};
 pub use figures::{by_name_full, FigureRun, Scale};
 pub use scenarios::blackhole::{
     run_blackhole, run_blackhole_traced, BlackHoleOutcome, BlackHoleParams,

@@ -8,7 +8,7 @@
 //! flag file under a 5-second limit and only then commits to the
 //! transfer.
 
-use crate::driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
 use crate::scripts::{reader_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
@@ -280,11 +280,7 @@ impl CommandWorld for BlackHoleWorld {
         }
     }
 
-    fn inject_fault(
-        &mut self,
-        ctx: &mut Ctx<'_, BlackHoleEv>,
-        kind: &FaultKind,
-    ) -> Vec<Completion> {
+    fn inject_fault(&mut self, ctx: &mut Ctx<'_, BlackHoleEv>, kind: &FaultKind) {
         if let FaultKind::ServerBlackHole { server, enable } = kind {
             if let Some(idx) = self.host_index(server) {
                 // Collapsing, the in-flight transfer falls silent (its
@@ -295,28 +291,21 @@ impl CommandWorld for BlackHoleWorld {
                 self.begin_transfer(ctx, idx, resumed);
             }
         }
-        Vec::new()
     }
 
-    fn on_event(&mut self, ctx: &mut Ctx<'_, BlackHoleEv>, ev: BlackHoleEv) -> Vec<Completion> {
-        let mut out = Vec::new();
+    fn on_event(&mut self, ctx: &mut Ctx<'_, BlackHoleEv>, ev: BlackHoleEv) {
         match ev {
             BlackHoleEv::TransferDone { server, seq } => {
                 let Some((job, next)) = self.servers[server].finish(seq) else {
-                    return out; // that transfer was killed
+                    return; // that transfer was killed
                 };
                 if job.size == self.params.data_size {
                     self.transfers += 1;
                     self.transfer_series.push(ctx.now(), self.transfers as f64);
                     self.per_client_successes[job.client].push(ctx.now());
                 }
-                out.push(Completion {
-                    client: job.client,
-                    token: job.token,
-                    result: CmdResult::ok(""),
-                });
+                ctx.complete(job.client, job.token, CmdResult::ok(""));
                 self.begin_transfer(ctx, server, next);
-                out
             }
         }
     }

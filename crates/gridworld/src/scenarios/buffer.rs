@@ -13,7 +13,7 @@
 //! that from the reported free space, and defers when what remains is
 //! smaller than the file it is about to write.
 
-use crate::driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
 use crate::scripts::{buffer_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
@@ -288,8 +288,7 @@ impl CommandWorld for BufferWorld {
         }
     }
 
-    fn on_event(&mut self, ctx: &mut Ctx<'_, BufferEv>, ev: BufferEv) -> Vec<Completion> {
-        let mut out = Vec::new();
+    fn on_event(&mut self, ctx: &mut Ctx<'_, BufferEv>, ev: BufferEv) {
         match ev {
             BufferEv::WriteChunk {
                 client,
@@ -297,7 +296,7 @@ impl CommandWorld for BufferWorld {
                 remaining,
             } => {
                 let Some(w) = self.active.get(&(client, token)) else {
-                    return out; // cancelled or already resolved
+                    return; // cancelled or already resolved
                 };
                 let bytes = if remaining == 0 {
                     w.last_chunk_bytes
@@ -334,22 +333,14 @@ impl CommandWorld for BufferWorld {
                     }
                     Err(_) => {
                         self.active.remove(&(client, token));
-                        out.push(Completion {
-                            client,
-                            token,
-                            result: CmdResult::fail(),
-                        });
+                        ctx.complete(client, token, CmdResult::fail());
                     }
                     Ok(()) => {
                         if remaining == 0 {
                             self.disk.complete(file).expect("file is writable");
                             self.files_produced += 1;
                             self.active.remove(&(client, token));
-                            out.push(Completion {
-                                client,
-                                token,
-                                result: CmdResult::ok(""),
-                            });
+                            ctx.complete(client, token, CmdResult::ok(""));
                         } else {
                             ctx.schedule(
                                 ctx.now() + self.params.write_time / self.params.chunks as u64,
@@ -365,7 +356,7 @@ impl CommandWorld for BufferWorld {
             }
             BufferEv::ConsumerTick => {
                 if self.consumer_busy {
-                    return out;
+                    return;
                 }
                 match self.disk.oldest_complete() {
                     Some((id, size)) => {
@@ -408,7 +399,6 @@ impl CommandWorld for BufferWorld {
                 ctx.schedule(ctx.now() + self.params.sample_every, BufferEv::Sample);
             }
         }
-        out
     }
 
     fn unit_done(

@@ -26,7 +26,7 @@
 //! percent of peak performance under load, due to competition for
 //! managed resources, such as the CPU").
 
-use crate::driver::{ClientId, CommandWorld, Completion, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
 use crate::scripts::{submit_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
@@ -263,9 +263,8 @@ impl SubmitWorld {
     }
 
     /// Begin servicing the head of the queue. On transient-FD
-    /// starvation the schedd crashes; the resulting mass failures are
-    /// appended to `out`.
-    fn start_service(&mut self, ctx: &mut Ctx<'_, SubmitEv>, out: &mut Vec<Completion>) {
+    /// starvation the schedd crashes, failing every connected client.
+    fn start_service(&mut self, ctx: &mut Ctx<'_, SubmitEv>) {
         debug_assert!(self.serving.is_none());
         let Some(head) = self.queue.pop_front() else {
             return;
@@ -277,7 +276,7 @@ impl SubmitWorld {
             }
         }
         if self.fds.alloc(self.service_fds).is_err() {
-            self.crash(ctx, out);
+            self.crash(ctx);
             return;
         }
         self.transient_held = true;
@@ -292,13 +291,13 @@ impl SubmitWorld {
 
     /// The schedd dies: every connected client fails at once (the
     /// broadcast jam) and all of their descriptors return to the table.
-    fn crash(&mut self, ctx: &mut Ctx<'_, SubmitEv>, out: &mut Vec<Completion>) {
-        self.crash_after(ctx, out, self.params.restart_downtime);
+    fn crash(&mut self, ctx: &mut Ctx<'_, SubmitEv>) {
+        self.crash_after(ctx, self.params.restart_downtime);
     }
 
     /// [`crash`](Self::crash) with an explicit downtime — injected
     /// [`FaultKind::ScheddKill`] faults may override the default.
-    fn crash_after(&mut self, ctx: &mut Ctx<'_, SubmitEv>, out: &mut Vec<Completion>, down: Dur) {
+    fn crash_after(&mut self, ctx: &mut Ctx<'_, SubmitEv>, down: Dur) {
         self.crashes += 1;
         emit(&self.trace, ctx.now(), NO_ID, NO_ID, TraceEv::ScheddCrash);
         self.schedd_up = false;
@@ -310,20 +309,11 @@ impl SubmitWorld {
         }
         if let Some(conn) = self.serving.take() {
             self.release_sub(conn);
-            out.push(Completion {
-                client: conn.0,
-                token: conn.1,
-                result: CmdResult::fail(),
-            });
+            ctx.complete(conn.0, conn.1, CmdResult::fail());
         }
-        let queued: Vec<_> = self.queue.drain(..).collect();
-        for conn in queued {
+        while let Some(conn) = self.queue.pop_front() {
             self.release_sub(conn);
-            out.push(Completion {
-                client: conn.0,
-                token: conn.1,
-                result: CmdResult::fail(),
-            });
+            ctx.complete(conn.0, conn.1, CmdResult::fail());
         }
         ctx.schedule(ctx.now() + down, SubmitEv::Restart);
     }
@@ -409,53 +399,46 @@ impl CommandWorld for SubmitWorld {
         }
     }
 
-    fn inject_fault(&mut self, ctx: &mut Ctx<'_, SubmitEv>, kind: &FaultKind) -> Vec<Completion> {
-        let mut out = Vec::new();
+    fn inject_fault(&mut self, ctx: &mut Ctx<'_, SubmitEv>, kind: &FaultKind) {
         match kind {
             FaultKind::ScheddKill { downtime } if self.schedd_up => {
                 let down = downtime.unwrap_or(self.params.restart_downtime);
-                self.crash_after(ctx, &mut out, down);
+                self.crash_after(ctx, down);
             }
             FaultKind::ScheddRestart => {
                 self.schedd_up = true;
                 if self.serving.is_none() && !self.gap_pending {
-                    self.start_service(ctx, &mut out);
+                    self.start_service(ctx);
                 }
             }
             _ => {}
         }
-        out
     }
 
-    fn on_event(&mut self, ctx: &mut Ctx<'_, SubmitEv>, ev: SubmitEv) -> Vec<Completion> {
-        let mut out = Vec::new();
+    fn on_event(&mut self, ctx: &mut Ctx<'_, SubmitEv>, ev: SubmitEv) {
         match ev {
             SubmitEv::AttemptReady { client, token } => {
                 let conn = (client, token);
                 if self.subs.get(&conn) != Some(&SubState::Starting) {
-                    return out; // cancelled while starting up
+                    return; // cancelled while starting up
                 }
                 if !self.schedd_up || self.queue.len() >= self.backlog {
                     // Connection refused.
                     self.failed_connects += 1;
                     self.release_sub(conn);
-                    out.push(Completion {
-                        client,
-                        token,
-                        result: CmdResult::fail(),
-                    });
-                    return out;
+                    ctx.complete(client, token, CmdResult::fail());
+                    return;
                 }
                 self.subs
                     .insert(conn, SubState::Queued { since: ctx.now() });
                 self.queue.push_back(conn);
                 if self.serving.is_none() && !self.gap_pending {
-                    self.start_service(ctx, &mut out);
+                    self.start_service(ctx);
                 }
             }
             SubmitEv::ServiceDone { seq } => {
                 if seq != self.service_seq || self.serving.is_none() {
-                    return out; // stale: service aborted or schedd died
+                    return; // stale: service aborted or schedd died
                 }
                 let conn = self.serving.take().expect("checked");
                 if self.transient_held {
@@ -468,18 +451,14 @@ impl CommandWorld for SubmitWorld {
                 }
                 self.release_sub(conn);
                 self.jobs_submitted += 1;
-                out.push(Completion {
-                    client: conn.0,
-                    token: conn.1,
-                    result: CmdResult::ok(""),
-                });
+                ctx.complete(conn.0, conn.1, CmdResult::ok(""));
                 self.gap_pending = true;
                 ctx.schedule(ctx.now() + self.params.service_gap, SubmitEv::ServiceStart);
             }
             SubmitEv::ServiceStart => {
                 self.gap_pending = false;
                 if self.schedd_up && self.serving.is_none() {
-                    self.start_service(ctx, &mut out);
+                    self.start_service(ctx);
                 }
             }
             SubmitEv::Restart => {
@@ -490,7 +469,6 @@ impl CommandWorld for SubmitWorld {
                 ctx.schedule(ctx.now() + self.params.sample_every, SubmitEv::Sample);
             }
         }
-        out
     }
 
     fn unit_done(

@@ -1,17 +1,18 @@
 //! What one simulated client costs in memory, pinned without a clock:
 //! live bytes and live heap blocks per client measured the way the
 //! benchmark's `ftsh.vm.bytes_per_client` probe measures them, the
-//! allocations of a steady-state retry (none), and the sizes of the
+//! allocations of a steady-state retry (none) and of a world releasing
+//! held commands (none per release), and the sizes of the
 //! types a 100 000-client world holds by the hundred thousand. These
 //! numbers repeat exactly on any host, so they gate in tier-1 where the
 //! benchmark's timings cannot.
 
-use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
+use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Effect, Vm, VmStatus};
 use ftsh::Env;
 use gridworld::scenarios::submit::SubmitEv;
 use gridworld::scripts::{submit_ethernet, unit_vm};
-use gridworld::SimEv;
-use retry::{Discipline, Time, TrySession};
+use gridworld::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver, SimEv};
+use retry::{Discipline, Dur, Time, TrySession};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
@@ -146,4 +147,62 @@ fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
         "a backoff wake and a whole second attempt allocate nothing"
     );
     assert_eq!(vm.log().summary().backoffs, 2);
+}
+
+/// One client's `hold`, failed by the world's next 1 s tick.
+#[derive(Default)]
+struct TickWorld {
+    held: Option<(ClientId, CmdToken)>,
+    releases: u64,
+}
+
+impl CommandWorld for TickWorld {
+    type Ev = ();
+
+    fn exec(
+        &mut self,
+        _: &mut Ctx<'_, ()>,
+        client: ClientId,
+        token: CmdToken,
+        _: &CommandSpec,
+    ) -> ExecOutcome {
+        self.held = Some((client, token));
+        ExecOutcome::Held
+    }
+
+    fn cancelled(&mut self, _: &mut Ctx<'_, ()>, _: ClientId, _: CmdToken) {}
+
+    fn on_event(&mut self, ctx: &mut Ctx<'_, ()>, (): ()) {
+        if let Some((client, token)) = self.held.take() {
+            self.releases += 1;
+            ctx.complete(client, token, CmdResult::fail());
+        }
+        ctx.schedule(ctx.now() + Dur::from_secs(1), ());
+    }
+
+    fn unit_done(&mut self, _: &mut Ctx<'_, ()>, _: ClientId, _: bool) -> Option<(Vm, Time)> {
+        None
+    }
+}
+
+#[test]
+fn releasing_a_held_command_does_not_allocate_per_release() {
+    // Held at even seconds, failed by the tick at the next odd one: a
+    // release every 2 s. Releases go into the driver's reused buffer
+    // (1 allocation over the window when this was written); when each
+    // world event returned a fresh `Vec` of them, the window cost one
+    // allocation per release.
+    let script = ftsh::parse("try 1000000 times every 1 second\n hold\nend\n").unwrap();
+    let mut d = SimDriver::new(TickWorld::default(), vec![Vm::with_seed(&script, 0)]);
+    d.schedule_world(Time::from_secs(1), ());
+    d.run_until(Time::from_secs(20_000));
+    let (releases, (calls_before, _, _)) = (d.world.releases, heap());
+    d.run_until(Time::from_secs(40_000));
+    let (calls, _, _) = heap();
+    assert_eq!(d.world.releases - releases, 10_000);
+    assert!(
+        calls - calls_before <= 10,
+        "{} allocations over 10 000 releases",
+        calls - calls_before
+    );
 }
