@@ -23,12 +23,15 @@
 //! many sweep threads run.
 //!
 //! `--faults` arms a deterministic fault-injection plan (see
-//! `simgrid::faults::FaultPlan::parse_json` for the JSON schema) on
-//! top of each figure's built-in scenario physics: schedd kills,
-//! ENOSPC windows, free-space lies, server black-hole toggles,
-//! message loss, latency spikes, clock skew. Every injection appears
-//! in the structured trace as a `fault` record, so `--trace` plus
-//! `postmortem` counts them per kind.
+//! `simgrid::faults::FaultPlan::parse_json` for the JSON schema) in
+//! every run behind each figure: schedd kills, ENOSPC windows,
+//! free-space lies, server black-hole toggles, message loss, latency
+//! spikes, clock skew. The scenarios' own constants (the crash knee,
+//! the disk size, the stock black hole) stay as they are; fig8 and
+//! fig9 append the plan to their own kills and windows. A plan that
+//! does not parse, or holds a value out of range, exits 2. Every
+//! injection appears in the structured trace as a `fault` record, so
+//! `--trace` plus `postmortem` counts them per kind.
 //!
 //! `postmortem` reads such a file back and reconstructs the run: event
 //! counts, retry/backoff distributions, attempts-per-success, and
@@ -601,7 +604,7 @@ fn run_coord_live(seed: u64, out_dir: PathBuf) -> ExitCode {
 
 /// `--check-only`: statically check the coordinated workloads the
 /// selected coord figures would run — the same spec and effective
-/// fault plan (built-in injection merged with any `--faults` plan) the
+/// fault plan (the figure's own injections, any `--faults` plan appended) the
 /// simulation would use — and report verdicts without simulating.
 /// Exit 0 when everything is clean, 1 when the worst verdict is
 /// advisory, 2 when any workload is statically doomed.

@@ -553,8 +553,8 @@ mod tests {
 
     #[test]
     fn sim_model_honours_fail_first_budget() {
-        let mut plan = FaultPlan::new(1);
-        plan.specs.push(simgrid::faults::FaultSpec::physics(
+        let plan = FaultPlan::new(1).with(simgrid::faults::FaultSpec::once(
+            Time::ZERO,
             FaultKind::CmdFailFirst {
                 program: "alpha".into(),
                 n: 2,

@@ -161,7 +161,7 @@ impl Ranks {
             success_think: Dur::ZERO,
             failure_think: Dur::from_millis(25),
             seed: opts.seed,
-            fault_plan: Some(plan),
+            fault_plan: plan,
             ..AllReduceParams::default()
         };
         let source = allreduce_text(
@@ -271,8 +271,8 @@ impl Harness for Ranks {
 /// `unsatisfiable-barrier` findings; any means the barrier is proven
 /// unclearable and the rank population must not be launched.
 fn preflight_barrier_proofs(ranks: &Ranks) -> Vec<String> {
-    let plan = ranks.params.effective_fault_plan();
-    let report = check(&ranks.spec(), Some(&plan), Dur::from_secs(600));
+    let plan = &ranks.params.fault_plan;
+    let report = check(&ranks.spec(), Some(plan), Dur::from_secs(600));
     report
         .rule("unsatisfiable-barrier")
         .map(ToString::to_string)
@@ -306,7 +306,7 @@ pub fn run_coord_discipline(
     let vms = (0..opts.ranks)
         .map(|rank| (ranks.rank_vm(rank), Duration::ZERO))
         .collect();
-    let kills = ranks.params.effective_fault_plan().client_kills();
+    let kills = ranks.params.fault_plan.client_kills();
     let watchdog = ranks.params.round_timeout.to_std() * opts.rounds;
     let report = swarm::drive(ranks, &handle.addr().to_string(), vms, &kills, watchdog);
 
@@ -525,7 +525,7 @@ mod tests {
                 gridworld::coord::allreduce_script(d, p.n_ranks, p.round_timeout, p.fetch_timeout);
             assert_eq!(ranks.script, sim, "{d}");
             // One kill, of rank 1, from the plan the checker is given.
-            let kills = p.effective_fault_plan().client_kills();
+            let kills = p.fault_plan.client_kills();
             assert_eq!(kills.len(), 1);
             assert_eq!((kills[0].client, kills[0].restart.is_some()), (1, true));
         }

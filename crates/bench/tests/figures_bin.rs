@@ -78,6 +78,33 @@ fn unknown_figure_is_an_error() {
 }
 
 #[test]
+fn out_of_range_fault_plan_is_a_usage_error() {
+    let dir = scratch("bad-plan");
+    std::fs::create_dir_all(&dir).unwrap();
+    let plan = dir.join("PLAN.json");
+    std::fs::write(
+        &plan,
+        r#"{"specs": [{"kind": "msg-loss", "channel": "wget", "probability": 1.5, "duration_us": 1}]}"#,
+    )
+    .unwrap();
+    let out = figures()
+        .args(["--quick", "--out"])
+        .arg(&dir)
+        .arg("--faults")
+        .arg(&plan)
+        .arg("fig6")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("bad fault plan") && stderr.contains("\"probability\""),
+        "{stderr}"
+    );
+    assert!(!dir.join("fig6.json").exists(), "no figure from a bad plan");
+}
+
+#[test]
 fn bad_flag_is_a_usage_error() {
     let st = figures().arg("--frobnicate").status().unwrap();
     assert_eq!(st.code(), Some(2));

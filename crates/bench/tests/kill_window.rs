@@ -18,24 +18,23 @@ use std::time::Duration;
 /// versus the identical unfaulted run, and must not gain jobs from it.
 #[test]
 fn sim_counts_forced_kill_as_crash() {
-    let params = |plan: Option<FaultPlan>| SubmitParams {
+    let params = |fault_plan: FaultPlan| SubmitParams {
         n_clients: 20,
         discipline: Discipline::Ethernet,
         seed: 99,
-        fault_plan: plan,
+        fault_plan,
         ..SubmitParams::default()
     };
-    let baseline = run_submission(params(None), Dur::from_secs(120));
+    let baseline = run_submission(params(FaultPlan::default()), Dur::from_secs(120));
     assert_eq!(baseline.crashes, 0, "ethernet at n=20 must not crash");
 
     // Same physics, plus one forced kill at t=60s — mid-run, when
     // submissions are in flight.
-    let stock = params(None);
-    let plan = stock.builtin_fault_plan().with(FaultSpec::once(
+    let plan = FaultPlan::new(99).with(FaultSpec::once(
         Time::from_secs(60),
         FaultKind::ScheddKill { downtime: None },
     ));
-    let killed = run_submission(params(Some(plan)), Dur::from_secs(120));
+    let killed = run_submission(params(plan), Dur::from_secs(120));
     assert_eq!(killed.crashes, 1, "the forced kill is one crash");
     assert!(
         killed.jobs_submitted <= baseline.jobs_submitted,

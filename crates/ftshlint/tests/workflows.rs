@@ -95,7 +95,7 @@ fn killed_rank_barrier_is_doomed_and_the_sim_stalls() {
 
     let params = AllReduceParams {
         rounds: 2,
-        fault_plan: Some(plan),
+        fault_plan: plan,
         ..AllReduceParams::default()
     };
     let o = run_allreduce(params, secs(120));
@@ -116,7 +116,7 @@ fn killed_rank_with_restart_is_not_doomed_and_the_sim_recovers() {
 
     let params = AllReduceParams {
         rounds: 2,
-        fault_plan: Some(plan),
+        fault_plan: plan,
         ..AllReduceParams::default()
     };
     let o = run_allreduce(params, secs(600));
@@ -139,7 +139,7 @@ fn killed_dag_producer_is_doomed_and_the_sim_stalls() {
     assert!(report.rule("unsatisfiable-barrier").count() >= 1);
 
     let params = DagParams {
-        fault_plan: Some(plan),
+        fault_plan: plan,
         ..DagParams::default()
     };
     let o = run_dag(params, secs(300));
@@ -164,7 +164,7 @@ fn permanent_blackout_is_doomed_and_the_sim_stalls() {
     assert!(report.rule("budget-infeasible").count() >= 1);
 
     let params = DagParams {
-        fault_plan: Some(plan),
+        fault_plan: plan,
         ..DagParams::default()
     };
     let o = run_dag(params, secs(300));

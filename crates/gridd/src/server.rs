@@ -95,7 +95,8 @@ pub struct GriddConfig {
     /// default) and `1` are accepted; [`start`] refuses anything else.
     pub threads: usize,
     /// Concurrent-connection cap; beyond it new connections are
-    /// dropped (the overloaded schedd refusing service).
+    /// dropped (the overloaded schedd refusing service). The cap's
+    /// only home: no fault plan overrides it.
     pub backlog: usize,
     /// Schedd service-slot pool (token bucket capacity).
     pub slots: u64,
@@ -121,7 +122,7 @@ pub struct GriddConfig {
     /// polling stampede congests the FIFO for everyone, which is what
     /// the coordinated-workload arena measures. Zero = inline.
     pub file_miss_service: Duration,
-    /// The adversarial schedule (and physics constants).
+    /// The adversarial schedule.
     pub plan: FaultPlan,
 }
 
@@ -214,18 +215,10 @@ pub fn start(cfg: GriddConfig) -> io::Result<GriddHandle> {
     // std's bind hard-codes a 128-entry kernel accept queue; a
     // thousand-client arena overflows that between two poll rounds.
     let _ = crate::poll::widen_backlog(listener.as_raw_fd(), 4096);
-    // The plan's starvation physics, when present, bounds the
-    // concurrent-connection cap the way the sim's schedd backlog
-    // bounds submissions.
-    let max_conns = cfg
-        .plan
-        .crash_physics()
-        .map(|(_, backlog)| backlog.max(1))
-        .unwrap_or(cfg.backlog);
     let inner = Arc::new(Inner {
         grid: Mutex::new(Grid::new(&cfg)),
         deadline: cfg.deadline,
-        max_conns,
+        max_conns: cfg.backlog,
         start: Instant::now(),
         stop: AtomicBool::new(false),
     });

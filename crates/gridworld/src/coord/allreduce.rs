@@ -183,9 +183,9 @@ pub struct AllReduceParams {
     pub backoff_cap: Dur,
     /// Master seed.
     pub seed: u64,
-    /// Fault plan: `client-kill` specs name ranks by client index.
-    /// `None` ⇒ no faults.
-    pub fault_plan: Option<FaultPlan>,
+    /// Fault plan: `client-kill` specs name ranks by client index
+    /// (empty: no faults).
+    pub fault_plan: FaultPlan,
 }
 
 impl Default for AllReduceParams {
@@ -208,18 +208,8 @@ impl Default for AllReduceParams {
             backoff_base: Dur::from_millis(500),
             backoff_cap: Dur::from_secs(4),
             seed: 0x5eed,
-            fault_plan: None,
+            fault_plan: FaultPlan::default(),
         }
-    }
-}
-
-impl AllReduceParams {
-    /// The effective plan: the configured one, or an empty plan on the
-    /// scenario seed (no physics — the store itself never fails).
-    pub fn effective_fault_plan(&self) -> FaultPlan {
-        self.fault_plan
-            .clone()
-            .unwrap_or_else(|| FaultPlan::new(self.seed))
     }
 }
 
@@ -537,10 +527,9 @@ pub fn run_allreduce_traced(
                 + Dur::from_secs_f64(rng.uniform(0.0, params.start_stagger.as_secs_f64().max(1e-9)))
         })
         .collect();
-    let plan = world.params.effective_fault_plan();
     let mut driver = SimDriver::with_starts(world, vms, starts);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, plan, Time::ZERO + duration, |_| {});
+        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |_| {});
     let totals = driver.log_totals;
     let w = &driver.world;
     let mut round_series = Series::new(params.discipline.label());
@@ -619,7 +608,7 @@ mod tests {
     fn mid_round_kill_with_restart_completes_every_discipline() {
         for d in Discipline::ALL {
             let mut p = base(d);
-            p.fault_plan = Some(kill_plan(p.seed, 1, Some(Dur::from_secs(6))));
+            p.fault_plan = kill_plan(p.seed, 1, Some(Dur::from_secs(6)));
             let o = run_allreduce(p, Dur::from_secs(600));
             assert_eq!(o.rounds_completed, 3, "{d}");
             assert_eq!(o.kills, 1, "{d}");
@@ -632,7 +621,7 @@ mod tests {
     fn kill_without_restart_stalls_the_barrier() {
         let mut p = base(Discipline::Ethernet);
         p.rounds = 2;
-        p.fault_plan = Some(kill_plan(p.seed, 2, None));
+        p.fault_plan = kill_plan(p.seed, 2, None);
         let o = run_allreduce(p, Dur::from_secs(120));
         assert_eq!(o.rounds_completed, 0, "a dead rank blocks every round");
         assert_eq!(o.kills, 1);
@@ -646,7 +635,7 @@ mod tests {
         for d in [Discipline::Ethernet, Discipline::Aloha] {
             let mut p = base(d);
             p.seed = 2003;
-            p.fault_plan = Some(kill_plan(2003, 1, Some(Dur::from_secs(6))));
+            p.fault_plan = kill_plan(2003, 1, Some(Dur::from_secs(6)));
             let o = run_allreduce(p, Dur::from_secs(600));
             assert_eq!(o.rounds_completed, 3, "{d}");
             times.push(o.all_done_at.expect("completed"));

@@ -368,9 +368,9 @@ pub struct DagParams {
     /// Master seed.
     pub seed: u64,
     /// Fault plan: `client-kill` kills job clients by index,
-    /// `enospc-window` fails every publish for its duration. `None` ⇒
-    /// no faults.
-    pub fault_plan: Option<FaultPlan>,
+    /// `enospc-window` fails every publish for its duration (empty: no
+    /// faults).
+    pub fault_plan: FaultPlan,
 }
 
 impl Default for DagParams {
@@ -389,18 +389,8 @@ impl Default for DagParams {
             backoff_base: Dur::from_millis(500),
             backoff_cap: Dur::from_secs(4),
             seed: 0x5eed,
-            fault_plan: None,
+            fault_plan: FaultPlan::default(),
         }
-    }
-}
-
-impl DagParams {
-    /// The effective plan: the configured one, or an empty plan on the
-    /// scenario seed.
-    pub fn effective_fault_plan(&self) -> FaultPlan {
-        self.fault_plan
-            .clone()
-            .unwrap_or_else(|| FaultPlan::new(self.seed))
     }
 }
 
@@ -463,7 +453,7 @@ impl DagWorld {
             name_to_idx,
             rng: SimRng::new(params.seed),
             store,
-            windows: params.effective_fault_plan().windows(Dur::ZERO),
+            windows: params.fault_plan.windows(Dur::ZERO),
             done: vec![false; n],
             done_at: vec![None; n],
             deferrals: 0,
@@ -682,10 +672,9 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, trace: Option<SharedSink
                 + Dur::from_secs_f64(rng.uniform(0.0, params.start_stagger.as_secs_f64().max(1e-9)))
         })
         .collect();
-    let plan = world.params.effective_fault_plan();
     let mut driver = SimDriver::with_starts(world, vms, starts);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, plan, Time::ZERO + duration, |_| {});
+        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |_| {});
     let totals = driver.log_totals;
     let w = &driver.world;
     let mut job_series = Series::new(params.discipline.label());
@@ -806,7 +795,7 @@ mod tests {
             let p = DagParams {
                 discipline: d,
                 seed: 2003,
-                fault_plan: Some(fault_plan(2003)),
+                fault_plan: fault_plan(2003),
                 ..DagParams::default()
             };
             let o = run_dag(p, Dur::from_secs(600));
@@ -832,7 +821,7 @@ mod tests {
             let p = DagParams {
                 discipline: d,
                 seed: 2003,
-                fault_plan: Some(fault_plan(2003)),
+                fault_plan: fault_plan(2003),
                 ..DagParams::default()
             };
             let o = run_dag(p, Dur::from_secs(600));

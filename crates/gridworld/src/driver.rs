@@ -309,8 +309,8 @@ impl<W: CommandWorld> SimDriver<W> {
     /// Arm a fault plan: every time-triggered injection spec is
     /// scheduled on the event queue and will fire deterministically
     /// from the sim clock plus the plan's private RNG stream, emitting
-    /// a `fault` trace record at each trigger. Physics specs
-    /// (consumed by worlds at construction) are not scheduled. Arming
+    /// a `fault` trace record at each trigger. Standing
+    /// `cmd-fail-first` budgets are not scheduled. Arming
     /// an empty plan schedules nothing and draws nothing, so the
     /// default path is unchanged.
     pub fn arm_faults(&mut self, plan: FaultPlan) {

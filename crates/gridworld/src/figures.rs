@@ -60,20 +60,14 @@ fn point_sink(traced: bool) -> (Option<SharedSink>, Option<Arc<Mutex<VecSink>>>)
     }
 }
 
-/// Combine a scenario's built-in physics with a custom injection
-/// plan: the custom specs are appended after the built-ins, so a
-/// custom physics spec overrides (physics accessors are last-wins)
-/// while the stock physics otherwise survive, and every custom
-/// injection is armed. The custom plan's seed drives the merged
-/// plan's RNG stream. `None` ⇒ `None`: the scenario runs its built-in
-/// plan untouched.
-fn merge_plan(base: FaultPlan, custom: Option<&FaultPlan>) -> Option<FaultPlan> {
-    custom.map(|c| {
-        let mut p = FaultPlan::new(c.seed);
-        p.extend_from(&base);
-        p.extend_from(c);
-        p
-    })
+/// A coordinated figure's own injections with a custom plan appended
+/// after them; the custom plan's seed drives the RNG stream.
+fn with_custom(mut own: FaultPlan, custom: Option<&FaultPlan>) -> FaultPlan {
+    if let Some(c) = custom {
+        own.seed = c.seed;
+        own.extend_from(c);
+    }
+    own
 }
 
 /// What one simulation run contributes to its figure besides the
@@ -196,13 +190,13 @@ fn fig1_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
     let points = cross_points(&ns);
     let results = sweep::map(&points, |&(d, n)| {
         let (sink, handle) = point_sink(traced);
-        let mut params = SubmitParams {
+        let params = SubmitParams {
             n_clients: n,
             discipline: d,
             seed: seed ^ (n as u64),
+            fault_plan: plan.cloned().unwrap_or_default(),
             ..SubmitParams::default()
         };
-        params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
         let o = run_submission_traced(params, window, sink);
         (o.jobs_submitted as f64, work!(o, handle))
     });
@@ -248,7 +242,7 @@ fn fig1x_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) ->
         .collect();
     let results = sweep::map(&points, |&(d, n)| {
         let (sink, handle) = point_sink(traced);
-        let mut params = SubmitParams {
+        let params = SubmitParams {
             n_clients: n,
             discipline: d,
             seed: seed ^ (n as u64),
@@ -256,9 +250,9 @@ fn fig1x_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) ->
             // arriving within fig1's 10 s would all collide before
             // carrier sense has anything to measure.
             start_stagger: Dur::from_secs(60),
+            fault_plan: plan.cloned().unwrap_or_default(),
             ..SubmitParams::default()
         };
-        params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
         let o = run_submission_traced(params, window, sink);
         (o.jobs_submitted as f64, work!(o, handle))
     });
@@ -285,13 +279,13 @@ fn submit_timeline(
     // The paper ran its timelines at 400 submitters, just past its
     // testbed's crash knee; our knee sits at ~405 attempts' worth of
     // descriptors, so 425 puts the timeline in the same regime.
-    let mut params = SubmitParams {
+    let params = SubmitParams {
         n_clients: scale.pick(425, 120),
         discipline: d,
         seed,
+        fault_plan: plan.cloned().unwrap_or_default(),
         ..SubmitParams::default()
     };
-    params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
     let window = scale.pick(Dur::from_secs(1800), Dur::from_secs(300));
     let (sink, handle) = point_sink(traced);
     let o = run_submission_traced(params, window, sink);
@@ -354,13 +348,13 @@ fn buffer_run(
 ) -> (f64, u64, RunWork) {
     let total = scale.pick(Dur::from_secs(180), Dur::from_secs(120));
     let measure_from = scale.pick(Dur::from_secs(120), Dur::from_secs(80));
-    let mut params = BufferParams {
+    let params = BufferParams {
         n_producers: n,
         discipline: d,
         seed: seed ^ (n as u64),
+        fault_plan: plan.cloned().unwrap_or_default(),
         ..BufferParams::default()
     };
-    params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
     let (sink, handle) = point_sink(traced);
     let o = run_buffer_traced(params, total, sink);
     let consumed = o.consumed_between(Time::ZERO + measure_from, Time::ZERO + total);
@@ -421,12 +415,12 @@ fn reader_figure(
     plan: Option<&FaultPlan>,
     title: &str,
 ) -> FigureRun {
-    let mut params = BlackHoleParams {
+    let params = BlackHoleParams {
         discipline: d,
         seed,
+        fault_plan: plan.cloned().unwrap_or_default(),
         ..BlackHoleParams::default()
     };
-    params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
     let window = scale.pick(Dur::from_secs(900), Dur::from_secs(300));
     let (sink, handle) = point_sink(traced);
     let o = run_blackhole_traced(params, window, sink);
@@ -504,35 +498,32 @@ pub fn fig8_kill_plan(seed: u64) -> FaultPlan {
 }
 
 /// The workload fig8 actually runs at `scale`: `(rounds, window,
-/// effective fault plan)` with any custom plan merged in, exactly as
+/// fault plan)` with any custom plan appended to the kill, exactly as
 /// [`fig8_allreduce`] would. The figures harness feeds this to the
 /// static workflow checker before committing to a run.
 pub fn fig8_workload(scale: Scale, seed: u64, custom: Option<&FaultPlan>) -> (u32, Dur, FaultPlan) {
-    let kill = fig8_kill_plan(seed);
-    let plan = merge_plan(kill.clone(), custom).unwrap_or(kill);
     (
         scale.pick(3, 2),
         scale.pick(Dur::from_secs(600), Dur::from_secs(300)),
-        plan,
+        with_custom(fig8_kill_plan(seed), custom),
     )
 }
 
 fn fig8_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
-    let (rounds, window, _) = fig8_workload(scale, seed, plan);
+    let (rounds, window, faults) = fig8_workload(scale, seed, plan);
     let mut set = SeriesSet::new(
         "Figure 8: Fault-Tolerant All-Reduce (kill + restart)",
         "Round",
         "Global Completion Time (s)",
     );
     let results = sweep::map(&Discipline::ALL, |&d| {
-        let kill = fig8_kill_plan(seed);
-        let mut params = AllReduceParams {
+        let params = AllReduceParams {
             discipline: d,
             rounds,
             seed,
+            fault_plan: faults.clone(),
             ..AllReduceParams::default()
         };
-        params.fault_plan = merge_plan(kill.clone(), plan).or(Some(kill));
         let (sink, handle) = point_sink(traced);
         let o = run_allreduce_traced(params, window, sink);
         let work = work!(o, handle);
@@ -576,29 +567,29 @@ pub fn fig9_fault_plan(seed: u64) -> FaultPlan {
         ))
 }
 
-/// The workload fig9 actually runs at `scale`: `(window, effective
-/// fault plan)`, custom plan merged in exactly as [`fig9_dag`] would.
+/// The workload fig9 actually runs at `scale`: `(window, fault plan)`,
+/// custom plan appended exactly as [`fig9_dag`] would.
 pub fn fig9_workload(scale: Scale, seed: u64, custom: Option<&FaultPlan>) -> (Dur, FaultPlan) {
-    let faults = fig9_fault_plan(seed);
-    let plan = merge_plan(faults.clone(), custom).unwrap_or(faults);
-    (scale.pick(Dur::from_secs(600), Dur::from_secs(300)), plan)
+    (
+        scale.pick(Dur::from_secs(600), Dur::from_secs(300)),
+        with_custom(fig9_fault_plan(seed), custom),
+    )
 }
 
 fn fig9_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
-    let (window, _) = fig9_workload(scale, seed, plan);
+    let (window, faults) = fig9_workload(scale, seed, plan);
     let mut set = SeriesSet::new(
         "Figure 9: DAG Workflow (ENOSPC window + merge kill)",
         "Job Index (spec order)",
         "Completion Time (s)",
     );
     let results = sweep::map(&Discipline::ALL, |&d| {
-        let faults = fig9_fault_plan(seed);
-        let mut params = DagParams {
+        let params = DagParams {
             discipline: d,
             seed,
+            fault_plan: faults.clone(),
             ..DagParams::default()
         };
-        params.fault_plan = merge_plan(faults.clone(), plan).or(Some(faults));
         let (sink, handle) = point_sink(traced);
         let o = run_dag_traced(params, window, sink);
         let work = work!(o, handle);
@@ -639,14 +630,14 @@ fn ablation_threshold_run(
     let mut crashes = Series::new("Crashes");
     let outcomes = sweep::map(&thresholds, |&t| {
         let (sink, handle) = point_sink(traced);
-        let mut params = SubmitParams {
+        let params = SubmitParams {
             n_clients: 450,
             discipline: Discipline::Ethernet,
             threshold: t,
             seed,
+            fault_plan: plan.cloned().unwrap_or_default(),
             ..SubmitParams::default()
         };
-        params.fault_plan = merge_plan(params.builtin_fault_plan(), plan);
         let o = run_submission_traced(params, window, sink);
         let work = work!(o, handle);
         ((o.jobs_submitted, o.crashes), work)
@@ -703,10 +694,10 @@ pub fn by_name_full(name: &str, scale: Scale, seed: u64, traced: bool) -> Option
     by_name_with_plan(name, scale, seed, traced, None)
 }
 
-/// [`by_name_full`] with an optional custom fault plan: the plan's
-/// specs are injected on top of the figure's built-in scenario physics
-/// (see [`merge_plan`] for the override rule). `ablation-channel` has
-/// no event queue; it ignores the plan.
+/// [`by_name_full`] with an optional custom fault plan, injected into
+/// every run behind the figure (fig8 and fig9 append it to their own
+/// injections). The plan never changes a world's constants.
+/// `ablation-channel` has no event queue; it ignores the plan.
 pub fn by_name_with_plan(
     name: &str,
     scale: Scale,

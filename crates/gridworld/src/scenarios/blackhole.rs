@@ -13,7 +13,7 @@ use crate::scripts::{reader_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
-use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
+use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
 use simgrid::{Admission, FileServer, Series, ServerKind, SimRng};
 
@@ -26,7 +26,9 @@ pub struct BlackHoleParams {
     pub discipline: Discipline,
     /// Server hostnames; index into `black_holes` marks the traps.
     pub servers: Vec<String>,
-    /// Which servers are black holes (paper: one of three).
+    /// Which servers are black holes from the start (paper: one of
+    /// three). The constant's only home: a fault plan can flap a
+    /// server with timed `black-hole` toggles, but never clears these.
     pub black_holes: Vec<usize>,
     /// Server bandwidth in bytes/second (100 MB ≈ 10 s ⇒ 10 MB/s).
     pub bandwidth: u64,
@@ -40,27 +42,8 @@ pub struct BlackHoleParams {
     pub unit_think: Dur,
     /// Master seed.
     pub seed: u64,
-    /// Fault plan for this run. `None` ⇒ [`builtin_fault_plan`]: the
-    /// scenario's stock failure physics, nothing injected.
-    ///
-    /// [`builtin_fault_plan`]: BlackHoleParams::builtin_fault_plan
-    pub fault_plan: Option<FaultPlan>,
-}
-
-impl BlackHoleParams {
-    /// The scenario's built-in failure physics as a fault plan: the
-    /// servers named by `black_holes` are black holes from t=0 for the
-    /// whole run. Custom plans replace this wholesale and may instead
-    /// flap servers with timed [`FaultKind::ServerBlackHole`] toggles.
-    pub fn builtin_fault_plan(&self) -> FaultPlan {
-        FaultPlan::new(self.seed).with(FaultSpec::physics(FaultKind::BlackHoleServers {
-            servers: self
-                .black_holes
-                .iter()
-                .filter_map(|&i| self.servers.get(i).cloned())
-                .collect(),
-        }))
-    }
+    /// Faults injected into this run (empty: none).
+    pub fault_plan: FaultPlan,
 }
 
 impl Default for BlackHoleParams {
@@ -76,7 +59,7 @@ impl Default for BlackHoleParams {
             connect_latency: Dur::from_millis(100),
             unit_think: Dur::from_millis(100),
             seed: 0xb1ac_401e,
-            fault_plan: None,
+            fault_plan: FaultPlan::default(),
         }
     }
 }
@@ -105,8 +88,6 @@ struct Fetch {
 /// The replica-servers world.
 pub struct BlackHoleWorld {
     params: BlackHoleParams,
-    /// The effective fault plan (custom or built-in physics).
-    fault_plan: FaultPlan,
     script: Script,
     rng: SimRng,
     /// The replicas, in `params.servers` order; which of them are
@@ -134,21 +115,13 @@ pub struct BlackHoleWorld {
 
 impl BlackHoleWorld {
     fn new(params: BlackHoleParams) -> BlackHoleWorld {
-        let fault_plan = params
-            .fault_plan
-            .clone()
-            .unwrap_or_else(|| params.builtin_fault_plan());
-        let traps = fault_plan.black_hole_physics().unwrap_or_default();
-        let servers = params
-            .servers
-            .iter()
-            .map(|name| FileServer::new(server_kind(traps.contains(name))))
+        let servers = (0..params.servers.len())
+            .map(|i| FileServer::new(server_kind(params.black_holes.contains(&i))))
             .collect();
         BlackHoleWorld {
             script: reader_script(params.discipline),
             rng: SimRng::new(params.seed),
             servers,
-            fault_plan,
             transfers: 0,
             collisions: 0,
             deferrals: 0,
@@ -378,10 +351,9 @@ pub fn run_blackhole_traced(
             rng.next_u64(),
         ));
     }
-    let plan = world.fault_plan.clone();
     let mut driver = SimDriver::new(world, vms);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, plan, Time::ZERO + duration, |_| {});
+        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |_| {});
     let w = &driver.world;
     let mut longest = Dur::ZERO;
     for times in &w.per_client_successes {
@@ -410,6 +382,7 @@ pub fn run_blackhole_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simgrid::faults::FaultSpec;
 
     fn run(d: Discipline) -> BlackHoleOutcome {
         let params = BlackHoleParams {
@@ -486,6 +459,39 @@ mod tests {
         let b = run(Discipline::Aloha);
         assert_eq!(a.transfers, b.transfers);
         assert_eq!(a.collisions, b.collisions);
+    }
+
+    #[test]
+    fn a_custom_plan_keeps_the_stock_black_hole() {
+        // The traps come from `black_holes` alone: a plan that toggles
+        // no server — empty, or losing messages on a channel the
+        // reader never runs — leaves the run exactly as the stock one.
+        let loss_elsewhere = FaultPlan::new(2003).with(FaultSpec::once(
+            Time::from_secs(10),
+            FaultKind::MsgLoss {
+                channel: "condor_submit".into(),
+                probability: 1.0,
+                duration: Dur::from_secs(200),
+            },
+        ));
+        for d in [Discipline::Aloha, Discipline::Ethernet] {
+            let run = |fault_plan: FaultPlan| {
+                let params = BlackHoleParams {
+                    discipline: d,
+                    seed: 2003,
+                    fault_plan,
+                    ..BlackHoleParams::default()
+                };
+                let o = run_blackhole(params, Dur::from_secs(300));
+                (o.transfers, o.collisions)
+            };
+            let stock = run(FaultPlan::default());
+            if d == Discipline::Aloha {
+                assert!(stock.1 > 0, "the stock black hole must bite: {stock:?}");
+            }
+            assert_eq!(run(FaultPlan::new(2003)), stock, "{d}: empty plan");
+            assert_eq!(run(loss_elsewhere.clone()), stock, "{d}: unrelated loss");
+        }
     }
 
     #[test]

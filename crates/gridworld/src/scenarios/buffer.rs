@@ -18,7 +18,7 @@ use crate::scripts::{buffer_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
-use simgrid::faults::{FaultKind, FaultPlan, FaultSpec, FaultWindows};
+use simgrid::faults::{FaultPlan, FaultWindows};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{DiskBuffer, FileId, IdMap, Series, SimRng, WriteError};
 
@@ -32,7 +32,9 @@ pub struct BufferParams {
     pub n_producers: usize,
     /// Producer discipline.
     pub discipline: Discipline,
-    /// Shared buffer capacity (paper: 120 MB).
+    /// Shared buffer capacity (paper: 120 MB); a write past it hits
+    /// mid-file ENOSPC. The constant's only home: no fault plan
+    /// overrides it.
     pub capacity: u64,
     /// Consumer drain rate in bytes/second (paper: 1 MB/s).
     pub consumer_rate: u64,
@@ -59,23 +61,8 @@ pub struct BufferParams {
     pub sample_every: Dur,
     /// Master seed.
     pub seed: u64,
-    /// Fault plan for this run. `None` ⇒ [`builtin_fault_plan`]: the
-    /// scenario's stock failure physics, nothing injected.
-    ///
-    /// [`builtin_fault_plan`]: BufferParams::builtin_fault_plan
-    pub fault_plan: Option<FaultPlan>,
-}
-
-impl BufferParams {
-    /// The scenario's built-in failure physics as a fault plan: writes
-    /// collide with ENOSPC once the shared buffer holds `capacity`
-    /// bytes. Custom plans replace this wholesale, so the capacity is
-    /// itself a [`FaultSpec`] parameter.
-    pub fn builtin_fault_plan(&self) -> FaultPlan {
-        FaultPlan::new(self.seed).with(FaultSpec::physics(FaultKind::EnospcAtCapacity {
-            capacity_bytes: self.capacity,
-        }))
-    }
+    /// Faults injected into this run (empty: none).
+    pub fault_plan: FaultPlan,
 }
 
 impl Default for BufferParams {
@@ -94,7 +81,7 @@ impl Default for BufferParams {
             failure_think: Dur::from_millis(100),
             sample_every: Dur::from_secs(5),
             seed: 0xbfed,
-            fault_plan: None,
+            fault_plan: FaultPlan::default(),
         }
     }
 }
@@ -134,11 +121,9 @@ struct ActiveWrite {
 /// The shared-buffer world.
 pub struct BufferWorld {
     params: BufferParams,
-    /// The effective fault plan (custom or built-in physics).
-    fault_plan: FaultPlan,
     /// The plan's windows: a write chunk landing inside an
-    /// [`FaultKind::EnospcWindow`] fails regardless of occupancy, and
-    /// a [`FaultKind::FreeSpaceLie`] skews the carrier-sense estimate.
+    /// `enospc-window` fails regardless of occupancy, and a
+    /// `free-space-lie` skews the carrier-sense estimate.
     windows: FaultWindows,
     script: Script,
     rng: SimRng,
@@ -174,18 +159,12 @@ pub struct BufferWorld {
 
 impl BufferWorld {
     fn new(params: BufferParams) -> BufferWorld {
-        let fault_plan = params
-            .fault_plan
-            .clone()
-            .unwrap_or_else(|| params.builtin_fault_plan());
-        let capacity = fault_plan.capacity_physics().unwrap_or(params.capacity);
         BufferWorld {
             script: buffer_script(params.discipline),
             // This world has no schedd, hence no downtime default.
-            windows: fault_plan.windows(Dur::ZERO),
-            fault_plan,
+            windows: params.fault_plan.windows(Dur::ZERO),
             rng: SimRng::new(params.seed),
-            disk: DiskBuffer::new(capacity),
+            disk: DiskBuffer::new(params.capacity),
             active: IdMap::default(),
             consumer_busy: false,
             bytes_attempted: 0,
@@ -489,10 +468,9 @@ pub fn run_buffer_traced(
             )
         })
         .collect();
-    let plan = world.fault_plan.clone();
     let mut driver = SimDriver::new(world, vms);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, plan, Time::ZERO + duration, |d| {
+        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |d| {
             d.schedule_world(Time::ZERO, BufferEv::ConsumerTick);
             d.schedule_world(Time::ZERO, BufferEv::Sample);
         });

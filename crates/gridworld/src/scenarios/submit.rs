@@ -31,7 +31,7 @@ use crate::scripts::{submit_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
-use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
+use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{FdTable, IdMap, Series, SimRng};
 use std::collections::VecDeque;
@@ -49,12 +49,14 @@ pub struct SubmitParams {
     /// Descriptors pinned by one running submission attempt.
     pub fds_per_attempt: u64,
     /// Transient descriptors the schedd needs while servicing one
-    /// submission; failing to get them kills the schedd.
+    /// submission; failing to get them kills the schedd (the crash
+    /// knee). The constant's only home: no fault plan overrides it.
     pub schedd_service_fds: u64,
     /// Client-side startup time of `condor_submit` before it connects.
     pub attempt_startup: Dur,
     /// Maximum connections the schedd will hold (accept backlog);
-    /// beyond this, connections are refused quickly.
+    /// beyond this, connections are refused quickly. The constant's
+    /// only home: no fault plan overrides it.
     pub backlog: usize,
     /// Base time to service one submission on an idle machine.
     pub base_service: Dur,
@@ -82,25 +84,8 @@ pub struct SubmitParams {
     pub sample_every: Dur,
     /// Master seed.
     pub seed: u64,
-    /// Fault plan for this run. `None` ⇒ [`builtin_fault_plan`]: the
-    /// scenario's stock failure physics, nothing injected.
-    ///
-    /// [`builtin_fault_plan`]: SubmitParams::builtin_fault_plan
-    pub fault_plan: Option<FaultPlan>,
-}
-
-impl SubmitParams {
-    /// The scenario's built-in failure physics expressed as a fault
-    /// plan: the schedd crashes on transient-FD starvation
-    /// (`schedd_service_fds`) and refuses submissions beyond `backlog`.
-    /// Custom plans replace this wholesale, so every built-in knob is
-    /// a [`FaultSpec`] parameter.
-    pub fn builtin_fault_plan(&self) -> FaultPlan {
-        FaultPlan::new(self.seed).with(FaultSpec::physics(FaultKind::ScheddCrashOnStarvation {
-            service_fds: self.schedd_service_fds as u32,
-            backlog: self.backlog,
-        }))
-    }
+    /// Faults injected into this run (empty: none).
+    pub fault_plan: FaultPlan,
 }
 
 impl Default for SubmitParams {
@@ -125,7 +110,7 @@ impl Default for SubmitParams {
             start_stagger: Dur::from_secs(10),
             sample_every: Dur::from_secs(5),
             seed: 0x5eed,
-            fault_plan: None,
+            fault_plan: FaultPlan::default(),
         }
     }
 }
@@ -168,12 +153,6 @@ enum SubState {
 /// The schedd + FD-table world.
 pub struct SubmitWorld {
     params: SubmitParams,
-    /// The effective fault plan (custom or built-in physics).
-    fault_plan: FaultPlan,
-    /// Transient FDs per service, read from the plan's crash physics.
-    service_fds: u64,
-    /// Accept backlog, read from the plan's crash physics.
-    backlog: usize,
     script: Script,
     rng: SimRng,
     fds: FdTable,
@@ -215,18 +194,7 @@ pub struct SubmitWorld {
 impl SubmitWorld {
     fn new(params: SubmitParams) -> SubmitWorld {
         let script = submit_script(params.discipline, params.threshold);
-        let fault_plan = params
-            .fault_plan
-            .clone()
-            .unwrap_or_else(|| params.builtin_fault_plan());
-        let (service_fds, backlog) = fault_plan
-            .crash_physics()
-            .map(|(f, b)| (u64::from(f), b))
-            .unwrap_or((params.schedd_service_fds, params.backlog));
         SubmitWorld {
-            fault_plan,
-            service_fds,
-            backlog,
             rng: SimRng::new(params.seed),
             fds: FdTable::new(params.fd_capacity),
             schedd_up: true,
@@ -275,7 +243,7 @@ impl SubmitWorld {
                 *state = SubState::Serving { since };
             }
         }
-        if self.fds.alloc(self.service_fds).is_err() {
+        if self.fds.alloc(self.params.schedd_service_fds).is_err() {
             self.crash(ctx);
             return;
         }
@@ -304,7 +272,7 @@ impl SubmitWorld {
         self.gap_pending = false;
         self.service_seq += 1; // invalidate any pending ServiceDone
         if self.transient_held {
-            self.fds.release(self.service_fds);
+            self.fds.release(self.params.schedd_service_fds);
             self.transient_held = false;
         }
         if let Some(conn) = self.serving.take() {
@@ -387,7 +355,7 @@ impl CommandWorld for SubmitWorld {
                 self.serving = None;
                 self.service_seq += 1;
                 if self.transient_held {
-                    self.fds.release(self.service_fds);
+                    self.fds.release(self.params.schedd_service_fds);
                     self.transient_held = false;
                 }
                 self.release_sub(conn);
@@ -422,7 +390,7 @@ impl CommandWorld for SubmitWorld {
                 if self.subs.get(&conn) != Some(&SubState::Starting) {
                     return; // cancelled while starting up
                 }
-                if !self.schedd_up || self.queue.len() >= self.backlog {
+                if !self.schedd_up || self.queue.len() >= self.params.backlog {
                     // Connection refused.
                     self.failed_connects += 1;
                     self.release_sub(conn);
@@ -442,7 +410,7 @@ impl CommandWorld for SubmitWorld {
                 }
                 let conn = self.serving.take().expect("checked");
                 if self.transient_held {
-                    self.fds.release(self.service_fds);
+                    self.fds.release(self.params.schedd_service_fds);
                     self.transient_held = false;
                 }
                 if let Some(&SubState::Serving { since }) = self.subs.get(&conn) {
@@ -573,10 +541,9 @@ pub fn run_submission_traced(
                 + Dur::from_secs_f64(rng.uniform(0.0, params.start_stagger.as_secs_f64().max(1e-9)))
         })
         .collect();
-    let plan = world.fault_plan.clone();
     let mut driver = SimDriver::with_starts(world, vms, starts);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, plan, Time::ZERO + duration, |d| {
+        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |d| {
             d.schedule_world(Time::ZERO, SubmitEv::Sample);
         });
     let totals = driver.log_totals;

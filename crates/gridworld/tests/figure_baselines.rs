@@ -1,6 +1,7 @@
-//! Regression gate for the figure pipeline: scenario physics moves
-//! (the physics-as-plan refactor) and interpreter changes must not
-//! move a single job or a single serialized byte. These are the
+//! Regression gate for the figure pipeline: refactors of where a
+//! world's constants live (each in its `*Params`, none in a fault
+//! plan) and interpreter changes must not move a single job or a
+//! single serialized byte. These are the
 //! paper-scale headline numbers EXPERIMENTS.md quotes, plus byte-level
 //! pins on the quick-series JSON. (That the interpreter agrees with
 //! the tree-walking oracle on every script these figures run is
