@@ -34,7 +34,6 @@
 //! for staggered starts, VM wake-ups, local work and rank kills.
 
 use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Effect, Executor, Vm, VmStatus};
-use ftsh::Istr;
 use gridd::poll::{set_nonblocking, Epoll, Event, TimerWheel};
 use gridd::proto::{FrameBuf, Request, Response};
 use retry::{Dur, Time};
@@ -136,7 +135,7 @@ impl Call {
         let Some(busy_below) = self.busy_below else {
             return CmdResult {
                 success: self.ok,
-                stdout: Istr::empty(),
+                stdout: None,
             };
         };
         carrier_sense(self.free, busy_below, record);

@@ -200,6 +200,17 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
         let b = vm.tick(now);
         assert_eq!(a, b, "{what}: tick {step} at {now:?} diverges");
         assert_eq!(b, bare.tick(now), "{what}: tick {step}, recording or not");
+        // What the interpreter says is in flight is what it started,
+        // read back without the spec; a cancelled command is not.
+        for eff in &b.effects {
+            let (token, started) = match eff {
+                Effect::Start { token, spec, .. } => (*token, Some(spec.program())),
+                Effect::Cancel { token } => (*token, None),
+            };
+            let cancelled = b.effects.contains(&Effect::Cancel { token });
+            let want = started.filter(|_| !cancelled);
+            assert_eq!(vm.in_flight(token), want, "{what}: in_flight({token})");
+        }
         for eff in a.effects {
             match eff {
                 // `hang` never answers: only a deadline ends it.
@@ -237,6 +248,7 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
             tree.complete(token, result.clone());
             bare.complete(token, result.clone());
             vm.complete(token, result);
+            assert_eq!(vm.in_flight(token), None, "{what}: {token} completed");
         }
     }
 
@@ -486,6 +498,103 @@ fn forall_loops_and_the_call_path_run_in_lockstep() {
                 }
                 _ => {}
             }
+        }
+    }
+}
+
+/// Every way a command names where its output goes or what it runs:
+/// a literal capture target (bound through its compiled slot), `->>`,
+/// a target computed at run time, a positional target inside a
+/// function, and a computed argv\[0\] — the one program name a
+/// running command keeps — killed by a `try` deadline and by a failing
+/// `forall` sibling.
+const CAPTURE_CASES: [(&str, &str); 6] = [
+    (
+        "literal-capture",
+        "probe -> n\n\
+         if ${n} .lt. 5\n\
+           low ${n}\n\
+         else\n\
+           high ${n}\n\
+         end\n\
+         probe -> unread\n",
+    ),
+    (
+        "append-capture",
+        "probe ->> log\n\
+         probe ->> log\n\
+         probe > file ->> log\n\
+         echo ${log}\n",
+    ),
+    (
+        "computed-target",
+        "v=out\n\
+         probe -> ${v}\n\
+         echo ${out}\n\
+         w=spilled\n\
+         probe ->> ${w}\n\
+         probe ->> ${w}\n\
+         cat -< ${w}\n",
+    ),
+    (
+        "positional-target-in-a-function",
+        "function f\n\
+           probe -> 1\n\
+           echo ${1} ${2}\n\
+           probe ->> 2\n\
+           cat -< 2\n\
+         end\n\
+         function g\n\
+           probe -> 3\n\
+           cat -< 3\n\
+         end\n\
+         f a b\n\
+         g\n\
+         echo ${1}\n",
+    ),
+    (
+        "computed-program-killed-by-a-deadline",
+        "p=hang\n\
+         try for 5 seconds\n\
+           ${p} x -> out\n\
+         catch\n\
+           success\n\
+         end\n\
+         q=ha\n\
+         try for 5 seconds\n\
+           ${q}ng ${p}\n\
+         end\n",
+    ),
+    (
+        "computed-program-killed-by-a-sibling",
+        "try for 5 seconds\n\
+           forall q in hang fail\n\
+             ${q} now -> got\n\
+           end\n\
+         end\n",
+    ),
+];
+
+#[test]
+fn capture_targets_and_computed_programs_run_in_lockstep() {
+    for (name, source) in CAPTURE_CASES {
+        let case = Case {
+            name: name.to_string(),
+            script: parse(source).unwrap_or_else(|e| panic!("{name}: {e}")),
+            backoff: BackoffPolicy::ethernet(),
+        };
+        let mut summaries = Vec::new();
+        for seed in 0..SEEDS {
+            let summary = lockstep(&case, 2003 + seed, false);
+            summaries.push(summary.unwrap_or_else(|| panic!("{name}: stuck")));
+        }
+        let killed = summaries.iter().map(|s| s.commands_cancelled);
+        let (least, most) = (killed.clone().min(), killed.max());
+        match name {
+            "computed-program-killed-by-a-deadline" => assert!(least >= Some(2), "{name}"),
+            // Killed by the failing sibling, or else by the deadline.
+            "computed-program-killed-by-a-sibling" => assert!(least >= Some(1), "{name}"),
+            _ => assert_eq!(most, Some(0), "{name}"),
         }
     }
 }

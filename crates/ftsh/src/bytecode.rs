@@ -129,6 +129,11 @@ pub enum RedirTpl {
         both: bool,
         /// The file name or variable name word.
         target: WordIx,
+        /// A capture's slot when its name is a literal the script also
+        /// reads: the result is bound there without expanding or
+        /// hashing the name. `None` for a file, a name computed at run
+        /// time, and a literal name nothing reads (those route by name).
+        slot: Option<SlotIx>,
     },
 }
 
@@ -309,6 +314,19 @@ pub struct Prog {
     /// inside a construct pushes past it and the stack grows as any
     /// `Vec` does.
     pub frame_depth: u32,
+}
+
+impl Prog {
+    /// argv\[0\] of command `cix` when it is a literal word — the
+    /// program every run of the command starts, readable without
+    /// expanding anything.
+    pub(crate) fn literal_program(&self, cix: u32) -> Option<&Istr> {
+        let first = *self.cmds[cix as usize].argv.first()?;
+        match &self.words[first as usize] {
+            WordTpl::Lit(s) => Some(s),
+            _ => None,
+        }
+    }
 }
 
 /// Where a pending fail-edge must be patched once the group's result
@@ -660,6 +678,7 @@ impl Compiler {
                             append: *append,
                             both: *both,
                             target: self.word(target),
+                            slot: None, // resolved in `finish`
                         },
                     })
                     .collect();
@@ -699,7 +718,26 @@ impl Compiler {
         }
     }
 
-    fn finish(self) -> Prog {
+    fn finish(mut self) -> Prog {
+        // Every name the script mentions has its slot by now. A capture
+        // into one of them binds it directly; a literal name nothing
+        // reads gets no slot of its own, so the table — and what the
+        // analyses make of it — is what the script's reads alone make.
+        for cmd in &mut self.cmds {
+            for r in &mut cmd.redirs {
+                if let RedirTpl::Out {
+                    var: true,
+                    target,
+                    slot,
+                    ..
+                } = r
+                {
+                    if let WordTpl::Lit(name) = &self.words[*target as usize] {
+                        *slot = self.slot_by_name.get(name.as_str()).copied();
+                    }
+                }
+            }
+        }
         let positional: Box<[(SlotIx, PosArg)]> = self
             .slot_names
             .iter()
@@ -801,19 +839,25 @@ static CACHE: OnceLock<Cache> = OnceLock::new();
 /// statement allocation was compiled before. The cache holds weak AST
 /// references and is pruned on every miss, so dropped scripts release
 /// their programs.
+///
+/// A hit compares addresses only. A `Weak` keeps its allocation (if
+/// not its contents) until it is dropped, so no other AST can occupy an
+/// address the cache still holds, and an entry whose address is the
+/// key's is the key's own — alive, since the caller holds it. No entry
+/// is upgraded, and no shared refcount but the hit program's is
+/// touched.
 pub fn compile_cached(script: &Script) -> Arc<Prog> {
-    let key = script.stmts.stmts_arc();
+    let key = Arc::as_ptr(script.stmts.stmts_arc());
     let mut cache = CACHE.get_or_init(Cache::default).lock().unwrap();
-    for (weak, prog) in cache.iter() {
-        if let Some(alive) = weak.upgrade() {
-            if Arc::ptr_eq(&alive, key) {
-                return Arc::clone(prog);
-            }
-        }
+    if let Some((_, prog)) = cache
+        .iter()
+        .find(|(weak, _)| std::ptr::eq(weak.as_ptr(), key))
+    {
+        return Arc::clone(prog);
     }
     let prog = Arc::new(compile(&script.stmts));
     cache.retain(|(weak, _)| weak.strong_count() > 0);
-    cache.push((Arc::downgrade(key), Arc::clone(&prog)));
+    cache.push((Arc::downgrade(script.stmts.stmts_arc()), Arc::clone(&prog)));
     prog
 }
 
@@ -831,6 +875,35 @@ mod tests {
         let other = parse("true\nfalse\n").unwrap();
         let c = compile_cached(&other);
         assert!(!Arc::ptr_eq(&a, &c), "fresh parse compiles fresh");
+    }
+
+    #[test]
+    fn a_dropped_script_never_lends_its_program_to_the_next() {
+        // Each script is dropped while its entry is cached, so the next
+        // parse could only reuse its address if the entry let go of it.
+        for i in 0..64 {
+            let name = format!("cmd{i}");
+            let script = parse(&format!("{name} -> out{i}\n")).unwrap();
+            let prog = compile_cached(&script);
+            assert_eq!(prog.literal_program(0).map(Istr::as_str), Some(&*name));
+        }
+    }
+
+    #[test]
+    fn literal_capture_targets_that_are_read_have_slots() {
+        let script = parse("a -> n\nb -> ${n}\nc > n\nd -> unread\ne -> n\n").unwrap();
+        let prog = compile(&script.stmts);
+        let slots: Vec<_> = prog
+            .cmds
+            .iter()
+            .map(|c| match c.redirs.last() {
+                Some(RedirTpl::Out { slot, .. }) => slot.map(|s| &*prog.slots.names[s as usize]),
+                _ => unreachable!(),
+            })
+            .collect();
+        // `-> ${n}` is computed, a file is no variable, and a name no
+        // word reads has no slot to bind.
+        assert_eq!(slots, [Some("n"), None, None, None, Some("n")]);
     }
 
     #[test]

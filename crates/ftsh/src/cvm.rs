@@ -213,6 +213,52 @@ fn arg(args: &[Win], i: usize) -> Option<Istr> {
     }
 }
 
+/// What `->>` binds: `value` after the old binding, if any (as
+/// [`Env::append`] joins).
+fn appended(old: Option<&Istr>, value: &str) -> Istr {
+    match old {
+        Some(old) => {
+            let mut s = String::with_capacity(old.len() + value.len());
+            s.push_str(old);
+            s.push_str(value);
+            Istr::from(s)
+        }
+        None => Istr::from(value),
+    }
+}
+
+/// The program a running command started: argv\[0\] read back through
+/// template `cix`, or the expansion kept when argv\[0\] is not a literal.
+fn program_of<'a>(prog: &'a Prog, cix: u32, kept: Option<&'a Istr>) -> &'a str {
+    match kept {
+        Some(p) => p,
+        None => prog
+            .literal_program(cix)
+            .expect("a literal argv[0] when none was kept"),
+    }
+}
+
+/// Where command `cmd` captures its output, if anywhere: the last
+/// output redirection decides (a later `>` overrides an earlier `->`).
+/// `(slot, append)`, `slot` being `None` for a name the running
+/// command keeps.
+fn capture_of(cmd: &CmdTpl) -> Option<(Option<SlotIx>, bool)> {
+    let last = cmd
+        .redirs
+        .iter()
+        .rev()
+        .find(|r| matches!(r, RedirTpl::Out { .. }))?;
+    match *last {
+        RedirTpl::Out {
+            var: true,
+            append,
+            slot,
+            ..
+        } => Some((slot, append)),
+        _ => None,
+    }
+}
+
 /// `${*}`: the arguments after the function name, space-joined.
 fn star_into(args: &[Win], buf: &mut String) {
     buf.clear();
@@ -229,10 +275,17 @@ fn star_into(args: &[Win], buf: &mut String) {
 #[derive(Debug)]
 enum CState {
     Ready,
+    /// Waiting on command `token`, started by the command template
+    /// `cix`. Its program and capture target are read back through
+    /// the template; only what the template cannot say is kept.
     RunningCmd {
         token: CmdToken,
-        program: Istr,
-        out_var: Option<(Istr, bool)>,
+        cix: u32,
+        /// argv\[0\], when it is not a literal.
+        program: Option<Istr>,
+        /// The capture target's name, when its template has no slot
+        /// for it (a computed name, or a literal nothing reads).
+        target: Option<Istr>,
     },
     Sleeping {
         until: Time,
@@ -309,21 +362,6 @@ impl CTask {
             }
             PosArg::Unbound => None,
         }
-    }
-
-    /// Append by name (the `->>` capture form), mirroring
-    /// [`Env::append`].
-    fn append(&mut self, m: &SlotMap, name: &Istr, value: &str) {
-        let joined = match self.lookup(m, name) {
-            Some(old) => {
-                let mut s = String::with_capacity(old.len() + value.len());
-                s.push_str(&old);
-                s.push_str(value);
-                Istr::from(s)
-            }
-            None => Istr::from(value),
-        };
-        self.env.set_dyn(m, name.clone(), joined);
     }
 
     /// Enter a function: shelve every positional binding the caller
@@ -412,7 +450,22 @@ impl CTask {
 /// assert!(matches!(vm.tick(Time::ZERO).status, VmStatus::Done { success: true }));
 /// ```
 pub struct Vm {
+    /// The program, shared by every VM built from the script. Driving
+    /// the VM only borrows it: [`Machine`]'s methods take `&Prog`, so no
+    /// tick or command touches this refcount.
     prog: Arc<Prog>,
+    /// Everything a tick mutates.
+    m: Machine,
+    /// The root task's bindings, copied out the first time
+    /// [`Vm::env`] is asked after the script finished. A population
+    /// driver never asks, and so never pays for the copy.
+    final_env: OnceLock<Box<Env>>,
+}
+
+/// The mutable half of a [`Vm`]: its tasks, counters, RNG, log and
+/// pools. Kept apart from the program so a tick can borrow the one
+/// while it mutates the other.
+struct Machine {
     /// The live tasks, in ascending id order. A finished or cancelled
     /// task leaves at once, so every per-tick pass is over tasks that
     /// can still act, and walking the table front to back visits them
@@ -431,10 +484,6 @@ pub struct Vm {
     /// unallocated placeholder between ticks.
     effects: Vec<Effect>,
     now: Time,
-    /// The root task's bindings, copied out the first time
-    /// [`Vm::env`] is asked after the script finished. A population
-    /// driver never asks, and so never pays for the copy.
-    final_env: OnceLock<Box<Env>>,
     max_parallel: Option<usize>,
     tracer: Option<SharedSink>,
     trace_client: i64,
@@ -444,7 +493,7 @@ pub struct Vm {
     /// allocating, so steady-state iteration never allocates.
     spare_vecs: Vec<Vec<Istr>>,
     /// Retired `forall` branches, emptied but keeping their buffers;
-    /// [`Vm::spawn_pending`] refills one instead of allocating.
+    /// [`Machine::spawn_pending`] refills one instead of allocating.
     spare_tasks: Vec<CTask>,
     /// Mixed-word expansion buffer: segments build here, then one
     /// exact-sized `Istr` copy leaves — no intermediate `String` per
@@ -486,27 +535,182 @@ impl Vm {
         let n_funcs = prog.func_names.len();
         Vm {
             prog,
-            tasks: vec![root],
-            next_id: 1,
-            token_ctr: 0,
-            fn_entries: vec![None; n_funcs],
-            rng: StdRng::seed_from_u64(seed),
-            log: EventLog::new(),
-            outcome: None,
-            default_backoff: BackoffPolicy::ethernet(),
-            effects: Vec::new(),
-            now: Time::ZERO,
+            m: Machine {
+                tasks: vec![root],
+                next_id: 1,
+                token_ctr: 0,
+                fn_entries: vec![None; n_funcs],
+                rng: StdRng::seed_from_u64(seed),
+                log: EventLog::new(),
+                outcome: None,
+                default_backoff: BackoffPolicy::ethernet(),
+                effects: Vec::new(),
+                now: Time::ZERO,
+                max_parallel: None,
+                tracer: None,
+                trace_client: NO_ID,
+                spare_vecs: Vec::new(),
+                spare_tasks: Vec::new(),
+                scratch: String::new(),
+                scratch_rhs: String::new(),
+            },
             final_env: OnceLock::new(),
-            max_parallel: None,
-            tracer: None,
-            trace_client: NO_ID,
-            spare_vecs: Vec::new(),
-            spare_tasks: Vec::new(),
-            scratch: String::new(),
-            scratch_rhs: String::new(),
         }
     }
 
+    /// Hand a finished command's spec back so its argv buffer can be
+    /// reused by the next dispatch. Purely an optimisation: a driver
+    /// that drops specs instead loses nothing but the recycling.
+    pub fn recycle_spec(&mut self, spec: CommandSpec) {
+        self.m.recycle_vec(spec.argv);
+    }
+
+    /// Move the spare buffers of a retiring VM into this one. Drivers
+    /// that replace a client's VM per work unit call this so the
+    /// recycled pools survive the replacement.
+    pub fn adopt_spares(&mut self, prev: &mut Vm) {
+        if self.m.spare_vecs.is_empty() {
+            std::mem::swap(&mut self.m.spare_vecs, &mut prev.m.spare_vecs);
+        }
+        if self.m.spare_tasks.is_empty() {
+            std::mem::swap(&mut self.m.spare_tasks, &mut prev.m.spare_tasks);
+        }
+    }
+
+    /// Bytes one control frame takes on a task's frame stack. For
+    /// tests that pin the per-client footprint.
+    #[doc(hidden)]
+    pub const FRAME_BYTES: usize = std::mem::size_of::<CFrame>();
+
+    /// Tasks alive right now: the root plus every running `forall`
+    /// branch. For tests that pin the task table's size.
+    #[doc(hidden)]
+    pub fn live_tasks(&self) -> usize {
+        self.m.tasks.len()
+    }
+
+    /// Install a structured-trace sink; every record this VM emits
+    /// goes there too, attributed to `client` (the scenario's client
+    /// index, or [`NO_ID`] outside a population). With no sink
+    /// installed — the default — and the log counters-only, no record
+    /// is built: the tick path stays allocation-free.
+    pub fn set_tracer(&mut self, sink: SharedSink, client: i64) {
+        self.m.tracer = Some(sink);
+        self.m.trace_client = client;
+    }
+
+    /// True when a trace sink is installed.
+    pub fn has_tracer(&self) -> bool {
+        self.m.tracer.is_some()
+    }
+
+    /// Override the backoff policy used by `try` blocks that do not
+    /// specify `every`. This is how the Fixed discipline (no delay) and
+    /// the jitter ablations are expressed.
+    pub fn set_default_backoff(&mut self, p: BackoffPolicy) {
+        self.m.default_backoff = p;
+    }
+
+    /// The backoff policy `try` blocks without `every` run under.
+    pub fn default_backoff(&self) -> BackoffPolicy {
+        self.m.default_backoff
+    }
+
+    /// Throttle `forall`: at most `n` branches run concurrently, the
+    /// rest start as slots free up. §4 notes that "the creation of
+    /// processes must be governed by an Ethernet-like algorithm": this
+    /// is the limited-allocation obligation applied to the process
+    /// table itself. `None` (the default) spawns every branch at once.
+    pub fn set_max_parallel(&mut self, n: Option<usize>) {
+        self.m.max_parallel = n.map(|n| n.max(1));
+    }
+
+    /// The execution log so far.
+    pub fn log(&self) -> &EventLog {
+        &self.m.log
+    }
+
+    /// Switch the execution log between full record retention (the
+    /// default) and counters-only mode — see [`EventLog::set_detailed`].
+    /// Population drivers run counters-only: the [`LogSummary`] still
+    /// aggregates exactly, but a million ticks retain no record.
+    ///
+    /// [`LogSummary`]: crate::log::LogSummary
+    pub fn set_log_detail(&mut self, detailed: bool) {
+        self.m.log.set_detailed(detailed);
+    }
+
+    /// The root environment: the variables visible after completion
+    /// (empty mid-run).
+    pub fn env(&self) -> &Env {
+        static EMPTY: OnceLock<Env> = OnceLock::new();
+        if self.m.outcome.is_none() {
+            return EMPTY.get_or_init(Env::new);
+        }
+        // The root task stays in the table once the script is done.
+        self.final_env
+            .get_or_init(|| Box::new(self.m.tasks[0].env.materialize(&self.prog.slots)))
+    }
+
+    /// The script outcome, if finished.
+    pub fn outcome(&self) -> Option<bool> {
+        self.m.outcome
+    }
+
+    /// The program of in-flight command `token`, or `None` when this VM
+    /// is not waiting on it (never started here, completed, or
+    /// cancelled). The waiting task's state is the one record of what
+    /// is in flight: a driver asks instead of keeping its own, and so
+    /// does the VM — a scan of the live tasks, a handful per VM. The
+    /// name is the program's own literal, or the expansion the task
+    /// kept when argv\[0\] was computed; nothing is copied.
+    pub fn in_flight(&self, token: CmdToken) -> Option<&str> {
+        self.m.tasks.iter().find_map(|t| match &t.state {
+            CState::RunningCmd {
+                token: tk,
+                cix,
+                program,
+                ..
+            } if *tk == token => Some(program_of(&self.prog, *cix, program.as_ref())),
+            _ => None,
+        })
+    }
+
+    /// The tokens of every in-flight command, ascending (issue order).
+    pub fn in_flight_tokens(&self) -> Vec<CmdToken> {
+        let running = self.m.tasks.iter().filter_map(|t| match t.state {
+            CState::RunningCmd { token, .. } => Some(token),
+            _ => None,
+        });
+        let mut tokens: Vec<CmdToken> = running.collect();
+        tokens.sort_unstable();
+        tokens
+    }
+
+    /// Report an in-flight command as finished. Stale tokens (already
+    /// cancelled) are ignored. Call [`Vm::tick`] afterwards.
+    pub fn complete(&mut self, token: CmdToken, result: CmdResult) {
+        self.m.complete(&self.prog, token, result);
+    }
+
+    /// Advance every runnable strand at virtual instant `now`.
+    pub fn tick(&mut self, now: Time) -> Tick {
+        let mut effects = Vec::new();
+        let status = self.tick_into(now, &mut effects);
+        Tick { effects, status }
+    }
+
+    /// [`Vm::tick`] into a caller-owned effects buffer: `out` is
+    /// cleared and refilled in place. The tick builds its effects in
+    /// `out`'s own allocation and hands it straight back, so the VM
+    /// never owns an effects buffer — a driver ticking thousands of
+    /// VMs in a loop keeps one buffer, always the same one, hot.
+    pub fn tick_into(&mut self, now: Time, out: &mut Vec<Effect>) -> VmStatus {
+        self.m.tick_into(&self.prog, now, out)
+    }
+}
+
+impl Machine {
     fn recycle_vec(&mut self, mut v: Vec<Istr>) {
         v.clear();
         if self.spare_vecs.len() < SPARES {
@@ -525,52 +729,6 @@ impl Vm {
             Some(CFrame::ForAll { pending, .. }) => self.recycle_vec(pending),
             _ => {}
         }
-    }
-
-    /// Hand a finished command's spec back so its argv buffer can be
-    /// reused by the next dispatch. Purely an optimisation: a driver
-    /// that drops specs instead loses nothing but the recycling.
-    pub fn recycle_spec(&mut self, spec: CommandSpec) {
-        self.recycle_vec(spec.argv);
-    }
-
-    /// Move the spare buffers of a retiring VM into this one. Drivers
-    /// that replace a client's VM per work unit call this so the
-    /// recycled pools survive the replacement.
-    pub fn adopt_spares(&mut self, prev: &mut Vm) {
-        if self.spare_vecs.is_empty() {
-            std::mem::swap(&mut self.spare_vecs, &mut prev.spare_vecs);
-        }
-        if self.spare_tasks.is_empty() {
-            std::mem::swap(&mut self.spare_tasks, &mut prev.spare_tasks);
-        }
-    }
-
-    /// Bytes one control frame takes on a task's frame stack. For
-    /// tests that pin the per-client footprint.
-    #[doc(hidden)]
-    pub const FRAME_BYTES: usize = std::mem::size_of::<CFrame>();
-
-    /// Tasks alive right now: the root plus every running `forall`
-    /// branch. For tests that pin the task table's size.
-    #[doc(hidden)]
-    pub fn live_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Install a structured-trace sink; every record this VM emits
-    /// goes there too, attributed to `client` (the scenario's client
-    /// index, or [`NO_ID`] outside a population). With no sink
-    /// installed — the default — and the log counters-only, no record
-    /// is built: the tick path stays allocation-free.
-    pub fn set_tracer(&mut self, sink: SharedSink, client: i64) {
-        self.tracer = Some(sink);
-        self.trace_client = client;
-    }
-
-    /// True when a trace sink is installed.
-    pub fn has_tracer(&self) -> bool {
-        self.tracer.is_some()
     }
 
     /// Emit the record of one transition of task `tid`. `ev` runs only
@@ -596,87 +754,10 @@ impl Vm {
         }
     }
 
-    /// Override the backoff policy used by `try` blocks that do not
-    /// specify `every`. This is how the Fixed discipline (no delay) and
-    /// the jitter ablations are expressed.
-    pub fn set_default_backoff(&mut self, p: BackoffPolicy) {
-        self.default_backoff = p;
-    }
-
-    /// The backoff policy `try` blocks without `every` run under.
-    pub fn default_backoff(&self) -> BackoffPolicy {
-        self.default_backoff
-    }
-
-    /// Throttle `forall`: at most `n` branches run concurrently, the
-    /// rest start as slots free up. §4 notes that "the creation of
-    /// processes must be governed by an Ethernet-like algorithm": this
-    /// is the limited-allocation obligation applied to the process
-    /// table itself. `None` (the default) spawns every branch at once.
-    pub fn set_max_parallel(&mut self, n: Option<usize>) {
-        self.max_parallel = n.map(|n| n.max(1));
-    }
-
-    /// The execution log so far.
-    pub fn log(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// Switch the execution log between full record retention (the
-    /// default) and counters-only mode — see [`EventLog::set_detailed`].
-    /// Population drivers run counters-only: the [`LogSummary`] still
-    /// aggregates exactly, but a million ticks retain no record.
-    ///
-    /// [`LogSummary`]: crate::log::LogSummary
-    pub fn set_log_detail(&mut self, detailed: bool) {
-        self.log.set_detailed(detailed);
-    }
-
-    /// The root environment: the variables visible after completion
-    /// (empty mid-run).
-    pub fn env(&self) -> &Env {
-        static EMPTY: OnceLock<Env> = OnceLock::new();
-        if self.outcome.is_none() {
-            return EMPTY.get_or_init(Env::new);
-        }
-        // The root task stays in the table once the script is done.
-        self.final_env
-            .get_or_init(|| Box::new(self.tasks[0].env.materialize(&self.prog.slots)))
-    }
-
-    /// The script outcome, if finished.
-    pub fn outcome(&self) -> Option<bool> {
-        self.outcome
-    }
-
-    /// The program of in-flight command `token`, or `None` when this VM
-    /// is not waiting on it (never started here, completed, or
-    /// cancelled). The waiting task's state is the one record of what
-    /// is in flight: a driver asks instead of keeping its own, and so
-    /// does the VM — a scan of the live tasks, a handful per VM.
-    pub fn in_flight(&self, token: CmdToken) -> Option<&Istr> {
-        self.tasks.iter().find_map(|t| match &t.state {
-            CState::RunningCmd {
-                token: tk, program, ..
-            } if *tk == token => Some(program),
-            _ => None,
-        })
-    }
-
-    /// The tokens of every in-flight command, ascending (issue order).
-    pub fn in_flight_tokens(&self) -> Vec<CmdToken> {
-        let running = self.tasks.iter().filter_map(|t| match t.state {
-            CState::RunningCmd { token, .. } => Some(token),
-            _ => None,
-        });
-        let mut tokens: Vec<CmdToken> = running.collect();
-        tokens.sort_unstable();
-        tokens
-    }
-
-    /// Report an in-flight command as finished. Stale tokens (already
-    /// cancelled) are ignored. Call [`Vm::tick`] afterwards.
-    pub fn complete(&mut self, token: CmdToken, result: CmdResult) {
+    /// [`Vm::complete`]. A capture is bound straight into the slot its
+    /// template names (a name without a slot routes by name), and the output
+    /// handle itself is bound when there is no newline to trim.
+    fn complete(&mut self, prog: &Prog, token: CmdToken, result: CmdResult) {
         let waiting = self
             .tasks
             .iter_mut()
@@ -686,7 +767,10 @@ impl Vm {
         };
         let tid = task.id;
         let CState::RunningCmd {
-            program, out_var, ..
+            cix,
+            program,
+            target,
+            ..
         } = std::mem::replace(&mut task.state, CState::Ready)
         else {
             unreachable!("matched above")
@@ -694,59 +778,60 @@ impl Vm {
         // The instruction pointer already sits just past the dispatch
         // op (on its fail-check); the command's outcome lands in the
         // result register.
-        task.res = result.success;
-        if let Some((name, append)) = out_var {
-            let value = trim_capture(&result.stdout);
-            if append {
-                task.append(&self.prog.slots, &name, value);
-            } else if value.len() == result.stdout.len() {
-                task.env
-                    .set_dyn(&self.prog.slots, name.clone(), result.stdout.clone());
+        let ok = result.success;
+        task.res = ok;
+        if let Some((slot, append)) = capture_of(&prog.cmds[cix as usize]) {
+            let name = match slot {
+                Some(s) => &prog.slots.names[s as usize],
+                None => target
+                    .as_ref()
+                    .expect("a capture without a slot keeps its name"),
+            };
+            let stdout = result.stdout;
+            let full = stdout.as_deref().unwrap_or("");
+            let value = trim_capture(full);
+            let bound = if append {
+                let old = match slot {
+                    Some(s) => task.env.get_slot(s).cloned(),
+                    None => task.lookup(&prog.slots, name),
+                };
+                appended(old.as_ref(), value)
+            } else if value.len() == full.len() {
+                stdout.unwrap_or_default()
             } else {
-                task.env
-                    .set_dyn(&self.prog.slots, name.clone(), Istr::from(value));
+                Istr::from(value)
+            };
+            match slot {
+                Some(s) => task.env.set_slot(s, bound),
+                None => task.env.set_dyn(&prog.slots, name.clone(), bound),
             }
             self.emit(tid, || TraceEv::VarSet {
                 name: name.to_string(),
             });
         }
-        let ok = result.success;
         if ok {
             self.log.summary.commands_succeeded += 1;
         } else {
             self.log.summary.commands_failed += 1;
         }
         self.emit(tid, || TraceEv::CmdEnd {
-            program: program.to_string(),
+            program: program_of(prog, cix, program.as_ref()).to_string(),
             ok,
         });
     }
 
-    /// Advance every runnable strand at virtual instant `now`.
-    pub fn tick(&mut self, now: Time) -> Tick {
-        let mut effects = Vec::new();
-        let status = self.tick_into(now, &mut effects);
-        Tick { effects, status }
-    }
-
-    /// [`Vm::tick`] into a caller-owned effects buffer: `out` is
-    /// cleared and refilled in place. The tick builds its effects in
-    /// `out`'s own allocation and hands it straight back, so the VM
-    /// never owns an effects buffer — a driver ticking thousands of
-    /// VMs in a loop keeps one buffer, always the same one, hot.
-    pub fn tick_into(&mut self, now: Time, out: &mut Vec<Effect>) -> VmStatus {
+    /// [`Vm::tick_into`].
+    fn tick_into(&mut self, prog: &Prog, now: Time, out: &mut Vec<Effect>) -> VmStatus {
         debug_assert!(now >= self.now, "tick time went backwards");
         self.now = now;
         out.clear();
         std::mem::swap(&mut self.effects, out);
 
         if self.outcome.is_none() {
-            // One refcount bump per tick on the program every VM of
-            // the process shares; the table is lifted out so a task
-            // can be stepped in place while `self` stays borrowable.
-            let prog = Arc::clone(&self.prog);
+            // The table is lifted out so a task can be stepped in place
+            // while `self` stays borrowable.
             let mut tasks = std::mem::take(&mut self.tasks);
-            self.fire_deadlines(&prog, &mut tasks);
+            self.fire_deadlines(prog, &mut tasks);
             for task in &mut tasks {
                 // A sleeper's instruction pointer was parked on the
                 // admission op when its backoff began.
@@ -754,7 +839,7 @@ impl Vm {
                     task.state = CState::Ready;
                 }
             }
-            self.step_all(&prog, &mut tasks);
+            self.step_all(prog, &mut tasks);
             self.tasks = tasks;
         }
 
@@ -767,10 +852,6 @@ impl Vm {
         std::mem::swap(&mut self.effects, out);
         status
     }
-
-    // ------------------------------------------------------------------
-    // Internals
-    // ------------------------------------------------------------------
 
     fn fire_deadlines(&mut self, prog: &Prog, tasks: &mut Vec<CTask>) {
         let mut pos = 0;
@@ -793,10 +874,10 @@ impl Vm {
                     // Branches have higher ids: they sit past `pos`,
                     // and removing them leaves `pos` where it is.
                     let id = task.id;
-                    self.cancel_children(tasks, id, pos + 1);
+                    self.cancel_children(prog, tasks, id, pos + 1);
                 }
                 let task = &mut tasks[pos];
-                self.cancel_running_cmd(task);
+                self.cancel_running_cmd(prog, task);
                 self.log.summary.timed_out_tries += 1;
                 self.emit(task.id, || TraceEv::TryTimeout);
                 self.fail_try_frame(task);
@@ -836,12 +917,18 @@ impl Vm {
         }
     }
 
-    fn cancel_running_cmd(&mut self, task: &mut CTask) {
-        if let CState::RunningCmd { token, program, .. } = &task.state {
+    fn cancel_running_cmd(&mut self, prog: &Prog, task: &CTask) {
+        if let CState::RunningCmd {
+            token,
+            cix,
+            program,
+            ..
+        } = &task.state
+        {
             self.effects.push(Effect::Cancel { token: *token });
             self.log.summary.commands_cancelled += 1;
             self.emit(task.id, || TraceEv::CmdKilled {
-                program: program.to_string(),
+                program: program_of(prog, *cix, program.as_ref()).to_string(),
             });
         }
     }
@@ -849,17 +936,17 @@ impl Vm {
     /// Cancel every branch of task `pid`, lowest id first and each
     /// one's own branches right after it. `from` is any position at or
     /// before the first of them.
-    fn cancel_children(&mut self, tasks: &mut Vec<CTask>, pid: TaskId, from: usize) {
+    fn cancel_children(&mut self, prog: &Prog, tasks: &mut Vec<CTask>, pid: TaskId, from: usize) {
         let mut pos = from;
         while pos < tasks.len() {
             if tasks[pos].parent != Some(pid) {
                 pos += 1;
                 continue;
             }
-            let mut child = tasks.remove(pos);
-            self.cancel_running_cmd(&mut child);
+            let child = tasks.remove(pos);
+            self.cancel_running_cmd(prog, &child);
             if matches!(child.state, CState::WaitingChildren) {
-                self.cancel_children(tasks, child.id, pos);
+                self.cancel_children(prog, tasks, child.id, pos);
             }
             self.retire(child);
         }
@@ -889,7 +976,7 @@ impl Vm {
                 continue;
             }
             if let Some(result) = self.run_task(prog, &mut tasks[at]) {
-                at = self.finish(tasks, at, result);
+                at = self.finish(prog, tasks, at, result);
             } else {
                 if matches!(tasks[at].state, CState::WaitingChildren) {
                     self.spawn_pending(tasks, at);
@@ -901,7 +988,7 @@ impl Vm {
 
     /// The task at `at` ran off the end of its code. Returns where the
     /// step cursor goes next.
-    fn finish(&mut self, tasks: &mut Vec<CTask>, at: usize, result: bool) -> usize {
+    fn finish(&mut self, prog: &Prog, tasks: &mut Vec<CTask>, at: usize, result: bool) -> usize {
         let task = &tasks[at];
         let Some(pid) = task.parent else {
             self.outcome = Some(result);
@@ -938,7 +1025,7 @@ impl Vm {
         let frame = parent.frames.pop();
         self.recycle_frame(frame);
         if !result {
-            self.cancel_children(tasks, pid, ppos + 1);
+            self.cancel_children(prog, tasks, pid, ppos + 1);
         }
         ppos
     }
@@ -1265,7 +1352,7 @@ impl Vm {
         let mut input = None;
         let mut output = None;
         let mut both = false;
-        let mut out_var = None;
+        let mut target = None;
         for r in &cmd.redirs {
             match r {
                 RedirTpl::In { var, source } => {
@@ -1280,23 +1367,25 @@ impl Vm {
                     var,
                     append,
                     both: b,
-                    target,
+                    target: word,
+                    slot,
                 } => {
-                    let name = task.env.expand(&prog.words[*target as usize]);
+                    let name = task.env.expand(&prog.words[*word as usize]);
                     both = *b;
-                    if *var {
-                        out_var = Some((name.clone(), *append));
-                        output = Some(OutSink::Var {
+                    // A capture is read back through the template at
+                    // completion; only a name without a slot is kept.
+                    target = (*var && slot.is_none()).then(|| name.clone());
+                    output = Some(if *var {
+                        OutSink::Var {
                             name,
                             append: *append,
-                        });
+                        }
                     } else {
-                        out_var = None;
-                        output = Some(OutSink::File {
+                        OutSink::File {
                             path: name,
                             append: *append,
-                        });
-                    }
+                        }
+                    });
                 }
             }
         }
@@ -1316,8 +1405,12 @@ impl Vm {
         });
         task.state = CState::RunningCmd {
             token,
-            program: spec.argv.first().cloned().unwrap_or_default(),
-            out_var,
+            cix,
+            program: prog
+                .literal_program(cix)
+                .is_none()
+                .then(|| spec.argv[0].clone()),
+            target,
         };
         task.ip += 1; // resume on the fail-check with res = outcome
         self.effects.push(Effect::Start {

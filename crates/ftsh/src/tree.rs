@@ -212,7 +212,7 @@ impl TreeVm {
         let ok = result.success;
         task.state = TaskState::Ready(Ctl::Return(ok));
         if let Some((name, append)) = out_var {
-            let value = trim_capture(&result.stdout);
+            let value = trim_capture(result.stdout.as_deref().unwrap_or(""));
             if append {
                 task.env.append(&name, value);
             } else {

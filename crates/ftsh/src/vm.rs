@@ -91,26 +91,41 @@ impl CommandSpec {
 pub struct CmdResult {
     /// Did the command exit normally with status zero?
     pub success: bool,
-    /// Captured standard output (only consulted for `Var` sinks).
+    /// Captured standard output, `None` when there was none (only
+    /// consulted for `Var` sinks; a capture of `None` binds `""`).
     /// Interned so a simulated world can hand the same output to
-    /// thousands of clients without copying it per completion.
-    pub stdout: Istr,
+    /// thousands of clients without copying it per completion, and
+    /// optional so a result without output holds no handle at all —
+    /// not even to the one shared empty string, whose refcount every
+    /// thread of a sweep would otherwise bump.
+    pub stdout: Option<Istr>,
 }
 
 impl CmdResult {
-    /// A successful result carrying output.
+    /// A successful result carrying output. Empty output is stored as
+    /// none.
     pub fn ok(stdout: impl Into<Istr>) -> CmdResult {
+        let stdout = stdout.into();
         CmdResult {
             success: true,
-            stdout: stdout.into(),
+            stdout: (!stdout.is_empty()).then_some(stdout),
         }
     }
 
-    /// A failed result.
+    /// A successful result with no output: [`CmdResult::ok`] of `""`
+    /// without building a string first.
+    pub fn succeed() -> CmdResult {
+        CmdResult {
+            success: true,
+            stdout: None,
+        }
+    }
+
+    /// A failed result, with no output.
     pub fn fail() -> CmdResult {
         CmdResult {
             success: false,
-            stdout: Istr::empty(),
+            stdout: None,
         }
     }
 }

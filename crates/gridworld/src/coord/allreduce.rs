@@ -328,7 +328,7 @@ impl CommandWorld for AllReduceWorld {
                     .rng
                     .uniform(0.0, self.params.compute_jitter.as_secs_f64().max(1e-9));
                 let dur = self.params.compute_base + Dur::from_secs_f64(jitter);
-                ExecOutcome::At(ctx.now() + dur, CmdResult::ok(""))
+                ExecOutcome::At(ctx.now() + dur, CmdResult::succeed())
             }
             // The carrier-sense probe: how many of this round's keys
             // have landed. Reads a cached count — free of the store

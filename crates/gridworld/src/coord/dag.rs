@@ -495,7 +495,7 @@ impl CommandWorld for DagWorld {
             // Local compute: no contention once the inputs are local.
             "run" => {
                 let runtime = self.params.spec.jobs[client].runtime;
-                ExecOutcome::At(ctx.now() + runtime, CmdResult::ok(""))
+                ExecOutcome::At(ctx.now() + runtime, CmdResult::succeed())
             }
             // The carrier-sense probe: how many of the named job's
             // inputs exist. Reads the cached key set — free of the

@@ -77,7 +77,7 @@ fn schedule_done(ctx: &mut Ctx<'_, StoreDone>, started: Option<Started>) {
 /// Tell the command behind a finished store operation how it went.
 fn store_reply(ctx: &mut Ctx<'_, StoreDone>, (client, token): (ClientId, CmdToken), success: bool) {
     let result = if success {
-        CmdResult::ok("")
+        CmdResult::succeed()
     } else {
         CmdResult::fail()
     };

@@ -227,7 +227,7 @@ impl CommandWorld for BlackHoleWorld {
             // carrier sensing distinguishes dead from busy (§5). Only a
             // black hole leaves the probe hanging.
             let dur = self.params.connect_latency + self.transfer_time(size);
-            return ExecOutcome::At(ctx.now() + dur, CmdResult::ok(""));
+            return ExecOutcome::At(ctx.now() + dur, CmdResult::succeed());
         }
         let job = Fetch {
             client,
@@ -277,7 +277,7 @@ impl CommandWorld for BlackHoleWorld {
                     self.transfer_series.push(ctx.now(), self.transfers as f64);
                     self.per_client_successes[job.client].push(ctx.now());
                 }
-                ctx.complete(job.client, job.token, CmdResult::ok(""));
+                ctx.complete(job.client, job.token, CmdResult::succeed());
                 self.begin_transfer(ctx, server, next);
             }
         }

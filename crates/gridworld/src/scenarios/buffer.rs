@@ -21,6 +21,7 @@ use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultPlan, FaultWindows};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{DiskBuffer, FileId, IdMap, Series, SimRng, WriteError};
+use std::fmt::Write as _;
 
 /// One mebibyte.
 pub const MB: u64 = 1 << 20;
@@ -155,6 +156,8 @@ pub struct BufferWorld {
     /// Structured-trace sink for scenario-level events (probes,
     /// deferrals, ENOSPC collisions); `None` ⇒ no records, no cost.
     trace: Option<SharedSink>,
+    /// Where [`BufferWorld::probe_output`] formats.
+    probe_buf: String,
 }
 
 impl BufferWorld {
@@ -177,8 +180,18 @@ impl BufferWorld {
             collision_series: Series::new("collisions"),
             occupancy_series: Series::new("occupancy"),
             trace: None,
+            probe_buf: String::new(),
             params,
         }
+    }
+
+    /// A probe's answer: the bare number, formatted into the world's
+    /// one buffer and copied out once. With no trailing newline the VM
+    /// binds the result itself instead of trimming it into a copy.
+    fn probe_output(&mut self, value: impl std::fmt::Display) -> CmdResult {
+        self.probe_buf.clear();
+        let _ = write!(self.probe_buf, "{value}");
+        CmdResult::ok(self.probe_buf.as_str())
     }
 
     fn sample(&mut self, now: Time) {
@@ -204,10 +217,7 @@ impl CommandWorld for BufferWorld {
             // job itself (captured into ${size} by the script).
             "make-output" => {
                 let size = self.rng.range_u64(1, self.params.max_file + 1);
-                ExecOutcome::At(
-                    ctx.now() + self.params.probe_cost,
-                    CmdResult::ok(format!("{size}\n")),
-                )
+                ExecOutcome::At(ctx.now() + self.params.probe_cost, self.probe_output(size))
             }
             // The Ethernet estimator over the observable buffer state.
             "estimate-space" => {
@@ -222,10 +232,7 @@ impl CommandWorld for BufferWorld {
                 }) {
                     self.deferrals += 1;
                 }
-                ExecOutcome::At(
-                    ctx.now() + self.params.probe_cost,
-                    CmdResult::ok(format!("{est}\n")),
-                )
+                ExecOutcome::At(ctx.now() + self.params.probe_cost, self.probe_output(est))
             }
             "write-output" => {
                 let Some(size) = spec.argv.get(1).and_then(|s| s.parse::<u64>().ok()) else {
@@ -319,7 +326,7 @@ impl CommandWorld for BufferWorld {
                             self.disk.complete(file).expect("file is writable");
                             self.files_produced += 1;
                             self.active.remove(&(client, token));
-                            ctx.complete(client, token, CmdResult::ok(""));
+                            ctx.complete(client, token, CmdResult::succeed());
                         } else {
                             ctx.schedule(
                                 ctx.now() + self.params.write_time / self.params.chunks as u64,

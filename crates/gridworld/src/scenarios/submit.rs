@@ -419,7 +419,7 @@ impl CommandWorld for SubmitWorld {
                 }
                 self.release_sub(conn);
                 self.jobs_submitted += 1;
-                ctx.complete(conn.0, conn.1, CmdResult::ok(""));
+                ctx.complete(conn.0, conn.1, CmdResult::succeed());
                 self.gap_pending = true;
                 ctx.schedule(ctx.now() + self.params.service_gap, SubmitEv::ServiceStart);
             }

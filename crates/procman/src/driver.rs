@@ -252,7 +252,7 @@ impl Executor for Sessions {
                     let (outcome, out) = child.wait_detailed();
                     let result = CmdResult {
                         success: outcome.success(),
-                        stdout: out.into(),
+                        stdout: (!out.is_empty()).then(|| out.into()),
                     };
                     let _ = tx.send((token, result, outcome));
                 });
