@@ -2,12 +2,13 @@
 //! real wall-clock against a real `gridd` daemon.
 //!
 //! The ranks are ftsh VMs running the scripts the simulator runs —
-//! [`gridworld::coord::allreduce_text`], one VM per rank-round built
-//! by the sim's own [`rank_unit_vm`] — on the [`crate::swarm`]
-//! reactor. This module is their verb table (`compute` → a timer,
-//! `publish` → `put`, `fetch` → `get`, `probe` → one pipelined `stat`
-//! per peer, summed) and the round bookkeeping; barriers, retries and
-//! backoff are the script's.
+//! [`gridworld::coord::allreduce_text`], one VM per rank built by the
+//! sim's own [`rank_unit_vm`] and restarted for each round on the
+//! sim's own [`rank_env`] — on the [`crate::swarm`] reactor. This
+//! module is their verb table (`compute` → a timer, `publish` → `put`,
+//! `fetch` → `get`, `probe` → one pipelined `stat` per peer, summed)
+//! and the round bookkeeping; barriers, retries and backoff are the
+//! script's.
 //!
 //! The daemon's file server is the sim's store ([`simgrid::KeyStore`],
 //! `coord::Store` in the simulated worlds): a single-server FIFO
@@ -26,11 +27,12 @@
 //! ordering or the smoke fails.
 
 use crate::swarm::{self, Harness, Verb};
-use ftsh::vm::{CommandSpec, Vm};
+use ftsh::vm::CommandSpec;
 use ftshlint::check::{check, WorkflowSpec};
 use gridd::{GriddConfig, Request};
-use gridworld::coord::{allreduce_text, rank_unit_vm, AllReduceParams};
+use gridworld::coord::{allreduce_text, rank_env, rank_unit_vm, AllReduceParams};
 use gridworld::figures::{by_name_with_plan, Scale};
+use gridworld::NextUnit;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
 use simgrid::{Series, SeriesSet, SimRng};
@@ -128,10 +130,9 @@ struct Ranks {
     /// last round's window and rejoins after the downtime, or — with
     /// `rejoin: false` — never.
     params: AllReduceParams,
-    /// The rank script's source: what the checker analyses and what
-    /// `script` was parsed from.
+    /// The rank script's source: what the checker analyses and the
+    /// ranks run.
     source: String,
-    script: ftsh::Script,
     rng: SimRng,
     /// The round each rank is working on (== `rounds` once retired).
     rank_round: Vec<u32>,
@@ -171,7 +172,6 @@ impl Ranks {
             params.fetch_timeout,
         );
         Ranks {
-            script: ftsh::parse(&source).expect("generated script parses"),
             source,
             rng: SimRng::new(params.seed),
             rank_round: vec![0; params.n_ranks],
@@ -198,16 +198,10 @@ impl Ranks {
         spec
     }
 
-    /// A fresh VM for `rank`'s current round.
-    fn rank_vm(&mut self, rank: usize) -> Vm {
+    /// `rank`'s next unit: its current round, after `delay`.
+    fn rank_unit(&mut self, rank: usize, delay: Duration) -> NextUnit<Duration> {
         let seed = self.rng.next_u64();
-        rank_unit_vm(
-            &self.script,
-            &self.params,
-            rank,
-            self.rank_round[rank],
-            seed,
-        )
+        (rank_env(rank, self.rank_round[rank]), seed, delay)
     }
 }
 
@@ -246,7 +240,7 @@ impl Harness for Ranks {
         }
     }
 
-    fn unit_done(&mut self, rank: usize, success: bool) -> Option<(Vm, Duration)> {
+    fn unit_done(&mut self, rank: usize, success: bool) -> Option<NextUnit<Duration>> {
         let think = if success {
             self.rank_round[rank] += 1;
             if self.rank_round[rank] >= self.params.rounds {
@@ -257,12 +251,12 @@ impl Harness for Ranks {
             // Round budget exhausted: the whole rank-round re-runs.
             self.params.failure_think
         };
-        Some((self.rank_vm(rank), think.to_std()))
+        Some(self.rank_unit(rank, think.to_std()))
     }
 
-    fn revive(&mut self, rank: usize) -> Option<Vm> {
+    fn revive(&mut self, rank: usize) -> Option<NextUnit<Duration>> {
         // A rank that already finished every round stays retired.
-        (self.rank_round[rank] < self.params.rounds).then(|| self.rank_vm(rank))
+        (self.rank_round[rank] < self.params.rounds).then(|| self.rank_unit(rank, Duration::ZERO))
     }
 }
 
@@ -303,8 +297,13 @@ pub fn run_coord_discipline(
     };
     let handle = gridd::start(cfg)?;
 
+    let script = ftsh::parse(&ranks.source).expect("generated script parses");
     let vms = (0..opts.ranks)
-        .map(|rank| (ranks.rank_vm(rank), Duration::ZERO))
+        .map(|rank| {
+            let seed = ranks.rng.next_u64();
+            let vm = rank_unit_vm(&script, &ranks.params, rank, 0, seed);
+            (vm, Duration::ZERO)
+        })
         .collect();
     let kills = ranks.params.fault_plan.client_kills();
     let watchdog = ranks.params.round_timeout.to_std() * opts.rounds;
@@ -519,11 +518,12 @@ mod tests {
             // the text the rank VMs were parsed from...
             let spec = ranks.spec();
             assert_eq!(spec.jobs.len(), p.n_ranks * p.rounds as usize);
-            assert_eq!(ranks.script, ftsh::parse(&spec.jobs[0].source).unwrap());
+            let script = ftsh::parse(&ranks.source).unwrap();
+            assert_eq!(script, ftsh::parse(&spec.jobs[0].source).unwrap());
             // ...and it is the script the simulator runs.
             let sim =
                 gridworld::coord::allreduce_script(d, p.n_ranks, p.round_timeout, p.fetch_timeout);
-            assert_eq!(ranks.script, sim, "{d}");
+            assert_eq!(script, sim, "{d}");
             // One kill, of rank 1, from the plan the checker is given.
             let kills = p.fault_plan.client_kills();
             assert_eq!(kills.len(), 1);

@@ -2,8 +2,9 @@
 //! real ftsh script, multiplexed over sockets on one epoll reactor.
 //! Like `procman` (real processes) and `gridworld::SimDriver` (the
 //! event queue), it drives each [`ftsh::Vm`] by [`ftsh::step`] and
-//! brings only its own world: the transport, the clock and the unit
-//! lifecycle.
+//! brings only its own world: the transport and the clock. Its unit
+//! lifecycle is `SimDriver`'s: the harness says only what a client's
+//! next unit is, and the reactor [restarts](Vm::restart) its one VM.
 //!
 //! The reactor owns the wiring and nothing else. A VM's
 //! [`Effect::Start`] is looked up in the harness's verb table
@@ -36,6 +37,7 @@
 use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Effect, Executor, Vm, VmStatus};
 use gridd::poll::{set_nonblocking, Epoll, Event, TimerWheel};
 use gridd::proto::{FrameBuf, Request, Response};
+use gridworld::NextUnit;
 use retry::{Dur, Time};
 use simgrid::faults::ClientKillInfo;
 use simgrid::trace::{carrier_sense, TraceEv, TraceRecord, TraceSink as _, VecSink, NO_ID};
@@ -76,17 +78,16 @@ pub trait Harness {
     /// Map a command a client's VM started.
     fn verb(&mut self, client: usize, spec: &CommandSpec) -> Verb;
 
-    /// A client's script finished (one work unit). Return the next VM
-    /// and how long to wait before starting it, or `None` to retire
-    /// the client.
-    fn unit_done(&mut self, client: usize, success: bool) -> Option<(Vm, Duration)> {
+    /// A client's script finished (one work unit). Return the next
+    /// unit, or `None` to retire the client.
+    fn unit_done(&mut self, client: usize, success: bool) -> Option<NextUnit<Duration>> {
         let _ = (client, success);
         None
     }
 
-    /// A killed client's restart delay elapsed. Return the replacement
-    /// VM, or `None` to leave the client dead.
-    fn revive(&mut self, client: usize) -> Option<Vm> {
+    /// A killed client's restart delay elapsed. Return the unit it
+    /// resumes with, or `None` to leave the client dead.
+    fn revive(&mut self, client: usize) -> Option<NextUnit<Duration>> {
         let _ = client;
         None
     }
@@ -177,9 +178,9 @@ impl SwarmReport {
 // --------------------------------------------------------------- reactor
 
 /// Timer completions. `epoch` guards staleness: a client's epoch moves
-/// whenever its VM is replaced or killed, and token numbering restarts
-/// with every VM, so a timer armed for an earlier unit must not touch
-/// the next.
+/// whenever a unit starts or the client is killed, and token numbering
+/// restarts with every unit, so a timer armed for an earlier unit must
+/// not touch the next.
 enum Tev {
     /// Tick the VM: its start, a backoff wake-up or a `try` deadline.
     Wake { id: usize, epoch: u64, at: Time },
@@ -197,7 +198,10 @@ enum Tev {
 
 #[derive(Default)]
 struct Client {
+    /// The client's one VM; out of its slot only while it steps.
     vm: Option<Vm>,
+    /// Running a unit: false once killed (until revived) or retired.
+    running: bool,
     epoch: u64,
     /// Earliest VM wake-up already on the wheel.
     armed: Option<Time>,
@@ -266,9 +270,16 @@ pub fn drive<H: Harness>(
         protocol_errors: 0,
         report: SwarmReport::default(),
     };
-    for (id, (vm, offset)) in vms.into_iter().enumerate() {
-        swarm.clients.push(Client::default());
-        swarm.install(id, vm, offset);
+    for (id, (mut vm, offset)) in vms.into_iter().enumerate() {
+        vm.set_tracer(swarm.sink.clone(), id as i64);
+        // Only the trace is read back; retaining every VM's event log
+        // across a large population is pure allocation churn.
+        vm.set_log_detail(false);
+        swarm.clients.push(Client {
+            vm: Some(vm),
+            ..Client::default()
+        });
+        swarm.begin(id, offset);
     }
     for k in kills.iter().filter(|k| k.client < swarm.clients.len()) {
         swarm.timers.schedule(
@@ -343,18 +354,22 @@ impl<H: Harness> Swarm<'_, H> {
 
     // ---------------------------------------------------------- driving
 
-    /// Give client `id` a fresh VM, first ticked after `delay`.
-    fn install(&mut self, id: usize, mut vm: Vm, delay: Duration) {
-        vm.set_tracer(self.sink.clone(), id as i64);
-        // Only the trace is read back; retaining every VM's event log
-        // across a large population is pure allocation churn.
-        vm.set_log_detail(false);
+    /// Start the unit client `id`'s VM holds after `delay`, in a new
+    /// epoch.
+    fn begin(&mut self, id: usize, delay: Duration) {
         let c = &mut self.clients[id];
-        c.vm = Some(vm);
+        c.running = true;
         c.epoch += 1;
         c.armed = None;
         let at = self.now() + Dur::from_std(delay);
         self.arm(id, at);
+    }
+
+    /// Restart client `id`'s VM in place on `unit`.
+    fn restart(&mut self, id: usize, (env, seed, delay): NextUnit<Duration>) {
+        let vm = self.clients[id].vm.as_mut().expect("a VM in its slot");
+        vm.restart(env, seed);
+        self.begin(id, delay);
     }
 
     /// Make sure the wheel wakes client `id`'s VM no later than `at`.
@@ -388,14 +403,15 @@ impl<H: Harness> Swarm<'_, H> {
                 }
             }
             Tev::Kill { id, restart } => {
-                // Only a kill that finds a live VM counts (and earns a
-                // revival), as in the simulator.
-                if self.clients[id].vm.take().is_none() {
+                // Only a kill that finds a running client counts (and
+                // earns a revival), as in the simulator.
+                let c = &mut self.clients[id];
+                if !std::mem::take(&mut c.running) {
                     return;
                 }
+                c.epoch += 1;
+                c.calls.clear();
                 self.report.kills += 1;
-                self.clients[id].epoch += 1;
-                self.clients[id].calls.clear();
                 self.drop_stream(id);
                 match restart {
                     Some(down) => self
@@ -405,9 +421,9 @@ impl<H: Harness> Swarm<'_, H> {
                 }
             }
             Tev::Revive { id } => match self.harness.revive(id) {
-                Some(vm) => {
+                Some(unit) => {
                     self.report.restarts += 1;
-                    self.install(id, vm, Duration::ZERO);
+                    self.restart(id, unit);
                 }
                 None => self.live -= 1,
             },
@@ -424,26 +440,29 @@ impl<H: Harness> Swarm<'_, H> {
     /// Hand client `id`'s VM what completed since it last ran, step it
     /// until it waits on the world again, and act on how it stands.
     fn tick(&mut self, id: usize) {
-        let Some(mut vm) = self.clients[id].vm.take() else {
+        let c = &mut self.clients[id];
+        if !c.running {
             return;
-        };
-        for (token, result) in self.clients[id].done.drain(..) {
+        }
+        let mut vm = c.vm.take().expect("a running client's VM");
+        for (token, result) in c.done.drain(..) {
             vm.complete(token, result);
         }
         let now = self.now();
         let mut effects = std::mem::take(&mut self.effects);
         let (status, _) = step(&mut vm, now, &mut effects, &mut Wire { swarm: self, id });
         self.effects = effects;
+        self.clients[id].vm = Some(vm);
         match status {
             VmStatus::Running { next_wake } => {
-                self.clients[id].vm = Some(vm);
                 if let Some(at) = next_wake {
                     self.arm(id, at);
                 }
             }
             VmStatus::Done { success } => match self.harness.unit_done(id, success) {
-                Some((vm, delay)) => self.install(id, vm, delay),
+                Some(unit) => self.restart(id, unit),
                 None => {
+                    self.clients[id].running = false;
                     self.drop_stream(id);
                     self.live -= 1;
                 }

@@ -332,6 +332,15 @@ impl CTask {
         }
     }
 
+    /// Drop every binding, frame and window entry, keeping the buffers.
+    fn empty(&mut self) {
+        self.frames.clear();
+        self.env.slots.clear();
+        self.env.extra.clear();
+        self.win.clear();
+        self.state = CState::Ready;
+    }
+
     /// Push a control frame. The first push reserves exactly the depth
     /// the compiler measured, so a script nested one deep holds one
     /// frame's worth of heap rather than `Vec`'s default four.
@@ -565,16 +574,34 @@ impl Vm {
         self.m.recycle_vec(spec.argv);
     }
 
-    /// Move the spare buffers of a retiring VM into this one. Drivers
-    /// that replace a client's VM per work unit call this so the
-    /// recycled pools survive the replacement.
-    pub fn adopt_spares(&mut self, prev: &mut Vm) {
-        if self.m.spare_vecs.is_empty() {
-            std::mem::swap(&mut self.m.spare_vecs, &mut prev.m.spare_vecs);
+    /// Start the script over in place, as the client's next work unit:
+    /// afterwards the VM is exactly what `Vm::with_env_seed(script, env,
+    /// seed)` builds, whatever was in flight forgotten. It keeps the
+    /// program, backoff, `forall` limit, tracer and log mode, and every
+    /// buffer, so a unit whose `env` allocates nothing restarts without
+    /// allocating.
+    pub fn restart(&mut self, env: Env, seed: u64) {
+        let m = &mut self.m;
+        let mut tasks = std::mem::take(&mut m.tasks);
+        for task in tasks.drain(1..) {
+            m.retire(task);
         }
-        if self.m.spare_tasks.is_empty() {
-            std::mem::swap(&mut self.m.spare_tasks, &mut prev.m.spare_tasks);
+        let root = &mut tasks[0];
+        root.empty();
+        (root.ip, root.res, root.args_at, root.call_depth) = (0, true, 0, 0);
+        root.env.slots.resize(self.prog.slots.len(), None);
+        for (k, v) in env.iter() {
+            root.env.set_dyn(&self.prog.slots, k.clone(), v.clone());
         }
+        m.tasks = tasks;
+        m.next_id = 1;
+        m.token_ctr = 0;
+        m.fn_entries.iter_mut().for_each(|e| *e = None);
+        m.rng = StdRng::seed_from_u64(seed);
+        m.log.reset();
+        m.outcome = None;
+        m.now = Time::ZERO;
+        self.final_env.take();
     }
 
     /// Bytes one control frame takes on a task's frame stack. For
@@ -955,11 +982,7 @@ impl Machine {
     /// Keep a dead branch's buffers, emptied, for the next spawn.
     fn retire(&mut self, mut task: CTask) {
         if self.spare_tasks.len() < SPARES {
-            task.frames.clear();
-            task.env.slots.clear();
-            task.env.extra.clear();
-            task.win.clear();
-            task.state = CState::Ready;
+            task.empty();
             self.spare_tasks.push(task);
         }
     }

@@ -57,6 +57,12 @@ impl EventLog {
         self.detailed
     }
 
+    /// Forget every record and zero every counter; keep the mode.
+    pub(crate) fn reset(&mut self) {
+        self.events.clear();
+        self.summary = LogSummary::default();
+    }
+
     /// Retain `rec` if the log is detailed.
     pub(crate) fn keep(&mut self, rec: TraceRecord) {
         if self.detailed {

@@ -4,8 +4,15 @@
 //! a scripted command oracle. At every tick the two machines must
 //! produce the *identical* effect stream — same tokens, same argv,
 //! same redirections, same cancels, same status and wake time — and at
-//! the end the same outcome and the same final environment. This is
-//! the mechanical form of DESIGN.md §12's equivalence argument.
+//! the end the same outcome, the same final environment and the same
+//! log summary. This is the mechanical form of DESIGN.md §12's
+//! equivalence argument.
+//!
+//! The bytecode VM may first run part of a throwaway unit of the same
+//! script and then [`Vm::restart`]: a restarted VM must be
+//! indistinguishable from a fresh one, whether the throwaway unit
+//! succeeded, failed, or was cut off with commands in flight and
+//! `forall` branches open.
 
 use ftsh::ast::{Command, Cond, CondOp, Redir, RedirTarget, Script, Stmt, TrySpec, Word};
 use ftsh::tree::TreeVm;
@@ -183,6 +190,45 @@ fn arb_stmt(depth: u32, callees: &'static str) -> BoxedStrategy<Stmt> {
     }
 }
 
+/// Drive `vm` alone for at most `steps` ticks, completing its commands
+/// in an order and with results drawn from `bits`. It stops right after
+/// a tick, so a unit cut off mid-run has what that tick started still
+/// in flight; a unit that ends is asked for its final environment, so
+/// the VM caches one.
+fn run_prefix(vm: &mut Vm, mut bits: u64, steps: u32) {
+    let mut now = Time::ZERO;
+    let mut pending: Vec<u64> = Vec::new();
+    let mut wake = None;
+    for _ in 0..steps {
+        if !pending.is_empty() {
+            let token = pending.remove(bits as usize % pending.len());
+            let result = if bits & 1 == 1 {
+                CmdResult::ok("warm\n")
+            } else {
+                CmdResult::fail()
+            };
+            bits = bits.rotate_right(3) ^ 0x5DEE_CE66;
+            vm.complete(token, result);
+        } else if let Some(w) = wake {
+            now = now.max(w);
+        }
+        let tick = vm.tick(now);
+        for e in tick.effects {
+            match e {
+                Effect::Start { token, .. } => pending.push(token),
+                Effect::Cancel { token } => pending.retain(|&p| p != token),
+            }
+        }
+        match tick.status {
+            VmStatus::Done { .. } => {
+                let _ = vm.env();
+                return;
+            }
+            VmStatus::Running { next_wake } => wake = next_wake,
+        }
+    }
+}
+
 fn final_bindings(env: &Env) -> BTreeMap<String, String> {
     env.iter()
         .map(|(k, v)| (k.to_string(), v.to_string()))
@@ -198,6 +244,7 @@ proptest! {
         seed in any::<u64>(),
         outcome_bits in any::<u64>(),
         order_bits in any::<u64>(),
+        warmup in proptest::option::of((any::<u64>(), 0u32..12)),
     ) {
         let script = Script { stmts: stmts.into() };
         // Print → reparse first: the corpus on disk reaches the
@@ -209,7 +256,17 @@ proptest! {
         };
 
         let mut tree = TreeVm::with_env_seed(&reparsed, Env::new(), seed);
-        let mut byte = Vm::with_seed(&reparsed, seed);
+        let mut byte = match warmup {
+            None => Vm::with_seed(&reparsed, seed),
+            Some((bits, steps)) => {
+                let mut env = Env::new();
+                env.set("warm", "up");
+                let mut vm = Vm::with_env_seed(&reparsed, env, bits);
+                run_prefix(&mut vm, bits, steps);
+                vm.restart(Env::new(), seed);
+                vm
+            }
+        };
 
         let mut flips = outcome_bits;
         let mut next_flip = || {
@@ -248,6 +305,10 @@ proptest! {
                     prop_assert_eq!(
                         final_bindings(tree.env()), final_bindings(byte.env()),
                         "final environments diverge\n{}", &text
+                    );
+                    prop_assert_eq!(
+                        tree.log().summary(), byte.log().summary(),
+                        "log summaries diverge\n{}", &text
                     );
                     done = true;
                     break;

@@ -18,15 +18,17 @@
 //! Rank kills: a [`FaultKind::ClientKill`] injection drops a rank
 //! mid-round. Its published key survives, its in-flight store
 //! operations are cancelled, and — if the spec carries a restart
-//! delay — the world re-admits the rank with a fresh VM for the round
-//! it was in, which re-computes and re-publishes (the store
-//! deduplicates keys, so a re-publish never double-counts the
-//! barrier). Live ranks notice nothing except that the round's last
+//! delay — the world re-admits the rank on the round it was in, and
+//! the driver restarts its VM there: it re-computes and re-publishes
+//! (the store deduplicates keys, so a re-publish never double-counts
+//! the barrier). Live ranks notice nothing except that the round's last
 //! key is late: the carrier stays sensed-busy until the straggler
 //! lands.
 
 use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
-use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{
+    staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver,
+};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
@@ -216,7 +218,6 @@ impl Default for AllReduceParams {
 /// The store + round-accounting world.
 pub struct AllReduceWorld {
     params: AllReduceParams,
-    script: Script,
     rng: SimRng,
     /// Keys are `(round, rank)`; a re-publish overwrites.
     store: Store<(u32, usize)>,
@@ -245,15 +246,8 @@ pub struct AllReduceWorld {
 
 impl AllReduceWorld {
     fn new(params: AllReduceParams) -> AllReduceWorld {
-        let script = allreduce_script(
-            params.discipline,
-            params.n_ranks,
-            params.round_timeout,
-            params.fetch_timeout,
-        );
         let rounds = params.rounds as usize;
         AllReduceWorld {
-            script,
             rng: SimRng::new(params.seed),
             store: Store::new(params.put_service, params.get_service, params.miss_service),
             landed: vec![0; rounds],
@@ -270,22 +264,25 @@ impl AllReduceWorld {
         }
     }
 
-    /// A fresh VM for `rank`'s current round.
-    fn rank_vm(&mut self, rank: ClientId) -> Vm {
+    /// `rank`'s next unit: its current round, starting at `at`.
+    fn rank_unit(&mut self, rank: ClientId, at: Time) -> NextUnit {
         let seed = self.rng.next_u64();
-        rank_unit_vm(
-            &self.script,
-            &self.params,
-            rank,
-            self.rank_round[rank],
-            seed,
-        )
+        (rank_env(rank, self.rank_round[rank]), seed, at)
     }
 }
 
-/// Build the VM one rank runs for one round: `${rank}`/`${round}` come
-/// in through the environment, so one shared AST serves every rank and
-/// round. The live ranks are built by this same function.
+/// What one rank-round's unit starts from: `${rank}`/`${round}` come in
+/// through the environment, so one shared AST serves every rank and
+/// round. The live ranks' units start from this same environment.
+pub fn rank_env(rank: ClientId, round: u32) -> ftsh::Env {
+    let mut env = ftsh::Env::new();
+    env.set("rank", format!("r{rank}"));
+    env.set("round", round.to_string());
+    env
+}
+
+/// Build the VM `rank` runs its rounds on, set for round `round`
+/// ([`rank_env`]). The live ranks are built by this same function.
 pub fn rank_unit_vm(
     script: &Script,
     params: &AllReduceParams,
@@ -293,13 +290,10 @@ pub fn rank_unit_vm(
     round: u32,
     seed: u64,
 ) -> Vm {
-    let mut env = ftsh::Env::new();
-    env.set("rank", format!("r{rank}"));
-    env.set("round", round.to_string());
     coord_vm(
         script,
         params.discipline,
-        env,
+        rank_env(rank, round),
         seed,
         params.backoff_base,
         params.backoff_cap,
@@ -413,7 +407,7 @@ impl CommandWorld for AllReduceWorld {
         ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
         success: bool,
-    ) -> Option<(Vm, Time)> {
+    ) -> Option<NextUnit> {
         if success {
             let k = self.rank_round[client] as usize;
             self.round_done[k] += 1;
@@ -424,14 +418,12 @@ impl CommandWorld for AllReduceWorld {
             if self.rank_round[client] >= self.params.rounds {
                 return None; // all rounds done: retire
             }
-            let vm = self.rank_vm(client);
-            Some((vm, ctx.now() + self.params.success_think))
+            Some(self.rank_unit(client, ctx.now() + self.params.success_think))
         } else {
             // Round budget exhausted (e.g. the barrier never filled
             // while a peer was dead): the whole rank-round re-runs.
             self.rounds_lost += 1;
-            let vm = self.rank_vm(client);
-            Some((vm, ctx.now() + self.params.failure_think))
+            Some(self.rank_unit(client, ctx.now() + self.params.failure_think))
         }
     }
 
@@ -439,14 +431,13 @@ impl CommandWorld for AllReduceWorld {
         &mut self,
         ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
-    ) -> Option<(Vm, Time)> {
+    ) -> Option<NextUnit> {
         // A rank that already finished every round stays retired.
         if client >= self.params.n_ranks || self.rank_round[client] >= self.params.rounds {
             return None;
         }
         self.restarts += 1;
-        let vm = self.rank_vm(client);
-        Some((vm, ctx.now()))
+        Some(self.rank_unit(client, ctx.now()))
     }
 }
 
@@ -515,18 +506,15 @@ pub fn run_allreduce_traced(
     let mut world = AllReduceWorld::new(params.clone());
     world.trace.clone_from(&trace);
     let mut rng = SimRng::new(params.seed ^ 0xC11E);
+    let p = &params;
+    let script = allreduce_script(p.discipline, p.n_ranks, p.round_timeout, p.fetch_timeout);
     let vms: Vec<Vm> = (0..params.n_ranks)
         .map(|c| {
             let seed = rng.fork(c as u64).next_u64();
-            rank_unit_vm(&world.script, &params, c, 0, seed)
+            rank_unit_vm(&script, &params, c, 0, seed)
         })
         .collect();
-    let starts: Vec<Time> = (0..params.n_ranks)
-        .map(|_| {
-            Time::ZERO
-                + Dur::from_secs_f64(rng.uniform(0.0, params.start_stagger.as_secs_f64().max(1e-9)))
-        })
-        .collect();
+    let starts = staggered_starts(&mut rng, params.n_ranks, params.start_stagger);
     let mut driver = SimDriver::with_starts(world, vms, starts);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
         driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |_| {});

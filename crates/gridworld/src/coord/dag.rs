@@ -24,7 +24,9 @@
 //! code.
 
 use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
-use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{
+    staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver,
+};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
@@ -397,7 +399,6 @@ impl Default for DagParams {
 /// The store + workflow-accounting world.
 pub struct DagWorld {
     params: DagParams,
-    scripts: Vec<Script>,
     name_to_idx: HashMap<String, usize>,
     rng: SimRng,
     store: Store<String>,
@@ -423,19 +424,6 @@ pub struct DagWorld {
 impl DagWorld {
     fn new(params: DagParams) -> DagWorld {
         debug_assert!(params.spec.validate().is_ok());
-        let scripts = params
-            .spec
-            .jobs
-            .iter()
-            .map(|j| {
-                dag_job_script(
-                    params.discipline,
-                    j,
-                    params.dep_timeout,
-                    params.fetch_timeout,
-                )
-            })
-            .collect();
         let name_to_idx = params
             .spec
             .jobs
@@ -449,7 +437,6 @@ impl DagWorld {
         }
         let n = params.spec.jobs.len();
         DagWorld {
-            scripts,
             name_to_idx,
             rng: SimRng::new(params.seed),
             store,
@@ -467,16 +454,9 @@ impl DagWorld {
         }
     }
 
-    fn job_vm(&mut self, client: ClientId) -> Vm {
-        let seed = self.rng.next_u64();
-        coord_vm(
-            &self.scripts[client],
-            self.params.discipline,
-            ftsh::Env::new(),
-            seed,
-            self.params.backoff_base,
-            self.params.backoff_cap,
-        )
+    /// A job's next run, starting at `at`.
+    fn job_unit(&mut self, at: Time) -> NextUnit {
+        (ftsh::Env::new(), self.rng.next_u64(), at)
     }
 }
 
@@ -573,28 +553,26 @@ impl CommandWorld for DagWorld {
         ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
         success: bool,
-    ) -> Option<(Vm, Time)> {
+    ) -> Option<NextUnit> {
         if success {
             self.done[client] = true;
             self.done_at[client] = Some(ctx.now());
             return None; // one unit per job: retire
         }
         self.retries += 1;
-        let vm = self.job_vm(client);
-        Some((vm, ctx.now() + self.params.failure_think))
+        Some(self.job_unit(ctx.now() + self.params.failure_think))
     }
 
     fn restart_client(
         &mut self,
         ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
-    ) -> Option<(Vm, Time)> {
+    ) -> Option<NextUnit> {
         if client >= self.done.len() || self.done[client] {
             return None;
         }
         self.restarts += 1;
-        let vm = self.job_vm(client);
-        Some((vm, ctx.now()))
+        Some(self.job_unit(ctx.now()))
     }
 }
 
@@ -653,25 +631,23 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, trace: Option<SharedSink
     let mut world = DagWorld::new(params.clone());
     world.trace.clone_from(&trace);
     let mut rng = SimRng::new(params.seed ^ 0xC11E);
+    let p = &params;
     let vms: Vec<Vm> = (0..n)
         .map(|c| {
+            let job = &p.spec.jobs[c];
+            let script = dag_job_script(p.discipline, job, p.dep_timeout, p.fetch_timeout);
             let seed = rng.fork(c as u64).next_u64();
             coord_vm(
-                &world.scripts[c],
-                params.discipline,
+                &script,
+                p.discipline,
                 ftsh::Env::new(),
                 seed,
-                params.backoff_base,
-                params.backoff_cap,
+                p.backoff_base,
+                p.backoff_cap,
             )
         })
         .collect();
-    let starts: Vec<Time> = (0..n)
-        .map(|_| {
-            Time::ZERO
-                + Dur::from_secs_f64(rng.uniform(0.0, params.start_stagger.as_secs_f64().max(1e-9)))
-        })
-        .collect();
+    let starts = staggered_starts(&mut rng, n, params.start_stagger);
     let mut driver = SimDriver::with_starts(world, vms, starts);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
         driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |_| {});

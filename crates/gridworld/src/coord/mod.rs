@@ -48,7 +48,7 @@ pub mod dag;
 
 pub use allreduce::{
     allreduce_aloha_text, allreduce_ethernet_text, allreduce_script, allreduce_text, peer_list,
-    rank_unit_vm, run_allreduce, run_allreduce_traced, AllReduceOutcome, AllReduceParams,
+    rank_env, rank_unit_vm, run_allreduce, run_allreduce_traced, AllReduceOutcome, AllReduceParams,
 };
 pub use dag::{
     dag_job_script, dag_job_script_text, run_dag, run_dag_traced, DagJob, DagOutcome, DagParams,

@@ -9,13 +9,18 @@
 //! completion routing, cancellation of in-flight work, and work-unit
 //! restarts.
 //!
+//! A client is one VM for the whole run, as a §5 client is one ftsh
+//! process running its script unit after unit: the world says only
+//! what the next unit is ([`NextUnit`]), and the driver
+//! [restarts](Vm::restart) the VM in place.
+//!
 //! What is in flight is recorded once, in each client's VM. The driver
 //! keeps no table of its own: a completion is delivered iff it carries
-//! the client's current work-unit epoch *and* the client's VM still
-//! waits on its token ([`Vm::in_flight`]); anything else — the `try`
-//! deadline won the race, the unit retired, the client was killed — is
-//! dropped on arrival without ticking the VM. The epoch is needed
-//! because token numbering restarts with every unit's VM: a stale
+//! the client's current work-unit epoch *and* the client is running
+//! *and* its VM still waits on the token ([`Vm::in_flight`]); anything
+//! else — the `try` deadline won the race, the unit retired, the client
+//! was killed — is dropped on arrival without ticking the VM. The epoch
+//! is needed because token numbering restarts with every unit: a stale
 //! completion must not be mistaken for the next unit's command of the
 //! same number. What a world holds for a command it answered
 //! [`ExecOutcome::Held`] is the world's own business; it is told
@@ -24,7 +29,8 @@
 //! scheduled with [`ExecOutcome::At`]), a client kill included.
 
 use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Effect, Executor, Vm, VmStatus};
-use retry::Time;
+use ftsh::Env;
+use retry::{Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::trace::{emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{EventQueue, SimRng};
@@ -60,7 +66,7 @@ pub enum SimEv<W> {
     /// An armed [`FaultPlan`] spec (by index) triggers now.
     Fault(usize),
     /// A client killed by [`FaultKind::ClientKill`] reaches its
-    /// restart instant; the world is asked for a replacement VM.
+    /// restart instant; the world is asked for its next unit.
     Revive(ClientId),
 }
 
@@ -81,6 +87,11 @@ pub enum ExecOutcome {
 /// A held command's result, released by a world callback and
 /// delivered when that callback returns.
 type Release = (ClientId, CmdToken, CmdResult);
+
+/// A client's next work unit: the environment its script starts from,
+/// its VM's RNG seed, and when it starts — an instant on the
+/// simulator's clock, a delay on the live swarm's.
+pub type NextUnit<At = Time> = (Env, u64, At);
 
 /// Access to the event queue (and clock) for world callbacks.
 pub struct Ctx<'a, W> {
@@ -159,14 +170,15 @@ pub trait CommandWorld: Sized {
     /// releases with [`Ctx::complete`].
     fn on_event(&mut self, ctx: &mut Ctx<'_, Self::Ev>, ev: Self::Ev);
 
-    /// A client's script finished (one work unit). Return the next VM
-    /// and the instant it should start, or `None` to retire the client.
+    /// A client's script finished (one work unit). Return the next
+    /// unit, which the driver starts on the same VM, or `None` to
+    /// retire the client.
     fn unit_done(
         &mut self,
         ctx: &mut Ctx<'_, Self::Ev>,
         client: ClientId,
         success: bool,
-    ) -> Option<(Vm, Time)>;
+    ) -> Option<NextUnit>;
 
     /// An armed fault plan injected a fault that changes world state
     /// (schedd kill/restart, black-hole toggle, client kill). Complete
@@ -178,18 +190,27 @@ pub trait CommandWorld: Sized {
     fn inject_fault(&mut self, _ctx: &mut Ctx<'_, Self::Ev>, _kind: &FaultKind) {}
 
     /// A client killed by a [`FaultKind::ClientKill`] injection has
-    /// reached its restart instant. Return the replacement VM and the
-    /// instant it should start, or `None` to leave the client dead.
-    /// The default leaves it dead — worlds that model rank recovery
-    /// (the coordinated workloads) opt in.
+    /// reached its restart instant. Return the unit it resumes with,
+    /// or `None` to leave the client dead. The default leaves it dead —
+    /// worlds that model rank recovery (the coordinated workloads) opt
+    /// in.
     fn restart_client(
         &mut self,
         ctx: &mut Ctx<'_, Self::Ev>,
         client: ClientId,
-    ) -> Option<(Vm, Time)> {
+    ) -> Option<NextUnit> {
         let _ = (ctx, client);
         None
     }
+}
+
+/// `n` start instants drawn uniformly over `[0, stagger)`, in client
+/// order: a t=0 thundering herd would defeat carrier sense at once.
+pub fn staggered_starts(rng: &mut SimRng, n: usize, stagger: Dur) -> Vec<Time> {
+    let span = stagger.as_secs_f64().max(1e-9);
+    (0..n)
+        .map(|_| Time::ZERO + Dur::from_secs_f64(rng.uniform(0.0, span)))
+        .collect()
 }
 
 /// Driver-side state for an armed [`FaultPlan`]; absent (one `Option`
@@ -216,7 +237,7 @@ impl FaultState {
         let rng = plan.rng();
         let fired = vec![0; plan.specs.len()];
         // No forced downtime is read here, so no default is needed.
-        let windows = plan.windows(retry::Dur::ZERO);
+        let windows = plan.windows(Dur::ZERO);
         FaultState {
             plan,
             rng,
@@ -243,13 +264,17 @@ pub struct SimDriver<W: CommandWorld> {
     /// total attempts, backoffs, kills across the population.
     pub log_totals: ftsh::LogSummary,
     queue: EventQueue<SimEv<W::Ev>>,
-    vms: Vec<Option<Vm>>,
+    /// One VM per client for the whole run. A killed or retired
+    /// client's VM stays in its slot, never ticked.
+    vms: Vec<Vm>,
+    /// Whether each client is running a unit: false once it is killed
+    /// (until revived) or retired.
+    running: Vec<bool>,
     /// Work units each client has retired (or lost to a kill); stamped
     /// on scheduled completions.
     epochs: Vec<u32>,
-    /// Structured-trace sink shared by every client VM (and installed
-    /// on replacement VMs as units complete). `None` ⇒ tracing off and
-    /// the tick path pays nothing.
+    /// Structured-trace sink shared by every client VM. `None` ⇒
+    /// tracing off and the tick path pays nothing.
     tracer: Option<SharedSink>,
     /// Armed fault plan, if any. `None` ⇒ faults off and the event
     /// loop pays one `Option` test.
@@ -271,32 +296,27 @@ impl<W: CommandWorld> SimDriver<W> {
         SimDriver::with_starts(world, vms, vec![Time::ZERO; n])
     }
 
-    /// Create a driver whose clients start at the given instants.
-    /// Real populations never start in the same microsecond; staggered
-    /// starts keep the t=0 thundering herd from defeating carrier
-    /// sense before it has anything to measure.
-    pub fn with_starts(world: W, vms: Vec<Vm>, starts: Vec<Time>) -> SimDriver<W> {
+    /// Create a driver whose clients start at the given instants (see
+    /// [`staggered_starts`]).
+    pub fn with_starts(world: W, mut vms: Vec<Vm>, starts: Vec<Time>) -> SimDriver<W> {
         assert_eq!(vms.len(), starts.len(), "one start time per client");
         let mut queue = EventQueue::new();
         for (c, &at) in starts.iter().enumerate() {
             queue.schedule(at, SimEv::Wake(c));
         }
+        for vm in &mut vms {
+            // The driver only ever reads the O(1) log summary;
+            // retaining full event vectors across a large population
+            // is pure allocation churn.
+            vm.set_log_detail(false);
+        }
         let n = vms.len();
-        let vms: Vec<Option<Vm>> = vms
-            .into_iter()
-            .map(|mut vm| {
-                // The driver only ever reads the O(1) log summary;
-                // retaining full event vectors across a large
-                // population is pure allocation churn.
-                vm.set_log_detail(false);
-                Some(vm)
-            })
-            .collect();
         SimDriver {
             world,
             log_totals: ftsh::LogSummary::default(),
             queue,
             vms,
+            running: vec![true; n],
             epochs: vec![0; n],
             tracer: None,
             faults: None,
@@ -326,14 +346,12 @@ impl<W: CommandWorld> SimDriver<W> {
         self.queue.schedule(at, SimEv::World(ev));
     }
 
-    /// Install a structured-trace sink: every client VM (current and
-    /// future replacements) records attempt spans, backoffs, and
-    /// command boundaries into it, labelled by client index.
+    /// Install a structured-trace sink: every client VM records
+    /// attempt spans, backoffs, and command boundaries into it, in
+    /// every unit, labelled by client index.
     pub fn set_trace(&mut self, sink: SharedSink) {
         for (c, vm) in self.vms.iter_mut().enumerate() {
-            if let Some(vm) = vm {
-                vm.set_tracer(sink.clone(), c as i64);
-            }
+            vm.set_tracer(sink.clone(), c as i64);
         }
         self.tracer = Some(sink);
     }
@@ -517,19 +535,18 @@ impl<W: CommandWorld> SimDriver<W> {
         }
     }
 
-    /// Tear down client `client` right now: its VM is dropped
-    /// mid-unit, every command it had in flight is cancelled in token
-    /// order (so the world releases held resources), and the epoch
-    /// bump swallows any completion already in the queue. The client
-    /// stays dead until a [`SimEv::Revive`] asks the world for a
-    /// replacement. Returns whether a live VM was actually torn down.
+    /// Tear down client `client` right now: its unit stops mid-run,
+    /// every command it had in flight is cancelled in token order (so
+    /// the world releases held resources), and the epoch bump swallows
+    /// any completion already in the queue. The client stays dead until
+    /// a [`SimEv::Revive`] asks the world for its next unit. Returns
+    /// whether a running client was actually torn down.
     fn kill_client(&mut self, client: ClientId) -> bool {
-        let Some(slot) = self.vms.get_mut(client) else {
-            return false; // plan named a client outside this population
-        };
-        let Some(vm) = slot.take() else {
-            return false; // already dead (or retired): kill is a no-op
-        };
+        if !self.running.get(client).copied().unwrap_or(false) {
+            return false; // outside the population, dead or retired
+        }
+        self.running[client] = false;
+        let vm = &self.vms[client];
         self.log_totals += vm.log().summary();
         for token in vm.in_flight_tokens() {
             self.ask(|world, ctx| world.cancelled(ctx, client, token));
@@ -538,30 +555,25 @@ impl<W: CommandWorld> SimDriver<W> {
         true
     }
 
-    /// A killed client's restart delay elapsed: ask the world for a
-    /// replacement VM and start it. A world that returns `None` (the
+    /// A killed client's restart delay elapsed: ask the world for its
+    /// next unit and start it. A world that returns `None` (the
     /// default) leaves the client dead.
     fn revive_client(&mut self, client: ClientId, now: Time) {
-        match self.vms.get(client) {
-            Some(None) => {}
-            _ => return, // still alive, or out of range
+        if self.running.get(client).copied().unwrap_or(true) {
+            return; // still alive, or out of range
         }
-        if let Some((vm, at)) = self.ask(|world, ctx| world.restart_client(ctx, client)) {
-            if self.install(client, vm, at, now) {
+        if let Some(unit) = self.ask(|world, ctx| world.restart_client(ctx, client)) {
+            if self.restart(client, unit, now) {
                 self.tick_client(client, now);
             }
         }
     }
 
-    /// Put the world's next VM for `client` in its slot, set up the way
-    /// the driver runs every VM. Returns whether it starts right now;
-    /// otherwise its first wake-up is on the queue.
-    fn install(&mut self, client: ClientId, mut vm: Vm, at: Time, now: Time) -> bool {
-        vm.set_log_detail(false);
-        if let Some(sink) = &self.tracer {
-            vm.set_tracer(sink.clone(), client as i64);
-        }
-        self.vms[client] = Some(vm);
+    /// Start `unit` on `client`'s VM. Returns whether it starts right
+    /// now; otherwise its first wake-up is on the queue.
+    fn restart(&mut self, client: ClientId, (env, seed, at): NextUnit, now: Time) -> bool {
+        self.vms[client].restart(env, seed);
+        self.running[client] = true;
         if at > now {
             self.queue.schedule(at, SimEv::Wake(client));
         }
@@ -576,7 +588,7 @@ impl<W: CommandWorld> SimDriver<W> {
             Some(fs) => {
                 let skew = fs.skew_us.get(client).copied().unwrap_or(0);
                 let skewed = if skew >= 0 {
-                    now + retry::Dur::from_micros(skew as u64)
+                    now + Dur::from_micros(skew as u64)
                 } else {
                     Time::from_micros(now.as_micros().saturating_sub(skew.unsigned_abs()))
                 };
@@ -597,7 +609,7 @@ impl<W: CommandWorld> SimDriver<W> {
                 if skew >= 0 {
                     Time::from_micros(t.as_micros().saturating_sub(skew as u64))
                 } else {
-                    t + retry::Dur::from_micros(skew.unsigned_abs())
+                    t + Dur::from_micros(skew.unsigned_abs())
                 }
             }
         }
@@ -616,12 +628,10 @@ impl<W: CommandWorld> SimDriver<W> {
         delayed: bool,
         now: Time,
     ) {
-        if epoch != self.epochs[client] {
-            return; // unit already retired
+        if epoch != self.epochs[client] || !self.running[client] {
+            return; // unit already retired, or client dead
         }
-        let Some(vm) = self.vms[client].as_mut() else {
-            return;
-        };
+        let vm = &mut self.vms[client];
         let Some(program) = vm.in_flight(token) else {
             return; // the try deadline beat the completion
         };
@@ -654,10 +664,11 @@ impl<W: CommandWorld> SimDriver<W> {
     fn tick_client(&mut self, client: ClientId, now: Time) {
         let mut effects = std::mem::take(&mut self.effects_buf);
         loop {
-            let vm_now = self.vm_now(client, now);
-            let Some(vm) = self.vms[client].as_mut() else {
+            if !self.running[client] {
                 break;
-            };
+            }
+            let vm_now = self.vm_now(client, now);
+            let vm = &mut self.vms[client];
             let mut exec = WorldExec {
                 world: &mut self.world,
                 ctx: Ctx {
@@ -678,18 +689,15 @@ impl<W: CommandWorld> SimDriver<W> {
                     // Retire the unit; its epoch's stale completions
                     // will be dropped on arrival.
                     self.epochs[client] += 1;
-                    let mut retired = self.vms[client].take().expect("vm present");
-                    self.log_totals += retired.log().summary();
-                    let Some((mut vm, at)) =
-                        self.ask(|world, ctx| world.unit_done(ctx, client, success))
+                    self.log_totals += self.vms[client].log().summary();
+                    let Some(unit) = self.ask(|world, ctx| world.unit_done(ctx, client, success))
                     else {
+                        self.running[client] = false;
                         break; // client retired
                     };
-                    vm.adopt_spares(&mut retired);
-                    if self.install(client, vm, at, now) {
-                        continue; // start immediately
+                    if !self.restart(client, unit, now) {
+                        break; // its start is on the queue
                     }
-                    break;
                 }
                 VmStatus::Running { next_wake: Some(t) } => {
                     let t = self.unskew(client, t);
@@ -788,7 +796,7 @@ mod tests {
             ctx: &mut Ctx<'_, ()>,
             _client: ClientId,
             success: bool,
-        ) -> Option<(Vm, Time)> {
+        ) -> Option<NextUnit> {
             self.units += 1;
             if success {
                 self.successes += 1;
@@ -796,7 +804,8 @@ mod tests {
             if self.units >= self.max_units {
                 return None;
             }
-            Some((self.vm(self.units as u64), ctx.now() + Dur::from_secs(1)))
+            let seed = u64::from(self.units);
+            Some((Env::new(), seed, ctx.now() + Dur::from_secs(1)))
         }
     }
 
@@ -880,15 +889,12 @@ mod tests {
         // Inside the last unit: 999 kills behind, one command held.
         d.run_until(Time::from_secs(1998) + Dur::from_millis(500));
         assert_eq!(d.world.cancel_count, 999);
-        let vm = d.vms[0].as_ref().expect("last unit running");
-        assert_eq!(vm.in_flight_tokens(), [0]);
+        assert!(d.running[0], "last unit running");
+        assert_eq!(d.vms[0].in_flight_tokens(), [0]);
         d.run_until(Time::from_secs(100_000));
         assert_eq!((d.world.units, d.world.cancel_count), (1000, 1000));
-        assert!(d
-            .vms
-            .iter()
-            .flatten()
-            .all(|vm| vm.in_flight_tokens().is_empty()));
+        assert!(!d.running[0], "retired");
+        assert!(d.vms.iter().all(|vm| vm.in_flight_tokens().is_empty()));
         assert!(d.queue.is_empty(), "nothing left to arrive");
     }
 
@@ -1080,7 +1086,7 @@ mod release_tests {
             }
         }
 
-        fn unit_done(&mut self, _: &mut Ctx<'_, ()>, _: ClientId, _: bool) -> Option<(Vm, Time)> {
+        fn unit_done(&mut self, _: &mut Ctx<'_, ()>, _: ClientId, _: bool) -> Option<NextUnit> {
             None
         }
     }
@@ -1165,7 +1171,7 @@ mod epoch_tests {
             ctx: &mut Ctx<'_, ()>,
             _client: ClientId,
             success: bool,
-        ) -> Option<(Vm, Time)> {
+        ) -> Option<NextUnit> {
             self.units += 1;
             if success {
                 self.delivered += 1;
@@ -1173,8 +1179,7 @@ mod epoch_tests {
             if self.units >= 3 {
                 return None;
             }
-            let script = parse("try for 5 seconds or 1 times\n hang\nend\n").unwrap();
-            Some((Vm::with_seed(&script, self.units as u64), ctx.now()))
+            Some((Env::new(), u64::from(self.units), ctx.now()))
         }
     }
 
@@ -1282,19 +1287,13 @@ mod fault_tests {
             self.injected.push(kind.tag().to_string());
         }
 
-        fn restart_client(
-            &mut self,
-            ctx: &mut Ctx<'_, ()>,
-            _client: ClientId,
-        ) -> Option<(Vm, Time)> {
+        fn restart_client(&mut self, ctx: &mut Ctx<'_, ()>, _client: ClientId) -> Option<NextUnit> {
             if !self.revive {
                 return None;
             }
             self.revivals += 1;
-            Some((
-                Self::vm("work\n", 1000 + u64::from(self.revivals)),
-                ctx.now(),
-            ))
+            let seed = 1000 + u64::from(self.revivals);
+            Some((Env::new(), seed, ctx.now()))
         }
 
         fn unit_done(
@@ -1302,7 +1301,7 @@ mod fault_tests {
             ctx: &mut Ctx<'_, ()>,
             _client: ClientId,
             success: bool,
-        ) -> Option<(Vm, Time)> {
+        ) -> Option<NextUnit> {
             self.units += 1;
             if success {
                 self.successes += 1;
@@ -1310,10 +1309,8 @@ mod fault_tests {
             if self.units >= self.max_units {
                 return None;
             }
-            Some((
-                Self::vm("work\n", self.units as u64),
-                ctx.now() + Dur::from_secs(1),
-            ))
+            let seed = u64::from(self.units);
+            Some((Env::new(), seed, ctx.now() + Dur::from_secs(1)))
         }
     }
 
@@ -1477,8 +1474,8 @@ mod fault_tests {
 
     #[test]
     fn client_kill_with_restart_resumes_units() {
-        // Kill at t = 1 s, restart after 2 s: the replacement VM starts
-        // at t = 3 s, so two units land at t = 5 s and t = 8 s
+        // Kill at t = 1 s, restart after 2 s: the revived client starts
+        // over at t = 3 s, so two units land at t = 5 s and t = 8 s
         // (2 s work + 1 s gap). The completion of the killed unit
         // (scheduled for t = 2 s, old epoch) must not leak in.
         let mut d = SimDriver::new(WorkWorld::reviving(2), vec![WorkWorld::vm("work\n", 0)]);
@@ -1491,8 +1488,16 @@ mod fault_tests {
         )));
         d.run_until(Time::from_secs(100));
         assert_eq!(d.world.revivals, 1);
-        assert_eq!(d.world.successes, 2, "replacement VM finishes the work");
+        assert_eq!(d.world.successes, 2, "the revived client finishes the work");
         assert_eq!(d.now(), Time::from_secs(8));
+        // The killed unit's one started command is counted once, at the
+        // kill; each of the two later units adds its own start and
+        // success. Summed again at the revival (a VM that kept its
+        // counters), the start would count twice.
+        let totals = d.log_totals;
+        assert_eq!(totals.commands_started, 3);
+        assert_eq!(totals.commands_succeeded, 2);
+        assert_eq!(totals.commands_cancelled, 0, "a kill is not a cancel");
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! flag file under a 5-second limit and only then commits to the
 //! transfer.
 
-use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver};
 use crate::scripts::{reader_script, unit_vm};
-use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
-use ftsh::Script;
+use ftsh::vm::{CmdResult, CmdToken, CommandSpec};
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::trace::{SharedSink, TraceEv, NO_ID};
@@ -88,7 +87,6 @@ struct Fetch {
 /// The replica-servers world.
 pub struct BlackHoleWorld {
     params: BlackHoleParams,
-    script: Script,
     rng: SimRng,
     /// The replicas, in `params.servers` order; which of them are
     /// black holes right now is each server's own kind (toggled by
@@ -119,7 +117,6 @@ impl BlackHoleWorld {
             .map(|i| FileServer::new(server_kind(params.black_holes.contains(&i))))
             .collect();
         BlackHoleWorld {
-            script: reader_script(params.discipline),
             rng: SimRng::new(params.seed),
             servers,
             transfers: 0,
@@ -288,11 +285,10 @@ impl CommandWorld for BlackHoleWorld {
         ctx: &mut Ctx<'_, BlackHoleEv>,
         _client: ClientId,
         _success: bool,
-    ) -> Option<(Vm, Time)> {
+    ) -> Option<NextUnit> {
+        // The env's shuffle draws first, then the seed.
         let env = self.unit_env();
-        let seed = self.rng.next_u64();
-        let vm = unit_vm(&self.script, self.params.discipline, env, seed);
-        Some((vm, ctx.now() + self.params.unit_think))
+        Some((env, self.rng.next_u64(), ctx.now() + self.params.unit_think))
     }
 }
 
@@ -340,16 +336,12 @@ pub fn run_blackhole_traced(
 ) -> BlackHoleOutcome {
     let mut world = BlackHoleWorld::new(params.clone());
     world.trace.clone_from(&trace);
+    let script = reader_script(params.discipline);
     let mut vms = Vec::with_capacity(params.n_clients);
     let mut rng = SimRng::new(params.seed ^ 0x5e1f);
     for _ in 0..params.n_clients {
         let env = world.unit_env();
-        vms.push(unit_vm(
-            &world.script,
-            params.discipline,
-            env,
-            rng.next_u64(),
-        ));
+        vms.push(unit_vm(&script, params.discipline, env, rng.next_u64()));
     }
     let mut driver = SimDriver::new(world, vms);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =

@@ -13,10 +13,9 @@
 //! that from the reported free space, and defers when what remains is
 //! smaller than the file it is about to write.
 
-use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver};
 use crate::scripts::{buffer_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
-use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultPlan, FaultWindows};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
@@ -126,7 +125,6 @@ pub struct BufferWorld {
     /// `enospc-window` fails regardless of occupancy, and a
     /// `free-space-lie` skews the carrier-sense estimate.
     windows: FaultWindows,
-    script: Script,
     rng: SimRng,
     /// The shared buffer.
     pub disk: DiskBuffer,
@@ -163,7 +161,6 @@ pub struct BufferWorld {
 impl BufferWorld {
     fn new(params: BufferParams) -> BufferWorld {
         BufferWorld {
-            script: buffer_script(params.discipline),
             // This world has no schedd, hence no downtime default.
             windows: params.fault_plan.windows(Dur::ZERO),
             rng: SimRng::new(params.seed),
@@ -392,15 +389,13 @@ impl CommandWorld for BufferWorld {
         ctx: &mut Ctx<'_, BufferEv>,
         _client: ClientId,
         success: bool,
-    ) -> Option<(Vm, Time)> {
+    ) -> Option<NextUnit> {
         let think = if success {
             Dur::ZERO
         } else {
             self.params.failure_think
         };
-        let seed = self.rng.next_u64();
-        let vm = unit_vm(&self.script, self.params.discipline, ftsh::Env::new(), seed);
-        Some((vm, ctx.now() + think))
+        Some((ftsh::Env::new(), self.rng.next_u64(), ctx.now() + think))
     }
 }
 
@@ -465,14 +460,11 @@ pub fn run_buffer_traced(
     let mut world = BufferWorld::new(params.clone());
     world.trace.clone_from(&trace);
     let rng = SimRng::new(params.seed ^ 0xD15C);
+    let script = buffer_script(params.discipline);
     let vms: Vec<Vm> = (0..params.n_producers)
         .map(|c| {
-            unit_vm(
-                &world.script,
-                params.discipline,
-                ftsh::Env::new(),
-                rng.fork(c as u64).next_u64(),
-            )
+            let seed = rng.fork(c as u64).next_u64();
+            unit_vm(&script, params.discipline, ftsh::Env::new(), seed)
         })
         .collect();
     let mut driver = SimDriver::new(world, vms);

@@ -26,10 +26,11 @@
 //! percent of peak performance under load, due to competition for
 //! managed resources, such as the CPU").
 
-use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::driver::{
+    staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver,
+};
 use crate::scripts::{submit_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
-use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
@@ -153,7 +154,6 @@ enum SubState {
 /// The schedd + FD-table world.
 pub struct SubmitWorld {
     params: SubmitParams,
-    script: Script,
     rng: SimRng,
     fds: FdTable,
     schedd_up: bool,
@@ -193,7 +193,6 @@ pub struct SubmitWorld {
 
 impl SubmitWorld {
     fn new(params: SubmitParams) -> SubmitWorld {
-        let script = submit_script(params.discipline, params.threshold);
         SubmitWorld {
             rng: SimRng::new(params.seed),
             fds: FdTable::new(params.fd_capacity),
@@ -213,7 +212,6 @@ impl SubmitWorld {
             jobs_series: Series::new("jobs submitted"),
             trace: None,
             probe_out: IdMap::default(),
-            script,
             params,
         }
     }
@@ -444,15 +442,13 @@ impl CommandWorld for SubmitWorld {
         ctx: &mut Ctx<'_, SubmitEv>,
         _client: ClientId,
         success: bool,
-    ) -> Option<(Vm, Time)> {
+    ) -> Option<NextUnit> {
         let think = if success {
             self.params.success_think
         } else {
             self.params.failure_think
         };
-        let seed = self.rng.next_u64();
-        let vm = unit_vm(&self.script, self.params.discipline, ftsh::Env::new(), seed);
-        Some((vm, ctx.now() + think))
+        Some((ftsh::Env::new(), self.rng.next_u64(), ctx.now() + think))
     }
 }
 
@@ -525,22 +521,14 @@ pub fn run_submission_traced(
     let mut world = SubmitWorld::new(params.clone());
     world.trace.clone_from(&trace);
     let mut rng = SimRng::new(params.seed ^ 0xC11E);
+    let script = submit_script(params.discipline, params.threshold);
     let vms: Vec<Vm> = (0..params.n_clients)
         .map(|c| {
-            unit_vm(
-                &world.script,
-                params.discipline,
-                ftsh::Env::new(),
-                rng.fork(c as u64).next_u64(),
-            )
+            let seed = rng.fork(c as u64).next_u64();
+            unit_vm(&script, params.discipline, ftsh::Env::new(), seed)
         })
         .collect();
-    let starts: Vec<Time> = (0..params.n_clients)
-        .map(|_| {
-            Time::ZERO
-                + Dur::from_secs_f64(rng.uniform(0.0, params.start_stagger.as_secs_f64().max(1e-9)))
-        })
-        .collect();
+    let starts = staggered_starts(&mut rng, params.n_clients, params.start_stagger);
     let mut driver = SimDriver::with_starts(world, vms, starts);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
         driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |d| {

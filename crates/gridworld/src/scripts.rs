@@ -189,8 +189,8 @@ pub fn arena_worst_case(jobs: usize) -> Dur {
     ARENA_UNIT_BUDGET * jobs as u64
 }
 
-/// Build a VM for one work unit under a discipline: the discipline's
-/// backoff policy is installed as the VM default (Fixed ⇒ no delay).
+/// Build a client's VM under a discipline: the discipline's backoff
+/// policy is installed as the VM default (Fixed ⇒ no delay).
 pub fn unit_vm(script: &Script, discipline: Discipline, env: Env, seed: u64) -> Vm {
     let mut vm = Vm::with_env_seed(script, env, seed);
     vm.set_default_backoff(discipline.backoff());

@@ -1,8 +1,9 @@
 //! What one simulated client costs in memory, pinned without a clock:
 //! live bytes and live heap blocks per client measured the way the
 //! benchmark's `ftsh.vm.bytes_per_client` probe measures them, the
-//! allocations of a steady-state retry (none) and of a world releasing
-//! held commands (none per release), and the sizes of the
+//! allocations of a steady-state retry (none), of a world releasing
+//! held commands (none per release) and of a work unit (none per unit),
+//! and the sizes of the
 //! types a 100 000-client world holds by the hundred thousand. These
 //! numbers repeat exactly on any host, so they gate in tier-1 where the
 //! benchmark's timings cannot.
@@ -11,7 +12,7 @@ use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Effect, Vm, VmStatus};
 use ftsh::Env;
 use gridworld::scenarios::submit::SubmitEv;
 use gridworld::scripts::{submit_ethernet, unit_vm};
-use gridworld::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver, SimEv};
+use gridworld::{ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver, SimEv};
 use retry::{Discipline, Dur, Time, TrySession};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -180,7 +181,7 @@ impl CommandWorld for TickWorld {
         ctx.schedule(ctx.now() + Dur::from_secs(1), ());
     }
 
-    fn unit_done(&mut self, _: &mut Ctx<'_, ()>, _: ClientId, _: bool) -> Option<(Vm, Time)> {
+    fn unit_done(&mut self, _: &mut Ctx<'_, ()>, _: ClientId, _: bool) -> Option<NextUnit> {
         None
     }
 }
@@ -205,4 +206,66 @@ fn releasing_a_held_command_does_not_allocate_per_release() {
         "{} allocations over 10 000 releases",
         calls - calls_before
     );
+}
+
+/// The submission script's two commands, answered on the spot: the
+/// carrier-sense read reports plenty of free descriptors, so every
+/// unit submits once and succeeds within its first tick, and arms no
+/// `try` deadline. The next unit starts 1 s later.
+struct UnitWorld {
+    free: CmdResult,
+    units: u64,
+}
+
+impl CommandWorld for UnitWorld {
+    type Ev = ();
+
+    fn exec(
+        &mut self,
+        _: &mut Ctx<'_, ()>,
+        _: ClientId,
+        _: CmdToken,
+        spec: &CommandSpec,
+    ) -> ExecOutcome {
+        let result = match spec.program() {
+            "cut" => self.free.clone(),
+            _ => CmdResult::succeed(),
+        };
+        ExecOutcome::Now(result)
+    }
+
+    fn cancelled(&mut self, _: &mut Ctx<'_, ()>, _: ClientId, _: CmdToken) {}
+
+    fn on_event(&mut self, _: &mut Ctx<'_, ()>, (): ()) {}
+
+    fn unit_done(&mut self, ctx: &mut Ctx<'_, ()>, _: ClientId, ok: bool) -> Option<NextUnit> {
+        assert!(ok, "every unit submits");
+        self.units += 1;
+        Some((Env::new(), self.units, ctx.now() + Dur::from_secs(1)))
+    }
+}
+
+#[test]
+fn a_work_unit_allocates_nothing() {
+    // One client, one submission unit a second. The driver restarts
+    // the client's VM in place, keeping its buffers; when every unit
+    // was a fresh `Vm`, each cost 3 allocations (its task table, the
+    // root task's frame stack and its variable slots).
+    let script = submit_ethernet(1000);
+    let world = UnitWorld {
+        free: CmdResult::ok("5000"),
+        units: 0,
+    };
+    let vm = unit_vm(&script, Discipline::Ethernet, Env::new(), 0);
+    let mut d = SimDriver::new(world, vec![vm]);
+    // The event queue first touches a bucket when the clock crosses a
+    // power of two; past 2^30 µs the window below crosses none it has
+    // not crossed already.
+    d.run_until(Time::from_secs(1100));
+    let (units, (calls_before, _, _)) = (d.world.units, heap());
+    d.run_until(Time::from_secs(2100));
+    let (calls, _, _) = heap();
+    assert_eq!(d.world.units - units, 1000);
+    assert_eq!(calls - calls_before, 0, "allocations over 1 000 work units");
+    assert_eq!(d.log_totals.commands_succeeded, 2 * d.world.units);
 }

@@ -93,15 +93,15 @@ pub enum FaultKind {
     },
     /// Kill client `client`'s VM mid-run: the in-flight work unit is
     /// lost (live commands are cancelled, late completions dropped) and
-    /// the client restarts from a fresh VM after `restart`, or stays
+    /// the client starts its script over after `restart`, or stays
     /// dead for the rest of the run when `None` — the rank-kill
     /// primitive coordinated (all-reduce / DAG) workloads are tested
     /// under.
     ClientKill {
         /// Client index within the scenario.
         client: usize,
-        /// Delay until the world is asked for a replacement VM
-        /// (`None`: the client never comes back).
+        /// Delay until the world is asked for the unit the client
+        /// resumes with (`None`: the client never comes back).
         restart: Option<Dur>,
     },
     /// The first `n` invocations of `program` fail deterministically —
