@@ -3,12 +3,12 @@
 //!
 //! The ranks are ftsh VMs running the scripts the simulator runs —
 //! [`gridworld::coord::allreduce_text`], one VM per rank built by the
-//! sim's own [`rank_unit_vm`] and restarted for each round on the
-//! sim's own [`rank_env`] — on the [`crate::swarm`] reactor. This
+//! sim's own [`rank_unit_vm`] — on the [`crate::swarm`] reactor. This
 //! module is their verb table (`compute` → a timer, `publish` → `put`,
-//! `fetch` → `get`, `probe` → one pipelined `stat` per peer, summed)
-//! and the round bookkeeping; barriers, retries and backoff are the
-//! script's.
+//! `fetch` → `get`, `probe` → one pipelined `stat` per peer, summed).
+//! Which round a rank is on, how long it computes and which unit it
+//! runs next is the sim's own [`RankPolicy`], drawn in the same order;
+//! barriers, retries and backoff are the script's.
 //!
 //! The daemon's file server is the sim's store ([`simgrid::KeyStore`],
 //! `coord::Store` in the simulated worlds): a single-server FIFO
@@ -30,12 +30,12 @@ use crate::swarm::{self, Harness, Verb};
 use ftsh::vm::CommandSpec;
 use ftshlint::check::{check, WorkflowSpec};
 use gridd::{GriddConfig, Request};
-use gridworld::coord::{allreduce_text, rank_env, rank_unit_vm, AllReduceParams};
+use gridworld::coord::{allreduce_text, rank_unit_vm, AllReduceParams, RankPolicy};
 use gridworld::figures::{by_name_with_plan, Scale};
 use gridworld::NextUnit;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
-use simgrid::{Series, SeriesSet, SimRng};
+use simgrid::{Series, SeriesSet};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -119,11 +119,11 @@ pub struct CoordReport {
 }
 
 /// One discipline's rank population, stated once: the scenario at
-/// live scale, the rank script, and the round bookkeeping. The static
+/// live scale, the rank script, and the rank policy. The static
 /// pre-flight and the launcher both start from [`Ranks::new`], so what
 /// the checker proves is about the program the ranks execute. On the
 /// swarm this is the ranks' verb table — the live counterpart of the
-/// sim's `AllReduceWorld`, minus the store (the daemon is the store).
+/// sim's all-reduce world, minus the store (the daemon is the store).
 struct Ranks {
     /// Rank count, rounds, `try` budgets, backoff envelope, and the
     /// kill plan (`fault_plan`): rank 1 is killed one compute into the
@@ -133,9 +133,8 @@ struct Ranks {
     /// The rank script's source: what the checker analyses and the
     /// ranks run.
     source: String,
-    rng: SimRng,
-    /// The round each rank is working on (== `rounds` once retired).
-    rank_round: Vec<u32>,
+    /// Rounds, compute draws and next units: the sim's own policy.
+    policy: RankPolicy,
 }
 
 impl Ranks {
@@ -173,8 +172,7 @@ impl Ranks {
         );
         Ranks {
             source,
-            rng: SimRng::new(params.seed),
-            rank_round: vec![0; params.n_ranks],
+            policy: RankPolicy::new(&params),
             params,
         }
     }
@@ -198,11 +196,17 @@ impl Ranks {
         spec
     }
 
-    /// `rank`'s next unit: its current round, after `delay`.
-    fn rank_unit(&mut self, rank: usize, delay: Duration) -> NextUnit<Duration> {
-        let seed = self.rng.next_u64();
-        (rank_env(rank, self.rank_round[rank]), seed, delay)
+    /// Each rank's first VM seed, drawn before any unit runs.
+    fn first_seeds(&mut self) -> Vec<u64> {
+        (0..self.params.n_ranks)
+            .map(|_| self.policy.seed())
+            .collect()
     }
+}
+
+/// A policy unit on the swarm's clock.
+fn on_wall_clock((env, seed, delay): NextUnit<Dur>) -> NextUnit<Duration> {
+    (env, seed, delay.to_std())
 }
 
 impl Harness for Ranks {
@@ -210,12 +214,7 @@ impl Harness for Ranks {
         let arg = |i: usize| spec.argv.get(i).map_or("", ftsh::Istr::as_str);
         let client = client as u32;
         match spec.program() {
-            "compute" => {
-                let jitter = self
-                    .rng
-                    .uniform(0.0, self.params.compute_jitter.as_secs_f64().max(1e-9));
-                Verb::Local((self.params.compute_base + Dur::from_secs_f64(jitter)).to_std())
-            }
+            "compute" => Verb::Local(self.policy.compute().to_std()),
             "publish" => Verb::Act(Request::Put {
                 client,
                 name: format!("{}.{}", arg(1), arg(2)),
@@ -241,22 +240,11 @@ impl Harness for Ranks {
     }
 
     fn unit_done(&mut self, rank: usize, success: bool) -> Option<NextUnit<Duration>> {
-        let think = if success {
-            self.rank_round[rank] += 1;
-            if self.rank_round[rank] >= self.params.rounds {
-                return None; // all rounds done: retire
-            }
-            self.params.success_think
-        } else {
-            // Round budget exhausted: the whole rank-round re-runs.
-            self.params.failure_think
-        };
-        Some(self.rank_unit(rank, think.to_std()))
+        self.policy.unit_done(rank, success).map(on_wall_clock)
     }
 
     fn revive(&mut self, rank: usize) -> Option<NextUnit<Duration>> {
-        // A rank that already finished every round stays retired.
-        (self.rank_round[rank] < self.params.rounds).then(|| self.rank_unit(rank, Duration::ZERO))
+        self.policy.resume(rank).map(on_wall_clock)
     }
 }
 
@@ -298,9 +286,11 @@ pub fn run_coord_discipline(
     let handle = gridd::start(cfg)?;
 
     let script = ftsh::parse(&ranks.source).expect("generated script parses");
-    let vms = (0..opts.ranks)
-        .map(|rank| {
-            let seed = ranks.rng.next_u64();
+    let vms = ranks
+        .first_seeds()
+        .into_iter()
+        .enumerate()
+        .map(|(rank, seed)| {
             let vm = rank_unit_vm(&script, &ranks.params, rank, 0, seed);
             (vm, Duration::ZERO)
         })
@@ -427,7 +417,9 @@ mod tests {
     use crate::swarm::{dry_run, spec};
     use ftsh::vm::CmdResult;
     use gridd::Response;
+    use gridworld::coord::rank_env;
     use simgrid::trace::TraceEv;
+    use simgrid::SimRng;
 
     fn quick(d: Discipline) -> Ranks {
         Ranks::new(d, &CoordLiveOptions::quick(7, std::env::temp_dir()))
@@ -507,6 +499,44 @@ mod tests {
         let (verb, result, _) = dry_run(&mut t, &spec(&["wget", "x"]), &[]);
         assert_eq!(verb, Verb::Unknown);
         assert!(!result.unwrap().unwrap().success);
+    }
+
+    #[test]
+    fn rank_unit_sequence_is_pinned() {
+        // The ranks draw from one stream seeded by the run's seed, in
+        // the order they ask: every rank's first VM seed, then compute
+        // jitter and each next unit's VM seed as they come up.
+        let mut model = SimRng::new(7);
+        let mut t = quick(Discipline::Ethernet);
+        let first: Vec<u64> = (0..4).map(|_| model.next_u64()).collect();
+        assert_eq!(t.first_seeds(), first);
+        let base = Dur::from_millis(60);
+        for rank in [2, 0] {
+            let jitter = Dur::from_secs_f64(model.uniform(0.0, base.as_secs_f64()));
+            let verb = t.verb(rank, &spec(&["compute", "r0", "0"]));
+            assert_eq!(verb, Verb::Local((base + jitter).to_std()));
+        }
+        let unit = |model: &mut SimRng, rank, round, delay_ms| {
+            let delay = Duration::from_millis(delay_ms);
+            Some((rank_env(rank, round), model.next_u64(), delay))
+        };
+        // Rank 0 clears round 0 and goes straight on to round 1.
+        assert_eq!(t.unit_done(0, true), unit(&mut model, 0, 1, 0));
+        // Rank 1's round 0 fails: it re-runs round 0 after the 25 ms
+        // failure think.
+        assert_eq!(t.unit_done(1, false), unit(&mut model, 1, 0, 25));
+        // Rank 0 clears round 1, its last: it retires, drawing nothing.
+        assert_eq!(t.unit_done(0, true), None);
+        // A revived rank resumes its round at once; a retired one stays
+        // retired, drawing nothing.
+        assert_eq!(t.revive(1), unit(&mut model, 1, 0, 0));
+        assert_eq!(t.revive(0), None);
+        // Rank 1 clears both rounds; a compute after that draws next.
+        assert_eq!(t.unit_done(1, true), unit(&mut model, 1, 1, 0));
+        assert_eq!(t.unit_done(1, true), None);
+        let jitter = Dur::from_secs_f64(model.uniform(0.0, base.as_secs_f64()));
+        let verb = t.verb(3, &spec(&["compute", "r3", "1"]));
+        assert_eq!(verb, Verb::Local((base + jitter).to_std()));
     }
 
     #[test]

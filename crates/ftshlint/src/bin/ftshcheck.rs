@@ -36,7 +36,7 @@
 use ftshlint::check::{check, CheckReport, Verdict, WorkflowJob, WorkflowSpec};
 use gridworld::coord::DagSpec;
 use gridworld::figures::{fig8_kill_plan, fig9_fault_plan};
-use retry::{parse_duration, Discipline, Dur};
+use retry::{parse_duration_arg, Discipline, Dur};
 use simgrid::faults::FaultPlan;
 use std::process::ExitCode;
 
@@ -64,13 +64,6 @@ fn usage() -> String {
         .to_string()
 }
 
-fn parse_dur_arg(s: &str) -> Option<Dur> {
-    let s = s.trim();
-    let split = s.find(|c: char| !c.is_ascii_digit())?;
-    let amount: u64 = s[..split].parse().ok()?;
-    parse_duration(amount, s[split..].trim())
-}
-
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
         workloads: Vec::new(),
@@ -96,7 +89,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         };
         let mut dur = |flag: &str| {
             let v = val(flag)?;
-            parse_dur_arg(&v)
+            parse_duration_arg(&v)
                 .ok_or_else(|| format!("cannot parse duration '{v}' (try '90s', '10m')"))
         };
         match a.as_str() {

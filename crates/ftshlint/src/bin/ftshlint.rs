@@ -31,7 +31,7 @@
 
 use ftshlint::check::{check, Verdict, WorkflowJob, WorkflowSpec};
 use ftshlint::{lint, markdown_report, Options, Report, RULES};
-use retry::{parse_duration, BackoffPolicy, Dur};
+use retry::{parse_duration_arg, BackoffPolicy, Dur};
 use std::process::ExitCode;
 
 struct Cli {
@@ -53,14 +53,6 @@ fn usage() -> String {
      [--allow <rule>]... [--report <path.md>] [--rules] [--backoff-base <dur>] \
      [--backoff-cap <dur>] [--workflow] <script.ftsh>..."
         .to_string()
-}
-
-/// Parse `'90s'`, `'10 m'`, `'2 hours'`: digits, then a unit word.
-fn parse_dur_arg(s: &str) -> Option<Dur> {
-    let s = s.trim();
-    let split = s.find(|c: char| !c.is_ascii_digit())?;
-    let amount: u64 = s[..split].parse().ok()?;
-    parse_duration(amount, s[split..].trim())
 }
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
@@ -89,18 +81,18 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             }
             "--max-budget" => {
                 let v = val("--max-budget")?;
-                cli.opts.max_budget = Some(parse_dur_arg(&v).ok_or_else(|| {
+                cli.opts.max_budget = Some(parse_duration_arg(&v).ok_or_else(|| {
                     format!("cannot parse duration '{v}' (try '90s', '2 hours')")
                 })?);
             }
             "--backoff-base" => {
                 let v = val("--backoff-base")?;
-                base = parse_dur_arg(&v)
+                base = parse_duration_arg(&v)
                     .ok_or_else(|| format!("cannot parse duration '{v}' (try '500ms', '1s')"))?;
             }
             "--backoff-cap" => {
                 let v = val("--backoff-cap")?;
-                cap = parse_dur_arg(&v)
+                cap = parse_duration_arg(&v)
                     .ok_or_else(|| format!("cannot parse duration '{v}' (try '4s', '1h')"))?;
             }
             "--workflow" => cli.workflow = true,

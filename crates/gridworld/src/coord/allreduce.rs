@@ -24,6 +24,10 @@
 //! the barrier). Live ranks notice nothing except that the round's last
 //! key is late: the carrier stays sensed-busy until the straggler
 //! lands.
+//!
+//! Which round a rank is on, how long its compute takes and which unit
+//! it runs next is one [`RankPolicy`], driven by this world and by the
+//! live ranks alike.
 
 use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
 use crate::driver::{
@@ -33,8 +37,8 @@ use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
-use simgrid::trace::{carrier_sense, emit, SharedSink, NO_ID};
-use simgrid::{IdMap, Series, Served, SimRng, StoreOp};
+use simgrid::trace::SharedSink;
+use simgrid::{Series, Served, SimRng, StoreOp};
 
 /// The space-separated peer list `r0 r1 … rN-1` the barrier `forall`
 /// iterates over.
@@ -215,59 +219,114 @@ impl Default for AllReduceParams {
     }
 }
 
-/// The store + round-accounting world.
-pub struct AllReduceWorld {
-    params: AllReduceParams,
+/// The all-reduce rank policy, stated once: the round each rank is
+/// on, how long a compute takes, and the unit a rank runs next after a
+/// success, a failure or a kill. The simulated world and the live ranks
+/// both drive it, so the two draw the same numbers in the same order
+/// from one stream seeded by [`AllReduceParams::seed`].
+pub struct RankPolicy {
+    rounds: u32,
+    compute_base: Dur,
+    compute_jitter: Dur,
+    success_think: Dur,
+    failure_think: Dur,
     rng: SimRng,
+    /// The round each rank is working on (== `rounds` once retired).
+    round: Vec<u32>,
+}
+
+impl RankPolicy {
+    /// Every rank on round 0.
+    pub fn new(params: &AllReduceParams) -> RankPolicy {
+        RankPolicy {
+            rounds: params.rounds,
+            compute_base: params.compute_base,
+            compute_jitter: params.compute_jitter,
+            success_think: params.success_think,
+            failure_think: params.failure_think,
+            rng: SimRng::new(params.seed),
+            round: vec![0; params.n_ranks],
+        }
+    }
+
+    /// The round `rank` is working on (`rounds` once it retired).
+    pub fn round(&self, rank: ClientId) -> u32 {
+        self.round[rank]
+    }
+
+    /// A VM seed from the policy's stream.
+    pub fn seed(&mut self) -> u64 {
+        self.rng.next_u64()
+    }
+
+    /// How long one compute takes: the base plus a uniform jitter.
+    pub fn compute(&mut self) -> Dur {
+        let jitter = self
+            .rng
+            .uniform(0.0, self.compute_jitter.as_secs_f64().max(1e-9));
+        self.compute_base + Dur::from_secs_f64(jitter)
+    }
+
+    /// `rank` finished a unit: after a success it moves to the next
+    /// round (retiring after the last), after a failure it re-runs the
+    /// round. Returns the next unit and the think before it, or `None`
+    /// once the rank retired.
+    pub fn unit_done(&mut self, rank: ClientId, success: bool) -> Option<NextUnit<Dur>> {
+        let think = if success {
+            self.round[rank] += 1;
+            if self.round[rank] >= self.rounds {
+                return None; // all rounds done: retire
+            }
+            self.success_think
+        } else {
+            // Round budget exhausted (e.g. the barrier never filled
+            // while a peer was dead): the whole rank-round re-runs.
+            self.failure_think
+        };
+        Some(self.unit(rank, think))
+    }
+
+    /// A killed `rank` comes back: it resumes its round at once, unless
+    /// it had already finished every round.
+    pub fn resume(&mut self, rank: ClientId) -> Option<NextUnit<Dur>> {
+        (self.round[rank] < self.rounds).then(|| self.unit(rank, Dur::ZERO))
+    }
+
+    /// `rank`'s current round as a unit, after `delay`.
+    fn unit(&mut self, rank: ClientId, delay: Dur) -> NextUnit<Dur> {
+        let seed = self.seed();
+        (rank_env(rank, self.round[rank]), seed, delay)
+    }
+}
+
+/// The store + round-accounting world.
+struct AllReduceWorld {
+    params: AllReduceParams,
+    ranks: RankPolicy,
     /// Keys are `(round, rank)`; a re-publish overwrites.
     store: Store<(u32, usize)>,
     /// Landed-key count per round — what the carrier-sense probe reads.
     landed: Vec<u32>,
-    /// The round each rank is currently working on (== `rounds` once
-    /// retired).
-    rank_round: Vec<u32>,
     /// Ranks that completed each round.
     round_done: Vec<u32>,
     /// When the last rank completed each round.
-    pub round_done_at: Vec<Option<Time>>,
-    /// Carrier-sense deferrals (Ethernet only).
-    pub deferrals: u64,
-    /// Rank-rounds that failed outright (round budget exhausted) and
-    /// were re-run, plus rank-rounds wiped by a kill: work lost.
-    pub rounds_lost: u64,
-    /// `client-kill` injections that hit a live rank.
-    pub kills: u64,
-    /// Ranks re-admitted after a kill.
-    pub restarts: u64,
-    trace: Option<SharedSink>,
-    /// Interned probe outputs per distinct landed count.
-    probe_out: IdMap<u32, ftsh::Istr>,
+    round_done_at: Vec<Option<Time>>,
+    /// The counters the run returns.
+    out: AllReduceOutcome,
 }
 
 impl AllReduceWorld {
     fn new(params: AllReduceParams) -> AllReduceWorld {
         let rounds = params.rounds as usize;
         AllReduceWorld {
-            rng: SimRng::new(params.seed),
+            ranks: RankPolicy::new(&params),
             store: Store::new(params.put_service, params.get_service, params.miss_service),
             landed: vec![0; rounds],
-            rank_round: vec![0; params.n_ranks],
             round_done: vec![0; rounds],
             round_done_at: vec![None; rounds],
-            deferrals: 0,
-            rounds_lost: 0,
-            kills: 0,
-            restarts: 0,
-            trace: None,
-            probe_out: IdMap::default(),
+            out: AllReduceOutcome::default(),
             params,
         }
-    }
-
-    /// `rank`'s next unit: its current round, starting at `at`.
-    fn rank_unit(&mut self, rank: ClientId, at: Time) -> NextUnit {
-        let seed = self.rng.next_u64();
-        (rank_env(rank, self.rank_round[rank]), seed, at)
     }
 }
 
@@ -317,13 +376,7 @@ impl CommandWorld for AllReduceWorld {
     ) -> ExecOutcome {
         let arg = |i: usize| spec.argv.get(i).map(ftsh::Istr::as_str).unwrap_or("");
         match spec.program() {
-            "compute" => {
-                let jitter = self
-                    .rng
-                    .uniform(0.0, self.params.compute_jitter.as_secs_f64().max(1e-9));
-                let dur = self.params.compute_base + Dur::from_secs_f64(jitter);
-                ExecOutcome::At(ctx.now() + dur, CmdResult::succeed())
-            }
+            "compute" => ExecOutcome::At(ctx.now() + self.ranks.compute(), CmdResult::succeed()),
             // The carrier-sense probe: how many of this round's keys
             // have landed. Reads a cached count — free of the store
             // server.
@@ -332,18 +385,11 @@ impl CommandWorld for AllReduceWorld {
                     return ExecOutcome::Now(CmdResult::fail());
                 };
                 let count = self.landed.get(round as usize).copied().unwrap_or(0);
-                let now = ctx.now();
-                if carrier_sense(u64::from(count), self.params.n_ranks as u64, |ev| {
-                    emit(&self.trace, now, client as i64, NO_ID, ev);
-                }) {
-                    self.deferrals += 1;
+                let count = u64::from(count);
+                if ctx.sense(client, count, self.params.n_ranks as u64) {
+                    self.out.deferrals += 1;
                 }
-                let out = self
-                    .probe_out
-                    .entry(count)
-                    .or_insert_with(|| ftsh::Istr::from(count.to_string()))
-                    .clone();
-                ExecOutcome::At(ctx.now() + self.params.probe_cost, CmdResult::ok(out))
+                ExecOutcome::At(ctx.now() + self.params.probe_cost, ctx.count(count))
             }
             verb @ ("publish" | "fetch") => {
                 let (Some(rank), Ok(round)) = (parse_rank(arg(1)), arg(2).parse::<u32>()) else {
@@ -366,13 +412,11 @@ impl CommandWorld for AllReduceWorld {
     }
 
     fn inject_fault(&mut self, _ctx: &mut Ctx<'_, StoreDone>, kind: &FaultKind) {
-        if let FaultKind::ClientKill { client, .. } = kind {
-            if *client < self.params.n_ranks
-                && self.rank_round.get(*client).copied().unwrap_or(u32::MAX) < self.params.rounds
-            {
-                self.kills += 1;
-                self.rounds_lost += 1;
-            }
+        // A kill arrives only when it hit a running rank: the rank-round
+        // it was on is lost.
+        if let FaultKind::ClientKill { .. } = kind {
+            self.out.kills += 1;
+            self.out.rounds_lost += 1;
         }
     }
 
@@ -409,22 +453,16 @@ impl CommandWorld for AllReduceWorld {
         success: bool,
     ) -> Option<NextUnit> {
         if success {
-            let k = self.rank_round[client] as usize;
+            let k = self.ranks.round(client) as usize;
             self.round_done[k] += 1;
             if self.round_done[k] as usize == self.params.n_ranks {
                 self.round_done_at[k] = Some(ctx.now());
             }
-            self.rank_round[client] += 1;
-            if self.rank_round[client] >= self.params.rounds {
-                return None; // all rounds done: retire
-            }
-            Some(self.rank_unit(client, ctx.now() + self.params.success_think))
         } else {
-            // Round budget exhausted (e.g. the barrier never filled
-            // while a peer was dead): the whole rank-round re-runs.
-            self.rounds_lost += 1;
-            Some(self.rank_unit(client, ctx.now() + self.params.failure_think))
+            self.out.rounds_lost += 1;
         }
+        let (env, seed, think) = self.ranks.unit_done(client, success)?;
+        Some((env, seed, ctx.now() + think))
     }
 
     fn restart_client(
@@ -432,17 +470,14 @@ impl CommandWorld for AllReduceWorld {
         ctx: &mut Ctx<'_, StoreDone>,
         client: ClientId,
     ) -> Option<NextUnit> {
-        // A rank that already finished every round stays retired.
-        if client >= self.params.n_ranks || self.rank_round[client] >= self.params.rounds {
-            return None;
-        }
-        self.restarts += 1;
-        Some(self.rank_unit(client, ctx.now()))
+        let (env, seed, delay) = self.ranks.resume(client)?;
+        self.out.restarts += 1;
+        Some((env, seed, ctx.now() + delay))
     }
 }
 
 /// Results of one all-reduce run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct AllReduceOutcome {
     /// Rounds globally completed (every rank landed).
     pub rounds_completed: u32,
@@ -501,10 +536,9 @@ pub fn run_allreduce(params: AllReduceParams, duration: Dur) -> AllReduceOutcome
 pub fn run_allreduce_traced(
     params: AllReduceParams,
     duration: Dur,
-    trace: Option<SharedSink>,
+    sink: Option<SharedSink>,
 ) -> AllReduceOutcome {
-    let mut world = AllReduceWorld::new(params.clone());
-    world.trace.clone_from(&trace);
+    let world = AllReduceWorld::new(params.clone());
     let mut rng = SimRng::new(params.seed ^ 0xC11E);
     let p = &params;
     let script = allreduce_script(p.discipline, p.n_ranks, p.round_timeout, p.fetch_timeout);
@@ -517,42 +551,37 @@ pub fn run_allreduce_traced(
     let starts = staggered_starts(&mut rng, params.n_ranks, params.start_stagger);
     let mut driver = SimDriver::with_starts(world, vms, starts);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |_| {});
-    let totals = driver.log_totals;
-    let w = &driver.world;
+        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |_| {});
+    let w = driver.world;
     let mut round_series = Series::new(params.discipline.label());
     for (k, at) in w.round_done_at.iter().enumerate() {
         if let Some(t) = at {
             round_series.push_xy((k + 1) as f64, t.as_secs_f64());
         }
     }
-    let rounds_completed = w.round_done_at.iter().filter(|t| t.is_some()).count() as u32;
-    let all_done_at = w
-        .round_done_at
-        .last()
-        .copied()
-        .flatten()
-        .map(Time::as_secs_f64);
     AllReduceOutcome {
-        rounds_completed,
-        all_done_at,
+        rounds_completed: w.round_done_at.iter().filter(|t| t.is_some()).count() as u32,
+        all_done_at: w
+            .round_done_at
+            .last()
+            .copied()
+            .flatten()
+            .map(Time::as_secs_f64),
         round_series,
-        rounds_lost: w.rounds_lost,
-        kills: w.kills,
-        restarts: w.restarts,
-        deferrals: w.deferrals,
         failed_fetches: w.store.misses(),
-        client_totals: totals,
+        client_totals: driver.log_totals,
         events_popped,
         vm_ticks,
         queue_clamps,
         events_discarded,
+        ..w.out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::fig8_kill_plan;
     use simgrid::faults::FaultSpec;
 
     fn base(d: Discipline) -> AllReduceParams {
@@ -602,6 +631,35 @@ mod tests {
             assert_eq!(o.kills, 1, "{d}");
             assert_eq!(o.restarts, 1, "{d}");
             assert!(o.rounds_lost >= 1, "{d}");
+        }
+    }
+
+    #[test]
+    fn a_second_kill_inside_the_downtime_changes_nothing() {
+        // fig8's kill takes rank 1 down from 4 s to 10 s. Killing it
+        // again at 7 s finds no running rank: nothing is counted, and
+        // no second revival is scheduled.
+        let again = FaultSpec::once(
+            Time::from_secs(7),
+            FaultKind::ClientKill {
+                client: 1,
+                restart: Some(Dur::from_secs(6)),
+            },
+        );
+        for d in Discipline::ALL {
+            let run = |fault_plan: FaultPlan| {
+                let p = AllReduceParams {
+                    seed: 2003,
+                    fault_plan,
+                    ..base(d)
+                };
+                let o = run_allreduce(p, Dur::from_secs(600));
+                (o.kills, o.restarts, o.rounds_lost, o.round_series)
+            };
+            let once = run(fig8_kill_plan(2003));
+            assert_eq!((once.0, once.1), (1, 1), "{d}");
+            let twice = run(fig8_kill_plan(2003).with(again.clone()));
+            assert_eq!(twice, once, "{d}");
         }
     }
 

@@ -32,8 +32,8 @@ use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::json::{self, Value};
-use simgrid::trace::{carrier_sense, emit, SharedSink, NO_ID};
-use simgrid::{json_escape, IdMap, Series, Served, SimRng, StoreOp};
+use simgrid::trace::SharedSink;
+use simgrid::{json_escape, Series, Served, SimRng, StoreOp};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -397,28 +397,17 @@ impl Default for DagParams {
 }
 
 /// The store + workflow-accounting world.
-pub struct DagWorld {
+struct DagWorld {
     params: DagParams,
     name_to_idx: HashMap<String, usize>,
     rng: SimRng,
     store: Store<String>,
     /// The plan's windows: puts fail at the store inside an ENOSPC one.
     windows: FaultWindows,
-    done: Vec<bool>,
-    /// When each job completed.
-    pub done_at: Vec<Option<Time>>,
-    /// Carrier-sense deferrals (Ethernet only).
-    pub deferrals: u64,
-    /// Publishes failed by an ENOSPC window.
-    pub puts_failed: u64,
-    /// Jobs re-run after a failed unit.
-    pub retries: u64,
-    /// `client-kill` injections that hit a live job.
-    pub kills: u64,
-    /// Jobs re-admitted after a kill.
-    pub restarts: u64,
-    trace: Option<SharedSink>,
-    probe_out: IdMap<usize, ftsh::Istr>,
+    /// When each job completed (`None` while it has not).
+    done_at: Vec<Option<Time>>,
+    /// The counters the run returns.
+    out: DagOutcome,
 }
 
 impl DagWorld {
@@ -441,15 +430,8 @@ impl DagWorld {
             rng: SimRng::new(params.seed),
             store,
             windows: params.fault_plan.windows(Dur::ZERO),
-            done: vec![false; n],
             done_at: vec![None; n],
-            deferrals: 0,
-            puts_failed: 0,
-            retries: 0,
-            kills: 0,
-            restarts: 0,
-            trace: None,
-            probe_out: IdMap::default(),
+            out: DagOutcome::default(),
             params,
         }
     }
@@ -486,18 +468,11 @@ impl CommandWorld for DagWorld {
                 };
                 let job = &self.params.spec.jobs[idx];
                 let present = job.inputs.iter().filter(|k| self.store.contains(k)).count();
-                let now = ctx.now();
-                if carrier_sense(present as u64, job.inputs.len() as u64, |ev| {
-                    emit(&self.trace, now, client as i64, NO_ID, ev);
-                }) {
-                    self.deferrals += 1;
+                let present = present as u64;
+                if ctx.sense(client, present, job.inputs.len() as u64) {
+                    self.out.deferrals += 1;
                 }
-                let out = self
-                    .probe_out
-                    .entry(present)
-                    .or_insert_with(|| ftsh::Istr::from(present.to_string()))
-                    .clone();
-                ExecOutcome::At(ctx.now() + self.params.probe_cost, CmdResult::ok(out))
+                ExecOutcome::At(ctx.now() + self.params.probe_cost, ctx.count(present))
             }
             verb @ ("publish" | "fetch") => {
                 let key = arg(1);
@@ -521,10 +496,9 @@ impl CommandWorld for DagWorld {
     }
 
     fn inject_fault(&mut self, _ctx: &mut Ctx<'_, StoreDone>, kind: &FaultKind) {
-        if let FaultKind::ClientKill { client, .. } = kind {
-            if *client < self.done.len() && !self.done[*client] {
-                self.kills += 1;
-            }
+        // A kill arrives only when it hit a running job.
+        if let FaultKind::ClientKill { .. } = kind {
+            self.out.kills += 1;
         }
     }
 
@@ -541,7 +515,7 @@ impl CommandWorld for DagWorld {
             Served::Stored { .. } | Served::Hit(()) => true,
             Served::Miss(_) => false,
             Served::Refused => {
-                self.puts_failed += 1;
+                self.out.puts_failed += 1;
                 false
             }
         };
@@ -555,29 +529,27 @@ impl CommandWorld for DagWorld {
         success: bool,
     ) -> Option<NextUnit> {
         if success {
-            self.done[client] = true;
             self.done_at[client] = Some(ctx.now());
             return None; // one unit per job: retire
         }
-        self.retries += 1;
+        self.out.retries += 1;
         Some(self.job_unit(ctx.now() + self.params.failure_think))
     }
 
     fn restart_client(
         &mut self,
         ctx: &mut Ctx<'_, StoreDone>,
-        client: ClientId,
+        _client: ClientId,
     ) -> Option<NextUnit> {
-        if client >= self.done.len() || self.done[client] {
-            return None;
-        }
-        self.restarts += 1;
+        // Only a kill that hit a running job is revived, and a running
+        // job has not finished.
+        self.out.restarts += 1;
         Some(self.job_unit(ctx.now()))
     }
 }
 
 /// Results of one workflow run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DagOutcome {
     /// Jobs that completed.
     pub jobs_done: usize,
@@ -625,11 +597,10 @@ pub fn run_dag(params: DagParams, duration: Dur) -> DagOutcome {
 }
 
 /// [`run_dag`] with an optional structured-trace sink.
-pub fn run_dag_traced(params: DagParams, duration: Dur, trace: Option<SharedSink>) -> DagOutcome {
+pub fn run_dag_traced(params: DagParams, duration: Dur, sink: Option<SharedSink>) -> DagOutcome {
     params.spec.validate().expect("valid workflow");
     let n = params.spec.jobs.len();
-    let mut world = DagWorld::new(params.clone());
-    world.trace.clone_from(&trace);
+    let world = DagWorld::new(params.clone());
     let mut rng = SimRng::new(params.seed ^ 0xC11E);
     let p = &params;
     let vms: Vec<Vm> = (0..n)
@@ -650,16 +621,15 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, trace: Option<SharedSink
     let starts = staggered_starts(&mut rng, n, params.start_stagger);
     let mut driver = SimDriver::with_starts(world, vms, starts);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |_| {});
-    let totals = driver.log_totals;
-    let w = &driver.world;
+        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |_| {});
+    let w = driver.world;
     let mut job_series = Series::new(params.discipline.label());
     for (i, at) in w.done_at.iter().enumerate() {
         if let Some(t) = at {
             job_series.push_xy((i + 1) as f64, t.as_secs_f64());
         }
     }
-    let jobs_done = w.done.iter().filter(|d| **d).count();
+    let jobs_done = w.done_at.iter().filter(|t| t.is_some()).count();
     let makespan = if jobs_done == n {
         w.done_at
             .iter()
@@ -674,23 +644,20 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, trace: Option<SharedSink
         jobs_done,
         makespan,
         job_series,
-        retries: w.retries,
-        deferrals: w.deferrals,
         failed_fetches: w.store.misses(),
-        puts_failed: w.puts_failed,
-        kills: w.kills,
-        restarts: w.restarts,
-        client_totals: totals,
+        client_totals: driver.log_totals,
         events_popped,
         vm_ticks,
         queue_clamps,
         events_discarded,
+        ..w.out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::figures::fig9_fault_plan;
     use simgrid::faults::FaultSpec;
 
     #[test]
@@ -787,6 +754,36 @@ mod tests {
             }
             assert_eq!(o.kills, 1, "{d}");
             assert_eq!(o.restarts, 1, "{d}");
+        }
+    }
+
+    #[test]
+    fn a_second_kill_inside_the_downtime_changes_nothing() {
+        // fig9's kill takes `merge` down from 6 s to 11 s. Killing it
+        // again at 8 s finds no running job: nothing is counted, and no
+        // second revival is scheduled.
+        let again = FaultSpec::once(
+            Time::from_secs(8),
+            FaultKind::ClientKill {
+                client: 4,
+                restart: Some(Dur::from_secs(5)),
+            },
+        );
+        for d in Discipline::ALL {
+            let run = |fault_plan: FaultPlan| {
+                let p = DagParams {
+                    discipline: d,
+                    seed: 2003,
+                    fault_plan,
+                    ..DagParams::default()
+                };
+                let o = run_dag(p, Dur::from_secs(600));
+                (o.kills, o.restarts, o.retries, o.job_series)
+            };
+            let once = run(fig9_fault_plan(2003));
+            assert_eq!((once.0, once.1), (1, 1), "{d}");
+            let twice = run(fig9_fault_plan(2003).with(again.clone()));
+            assert_eq!(twice, once, "{d}");
         }
     }
 

@@ -27,13 +27,18 @@
 //! [`cancelled`](CommandWorld::cancelled) exactly when the VM gives up
 //! on a command whose completion has not been delivered (held, or
 //! scheduled with [`ExecOutcome::At`]), a client kill included.
+//!
+//! A world holds only its physics. Everything else it needs from the
+//! run goes through its [`Ctx`]: the clock and the queue, releases of
+//! held commands, trace records (into the one sink the driver installs
+//! in every VM) and interned probe answers (one map per driver).
 
 use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Effect, Executor, Vm, VmStatus};
-use ftsh::Env;
+use ftsh::{Env, Istr};
 use retry::{Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
-use simgrid::trace::{emit, SharedSink, TraceEv, NO_ID};
-use simgrid::{EventQueue, SimRng};
+use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
+use simgrid::{EventQueue, IdMap, SimRng};
 
 /// A client index within a scenario.
 pub type ClientId = usize;
@@ -93,11 +98,15 @@ type Release = (ClientId, CmdToken, CmdResult);
 /// simulator's clock, a delay on the live swarm's.
 pub type NextUnit<At = Time> = (Env, u64, At);
 
-/// Access to the event queue (and clock) for world callbacks.
+/// A world callback's one way to reach the run: the clock and the
+/// event queue, releases of held commands, the trace sink and the
+/// interned probe answers. A world keeps none of these itself.
 pub struct Ctx<'a, W> {
     queue: &'a mut EventQueue<SimEv<W>>,
     epochs: &'a [u32],
     released: &'a mut Vec<Release>,
+    tracer: &'a Option<SharedSink>,
+    answers: &'a mut IdMap<u64, Istr>,
 }
 
 impl<W> Ctx<'_, W> {
@@ -145,6 +154,33 @@ impl<W> Ctx<'_, W> {
     pub fn complete(&mut self, client: ClientId, token: CmdToken, result: CmdResult) {
         self.released.push((client, token, result));
     }
+
+    /// Record `ev` now, labelled by `client` (`None` for the world
+    /// itself), into the run's trace sink. Free when tracing is off.
+    pub fn record(&self, client: Option<ClientId>, ev: TraceEv) {
+        let client = client.map_or(NO_ID, |c| c as i64);
+        emit(self.tracer, self.now(), client, NO_ID, ev);
+    }
+
+    /// One carrier-sense reading by `client` of `level` free, recorded
+    /// as every world and the live swarm record it
+    /// ([`carrier_sense`]). Returns whether the medium read busy
+    /// (`level < busy_below`).
+    pub fn sense(&self, client: ClientId, level: u64, busy_below: u64) -> bool {
+        carrier_sense(level, busy_below, |ev| self.record(Some(client), ev))
+    }
+
+    /// A probe's answer: the bare number `n`, with no trailing newline
+    /// so the VM binds it without trimming a copy. Interned per
+    /// distinct value in one map the driver owns, for counts a
+    /// population reads millions of times.
+    pub fn count(&mut self, n: u64) -> CmdResult {
+        let out = self
+            .answers
+            .entry(n)
+            .or_insert_with(|| Istr::from(n.to_string()));
+        CmdResult::ok(out.clone())
+    }
 }
 
 /// A scenario: what commands do, and what happens between work units.
@@ -186,7 +222,10 @@ pub trait CommandWorld: Sized {
     /// [`Ctx::complete`]. The default ignores the fault — worlds opt in
     /// to the kinds they model. The kinds that are pure time windows
     /// (ENOSPC, free-space lie) never arrive here: a world reads them
-    /// from its plan's [`FaultPlan::windows`] table.
+    /// from its plan's [`FaultPlan::windows`] table. A client kill
+    /// arrives only when it hit a running client, after the driver has
+    /// torn that client down; one that finds the client dead or retired
+    /// is traced and goes no further.
     fn inject_fault(&mut self, _ctx: &mut Ctx<'_, Self::Ev>, _kind: &FaultKind) {}
 
     /// A client killed by a [`FaultKind::ClientKill`] injection has
@@ -285,6 +324,8 @@ pub struct SimDriver<W: CommandWorld> {
     /// Reusable buffer world callbacks release held commands into
     /// ([`Ctx::complete`]).
     released: Vec<Release>,
+    /// Probe answers interned per distinct value ([`Ctx::count`]).
+    answers: IdMap<u64, Istr>,
     vm_ticks: u64,
 }
 
@@ -322,6 +363,7 @@ impl<W: CommandWorld> SimDriver<W> {
             faults: None,
             effects_buf: Vec::new(),
             released: Vec::new(),
+            answers: IdMap::default(),
             vm_ticks: 0,
         }
     }
@@ -348,8 +390,9 @@ impl<W: CommandWorld> SimDriver<W> {
 
     /// Install a structured-trace sink: every client VM records
     /// attempt spans, backoffs, and command boundaries into it, in
-    /// every unit, labelled by client index.
-    pub fn set_trace(&mut self, sink: SharedSink) {
+    /// every unit, labelled by client index, and the world records
+    /// through [`Ctx::record`].
+    fn set_trace(&mut self, sink: SharedSink) {
         for (c, vm) in self.vms.iter_mut().enumerate() {
             vm.set_tracer(sink.clone(), c as i64);
         }
@@ -402,6 +445,8 @@ impl<W: CommandWorld> SimDriver<W> {
                 queue: &mut self.queue,
                 epochs: &self.epochs,
                 released: &mut released,
+                tracer: &self.tracer,
+                answers: &mut self.answers,
             },
         );
         let now = self.queue.now();
@@ -520,14 +565,17 @@ impl<W: CommandWorld> SimDriver<W> {
             }
             FaultKind::ClientKill { client, restart } => {
                 let (c, restart) = (*client, *restart);
-                let killed = self.kill_client(c);
-                // Let the world observe the kill (round accounting,
-                // resource bookkeeping) after the VM is gone.
+                // Only a kill that found a running client reaches the
+                // world (round accounting, resource bookkeeping, after
+                // the VM is gone) and earns a revival: a client that
+                // already retired, or is down from an earlier kill, is
+                // neither counted twice nor resurrected by a stale
+                // restart delay.
+                if !self.kill_client(c) {
+                    return;
+                }
                 self.ask(|world, ctx| world.inject_fault(ctx, &spec.kind));
-                // Only a kill that found a live VM earns a revival: a
-                // client that already retired (or was killed twice)
-                // must not be resurrected by a stale restart delay.
-                if let (true, Some(delay)) = (killed, restart) {
+                if let Some(delay) = restart {
                     self.queue.schedule(now + delay, SimEv::Revive(c));
                 }
             }
@@ -675,6 +723,8 @@ impl<W: CommandWorld> SimDriver<W> {
                     queue: &mut self.queue,
                     epochs: &self.epochs,
                     released: &mut self.released,
+                    tracer: &self.tracer,
+                    answers: &mut self.answers,
                 },
                 client,
             };
@@ -1515,6 +1565,30 @@ mod fault_tests {
         d.run_until(Time::from_secs(100));
         assert_eq!(d.world.successes, 1);
         assert_eq!(d.world.cancel_count, 0);
+        assert!(
+            d.world.injected.is_empty(),
+            "a miss never reaches the world"
+        );
+    }
+
+    #[test]
+    fn a_kill_of_a_dead_client_reaches_neither_world_nor_revival() {
+        // Killed at t = 1 s until t = 5 s; a second kill at t = 3 s
+        // finds it down. The world hears of the first kill only, and
+        // the client is revived once.
+        let kill = |at| {
+            let restart = Some(Dur::from_secs(4));
+            FaultSpec::once(
+                Time::from_secs(at),
+                FaultKind::ClientKill { client: 0, restart },
+            )
+        };
+        let mut d = SimDriver::new(WorkWorld::reviving(1), vec![WorkWorld::vm("work\n", 0)]);
+        d.arm_faults(FaultPlan::new(1).with(kill(1)).with(kill(3)));
+        d.run_until(Time::from_secs(100));
+        assert_eq!(d.world.injected, ["client-kill"]);
+        assert_eq!((d.world.revivals, d.world.successes), (1, 1));
+        assert_eq!(d.now(), Time::from_secs(7), "revived at 5 s, 2 s of work");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Regeneration of every figure in the paper's evaluation (§5).
 //!
-//! Each function runs the corresponding scenario and returns a
+//! [`by_name_full`] runs the scenario behind a figure id and returns a
 //! [`SeriesSet`] whose series match the figure's legend. Absolute
 //! numbers come from a simulated testbed and differ from the paper's
 //! 2003 hardware; the *shapes* — who wins, where Fixed collapses,
@@ -170,10 +170,6 @@ impl Scale {
 /// Figure 1 — *Scalability of Job Submission*: jobs submitted in a
 /// five-minute window vs. number of submitters, for the three
 /// disciplines.
-pub fn fig1_submission_scalability(scale: Scale, seed: u64) -> SeriesSet {
-    fig1_run(scale, seed, false, None).set
-}
-
 fn fig1_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     let ns: Vec<usize> = scale.pick(
         vec![
@@ -205,6 +201,9 @@ fn fig1_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
     FigureRun::assemble(set, works, traced)
 }
 
+/// The disciplines fig1x sweeps (see [`fig1x_run`]).
+const FIG1X_DISCIPLINES: [Discipline; 2] = [Discipline::Ethernet, Discipline::Aloha];
+
 /// Figure 1x — *Submission at Population Extremes*: Figure 1's
 /// population axis pushed two to three orders of magnitude past the
 /// paper's 500 submitters, up to 100 000 concurrent ftsh clients
@@ -214,13 +213,6 @@ fn fig1_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
 /// delay, which makes its event count scale with the window instead of
 /// the population — its collapse is already established by Figure 1,
 /// so it is excluded rather than simulated at ruinous cost.
-pub fn fig1x_population_extremes(scale: Scale, seed: u64) -> SeriesSet {
-    fig1x_run(scale, seed, false, None).set
-}
-
-/// The disciplines fig1x sweeps (see [`fig1x_population_extremes`]).
-const FIG1X_DISCIPLINES: [Discipline; 2] = [Discipline::Ethernet, Discipline::Aloha];
-
 fn fig1x_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     let ns: Vec<usize> = scale.pick(
         vec![1_000, 3_000, 10_000, 30_000, 100_000],
@@ -303,10 +295,6 @@ fn submit_timeline(
 /// Figure 2 — *Timeline of Aloha Submitter*: available FDs and
 /// cumulative jobs over 30 minutes with the submitter population just
 /// past the crash knee.
-pub fn fig2_aloha_timeline(scale: Scale, seed: u64) -> SeriesSet {
-    fig2_run(scale, seed, false, None).set
-}
-
 fn fig2_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     submit_timeline(
         Discipline::Aloha,
@@ -320,10 +308,6 @@ fn fig2_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
 
 /// Figure 3 — *Timeline of Ethernet Submitter*: as Figure 2 for the
 /// Ethernet discipline.
-pub fn fig3_ethernet_timeline(scale: Scale, seed: u64) -> SeriesSet {
-    fig3_run(scale, seed, false, None).set
-}
-
 fn fig3_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     submit_timeline(
         Discipline::Ethernet,
@@ -363,10 +347,6 @@ fn buffer_run(
 
 /// Figure 4 — *Buffer Throughput*: files consumed in the steady-state
 /// window vs. number of producers.
-pub fn fig4_buffer_throughput(scale: Scale, seed: u64) -> SeriesSet {
-    fig4_run(scale, seed, false, None).set
-}
-
 fn fig4_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     let ns: Vec<usize> = scale.pick(vec![5, 10, 15, 20, 25, 30, 35, 40, 45, 50], vec![10, 40]);
     let mut set = SeriesSet::new(
@@ -386,10 +366,6 @@ fn fig4_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
 
 /// Figure 5 — *Buffer Collisions*: mid-write ENOSPC collisions over
 /// the whole run vs. number of producers.
-pub fn fig5_buffer_collisions(scale: Scale, seed: u64) -> SeriesSet {
-    fig5_run(scale, seed, false, None).set
-}
-
 fn fig5_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     let ns: Vec<usize> = scale.pick(vec![5, 10, 15, 20, 25, 30, 35, 40, 45, 50], vec![10, 40]);
     let mut set = SeriesSet::new(
@@ -443,10 +419,6 @@ fn reader_figure(
 
 /// Figure 6 — *Aloha File Reader*: cumulative transfers and collisions
 /// over 900 s with one black-hole server.
-pub fn fig6_aloha_reader(scale: Scale, seed: u64) -> SeriesSet {
-    fig6_run(scale, seed, false, None).set
-}
-
 fn fig6_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     reader_figure(
         Discipline::Aloha,
@@ -460,10 +432,6 @@ fn fig6_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
 
 /// Figure 7 — *Ethernet File Reader*: cumulative transfers and
 /// deferrals over 900 s with one black-hole server.
-pub fn fig7_ethernet_reader(scale: Scale, seed: u64) -> SeriesSet {
-    fig7_run(scale, seed, false, None).set
-}
-
 fn fig7_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     reader_figure(
         Discipline::Ethernet,
@@ -479,11 +447,6 @@ fn fig7_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
 /// time for N ranks barriering through the shared store, with one rank
 /// killed mid-round and restarted. One series per discipline; lower and
 /// complete is better (a missing point is a round the discipline never
-/// globally finished inside the window).
-pub fn fig8_allreduce(scale: Scale, seed: u64) -> SeriesSet {
-    fig8_run(scale, seed, false, None).set
-}
-
 /// The built-in fig8 injection: rank 1 is killed 4 s in — mid-compute
 /// of the first round for every discipline — and restarts 6 s later,
 /// forcing the barrier to hold while the straggler catches up.
@@ -499,7 +462,7 @@ pub fn fig8_kill_plan(seed: u64) -> FaultPlan {
 
 /// The workload fig8 actually runs at `scale`: `(rounds, window,
 /// fault plan)` with any custom plan appended to the kill, exactly as
-/// [`fig8_allreduce`] would. The figures harness feeds this to the
+/// the figure itself does. The figures harness feeds this to the
 /// static workflow checker before committing to a run.
 pub fn fig8_workload(scale: Scale, seed: u64, custom: Option<&FaultPlan>) -> (u32, Dur, FaultPlan) {
     (
@@ -509,6 +472,11 @@ pub fn fig8_workload(scale: Scale, seed: u64, custom: Option<&FaultPlan>) -> (u3
     )
 }
 
+/// Figure 8 — *Fault-Tolerant All-Reduce*: per-round global completion
+/// time for N ranks barriering through the shared store, with one rank
+/// killed mid-round and restarted. One series per discipline; lower and
+/// complete is better (a missing point is a round the discipline never
+/// globally finished inside the window).
 fn fig8_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     let (rounds, window, faults) = fig8_workload(scale, seed, plan);
     let mut set = SeriesSet::new(
@@ -541,11 +509,6 @@ fn fig8_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
 /// with an ENOSPC window corrupting publishes early on and the `merge`
 /// job killed (and restarted) mid-flight. One series per discipline;
 /// the x axis is the job's index in the spec, the last point is the
-/// workflow makespan.
-pub fn fig9_dag(scale: Scale, seed: u64) -> SeriesSet {
-    fig9_run(scale, seed, false, None).set
-}
-
 /// The built-in fig9 injection: publishes fail for 8 s starting 1 s in
 /// (the store "fills up" under the first wave of outputs), and the
 /// `merge` job — the diamond's waist — is killed 6 s in, restarting
@@ -568,7 +531,7 @@ pub fn fig9_fault_plan(seed: u64) -> FaultPlan {
 }
 
 /// The workload fig9 actually runs at `scale`: `(window, fault plan)`,
-/// custom plan appended exactly as [`fig9_dag`] would.
+/// custom plan appended exactly as the figure itself does.
 pub fn fig9_workload(scale: Scale, seed: u64, custom: Option<&FaultPlan>) -> (Dur, FaultPlan) {
     (
         scale.pick(Dur::from_secs(600), Dur::from_secs(300)),
@@ -576,6 +539,12 @@ pub fn fig9_workload(scale: Scale, seed: u64, custom: Option<&FaultPlan>) -> (Du
     )
 }
 
+/// Figure 9 — *Swift-Style DAG Workflow*: per-job completion time for
+/// the eight-job diamond workflow flowing through the shared store,
+/// with an ENOSPC window corrupting publishes early on and the `merge`
+/// job killed (and restarted) mid-flight. One series per discipline;
+/// the x axis is the job's index in the spec, the last point is the
+/// workflow makespan.
 fn fig9_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> FigureRun {
     let (window, faults) = fig9_workload(scale, seed, plan);
     let mut set = SeriesSet::new(
@@ -606,10 +575,6 @@ fn fig9_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
 /// schedd crashes vs. the Ethernet client's free-FD threshold, in the
 /// overload regime. Shows the knob the paper fixes at 1000: too low
 /// reverts to Aloha behaviour, too high over-defers.
-pub fn ablation_threshold_sweep(scale: Scale, seed: u64) -> SeriesSet {
-    ablation_threshold_run(scale, seed, false, None).set
-}
-
 fn ablation_threshold_run(
     scale: Scale,
     seed: u64,
@@ -655,7 +620,7 @@ fn ablation_threshold_run(
 /// Ablation B — the shared-channel story of §3: throughput S vs.
 /// offered load G for the three station disciplines on a slotted
 /// medium (the "Aloha saturates" remark, mechanically).
-pub fn ablation_channel_saturation(scale: Scale, seed: u64) -> SeriesSet {
+fn ablation_channel_saturation(scale: Scale, seed: u64) -> SeriesSet {
     use simgrid::simulate_channel;
     let ps: Vec<f64> = scale.pick(
         vec![0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1],
@@ -678,14 +643,10 @@ pub fn ablation_channel_saturation(scale: Scale, seed: u64) -> SeriesSet {
     set
 }
 
-/// All figures by id (`"fig1"` … `"fig7"`, plus the ablations
-/// `"ablation-threshold"` and `"ablation-channel"`).
-pub fn by_name(name: &str, scale: Scale, seed: u64) -> Option<SeriesSet> {
-    by_name_full(name, scale, seed, false).map(|r| r.set)
-}
-
-/// [`by_name`] with the engine-work count and (when `traced`) the
-/// figure's structured trace. The trace is bit-deterministic per seed:
+/// A figure by id (`"fig1"` … `"fig9"`, `"fig1x"`, and the ablations
+/// `"ablation-threshold"` and `"ablation-channel"`), with its
+/// engine-work count and (when `traced`) its structured trace, or
+/// `None` for an unknown id. The trace is bit-deterministic per seed:
 /// sweep points collect into private buffers that are concatenated in
 /// point order, so sequential and parallel sweeps produce identical
 /// bytes. `ablation-channel` has no VMs or event queue; it traces
@@ -745,9 +706,13 @@ pub const ALL_FIGURES: [&str; 7] = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig
 mod tests {
     use super::*;
 
+    fn quick(name: &str) -> SeriesSet {
+        by_name_full(name, Scale::Quick, 1, false).unwrap().set
+    }
+
     #[test]
     fn quick_fig1_has_three_disciplines() {
-        let set = fig1_submission_scalability(Scale::Quick, 1);
+        let set = quick("fig1");
         assert_eq!(set.series.len(), 3);
         for s in &set.series {
             assert_eq!(s.len(), 3, "three population sizes in quick mode");
@@ -760,10 +725,7 @@ mod tests {
 
     #[test]
     fn quick_timelines_have_two_series() {
-        for f in [
-            fig2_aloha_timeline(Scale::Quick, 1),
-            fig3_ethernet_timeline(Scale::Quick, 1),
-        ] {
+        for f in [quick("fig2"), quick("fig3")] {
             assert_eq!(f.series.len(), 2);
             assert!(f.series.iter().all(|s| !s.is_empty()));
         }
@@ -771,23 +733,23 @@ mod tests {
 
     #[test]
     fn quick_reader_figures() {
-        let f6 = fig6_aloha_reader(Scale::Quick, 1);
+        let f6 = quick("fig6");
         assert!(f6.get("Transfers").is_some());
         assert!(f6.get("Collisions").is_some());
-        let f7 = fig7_ethernet_reader(Scale::Quick, 1);
+        let f7 = quick("fig7");
         assert!(f7.get("Transfers").is_some());
         assert!(f7.get("Deferrals").is_some());
     }
 
     #[test]
     fn quick_ablations_have_shape() {
-        let t = ablation_threshold_sweep(Scale::Quick, 1);
+        let t = quick("ablation-threshold");
         assert_eq!(t.series.len(), 2);
         let jobs = t.get("Jobs").unwrap();
         // Threshold 1000 beats threshold 0 in the overload regime.
         assert!(jobs.points[1].1 > jobs.points[0].1);
 
-        let c = ablation_channel_saturation(Scale::Quick, 1);
+        let c = quick("ablation-channel");
         let eth = c.get("Ethernet").unwrap().last().unwrap();
         let alo = c.get("Aloha").unwrap().last().unwrap();
         let fix = c.get("Fixed").unwrap().last().unwrap();
@@ -800,7 +762,7 @@ mod tests {
             // Only check dispatch, not execution, for the heavy ones.
             assert!(name.starts_with("fig"));
         }
-        assert!(by_name("fig10", Scale::Quick, 0).is_none());
+        assert!(by_name_full("fig10", Scale::Quick, 0, false).is_none());
     }
 
     #[test]
@@ -808,7 +770,7 @@ mod tests {
         // fig8: three discipline series, each completing both quick
         // rounds despite the kill, with Ethernet's global completion
         // no later than Aloha's.
-        let f8 = fig8_allreduce(Scale::Quick, 1);
+        let f8 = quick("fig8");
         assert_eq!(f8.series.len(), 3);
         for s in &f8.series {
             assert_eq!(s.len(), 2, "{}: both rounds complete", s.name);
@@ -819,7 +781,7 @@ mod tests {
 
         // fig9: all eight jobs finish under the faults; the makespan
         // (last point) keeps the same ordering.
-        let f9 = fig9_dag(Scale::Quick, 1);
+        let f9 = quick("fig9");
         assert_eq!(f9.series.len(), 3);
         for s in &f9.series {
             assert_eq!(s.len(), 8, "{}: all jobs complete", s.name);

@@ -13,7 +13,7 @@ use crate::scripts::{reader_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec};
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
-use simgrid::trace::{SharedSink, TraceEv, NO_ID};
+use simgrid::trace::{SharedSink, TraceEv};
 use simgrid::{Admission, FileServer, Series, ServerKind, SimRng};
 
 /// Parameters of the reader scenario (defaults: the paper's numbers).
@@ -85,30 +85,17 @@ struct Fetch {
 }
 
 /// The replica-servers world.
-pub struct BlackHoleWorld {
+struct BlackHoleWorld {
     params: BlackHoleParams,
     rng: SimRng,
     /// The replicas, in `params.servers` order; which of them are
     /// black holes right now is each server's own kind (toggled by
     /// injected [`FaultKind::ServerBlackHole`] faults).
     servers: Vec<FileServer<Fetch>>,
-    /// Successful 100 MB transfers.
-    pub transfers: u64,
-    /// Failed/killed data-transfer attempts (Figure 6's collisions).
-    pub collisions: u64,
-    /// Failed/killed flag probes (Figure 7's deferrals).
-    pub deferrals: u64,
-    /// Event timeline: cumulative transfers.
-    pub transfer_series: Series,
-    /// Event timeline: cumulative collisions.
-    pub collision_series: Series,
-    /// Event timeline: cumulative deferrals.
-    pub deferral_series: Series,
     /// Per-client instants of successful transfers.
-    pub per_client_successes: Vec<Vec<Time>>,
-    /// Structured-trace sink for scenario-level events (deferrals and
-    /// collisions as attempts die); `None` ⇒ no records, no cost.
-    trace: Option<SharedSink>,
+    per_client_successes: Vec<Vec<Time>>,
+    /// The counters and timelines the run returns.
+    out: BlackHoleOutcome,
 }
 
 impl BlackHoleWorld {
@@ -119,14 +106,13 @@ impl BlackHoleWorld {
         BlackHoleWorld {
             rng: SimRng::new(params.seed),
             servers,
-            transfers: 0,
-            collisions: 0,
-            deferrals: 0,
-            transfer_series: Series::new("transfers"),
-            collision_series: Series::new("collisions"),
-            deferral_series: Series::new("deferrals"),
             per_client_successes: vec![Vec::new(); params.n_clients],
-            trace: None,
+            out: BlackHoleOutcome {
+                transfer_series: Series::new("transfers"),
+                collision_series: Series::new("collisions"),
+                deferral_series: Series::new("deferrals"),
+                ..BlackHoleOutcome::default()
+            },
             params,
         }
     }
@@ -165,15 +151,16 @@ impl BlackHoleWorld {
     }
 
     /// A failed or killed attempt: classify by what was being fetched.
-    fn record_miss(&mut self, now: Time, client: ClientId, was_flag: bool) {
+    fn record_miss(&mut self, ctx: &Ctx<'_, BlackHoleEv>, client: ClientId, was_flag: bool) {
+        let (out, now) = (&mut self.out, ctx.now());
         if was_flag {
-            self.deferrals += 1;
-            self.deferral_series.push(now, self.deferrals as f64);
-            simgrid::trace::emit(&self.trace, now, client as i64, NO_ID, TraceEv::Deferral);
+            out.deferrals += 1;
+            out.deferral_series.push(now, out.deferrals as f64);
+            ctx.record(Some(client), TraceEv::Deferral);
         } else {
-            self.collisions += 1;
-            self.collision_series.push(now, self.collisions as f64);
-            simgrid::trace::emit(&self.trace, now, client as i64, NO_ID, TraceEv::Collision);
+            out.collisions += 1;
+            out.collision_series.push(now, out.collisions as f64);
+            ctx.record(Some(client), TraceEv::Collision);
         }
     }
 }
@@ -243,7 +230,7 @@ impl CommandWorld for BlackHoleWorld {
         for server in 0..self.servers.len() {
             let left = self.servers[server].disconnect(|j| (j.client, j.token) == (client, token));
             if let Some(job) = left.job {
-                self.record_miss(ctx.now(), client, job.size == self.params.flag_size);
+                self.record_miss(ctx, client, job.size == self.params.flag_size);
                 self.begin_transfer(ctx, server, left.started);
                 return;
             }
@@ -270,8 +257,9 @@ impl CommandWorld for BlackHoleWorld {
                     return; // that transfer was killed
                 };
                 if job.size == self.params.data_size {
-                    self.transfers += 1;
-                    self.transfer_series.push(ctx.now(), self.transfers as f64);
+                    let out = &mut self.out;
+                    out.transfers += 1;
+                    out.transfer_series.push(ctx.now(), out.transfers as f64);
                     self.per_client_successes[job.client].push(ctx.now());
                 }
                 ctx.complete(job.client, job.token, CmdResult::succeed());
@@ -293,7 +281,7 @@ impl CommandWorld for BlackHoleWorld {
 }
 
 /// Results of a reader run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BlackHoleOutcome {
     /// Successful 100 MB transfers.
     pub transfers: u64,
@@ -332,10 +320,9 @@ pub fn run_blackhole(params: BlackHoleParams, duration: Dur) -> BlackHoleOutcome
 pub fn run_blackhole_traced(
     params: BlackHoleParams,
     duration: Dur,
-    trace: Option<SharedSink>,
+    sink: Option<SharedSink>,
 ) -> BlackHoleOutcome {
     let mut world = BlackHoleWorld::new(params.clone());
-    world.trace.clone_from(&trace);
     let script = reader_script(params.discipline);
     let mut vms = Vec::with_capacity(params.n_clients);
     let mut rng = SimRng::new(params.seed ^ 0x5e1f);
@@ -345,8 +332,8 @@ pub fn run_blackhole_traced(
     }
     let mut driver = SimDriver::new(world, vms);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |_| {});
-    let w = &driver.world;
+        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |_| {});
+    let w = driver.world;
     let mut longest = Dur::ZERO;
     for times in &w.per_client_successes {
         let mut prev = Time::ZERO;
@@ -357,17 +344,12 @@ pub fn run_blackhole_traced(
         longest = longest.max((Time::ZERO + duration).saturating_since(prev));
     }
     BlackHoleOutcome {
-        transfers: w.transfers,
-        collisions: w.collisions,
-        deferrals: w.deferrals,
-        transfer_series: w.transfer_series.clone(),
-        collision_series: w.collision_series.clone(),
-        deferral_series: w.deferral_series.clone(),
         longest_stall: longest,
         events_popped,
         vm_ticks,
         queue_clamps,
         events_discarded,
+        ..w.out
     }
 }
 

@@ -18,7 +18,7 @@ use crate::scripts::{buffer_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultPlan, FaultWindows};
-use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
+use simgrid::trace::{SharedSink, TraceEv};
 use simgrid::{DiskBuffer, FileId, IdMap, Series, SimRng, WriteError};
 use std::fmt::Write as _;
 
@@ -119,7 +119,7 @@ struct ActiveWrite {
 }
 
 /// The shared-buffer world.
-pub struct BufferWorld {
+struct BufferWorld {
     params: BufferParams,
     /// The plan's windows: a write chunk landing inside an
     /// `enospc-window` fails regardless of occupancy, and a
@@ -127,7 +127,7 @@ pub struct BufferWorld {
     windows: FaultWindows,
     rng: SimRng,
     /// The shared buffer.
-    pub disk: DiskBuffer,
+    disk: DiskBuffer,
     /// In-flight writes by (client, token).
     active: IdMap<(ClientId, CmdToken), ActiveWrite>,
     consumer_busy: bool,
@@ -137,25 +137,10 @@ pub struct BufferWorld {
     /// Snapshot of (time, bytes_attempted) at the last consumer
     /// scheduling decision, for the congestion estimate.
     io_snapshot: (Time, u64),
-    /// Files fully consumed (the paper's throughput metric).
-    pub files_consumed: u64,
-    /// Bytes consumed.
-    pub bytes_consumed: u64,
-    /// Files successfully completed by producers.
-    pub files_produced: u64,
-    /// Carrier-sense deferrals (Ethernet only).
-    pub deferrals: u64,
-    /// Timeline of cumulative files consumed.
-    pub consumed_series: Series,
-    /// Timeline of cumulative collisions.
-    pub collision_series: Series,
-    /// Timeline of buffer occupancy (bytes).
-    pub occupancy_series: Series,
-    /// Structured-trace sink for scenario-level events (probes,
-    /// deferrals, ENOSPC collisions); `None` ⇒ no records, no cost.
-    trace: Option<SharedSink>,
-    /// Where [`BufferWorld::probe_output`] formats.
-    probe_buf: String,
+    /// The counters and timelines the run returns.
+    out: BufferOutcome,
+    /// Where [`BufferWorld::format_answer`] formats.
+    answer_buf: String,
 }
 
 impl BufferWorld {
@@ -169,15 +154,13 @@ impl BufferWorld {
             consumer_busy: false,
             bytes_attempted: 0,
             io_snapshot: (Time::ZERO, 0),
-            files_consumed: 0,
-            bytes_consumed: 0,
-            files_produced: 0,
-            deferrals: 0,
-            consumed_series: Series::new("files consumed"),
-            collision_series: Series::new("collisions"),
-            occupancy_series: Series::new("occupancy"),
-            trace: None,
-            probe_buf: String::new(),
+            out: BufferOutcome {
+                consumed_series: Series::new("files consumed"),
+                collision_series: Series::new("collisions"),
+                occupancy_series: Series::new("occupancy"),
+                ..BufferOutcome::default()
+            },
+            answer_buf: String::new(),
             params,
         }
     }
@@ -185,17 +168,20 @@ impl BufferWorld {
     /// A probe's answer: the bare number, formatted into the world's
     /// one buffer and copied out once. With no trailing newline the VM
     /// binds the result itself instead of trimming it into a copy.
-    fn probe_output(&mut self, value: impl std::fmt::Display) -> CmdResult {
-        self.probe_buf.clear();
-        let _ = write!(self.probe_buf, "{value}");
-        CmdResult::ok(self.probe_buf.as_str())
+    /// Not [`Ctx::count`]: file sizes and space estimates hardly
+    /// repeat, so interning them would grow a map entry per value.
+    fn format_answer(&mut self, value: impl std::fmt::Display) -> CmdResult {
+        self.answer_buf.clear();
+        let _ = write!(self.answer_buf, "{value}");
+        CmdResult::ok(self.answer_buf.as_str())
     }
 
     fn sample(&mut self, now: Time) {
-        self.consumed_series.push(now, self.files_consumed as f64);
-        self.collision_series
+        let out = &mut self.out;
+        out.consumed_series.push(now, out.files_consumed as f64);
+        out.collision_series
             .push(now, self.disk.collisions() as f64);
-        self.occupancy_series.push(now, self.disk.used() as f64);
+        out.occupancy_series.push(now, self.disk.used() as f64);
     }
 }
 
@@ -214,7 +200,7 @@ impl CommandWorld for BufferWorld {
             // job itself (captured into ${size} by the script).
             "make-output" => {
                 let size = self.rng.range_u64(1, self.params.max_file + 1);
-                ExecOutcome::At(ctx.now() + self.params.probe_cost, self.probe_output(size))
+                ExecOutcome::At(ctx.now() + self.params.probe_cost, self.format_answer(size))
             }
             // The Ethernet estimator over the observable buffer state.
             "estimate-space" => {
@@ -223,13 +209,10 @@ impl CommandWorld for BufferWorld {
                     .ethernet_estimate_free()
                     .saturating_add(self.windows.df_delta(ctx.now()));
                 // Busy when nothing is estimated free (`est <= 0`).
-                let now = ctx.now();
-                if carrier_sense(est.max(0) as u64, 1, |ev| {
-                    emit(&self.trace, now, client as i64, NO_ID, ev);
-                }) {
-                    self.deferrals += 1;
+                if ctx.sense(client, est.max(0) as u64, 1) {
+                    self.out.deferrals += 1;
                 }
-                ExecOutcome::At(ctx.now() + self.params.probe_cost, self.probe_output(est))
+                ExecOutcome::At(ctx.now() + self.params.probe_cost, self.format_answer(est))
             }
             "write-output" => {
                 let Some(size) = spec.argv.get(1).and_then(|s| s.parse::<u64>().ok()) else {
@@ -303,13 +286,7 @@ impl CommandWorld for BufferWorld {
                         // only learns at close time (NFS semantics),
                         // so the failure lands when the write would
                         // have finished.
-                        emit(
-                            &self.trace,
-                            ctx.now(),
-                            client as i64,
-                            NO_ID,
-                            TraceEv::Enospc,
-                        );
+                        ctx.record(Some(client), TraceEv::Enospc);
                         self.active.remove(&(client, token));
                         let at = (started + self.params.write_time).max(ctx.now());
                         ctx.schedule_completion(at, client, token, CmdResult::fail());
@@ -321,7 +298,7 @@ impl CommandWorld for BufferWorld {
                     Ok(()) => {
                         if remaining == 0 {
                             self.disk.complete(file).expect("file is writable");
-                            self.files_produced += 1;
+                            self.out.files_produced += 1;
                             self.active.remove(&(client, token));
                             ctx.complete(client, token, CmdResult::succeed());
                         } else {
@@ -372,8 +349,8 @@ impl CommandWorld for BufferWorld {
             }
             BufferEv::ConsumerDone { id } => {
                 let size = self.disk.delete(id).expect("consumed file existed");
-                self.files_consumed += 1;
-                self.bytes_consumed += size;
+                self.out.files_consumed += 1;
+                self.out.bytes_consumed += size;
                 self.consumer_busy = false;
                 ctx.schedule(ctx.now(), BufferEv::ConsumerTick);
             }
@@ -400,7 +377,7 @@ impl CommandWorld for BufferWorld {
 }
 
 /// Results of a buffer run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct BufferOutcome {
     /// Files drained by the consumer over the whole run.
     pub files_consumed: u64,
@@ -455,10 +432,9 @@ pub fn run_buffer(params: BufferParams, duration: Dur) -> BufferOutcome {
 pub fn run_buffer_traced(
     params: BufferParams,
     duration: Dur,
-    trace: Option<SharedSink>,
+    sink: Option<SharedSink>,
 ) -> BufferOutcome {
-    let mut world = BufferWorld::new(params.clone());
-    world.trace.clone_from(&trace);
+    let world = BufferWorld::new(params.clone());
     let rng = SimRng::new(params.seed ^ 0xD15C);
     let script = buffer_script(params.discipline);
     let vms: Vec<Vm> = (0..params.n_producers)
@@ -469,24 +445,18 @@ pub fn run_buffer_traced(
         .collect();
     let mut driver = SimDriver::new(world, vms);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |d| {
+        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |d| {
             d.schedule_world(Time::ZERO, BufferEv::ConsumerTick);
             d.schedule_world(Time::ZERO, BufferEv::Sample);
         });
-    let w = &driver.world;
+    let w = driver.world;
     BufferOutcome {
-        files_consumed: w.files_consumed,
-        bytes_consumed: w.bytes_consumed,
-        files_produced: w.files_produced,
         collisions: w.disk.collisions(),
-        deferrals: w.deferrals,
-        consumed_series: w.consumed_series.clone(),
-        collision_series: w.collision_series.clone(),
-        occupancy_series: w.occupancy_series.clone(),
         events_popped,
         vm_ticks,
         queue_clamps,
         events_discarded,
+        ..w.out
     }
 }
 

@@ -33,7 +33,7 @@ use crate::scripts::{submit_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
-use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
+use simgrid::trace::{SharedSink, TraceEv};
 use simgrid::{FdTable, IdMap, Series, SimRng};
 use std::collections::VecDeque;
 
@@ -152,7 +152,7 @@ enum SubState {
 }
 
 /// The schedd + FD-table world.
-pub struct SubmitWorld {
+struct SubmitWorld {
     params: SubmitParams,
     rng: SimRng,
     fds: FdTable,
@@ -163,32 +163,13 @@ pub struct SubmitWorld {
     queue: VecDeque<(ClientId, CmdToken)>,
     /// Sojourn (connect-to-served) times of completed submissions, in
     /// seconds.
-    pub sojourns: Vec<f64>,
+    sojourns: Vec<f64>,
     serving: Option<(ClientId, CmdToken)>,
     service_seq: u64,
     transient_held: bool,
     gap_pending: bool,
-    /// Completed (serviced) job submissions — the paper's throughput
-    /// metric.
-    pub jobs_submitted: u64,
-    /// Schedd crashes observed.
-    pub crashes: u64,
-    /// Carrier-sense deferrals (Ethernet only).
-    pub deferrals: u64,
-    /// Refused or FD-starved attempts.
-    pub failed_connects: u64,
-    /// Timeline of available FDs.
-    pub fd_series: Series,
-    /// Timeline of cumulative jobs submitted.
-    pub jobs_series: Series,
-    /// Structured-trace sink for scenario-level events (crashes,
-    /// probes, deferrals); `None` ⇒ no records, no cost.
-    trace: Option<SharedSink>,
-    /// Interned probe outputs keyed by the free-FD count: the same
-    /// handful of counts is reported millions of times, so the probe
-    /// path reuses one `Istr` per distinct value instead of formatting
-    /// a fresh `String` each time.
-    probe_out: IdMap<u64, ftsh::Istr>,
+    /// The counters and timelines the run returns.
+    out: SubmitOutcome,
 }
 
 impl SubmitWorld {
@@ -204,14 +185,11 @@ impl SubmitWorld {
             service_seq: 0,
             transient_held: false,
             gap_pending: false,
-            jobs_submitted: 0,
-            crashes: 0,
-            deferrals: 0,
-            failed_connects: 0,
-            fd_series: Series::new("available FDs"),
-            jobs_series: Series::new("jobs submitted"),
-            trace: None,
-            probe_out: IdMap::default(),
+            out: SubmitOutcome {
+                fd_series: Series::new("available FDs"),
+                jobs_series: Series::new("jobs submitted"),
+                ..SubmitOutcome::default()
+            },
             params,
         }
     }
@@ -264,8 +242,8 @@ impl SubmitWorld {
     /// [`crash`](Self::crash) with an explicit downtime — injected
     /// [`FaultKind::ScheddKill`] faults may override the default.
     fn crash_after(&mut self, ctx: &mut Ctx<'_, SubmitEv>, down: Dur) {
-        self.crashes += 1;
-        emit(&self.trace, ctx.now(), NO_ID, NO_ID, TraceEv::ScheddCrash);
+        self.out.crashes += 1;
+        ctx.record(None, TraceEv::ScheddCrash);
         self.schedd_up = false;
         self.gap_pending = false;
         self.service_seq += 1; // invalidate any pending ServiceDone
@@ -285,8 +263,9 @@ impl SubmitWorld {
     }
 
     fn sample(&mut self, now: Time) {
-        self.fd_series.push(now, self.fds.free() as f64);
-        self.jobs_series.push(now, self.jobs_submitted as f64);
+        let out = &mut self.out;
+        out.fd_series.push(now, self.fds.free() as f64);
+        out.jobs_series.push(now, out.jobs_submitted as f64);
     }
 }
 
@@ -303,27 +282,17 @@ impl CommandWorld for SubmitWorld {
         match spec.program() {
             // The carrier-sense probe: report free descriptors.
             "cut" => {
-                let (free, now) = (self.fds.free(), ctx.now());
-                if carrier_sense(free, self.params.threshold, |ev| {
-                    emit(&self.trace, now, client as i64, NO_ID, ev);
-                }) {
-                    self.deferrals += 1;
+                let free = self.fds.free();
+                if ctx.sense(client, free, self.params.threshold) {
+                    self.out.deferrals += 1;
                 }
-                // Interned per distinct count, with no trailing
-                // newline so the VM's capture fast path can bind the
-                // handle itself instead of re-trimming into a copy.
-                let out = self
-                    .probe_out
-                    .entry(free)
-                    .or_insert_with(|| ftsh::Istr::from(free.to_string()))
-                    .clone();
-                ExecOutcome::At(ctx.now() + self.params.probe_cost, CmdResult::ok(out))
+                ExecOutcome::At(ctx.now() + self.params.probe_cost, ctx.count(free))
             }
             "condor_submit" => {
                 // The attempt's own descriptors: without them the
                 // process cannot even be loaded and run.
                 if self.fds.alloc(self.params.fds_per_attempt).is_err() {
-                    self.failed_connects += 1;
+                    self.out.failed_connects += 1;
                     return ExecOutcome::At(
                         ctx.now() + self.params.connect_fail_delay,
                         CmdResult::fail(),
@@ -390,7 +359,7 @@ impl CommandWorld for SubmitWorld {
                 }
                 if !self.schedd_up || self.queue.len() >= self.params.backlog {
                     // Connection refused.
-                    self.failed_connects += 1;
+                    self.out.failed_connects += 1;
                     self.release_sub(conn);
                     ctx.complete(client, token, CmdResult::fail());
                     return;
@@ -416,7 +385,7 @@ impl CommandWorld for SubmitWorld {
                         .push(ctx.now().saturating_since(since).as_secs_f64());
                 }
                 self.release_sub(conn);
-                self.jobs_submitted += 1;
+                self.out.jobs_submitted += 1;
                 ctx.complete(conn.0, conn.1, CmdResult::succeed());
                 self.gap_pending = true;
                 ctx.schedule(ctx.now() + self.params.service_gap, SubmitEv::ServiceStart);
@@ -453,7 +422,7 @@ impl CommandWorld for SubmitWorld {
 }
 
 /// Results of one submission run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SubmitOutcome {
     /// Jobs fully serviced by the schedd.
     pub jobs_submitted: u64,
@@ -516,10 +485,9 @@ pub fn run_submission(params: SubmitParams, duration: Dur) -> SubmitOutcome {
 pub fn run_submission_traced(
     params: SubmitParams,
     duration: Dur,
-    trace: Option<SharedSink>,
+    sink: Option<SharedSink>,
 ) -> SubmitOutcome {
-    let mut world = SubmitWorld::new(params.clone());
-    world.trace.clone_from(&trace);
+    let world = SubmitWorld::new(params.clone());
     let mut rng = SimRng::new(params.seed ^ 0xC11E);
     let script = submit_script(params.discipline, params.threshold);
     let vms: Vec<Vm> = (0..params.n_clients)
@@ -531,29 +499,20 @@ pub fn run_submission_traced(
     let starts = staggered_starts(&mut rng, params.n_clients, params.start_stagger);
     let mut driver = SimDriver::with_starts(world, vms, starts);
     let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(trace, params.fault_plan, Time::ZERO + duration, |d| {
+        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |d| {
             d.schedule_world(Time::ZERO, SubmitEv::Sample);
         });
-    let totals = driver.log_totals;
-    let w = &driver.world;
-    let mut sojourns = w.sojourns.clone();
-    let p50 = simgrid::percentile(&mut sojourns, 0.5);
-    let p95 = simgrid::percentile(&mut sojourns, 0.95);
+    let mut w = driver.world;
     SubmitOutcome {
-        jobs_submitted: w.jobs_submitted,
-        crashes: w.crashes,
-        deferrals: w.deferrals,
-        failed_connects: w.failed_connects,
         min_free_fds: w.fds.min_free_seen(),
-        fd_series: w.fd_series.clone(),
-        jobs_series: w.jobs_series.clone(),
-        client_totals: totals,
-        sojourn_p50: p50,
-        sojourn_p95: p95,
+        client_totals: driver.log_totals,
+        sojourn_p50: simgrid::percentile(&mut w.sojourns, 0.5),
+        sojourn_p95: simgrid::percentile(&mut w.sojourns, 0.95),
         events_popped,
         vm_ticks,
         queue_clamps,
         events_discarded,
+        ..w.out
     }
 }
 

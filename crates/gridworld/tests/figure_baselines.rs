@@ -7,11 +7,14 @@
 //! the tree-walking oracle on every script these figures run is
 //! `eg-bench`'s `lockstep` test.)
 
-use gridworld::figures::{
-    fig1_submission_scalability, fig2_aloha_timeline, fig3_ethernet_timeline, fig6_aloha_reader,
-    Scale,
-};
+use gridworld::figures::{by_name_full, Scale};
 use simgrid::SeriesSet;
+
+fn figure(name: &str, scale: Scale, seed: u64) -> SeriesSet {
+    by_name_full(name, scale, seed, false)
+        .expect("known figure")
+        .set
+}
 
 fn jobs_submitted(set: &SeriesSet) -> f64 {
     set.series
@@ -34,9 +37,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn fig2_fig3_job_counts_survive_default_plan() {
-    let fig2 = fig2_aloha_timeline(Scale::Full, 2003);
+    let fig2 = figure("fig2", Scale::Full, 2003);
     assert_eq!(jobs_submitted(&fig2), 2524.0, "Aloha jobs by t=1800");
-    let fig3 = fig3_ethernet_timeline(Scale::Full, 2003);
+    let fig3 = figure("fig3", Scale::Full, 2003);
     assert_eq!(jobs_submitted(&fig3), 2690.0, "Ethernet jobs by t=1800");
 }
 
@@ -47,12 +50,8 @@ fn fig1_fig6_quick_json_bytes_are_pinned() {
     // the printed actual values.
     const FIG1_PIN: u64 = 0x83af_ef57_6513_337e;
     const FIG6_PIN: u64 = 0xa4f5_29c1_c356_9ef3;
-    let fig1 = fnv1a(
-        fig1_submission_scalability(Scale::Quick, 2003)
-            .to_json()
-            .as_bytes(),
-    );
-    let fig6 = fnv1a(fig6_aloha_reader(Scale::Quick, 2003).to_json().as_bytes());
+    let fig1 = fnv1a(figure("fig1", Scale::Quick, 2003).to_json().as_bytes());
+    let fig6 = fnv1a(figure("fig6", Scale::Quick, 2003).to_json().as_bytes());
     assert_eq!(fig1, FIG1_PIN, "fig1 quick JSON moved: actual {fig1:#018x}");
     assert_eq!(fig6, FIG6_PIN, "fig6 quick JSON moved: actual {fig6:#018x}");
 }

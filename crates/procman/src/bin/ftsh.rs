@@ -39,7 +39,7 @@ use ftsh::postmortem::{render_log, render_timeline};
 use ftsh::{parse, pretty, Vm};
 use procman::{run_vm_traced, RealOptions};
 
-use retry::{BackoffPolicy, Dur};
+use retry::{parse_duration_arg, BackoffPolicy, Dur};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -51,14 +51,6 @@ fn usage() -> ExitCode {
         "         --backoff-base MILLIS  --backoff-cap SECONDS  --no-jitter  --seed N",
     ));
     ExitCode::from(2)
-}
-
-/// Parse `'90s'`, `'10 m'`, `'2 hours'`: digits, then a unit word.
-fn parse_dur_arg(s: &str) -> Option<Dur> {
-    let s = s.trim();
-    let split = s.find(|c: char| !c.is_ascii_digit())?;
-    let amount: u64 = s[..split].parse().ok()?;
-    retry::parse_duration(amount, s[split..].trim())
 }
 
 fn main() -> ExitCode {
@@ -82,7 +74,7 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--check" => check = true,
             "--lint" => do_lint = true,
-            "--max-budget" => match it.next().as_deref().and_then(parse_dur_arg) {
+            "--max-budget" => match it.next().as_deref().and_then(parse_duration_arg) {
                 Some(d) => lint_opts.max_budget = Some(d),
                 None => return usage(),
             },

@@ -39,12 +39,6 @@ pub fn install_sigterm_hook() {
     }
 }
 
-/// Whether a SIGTERM has been received since the hook was installed
-/// (test hook; cleared by the driver when it acts on it).
-pub fn term_requested() -> bool {
-    TERM_REQUESTED.load(Ordering::SeqCst)
-}
-
 /// Options for real execution.
 #[derive(Clone, Debug)]
 pub struct RealOptions {

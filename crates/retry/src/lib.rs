@@ -34,4 +34,4 @@ pub mod time;
 pub use backoff::BackoffPolicy;
 pub use budget::{NextAttempt, TryBudget, TrySession};
 pub use discipline::Discipline;
-pub use time::{parse_duration, Dur, Time};
+pub use time::{parse_duration, parse_duration_arg, Dur, Time};

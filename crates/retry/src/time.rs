@@ -296,9 +296,29 @@ pub fn parse_duration(amount: u64, unit: &str) -> Option<Dur> {
     Some(d)
 }
 
+/// Parse a duration as a command line gives it: digits, then a unit
+/// word [`parse_duration`] knows, optionally spaced and padded —
+/// `90s`, `10 m`, ` 2 hours `. No sign, no fraction, no bare number.
+pub fn parse_duration_arg(s: &str) -> Option<Dur> {
+    let s = s.trim();
+    let split = s.find(|c: char| !c.is_ascii_digit())?;
+    let amount: u64 = s[..split].parse().ok()?;
+    parse_duration(amount, s[split..].trim())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn duration_args_need_digits_then_a_unit() {
+        assert_eq!(parse_duration_arg("90s"), Some(Dur::from_secs(90)));
+        assert_eq!(parse_duration_arg("10 m"), Some(Dur::from_mins(10)));
+        assert_eq!(parse_duration_arg(" 2 hours "), Some(Dur::from_hours(2)));
+        for bad in ["", "s", "5", "-5s", "5 parsecs"] {
+            assert_eq!(parse_duration_arg(bad), None, "{bad:?}");
+        }
+    }
 
     #[test]
     fn construction_and_conversion() {
