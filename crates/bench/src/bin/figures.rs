@@ -5,6 +5,8 @@
 //! figures --trace OUT.jsonl [--seed N] [figs...]
 //! figures --faults PLAN.json [figs...]
 //! figures --stats [--quick] [--seed N] [figs...]
+//! figures --live [--quick | --live-clients N] [--min-dispatch V] [--seed N] [--out DIR]
+//! figures --coord-live [--seed N] [--out DIR]
 //! figures postmortem TRACE.jsonl [--timeline] [--rounds] [--client N]
 //! ```
 //!
@@ -42,14 +44,18 @@
 //! discipline against it — Aloha first, then Ethernet — under forced
 //! schedd crashes. The population is one epoll swarm of ftsh VMs, each
 //! running the generated arena script with its verbs mapped onto a
-//! persistent TCP connection, so N scales to 1000+ on one core. The merged JSONL trace (the usual
-//! schema), postmortems, and the live-vs-sim comparison land in
-//! `results/`; the exit code is nonzero unless the live daemon
-//! confirms the simulator's Ethernet > Aloha prediction — and, with
-//! `--min-dispatch V`, unless the better discipline sustains at least
-//! V decoded responses per second. `--quick` shrinks it to the
-//! 3-client CI race; `--live-clients N` overrides the population with
-//! physics scaled to N.
+//! persistent TCP connection, so N scales to 1000+ on one core.
+//! `--quick` shrinks it to the 3-client CI race; `--live-clients N`
+//! sets the population instead, with physics scaled to N.
+//! `--coord-live` runs the fig8 all-reduce the same way: real ranks,
+//! one kill and rejoin. Both are one live runner (`egbench::live`):
+//! each discipline's merged JSONL trace (the usual schema) and
+//! postmortem, and the live-vs-sim comparison, land in `results/`; the
+//! exit code is nonzero unless the live daemon confirms the simulator's
+//! prediction — and, with `--min-dispatch V` (arena only), unless the
+//! better discipline sustains at least V decoded responses per second.
+//! A live mode reads only the flags in its usage line above; any other
+//! flag or a figure name beside it exits 2.
 //!
 //! `--stats` is the engine perf baseline: it runs the multi-point
 //! sweep figures twice — once pinned to one sweep thread (the
@@ -58,12 +64,13 @@
 //! for both passes, plus the parallel speedup, to
 //! `BENCH_engine.json` at the workspace root.
 
+use egbench::live::{CoordLiveOptions, LiveOptions, Study};
 use gridworld::figures::{
     by_name_full, by_name_with_plan, fig8_workload, fig9_workload, Scale, ALL_ABLATIONS,
     ALL_FIGURES, COORD_FIGURES, EXTENDED_FIGURES,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -482,51 +489,20 @@ fn run_postmortem(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The live arena behind `--live`: real daemon, real clients, and a
-/// sim-vs-live verdict on the Ethernet > Aloha ordering.
-fn run_live(
-    scale: Scale,
-    seed: u64,
-    clients: Option<usize>,
-    min_dispatch: Option<f64>,
-    out_dir: PathBuf,
-) -> ExitCode {
-    // An explicit population size picks physics scaled to it; the
-    // quick/full presets keep their historical tuning otherwise.
-    let opts = match clients {
-        Some(n) => egbench::live::LiveOptions::sized(n, seed, out_dir),
-        None => match scale {
-            Scale::Quick => egbench::live::LiveOptions::quick(seed, out_dir),
-            Scale::Full => egbench::live::LiveOptions::full(seed, out_dir),
-        },
-    };
-    eprintln!(
-        "== live arena: {} real clients x {} jobs per discipline (seed {seed}) ==",
-        opts.clients, opts.jobs
-    );
-    let report = match egbench::live::run_arena(&opts) {
+/// A live study behind `--live` or `--coord-live`: real daemon, real
+/// clients, and a sim-vs-live verdict. Prints the study's table; the
+/// exit code fails unless the live daemon confirms the simulator and,
+/// with `min_dispatch`, unless the better discipline clears that floor.
+fn run_live<S: Study>(study: &S, seed: u64, out_dir: &Path, min_dispatch: Option<f64>) -> ExitCode {
+    eprintln!("== {}: {} ==", S::TITLE, study.preamble(seed));
+    let report = match egbench::live::run(study, seed, out_dir) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("live arena failed: {e}");
+            eprintln!("live run failed: {e}");
             return ExitCode::FAILURE;
         }
     };
-    for out in [&report.aloha, &report.ethernet] {
-        eprintln!(
-            "   {:<8} {} jobs done, {} failed submits, {} sense reads, {} crashes, {:.1}s wall",
-            out.discipline.label(),
-            out.jobs_done(),
-            out.failed_submits(),
-            out.df_calls(),
-            out.crashes,
-            out.wall_s,
-        );
-    }
-    eprintln!(
-        "   sim (full) predicts: Aloha {:.0} vs Ethernet {:.0}",
-        report.sim_jobs.0, report.sim_jobs.1
-    );
-    let table = opts.out_dir.join("live_arena.md");
+    let table = out_dir.join(format!("{}.md", S::NAME));
     if let Ok(md) = std::fs::read_to_string(&table) {
         print!("{md}");
     }
@@ -548,56 +524,10 @@ fn run_live(
         eprintln!("   dispatch rate {best:.0} verbs/s clears the --min-dispatch floor {floor:.0}");
     }
     if report.confirms {
-        eprintln!("   live daemon CONFIRMS the sim's Ethernet > Aloha ordering");
+        eprintln!("   live daemon CONFIRMS the sim's {}", S::CLAIM);
         ExitCode::SUCCESS
     } else {
-        eprintln!("   live daemon DOES NOT CONFIRM Ethernet > Aloha");
-        ExitCode::FAILURE
-    }
-}
-
-/// The live coordinated-workload smoke behind `--coord-live`: a real
-/// all-reduce population against a real daemon, gated on the sim's
-/// Ethernet <= Aloha time-to-global-completion prediction.
-fn run_coord_live(seed: u64, out_dir: PathBuf) -> ExitCode {
-    let opts = egbench::coord_live::CoordLiveOptions::quick(seed, out_dir);
-    eprintln!(
-        "== live all-reduce: {} real ranks x {} rounds per discipline (seed {seed}) ==",
-        opts.ranks, opts.rounds
-    );
-    let report = match egbench::coord_live::run_coord_live(&opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("live all-reduce failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for out in [&report.aloha, &report.ethernet] {
-        eprintln!(
-            "   {:<8} {:.2}s wall, {} blind misses, {} sense reads, {} hits, {} kill(s), {} rejoin(s)",
-            out.discipline.label(),
-            out.wall_s,
-            out.misses,
-            out.senses,
-            out.hits,
-            out.kills,
-            out.restarts,
-        );
-    }
-    eprintln!(
-        "   sim (quick fig8) predicts global completion: Aloha {:.1}s vs Ethernet {:.1}s",
-        report.sim_done.0, report.sim_done.1
-    );
-    let table = opts.out_dir.join("coord_live.md");
-    if let Ok(md) = std::fs::read_to_string(&table) {
-        print!("{md}");
-    }
-    eprintln!("   wrote {}", table.display());
-    if report.confirms {
-        eprintln!("   live daemon CONFIRMS the sim's Ethernet <= Aloha completion ordering");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("   live daemon DOES NOT CONFIRM Ethernet <= Aloha");
+        eprintln!("   live daemon DOES NOT CONFIRM {}", S::CLAIM);
         ExitCode::FAILURE
     }
 }
@@ -685,8 +615,13 @@ fn trace_path_for(base: &str, name: &str, single: bool) -> String {
     }
 }
 
+const USAGE: &str = "usage: figures [--quick] [--seed N] [--out DIR] [--stats] [--check-only] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | ablation-threshold | ablation-channel]
+       figures --live [--quick | --live-clients N] [--min-dispatch V] [--seed N] [--out DIR]
+       figures --coord-live [--seed N] [--out DIR]
+       figures postmortem TRACE.jsonl [--timeline] [--rounds] [--client N]";
+
 fn main() -> ExitCode {
-    let mut scale = Scale::Full;
+    let mut scale: Option<Scale> = None;
     let mut seed: u64 = 2003;
     let mut chart = false;
     let mut stats = false;
@@ -708,8 +643,8 @@ fn main() -> ExitCode {
     let mut it = args;
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--full" => scale = Scale::Full,
+            "--quick" => scale = Some(Scale::Quick),
+            "--full" => scale = Some(Scale::Full),
             "--chart" => chart = true,
             "--stats" => stats = true,
             "--live" => live = true,
@@ -778,19 +713,42 @@ fn main() -> ExitCode {
             }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: figures [--quick] [--seed N] [--out DIR] [--stats] [--live [--live-clients N] [--min-dispatch V]] [--coord-live] [--check-only] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | ablation-threshold | ablation-channel]\n       figures postmortem TRACE.jsonl [--timeline] [--rounds] [--client N]"
-                );
+                eprintln!("{USAGE}");
                 return ExitCode::from(2);
             }
         }
     }
+    // A live run reads only its own flags: one a live mode would drop,
+    // or an arena knob without `--live`, is a usage error.
+    let sim_only = stats
+        || check_only
+        || chart
+        || trace_base.is_some()
+        || plan.is_some()
+        || !wanted.is_empty();
+    if (live && coord_live)
+        || ((live || coord_live) && sim_only)
+        || (coord_live && scale.is_some())
+        || (live_clients.is_some() && (!live || scale.is_some()))
+        || (min_dispatch.is_some() && !live)
+    {
+        eprintln!("a flag or figure name the chosen mode would ignore");
+        eprintln!("{USAGE}");
+        return ExitCode::from(2);
+    }
     if live {
-        return run_live(scale, seed, live_clients, min_dispatch, out_dir);
+        // An explicit population size picks physics scaled to it.
+        let arena = match (live_clients, scale) {
+            (Some(n), _) => LiveOptions::sized(n),
+            (None, Some(Scale::Quick)) => LiveOptions::quick(),
+            (None, _) => LiveOptions::full(),
+        };
+        return run_live(&arena, seed, &out_dir, min_dispatch);
     }
     if coord_live {
-        return run_coord_live(seed, out_dir);
+        return run_live(&CoordLiveOptions::quick(), seed, &out_dir, None);
     }
+    let scale = scale.unwrap_or(Scale::Full);
     if check_only {
         if wanted.is_empty() {
             wanted.extend(COORD_FIGURES.iter().map(|s| s.to_string()));

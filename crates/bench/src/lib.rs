@@ -4,7 +4,6 @@
 #![warn(missing_docs)]
 
 pub mod conformance;
-pub mod coord_live;
 pub mod live;
 pub mod swarm;
 

@@ -23,12 +23,12 @@
 //! adds only `carrier-sense` and `deferral`, as the simulated worlds
 //! do.
 //!
-//! Two harnesses ride the reactor: the arena population of
-//! [`crate::live`] (`sense` → `df`, `submit` → `submit`, over
-//! [`gridworld::scripts::arena_script`]) and the coordinated ranks of
-//! [`crate::coord_live`] (the fig8 all-reduce scripts the simulator
-//! runs). Neither contains retry logic: the budget is in the script
-//! and the backoff policy is installed on the VM.
+//! Two harnesses ride the reactor, one per study of [`crate::live`]:
+//! the arena population (`sense` → `df`, `submit` → `submit`, over
+//! [`gridworld::scripts::arena_script`]) and the coordinated ranks (the
+//! fig8 all-reduce scripts the simulator runs). Neither contains retry
+//! logic: the budget is in the script and the backoff policy is
+//! installed on the VM.
 //!
 //! The reactor reuses the daemon's own readiness toolkit
 //! ([`gridd::poll`]): one epoll instance for sockets, one timer wheel

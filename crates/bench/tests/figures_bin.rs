@@ -109,3 +109,31 @@ fn bad_flag_is_a_usage_error() {
     let st = figures().arg("--frobnicate").status().unwrap();
     assert_eq!(st.code(), Some(2));
 }
+
+/// A live mode reads only its own flags: one it would drop (another
+/// mode, a figure name, `--trace`), or an arena knob without `--live`,
+/// is a usage error instead of being silently ignored.
+#[test]
+fn a_flag_the_chosen_mode_would_drop_is_a_usage_error() {
+    let dir = scratch("dropped-flag");
+    let trace = dir.join("t.jsonl");
+    let trace = trace.to_str().unwrap();
+    for args in [
+        &["--live", "--coord-live", "--quick"][..],
+        &["--coord-live", "--live-clients", "5"],
+        &["--min-dispatch", "5", "fig6", "--quick"],
+        &["--live", "--quick", "fig2"],
+        &["--live", "--quick", "--trace", trace],
+    ] {
+        let out = figures()
+            .args(args)
+            .arg("--out")
+            .arg(&dir)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: figures"), "{args:?}: {stderr}");
+    }
+    assert!(!dir.exists(), "nothing ran");
+}

@@ -8,6 +8,7 @@
 //! job already in service complete as `submit_ok`, and the slot it held
 //! never came back. These tests pin both sides to the same story.
 
+use egbench::live::{LiveOptions, Study};
 use gridd::{ErrCode, GridClient, GridError, GriddConfig};
 use gridworld::scenarios::submit::{run_submission, SubmitParams};
 use retry::{Discipline, Dur, Time};
@@ -100,9 +101,11 @@ fn live_daemon_matches_sim_kill_accounting() {
 #[test]
 #[ignore = "1000-client stress; run explicitly with -- --ignored"]
 fn stress_swarm_1000_clients() {
-    let opts = egbench::live::LiveOptions::sized(1000, 4242, std::env::temp_dir());
-    let h = gridd::start(egbench::live::arena_config(&opts)).unwrap();
-    let report = egbench::live::run_population(Discipline::Ethernet, &opts, &h.addr().to_string());
+    let arena = LiveOptions::sized(1000);
+    let h = gridd::start(arena.config(4242)).unwrap();
+    let report = arena
+        .population(Discipline::Ethernet, 4242)
+        .and_then(|p| p.drive(&h.addr().to_string()));
     let (clients, _) = h.snapshot();
     h.shutdown();
     let report = report.expect("every client finishes and the wire stays clean at 1000 clients");

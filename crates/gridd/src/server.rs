@@ -865,6 +865,46 @@ mod tests {
         assert!(lp.live(conn_id(0, 1)).is_some(), "first use of slot 0");
     }
 
+    /// The connection cap: beyond [`GriddConfig::backlog`] concurrent
+    /// peers a newcomer is dropped on the floor (it reads end of
+    /// stream), the admitted peers are served as before, and a slot
+    /// freed by a hang-up admits the next newcomer.
+    #[test]
+    fn a_peer_past_the_backlog_is_dropped_until_a_slot_frees() {
+        let cfg = GriddConfig {
+            backlog: 2,
+            ..GriddConfig::default()
+        };
+        let (mut lp, addr, _waker) = hand_loop(&cfg);
+        let mut a = connect(&mut lp, addr);
+        let mut b = connect(&mut lp, addr);
+        let live = |lp: &EventLoop| lp.conns.len() - lp.free.len();
+
+        let mut third = TcpStream::connect(addr).unwrap();
+        third.set_read_timeout(PATIENCE).unwrap();
+        lp.turn(PATIENCE).unwrap();
+        assert_eq!(live(&lp), 2, "the third peer was not admitted");
+        assert_eq!(
+            third.read(&mut [0; 8]).unwrap(),
+            0,
+            "and reads end of stream"
+        );
+
+        for peer in [&mut a, &mut b] {
+            send(peer, &Request::Df { client: 1 });
+            lp.turn(PATIENCE).unwrap();
+            assert_eq!(reply(peer), Response::Free { slots: 4 });
+        }
+
+        drop(a);
+        turn_until(&mut lp, |lp| live(lp) == 1);
+        let mut fourth = connect(&mut lp, addr);
+        send(&mut fourth, &Request::Df { client: 4 });
+        lp.turn(PATIENCE).unwrap();
+        assert_eq!(reply(&mut fourth), Response::Free { slots: 4 });
+        assert_eq!(live(&lp), 2);
+    }
+
     /// Regression: epoll tokens were the bare slot index, so the
     /// readiness record of a connection closed earlier in a batch (by
     /// another connection's event) was applied to whoever an accept in
