@@ -43,18 +43,21 @@ use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
 
 /// Variable scope of one task: slot vector for statically-known names
-/// plus a spill map for dynamic ones. Copied per `forall` branch.
+/// plus a spill map for dynamic ones, boxed on the first such binding
+/// (no paper script makes one). Copied per `forall` branch.
 #[derive(Debug)]
 struct CEnv {
     slots: Vec<Option<Istr>>,
-    extra: HashMap<Istr, Istr>,
+    // Boxed: 8 bytes in every task, where the map inline is 48.
+    #[allow(clippy::box_collection)]
+    extra: Option<Box<HashMap<Istr, Istr>>>,
 }
 
 impl CEnv {
     fn new(n: usize) -> CEnv {
         CEnv {
             slots: vec![None; n],
-            extra: HashMap::new(),
+            extra: None,
         }
     }
 
@@ -82,9 +85,14 @@ impl CEnv {
         match m.by_name.get(name.as_str()) {
             Some(&s) => self.slots[s as usize] = Some(value),
             None => {
-                self.extra.insert(name, value);
+                self.extra_mut().insert(name, value);
             }
         }
+    }
+
+    /// The spill map, boxed on first use.
+    fn extra_mut(&mut self) -> &mut HashMap<Istr, Istr> {
+        self.extra.get_or_insert_with(Box::default)
     }
 
     /// Expand a compiled word into a borrowed `&str`, building into
@@ -146,7 +154,7 @@ impl CEnv {
                 env.set(m.names[i].clone(), v.clone());
             }
         }
-        for (k, v) in &self.extra {
+        for (k, v) in self.extra.iter().flat_map(|m| m.iter()) {
             env.set(k.clone(), v.clone());
         }
         env
@@ -336,7 +344,9 @@ impl CTask {
     fn empty(&mut self) {
         self.frames.clear();
         self.env.slots.clear();
-        self.env.extra.clear();
+        if let Some(extra) = &mut self.env.extra {
+            extra.clear();
+        }
         self.win.clear();
         self.state = CState::Ready;
     }
@@ -357,7 +367,7 @@ impl CTask {
         if let Some(&s) = m.by_name.get(name) {
             return self.env.get_slot(s).cloned();
         }
-        if let Some(v) = self.env.extra.get(name) {
+        if let Some(v) = self.env.extra.as_ref().and_then(|m| m.get(name)) {
             return Some(v.clone());
         }
         // A positional the program never mentions: still on the window.
@@ -385,9 +395,9 @@ impl CTask {
                 self.win.push(Win::Slot(s, v));
             }
         }
-        if !self.env.extra.is_empty() {
+        if let Some(extra) = self.env.extra.as_mut().filter(|m| !m.is_empty()) {
             let win = &mut self.win;
-            self.env.extra.retain(|k, v| {
+            extra.retain(|k, v| {
                 let shelve = is_positional_name(k);
                 if shelve {
                     win.push(Win::Extra(k.clone(), v.clone()));
@@ -425,15 +435,15 @@ impl CTask {
         for &(s, _) in &*m.positional {
             self.env.slots[s as usize] = None;
         }
-        if !self.env.extra.is_empty() {
-            self.env.extra.retain(|k, _| !is_positional_name(k));
+        if let Some(extra) = &mut self.env.extra {
+            extra.retain(|k, _| !is_positional_name(k));
         }
         for w in self.win.drain(base as usize..) {
             match w {
                 Win::Arg(_) => {}
                 Win::Slot(s, v) => self.env.slots[s as usize] = Some(v),
                 Win::Extra(k, v) => {
-                    self.env.extra.insert(k, v);
+                    self.env.extra_mut().insert(k, v);
                 }
             }
         }
@@ -474,6 +484,10 @@ pub struct Vm {
 /// The mutable half of a [`Vm`]: its tasks, counters, RNG, log and
 /// pools. Kept apart from the program so a tick can borrow the one
 /// while it mutates the other.
+///
+/// Hot and cold (DESIGN.md §12): a field stays here only if every
+/// paper client's tick reads it; the rest lives in [`Cold`], boxed on
+/// first use, which no submit, buffer or blackhole client ever makes.
 struct Machine {
     /// The live tasks, in ascending id order. A finished or cancelled
     /// task leaves at once, so every per-tick pass is over tasks that
@@ -483,24 +497,30 @@ struct Machine {
     /// The id the next `forall` branch takes.
     next_id: TaskId,
     token_ctr: CmdToken,
-    /// Per-function entry point, bound when its `FuncDef` executes.
-    fn_entries: Vec<Option<u32>>,
     rng: StdRng,
     log: EventLog,
     outcome: Option<bool>,
     default_backoff: BackoffPolicy,
-    /// The caller's buffer for the length of a [`Vm::tick_into`], an
-    /// unallocated placeholder between ticks.
-    effects: Vec<Effect>,
     now: Time,
-    max_parallel: Option<usize>,
-    tracer: Option<SharedSink>,
-    trace_client: i64,
     /// Emptied string vectors: argv handed back via
     /// [`Vm::recycle_spec`], value lists of finished `forany`/`forall`
     /// loops. Command dispatch and loop entry draw from here before
     /// allocating, so steady-state iteration never allocates.
     spare_vecs: Vec<Vec<Istr>>,
+    cold: Option<Box<Cold>>,
+}
+
+/// What only some scripts or drivers use: functions, a `forall`
+/// limit, a trace sink, `forall` branches to recycle, mixed words in
+/// an assignment or a condition.
+#[derive(Default)]
+struct Cold {
+    /// Per-function entry point, bound when its `FuncDef` executes;
+    /// sized to the program's functions by the first one.
+    fn_entries: Vec<Option<u32>>,
+    max_parallel: Option<usize>,
+    /// The trace sink and the client its records are attributed to.
+    tracer: Option<(SharedSink, i64)>,
     /// Retired `forall` branches, emptied but keeping their buffers;
     /// [`Machine::spawn_pending`] refills one instead of allocating.
     spare_tasks: Vec<CTask>,
@@ -541,27 +561,19 @@ impl Vm {
     pub fn with_env_seed(script: &Script, env: Env, seed: u64) -> Vm {
         let prog = bytecode::compile_cached(script);
         let root = CTask::new(0, CEnv::from_env(&env, &prog.slots));
-        let n_funcs = prog.func_names.len();
         Vm {
             prog,
             m: Machine {
                 tasks: vec![root],
                 next_id: 1,
                 token_ctr: 0,
-                fn_entries: vec![None; n_funcs],
                 rng: StdRng::seed_from_u64(seed),
                 log: EventLog::new(),
                 outcome: None,
                 default_backoff: BackoffPolicy::ethernet(),
-                effects: Vec::new(),
                 now: Time::ZERO,
-                max_parallel: None,
-                tracer: None,
-                trace_client: NO_ID,
                 spare_vecs: Vec::new(),
-                spare_tasks: Vec::new(),
-                scratch: String::new(),
-                scratch_rhs: String::new(),
+                cold: None,
             },
             final_env: OnceLock::new(),
         }
@@ -596,7 +608,9 @@ impl Vm {
         m.tasks = tasks;
         m.next_id = 1;
         m.token_ctr = 0;
-        m.fn_entries.iter_mut().for_each(|e| *e = None);
+        if let Some(cold) = &mut m.cold {
+            cold.fn_entries.fill(None);
+        }
         m.rng = StdRng::seed_from_u64(seed);
         m.log.reset();
         m.outcome = None;
@@ -608,6 +622,11 @@ impl Vm {
     /// tests that pin the per-client footprint.
     #[doc(hidden)]
     pub const FRAME_BYTES: usize = std::mem::size_of::<CFrame>();
+
+    /// Bytes of the cold part (`Cold`), the one block a VM makes
+    /// only on first use. For tests that pin when it is made.
+    #[doc(hidden)]
+    pub const COLD_BYTES: usize = std::mem::size_of::<Cold>();
 
     /// Tasks alive right now: the root plus every running `forall`
     /// branch. For tests that pin the task table's size.
@@ -622,13 +641,12 @@ impl Vm {
     /// installed — the default — and the log counters-only, no record
     /// is built: the tick path stays allocation-free.
     pub fn set_tracer(&mut self, sink: SharedSink, client: i64) {
-        self.m.tracer = Some(sink);
-        self.m.trace_client = client;
+        self.m.cold().tracer = Some((sink, client));
     }
 
     /// True when a trace sink is installed.
     pub fn has_tracer(&self) -> bool {
-        self.m.tracer.is_some()
+        self.m.cold.as_ref().is_some_and(|c| c.tracer.is_some())
     }
 
     /// Override the backoff policy used by `try` blocks that do not
@@ -649,7 +667,9 @@ impl Vm {
     /// is the limited-allocation obligation applied to the process
     /// table itself. `None` (the default) spawns every branch at once.
     pub fn set_max_parallel(&mut self, n: Option<usize>) {
-        self.m.max_parallel = n.map(|n| n.max(1));
+        if n.is_some() || self.m.cold.is_some() {
+            self.m.cold().max_parallel = n.map(|n| n.max(1));
+        }
     }
 
     /// The execution log so far.
@@ -738,6 +758,17 @@ impl Vm {
 }
 
 impl Machine {
+    /// The cold part, boxed the first time something needs it.
+    fn cold(&mut self) -> &mut Cold {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// The entry point of function `id`, once its definition ran.
+    fn fn_entry(&self, id: u32) -> Option<u32> {
+        let cold = self.cold.as_deref()?;
+        cold.fn_entries.get(id as usize).copied().flatten()
+    }
+
     fn recycle_vec(&mut self, mut v: Vec<Istr>) {
         v.clear();
         if self.spare_vecs.len() < SPARES {
@@ -767,14 +798,15 @@ impl Machine {
     /// [`LogSummary`]: crate::log::LogSummary
     #[inline]
     fn emit(&mut self, tid: TaskId, ev: impl FnOnce() -> TraceEv) {
-        if self.log.is_detailed() || self.tracer.is_some() {
+        let tracer = self.cold.as_ref().and_then(|c| c.tracer.as_ref());
+        if self.log.is_detailed() || tracer.is_some() {
             let rec = TraceRecord {
                 t: self.now,
-                client: self.trace_client,
+                client: tracer.map_or(NO_ID, |&(_, client)| client),
                 task: tid as i64,
                 ev: ev(),
             };
-            if let Some(sink) = &self.tracer {
+            if let Some((sink, _)) = tracer {
                 sink.lock().expect("trace sink poisoned").record(&rec);
             }
             self.log.keep(rec);
@@ -852,13 +884,12 @@ impl Machine {
         debug_assert!(now >= self.now, "tick time went backwards");
         self.now = now;
         out.clear();
-        std::mem::swap(&mut self.effects, out);
 
         if self.outcome.is_none() {
             // The table is lifted out so a task can be stepped in place
             // while `self` stays borrowable.
             let mut tasks = std::mem::take(&mut self.tasks);
-            self.fire_deadlines(prog, &mut tasks);
+            self.fire_deadlines(prog, &mut tasks, out);
             for task in &mut tasks {
                 // A sleeper's instruction pointer was parked on the
                 // admission op when its backoff began.
@@ -866,21 +897,19 @@ impl Machine {
                     task.state = CState::Ready;
                 }
             }
-            self.step_all(prog, &mut tasks);
+            self.step_all(prog, &mut tasks, out);
             self.tasks = tasks;
         }
 
-        let status = match self.outcome {
+        match self.outcome {
             Some(success) => VmStatus::Done { success },
             None => VmStatus::Running {
                 next_wake: self.next_wake(),
             },
-        };
-        std::mem::swap(&mut self.effects, out);
-        status
+        }
     }
 
-    fn fire_deadlines(&mut self, prog: &Prog, tasks: &mut Vec<CTask>) {
+    fn fire_deadlines(&mut self, prog: &Prog, tasks: &mut Vec<CTask>, out: &mut Vec<Effect>) {
         let mut pos = 0;
         while pos < tasks.len() {
             let task = &mut tasks[pos];
@@ -901,10 +930,10 @@ impl Machine {
                     // Branches have higher ids: they sit past `pos`,
                     // and removing them leaves `pos` where it is.
                     let id = task.id;
-                    self.cancel_children(prog, tasks, id, pos + 1);
+                    self.cancel_children(prog, tasks, id, pos + 1, out);
                 }
                 let task = &mut tasks[pos];
-                self.cancel_running_cmd(prog, task);
+                self.cancel_running_cmd(prog, task, out);
                 self.log.summary.timed_out_tries += 1;
                 self.emit(task.id, || TraceEv::TryTimeout);
                 self.fail_try_frame(task);
@@ -944,7 +973,7 @@ impl Machine {
         }
     }
 
-    fn cancel_running_cmd(&mut self, prog: &Prog, task: &CTask) {
+    fn cancel_running_cmd(&mut self, prog: &Prog, task: &CTask, out: &mut Vec<Effect>) {
         if let CState::RunningCmd {
             token,
             cix,
@@ -952,7 +981,7 @@ impl Machine {
             ..
         } = &task.state
         {
-            self.effects.push(Effect::Cancel { token: *token });
+            out.push(Effect::Cancel { token: *token });
             self.log.summary.commands_cancelled += 1;
             self.emit(task.id, || TraceEv::CmdKilled {
                 program: program_of(prog, *cix, program.as_ref()).to_string(),
@@ -963,7 +992,14 @@ impl Machine {
     /// Cancel every branch of task `pid`, lowest id first and each
     /// one's own branches right after it. `from` is any position at or
     /// before the first of them.
-    fn cancel_children(&mut self, prog: &Prog, tasks: &mut Vec<CTask>, pid: TaskId, from: usize) {
+    fn cancel_children(
+        &mut self,
+        prog: &Prog,
+        tasks: &mut Vec<CTask>,
+        pid: TaskId,
+        from: usize,
+        out: &mut Vec<Effect>,
+    ) {
         let mut pos = from;
         while pos < tasks.len() {
             if tasks[pos].parent != Some(pid) {
@@ -971,9 +1007,9 @@ impl Machine {
                 continue;
             }
             let child = tasks.remove(pos);
-            self.cancel_running_cmd(prog, &child);
+            self.cancel_running_cmd(prog, &child, out);
             if matches!(child.state, CState::WaitingChildren) {
-                self.cancel_children(prog, tasks, child.id, pos);
+                self.cancel_children(prog, tasks, child.id, pos, out);
             }
             self.retire(child);
         }
@@ -981,9 +1017,10 @@ impl Machine {
 
     /// Keep a dead branch's buffers, emptied, for the next spawn.
     fn retire(&mut self, mut task: CTask) {
-        if self.spare_tasks.len() < SPARES {
+        let spares = &mut self.cold().spare_tasks;
+        if spares.len() < SPARES {
             task.empty();
-            self.spare_tasks.push(task);
+            spares.push(task);
         }
     }
 
@@ -991,15 +1028,15 @@ impl Machine {
     /// before the cursor is ready: stepping a task wakes nothing but
     /// its parent (when its last branch ends), and [`Vm::finish`] then
     /// moves the cursor back there.
-    fn step_all(&mut self, prog: &Prog, tasks: &mut Vec<CTask>) {
+    fn step_all(&mut self, prog: &Prog, tasks: &mut Vec<CTask>, out: &mut Vec<Effect>) {
         let mut at = 0;
         while at < tasks.len() && self.outcome.is_none() {
             if !matches!(tasks[at].state, CState::Ready) {
                 at += 1;
                 continue;
             }
-            if let Some(result) = self.run_task(prog, &mut tasks[at]) {
-                at = self.finish(prog, tasks, at, result);
+            if let Some(result) = self.run_task(prog, &mut tasks[at], out) {
+                at = self.finish(prog, tasks, at, result, out);
             } else {
                 if matches!(tasks[at].state, CState::WaitingChildren) {
                     self.spawn_pending(tasks, at);
@@ -1011,7 +1048,14 @@ impl Machine {
 
     /// The task at `at` ran off the end of its code. Returns where the
     /// step cursor goes next.
-    fn finish(&mut self, prog: &Prog, tasks: &mut Vec<CTask>, at: usize, result: bool) -> usize {
+    fn finish(
+        &mut self,
+        prog: &Prog,
+        tasks: &mut Vec<CTask>,
+        at: usize,
+        result: bool,
+        out: &mut Vec<Effect>,
+    ) -> usize {
         let task = &tasks[at];
         let Some(pid) = task.parent else {
             self.outcome = Some(result);
@@ -1048,7 +1092,7 @@ impl Machine {
         let frame = parent.frames.pop();
         self.recycle_frame(frame);
         if !result {
-            self.cancel_children(prog, tasks, pid, ppos + 1);
+            self.cancel_children(prog, tasks, pid, ppos + 1, out);
         }
         ppos
     }
@@ -1056,7 +1100,7 @@ impl Machine {
     /// The dispatch loop: run one task until it blocks or finishes.
     /// Returns `Some(result)` when its code region ends.
     #[allow(clippy::too_many_lines)]
-    fn run_task(&mut self, prog: &Prog, task: &mut CTask) -> Option<bool> {
+    fn run_task(&mut self, prog: &Prog, task: &mut CTask, out: &mut Vec<Effect>) -> Option<bool> {
         let tid = task.id;
         loop {
             match prog.ops[task.ip as usize] {
@@ -1079,7 +1123,7 @@ impl Machine {
                 Op::Assign { slot, value } => {
                     let w = &prog.words[value as usize];
                     let v = if matches!(w, WordTpl::Mixed(_)) {
-                        let s = task.env.expand_str(w, &mut self.scratch);
+                        let s = task.env.expand_str(w, &mut self.cold().scratch);
                         // Re-binding the bytes already in the slot (a
                         // retry loop recomputing the same value) keeps
                         // the existing allocation.
@@ -1105,9 +1149,19 @@ impl Machine {
                     on_err,
                 } => {
                     let c = &prog.conds[cond as usize];
-                    let (sl, sr) = (&mut self.scratch, &mut self.scratch_rhs);
-                    let lhs = task.env.expand_str(&prog.words[c.lhs as usize], sl);
-                    let rhs = task.env.expand_str(&prog.words[c.rhs as usize], sr);
+                    let (lw, rw) = (&prog.words[c.lhs as usize], &prog.words[c.rhs as usize]);
+                    // Only a mixed word builds into a buffer: a plain
+                    // slot or literal is borrowed, and leaves the cold
+                    // part unmade.
+                    let mut unused = (String::new(), String::new());
+                    let (sl, sr) = if [lw, rw].iter().any(|w| matches!(w, WordTpl::Mixed(_))) {
+                        let cold = self.cold();
+                        (&mut cold.scratch, &mut cold.scratch_rhs)
+                    } else {
+                        (&mut unused.0, &mut unused.1)
+                    };
+                    let lhs = task.env.expand_str(lw, sl);
+                    let rhs = task.env.expand_str(rw, sr);
                     match eval_cond_values(c.op, lhs, rhs) {
                         Ok(true) => {
                             task.res = true;
@@ -1124,7 +1178,9 @@ impl Machine {
                     }
                 }
                 Op::FuncDef { func, entry } => {
-                    self.fn_entries[func as usize] = Some(entry);
+                    let entries = &mut self.cold().fn_entries;
+                    entries.resize(prog.func_names.len(), None);
+                    entries[func as usize] = Some(entry);
                     task.res = true;
                     task.ip += 1;
                 }
@@ -1313,7 +1369,7 @@ impl Machine {
                     task.ip = ret_ip; // res carries the body's result
                 }
                 Op::Cmd(cix) => {
-                    if let ControlFlow::Break(blocked) = self.dispatch_cmd(task, prog, cix) {
+                    if let ControlFlow::Break(blocked) = self.dispatch_cmd(task, prog, cix, out) {
                         return blocked;
                     }
                 }
@@ -1331,6 +1387,7 @@ impl Machine {
         task: &mut CTask,
         prog: &Prog,
         cix: u32,
+        out: &mut Vec<Effect>,
     ) -> ControlFlow<Option<bool>> {
         let tid = task.id;
         let cmd: &CmdTpl = &prog.cmds[cix as usize];
@@ -1351,11 +1408,11 @@ impl Machine {
         // Defined functions shadow external commands.
         let entry = match cmd.func {
             FuncRef::None => None,
-            FuncRef::Static(id) => self.fn_entries[id as usize],
+            FuncRef::Static(id) => self.fn_entry(id),
             FuncRef::Dynamic => prog
                 .func_ids
                 .get(argv[0].as_str())
-                .and_then(|&id| self.fn_entries[id as usize]),
+                .and_then(|&id| self.fn_entry(id)),
         };
         if let Some(entry) = entry {
             if task.call_depth >= 64 {
@@ -1365,7 +1422,7 @@ impl Machine {
                 task.ip += 1;
                 return ControlFlow::Continue(());
             }
-            task.enter_call(prog, &mut argv, task.ip + 1, &mut self.scratch);
+            task.enter_call(prog, &mut argv, task.ip + 1, &mut self.cold().scratch);
             self.recycle_vec(argv);
             task.res = true;
             task.ip = entry;
@@ -1436,7 +1493,7 @@ impl Machine {
             target,
         };
         task.ip += 1; // resume on the fail-check with res = outcome
-        self.effects.push(Effect::Start {
+        out.push(Effect::Start {
             token,
             task: tid,
             spec,
@@ -1450,7 +1507,8 @@ impl Machine {
     /// window with the loop variable bound; its id is the highest yet,
     /// so pushing it keeps the table sorted.
     fn spawn_pending(&mut self, tasks: &mut Vec<CTask>, ppos: usize) {
-        let limit = self.max_parallel.unwrap_or(usize::MAX);
+        let limit = self.cold.as_ref().and_then(|c| c.max_parallel);
+        let limit = limit.unwrap_or(usize::MAX);
         loop {
             let parent = &mut tasks[ppos];
             let Some(CFrame::ForAll {
@@ -1469,7 +1527,7 @@ impl Machine {
             let Some(value) = pending.pop() else { return };
             *live += 1;
             // A retired branch's buffers, emptied, or fresh ones.
-            let spare = self.spare_tasks.pop();
+            let spare = self.cold.as_mut().and_then(|c| c.spare_tasks.pop());
             let mut child = CTask {
                 id: self.next_id,
                 parent: Some(parent.id),

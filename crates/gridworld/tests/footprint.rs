@@ -1,22 +1,25 @@
 //! What one simulated client costs in memory, pinned without a clock:
 //! live bytes and live heap blocks per client measured the way the
-//! benchmark's `ftsh.vm.bytes_per_client` probe measures them, the
-//! allocations of a steady-state retry (none), of a world releasing
-//! held commands (none per release) and of a work unit (none per unit),
-//! and the sizes of the
-//! types a 100 000-client world holds by the hundred thousand. These
-//! numbers repeat exactly on any host, so they gate in tier-1 where the
-//! benchmark's timings cannot.
+//! benchmark's `ftsh.vm.bytes_per_client` probe measures them, and
+//! again once every client has had a command answered; the cold part
+//! of a VM, which no paper client makes; the allocations of a
+//! steady-state retry (none), of a world releasing held commands (none
+//! per release) and of a work unit (none per unit), and the sizes of
+//! the types a 100 000-client world holds by the hundred thousand.
+//! These numbers repeat exactly on any host, so they gate in tier-1
+//! where the benchmark's timings cannot.
 
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Effect, Vm, VmStatus};
 use ftsh::Env;
 use gridworld::scenarios::submit::SubmitEv;
-use gridworld::scripts::{submit_ethernet, unit_vm};
+use gridworld::scripts::{buffer_ethernet, reader_ethernet, submit_ethernet, unit_vm};
 use gridworld::{ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver, SimEv};
 use retry::{Discipline, Dur, Time, TrySession};
+use simgrid::trace::{SharedSink, VecSink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
+use std::sync::{Arc, Mutex};
 
 // Every queued event of the submission world is one of these; 8 bytes
 // more is 5 MB at 100 000 clients (PR 15 lost and re-won them).
@@ -26,12 +29,16 @@ const _: () = assert!(size_of::<SimEv<SubmitEv>>() <= 48);
 // 464 → 440.
 const _: () = assert!(size_of::<TrySession>() <= 64);
 const _: () = assert!(Vm::FRAME_BYTES <= 80);
-const _: () = assert!(size_of::<Vm>() <= 440);
+// What only some clients use went out of line into the cold part, and
+// the effects placeholder went: 440 → 288.
+const _: () = assert!(size_of::<Vm>() <= 288);
 
 thread_local! {
     /// (allocator calls, live blocks, live bytes) of this thread: the
     /// test harness's other threads do not disturb the counts.
     static HEAP: Cell<(u64, i64, i64)> = const { Cell::new((0, 0, 0)) };
+    /// Allocations of this thread the size of a VM's cold part.
+    static COLD: Cell<u64> = const { Cell::new(0) };
 }
 
 fn record(calls: u64, blocks: i64, bytes: i64) {
@@ -46,6 +53,10 @@ fn heap() -> (u64, i64, i64) {
     HEAP.with(Cell::get)
 }
 
+fn cold_blocks_made() -> u64 {
+    COLD.with(Cell::get)
+}
+
 /// Counts, then delegates all memory work to the system allocator.
 struct CountingAlloc;
 
@@ -55,6 +66,9 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         record(1, 1, layout.size() as i64);
+        if layout.size() == Vm::COLD_BYTES {
+            let _ = COLD.try_with(|c| c.set(c.get() + 1));
+        }
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -71,12 +85,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Most a client may hold, in bytes, once its first command is in
-/// flight (792 when this was written; 1832 before PR 17).
-const MAX_BYTES_PER_CLIENT: i64 = 1024;
+/// flight (552 when this was written; 744 before the cold part and the
+/// boxed spill map; 1832 before the first diet, DESIGN.md §12).
+const MAX_BYTES_PER_CLIENT: i64 = 576;
 /// The heap blocks of such a client: its task table, the root task's
 /// frame stack and its variable slots. (The `Vm` itself sits inline in
 /// the population's vector.)
 const BLOCKS_PER_CLIENT: i64 = 3;
+/// Most a client may hold once its first answer came back and its spec
+/// was handed back, as `SimDriver` hands them back (640 when this was
+/// written; 832 before the cold part and the boxed spill map).
+const MAX_RUNNING_BYTES_PER_CLIENT: i64 = 664;
+/// The heap blocks of such a client: the three above, its spare-vector
+/// pool and the pooled argv buffer in it.
+const RUNNING_BLOCKS_PER_CLIENT: i64 = 5;
 
 #[test]
 fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
@@ -117,13 +139,11 @@ fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
     );
     drop(vms);
 
-    // Phase 2 — one client driven as `SimDriver` drives it (results
-    // delivered, specs handed back): the schedd is busy, so every
-    // carrier-sense read comes back under the threshold and the
-    // attempt defers.
+    // Phase 2 — the population once every client had its carrier-sense
+    // read answered the way `SimDriver` answers it (result delivered,
+    // spec handed back, ticked again): the schedd is busy, so the read
+    // comes back under the threshold and the attempt defers.
     let busy = CmdResult::ok("12");
-    let mut vm = unit_vm(&script, Discipline::Ethernet, Env::new(), 7);
-    vm.set_log_detail(false);
     let mut attempt = |vm: &mut Vm, now: Time| -> Time {
         vm.tick_into(now, &mut effects);
         let Some(Effect::Start { token, spec, .. }) = effects.pop() else {
@@ -137,6 +157,33 @@ fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
             other => panic!("the attempt should defer, got {other:?} {effects:?}"),
         }
     };
+    let (_, blocks_before, bytes_before) = heap();
+    let vms: Vec<Vm> = (0..CLIENTS as u64)
+        .map(|i| {
+            let mut vm = unit_vm(&script, Discipline::Ethernet, Env::new(), i);
+            vm.set_log_detail(false);
+            attempt(&mut vm, Time::ZERO);
+            vm
+        })
+        .collect();
+    let (_, blocks, bytes) = heap();
+    let held = bytes - bytes_before;
+    assert!(
+        held <= MAX_RUNNING_BYTES_PER_CLIENT * CLIENTS as i64,
+        "{held} B held by {CLIENTS} running clients"
+    );
+    // One block more for the population's vector.
+    assert_eq!(
+        blocks - blocks_before,
+        RUNNING_BLOCKS_PER_CLIENT * CLIENTS as i64 + 1,
+        "heap blocks held by {CLIENTS} running clients"
+    );
+    drop(vms);
+
+    // Phase 3 — one such client: a backoff wake and the whole attempt
+    // after it reuse what the first attempt left.
+    let mut vm = unit_vm(&script, Discipline::Ethernet, Env::new(), 7);
+    vm.set_log_detail(false);
     let wake = attempt(&mut vm, Time::ZERO);
     let (calls_before, _, _) = heap();
     let next = attempt(&mut vm, wake);
@@ -148,6 +195,82 @@ fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
         "a backoff wake and a whole second attempt allocate nothing"
     );
     assert_eq!(vm.log().summary().backoffs, 2);
+}
+
+#[test]
+fn the_cold_part_is_made_on_first_use_and_survives_restart() {
+    const CLIENTS: u64 = 1000;
+    // No paper client makes it: 1 000 of each script, ticked to its
+    // first command.
+    let mut hosts = Env::new();
+    for h in ["h1", "h2", "h3"] {
+        hosts.set(h, "server");
+    }
+    let mut effects: Vec<Effect> = Vec::new();
+    for (name, script, env) in [
+        ("submit_ethernet", submit_ethernet(1000), Env::new()),
+        ("buffer_ethernet", buffer_ethernet(), Env::new()),
+        ("reader_ethernet", reader_ethernet(), hosts),
+    ] {
+        // Compiled once, outside the count.
+        let _compiled = unit_vm(&script, Discipline::Ethernet, env.clone(), 0);
+        let made = cold_blocks_made();
+        let vms: Vec<Vm> = (0..CLIENTS)
+            .map(|i| {
+                let mut vm = unit_vm(&script, Discipline::Ethernet, env.clone(), i);
+                vm.set_log_detail(false);
+                vm.tick_into(Time::ZERO, &mut effects);
+                assert_eq!(effects.len(), 1, "{name}: the first command is in flight");
+                vm
+            })
+            .collect();
+        assert_eq!(cold_blocks_made() - made, 0, "{name}: cold parts made");
+        drop(vms);
+    }
+
+    // A tracer makes it, as one block; a `forall` limit then adds none.
+    let script = ftsh::parse("forall x in a b c d e\n  work ${x}\nend\n").unwrap();
+    let trace = Arc::new(Mutex::new(VecSink::new()));
+    let mut vm = Vm::with_seed(&script, 0);
+    vm.set_log_detail(false);
+    let ((_, blocks_before, _), made) = (heap(), cold_blocks_made());
+    vm.set_tracer(trace.clone() as SharedSink, 42);
+    let ((calls_before, blocks, _), made_after) = (heap(), cold_blocks_made());
+    assert_eq!(blocks - blocks_before, 1, "set_tracer adds one block");
+    assert_eq!(made_after - made, 1, "and that block is the cold part");
+    vm.set_max_parallel(Some(2));
+    assert_eq!(
+        heap().0 - calls_before,
+        0,
+        "set_max_parallel allocates nothing"
+    );
+
+    // Both survive a restart mid-loop: every record is still labelled
+    // with the client, and no more than two branches run at once.
+    vm.tick_into(Time::ZERO, &mut effects);
+    assert_eq!(effects.len(), 2, "two of five branches start");
+    vm.restart(Env::new(), 1);
+    trace.lock().unwrap().take();
+    let (mut started, mut most) = (0, 0);
+    loop {
+        let status = vm.tick_into(Time::ZERO, &mut effects);
+        if let VmStatus::Done { success } = status {
+            assert!(success);
+            break;
+        }
+        most = most.max(vm.in_flight_tokens().len());
+        for e in effects.drain(..) {
+            let Effect::Start { token, .. } = e else {
+                panic!("nothing is cancelled")
+            };
+            started += 1;
+            vm.complete(token, CmdResult::succeed());
+        }
+    }
+    assert_eq!((started, most), (5, 2), "(branches run, most at once)");
+    let records = trace.lock().unwrap().take();
+    assert!(!records.is_empty());
+    assert!(records.iter().all(|r| r.client == 42), "{records:?}");
 }
 
 /// One client's `hold`, failed by the world's next 1 s tick.
