@@ -635,6 +635,23 @@ impl Vm {
         self.m.tasks.len()
     }
 
+    /// Ask the CPU to load the blocks a tick reads first through this
+    /// VM's own pointers: the root task, where every tick's pass over
+    /// the task table starts, and the spare list the next command
+    /// dispatch pops. A hint ([`simgrid::prefetch`]): it changes
+    /// nothing. A population driver calls it for the client it will
+    /// tick next. It stops there, so a wide `forall` costs no more
+    /// hints than a plain script.
+    #[inline]
+    pub fn prefetch(&self) {
+        if let Some(root) = self.m.tasks.first() {
+            simgrid::prefetch(root);
+        }
+        if let Some(spare) = self.m.spare_vecs.last() {
+            simgrid::prefetch(spare);
+        }
+    }
+
     /// Install a structured-trace sink; every record this VM emits
     /// goes there too, attributed to `client` (the scenario's client
     /// index, or [`NO_ID`] outside a population). With no sink

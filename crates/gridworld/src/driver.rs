@@ -462,12 +462,29 @@ impl<W: CommandWorld> SimDriver<W> {
     /// Events strictly after `end` remain unpopped, so the final clock
     /// never exceeds `end`. Resumable: it sets no end on the queue, so
     /// those events are still stored and a later call pops them.
+    ///
+    /// One event ahead (DESIGN.md §10): right after a pop it peeks once
+    /// at the next event and, if that wakes or completes for a client,
+    /// prefetches the client's [`Vm`]; once the popped event is
+    /// handled, the `Vm` has arrived and [`Vm::prefetch`] follows its
+    /// pointers. A prefetch is a hint, so a stale guess — the handler
+    /// scheduled something earlier — costs a wasted load and nothing
+    /// else.
     pub fn run_until(&mut self, end: Time) {
         while let Some(t) = self.queue.peek_time() {
             if t > end {
                 break;
             }
             let (now, ev) = self.queue.pop().expect("peeked");
+            let next = match self.queue.peek() {
+                Some((_, SimEv::Wake(c) | SimEv::CmdDone { client: c, .. })) => {
+                    self.vms.get(*c).map(|vm| {
+                        simgrid::prefetch(vm);
+                        *c
+                    })
+                }
+                _ => None,
+            };
             match ev {
                 SimEv::Wake(c) => self.tick_client(c, now),
                 SimEv::CmdDone {
@@ -480,6 +497,9 @@ impl<W: CommandWorld> SimDriver<W> {
                 SimEv::World(w) => self.ask(|world, ctx| world.on_event(ctx, w)),
                 SimEv::Fault(i) => self.trigger_fault(i, now),
                 SimEv::Revive(c) => self.revive_client(c, now),
+            }
+            if let Some(c) = next {
+                self.vms[c].prefetch();
             }
         }
     }
@@ -1630,5 +1650,155 @@ mod fault_tests {
         assert_eq!(faults[2].0, Time::from_secs(2));
         assert_eq!(faults[2].1, "msg-loss");
         assert!(faults[2].2.contains("channel=work"), "{}", faults[2].2);
+    }
+}
+
+#[cfg(test)]
+mod lookahead_tests {
+    use super::*;
+    use ftsh::parse;
+    use simgrid::faults::FaultSpec;
+
+    /// `hold` waits for the world's event, which completes every held
+    /// command through the queue at the event's instant; `work` takes
+    /// 2 s; `mark` logs who ran it, and when. Killed clients come back.
+    #[derive(Default)]
+    struct AheadWorld {
+        held: Vec<(ClientId, CmdToken)>,
+        marks: Vec<(ClientId, Time)>,
+        cancelled: u32,
+        injected: Vec<String>,
+        units: u32,
+    }
+
+    impl CommandWorld for AheadWorld {
+        type Ev = ();
+
+        fn exec(
+            &mut self,
+            ctx: &mut Ctx<'_, ()>,
+            client: ClientId,
+            token: CmdToken,
+            spec: &CommandSpec,
+        ) -> ExecOutcome {
+            match spec.program() {
+                "hold" => {
+                    self.held.push((client, token));
+                    ExecOutcome::Held
+                }
+                "work" => ExecOutcome::At(ctx.now() + Dur::from_secs(2), CmdResult::ok("")),
+                "mark" => {
+                    self.marks.push((client, ctx.now()));
+                    ExecOutcome::Now(CmdResult::ok(""))
+                }
+                _ => ExecOutcome::Now(CmdResult::fail()),
+            }
+        }
+
+        fn cancelled(&mut self, _ctx: &mut Ctx<'_, ()>, _client: ClientId, _token: CmdToken) {
+            self.cancelled += 1;
+        }
+
+        fn on_event(&mut self, ctx: &mut Ctx<'_, ()>, (): ()) {
+            let now = ctx.now();
+            for (client, token) in self.held.drain(..) {
+                ctx.schedule_completion(now, client, token, CmdResult::ok(""));
+            }
+        }
+
+        fn inject_fault(&mut self, _ctx: &mut Ctx<'_, ()>, kind: &FaultKind) {
+            self.injected.push(kind.tag().to_string());
+        }
+
+        fn restart_client(&mut self, ctx: &mut Ctx<'_, ()>, _client: ClientId) -> Option<NextUnit> {
+            Some((Env::new(), 7, ctx.now()))
+        }
+
+        fn unit_done(&mut self, _: &mut Ctx<'_, ()>, _: ClientId, _: bool) -> Option<NextUnit> {
+            self.units += 1;
+            None
+        }
+    }
+
+    /// Clients 0 and 1 hold from T+0 until the world event at 3 s;
+    /// client 2 starts `work` at 5 s, is killed at 6 s and revived at
+    /// 8 s, so its first completion (7 s) arrives stale.
+    fn driver() -> SimDriver<AheadWorld> {
+        let hold = parse("hold\nmark\n").unwrap();
+        let work = parse("work\nmark\n").unwrap();
+        let vms = vec![
+            Vm::with_seed(&hold, 0),
+            Vm::with_seed(&hold, 1),
+            Vm::with_seed(&work, 2),
+        ];
+        let starts = vec![Time::ZERO, Time::ZERO, Time::from_secs(5)];
+        let mut d = SimDriver::with_starts(AheadWorld::default(), vms, starts);
+        d.schedule_world(Time::from_secs(3), ());
+        d.arm_faults(FaultPlan::new(1).with(FaultSpec::once(
+            Time::from_secs(6),
+            FaultKind::ClientKill {
+                client: 2,
+                restart: Some(Dur::from_secs(2)),
+            },
+        )));
+        d
+    }
+
+    /// What the run did: ticks, events popped, and the world's record.
+    type Outcome = (u64, u64, Vec<(ClientId, Time)>, u32, Vec<String>, u32);
+
+    fn outcome(d: &SimDriver<AheadWorld>) -> Outcome {
+        let w = &d.world;
+        let (marks, injected) = (w.marks.clone(), w.injected.clone());
+        let (ticks, popped) = (d.vm_ticks(), d.events_popped());
+        (ticks, popped, marks, w.cancelled, injected, w.units)
+    }
+
+    #[test]
+    fn the_lookahead_hint_changes_nothing() {
+        // Stepped one instant at a time, the head left after each
+        // instant's last pop is, in turn, a world event, a wake, a
+        // fault, a completion, a revival, a completion, and nothing.
+        // Mid-instant, popping the world event at 3 s leaves client
+        // 2's wake at the head; handling it schedules client 0's and
+        // 1's completions at 3 s, ahead of that wake, so the client
+        // the driver prefetched is not the one it ticks next.
+        let mut stepped = driver();
+        let mut heads = Vec::new();
+        while let Some(t) = stepped.queue.peek_time() {
+            stepped.run_until(t);
+            heads.push(stepped.queue.peek().map(|(at, ev)| {
+                let kind = match ev {
+                    SimEv::Wake(c) => format!("wake {c}"),
+                    SimEv::CmdDone { client, .. } => format!("done {client}"),
+                    SimEv::World(()) => "world".to_string(),
+                    SimEv::Fault(i) => format!("fault {i}"),
+                    SimEv::Revive(c) => format!("revive {c}"),
+                };
+                (at.as_secs_f64(), kind)
+            }));
+        }
+        let head = |s: f64, k: &str| Some((s, k.to_string()));
+        assert_eq!(
+            heads,
+            [
+                head(3.0, "world"),
+                head(5.0, "wake 2"),
+                head(6.0, "fault 0"),
+                head(7.0, "done 2"),
+                head(8.0, "revive 2"),
+                head(10.0, "done 2"),
+                None,
+            ]
+        );
+        let mut whole = driver();
+        whole.run_until(Time::from_secs(100));
+        assert_eq!(outcome(&whole), outcome(&stepped));
+        // Ten pops and ten ticks, as the driver gave before it looked
+        // ahead.
+        let (t3, t10) = (Time::from_secs(3), Time::from_secs(10));
+        let marks = vec![(0, t3), (1, t3), (2, t10)];
+        let injected = vec!["client-kill".to_string()];
+        assert_eq!(outcome(&whole), (10, 10, marks, 1, injected, 3));
     }
 }

@@ -27,6 +27,8 @@
 //! a plan to time windows ([`faults::FaultWindows`]) that the
 //! simulator, the static checker and the daemon read. [`IdMap`] is
 //! the deterministic lookup table the worlds key by client and token.
+//! [`prefetch`] is the cache hint the simulator's event loop issues
+//! for the next event's client.
 //!
 //! Time is `retry::Time` — the same virtual instants the ftsh VM
 //! consumes — so whole populations of VMs can be multiplexed over one
@@ -41,6 +43,7 @@ pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod postmortem;
+mod prefetch;
 pub mod resources;
 pub mod rng;
 pub mod trace;
@@ -51,6 +54,7 @@ pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use hash::IdMap;
 pub use metrics::{json_escape, percentile, Series, SeriesSet};
 pub use postmortem::TraceSummary;
+pub use prefetch::prefetch;
 pub use resources::disk::{DiskBuffer, FileId, WriteError};
 pub use resources::fdtable::{FdExhausted, FdTable};
 pub use resources::server::{Admission, FileServer, ServerKind};

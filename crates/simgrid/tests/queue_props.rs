@@ -3,7 +3,8 @@
 //! identical `(time, event)` sequence as a reference single-heap queue
 //! — the legacy kernel, which breaks ties by a sequence number the
 //! radix queue does not store — and, given an end, that sequence cut at
-//! the end, with everything later counted as discarded. A proptest
+//! the end, with everything later counted as discarded. Before every
+//! pop, `peek` must show the legacy heap's head. A proptest
 //! explores shrinkable interleavings; a seeded long haul pushes
 //! millions of operations over every bucket.
 
@@ -27,6 +28,11 @@ impl LegacyQueue {
         let at = at.max(self.now);
         self.heap.push(Reverse((at, self.seq, event)));
         self.seq += 1;
+    }
+
+    /// What the next `pop` returns.
+    fn peek(&self) -> Option<(Time, u32)> {
+        self.heap.peek().map(|&Reverse((at, _, ev))| (at, ev))
     }
 
     fn pop(&mut self) -> Option<(Time, u32)> {
@@ -132,7 +138,8 @@ fn check_against_legacy(end: Time, ops: &[Op]) -> Result<(), TestCaseError> {
     queue.set_end(end);
     let mut next_event = 0u32;
     // The legacy queue's head, if a run ending at `end` would pop it.
-    let due = |legacy: &LegacyQueue| legacy.heap.peek().map(|e| e.0 .0).filter(|&at| at <= end);
+    let head = |legacy: &LegacyQueue| legacy.peek().filter(|&(at, _)| at <= end);
+    let due = |legacy: &LegacyQueue| head(legacy).map(|(at, _)| at);
     for op in ops {
         let (events, pops) = match op {
             Op::Schedule(events) => (&events[..], 0),
@@ -148,6 +155,7 @@ fn check_against_legacy(end: Time, ops: &[Op]) -> Result<(), TestCaseError> {
         }
         for _ in 0..pops {
             prop_assert_eq!(queue.peek_time(), due(&legacy));
+            prop_assert_eq!(queue.peek().map(|(at, &e)| (at, e)), head(&legacy));
             let want = due(&legacy).and_then(|_| legacy.pop());
             prop_assert_eq!(queue.pop(), want);
             prop_assert_eq!(queue.now(), legacy.now);
@@ -241,8 +249,15 @@ fn long_haul_matches_legacy_queue() {
                 }
             } else {
                 for _ in 0..rng.range_u64(1, 17) {
-                    let want_peek = legacy.heap.peek().map(|e| e.0 .0);
-                    assert_eq!(radix.peek_time(), want_peek, "seed {seed} op {ops}: peek");
+                    let want_peek = legacy.peek();
+                    let peek = radix.peek().map(|(at, &e)| (at, e));
+                    assert_eq!(peek, want_peek, "seed {seed} op {ops}: peek");
+                    let want_time = want_peek.map(|(at, _)| at);
+                    assert_eq!(
+                        radix.peek_time(),
+                        want_time,
+                        "seed {seed} op {ops}: peek_time"
+                    );
                     let want = legacy.pop();
                     assert_eq!(radix.pop(), want, "seed {seed} op {ops}: pop");
                     pops += u64::from(want.is_some());
