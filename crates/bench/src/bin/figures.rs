@@ -126,6 +126,10 @@ struct PassStats {
     clamps: u64,
     /// Events scheduled past their run's end, counted and not stored.
     discarded: u64,
+    /// Wakes popped that an ended unit left behind, and the units they
+    /// started before their start instant (reported, not gated).
+    stale_wakes: u64,
+    early_units: u64,
     vm_ticks: u64,
     allocs: u64,
 }
@@ -149,7 +153,7 @@ impl PassStats {
 
     fn to_json(&self) -> String {
         format!(
-            "{{\n    \"threads_requested\": {},\n    \"threads_effective\": {},\n    \"wall_s\": {:.6},\n    \"events\": {},\n    \"events_per_sec\": {:.1},\n    \"queue_clamps\": {},\n    \"events_discarded\": {},\n    \"vm_ticks\": {},\n    \"allocations\": {},\n    \"allocs_per_tick\": {:.2}\n  }}",
+            "{{\n    \"threads_requested\": {},\n    \"threads_effective\": {},\n    \"wall_s\": {:.6},\n    \"events\": {},\n    \"events_per_sec\": {:.1},\n    \"queue_clamps\": {},\n    \"events_discarded\": {},\n    \"stale_wakes\": {},\n    \"early_units\": {},\n    \"vm_ticks\": {},\n    \"allocations\": {},\n    \"allocs_per_tick\": {:.2}\n  }}",
             self.threads_requested,
             self.threads_effective,
             self.wall_s,
@@ -157,6 +161,8 @@ impl PassStats {
             self.events_per_sec(),
             self.clamps,
             self.discarded,
+            self.stale_wakes,
+            self.early_units,
             self.vm_ticks,
             self.allocs,
             self.allocs_per_tick(),
@@ -179,12 +185,15 @@ fn run_pass(threads: usize, figs: &[String], scale: Scale, seed: u64) -> PassSta
     let mut events = 0u64;
     let mut clamps = 0u64;
     let mut discarded = 0u64;
+    let (mut stale_wakes, mut early_units) = (0u64, 0u64);
     let mut vm_ticks = 0u64;
     for name in figs {
         let run = by_name_full(name, scale, seed, false).expect("stats figure exists");
         events += run.events_popped;
         clamps += run.clamps;
         discarded += run.discarded;
+        stale_wakes += run.stale_wakes;
+        early_units += run.early_units;
         vm_ticks += run.vm_ticks;
         std::hint::black_box(&run.set);
     }
@@ -197,6 +206,8 @@ fn run_pass(threads: usize, figs: &[String], scale: Scale, seed: u64) -> PassSta
         events,
         clamps,
         discarded,
+        stale_wakes,
+        early_units,
         vm_ticks,
         allocs: ALLOCS.load(Ordering::Relaxed) - allocs0,
     }

@@ -3,8 +3,11 @@
 //! Like `procman` (real processes) and `gridworld::SimDriver` (the
 //! event queue), it drives each [`ftsh::Vm`] by [`ftsh::step`] and
 //! brings only its own world: the transport and the clock. Its unit
-//! lifecycle is `SimDriver`'s: the harness says only what a client's
-//! next unit is, and the reactor [restarts](Vm::restart) its one VM.
+//! lifecycle is `SimDriver`'s own type, [`Lifecycle`]: the harness
+//! says only what a client's next unit is, the lifecycle
+//! [restarts](Vm::restart) its one VM, and it decides which timers are
+//! stale and which wake to arm. The reactor keeps the clock and the
+//! timer wheel.
 //!
 //! The reactor owns the wiring and nothing else. A VM's
 //! [`Effect::Start`] is looked up in the harness's verb table
@@ -37,7 +40,7 @@
 use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Effect, Executor, Vm, VmStatus};
 use gridd::poll::{set_nonblocking, Epoll, Event, TimerWheel};
 use gridd::proto::{FrameBuf, Request, Response};
-use gridworld::NextUnit;
+use gridworld::{Lifecycle, NextUnit, Wake};
 use retry::{Dur, Time};
 use simgrid::faults::ClientKillInfo;
 use simgrid::trace::{carrier_sense, TraceEv, TraceRecord, TraceSink as _, VecSink, NO_ID};
@@ -177,21 +180,25 @@ impl SwarmReport {
 
 // --------------------------------------------------------------- reactor
 
-/// Timer completions. `epoch` guards staleness: a client's epoch moves
-/// whenever a unit starts or the client is killed, and token numbering
-/// restarts with every unit, so a timer armed for an earlier unit must
-/// not touch the next.
+/// Timer completions. `epoch` guards staleness: it is the client's unit
+/// epoch when the timer was armed ([`Lifecycle::epoch`]), and token
+/// numbering restarts with every unit, so a timer armed for an earlier
+/// unit must not touch the next.
 enum Tev {
     /// Tick the VM: its start, a backoff wake-up or a `try` deadline.
-    Wake { id: usize, epoch: u64, at: Time },
+    Wake { id: usize, epoch: u32, at: Time },
     /// A [`Verb::Local`] finished.
     LocalDone {
         id: usize,
-        epoch: u64,
+        epoch: u32,
         token: CmdToken,
     },
-    /// The kill plan takes a client down.
-    Kill { id: usize, restart: Option<Dur> },
+    /// The kill plan takes a client down at its planned instant `at`.
+    Kill {
+        id: usize,
+        at: Time,
+        restart: Option<Dur>,
+    },
     /// A killed client's downtime is over.
     Revive { id: usize },
 }
@@ -200,11 +207,7 @@ enum Tev {
 struct Client {
     /// The client's one VM; out of its slot only while it steps.
     vm: Option<Vm>,
-    /// Running a unit: false once killed (until revived) or retired.
-    running: bool,
-    epoch: u64,
-    /// Earliest VM wake-up already on the wheel.
-    armed: Option<Time>,
+    life: Lifecycle,
     /// Commands completed since the VM last ran, in completion order.
     done: Vec<(CmdToken, CmdResult)>,
     stream: Option<TcpStream>,
@@ -279,13 +282,14 @@ pub fn drive<H: Harness>(
             vm: Some(vm),
             ..Client::default()
         });
-        swarm.begin(id, offset);
+        swarm.wake(id, swarm.now() + Dur::from_std(offset));
     }
     for k in kills.iter().filter(|k| k.client < swarm.clients.len()) {
         swarm.timers.schedule(
             swarm.instant(k.at),
             Tev::Kill {
                 id: k.client,
+                at: k.at,
                 restart: k.restart,
             },
         );
@@ -354,76 +358,71 @@ impl<H: Harness> Swarm<'_, H> {
 
     // ---------------------------------------------------------- driving
 
-    /// Start the unit client `id`'s VM holds after `delay`, in a new
-    /// epoch.
-    fn begin(&mut self, id: usize, delay: Duration) {
-        let c = &mut self.clients[id];
-        c.running = true;
-        c.epoch += 1;
-        c.armed = None;
-        let at = self.now() + Dur::from_std(delay);
-        self.arm(id, at);
-    }
-
-    /// Restart client `id`'s VM in place on `unit`.
-    fn restart(&mut self, id: usize, (env, seed, delay): NextUnit<Duration>) {
-        let vm = self.clients[id].vm.as_mut().expect("a VM in its slot");
-        vm.restart(env, seed);
-        self.begin(id, delay);
-    }
-
-    /// Make sure the wheel wakes client `id`'s VM no later than `at`.
-    fn arm(&mut self, id: usize, at: Time) {
-        let c = &mut self.clients[id];
-        if c.armed.is_some_and(|armed| armed <= at) {
-            return;
+    /// Wake client `id`'s VM at `at`, unless an earlier wake is armed
+    /// ([`Lifecycle::arm`]).
+    fn wake(&mut self, id: usize, at: Time) {
+        if self.clients[id].life.arm(at) {
+            self.schedule_wake(id, at);
         }
-        c.armed = Some(at);
-        let epoch = c.epoch;
+    }
+
+    /// Put a wake for client `id`'s VM at `at` on the wheel, stamped
+    /// with its current unit epoch.
+    fn schedule_wake(&mut self, id: usize, at: Time) {
+        let epoch = self.clients[id].life.epoch();
         let when = self.instant(at);
         self.timers.schedule(when, Tev::Wake { id, epoch, at });
+    }
+
+    /// Start `unit` on client `id`'s VM. The wheel starts it, even when
+    /// it is due now.
+    fn next_unit(&mut self, id: usize, (env, seed, delay): NextUnit<Duration>) {
+        let now = self.now();
+        let c = &mut self.clients[id];
+        let vm = c.vm.as_mut().expect("a VM in its slot");
+        let unit = (env, seed, now + Dur::from_std(delay));
+        match c.life.restart(vm, unit, now) {
+            Some(start) => self.schedule_wake(id, start), // armed already
+            None => self.wake(id, now),
+        }
     }
 
     fn on_timer(&mut self, tev: Tev) {
         match tev {
             Tev::Wake { id, epoch, at } => {
-                let c = &mut self.clients[id];
-                if c.epoch != epoch {
-                    return;
+                if self.clients[id].life.wake(epoch, at) == Wake::Fresh {
+                    self.tick(id);
                 }
-                if c.armed == Some(at) {
-                    c.armed = None;
-                }
-                self.tick(id);
             }
             Tev::LocalDone { id, epoch, token } => {
-                if self.clients[id].epoch == epoch {
+                if self.clients[id].life.epoch() == epoch {
                     self.complete(id, token, CmdResult::ok(""));
                     self.settle(id);
                 }
             }
-            Tev::Kill { id, restart } => {
+            Tev::Kill { id, at, restart } => {
                 // Only a kill that finds a running client counts (and
                 // earns a revival), as in the simulator.
                 let c = &mut self.clients[id];
-                if !std::mem::take(&mut c.running) {
+                if !c.life.kill() {
                     return;
                 }
-                c.epoch += 1;
                 c.calls.clear();
                 self.report.kills += 1;
                 self.drop_stream(id);
+                // Revived `down` after the kill's planned instant, as in
+                // the simulator, however late the reactor handled it.
                 match restart {
                     Some(down) => self
                         .timers
-                        .schedule(Instant::now() + down.to_std(), Tev::Revive { id }),
+                        .schedule(self.instant(at + down), Tev::Revive { id }),
                     None => self.live -= 1,
                 }
             }
             Tev::Revive { id } => match self.harness.revive(id) {
                 Some(unit) => {
                     self.report.restarts += 1;
-                    self.restart(id, unit);
+                    self.next_unit(id, unit);
                 }
                 None => self.live -= 1,
             },
@@ -441,7 +440,7 @@ impl<H: Harness> Swarm<'_, H> {
     /// until it waits on the world again, and act on how it stands.
     fn tick(&mut self, id: usize) {
         let c = &mut self.clients[id];
-        if !c.running {
+        if !c.life.running() {
             return;
         }
         let mut vm = c.vm.take().expect("a running client's VM");
@@ -456,17 +455,19 @@ impl<H: Harness> Swarm<'_, H> {
         match status {
             VmStatus::Running { next_wake } => {
                 if let Some(at) = next_wake {
-                    self.arm(id, at);
+                    self.wake(id, at);
                 }
             }
-            VmStatus::Done { success } => match self.harness.unit_done(id, success) {
-                Some(unit) => self.restart(id, unit),
-                None => {
-                    self.clients[id].running = false;
-                    self.drop_stream(id);
-                    self.live -= 1;
+            VmStatus::Done { success } => {
+                let next = self.harness.unit_done(id, success);
+                match self.clients[id].life.finish(next) {
+                    Some(unit) => self.next_unit(id, unit),
+                    None => {
+                        self.drop_stream(id);
+                        self.live -= 1;
+                    }
                 }
-            },
+            }
         }
     }
 
@@ -480,7 +481,7 @@ impl<H: Harness> Swarm<'_, H> {
         match self.harness.verb(id, spec) {
             Verb::Unknown => self.complete(id, token, CmdResult::fail()),
             Verb::Local(work) => {
-                let epoch = self.clients[id].epoch;
+                let epoch = self.clients[id].life.epoch();
                 self.timers
                     .schedule(Instant::now() + work, Tev::LocalDone { id, epoch, token });
             }

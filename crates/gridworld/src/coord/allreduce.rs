@@ -30,9 +30,8 @@
 //! live ranks alike.
 
 use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
-use crate::driver::{
-    staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver,
-};
+use crate::driver::{staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::lifecycle::NextUnit;
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
@@ -507,6 +506,10 @@ pub struct AllReduceOutcome {
     pub queue_clamps: u64,
     /// Events scheduled past the window's end, counted and not stored.
     pub events_discarded: u64,
+    /// Wakes popped that an ended unit left behind ([`crate::RunCounts`]).
+    pub stale_wakes: u64,
+    /// Units a stale wake started before their start instant.
+    pub early_units: u64,
 }
 
 /// Run the all-reduce for up to `duration` of virtual time.
@@ -550,8 +553,7 @@ pub fn run_allreduce_traced(
         .collect();
     let starts = staggered_starts(&mut rng, params.n_ranks, params.start_stagger);
     let mut driver = SimDriver::with_starts(world, vms, starts);
-    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |_| {});
+    let run = driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |_| {});
     let w = driver.world;
     let mut round_series = Series::new(params.discipline.label());
     for (k, at) in w.round_done_at.iter().enumerate() {
@@ -570,10 +572,12 @@ pub fn run_allreduce_traced(
         round_series,
         failed_fetches: w.store.misses(),
         client_totals: driver.log_totals,
-        events_popped,
-        vm_ticks,
-        queue_clamps,
-        events_discarded,
+        events_popped: run.events_popped,
+        vm_ticks: run.vm_ticks,
+        queue_clamps: run.queue_clamps,
+        events_discarded: run.events_discarded,
+        stale_wakes: run.stale_wakes,
+        early_units: run.early_units,
         ..w.out
     }
 }

@@ -24,9 +24,8 @@
 //! code.
 
 use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
-use crate::driver::{
-    staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver,
-};
+use crate::driver::{staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::lifecycle::NextUnit;
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
@@ -581,6 +580,10 @@ pub struct DagOutcome {
     pub queue_clamps: u64,
     /// Events scheduled past the window's end, counted and not stored.
     pub events_discarded: u64,
+    /// Wakes popped that an ended unit left behind ([`crate::RunCounts`]).
+    pub stale_wakes: u64,
+    /// Units a stale wake started before their start instant.
+    pub early_units: u64,
 }
 
 /// Run the workflow for up to `duration` of virtual time.
@@ -620,8 +623,7 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, sink: Option<SharedSink>
         .collect();
     let starts = staggered_starts(&mut rng, n, params.start_stagger);
     let mut driver = SimDriver::with_starts(world, vms, starts);
-    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |_| {});
+    let run = driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |_| {});
     let w = driver.world;
     let mut job_series = Series::new(params.discipline.label());
     for (i, at) in w.done_at.iter().enumerate() {
@@ -646,10 +648,12 @@ pub fn run_dag_traced(params: DagParams, duration: Dur, sink: Option<SharedSink>
         job_series,
         failed_fetches: w.store.misses(),
         client_totals: driver.log_totals,
-        events_popped,
-        vm_ticks,
-        queue_clamps,
-        events_discarded,
+        events_popped: run.events_popped,
+        vm_ticks: run.vm_ticks,
+        queue_clamps: run.queue_clamps,
+        events_discarded: run.events_discarded,
+        stale_wakes: run.stale_wakes,
+        early_units: run.early_units,
         ..w.out
     }
 }

@@ -12,7 +12,9 @@
 //! A client is one VM for the whole run, as a §5 client is one ftsh
 //! process running its script unit after unit: the world says only
 //! what the next unit is ([`NextUnit`]), and the driver
-//! [restarts](Vm::restart) the VM in place.
+//! [restarts](Vm::restart) the VM in place. Whether a unit runs, its
+//! epoch and its start instant are each client's [`Lifecycle`], the
+//! type the live swarm drives its clients by too.
 //!
 //! What is in flight is recorded once, in each client's VM. The driver
 //! keeps no table of its own: a completion is delivered iff it carries
@@ -33,8 +35,9 @@
 //! held commands, trace records (into the one sink the driver installs
 //! in every VM) and interned probe answers (one map per driver).
 
+use crate::lifecycle::{Lifecycle, NextUnit, Wake};
 use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Effect, Executor, Vm, VmStatus};
-use ftsh::{Env, Istr};
+use ftsh::Istr;
 use retry::{Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
@@ -46,8 +49,14 @@ pub type ClientId = usize;
 /// Events the driver understands; `W` is the scenario's own event type.
 #[derive(Debug)]
 pub enum SimEv<W> {
-    /// Tick a client's VM (backoff wake-up or `try` deadline).
-    Wake(ClientId),
+    /// Tick a client's VM (its start, a backoff wake-up or a `try`
+    /// deadline).
+    Wake {
+        /// The client to tick.
+        client: ClientId,
+        /// The client's work-unit epoch when the wake was armed.
+        epoch: u32,
+    },
     /// A command scheduled with [`ExecOutcome::At`] finished.
     CmdDone {
         /// Owning client.
@@ -93,17 +102,34 @@ pub enum ExecOutcome {
 /// delivered when that callback returns.
 type Release = (ClientId, CmdToken, CmdResult);
 
-/// A client's next work unit: the environment its script starts from,
-/// its VM's RNG seed, and when it starts — an instant on the
-/// simulator's clock, a delay on the live swarm's.
-pub type NextUnit<At = Time> = (Env, u64, At);
+/// What a [`SimDriver`] has counted over its run. Per driver, so
+/// concurrent sweep workers never see each other's counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunCounts {
+    /// Events popped from the run's own queue: the engine-work metric.
+    pub events_popped: u64,
+    /// VM ticks issued; the perf harness divides allocations by it.
+    pub vm_ticks: u64,
+    /// Events that asked for an instant already past and were moved
+    /// forward to it. Nonzero is worth surfacing in run stats.
+    pub queue_clamps: u64,
+    /// Events after [`SimDriver::run_traced`]'s end, counted and never
+    /// stored: mostly `try` deadlines past the window.
+    pub events_discarded: u64,
+    /// Wakes popped that an ended unit left behind ([`Wake::Stale`] or
+    /// [`Wake::Early`]). Each still ticks its client.
+    pub stale_wakes: u64,
+    /// Stale wakes that ticked a restarted unit strictly before its
+    /// start instant ([`Wake::Early`]).
+    pub early_units: u64,
+}
 
 /// A world callback's one way to reach the run: the clock and the
 /// event queue, releases of held commands, the trace sink and the
 /// interned probe answers. A world keeps none of these itself.
 pub struct Ctx<'a, W> {
     queue: &'a mut EventQueue<SimEv<W>>,
-    epochs: &'a [u32],
+    lives: &'a [Lifecycle],
     released: &'a mut Vec<Release>,
     tracer: &'a Option<SharedSink>,
     answers: &'a mut IdMap<u64, Istr>,
@@ -135,7 +161,7 @@ impl<W> Ctx<'_, W> {
             at,
             SimEv::CmdDone {
                 client,
-                epoch: self.epochs[client],
+                epoch: self.lives[client].epoch(),
                 token,
                 result,
                 delayed: false,
@@ -306,12 +332,9 @@ pub struct SimDriver<W: CommandWorld> {
     /// One VM per client for the whole run. A killed or retired
     /// client's VM stays in its slot, never ticked.
     vms: Vec<Vm>,
-    /// Whether each client is running a unit: false once it is killed
-    /// (until revived) or retired.
-    running: Vec<bool>,
-    /// Work units each client has retired (or lost to a kill); stamped
-    /// on scheduled completions.
-    epochs: Vec<u32>,
+    /// Each client's unit lifecycle; its epoch is stamped on wakes and
+    /// completions.
+    lives: Vec<Lifecycle>,
     /// Structured-trace sink shared by every client VM. `None` ⇒
     /// tracing off and the tick path pays nothing.
     tracer: Option<SharedSink>,
@@ -327,6 +350,10 @@ pub struct SimDriver<W: CommandWorld> {
     /// Probe answers interned per distinct value ([`Ctx::count`]).
     answers: IdMap<u64, Istr>,
     vm_ticks: u64,
+    /// Wakes popped that an ended unit left behind, and those of them
+    /// due before the current unit's start.
+    stale_wakes: u64,
+    early_units: u64,
 }
 
 impl<W: CommandWorld> SimDriver<W> {
@@ -342,8 +369,8 @@ impl<W: CommandWorld> SimDriver<W> {
     pub fn with_starts(world: W, mut vms: Vec<Vm>, starts: Vec<Time>) -> SimDriver<W> {
         assert_eq!(vms.len(), starts.len(), "one start time per client");
         let mut queue = EventQueue::new();
-        for (c, &at) in starts.iter().enumerate() {
-            queue.schedule(at, SimEv::Wake(c));
+        for (client, &at) in starts.iter().enumerate() {
+            queue.schedule(at, SimEv::Wake { client, epoch: 0 });
         }
         for vm in &mut vms {
             // The driver only ever reads the O(1) log summary;
@@ -357,14 +384,15 @@ impl<W: CommandWorld> SimDriver<W> {
             log_totals: ftsh::LogSummary::default(),
             queue,
             vms,
-            running: vec![true; n],
-            epochs: vec![0; n],
+            lives: vec![Lifecycle::default(); n],
             tracer: None,
             faults: None,
             effects_buf: Vec::new(),
             released: Vec::new(),
             answers: IdMap::default(),
             vm_ticks: 0,
+            stale_wakes: 0,
+            early_units: 0,
         }
     }
 
@@ -399,33 +427,16 @@ impl<W: CommandWorld> SimDriver<W> {
         self.tracer = Some(sink);
     }
 
-    /// Events popped from this run's own queue — the per-run
-    /// engine-work metric. Per-queue, so concurrent sweep workers do
-    /// not contaminate each other's counts.
-    pub fn events_popped(&self) -> u64 {
-        self.queue.popped()
-    }
-
-    /// VM ticks this driver has issued. Per-driver like
-    /// [`events_popped`](Self::events_popped): the perf harness divides
-    /// allocations by it, and concurrent runs must not see each
-    /// other's ticks.
-    pub fn vm_ticks(&self) -> u64 {
-        self.vm_ticks
-    }
-
-    /// Past-schedules clamped to `now` by this run's queue. Nonzero
-    /// means some event asked for an instant already in the past and
-    /// was silently moved forward — worth surfacing in run stats.
-    pub fn clamps(&self) -> u64 {
-        self.queue.clamped()
-    }
-
-    /// Events [`run_traced`](Self::run_traced) did not store because
-    /// they fell after its end — mostly `try` deadlines past the
-    /// window. They were never going to be popped.
-    pub fn discarded(&self) -> u64 {
-        self.queue.discarded()
+    /// What this run has counted so far.
+    pub fn counts(&self) -> RunCounts {
+        RunCounts {
+            events_popped: self.queue.popped(),
+            vm_ticks: self.vm_ticks,
+            queue_clamps: self.queue.clamped(),
+            events_discarded: self.queue.discarded(),
+            stale_wakes: self.stale_wakes,
+            early_units: self.early_units,
+        }
     }
 
     /// The current virtual instant.
@@ -443,7 +454,7 @@ impl<W: CommandWorld> SimDriver<W> {
             &mut self.world,
             &mut Ctx {
                 queue: &mut self.queue,
-                epochs: &self.epochs,
+                lives: &self.lives,
                 released: &mut released,
                 tracer: &self.tracer,
                 answers: &mut self.answers,
@@ -451,7 +462,7 @@ impl<W: CommandWorld> SimDriver<W> {
         );
         let now = self.queue.now();
         for (client, token, result) in released.drain(..) {
-            let epoch = self.epochs[client];
+            let epoch = self.lives[client].epoch();
             self.deliver(client, epoch, token, result, false, now);
         }
         self.released = released;
@@ -477,7 +488,7 @@ impl<W: CommandWorld> SimDriver<W> {
             }
             let (now, ev) = self.queue.pop().expect("peeked");
             let next = match self.queue.peek() {
-                Some((_, SimEv::Wake(c) | SimEv::CmdDone { client: c, .. })) => {
+                Some((_, SimEv::Wake { client: c, .. } | SimEv::CmdDone { client: c, .. })) => {
                     self.vms.get(*c).map(|vm| {
                         simgrid::prefetch(vm);
                         *c
@@ -486,7 +497,13 @@ impl<W: CommandWorld> SimDriver<W> {
                 _ => None,
             };
             match ev {
-                SimEv::Wake(c) => self.tick_client(c, now),
+                SimEv::Wake { client, epoch } => {
+                    // Every stale wake still ticks (ROADMAP item 2).
+                    let wake = self.lives[client].wake(epoch, now);
+                    self.stale_wakes += u64::from(wake != Wake::Fresh);
+                    self.early_units += u64::from(wake == Wake::Early);
+                    self.tick_client(client, now);
+                }
                 SimEv::CmdDone {
                     client,
                     epoch,
@@ -508,14 +525,13 @@ impl<W: CommandWorld> SimDriver<W> {
     /// built: install the sink, arm `plan` if it injects anything, let
     /// `first_events` schedule the world's opening events (after the
     /// plan's, so an injection at the same instant fires first), run
-    /// until `end`, and return `(events popped, VM ticks, queue
-    /// clamps, events discarded)`. A nonzero clamp count also goes on
-    /// the trace.
+    /// until `end`, and return what the run counted. A nonzero clamp
+    /// count also goes on the trace.
     ///
     /// One-shot: before anything is armed it gives the queue `end`, so
     /// every wake, completion, world event, fault re-trigger and
     /// revival scheduled after it is counted (see
-    /// [`discarded`](Self::discarded)) rather than stored. Such an
+    /// [`RunCounts::events_discarded`]) rather than stored. Such an
     /// event would never be popped, so nothing observable changes.
     pub fn run_traced(
         &mut self,
@@ -523,7 +539,7 @@ impl<W: CommandWorld> SimDriver<W> {
         plan: FaultPlan,
         end: Time,
         first_events: impl FnOnce(&mut Self),
-    ) -> (u64, u64, u64, u64) {
+    ) -> RunCounts {
         self.queue.set_end(end);
         if let Some(sink) = trace {
             self.set_trace(sink);
@@ -533,17 +549,14 @@ impl<W: CommandWorld> SimDriver<W> {
         }
         first_events(self);
         self.run_until(end);
-        let clamps = self.clamps();
-        if clamps > 0 {
-            let ev = TraceEv::QueueClamps { count: clamps };
+        let counts = self.counts();
+        if counts.queue_clamps > 0 {
+            let ev = TraceEv::QueueClamps {
+                count: counts.queue_clamps,
+            };
             emit(&self.tracer, self.now(), NO_ID, NO_ID, ev);
         }
-        (
-            self.events_popped(),
-            self.vm_ticks(),
-            clamps,
-            self.discarded(),
-        )
+        counts
     }
 
     /// Fire spec `i` of the armed plan at `now`: emit the trace
@@ -603,23 +616,22 @@ impl<W: CommandWorld> SimDriver<W> {
         }
     }
 
-    /// Tear down client `client` right now: its unit stops mid-run,
-    /// every command it had in flight is cancelled in token order (so
-    /// the world releases held resources), and the epoch bump swallows
-    /// any completion already in the queue. The client stays dead until
-    /// a [`SimEv::Revive`] asks the world for its next unit. Returns
-    /// whether a running client was actually torn down.
+    /// Tear down client `client` right now: its unit stops mid-run
+    /// and its epoch ends, which swallows any wake or completion
+    /// already in the queue, and every command it had in flight is
+    /// cancelled in token order (so the world releases held resources).
+    /// The client stays dead until a [`SimEv::Revive`] asks the world
+    /// for its next unit. Returns whether a running client was actually
+    /// torn down.
     fn kill_client(&mut self, client: ClientId) -> bool {
-        if !self.running.get(client).copied().unwrap_or(false) {
+        if !self.lives.get_mut(client).is_some_and(Lifecycle::kill) {
             return false; // outside the population, dead or retired
         }
-        self.running[client] = false;
         let vm = &self.vms[client];
         self.log_totals += vm.log().summary();
         for token in vm.in_flight_tokens() {
             self.ask(|world, ctx| world.cancelled(ctx, client, token));
         }
-        self.epochs[client] += 1;
         true
     }
 
@@ -627,25 +639,22 @@ impl<W: CommandWorld> SimDriver<W> {
     /// next unit and start it. A world that returns `None` (the
     /// default) leaves the client dead.
     fn revive_client(&mut self, client: ClientId, now: Time) {
-        if self.running.get(client).copied().unwrap_or(true) {
+        if self.lives.get(client).is_none_or(Lifecycle::running) {
             return; // still alive, or out of range
         }
         if let Some(unit) = self.ask(|world, ctx| world.restart_client(ctx, client)) {
-            if self.restart(client, unit, now) {
-                self.tick_client(client, now);
+            match self.lives[client].restart(&mut self.vms[client], unit, now) {
+                None => self.tick_client(client, now),
+                Some(at) => self.wake_at(client, at),
             }
         }
     }
 
-    /// Start `unit` on `client`'s VM. Returns whether it starts right
-    /// now; otherwise its first wake-up is on the queue.
-    fn restart(&mut self, client: ClientId, (env, seed, at): NextUnit, now: Time) -> bool {
-        self.vms[client].restart(env, seed);
-        self.running[client] = true;
-        if at > now {
-            self.queue.schedule(at, SimEv::Wake(client));
-        }
-        at <= now
+    /// Put a wake for `client` at `at` on the queue, stamped with its
+    /// current unit epoch.
+    fn wake_at(&mut self, client: ClientId, at: Time) {
+        let epoch = self.lives[client].epoch();
+        self.queue.schedule(at, SimEv::Wake { client, epoch });
     }
 
     /// The instant client `client`'s VM observes when ticked at `now`:
@@ -696,7 +705,8 @@ impl<W: CommandWorld> SimDriver<W> {
         delayed: bool,
         now: Time,
     ) {
-        if epoch != self.epochs[client] || !self.running[client] {
+        let life = &self.lives[client];
+        if epoch != life.epoch() || !life.running() {
             return; // unit already retired, or client dead
         }
         let vm = &mut self.vms[client];
@@ -732,7 +742,7 @@ impl<W: CommandWorld> SimDriver<W> {
     fn tick_client(&mut self, client: ClientId, now: Time) {
         let mut effects = std::mem::take(&mut self.effects_buf);
         loop {
-            if !self.running[client] {
+            if !self.lives[client].running() {
                 break;
             }
             let vm_now = self.vm_now(client, now);
@@ -741,7 +751,7 @@ impl<W: CommandWorld> SimDriver<W> {
                 world: &mut self.world,
                 ctx: Ctx {
                     queue: &mut self.queue,
-                    epochs: &self.epochs,
+                    lives: &self.lives,
                     released: &mut self.released,
                     tracer: &self.tracer,
                     answers: &mut self.answers,
@@ -756,22 +766,27 @@ impl<W: CommandWorld> SimDriver<W> {
             self.vm_ticks += ticks;
             match status {
                 VmStatus::Done { success } => {
-                    // Retire the unit; its epoch's stale completions
-                    // will be dropped on arrival.
-                    self.epochs[client] += 1;
                     self.log_totals += self.vms[client].log().summary();
-                    let Some(unit) = self.ask(|world, ctx| world.unit_done(ctx, client, success))
-                    else {
-                        self.running[client] = false;
+                    let next = self.ask(|world, ctx| world.unit_done(ctx, client, success));
+                    // The unit's epoch ends: what it left in the queue
+                    // is stale on arrival.
+                    let Some(unit) = self.lives[client].finish(next) else {
                         break; // client retired
                     };
-                    if !self.restart(client, unit, now) {
+                    if let Some(at) = self.lives[client].restart(&mut self.vms[client], unit, now) {
+                        self.wake_at(client, at);
                         break; // its start is on the queue
                     }
                 }
                 VmStatus::Running { next_wake: Some(t) } => {
+                    // A wake on every tick, armed or not: the ones an
+                    // ended unit leaves behind are the stale wakes, and
+                    // one due before the next unit's start starts it
+                    // early (DESIGN §10, "Known limits"). ROADMAP item 2
+                    // deletes this call for `Lifecycle::arm`, the live
+                    // swarm's rule, and drops stale wakes on pop.
                     let t = self.unskew(client, t);
-                    self.queue.schedule(t.max(now), SimEv::Wake(client));
+                    self.wake_at(client, t.max(now));
                     break;
                 }
                 VmStatus::Running { next_wake: None } => break,
@@ -809,10 +824,11 @@ impl<W: CommandWorld> Executor for WorldExec<'_, W> {
 mod tests {
     use super::*;
     use ftsh::parse;
+    use ftsh::Env;
     use retry::Dur;
 
     /// A toy world: `work` succeeds after 2 s; `flaky` fails the first
-    /// `fail_first` times then behaves like `work`; units restart 1 s
+    /// `fail_first` times then behaves like `work`; units restart `gap`
     /// after finishing; clients retire after `max_units`.
     struct ToyWorld {
         fail_first: u32,
@@ -822,6 +838,7 @@ mod tests {
         max_units: u32,
         script: &'static str,
         cancel_count: u32,
+        gap: Dur,
     }
 
     impl ToyWorld {
@@ -875,7 +892,7 @@ mod tests {
                 return None;
             }
             let seed = u64::from(self.units);
-            Some((Env::new(), seed, ctx.now() + Dur::from_secs(1)))
+            Some((Env::new(), seed, ctx.now() + self.gap))
         }
     }
 
@@ -889,6 +906,7 @@ mod tests {
             max_units: 5,
             script: "work\n",
             cancel_count: 0,
+            gap: Dur::from_secs(1),
         };
         let vm = world.vm(0);
         let mut d = SimDriver::new(world, vec![vm]);
@@ -908,6 +926,7 @@ mod tests {
             max_units: 1,
             script: "try for 1 hour\n flaky\nend\n",
             cancel_count: 0,
+            gap: Dur::from_secs(1),
         };
         let vm = world.vm(7);
         let mut d = SimDriver::new(world, vec![vm]);
@@ -929,6 +948,7 @@ mod tests {
             max_units: 1,
             script: "try for 10 seconds or 1 times\n hang\nend\n",
             cancel_count: 0,
+            gap: Dur::from_secs(1),
         };
         let vm = world.vm(0);
         let mut d = SimDriver::new(world, vec![vm]);
@@ -953,17 +973,18 @@ mod tests {
             max_units: 1000,
             script: "try for 1 second or 1 times\n hang\nend\n",
             cancel_count: 0,
+            gap: Dur::from_secs(1),
         };
         let vm = world.vm(0);
         let mut d = SimDriver::new(world, vec![vm]);
         // Inside the last unit: 999 kills behind, one command held.
         d.run_until(Time::from_secs(1998) + Dur::from_millis(500));
         assert_eq!(d.world.cancel_count, 999);
-        assert!(d.running[0], "last unit running");
+        assert!(d.lives[0].running(), "last unit running");
         assert_eq!(d.vms[0].in_flight_tokens(), [0]);
         d.run_until(Time::from_secs(100_000));
         assert_eq!((d.world.units, d.world.cancel_count), (1000, 1000));
-        assert!(!d.running[0], "retired");
+        assert!(!d.lives[0].running(), "retired");
         assert!(d.vms.iter().all(|vm| vm.in_flight_tokens().is_empty()));
         assert!(d.queue.is_empty(), "nothing left to arrive");
     }
@@ -982,13 +1003,18 @@ mod tests {
             max_units: 1,
             script: "forall x in a b\n if ${x} .eql. a\n  instant\n else\n  failure\n end\nend\n",
             cancel_count: 0,
+            gap: Dur::from_secs(1),
         };
         let vm = world.vm(0);
         let mut d = SimDriver::new(world, vec![vm]);
         d.run_until(Time::from_secs(10));
         assert_eq!((d.world.units, d.world.successes), (1, 0));
         assert_eq!(d.world.cancel_count, 0);
-        assert_eq!(d.vm_ticks(), 2, "the inline answer earns one more tick");
+        assert_eq!(
+            d.counts().vm_ticks,
+            2,
+            "the inline answer earns one more tick"
+        );
     }
 
     #[test]
@@ -1001,6 +1027,7 @@ mod tests {
             max_units: 30, // 10 clients x 3 units
             script: "work\n",
             cancel_count: 0,
+            gap: Dur::from_secs(1),
         };
         let vms = (0..10).map(|i| world.vm(i)).collect();
         let mut d = SimDriver::new(world, vms);
@@ -1025,6 +1052,7 @@ mod tests {
             max_units: u32::MAX,
             script: "work\n",
             cancel_count: 0,
+            gap: Dur::from_secs(1),
         };
         let vm = world.vm(0);
         let mut d = SimDriver::new(world, vec![vm]);
@@ -1049,13 +1077,13 @@ mod tests {
             max_units: 1,
             script: "try for 5 minutes\n hang\nend\n",
             cancel_count: 0,
+            gap: Dur::from_secs(1),
         };
         let vm = world.vm(0);
         let mut d = SimDriver::new(world, vec![vm]);
-        let (popped, _, _, discarded) =
-            d.run_traced(None, FaultPlan::new(0), Time::from_secs(10), |_| {});
-        assert_eq!(popped, 1, "the start wake only");
-        assert!(discarded > 0 && discarded == d.discarded());
+        let counts = d.run_traced(None, FaultPlan::new(0), Time::from_secs(10), |_| {});
+        assert_eq!(counts.events_popped, 1, "the start wake only");
+        assert!(counts.events_discarded > 0);
         assert!(d.queue.is_empty(), "the deadline wake was not stored");
     }
 
@@ -1071,13 +1099,44 @@ mod tests {
             max_units: 5,
             script: "work\n",
             cancel_count: 0,
+            gap: Dur::from_secs(1),
         };
         let vm = world.vm(0);
         let mut d = SimDriver::new(world, vec![vm]);
         d.run_traced(None, FaultPlan::new(0), Time::from_secs(2), |_| {});
         assert_eq!((d.world.successes, d.now()), (1, Time::from_secs(2)));
-        assert_eq!(d.discarded(), 1);
+        assert_eq!(d.counts().events_discarded, 1);
         assert!(d.queue.is_empty());
+    }
+
+    #[test]
+    fn a_deadline_wake_outliving_its_unit_starts_the_next_one_early() {
+        // The first unit's `work` is done at 2 s, but its tick at T+0
+        // armed the `try` deadline for 10 s. The next unit is due 20 s
+        // later, at 22 s; the stale 10 s wake ticks it first. ROADMAP
+        // item 2 drops stale wakes on pop, which flips this test.
+        let world = ToyWorld {
+            fail_first: 0,
+            failures_injected: 0,
+            successes: 0,
+            units: 0,
+            max_units: 2,
+            script: "try for 10 seconds\n work\nend\n",
+            cancel_count: 0,
+            gap: Dur::from_secs(20),
+        };
+        let vm = world.vm(0);
+        let mut d = SimDriver::new(world, vec![vm]);
+        d.run_until(Time::from_secs(9));
+        assert_eq!(
+            (d.world.units, d.counts().vm_ticks, d.stale_wakes),
+            (1, 2, 0)
+        );
+        assert!(d.vms[0].in_flight_tokens().is_empty(), "not started");
+        d.run_until(Time::from_secs(10));
+        assert_eq!((d.stale_wakes, d.early_units), (1, 1));
+        assert_eq!(d.counts().vm_ticks, 3, "first ticked at 10 s, not at 22 s");
+        assert_eq!(d.vms[0].in_flight_tokens(), [0], "its `work` is running");
     }
 
     #[test]
@@ -1094,11 +1153,12 @@ mod tests {
                 max_units,
                 script: "work\n",
                 cancel_count: 0,
+                gap: Dur::from_secs(1),
             };
             let vm = world.vm(0);
             let mut d = SimDriver::new(world, vec![vm]);
             d.run_until(Time::from_secs(100_000));
-            d.vm_ticks()
+            d.counts().vm_ticks
         };
         let (small, large) = std::thread::scope(|s| {
             let a = s.spawn(|| ticks(100));
@@ -1177,7 +1237,7 @@ mod release_tests {
         d.schedule_world(Time::from_secs(5), ());
         d.run_until(Time::from_secs(4));
         assert_eq!(d.world.held, [(0, 0), (1, 0), (2, 0)]);
-        let (popped, ticks) = (d.events_popped(), d.vm_ticks());
+        let (popped, ticks) = (d.counts().events_popped, d.counts().vm_ticks);
         d.run_until(Time::from_secs(100));
         // Released 2, 1, 0. Each live release is delivered at once, at
         // the event's instant: two ticks apiece (the release, then
@@ -1185,8 +1245,12 @@ mod release_tests {
         // token, so its release is dropped without a tick.
         let t5 = Time::from_secs(5);
         assert_eq!(d.world.marks, [(1, t5), (0, t5)]);
-        assert_eq!(d.vm_ticks(), ticks + 4);
-        assert_eq!(d.events_popped(), popped + 1, "the world event alone");
+        assert_eq!(d.counts().vm_ticks, ticks + 4);
+        assert_eq!(
+            d.counts().events_popped,
+            popped + 1,
+            "the world event alone"
+        );
         assert!(d.queue.is_empty());
     }
 }
@@ -1195,6 +1259,7 @@ mod release_tests {
 mod epoch_tests {
     use super::*;
     use ftsh::parse;
+    use ftsh::Env;
     use retry::Dur;
 
     /// A world whose single command is Held forever; units time out via
@@ -1284,6 +1349,7 @@ mod epoch_tests {
 mod fault_tests {
     use super::*;
     use ftsh::parse;
+    use ftsh::Env;
     use retry::Dur;
     use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
     use simgrid::trace::VecSink;
@@ -1445,10 +1511,13 @@ mod fault_tests {
         )));
         d.run_until(Time::from_secs(10));
         assert_eq!(d.now(), Time::from_secs(7), "the held message did arrive");
-        assert_eq!((d.world.cancelled.as_slice(), d.vm_ticks()), (&[0][..], 2));
+        assert_eq!(
+            (d.world.cancelled.as_slice(), d.counts().vm_ticks),
+            (&[0][..], 2)
+        );
         d.run_until(Time::from_secs(100));
         assert_eq!(d.world.cancelled, [0, 1]);
-        assert_eq!(d.vm_ticks(), 3);
+        assert_eq!(d.counts().vm_ticks, 3);
         assert_eq!((d.world.units, d.world.successes), (1, 0));
     }
 
@@ -1657,6 +1726,7 @@ mod fault_tests {
 mod lookahead_tests {
     use super::*;
     use ftsh::parse;
+    use ftsh::Env;
     use simgrid::faults::FaultSpec;
 
     /// `hold` waits for the world's event, which completes every held
@@ -1750,7 +1820,7 @@ mod lookahead_tests {
     fn outcome(d: &SimDriver<AheadWorld>) -> Outcome {
         let w = &d.world;
         let (marks, injected) = (w.marks.clone(), w.injected.clone());
-        let (ticks, popped) = (d.vm_ticks(), d.events_popped());
+        let (ticks, popped) = (d.counts().vm_ticks, d.counts().events_popped);
         (ticks, popped, marks, w.cancelled, injected, w.units)
     }
 
@@ -1769,7 +1839,7 @@ mod lookahead_tests {
             stepped.run_until(t);
             heads.push(stepped.queue.peek().map(|(at, ev)| {
                 let kind = match ev {
-                    SimEv::Wake(c) => format!("wake {c}"),
+                    SimEv::Wake { client, .. } => format!("wake {client}"),
                     SimEv::CmdDone { client, .. } => format!("done {client}"),
                     SimEv::World(()) => "world".to_string(),
                     SimEv::Fault(i) => format!("fault {i}"),

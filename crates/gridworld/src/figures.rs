@@ -30,10 +30,10 @@ pub struct FigureRun {
     /// The figure's series.
     pub set: SeriesSet,
     /// Events popped across every simulation run behind this figure
-    /// (aggregated per run — see [`crate::driver::SimDriver::events_popped`]).
+    /// (aggregated per run — see [`crate::RunCounts::events_popped`]).
     pub events_popped: u64,
     /// VM ticks issued across every run behind this figure (per-driver
-    /// counts summed — see [`crate::driver::SimDriver::vm_ticks`]).
+    /// counts summed — see [`crate::RunCounts::vm_ticks`]).
     pub vm_ticks: u64,
     /// Past-scheduled events clamped forward to `now`, summed over
     /// every run behind this figure. Always zero in a healthy run;
@@ -41,8 +41,15 @@ pub struct FigureRun {
     pub clamps: u64,
     /// Events scheduled past their run's end and so never stored,
     /// summed over every run behind this figure (see
-    /// [`crate::driver::SimDriver::discarded`]).
+    /// [`crate::RunCounts::events_discarded`]).
     pub discarded: u64,
+    /// Wakes popped that an ended unit left behind, summed over every
+    /// run behind this figure (see [`crate::RunCounts`]). Reported,
+    /// not gated.
+    pub stale_wakes: u64,
+    /// Units a stale wake started before their start instant, summed
+    /// likewise.
+    pub early_units: u64,
     /// Structured-trace records, present only when tracing was
     /// requested. Timestamps restart at `T+0` for each sweep point.
     pub trace: Option<Vec<TraceRecord>>,
@@ -77,6 +84,8 @@ struct RunWork {
     vm_ticks: u64,
     clamps: u64,
     discarded: u64,
+    stale_wakes: u64,
+    early_units: u64,
     trace: Vec<TraceRecord>,
 }
 
@@ -89,6 +98,8 @@ macro_rules! work {
             vm_ticks: $o.vm_ticks,
             clamps: $o.queue_clamps,
             discarded: $o.events_discarded,
+            stale_wakes: $o.stale_wakes,
+            early_units: $o.early_units,
             trace: $handle
                 .map(|h| h.lock().expect("trace sink lock").take())
                 .unwrap_or_default(),
@@ -110,6 +121,8 @@ impl FigureRun {
             vm_ticks: 0,
             clamps: 0,
             discarded: 0,
+            stale_wakes: 0,
+            early_units: 0,
             trace: traced.then(Vec::new),
         };
         for w in works {
@@ -117,6 +130,8 @@ impl FigureRun {
             run.vm_ticks += w.vm_ticks;
             run.clamps += w.clamps;
             run.discarded += w.discarded;
+            run.stale_wakes += w.stale_wakes;
+            run.early_units += w.early_units;
             if let Some(trace) = &mut run.trace {
                 trace.extend(w.trace);
             }

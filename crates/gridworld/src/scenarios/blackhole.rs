@@ -8,7 +8,8 @@
 //! flag file under a 5-second limit and only then commits to the
 //! transfer.
 
-use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver};
+use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::lifecycle::NextUnit;
 use crate::scripts::{reader_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec};
 use retry::{Discipline, Dur, Time};
@@ -307,6 +308,10 @@ pub struct BlackHoleOutcome {
     pub queue_clamps: u64,
     /// Events scheduled past the window's end, counted and not stored.
     pub events_discarded: u64,
+    /// Wakes popped that an ended unit left behind ([`crate::RunCounts`]).
+    pub stale_wakes: u64,
+    /// Units a stale wake started before their start instant.
+    pub early_units: u64,
 }
 
 /// Run the scenario for `duration` of virtual time (paper: 900 s).
@@ -331,8 +336,7 @@ pub fn run_blackhole_traced(
         vms.push(unit_vm(&script, params.discipline, env, rng.next_u64()));
     }
     let mut driver = SimDriver::new(world, vms);
-    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |_| {});
+    let run = driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |_| {});
     let w = driver.world;
     let mut longest = Dur::ZERO;
     for times in &w.per_client_successes {
@@ -345,10 +349,12 @@ pub fn run_blackhole_traced(
     }
     BlackHoleOutcome {
         longest_stall: longest,
-        events_popped,
-        vm_ticks,
-        queue_clamps,
-        events_discarded,
+        events_popped: run.events_popped,
+        vm_ticks: run.vm_ticks,
+        queue_clamps: run.queue_clamps,
+        events_discarded: run.events_discarded,
+        stale_wakes: run.stale_wakes,
+        early_units: run.early_units,
         ..w.out
     }
 }

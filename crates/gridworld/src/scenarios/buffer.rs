@@ -13,7 +13,8 @@
 //! that from the reported free space, and defers when what remains is
 //! smaller than the file it is about to write.
 
-use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver};
+use crate::driver::{ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::lifecycle::NextUnit;
 use crate::scripts::{buffer_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use retry::{Discipline, Dur, Time};
@@ -403,6 +404,10 @@ pub struct BufferOutcome {
     pub queue_clamps: u64,
     /// Events scheduled past the window's end, counted and not stored.
     pub events_discarded: u64,
+    /// Wakes popped that an ended unit left behind ([`crate::RunCounts`]).
+    pub stale_wakes: u64,
+    /// Units a stale wake started before their start instant.
+    pub early_units: u64,
 }
 
 impl BufferOutcome {
@@ -444,18 +449,19 @@ pub fn run_buffer_traced(
         })
         .collect();
     let mut driver = SimDriver::new(world, vms);
-    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |d| {
-            d.schedule_world(Time::ZERO, BufferEv::ConsumerTick);
-            d.schedule_world(Time::ZERO, BufferEv::Sample);
-        });
+    let run = driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |d| {
+        d.schedule_world(Time::ZERO, BufferEv::ConsumerTick);
+        d.schedule_world(Time::ZERO, BufferEv::Sample);
+    });
     let w = driver.world;
     BufferOutcome {
         collisions: w.disk.collisions(),
-        events_popped,
-        vm_ticks,
-        queue_clamps,
-        events_discarded,
+        events_popped: run.events_popped,
+        vm_ticks: run.vm_ticks,
+        queue_clamps: run.queue_clamps,
+        events_discarded: run.events_discarded,
+        stale_wakes: run.stale_wakes,
+        early_units: run.early_units,
         ..w.out
     }
 }

@@ -26,9 +26,8 @@
 //! percent of peak performance under load, due to competition for
 //! managed resources, such as the CPU").
 
-use crate::driver::{
-    staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, NextUnit, SimDriver,
-};
+use crate::driver::{staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
+use crate::lifecycle::NextUnit;
 use crate::scripts::{submit_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use retry::{Discipline, Dur, Time};
@@ -456,6 +455,10 @@ pub struct SubmitOutcome {
     pub queue_clamps: u64,
     /// Events scheduled past the window's end, counted and not stored.
     pub events_discarded: u64,
+    /// Wakes popped that an ended unit left behind ([`crate::RunCounts`]).
+    pub stale_wakes: u64,
+    /// Units a stale wake started before their start instant.
+    pub early_units: u64,
 }
 
 /// Run the scenario for `duration` of virtual time.
@@ -498,20 +501,21 @@ pub fn run_submission_traced(
         .collect();
     let starts = staggered_starts(&mut rng, params.n_clients, params.start_stagger);
     let mut driver = SimDriver::with_starts(world, vms, starts);
-    let (events_popped, vm_ticks, queue_clamps, events_discarded) =
-        driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |d| {
-            d.schedule_world(Time::ZERO, SubmitEv::Sample);
-        });
+    let run = driver.run_traced(sink, params.fault_plan, Time::ZERO + duration, |d| {
+        d.schedule_world(Time::ZERO, SubmitEv::Sample);
+    });
     let mut w = driver.world;
     SubmitOutcome {
         min_free_fds: w.fds.min_free_seen(),
         client_totals: driver.log_totals,
         sojourn_p50: simgrid::percentile(&mut w.sojourns, 0.5),
         sojourn_p95: simgrid::percentile(&mut w.sojourns, 0.95),
-        events_popped,
-        vm_ticks,
-        queue_clamps,
-        events_discarded,
+        events_popped: run.events_popped,
+        vm_ticks: run.vm_ticks,
+        queue_clamps: run.queue_clamps,
+        events_discarded: run.events_discarded,
+        stale_wakes: run.stale_wakes,
+        early_units: run.early_units,
         ..w.out
     }
 }
