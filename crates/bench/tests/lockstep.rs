@@ -1,19 +1,21 @@
-//! Lockstep differential over the scripts the workspace actually runs:
-//! the tree-walking oracle (`ftsh::tree::TreeVm`) and the interpreter
-//! (`ftsh::Vm`) side by side, tick for tick.
+//! Lockstep differential: the tree-walking oracle (`ftsh::tree::TreeVm`)
+//! and the interpreter (`ftsh::Vm`) side by side, tick for tick, through
+//! one drive loop, [`lockstep`].
 //!
-//! `bytecode_props` covers *random* scripts; this covers the real ones —
-//! every script `gridworld::scripts` and `gridworld::coord` generate for
+//! It runs the scripts the workspace actually runs — every script
+//! `gridworld::scripts` and `gridworld::coord` generate for
 //! Fixed/Aloha/Ethernet (under the backoff policy each discipline
 //! installs, read from the world's own defaults), the live arena's
-//! generated script included, the
-//! conformance corpus, and the example and procman scripts. Both machines get the same seed and the same seeded command
-//! outcomes, and at every tick must agree on the effect stream and the
-//! status — including `next_wake`, which moves with every backoff jitter
-//! draw, so identical wake instants mean identical RNG consumption. This
-//! is what stands in for running whole figures on the oracle: a figure is
-//! these scripts under these policies, and a scenario world only ever
-//! sees the effect stream.
+//! generated script included, the conformance corpus, and the example
+//! and procman scripts — plus hand-written corner cases and seeded
+//! scripts from the shared generator (`ftsh::tree::gen`). Both machines
+//! get the same seed and the same seeded command outcomes, and at every
+//! tick must agree on the effect stream and the status — including
+//! `next_wake`, which moves with every backoff jitter draw, so identical
+//! wake instants mean identical RNG consumption. This is what stands in
+//! for running whole figures on the oracle: a figure is these scripts
+//! under these policies, and a scenario world only ever sees the effect
+//! stream.
 //!
 //! A third machine rides along — the interpreter the way a population
 //! runs it, counters only and no sink — so every case also shows that
@@ -21,9 +23,10 @@
 //! its retained records and its sink tell one story.
 
 use egbench::live::ARENA_BACKOFF;
+use ftsh::tree::gen;
 use ftsh::tree::TreeVm;
 use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
-use ftsh::{parse, Env, LogSummary, Script};
+use ftsh::{parse, pretty, Env, LogSummary, Script};
 use gridworld::coord::{
     allreduce_script, allreduce_text, dag_job_script, AllReduceParams, DagParams, DagSpec,
 };
@@ -33,7 +36,7 @@ use gridworld::scripts::{
 use retry::{BackoffPolicy, Discipline, Dur, Time};
 use simgrid::trace::{SharedSink, TraceRecord, VecSink};
 use simgrid::{SimRng, TraceSummary};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -164,16 +167,75 @@ const OUTPUTS: [&str; 8] = [
 /// Latencies straddle the scripts' 5 s / 60 s / 600 s deadlines.
 const LATENCIES_MS: [u64; 6] = [0, 0, 20, 900, 7_000, 90_000];
 
+/// Run `vm` as a throwaway unit for up to `ticks` ticks, answering each
+/// command it starts at once or never, as `rng` says, then cut it off:
+/// the unit may leave commands in flight, `forall` branches open or a
+/// cached final environment, all of which a restart must forget.
+fn warm_up(vm: &mut Vm, rng: &mut SimRng, ticks: u64) {
+    let mut now = Time::ZERO;
+    for _ in 0..ticks {
+        let tick = vm.tick(now);
+        let mut started = Vec::new();
+        for eff in tick.effects {
+            match eff {
+                Effect::Start { token, .. } => started.push(token),
+                Effect::Cancel { token } => started.retain(|&t| t != token),
+            }
+        }
+        for token in started {
+            match rng.range_u64(0, 3) {
+                0 => {} // left in flight
+                1 => vm.complete(token, CmdResult::fail()),
+                _ => vm.complete(token, CmdResult::ok("warm\n")),
+            }
+        }
+        match tick.status {
+            VmStatus::Done { .. } => {
+                let _ = vm.env();
+                return;
+            }
+            VmStatus::Running { next_wake } => now = next_wake.map_or(now, |w| now.max(w)),
+        }
+    }
+}
+
+/// Prints a failing case's script as a failed check unwinds, so it
+/// replays from its name and seed.
+struct Replay<'a>(&'a str, &'a str);
+
+impl Drop for Replay<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("failing case: {}\n{}", self.0, self.1);
+        }
+    }
+}
+
+/// The one tree ↔ interpreter drive loop. The machines run the case's
+/// script printed and reparsed (the reparse must equal it). The
+/// interpreter first runs part of a throwaway unit and is restarted in
+/// place, so every tick also holds a restarted VM to the fresh oracle
+/// and the fresh counters-only machine. Besides effects, records and
+/// bindings it checks the token ledger (each token started once, a
+/// cancel only of a started one, each resolved once, none left over)
+/// and that a finished machine stays finished.
+///
 /// `holds`: whether the world may leave a command unanswered for good,
 /// which only a script with every command under a deadline survives.
-/// Returns the interpreter's log summary when the script ran to its end
-/// (`None`: both machines wait forever on a held command, identically).
-fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
+/// Without holds the script must run to its end within [`MAX_STEPS`].
+/// Returns the interpreter's log summary.
+fn lockstep(case: &Case, seed: u64, holds: bool) -> LogSummary {
     let what = format!("{} (seed {seed})", case.name);
-    let mut tree = TreeVm::with_env_seed(&case.script, case_env(), seed);
-    let mut vm = Vm::with_env_seed(&case.script, case_env(), seed);
+    let text = pretty(&case.script);
+    let _replay = Replay(&what, &text);
+    let script = parse(&text).unwrap_or_else(|e| panic!("{what}: printed script reparses: {e}"));
+    assert_eq!(script, case.script, "{what}: print → reparse");
+    let mut tree = TreeVm::with_env_seed(&script, case_env(), seed);
+    let mut warm_env = Env::new();
+    warm_env.set("warm", "up");
+    let mut vm = Vm::with_env_seed(&script, warm_env, !seed);
     // The interpreter again, recording nothing but its counters.
-    let mut bare = Vm::with_env_seed(&case.script, case_env(), seed);
+    let mut bare = Vm::with_env_seed(&script, case_env(), seed);
     bare.set_log_detail(false);
     tree.set_default_backoff(case.backoff);
     vm.set_default_backoff(case.backoff);
@@ -183,6 +245,10 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
     tree.set_max_parallel(throttle);
     vm.set_max_parallel(throttle);
     bare.set_max_parallel(throttle);
+    let mut warm = SimRng::new(seed).fork(u64::MAX);
+    let ticks = warm.range_u64(0, 12);
+    warm_up(&mut vm, &mut warm, ticks);
+    vm.restart(case_env(), seed);
     let (tree_sink, tree_trace) = sink();
     let (vm_sink, vm_trace) = sink();
     tree.set_tracer(tree_sink, 0);
@@ -193,8 +259,9 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
     let mut pick = |n: usize| world.range_u64(0, n as u64) as usize;
     // (due, token, result); held commands are simply never scheduled.
     let mut pending: Vec<(Time, u64, CmdResult)> = Vec::new();
+    let (mut started, mut resolved) = (HashSet::new(), HashSet::new());
     let mut now = Time::ZERO;
-    let mut finished = false;
+    let mut done = None;
     for step in 0..MAX_STEPS {
         let a = tree.tick(now);
         let b = vm.tick(now);
@@ -203,12 +270,22 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
         // What the interpreter says is in flight is what it started,
         // read back without the spec; a cancelled command is not.
         for eff in &b.effects {
-            let (token, started) = match eff {
-                Effect::Start { token, spec, .. } => (*token, Some(spec.program())),
-                Effect::Cancel { token } => (*token, None),
+            let (token, program) = match eff {
+                Effect::Start { token, spec, .. } => {
+                    assert!(started.insert(*token), "{what}: token {token} reused");
+                    (*token, Some(spec.program()))
+                }
+                Effect::Cancel { token } => {
+                    assert!(
+                        started.contains(token),
+                        "{what}: cancel of unstarted {token}"
+                    );
+                    assert!(resolved.insert(*token), "{what}: {token} resolved twice");
+                    (*token, None)
+                }
             };
             let cancelled = b.effects.contains(&Effect::Cancel { token });
-            let want = started.filter(|_| !cancelled);
+            let want = program.filter(|_| !cancelled);
             assert_eq!(vm.in_flight(token), want, "{what}: in_flight({token})");
         }
         for eff in a.effects {
@@ -229,7 +306,7 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
             }
         }
         let VmStatus::Running { next_wake } = a.status else {
-            finished = true;
+            done = Some(a.status);
             break;
         };
         pending.sort_by_key(|p| (p.0, p.1));
@@ -245,11 +322,32 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
         now = now.max(next);
         while pending.first().is_some_and(|p| p.0 <= now) {
             let (_, token, result) = pending.remove(0);
+            assert!(resolved.insert(token), "{what}: {token} resolved twice");
             tree.complete(token, result.clone());
             bare.complete(token, result.clone());
             vm.complete(token, result);
             assert_eq!(vm.in_flight(token), None, "{what}: {token} completed");
         }
+    }
+    assert!(
+        holds || done.is_some(),
+        "{what}: stuck with every command answered"
+    );
+    if let Some(status) = done {
+        assert_eq!(started, resolved, "{what}: tokens left unresolved");
+        let outcome = vm.outcome().map(|success| VmStatus::Done { success });
+        assert_eq!(outcome, Some(status), "{what}: outcome vs final status");
+        // A finished machine stays finished, and does nothing more.
+        let again = vm.tick(now);
+        assert_eq!(again.status, status, "{what}: done, ticked again");
+        assert!(again.effects.is_empty(), "{what}: done, ticked again");
+        assert_eq!(tree.tick(now), again, "{what}: done, ticked again, tree");
+        assert_eq!(bare.tick(now), again, "{what}: done, ticked again, bare");
+        assert_eq!(
+            bindings(tree.env()),
+            bindings(vm.env()),
+            "{what}: final bindings"
+        );
     }
 
     assert_eq!(tree.outcome(), vm.outcome(), "{what}: outcome");
@@ -265,14 +363,7 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> Option<LogSummary> {
     assert_eq!(tree.log().summary(), summary, "{what}: counters, tree");
     assert_eq!(bare.log().summary(), summary, "{what}: counters, bare");
     assert!(bare.log().is_empty(), "{what}: counters-only keeps nothing");
-    if finished {
-        assert_eq!(
-            bindings(tree.env()),
-            bindings(vm.env()),
-            "{what}: final bindings"
-        );
-    }
-    finished.then(|| vm.log().summary())
+    summary
 }
 
 fn run(cases: &[Case]) {
@@ -488,8 +579,7 @@ fn forall_loops_and_the_call_path_run_in_lockstep() {
             backoff: BackoffPolicy::ethernet(),
         };
         for seed in 0..SEEDS {
-            let summary =
-                lockstep(&case, 2003 + seed, false).unwrap_or_else(|| panic!("{name}: stuck"));
+            let summary = lockstep(&case, 2003 + seed, false);
             match name {
                 // The outer try runs out its whole budget, every seed.
                 "forall-in-try-300" => assert!(summary.attempts >= 300, "{name}: {summary:?}"),
@@ -583,11 +673,9 @@ fn capture_targets_and_computed_programs_run_in_lockstep() {
             script: parse(source).unwrap_or_else(|e| panic!("{name}: {e}")),
             backoff: BackoffPolicy::ethernet(),
         };
-        let mut summaries = Vec::new();
-        for seed in 0..SEEDS {
-            let summary = lockstep(&case, 2003 + seed, false);
-            summaries.push(summary.unwrap_or_else(|| panic!("{name}: stuck")));
-        }
+        let summaries: Vec<_> = (0..SEEDS)
+            .map(|seed| lockstep(&case, 2003 + seed, false))
+            .collect();
         let killed = summaries.iter().map(|s| s.commands_cancelled);
         let (least, most) = (killed.clone().min(), killed.max());
         match name {
@@ -596,6 +684,23 @@ fn capture_targets_and_computed_programs_run_in_lockstep() {
             "computed-program-killed-by-a-sibling" => assert!(least >= Some(1), "{name}"),
             _ => assert_eq!(most, Some(0), "{name}"),
         }
+    }
+}
+
+/// How many seeded scripts from the shared generator each run checks.
+const GENERATED: u64 = 384;
+
+/// Generated scripts: case `gen/N` is `gen::script(N)` run at seed `N`,
+/// with every command answered, so one number replays a failure.
+#[test]
+fn generated_scripts_run_in_lockstep() {
+    for seed in 0..GENERATED {
+        let case = Case {
+            name: format!("gen/{seed}"),
+            script: gen::script(seed),
+            backoff: BackoffPolicy::ethernet(),
+        };
+        lockstep(&case, seed, false);
     }
 }
 

@@ -25,6 +25,8 @@ use retry::{BackoffPolicy, Dur, NextAttempt, Time, TryBudget, TrySession};
 use simgrid::trace::{SharedSink, TraceEv, TraceRecord, NO_ID};
 use std::collections::HashMap;
 
+pub mod gen;
+
 #[derive(Clone, Copy, Debug)]
 enum Ctl {
     Exec,

@@ -2,202 +2,48 @@
 //!
 //! `parser_robustness.rs` checks the source-level fixpoint
 //! (pretty∘parse is idempotent on corpus text); this test attacks the
-//! other direction with *synthesized* ASTs — nested try/catch with
-//! time and attempt budgets, forany/forall, if/else, functions,
-//! captures and input redirections — so the printer's quoting and
-//! duration rendering are exercised on shapes no corpus script has.
+//! other direction with *synthesized* ASTs from the shared generator
+//! (`ftsh::tree::gen`) — nested try/catch with every budget form,
+//! forany/forall, if/else, functions, captures and input redirections —
+//! so the printer's quoting and duration rendering are exercised on
+//! shapes no corpus script has. A failure names the generator seed.
 
-use ftsh::ast::{Block, Command, Cond, CondOp, Redir, RedirTarget, Script, Stmt, TrySpec, Word};
-use ftsh::{parse, pretty};
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use retry::Dur;
+use ftsh::ast::{Block, Stmt};
+use ftsh::tree::gen;
+use ftsh::{parse, pretty, Script};
 
-const PROGRAMS: &[&str] = &["wget", "fetch", "probe", "run0", "tool"];
-const NAMES: &[&str] = &["out", "status", "host", "n", "payload"];
-const LITS: &[&str] = &["alpha", "b-2", "path/to.file", "10", "a,b+c@d"];
+/// How many generated scripts each property reads.
+const SCRIPTS: u64 = 512;
 
-fn pick<'a>(rng: &mut StdRng, pool: &[&'a str]) -> &'a str {
-    pool[rng.random_range(0..pool.len())]
+/// The generated script `seed` names, its canonical text and its reparse.
+fn round_trip(seed: u64) -> (Script, String, Script) {
+    let script = gen::script(seed);
+    let text = pretty(&script);
+    let reparsed = parse(&text)
+        .unwrap_or_else(|e| panic!("seed {seed}: pretty output must parse: {e}\n---\n{text}"));
+    (script, text, reparsed)
 }
 
-fn gen_word(rng: &mut StdRng) -> Word {
-    match rng.random_range(0..4u32) {
-        0 => Word::var(pick(rng, NAMES)),
-        1 => Word::from_segs(vec![
-            ftsh::Seg::Lit(pick(rng, LITS).into()),
-            ftsh::Seg::Var(pick(rng, NAMES).into()),
-        ]),
-        _ => Word::lit(pick(rng, LITS)),
-    }
-}
-
-fn gen_dur(rng: &mut StdRng) -> Dur {
-    match rng.random_range(0..3u32) {
-        0 => Dur::from_millis(rng.random_range(1..5000u64)),
-        1 => Dur::from_secs(rng.random_range(1..300u64)),
-        _ => Dur::from_mins(rng.random_range(1..90u64)),
-    }
-}
-
-fn gen_try_spec(rng: &mut StdRng) -> TrySpec {
-    // At least one budget: a bare `try` has no source spelling.
-    let time = rng.random::<bool>().then(|| gen_dur(rng));
-    let attempts = if time.is_none() || rng.random::<bool>() {
-        Some(rng.random_range(1..10u64) as u32)
-    } else {
-        None
-    };
-    let every = rng.random::<bool>().then(|| gen_dur(rng));
-    TrySpec {
-        time,
-        attempts,
-        every,
-        ..TrySpec::default()
-    }
-}
-
-fn gen_command(rng: &mut StdRng) -> Stmt {
-    let mut words = vec![Word::lit(pick(rng, PROGRAMS))];
-    for _ in 0..rng.random_range(0..3usize) {
-        words.push(gen_word(rng));
-    }
-    let mut redirs = Vec::new();
-    if rng.random_range(0..3u32) == 0 {
-        let (from, source) = if rng.random::<bool>() {
-            (RedirTarget::Variable, Word::lit(pick(rng, NAMES)))
-        } else {
-            (RedirTarget::File, gen_word(rng))
-        };
-        redirs.push(Redir::In { from, source });
-    }
-    if rng.random_range(0..2u32) == 0 {
-        let to_var = rng.random::<bool>();
-        redirs.push(Redir::Out {
-            to: if to_var {
-                RedirTarget::Variable
-            } else {
-                RedirTarget::File
-            },
-            append: rng.random_range(0..3u32) == 0,
-            // `>&`/`->&` capture stderr too; printed append+both is
-            // exercised only for variables (`->>&` has no file form).
-            both: to_var && rng.random_range(0..3u32) == 0,
-            target: if to_var {
-                Word::lit(pick(rng, NAMES))
-            } else {
-                gen_word(rng)
-            },
-        });
-    }
-    Stmt::Command(Command { words, redirs })
-}
-
-fn gen_block(rng: &mut StdRng, depth: u32) -> Block {
-    let n = rng.random_range(1..4usize);
-    (0..n).map(|_| gen_stmt(rng, depth)).collect()
-}
-
-fn gen_stmt(rng: &mut StdRng, depth: u32) -> Stmt {
-    let structured = depth < 3 && rng.random_range(0..2u32) == 0;
-    if !structured {
-        return match rng.random_range(0..5u32) {
-            0 => Stmt::Assign {
-                var: pick(rng, NAMES).to_string(),
-                value: gen_word(rng),
-            },
-            1 => Stmt::Failure,
-            2 => Stmt::Success,
-            _ => gen_command(rng),
-        };
-    }
-    match rng.random_range(0..4u32) {
-        0 => Stmt::Try {
-            spec: gen_try_spec(rng),
-            body: gen_block(rng, depth + 1),
-            catch: rng.random::<bool>().then(|| gen_block(rng, depth + 1)),
-        },
-        1 => {
-            let var = pick(rng, NAMES).to_string();
-            let values = (0..rng.random_range(1..4usize))
-                .map(|_| gen_word(rng))
-                .collect();
-            let body = gen_block(rng, depth + 1);
-            if rng.random::<bool>() {
-                Stmt::ForAny { var, values, body }
-            } else {
-                Stmt::ForAll { var, values, body }
-            }
-        }
-        2 => Stmt::If {
-            cond: Cond {
-                lhs: gen_word(rng),
-                op: [
-                    CondOp::NumLt,
-                    CondOp::NumLe,
-                    CondOp::NumGt,
-                    CondOp::NumGe,
-                    CondOp::NumEq,
-                    CondOp::NumNe,
-                    CondOp::StrEq,
-                    CondOp::StrNe,
-                ][rng.random_range(0..8usize)],
-                rhs: gen_word(rng),
-            },
-            then: gen_block(rng, depth + 1),
-            els: rng.random::<bool>().then(|| gen_block(rng, depth + 1)),
-        },
-        _ => Stmt::Try {
-            // A deadline-only nested try around a single command — the
-            // paper's innermost idiom, generated often on purpose.
-            spec: TrySpec {
-                time: Some(gen_dur(rng)),
-                attempts: None,
-                every: None,
-                ..TrySpec::default()
-            },
-            body: gen_block(rng, depth + 1),
-            catch: None,
-        },
-    }
-}
-
-fn gen_script(rng: &mut StdRng) -> Script {
-    let mut stmts: Vec<Stmt> = Vec::new();
-    if rng.random_range(0..3u32) == 0 {
-        stmts.push(Stmt::Function {
-            name: format!("fn{}", rng.random_range(0..5u32)),
-            body: gen_block(rng, 1),
-        });
-    }
-    for _ in 0..rng.random_range(1..5usize) {
-        stmts.push(gen_stmt(rng, 0));
-    }
-    Script {
-        stmts: stmts.into(),
-    }
-}
-
-/// Check every statement span in `block` against the source `text` and
+/// Check every statement span in `block` against the source `text`
+/// (which `what` names in a failure) and
 /// the span of its enclosing construct: known, in bounds, ordered and
 /// disjoint within the block, nested inside the parent, and with word /
 /// try-header spans contained in their statement's span.
-fn check_spans(block: &Block, text: &str, enclosing: ftsh::Span) {
+fn check_spans(block: &Block, what: &str, text: &str, enclosing: ftsh::Span) {
     let mut prev_end = enclosing.start;
     for (stmt, span) in block.iter_spanned() {
-        assert!(span.is_known(), "unspanned stmt {stmt:?} in:\n{text}");
+        assert!(span.is_known(), "unspanned stmt {stmt:?} in {what}");
         assert!(
             span.start < span.end && (span.end as usize) <= text.len(),
-            "span {span:?} out of bounds in:\n{text}"
+            "span {span:?} out of bounds in {what}"
         );
         assert!(
             span.start >= prev_end,
-            "sibling spans overlap at {span:?} in:\n{text}"
+            "sibling spans overlap at {span:?} in {what}"
         );
         assert!(
             span.start >= enclosing.start && span.end <= enclosing.end,
-            "stmt span {span:?} escapes enclosing {enclosing:?} in:\n{text}"
+            "stmt span {span:?} escapes enclosing {enclosing:?} in {what}"
         );
         prev_end = span.end;
         let contains = |inner: ftsh::Span| inner.start >= span.start && inner.end <= span.end;
@@ -206,7 +52,7 @@ fn check_spans(block: &Block, text: &str, enclosing: ftsh::Span) {
                 for w in &c.words {
                     assert!(
                         w.span().is_known() && contains(w.span()),
-                        "word span {:?} outside stmt {span:?} in:\n{text}",
+                        "word span {:?} outside stmt {span:?} in {what}",
                         w.span()
                     );
                 }
@@ -214,63 +60,64 @@ fn check_spans(block: &Block, text: &str, enclosing: ftsh::Span) {
             Stmt::Try { spec, body, catch } => {
                 assert!(
                     spec.span.is_known() && contains(spec.span),
-                    "try header span {:?} outside stmt {span:?} in:\n{text}",
+                    "try header span {:?} outside stmt {span:?} in {what}",
                     spec.span
                 );
                 assert!(
                     text[spec.span.start as usize..].starts_with("try"),
-                    "header span must start at the keyword in:\n{text}"
+                    "header span must start at the keyword in {what}"
                 );
-                check_spans(body, text, span);
+                check_spans(body, what, text, span);
                 if let Some(c) = catch {
-                    check_spans(c, text, span);
+                    check_spans(c, what, text, span);
                 }
             }
             Stmt::ForAny { body, .. } | Stmt::ForAll { body, .. } => {
-                check_spans(body, text, span);
+                check_spans(body, what, text, span);
             }
             Stmt::If { then, els, .. } => {
-                check_spans(then, text, span);
+                check_spans(then, what, text, span);
                 if let Some(e) = els {
-                    check_spans(e, text, span);
+                    check_spans(e, what, text, span);
                 }
             }
-            Stmt::Function { body, .. } => check_spans(body, text, span),
+            Stmt::Function { body, .. } => check_spans(body, what, text, span),
             Stmt::Assign { .. } | Stmt::Failure | Stmt::Success => {}
         }
     }
 }
 
-proptest! {
-    /// The printer is a right inverse of the parser on generated ASTs.
-    #[test]
-    fn pretty_then_parse_is_identity(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let script = gen_script(&mut rng);
-        let text = pretty(&script);
-        let reparsed = parse(&text)
-            .unwrap_or_else(|e| panic!("pretty output must parse: {e}\n---\n{text}"));
-        prop_assert_eq!(&reparsed, &script, "not a fixpoint:\n---\n{}", text);
-        // And the fixpoint is stable: printing again changes nothing.
-        prop_assert_eq!(pretty(&reparsed), text);
+/// The printer is a right inverse of the parser on generated ASTs, and
+/// its output is a fixpoint: printing the reparse changes nothing.
+#[test]
+fn pretty_then_parse_is_identity() {
+    for seed in 0..SCRIPTS {
+        let (script, text, reparsed) = round_trip(seed);
+        assert_eq!(
+            reparsed, script,
+            "seed {seed}: not a fixpoint:\n---\n{text}"
+        );
+        assert_eq!(
+            pretty(&reparsed),
+            text,
+            "seed {seed}: printing is not idempotent"
+        );
     }
+}
 
-    /// Reparsing pretty output attaches a well-formed span to every
-    /// node: spans exist, sit inside their parents, never overlap among
-    /// siblings, and the spanned AST still equals the original (spans
-    /// are metadata, not identity).
-    #[test]
-    fn reparse_of_pretty_output_is_fully_spanned(seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let script = gen_script(&mut rng);
-        let text = pretty(&script);
-        let reparsed = parse(&text)
-            .unwrap_or_else(|e| panic!("pretty output must parse: {e}\n---\n{text}"));
+/// Reparsing pretty output attaches a well-formed span to every node:
+/// spans exist, sit inside their parents and never overlap among
+/// siblings.
+#[test]
+fn reparse_of_pretty_output_is_fully_spanned() {
+    for seed in 0..SCRIPTS {
+        let (_, text, reparsed) = round_trip(seed);
+        let whole = ftsh::Span::new(0, text.len() as u32);
         check_spans(
             &reparsed.stmts,
+            &format!("seed {seed}:\n{text}"),
             &text,
-            ftsh::Span::new(0, text.len() as u32),
+            whole,
         );
-        prop_assert_eq!(reparsed, script);
     }
 }

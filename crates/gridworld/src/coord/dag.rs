@@ -29,7 +29,7 @@ use crate::lifecycle::NextUnit;
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
-use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
+use simgrid::faults::{FaultKind, FaultPlan};
 use simgrid::json::{self, Value};
 use simgrid::trace::SharedSink;
 use simgrid::{json_escape, Series, Served, SimRng, StoreOp};
@@ -401,8 +401,6 @@ struct DagWorld {
     name_to_idx: HashMap<String, usize>,
     rng: SimRng,
     store: Store<String>,
-    /// The plan's windows: puts fail at the store inside an ENOSPC one.
-    windows: FaultWindows,
     /// When each job completed (`None` while it has not).
     done_at: Vec<Option<Time>>,
     /// The counters the run returns.
@@ -428,7 +426,6 @@ impl DagWorld {
             name_to_idx,
             rng: SimRng::new(params.seed),
             store,
-            windows: params.fault_plan.windows(Dur::ZERO),
             done_at: vec![None; n],
             out: DagOutcome::default(),
             params,
@@ -505,7 +502,7 @@ impl CommandWorld for DagWorld {
         let StoreDone { seq } = ev;
         // Mid-flight store corruption: the ENOSPC window fails every
         // write; the job's `try` re-publishes after it.
-        let admit = !self.windows.enospc_active(ctx.now());
+        let admit = !ctx.windows().enospc_active(ctx.now());
         let Some(done) = self.store.finish(seq, |_, (), _| admit) else {
             return; // that service was aborted by a cancel
         };

@@ -125,15 +125,20 @@ pub struct RunCounts {
 }
 
 /// A world callback's one way to reach the run: the clock and the
-/// event queue, releases of held commands, the trace sink and the
-/// interned probe answers. A world keeps none of these itself.
+/// event queue, releases of held commands, the trace sink, the
+/// interned probe answers and the armed plan's fault windows. A world
+/// keeps none of these itself.
 pub struct Ctx<'a, W> {
     queue: &'a mut EventQueue<SimEv<W>>,
     lives: &'a [Lifecycle],
     released: &'a mut Vec<Release>,
     tracer: &'a Option<SharedSink>,
     answers: &'a mut IdMap<u64, Istr>,
+    windows: &'a FaultWindows,
 }
+
+/// The windows a run with no armed plan reads.
+static NO_WINDOWS: FaultWindows = FaultWindows::NONE;
 
 impl<W> Ctx<'_, W> {
     /// The current virtual instant.
@@ -207,6 +212,14 @@ impl<W> Ctx<'_, W> {
             .or_insert_with(|| Istr::from(n.to_string()));
         CmdResult::ok(out.clone())
     }
+
+    /// The armed plan's windows ([`FaultPlan::windows`], compiled once
+    /// per run), or an empty table when no plan is armed. The kinds
+    /// that are pure time windows (ENOSPC, free-space lie) reach a
+    /// world only through here.
+    pub fn windows(&self) -> &FaultWindows {
+        self.windows
+    }
 }
 
 /// A scenario: what commands do, and what happens between work units.
@@ -248,7 +261,7 @@ pub trait CommandWorld: Sized {
     /// [`Ctx::complete`]. The default ignores the fault — worlds opt in
     /// to the kinds they model. The kinds that are pure time windows
     /// (ENOSPC, free-space lie) never arrive here: a world reads them
-    /// from its plan's [`FaultPlan::windows`] table. A client kill
+    /// from the run's table, [`Ctx::windows`]. A client kill
     /// arrives only when it hit a running client, after the driver has
     /// torn that client down; one that finds the client dead or retired
     /// is traced and goes no further.
@@ -287,8 +300,9 @@ struct FaultState {
     rng: SimRng,
     /// Triggers fired so far, per spec index.
     fired: Vec<u32>,
-    /// The plan's windows; the driver reads the per-channel loss and
-    /// latency ones (a channel is a program name).
+    /// The plan's windows, the run's one table: the driver reads the
+    /// per-channel loss and latency ones (a channel is a program name),
+    /// and worlds the rest through [`Ctx::windows`].
     windows: FaultWindows,
     /// Per-client VM clock offsets in microseconds.
     skew_us: Vec<i64>,
@@ -458,6 +472,7 @@ impl<W: CommandWorld> SimDriver<W> {
                 released: &mut released,
                 tracer: &self.tracer,
                 answers: &mut self.answers,
+                windows: self.faults.as_ref().map_or(&NO_WINDOWS, |f| &f.windows),
             },
         );
         let now = self.queue.now();
@@ -755,6 +770,7 @@ impl<W: CommandWorld> SimDriver<W> {
                     released: &mut self.released,
                     tracer: &self.tracer,
                     answers: &mut self.answers,
+                    windows: self.faults.as_ref().map_or(&NO_WINDOWS, |f| &f.windows),
                 },
                 client,
             };

@@ -18,7 +18,7 @@ use crate::lifecycle::NextUnit;
 use crate::scripts::{buffer_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use retry::{Discipline, Dur, Time};
-use simgrid::faults::{FaultPlan, FaultWindows};
+use simgrid::faults::FaultPlan;
 use simgrid::trace::{SharedSink, TraceEv};
 use simgrid::{DiskBuffer, FileId, IdMap, Series, SimRng, WriteError};
 use std::fmt::Write as _;
@@ -122,10 +122,6 @@ struct ActiveWrite {
 /// The shared-buffer world.
 struct BufferWorld {
     params: BufferParams,
-    /// The plan's windows: a write chunk landing inside an
-    /// `enospc-window` fails regardless of occupancy, and a
-    /// `free-space-lie` skews the carrier-sense estimate.
-    windows: FaultWindows,
     rng: SimRng,
     /// The shared buffer.
     disk: DiskBuffer,
@@ -147,8 +143,6 @@ struct BufferWorld {
 impl BufferWorld {
     fn new(params: BufferParams) -> BufferWorld {
         BufferWorld {
-            // This world has no schedd, hence no downtime default.
-            windows: params.fault_plan.windows(Dur::ZERO),
             rng: SimRng::new(params.seed),
             disk: DiskBuffer::new(params.capacity),
             active: IdMap::default(),
@@ -208,7 +202,7 @@ impl CommandWorld for BufferWorld {
                 let est = self
                     .disk
                     .ethernet_estimate_free()
-                    .saturating_add(self.windows.df_delta(ctx.now()));
+                    .saturating_add(ctx.windows().df_delta(ctx.now()));
                 // Busy when nothing is estimated free (`est <= 0`).
                 if ctx.sense(client, est.max(0) as u64, 1) {
                     self.out.deferrals += 1;
@@ -275,7 +269,7 @@ impl CommandWorld for BufferWorld {
                 self.bytes_attempted += bytes;
                 // An injected ENOSPC window fails every write landing
                 // inside it, occupancy notwithstanding.
-                let res = if self.windows.enospc_active(ctx.now()) {
+                let res = if ctx.windows().enospc_active(ctx.now()) {
                     self.disk.force_enospc(file).and(Err(WriteError::NoSpace))
                 } else {
                     self.disk.write(file, bytes)

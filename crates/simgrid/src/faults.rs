@@ -674,6 +674,16 @@ pub struct FaultWindows {
 }
 
 impl FaultWindows {
+    /// The table of an empty plan: no fault, ever.
+    pub const NONE: FaultWindows = FaultWindows {
+        sched_down: Vec::new(),
+        enospc: Vec::new(),
+        df_lie: Vec::new(),
+        black_hole: Vec::new(),
+        msg_loss: Vec::new(),
+        latency: Vec::new(),
+    };
+
     /// Is the schedd inside a forced kill window at `t`?
     pub fn sched_forced_down(&self, t: Time) -> bool {
         self.sched_down.iter().any(|w| w.contains(t))

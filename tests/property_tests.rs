@@ -1,7 +1,5 @@
 //! Property-based tests on the core invariants, spanning crates.
 
-use ethernet_grid::ftsh::{parse, pretty, Seg, Word};
-use ethernet_grid::ftsh::{Command, Cond, CondOp, Script, Stmt, TrySpec};
 use ethernet_grid::retry::{BackoffPolicy, Dur, NextAttempt, Time, TryBudget, TrySession};
 use ethernet_grid::simgrid::{DiskBuffer, EventQueue, FdTable};
 use proptest::prelude::*;
@@ -178,155 +176,5 @@ proptest! {
             prop_assert_eq!(d.used(), expect);
             prop_assert!(d.used() <= d.capacity());
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// ftsh: parser <-> pretty-printer round trip on generated ASTs
-// ---------------------------------------------------------------------
-
-/// Words that survive the trip bare or quoted: avoid keywords in
-/// command position by construction.
-fn arb_word() -> impl Strategy<Value = Word> {
-    let lit = "[a-z][a-z0-9._/:-]{0,8}".prop_map(|s| Seg::Lit(s.into()));
-    let var = "[a-z][a-z0-9_]{0,5}".prop_map(|s| Seg::Var(s.into()));
-    let spaced = "[a-z][a-z ]{0,8}[a-z]".prop_map(|s| Seg::Lit(s.into()));
-    proptest::collection::vec(prop_oneof![3 => lit, 2 => var, 1 => spaced], 1..3)
-        .prop_map(Word::from_segs)
-}
-
-/// argv0 must be a non-keyword bare literal so it parses as a command.
-fn arb_prog() -> impl Strategy<Value = Word> {
-    "[a-z][a-z0-9_-]{2,8}"
-        .prop_filter("not a keyword", |s| {
-            !matches!(
-                s.as_str(),
-                "try"
-                    | "forany"
-                    | "forall"
-                    | "if"
-                    | "else"
-                    | "end"
-                    | "catch"
-                    | "failure"
-                    | "success"
-                    | "for"
-                    | "in"
-                    | "times"
-                    | "every"
-                    | "or"
-            )
-        })
-        .prop_map(Word::lit)
-}
-
-fn arb_command() -> impl Strategy<Value = Stmt> {
-    (arb_prog(), proptest::collection::vec(arb_word(), 0..3)).prop_map(|(p, mut args)| {
-        let mut words = vec![p];
-        words.append(&mut args);
-        Stmt::Command(Command {
-            words,
-            redirs: vec![],
-        })
-    })
-}
-
-fn arb_stmt(depth: u32) -> BoxedStrategy<Stmt> {
-    if depth == 0 {
-        prop_oneof![
-            5 => arb_command(),
-            1 => Just(Stmt::Failure),
-            1 => Just(Stmt::Success),
-        ]
-        .boxed()
-    } else {
-        let inner = proptest::collection::vec(arb_stmt(depth - 1), 1..3);
-        let inner2 = proptest::collection::vec(arb_stmt(depth - 1), 1..3);
-        let try_stmt = (
-            proptest::option::of(1u64..120),
-            proptest::option::of(1u32..9),
-            inner.clone(),
-            proptest::option::of(inner2.clone()),
-        )
-            .prop_map(|(mins, times, body, catch)| Stmt::Try {
-                spec: TrySpec {
-                    time: mins.map(Dur::from_mins),
-                    attempts: times,
-                    every: None,
-                    ..TrySpec::default()
-                },
-                body: body.into(),
-                catch: catch.map(Into::into),
-            });
-        let forany = (
-            "[a-z][a-z0-9_]{0,5}",
-            proptest::collection::vec(arb_word(), 1..4),
-            inner.clone(),
-        )
-            .prop_map(|(var, values, body)| Stmt::ForAny {
-                var,
-                values,
-                body: body.into(),
-            });
-        let forall = (
-            "[a-z][a-z0-9_]{0,5}",
-            proptest::collection::vec(arb_word(), 1..4),
-            inner.clone(),
-        )
-            .prop_map(|(var, values, body)| Stmt::ForAll {
-                var,
-                values,
-                body: body.into(),
-            });
-        let ifstmt = (
-            arb_word(),
-            prop_oneof![
-                Just(CondOp::NumLt),
-                Just(CondOp::NumGe),
-                Just(CondOp::StrEq),
-                Just(CondOp::StrNe),
-            ],
-            arb_word(),
-            inner.clone(),
-            proptest::option::of(inner2),
-        )
-            .prop_map(|(lhs, op, rhs, then, els)| Stmt::If {
-                cond: Cond { lhs, op, rhs },
-                then: then.into(),
-                els: els.map(Into::into),
-            });
-        prop_oneof![
-            4 => arb_command(),
-            2 => try_stmt,
-            2 => forany,
-            1 => forall,
-            2 => ifstmt,
-            1 => Just(Stmt::Failure),
-        ]
-        .boxed()
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// parse(pretty(ast)) == ast for generated scripts.
-    #[test]
-    fn pretty_parse_roundtrip(stmts in proptest::collection::vec(arb_stmt(2), 1..5)) {
-        let script = Script { stmts: stmts.into() };
-        let printed = pretty(&script);
-        let reparsed = parse(&printed)
-            .map_err(|e| TestCaseError::fail(format!("reparse failed: {e}\n{printed}")))?;
-        prop_assert_eq!(script, reparsed, "printed:\n{}", printed);
-    }
-
-    /// The pretty-printer is idempotent: printing the reparse gives
-    /// byte-identical text.
-    #[test]
-    fn pretty_is_idempotent(stmts in proptest::collection::vec(arb_stmt(2), 1..4)) {
-        let script = Script { stmts: stmts.into() };
-        let once = pretty(&script);
-        let twice = pretty(&parse(&once).unwrap());
-        prop_assert_eq!(once, twice);
     }
 }
