@@ -62,13 +62,17 @@
 //! sequential baseline) and once fanned across threads — and writes
 //! wall-clock, peak RSS, events-processed/sec and allocations-per-tick
 //! for both passes, plus the parallel speedup, to
-//! `BENCH_engine.json` at the workspace root.
+//! `BENCH_engine.json` at the workspace root. A third pass repeats the
+//! sequential one with the simulator's phase timer on
+//! (`gridworld::phases`): it prints and records TSC cycles per popped
+//! event by phase, and events/s with the timer off and on.
 
 use egbench::live::{CoordLiveOptions, LiveOptions, Study};
 use gridworld::figures::{
     by_name_full, by_name_with_plan, fig8_workload, fig9_workload, Scale, ALL_ABLATIONS,
     ALL_FIGURES, COORD_FIGURES, EXTENDED_FIGURES,
 };
+use gridworld::{Phase, PhaseCycles};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -143,6 +147,15 @@ impl PassStats {
         }
     }
 
+    /// `n` per popped event (0 when nothing was popped).
+    fn per_event(&self, n: u64) -> f64 {
+        if self.events > 0 {
+            n as f64 / self.events as f64
+        } else {
+            0.0
+        }
+    }
+
     fn allocs_per_tick(&self) -> f64 {
         if self.vm_ticks > 0 {
             self.allocs as f64 / self.vm_ticks as f64
@@ -211,6 +224,23 @@ fn run_pass(threads: usize, figs: &[String], scale: Scale, seed: u64) -> PassSta
         vm_ticks,
         allocs: ALLOCS.load(Ordering::Relaxed) - allocs0,
     }
+}
+
+/// The `phases` section of `BENCH_engine.json`: the sequential pass
+/// again with the phase timer on, beside the pass with it off.
+fn phases_json(off: &PassStats, on: &PassStats, charged: &PhaseCycles) -> String {
+    let rows = Phase::ALL
+        .iter()
+        .map(|&p| (p.name(), charged.of(p)))
+        .chain([("total", charged.total())])
+        .map(|(name, c)| format!("\"{name}\": {:.0}", on.per_event(c)))
+        .collect::<Vec<_>>()
+        .join(", ");
+    format!(
+        "{{\n    \"clock\": \"simgrid::cycles (TSC), sequential pass\",\n    \"events_per_sec_off\": {:.1},\n    \"events_per_sec_on\": {:.1},\n    \"cycles_per_event\": {{ {rows} }}\n  }}",
+        off.events_per_sec(),
+        on.events_per_sec(),
+    )
 }
 
 /// What the `vm` section of `BENCH_engine.json` measures.
@@ -337,6 +367,30 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64) -> ExitCode {
         seq.vm_ticks,
         seq.allocs_per_tick()
     );
+    eprintln!("== stats: sequential, phase timer on ==");
+    let (timed, charged) = gridworld::phases::timed(|| run_pass(1, &figs, scale, seed));
+    eprintln!(
+        "   {:.3}s, {:.0} events/s on against {:.0} off; TSC cycles per popped event:",
+        timed.wall_s,
+        timed.events_per_sec(),
+        seq.events_per_sec(),
+    );
+    for p in Phase::ALL {
+        eprintln!("   {:>8} {:>7.0}", p.name(), timed.per_event(charged.of(p)));
+    }
+    eprintln!(
+        "   {:>8} {:>7.0}",
+        "total",
+        timed.per_event(charged.total())
+    );
+    // The timer observes; it must not change what it times.
+    if (timed.events, timed.vm_ticks) != (seq.events, seq.vm_ticks) {
+        eprintln!(
+            "   the timed pass differs: {} events, {} ticks, against {} and {}",
+            timed.events, timed.vm_ticks, seq.events, seq.vm_ticks
+        );
+        return ExitCode::FAILURE;
+    }
     // The parallel leg is sized to the host: benchmarking a 2-thread
     // sweep on a 1-CPU box would measure contention, not speedup, so a
     // single-CPU host skips the leg and records the speedup as N/A.
@@ -390,8 +444,9 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64) -> ExitCode {
         vm.forall_iter_ratio_800_over_50
     );
     let json = format!(
-        "{{\n  \"harness\": \"figures --stats\",\n  \"scale\": \"{scale:?}\",\n  \"seed\": {seed},\n  \"figures\": [{fig_list}],\n  \"host_cpus\": {host_cpus},\n  \"peak_rss_kb\": {rss},\n  \"sequential\": {},\n  \"parallel\": {par_json},\n  \"speedup\": {speedup_json},\n  \"vm\": {vm_json}\n}}\n",
+        "{{\n  \"harness\": \"figures --stats\",\n  \"scale\": \"{scale:?}\",\n  \"seed\": {seed},\n  \"figures\": [{fig_list}],\n  \"host_cpus\": {host_cpus},\n  \"peak_rss_kb\": {rss},\n  \"sequential\": {},\n  \"phases\": {},\n  \"parallel\": {par_json},\n  \"speedup\": {speedup_json},\n  \"vm\": {vm_json}\n}}\n",
         seq.to_json(),
+        phases_json(&seq, &timed, &charged),
     );
     let path = egbench::workspace_root().join("BENCH_engine.json");
     if let Err(e) = std::fs::write(&path, &json) {

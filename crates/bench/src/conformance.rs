@@ -293,7 +293,7 @@ fn drive_sim<M>(
     mut vm: M,
     set_tracer: fn(&mut M, SharedSink, i64),
     tick: fn(&mut M, Time) -> Tick,
-    complete: fn(&mut M, CmdToken, CmdResult),
+    complete: fn(&mut M, CmdToken, CmdResult) -> bool,
     env: fn(&M) -> &Env,
     script: &Script,
     plan: &FaultPlan,

@@ -185,8 +185,8 @@ fn warm_up(vm: &mut Vm, rng: &mut SimRng, ticks: u64) {
         for token in started {
             match rng.range_u64(0, 3) {
                 0 => {} // left in flight
-                1 => vm.complete(token, CmdResult::fail()),
-                _ => vm.complete(token, CmdResult::ok("warm\n")),
+                1 => assert!(vm.complete(token, CmdResult::fail())),
+                _ => assert!(vm.complete(token, CmdResult::ok("warm\n"))),
             }
         }
         match tick.status {
@@ -323,10 +323,16 @@ fn lockstep(case: &Case, seed: u64, holds: bool) -> LogSummary {
         while pending.first().is_some_and(|p| p.0 <= now) {
             let (_, token, result) = pending.remove(0);
             assert!(resolved.insert(token), "{what}: {token} resolved twice");
-            tree.complete(token, result.clone());
-            bare.complete(token, result.clone());
-            vm.complete(token, result);
+            let waited = [
+                tree.complete(token, result.clone()),
+                bare.complete(token, result.clone()),
+                vm.complete(token, result),
+            ];
             assert_eq!(vm.in_flight(token), None, "{what}: {token} completed");
+            assert!(
+                waited.iter().all(|&w| w == waited[2]),
+                "{what}: {token} waited on by (tree, bare, vm) = {waited:?}"
+            );
         }
     }
     assert!(

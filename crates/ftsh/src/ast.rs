@@ -316,6 +316,12 @@ impl CondOp {
         }
     }
 
+    /// Whether the operator compares numbers (`.eql.` and `.neql.`
+    /// compare text).
+    pub fn is_numeric(self) -> bool {
+        !matches!(self, CondOp::StrEq | CondOp::StrNe)
+    }
+
     /// Parse a spelling.
     pub fn from_spelling(s: &str) -> Option<CondOp> {
         Some(match s {

@@ -37,6 +37,7 @@
 //! one parsed script compiles once.
 
 use crate::ast::{Block, Cond, CondOp, Redir, RedirTarget, Script, Seg, Span, Stmt, TrySpec, Word};
+use crate::cond::parse_num;
 use crate::intern::Istr;
 use retry::Dur;
 use std::collections::HashMap;
@@ -87,6 +88,10 @@ pub struct CondTpl {
     pub op: CondOp,
     /// Right-hand word of the comparison.
     pub rhs: WordIx,
+    /// Under a numeric operator, each side's value when that side is a
+    /// literal that reads as a number, read once here; `None` when the
+    /// side must be expanded and read at each evaluation.
+    pub nums: [Option<f64>; 2],
     /// Entry of the `else` branch, when the `if` has one. The `then`
     /// branch is `[cond_ip + 1, else_ip - 1)` (the op at `else_ip - 1`
     /// is the `Jmp` over the else).
@@ -159,6 +164,9 @@ pub struct CmdTpl {
     pub redirs: Box<[RedirTpl]>,
     /// Whether argv[0] can name a defined function.
     pub func: FuncRef,
+    /// Whether every argv word is a [`WordTpl::Lit`]: the argv is the
+    /// same strings at every dispatch.
+    pub literal: bool,
 }
 
 /// The static variable-name table: every name the script mentions
@@ -317,6 +325,25 @@ pub struct Prog {
 }
 
 impl Prog {
+    /// Whether `argv` is command `cix`'s argv of literals, word for
+    /// word the program's own strings ([`Istr::ptr_eq`]), not merely
+    /// equal text. Always false for a command that is not
+    /// [`CmdTpl::literal`].
+    #[inline]
+    pub(crate) fn holds_literals(&self, cix: u32, argv: &[Istr]) -> bool {
+        let cmd = &self.cmds[cix as usize];
+        cmd.literal
+            && cmd.argv.len() == argv.len()
+            && cmd
+                .argv
+                .iter()
+                .zip(argv)
+                .all(|(&w, a)| match &self.words[w as usize] {
+                    WordTpl::Lit(l) => l.ptr_eq(a),
+                    _ => false,
+                })
+    }
+
     /// argv\[0\] of command `cix` when it is a literal word — the
     /// program every run of the command starts, readable without
     /// expanding anything.
@@ -443,10 +470,16 @@ impl Compiler {
     fn cond(&mut self, c: &Cond) -> u32 {
         let lhs = self.word(&c.lhs);
         let rhs = self.word(&c.rhs);
+        let num = |w: WordIx| match &self.words[w as usize] {
+            WordTpl::Lit(s) if c.op.is_numeric() => parse_num(s).ok(),
+            _ => None,
+        };
+        let nums = [num(lhs), num(rhs)];
         self.conds.push(CondTpl {
             lhs,
             op: c.op,
             rhs,
+            nums,
             else_ip: None,
             join: 0,
         });
@@ -682,7 +715,15 @@ impl Compiler {
                         },
                     })
                     .collect();
-                self.cmds.push(CmdTpl { argv, redirs, func });
+                let literal = argv
+                    .iter()
+                    .all(|&w| matches!(self.words[w as usize], WordTpl::Lit(_)));
+                self.cmds.push(CmdTpl {
+                    argv,
+                    redirs,
+                    func,
+                    literal,
+                });
                 self.cmd_spans
                     .push(cmd.words.first().map(Word::span).unwrap_or_default());
                 let cix = (self.cmds.len() - 1) as u32;

@@ -1,6 +1,6 @@
 //! Evaluation of `if` comparisons.
 //!
-//! Numeric operators (`.lt.`, `.gt.`, …) parse both operands as
+//! Numeric operators (`.lt.`, `.gt.`, …) read both operands as
 //! numbers; a non-numeric operand makes the comparison itself *fail*
 //! like any other command — the failure is untyped and can be caught by
 //! an enclosing `try`, in keeping with the language's philosophy that
@@ -39,24 +39,52 @@ pub fn eval_cond_values(op: CondOp, lhs: &str, rhs: &str) -> Result<bool, CondEr
     match op {
         CondOp::StrEq => Ok(lhs == rhs),
         CondOp::StrNe => Ok(lhs != rhs),
-        numeric => {
-            let l = parse_num(lhs)?;
-            let r = parse_num(rhs)?;
-            Ok(match numeric {
-                CondOp::NumLt => l < r,
-                CondOp::NumLe => l <= r,
-                CondOp::NumGt => l > r,
-                CondOp::NumGe => l >= r,
-                CondOp::NumEq => l == r,
-                CondOp::NumNe => l != r,
-                CondOp::StrEq | CondOp::StrNe => unreachable!(),
-            })
-        }
+        numeric => Ok(compare(numeric, parse_num(lhs)?, parse_num(rhs)?)),
     }
 }
 
-fn parse_num(s: &str) -> Result<f64, CondError> {
-    s.trim().parse::<f64>().map_err(|_| CondError {
+/// [`eval_cond_values`] for a compiled condition: a side whose value
+/// the compiler already read (`nums`, see
+/// [`CondTpl::nums`](crate::bytecode::CondTpl::nums)) is not read
+/// again. The left side is still read first.
+pub(crate) fn eval_compiled(
+    op: CondOp,
+    nums: [Option<f64>; 2],
+    lhs: &str,
+    rhs: &str,
+) -> Result<bool, CondError> {
+    if !op.is_numeric() {
+        return eval_cond_values(op, lhs, rhs);
+    }
+    let read = |num: Option<f64>, text| num.map_or_else(|| parse_num(text), Ok);
+    Ok(compare(op, read(nums[0], lhs)?, read(nums[1], rhs)?))
+}
+
+/// Apply numeric operator `op` to two numbers already read.
+fn compare(op: CondOp, l: f64, r: f64) -> bool {
+    match op {
+        CondOp::NumLt => l < r,
+        CondOp::NumLe => l <= r,
+        CondOp::NumGt => l > r,
+        CondOp::NumGe => l >= r,
+        CondOp::NumEq => l == r,
+        CondOp::NumNe => l != r,
+        CondOp::StrEq | CondOp::StrNe => unreachable!("not a numeric operator"),
+    }
+}
+
+/// Read a numeric operand: `s`, trimmed, as an `f64`. Up to 15 ASCII
+/// digits — what a world's count answer or a script's threshold is —
+/// are read as an integer, which is exact in an `f64` and so equal to
+/// what the float parser returns; anything else goes to the float
+/// parser.
+pub(crate) fn parse_num(s: &str) -> Result<f64, CondError> {
+    let t = s.trim();
+    if (1..=15).contains(&t.len()) && t.bytes().all(|b| b.is_ascii_digit()) {
+        let n = t.bytes().fold(0u64, |n, b| n * 10 + u64::from(b - b'0'));
+        return Ok(n as f64);
+    }
+    t.parse::<f64>().map_err(|_| CondError {
         operand: s.to_string(),
     })
 }

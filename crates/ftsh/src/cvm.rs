@@ -27,7 +27,7 @@ use crate::bytecode::{
     self, is_positional_name, pos_arg, CmdTpl, FuncRef, Op, PosArg, Prog, RedirTpl, SegTpl, SlotIx,
     SlotMap, WordTpl, NO_CATCH,
 };
-use crate::cond::eval_cond_values;
+use crate::cond::eval_compiled;
 use crate::intern::Istr;
 use crate::log::EventLog;
 use crate::vm::{
@@ -502,11 +502,20 @@ struct Machine {
     outcome: Option<bool>,
     default_backoff: BackoffPolicy,
     now: Time,
-    /// Emptied string vectors: argv handed back via
+    /// String vectors to reuse: argv handed back via
     /// [`Vm::recycle_spec`], value lists of finished `forany`/`forall`
     /// loops. Command dispatch and loop entry draw from here before
-    /// allocating, so steady-state iteration never allocates.
+    /// allocating, so steady-state iteration never allocates. Each is
+    /// emptied when pooled, except the argv of an all-literal command
+    /// ([`CmdTpl::literal`]): its words are the program's own literals,
+    /// so keeping them pins nothing, and the next dispatch of that
+    /// command takes the vector as it is. Whoever draws a vector for
+    /// anything else empties it first.
     spare_vecs: Vec<Vec<Istr>>,
+    /// The command whose all-literal argv dispatch handed out last
+    /// ([`NO_CMD`] before any): the one argv [`Vm::recycle_spec`] may
+    /// pool with its words.
+    lit_argv: u32,
     cold: Option<Box<Cold>>,
 }
 
@@ -536,6 +545,9 @@ struct Cold {
 /// Cap on each of the spare pools: a handful covers any realistic
 /// burst of parallel branches; beyond that, let excess buffers drop.
 const SPARES: usize = 8;
+
+/// [`Machine::lit_argv`] before any all-literal dispatch.
+const NO_CMD: u32 = u32::MAX;
 
 /// Position of task `id` in a table sorted by id.
 fn pos_of(tasks: &[CTask], id: TaskId) -> Option<usize> {
@@ -573,6 +585,7 @@ impl Vm {
                 default_backoff: BackoffPolicy::ethernet(),
                 now: Time::ZERO,
                 spare_vecs: Vec::new(),
+                lit_argv: NO_CMD,
                 cold: None,
             },
             final_env: OnceLock::new(),
@@ -581,9 +594,18 @@ impl Vm {
 
     /// Hand a finished command's spec back so its argv buffer can be
     /// reused by the next dispatch. Purely an optimisation: a driver
-    /// that drops specs instead loses nothing but the recycling.
+    /// that drops specs instead loses nothing but the recycling. The
+    /// argv of the last all-literal command dispatched is pooled with
+    /// its words, when it still holds exactly that command's literals;
+    /// any other is emptied first.
     pub fn recycle_spec(&mut self, spec: CommandSpec) {
-        self.m.recycle_vec(spec.argv);
+        let m = &mut self.m;
+        let cix = m.lit_argv;
+        if cix != NO_CMD && self.prog.holds_literals(cix, &spec.argv) {
+            m.pool_vec(spec.argv);
+        } else {
+            m.recycle_vec(spec.argv);
+        }
     }
 
     /// Start the script over in place, as the client's next work unit:
@@ -751,10 +773,12 @@ impl Vm {
         tokens
     }
 
-    /// Report an in-flight command as finished. Stale tokens (already
-    /// cancelled) are ignored. Call [`Vm::tick`] afterwards.
-    pub fn complete(&mut self, token: CmdToken, result: CmdResult) {
-        self.m.complete(&self.prog, token, result);
+    /// Report an in-flight command as finished, and say whether this
+    /// VM was waiting on it. Stale tokens (already cancelled) are
+    /// ignored: the answer is then `false`, and the VM is as it was.
+    /// Call [`Vm::tick`] after a `true`.
+    pub fn complete(&mut self, token: CmdToken, result: CmdResult) -> bool {
+        self.m.complete(&self.prog, token, result)
     }
 
     /// Advance every runnable strand at virtual instant `now`.
@@ -788,6 +812,12 @@ impl Machine {
 
     fn recycle_vec(&mut self, mut v: Vec<Istr>) {
         v.clear();
+        self.pool_vec(v);
+    }
+
+    /// Pool `v` as it is: emptied, or the literal argv of a command.
+    #[inline(always)]
+    fn pool_vec(&mut self, v: Vec<Istr>) {
         if self.spare_vecs.len() < SPARES {
             if self.spare_vecs.capacity() == 0 {
                 // One spare is all a sequential script ever pools.
@@ -795,6 +825,14 @@ impl Machine {
             }
             self.spare_vecs.push(v);
         }
+    }
+
+    /// An empty vector: a spare one if the pool holds any.
+    #[inline(always)]
+    fn take_vec(&mut self) -> Vec<Istr> {
+        let mut v = self.spare_vecs.pop().unwrap_or_default();
+        v.clear();
+        v
     }
 
     /// Reclaim the value vector of a popped loop frame.
@@ -833,13 +871,13 @@ impl Machine {
     /// [`Vm::complete`]. A capture is bound straight into the slot its
     /// template names (a name without a slot routes by name), and the output
     /// handle itself is bound when there is no newline to trim.
-    fn complete(&mut self, prog: &Prog, token: CmdToken, result: CmdResult) {
+    fn complete(&mut self, prog: &Prog, token: CmdToken, result: CmdResult) -> bool {
         let waiting = self
             .tasks
             .iter_mut()
             .find(|t| matches!(t.state, CState::RunningCmd { token: tk, .. } if tk == token));
         let Some(task) = waiting else {
-            return; // cancelled earlier; the race is benign
+            return false; // cancelled earlier; the race is benign
         };
         let tid = task.id;
         let CState::RunningCmd {
@@ -894,6 +932,7 @@ impl Machine {
             program: program_of(prog, cix, program.as_ref()).to_string(),
             ok,
         });
+        true
     }
 
     /// [`Vm::tick_into`].
@@ -1179,7 +1218,7 @@ impl Machine {
                     };
                     let lhs = task.env.expand_str(lw, sl);
                     let rhs = task.env.expand_str(rw, sr);
-                    match eval_cond_values(c.op, lhs, rhs) {
+                    match eval_compiled(c.op, c.nums, lhs, rhs) {
                         Ok(true) => {
                             task.res = true;
                             task.ip += 1;
@@ -1287,7 +1326,7 @@ impl Machine {
                     }
                 }
                 Op::ForAnyEnter { list, var, end_ip } => {
-                    let mut values = self.spare_vecs.pop().unwrap_or_default();
+                    let mut values = self.take_vec();
                     values.extend(
                         prog.lists[list as usize]
                             .iter()
@@ -1348,7 +1387,7 @@ impl Machine {
                     }
                 }
                 Op::ForAllEnter { list, var, end_ip } => {
-                    let mut pending = self.spare_vecs.pop().unwrap_or_default();
+                    let mut pending = self.take_vec();
                     pending.extend(
                         prog.lists[list as usize]
                             .iter()
@@ -1409,11 +1448,19 @@ impl Machine {
         let tid = task.id;
         let cmd: &CmdTpl = &prog.cmds[cix as usize];
         let mut argv = self.spare_vecs.pop().unwrap_or_default();
-        argv.extend(
-            cmd.argv
-                .iter()
-                .map(|&w| task.env.expand(&prog.words[w as usize])),
-        );
+        if cmd.literal {
+            self.lit_argv = cix;
+        }
+        // A spare that holds this command's literals is its argv
+        // already: no word is cloned, and no refcount moves.
+        if !(cmd.literal && prog.holds_literals(cix, &argv)) {
+            argv.clear();
+            argv.extend(
+                cmd.argv
+                    .iter()
+                    .map(|&w| task.env.expand(&prog.words[w as usize])),
+            );
+        }
         if argv.first().map(|s| s.is_empty()).unwrap_or(true) {
             // A command whose name expanded to nothing cannot run.
             self.recycle_vec(argv);

@@ -32,6 +32,12 @@ impl Istr {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// Whether `self` and `other` are one allocation: clones of one
+    /// `Istr`, not merely equal text.
+    pub fn ptr_eq(&self, other: &Istr) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl Default for Istr {
@@ -103,7 +109,7 @@ impl From<Istr> for String {
 impl PartialEq for Istr {
     fn eq(&self, other: &Istr) -> bool {
         // Pointer equality first: interned clones share one allocation.
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        self.ptr_eq(other) || self.0 == other.0
     }
 }
 impl Eq for Istr {}

@@ -193,11 +193,12 @@ impl TreeVm {
         self.outcome
     }
 
-    /// Report an in-flight command as finished. Stale tokens (already
-    /// cancelled) are ignored. Call [`TreeVm::tick`] afterwards.
-    pub fn complete(&mut self, token: CmdToken, result: CmdResult) {
+    /// Report an in-flight command as finished, and say whether this
+    /// machine was waiting on it. Stale tokens (already cancelled) are
+    /// ignored. Call [`TreeVm::tick`] after a `true`.
+    pub fn complete(&mut self, token: CmdToken, result: CmdResult) -> bool {
         let Some(tid) = self.token_task.remove(&token) else {
-            return; // cancelled earlier; the race is benign
+            return false; // cancelled earlier; the race is benign
         };
         let task = self.tasks[tid].as_mut().expect("token mapped to dead task");
         let (program, out_var) = match &task.state {
@@ -230,6 +231,7 @@ impl TreeVm {
         }
         let program = program.to_string();
         self.emit(tid, TraceEv::CmdEnd { program, ok });
+        true
     }
 
     /// Advance every runnable strand at virtual instant `now`.

@@ -190,6 +190,14 @@ pub trait Executor {
     /// The VM gave up on in-flight command `token`; no result for it is
     /// wanted. Results this costs other commands go to `answers`.
     fn cancel(&mut self, token: CmdToken, answers: &mut Answers<'_>);
+
+    /// Tick `vm`: [`step`] calls this for every tick it takes. The
+    /// provided body is [`Vm::tick_into`] and nothing else; a driver
+    /// that times its phases wraps it.
+    #[inline(always)]
+    fn tick(&mut self, vm: &mut Vm, now: Time, effects: &mut Vec<Effect>) -> VmStatus {
+        vm.tick_into(now, effects)
+    }
 }
 
 /// Where an [`Executor`] hands the results it has at once. Each goes
@@ -220,7 +228,7 @@ impl Answers<'_> {
 }
 
 /// Drive `vm` at `now` until it waits on the world: tick it into the
-/// caller's `effects` buffer ([`Vm::tick_into`]), route each effect
+/// caller's `effects` buffer ([`Executor::tick`]), route each effect
 /// through `exec` in order, hand the specs back ([`Vm::recycle_spec`]),
 /// and tick again while anything was answered inline. Returns the last
 /// tick's status and how many ticks were taken.
@@ -238,7 +246,7 @@ pub fn step(
     let mut ticks = 0;
     loop {
         ticks += 1;
-        let status = vm.tick_into(now, effects);
+        let status = exec.tick(vm, now, effects);
         let mut answered = false;
         let mut next = 0;
         while next < effects.len() {

@@ -36,12 +36,14 @@
 //! in every VM) and interned probe answers (one map per driver).
 
 use crate::lifecycle::{Lifecycle, NextUnit, Wake};
+use crate::phases::{self, Clock, Off, Phase, Tsc};
 use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Effect, Executor, Vm, VmStatus};
 use ftsh::Istr;
 use retry::{Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
 use simgrid::{EventQueue, IdMap, SimRng};
+use std::marker::PhantomData;
 
 /// A client index within a scenario.
 pub type ClientId = usize;
@@ -435,6 +437,7 @@ impl<W: CommandWorld> SimDriver<W> {
     /// every unit, labelled by client index, and the world records
     /// through [`Ctx::record`].
     fn set_trace(&mut self, sink: SharedSink) {
+        let sink = phases::charge_trace(sink);
         for (c, vm) in self.vms.iter_mut().enumerate() {
             vm.set_tracer(sink.clone(), c as i64);
         }
@@ -460,7 +463,8 @@ impl<W: CommandWorld> SimDriver<W> {
 
     /// Run one world callback with a [`Ctx`] over the queue, then
     /// deliver, in release order, the held commands it completed.
-    fn ask<R>(&mut self, f: impl FnOnce(&mut W, &mut Ctx<'_, W::Ev>) -> R) -> R {
+    fn ask<C: Clock, R>(&mut self, f: impl FnOnce(&mut W, &mut Ctx<'_, W::Ev>) -> R) -> R {
+        let was = C::enter(Phase::World);
         // Taken, not borrowed: a delivery ticks a VM, and a tick may
         // run further callbacks.
         let mut released = std::mem::take(&mut self.released);
@@ -478,9 +482,10 @@ impl<W: CommandWorld> SimDriver<W> {
         let now = self.queue.now();
         for (client, token, result) in released.drain(..) {
             let epoch = self.lives[client].epoch();
-            self.deliver(client, epoch, token, result, false, now);
+            self.deliver::<C>(client, epoch, token, result, false, now);
         }
         self.released = released;
+        C::enter(was);
         r
     }
 
@@ -496,7 +501,28 @@ impl<W: CommandWorld> SimDriver<W> {
     /// pointers. A prefetch is a hint, so a stale guess — the handler
     /// scheduled something earlier — costs a wasted load and nothing
     /// else.
+    ///
+    /// Inside a [`phases::timed`] scope it also charges the loop's
+    /// cycles to their [`Phase`]s; the check is made once per call.
     pub fn run_until(&mut self, end: Time) {
+        if phases::enabled() {
+            self.run_timed(end);
+        } else {
+            self.run_loop::<Off>(end);
+        }
+    }
+
+    /// The timed loop, out of line so that the untimed one, and what
+    /// it inlines, is laid out as it was before the timer existed
+    /// (DESIGN.md §10, "Where an event's cycles go").
+    #[inline(never)]
+    fn run_timed(&mut self, end: Time) {
+        self.run_loop::<Tsc>(end);
+    }
+
+    /// [`SimDriver::run_until`]'s loop, timed by `C`.
+    fn run_loop<C: Clock>(&mut self, end: Time) {
+        C::start();
         while let Some(t) = self.queue.peek_time() {
             if t > end {
                 break;
@@ -511,13 +537,14 @@ impl<W: CommandWorld> SimDriver<W> {
                 }
                 _ => None,
             };
+            C::enter(Phase::Rest);
             match ev {
                 SimEv::Wake { client, epoch } => {
                     // Every stale wake still ticks (ROADMAP item 2).
                     let wake = self.lives[client].wake(epoch, now);
                     self.stale_wakes += u64::from(wake != Wake::Fresh);
                     self.early_units += u64::from(wake == Wake::Early);
-                    self.tick_client(client, now);
+                    self.tick_client::<C>(client, now);
                 }
                 SimEv::CmdDone {
                     client,
@@ -525,15 +552,17 @@ impl<W: CommandWorld> SimDriver<W> {
                     token,
                     result,
                     delayed,
-                } => self.deliver(client, epoch, token, result, delayed, now),
-                SimEv::World(w) => self.ask(|world, ctx| world.on_event(ctx, w)),
-                SimEv::Fault(i) => self.trigger_fault(i, now),
-                SimEv::Revive(c) => self.revive_client(c, now),
+                } => self.deliver::<C>(client, epoch, token, result, delayed, now),
+                SimEv::World(w) => self.ask::<C, _>(|world, ctx| world.on_event(ctx, w)),
+                SimEv::Fault(i) => self.trigger_fault::<C>(i, now),
+                SimEv::Revive(c) => self.revive_client::<C>(c, now),
             }
+            C::enter(Phase::Queue);
             if let Some(c) = next {
                 self.vms[c].prefetch();
             }
         }
+        C::enter(Phase::Rest);
     }
 
     /// What every scenario's `run_*_traced` does with the driver it
@@ -577,7 +606,14 @@ impl<W: CommandWorld> SimDriver<W> {
     /// Fire spec `i` of the armed plan at `now`: emit the trace
     /// record, apply (or forward) the fault, and reschedule the next
     /// trigger of a repeating spec.
-    fn trigger_fault(&mut self, i: usize, now: Time) {
+    fn trigger_fault<C: Clock>(&mut self, i: usize, now: Time) {
+        let was = C::enter(Phase::World);
+        self.fault::<C>(i, now);
+        C::enter(was);
+    }
+
+    /// [`SimDriver::trigger_fault`]'s body.
+    fn fault<C: Clock>(&mut self, i: usize, now: Time) {
         let Some(fs) = &mut self.faults else {
             return; // plan disarmed after scheduling; nothing to do
         };
@@ -619,15 +655,15 @@ impl<W: CommandWorld> SimDriver<W> {
                 // already retired, or is down from an earlier kill, is
                 // neither counted twice nor resurrected by a stale
                 // restart delay.
-                if !self.kill_client(c) {
+                if !self.kill_client::<C>(c) {
                     return;
                 }
-                self.ask(|world, ctx| world.inject_fault(ctx, &spec.kind));
+                self.ask::<C, _>(|world, ctx| world.inject_fault(ctx, &spec.kind));
                 if let Some(delay) = restart {
                     self.queue.schedule(now + delay, SimEv::Revive(c));
                 }
             }
-            kind => self.ask(|world, ctx| world.inject_fault(ctx, kind)),
+            kind => self.ask::<C, _>(|world, ctx| world.inject_fault(ctx, kind)),
         }
     }
 
@@ -638,14 +674,14 @@ impl<W: CommandWorld> SimDriver<W> {
     /// The client stays dead until a [`SimEv::Revive`] asks the world
     /// for its next unit. Returns whether a running client was actually
     /// torn down.
-    fn kill_client(&mut self, client: ClientId) -> bool {
+    fn kill_client<C: Clock>(&mut self, client: ClientId) -> bool {
         if !self.lives.get_mut(client).is_some_and(Lifecycle::kill) {
             return false; // outside the population, dead or retired
         }
         let vm = &self.vms[client];
         self.log_totals += vm.log().summary();
         for token in vm.in_flight_tokens() {
-            self.ask(|world, ctx| world.cancelled(ctx, client, token));
+            self.ask::<C, _>(|world, ctx| world.cancelled(ctx, client, token));
         }
         true
     }
@@ -653,13 +689,13 @@ impl<W: CommandWorld> SimDriver<W> {
     /// A killed client's restart delay elapsed: ask the world for its
     /// next unit and start it. A world that returns `None` (the
     /// default) leaves the client dead.
-    fn revive_client(&mut self, client: ClientId, now: Time) {
+    fn revive_client<C: Clock>(&mut self, client: ClientId, now: Time) {
         if self.lives.get(client).is_none_or(Lifecycle::running) {
             return; // still alive, or out of range
         }
-        if let Some(unit) = self.ask(|world, ctx| world.restart_client(ctx, client)) {
+        if let Some(unit) = self.ask::<C, _>(|world, ctx| world.restart_client(ctx, client)) {
             match self.lives[client].restart(&mut self.vms[client], unit, now) {
-                None => self.tick_client(client, now),
+                None => self.tick_client::<C>(client, now),
                 Some(at) => self.wake_at(client, at),
             }
         }
@@ -710,8 +746,29 @@ impl<W: CommandWorld> SimDriver<W> {
     /// A completion arrives for `client`'s command `token`, issued in
     /// work unit `epoch`. Delivered only if that unit is still current
     /// and its VM still waits on the token; channel faults apply to
-    /// what is deliverable.
-    fn deliver(
+    /// what is deliverable. Out of line, with [`SimDriver::accept`]
+    /// inlined into it, as before the timer.
+    #[inline(never)]
+    fn deliver<C: Clock>(
+        &mut self,
+        client: ClientId,
+        epoch: u32,
+        token: CmdToken,
+        result: CmdResult,
+        delayed: bool,
+        now: Time,
+    ) {
+        let was = C::enter(Phase::Deliver);
+        if self.accept(client, epoch, token, result, delayed, now) {
+            self.tick_client::<C>(client, now);
+        }
+        C::enter(was);
+    }
+
+    /// [`SimDriver::deliver`] up to its tick: whether `client`'s VM
+    /// took the result and is to be ticked.
+    #[inline(always)]
+    fn accept(
         &mut self,
         client: ClientId,
         epoch: u32,
@@ -719,42 +776,46 @@ impl<W: CommandWorld> SimDriver<W> {
         mut result: CmdResult,
         delayed: bool,
         now: Time,
-    ) {
+    ) -> bool {
         let life = &self.lives[client];
         if epoch != life.epoch() || !life.running() {
-            return; // unit already retired, or client dead
+            return false; // unit already retired, or client dead
         }
         let vm = &mut self.vms[client];
-        let Some(program) = vm.in_flight(token) else {
-            return; // the try deadline beat the completion
+        let Some(fs) = &mut self.faults else {
+            // No channel faults: one scan of the task table answers
+            // whether the VM still waits, and delivers if it does.
+            return vm.complete(token, result);
         };
-        if let Some(fs) = &mut self.faults {
-            // A latency spike holds the message once; on its delayed
-            // arrival it is subject to loss as usual.
-            let extra = fs.windows.extra_latency(program, now);
-            if !delayed && !extra.is_zero() {
-                let held = SimEv::CmdDone {
-                    client,
-                    epoch,
-                    token,
-                    result,
-                    delayed: true,
-                };
-                self.queue.schedule(now + extra, held);
-                return;
-            }
-            if fs.lose(program, now) {
-                result = CmdResult::fail();
-            }
+        // Channel faults key on the program name, so ask for it first.
+        let Some(program) = vm.in_flight(token) else {
+            return false; // the try deadline beat the completion
+        };
+        // A latency spike holds the message once; on its delayed
+        // arrival it is subject to loss as usual.
+        let extra = fs.windows.extra_latency(program, now);
+        if !delayed && !extra.is_zero() {
+            let held = SimEv::CmdDone {
+                client,
+                epoch,
+                token,
+                result,
+                delayed: true,
+            };
+            self.queue.schedule(now + extra, held);
+            return false;
         }
-        vm.complete(token, result);
-        self.tick_client(client, now);
+        if fs.lose(program, now) {
+            result = CmdResult::fail();
+        }
+        vm.complete(token, result)
     }
 
     /// Step client `client`'s VM with the world as its executor, then
     /// retire a finished unit (starting the next one if it is due now)
     /// or arm the VM's next wake-up.
-    fn tick_client(&mut self, client: ClientId, now: Time) {
+    fn tick_client<C: Clock>(&mut self, client: ClientId, now: Time) {
+        let was = C::enter(Phase::Rest);
         let mut effects = std::mem::take(&mut self.effects_buf);
         loop {
             if !self.lives[client].running() {
@@ -773,8 +834,10 @@ impl<W: CommandWorld> SimDriver<W> {
                     windows: self.faults.as_ref().map_or(&NO_WINDOWS, |f| &f.windows),
                 },
                 client,
+                clock: PhantomData::<C>,
             };
             let (status, ticks) = step(vm, vm_now, &mut effects, &mut exec);
+            C::enter(Phase::Rest);
             debug_assert!(
                 self.released.is_empty(),
                 "exec and cancelled answer through ExecOutcome, not Ctx::complete"
@@ -783,7 +846,7 @@ impl<W: CommandWorld> SimDriver<W> {
             match status {
                 VmStatus::Done { success } => {
                     self.log_totals += self.vms[client].log().summary();
-                    let next = self.ask(|world, ctx| world.unit_done(ctx, client, success));
+                    let next = self.ask::<C, _>(|world, ctx| world.unit_done(ctx, client, success));
                     // The unit's epoch ends: what it left in the queue
                     // is stale on arrival.
                     let Some(unit) = self.lives[client].finish(next) else {
@@ -809,18 +872,29 @@ impl<W: CommandWorld> SimDriver<W> {
             }
         }
         self.effects_buf = effects;
+        C::enter(was);
     }
 }
 
 /// The world as one client's [`Executor`]: it decides each command's
-/// fate and is told of each cancel.
-struct WorldExec<'a, W: CommandWorld> {
+/// fate and is told of each cancel. Under a timer `C`, a step's ticks
+/// are [`Phase::Vm`] and the rest of it [`Phase::Exec`].
+struct WorldExec<'a, W: CommandWorld, C> {
     world: &'a mut W,
     ctx: Ctx<'a, W::Ev>,
     client: ClientId,
+    clock: PhantomData<C>,
 }
 
-impl<W: CommandWorld> Executor for WorldExec<'_, W> {
+impl<W: CommandWorld, C: Clock> Executor for WorldExec<'_, W, C> {
+    #[inline(always)]
+    fn tick(&mut self, vm: &mut Vm, now: Time, effects: &mut Vec<Effect>) -> VmStatus {
+        C::enter(Phase::Vm);
+        let status = vm.tick_into(now, effects);
+        C::enter(Phase::Exec);
+        status
+    }
+
     fn start(&mut self, token: CmdToken, spec: &CommandSpec, answers: &mut Answers<'_>) {
         match self.world.exec(&mut self.ctx, self.client, token, spec) {
             ExecOutcome::Now(result) => answers.answer(token, result),
@@ -972,6 +1046,97 @@ mod tests {
         assert_eq!(d.world.successes, 0);
         assert_eq!(d.world.cancel_count, 1, "world told about the cancel");
         assert_eq!(d.now(), Time::from_secs(10));
+    }
+
+    #[test]
+    fn a_completion_after_its_deadline_ticks_nothing() {
+        // `work` answers at 2 s, but the `try` gives up on it at 1 s and
+        // the catch holds the unit open with `hang`: the answer arrives
+        // while the unit runs and its VM waits on another token. It is
+        // popped and dropped, with and without a (fault-free) plan
+        // armed, whose path asks the VM for the program name first.
+        for armed in [false, true] {
+            let world = ToyWorld {
+                fail_first: 0,
+                failures_injected: 0,
+                successes: 0,
+                units: 0,
+                max_units: 1,
+                script: "try for 1 second\n work\ncatch\n hang\nend\n",
+                cancel_count: 0,
+                gap: Dur::from_secs(1),
+            };
+            let vm = world.vm(0);
+            let mut d = SimDriver::new(world, vec![vm]);
+            if armed {
+                d.arm_faults(FaultPlan::default());
+            }
+            d.run_until(Time::from_micros(1_500_000));
+            let before = d.counts();
+            let summary = d.vms[0].log().summary();
+            assert_eq!(d.world.cancel_count, 1, "armed {armed}: work cancelled");
+            assert_eq!(d.vms[0].in_flight_tokens(), [1], "armed {armed}: hang held");
+            d.run_until(Time::from_secs(3));
+            let after = d.counts();
+            assert_eq!(
+                after.events_popped,
+                before.events_popped + 1,
+                "armed {armed}"
+            );
+            assert_eq!(after.vm_ticks, before.vm_ticks, "armed {armed}: no tick");
+            assert_eq!(d.vms[0].log().summary(), summary, "armed {armed}");
+            assert_eq!(d.vms[0].in_flight_tokens(), [1], "armed {armed}");
+        }
+    }
+
+    #[test]
+    fn the_phase_timer_charges_trace_writes_and_changes_nothing() {
+        use crate::phases::{self, Phase, PhaseCycles};
+        use simgrid::trace::VecSink;
+        use std::sync::{Arc, Mutex};
+        // The same traced run with the timer off and on: the same
+        // counts and the same records, and with it on the sink's
+        // writes are charged to `trace`.
+        let run = |timed: bool| {
+            let world = ToyWorld {
+                fail_first: 2,
+                failures_injected: 0,
+                successes: 0,
+                units: 0,
+                max_units: 3,
+                script: "try for 1 hour\n flaky\nend\n",
+                cancel_count: 0,
+                gap: Dur::from_secs(1),
+            };
+            let vm = world.vm(7);
+            let mut d = SimDriver::new(world, vec![vm]);
+            let sink = Arc::new(Mutex::new(VecSink::new()));
+            let shared: SharedSink = sink.clone();
+            let end = Time::from_secs(1000);
+            let go = || d.run_traced(Some(shared), FaultPlan::default(), end, |_| {});
+            let (counts, charged) = if timed {
+                phases::timed(go)
+            } else {
+                (go(), PhaseCycles::default())
+            };
+            let records = sink.lock().unwrap().take();
+            (counts, charged, records)
+        };
+        let (counts, _, records) = run(false);
+        let (timed_counts, charged, timed_records) = run(true);
+        assert_eq!(timed_counts, counts);
+        assert_eq!(timed_records, records);
+        assert!(!records.is_empty());
+        for p in [
+            Phase::Queue,
+            Phase::Vm,
+            Phase::Exec,
+            Phase::Deliver,
+            Phase::World,
+        ] {
+            assert!(charged.of(p) > 0, "{p:?}: {charged:?}");
+        }
+        assert!(charged.of(Phase::Trace) > 0, "{charged:?}");
     }
 
     #[test]

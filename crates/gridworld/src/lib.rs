@@ -12,6 +12,7 @@ pub mod coord;
 pub mod driver;
 pub mod figures;
 pub mod lifecycle;
+pub mod phases;
 pub mod scenarios;
 pub mod scripts;
 pub mod sweep;
@@ -19,6 +20,7 @@ pub mod sweep;
 pub use driver::{ClientId, CommandWorld, Ctx, ExecOutcome, RunCounts, SimDriver, SimEv};
 pub use figures::{by_name_full, FigureRun, Scale};
 pub use lifecycle::{Lifecycle, NextUnit, Wake};
+pub use phases::{Phase, PhaseCycles};
 pub use scenarios::blackhole::{
     run_blackhole, run_blackhole_traced, BlackHoleOutcome, BlackHoleParams,
 };

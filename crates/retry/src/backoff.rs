@@ -84,7 +84,7 @@ impl BackoffPolicy {
             BackoffPolicy::Constant(d) => d,
             BackoffPolicy::Exponential { base, cap, jitter } => {
                 let exponent = (failures - 1).min(63);
-                let capped = base.mul_f64(2f64.powi(exponent as i32)).min(cap);
+                let capped = base.mul_f64(pow2(exponent)).min(cap);
                 let factor = if jitter {
                     rng.random_range(1.0..2.0)
                 } else {
@@ -133,6 +133,15 @@ impl BackoffPolicy {
             Dur::from_micros(jittered.round() as u64)
         }
     }
+}
+
+/// 2^`k` for `k` in 0..=63, exactly: the float whose exponent field is
+/// `k` and whose mantissa is zero. Bit for bit what `2f64.powi(k)`
+/// returns, without the `powi` library call.
+#[inline]
+fn pow2(k: u32) -> f64 {
+    debug_assert!(k <= 63);
+    f64::from_bits(u64::from(1023 + k) << 52)
 }
 
 impl Default for BackoffPolicy {
@@ -248,6 +257,51 @@ mod tests {
         // delay 6; delays 6..=10 sit at the 2 s cap.
         // 2*(3.1 + 5*2.0) = 26.2 s.
         assert_eq!(arena.worst_total(10), Dur::from_millis(26_200));
+    }
+
+    #[test]
+    fn pow2_is_powi_bit_for_bit() {
+        for k in 0..=63u32 {
+            assert_eq!(pow2(k).to_bits(), 2f64.powi(k as i32).to_bits(), "2^{k}");
+        }
+    }
+
+    /// `delay_after` as it was written with `powi`: the oracle.
+    fn delay_with_powi(p: &BackoffPolicy, failures: u32, rng: &mut StdRng) -> Dur {
+        let BackoffPolicy::Exponential { base, cap, jitter } = *p else {
+            unreachable!("only exponential policies draw powers of two")
+        };
+        let exponent = (failures - 1).min(63);
+        let capped = base.mul_f64(2f64.powi(exponent as i32)).min(cap);
+        let factor = if jitter {
+            rng.random_range(1.0..2.0)
+        } else {
+            1.0
+        };
+        capped.mul_f64(factor)
+    }
+
+    #[test]
+    fn delays_match_the_powi_formula_bit_for_bit() {
+        let policies = [
+            BackoffPolicy::ethernet(),
+            BackoffPolicy::exponential(Dur::from_millis(100), Dur::from_secs(2)),
+            BackoffPolicy::exponential(Dur::from_micros(1), Dur::MAX),
+            BackoffPolicy::exponential(Dur::from_micros(3), Dur::from_micros(u64::MAX / 3)),
+            BackoffPolicy::exponential(Dur::from_secs(7), Dur::from_secs(7)),
+        ];
+        for p in policies.into_iter().flat_map(|p| [p, p.without_jitter()]) {
+            for seed in 0..8 {
+                let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for failures in 1..=70 {
+                    assert_eq!(
+                        p.delay_after(failures, &mut a),
+                        delay_with_powi(&p, failures, &mut b),
+                        "{p:?} after {failures} failures, seed {seed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! simulator, the static checker and the daemon read. [`IdMap`] is
 //! the deterministic lookup table the worlds key by client and token.
 //! [`prefetch`] is the cache hint the simulator's event loop issues
-//! for the next event's client.
+//! for the next event's client, and [`cycles`] the counter its phase
+//! timer reads.
 //!
 //! Time is `retry::Time` — the same virtual instants the ftsh VM
 //! consumes — so whole populations of VMs can be multiplexed over one
@@ -37,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod channel;
+mod cycles;
 pub mod events;
 pub mod faults;
 pub mod hash;
@@ -49,6 +51,7 @@ pub mod rng;
 pub mod trace;
 
 pub use channel::{simulate_channel, ChannelStats};
+pub use cycles::cycles;
 pub use events::EventQueue;
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use hash::IdMap;
