@@ -4,7 +4,7 @@
 //! figures [--quick] [--seed N] [--out DIR] [fig1 fig2 ... | all]
 //! figures --trace OUT.jsonl [--seed N] [figs...]
 //! figures --faults PLAN.json [figs...]
-//! figures --stats [--quick] [--seed N] [figs...]
+//! figures --stats [--quick] [--seed N] [--out DIR] [figs...]
 //! figures --live [--quick | --live-clients N] [--min-dispatch V] [--seed N] [--out DIR]
 //! figures --coord-live [--seed N] [--out DIR]
 //! figures postmortem TRACE.jsonl [--timeline] [--rounds] [--client N]
@@ -62,10 +62,12 @@
 //! sequential baseline) and once fanned across threads — and writes
 //! wall-clock, peak RSS, events-processed/sec and allocations-per-tick
 //! for both passes, plus the parallel speedup, to
-//! `BENCH_engine.json` at the workspace root. A third pass repeats the
-//! sequential one with the simulator's phase timer on
-//! (`gridworld::phases`): it prints and records TSC cycles per popped
-//! event by phase, and events/s with the timer off and on.
+//! `BENCH_engine.json` at the workspace root — or to
+//! `DIR/BENCH_engine.json` with `--out DIR`, which leaves the tracked
+//! ledger alone. A third pass repeats the sequential one with the
+//! simulator's phase timer on (`gridworld::phases`): it prints and
+//! records TSC cycles per popped event by phase, and events/s with the
+//! timer off and on.
 
 use egbench::live::{CoordLiveOptions, LiveOptions, Study};
 use gridworld::figures::{
@@ -337,8 +339,9 @@ fn parse_budget(text: &str, key: &str) -> Option<f64> {
     val.split([',', '}', '\n']).next()?.trim().parse().ok()
 }
 
-/// The perf baseline harness behind `--stats`.
-fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64) -> ExitCode {
+/// The perf baseline harness behind `--stats`; it writes
+/// `BENCH_engine.json` into `dir`.
+fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64, dir: &Path) -> ExitCode {
     if figs.is_empty() {
         // The multi-point sweep figures: one independent simulation per
         // (discipline, population) point, the parallel runner's home turf.
@@ -448,8 +451,8 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64) -> ExitCode {
         seq.to_json(),
         phases_json(&seq, &timed, &charged),
     );
-    let path = egbench::workspace_root().join("BENCH_engine.json");
-    if let Err(e) = std::fs::write(&path, &json) {
+    let path = dir.join("BENCH_engine.json");
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &json)) {
         eprintln!("cannot write {}: {e}", path.display());
         return ExitCode::FAILURE;
     }
@@ -697,7 +700,9 @@ fn main() -> ExitCode {
     let mut live_clients: Option<usize> = None;
     let mut min_dispatch: Option<f64> = None;
     let mut trace_base: Option<String> = None;
-    let mut out_dir = egbench::results_dir();
+    // `--out DIR`, if given: where figure data, live output and the
+    // `--stats` ledger go instead of their tracked homes.
+    let mut out: Option<PathBuf> = None;
     let mut plan: Option<simgrid::FaultPlan> = None;
     let mut wanted: Vec<String> = Vec::new();
 
@@ -738,7 +743,7 @@ fn main() -> ExitCode {
                 }
             },
             "--out" => match it.next() {
-                Some(dir) => out_dir = PathBuf::from(dir),
+                Some(dir) => out = Some(PathBuf::from(dir)),
                 None => {
                     eprintln!("--out needs a directory");
                     return ExitCode::from(2);
@@ -802,6 +807,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     }
+    let out_dir = out.clone().unwrap_or_else(egbench::results_dir);
     if live {
         // An explicit population size picks physics scaled to it.
         let arena = match (live_clients, scale) {
@@ -822,7 +828,8 @@ fn main() -> ExitCode {
         return run_check_only(&wanted, scale, seed, plan.as_ref());
     }
     if stats {
-        return run_stats(wanted, scale, seed);
+        let dir = out.unwrap_or_else(egbench::workspace_root);
+        return run_stats(wanted, scale, seed, &dir);
     }
     if wanted.is_empty() {
         wanted.extend(ALL_FIGURES.iter().map(|s| s.to_string()));

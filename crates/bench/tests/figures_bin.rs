@@ -137,3 +137,31 @@ fn a_flag_the_chosen_mode_would_drop_is_a_usage_error() {
     }
     assert!(!dir.exists(), "nothing ran");
 }
+
+/// fig1 because `--stats` exits non-zero past its allocation budget,
+/// which is set for the sweep figures: a quick fig6 allocates its
+/// setup over only 155 ticks.
+#[test]
+fn stats_with_out_writes_its_ledger_there() {
+    let dir = scratch("stats");
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_engine.json");
+    let ledger = std::fs::read(&root).unwrap();
+    let out = figures()
+        .args(["--stats", "--quick", "--out"])
+        .arg(&dir)
+        .arg("fig1")
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written = std::fs::read_to_string(dir.join("BENCH_engine.json")).unwrap();
+    assert!(written.contains("\"figures\": [\"fig1\"]"), "{written}");
+    assert_eq!(
+        std::fs::read(&root).unwrap(),
+        ledger,
+        "the tracked ledger at the root is left alone"
+    );
+}

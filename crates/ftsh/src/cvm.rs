@@ -38,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use retry::{BackoffPolicy, NextAttempt, Time, TryBudget, TrySession};
 use simgrid::trace::{SharedSink, TraceEv, TraceRecord, NO_ID};
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
 use std::sync::{Arc, OnceLock};
@@ -477,8 +478,10 @@ pub struct Vm {
     m: Machine,
     /// The root task's bindings, copied out the first time
     /// [`Vm::env`] is asked after the script finished. A population
-    /// driver never asks, and so never pays for the copy.
-    final_env: OnceLock<Box<Env>>,
+    /// driver never asks, and so never pays for the copy. A `OnceCell`,
+    /// 8 bytes where a `OnceLock` is 16: a `Vm` is `Send`, and no
+    /// driver shares one between threads.
+    final_env: OnceCell<Box<Env>>,
 }
 
 /// The mutable half of a [`Vm`]: its tasks, counters, RNG, log and
@@ -502,16 +505,28 @@ struct Machine {
     outcome: Option<bool>,
     default_backoff: BackoffPolicy,
     now: Time,
-    /// String vectors to reuse: argv handed back via
+    /// The pooled argv: the string vector the next command dispatch
+    /// draws, inline so that the `Vm`'s own lines locate its buffer
+    /// ([`Vm::prefetch`] hints it). No buffer while a command holds it.
+    /// String vectors to reuse — argv handed back via
     /// [`Vm::recycle_spec`], value lists of finished `forany`/`forall`
-    /// loops. Command dispatch and loop entry draw from here before
-    /// allocating, so steady-state iteration never allocates. Each is
-    /// emptied when pooled, except the argv of an all-literal command
-    /// ([`CmdTpl::literal`]): its words are the program's own literals,
-    /// so keeping them pins nothing, and the next dispatch of that
-    /// command takes the vector as it is. Whoever draws a vector for
-    /// anything else empties it first.
-    spare_vecs: Vec<Vec<Istr>>,
+    /// loops — are pooled here, and in [`Machine::spill`] once this
+    /// holds one. Command dispatch and loop entry draw from the pool
+    /// before allocating, so steady-state iteration never allocates.
+    /// Each is emptied when pooled, except the argv of an all-literal
+    /// command ([`CmdTpl::literal`]): its words are the program's own
+    /// literals, so keeping them pins nothing, and the next dispatch of
+    /// that command takes the vector as it is. Whoever draws a vector
+    /// for anything else empties it first.
+    argv: Vec<Istr>,
+    /// Pooled vectors beyond the first: a loop's value list beside the
+    /// argv, or the argv of a parallel branch. Boxed on first use,
+    /// which a script that never holds two vectors at once (a submit
+    /// or buffer client) never makes. Not in [`Cold`]: a `forany`
+    /// reader pools its value list here every unit. Boxed: 8 bytes in
+    /// every `Vm`, where the `Vec` inline is 24.
+    #[allow(clippy::box_collection)]
+    spill: Option<Box<Vec<Vec<Istr>>>>,
     /// The command whose all-literal argv dispatch handed out last
     /// ([`NO_CMD`] before any): the one argv [`Vm::recycle_spec`] may
     /// pool with its words.
@@ -542,7 +557,8 @@ struct Cold {
     scratch_rhs: String,
 }
 
-/// Cap on each of the spare pools: a handful covers any realistic
+/// Cap on each of the spare pools (the string vectors, the inline one
+/// counted, and the retired tasks): a handful covers any realistic
 /// burst of parallel branches; beyond that, let excess buffers drop.
 const SPARES: usize = 8;
 
@@ -584,11 +600,12 @@ impl Vm {
                 outcome: None,
                 default_backoff: BackoffPolicy::ethernet(),
                 now: Time::ZERO,
-                spare_vecs: Vec::new(),
+                argv: Vec::new(),
+                spill: None,
                 lit_argv: NO_CMD,
                 cold: None,
             },
-            final_env: OnceLock::new(),
+            final_env: OnceCell::new(),
         }
     }
 
@@ -659,19 +676,18 @@ impl Vm {
 
     /// Ask the CPU to load the blocks a tick reads first through this
     /// VM's own pointers: the root task, where every tick's pass over
-    /// the task table starts, and the spare list the next command
-    /// dispatch pops. A hint ([`simgrid::prefetch`]): it changes
-    /// nothing. A population driver calls it for the client it will
-    /// tick next. It stops there, so a wide `forall` costs no more
-    /// hints than a plain script.
+    /// the task table starts, and the words of the pooled argv, which
+    /// the next dispatch of an all-literal command compares with its
+    /// own (an emptied argv has none to hint). A hint
+    /// ([`simgrid::prefetch`]): it changes nothing. A population driver
+    /// calls it for the client it will tick next. It stops there, so a
+    /// wide `forall` costs no more hints than a plain script.
     #[inline]
     pub fn prefetch(&self) {
         if let Some(root) = self.m.tasks.first() {
             simgrid::prefetch(root);
         }
-        if let Some(spare) = self.m.spare_vecs.last() {
-            simgrid::prefetch(spare);
-        }
+        simgrid::prefetch(self.m.argv.as_slice());
     }
 
     /// Install a structured-trace sink; every record this VM emits
@@ -816,21 +832,55 @@ impl Machine {
     }
 
     /// Pool `v` as it is: emptied, or the literal argv of a command.
+    /// It becomes the pooled argv if there is none, and spills
+    /// otherwise.
     #[inline(always)]
     fn pool_vec(&mut self, v: Vec<Istr>) {
-        if self.spare_vecs.len() < SPARES {
-            if self.spare_vecs.capacity() == 0 {
-                // One spare is all a sequential script ever pools.
-                self.spare_vecs.reserve_exact(1);
-            }
-            self.spare_vecs.push(v);
+        if self.argv.capacity() == 0 {
+            self.argv = v;
+        } else {
+            self.spill_vec(v);
         }
     }
 
-    /// An empty vector: a spare one if the pool holds any.
+    /// Pool `v` beside the pooled argv, boxing the spill on first use.
+    /// Out of line: only a loop or a parallel branch gets here, and
+    /// [`Machine::pool_vec`] is inlined into every recycle.
+    #[inline(never)]
+    fn spill_vec(&mut self, v: Vec<Istr>) {
+        let spill = self.spill.get_or_insert_with(|| {
+            // One spilled vector is all a `forany` client ever pools.
+            Box::new(Vec::with_capacity(1))
+        });
+        if spill.len() < SPARES - 1 {
+            spill.push(v);
+        }
+    }
+
+    /// The pooled argv, for a command dispatch: the inline one, or a
+    /// spilled one when a dispatch already holds that, or a new one.
     #[inline(always)]
+    fn take_argv(&mut self) -> Vec<Istr> {
+        if self.argv.capacity() != 0 {
+            std::mem::take(&mut self.argv)
+        } else {
+            self.unspill().unwrap_or_default()
+        }
+    }
+
+    /// The vector spilled last, if any.
+    fn unspill(&mut self) -> Option<Vec<Istr>> {
+        self.spill.as_mut().and_then(|s| s.pop())
+    }
+
+    /// An empty vector for a loop's values: a spilled one first, so
+    /// that the inline one stays for the loop body's commands, then
+    /// the inline one, then a new one.
     fn take_vec(&mut self) -> Vec<Istr> {
-        let mut v = self.spare_vecs.pop().unwrap_or_default();
+        let mut v = match self.unspill() {
+            Some(v) => v,
+            None => std::mem::take(&mut self.argv),
+        };
         v.clear();
         v
     }
@@ -1447,7 +1497,7 @@ impl Machine {
     ) -> ControlFlow<Option<bool>> {
         let tid = task.id;
         let cmd: &CmdTpl = &prog.cmds[cix as usize];
-        let mut argv = self.spare_vecs.pop().unwrap_or_default();
+        let mut argv = self.take_argv();
         if cmd.literal {
             self.lit_argv = cix;
         }

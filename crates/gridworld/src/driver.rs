@@ -496,11 +496,11 @@ impl<W: CommandWorld> SimDriver<W> {
     ///
     /// One event ahead (DESIGN.md §10): right after a pop it peeks once
     /// at the next event and, if that wakes or completes for a client,
-    /// prefetches the client's [`Vm`]; once the popped event is
-    /// handled, the `Vm` has arrived and [`Vm::prefetch`] follows its
-    /// pointers. A prefetch is a hint, so a stale guess — the handler
-    /// scheduled something earlier — costs a wasted load and nothing
-    /// else.
+    /// prefetches the client's [`Vm`] and [`Lifecycle`]; once the popped
+    /// event is handled, the `Vm` has arrived and [`Vm::prefetch`]
+    /// follows its pointers. A prefetch is a hint, so a stale guess —
+    /// the handler scheduled something earlier — costs a wasted load
+    /// and nothing else.
     ///
     /// Inside a [`phases::timed`] scope it also charges the loop's
     /// cycles to their [`Phase`]s; the check is made once per call.
@@ -532,6 +532,7 @@ impl<W: CommandWorld> SimDriver<W> {
                 Some((_, SimEv::Wake { client: c, .. } | SimEv::CmdDone { client: c, .. })) => {
                     self.vms.get(*c).map(|vm| {
                         simgrid::prefetch(vm);
+                        simgrid::prefetch(&self.lives[*c]);
                         *c
                     })
                 }

@@ -2,7 +2,8 @@
 //! live bytes and live heap blocks per client measured the way the
 //! benchmark's `ftsh.vm.bytes_per_client` probe measures them, and
 //! again once every client has had a command answered; the cold part
-//! of a VM, which no paper client makes; the allocations of a
+//! of a VM, which no paper client makes, in its first command or in
+//! the units after; the allocations of a
 //! steady-state retry (none), of a world releasing held commands (none
 //! per release) and of a work unit (none per unit), and the sizes of
 //! the types a 100 000-client world holds by the hundred thousand.
@@ -16,6 +17,7 @@ use gridworld::scripts::{buffer_ethernet, reader_ethernet, submit_ethernet, unit
 use gridworld::{ClientId, CommandWorld, Ctx, ExecOutcome, Lifecycle, NextUnit, SimDriver, SimEv};
 use retry::{Discipline, Dur, Time, TrySession};
 use simgrid::trace::{SharedSink, VecSink};
+use simgrid::EventQueue;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
@@ -24,6 +26,9 @@ use std::sync::{Arc, Mutex};
 // Every queued event of the submission world is one of these; 8 bytes
 // more is 5 MB at 100 000 clients (PR 15 lost and re-won them).
 const _: () = assert!(size_of::<SimEv<SubmitEv>>() <= 48);
+// The queue's buckets hold an instant and a slab slot, not the event:
+// a re-file moves 16 bytes where it moved a 56-byte `(at, event)`.
+const _: () = assert!(EventQueue::<SimEv<SubmitEv>>::KEY_BYTES <= 16);
 // One `BackoffPolicy`, not two, and that one is base, cap and a jitter
 // flag (48 → 24 bytes): `TrySession` 88 → 64, a frame 104 → 80, a `Vm`
 // 464 → 440.
@@ -97,12 +102,13 @@ const MAX_BYTES_PER_CLIENT: i64 = 576;
 /// the population's vector.)
 const BLOCKS_PER_CLIENT: i64 = 3;
 /// Most a client may hold once its first answer came back and its spec
-/// was handed back, as `SimDriver` hands them back (640 when this was
-/// written; 832 before the cold part and the boxed spill map).
-const MAX_RUNNING_BYTES_PER_CLIENT: i64 = 664;
-/// The heap blocks of such a client: the three above, its spare-vector
-/// pool and the pooled argv buffer in it.
-const RUNNING_BLOCKS_PER_CLIENT: i64 = 5;
+/// was handed back, as `SimDriver` hands them back (616 when this was
+/// written; 640 while the pooled argv sat in a spare-vector list of its
+/// own, 832 before the cold part and the boxed spill map).
+const MAX_RUNNING_BYTES_PER_CLIENT: i64 = 640;
+/// The heap blocks of such a client: the three above and the pooled
+/// argv's buffer (the argv itself sits inline in the `Vm`).
+const RUNNING_BLOCKS_PER_CLIENT: i64 = 4;
 
 #[test]
 fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
@@ -201,14 +207,56 @@ fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
     assert_eq!(vm.log().summary().backoffs, 2);
 }
 
+/// Run `vm`'s unit from `start` to its end as `SimDriver` would: every
+/// command answered on the spot as [`answer`] says and its spec handed
+/// back, the VM woken when it asks. Whether the unit succeeded.
+fn run_unit(vm: &mut Vm, start: Time, effects: &mut Vec<Effect>) -> bool {
+    let mut now = start;
+    loop {
+        let status = vm.tick_into(now, effects);
+        let mut answered = false;
+        for e in effects.drain(..) {
+            if let Effect::Start { token, spec, .. } = e {
+                if let Some(result) = answer(&spec) {
+                    answered |= vm.complete(token, result);
+                }
+                vm.recycle_spec(spec);
+            }
+        }
+        match status {
+            VmStatus::Done { success } => return success,
+            _ if answered => {}
+            VmStatus::Running { next_wake: Some(t) } => now = t,
+            VmStatus::Running { next_wake: None } => panic!("a unit waits on nothing"),
+        }
+    }
+}
+
+/// How the test worlds answer a command: the schedd has descriptors
+/// to spare and takes the job, the buffer has room for the output, a
+/// live server serves, and the one named `hole` never answers.
+fn answer(spec: &CommandSpec) -> Option<CmdResult> {
+    match spec.program() {
+        "cut" => Some(CmdResult::ok("5000")),
+        "make-output" => Some(CmdResult::ok("10")),
+        "estimate-space" => Some(CmdResult::ok("100")),
+        "wget" if spec.argv[1].contains("hole") => None,
+        _ => Some(CmdResult::succeed()),
+    }
+}
+
 #[test]
 fn the_cold_part_is_made_on_first_use_and_survives_restart() {
     const CLIENTS: u64 = 1000;
+    const UNITS: u64 = 4;
     // No paper client makes it: 1 000 of each script, ticked to its
-    // first command.
+    // first command, then run through four whole units, each answered
+    // and restarted in place. The reader's first server is a black
+    // hole: its flag fetch hangs until the 5 s `try` kills it, and
+    // `forany` moves on to a live one.
     let mut hosts = Env::new();
-    for h in ["h1", "h2", "h3"] {
-        hosts.set(h, "server");
+    for (h, server) in [("h1", "hole"), ("h2", "server"), ("h3", "server")] {
+        hosts.set(h, server);
     }
     let mut effects: Vec<Effect> = Vec::new();
     for (name, script, env) in [
@@ -219,7 +267,7 @@ fn the_cold_part_is_made_on_first_use_and_survives_restart() {
         // Compiled once, outside the count.
         let _compiled = unit_vm(&script, Discipline::Ethernet, env.clone(), 0);
         let made = cold_blocks_made();
-        let vms: Vec<Vm> = (0..CLIENTS)
+        let mut vms: Vec<Vm> = (0..CLIENTS)
             .map(|i| {
                 let mut vm = unit_vm(&script, Discipline::Ethernet, env.clone(), i);
                 vm.set_log_detail(false);
@@ -229,6 +277,26 @@ fn the_cold_part_is_made_on_first_use_and_survives_restart() {
             })
             .collect();
         assert_eq!(cold_blocks_made() - made, 0, "{name}: cold parts made");
+        for (i, vm) in (0..).zip(&mut vms) {
+            for unit in 0..UNITS {
+                vm.restart(env.clone(), CLIENTS * unit + i);
+                let start = Time::from_secs(1000 * unit);
+                assert!(run_unit(vm, start, &mut effects), "{name}: a unit fails");
+            }
+        }
+        assert_eq!(
+            cold_blocks_made() - made,
+            0,
+            "{name}: cold parts made over {UNITS} units"
+        );
+        if name == "reader_ethernet" {
+            // The last unit's log: the black hole, then the live server.
+            let summary = vms[0].log().summary();
+            assert_eq!(
+                (summary.timed_out_tries, summary.alternatives_tried),
+                (1, 2)
+            );
+        }
         drop(vms);
     }
 

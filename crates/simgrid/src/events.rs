@@ -35,6 +35,17 @@
 //! events where they are: the clock moved only within bits they differ
 //! from it above.
 //!
+//! # Keys over a slab
+//!
+//! A bucket holds keys, not events: a key is the event's instant and
+//! the index of the slab slot its payload waits in, 16 bytes whatever
+//! the event. A re-file moves keys, so the events of a deep queue — a
+//! `SimEv<SubmitEv>` is 48 bytes — are written once when scheduled and
+//! read once when popped, however many buckets their keys pass
+//! through. A popped slot goes on a free list, and the next schedule
+//! takes the slot freed last, a line most likely still cached; the slab
+//! never holds more slots than the most events ever queued at once.
+//!
 //! # Ties without a sequence number
 //!
 //! Every append to a bucket is either a fresh schedule — scheduled
@@ -49,26 +60,27 @@
 //!
 //! A run that will never pop past some instant can say so
 //! ([`EventQueue::set_end`]): from then on an event scheduled after
-//! the end is counted ([`EventQueue::discarded`]) and not stored. Pop
-//! order is the `(instant, schedule order)` order of what is stored, so
-//! leaving out events that would never be popped does not reorder the
-//! rest. In a figure run most such events are `try` deadlines past its
-//! window.
+//! the end is counted ([`EventQueue::discarded`]) and not stored — it
+//! takes no slot. Pop order is the `(instant, schedule order)` order
+//! of what is stored, so leaving out events that would never be popped
+//! does not reorder the rest. In a figure run most such events are
+//! `try` deadlines past its window.
 
 use retry::Time;
 use std::collections::VecDeque;
 
-struct Entry<E> {
+/// Where a queued event waits: its instant and its slab slot.
+#[derive(Clone, Copy)]
+struct Key {
     at: Time,
-    event: E,
+    slot: u32,
 }
 
-/// Largest buffer, in events, a bucket (or the FIFO) keeps when it is
+/// Largest buffer, in keys, a bucket (or the FIFO) keeps when it is
 /// emptied; a larger one is freed, so a burst does not pin its peak.
-/// 2048 events of a figure world (56 B each) are 112 KiB, under glibc's
-/// 128 KiB mmap threshold. Chosen by measurement (DESIGN.md §10):
-/// against this cap, keeping every buffer cost `sim_figures` 22 % more
-/// peak RSS and keeping none 10 % of its events/s.
+/// Chosen by measurement (DESIGN.md §10) when a bucket held whole
+/// events: against this cap, keeping every buffer cost `sim_figures`
+/// 22 % more peak RSS and keeping none 10 % of its events/s.
 const RETAIN_MAX: usize = 2048;
 
 /// The bucket of an event at `at` while the clock reads `now`: 0 when
@@ -81,12 +93,14 @@ fn bucket(now: Time, at: Time) -> usize {
 /// A deterministic future-event list with its own clock.
 ///
 /// Invariants (kept by every `&mut` entry point): every queued event
-/// is at or after `now`; `due` holds exactly the events at `now`, and
-/// `buckets[k - 1]` those in bucket `k` ≥ 1, each in schedule order;
-/// bit `k - 1` of `occupied` is set iff `buckets[k - 1]` is non-empty,
-/// `earliest[k - 1]` is its earliest instant (`Time::MAX` when empty)
-/// and `head[k - 1]` the index of the first entry at that instant (0
-/// when empty).
+/// is at or after `now`; `due` holds the slots of exactly the events
+/// at `now`, and `buckets[k - 1]` the keys of those in bucket `k` ≥ 1,
+/// each in schedule order; bit `k - 1` of `occupied` is set iff
+/// `buckets[k - 1]` is non-empty, `earliest[k - 1]` is its earliest
+/// instant (`Time::MAX` when empty) and `head[k - 1]` the index of the
+/// first key at that instant (0 when empty). A slot holds an event iff
+/// exactly one key or FIFO entry names it; every other slot is on
+/// `free`.
 ///
 /// ```
 /// use retry::Time;
@@ -99,14 +113,18 @@ fn bucket(now: Time, at: Time) -> usize {
 /// assert_eq!(q.now(), Time::from_secs(1));
 /// ```
 pub struct EventQueue<E> {
-    /// The events at exactly `now`, in schedule order.
-    due: VecDeque<E>,
-    buckets: [Vec<Entry<E>>; 64],
+    /// The slots of the events at exactly `now`, in schedule order.
+    due: VecDeque<u32>,
+    buckets: [Vec<Key>; 64],
     earliest: [Time; 64],
-    /// Per bucket, the index of the entry the bucket's re-file would
-    /// put first in the FIFO: what [`EventQueue::peek`] returns.
+    /// Per bucket, the index of the key the bucket's re-file would put
+    /// first in the FIFO: what [`EventQueue::peek`] returns.
     head: [usize; 64],
     occupied: u64,
+    /// Every queued event's payload, in the slot its key names.
+    slab: Vec<Option<E>>,
+    /// The empty slots of `slab`, the one freed last on top.
+    free: Vec<u32>,
     now: Time,
     /// The last instant the run will pop; later events are not stored.
     end: Time,
@@ -122,6 +140,11 @@ impl<E> Default for EventQueue<E> {
 }
 
 impl<E> EventQueue<E> {
+    /// Bytes of one key, what a re-file moves per event. For tests
+    /// that pin it.
+    #[doc(hidden)]
+    pub const KEY_BYTES: usize = std::mem::size_of::<Key>();
+
     /// An empty queue at `T+0`.
     pub fn new() -> EventQueue<E> {
         EventQueue {
@@ -130,6 +153,8 @@ impl<E> EventQueue<E> {
             earliest: [Time::MAX; 64],
             head: [0; 64],
             occupied: 0,
+            slab: Vec::new(),
+            free: Vec::new(),
             now: Time::ZERO,
             end: Time::MAX,
             popped: 0,
@@ -209,26 +234,37 @@ impl<E> EventQueue<E> {
             self.discarded += 1;
             return;
         }
-        self.file(Entry { at, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(event);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 events queued");
+                self.slab.push(Some(event));
+                slot
+            }
+        };
+        self.file(Key { at, slot });
     }
 
-    /// Append `e`, which is not before `now`, to its bucket. Only a
+    /// Append `k`, which is not before `now`, to its bucket. Only a
     /// strictly earlier instant moves the bucket's head, so among
     /// equal instants the one scheduled first stays the head, as it
     /// pops first. Whether an instant is earlier is a coin toss in a
     /// re-file, so the head is chosen without a branch: as a branch it
     /// cost the hold model a fifth more per push and pop.
-    fn file(&mut self, e: Entry<E>) {
-        match bucket(self.now, e.at) {
-            0 => self.due.push_back(e.event),
-            k => {
-                let b = &mut self.buckets[k - 1];
-                let earlier = e.at < self.earliest[k - 1];
-                self.earliest[k - 1] = self.earliest[k - 1].min(e.at);
-                self.head[k - 1] =
-                    std::hint::select_unpredictable(earlier, b.len(), self.head[k - 1]);
-                self.occupied |= 1 << (k - 1);
-                b.push(e);
+    fn file(&mut self, k: Key) {
+        match bucket(self.now, k.at) {
+            0 => self.due.push_back(k.slot),
+            i => {
+                let b = &mut self.buckets[i - 1];
+                let earlier = k.at < self.earliest[i - 1];
+                self.earliest[i - 1] = self.earliest[i - 1].min(k.at);
+                self.head[i - 1] =
+                    std::hint::select_unpredictable(earlier, b.len(), self.head[i - 1]);
+                self.occupied |= 1 << (i - 1);
+                b.push(k);
             }
         }
     }
@@ -248,13 +284,20 @@ impl<E> EventQueue<E> {
         self.now = std::mem::replace(&mut self.earliest[i], Time::MAX);
         self.head[i] = 0;
         let mut refile = std::mem::take(&mut self.buckets[i]);
-        for e in refile.drain(..) {
-            self.file(e);
+        for k in refile.drain(..) {
+            self.file(k);
         }
         if refile.capacity() <= RETAIN_MAX {
             self.buckets[i] = refile;
         }
         Some(())
+    }
+
+    /// The event in `slot`, which a key names.
+    fn payload(&self, slot: u32) -> &E {
+        self.slab[slot as usize]
+            .as_ref()
+            .expect("a queued key names a full slot")
     }
 
     /// Timestamp of the next event without popping it.
@@ -272,12 +315,12 @@ impl<E> EventQueue<E> {
     /// return, without popping it: the FIFO's front, or else the head
     /// of the lowest non-empty bucket.
     pub fn peek(&self) -> Option<(Time, &E)> {
-        if let Some(event) = self.due.front() {
-            Some((self.now, event))
+        if let Some(&slot) = self.due.front() {
+            Some((self.now, self.payload(slot)))
         } else if self.occupied != 0 {
             let i = self.occupied.trailing_zeros() as usize;
-            let e = &self.buckets[i][self.head[i]];
-            Some((e.at, &e.event))
+            let k = self.buckets[i][self.head[i]];
+            Some((k.at, self.payload(k.slot)))
         } else {
             None
         }
@@ -288,14 +331,16 @@ impl<E> EventQueue<E> {
         if self.due.is_empty() {
             self.advance()?;
         }
-        let event = self.due.pop_front().expect("the earliest event is due");
+        let slot = self.due.pop_front().expect("the earliest event is due");
+        let event = self.slab[slot as usize].take().expect("a due slot is full");
+        self.free.push(slot);
         self.popped += 1;
         Some((self.now, event))
     }
 
-    /// Number of pending events.
+    /// Number of pending events: the slab's occupied slots.
     pub fn len(&self) -> usize {
-        self.due.len() + self.buckets.iter().map(Vec::len).sum::<usize>()
+        self.slab.len() - self.free.len()
     }
 
     /// True when nothing is scheduled.
@@ -711,6 +756,79 @@ mod tests {
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
         assert_eq!(order, ["sooner", "at the end"]);
         assert!(q.is_empty());
+    }
+
+    /// Slots of `q`'s slab that hold an event.
+    fn full_slots<E>(q: &EventQueue<E>) -> usize {
+        q.slab.iter().filter(|s| s.is_some()).count()
+    }
+
+    #[test]
+    fn the_slab_never_outgrows_the_deepest_queue() {
+        // 10 000 cycles of a few schedules and a few pops, at depths
+        // that rise and fall: the slab reuses freed slots before it
+        // grows, so it ends as long as the deepest the queue ever was.
+        let mut q = EventQueue::new();
+        let (mut x, mut peak) = (7u64, 0);
+        for cycle in 0..10_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let (pushes, pops) = ((x >> 33) % 5, (x >> 45) % 5);
+            for i in 0..pushes {
+                let delay = (x >> (7 * i)) % 1_000_000;
+                q.schedule(q.now() + Dur::from_micros(delay), cycle);
+            }
+            peak = peak.max(q.len());
+            for _ in 0..pops {
+                q.pop();
+            }
+            assert!(q.slab.len() <= peak, "{} slots, peak {peak}", q.slab.len());
+        }
+        assert!(peak > 100, "the depth wandered: peak {peak}");
+        assert_eq!(q.slab.len(), peak);
+    }
+
+    #[test]
+    fn a_schedule_past_the_end_takes_no_slot() {
+        let mut q = EventQueue::new();
+        q.set_end(Time::from_secs(10));
+        q.schedule(Time::from_secs(300), "deadline");
+        assert_eq!((q.slab.len(), q.discarded()), (0, 1));
+        q.schedule(Time::from_secs(5), "kept");
+        q.schedule(Time::MAX, "never");
+        assert_eq!((q.slab.len(), q.free.len()), (1, 0));
+        assert_eq!(q.pop(), Some((Time::from_secs(5), "kept")));
+        // The freed slot is reused; a later discard still takes none.
+        q.schedule(Time::from_secs(11), "late");
+        q.schedule(Time::from_secs(6), "again");
+        assert_eq!((q.slab.len(), q.free.len(), q.discarded()), (1, 0, 3));
+    }
+
+    #[test]
+    fn len_is_the_number_of_full_slots() {
+        let mut q = EventQueue::new();
+        let mut x = 3u64;
+        for i in 0..5_000u64 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            if x >> 62 == 0 {
+                q.pop();
+            } else {
+                // Some at `now` (the FIFO), the rest spread over buckets.
+                let delay = if x >> 61 & 1 == 0 {
+                    0
+                } else {
+                    (x >> 20) % (1 << 30)
+                };
+                q.schedule(q.now() + Dur::from_micros(delay), i);
+            }
+            let keys = q.due.len() + q.buckets.iter().map(Vec::len).sum::<usize>();
+            assert_eq!((q.len(), full_slots(&q)), (keys, keys));
+        }
+        while q.pop().is_some() {}
+        assert_eq!((q.len(), full_slots(&q)), (0, 0));
     }
 
     #[test]
