@@ -42,11 +42,20 @@ use ftsh::Istr;
 use retry::{Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan, FaultWindows};
 use simgrid::trace::{carrier_sense, emit, SharedSink, TraceEv, NO_ID};
-use simgrid::{EventQueue, IdMap, SimRng};
+use simgrid::{EventQueue, IdMap, SimRng, NO_OWNER};
 use std::marker::PhantomData;
 
 /// A client index within a scenario.
 pub type ClientId = usize;
+
+/// What a wake or completion for `client` is scheduled for on the
+/// queue: the client's index, which [`EventQueue::lookahead`] hands
+/// back. Past `u32` it names the wrong client, and a hint is all it
+/// steers.
+fn owner(client: ClientId) -> u32 {
+    debug_assert!(client < NO_OWNER as usize, "under 2^32 - 1 clients");
+    client as u32
+}
 
 /// Events the driver understands; `W` is the scenario's own event type.
 #[derive(Debug)]
@@ -164,8 +173,9 @@ impl<W> Ctx<'_, W> {
         token: CmdToken,
         result: CmdResult,
     ) {
-        self.queue.schedule(
+        self.queue.schedule_for(
             at,
+            owner(client),
             SimEv::CmdDone {
                 client,
                 epoch: self.lives[client].epoch(),
@@ -386,7 +396,7 @@ impl<W: CommandWorld> SimDriver<W> {
         assert_eq!(vms.len(), starts.len(), "one start time per client");
         let mut queue = EventQueue::new();
         for (client, &at) in starts.iter().enumerate() {
-            queue.schedule(at, SimEv::Wake { client, epoch: 0 });
+            queue.schedule_for(at, owner(client), SimEv::Wake { client, epoch: 0 });
         }
         for vm in &mut vms {
             // The driver only ever reads the O(1) log summary;
@@ -494,11 +504,13 @@ impl<W: CommandWorld> SimDriver<W> {
     /// never exceeds `end`. Resumable: it sets no end on the queue, so
     /// those events are still stored and a later call pops them.
     ///
-    /// One event ahead (DESIGN.md §10): right after a pop it peeks once
-    /// at the next event and, if that wakes or completes for a client,
-    /// prefetches the client's [`Vm`] and [`Lifecycle`]; once the popped
-    /// event is handled, the `Vm` has arrived and [`Vm::prefetch`]
-    /// follows its pointers. A prefetch is a hint, so a stale guess —
+    /// One event ahead (DESIGN.md §10): right after a pop it asks the
+    /// queue whose event is next ([`EventQueue::lookahead`], which
+    /// reads the next key, not the event, and hints the event's slot)
+    /// and, if that wakes or completes for a client, prefetches the
+    /// client's [`Vm`] and [`Lifecycle`]; once the popped event is
+    /// handled, the `Vm` has arrived and [`Vm::prefetch`] follows its
+    /// pointers. A prefetch is a hint, so a stale guess —
     /// the handler scheduled something earlier — costs a wasted load
     /// and nothing else.
     ///
@@ -528,16 +540,14 @@ impl<W: CommandWorld> SimDriver<W> {
                 break;
             }
             let (now, ev) = self.queue.pop().expect("peeked");
-            let next = match self.queue.peek() {
-                Some((_, SimEv::Wake { client: c, .. } | SimEv::CmdDone { client: c, .. })) => {
-                    self.vms.get(*c).map(|vm| {
-                        simgrid::prefetch(vm);
-                        simgrid::prefetch(&self.lives[*c]);
-                        *c
-                    })
-                }
-                _ => None,
-            };
+            let next = self.queue.lookahead().and_then(|c| {
+                let c = c as ClientId;
+                self.vms.get(c).map(|vm| {
+                    simgrid::prefetch(vm);
+                    simgrid::prefetch(&self.lives[c]);
+                    c
+                })
+            });
             C::enter(Phase::Rest);
             match ev {
                 SimEv::Wake { client, epoch } => {
@@ -706,7 +716,8 @@ impl<W: CommandWorld> SimDriver<W> {
     /// current unit epoch.
     fn wake_at(&mut self, client: ClientId, at: Time) {
         let epoch = self.lives[client].epoch();
-        self.queue.schedule(at, SimEv::Wake { client, epoch });
+        self.queue
+            .schedule_for(at, owner(client), SimEv::Wake { client, epoch });
     }
 
     /// The instant client `client`'s VM observes when ticked at `now`:
@@ -803,7 +814,7 @@ impl<W: CommandWorld> SimDriver<W> {
                 result,
                 delayed: true,
             };
-            self.queue.schedule(now + extra, held);
+            self.queue.schedule_for(now + extra, owner(client), held);
             return false;
         }
         if fs.lose(program, now) {
@@ -1976,6 +1987,11 @@ mod lookahead_tests {
     /// client 2 starts `work` at 5 s, is killed at 6 s and revived at
     /// 8 s, so its first completion (7 s) arrives stale.
     fn driver() -> SimDriver<AheadWorld> {
+        driver_with(None)
+    }
+
+    /// [`driver`], with `more` armed after the kill (as fault 1).
+    fn driver_with(more: Option<FaultSpec>) -> SimDriver<AheadWorld> {
         let hold = parse("hold\nmark\n").unwrap();
         let work = parse("work\nmark\n").unwrap();
         let vms = vec![
@@ -1986,14 +2002,48 @@ mod lookahead_tests {
         let starts = vec![Time::ZERO, Time::ZERO, Time::from_secs(5)];
         let mut d = SimDriver::with_starts(AheadWorld::default(), vms, starts);
         d.schedule_world(Time::from_secs(3), ());
-        d.arm_faults(FaultPlan::new(1).with(FaultSpec::once(
+        let kill = FaultPlan::new(1).with(FaultSpec::once(
             Time::from_secs(6),
             FaultKind::ClientKill {
                 client: 2,
                 restart: Some(Dur::from_secs(2)),
             },
-        )));
+        ));
+        d.arm_faults(more.into_iter().fold(kill, FaultPlan::with));
         d
+    }
+
+    /// The next event, as its instant and what it is for.
+    type Head = Option<(f64, String)>;
+
+    fn head(secs: f64, kind: &str) -> Head {
+        Some((secs, kind.to_string()))
+    }
+
+    /// Run `d` one instant at a time and note the head each instant
+    /// leaves. After each, the queue's lookahead must name the client
+    /// of the event `peek` shows — none for a world event, a fault or
+    /// a revival — so a schedule that forgot its client fails here.
+    fn step_by_instant(d: &mut SimDriver<AheadWorld>) -> Vec<Head> {
+        let mut heads = Vec::new();
+        while let Some(t) = d.queue.peek_time() {
+            d.run_until(t);
+            let next = d.queue.peek().map(|(at, ev)| {
+                let (client, kind) = match ev {
+                    SimEv::Wake { client, .. } => (Some(*client), format!("wake {client}")),
+                    SimEv::CmdDone { client, .. } => (Some(*client), format!("done {client}")),
+                    SimEv::World(()) => (None, "world".to_string()),
+                    SimEv::Fault(i) => (None, format!("fault {i}")),
+                    SimEv::Revive(c) => (None, format!("revive {c}")),
+                };
+                (client, (at.as_secs_f64(), kind))
+            });
+            let owner = d.queue.lookahead().map(|c| c as ClientId);
+            let client = next.as_ref().and_then(|&(c, _)| c);
+            assert_eq!(owner, client, "the head after {t:?}");
+            heads.push(next.map(|(_, head)| head));
+        }
+        heads
     }
 
     /// What the run did: ticks, events popped, and the world's record.
@@ -2014,23 +2064,10 @@ mod lookahead_tests {
         // Mid-instant, popping the world event at 3 s leaves client
         // 2's wake at the head; handling it schedules client 0's and
         // 1's completions at 3 s, ahead of that wake, so the client
-        // the driver prefetched is not the one it ticks next.
+        // the driver prefetched is not the one it ticks next. Each
+        // head's key names its client, or none.
         let mut stepped = driver();
-        let mut heads = Vec::new();
-        while let Some(t) = stepped.queue.peek_time() {
-            stepped.run_until(t);
-            heads.push(stepped.queue.peek().map(|(at, ev)| {
-                let kind = match ev {
-                    SimEv::Wake { client, .. } => format!("wake {client}"),
-                    SimEv::CmdDone { client, .. } => format!("done {client}"),
-                    SimEv::World(()) => "world".to_string(),
-                    SimEv::Fault(i) => format!("fault {i}"),
-                    SimEv::Revive(c) => format!("revive {c}"),
-                };
-                (at.as_secs_f64(), kind)
-            }));
-        }
-        let head = |s: f64, k: &str| Some((s, k.to_string()));
+        let heads = step_by_instant(&mut stepped);
         assert_eq!(
             heads,
             [
@@ -2052,5 +2089,37 @@ mod lookahead_tests {
         let marks = vec![(0, t3), (1, t3), (2, t10)];
         let injected = vec!["client-kill".to_string()];
         assert_eq!(outcome(&whole), (10, 10, marks, 1, injected, 3));
+    }
+
+    #[test]
+    fn held_completions_and_armed_wakes_are_looked_ahead_to_as_their_clients() {
+        // A latency spike on `work` from 9 s holds client 2's second
+        // completion, due at 10 s, until 11 s: the held message is
+        // scheduled again, for client 2.
+        let spike = FaultSpec::once(
+            Time::from_secs(9),
+            FaultKind::LatencySpike {
+                channel: "work".into(),
+                extra: Dur::from_secs(1),
+                duration: Dur::from_secs(5),
+            },
+        );
+        let mut d = driver_with(Some(spike));
+        let heads = step_by_instant(&mut d);
+        assert_eq!(
+            heads[4..],
+            [
+                head(8.0, "revive 2"),
+                head(9.0, "fault 1"),
+                head(10.0, "done 2"),
+                head(11.0, "done 2"),
+                None,
+            ]
+        );
+        assert_eq!(d.world.marks.last(), Some(&(2, Time::from_secs(11))));
+        // The wake a tick arms: a `try` deadline 5 s after the start.
+        let script = parse("try for 5 seconds\n hold\nend\n").unwrap();
+        let mut d = SimDriver::new(AheadWorld::default(), vec![Vm::with_seed(&script, 0)]);
+        assert_eq!(step_by_instant(&mut d), [head(5.0, "wake 0"), None]);
     }
 }

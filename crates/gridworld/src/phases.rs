@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 /// is charged only for its own part.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// `peek_time`, `pop`, and the lookahead's peek and prefetches.
+    /// `peek_time`, `pop`, and the lookahead and its prefetches.
     Queue,
     /// [`ftsh::Vm::tick_into`], each time [`ftsh::step`] ticks.
     Vm,

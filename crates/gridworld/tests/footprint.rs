@@ -26,9 +26,12 @@ use std::sync::{Arc, Mutex};
 // Every queued event of the submission world is one of these; 8 bytes
 // more is 5 MB at 100 000 clients (PR 15 lost and re-won them).
 const _: () = assert!(size_of::<SimEv<SubmitEv>>() <= 48);
-// The queue's buckets hold an instant and a slab slot, not the event:
-// a re-file moves 16 bytes where it moved a 56-byte `(at, event)`.
+// The queue's buckets hold an instant, a slab slot and an owner, not
+// the event: a re-file moves 16 bytes where it moved a 56-byte
+// `(at, event)`, and the owner fills what was the key's padding.
 const _: () = assert!(EventQueue::<SimEv<SubmitEv>>::KEY_BYTES <= 16);
+// The FIFO holds a slot and an owner: 8 bytes, where slots alone were 4.
+const _: () = assert!(EventQueue::<SimEv<SubmitEv>>::FIFO_ENTRY_BYTES <= 8);
 // One `BackoffPolicy`, not two, and that one is base, cap and a jitter
 // flag (48 → 24 bytes): `TrySession` 88 → 64, a frame 104 → 80, a `Vm`
 // 464 → 440.

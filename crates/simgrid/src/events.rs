@@ -16,9 +16,9 @@
 //!
 //! The queue is a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, 1990):
 //! a priority queue for keys that never go below the last key popped.
-//! Both users keep to that: [`EventQueue::schedule`] clamps an instant
-//! before `now` to `now` (and counts it), and `TimerWheel` clamps
-//! before it schedules.
+//! Both users keep to that: [`EventQueue::schedule_for`] clamps an
+//! instant before `now` to `now` (and counts it), and `TimerWheel`
+//! clamps before it schedules.
 //!
 //! Keys are microseconds. An event at exactly `now` waits in a FIFO;
 //! any other waits in bucket `64 − lzcnt(at ^ now)` — one more than the
@@ -37,14 +37,26 @@
 //!
 //! # Keys over a slab
 //!
-//! A bucket holds keys, not events: a key is the event's instant and
-//! the index of the slab slot its payload waits in, 16 bytes whatever
-//! the event. A re-file moves keys, so the events of a deep queue — a
+//! A bucket holds keys, not events: a key is the event's instant, the
+//! index of the slab slot its payload waits in and the event's owner,
+//! 16 bytes whatever the event; the FIFO holds the slot and owner
+//! alone, 8. A re-file moves keys, so the events of a deep queue — a
 //! `SimEv<SubmitEv>` is 48 bytes — are written once when scheduled and
 //! read once when popped, however many buckets their keys pass
 //! through. A popped slot goes on a free list, and the next schedule
 //! takes the slot freed last, a line most likely still cached; the slab
 //! never holds more slots than the most events ever queued at once.
+//!
+//! # An owner in the key
+//!
+//! The owner is a `u32` the scheduler chooses — the simulator's
+//! client index, or [`NO_OWNER`] — stored in what would otherwise be
+//! the key's padding. It orders nothing. It is there so that a look
+//! at the next event ([`EventQueue::lookahead`]) reads the next key
+//! alone: the key was written by the re-file that put it at the head,
+//! so its line is cached, where the payload's slot was last touched
+//! when the event was scheduled. `lookahead` hints that slot instead,
+//! so the next `pop` finds the payload cached.
 //!
 //! # Ties without a sequence number
 //!
@@ -69,11 +81,24 @@
 use retry::Time;
 use std::collections::VecDeque;
 
-/// Where a queued event waits: its instant and its slab slot.
+/// The owner of an event scheduled for no one in particular: what
+/// [`EventQueue::schedule`] stores, and what
+/// [`EventQueue::lookahead`] reports as `None`.
+pub const NO_OWNER: u32 = u32::MAX;
+
+/// Which queued event: its slab slot and its owner. The FIFO holds
+/// these, a bucket holds them with an instant.
+#[derive(Clone, Copy)]
+struct Entry {
+    slot: u32,
+    owner: u32,
+}
+
+/// Where a queued event waits: its instant and its entry.
 #[derive(Clone, Copy)]
 struct Key {
     at: Time,
-    slot: u32,
+    entry: Entry,
 }
 
 /// Largest buffer, in keys, a bucket (or the FIFO) keeps when it is
@@ -93,14 +118,14 @@ fn bucket(now: Time, at: Time) -> usize {
 /// A deterministic future-event list with its own clock.
 ///
 /// Invariants (kept by every `&mut` entry point): every queued event
-/// is at or after `now`; `due` holds the slots of exactly the events
+/// is at or after `now`; `due` holds the entries of exactly the events
 /// at `now`, and `buckets[k - 1]` the keys of those in bucket `k` ≥ 1,
 /// each in schedule order; bit `k - 1` of `occupied` is set iff
 /// `buckets[k - 1]` is non-empty, `earliest[k - 1]` is its earliest
 /// instant (`Time::MAX` when empty) and `head[k - 1]` the index of the
 /// first key at that instant (0 when empty). A slot holds an event iff
 /// exactly one key or FIFO entry names it; every other slot is on
-/// `free`.
+/// `free`. An entry's owner is the one its event was scheduled for.
 ///
 /// ```
 /// use retry::Time;
@@ -113,12 +138,13 @@ fn bucket(now: Time, at: Time) -> usize {
 /// assert_eq!(q.now(), Time::from_secs(1));
 /// ```
 pub struct EventQueue<E> {
-    /// The slots of the events at exactly `now`, in schedule order.
-    due: VecDeque<u32>,
+    /// The entries of the events at exactly `now`, in schedule order.
+    due: VecDeque<Entry>,
     buckets: [Vec<Key>; 64],
     earliest: [Time; 64],
     /// Per bucket, the index of the key the bucket's re-file would put
-    /// first in the FIFO: what [`EventQueue::peek`] returns.
+    /// first in the FIFO: what [`EventQueue::peek`] returns and
+    /// [`EventQueue::lookahead`] names the owner of.
     head: [usize; 64],
     occupied: u64,
     /// Every queued event's payload, in the slot its key names.
@@ -144,6 +170,10 @@ impl<E> EventQueue<E> {
     /// that pin it.
     #[doc(hidden)]
     pub const KEY_BYTES: usize = std::mem::size_of::<Key>();
+
+    /// Bytes of one FIFO entry. For tests that pin it.
+    #[doc(hidden)]
+    pub const FIFO_ENTRY_BYTES: usize = std::mem::size_of::<Entry>();
 
     /// An empty queue at `T+0`.
     pub fn new() -> EventQueue<E> {
@@ -213,16 +243,25 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Schedule `event` at absolute instant `at`. Scheduling in the
-    /// past is a logic error in debug builds; in release it clamps to
-    /// `now` (the event fires immediately, preserving progress) and
-    /// increments [`clamped`]. An instant after the [end] is counted in
-    /// [`discarded`] and the event dropped.
+    /// Schedule `event` at absolute instant `at` for no owner:
+    /// [`schedule_for`](EventQueue::schedule_for) with [`NO_OWNER`].
+    pub fn schedule(&mut self, at: Time, event: E) {
+        self.schedule_for(at, NO_OWNER, event);
+    }
+
+    /// Schedule `event` at absolute instant `at` on behalf of `owner`,
+    /// which [`lookahead`] reports while the event is next and which
+    /// changes nothing else. Scheduling in the past is a logic error in
+    /// debug builds; in release it clamps to `now` (the event fires
+    /// immediately, preserving progress) and increments [`clamped`]. An
+    /// instant after the [end] is counted in [`discarded`] and the
+    /// event dropped.
     ///
+    /// [`lookahead`]: EventQueue::lookahead
     /// [`clamped`]: EventQueue::clamped
     /// [end]: EventQueue::set_end
     /// [`discarded`]: EventQueue::discarded
-    pub fn schedule(&mut self, at: Time, event: E) {
+    pub fn schedule_for(&mut self, at: Time, owner: u32, event: E) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let at = if at < self.now {
             self.clamped += 1;
@@ -245,7 +284,10 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        self.file(Key { at, slot });
+        self.file(Key {
+            at,
+            entry: Entry { slot, owner },
+        });
     }
 
     /// Append `k`, which is not before `now`, to its bucket. Only a
@@ -256,7 +298,7 @@ impl<E> EventQueue<E> {
     /// cost the hold model a fifth more per push and pop.
     fn file(&mut self, k: Key) {
         match bucket(self.now, k.at) {
-            0 => self.due.push_back(k.slot),
+            0 => self.due.push_back(k.entry),
             i => {
                 let b = &mut self.buckets[i - 1];
                 let earlier = k.at < self.earliest[i - 1];
@@ -300,6 +342,21 @@ impl<E> EventQueue<E> {
             .expect("a queued key names a full slot")
     }
 
+    /// The instant and entry of the event the next
+    /// [`pop`](EventQueue::pop) returns: the FIFO's front, or else the
+    /// head of the lowest non-empty bucket.
+    fn next(&self) -> Option<(Time, Entry)> {
+        if let Some(&e) = self.due.front() {
+            Some((self.now, e))
+        } else if self.occupied != 0 {
+            let i = self.occupied.trailing_zeros() as usize;
+            let k = self.buckets[i][self.head[i]];
+            Some((k.at, k.entry))
+        } else {
+            None
+        }
+    }
+
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<Time> {
         if !self.due.is_empty() {
@@ -312,18 +369,20 @@ impl<E> EventQueue<E> {
     }
 
     /// The instant and event the next [`pop`](EventQueue::pop) would
-    /// return, without popping it: the FIFO's front, or else the head
-    /// of the lowest non-empty bucket.
+    /// return, without popping it.
     pub fn peek(&self) -> Option<(Time, &E)> {
-        if let Some(&slot) = self.due.front() {
-            Some((self.now, self.payload(slot)))
-        } else if self.occupied != 0 {
-            let i = self.occupied.trailing_zeros() as usize;
-            let k = self.buckets[i][self.head[i]];
-            Some((k.at, self.payload(k.slot)))
-        } else {
-            None
-        }
+        self.next().map(|(at, e)| (at, self.payload(e.slot)))
+    }
+
+    /// The owner of the event the next [`pop`](EventQueue::pop)
+    /// returns: `None` when nothing is queued or the event has
+    /// [`NO_OWNER`]. It reads the next key and no payload, and hints
+    /// the payload's slab slot ([`prefetch`](crate::prefetch)) so that
+    /// the pop finds it cached; a hint changes nothing.
+    pub fn lookahead(&self) -> Option<u32> {
+        let (_, e) = self.next()?;
+        crate::prefetch(&self.slab[e.slot as usize]);
+        (e.owner != NO_OWNER).then_some(e.owner)
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
@@ -331,7 +390,7 @@ impl<E> EventQueue<E> {
         if self.due.is_empty() {
             self.advance()?;
         }
-        let slot = self.due.pop_front().expect("the earliest event is due");
+        let Entry { slot, .. } = self.due.pop_front().expect("the earliest event is due");
         let event = self.slab[slot as usize].take().expect("a due slot is full");
         self.free.push(slot);
         self.popped += 1;
@@ -492,15 +551,34 @@ mod tests {
         );
     }
 
+    /// The owner of an event scheduled with `schedule`: none.
+    fn unowned<E>(_: E) -> Option<u32> {
+        None
+    }
+
+    /// The owner the `peek` tests schedule an event for: its first
+    /// letter.
+    fn letter(e: &str) -> Option<u32> {
+        Some(e.as_bytes()[0].into())
+    }
+
+    /// Schedule `e` at `at` for the owner [`letter`] names.
+    fn schedule_lettered(q: &mut EventQueue<&'static str>, at: Time, e: &'static str) {
+        q.schedule_for(at, letter(e).expect("a letter"), e);
+    }
+
     /// Pop `q` dry, checking before every pop that `peek` shows what
-    /// the pop returns; the popped sequence.
+    /// the pop returns and `lookahead` names its owner, `owner(e)` for
+    /// an event `e`; the popped sequence.
     fn drain_peeking<E: Copy + PartialEq + std::fmt::Debug>(
         q: &mut EventQueue<E>,
+        owner: impl Fn(E) -> Option<u32>,
     ) -> Vec<(Time, E)> {
         let mut order = Vec::new();
         loop {
             let peeked = q.peek().map(|(at, &e)| (at, e));
             assert_eq!(peeked.map(|(at, _)| at), q.peek_time());
+            assert_eq!(q.lookahead(), peeked.and_then(|(_, e)| owner(e)));
             let popped = q.pop();
             assert_eq!(peeked, popped);
             let Some(p) = popped else { return order };
@@ -512,25 +590,26 @@ mod tests {
     fn peek_finds_a_bucket_head_appended_after_others() {
         // From T+0, 12 and 8 µs share bucket 4; the earlier came second.
         let mut q = EventQueue::new();
-        q.schedule(Time::from_micros(12), "b");
-        q.schedule(Time::from_micros(8), "a");
+        schedule_lettered(&mut q, Time::from_micros(12), "b");
+        schedule_lettered(&mut q, Time::from_micros(8), "a");
         assert_eq!((q.occupied, q.head[3]), (1 << 3, 1));
         assert_eq!(q.peek(), Some((Time::from_micros(8), &"a")));
+        assert_eq!(q.lookahead(), letter("a"));
         let at = Time::from_micros;
-        assert_eq!(drain_peeking(&mut q), [(at(8), "a"), (at(12), "b")]);
+        assert_eq!(drain_peeking(&mut q, letter), [(at(8), "a"), (at(12), "b")]);
     }
 
     #[test]
     fn peek_among_equal_earliest_instants_is_the_first_scheduled() {
         let mut q = EventQueue::new();
-        q.schedule(Time::from_micros(12), "x");
-        q.schedule(Time::from_micros(8), "a");
-        q.schedule(Time::from_micros(8), "c");
-        q.schedule(Time::from_micros(9), "y");
+        for (us, e) in [(12, "x"), (8, "a"), (8, "c"), (9, "y")] {
+            schedule_lettered(&mut q, Time::from_micros(us), e);
+        }
         assert_eq!(q.peek(), Some((Time::from_micros(8), &"a")));
+        assert_eq!(q.lookahead(), letter("a"));
         let at = Time::from_micros;
         assert_eq!(
-            drain_peeking(&mut q),
+            drain_peeking(&mut q, letter),
             [(at(8), "a"), (at(8), "c"), (at(9), "y"), (at(12), "x")]
         );
     }
@@ -542,14 +621,15 @@ mod tests {
         // first 12, not the first entry.
         let mut q = EventQueue::new();
         for (us, e) in [(8, "a"), (13, "b"), (12, "c"), (12, "d")] {
-            q.schedule(Time::from_micros(us), e);
+            schedule_lettered(&mut q, Time::from_micros(us), e);
         }
         assert_eq!(q.pop(), Some((Time::from_micros(8), "a")));
         assert_eq!((q.due.len(), q.occupied, q.head[2]), (0, 1 << 2, 1));
         assert_eq!(q.peek(), Some((Time::from_micros(12), &"c")));
+        assert_eq!(q.lookahead(), letter("c"));
         let at = Time::from_micros;
         assert_eq!(
-            drain_peeking(&mut q),
+            drain_peeking(&mut q, letter),
             [(at(12), "c"), (at(12), "d"), (at(13), "b")]
         );
     }
@@ -557,11 +637,19 @@ mod tests {
     #[test]
     fn peek_prefers_the_fifo() {
         let mut q = EventQueue::new();
-        q.schedule(Time::from_secs(5), "bucket");
-        q.schedule(Time::ZERO, "first");
-        q.schedule(Time::ZERO, "second");
+        for (at, e) in [
+            (Time::from_secs(5), "bucket"),
+            (Time::ZERO, "first"),
+            (Time::ZERO, "second"),
+        ] {
+            schedule_lettered(&mut q, at, e);
+        }
         assert_eq!(q.peek(), Some((Time::ZERO, &"first")));
-        let order: Vec<_> = drain_peeking(&mut q).into_iter().map(|(_, e)| e).collect();
+        assert_eq!(q.lookahead(), letter("first"));
+        let order: Vec<_> = drain_peeking(&mut q, letter)
+            .into_iter()
+            .map(|(_, e)| e)
+            .collect();
         assert_eq!(order, ["first", "second", "bucket"]);
     }
 
@@ -571,7 +659,7 @@ mod tests {
         assert_eq!(q.peek(), None);
         q.schedule(Time::from_secs(1), 1);
         q.schedule(Time::MAX, 2);
-        assert_eq!(drain_peeking(&mut q).len(), 2);
+        assert_eq!(drain_peeking(&mut q, unowned).len(), 2);
         assert_eq!(q.peek(), None);
     }
 
@@ -591,7 +679,7 @@ mod tests {
         assert_eq!(q.pop(), Some((far, 0)));
         q.schedule(Time::MAX, 4);
         assert_eq!(q.occupied, 1 << 1);
-        assert_eq!(drain_peeking(&mut q), [(Time::MAX, 4)]);
+        assert_eq!(drain_peeking(&mut q, unowned), [(Time::MAX, 4)]);
     }
 
     #[test]
@@ -603,7 +691,10 @@ mod tests {
         q.schedule(Time::from_secs(12), "late");
         q.schedule(Time::from_secs(7), "kept");
         assert_eq!(q.peek(), Some((Time::from_secs(7), &"kept")));
-        assert_eq!(drain_peeking(&mut q), [(Time::from_secs(7), "kept")]);
+        assert_eq!(
+            drain_peeking(&mut q, unowned),
+            [(Time::from_secs(7), "kept")]
+        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod trace;
 
 pub use channel::{simulate_channel, ChannelStats};
 pub use cycles::cycles;
-pub use events::EventQueue;
+pub use events::{EventQueue, NO_OWNER};
 pub use faults::{FaultKind, FaultPlan, FaultSpec};
 pub use hash::IdMap;
 pub use metrics::{json_escape, percentile, Series, SeriesSet};

@@ -3,40 +3,49 @@
 //! identical `(time, event)` sequence as a reference single-heap queue
 //! — the legacy kernel, which breaks ties by a sequence number the
 //! radix queue does not store — and, given an end, that sequence cut at
-//! the end, with everything later counted as discarded. Before every
-//! pop, `peek` must show the legacy heap's head. A proptest
+//! the end, with everything later counted as discarded. Every event
+//! is scheduled for a random owner, `NO_OWNER` among them. Before every
+//! pop, `peek` must show the legacy heap's head and `lookahead` name
+//! its owner. A proptest
 //! explores shrinkable interleavings; a seeded long haul pushes
 //! millions of operations over every bucket.
 
 use proptest::prelude::*;
 use retry::Time;
-use simgrid::{EventQueue, SimRng};
+use simgrid::{EventQueue, SimRng, NO_OWNER};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// The legacy kernel, restated: one global max-heap, inverted on
-/// `(timestamp, insertion seq)`.
+/// `(timestamp, insertion seq)`, each event beside its owner.
 #[derive(Default)]
 struct LegacyQueue {
-    heap: BinaryHeap<Reverse<(Time, u64, u32)>>,
+    heap: BinaryHeap<Reverse<(Time, u64, u32, u32)>>,
     seq: u64,
     now: Time,
 }
 
 impl LegacyQueue {
-    fn schedule(&mut self, at: Time, event: u32) {
+    fn schedule(&mut self, at: Time, owner: u32, event: u32) {
         let at = at.max(self.now);
-        self.heap.push(Reverse((at, self.seq, event)));
+        self.heap.push(Reverse((at, self.seq, event, owner)));
         self.seq += 1;
     }
 
     /// What the next `pop` returns.
     fn peek(&self) -> Option<(Time, u32)> {
-        self.heap.peek().map(|&Reverse((at, _, ev))| (at, ev))
+        self.heap.peek().map(|&Reverse((at, _, ev, _))| (at, ev))
+    }
+
+    /// What `lookahead` reports before the next `pop`: the head's
+    /// owner, unless it has none.
+    fn owner(&self) -> Option<u32> {
+        let &Reverse((_, _, _, owner)) = self.heap.peek()?;
+        (owner != NO_OWNER).then_some(owner)
     }
 
     fn pop(&mut self) -> Option<(Time, u32)> {
-        let Reverse((at, _, ev)) = self.heap.pop()?;
+        let Reverse((at, _, ev, _)) = self.heap.pop()?;
         self.now = at;
         Some((at, ev))
     }
@@ -80,13 +89,14 @@ impl When {
     }
 }
 
-/// One step of an interleaving: schedule events — one, or a burst
-/// that fills many buckets at once — or pop a run of heads. With the
-/// heavy tail above a long run carries the clock hours forward, so
-/// buckets are emptied and refilled many times within one case.
+/// One step of an interleaving: schedule events, each for an owner —
+/// one, or a burst that fills many buckets at once — or pop a run of
+/// heads. With the heavy tail above a long run carries the clock hours
+/// forward, so buckets are emptied and refilled many times within one
+/// case.
 #[derive(Clone, Debug)]
 enum Op {
-    Schedule(Vec<When>),
+    Schedule(Vec<(When, u32)>),
     Pop(usize),
 }
 
@@ -102,10 +112,16 @@ fn when_strategy() -> impl Strategy<Value = When> {
     ]
 }
 
+/// Whom an event is scheduled for: anyone, or no one.
+fn owner_strategy() -> impl Strategy<Value = u32> {
+    prop_oneof![4 => any::<u32>(), 1 => Just(NO_OWNER)]
+}
+
 fn op_strategy() -> impl Strategy<Value = Op> {
+    let event = || (when_strategy(), owner_strategy());
     prop_oneof![
-        6 => proptest::collection::vec(when_strategy(), 1..2).prop_map(Op::Schedule),
-        1 => proptest::collection::vec(when_strategy(), 20..300).prop_map(Op::Schedule),
+        6 => proptest::collection::vec(event(), 1..2).prop_map(Op::Schedule),
+        1 => proptest::collection::vec(event(), 20..300).prop_map(Op::Schedule),
         3 => Just(Op::Pop(1)),
         1 => (2usize..200).prop_map(Op::Pop),
     ]
@@ -128,7 +144,8 @@ fn end_strategy() -> impl Strategy<Value = Time> {
 
 /// Run `ops` through the legacy heap and through the radix queue given
 /// `end`, and check that the queue pops exactly the legacy heap's
-/// events at or before `end`, in the same order — including the final
+/// events at or before `end`, in the same order, and looks ahead to
+/// their owners — including the final
 /// drain, whichever bucket each event waited in — and counts every
 /// later one as discarded instead of storing it. Neither queue is
 /// popped past `end`, so both clocks advance identically.
@@ -140,22 +157,24 @@ fn check_against_legacy(end: Time, ops: &[Op]) -> Result<(), TestCaseError> {
     // The legacy queue's head, if a run ending at `end` would pop it.
     let head = |legacy: &LegacyQueue| legacy.peek().filter(|&(at, _)| at <= end);
     let due = |legacy: &LegacyQueue| head(legacy).map(|(at, _)| at);
+    let owner = |legacy: &LegacyQueue| due(legacy).and_then(|_| legacy.owner());
     for op in ops {
         let (events, pops) = match op {
             Op::Schedule(events) => (&events[..], 0),
             Op::Pop(n) => (&[][..], *n),
         };
-        for when in events {
+        for &(ref when, who) in events {
             // Both clocks advance identically, so `at` is never in the
             // past for either queue.
             let at = when.at(legacy.now);
-            legacy.schedule(at, next_event);
-            queue.schedule(at, next_event);
+            legacy.schedule(at, who, next_event);
+            queue.schedule_for(at, who, next_event);
             next_event += 1;
         }
         for _ in 0..pops {
             prop_assert_eq!(queue.peek_time(), due(&legacy));
             prop_assert_eq!(queue.peek().map(|(at, &e)| (at, e)), head(&legacy));
+            prop_assert_eq!(queue.lookahead(), owner(&legacy));
             let want = due(&legacy).and_then(|_| legacy.pop());
             prop_assert_eq!(queue.pop(), want);
             prop_assert_eq!(queue.now(), legacy.now);
@@ -165,6 +184,7 @@ fn check_against_legacy(end: Time, ops: &[Op]) -> Result<(), TestCaseError> {
         prop_assert_eq!(queue.is_empty(), due(&legacy).is_none());
     }
     loop {
+        prop_assert_eq!(queue.lookahead(), owner(&legacy));
         let want = due(&legacy).and_then(|_| legacy.pop());
         let got = queue.pop();
         prop_assert_eq!(&got, &want);
@@ -210,7 +230,9 @@ proptest! {
 /// from 1 µs to 2^40 µs (so every bucket below 41 fills and drains,
 /// and `Time::MAX` fills bucket 64), schedules come in bursts of up to
 /// 200, one in eight lands exactly on `now`, and one in eight repeats
-/// the instant of the schedule before it.
+/// the instant of the schedule before it. Owners come from a stream of
+/// their own, so the schedule is what it was before events had owners;
+/// one in eight is `NO_OWNER`.
 #[test]
 fn long_haul_matches_legacy_queue() {
     const SEEDS: u64 = 400;
@@ -218,6 +240,7 @@ fn long_haul_matches_legacy_queue() {
     let (mut pops, mut deepest) = (0u64, 0usize);
     for seed in 0..SEEDS {
         let mut rng = SimRng::new(seed);
+        let mut owners = rng.fork(1);
         let mut legacy = LegacyQueue::default();
         let mut radix = EventQueue::new();
         let mut next_event = 0u32;
@@ -242,8 +265,12 @@ fn long_haul_matches_legacy_queue() {
                         }
                     };
                     last_at = Time::from_micros(at);
-                    legacy.schedule(last_at, next_event);
-                    radix.schedule(last_at, next_event);
+                    let who = match owners.range_u64(0, 8) {
+                        0 => NO_OWNER,
+                        _ => owners.next_u64() as u32,
+                    };
+                    legacy.schedule(last_at, who, next_event);
+                    radix.schedule_for(last_at, who, next_event);
                     next_event = next_event.wrapping_add(1);
                     ops += 1;
                 }
@@ -258,6 +285,8 @@ fn long_haul_matches_legacy_queue() {
                         want_time,
                         "seed {seed} op {ops}: peek_time"
                     );
+                    let owner = legacy.owner();
+                    assert_eq!(radix.lookahead(), owner, "seed {seed} op {ops}: lookahead");
                     let want = legacy.pop();
                     assert_eq!(radix.pop(), want, "seed {seed} op {ops}: pop");
                     pops += u64::from(want.is_some());
@@ -269,7 +298,9 @@ fn long_haul_matches_legacy_queue() {
             assert_eq!(radix.is_empty(), legacy.heap.is_empty());
             deepest = deepest.max(radix.len());
         }
-        while let Some(want) = legacy.pop() {
+        loop {
+            assert_eq!(radix.lookahead(), legacy.owner(), "seed {seed}: drain");
+            let Some(want) = legacy.pop() else { break };
             assert_eq!(radix.pop(), Some(want), "seed {seed}: drain");
             pops += 1;
         }
