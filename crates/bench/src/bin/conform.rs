@@ -17,34 +17,8 @@
 //! Exit status: 0 conformant, 1 divergences found, 2 harness error.
 
 use egbench::conformance::{corpus_dir, report, run_corpus};
-use retry::{Dur, Time};
-use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
 use std::path::PathBuf;
 use std::process::ExitCode;
-
-/// The sample plan published as a CI artifact: an aggressive crash
-/// schedule (a schedd kill every simulated minute) plus a lossy
-/// control channel — the shape EXPERIMENTS.md's stress table uses.
-fn sample_plan() -> FaultPlan {
-    let mut plan = FaultPlan::new(7);
-    plan.specs.push(FaultSpec::repeating(
-        Time::from_secs(30),
-        Dur::from_secs(60),
-        10,
-        FaultKind::ScheddKill {
-            downtime: Some(Dur::from_secs(15)),
-        },
-    ));
-    plan.specs.push(FaultSpec::once(
-        Time::from_secs(120),
-        FaultKind::MsgLoss {
-            channel: "condor_submit".into(),
-            probability: 0.5,
-            duration: Dur::from_secs(30),
-        },
-    ));
-    plan
-}
 
 fn main() -> ExitCode {
     let mut corpus = corpus_dir();
@@ -106,7 +80,7 @@ fn main() -> ExitCode {
 
     for (path, text) in [
         (&report_path, report(&verdicts)),
-        (&plan_path, sample_plan().to_json()),
+        (&plan_path, egbench::sample_plan().to_json()),
     ] {
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);

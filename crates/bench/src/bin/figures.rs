@@ -1,7 +1,7 @@
 //! Regenerate the paper's figures.
 //!
 //! ```text
-//! figures [--quick] [--seed N] [--out DIR] [fig1 fig2 ... | all]
+//! figures [--quick] [--seed N] [--out DIR] [fig1 fig2 ... | all | claims]
 //! figures --trace OUT.jsonl [--seed N] [figs...]
 //! figures --faults PLAN.json [figs...]
 //! figures --stats [--quick] [--seed N] [--out DIR] [figs...]
@@ -15,6 +15,14 @@
 //! DIR`, which is also where `--live` and `--coord-live` put theirs.
 //! Default scale is `--full` (paper-size populations and windows);
 //! `--quick` runs the reduced versions used in CI.
+//!
+//! `claims` is a figure set like `all`: it runs every figure a shape
+//! claim of EXPERIMENTS.md reads (`gridworld::claims`), writes their
+//! data as above, judges every claim — the crash-plan claim on fig2
+//! and fig3 run again under `egbench::sample_plan` — and writes
+//! `results/claims.md` (or `DIR/claims.md`), one row per claim. It
+//! exits 1 when a claim fails; it does not combine with `--faults`,
+//! `--stats` or `--check-only`.
 //!
 //! `--trace` additionally records the structured trace of every
 //! simulation behind the figure — attempt spans with backoff draws and
@@ -70,6 +78,7 @@
 //! timer off and on.
 
 use egbench::live::{CoordLiveOptions, LiveOptions, Study};
+use gridworld::claims::{self, CLAIMS, UNDER_PLAN};
 use gridworld::figures::{
     by_name_full, by_name_with_plan, fig8_workload, fig9_workload, Scale, ALL_ABLATIONS,
     ALL_FIGURES, COORD_FIGURES, EXTENDED_FIGURES,
@@ -684,7 +693,7 @@ fn trace_path_for(base: &str, name: &str, single: bool) -> String {
     }
 }
 
-const USAGE: &str = "usage: figures [--quick] [--seed N] [--out DIR] [--stats] [--check-only] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | ablation-threshold | ablation-channel]
+const USAGE: &str = "usage: figures [--quick] [--seed N] [--out DIR] [--stats] [--check-only] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | claims | ablation-threshold | ablation-channel]
        figures --live [--quick | --live-clients N] [--min-dispatch V] [--seed N] [--out DIR]
        figures --coord-live [--seed N] [--out DIR]
        figures postmortem TRACE.jsonl [--timeline] [--rounds] [--client N]";
@@ -697,6 +706,7 @@ fn main() -> ExitCode {
     let mut live = false;
     let mut coord_live = false;
     let mut check_only = false;
+    let mut claims = false;
     let mut live_clients: Option<usize> = None;
     let mut min_dispatch: Option<f64> = None;
     let mut trace_base: Option<String> = None;
@@ -779,6 +789,7 @@ fn main() -> ExitCode {
             "all" => wanted.extend(ALL_FIGURES.iter().map(|s| s.to_string())),
             "ablations" => wanted.extend(ALL_ABLATIONS.iter().map(|s| s.to_string())),
             "coord" => wanted.extend(COORD_FIGURES.iter().map(|s| s.to_string())),
+            "claims" => claims = true,
             other if other.starts_with("fig") || other.starts_with("ablation-") => {
                 wanted.push(other.to_string());
             }
@@ -796,12 +807,14 @@ fn main() -> ExitCode {
         || chart
         || trace_base.is_some()
         || plan.is_some()
+        || claims
         || !wanted.is_empty();
     if (live && coord_live)
         || ((live || coord_live) && sim_only)
         || (coord_live && scale.is_some())
         || (live_clients.is_some() && (!live || scale.is_some()))
         || (min_dispatch.is_some() && !live)
+        || (claims && (stats || check_only || plan.is_some()))
     {
         eprintln!("a flag or figure name the chosen mode would ignore");
         eprintln!("{USAGE}");
@@ -831,11 +844,20 @@ fn main() -> ExitCode {
         let dir = out.unwrap_or_else(egbench::workspace_root);
         return run_stats(wanted, scale, seed, &dir);
     }
+    if claims {
+        for id in claims::figures_read() {
+            if !id.ends_with(UNDER_PLAN) && !wanted.iter().any(|w| w == id) {
+                wanted.push(id.to_string());
+            }
+        }
+    }
     if wanted.is_empty() {
         wanted.extend(ALL_FIGURES.iter().map(|s| s.to_string()));
     }
 
     let single = wanted.len() == 1;
+    // The figures the claims read, kept once emitted.
+    let mut sets: Vec<(String, simgrid::SeriesSet)> = Vec::new();
     for name in wanted {
         eprintln!("== running {name} ({scale:?}, seed {seed}) ==");
         match by_name_with_plan(&name, scale, seed, trace_base.is_some(), plan.as_ref()) {
@@ -867,6 +889,9 @@ fn main() -> ExitCode {
                     }
                     eprintln!("   wrote {tpath} ({} records)", records.len());
                 }
+                if claims {
+                    sets.push((name, run.set));
+                }
             }
             None => {
                 eprintln!("unknown figure: {name}");
@@ -874,5 +899,41 @@ fn main() -> ExitCode {
             }
         }
     }
+    if claims {
+        return judge_claims(sets, scale, seed, &out_dir);
+    }
     ExitCode::SUCCESS
+}
+
+/// The end of `figures claims`: run the figures the claims read under
+/// the sample plan, judge every claim on `sets` and those, and write
+/// `claims.md` into `dir`. Exits 1 when a claim fails.
+fn judge_claims(
+    mut sets: Vec<(String, simgrid::SeriesSet)>,
+    scale: Scale,
+    seed: u64,
+    dir: &Path,
+) -> ExitCode {
+    eprintln!("== running the claims' planned figures ({scale:?}, seed {seed}) ==");
+    sets.extend(claims::run_planned(scale, seed, &egbench::sample_plan()));
+    let judged: Vec<_> = CLAIMS.iter().map(|c| (c, c.judge(&sets))).collect();
+    let md = claims::report(scale, seed, &judged);
+    let path = dir.join("claims.md");
+    if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &md)) {
+        eprintln!("   cannot write {}: {e}", path.display());
+        return ExitCode::FAILURE;
+    }
+    print!("{md}");
+    eprintln!("   wrote {}", path.display());
+    let failed: Vec<&str> = judged
+        .iter()
+        .filter(|(_, v)| !v.holds)
+        .map(|(c, _)| c.name)
+        .collect();
+    if failed.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        eprintln!("   claims that fail: {}", failed.join(", "));
+        ExitCode::FAILURE
+    }
 }

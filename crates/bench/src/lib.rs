@@ -7,6 +7,8 @@ pub mod conformance;
 pub mod live;
 pub mod swarm;
 
+use retry::{Dur, Time};
+use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
 use simgrid::SeriesSet;
 use std::path::{Path, PathBuf};
 
@@ -23,6 +25,32 @@ pub fn workspace_root() -> PathBuf {
 /// Where figure data lands (`results/` at the workspace root).
 pub fn results_dir() -> PathBuf {
     workspace_root().join("results")
+}
+
+/// The sample fault plan: an aggressive crash schedule (a schedd kill
+/// every simulated minute from t=30 s, 15 s down each) plus a lossy
+/// `condor_submit` channel. `conform` publishes it as
+/// `results/PLAN.sample.json`, EXPERIMENTS.md's stress table arms it on
+/// fig2 and fig3, and `figures claims` judges that pair under it.
+pub fn sample_plan() -> FaultPlan {
+    let mut plan = FaultPlan::new(7);
+    plan.specs.push(FaultSpec::repeating(
+        Time::from_secs(30),
+        Dur::from_secs(60),
+        10,
+        FaultKind::ScheddKill {
+            downtime: Some(Dur::from_secs(15)),
+        },
+    ));
+    plan.specs.push(FaultSpec::once(
+        Time::from_secs(120),
+        FaultKind::MsgLoss {
+            channel: "condor_submit".into(),
+            probability: 0.5,
+            duration: Dur::from_secs(30),
+        },
+    ));
+    plan
 }
 
 /// Print a figure as an aligned table and persist it as JSON and CSV
@@ -103,6 +131,14 @@ mod tests {
         let s = set.add(Series::new("A"));
         s.push_xy(1.0, 2.0);
         assert_eq!(summarize(&set), "T: A=2.0");
+    }
+
+    /// `figure_baselines` judges the crash-plan claim on the tracked
+    /// file, so it must be this plan byte for byte.
+    #[test]
+    fn sample_plan_is_the_tracked_file() {
+        let tracked = std::fs::read_to_string(results_dir().join("PLAN.sample.json")).unwrap();
+        assert_eq!(tracked, sample_plan().to_json());
     }
 
     #[test]

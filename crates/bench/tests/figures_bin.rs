@@ -3,7 +3,8 @@
 //! `results/` holds full-scale, seed-2003 artifacts a test must not
 //! overwrite.
 
-use std::path::PathBuf;
+use gridworld::claims::CLAIMS;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn figures() -> Command {
@@ -65,6 +66,50 @@ fn garbage_sweep_threads_warns_on_stderr() {
     assert!(dir.join("fig1.json").exists());
 }
 
+/// Every file under `dir` with its bytes, by name.
+fn snapshot(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.is_file())
+        .map(|p| {
+            let bytes = std::fs::read(&p).unwrap();
+            (p, bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// `claims` writes one row per claim under `--out` and nothing under
+/// the tracked `results/`. Quick windows are too short for some claims
+/// (fig6's 60 s stall needs the full 900 s), so the exit status need
+/// only agree with the report's count.
+#[test]
+fn claims_writes_one_row_per_claim_under_out() {
+    let dir = scratch("claims");
+    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let before = snapshot(&results);
+    let out = figures()
+        .args(["--quick", "--out"])
+        .arg(&dir)
+        .arg("claims")
+        .output()
+        .unwrap();
+    let md = std::fs::read_to_string(dir.join("claims.md")).unwrap();
+    let n = CLAIMS.len();
+    let rows: Vec<&str> = md.lines().filter(|l| l.starts_with("| `")).collect();
+    assert_eq!(rows.len(), n, "{md}");
+    for (row, claim) in rows.iter().zip(CLAIMS) {
+        assert!(row.starts_with(&format!("| `{}` |", claim.name)), "{row}");
+    }
+    let all_hold = md.contains(&format!("{n} of {n} hold"));
+    // Exit 0 when every claim holds, 1 when one fails.
+    assert_eq!(out.status.code(), Some(i32::from(!all_hold)), "{md}");
+    assert!(dir.join("fig1.json").exists() && dir.join("fig9.json").exists());
+    assert!(snapshot(&results) == before, "results/ was left alone");
+}
+
 #[test]
 fn out_without_a_directory_is_a_usage_error() {
     let st = figures().args(["fig6", "--out"]).status().unwrap();
@@ -112,18 +157,28 @@ fn bad_flag_is_a_usage_error() {
 
 /// A live mode reads only its own flags: one it would drop (another
 /// mode, a figure name, `--trace`), or an arena knob without `--live`,
-/// is a usage error instead of being silently ignored.
+/// is a usage error instead of being silently ignored. So is a flag
+/// beside `claims` that would judge other figures than the claims', or
+/// none.
 #[test]
 fn a_flag_the_chosen_mode_would_drop_is_a_usage_error() {
     let dir = scratch("dropped-flag");
     let trace = dir.join("t.jsonl");
     let trace = trace.to_str().unwrap();
+    let plan = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/PLAN.sample.json"
+    );
     for args in [
         &["--live", "--coord-live", "--quick"][..],
         &["--coord-live", "--live-clients", "5"],
         &["--min-dispatch", "5", "fig6", "--quick"],
         &["--live", "--quick", "fig2"],
         &["--live", "--quick", "--trace", trace],
+        &["--live", "--quick", "claims"],
+        &["claims", "--quick", "--faults", plan],
+        &["claims", "--quick", "--stats"],
+        &["claims", "--quick", "--check-only"],
     ] {
         let out = figures()
             .args(args)

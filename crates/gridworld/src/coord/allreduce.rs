@@ -680,25 +680,6 @@ mod tests {
     }
 
     #[test]
-    fn ethernet_matches_or_beats_aloha_under_kills() {
-        let mut times = Vec::new();
-        for d in [Discipline::Ethernet, Discipline::Aloha] {
-            let mut p = base(d);
-            p.seed = 2003;
-            p.fault_plan = kill_plan(2003, 1, Some(Dur::from_secs(6)));
-            let o = run_allreduce(p, Dur::from_secs(600));
-            assert_eq!(o.rounds_completed, 3, "{d}");
-            times.push(o.all_done_at.expect("completed"));
-        }
-        assert!(
-            times[0] <= times[1],
-            "ethernet {:.2}s vs aloha {:.2}s",
-            times[0],
-            times[1]
-        );
-    }
-
-    #[test]
     fn generated_scripts_parse_for_any_population() {
         for n in [1, 2, 8, 64] {
             for d in Discipline::ALL {

@@ -787,25 +787,4 @@ mod tests {
             assert_eq!(twice, once, "{d}");
         }
     }
-
-    #[test]
-    fn ethernet_matches_or_beats_aloha_under_faults() {
-        let mut spans = Vec::new();
-        for d in [Discipline::Ethernet, Discipline::Aloha] {
-            let p = DagParams {
-                discipline: d,
-                seed: 2003,
-                fault_plan: fault_plan(2003),
-                ..DagParams::default()
-            };
-            let o = run_dag(p, Dur::from_secs(600));
-            spans.push(o.makespan.expect("completed"));
-        }
-        assert!(
-            spans[0] <= spans[1],
-            "ethernet {:.2}s vs aloha {:.2}s",
-            spans[0],
-            spans[1]
-        );
-    }
 }

@@ -143,18 +143,17 @@ impl FigureRun {
 /// The cross product of disciplines and population sizes, in figure
 /// order: one independent simulation point each, ready for a parallel
 /// sweep.
-fn cross_points(ns: &[usize]) -> Vec<(Discipline, usize)> {
-    Discipline::ALL
-        .iter()
+fn cross_points(ds: &[Discipline], ns: &[usize]) -> Vec<(Discipline, usize)> {
+    ds.iter()
         .flat_map(|&d| ns.iter().map(move |&n| (d, n)))
         .collect()
 }
 
 /// Reassemble per-point sweep results (in `cross_points` order) into
 /// one series per discipline.
-fn series_per_discipline(set: &mut SeriesSet, ns: &[usize], values: Vec<f64>) {
+fn series_per_discipline(set: &mut SeriesSet, ds: &[Discipline], ns: &[usize], values: Vec<f64>) {
     let mut it = values.into_iter();
-    for d in Discipline::ALL {
+    for &d in ds {
         let mut series = Series::new(d.label());
         for &n in ns {
             series.push_xy(n as f64, it.next().expect("one value per point"));
@@ -198,7 +197,7 @@ fn fig1_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         "Number of Submitters",
         "Jobs Submitted",
     );
-    let points = cross_points(&ns);
+    let points = cross_points(&Discipline::ALL, &ns);
     let results = sweep::map(&points, |&(d, n)| {
         let (sink, handle) = point_sink(traced);
         let params = SubmitParams {
@@ -212,7 +211,7 @@ fn fig1_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         (o.jobs_submitted as f64, work!(o, handle))
     });
     let (jobs, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
-    series_per_discipline(&mut set, &ns, jobs);
+    series_per_discipline(&mut set, &Discipline::ALL, &ns, jobs);
     FigureRun::assemble(set, works, traced)
 }
 
@@ -243,10 +242,7 @@ fn fig1x_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) ->
         "Number of Submitters",
         "Jobs Submitted",
     );
-    let points: Vec<(Discipline, usize)> = FIG1X_DISCIPLINES
-        .iter()
-        .flat_map(|&d| ns.iter().map(move |&n| (d, n)))
-        .collect();
+    let points = cross_points(&FIG1X_DISCIPLINES, &ns);
     let results = sweep::map(&points, |&(d, n)| {
         let (sink, handle) = point_sink(traced);
         let params = SubmitParams {
@@ -264,14 +260,7 @@ fn fig1x_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) ->
         (o.jobs_submitted as f64, work!(o, handle))
     });
     let (jobs, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
-    let mut it = jobs.into_iter();
-    for d in FIG1X_DISCIPLINES {
-        let mut series = Series::new(d.label());
-        for &n in &ns {
-            series.push_xy(n as f64, it.next().expect("one value per point"));
-        }
-        set.add(series);
-    }
+    series_per_discipline(&mut set, &FIG1X_DISCIPLINES, &ns, jobs);
     FigureRun::assemble(set, works, traced)
 }
 
@@ -285,9 +274,11 @@ fn submit_timeline(
 ) -> FigureRun {
     // The paper ran its timelines at 400 submitters, just past its
     // testbed's crash knee; our knee sits at ~405 attempts' worth of
-    // descriptors, so 425 puts the timeline in the same regime.
+    // descriptors, so 425 puts the timeline in the same regime. Quick
+    // runs keep the population and shorten the window: below the knee
+    // the two disciplines' timelines coincide.
     let params = SubmitParams {
-        n_clients: scale.pick(425, 120),
+        n_clients: 425,
         discipline: d,
         seed,
         fault_plan: plan.cloned().unwrap_or_default(),
@@ -369,13 +360,13 @@ fn fig4_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         "Number of Producers",
         "Total Files Consumed",
     );
-    let points = cross_points(&ns);
+    let points = cross_points(&Discipline::ALL, &ns);
     let results = sweep::map(&points, |&(d, n)| {
         let (consumed, _, work) = buffer_run(d, n, scale, seed, traced, plan);
         (consumed, work)
     });
     let (consumed, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
-    series_per_discipline(&mut set, &ns, consumed);
+    series_per_discipline(&mut set, &Discipline::ALL, &ns, consumed);
     FigureRun::assemble(set, works, traced)
 }
 
@@ -388,13 +379,13 @@ fn fig5_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
         "Number of Producers",
         "Total Collisions",
     );
-    let points = cross_points(&ns);
+    let points = cross_points(&Discipline::ALL, &ns);
     let results = sweep::map(&points, |&(d, n)| {
         let (_, collisions, work) = buffer_run(d, n, scale, seed, traced, plan);
         (collisions as f64, work)
     });
     let (collisions, works): (Vec<f64>, Vec<RunWork>) = results.into_iter().unzip();
-    series_per_discipline(&mut set, &ns, collisions);
+    series_per_discipline(&mut set, &Discipline::ALL, &ns, collisions);
     FigureRun::assemble(set, works, traced)
 }
 
@@ -458,10 +449,6 @@ fn fig7_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
     )
 }
 
-/// Figure 8 — *Fault-Tolerant All-Reduce*: per-round global completion
-/// time for N ranks barriering through the shared store, with one rank
-/// killed mid-round and restarted. One series per discipline; lower and
-/// complete is better (a missing point is a round the discipline never
 /// The built-in fig8 injection: rank 1 is killed 4 s in — mid-compute
 /// of the first round for every discipline — and restarts 6 s later,
 /// forcing the barrier to hold while the straggler catches up.
@@ -519,11 +506,6 @@ fn fig8_run(scale: Scale, seed: u64, traced: bool, plan: Option<&FaultPlan>) -> 
     FigureRun::assemble(set, works, traced)
 }
 
-/// Figure 9 — *Swift-Style DAG Workflow*: per-job completion time for
-/// the eight-job diamond workflow flowing through the shared store,
-/// with an ENOSPC window corrupting publishes early on and the `merge`
-/// job killed (and restarted) mid-flight. One series per discipline;
-/// the x axis is the job's index in the spec, the last point is the
 /// The built-in fig9 injection: publishes fail for 8 s starting 1 s in
 /// (the store "fills up" under the first wave of outputs), and the
 /// `merge` job — the diamond's waist — is killed 6 s in, restarting
@@ -720,6 +702,7 @@ pub const ALL_FIGURES: [&str; 7] = ["fig1", "fig2", "fig3", "fig4", "fig5", "fig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims;
 
     fn quick(name: &str) -> SeriesSet {
         by_name_full(name, Scale::Quick, 1, false).unwrap().set
@@ -732,18 +715,28 @@ mod tests {
         for s in &set.series {
             assert_eq!(s.len(), 3, "three population sizes in quick mode");
         }
-        // Shape: at the overload point (450), Ethernet > Fixed.
-        let eth = set.get("Ethernet").unwrap().points.last().unwrap().1;
-        let fix = set.get("Fixed").unwrap().points.last().unwrap().1;
-        assert!(eth > fix, "ethernet {eth} vs fixed {fix}");
     }
 
+    /// Quick timelines run at the paper's population, past the knee, so
+    /// their shortened window already shows fig2's jam and fig3's floor.
     #[test]
     fn quick_timelines_have_two_series() {
-        for f in [quick("fig2"), quick("fig3")] {
+        let (f2, f3) = (quick("fig2"), quick("fig3"));
+        for f in [&f2, &f3] {
             assert_eq!(f.series.len(), 2);
             assert!(f.series.iter().all(|s| !s.is_empty()));
         }
+        let sets = [("fig2".to_string(), f2), ("fig3".to_string(), f3)];
+        let judged: Vec<&str> = claims::CLAIMS
+            .iter()
+            .filter(|c| c.figures.iter().all(|id| sets.iter().any(|s| s.0 == *id)))
+            .map(|c| {
+                let v = c.judge(&sets);
+                assert!(v.holds, "{}: {}", c.name, v.numbers);
+                c.name
+            })
+            .collect();
+        assert_eq!(judged, ["fig2-jam", "fig3-floor"]);
     }
 
     #[test]
@@ -757,52 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn quick_ablations_have_shape() {
-        let t = quick("ablation-threshold");
-        assert_eq!(t.series.len(), 2);
-        let jobs = t.get("Jobs").unwrap();
-        // Threshold 1000 beats threshold 0 in the overload regime.
-        assert!(jobs.points[1].1 > jobs.points[0].1);
-
-        let c = quick("ablation-channel");
-        let eth = c.get("Ethernet").unwrap().last().unwrap();
-        let alo = c.get("Aloha").unwrap().last().unwrap();
-        let fix = c.get("Fixed").unwrap().last().unwrap();
-        assert!(eth > alo && alo > fix);
-    }
-
-    #[test]
-    fn by_name_covers_all() {
-        for name in ALL_FIGURES.iter().chain(&COORD_FIGURES) {
-            // Only check dispatch, not execution, for the heavy ones.
-            assert!(name.starts_with("fig"));
-        }
+    fn unknown_figure_id_is_none() {
         assert!(by_name_full("fig10", Scale::Quick, 0, false).is_none());
-    }
-
-    #[test]
-    fn quick_coord_figures_have_shape() {
-        // fig8: three discipline series, each completing both quick
-        // rounds despite the kill, with Ethernet's global completion
-        // no later than Aloha's.
-        let f8 = quick("fig8");
-        assert_eq!(f8.series.len(), 3);
-        for s in &f8.series {
-            assert_eq!(s.len(), 2, "{}: both rounds complete", s.name);
-        }
-        let eth = f8.get("Ethernet").unwrap().last().unwrap();
-        let alo = f8.get("Aloha").unwrap().last().unwrap();
-        assert!(eth <= alo, "ethernet {eth} vs aloha {alo}");
-
-        // fig9: all eight jobs finish under the faults; the makespan
-        // (last point) keeps the same ordering.
-        let f9 = quick("fig9");
-        assert_eq!(f9.series.len(), 3);
-        for s in &f9.series {
-            assert_eq!(s.len(), 8, "{}: all jobs complete", s.name);
-        }
-        let eth = f9.get("Ethernet").unwrap().last().unwrap();
-        let alo = f9.get("Aloha").unwrap().last().unwrap();
-        assert!(eth <= alo, "ethernet {eth} vs aloha {alo}");
     }
 }

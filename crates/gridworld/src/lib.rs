@@ -4,10 +4,12 @@
 //! [`scripts`]) are multiplexed over a discrete-event simulation by
 //! [`driver::SimDriver`]; the scenario worlds in [`scenarios`] give
 //! the commands their semantics against the contended resources of
-//! `simgrid`. [`figures`] regenerates every figure of §5.
+//! `simgrid`. [`figures`] regenerates every figure of §5, and
+//! [`claims`] judges the shapes EXPERIMENTS.md claims for them.
 
 #![warn(missing_docs)]
 
+pub mod claims;
 pub mod coord;
 pub mod driver;
 pub mod figures;

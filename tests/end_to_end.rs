@@ -82,116 +82,27 @@ fn real_deadline_kill_is_visible_in_log() {
     assert!(kinds.iter().any(|k| matches!(k, TraceEv::CmdKilled { .. })));
 }
 
-#[test]
-fn figure1_shape_holds_in_miniature() {
-    // The core claim of Figure 1, at reduced scale: under overload,
-    // Ethernet > Aloha > Fixed, and Fixed collapses.
-    let run = |d: Discipline| {
-        run_submission(
-            SubmitParams {
-                n_clients: 450,
-                discipline: d,
-                ..SubmitParams::default()
-            },
-            Dur::from_secs(120),
-        )
-    };
-    let e = run(Discipline::Ethernet);
-    let a = run(Discipline::Aloha);
-    let f = run(Discipline::Fixed);
-    assert!(
-        e.jobs_submitted > a.jobs_submitted && a.jobs_submitted > f.jobs_submitted,
-        "E={} A={} F={}",
-        e.jobs_submitted,
-        a.jobs_submitted,
-        f.jobs_submitted
-    );
-    assert_eq!(e.crashes, 0, "ethernet never crashes the schedd");
-    assert!(f.crashes > 0, "fixed crash-loops the schedd");
-}
-
-#[test]
-fn figure2_and_3_shapes_hold_in_miniature() {
-    let run = |d: Discipline| {
-        run_submission(
-            SubmitParams {
-                n_clients: 450,
-                discipline: d,
-                ..SubmitParams::default()
-            },
-            Dur::from_secs(240),
-        )
-    };
-    // Figure 2: the Aloha run crashes the schedd at least once; at the
-    // crash, free FDs spike upward (the broadcast jam).
-    let a = run(Discipline::Aloha);
-    assert!(a.crashes >= 1, "aloha should crash at least once at 450");
-    // Figure 3: the Ethernet run keeps free FDs above a floor related
-    // to the threshold.
-    let e = run(Discipline::Ethernet);
-    assert!(
-        e.min_free_fds >= 500,
-        "ethernet floor: min free = {}",
-        e.min_free_fds
-    );
-}
-
-#[test]
-fn figure4_and_5_shapes_hold_in_miniature() {
-    let run = |d: Discipline| {
-        run_buffer(
-            BufferParams {
-                n_producers: 40,
-                discipline: d,
-                ..BufferParams::default()
-            },
-            Dur::from_secs(240),
-        )
-    };
-    let e = run(Discipline::Ethernet);
-    let a = run(Discipline::Aloha);
-    let f = run(Discipline::Fixed);
-    // Throughput ordering and collision ordering.
-    assert!(
-        e.files_consumed >= a.files_consumed && a.files_consumed > f.files_consumed,
-        "consumed E={} A={} F={}",
-        e.files_consumed,
-        a.files_consumed,
-        f.files_consumed
-    );
-    assert!(
-        e.collisions < a.collisions && a.collisions < f.collisions,
-        "collisions E={} A={} F={}",
-        e.collisions,
-        a.collisions,
-        f.collisions
-    );
-}
-
+/// The figure claims (`gridworld::claims`, judged at full scale by
+/// `figure_baselines`) read fig6's and fig7's series, which carry no
+/// collision count for Ethernet: that the flag probe shields every
+/// Ethernet transfer is asserted here alone.
 #[test]
 fn figure6_and_7_shapes_hold() {
-    let run = |d: Discipline| {
-        run_blackhole(
-            BlackHoleParams {
-                discipline: d,
-                ..BlackHoleParams::default()
-            },
-            Dur::from_secs(900),
-        )
-    };
-    let a = run(Discipline::Aloha);
-    let e = run(Discipline::Ethernet);
-    assert!(a.longest_stall >= Dur::from_secs(55), "aloha hiccups");
-    assert!(e.longest_stall < Dur::from_secs(55), "ethernet is smooth");
-    assert!(e.transfers > a.transfers);
+    let e = run_blackhole(
+        BlackHoleParams {
+            discipline: Discipline::Ethernet,
+            ..BlackHoleParams::default()
+        },
+        Dur::from_secs(900),
+    );
     assert_eq!(e.collisions, 0, "the probe shields the transfer");
-    assert!(e.deferrals > 0);
 }
 
+/// Ablation A's claim (`ablation-threshold-zero`) judges jobs and
+/// crashes; that a zero threshold never defers, so the Ethernet script
+/// degenerates to Aloha plus a probe, is asserted here alone.
 #[test]
 fn carrier_sense_threshold_zero_degenerates_to_aloha() {
-    // Ablation: with threshold 0 the Ethernet script's carrier sense
-    // never defers, so it behaves like Aloha (plus probe overhead).
     let eth0 = run_submission(
         SubmitParams {
             n_clients: 450,
@@ -201,23 +112,7 @@ fn carrier_sense_threshold_zero_degenerates_to_aloha() {
         },
         Dur::from_secs(120),
     );
-    let eth1000 = run_submission(
-        SubmitParams {
-            n_clients: 450,
-            discipline: Discipline::Ethernet,
-            threshold: 1000,
-            ..SubmitParams::default()
-        },
-        Dur::from_secs(120),
-    );
     assert_eq!(eth0.deferrals, 0);
-    assert!(eth1000.deferrals > 0);
-    assert!(
-        eth1000.jobs_submitted > eth0.jobs_submitted,
-        "sensing pays: {} vs {}",
-        eth1000.jobs_submitted,
-        eth0.jobs_submitted
-    );
 }
 
 #[test]
@@ -248,7 +143,8 @@ fn scenarios_are_deterministic_across_processes() {
 #[test]
 fn figure_shapes_are_seed_robust() {
     // The headline orderings must hold across seeds, not just the one
-    // the figures use.
+    // the figures use, and so must fig1's crash counts, which no
+    // figure plots.
     for seed in [11, 222, 3333] {
         let run = |d: Discipline| {
             run_submission(
