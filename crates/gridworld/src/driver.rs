@@ -2016,8 +2016,8 @@ mod lookahead_tests {
     /// The next event, as its instant and what it is for.
     type Head = Option<(f64, String)>;
 
-    fn head(secs: f64, kind: &str) -> Head {
-        Some((secs, kind.to_string()))
+    fn head(secs: f64, kind: &str) -> (f64, String) {
+        (secs, kind.to_string())
     }
 
     /// Run `d` one instant at a time and note the head each instant
@@ -2071,12 +2071,12 @@ mod lookahead_tests {
         assert_eq!(
             heads,
             [
-                head(3.0, "world"),
-                head(5.0, "wake 2"),
-                head(6.0, "fault 0"),
-                head(7.0, "done 2"),
-                head(8.0, "revive 2"),
-                head(10.0, "done 2"),
+                Some(head(3.0, "world")),
+                Some(head(5.0, "wake 2")),
+                Some(head(6.0, "fault 0")),
+                Some(head(7.0, "done 2")),
+                Some(head(8.0, "revive 2")),
+                Some(head(10.0, "done 2")),
                 None,
             ]
         );
@@ -2109,10 +2109,10 @@ mod lookahead_tests {
         assert_eq!(
             heads[4..],
             [
-                head(8.0, "revive 2"),
-                head(9.0, "fault 1"),
-                head(10.0, "done 2"),
-                head(11.0, "done 2"),
+                Some(head(8.0, "revive 2")),
+                Some(head(9.0, "fault 1")),
+                Some(head(10.0, "done 2")),
+                Some(head(11.0, "done 2")),
                 None,
             ]
         );
@@ -2120,6 +2120,6 @@ mod lookahead_tests {
         // The wake a tick arms: a `try` deadline 5 s after the start.
         let script = parse("try for 5 seconds\n hold\nend\n").unwrap();
         let mut d = SimDriver::new(AheadWorld::default(), vec![Vm::with_seed(&script, 0)]);
-        assert_eq!(step_by_instant(&mut d), [head(5.0, "wake 0"), None]);
+        assert_eq!(step_by_instant(&mut d), [Some(head(5.0, "wake 0")), None]);
     }
 }

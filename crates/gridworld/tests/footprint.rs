@@ -97,8 +97,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Most a client may hold, in bytes, once its first command is in
-/// flight (552 when this was written; 744 before the cold part and the
-/// boxed spill map; 1832 before the first diet, DESIGN.md §12).
+/// flight (552 when this was written, DESIGN.md §12 itemises them; 744
+/// before the cold part and the boxed spill map; 1832 before the first
+/// diet).
 const MAX_BYTES_PER_CLIENT: i64 = 576;
 /// The heap blocks of such a client: its task table, the root task's
 /// frame stack and its variable slots. (The `Vm` itself sits inline in
