@@ -21,8 +21,8 @@
 //! data as above, judges every claim — the crash-plan claim on fig2
 //! and fig3 run again under `egbench::sample_plan` — and writes
 //! `results/claims.md` (or `DIR/claims.md`), one row per claim. It
-//! exits 1 when a claim fails; it does not combine with `--faults`,
-//! `--stats` or `--check-only`.
+//! exits 1 when a claim fails; it does not combine with `--faults` or
+//! `--stats`.
 //!
 //! `--trace` additionally records the structured trace of every
 //! simulation behind the figure — attempt spans with backoff draws and
@@ -80,8 +80,8 @@
 use egbench::live::{CoordLiveOptions, LiveOptions, Study};
 use gridworld::claims::{self, CLAIMS, UNDER_PLAN};
 use gridworld::figures::{
-    by_name_full, by_name_with_plan, fig8_workload, fig9_workload, Scale, ALL_ABLATIONS,
-    ALL_FIGURES, COORD_FIGURES, EXTENDED_FIGURES,
+    by_name_full, by_name_with_plan, Scale, ALL_ABLATIONS, ALL_FIGURES, COORD_FIGURES,
+    EXTENDED_FIGURES,
 };
 use gridworld::{Phase, PhaseCycles};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -610,77 +610,6 @@ fn run_live<S: Study>(study: &S, seed: u64, out_dir: &Path, min_dispatch: Option
     }
 }
 
-/// `--check-only`: statically check the coordinated workloads the
-/// selected coord figures would run — the same spec and effective
-/// fault plan (the figure's own injections, any `--faults` plan appended) the
-/// simulation would use — and report verdicts without simulating.
-/// Exit 0 when everything is clean, 1 when the worst verdict is
-/// advisory, 2 when any workload is statically doomed.
-fn run_check_only(
-    wanted: &[String],
-    scale: Scale,
-    seed: u64,
-    custom: Option<&simgrid::FaultPlan>,
-) -> ExitCode {
-    use ftshlint::check::{check, Verdict, WorkflowSpec};
-    use gridworld::coord::DagSpec;
-    use retry::{Discipline, Dur};
-
-    let mut worst = Verdict::Clean;
-    let mut checked = 0usize;
-    for name in wanted {
-        for &d in &Discipline::ALL {
-            let report = match name.as_str() {
-                "fig8" => {
-                    let (rounds, window, plan) = fig8_workload(scale, seed, custom);
-                    let spec = WorkflowSpec::allreduce(
-                        d,
-                        4,
-                        rounds,
-                        Dur::from_secs(600),
-                        Dur::from_secs(60),
-                        Dur::from_secs(2),
-                    );
-                    check(&spec, Some(&plan), window)
-                }
-                "fig9" => {
-                    let (window, plan) = fig9_workload(scale, seed, custom);
-                    let spec = WorkflowSpec::dag(
-                        &DagSpec::diamond(),
-                        d,
-                        Dur::from_secs(600),
-                        Dur::from_secs(60),
-                    );
-                    check(&spec, Some(&plan), window)
-                }
-                other => {
-                    eprintln!("   {other}: no static model; only coord figures are checkable");
-                    break;
-                }
-            };
-            println!("{name} / {d:?}: {}", report.verdict);
-            for f in &report.findings {
-                println!("  {f}");
-            }
-            checked += 1;
-            worst = match (worst, report.verdict) {
-                (_, Verdict::Doomed) | (Verdict::Doomed, _) => Verdict::Doomed,
-                (_, Verdict::Advisory) | (Verdict::Advisory, _) => Verdict::Advisory,
-                _ => Verdict::Clean,
-            };
-        }
-    }
-    if checked == 0 {
-        eprintln!("nothing checked (try: figures coord --check-only)");
-        return ExitCode::from(2);
-    }
-    match worst {
-        Verdict::Clean => ExitCode::SUCCESS,
-        Verdict::Advisory => ExitCode::from(1),
-        Verdict::Doomed => ExitCode::from(2),
-    }
-}
-
 /// Where one figure's trace goes: the exact `--trace` path when a
 /// single figure runs, `PATH-<fig>.jsonl` when several do.
 fn trace_path_for(base: &str, name: &str, single: bool) -> String {
@@ -693,7 +622,7 @@ fn trace_path_for(base: &str, name: &str, single: bool) -> String {
     }
 }
 
-const USAGE: &str = "usage: figures [--quick] [--seed N] [--out DIR] [--stats] [--check-only] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | claims | ablation-threshold | ablation-channel]
+const USAGE: &str = "usage: figures [--quick] [--seed N] [--out DIR] [--stats] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | claims | ablation-threshold | ablation-channel]
        figures --live [--quick | --live-clients N] [--min-dispatch V] [--seed N] [--out DIR]
        figures --coord-live [--seed N] [--out DIR]
        figures postmortem TRACE.jsonl [--timeline] [--rounds] [--client N]";
@@ -705,7 +634,6 @@ fn main() -> ExitCode {
     let mut stats = false;
     let mut live = false;
     let mut coord_live = false;
-    let mut check_only = false;
     let mut claims = false;
     let mut live_clients: Option<usize> = None;
     let mut min_dispatch: Option<f64> = None;
@@ -730,7 +658,6 @@ fn main() -> ExitCode {
             "--stats" => stats = true,
             "--live" => live = true,
             "--coord-live" => coord_live = true,
-            "--check-only" => check_only = true,
             "--live-clients" => match it.next().and_then(|s| s.parse().ok()) {
                 Some(n) if n > 0 => live_clients = Some(n),
                 _ => {
@@ -802,19 +729,14 @@ fn main() -> ExitCode {
     }
     // A live run reads only its own flags: one a live mode would drop,
     // or an arena knob without `--live`, is a usage error.
-    let sim_only = stats
-        || check_only
-        || chart
-        || trace_base.is_some()
-        || plan.is_some()
-        || claims
-        || !wanted.is_empty();
+    let sim_only =
+        stats || chart || trace_base.is_some() || plan.is_some() || claims || !wanted.is_empty();
     if (live && coord_live)
         || ((live || coord_live) && sim_only)
         || (coord_live && scale.is_some())
         || (live_clients.is_some() && (!live || scale.is_some()))
         || (min_dispatch.is_some() && !live)
-        || (claims && (stats || check_only || plan.is_some()))
+        || (claims && (stats || plan.is_some()))
     {
         eprintln!("a flag or figure name the chosen mode would ignore");
         eprintln!("{USAGE}");
@@ -834,12 +756,6 @@ fn main() -> ExitCode {
         return run_live(&CoordLiveOptions::quick(), seed, &out_dir, None);
     }
     let scale = scale.unwrap_or(Scale::Full);
-    if check_only {
-        if wanted.is_empty() {
-            wanted.extend(COORD_FIGURES.iter().map(|s| s.to_string()));
-        }
-        return run_check_only(&wanted, scale, seed, plan.as_ref());
-    }
     if stats {
         let dir = out.unwrap_or_else(egbench::workspace_root);
         return run_stats(wanted, scale, seed, &dir);

@@ -51,11 +51,11 @@
 
 use crate::swarm::{self, Harness, SwarmReport, Verb};
 use ftsh::vm::{CommandSpec, Vm};
-use ftshlint::check::{check, WorkflowSpec};
+use ftshlint::check::{bytecode_envelope, check_with, WorkflowSpec};
 use gridd::{ClientSnapshot, GriddConfig, Request};
 use gridworld::coord::{allreduce_text, rank_unit_vm, AllReduceParams, RankPolicy};
 use gridworld::figures::{by_name_with_plan, Scale};
-use gridworld::scripts::{arena_script, arena_worst_case, ARENA_SENSE_THRESHOLD};
+use gridworld::scripts::{arena_script, ARENA_SENSE_THRESHOLD};
 use gridworld::NextUnit;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{ClientKillInfo, FaultKind, FaultPlan, FaultSpec};
@@ -429,19 +429,21 @@ impl Study for LiveOptions {
     /// shared, `${client}` in the environment — under
     /// [`ARENA_BACKOFF`]. Starts are spread over ~0.5 ms per client (at
     /// least 200 ms), so a thousand connects do not land in one accept
-    /// burst.
+    /// burst. The watchdog is the script's worst-case envelope under
+    /// that policy, past the last start.
     fn population(&self, discipline: Discipline, seed: u64) -> io::Result<Population<ArenaVerbs>> {
         let script = arena_script(discipline, self.jobs);
         let stagger = Duration::from_millis((self.clients as u64 / 2).max(200));
         let n = self.clients.max(1);
         let (base, cap) = ARENA_BACKOFF;
+        let policy = discipline.backoff_within(base, cap);
         let vms = (0..self.clients)
             .map(|id| {
                 let mut env = ftsh::Env::new();
                 env.set("client", id.to_string());
                 let seed = seed ^ (id as u64).wrapping_mul(0x9E37);
                 let mut vm = Vm::with_env_seed(&script, env, seed);
-                vm.set_default_backoff(discipline.backoff_within(base, cap));
+                vm.set_default_backoff(policy);
                 (vm, stagger.mul_f64(id as f64 / n as f64))
             })
             .collect();
@@ -449,7 +451,9 @@ impl Study for LiveOptions {
             verbs: ArenaVerbs,
             vms,
             kills: Vec::new(),
-            watchdog: arena_worst_case(self.jobs).to_std() + stagger + Duration::from_secs(10),
+            watchdog: bytecode_envelope(&script, &policy).to_std()
+                + stagger
+                + Duration::from_secs(10),
         })
     }
 
@@ -624,6 +628,11 @@ impl Ranks {
         spec
     }
 
+    /// The bound on the whole run: every round's `try` budget.
+    fn watchdog(&self) -> Dur {
+        self.params.round_timeout * u64::from(self.params.rounds)
+    }
+
     /// Each rank's first VM seed, drawn before any unit runs.
     fn first_seeds(&mut self) -> Vec<u64> {
         (0..self.params.n_ranks)
@@ -677,16 +686,22 @@ impl Harness for Ranks {
 }
 
 /// Static pre-flight of one live run: the workflow the ranks would
-/// execute, checked under the kill plan they would suffer. Returns the
+/// execute, checked under the kill plan they would suffer and the
+/// backoff their VMs install, over the run's watchdog. Returns the
 /// `unsatisfiable-barrier` findings; any means the barrier is proven
 /// unclearable and the rank population must not be launched.
 fn preflight_barrier_proofs(ranks: &Ranks) -> Vec<String> {
-    let plan = &ranks.params.fault_plan;
-    let report = check(&ranks.spec(), Some(plan), Dur::from_secs(600));
-    report
-        .rule("unsatisfiable-barrier")
-        .map(ToString::to_string)
-        .collect()
+    let p = &ranks.params;
+    let policy = p.discipline.backoff_within(p.backoff_base, p.backoff_cap);
+    check_with(
+        &ranks.spec(),
+        Some(&p.fault_plan),
+        ranks.watchdog(),
+        &policy,
+    )
+    .rule("unsatisfiable-barrier")
+    .map(ToString::to_string)
+    .collect()
 }
 
 impl Study for CoordLiveOptions {
@@ -740,7 +755,7 @@ impl Study for CoordLiveOptions {
             .collect();
         Ok(Population {
             kills: ranks.params.fault_plan.client_kills(),
-            watchdog: ranks.params.round_timeout.to_std() * self.rounds,
+            watchdog: ranks.watchdog().to_std(),
             verbs: ranks,
             vms,
         })
@@ -813,6 +828,20 @@ mod tests {
             .collect();
         assert_eq!(kills.len(), 1);
         assert_eq!(kills[0].count, 2);
+    }
+
+    /// Under the backoff of either population a study races, the
+    /// analyzer prices each unit at its `try for 6 seconds` budget.
+    #[test]
+    fn arena_watchdog_is_the_scripts_envelope_past_the_last_start() {
+        let opts = LiveOptions::quick();
+        for d in [Discipline::Aloha, Discipline::Ethernet] {
+            let population = opts.population(d, 1).unwrap();
+            let envelope = Duration::from_secs(6) * opts.jobs as u32;
+            let stagger = Duration::from_millis(200);
+            let watchdog = envelope + stagger + Duration::from_secs(10);
+            assert_eq!(population.watchdog, watchdog, "{d}");
+        }
     }
 
     #[test]

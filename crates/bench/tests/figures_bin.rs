@@ -178,7 +178,6 @@ fn a_flag_the_chosen_mode_would_drop_is_a_usage_error() {
         &["--live", "--quick", "claims"],
         &["claims", "--quick", "--faults", plan],
         &["claims", "--quick", "--stats"],
-        &["claims", "--quick", "--check-only"],
     ] {
         let out = figures()
             .args(args)

@@ -30,9 +30,7 @@ use ftsh::{parse, pretty, Env, LogSummary, Script};
 use gridworld::coord::{
     allreduce_script, allreduce_text, dag_job_script, AllReduceParams, DagParams, DagSpec,
 };
-use gridworld::scripts::{
-    arena_script, arena_text, arena_worst_case, buffer_script, reader_script, submit_script,
-};
+use gridworld::scripts::{arena_script, arena_text, buffer_script, reader_script, submit_script};
 use retry::{BackoffPolicy, Discipline, Dur, Time};
 use simgrid::trace::{SharedSink, TraceRecord, VecSink};
 use simgrid::{SimRng, TraceSummary};
@@ -411,7 +409,7 @@ fn live_scripts_lint_without_errors() {
                 .collect();
             assert!(errors.is_empty(), "{what}/{d}: {errors:?}");
             if what == "arena" {
-                assert_eq!(report.envelope, arena_worst_case(4), "{d}");
+                assert_eq!(report.envelope, Dur::from_secs(6) * 4, "{d}");
             }
         }
     }

@@ -29,8 +29,9 @@
 //! 2 usage, I/O, or parse error.
 //! ```
 
-use ftshlint::check::{check, Verdict, WorkflowJob, WorkflowSpec};
+use ftshlint::check::{check_with, Verdict, WorkflowJob, WorkflowSpec};
 use ftshlint::{lint, markdown_report, Options, Report, RULES};
+use gridworld::figures::COORD_WINDOW;
 use retry::{parse_duration_arg, BackoffPolicy, Dur};
 use std::process::ExitCode;
 
@@ -193,7 +194,8 @@ fn main() -> ExitCode {
 /// becomes a job whose declared inputs are exactly its own fetches —
 /// so the join judges producibility (keys nobody publishes, runtime
 /// key cycles, jobs that can never complete), not declaration
-/// hygiene.
+/// hygiene. Envelopes are judged under the `--backoff-base` /
+/// `--backoff-cap` policy, over the full-scale coord window.
 fn run_workflow(cli: &Cli) -> ExitCode {
     let mut jobs = Vec::new();
     for (i, file) in cli.files.iter().enumerate() {
@@ -228,7 +230,7 @@ fn run_workflow(cli: &Cli) -> ExitCode {
         jobs,
         external: Vec::new(),
     };
-    let report = check(&spec, None, Dur::from_secs(600));
+    let report = check_with(&spec, None, COORD_WINDOW, &cli.opts.policy);
     for f in &report.findings {
         println!("{f}");
     }

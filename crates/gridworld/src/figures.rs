@@ -462,14 +462,18 @@ pub fn fig8_kill_plan(seed: u64) -> FaultPlan {
     ))
 }
 
+/// The full-scale window of fig8 and fig9. The static pre-flights
+/// (`ftshcheck`, `ftshlint --workflow`) take it as the horizon of a
+/// workload that names no window of its own.
+pub const COORD_WINDOW: Dur = Dur::from_secs(600);
+
 /// The workload fig8 actually runs at `scale`: `(rounds, window,
 /// fault plan)` with any custom plan appended to the kill, exactly as
-/// the figure itself does. The figures harness feeds this to the
-/// static workflow checker before committing to a run.
+/// the figure itself does. `ftshcheck fig8` checks this workload.
 pub fn fig8_workload(scale: Scale, seed: u64, custom: Option<&FaultPlan>) -> (u32, Dur, FaultPlan) {
     (
         scale.pick(3, 2),
-        scale.pick(Dur::from_secs(600), Dur::from_secs(300)),
+        scale.pick(COORD_WINDOW, Dur::from_secs(300)),
         with_custom(fig8_kill_plan(seed), custom),
     )
 }
@@ -529,9 +533,10 @@ pub fn fig9_fault_plan(seed: u64) -> FaultPlan {
 
 /// The workload fig9 actually runs at `scale`: `(window, fault plan)`,
 /// custom plan appended exactly as the figure itself does.
+/// `ftshcheck fig9` checks this workload.
 pub fn fig9_workload(scale: Scale, seed: u64, custom: Option<&FaultPlan>) -> (Dur, FaultPlan) {
     (
-        scale.pick(Dur::from_secs(600), Dur::from_secs(300)),
+        scale.pick(COORD_WINDOW, Dur::from_secs(300)),
         with_custom(fig9_fault_plan(seed), custom),
     )
 }

@@ -182,13 +182,6 @@ pub fn arena_script(discipline: Discipline, jobs: usize) -> Script {
     parse(&arena_text(discipline, jobs)).expect("generated script parses")
 }
 
-/// The longest an [`arena_script`] client can run: every unit is
-/// bounded by its `try for` budget. The live harness sizes its
-/// watchdog from this.
-pub fn arena_worst_case(jobs: usize) -> Dur {
-    ARENA_UNIT_BUDGET * jobs as u64
-}
-
 /// Build a client's VM under a discipline: the discipline's backoff
 /// policy is installed as the VM default (Fixed ⇒ no delay).
 pub fn unit_vm(script: &Script, discipline: Discipline, env: Env, seed: u64) -> Vm {
@@ -270,7 +263,6 @@ mod tests {
         );
         assert_eq!(eth.matches("    submit job-${client}-").count(), 3);
         assert_eq!(arena_script(Discipline::Ethernet, 3).len(), 3);
-        assert_eq!(arena_worst_case(3), Dur::from_secs(18));
     }
 
     #[test]
