@@ -288,12 +288,11 @@ impl VmStats {
     }
 }
 
-/// Drive one VM (seed 7, log counters-only) through `script` on a
+/// Drive one VM (seed 7, no trace sink) through `script` on a
 /// virtual clock, every command succeeding at once with output `ok`.
 /// Returns the tick count.
 fn vm_run(script: &ftsh::Script) -> u64 {
     let mut driver = ftsh::VmDriver::new(ftsh::Vm::with_seed(script, 7));
-    driver.vm_mut().set_log_detail(false);
     driver.run_to_completion(|_| Ok("ok".into())).ticks()
 }
 

@@ -275,9 +275,6 @@ pub fn drive<H: Harness>(
     };
     for (id, (mut vm, offset)) in vms.into_iter().enumerate() {
         vm.set_tracer(swarm.sink.clone(), id as i64);
-        // Only the trace is read back; retaining every VM's event log
-        // across a large population is pure allocation churn.
-        vm.set_log_detail(false);
         swarm.clients.push(Client {
             vm: Some(vm),
             ..Client::default()

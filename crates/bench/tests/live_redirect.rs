@@ -42,7 +42,11 @@ fn append_and_stderr_merge_capture_the_live_put_path() {
     );
     let script = ftsh::parse(&text).expect("script parses");
     let report = procman::run_script(&script, &RealOptions::default());
-    assert!(report.success, "script failed: {:?}", report.log);
+    assert!(
+        report.success,
+        "script failed: {:?} {:?}",
+        report.summary, report.process_outcomes
+    );
 
     let env = &report.final_env;
     assert_eq!(env.get("stored"), "10 bytes");

@@ -37,7 +37,7 @@ use crate::words::{trim_capture, Env};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use retry::{BackoffPolicy, NextAttempt, Time, TryBudget, TrySession};
-use simgrid::trace::{SharedSink, TraceEv, TraceRecord, NO_ID};
+use simgrid::trace::{SharedSink, TraceEv, TraceRecord};
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::ops::ControlFlow;
@@ -596,7 +596,7 @@ impl Vm {
                 next_id: 1,
                 token_ctr: 0,
                 rng: StdRng::seed_from_u64(seed),
-                log: EventLog::new(),
+                log: EventLog::default(),
                 outcome: None,
                 default_backoff: BackoffPolicy::ethernet(),
                 now: Time::ZERO,
@@ -628,7 +628,7 @@ impl Vm {
     /// Start the script over in place, as the client's next work unit:
     /// afterwards the VM is exactly what `Vm::with_env_seed(script, env,
     /// seed)` builds, whatever was in flight forgotten. It keeps the
-    /// program, backoff, `forall` limit, tracer and log mode, and every
+    /// program, backoff, `forall` limit and tracer, and every
     /// buffer, so a unit whose `env` allocates nothing restarts without
     /// allocating.
     pub fn restart(&mut self, env: Env, seed: u64) {
@@ -651,7 +651,7 @@ impl Vm {
             cold.fn_entries.fill(None);
         }
         m.rng = StdRng::seed_from_u64(seed);
-        m.log.reset();
+        m.log = EventLog::default();
         m.outcome = None;
         m.now = Time::ZERO;
         self.final_env.take();
@@ -690,11 +690,13 @@ impl Vm {
         simgrid::prefetch(self.m.argv.as_slice());
     }
 
-    /// Install a structured-trace sink; every record this VM emits
-    /// goes there too, attributed to `client` (the scenario's client
-    /// index, or [`NO_ID`] outside a population). With no sink
-    /// installed — the default — and the log counters-only, no record
-    /// is built: the tick path stays allocation-free.
+    /// Install a structured-trace sink, the one place this VM's records
+    /// go, each attributed to `client` (the scenario's client index, or
+    /// [`NO_ID`] outside a population). With no sink installed — the
+    /// default — no record is built and only the [`Vm::log`] counters
+    /// move: the tick path stays allocation-free.
+    ///
+    /// [`NO_ID`]: simgrid::trace::NO_ID
     pub fn set_tracer(&mut self, sink: SharedSink, client: i64) {
         self.m.cold().tracer = Some((sink, client));
     }
@@ -727,20 +729,17 @@ impl Vm {
         }
     }
 
-    /// The execution log so far.
+    /// The execution log's counters so far.
     pub fn log(&self) -> &EventLog {
         &self.m.log
     }
 
-    /// Switch the execution log between full record retention (the
-    /// default) and counters-only mode — see [`EventLog::set_detailed`].
-    /// Population drivers run counters-only: the [`LogSummary`] still
-    /// aggregates exactly, but a million ticks retain no record.
-    ///
-    /// [`LogSummary`]: crate::log::LogSummary
-    pub fn set_log_detail(&mut self, detailed: bool) {
-        self.m.log.set_detailed(detailed);
-    }
+    /// Vestige of the retaining log, kept only because the frozen
+    /// `benchmark/` names it; delete with the next `benchmark/` change.
+    /// Does nothing: a VM keeps only its counters, and its records
+    /// leave through the sink [`Vm::set_tracer`] installs.
+    #[doc(hidden)]
+    pub fn set_log_detail(&mut self, _detailed: bool) {}
 
     /// The root environment: the variables visible after completion
     /// (empty mid-run).
@@ -894,27 +893,22 @@ impl Machine {
         }
     }
 
-    /// Emit the record of one transition of task `tid`. `ev` runs only
-    /// when someone will receive what it builds — the VM's own log
-    /// while it is detailed, the sink if one is installed — and both
-    /// get the same record. A kind that [`LogSummary`] counts bumps its
-    /// counter beside the call, whoever listens.
+    /// Emit the record of one transition of task `tid` to the sink, if
+    /// one is installed; `ev` runs only then. A kind that
+    /// [`LogSummary`] counts bumps its counter beside the call, whoever
+    /// listens.
     ///
     /// [`LogSummary`]: crate::log::LogSummary
     #[inline]
     fn emit(&mut self, tid: TaskId, ev: impl FnOnce() -> TraceEv) {
-        let tracer = self.cold.as_ref().and_then(|c| c.tracer.as_ref());
-        if self.log.is_detailed() || tracer.is_some() {
+        if let Some((sink, client)) = self.cold.as_ref().and_then(|c| c.tracer.as_ref()) {
             let rec = TraceRecord {
                 t: self.now,
-                client: tracer.map_or(NO_ID, |&(_, client)| client),
+                client: *client,
                 task: tid as i64,
                 ev: ev(),
             };
-            if let Some((sink, _)) = tracer {
-                sink.lock().expect("trace sink poisoned").record(&rec);
-            }
-            self.log.keep(rec);
+            sink.lock().expect("trace sink poisoned").record(&rec);
         }
     }
 

@@ -85,6 +85,6 @@ pub use words::Env;
 
 /// The shared structured-trace vocabulary ([`simgrid::trace`]) and its
 /// reader ([`simgrid::postmortem`]), re-exported so `procman` and
-/// scripts driving [`Vm`] directly can install sinks and analyse
-/// [`EventLog::events`] without a simulator dependency.
+/// scripts driving [`Vm`] directly can install sinks and analyse what
+/// they received without a simulator dependency.
 pub use simgrid::{postmortem, trace};

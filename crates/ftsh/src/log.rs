@@ -10,84 +10,30 @@
 //! them — and [`LogSummary`] counts the transitions as they happen.
 //!
 //! The log has *varying detail* in a literal sense. The counters are
-//! bumped at every emission site whatever else is switched on. A record
-//! is built only when someone will receive it: this log, while it is
-//! in detailed mode (the default), and the sink installed with
-//! `Vm::set_tracer`, if any. Large VM populations run counters-only
-//! ([`EventLog::set_detailed`]`(false)`) with no sink, so a million
-//! ticks of simulation build no record and allocate nothing for the
-//! log; interactive and post-mortem runs keep the full stream.
+//! bumped at every emission site, always. A record is built only when
+//! a sink installed with `Vm::set_tracer` will receive it, and that
+//! sink is the one way a record leaves a VM: a [`VecSink`] keeps it in
+//! memory, a [`JsonlSink`] writes it to a file, a [`RingSink`] keeps
+//! the last few. With no sink — how large VM populations run — a
+//! million ticks of simulation build no record and allocate nothing
+//! for the log.
+//!
+//! [`TraceRecord`]: simgrid::trace::TraceRecord
+//! [`VecSink`]: simgrid::trace::VecSink
+//! [`JsonlSink`]: simgrid::trace::JsonlSink
+//! [`RingSink`]: simgrid::trace::RingSink
 
 use retry::Dur;
-use simgrid::trace::TraceRecord;
 
-/// The records a VM retained and the counters it always keeps.
-#[derive(Clone, Debug)]
+/// The counters a VM keeps of its run; its records go to its sink.
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EventLog {
-    events: Vec<TraceRecord>,
-    /// Bumped by the VM beside each emission, in either detail mode.
+    /// Bumped by the VM beside each emission.
     pub(crate) summary: LogSummary,
-    detailed: bool,
-}
-
-impl Default for EventLog {
-    fn default() -> EventLog {
-        EventLog {
-            events: Vec::new(),
-            summary: LogSummary::default(),
-            detailed: true,
-        }
-    }
 }
 
 impl EventLog {
-    /// An empty log (detailed mode).
-    pub fn new() -> EventLog {
-        EventLog::default()
-    }
-
-    /// Switch record retention on or off. Counters keep accumulating in
-    /// either mode; records already stored are kept.
-    pub fn set_detailed(&mut self, detailed: bool) {
-        self.detailed = detailed;
-    }
-
-    /// Whether records are being retained.
-    pub fn is_detailed(&self) -> bool {
-        self.detailed
-    }
-
-    /// Forget every record and zero every counter; keep the mode.
-    pub(crate) fn reset(&mut self) {
-        self.events.clear();
-        self.summary = LogSummary::default();
-    }
-
-    /// Retain `rec` if the log is detailed.
-    pub(crate) fn keep(&mut self, rec: TraceRecord) {
-        if self.detailed {
-            self.events.push(rec);
-        }
-    }
-
-    /// All retained records in emission order (empty in counters-only
-    /// mode).
-    pub fn events(&self) -> &[TraceRecord] {
-        &self.events
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing was retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Post-mortem aggregate — an O(1) copy of the running counters,
-    /// valid in both detail modes.
+    /// Post-mortem aggregate — an O(1) copy of the running counters.
     pub fn summary(&self) -> LogSummary {
         self.summary
     }
@@ -139,8 +85,6 @@ impl std::ops::AddAssign for LogSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retry::Time;
-    use simgrid::trace::{TraceEv, NO_ID};
 
     #[test]
     fn summary_addition_accumulates() {
@@ -159,36 +103,5 @@ mod tests {
         assert_eq!(a.attempts, 7);
         assert_eq!(a.backoffs, 1);
         assert_eq!(a.total_backoff, Dur::from_secs(7));
-    }
-
-    #[test]
-    fn empty_log() {
-        let log = EventLog::new();
-        assert!(log.is_empty());
-        assert_eq!(log.summary(), LogSummary::default());
-    }
-
-    #[test]
-    fn counters_only_mode_keeps_summary_but_no_events() {
-        let rec = TraceRecord {
-            t: Time::ZERO,
-            client: NO_ID,
-            task: 0,
-            ev: TraceEv::AttemptStart {
-                attempt: 1,
-                budget: None,
-            },
-        };
-        let mut log = EventLog::new();
-        assert!(log.is_detailed());
-        log.summary.attempts += 1;
-        log.keep(rec.clone());
-        log.set_detailed(false);
-        assert!(!log.is_detailed());
-        log.summary.attempts += 1;
-        log.keep(rec.clone());
-        // What was stored stays; what came after was only counted.
-        assert_eq!(log.events(), [rec]);
-        assert_eq!((log.len(), log.summary().attempts), (1, 2));
     }
 }

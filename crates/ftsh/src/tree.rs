@@ -22,7 +22,7 @@ use crate::words::{trim_capture, Env};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use retry::{BackoffPolicy, Dur, NextAttempt, Time, TryBudget, TrySession};
-use simgrid::trace::{SharedSink, TraceEv, TraceRecord, NO_ID};
+use simgrid::trace::{SharedSink, TraceEv, TraceRecord};
 use std::collections::HashMap;
 
 pub mod gen;
@@ -102,8 +102,8 @@ pub struct TreeVm {
     final_env: Env,
     max_parallel: Option<usize>,
     functions: HashMap<String, Block>,
-    tracer: Option<SharedSink>,
-    trace_client: i64,
+    /// The trace sink and the client its records are attributed to.
+    tracer: Option<(SharedSink, i64)>,
 }
 
 impl TreeVm {
@@ -125,7 +125,7 @@ impl TreeVm {
             token_ctr: 0,
             token_task: HashMap::new(),
             rng: StdRng::seed_from_u64(seed),
-            log: EventLog::new(),
+            log: EventLog::default(),
             outcome: None,
             default_backoff: BackoffPolicy::ethernet(),
             effects: Vec::new(),
@@ -134,31 +134,28 @@ impl TreeVm {
             max_parallel: None,
             functions: HashMap::new(),
             tracer: None,
-            trace_client: NO_ID,
         }
     }
 
-    /// Install a structured-trace sink; every record this VM emits
-    /// goes there too, attributed to `client`.
+    /// Install a structured-trace sink, the one place this machine's
+    /// records go, each attributed to `client`.
     pub fn set_tracer(&mut self, sink: SharedSink, client: i64) {
-        self.tracer = Some(sink);
-        self.trace_client = client;
+        self.tracer = Some((sink, client));
     }
 
-    /// Emit the record of one transition of task `tid`, to the VM's own
-    /// log and to the sink if one is installed. The kinds the summary
-    /// counts bump their counter beside the call.
+    /// Emit the record of one transition of task `tid` to the sink, if
+    /// one is installed. The kinds the summary counts bump their
+    /// counter beside the call.
     fn emit(&mut self, tid: TaskId, ev: TraceEv) {
-        let rec = TraceRecord {
-            t: self.now,
-            client: self.trace_client,
-            task: tid as i64,
-            ev,
-        };
-        if let Some(sink) = &self.tracer {
+        if let Some((sink, client)) = &self.tracer {
+            let rec = TraceRecord {
+                t: self.now,
+                client: *client,
+                task: tid as i64,
+                ev,
+            };
             sink.lock().expect("trace sink poisoned").record(&rec);
         }
-        self.log.keep(rec);
     }
 
     /// Override the backoff policy used by `try` blocks that do not
@@ -173,7 +170,7 @@ impl TreeVm {
         self.max_parallel = n.map(|n| n.max(1));
     }
 
-    /// The execution log so far.
+    /// The execution log's counters so far.
     pub fn log(&self) -> &EventLog {
         &self.log
     }

@@ -77,7 +77,6 @@ fn a_literal_command_is_dispatched_again_as_it_was_handed_back() {
     let script = parse("try 5 times every 1 second\n cut -f2 /proc/sys/fs/file-nr\nend\n").unwrap();
     let lits = literals(&script, 0);
     let mut vm = Vm::with_seed(&script, 1);
-    vm.set_log_detail(false);
     let (mut now, mut effects) = (Time::ZERO, Vec::new());
 
     let (token, first) = next_start(&mut vm, &mut now, &mut effects);

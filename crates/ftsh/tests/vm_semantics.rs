@@ -3,9 +3,10 @@
 //! time are fully controlled.
 
 use ftsh::parse;
-use ftsh::trace::TraceEv;
+use ftsh::trace::{SharedSink, TraceEv, VecSink, NO_ID};
 use ftsh::vm::{CmdResult, CommandSpec, Effect, Tick, Vm, VmStatus};
 use retry::{BackoffPolicy, Dur, Time};
+use std::sync::{Arc, Mutex};
 
 /// A manual test driver: collects started commands so the test decides
 /// when and how each completes.
@@ -28,6 +29,13 @@ impl Harness {
             pending: Vec::new(),
             cancelled: Vec::new(),
         }
+    }
+
+    /// Install a sink on the VM and hand back what it will collect.
+    fn record(&mut self) -> Arc<Mutex<VecSink>> {
+        let sink = Arc::new(Mutex::new(VecSink::new()));
+        self.vm.set_tracer(sink.clone() as SharedSink, NO_ID);
+        sink
     }
 
     fn tick(&mut self) -> VmStatus {
@@ -175,6 +183,7 @@ fn forall_branch_envs_are_isolated() {
 #[test]
 fn try_deadline_cancels_inflight_command() {
     let mut h = Harness::new("try for 10 seconds\n slow\nend\n");
+    let trace = h.record();
     let status = h.tick();
     assert_eq!(h.pending_programs(), ["slow"]);
     // The VM tells us the deadline.
@@ -188,7 +197,8 @@ fn try_deadline_cancels_inflight_command() {
     assert_eq!(h.cancelled.len(), 1);
     assert!(matches!(status, VmStatus::Done { success: false }));
     // Log records the forcible termination.
-    let kinds: Vec<_> = h.vm.log().events().iter().map(|e| &e.ev).collect();
+    let records = trace.lock().unwrap().take();
+    let kinds: Vec<_> = records.iter().map(|e| &e.ev).collect();
     assert!(kinds.iter().any(|k| matches!(k, TraceEv::TryTimeout)));
     assert!(kinds.iter().any(|k| matches!(k, TraceEv::CmdKilled { .. })));
 }
@@ -370,6 +380,7 @@ fn redirect_to_file_goes_to_executor() {
 #[test]
 fn every_interval_overrides_backoff() {
     let mut h = Harness::new("try for 1 minutes every 5 seconds\n flaky\nend\n");
+    let trace = h.record();
     let mut remaining_failures = 3;
     let ok = h.run(|_| {
         if remaining_failures > 0 {
@@ -381,15 +392,14 @@ fn every_interval_overrides_backoff() {
     });
     assert!(ok);
     // Verify the constant 5s cadence from the backoff log entries.
-    let logged: Vec<Dur> =
-        h.vm.log()
-            .events()
-            .iter()
-            .filter_map(|e| match e.ev {
-                TraceEv::Backoff { delay, .. } => Some(delay),
-                _ => None,
-            })
-            .collect();
+    let records = trace.lock().unwrap().take();
+    let logged: Vec<Dur> = records
+        .iter()
+        .filter_map(|e| match e.ev {
+            TraceEv::Backoff { delay, .. } => Some(delay),
+            _ => None,
+        })
+        .collect();
     assert_eq!(logged, vec![Dur::from_secs(5); 3]);
 }
 
@@ -755,12 +765,8 @@ fn deadline_kill_restores_caller_positionals() {
 /// Returns the `task` of the last `Effect::Start` and of the last
 /// `cmd-start` trace record.
 fn run_with_bounded_table(src: &str, max_parallel: Option<usize>, bound: usize) -> (usize, usize) {
-    use ftsh::trace::{SharedSink, VecSink};
-    use std::sync::{Arc, Mutex};
-
     let script = parse(src).unwrap_or_else(|e| panic!("parse: {e}"));
     let mut vm = Vm::with_seed(&script, 99);
-    vm.set_log_detail(false);
     vm.set_max_parallel(max_parallel);
     let trace = Arc::new(Mutex::new(VecSink::new()));
     vm.set_tracer(trace.clone() as SharedSink, 0);

@@ -91,7 +91,10 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--spec" => cli.spec = Some(val("--spec")?),
             "--plan" => cli.plan = Some(val("--plan")?),
             "--md" => cli.md = Some(val("--md")?),
-            "--help" | "-h" => return Err(usage()),
+            "--help" | "-h" => {
+                println!("{}", usage());
+                std::process::exit(0);
+            }
             "all" => cli.workloads.extend(WORKLOADS),
             f if std::path::Path::new(f)
                 .extension()

@@ -481,7 +481,7 @@ impl CheckReport {
             let env = if j.envelope == Dur::MAX {
                 "unbounded".to_owned()
             } else {
-                format!("{:.0}s", j.envelope.as_secs_f64())
+                format!("{}s", j.envelope.as_secs_f64())
             };
             let _ = writeln!(
                 out,
@@ -1351,6 +1351,18 @@ mod tests {
         assert!(md.contains("## fig9 diamond"));
         assert!(md.contains("**clean**"));
         assert!(md.contains("| merge |"));
+    }
+
+    #[test]
+    fn markdown_report_keeps_a_sub_second_envelope() {
+        let dag = DagSpec::diamond();
+        let spec = WorkflowSpec::dag(&dag, Discipline::Ethernet, secs(600), secs(60));
+        let mut report = check(&spec, None, secs(300));
+        report.jobs[0].envelope = Dur::from_millis(200);
+        report.jobs[1].envelope = secs(600);
+        let md = report.markdown("sub-second");
+        assert!(md.contains("| extract | 0 | 0.2s |"), "{md}");
+        assert!(md.contains("| align-a | 1 | 600s |"), "{md}");
     }
 
     #[test]

@@ -37,3 +37,18 @@ fn fig8_is_clean_until_a_rank_dies_for_good() {
         "{stdout}"
     );
 }
+
+#[test]
+fn help_is_not_a_usage_error() {
+    for flag in ["--help", "-h"] {
+        let (code, stdout) = ftshcheck(&[flag]);
+        assert_eq!(code, Some(0), "{flag}: {stdout}");
+        assert!(stdout.starts_with("usage: ftshcheck"), "{flag}: {stdout}");
+    }
+    let (code, stdout) = ftshcheck(&["--bogus"]);
+    assert_eq!(code, Some(3), "{stdout}");
+    assert!(
+        stdout.is_empty(),
+        "the usage error goes to stderr: {stdout}"
+    );
+}

@@ -392,17 +392,11 @@ impl<W: CommandWorld> SimDriver<W> {
 
     /// Create a driver whose clients start at the given instants (see
     /// [`staggered_starts`]).
-    pub fn with_starts(world: W, mut vms: Vec<Vm>, starts: Vec<Time>) -> SimDriver<W> {
+    pub fn with_starts(world: W, vms: Vec<Vm>, starts: Vec<Time>) -> SimDriver<W> {
         assert_eq!(vms.len(), starts.len(), "one start time per client");
         let mut queue = EventQueue::new();
         for (client, &at) in starts.iter().enumerate() {
             queue.schedule_for(at, owner(client), SimEv::Wake { client, epoch: 0 });
-        }
-        for vm in &mut vms {
-            // The driver only ever reads the O(1) log summary;
-            // retaining full event vectors across a large population
-            // is pure allocation churn.
-            vm.set_log_detail(false);
         }
         let n = vms.len();
         SimDriver {

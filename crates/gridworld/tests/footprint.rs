@@ -38,8 +38,9 @@ const _: () = assert!(EventQueue::<SimEv<SubmitEv>>::FIFO_ENTRY_BYTES <= 8);
 const _: () = assert!(size_of::<TrySession>() <= 64);
 const _: () = assert!(Vm::FRAME_BYTES <= 80);
 // What only some clients use went out of line into the cold part, and
-// the effects placeholder went: 440 → 288.
-const _: () = assert!(size_of::<Vm>() <= 288);
+// the effects placeholder went: 440 → 288. The log keeps only its
+// counters, its records going to the trace sink alone: 288 → 256.
+const _: () = assert!(size_of::<Vm>() <= 256);
 // A client's unit lifecycle — running flag, unit epoch, armed wake —
 // shared by the simulator and the live swarm: 16 bytes, 1.6 MB at
 // 100 000 clients.
@@ -123,14 +124,13 @@ fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
     let _compiled = unit_vm(&script, Discipline::Ethernet, Env::new(), 0);
 
     // Phase 1 — the population, as `ftsh.vm.bytes_per_client` builds
-    // it: log detail off, one tick into one shared effects buffer,
+    // it: no trace sink, one tick into one shared effects buffer,
     // first command in flight, effects dropped.
     let mut effects: Vec<Effect> = Vec::new();
     let (_, blocks_before, bytes_before) = heap();
     let vms: Vec<Vm> = (0..CLIENTS as u64)
         .map(|i| {
             let mut vm = unit_vm(&script, Discipline::Ethernet, Env::new(), i);
-            vm.set_log_detail(false);
             vm.tick_into(Time::ZERO, &mut effects);
             assert_eq!(effects.len(), 1, "the carrier-sense read is in flight");
             effects.clear();
@@ -175,7 +175,6 @@ fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
     let vms: Vec<Vm> = (0..CLIENTS as u64)
         .map(|i| {
             let mut vm = unit_vm(&script, Discipline::Ethernet, Env::new(), i);
-            vm.set_log_detail(false);
             attempt(&mut vm, Time::ZERO);
             vm
         })
@@ -197,7 +196,6 @@ fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
     // Phase 3 — one such client: a backoff wake and the whole attempt
     // after it reuse what the first attempt left.
     let mut vm = unit_vm(&script, Discipline::Ethernet, Env::new(), 7);
-    vm.set_log_detail(false);
     let wake = attempt(&mut vm, Time::ZERO);
     let (calls_before, _, _) = heap();
     let next = attempt(&mut vm, wake);
@@ -274,7 +272,6 @@ fn the_cold_part_is_made_on_first_use_and_survives_restart() {
         let mut vms: Vec<Vm> = (0..CLIENTS)
             .map(|i| {
                 let mut vm = unit_vm(&script, Discipline::Ethernet, env.clone(), i);
-                vm.set_log_detail(false);
                 vm.tick_into(Time::ZERO, &mut effects);
                 assert_eq!(effects.len(), 1, "{name}: the first command is in flight");
                 vm
@@ -308,7 +305,6 @@ fn the_cold_part_is_made_on_first_use_and_survives_restart() {
     let script = ftsh::parse("forall x in a b c d e\n  work ${x}\nend\n").unwrap();
     let trace = Arc::new(Mutex::new(VecSink::new()));
     let mut vm = Vm::with_seed(&script, 0);
-    vm.set_log_detail(false);
     let ((_, blocks_before, _), made) = (heap(), cold_blocks_made());
     vm.set_tracer(trace.clone() as SharedSink, 42);
     let ((calls_before, blocks, _), made_after) = (heap(), cold_blocks_made());

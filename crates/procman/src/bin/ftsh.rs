@@ -36,11 +36,29 @@
 //! work failed" (retryable) from "the script is malformed" (not).
 
 use ftsh::postmortem::{render_log, render_timeline};
+use ftsh::trace::{shared, JsonlSink, SharedSink, TraceRecord, TraceSink, VecSink, NO_ID};
 use ftsh::{parse, pretty, Vm};
-use procman::{run_vm_traced, RealOptions};
+use procman::{run_vm, RealOptions};
 
 use retry::{parse_duration_arg, BackoffPolicy, Dur};
+use std::fs::File;
+use std::io::BufWriter;
 use std::process::ExitCode;
+use std::sync::{Arc, Mutex};
+
+/// The `--trace` file, and the records `--log` / `--timeline` render
+/// when either is on. The file is written as the run goes, and it may
+/// be a path that cannot be read back (`/dev/stderr`, a pipe).
+struct Tee(JsonlSink<BufWriter<File>>, Option<SharedSink>);
+
+impl TraceSink for Tee {
+    fn record(&mut self, rec: &TraceRecord) {
+        self.0.record(rec);
+        if let Some(kept) = &self.1 {
+            kept.lock().expect("trace sink poisoned").record(rec);
+        }
+    }
+}
 
 fn usage() -> ExitCode {
     eprintln!(concat!(
@@ -197,27 +215,31 @@ fn main() -> ExitCode {
         }
         vm.set_default_backoff(policy);
     }
-    let trace_sink = match &trace_path {
-        Some(p) => match std::fs::File::create(p) {
-            Ok(f) => {
-                let w = std::io::BufWriter::new(f);
-                Some(ftsh::trace::shared(ftsh::trace::JsonlSink::new(w)))
-            }
+    // The VM's one sink: with `--trace`, the file (the VM runs as
+    // client 0), teed to `kept` for `--log` / `--timeline`; without it,
+    // `kept` alone, naming no client.
+    let kept = Arc::new(Mutex::new(VecSink::new()));
+    let keep = (show_log || show_timeline).then(|| kept.clone() as SharedSink);
+    match (&trace_path, keep) {
+        (Some(p), keep) => match File::create(p) {
+            Ok(f) => vm.set_tracer(shared(Tee(JsonlSink::new(BufWriter::new(f)), keep)), 0),
             Err(e) => {
                 eprintln!("ftsh: cannot create trace file {p}: {e}");
                 return ExitCode::from(2);
             }
         },
-        None => None,
-    };
-    let report = run_vm_traced(vm, &opts, trace_sink);
+        (None, Some(keep)) => vm.set_tracer(keep, NO_ID),
+        (None, None) => {}
+    }
+    let report = run_vm(vm, &opts);
+    let records = kept.lock().expect("trace sink poisoned").take();
 
     if show_timeline {
-        eprint!("{}", render_timeline(report.log.events(), None));
+        eprint!("{}", render_timeline(&records, None));
     }
     if show_log {
-        eprint!("{}", render_log(report.log.events()));
-        let s = report.log.summary();
+        eprint!("{}", render_log(&records));
+        let s = report.summary;
         eprintln!(
             "-- {} commands, {} attempts, {} backoffs ({} total), {} timeouts",
             s.commands_started, s.attempts, s.backoffs, s.total_backoff, s.timed_out_tries

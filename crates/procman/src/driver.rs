@@ -11,7 +11,7 @@
 
 use crate::session::{ProcessOutcome, SessionChild, SpawnError};
 use ftsh::vm::{step, Answers, CmdResult, CmdToken, CommandSpec, Executor, Vm, VmStatus};
-use ftsh::{EventLog, Script};
+use ftsh::{LogSummary, Script};
 use retry::Time;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -68,8 +68,9 @@ impl Default for RealOptions {
 pub struct RealReport {
     /// Did the script as a whole succeed?
     pub success: bool,
-    /// The VM's execution log (attempts, backoffs, kills…).
-    pub log: EventLog,
+    /// The VM's counters (attempts, backoffs, kills…); its records
+    /// went to the sink installed on it, if any.
+    pub summary: LogSummary,
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
     /// How each real process actually ended, in completion order —
@@ -102,10 +103,9 @@ pub fn run_script(script: &Script, opts: &RealOptions) -> RealReport {
 }
 
 /// [`run_vm`] with an optional structured-trace sink installed on the
-/// VM (as client 0): every record the VM emits — the ones
-/// [`RealReport::log`] retains — is also written there live while the
-/// real processes run, in the schema the simulator emits, so one
-/// post-mortem pipeline reads both.
+/// VM (as client 0): every record the VM emits is written there live
+/// while the real processes run, in the schema the simulator emits, so
+/// one post-mortem pipeline reads both.
 pub fn run_vm_traced(
     mut vm: Vm,
     opts: &RealOptions,
@@ -214,7 +214,7 @@ pub fn run_vm(mut vm: Vm, opts: &RealOptions) -> RealReport {
 
     RealReport {
         success,
-        log: vm.log().clone(),
+        summary: vm.log().summary(),
         elapsed: start.elapsed(),
         process_outcomes,
         final_env: vm.env().clone(),
@@ -344,7 +344,7 @@ mod tests {
             "deadline must kill the sleep: {:?}",
             started.elapsed()
         );
-        assert!(r.log.summary().timed_out_tries >= 1);
+        assert!(r.summary.timed_out_tries >= 1);
     }
 
     #[test]
@@ -394,7 +394,7 @@ mod tests {
     fn unloadable_program_is_retried_like_any_failure() {
         let r = run("try 3 times every 10 ms\n /no/such/prog\nend\n");
         assert!(!r.success);
-        assert_eq!(r.log.summary().attempts, 3);
+        assert_eq!(r.summary.attempts, 3);
     }
 
     #[test]
@@ -408,7 +408,7 @@ mod tests {
         let started = Instant::now();
         let r = run("try for 10 seconds or 3 times every 10 ms\n /no/such/prog\nend\n");
         assert!(!r.success);
-        assert_eq!(r.log.summary().attempts, 3);
+        assert_eq!(r.summary.attempts, 3);
         assert!(
             started.elapsed() < Duration::from_secs(1),
             "each failed spawn must be retried at once, took {:?}",
@@ -462,7 +462,7 @@ mod tests {
         );
         let r = run(&src);
         assert!(r.success);
-        assert!(r.log.summary().attempts >= 2);
+        assert!(r.summary.attempts >= 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }
@@ -555,7 +555,7 @@ mod cp_cases {
              end\n",
         );
         assert!(!r.success);
-        assert_eq!(r.log.summary().attempts, 3);
+        assert_eq!(r.summary.attempts, 3);
         assert_eq!(r.process_outcomes.len(), 3);
     }
 }

@@ -126,33 +126,50 @@ const FORANY_CAPTURE_FORALL: &str = "try for 10 seconds\n\
        sleep ${t}\n\
      end\n";
 
+/// A rendered line with what changes from run to run taken out: the
+/// timestamp, a command's duration and the `client 0` a traced run's
+/// records name.
+fn shape(line: &str) -> String {
+    let words = line.split_once("] ").map_or(line, |(_, w)| w);
+    let words = words.strip_prefix("client 0 ").unwrap_or(words);
+    match words.rsplit_once(" (") {
+        Some((head, took)) if took.trim_end_matches("s)").parse::<f64>().is_ok() => head.into(),
+        _ => words.into(),
+    }
+}
+
 #[test]
 fn the_trace_file_alone_is_the_log() {
-    use ftsh::postmortem::{alternative_frequency, per_program, render_log};
-    use ftsh::trace::{from_jsonl, shared, JsonlSink};
+    use ftsh::postmortem::{alternative_frequency, per_program, render_log, render_timeline};
+    use ftsh::trace::from_jsonl;
 
     let dir = std::env::temp_dir().join(format!("ftsh-trace-log-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let read_back = |path: &std::path::Path| {
         from_jsonl(&std::fs::read_to_string(path).unwrap()).expect("trace file parses")
     };
+    let run = |args: &[&str], trace: Option<&std::path::Path>| {
+        let mut cmd = ftsh();
+        cmd.args(["--seed", "1"]).args(args);
+        if let Some(path) = trace {
+            cmd.arg("--trace").arg(path);
+        }
+        let out = cmd.args(["-c", FORANY_CAPTURE_FORALL]).output().unwrap();
+        assert_eq!(out.status.code(), Some(0));
+        String::from_utf8(out.stderr).unwrap()
+    };
 
-    // Through the CLI: what `--log` printed is what the file renders to.
-    let cli_trace = dir.join("cli.jsonl");
-    let out = ftsh()
-        .args(["--seed", "1", "--log", "--trace"])
-        .arg(&cli_trace)
-        .args(["-c", FORANY_CAPTURE_FORALL])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(0));
-    let err = String::from_utf8_lossy(&out.stderr);
+    // `--log`: what it printed, the `-- ` trailer aside, is what the
+    // trace file renders to.
+    let log_trace = dir.join("log.jsonl");
+    let err = run(&["--log"], Some(&log_trace));
     let logged: String = err
         .lines()
         .filter(|l| !l.starts_with("-- "))
         .flat_map(|l| [l, "\n"])
         .collect();
-    assert_eq!(logged, render_log(&read_back(&cli_trace)));
+    let records = read_back(&log_trace);
+    assert_eq!(logged, render_log(&records));
     for fact in [
         "forany -> a",
         "forany -> b",
@@ -166,28 +183,44 @@ fn the_trace_file_alone_is_the_log() {
     ] {
         assert!(logged.contains(fact), "{fact:?} missing from {logged}");
     }
-
-    // Through the library: the file holds the records the report kept,
-    // so §4's questions have the same answers from either.
-    let lib_trace = dir.join("lib.jsonl");
-    let file = std::io::BufWriter::new(std::fs::File::create(&lib_trace).unwrap());
-    let vm = ftsh::Vm::with_seed(&ftsh::parse(FORANY_CAPTURE_FORALL).unwrap(), 1);
-    let report = procman::run_vm_traced(
-        vm,
-        &procman::RealOptions::default(),
-        Some(shared(JsonlSink::new(file))),
-    );
-    assert!(report.success);
-    let from_file = read_back(&lib_trace);
-    // The report's VM ran as client 0, like its sink says.
-    assert_eq!(report.log.events(), from_file);
-    let alternatives = alternative_frequency(&from_file);
-    assert_eq!(alternatives, alternative_frequency(report.log.events()));
+    // §4's questions, answered from the file alone.
+    let alternatives = alternative_frequency(&records);
     assert_eq!((alternatives["a"], alternatives["b"]), (1, 1));
-    let programs = per_program(&from_file);
-    assert_eq!(programs, per_program(report.log.events()));
+    let programs = per_program(&records);
     assert_eq!((programs["sh"].failed, programs["sh"].succeeded), (1, 1));
     assert_eq!(programs["sleep"].succeeded, 2);
+
+    // `--timeline`: what it printed is the trace file's timeline.
+    let timeline_trace = dir.join("timeline.jsonl");
+    let timeline = run(&["--timeline"], Some(&timeline_trace));
+    assert_eq!(timeline, render_timeline(&read_back(&timeline_trace), None));
+
+    // Without `--trace` both render the same records, held in memory
+    // and naming no client: the timeline first, then the log.
+    let err = run(&["--log", "--timeline"], None);
+    assert!(!err.contains("client"), "{err}");
+    let untraced_timeline: Vec<String> = err
+        .lines()
+        .filter(|l| !l.starts_with('[') && !l.starts_with("-- "))
+        .map(shape)
+        .collect();
+    let traced_timeline: Vec<String> = timeline
+        .lines()
+        .filter(|&l| l != "== client 0 ==")
+        .map(shape)
+        .collect();
+    assert_eq!(untraced_timeline, traced_timeline);
+    // A `forall`'s branches finish in wall-clock order: compare the
+    // log's lines as a multiset.
+    let sorted = |mut lines: Vec<String>| {
+        lines.sort();
+        lines
+    };
+    let untraced_log = err.lines().filter(|l| l.starts_with('[')).map(shape);
+    assert_eq!(
+        sorted(untraced_log.collect()),
+        sorted(logged.lines().map(shape).collect())
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -7,7 +7,9 @@
 //! ```
 
 use ethernet_grid::ftsh::postmortem::{alternative_frequency, per_program};
+use ethernet_grid::ftsh::trace::{VecSink, NO_ID};
 use ethernet_grid::ftsh::{parse, Vm, VmDriver};
+use std::sync::{Arc, Mutex};
 
 fn main() {
     // A function wrapping the paper's probe-then-fetch idiom; the
@@ -30,6 +32,9 @@ end
 ";
     let script = parse(src).expect("script parses");
     let mut driver = VmDriver::new(Vm::with_seed(&script, 42));
+    // The run's records, kept in memory for the analysis below.
+    let log = Arc::new(Mutex::new(VecSink::new()));
+    driver.set_tracer(log.clone(), NO_ID);
 
     let mut flaky_left = 2;
     let out = driver.run_to_completion(|spec| {
@@ -49,8 +54,7 @@ end
         if out.success() { "ok" } else { "failed" }
     );
 
-    let log = driver.vm().log();
-    let s = log.summary();
+    let s = driver.vm().log().summary();
     println!(
         "summary: {} commands ({} ok, {} failed), {} attempts, {} backoffs totalling {}\n",
         s.commands_started,
@@ -62,7 +66,8 @@ end
     );
 
     println!("per-program breakdown:");
-    for (prog, st) in per_program(log.events()) {
+    let records = log.lock().unwrap().take();
+    for (prog, st) in per_program(&records) {
         println!(
             "  {prog:<10} started {:>3}  ok {:>3}  failed {:>3}  killed {:>3}",
             st.started, st.succeeded, st.failed, st.cancelled
@@ -70,7 +75,7 @@ end
     }
 
     println!("\nforany alternative frequency (who carried the load):");
-    for (value, n) in alternative_frequency(log.events()) {
+    for (value, n) in alternative_frequency(&records) {
         println!("  {value:<14} tried {n} time(s)");
     }
 }

@@ -64,7 +64,7 @@ end
     );
 
     // --- 3. The execution log ----------------------------------------
-    let s = report.log.summary();
+    let s = report.summary;
     println!(
         "log: {} commands started, {} succeeded, {} attempts",
         s.commands_started, s.commands_succeeded, s.attempts

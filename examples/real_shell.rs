@@ -20,7 +20,7 @@ fn run(title: &str, src: &str) {
             ..RealOptions::default()
         },
     );
-    let s = report.log.summary();
+    let s = report.summary;
     println!(
         "result: {} in {:?} ({} commands, {} attempts, {} kills)\n",
         if report.success { "ok" } else { "failed" },

@@ -2,13 +2,14 @@
 //! parsed once, exercised against the in-process executor, the real
 //! POSIX driver, and the discrete-event grid worlds.
 
-use ethernet_grid::ftsh::trace::TraceEv;
+use ethernet_grid::ftsh::trace::{TraceEv, VecSink};
 use ethernet_grid::ftsh::{parse, pretty, Vm, VmDriver};
 use ethernet_grid::gridworld::{
     run_blackhole, run_buffer, run_submission, BlackHoleParams, BufferParams, SubmitParams,
 };
-use ethernet_grid::procman::{run_script, RealOptions};
+use ethernet_grid::procman::{run_script, run_vm_traced, RealOptions};
 use ethernet_grid::retry::{Discipline, Dur};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 #[test]
@@ -67,17 +68,19 @@ fn same_script_runs_simulated_and_real() {
 #[test]
 fn real_deadline_kill_is_visible_in_log() {
     let script = parse("try for 1 seconds or 1 times\n sleep 20\nend\n").unwrap();
-    let report = run_script(
-        &script,
+    let log = Arc::new(Mutex::new(VecSink::new()));
+    let report = run_vm_traced(
+        Vm::with_seed(&script, 1),
         &RealOptions {
             kill_grace: Duration::from_millis(100),
-            seed: Some(1),
             ..RealOptions::default()
         },
+        Some(log.clone()),
     );
     assert!(!report.success);
     assert!(report.elapsed < Duration::from_secs(8));
-    let kinds: Vec<_> = report.log.events().iter().map(|e| &e.ev).collect();
+    let records = log.lock().unwrap().take();
+    let kinds: Vec<_> = records.iter().map(|e| &e.ev).collect();
     assert!(kinds.iter().any(|k| matches!(k, TraceEv::TryTimeout)));
     assert!(kinds.iter().any(|k| matches!(k, TraceEv::CmdKilled { .. })));
 }
