@@ -12,9 +12,11 @@
 //! (default `results/conformance.md`) and a sample `PLAN.json`
 //! (default `results/PLAN.sample.json`) demonstrating the fault-plan
 //! schema `figures --faults` consumes — both uploaded as CI artifacts
-//! next to `BENCH_engine.json`.
+//! next to `BENCH_engine.json`. `results/` is the one in the Cargo
+//! workspace the command runs in (`egbench::workspace_root`).
 //!
-//! Exit status: 0 conformant, 1 divergences found, 2 harness error.
+//! Exit status: 0 conformant, 1 divergences found, 2 harness error
+//! (a default path with no workspace to put it in included).
 
 use egbench::conformance::{corpus_dir, report, run_corpus};
 use std::path::PathBuf;
@@ -22,8 +24,9 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut corpus = corpus_dir();
-    let mut report_path = egbench::results_dir().join("conformance.md");
-    let mut plan_path = egbench::results_dir().join("PLAN.sample.json");
+    let results = egbench::workspace_root().map(|root| root.join("results"));
+    let mut report_path = results.as_ref().map(|r| r.join("conformance.md"));
+    let mut plan_path = results.map(|r| r.join("PLAN.sample.json"));
 
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {
@@ -40,11 +43,11 @@ fn main() -> ExitCode {
                 None => return ExitCode::from(2),
             },
             "--report" => match take("--report") {
-                Some(p) => report_path = p,
+                Some(p) => report_path = Some(p),
                 None => return ExitCode::from(2),
             },
             "--sample-plan" => match take("--sample-plan") {
-                Some(p) => plan_path = p,
+                Some(p) => plan_path = Some(p),
                 None => return ExitCode::from(2),
             },
             other => {
@@ -54,6 +57,11 @@ fn main() -> ExitCode {
             }
         }
     }
+
+    let (Some(report_path), Some(plan_path)) = (report_path, plan_path) else {
+        eprintln!("conform: no Cargo workspace contains the current directory: pass --report and --sample-plan");
+        return ExitCode::from(2);
+    };
 
     let verdicts = match run_corpus(&corpus) {
         Ok(v) => v,

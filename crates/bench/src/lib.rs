@@ -1,4 +1,4 @@
-//! Shared plumbing for the figure harness: table printing and JSON
+//! Shared plumbing for the figure harness: Markdown-table and JSON
 //! emission of [`simgrid::SeriesSet`] results.
 
 #![warn(missing_docs)]
@@ -12,19 +12,18 @@ use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
 use simgrid::SeriesSet;
 use std::path::{Path, PathBuf};
 
-/// The workspace root (where `BENCH_engine.json` and `results/` land).
-pub fn workspace_root() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench; the workspace root is two up.
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root exists")
-        .to_path_buf()
-}
-
-/// Where figure data lands (`results/` at the workspace root).
-pub fn results_dir() -> PathBuf {
-    workspace_root().join("results")
+/// The workspace this process runs in: the nearest ancestor of the
+/// current directory whose `Cargo.toml` declares `[workspace]`. Its
+/// `results/` and `BENCH_engine.json` are where `figures` and `conform`
+/// write by default; `None` outside any workspace.
+pub fn workspace_root() -> Option<PathBuf> {
+    let cwd = std::env::current_dir().ok()?;
+    cwd.ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(Path::to_path_buf)
 }
 
 /// The sample fault plan: an aggressive crash schedule (a schedd kill
@@ -53,14 +52,15 @@ pub fn sample_plan() -> FaultPlan {
     plan
 }
 
-/// Print a figure as an aligned table and persist it as JSON and CSV
-/// under `dir`. Returns the JSON path.
+/// Print a figure as its Markdown table and persist it under `dir` as
+/// `NAME.json` and that table, `NAME.md`. Returns the JSON path.
 pub fn emit(dir: &Path, name: &str, set: &SeriesSet) -> std::io::Result<PathBuf> {
-    println!("{}", set.to_table());
+    let table = set.to_table();
+    println!("{table}");
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, set.to_json_pretty())?;
-    std::fs::write(dir.join(format!("{name}.csv")), set.to_csv())?;
+    std::fs::write(dir.join(format!("{name}.md")), table)?;
     Ok(path)
 }
 
@@ -108,42 +108,27 @@ pub fn vm_forall_loop_source(iters: u32) -> String {
     format!("try {iters} times every 1 ms\n{body}  failure\nend\n")
 }
 
-/// A compact textual summary of a figure for EXPERIMENTS.md-style
-/// reporting: last value of each series.
-pub fn summarize(set: &SeriesSet) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let _ = write!(out, "{}:", set.title);
-    for s in &set.series {
-        let _ = write!(out, " {}={:.1}", s.name, s.last().unwrap_or(f64::NAN));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simgrid::Series;
-
-    #[test]
-    fn summarize_lists_series() {
-        let mut set = SeriesSet::new("T", "x", "y");
-        let s = set.add(Series::new("A"));
-        s.push_xy(1.0, 2.0);
-        assert_eq!(summarize(&set), "T: A=2.0");
-    }
 
     /// `figure_baselines` judges the crash-plan claim on the tracked
     /// file, so it must be this plan byte for byte.
     #[test]
     fn sample_plan_is_the_tracked_file() {
-        let tracked = std::fs::read_to_string(results_dir().join("PLAN.sample.json")).unwrap();
+        let tracked = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../results/PLAN.sample.json"
+        );
+        let tracked = std::fs::read_to_string(tracked).unwrap();
         assert_eq!(tracked, sample_plan().to_json());
     }
 
+    /// Tests run in the crate's directory, inside this workspace.
     #[test]
-    fn results_dir_is_under_workspace() {
-        let d = results_dir();
-        assert!(d.ends_with("results"));
+    fn the_workspace_is_found_from_the_current_directory() {
+        let root = workspace_root().expect("a workspace above the crate");
+        assert!(root.join("results/PLAN.sample.json").is_file());
+        assert!(Path::new(env!("CARGO_MANIFEST_DIR")).starts_with(&root));
     }
 }

@@ -23,7 +23,7 @@
 //!   concurrent overload (plus forced kills). The full-scale
 //!   simulation predicts the Ethernet > Aloha ordering of completed
 //!   jobs, and the daemon either confirms it (`CONFIRMS`) or not —
-//!   the verdict lands in `live_arena.md`, the traces in
+//!   the verdict lands in `live_arena-N.md` for N clients, the traces in
 //!   `live-{aloha,ethernet}.jsonl`. The swarm scales it from the
 //!   historical 8 clients to 1000+ on one core.
 //! * **The all-reduce smoke** ([`CoordLiveOptions`], `figures
@@ -62,7 +62,7 @@ use simgrid::faults::{ClientKillInfo, FaultKind, FaultPlan, FaultSpec};
 use simgrid::{Series, SeriesSet};
 use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 // ---------------------------------------------------------------- runner
@@ -72,7 +72,7 @@ pub trait Study {
     /// The verb table the population's commands go through.
     type Verbs: Harness;
     /// Stem of the study's series and table: `NAME.json`, `NAME.md`.
-    const NAME: &'static str;
+    fn name(&self) -> String;
     /// Stem of each discipline's trace and postmortem:
     /// `TRACE-<discipline>.jsonl`, `TRACE-<discipline>-postmortem.txt`.
     const TRACE: &'static str;
@@ -212,7 +212,7 @@ pub fn run<S: Study>(study: &S, seed: u64, out_dir: &Path) -> io::Result<Report>
     );
     let series = study.series(&aloha, &ethernet);
     std::fs::write(
-        out_dir.join(format!("{}.json", S::NAME)),
+        out_dir.join(format!("{}.json", study.name())),
         series.to_json_pretty(),
     )?;
     let report = Report {
@@ -222,14 +222,14 @@ pub fn run<S: Study>(study: &S, seed: u64, out_dir: &Path) -> io::Result<Report>
         sim,
     };
     std::fs::write(
-        out_dir.join(format!("{}.md", S::NAME)),
+        out_dir.join(format!("{}.md", study.name())),
         render_table(study, seed, &report),
     )?;
     Ok(report)
 }
 
-/// A study's live-vs-sim comparison table (also reproduced in
-/// EXPERIMENTS.md).
+/// A study's live-vs-sim comparison table (EXPERIMENTS.md carries
+/// checked copies of the tracked ones' rows).
 fn render_table<S: Study>(study: &S, seed: u64, report: &Report) -> String {
     let mut md = format!(
         "# {}\n\n{}\n\n| discipline | {} |\n{}|\n",
@@ -263,23 +263,6 @@ fn sim_last(fig: &str, series: &str, scale: Scale, seed: u64) -> f64 {
     by_name_with_plan(fig, scale, seed, false, None)
         .and_then(|run| run.set.get(series).and_then(Series::last))
         .unwrap_or(f64::NAN)
-}
-
-/// Locate a sibling binary of the current executable (`gridctl` next
-/// to `figures`, or one directory up from a test binary in `deps/`).
-pub fn find_sibling(name: &str) -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let mut dir = exe.parent()?.to_path_buf();
-    for _ in 0..3 {
-        let cand = dir.join(name);
-        if cand.is_file() {
-            return Some(cand);
-        }
-        if !dir.pop() {
-            break;
-        }
-    }
-    None
 }
 
 // ----------------------------------------------------------------- arena
@@ -390,7 +373,6 @@ impl Harness for ArenaVerbs {
 
 impl Study for LiveOptions {
     type Verbs = ArenaVerbs;
-    const NAME: &'static str = "live_arena";
     const TRACE: &'static str = "live";
     const TITLE: &'static str = "Live arena vs. simulation (fig2/fig3)";
     const COLUMNS: &'static [&'static str] = &[
@@ -403,6 +385,12 @@ impl Study for LiveOptions {
         "sim jobs (full sim)",
     ];
     const CLAIM: &'static str = "Ethernet > Aloha";
+
+    /// One file pair per population size: `live_arena-8`,
+    /// `live_arena-1000`.
+    fn name(&self) -> String {
+        format!("live_arena-{}", self.clients)
+    }
 
     /// A genuinely contended schedd: the slot pool is far smaller than
     /// the population, service takes real time, and a *sustained*
@@ -706,7 +694,6 @@ fn preflight_barrier_proofs(ranks: &Ranks) -> Vec<String> {
 
 impl Study for CoordLiveOptions {
     type Verbs = Ranks;
-    const NAME: &'static str = "coord_live";
     const TRACE: &'static str = "live-allreduce";
     const TITLE: &'static str = "Live all-reduce vs. simulation (fig8)";
     const COLUMNS: &'static [&'static str] = &[
@@ -719,6 +706,10 @@ impl Study for CoordLiveOptions {
         "sim final-round done (s)",
     ];
     const CLAIM: &'static str = "Ethernet ≤ Aloha on time-to-global-completion";
+
+    fn name(&self) -> String {
+        "coord_live".into()
+    }
 
     fn config(&self, seed: u64) -> GriddConfig {
         GriddConfig {
@@ -1198,8 +1189,8 @@ mod tests {
 
 | discipline | live jobs done | live failed submits | live sense reads | schedd crashes | dispatch (verbs/s) | wall (s) | sim jobs (full sim) |
 |---|---|---|---|---|---|---|---|
-| Aloha | 3 | 18 | 0 | 4 | 12 | 14.3 | 2524 |
-| Ethernet | 8 | 4 | 27 | 1 | 31 | 9.0 | 2690 |
+| Aloha | 3 | 18 | 0 | 4 | 12 | 14.3 | 1111 |
+| Ethernet | 8 | 4 | 27 | 1 | 31 | 9.0 | 2222 |
 
 Sim predicts Ethernet > Aloha; the live daemon **CONFIRMS** it.
 ";
@@ -1210,8 +1201,8 @@ Sim predicts Ethernet > Aloha; the live daemon **CONFIRMS** it.
 
 | discipline | live jobs done | live failed submits | live sense reads | schedd crashes | dispatch (verbs/s) | wall (s) | sim jobs (full sim) |
 |---|---|---|---|---|---|---|---|
-| Aloha | 2300 | 7285 | 0 | 37 | 2216 | 61.8 | 2524 |
-| Ethernet | 1999 | 74 | 9800 | 0 | 1987 | 58.0 | 2690 |
+| Aloha | 2300 | 7285 | 0 | 37 | 2216 | 61.8 | 1111 |
+| Ethernet | 1999 | 74 | 9800 | 0 | 1987 | 58.0 | 2222 |
 
 Sim predicts Ethernet > Aloha; the live daemon **DOES NOT CONFIRM** it.
 ";
@@ -1245,7 +1236,8 @@ Sim predicts Ethernet ≤ Aloha on time-to-global-completion; the live daemon **
     /// rows or an outcome field, in both verdicts.
     #[test]
     fn one_renderer_draws_both_studies_tables() {
-        let sim = (2524.0, 2690.0);
+        // A made-up prediction, so no test restates a tracked result.
+        let sim = (1111.0, 2222.0);
         let aloha = vec![
             row(0, [1, 4, 2, 1], 0, [0, 0]),
             row(1, [0, 6, 1, 0], 0, [0, 0]),

@@ -35,12 +35,15 @@ fn quick_fig6_emits_table_and_json() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Figure 6"));
     assert!(stdout.contains("Transfers"));
-    for file in ["fig6.json", "fig6.csv"] {
+    for file in ["fig6.json", "fig6.md"] {
         let path = dir.join(file);
         assert!(path.exists(), "wrote {}", path.display());
     }
     let json = std::fs::read_to_string(dir.join("fig6.json")).unwrap();
     assert!(json.contains("Figure 6"), "{json}");
+    // The file is the table the run printed.
+    let md = std::fs::read_to_string(dir.join("fig6.md")).unwrap();
+    assert!(md.starts_with("# Figure 6") && stdout.contains(&md), "{md}");
 }
 
 #[test]
@@ -108,6 +111,38 @@ fn claims_writes_one_row_per_claim_under_out() {
     assert_eq!(out.status.code(), Some(i32::from(!all_hold)), "{md}");
     assert!(dir.join("fig1.json").exists() && dir.join("fig9.json").exists());
     assert!(snapshot(&results) == before, "results/ was left alone");
+}
+
+/// The default output directory is the `results/` of the workspace the
+/// binary runs in, found at run time: outside any workspace a run
+/// without `--out` is a usage error that writes nothing, and one with
+/// `--out` runs.
+#[test]
+fn outside_a_workspace_only_out_says_where_to_write() {
+    let away = std::env::temp_dir().join(format!("figures_bin-away-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&away);
+    std::fs::create_dir_all(&away).unwrap();
+    let results = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let before = snapshot(&results);
+    let out = figures()
+        .current_dir(&away)
+        .args(["--quick", "fig6"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--out"), "{stderr}");
+    assert!(snapshot(&away).is_empty(), "nothing written where it ran");
+    assert!(snapshot(&results) == before, "results/ was left alone");
+
+    let st = figures()
+        .current_dir(&away)
+        .args(["--quick", "--out", "here", "fig6"])
+        .status()
+        .unwrap();
+    assert!(st.success());
+    assert!(away.join("here/fig6.md").is_file());
+    std::fs::remove_dir_all(&away).unwrap();
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use gridd::GriddConfig;
 use procman::RealOptions;
+use std::path::PathBuf;
 use std::time::Duration;
 
 /// The daemon the redirection scripts talk to: instant service, no
@@ -16,9 +17,26 @@ fn calm_config() -> GriddConfig {
     }
 }
 
+/// Locate a binary built beside this test's (`gridctl` one directory
+/// up from a test binary in `deps/`).
+fn find_sibling(name: &str) -> Option<PathBuf> {
+    let exe = std::env::current_exe().ok()?;
+    let mut dir = exe.parent()?.to_path_buf();
+    for _ in 0..3 {
+        let cand = dir.join(name);
+        if cand.is_file() {
+            return Some(cand);
+        }
+        if !dir.pop() {
+            break;
+        }
+    }
+    None
+}
+
 #[test]
 fn append_and_stderr_merge_capture_the_live_put_path() {
-    let Some(gridctl) = egbench::live::find_sibling("gridctl") else {
+    let Some(gridctl) = find_sibling("gridctl") else {
         eprintln!("skipping: gridctl not built (cargo build -p eg-gridd)");
         return;
     };

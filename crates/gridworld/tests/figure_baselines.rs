@@ -1,12 +1,12 @@
 //! Regression gate for the figure pipeline: refactors of where a
 //! world's constants live (each in its `*Params`, none in a fault
 //! plan) and interpreter changes must not move a single job or a
-//! single serialized byte. These are the
-//! paper-scale headline numbers EXPERIMENTS.md quotes, every shape
-//! claim of `gridworld::claims` at full scale, and byte-level pins on
-//! the quick-series JSON. (That the interpreter agrees with the
-//! tree-walking oracle on every script these figures run is
-//! `eg-bench`'s `lockstep` test.)
+//! single serialized byte. Every full-scale figure must serialize to
+//! its tracked `results/<id>.json`, the one home of the numbers
+//! EXPERIMENTS.md quotes; every shape claim of `gridworld::claims`
+//! must hold at full scale; and the quick-series JSON has byte-level
+//! pins. (That the interpreter agrees with the tree-walking oracle on
+//! every script these figures run is `eg-bench`'s `lockstep` test.)
 
 use gridworld::claims::{self, CLAIMS};
 use gridworld::figures::{by_name_full, Scale, ALL_ABLATIONS, ALL_FIGURES, COORD_FIGURES};
@@ -18,12 +18,39 @@ fn figure(name: &str, scale: Scale, seed: u64) -> SeriesSet {
         .set
 }
 
-fn jobs_submitted(set: &SeriesSet) -> f64 {
-    set.series
-        .iter()
-        .find(|s| s.name == "Jobs Submitted")
-        .and_then(|s| s.last())
-        .expect("timeline has a Jobs Submitted series")
+/// The tracked copy of a figure or plan: `results/<file>`.
+fn tracked(file: &str) -> String {
+    let path = format!("{}/../../results/{file}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Where `got` first departs from `want`, if it does: the line, and
+/// each side's text around the first differing byte.
+fn first_difference(got: &str, want: &str) -> Option<String> {
+    if got == want {
+        return None;
+    }
+    let at = got
+        .bytes()
+        .zip(want.bytes())
+        .position(|(a, b)| a != b)
+        .unwrap_or(got.len().min(want.len()));
+    let line = got.as_bytes()[..at].split(|&b| b == b'\n').count();
+    let around = |s: &str| {
+        let (mut from, mut to) = (at.saturating_sub(30), (at + 30).min(s.len()));
+        while !s.is_char_boundary(from) {
+            from -= 1;
+        }
+        while !s.is_char_boundary(to) {
+            to += 1;
+        }
+        s[from..to].to_string()
+    };
+    Some(format!(
+        "line {line}: got {:?} where it holds {:?}",
+        around(got),
+        around(want)
+    ))
 }
 
 /// FNV-1a over the serialized series — a stable fingerprint that pins
@@ -39,12 +66,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Every full-scale figure runs once at seed 2003, and every ablation,
 /// and fig2 and fig3 again under the tracked sample crash plan. Each
-/// run must keep its pins — fig2's and fig3's job counts, and the stale
-/// wakes and early units of a known scheduling error (DESIGN §10,
-/// "Known limits": the driver arms a wake on every tick and still
+/// run must serialize byte for byte to its tracked `results/<id>.json`
+/// (a re-pin is `figures claims` and its reviewed diff), keep the
+/// stale wakes and early units of a known scheduling error (DESIGN
+/// §10, "Known limits": the driver arms a wake on every tick and still
 /// ticks a stale one, so 21 units start early, 10.1 s of fig2's think
 /// time and 2.4 s of fig3's lost; the fix drops every stale wake and
-/// moves fig2/fig3) — and every claim must hold on them.
+/// moves fig2/fig3), and every claim must hold on them.
 #[test]
 fn full_scale_figures_keep_their_pins_and_claims() {
     let stale_early = [
@@ -58,7 +86,6 @@ fn full_scale_figures_keep_their_pins_and_claims() {
         ("fig8", 49, 0),
         ("fig9", 11, 0),
     ];
-    let jobs = [("fig2", 2524.0), ("fig3", 2690.0)];
     let mut sets: Vec<(String, SeriesSet)> = Vec::new();
     for &id in ALL_FIGURES
         .iter()
@@ -70,16 +97,13 @@ fn full_scale_figures_keep_their_pins_and_claims() {
             let got = (run.stale_wakes, run.early_units);
             assert_eq!(got, (stale, early), "{id}: (stale wakes, early units)");
         }
-        if let Some(&(_, want)) = jobs.iter().find(|p| p.0 == id) {
-            assert_eq!(jobs_submitted(&run.set), want, "{id}: jobs by t=1800");
+        let want = tracked(&format!("{id}.json"));
+        if let Some(diff) = first_difference(&run.set.to_json_pretty(), &want) {
+            panic!("{id} moved from results/{id}.json, {diff}");
         }
         sets.push((id.to_string(), run.set));
     }
-    let plan_path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../results/PLAN.sample.json"
-    );
-    let plan = FaultPlan::parse_json(&std::fs::read_to_string(plan_path).unwrap()).unwrap();
+    let plan = FaultPlan::parse_json(&tracked("PLAN.sample.json")).unwrap();
     sets.extend(claims::run_planned(Scale::Full, 2003, &plan));
     let failed: Vec<String> = CLAIMS
         .iter()

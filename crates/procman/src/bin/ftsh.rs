@@ -32,11 +32,12 @@
 //!
 //! Exit status: **0** if the script succeeded (or `--check`/`--lint`
 //! found nothing), **1** if the script ran and failed, **2** on usage
-//! errors, parse errors, or lint findings — so callers can tell "the
-//! work failed" (retryable) from "the script is malformed" (not).
+//! errors, parse errors, lint findings, or a `--trace` file that could
+//! not be written — so callers can tell "the work failed" (retryable)
+//! from "the script is malformed" (not).
 
 use ftsh::postmortem::{render_log, render_timeline};
-use ftsh::trace::{shared, JsonlSink, SharedSink, TraceRecord, TraceSink, VecSink, NO_ID};
+use ftsh::trace::{JsonlSink, SharedSink, TraceRecord, TraceSink, VecSink, NO_ID};
 use ftsh::{parse, pretty, Vm};
 use procman::{run_vm, RealOptions};
 
@@ -220,9 +221,14 @@ fn main() -> ExitCode {
     // `kept` alone, naming no client.
     let kept = Arc::new(Mutex::new(VecSink::new()));
     let keep = (show_log || show_timeline).then(|| kept.clone() as SharedSink);
+    let mut tee = None;
     match (&trace_path, keep) {
         (Some(p), keep) => match File::create(p) {
-            Ok(f) => vm.set_tracer(shared(Tee(JsonlSink::new(BufWriter::new(f)), keep)), 0),
+            Ok(f) => {
+                let sink = Arc::new(Mutex::new(Tee(JsonlSink::new(BufWriter::new(f)), keep)));
+                vm.set_tracer(sink.clone(), 0);
+                tee = Some(sink);
+            }
             Err(e) => {
                 eprintln!("ftsh: cannot create trace file {p}: {e}");
                 return ExitCode::from(2);
@@ -246,6 +252,17 @@ fn main() -> ExitCode {
         );
         for (prog, outcome) in &report.process_outcomes {
             eprintln!("-- {prog}: {outcome:?}");
+        }
+    }
+
+    // The file's last records sit in its buffer until this flush; a
+    // write that failed at any point fails the run.
+    if let (Some(tee), Some(p)) = (tee, &trace_path) {
+        let mut tee = tee.lock().expect("trace sink poisoned");
+        tee.0.flush();
+        if let Some(e) = tee.0.error() {
+            eprintln!("ftsh: cannot write trace file {p}: {e}");
+            return ExitCode::from(2);
         }
     }
 

@@ -224,6 +224,23 @@ fn the_trace_file_alone_is_the_log() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A trace file that cannot take the run's records fails the run: the
+/// records sit in a buffer until the end, so only the final flush
+/// sees `/dev/full` refuse them.
+#[test]
+fn a_trace_file_that_cannot_be_written_exits_2() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = ftsh()
+        .args(["--seed", "1", "--trace", "/dev/full", "-c", "true"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("cannot write trace file /dev/full"), "{err}");
+}
+
 #[test]
 fn missing_file_is_a_usage_error() {
     let st = ftsh().arg("/no/such/script.ftsh").status().unwrap();

@@ -261,81 +261,40 @@ impl SeriesSet {
         out
     }
 
-    /// Render as CSV (header row: x label then series names) for
-    /// external plotting tools.
-    pub fn to_csv(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let esc = |s: &str| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
-        let _ = write!(out, "{}", esc(&self.x_label));
-        for s in &self.series {
-            let _ = write!(out, ",{}", esc(&s.name));
-        }
-        out.push('\n');
-        let n = self.series.iter().map(|s| s.len()).max().unwrap_or(0);
-        for i in 0..n {
-            let Some(x) = self
-                .series
-                .iter()
-                .find_map(|s| s.points.get(i).map(|p| p.0))
-            else {
-                continue;
-            };
-            let _ = write!(out, "{x}");
-            for s in &self.series {
-                match s.points.get(i) {
-                    Some(&(_, v)) => {
-                        let _ = write!(out, ",{v}");
-                    }
-                    None => out.push(','),
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Render as aligned text columns (the "same rows the paper
-    /// reports" output of the figure harness).
+    /// Render as a Markdown table under a `# title` line: a header row
+    /// (the x label, then the series names), then one row per sample
+    /// index, each cell the value's shortest round-trip text (`{}`)
+    /// and empty where a series has no point there. `egbench::emit`
+    /// writes it to `results/NAME.md`, and the docs copy its `|` lines.
     pub fn to_table(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "# {}", self.title);
-        let _ = write!(out, "{:>12}", self.x_label);
-        for s in &self.series {
-            let _ = write!(out, " {:>14}", s.name);
-        }
-        out.push('\n');
-        // Union of x values in order of first appearance (series are
-        // sampled on a shared grid in our harness, so this is aligned).
-        let n = self.series.iter().map(|s| s.len()).max().unwrap_or(0);
+        let header =
+            std::iter::once(self.x_label.clone()).chain(self.series.iter().map(|s| s.name.clone()));
+        let mut out = format!(
+            "# {}\n\n{}|{}\n",
+            self.title,
+            md_row(header),
+            "---:|".repeat(self.series.len() + 1)
+        );
+        let n = self.series.iter().map(Series::len).max().unwrap_or(0);
         for i in 0..n {
-            let x = self
-                .series
-                .iter()
-                .find_map(|s| s.points.get(i).map(|p| p.0));
-            let Some(x) = x else { continue };
-            let _ = write!(out, "{x:>12.1}");
-            for s in &self.series {
-                match s.points.get(i) {
-                    Some(&(_, v)) => {
-                        let _ = write!(out, " {v:>14.1}");
-                    }
-                    None => {
-                        let _ = write!(out, " {:>14}", "-");
-                    }
-                }
-            }
-            out.push('\n');
+            // The series share one x grid: the first with an i-th point
+            // names the row's x.
+            let x = self.series.iter().find_map(|s| s.points.get(i));
+            let values = self.series.iter().map(|s| {
+                s.points
+                    .get(i)
+                    .map_or(String::new(), |&(_, v)| v.to_string())
+            });
+            out += &md_row(x.map(|&(x, _)| x.to_string()).into_iter().chain(values));
         }
         out
     }
+}
+
+/// One Markdown table row, a `|` inside a cell escaped.
+fn md_row(cells: impl Iterator<Item = String>) -> String {
+    let cells: Vec<String> = cells.map(|c| c.replace('|', "\\|")).collect();
+    format!("| {} |\n", cells.join(" | "))
 }
 
 #[cfg(test)]
@@ -385,12 +344,14 @@ mod tests {
         b.push_xy(200.0, 0.0);
         assert!(set.get("Ethernet").is_some());
         assert!(set.get("Aloha").is_none());
-        let t = set.to_table();
-        assert!(t.contains("Fig 1"));
-        assert!(t.contains("Ethernet"));
-        assert!(t.contains("800.0"));
-        let lines: Vec<_> = t.lines().collect();
-        assert_eq!(lines.len(), 4); // title + header + 2 rows
+        // A `|` in a name is escaped; a series with no point at a row
+        // leaves its cell empty.
+        set.add(Series::new("p|q")).push_xy(100.0, 1.5);
+        assert_eq!(
+            set.to_table(),
+            "# Fig 1\n\n| submitters | Ethernet | Fixed | p\\|q |\n|---:|---:|---:|---:|\n\
+             | 100 | 800 | 750 | 1.5 |\n| 200 | 700 | 0 |  |\n"
+        );
     }
 
     #[test]
@@ -408,19 +369,6 @@ mod tests {
         // Empty set degrades gracefully.
         let empty = SeriesSet::new("E", "x", "y");
         assert!(empty.to_ascii_chart(40, 10).contains("no data"));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let mut set = SeriesSet::new("t", "x,axis", "y");
-        let a = set.add(Series::new("A"));
-        a.push_xy(1.0, 2.0);
-        a.push_xy(3.0, 4.0);
-        let csv = set.to_csv();
-        let lines: Vec<_> = csv.lines().collect();
-        assert_eq!(lines[0], "\"x,axis\",A");
-        assert_eq!(lines[1], "1,2");
-        assert_eq!(lines[2], "3,4");
     }
 
     #[test]

@@ -537,6 +537,18 @@ impl<W: std::io::Write + Send> JsonlSink<W> {
         self.error.as_ref()
     }
 
+    /// Flush the underlying writer, keeping a failure as
+    /// [`JsonlSink::error`] when there was none before. A run that
+    /// reports its trace's fate calls this at its end: the flush on
+    /// drop has nowhere to report one.
+    pub fn flush(&mut self) {
+        if self.error.is_none() {
+            if let Some(Err(e)) = self.w.as_mut().map(std::io::Write::flush) {
+                self.error = Some(e);
+            }
+        }
+    }
+
     /// Flush and return the underlying writer.
     pub fn into_inner(mut self) -> std::io::Result<W> {
         let mut w = self.w.take().expect("writer taken once");
