@@ -480,7 +480,8 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64, dir: &Path) -> Exit
     // Perf-regression tripwire: `BENCH_budget.json` next to the
     // recorded baseline caps allocations-per-tick of the sequential
     // pass and the two interpreter scaling rows; CI fails the build
-    // when a measurement exceeds its cap.
+    // when a measurement exceeds its cap, or when the budget cannot be
+    // read at all.
     let budget_path = egbench::workspace_root()
         .unwrap_or_default()
         .join("BENCH_budget.json");
@@ -489,7 +490,7 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64, dir: &Path) -> Exit
             "   cannot read {}: budgets not checked",
             budget_path.display()
         );
-        return ExitCode::SUCCESS;
+        return ExitCode::FAILURE;
     };
     for (key, what, measured) in [
         ("max_allocs_per_tick", "allocs/tick", seq.allocs_per_tick()),

@@ -254,3 +254,24 @@ fn stats_with_out_writes_its_ledger_there() {
         "the tracked ledger at the root is left alone"
     );
 }
+
+/// The budget file is the gate: a `--stats` run that cannot read it
+/// fails, naming the file, instead of passing unchecked. Outside any
+/// workspace there is no `BENCH_budget.json` to find.
+#[test]
+fn stats_without_a_budget_file_fails() {
+    let away = std::env::temp_dir().join(format!("figures_bin-nobudget-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&away);
+    std::fs::create_dir_all(&away).unwrap();
+    let out = figures()
+        .current_dir(&away)
+        .args(["--stats", "--quick", "--out"])
+        .arg(away.join("out"))
+        .arg("fig1")
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "{stderr}");
+    assert!(stderr.contains("BENCH_budget.json"), "{stderr}");
+    std::fs::remove_dir_all(&away).unwrap();
+}

@@ -63,7 +63,8 @@
 //! the jobs in service are free at once, and those jobs complete as
 //! lost when their service time is up. This slot bucket is the live
 //! arena's schedd and the only implementation of itself; the paper's
-//! FD-table schedd is `gridworld`'s `SubmitWorld`.
+//! FD-table schedd is [`simgrid::Schedd`], which `gridworld`'s
+//! submission world drives.
 
 use crate::proto::{ErrCode, Request, Response};
 use crate::server::GriddConfig;

@@ -1,21 +1,19 @@
 //! Scenario 1 — job submission (Figures 1–3).
 //!
-//! N submitters run `condor_submit` against one Condor schedd. The
-//! contended resource is the kernel file-descriptor table: every
-//! running `condor_submit` *attempt* pins descriptors (stdio, the job
-//! file, libraries, its socket) for its lifetime, accepted submissions
-//! keep them pinned while queued at the schedd, and the schedd itself
-//! needs a burst of transient descriptors to service each submission.
-//! When that burst cannot be allocated the schedd dies — failing every
-//! connected client at once, the "broadcast jam" visible as upward FD
-//! spikes in Figure 2 — and restarts after a downtime.
+//! N submitters run `condor_submit` against one Condor schedd
+//! ([`simgrid::Schedd`]: a FIFO server on the kernel file-descriptor
+//! table it shares with its clients, crashing when it cannot get the
+//! transient descriptors a service needs — the "broadcast jam" visible
+//! as upward FD spikes in Figure 2). This world is the clients' side
+//! of it: the carrier-sense probe, the `condor_submit` launch, think
+//! times and sampling. The schedd reads no clock; the world puts its
+//! wakes on the run's queue and turns what it answers into completed
+//! commands and trace records.
 //!
 //! Attempt lifecycle: allocate FDs (or fail to even start), one second
 //! of client-side startup, then connect. A down schedd or a full
 //! accept backlog refuses the connection; otherwise the submission
-//! queues and the single-threaded schedd services it in FIFO order,
-//! pausing briefly for bookkeeping between services — the window in
-//! which aggressive clients can steal the descriptors it needs.
+//! waits its turn at the schedd.
 //!
 //! The Ethernet client reads the free-descriptor count
 //! (`cut -f2 /proc/sys/fs/file-nr`) and defers below a threshold of
@@ -32,9 +30,11 @@ use crate::scripts::{submit_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
+use simgrid::hash::IdHasher;
 use simgrid::trace::{SharedSink, TraceEv};
-use simgrid::{FdTable, IdMap, Series, SimRng};
-use std::collections::VecDeque;
+use simgrid::{Schedd, ScheddEffect, ScheddParams, ScheddTimer, Series, SimRng};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 /// Parameters of the submission scenario. Defaults reproduce the
 /// paper's setup (see DESIGN.md, experiments E1–E3).
@@ -44,31 +44,12 @@ pub struct SubmitParams {
     pub n_clients: usize,
     /// Client discipline.
     pub discipline: Discipline,
-    /// Kernel FD table size (the paper's figures top out near 8000).
-    pub fd_capacity: u64,
-    /// Descriptors pinned by one running submission attempt.
-    pub fds_per_attempt: u64,
-    /// Transient descriptors the schedd needs while servicing one
-    /// submission; failing to get them kills the schedd (the crash
-    /// knee). The constant's only home: no fault plan overrides it.
-    pub schedd_service_fds: u64,
+    /// The schedd and the descriptor table it shares with the clients.
+    pub schedd: ScheddParams,
     /// Client-side startup time of `condor_submit` before it connects.
     pub attempt_startup: Dur,
-    /// Maximum connections the schedd will hold (accept backlog);
-    /// beyond this, connections are refused quickly. The constant's
-    /// only home: no fault plan overrides it.
-    pub backlog: usize,
-    /// Base time to service one submission on an idle machine.
-    pub base_service: Dur,
-    /// CPU competition: service time scales by `1 + n_clients / this`.
-    pub cpu_scale: f64,
     /// How quickly a refused/failed attempt reports back.
     pub connect_fail_delay: Dur,
-    /// Bookkeeping gap between services: the window in which clients
-    /// can steal the schedd's descriptors.
-    pub service_gap: Dur,
-    /// Schedd restart downtime after a crash.
-    pub restart_downtime: Dur,
     /// Ethernet carrier-sense threshold (free FDs).
     pub threshold: u64,
     /// Pause after a successful unit before submitting the next job.
@@ -93,16 +74,9 @@ impl Default for SubmitParams {
         SubmitParams {
             n_clients: 400,
             discipline: Discipline::Ethernet,
-            fd_capacity: 8000,
-            fds_per_attempt: 20,
-            schedd_service_fds: 50,
+            schedd: ScheddParams::default(),
             attempt_startup: Dur::from_secs(1),
-            backlog: 1000,
-            base_service: Dur::from_millis(300),
-            cpu_scale: 400.0,
             connect_fail_delay: Dur::from_millis(200),
-            service_gap: Dur::from_millis(50),
-            restart_downtime: Dur::from_secs(10),
             threshold: 1000,
             success_think: Dur::from_secs(1),
             failure_think: Dur::ZERO,
@@ -126,64 +100,64 @@ pub enum SubmitEv {
         /// Its command token.
         token: CmdToken,
     },
-    /// The submission being serviced finished (valid only for the
-    /// matching service sequence number).
-    ServiceDone {
-        /// Sequence number of the service this event belongs to.
-        seq: u64,
-    },
-    /// The bookkeeping gap ended: pick up the next queued submission.
-    ServiceStart,
-    /// The schedd comes back up after a crash.
-    Restart,
+    /// One of the schedd's own timers went off.
+    Schedd(ScheddTimer),
     /// Periodic metrics sample.
     Sample,
 }
 
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum SubState {
-    /// Client-side startup in progress (holds attempt FDs).
-    Starting,
-    /// Connected at `since`, waiting in the schedd's FIFO.
-    Queued { since: Time },
-    /// Connected at `since`, being serviced.
-    Serving { since: Time },
-}
+/// A submission: the client and its `condor_submit` command.
+type Conn = (ClientId, CmdToken);
 
-/// The schedd + FD-table world.
+/// The clients' side of the schedd world.
 struct SubmitWorld {
     params: SubmitParams,
     rng: SimRng,
-    fds: FdTable,
-    schedd_up: bool,
-    /// Live submission attempts, where they are, and since when.
-    subs: IdMap<(ClientId, CmdToken), SubState>,
-    /// FIFO of connected submissions waiting for service.
-    queue: VecDeque<(ClientId, CmdToken)>,
+    schedd: Schedd<Conn>,
+    /// Attempts in their client-side startup: they hold descriptors
+    /// but have not connected yet.
+    starting: HashSet<Conn, BuildHasherDefault<IdHasher>>,
     /// Sojourn (connect-to-served) times of completed submissions, in
     /// seconds.
     sojourns: Vec<f64>,
-    serving: Option<(ClientId, CmdToken)>,
-    service_seq: u64,
-    transient_held: bool,
-    gap_pending: bool,
     /// The counters and timelines the run returns.
     out: SubmitOutcome,
+}
+
+/// Carry out what the schedd answered: a wake goes on the run's
+/// queue, a served or failed job completes its `condor_submit`, a
+/// crash is counted and recorded.
+fn apply(
+    ctx: &mut Ctx<'_, SubmitEv>,
+    out: &mut SubmitOutcome,
+    sojourns: &mut Vec<f64>,
+    fx: ScheddEffect<Conn>,
+) {
+    match fx {
+        ScheddEffect::Wake(at, timer) => ctx.schedule(at, SubmitEv::Schedd(timer)),
+        ScheddEffect::Served {
+            job: (client, token),
+            since,
+        } => {
+            sojourns.push(ctx.now().saturating_since(since).as_secs_f64());
+            out.jobs_submitted += 1;
+            ctx.complete(client, token, CmdResult::succeed());
+        }
+        ScheddEffect::Failed((client, token)) => ctx.complete(client, token, CmdResult::fail()),
+        ScheddEffect::Crashed => {
+            out.crashes += 1;
+            ctx.record(None, TraceEv::ScheddCrash);
+        }
+    }
 }
 
 impl SubmitWorld {
     fn new(params: SubmitParams) -> SubmitWorld {
         SubmitWorld {
             rng: SimRng::new(params.seed),
-            fds: FdTable::new(params.fd_capacity),
-            schedd_up: true,
-            subs: IdMap::default(),
-            queue: VecDeque::new(),
+            schedd: Schedd::new(params.schedd, params.n_clients),
+            starting: HashSet::default(),
             sojourns: Vec::new(),
-            serving: None,
-            service_seq: 0,
-            transient_held: false,
-            gap_pending: false,
             out: SubmitOutcome {
                 fd_series: Series::new("available FDs"),
                 jobs_series: Series::new("jobs submitted"),
@@ -193,77 +167,9 @@ impl SubmitWorld {
         }
     }
 
-    fn service_time(&self) -> Dur {
-        let factor = 1.0 + self.params.n_clients as f64 / self.params.cpu_scale;
-        self.params.base_service.mul_f64(factor)
-    }
-
-    /// Drop a submission's descriptors and bookkeeping.
-    fn release_sub(&mut self, conn: (ClientId, CmdToken)) {
-        if self.subs.remove(&conn).is_some() {
-            self.fds.release(self.params.fds_per_attempt);
-        }
-    }
-
-    /// Begin servicing the head of the queue. On transient-FD
-    /// starvation the schedd crashes, failing every connected client.
-    fn start_service(&mut self, ctx: &mut Ctx<'_, SubmitEv>) {
-        debug_assert!(self.serving.is_none());
-        let Some(head) = self.queue.pop_front() else {
-            return;
-        };
-        self.serving = Some(head);
-        if let Some(state) = self.subs.get_mut(&head) {
-            if let SubState::Queued { since } = *state {
-                *state = SubState::Serving { since };
-            }
-        }
-        if self.fds.alloc(self.params.schedd_service_fds).is_err() {
-            self.crash(ctx);
-            return;
-        }
-        self.transient_held = true;
-        self.service_seq += 1;
-        ctx.schedule(
-            ctx.now() + self.service_time(),
-            SubmitEv::ServiceDone {
-                seq: self.service_seq,
-            },
-        );
-    }
-
-    /// The schedd dies: every connected client fails at once (the
-    /// broadcast jam) and all of their descriptors return to the table.
-    fn crash(&mut self, ctx: &mut Ctx<'_, SubmitEv>) {
-        self.crash_after(ctx, self.params.restart_downtime);
-    }
-
-    /// [`crash`](Self::crash) with an explicit downtime — injected
-    /// [`FaultKind::ScheddKill`] faults may override the default.
-    fn crash_after(&mut self, ctx: &mut Ctx<'_, SubmitEv>, down: Dur) {
-        self.out.crashes += 1;
-        ctx.record(None, TraceEv::ScheddCrash);
-        self.schedd_up = false;
-        self.gap_pending = false;
-        self.service_seq += 1; // invalidate any pending ServiceDone
-        if self.transient_held {
-            self.fds.release(self.params.schedd_service_fds);
-            self.transient_held = false;
-        }
-        if let Some(conn) = self.serving.take() {
-            self.release_sub(conn);
-            ctx.complete(conn.0, conn.1, CmdResult::fail());
-        }
-        while let Some(conn) = self.queue.pop_front() {
-            self.release_sub(conn);
-            ctx.complete(conn.0, conn.1, CmdResult::fail());
-        }
-        ctx.schedule(ctx.now() + down, SubmitEv::Restart);
-    }
-
     fn sample(&mut self, now: Time) {
         let out = &mut self.out;
-        out.fd_series.push(now, self.fds.free() as f64);
+        out.fd_series.push(now, self.schedd.fds().free() as f64);
         out.jobs_series.push(now, out.jobs_submitted as f64);
     }
 }
@@ -281,7 +187,7 @@ impl CommandWorld for SubmitWorld {
         match spec.program() {
             // The carrier-sense probe: report free descriptors.
             "cut" => {
-                let free = self.fds.free();
+                let free = self.schedd.fds().free();
                 if ctx.sense(client, free, self.params.threshold) {
                     self.out.deferrals += 1;
                 }
@@ -290,14 +196,14 @@ impl CommandWorld for SubmitWorld {
             "condor_submit" => {
                 // The attempt's own descriptors: without them the
                 // process cannot even be loaded and run.
-                if self.fds.alloc(self.params.fds_per_attempt).is_err() {
+                if self.schedd.open_attempt().is_err() {
                     self.out.failed_connects += 1;
                     return ExecOutcome::At(
                         ctx.now() + self.params.connect_fail_delay,
                         CmdResult::fail(),
                     );
                 }
-                self.subs.insert((client, token), SubState::Starting);
+                self.starting.insert((client, token));
                 ctx.schedule(
                     ctx.now() + self.params.attempt_startup,
                     SubmitEv::AttemptReady { client, token },
@@ -310,97 +216,50 @@ impl CommandWorld for SubmitWorld {
 
     fn cancelled(&mut self, ctx: &mut Ctx<'_, SubmitEv>, client: ClientId, token: CmdToken) {
         let conn = (client, token);
-        match self.subs.get(&conn) {
-            None => {}
-            Some(SubState::Starting) => self.release_sub(conn),
-            Some(SubState::Queued { .. }) => {
-                self.queue.retain(|&c| c != conn);
-                self.release_sub(conn);
-            }
-            Some(SubState::Serving { .. }) => {
-                self.serving = None;
-                self.service_seq += 1;
-                if self.transient_held {
-                    self.fds.release(self.params.schedd_service_fds);
-                    self.transient_held = false;
-                }
-                self.release_sub(conn);
-                if !self.gap_pending {
-                    self.gap_pending = true;
-                    ctx.schedule(ctx.now() + self.params.service_gap, SubmitEv::ServiceStart);
-                }
-            }
+        if self.starting.remove(&conn) {
+            self.schedd.close_attempt();
+            return;
         }
+        self.schedd.leave(ctx.now(), |&j| j == conn, &mut |fx| {
+            apply(ctx, &mut self.out, &mut self.sojourns, fx);
+        });
     }
 
     fn inject_fault(&mut self, ctx: &mut Ctx<'_, SubmitEv>, kind: &FaultKind) {
+        let now = ctx.now();
+        let fx = &mut |fx| apply(ctx, &mut self.out, &mut self.sojourns, fx);
         match kind {
-            FaultKind::ScheddKill { downtime } if self.schedd_up => {
-                let down = downtime.unwrap_or(self.params.restart_downtime);
-                self.crash_after(ctx, down);
-            }
-            FaultKind::ScheddRestart => {
-                self.schedd_up = true;
-                if self.serving.is_none() && !self.gap_pending {
-                    self.start_service(ctx);
-                }
-            }
+            FaultKind::ScheddKill { downtime } => self.schedd.kill(now, *downtime, fx),
+            FaultKind::ScheddRestart => self.schedd.restart(now, fx),
             _ => {}
         }
     }
 
     fn on_event(&mut self, ctx: &mut Ctx<'_, SubmitEv>, ev: SubmitEv) {
+        let now = ctx.now();
         match ev {
             SubmitEv::AttemptReady { client, token } => {
                 let conn = (client, token);
-                if self.subs.get(&conn) != Some(&SubState::Starting) {
+                if !self.starting.remove(&conn) {
                     return; // cancelled while starting up
                 }
-                if !self.schedd_up || self.queue.len() >= self.params.backlog {
+                let arrived = self.schedd.arrive(now, conn, &mut |fx| {
+                    apply(ctx, &mut self.out, &mut self.sojourns, fx);
+                });
+                if arrived.is_err() {
                     // Connection refused.
                     self.out.failed_connects += 1;
-                    self.release_sub(conn);
                     ctx.complete(client, token, CmdResult::fail());
-                    return;
-                }
-                self.subs
-                    .insert(conn, SubState::Queued { since: ctx.now() });
-                self.queue.push_back(conn);
-                if self.serving.is_none() && !self.gap_pending {
-                    self.start_service(ctx);
                 }
             }
-            SubmitEv::ServiceDone { seq } => {
-                if seq != self.service_seq || self.serving.is_none() {
-                    return; // stale: service aborted or schedd died
-                }
-                let conn = self.serving.take().expect("checked");
-                if self.transient_held {
-                    self.fds.release(self.params.schedd_service_fds);
-                    self.transient_held = false;
-                }
-                if let Some(&SubState::Serving { since }) = self.subs.get(&conn) {
-                    self.sojourns
-                        .push(ctx.now().saturating_since(since).as_secs_f64());
-                }
-                self.release_sub(conn);
-                self.out.jobs_submitted += 1;
-                ctx.complete(conn.0, conn.1, CmdResult::succeed());
-                self.gap_pending = true;
-                ctx.schedule(ctx.now() + self.params.service_gap, SubmitEv::ServiceStart);
-            }
-            SubmitEv::ServiceStart => {
-                self.gap_pending = false;
-                if self.schedd_up && self.serving.is_none() {
-                    self.start_service(ctx);
-                }
-            }
-            SubmitEv::Restart => {
-                self.schedd_up = true;
+            SubmitEv::Schedd(timer) => {
+                self.schedd.on_timer(now, timer, &mut |fx| {
+                    apply(ctx, &mut self.out, &mut self.sojourns, fx);
+                });
             }
             SubmitEv::Sample => {
-                self.sample(ctx.now());
-                ctx.schedule(ctx.now() + self.params.sample_every, SubmitEv::Sample);
+                self.sample(now);
+                ctx.schedule(now + self.params.sample_every, SubmitEv::Sample);
             }
         }
     }
@@ -506,7 +365,7 @@ pub fn run_submission_traced(
     });
     let mut w = driver.world;
     SubmitOutcome {
-        min_free_fds: w.fds.min_free_seen(),
+        min_free_fds: w.schedd.fds().min_free_seen(),
         client_totals: driver.log_totals,
         sojourn_p50: simgrid::percentile(&mut w.sojourns, 0.5),
         sojourn_p95: simgrid::percentile(&mut w.sojourns, 0.95),

@@ -6,6 +6,7 @@ use gridworld::{
     run_blackhole, run_buffer, run_submission, BlackHoleParams, BufferParams, SubmitParams,
 };
 use retry::{Discipline, Dur};
+use simgrid::ScheddParams;
 
 #[test]
 fn submit_zero_stagger_thundering_herd() {
@@ -39,7 +40,10 @@ fn submit_tiny_fd_table_survives() {
         SubmitParams {
             n_clients: 50,
             discipline: Discipline::Ethernet,
-            fd_capacity: 100,
+            schedd: ScheddParams {
+                fd_capacity: 100,
+                ..ScheddParams::default()
+            },
             threshold: 90,
             ..SubmitParams::default()
         },
@@ -55,7 +59,10 @@ fn submit_huge_downtime_still_recovers() {
         SubmitParams {
             n_clients: 450,
             discipline: Discipline::Aloha,
-            restart_downtime: Dur::from_secs(60),
+            schedd: ScheddParams {
+                restart_downtime: Dur::from_secs(60),
+                ..ScheddParams::default()
+            },
             ..SubmitParams::default()
         },
         Dur::from_secs(300),

@@ -21,7 +21,12 @@
 //! * [`KeyStore`] — the put/get key space behind one such server:
 //!   operations priced when their service starts, taking effect when
 //!   it ends. The coordinated workloads' store and the live daemon's
-//!   file server are both this one value.
+//!   file server are both this one value;
+//! * [`Schedd`] — the paper's Condor schedd: one such server on an
+//!   [`FdTable`] it shares with its clients, with a bookkeeping gap
+//!   between services and a crash when a service cannot get its
+//!   transient descriptors. Clockless like the rest: the submission
+//!   world of the first scenario drives it.
 //!
 //! [`faults`] holds the fault-plan language and the one compiler from
 //! a plan to time windows ([`faults::FaultWindows`]) that the
@@ -60,6 +65,7 @@ pub use postmortem::TraceSummary;
 pub use prefetch::prefetch;
 pub use resources::disk::{DiskBuffer, FileId, WriteError};
 pub use resources::fdtable::{FdExhausted, FdTable};
+pub use resources::schedd::{Schedd, ScheddEffect, ScheddParams, ScheddTimer};
 pub use resources::server::{Admission, FileServer, ServerKind};
 pub use resources::store::{Finished, KeyStore, Served, Started, StoreOp};
 pub use rng::SimRng;

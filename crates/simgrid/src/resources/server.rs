@@ -8,7 +8,8 @@
 //! three is a permanent black hole. It permits clients to connect, but
 //! does not provide data or voluntarily disconnect."* — and so is the
 //! shared key store of the coordinated workloads, whose jobs are puts
-//! and gets.
+//! and gets, and the Condor schedd of the first scenario, whose jobs
+//! are submissions.
 //!
 //! The server knows nothing about time. Whenever a service starts it
 //! hands out that service's sequence number; the caller decides how
@@ -90,6 +91,11 @@ impl<J> FileServer<J> {
     /// Jobs stuck in the black hole.
     pub fn hung_count(&self) -> usize {
         self.hung.len()
+    }
+
+    /// Sequence number of the latest service started.
+    pub(crate) fn seq(&self) -> u64 {
+        self.seq
     }
 
     /// Serve the head of the accept queue, if the server is idle and
@@ -178,6 +184,18 @@ impl<J> FileServer<J> {
             pos.map(|pos| self.hung.swap_remove(pos))
         };
         Disconnect { job, started: None }
+    }
+
+    /// The server dies: every job leaves — the one being served
+    /// first, then the accept queue in arrival order, then the hung —
+    /// and the interrupted service's sequence number goes stale.
+    pub(crate) fn drain(&mut self) -> impl Iterator<Item = J> + '_ {
+        self.seq += 1;
+        let serving = self.serving.take();
+        serving
+            .into_iter()
+            .chain(self.queue.drain(..))
+            .chain(self.hung.drain(..))
     }
 }
 
@@ -285,6 +303,26 @@ mod tests {
         assert_eq!(s.set_kind(ServerKind::Normal), None, "same kind is a no-op");
         s.finish(2);
         assert_eq!(s.serving(), Some(&2));
+    }
+
+    #[test]
+    fn drain_empties_in_service_then_arrival_order() {
+        let mut s = FileServer::new(ServerKind::Normal);
+        s.connect(1);
+        s.connect(2);
+        s.connect(3);
+        assert_eq!(s.drain().collect::<Vec<_>>(), [1, 2, 3]);
+        assert!(!s.is_busy());
+        assert_eq!(s.queue_len(), 0);
+        assert!(s.finish(1).is_none(), "the interrupted service is stale");
+        assert_eq!(s.connect(4), Admission::Serving(3), "numbers keep rising");
+        assert!(s.finish(1).is_none());
+        assert_eq!(s.finish(3), Some((4, None)));
+
+        let mut bh = FileServer::new(ServerKind::BlackHole);
+        bh.connect(5);
+        assert_eq!(bh.drain().collect::<Vec<_>>(), [5]);
+        assert_eq!(bh.hung_count(), 0);
     }
 
     #[test]
