@@ -668,7 +668,7 @@ impl<H: Harness> Swarm<'_, H> {
         true
     }
 
-    /// The connection is gone (daemon msg-loss, swallow close,
+    /// The connection is gone (daemon msg-loss, an idle-patrol close,
     /// backpressure drop, a refused connect, or a cancel sacrificing
     /// it). Every verb in flight on it becomes a failed command; the
     /// next one reconnects.

@@ -1,12 +1,16 @@
 //! Live ↔ sim agreement on forced `schedd-kill` loss accounting, plus
 //! the arena's 1000-client stress smoke.
 //!
-//! The simulator has always treated an injected [`FaultKind::ScheddKill`]
-//! as a real crash: the crash counter bumps and every in-flight
-//! submission fails in the broadcast jam. The live daemon used to
-//! disagree — the forced window rejected *new* submissions but let the
-//! job already in service complete as `submit_ok`, and the slot it held
-//! never came back. These tests pin both sides to the same story.
+//! An injected [`FaultKind::ScheddKill`] is a real crash on both
+//! sides: the crash counter bumps and every in-flight submission fails
+//! in the broadcast jam. The two agree by shared code: the simulator's
+//! driver hands each trigger to its world's `inject_fault`, which
+//! kills the schedd that world owns (`simgrid::Schedd::kill`), and the
+//! daemon's core re-arms the same plan one trigger at a time and
+//! applies each at its instant through `gridd::grid::Grid::inject_fault`,
+//! the same hook on the daemon's own schedd, with the same rule: a
+//! kill that finds the schedd down does nothing. These tests run one
+//! kill through each end.
 
 use egbench::live::{LiveOptions, Study};
 use gridd::{ErrCode, GridClient, GridError, GriddConfig};

@@ -142,7 +142,7 @@ pub enum RedirTpl {
     },
 }
 
-/// How a command's argv[0] relates to defined functions.
+/// How a command's `argv[0]` relates to defined functions.
 #[derive(Clone, Copy, Debug)]
 pub enum FuncRef {
     /// Statically not a function name: skip the lookup entirely.
@@ -150,7 +150,7 @@ pub enum FuncRef {
     /// A literal name that *is* a known function name: check whether
     /// its definition has executed yet.
     Static(u32),
-    /// argv[0] contains substitutions and the program defines
+    /// `argv[0]` contains substitutions and the program defines
     /// functions: look the expanded name up at dispatch.
     Dynamic,
 }
@@ -158,11 +158,11 @@ pub enum FuncRef {
 /// A compiled command.
 #[derive(Debug)]
 pub struct CmdTpl {
-    /// The argument words, argv[0] first.
+    /// The argument words, `argv[0]` first.
     pub argv: Box<[WordIx]>,
     /// Redirections, applied left to right at dispatch.
     pub redirs: Box<[RedirTpl]>,
-    /// Whether argv[0] can name a defined function.
+    /// Whether `argv[0]` can name a defined function.
     pub func: FuncRef,
     /// Whether every argv word is a [`WordTpl::Lit`]: the argv is the
     /// same strings at every dispatch.
@@ -231,7 +231,7 @@ pub enum Op {
         /// Entry point of the out-of-line body.
         entry: Ip,
     },
-    /// Dispatch a command (or a function call when argv[0] names a
+    /// Dispatch a command (or a function call when `argv[0]` names a
     /// defined function). Blocks the task on an external command.
     Cmd(u32),
     /// Push a `try` frame with a fresh session. Falls through to the

@@ -14,7 +14,7 @@
 //! its text is `&src[span]`. It slices only at ASCII delimiters, so
 //! every span falls on a UTF-8 boundary. A *plain* word (no quote,
 //! escape or `$`) is its own literal; any other word is decoded, when a
-//! caller wants its segments, by [`scan_word`] — the function that
+//! caller wants its segments, by `scan_word` — the function that
 //! found where the word ends, so every quoting rule, error message and
 //! error span lives in one place.
 

@@ -29,7 +29,7 @@
 //! | `unreachable-code` | warning | statements after `failure`/`success` in a group |
 //! | `single-alternative` | info | `forany`/`forall` over one value |
 //! | `recursive-function` | warning | a call-graph cycle makes the retry envelope unbounded |
-//! | `dynamic-dispatch-unbounded` | warning | computed argv[0] may call any defined function |
+//! | `dynamic-dispatch-unbounded` | warning | computed `argv[0]` may call any defined function |
 //! | `budget-exceeded` | error | worst-case envelope above `--max-budget` |
 //!
 //! Beyond per-script linting, [`check`] joins the [`keyflow`] key-effect

@@ -4,10 +4,11 @@
 //! *wiring*: the schedd's slot pool with its overload crashes and
 //! downtime, the file server (the simulator's own
 //! [`simgrid::KeyStore`] behind a byte-capacity check), the fault
-//! plan compiled to the simulator's own window table
-//! ([`simgrid::faults::FaultWindows`]), the plan's RNG stream and the
-//! per-client counters. It reads no clock and owns no timer: the
-//! reactor ([`crate::server`]) hands it each event with `now` — a
+//! plan — its lasting kinds compiled to the simulator's own window
+//! table ([`simgrid::faults::FaultWindows`]), its state kinds kept as a
+//! trigger schedule — the plan's RNG stream and the per-client
+//! counters. It reads no clock and keeps no timer: the reactor
+//! ([`crate::server`]) hands it each event with `now` — a
 //! [`retry::Time`] since daemon start, read once per event — and
 //! carries out the [`Effect`]s it answers with. The same calls with
 //! made-up instants replay the daemon in virtual time, which is how
@@ -22,16 +23,19 @@
 //!   once `t` has come — never earlier, later is fine. A timer is
 //!   never cancelled: one that outlived its purpose (the peer hung
 //!   up, the store service was aborted) is recognised and ignored.
+//! * The plan's timer, [`TimerId::Plan`], is the one exception to
+//!   asking: the reactor fires it once, unasked, when the daemon
+//!   starts. From then on the core asks for it at the plan's next
+//!   state trigger, one trigger at a time.
 //! * A wake named [`TimerId::Conn`] *holds* that connection until it
-//!   fires: the request it arrived with is stalled by a latency spike,
-//!   holds a schedd slot for its service time, or fell into a black
-//!   hole, and no further request from that peer may be put to the
-//!   core meanwhile. File operations do not hold: a connection may
-//!   have several queued at the file server at once, as one simulated
-//!   client's parallel fetches are. Their replies come in the order
-//!   asked; a sense read (`df`, `stat`) is answered on the spot, past
-//!   any file operation the same connection still waits for — sensing
-//!   is free.
+//!   fires: the request it arrived with is stalled by a latency spike
+//!   or holds a schedd slot for its service time, and no further
+//!   request from that peer may be put to the core meanwhile. File
+//!   operations do not hold: a connection may have several queued at
+//!   the file server at once, as one simulated client's parallel
+//!   fetches are. Their replies come in the order asked; a sense read
+//!   (`df`, `stat`) is answered on the spot, past any file operation
+//!   the same connection still waits for — sensing is free.
 //! * [`Grid::on_hangup`] — a connection with requests outstanding
 //!   died. Its operations leave the file server's queue as a cancelled
 //!   client's leave the simulated one, freeing the server for the next
@@ -39,18 +43,31 @@
 //!   slot to the end of its service time and is accounted then, reply
 //!   or no reply.
 //!
+//! ## Faults
+//!
+//! Before the core handles any event, it applies every `schedd-kill`,
+//! `schedd-restart` and `black-hole` trigger of the plan due at or
+//! before that event's instant, each at its own instant, through
+//! [`Grid::inject_fault`] — the simulator's hook, with the
+//! simulator's reading. A kill crashes the schedd unless it is down
+//! already, for whatever reason: then it does nothing and counts no
+//! crash. A restart brings it up at once, whatever took it down, with
+//! overload pressure cleared. A black hole is the file server's own kind: while it lasts, a `put`
+//! or `get` waits in the FIFO unanswered, and when it closes the
+//! waiting operations are served in arrival order. One whose peer
+//! hangs up, or is reaped by the reactor's idle patrol, leaves the
+//! queue. The daemon has one file server, so a black hole's `server`
+//! name is not read.
+//!
 //! ## Arrival and now
 //!
 //! A request stalled by a `latency-spike` is served later than it
-//! arrived. Fault *lookups* (is the schedd inside a kill window, is
-//! the file server a black hole, what does the free-space estimate
-//! claim) are judged at the instant the request **arrived** — a
-//! stalled request belongs to the windows it arrived in. State
-//! *transitions* (crash downtime over, kill window opened or closed)
-//! are applied by `Grid::sync` as of **now**, the instant of the
-//! event being handled, and only ever move forward. A put lands, and
-//! is refused by an ENOSPC window or a full disk, when its service
-//! *ends*, as in the simulator.
+//! arrived. Its window lookups — message loss, a free-space lie — are
+//! judged at the instant it **arrived**: a stalled request belongs to
+//! the windows it arrived in. The schedd's and the file server's
+//! *state* — down or up, slots free, a hole open — is judged when it
+//! is **served**. A put lands, and is refused by an ENOSPC window or a
+//! full disk, when its service *ends*, as in the simulator.
 //!
 //! ## The schedd
 //!
@@ -58,19 +75,19 @@
 //! for [`GriddConfig::service`]. With none free the submission is
 //! refused and overload pressure rises; enough of it
 //! ([`GriddConfig::crash_overloads`]) crashes the schedd for
-//! [`GriddConfig::downtime`]. Every crash — and every forced
-//! `schedd-kill` window opening — starts a new *epoch*: the slots of
-//! the jobs in service are free at once, and those jobs complete as
-//! lost when their service time is up. This slot bucket is the live
-//! arena's schedd and the only implementation of itself; the paper's
-//! FD-table schedd is [`simgrid::Schedd`], which `gridworld`'s
-//! submission world drives.
+//! [`GriddConfig::downtime`]. A `schedd-kill` crashes it too, for the
+//! spec's downtime or that one. Every crash starts a new *epoch*: the
+//! slots of the jobs in service are free at once, and those jobs
+//! complete as lost when their service time is up. This slot bucket
+//! is the live arena's schedd and the only implementation of itself;
+//! the paper's FD-table schedd is [`simgrid::Schedd`], which
+//! `gridworld`'s submission world drives.
 
 use crate::proto::{ErrCode, Request, Response};
 use crate::server::GriddConfig;
 use retry::{Dur, Time};
-use simgrid::faults::FaultWindows;
-use simgrid::{KeyStore, Series, SeriesSet, Served, SimRng, Started, StoreOp};
+use simgrid::faults::{FaultKind, FaultSpec, FaultWindows};
+use simgrid::{KeyStore, Series, SeriesSet, Served, ServerKind, SimRng, Started, StoreOp};
 use std::collections::HashMap;
 
 /// The reactor's name for one connection; never reused while the
@@ -80,11 +97,13 @@ pub type ConnId = u64;
 /// Names a timer the core asked for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimerId {
-    /// Whatever `conn` is held for — a latency stall, a submission's
-    /// service time, a black-hole swallow — is due.
+    /// Whatever `conn` is held for — a latency stall or a submission's
+    /// service time — is due.
     Conn(ConnId),
     /// The file server's service with this sequence number ends.
     Store(u64),
+    /// The fault plan's next state trigger is due.
+    Plan,
 }
 
 /// What the reactor must do for the core.
@@ -111,7 +130,7 @@ pub struct ClientSnapshot {
     /// Submissions rejected while the schedd was down.
     pub submit_down: u64,
     /// Jobs accepted but lost to a mid-service crash (overload-driven
-    /// or a forced `schedd-kill` window opening).
+    /// or a forced `schedd-kill`).
     pub submit_lost: u64,
     /// Carrier-sense reads (`df`/`stat`).
     pub df_calls: u64,
@@ -155,8 +174,6 @@ enum Hold {
         epoch: u64,
         job_id: String,
     },
-    /// Black-holed: to be closed, never answered.
-    Swallowed,
 }
 
 /// The daemon's state machine. See the module docs for the contract.
@@ -168,6 +185,10 @@ pub struct Grid {
     deadline: Dur,
     disk_bytes: usize,
     windows: FaultWindows,
+    /// The plan's `schedd-kill`, `schedd-restart` and `black-hole`
+    /// specs that have triggers left, each advanced to its next one:
+    /// `at` is its instant and `count` the triggers left.
+    triggers: Vec<FaultSpec>,
     /// The plan's private stream (message-loss draws).
     rng: SimRng,
     /// Slots held by jobs of the current epoch.
@@ -175,13 +196,9 @@ pub struct Grid {
     /// Consecutive-ish refusals for lack of a slot: a refusal adds
     /// one, a grant takes one away.
     overload: u32,
-    /// Overload crashes so far.
+    /// Crashes so far, by overload or by a kill: the schedd's epoch.
     crashes: u64,
-    /// `crashes` plus the kill windows opened, as of the last `sync`.
-    epoch: u64,
-    /// Kill windows seen to close, as of the last `sync`.
-    forced_closed: u64,
-    /// Crashed by overload: down until then.
+    /// Crashed: down until then, unless a restart comes first.
     down_until: Option<Time>,
     /// Jobs accepted so far (numbers the job ids).
     jobs: u64,
@@ -207,8 +224,16 @@ fn err(code: ErrCode, msg: impl Into<String>) -> Response {
 
 impl Grid {
     /// A freshly started daemon: full slot pool, empty file server,
-    /// the plan's windows counted from `Time::ZERO`.
+    /// the plan counted from `Time::ZERO`.
     pub fn new(cfg: &GriddConfig) -> Grid {
+        let triggers = cfg.plan.specs.iter().filter(|spec| {
+            matches!(
+                spec.kind,
+                FaultKind::ScheddKill { .. }
+                    | FaultKind::ScheddRestart
+                    | FaultKind::ServerBlackHole { .. }
+            )
+        });
         Grid {
             slots: cfg.slots,
             service: Dur::from_std(cfg.service),
@@ -216,13 +241,12 @@ impl Grid {
             downtime: Dur::from_std(cfg.downtime),
             deadline: Dur::from_std(cfg.deadline),
             disk_bytes: cfg.disk_bytes,
-            windows: cfg.plan.windows(Dur::from_std(cfg.downtime)),
+            windows: cfg.plan.windows(),
+            triggers: triggers.cloned().collect(),
             rng: cfg.plan.rng(),
             in_service: 0,
             overload: 0,
             crashes: 0,
-            epoch: 0,
-            forced_closed: 0,
             down_until: None,
             jobs: 0,
             store: KeyStore::new(
@@ -240,48 +264,91 @@ impl Grid {
         counters(&mut self.clients, id)
     }
 
-    /// Bring the schedd's state up to `now`. A kill window that opened
-    /// took every job in service with it (a new epoch); one that
-    /// closed, like a crash downtime that ran out, restarts the schedd
-    /// with overload pressure cleared. Each transition happens once,
-    /// whatever instants later requests claim to have arrived at.
-    fn sync(&mut self, now: Time) {
-        let opened = self.windows.forced_starts(now);
-        if self.crashes + opened != self.epoch {
-            self.epoch = self.crashes + opened;
-            self.in_service = 0;
-        }
-        let closed = opened - u64::from(self.windows.sched_forced_down(now));
-        let downtime_over = self.down_until.is_some_and(|until| now >= until);
-        if closed != self.forced_closed || downtime_over {
-            self.forced_closed = closed;
+    /// Is the schedd up at `now`? A crash downtime that has run out
+    /// ends here, with overload pressure cleared.
+    fn up(&mut self, now: Time) -> bool {
+        if self.down_until.is_some_and(|until| now >= until) {
             self.down_until = None;
             self.overload = 0;
         }
+        self.down_until.is_none()
     }
 
-    /// Was the schedd down for a request that arrived at `arrived`?
-    /// (After [`sync`](Self::sync): a crash downtime still set is
-    /// still running.)
-    fn sched_down(&self, arrived: Time) -> bool {
-        self.windows.sched_forced_down(arrived) || self.down_until.is_some()
+    /// The schedd crashes at `now` for `downtime`: every job in service
+    /// is lost (a new epoch), and its slot with it.
+    fn crash(&mut self, now: Time, downtime: Dur) {
+        self.overload = 0;
+        self.crashes += 1;
+        self.in_service = 0;
+        self.down_until = Some(now + downtime);
     }
 
-    /// Per-client counters in client order, and the schedd crashes up
-    /// to `now`: overload crashes plus forced kill windows opened — the
+    /// A fault fires at `now`: the simulator's
+    /// `CommandWorld::inject_fault` on the daemon's state (the module
+    /// docs' "Faults"; a kill that names no downtime of its own is down
+    /// for [`GriddConfig::downtime`]). The kinds that are windows, or that
+    /// change a VM, change nothing here.
+    pub fn inject_fault(&mut self, now: Time, kind: &FaultKind, out: &mut Vec<Effect>) {
+        match kind {
+            FaultKind::ScheddKill { downtime } if self.up(now) => {
+                self.crash(now, downtime.unwrap_or(self.downtime));
+            }
+            FaultKind::ScheddRestart => {
+                self.down_until = None;
+                self.overload = 0;
+            }
+            FaultKind::ServerBlackHole { enable, .. } => {
+                let kind = if *enable {
+                    ServerKind::BlackHole
+                } else {
+                    ServerKind::Normal
+                };
+                let started = self.store.set_kind(kind);
+                self.run_store(now, started, out);
+            }
+            _ => {}
+        }
+    }
+
+    /// Apply every plan trigger due by `now`, earliest first
+    /// (declaration order breaks ties), each at its own instant, and
+    /// re-arm its spec from that instant, as the simulator's driver
+    /// does.
+    fn apply_plan(&mut self, now: Time, out: &mut Vec<Effect>) {
+        loop {
+            let due = self.triggers.iter().enumerate();
+            let Some((i, _)) = due.filter(|(_, t)| t.at <= now).min_by_key(|(_, t)| t.at) else {
+                return;
+            };
+            let spec = &mut self.triggers[i];
+            let at = spec.at;
+            let kind = match spec.every {
+                Some(every) if spec.count > 1 => {
+                    spec.at = at + every;
+                    spec.count -= 1;
+                    spec.kind.clone()
+                }
+                _ => self.triggers.remove(i).kind,
+            };
+            self.inject_fault(at, &kind, out);
+        }
+    }
+
+    /// Per-client counters in client order, and the schedd crashes so
+    /// far: overload crashes plus the forced kills that hit — the
     /// accounting the simulator uses.
-    pub fn snapshot(&self, now: Time) -> (Vec<ClientSnapshot>, u64) {
+    pub fn snapshot(&self) -> (Vec<ClientSnapshot>, u64) {
         let mut clients: Vec<ClientSnapshot> = self.clients.values().cloned().collect();
         clients.sort_by_key(|c| c.client);
-        (clients, self.crashes + self.windows.forced_starts(now))
+        (clients, self.crashes)
     }
 
     /// The counters as a `simgrid::metrics::SeriesSet` — the JSON
     /// shape every figure emits. One series per counter, one point per
     /// client `(client, count)`; the `schedd_crashes` series carries
     /// the crash count at x=0.
-    fn stats_json(&self, now: Time) -> String {
-        let (clients, crashes) = self.snapshot(now);
+    fn stats_json(&self) -> String {
+        let (clients, crashes) = self.snapshot();
         let names = ClientSnapshot::default().rows();
         let mut series: Vec<Series> = names.iter().map(|&(name, _)| Series::new(name)).collect();
         for c in &clients {
@@ -301,6 +368,7 @@ impl Grid {
 
     /// A request arrived on `conn` at `now`.
     pub fn on_request(&mut self, now: Time, conn: ConnId, req: Request, out: &mut Vec<Effect>) {
+        self.apply_plan(now, out);
         let extra = self.windows.extra_latency(req.verb(), now);
         if extra.is_zero() {
             self.serve(now, now, conn, req, out);
@@ -314,11 +382,17 @@ impl Grid {
 
     /// The timer asked for under `id` is due.
     pub fn on_timer(&mut self, now: Time, id: TimerId, out: &mut Vec<Effect>) {
+        self.apply_plan(now, out);
         match id {
             TimerId::Conn(conn) => self.release(now, conn, out),
             TimerId::Store(seq) => {
                 let next = self.finish_store(now, seq, out);
                 self.run_store(now, next, out);
+            }
+            TimerId::Plan => {
+                if let Some(next) = self.triggers.iter().map(|t| t.at).min() {
+                    out.push(Effect::Wake(next, TimerId::Plan));
+                }
             }
         }
     }
@@ -328,14 +402,12 @@ impl Grid {
         match self.holds.remove(&conn) {
             None => {} // the peer hung up first
             Some(Hold::Stalled { req, arrived }) => self.serve(now, arrived, conn, req, out),
-            Some(Hold::Swallowed) => out.push(Effect::Close(conn)),
             Some(Hold::Service {
                 client,
                 epoch,
                 job_id,
             }) => {
-                self.sync(now);
-                let resp = if epoch == self.epoch {
+                let resp = if epoch == self.crashes {
                     self.in_service -= 1;
                     self.client(client).submit_ok += 1;
                     Response::Ok { info: job_id }
@@ -352,6 +424,7 @@ impl Grid {
 
     /// Connection `conn`, with requests outstanding, is gone.
     pub fn on_hangup(&mut self, now: Time, conn: ConnId, out: &mut Vec<Effect>) {
+        self.apply_plan(now, out);
         // A slot is held, and accounted, to the end of service.
         if !matches!(self.holds.get(&conn), Some(Hold::Service { .. })) {
             self.holds.remove(&conn);
@@ -380,7 +453,7 @@ impl Grid {
             return;
         }
         let resp = match req {
-            Request::Submit { client, job } => match self.submit(now, arrived, client, &job) {
+            Request::Submit { client, job } => match self.submit(now, client, &job) {
                 Ok(hold) => {
                     // The slot is held for the service time: this is
                     // where concurrent aggressive clients collide.
@@ -391,12 +464,11 @@ impl Grid {
                 Err(refusal) => refusal,
             },
             Request::Df { client } => {
-                self.sync(now);
                 self.client(client).df_calls += 1;
-                let free = if self.sched_down(arrived) {
-                    0
-                } else {
+                let free = if self.up(now) {
                     self.slots - self.in_service
+                } else {
+                    0
                 };
                 // An active free-space lie skews the estimate — the
                 // attack on carrier sense itself.
@@ -407,8 +479,8 @@ impl Grid {
             }
             // The file server's carrier sense: is the file there right
             // now? Read off the key space, never queued behind file
-            // service and never black-holed, so sensing stays free
-            // while committed work pays the FIFO.
+            // service and never held by a black hole, so sensing stays
+            // free while committed work pays the FIFO.
             Request::Stat { client, name } => {
                 self.client(client).df_calls += 1;
                 Response::Free {
@@ -416,13 +488,15 @@ impl Grid {
                 }
             }
             Request::Stats => Response::Stats {
-                json: self.stats_json(now),
+                json: self.stats_json(),
             },
             Request::Put { client, name, data } => {
-                return self.file_op(now, arrived, (conn, client), StoreOp::Put(name, data), out);
+                let started = self.store.request((conn, client), StoreOp::Put(name, data));
+                return self.run_store(now, started, out);
             }
             Request::Get { client, name } => {
-                return self.file_op(now, arrived, (conn, client), StoreOp::Get(name), out);
+                let started = self.store.request((conn, client), StoreOp::Get(name));
+                return self.run_store(now, started, out);
             }
         };
         out.push(Effect::Reply(conn, resp));
@@ -430,15 +504,8 @@ impl Grid {
 
     /// A submission: a refusal to send back, or the hold that keeps
     /// its slot.
-    fn submit(
-        &mut self,
-        now: Time,
-        arrived: Time,
-        client: u32,
-        job: &str,
-    ) -> Result<Hold, Response> {
-        self.sync(now);
-        if self.sched_down(arrived) {
+    fn submit(&mut self, now: Time, client: u32, job: &str) -> Result<Hold, Response> {
+        if !self.up(now) {
             self.client(client).submit_down += 1;
             return Err(err(ErrCode::Down, "schedd is down"));
         }
@@ -450,11 +517,7 @@ impl Grid {
             }
             // The stampede starved the schedd: it crashes, every job
             // in service is lost, and the service goes dark.
-            self.overload = 0;
-            self.crashes += 1;
-            self.epoch += 1;
-            self.in_service = 0;
-            self.down_until = Some(now + self.downtime);
+            self.crash(now, self.downtime);
             self.client(client).submit_down += 1;
             return Err(err(ErrCode::Down, "schedd crashed under load"));
         }
@@ -465,31 +528,9 @@ impl Grid {
         self.jobs += 1;
         Ok(Hold::Service {
             client,
-            epoch: self.epoch,
+            epoch: self.crashes,
             job_id: format!("{job}@{}", self.jobs),
         })
-    }
-
-    /// A `put` or `get`: swallowed by a black hole, or handed to the
-    /// file server.
-    fn file_op(
-        &mut self,
-        now: Time,
-        arrived: Time,
-        who: (ConnId, u32),
-        op: StoreOp<String, Vec<u8>>,
-        out: &mut Vec<Effect>,
-    ) {
-        if let Some(end) = self.windows.black_hole_until(arrived) {
-            // Never answered; closed when the hole does, or at the
-            // connection deadline, so the client's wait is bounded.
-            let until = end.max(now).min(now + self.deadline);
-            self.holds.insert(who.0, Hold::Swallowed);
-            out.push(Effect::Wake(until, TimerId::Conn(who.0)));
-            return;
-        }
-        let started = self.store.request(who, op);
-        self.run_store(now, started, out);
     }
 
     /// The file server started a service (or did not): one that costs

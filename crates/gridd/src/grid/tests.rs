@@ -13,7 +13,8 @@ fn ms(n: u64) -> Time {
 /// A [`Grid`] on a virtual clock. The timers the core asks for
 /// wait in `wakes` and fire, in the order of their instants (then
 /// of asking), as the clock is moved past them; every reply and
-/// close is logged with the instant it happened.
+/// close is logged with the instant it happened. As the reactor
+/// does, the bench fires the plan's timer once, unasked, at start.
 struct Bench {
     grid: Grid,
     wakes: Vec<(Time, u64, TimerId)>,
@@ -25,8 +26,8 @@ impl Bench {
     fn new(cfg: &GriddConfig) -> Bench {
         Bench {
             grid: Grid::new(cfg),
-            wakes: Vec::new(),
-            asked: 0,
+            wakes: vec![(Time::ZERO, 0, TimerId::Plan)],
+            asked: 1,
             log: Vec::new(),
         }
     }
@@ -107,7 +108,7 @@ impl Bench {
     }
 
     fn row(&self, client: u32) -> ClientSnapshot {
-        let (rows, _) = self.grid.snapshot(Time::MAX);
+        let (rows, _) = self.grid.snapshot();
         rows.into_iter()
             .find(|r| r.client == client)
             .unwrap_or_default()
@@ -156,6 +157,27 @@ fn kill(at: Time, downtime_ms: u64) -> FaultSpec {
         at,
         FaultKind::ScheddKill {
             downtime: Some(Dur::from_millis(downtime_ms)),
+        },
+    )
+}
+
+fn restart(at: Time) -> FaultSpec {
+    FaultSpec::once(at, FaultKind::ScheddRestart)
+}
+
+fn hole(at: Time, enable: bool) -> FaultSpec {
+    let server = "yyy".into();
+    FaultSpec::once(at, FaultKind::ServerBlackHole { server, enable })
+}
+
+/// A latency spike on `submit` over `[0, 1 s)`, of `extra_ms`.
+fn submit_spike(extra_ms: u64) -> FaultSpec {
+    FaultSpec::once(
+        Time::ZERO,
+        FaultKind::LatencySpike {
+            channel: "submit".into(),
+            extra: Dur::from_millis(extra_ms),
+            duration: Dur::from_secs(1),
         },
     )
 }
@@ -337,7 +359,7 @@ fn overload_crashes_the_schedd_and_df_sees_it() {
         info: "j3@2".into(),
     };
     assert_eq!(b.answer(2), Some((ms(900), &done)));
-    assert_eq!(b.grid.snapshot(ms(900)).1, 1);
+    assert_eq!(b.grid.snapshot().1, 1);
     assert_eq!(b.row(1).submit_lost, 1);
     let me = b.row(0);
     assert_eq!((me.submit_busy, me.submit_down, me.submit_ok), (1, 1, 1));
@@ -419,18 +441,18 @@ fn forced_kill_loses_in_service_job_and_refills_slot_pool() {
         other => panic!("victim must lose its job, got {other:?}"),
     }
     assert_eq!(b.df(ms(500)), 2, "and the lost job returns no second slot");
-    let (_, crashes) = b.grid.snapshot(ms(500));
+    let (_, crashes) = b.grid.snapshot();
     assert_eq!(crashes, 1, "the forced window counts as one crash");
     let victim = b.row(1);
     assert_eq!((victim.submit_lost, victim.submit_ok), (1, 0), "{victim:?}");
 }
 
 /// Regression: a submit stalled by a latency spike *across the end*
-/// of a kill window is judged by the window it arrived in — down —
-/// but the window closing is a transition that has already
-/// happened, once. Judging the transition by arrival instants too
-/// re-opened the window, and the next request "closed" it again:
-/// a second refill with a job in service.
+/// of a kill's downtime is judged by the schedd that serves it — up
+/// again — and the restart that ended the downtime happened once.
+/// Judging the schedd by arrival instants re-opened the outage, and
+/// the next request "closed" it again: a second refill with a job in
+/// service.
 #[test]
 fn a_submit_stalled_across_a_kill_windows_end_does_not_refill_the_pool_twice() {
     let mut cfg = quick_config();
@@ -446,21 +468,19 @@ fn a_submit_stalled_across_a_kill_windows_end_does_not_refill_the_pool_twice() {
             },
         ));
     let mut b = Bench::new(&cfg);
-    // Arrives inside both windows: held until 150 + 150 ms.
+    // Arrives while the schedd is down, inside the spike: held until
+    // 150 + 150 ms, when the schedd is up again.
     assert!(b.send(ms(150), 1, submit(1, "stalled")).is_empty());
-    // Both windows are over; a long job takes one of two slots.
+    // The outage is over; a long job takes one of two slots.
     assert!(b.send(ms(210), 2, submit(2, "long")).is_empty());
     assert_eq!(b.df(ms(250)), 1);
     b.advance(ms(300));
-    let (at, resp) = b.answer(1).expect("the stall is over");
-    assert_eq!((at, code(resp)), (ms(300), Some(ErrCode::Down)));
-    assert_eq!(b.df(ms(310)), 1, "one job in service, one slot free");
-    assert!(b.send(ms(320), 3, submit(3, "second")).is_empty());
-    assert_eq!(b.df(ms(325)), 0);
+    assert_eq!(b.answer(1), None, "served at 300 ms, and in service");
+    assert_eq!(b.df(ms(310)), 0, "two jobs in service");
     let third = b.send(ms(330), 4, submit(4, "third"));
     assert_eq!(refused(&third, 4), ErrCode::Busy, "never more than `slots`");
     b.advance(ms(2000));
-    assert_eq!(b.row(2).submit_ok + b.row(3).submit_ok, 2);
+    assert_eq!(b.row(1).submit_ok + b.row(2).submit_ok, 2);
     assert_eq!(b.df(ms(2000)), 2);
 }
 
@@ -474,31 +494,173 @@ fn a_submission_outlives_its_connection() {
     assert_eq!(b.row(1).submit_ok, 1, "accounted though nobody listens");
 }
 
+/// A black hole is the file server's own kind. While it lasts, a
+/// `put` or `get` waits in the FIFO unanswered — the operation in
+/// service when it opened goes back to the head — and one whose peer
+/// hangs up leaves the line. When it closes, the rest are served in
+/// arrival order.
 #[test]
-fn black_hole_swallows_file_requests() {
-    let hole = |enable: bool| FaultKind::ServerBlackHole {
-        server: "yyy".into(),
-        enable,
-    };
+fn a_black_hole_holds_file_requests_until_it_closes() {
     let mut cfg = quick_config();
-    cfg.deadline = Duration::from_millis(300);
+    cfg.file_service = Duration::from_millis(10);
+    cfg.file_miss_service = Duration::from_millis(10);
     cfg.plan = FaultPlan::new(1)
-        .with(FaultSpec::once(Time::ZERO, hole(true)))
-        .with(FaultSpec::once(ms(1000), hole(false)))
-        .with(FaultSpec::once(ms(2000), hole(true)));
+        .with(hole(ms(100), true))
+        .with(hole(ms(1000), false));
     let mut b = Bench::new(&cfg);
-    // Never answered; dropped when the hole closes…
-    assert!(b.send(ms(900), 1, get(0, "anything")).is_empty());
-    // …or at the connection deadline, whichever is first.
-    assert!(b.send(ms(2500), 2, put(0, "f", b"x")).is_empty());
-    // The schedd is a different service: still answering.
-    assert_eq!(b.df(ms(2600)), 2);
-    b.advance(ms(5000));
+    assert!(b.send(ms(95), 1, put(1, "a", b"1")).is_empty());
+    assert!(b.send(ms(200), 2, get(2, "a")).is_empty());
+    assert!(b.send(ms(300), 3, put(3, "b", b"3")).is_empty());
+    assert!(b.send(ms(400), 4, get(4, "b")).is_empty());
+    b.hangup(ms(500), 3);
+    // The schedd is a different service, and sensing stays free.
+    assert_eq!(b.df(ms(600)), 2);
+    assert_eq!(b.stat(ms(600), "a"), 0, "nothing lands in a hole");
+    b.advance(ms(999));
+    assert!(b.log.is_empty(), "no reply while the hole lasts");
+    b.advance(ms(2000));
+    let replies: Vec<_> = b.log.iter().map(|(at, e)| (*at, e)).collect();
+    let ok = Response::Ok {
+        info: "1 bytes".into(),
+    };
+    let hit = Response::Data {
+        data: b"1".to_vec(),
+    };
     assert_eq!(
-        b.log,
-        [(ms(1000), Effect::Close(1)), (ms(2800), Effect::Close(2)),]
+        replies[..2],
+        [
+            (ms(1010), &Effect::Reply(1, ok)),
+            (ms(1020), &Effect::Reply(2, hit)),
+        ]
     );
-    assert_eq!(b.stat(ms(5000), "f"), 0, "a swallowed put stores nothing");
+    let (at, resp) = b.answer(4).expect("served last");
+    assert_eq!((at, code(resp)), (ms(1030), Some(ErrCode::NotFound)));
+    assert_eq!(b.log.len(), 3, "3's put left with its peer");
+}
+
+/// The simulator's kill rule: a kill that finds the schedd down, from
+/// an overload crash or an earlier kill, does nothing — no crash
+/// counted, and the outage it found ends when it would have.
+#[test]
+fn a_kill_while_down_does_nothing() {
+    let mut cfg = quick_config();
+    cfg.slots = 1;
+    cfg.service = Duration::from_millis(500);
+    cfg.crash_overloads = 1;
+    cfg.plan = FaultPlan::new(1)
+        .with(kill(ms(100), 1000))
+        .with(kill(ms(400), 100))
+        .with(kill(ms(450), 1000));
+    let mut b = Bench::new(&cfg);
+    assert!(b.send(ms(0), 1, submit(1, "hog")).is_empty());
+    // The first refusal crashes the schedd: down over [10, 310) ms.
+    assert_eq!(
+        refused(&b.send(ms(10), 2, submit(2, "j")), 2),
+        ErrCode::Down
+    );
+    assert_eq!(b.df(ms(309)), 0);
+    assert_eq!(b.df(ms(310)), 1, "the kill at 100 ms found it down");
+    assert_eq!(b.grid.snapshot().1, 1, "and counted no crash");
+    // The kill at 400 ms hits; the one at 450 ms finds it down.
+    assert_eq!(b.df(ms(400)), 0);
+    assert_eq!(b.df(ms(499)), 0);
+    assert_eq!(b.df(ms(500)), 1, "down for the first kill's 100 ms only");
+    assert_eq!(b.grid.snapshot().1, 2);
+    let (_, resp) = b.answer(1).expect("the hog hears back");
+    assert_eq!(
+        code(resp),
+        Some(ErrCode::Down),
+        "lost in the overload crash"
+    );
+}
+
+/// A restart brings the schedd up at once, whatever took it down, and
+/// clears overload pressure even on a running schedd.
+#[test]
+fn a_restart_ends_any_downtime_and_clears_overload() {
+    let mut cfg = quick_config();
+    cfg.slots = 1;
+    cfg.service = Duration::from_secs(1);
+    cfg.crash_overloads = 2;
+    cfg.plan = FaultPlan::new(1)
+        .with(restart(ms(100)))
+        .with(kill(ms(200), 10_000))
+        .with(restart(ms(300)))
+        .with(restart(ms(500)));
+    let mut b = Bench::new(&cfg);
+    assert!(b.send(ms(0), 1, submit(1, "hog")).is_empty());
+    assert_eq!(
+        refused(&b.send(ms(10), 2, submit(2, "a")), 2),
+        ErrCode::Busy
+    );
+    assert_eq!(
+        refused(&b.send(ms(20), 2, submit(2, "b")), 2),
+        ErrCode::Down
+    );
+    assert_eq!(b.df(ms(99)), 0);
+    assert_eq!(b.df(ms(100)), 1, "an overload downtime ended early");
+    assert_eq!(b.df(ms(200)), 0);
+    assert_eq!(b.df(ms(300)), 1, "a kill's ten seconds ended early");
+    assert!(b.send(ms(400), 3, submit(3, "c")).is_empty());
+    assert_eq!(
+        refused(&b.send(ms(410), 4, submit(4, "d")), 4),
+        ErrCode::Busy
+    );
+    // Without the restart at 500 ms, this second refusal would crash.
+    assert_eq!(
+        refused(&b.send(ms(510), 4, submit(4, "e")), 4),
+        ErrCode::Busy
+    );
+    assert_eq!(b.grid.snapshot().1, 2);
+}
+
+/// A submit stalled by a latency spike is judged by the schedd's state
+/// when it is served, not when it arrived: one that arrived while the
+/// schedd ran is refused by the kill that came before its service.
+#[test]
+fn a_stalled_submit_is_judged_by_the_schedd_that_serves_it() {
+    let mut cfg = quick_config();
+    cfg.plan = FaultPlan::new(1)
+        .with(kill(ms(100), 100))
+        .with(submit_spike(150));
+    let mut b = Bench::new(&cfg);
+    assert!(b.send(ms(0), 1, submit(1, "up")).is_empty());
+    assert!(b.send(ms(150), 2, submit(2, "down")).is_empty());
+    b.advance(ms(1000));
+    let (at, resp) = b.answer(1).expect("served at 150 ms");
+    assert_eq!((at, code(resp)), (ms(150), Some(ErrCode::Down)));
+    let done = Response::Ok {
+        info: "down@1".into(),
+    };
+    assert_eq!(b.answer(2), Some((ms(330), &done)), "served at 300 ms");
+    assert_eq!(b.row(1).submit_down, 1);
+}
+
+/// However late the plan's timer fires, no input overtakes a trigger
+/// due by its instant: the core applies the trigger first. Here the
+/// plan's timer never fires at all.
+#[test]
+fn a_trigger_due_by_an_inputs_instant_applies_before_it() {
+    let mut cfg = quick_config();
+    cfg.file_service = Duration::from_millis(50);
+    cfg.plan = FaultPlan::new(1)
+        .with(kill(ms(100), 1000))
+        .with(hole(ms(200), true));
+    let mut grid = Grid::new(&cfg);
+    let mut out = Vec::new();
+    grid.on_request(ms(99), 1, submit(1, "a"), &mut out);
+    assert_eq!(out, [Effect::Wake(ms(129), TimerId::Conn(1))]);
+    out.clear();
+    grid.on_request(ms(100), 2, submit(2, "b"), &mut out);
+    assert_eq!(refused(&out, 2), ErrCode::Down);
+    out.clear();
+    grid.on_request(ms(150), 3, put(3, "f", b"x"), &mut out);
+    assert_eq!(out, [Effect::Wake(ms(200), TimerId::Store(1))]);
+    out.clear();
+    // The hole opens at 200 ms, before the put's service ends there.
+    grid.on_timer(ms(200), TimerId::Store(1), &mut out);
+    assert!(out.is_empty(), "{out:?}");
+    assert_eq!(grid.snapshot().1, 1);
 }
 
 #[test]

@@ -15,7 +15,8 @@
 //! * [`grid`] — the daemon's physics with no socket in it and one
 //!   clock: slot-pool schedd with crash epochs, the simulator's own
 //!   key store and fault-window table, counters; driven by
-//!   `on_request` / `on_timer` / `on_hangup` with explicit instants;
+//!   `on_request` / `on_timer` / `on_hangup` with explicit instants,
+//!   and by the fault plan's own timer through `inject_fault`;
 //! * [`server`] — the reactor around it: one epoll event loop over
 //!   per-connection framing state, a timer wheel for every delay the
 //!   core asks for, the idle patrol, bounded shutdown;

@@ -167,7 +167,7 @@ pub fn widen_backlog(fd: RawFd, backlog: i32) -> io::Result<()> {
 // ----------------------------------------------------------------- waker
 
 /// Cross-thread wake-up for an epoll loop: one end is registered in
-/// the loop ([`Waker::fd`] of the receiving half), the other is poked
+/// the loop ([`WakeRx::fd`], the receiving half), the other is poked
 /// from any thread.
 pub struct Waker {
     tx: UnixStream,

@@ -182,12 +182,11 @@ impl GriddHandle {
     }
 
     /// Point-in-time per-client counters plus the global schedd crash
-    /// count — overload crashes *and* forced kill windows opened, the
-    /// same accounting the simulator uses — the structured twin of the
-    /// `stats` verb.
+    /// count — overload crashes *and* the forced kills that hit a
+    /// running schedd, the same accounting the simulator uses — the
+    /// structured twin of the `stats` verb.
     pub fn snapshot(&self) -> (Vec<ClientSnapshot>, u64) {
-        let now = self.inner.time(Instant::now());
-        self.inner.grid().snapshot(now)
+        self.inner.grid().snapshot()
     }
 
     /// Stop the event loop and join it. In-flight connections are
@@ -334,7 +333,7 @@ impl EventLoop {
         epoll.add(wake.fd(), TOKEN_WAKER, true, false)?;
         let timers = TimerWheel::new(inner.start);
         let tick = inner.start;
-        Ok(EventLoop {
+        let mut lp = EventLoop {
             inner,
             epoll,
             listener,
@@ -350,7 +349,11 @@ impl EventLoop {
             events: Vec::new(),
             fired: Vec::new(),
             counters: Counters::default(),
-        })
+        };
+        // The plan's timer fires once unasked; the core asks for it
+        // from then on.
+        lp.ask(|grid, now, out| grid.on_timer(now, TimerId::Plan, out));
+        Ok(lp)
     }
 
     fn run(mut self) {
@@ -558,7 +561,7 @@ impl EventLoop {
     fn on_core_timer(&mut self, id: TimerId) {
         let held = match id {
             TimerId::Conn(conn) => self.live(conn),
-            TimerId::Store(_) => None,
+            TimerId::Store(_) | TimerId::Plan => None,
         };
         if let Some(idx) = held {
             self.conns[idx].as_mut().expect("live conn").held = false;
@@ -829,7 +832,7 @@ mod tests {
 
     /// Client `client`'s counters at the core.
     fn row(lp: &EventLoop, client: u32) -> ClientSnapshot {
-        let (rows, _) = lp.inner.grid().snapshot(Time::ZERO);
+        let (rows, _) = lp.inner.grid().snapshot();
         rows.into_iter()
             .find(|r| r.client == client)
             .unwrap_or_default()

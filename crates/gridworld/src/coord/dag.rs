@@ -20,7 +20,7 @@
 //! delay re-runs it from scratch; its published outputs survive).
 //!
 //! The spec round-trips through JSON exactly like
-//! [`FaultPlan`](simgrid::faults::FaultPlan), so DAGs are data, not
+//! [`simgrid::faults::FaultPlan`], so DAGs are data, not
 //! code.
 
 use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};

@@ -12,7 +12,7 @@
 //!   every rank lands; [`FaultKind::ClientKill`] injections kill ranks
 //!   mid-round (optionally restarting them), and the metric is
 //!   time-to-global-completion and rounds lost per discipline.
-//! * [`dag`] — a declarative [`DagSpec`](dag::DagSpec) of ftsh jobs
+//! * [`dag`] — a declarative [`dag::DagSpec`] of ftsh jobs
 //!   with producer/consumer edges through store keys: a job may start
 //!   once its inputs exist. Ethernet jobs sense the carrier with a
 //!   free `df` probe; Aloha jobs poll blindly with expensive misses.

@@ -327,8 +327,7 @@ impl FaultState {
     fn new(plan: FaultPlan, n_clients: usize) -> FaultState {
         let rng = plan.rng();
         let fired = vec![0; plan.specs.len()];
-        // No forced downtime is read here, so no default is needed.
-        let windows = plan.windows(Dur::ZERO);
+        let windows = plan.windows();
         FaultState {
             plan,
             rng,

@@ -337,30 +337,21 @@ impl FaultPlan {
         kills
     }
 
-    /// The plan's time-triggered specs expanded into [`FaultWindows`]:
-    /// the one plan → windows compiler, shared by the simulator's
-    /// drivers and worlds, the static checker and the live daemon.
-    /// `default_downtime` stands in for a `schedd-kill` spec that names
-    /// no downtime of its own.
-    pub fn windows(&self, default_downtime: Dur) -> FaultWindows {
+    /// The plan's time-triggered specs that hold "from `t` for `d`",
+    /// expanded into [`FaultWindows`]: the one plan → windows compiler,
+    /// shared by the simulator's drivers and worlds, the static checker
+    /// and the live daemon. The kinds that change state at an instant
+    /// (schedd kill and restart, black-hole toggles, clock skews, client
+    /// kills) are no windows: whoever owns the state applies them when
+    /// they fire.
+    pub fn windows(&self) -> FaultWindows {
         let mut w = FaultWindows::default();
-        let mut kills: Vec<(Time, Dur)> = Vec::new();
-        let mut restarts: Vec<Time> = Vec::new();
         let mut enospc: Vec<Window> = Vec::new();
-        let mut bh_events: Vec<(Time, bool)> = Vec::new();
         for (_, spec) in self.injections() {
             let triggers = spec.triggers();
             // The windows of a spec that holds for `d` from each trigger.
             let lasting = |d: Dur| triggers.iter().map(move |&at| Window::lasting(at, d));
             match &spec.kind {
-                FaultKind::ScheddKill { downtime } => {
-                    let d = downtime.unwrap_or(default_downtime);
-                    kills.extend(triggers.iter().map(|&at| (at, d)));
-                }
-                FaultKind::ScheddRestart => restarts.extend(&triggers),
-                FaultKind::ServerBlackHole { enable, .. } => {
-                    bh_events.extend(triggers.iter().map(|&at| (at, *enable)));
-                }
                 FaultKind::EnospcWindow { duration } => enospc.extend(lasting(*duration)),
                 FaultKind::FreeSpaceLie {
                     delta_bytes,
@@ -382,51 +373,17 @@ impl FaultPlan {
                 } => w
                     .latency
                     .extend(lasting(*duration).map(|win| (win, channel.clone(), *extra))),
-                // Not windows: a skew or a client kill changes a VM.
-                FaultKind::ClockSkew { .. }
+                FaultKind::ScheddKill { .. }
+                | FaultKind::ScheddRestart
+                | FaultKind::ServerBlackHole { .. }
+                | FaultKind::ClockSkew { .. }
                 | FaultKind::ClientKill { .. }
                 | FaultKind::CmdFailFirst { .. } => {}
             }
         }
-        // A kill opens a downtime window; the first restart inside it
-        // closes it early. A kill that lands while the schedd is
-        // already down kills nothing: no longer outage, no second crash.
-        kills.sort_by_key(|&(at, _)| at);
-        restarts.sort();
-        for (at, downtime) in kills {
-            if w.sched_down.last().is_some_and(|open| at < open.end) {
-                continue;
-            }
-            let natural_end = at + downtime;
-            let end = restarts
-                .iter()
-                .copied()
-                .find(|&r| r > at && r < natural_end)
-                .unwrap_or(natural_end);
-            w.sched_down.push(Window { start: at, end });
-        }
         w.enospc = coalesce(enospc);
         // The estimator tells one lie at a time: the latest to start.
         w.df_lie.sort_by_key(|(win, _)| win.start);
-        // A black-hole enable opens a window the next disable closes.
-        bh_events.sort_by_key(|&(at, _)| at);
-        let mut open: Option<Time> = None;
-        for (at, enable) in bh_events {
-            match (enable, open) {
-                (true, None) => open = Some(at),
-                (false, Some(start)) => {
-                    w.black_hole.push(Window { start, end: at });
-                    open = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(start) = open {
-            w.black_hole.push(Window {
-                start,
-                end: Time::MAX,
-            });
-        }
         w
     }
 
@@ -435,7 +392,7 @@ impl FaultPlan {
     /// merged, and ends clipped to the horizon. During a blackout every
     /// publish/put fails.
     pub fn enospc_blackouts(&self, horizon: Time) -> Vec<(Time, Time)> {
-        self.windows(Dur::ZERO)
+        self.windows()
             .enospc
             .iter()
             .filter(|w| w.start <= horizon)
@@ -597,7 +554,10 @@ impl FaultPlan {
         out
     }
 
-    /// Parse a `PLAN.json` document (the format [`to_json`] emits).
+    /// Parse a `PLAN.json` document (the format [`to_json`] emits). A
+    /// plan whose specs fire more than 2^20 triggers in all is refused,
+    /// naming the spec that crosses the bound: arming expands every
+    /// repeat ([`FaultSpec::triggers`]).
     ///
     /// [`to_json`]: FaultPlan::to_json
     pub fn parse_json(text: &str) -> Result<FaultPlan, String> {
@@ -610,8 +570,20 @@ impl FaultPlan {
         let mut specs = Vec::new();
         if let Some(sv) = json::get(obj, "specs") {
             let arr = sv.as_array().ok_or("\"specs\" must be an array")?;
+            let mut triggers = 0;
             for (i, s) in arr.iter().enumerate() {
-                specs.push(parse_spec(s).map_err(|e| format!("specs[{i}]: {e}"))?);
+                let spec = parse_spec(s).map_err(|e| format!("specs[{i}]: {e}"))?;
+                triggers += if spec.every.is_some() {
+                    u64::from(spec.count)
+                } else {
+                    1
+                };
+                if triggers > MAX_TRIGGERS {
+                    return Err(format!(
+                        "specs[{i}]: the plan fires more than {MAX_TRIGGERS} triggers in all"
+                    ));
+                }
+                specs.push(spec);
             }
         }
         Ok(FaultPlan { seed, specs })
@@ -656,17 +628,16 @@ fn coalesce(mut windows: Vec<Window>) -> Vec<Window> {
 /// fault that is purely "this holds from `t` for `d`" becomes a window
 /// answered by lookup, so the simulator (virtual time), the daemon
 /// (time since start) and the static checker read one table. A window
-/// covers its trigger instant and excludes its end.
+/// covers its trigger instant and excludes its end. A fault that
+/// changes state (a schedd kill or restart, a black hole opening or
+/// closing) has no window: each side applies it, when it fires, to
+/// the schedd or server it owns.
 #[derive(Clone, Debug, Default)]
 pub struct FaultWindows {
-    /// Forced schedd downtime, disjoint and sorted by start.
-    sched_down: Vec<Window>,
     /// Writes fail with ENOSPC; disjoint and sorted by start.
     enospc: Vec<Window>,
     /// Free-space estimates skewed by this much; sorted by start.
     df_lie: Vec<(Window, i64)>,
-    /// The file server swallows requests without answering.
-    black_hole: Vec<Window>,
     /// Replies on the named channel lost with this probability.
     msg_loss: Vec<(Window, String, f64)>,
     /// Replies on the named channel delayed by this much.
@@ -676,26 +647,11 @@ pub struct FaultWindows {
 impl FaultWindows {
     /// The table of an empty plan: no fault, ever.
     pub const NONE: FaultWindows = FaultWindows {
-        sched_down: Vec::new(),
         enospc: Vec::new(),
         df_lie: Vec::new(),
-        black_hole: Vec::new(),
         msg_loss: Vec::new(),
         latency: Vec::new(),
     };
-
-    /// Is the schedd inside a forced kill window at `t`?
-    pub fn sched_forced_down(&self, t: Time) -> bool {
-        self.sched_down.iter().any(|w| w.contains(t))
-    }
-
-    /// How many forced kill windows have *opened* by `t`. Added to a
-    /// schedd's own crash count this is its crash epoch: a job accepted
-    /// before a kill and completing after it sees a different epoch and
-    /// is lost — the broadcast jam.
-    pub fn forced_starts(&self, t: Time) -> u64 {
-        self.sched_down.iter().take_while(|w| w.start <= t).count() as u64
-    }
 
     /// Does a write landing at `t` fail with ENOSPC?
     pub fn enospc_active(&self, t: Time) -> bool {
@@ -708,15 +664,6 @@ impl FaultWindows {
     pub fn df_delta(&self, t: Time) -> i64 {
         let latest = self.df_lie.iter().rev().find(|(w, _)| w.start <= t);
         latest.filter(|(w, _)| t < w.end).map_or(0, |(_, d)| *d)
-    }
-
-    /// When the black hole a request arriving at `t` falls into closes
-    /// ([`Time::MAX`] for one never disabled), if it falls into one.
-    pub fn black_hole_until(&self, t: Time) -> Option<Time> {
-        self.black_hole
-            .iter()
-            .find(|w| w.contains(t))
-            .map(|w| w.end)
     }
 
     /// The probability that a reply on `channel` at `t` is lost: the
@@ -853,6 +800,10 @@ fn parse_spec(v: &json::Value) -> Result<FaultSpec, String> {
         kind,
     })
 }
+
+/// The most triggers a parsed plan may fire, over all its specs. The
+/// figures' and the arena's plans fire at most 10.
+const MAX_TRIGGERS: u64 = 1 << 20;
 
 /// The JSON reader plans parse with; it lives in [`crate::json`].
 pub use crate::json;
@@ -1042,6 +993,27 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_a_plan_that_fires_too_many_triggers() {
+        // Refused from the specs' counts alone: nothing is expanded.
+        let e = one_spec(r#"{"kind": "schedd-restart", "every_us": 1, "count": 4294967295}"#)
+            .unwrap_err();
+        assert!(e.starts_with("specs[0]: ") && e.contains("1048576"), "{e}");
+        // The bound is over the whole plan: the spec that crosses it is named.
+        let spec = |count: u64| {
+            format!(r#"{{"kind": "schedd-restart", "every_us": 1, "count": {count}}}"#)
+        };
+        let half = spec(MAX_TRIGGERS / 2);
+        let plan = |last: &str| {
+            FaultPlan::parse_json(&format!(r#"{{"specs": [{half}, {half}, {last}]}}"#))
+        };
+        assert!(plan(r#"{"kind": "schedd-restart", "count": 9}"#)
+            .unwrap_err()
+            .starts_with("specs[2]: "));
+        let two = format!(r#"{{"specs": [{half}, {half}]}}"#);
+        assert_eq!(FaultPlan::parse_json(&two).unwrap().specs.len(), 2);
+    }
+
+    #[test]
     fn parse_rejects_the_retired_physics_kinds() {
         // The constants these kinds carried live in each world's
         // `*Params` now. The names are split so that CI's grep for
@@ -1105,74 +1077,6 @@ mod tests {
         p
     }
 
-    #[test]
-    fn windows_expand_repeats_and_pair_black_holes() {
-        let plan = plan_with(vec![
-            FaultSpec::repeating(
-                Time::from_secs(1),
-                Dur::from_secs(10),
-                3,
-                FaultKind::ScheddKill {
-                    downtime: Some(Dur::from_secs(2)),
-                },
-            ),
-            FaultSpec::once(
-                Time::from_secs(5),
-                FaultKind::ServerBlackHole {
-                    server: "yyy".into(),
-                    enable: true,
-                },
-            ),
-            FaultSpec::once(
-                Time::from_secs(8),
-                FaultKind::ServerBlackHole {
-                    server: "yyy".into(),
-                    enable: false,
-                },
-            ),
-        ]);
-        let w = plan.windows(Dur::from_secs(1));
-        assert_eq!(w.sched_down.len(), 3);
-        assert!(w.sched_forced_down(Time::from_secs(12)));
-        assert!(!w.sched_forced_down(Time::from_secs(4)));
-        assert_eq!(w.black_hole.len(), 1);
-        assert_eq!(
-            w.black_hole_until(Time::from_secs(6)),
-            Some(Time::from_secs(8))
-        );
-        assert_eq!(w.black_hole_until(Time::from_secs(9)), None);
-    }
-
-    #[test]
-    fn restart_truncates_kill_window() {
-        let plan = plan_with(vec![
-            FaultSpec::once(
-                Time::from_secs(1),
-                FaultKind::ScheddKill {
-                    downtime: Some(Dur::from_secs(10)),
-                },
-            ),
-            FaultSpec::once(Time::from_secs(3), FaultKind::ScheddRestart),
-        ]);
-        let w = plan.windows(Dur::from_secs(1));
-        assert!(w.sched_forced_down(Time::from_secs(2)));
-        assert!(!w.sched_forced_down(Time::from_secs(4)));
-    }
-
-    #[test]
-    fn unterminated_black_hole_stays_open() {
-        let plan = plan_with(vec![FaultSpec::once(
-            Time::from_secs(2),
-            FaultKind::ServerBlackHole {
-                server: "yyy".into(),
-                enable: true,
-            },
-        )]);
-        let w = plan.windows(Dur::from_secs(1));
-        assert!(w.black_hole_until(Time::from_secs(1)).is_none());
-        assert!(w.black_hole_until(Time::from_secs(1000)).is_some());
-    }
-
     fn lie(at: u64, delta_bytes: i64, secs: u64) -> FaultSpec {
         FaultSpec::once(
             Time::from_secs(at),
@@ -1185,7 +1089,7 @@ mod tests {
 
     #[test]
     fn lie_window_applies_then_lapses() {
-        let w = plan_with(vec![lie(0, -100, 5)]).windows(Dur::from_secs(1));
+        let w = plan_with(vec![lie(0, -100, 5)]).windows();
         assert_eq!(w.df_delta(Time::from_secs(1)), -100);
         assert_eq!(w.df_delta(Time::from_secs(6)), 0);
     }
@@ -1195,52 +1099,12 @@ mod tests {
         // Declared out of order on purpose: [0, 10) says -100, then
         // [2, 4) says +7. The later start wins while it lasts, and the
         // lie it replaced does not come back when it ends.
-        let w = plan_with(vec![lie(2, 7, 2), lie(0, -100, 10)]).windows(Dur::ZERO);
+        let w = plan_with(vec![lie(2, 7, 2), lie(0, -100, 10)]).windows();
         assert_eq!(w.df_delta(Time::from_secs(1)), -100);
         assert_eq!(w.df_delta(Time::from_secs(2)), 7);
         assert_eq!(w.df_delta(Time::from_secs(3)), 7);
         assert_eq!(w.df_delta(Time::from_secs(4)), 0);
         assert_eq!(w.df_delta(Time::from_secs(9)), 0);
-    }
-
-    #[test]
-    fn forced_starts_counts_window_openings() {
-        let plan = plan_with(vec![FaultSpec::repeating(
-            Time::from_secs(1),
-            Dur::from_secs(10),
-            3,
-            FaultKind::ScheddKill {
-                downtime: Some(Dur::from_secs(2)),
-            },
-        )]);
-        let w = plan.windows(Dur::from_secs(1));
-        assert_eq!(w.forced_starts(Time::from_micros(500_000)), 0);
-        assert_eq!(w.forced_starts(Time::from_secs(1)), 1);
-        assert_eq!(w.forced_starts(Time::from_secs(5)), 1);
-        assert_eq!(w.forced_starts(Time::from_secs(11)), 2);
-        assert_eq!(w.forced_starts(Time::from_secs(100)), 3);
-    }
-
-    #[test]
-    fn a_kill_while_already_down_is_ignored() {
-        let kill = |at: u64| {
-            FaultSpec::once(
-                Time::from_secs(at),
-                FaultKind::ScheddKill {
-                    downtime: Some(Dur::from_secs(5)),
-                },
-            )
-        };
-        // The second kill finds the schedd dead: the outage stays the
-        // first kill's [1, 6), and the third, at its very end, is a
-        // fresh crash.
-        let w = plan_with(vec![kill(1), kill(3), kill(6)]).windows(Dur::from_secs(1));
-        assert_eq!(w.sched_down.len(), 2);
-        assert!(w.sched_forced_down(Time::from_secs(5)));
-        assert_eq!(w.forced_starts(Time::from_secs(5)), 1, "one broadcast jam");
-        assert!(w.sched_forced_down(Time::from_secs(6)));
-        assert_eq!(w.forced_starts(Time::from_secs(6)), 2);
-        assert!(!w.sched_forced_down(Time::from_secs(11)));
     }
 
     #[test]
@@ -1273,7 +1137,7 @@ mod tests {
                 },
             ),
         ]);
-        let w = plan.windows(Dur::ZERO);
+        let w = plan.windows();
         assert_eq!(w.loss_probability("get", Time::from_secs(1)), 0.25);
         assert_eq!(w.loss_probability("get", Time::from_secs(2)), 0.75, "worst");
         assert_eq!(
@@ -1311,7 +1175,7 @@ mod tests {
         assert_eq!(plan.enospc_permanent_from(t(200)), None);
         assert_eq!(plan.longest_enospc_blackout(t(30)), Dur::from_secs(10));
         assert_eq!(plan.enospc_blackouts(t(10)), [(t(1), t(7))]);
-        let w = plan.windows(Dur::ZERO);
+        let w = plan.windows();
         assert!(w.enospc_active(t(6)) && !w.enospc_active(t(7)));
     }
 

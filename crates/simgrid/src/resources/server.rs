@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 
-/// Whether a server serves its clients or swallows them.
+/// Whether a server serves its clients or holds them unserved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServerKind {
     /// Serves one job at a time, in arrival order.
@@ -40,8 +40,8 @@ pub enum Admission {
     Serving(u64),
     /// The server is busy; the job waits in the accept queue.
     Queued,
-    /// The server is a black hole: the connection is open but nothing
-    /// will ever happen on it.
+    /// The server is a black hole: the connection is open and waits in
+    /// the accept queue, served only if the server recovers.
     Hung,
 }
 
@@ -50,8 +50,9 @@ pub enum Admission {
 pub struct FileServer<J> {
     kind: ServerKind,
     serving: Option<J>,
+    /// Every job not in service, in arrival order — a black hole's
+    /// hung connections included.
     queue: VecDeque<J>,
-    hung: Vec<J>,
     /// Sequence number of the latest service started.
     seq: u64,
 }
@@ -63,7 +64,6 @@ impl<J> FileServer<J> {
             kind,
             serving: None,
             queue: VecDeque::new(),
-            hung: Vec::new(),
             seq: 0,
         }
     }
@@ -83,14 +83,10 @@ impl<J> FileServer<J> {
         self.serving.is_some()
     }
 
-    /// Jobs waiting in the accept queue.
+    /// Jobs waiting in the accept queue (a black hole's hung ones
+    /// included).
     pub fn queue_len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Jobs stuck in the black hole.
-    pub fn hung_count(&self) -> usize {
-        self.hung.len()
     }
 
     /// Sequence number of the latest service started.
@@ -112,7 +108,7 @@ impl<J> FileServer<J> {
     pub fn connect(&mut self, job: J) -> Admission {
         match self.kind {
             ServerKind::BlackHole => {
-                self.hung.push(job);
+                self.queue.push_back(job);
                 Admission::Hung
             }
             ServerKind::Normal if self.serving.is_some() => {
@@ -141,13 +137,12 @@ impl<J> FileServer<J> {
     /// Toggle the server's nature at runtime (fault injection — a
     /// healthy replica collapsing into a black hole, or one recovering).
     ///
-    /// Collapsing (`BlackHole`): the current service and the accept
-    /// queue fall silent — every connection moves to `hung`, still
-    /// open, never to be served, and the interrupted service's
-    /// sequence number goes stale. Recovering (`Normal`): the hung
-    /// connections re-enter the accept queue in arrival order and the
-    /// head starts being served (its sequence number returned).
-    /// Setting the same kind is a no-op.
+    /// Collapsing (`BlackHole`): the server stops serving. The job in
+    /// service goes back to the head of the accept queue, still open,
+    /// and the interrupted service's sequence number goes stale; every
+    /// connection waits, in arrival order, for as long as the hole
+    /// lasts. Recovering (`Normal`): the head starts being served (its
+    /// sequence number returned). Setting the same kind is a no-op.
     pub fn set_kind(&mut self, kind: ServerKind) -> Option<u64> {
         if kind == self.kind {
             return None;
@@ -155,14 +150,12 @@ impl<J> FileServer<J> {
         self.kind = kind;
         match kind {
             ServerKind::BlackHole => {
-                self.hung.extend(self.serving.take());
-                self.hung.extend(self.queue.drain(..));
+                if let Some(job) = self.serving.take() {
+                    self.queue.push_front(job);
+                }
                 None
             }
-            ServerKind::Normal => {
-                self.queue.extend(self.hung.drain(..));
-                self.start_next()
-            }
+            ServerKind::Normal => self.start_next(),
         }
     }
 
@@ -177,25 +170,20 @@ impl<J> FileServer<J> {
                 started: self.start_next(),
             };
         }
-        let job = if let Some(pos) = self.queue.iter().position(&mut is_job) {
-            self.queue.remove(pos)
-        } else {
-            let pos = self.hung.iter().position(is_job);
-            pos.map(|pos| self.hung.swap_remove(pos))
-        };
-        Disconnect { job, started: None }
+        let pos = self.queue.iter().position(is_job);
+        Disconnect {
+            job: pos.and_then(|pos| self.queue.remove(pos)),
+            started: None,
+        }
     }
 
     /// The server dies: every job leaves — the one being served
-    /// first, then the accept queue in arrival order, then the hung —
-    /// and the interrupted service's sequence number goes stale.
+    /// first, then the accept queue in arrival order — and the
+    /// interrupted service's sequence number goes stale.
     pub(crate) fn drain(&mut self) -> impl Iterator<Item = J> + '_ {
         self.seq += 1;
         let serving = self.serving.take();
-        serving
-            .into_iter()
-            .chain(self.queue.drain(..))
-            .chain(self.hung.drain(..))
+        serving.into_iter().chain(self.queue.drain(..))
     }
 }
 
@@ -242,7 +230,7 @@ mod tests {
         let mut s = FileServer::new(ServerKind::BlackHole);
         assert_eq!(s.connect(1), Admission::Hung);
         assert_eq!(s.connect(2), Admission::Hung);
-        assert_eq!(s.hung_count(), 2);
+        assert_eq!(s.queue_len(), 2);
         assert!(!s.is_busy(), "a black hole never serves");
     }
 
@@ -273,7 +261,7 @@ mod tests {
         let mut bh = FileServer::new(ServerKind::BlackHole);
         bh.connect(9);
         assert_eq!(bh.disconnect(|&j| j == 9).job, Some(9));
-        assert_eq!(bh.hung_count(), 0);
+        assert_eq!(bh.queue_len(), 0);
     }
 
     #[test]
@@ -284,8 +272,7 @@ mod tests {
         s.connect(3);
         assert_eq!(s.set_kind(ServerKind::BlackHole), None);
         assert!(!s.is_busy());
-        assert_eq!(s.queue_len(), 0);
-        assert_eq!(s.hung_count(), 3, "everyone falls silent");
+        assert_eq!(s.queue_len(), 3, "everyone falls silent");
         assert_eq!(s.connect(4), Admission::Hung);
         assert!(
             s.finish(1).is_none(),
@@ -322,7 +309,23 @@ mod tests {
         let mut bh = FileServer::new(ServerKind::BlackHole);
         bh.connect(5);
         assert_eq!(bh.drain().collect::<Vec<_>>(), [5]);
-        assert_eq!(bh.hung_count(), 0);
+        assert_eq!(bh.queue_len(), 0);
+    }
+
+    #[test]
+    fn a_recovered_black_hole_serves_in_arrival_order_after_a_leave() {
+        let mut s = FileServer::new(ServerKind::BlackHole);
+        for j in 1..=4 {
+            assert_eq!(s.connect(j), Admission::Hung);
+        }
+        assert_eq!(s.disconnect(|&j| j == 1).job, Some(1));
+        let mut seq = s.set_kind(ServerKind::Normal);
+        let mut served = Vec::new();
+        while let Some((job, next)) = seq.and_then(|n| s.finish(n)) {
+            served.push(job);
+            seq = next;
+        }
+        assert_eq!(served, [2, 3, 4]);
     }
 
     #[test]

@@ -169,6 +169,15 @@ impl<K: Hash + Eq, V, W> KeyStore<K, V, W> {
         Some(Finished { who, served, next })
     }
 
+    /// Turn the server into a black hole or back
+    /// ([`FileServer::set_kind`]). In a hole every operation waits in
+    /// line and none is served; the one in service goes back to the
+    /// head, its sequence number going stale. Recovering, the head
+    /// starts, priced then: returns that service, if anyone waits.
+    pub fn set_kind(&mut self, kind: ServerKind) -> Option<Started> {
+        self.server.set_kind(kind).map(|seq| self.started(seq))
+    }
+
     /// Whoever `is_who` picks out gives up: every operation of theirs
     /// leaves the queue, and one that was in service frees the server
     /// at once, its sequence number going stale. Returns the service
@@ -314,5 +323,25 @@ mod tests {
         );
         let f = s.finish(3, ADMIT).expect("8's put");
         assert_eq!((f.who, f.next), (8, None), "nothing of 7's is left in line");
+    }
+
+    #[test]
+    fn a_black_hole_holds_operations_until_it_recovers() {
+        let mut s = store();
+        s.request(0, StoreOp::Put("a", 1));
+        s.request(1, StoreOp::Get("a"));
+        assert_eq!(s.set_kind(ServerKind::BlackHole), None);
+        assert!(
+            s.finish(1, ADMIT).is_none(),
+            "the put in service went stale"
+        );
+        assert_eq!(s.request(2, StoreOp::Get("a")), None, "waits in the hole");
+        assert_eq!(s.leave(|&w| w == 1), None);
+        // The put is served again from the start, then 2's get, now a hit.
+        assert_eq!(s.set_kind(ServerKind::Normal), Some(started(2, PUT)));
+        let f = s.finish(2, ADMIT).expect("the put");
+        assert_eq!((f.who, f.next), (0, Some(started(3, MISS))));
+        let f = s.finish(3, ADMIT).expect("the get");
+        assert_eq!((f.who, f.served, f.next), (2, Served::Hit(&1), None));
     }
 }

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use std::ops::Range;
 
-/// A number-of-elements specification for [`vec`].
+/// A number-of-elements specification for [`vec()`].
 #[derive(Clone, Copy, Debug)]
 pub struct SizeRange {
     min: usize,
@@ -37,7 +37,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 #[derive(Clone)]
 pub struct VecStrategy<S> {
     element: S,
