@@ -81,7 +81,9 @@
 //! ledger alone. A third pass repeats the sequential one with the
 //! simulator's phase timer on (`gridworld::phases`): it prints and
 //! records TSC cycles per popped event by phase, and events/s with the
-//! timer off and on.
+//! timer off and on. The sequential pass also reads the TSC's rate
+//! against the monotonic clock, so the ledger holds what an untimed
+//! event costs in the split's own cycles.
 
 use egbench::live::{CoordLiveOptions, LiveOptions, Study};
 use gridworld::claims::{self, CLAIMS, UNDER_PLAN};
@@ -244,8 +246,9 @@ fn run_pass(threads: usize, figs: &[String], scale: Scale, seed: u64) -> PassSta
 }
 
 /// The `phases` section of `BENCH_engine.json`: the sequential pass
-/// again with the phase timer on, beside the pass with it off.
-fn phases_json(off: &PassStats, on: &PassStats, charged: &PhaseCycles) -> String {
+/// again with the phase timer on, beside the pass with it off and what
+/// an untimed event costs in the same cycles at `tsc_ghz`.
+fn phases_json(off: &PassStats, on: &PassStats, charged: &PhaseCycles, tsc_ghz: f64) -> String {
     let rows = Phase::ALL
         .iter()
         .map(|&p| (p.name(), charged.of(p)))
@@ -254,10 +257,22 @@ fn phases_json(off: &PassStats, on: &PassStats, charged: &PhaseCycles) -> String
         .collect::<Vec<_>>()
         .join(", ");
     format!(
-        "{{\n    \"clock\": \"simgrid::cycles (TSC), sequential pass\",\n    \"events_per_sec_off\": {:.1},\n    \"events_per_sec_on\": {:.1},\n    \"cycles_per_event\": {{ {rows} }}\n  }}",
+        "{{\n    \"clock\": \"simgrid::cycles (TSC), sequential pass\",\n    \"tsc_ghz\": {tsc_ghz:.3},\n    \"events_per_sec_off\": {:.1},\n    \"events_per_sec_on\": {:.1},\n    \"untimed_cycles_per_event\": {:.0},\n    \"cycles_per_event\": {{ {rows} }}\n  }}",
         off.events_per_sec(),
         on.events_per_sec(),
+        untimed_cycles_per_event(off, tsc_ghz),
     )
+}
+
+/// What one event of the untimed pass cost, in cycles of a TSC ticking
+/// at `tsc_ghz`: the sum the timed split should explain.
+fn untimed_cycles_per_event(off: &PassStats, tsc_ghz: f64) -> f64 {
+    let rate = off.events_per_sec();
+    if rate > 0.0 {
+        tsc_ghz * 1e9 / rate
+    } else {
+        0.0
+    }
 }
 
 /// What the `vm` section of `BENCH_engine.json` measures.
@@ -375,7 +390,11 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64, dir: &Path) -> Exit
         .unwrap_or(1);
 
     eprintln!("== stats: sequential baseline (1 sweep thread) ==");
+    // The pass is also the run's one reading of the TSC rate: the
+    // counter's ticks over the monotonic clock's nanoseconds.
+    let (tsc0, start) = (simgrid::cycles(), Instant::now());
     let seq = run_pass(1, &figs, scale, seed);
+    let tsc_ghz = (simgrid::cycles() - tsc0) as f64 / start.elapsed().as_nanos() as f64;
     eprintln!(
         "   {:.3}s, {} events ({:.0}/s), {} ticks, {:.1} allocs/tick",
         seq.wall_s,
@@ -399,6 +418,11 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64, dir: &Path) -> Exit
         "   {:>8} {:>7.0}",
         "total",
         timed.per_event(charged.total())
+    );
+    eprintln!(
+        "   {:>8} {:>7.0}  (the timer off, at a {tsc_ghz:.3} GHz TSC)",
+        "untimed",
+        untimed_cycles_per_event(&seq, tsc_ghz)
     );
     // The timer observes; it must not change what it times.
     if (timed.events, timed.vm_ticks) != (seq.events, seq.vm_ticks) {
@@ -463,7 +487,7 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64, dir: &Path) -> Exit
     let json = format!(
         "{{\n  \"harness\": \"figures --stats\",\n  \"scale\": \"{scale:?}\",\n  \"seed\": {seed},\n  \"figures\": [{fig_list}],\n  \"host_cpus\": {host_cpus},\n  \"peak_rss_kb\": {rss},\n  \"sequential\": {},\n  \"phases\": {},\n  \"parallel\": {par_json},\n  \"speedup\": {speedup_json},\n  \"vm\": {vm_json}\n}}\n",
         seq.to_json(),
-        phases_json(&seq, &timed, &charged),
+        phases_json(&seq, &timed, &charged, tsc_ghz),
     );
     let path = dir.join("BENCH_engine.json");
     if let Err(e) = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, &json)) {

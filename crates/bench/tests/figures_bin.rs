@@ -248,6 +248,13 @@ fn stats_with_out_writes_its_ledger_there() {
     );
     let written = std::fs::read_to_string(dir.join("BENCH_engine.json")).unwrap();
     assert!(written.contains("\"figures\": [\"fig1\"]"), "{written}");
+    // The split beside what an untimed event costs in its cycles.
+    for key in ["tsc_ghz", "untimed_cycles_per_event", "cycles_per_event"] {
+        assert!(
+            written.contains(&format!("\"{key}\": ")),
+            "{key}: {written}"
+        );
+    }
     assert_eq!(
         std::fs::read(&root).unwrap(),
         ledger,

@@ -317,10 +317,10 @@ pub struct Prog {
     pub slots: SlotMap,
     /// The deepest a task's frame stack gets from lexical nesting
     /// alone: `try`, `forany` and `forall` frames within one task's
-    /// code, plus the call frame under a function body. A task
-    /// reserves this many frames at its first push; a call made from
-    /// inside a construct pushes past it and the stack grows as any
-    /// `Vec` does.
+    /// code, plus the call frame under a function body. A task holds
+    /// its first frame inline and reserves room for the rest at its
+    /// first spill; a call made from inside a construct pushes past it
+    /// and the spill grows as any `Vec` does.
     pub frame_depth: u32,
 }
 

@@ -201,6 +201,73 @@ enum CFrame {
     },
 }
 
+/// A task's control-frame stack, bottom first. The bottom frame sits
+/// inline in the task, so a paper client (one `try`, one frame) reaches
+/// it through no pointer of its own: [`Vm::prefetch`] loads it with
+/// the root task. Deeper frames spill to `rest`, whose buffer outlives
+/// `clear`.
+#[derive(Debug, Default)]
+struct Frames {
+    first: Option<CFrame>,
+    /// Frames above `first`; empty whenever `first` is.
+    rest: Vec<CFrame>,
+}
+
+impl Frames {
+    /// Push a frame. The first spill reserves exactly what the compiler
+    /// measured of the rest (`depth`, the deepest nesting, less the
+    /// inline frame), so a script nested two deep holds one frame's
+    /// worth of heap rather than `Vec`'s default four.
+    fn push(&mut self, depth: u32, frame: CFrame) {
+        if self.first.is_none() {
+            self.first = Some(frame);
+            return;
+        }
+        if self.rest.capacity() == 0 {
+            self.rest.reserve_exact(depth.saturating_sub(1) as usize);
+        }
+        self.rest.push(frame);
+    }
+
+    fn pop(&mut self) -> Option<CFrame> {
+        self.rest.pop().or_else(|| self.first.take())
+    }
+
+    fn last(&self) -> Option<&CFrame> {
+        self.rest.last().or(self.first.as_ref())
+    }
+
+    fn last_mut(&mut self) -> Option<&mut CFrame> {
+        match self.rest.last_mut() {
+            Some(top) => Some(top),
+            None => self.first.as_mut(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.first.is_some()) + self.rest.len()
+    }
+
+    /// Where the lowest frame that `pred` holds for sits.
+    fn position(&self, mut pred: impl FnMut(&CFrame) -> bool) -> Option<usize> {
+        let first = self.first.as_ref()?;
+        if pred(first) {
+            return Some(0);
+        }
+        self.rest.iter().position(pred).map(|i| i + 1)
+    }
+
+    /// Bottom first.
+    fn iter(&self) -> impl Iterator<Item = &CFrame> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn clear(&mut self) {
+        self.first = None;
+        self.rest.clear();
+    }
+}
+
 /// One entry of a task's call-window stack. A call pushes the
 /// positional bindings it displaces, then its own arguments; returning
 /// pops both, putting the displaced bindings back.
@@ -307,7 +374,7 @@ struct CTask {
     /// Spawn ordinal: the root is 0, every branch takes the next
     /// number, and no number is used twice.
     id: TaskId,
-    frames: Vec<CFrame>,
+    frames: Frames,
     env: CEnv,
     /// Call-window stack; see [`Win`].
     win: Vec<Win>,
@@ -329,7 +396,7 @@ impl CTask {
     fn new(id: TaskId, env: CEnv) -> CTask {
         CTask {
             id,
-            frames: Vec::new(),
+            frames: Frames::default(),
             env,
             win: Vec::new(),
             args_at: 0,
@@ -350,16 +417,6 @@ impl CTask {
         }
         self.win.clear();
         self.state = CState::Ready;
-    }
-
-    /// Push a control frame. The first push reserves exactly the depth
-    /// the compiler measured, so a script nested one deep holds one
-    /// frame's worth of heap rather than `Vec`'s default four.
-    fn push_frame(&mut self, prog: &Prog, frame: CFrame) {
-        if self.frames.capacity() == 0 {
-            self.frames.reserve_exact(prog.frame_depth as usize);
-        }
-        self.frames.push(frame);
     }
 
     /// Look a variable up by a name computed at run time (the source
@@ -411,7 +468,7 @@ impl CTask {
             args_at: self.args_at,
             ret_ip,
         };
-        self.push_frame(prog, frame);
+        self.frames.push(prog.frame_depth, frame);
         self.call_depth += 1;
         self.args_at = self.win.len() as u32;
         self.win.extend(argv.drain(..).map(Win::Arg));
@@ -662,6 +719,12 @@ impl Vm {
     #[doc(hidden)]
     pub const FRAME_BYTES: usize = std::mem::size_of::<CFrame>();
 
+    /// Bytes one task takes in the task table, its inline frame
+    /// included: what [`Vm::prefetch`] hints for the root task. For
+    /// tests that pin the per-client footprint.
+    #[doc(hidden)]
+    pub const TASK_BYTES: usize = std::mem::size_of::<CTask>();
+
     /// Bytes of the cold part (`Cold`), the one block a VM makes
     /// only on first use. For tests that pin when it is made.
     #[doc(hidden)]
@@ -676,12 +739,13 @@ impl Vm {
 
     /// Ask the CPU to load the blocks a tick reads first through this
     /// VM's own pointers: the root task, where every tick's pass over
-    /// the task table starts, and the words of the pooled argv, which
-    /// the next dispatch of an all-literal command compares with its
-    /// own (an emptied argv has none to hint). A hint
-    /// ([`simgrid::prefetch`]): it changes nothing. A population driver
-    /// calls it for the client it will tick next. It stops there, so a
-    /// wide `forall` costs no more hints than a plain script.
+    /// the task table starts (its bottom frame, inline, with it), and
+    /// the words of the pooled argv, which the next dispatch of an
+    /// all-literal command compares with its own (an emptied argv has
+    /// none to hint). A hint ([`simgrid::prefetch`]): it changes
+    /// nothing. A population driver calls it for the client it will
+    /// tick next. It stops there, so a wide `forall` costs no more
+    /// hints than a plain script.
     #[inline]
     pub fn prefetch(&self) {
         if let Some(root) = self.m.tasks.first() {
@@ -1013,7 +1077,7 @@ impl Machine {
         let mut pos = 0;
         while pos < tasks.len() {
             let task = &mut tasks[pos];
-            let expired = task.frames.iter().position(|f| match f {
+            let expired = task.frames.position(|f| match f {
                 CFrame::Try {
                     session, in_catch, ..
                 } => !in_catch && session.expired(self.now),
@@ -1306,7 +1370,7 @@ impl Machine {
                         end_ip,
                         in_catch: false,
                     };
-                    task.push_frame(prog, frame);
+                    task.frames.push(prog.frame_depth, frame);
                     task.ip += 1;
                 }
                 Op::TryAttempt => {
@@ -1389,7 +1453,7 @@ impl Machine {
                         body_ip: task.ip + 1,
                         end_ip,
                     };
-                    task.push_frame(prog, frame);
+                    task.frames.push(prog.frame_depth, frame);
                     task.res = true;
                     task.ip += 1;
                 }
@@ -1450,7 +1514,7 @@ impl Machine {
                         branch_ip: task.ip + 1,
                         end_ip,
                     };
-                    task.push_frame(prog, frame);
+                    task.frames.push(prog.frame_depth, frame);
                     task.state = CState::WaitingChildren;
                     task.ip = end_ip; // resumed here by `finish`
                     return None;
@@ -1667,7 +1731,7 @@ impl Machine {
             if let CState::Sleeping { until } = task.state {
                 consider(until);
             }
-            for f in &task.frames {
+            for f in task.frames.iter() {
                 if let CFrame::Try {
                     session,
                     in_catch: false,

@@ -1,14 +1,19 @@
 //! Command dispatch reuses what the last dispatch handed back: an
 //! all-literal command's argv is pooled with its words, which are the
 //! program's own literals, and dispatched again as it is; any other
-//! command gets its words fresh.
+//! command gets its words fresh. A restarted unit reuses what the last
+//! unit left, the control frames it spilled past a task's inline one
+//! included.
 
 use ftsh::bytecode::{compile_cached, WordTpl};
+use ftsh::tree::TreeVm;
 use ftsh::vm::{CmdResult, CommandSpec, Effect, Vm, VmStatus};
 use ftsh::{parse, Env, Istr, Script};
 use retry::Time;
+use simgrid::trace::{SharedSink, VecSink};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::{Arc, Mutex};
 
 /// Counts this thread's heap allocations (tests run on threads of
 /// their own, so each counts only its own).
@@ -149,4 +154,111 @@ fn a_handed_back_argv_that_is_not_the_literals_is_emptied() {
     vm.recycle_spec(spec);
     let (_, next) = next_start(&mut vm, &mut now, &mut effects);
     assert!(same_words(&next.argv, &lits), "{:?}", next.argv);
+}
+
+/// Three frames deep at every `wget`: the `try` (a task's inline
+/// frame), the `forany` and the call (spilled past it).
+const NESTED: &str = "function fetch\n wget ${1}\nend\n\
+try 3 times every 1 second\n forany h in a b c\n  fetch ${h}\n end\nend\n";
+
+/// The world's answer to the `n`-th fetch of a unit: the first
+/// attempt fails on all three hosts, the second gets through on `b`.
+fn fetched(n: usize) -> CmdResult {
+    if n == 4 {
+        CmdResult::succeed()
+    } else {
+        CmdResult::fail()
+    }
+}
+
+/// Run `vm`'s unit to its end, answering each fetch on the spot as
+/// [`fetched`] says and handing its spec back.
+fn run_unit(vm: &mut Vm, effects: &mut Vec<Effect>) {
+    let (mut now, mut n) = (Time::ZERO, 0);
+    loop {
+        let status = vm.tick_into(now, effects);
+        let answered = !effects.is_empty();
+        for e in effects.drain(..) {
+            let Effect::Start { token, spec, .. } = e else {
+                panic!("nothing is cancelled")
+            };
+            assert!(vm.complete(token, fetched(n)));
+            vm.recycle_spec(spec);
+            n += 1;
+        }
+        match status {
+            VmStatus::Done { success } => return assert!(success),
+            _ if answered => {}
+            VmStatus::Running { next_wake: Some(t) } => now = t,
+            VmStatus::Running { next_wake: None } => panic!("the unit waits on nothing"),
+        }
+    }
+}
+
+#[test]
+fn a_restarted_unit_reuses_the_frames_the_last_one_spilled() {
+    let script = parse(NESTED).unwrap();
+    // `vm` records, `bare` is counted; a first unit fills every pool
+    // and the frame spill of both, and a restart keeps them.
+    let (mut vm, mut bare) = (Vm::with_seed(&script, 1), Vm::with_seed(&script, 1));
+    let mut effects = Vec::new();
+    run_unit(&mut vm, &mut effects);
+    run_unit(&mut bare, &mut effects);
+    vm.restart(Env::new(), 2);
+    bare.restart(Env::new(), 2);
+    let mut tree = TreeVm::with_env_seed(&script, Env::new(), 2);
+    let (tree_trace, vm_trace) = (
+        Arc::new(Mutex::new(VecSink::new())),
+        Arc::new(Mutex::new(VecSink::new())),
+    );
+    tree.set_tracer(tree_trace.clone() as SharedSink, 0);
+    vm.set_tracer(vm_trace.clone() as SharedSink, 0);
+
+    // The second unit in lockstep with the oracle, counting only what
+    // `bare` allocates.
+    let (mut now, mut n, mut allocated) = (Time::ZERO, 0, 0);
+    loop {
+        let want = tree.tick(now);
+        assert_eq!(vm.tick(now), want, "tick at {now:?}");
+        let before = allocs();
+        let status = bare.tick_into(now, &mut effects);
+        allocated += allocs() - before;
+        assert_eq!(
+            (&effects, status),
+            (&want.effects, want.status),
+            "bare tick at {now:?}"
+        );
+        for e in effects.drain(..) {
+            let Effect::Start { token, spec, .. } = e else {
+                panic!("nothing is cancelled")
+            };
+            let result = fetched(n);
+            assert!(tree.complete(token, result.clone()));
+            assert!(vm.complete(token, result.clone()));
+            let before = allocs();
+            assert!(bare.complete(token, result));
+            bare.recycle_spec(spec);
+            allocated += allocs() - before;
+            n += 1;
+        }
+        match want.status {
+            VmStatus::Done { success } => {
+                assert!(success);
+                break;
+            }
+            _ if !want.effects.is_empty() => {}
+            VmStatus::Running { next_wake: Some(t) } => now = t,
+            VmStatus::Running { next_wake: None } => panic!("the unit waits on nothing"),
+        }
+    }
+    assert_eq!(n, 5, "fetches in the unit");
+    assert_eq!(allocated, 0, "allocations over a restarted unit");
+    let records = vm_trace.lock().unwrap().take();
+    assert!(!records.is_empty());
+    assert_eq!(
+        tree_trace.lock().unwrap().take(),
+        records,
+        "what the sinks received"
+    );
+    assert_eq!(tree.log().summary(), bare.log().summary(), "counters");
 }

@@ -37,6 +37,10 @@ const _: () = assert!(EventQueue::<SimEv<SubmitEv>>::FIFO_ENTRY_BYTES <= 8);
 // 464 → 440.
 const _: () = assert!(size_of::<TrySession>() <= 64);
 const _: () = assert!(Vm::FRAME_BYTES <= 80);
+// A task holds its first frame inline, so a paper client's tick reads
+// its `try` frame from the four lines `Vm::prefetch` hints for the
+// root task, not from a block of its own.
+const _: () = assert!(Vm::TASK_BYTES <= 256);
 // What only some clients use went out of line into the cold part, and
 // the effects placeholder went: 440 → 288. The log keeps only its
 // counters, its records going to the trace sink alone: 288 → 256.
@@ -102,18 +106,20 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// before the cold part and the boxed spill map; 1832 before the first
 /// diet).
 const MAX_BYTES_PER_CLIENT: i64 = 576;
-/// The heap blocks of such a client: its task table, the root task's
-/// frame stack and its variable slots. (The `Vm` itself sits inline in
-/// the population's vector.)
-const BLOCKS_PER_CLIENT: i64 = 3;
+/// The heap blocks of such a client: its task table and the root
+/// task's variable slots. (The `Vm` itself sits inline in the
+/// population's vector, and the root task's one frame inline in the
+/// task; 3 while that frame took a block of its own.)
+const BLOCKS_PER_CLIENT: i64 = 2;
 /// Most a client may hold once its first answer came back and its spec
 /// was handed back, as `SimDriver` hands them back (616 when this was
 /// written; 640 while the pooled argv sat in a spare-vector list of its
 /// own, 832 before the cold part and the boxed spill map).
 const MAX_RUNNING_BYTES_PER_CLIENT: i64 = 640;
-/// The heap blocks of such a client: the three above and the pooled
-/// argv's buffer (the argv itself sits inline in the `Vm`).
-const RUNNING_BLOCKS_PER_CLIENT: i64 = 4;
+/// The heap blocks of such a client: the two above and the pooled
+/// argv's buffer (the argv itself sits inline in the `Vm`; 4 while the
+/// root task's frame took a block of its own).
+const RUNNING_BLOCKS_PER_CLIENT: i64 = 3;
 
 #[test]
 fn a_client_is_under_a_kilobyte_and_a_steady_retry_allocates_nothing() {
