@@ -94,8 +94,9 @@ pub trait Study {
     fn sim(&self, discipline: Discipline, seed: u64) -> f64;
 
     /// Does the live pair confirm the simulator's `(aloha, ethernet)`
-    /// prediction?
-    fn confirms(&self, sim: (f64, f64), aloha: &Outcome, ethernet: &Outcome) -> bool;
+    /// prediction? Also returns what the verdict line adds after it:
+    /// the numbers the rule read (empty when the claim says it all).
+    fn verdict(&self, sim: (f64, f64), aloha: &Outcome, ethernet: &Outcome) -> (bool, String);
 
     /// The sentence under the table's title.
     fn preamble(&self, seed: u64) -> String;
@@ -161,6 +162,8 @@ pub struct Report {
     pub sim: (f64, f64),
     /// Did the live daemon confirm the predicted ordering?
     pub confirms: bool,
+    /// The numbers the verdict rule read, as its line prints them.
+    pub reading: String,
 }
 
 /// Run one discipline's population against a fresh daemon, and leave
@@ -215,8 +218,10 @@ pub fn run<S: Study>(study: &S, seed: u64, out_dir: &Path) -> io::Result<Report>
         out_dir.join(format!("{}.json", study.name())),
         series.to_json_pretty(),
     )?;
+    let (confirms, reading) = study.verdict(sim, &aloha, &ethernet);
     let report = Report {
-        confirms: study.confirms(sim, &aloha, &ethernet),
+        confirms,
+        reading,
         aloha,
         ethernet,
         sim,
@@ -250,9 +255,13 @@ fn render_table<S: Study>(study: &S, seed: u64, report: &Report) -> String {
     } else {
         "DOES NOT CONFIRM"
     };
+    let reading = match report.reading.as_str() {
+        "" => String::new(),
+        read => format!(": {read}"),
+    };
     let _ = writeln!(
         md,
-        "\nSim predicts {}; the live daemon **{verdict}** it.",
+        "\nSim predicts {}; the live daemon **{verdict}** it{reading}.",
         S::CLAIM
     );
     md
@@ -454,9 +463,31 @@ impl Study for LiveOptions {
         sim_last(fig, "Jobs Submitted", Scale::Full, seed)
     }
 
-    fn confirms(&self, sim: (f64, f64), aloha: &Outcome, ethernet: &Outcome) -> bool {
+    /// Confirms iff all three clauses hold: (1) the simulator predicts
+    /// fig3 > fig2; (2) live Ethernet completes more jobs than live
+    /// Aloha; (3) Ethernet's failed submits per job done are at most
+    /// half of Aloha's, compared in integers as `2·fail_E·jobs_A ≤
+    /// fail_A·jobs_E`, and false when Aloha failed no submit. Clause
+    /// (2) alone cannot tell one schedd from another when both counts
+    /// sit near their cap; (3) has range there.
+    fn verdict(&self, sim: (f64, f64), aloha: &Outcome, ethernet: &Outcome) -> (bool, String) {
         let jobs = |out: &Outcome| out.total(|c| c.submit_ok);
-        sim.1 > sim.0 && jobs(ethernet) > jobs(aloha)
+        let fail = |out: &Outcome| out.total(|c| c.submit_busy + c.submit_down + c.submit_lost);
+        let (jobs_a, jobs_e) = (jobs(aloha), jobs(ethernet));
+        let (fail_a, fail_e) = (fail(aloha), fail(ethernet));
+        let (lhs, rhs) = (2 * fail_e * jobs_a, fail_a * jobs_e);
+        let holds = [sim.1 > sim.0, jobs_e > jobs_a, fail_a > 0 && lhs <= rhs];
+        let mark = |i: usize| if holds[i] { "holds" } else { "fails" };
+        let reading = format!(
+            "(1) sim jobs {:.0} > {:.0} {}; (2) live jobs {jobs_e} > {jobs_a} {}; \
+             (3) failed submits per job, 2·{fail_e}·{jobs_a} = {lhs} ≤ {fail_a}·{jobs_e} = {rhs} {}",
+            sim.1,
+            sim.0,
+            mark(0),
+            mark(1),
+            mark(2),
+        );
+        (holds.iter().all(|&h| h), reading)
     }
 
     fn preamble(&self, seed: u64) -> String {
@@ -760,8 +791,9 @@ impl Study for CoordLiveOptions {
     /// "Ethernet ≥ Aloha" in outcome terms: its global completion is
     /// no later. Live wall-clock gets a small tolerance for scheduler
     /// noise on loaded CI runners.
-    fn confirms(&self, sim: (f64, f64), aloha: &Outcome, ethernet: &Outcome) -> bool {
-        sim.1 <= sim.0 && ethernet.wall_s <= aloha.wall_s * 1.05
+    fn verdict(&self, sim: (f64, f64), aloha: &Outcome, ethernet: &Outcome) -> (bool, String) {
+        let confirms = sim.1 <= sim.0 && ethernet.wall_s <= aloha.wall_s * 1.05;
+        (confirms, String::new())
     }
 
     fn preamble(&self, seed: u64) -> String {
@@ -1171,17 +1203,21 @@ mod tests {
         }
     }
 
-    fn report(aloha: Outcome, ethernet: Outcome, sim: (f64, f64), confirms: bool) -> Report {
+    /// The report `study`'s own verdict rule makes of the pair.
+    fn report(study: &impl Study, aloha: Outcome, ethernet: Outcome, sim: (f64, f64)) -> Report {
+        let (confirms, reading) = study.verdict(sim, &aloha, &ethernet);
         Report {
             aloha,
             ethernet,
             sim,
             confirms,
+            reading,
         }
     }
 
     // Rendered by the two renderers this one replaced, from outcomes
-    // with the same counts as the ones below.
+    // with the same counts as the ones below; the arena's verdict line
+    // has since gained the numbers its rule read.
     const ARENA_3: &str = "\
 # Live arena vs. simulation (fig2/fig3)
 
@@ -1192,7 +1228,7 @@ mod tests {
 | Aloha | 3 | 18 | 0 | 4 | 12 | 14.3 | 1111 |
 | Ethernet | 8 | 4 | 27 | 1 | 31 | 9.0 | 2222 |
 
-Sim predicts Ethernet > Aloha; the live daemon **CONFIRMS** it.
+Sim predicts Ethernet > Aloha; the live daemon **CONFIRMS** it: (1) sim jobs 2222 > 1111 holds; (2) live jobs 8 > 3 holds; (3) failed submits per job, 2·4·3 = 24 ≤ 18·8 = 144 holds.
 ";
     const ARENA_1000: &str = "\
 # Live arena vs. simulation (fig2/fig3)
@@ -1204,7 +1240,7 @@ Sim predicts Ethernet > Aloha; the live daemon **CONFIRMS** it.
 | Aloha | 2300 | 7285 | 0 | 37 | 2216 | 61.8 | 1111 |
 | Ethernet | 1999 | 74 | 9800 | 0 | 1987 | 58.0 | 2222 |
 
-Sim predicts Ethernet > Aloha; the live daemon **DOES NOT CONFIRM** it.
+Sim predicts Ethernet > Aloha; the live daemon **DOES NOT CONFIRM** it: (1) sim jobs 2222 > 1111 holds; (2) live jobs 1999 > 2300 fails; (3) failed submits per job, 2·74·2300 = 340400 ≤ 7285·1999 = 14562715 holds.
 ";
     const ALLREDUCE_CONFIRMS: &str = "\
 # Live all-reduce vs. simulation (fig8)
@@ -1248,13 +1284,14 @@ Sim predicts Ethernet ≤ Aloha on time-to-global-completion; the live daemon **
             row(1, [2, 0, 1, 0], 7, [0, 0]),
             row(2, [3, 2, 0, 0], 11, [0, 0]),
         ];
+        let arena = LiveOptions::quick();
         let quick = report(
+            &arena,
             outcome(Discipline::Aloha, aloha, 4, 14.26, 12.5, 0),
             outcome(Discipline::Ethernet, ethernet, 1, 9.04, 31.49, 0),
             sim,
-            true,
         );
-        assert_eq!(render_table(&LiveOptions::quick(), 2003, &quick), ARENA_3);
+        assert_eq!(render_table(&arena, 2003, &quick), ARENA_3);
 
         let aloha = vec![
             row(0, [1200, 3000, 700, 20], 0, [0, 0]),
@@ -1264,16 +1301,14 @@ Sim predicts Ethernet ≤ Aloha on time-to-global-completion; the live daemon **
             row(0, [1000, 40, 2, 0], 5000, [0, 0]),
             row(999, [999, 31, 0, 1], 4800, [0, 0]),
         ];
+        let arena = LiveOptions::sized(1000);
         let big = report(
+            &arena,
             outcome(Discipline::Aloha, aloha, 37, 61.75, 2215.6, 0),
             outcome(Discipline::Ethernet, ethernet, 0, 58.04, 1987.2, 0),
             sim,
-            false,
         );
-        assert_eq!(
-            render_table(&LiveOptions::sized(1000), 2003, &big),
-            ARENA_1000
-        );
+        assert_eq!(render_table(&arena, 2003, &big), ARENA_1000);
 
         let sim = (1033.7, 1017.25);
         let aloha = vec![
@@ -1289,15 +1324,58 @@ Sim predicts Ethernet ≤ Aloha on time-to-global-completion; the live daemon **
             row(3, [0; 4], 10, [6, 0]),
         ];
         let smoke = CoordLiveOptions::quick();
-        let mut ties = report(
-            outcome(Discipline::Aloha, aloha, 0, 2.334, 40.0, 1),
-            outcome(Discipline::Ethernet, ethernet, 0, 2.326, 52.0, 1),
-            sim,
-            true,
-        );
+        let aloha = outcome(Discipline::Aloha, aloha, 0, 2.334, 40.0, 1);
+        let mut ethernet = outcome(Discipline::Ethernet, ethernet, 0, 2.326, 52.0, 1);
+        let ties = report(&smoke, aloha.clone(), ethernet.clone(), sim);
         assert_eq!(render_table(&smoke, 2003, &ties), ALLREDUCE_CONFIRMS);
-        ties.ethernet.wall_s = 3.1;
-        ties.confirms = false;
-        assert_eq!(render_table(&smoke, 2003, &ties), ALLREDUCE_DOES_NOT);
+        ethernet.wall_s = 3.1;
+        let slower = report(&smoke, aloha, ethernet, sim);
+        assert_eq!(render_table(&smoke, 2003, &slower), ALLREDUCE_DOES_NOT);
+    }
+
+    /// The arena's third clause: Ethernet completes more jobs (clause
+    /// 2 holds), but fails more than half as many submits per job done
+    /// as Aloha, so the pair does not confirm. Aloha failing none fails
+    /// the clause too.
+    #[test]
+    fn more_jobs_alone_do_not_confirm_the_arena() {
+        let arena = LiveOptions::full();
+        let sim = (1111.0, 2222.0);
+        // Aloha: 40 jobs, 20 failed; Ethernet: 44 jobs, 12 failed.
+        // 2·12·40 = 960 > 20·44 = 880.
+        let aloha = vec![
+            row(0, [30, 10, 4, 1], 0, [0, 0]),
+            row(1, [10, 5, 0, 0], 0, [0, 0]),
+        ];
+        let ethernet = vec![
+            row(0, [24, 6, 0, 0], 50, [0, 0]),
+            row(1, [20, 4, 2, 0], 40, [0, 0]),
+        ];
+        let aloha = outcome(Discipline::Aloha, aloha, 2, 10.0, 10.0, 0);
+        let mut ethernet = outcome(Discipline::Ethernet, ethernet, 1, 8.0, 15.0, 0);
+        let (confirms, reading) = arena.verdict(sim, &aloha, &ethernet);
+        assert!(!confirms, "{reading}");
+        assert_eq!(
+            reading,
+            "(1) sim jobs 2222 > 1111 holds; (2) live jobs 44 > 40 holds; \
+             (3) failed submits per job, 2·12·40 = 960 ≤ 20·44 = 880 fails"
+        );
+        // One fewer Ethernet failure: 2·11·40 = 880 ≤ 880.
+        ethernet.clients[1].submit_down = 1;
+        assert!(arena.verdict(sim, &aloha, &ethernet).0);
+        // An Aloha population that failed nothing fails the clause.
+        let clean = |out: &Outcome| {
+            let mut out = out.clone();
+            for c in &mut out.clients {
+                (c.submit_busy, c.submit_down, c.submit_lost) = (0, 0, 0);
+            }
+            out
+        };
+        let (confirms, reading) = arena.verdict(sim, &clean(&aloha), &clean(&ethernet));
+        assert!(!confirms);
+        assert!(
+            reading.ends_with("2·0·40 = 0 ≤ 0·44 = 0 fails"),
+            "{reading}"
+        );
     }
 }
