@@ -123,6 +123,10 @@ pub struct Schedd<J> {
     /// it is the promoted head, waiting out the gap.
     server: FileServer<(J, Time)>,
     up: bool,
+    /// When the current downtime ends: a [`ScheddTimer::Restart`]
+    /// wake before then belongs to an earlier one, which a forced
+    /// restart cut short.
+    down_until: Time,
     /// The served job holds the transient descriptors.
     in_service: bool,
     gap_pending: bool,
@@ -138,6 +142,7 @@ impl<J> Schedd<J> {
             fds: FdTable::new(params.fd_capacity),
             server: FileServer::new(ServerKind::Normal),
             up: true,
+            down_until: Time::ZERO,
             in_service: false,
             gap_pending: false,
             params,
@@ -237,7 +242,7 @@ impl<J> Schedd<J> {
                     self.begin(now, fx);
                 }
             }
-            ScheddTimer::Restart => self.up = true,
+            ScheddTimer::Restart => self.up |= now >= self.down_until,
         }
     }
 
@@ -297,13 +302,14 @@ impl<J> Schedd<J> {
     fn crash(&mut self, now: Time, down: Dur, fx: &mut impl FnMut(ScheddEffect<J>)) {
         fx(ScheddEffect::Crashed);
         self.up = false;
+        self.down_until = now + down;
         self.gap_pending = false;
         self.end_service();
         for (job, _) in self.server.drain() {
             self.fds.release(self.params.fds_per_attempt);
             fx(ScheddEffect::Failed(job));
         }
-        fx(ScheddEffect::Wake(now + down, ScheddTimer::Restart));
+        fx(ScheddEffect::Wake(self.down_until, ScheddTimer::Restart));
     }
 }
 
@@ -518,6 +524,24 @@ mod tests {
         s.gap_pending = false;
         let done = wake(at(2060), ScheddTimer::ServiceDone(2));
         assert_eq!(restart(&mut s, at(1060)), [done]);
+    }
+
+    /// Killed at 0 s (down until 10 s), restarted at 1 s, killed again
+    /// at 2 s (down until 12 s): the first kill's wake at 10 s is not
+    /// for the current downtime, and the schedd stays down until 12 s.
+    #[test]
+    fn a_stale_restart_wake_does_not_end_a_later_downtime() {
+        let mut s = schedd(100, 10);
+        let first = kill(&mut s, at(0), None);
+        assert_eq!(first.last(), Some(&wake(at(10_000), ScheddTimer::Restart)));
+        restart(&mut s, at(1000));
+        let second = kill(&mut s, at(2000), None);
+        assert_eq!(second.last(), Some(&wake(at(12_000), ScheddTimer::Restart)));
+        assert_eq!(timer(&mut s, at(10_000), ScheddTimer::Restart), []);
+        refuse(&mut s, at(11_000), 1); // still down
+        assert_eq!(timer(&mut s, at(12_000), ScheddTimer::Restart), []);
+        let done = wake(at(13_000), ScheddTimer::ServiceDone(3));
+        assert_eq!(admit(&mut s, at(12_000), 2), [done]);
     }
 
     #[test]
