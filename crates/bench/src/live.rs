@@ -18,8 +18,9 @@
 //!
 //! * **The arena** ([`LiveOptions`], `figures --live`): the fig2/fig3
 //!   submission study. N clients run
-//!   [`gridworld::scripts::arena_script`] at a schedd whose slot pool
-//!   is far smaller than the population and which crashes under real
+//!   [`gridworld::scripts::arena_script`] at the paper's schedd
+//!   ([`simgrid::Schedd`], the simulator's own), on a descriptor table
+//!   far smaller than the population, which crashes under real
 //!   concurrent overload (plus forced kills). The full-scale
 //!   simulation predicts the Ethernet > Aloha ordering of completed
 //!   jobs, and the daemon either confirms it (`CONFIRMS`) or not —
@@ -132,7 +133,7 @@ pub struct Outcome {
     /// Per-client daemon counters at the end of the run; every count a
     /// table shows is a sum over these rows.
     pub clients: Vec<ClientSnapshot>,
-    /// Schedd crashes during the run (overload + plan-forced).
+    /// Schedd crashes during the run (starvation + plan-forced).
     pub crashes: u64,
     /// Wall-clock until the whole population finished.
     pub wall_s: f64,
@@ -284,44 +285,34 @@ pub struct LiveOptions {
     pub clients: usize,
     /// Jobs each client tries to push through the schedd.
     pub jobs: usize,
-    /// How long the schedd holds a slot per accepted job. Longer
-    /// service = longer busy windows = more blind submits per window.
+    /// How long the schedd takes to serve one job. Longer service =
+    /// longer busy windows = more blind submits per window.
     pub service: Duration,
-    /// Uncovered submits (net of grant decay) that crash the schedd.
-    /// Must sit above the occasional Ethernet sense-then-submit race
-    /// but below a blind stampede's sustained pressure.
-    pub crash_overloads: u32,
 }
 
 impl LiveOptions {
-    /// Full arena: 8 concurrent clients, 6 jobs each, 2 service slots.
+    /// Full arena: 8 concurrent clients, 6 jobs each, 2 descriptors.
     pub fn full() -> LiveOptions {
         LiveOptions {
             clients: 8,
             jobs: 6,
             service: Duration::from_millis(150),
-            crash_overloads: 5,
         }
     }
 
-    /// CI smoke arena: 3 concurrent clients, 3 jobs each, 1 slot.
-    /// Slower service and a lower crash threshold keep the physics
-    /// proportionate: 2 waiting clients can still crash the schedd by
-    /// hammering, but a single sense race cannot.
+    /// CI smoke arena: 3 concurrent clients, 3 jobs each, 1 descriptor,
+    /// slower service.
     pub fn quick() -> LiveOptions {
         LiveOptions {
             clients: 3,
             jobs: 3,
             service: Duration::from_millis(300),
-            crash_overloads: 3,
         }
     }
 
     /// An arena scaled to an arbitrary population (the `--live-clients`
     /// path). Small populations keep the historical full-arena physics;
-    /// larger ones shorten service and scale the crash threshold with
-    /// the population, so an Aloha stampede still crashes the schedd
-    /// while Ethernet's occasional stale-sense races do not.
+    /// larger ones shorten service.
     pub fn sized(clients: usize) -> LiveOptions {
         if clients <= 8 {
             return LiveOptions {
@@ -333,13 +324,12 @@ impl LiveOptions {
             clients,
             jobs: 4,
             service: Duration::from_millis(100),
-            crash_overloads: (clients / 8).max(6) as u32,
         }
     }
 }
 
 /// The arena's adversarial schedule: forced schedd kills on top of
-/// whatever the daemon's own overload physics produces. Identical for
+/// whatever the daemon's own starvation physics produces. Identical for
 /// both disciplines — the paper's point is how each *reacts*.
 fn arena_plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed).with(FaultSpec::repeating(
@@ -359,7 +349,7 @@ fn arena_plan(seed: u64) -> FaultPlan {
 /// applied.
 pub const ARENA_BACKOFF: (Dur, Dur) = (Dur::from_millis(100), Dur::from_secs(2));
 
-/// The arena's verb table: `sense` reads the schedd's free slots;
+/// The arena's verb table: `sense` reads the schedd's free descriptors;
 /// `submit <job>` commits the job.
 pub struct ArenaVerbs;
 
@@ -401,20 +391,17 @@ impl Study for LiveOptions {
         format!("live_arena-{}", self.clients)
     }
 
-    /// A genuinely contended schedd: the slot pool is far smaller than
-    /// the population, service takes real time, and a *sustained*
-    /// stampede crashes it. Every blind (Aloha) submit while the pool
-    /// is drained pushes the overload counter toward the crash
-    /// threshold; Ethernet's sense probe defers instead. The threshold
-    /// is high enough that the occasional sense-then-submit race (two
-    /// Ethernet clients both seeing the last free slot) does not crash
-    /// the schedd — only a population that keeps hammering a drained
-    /// pool does, which is the paper's point.
+    /// A genuinely contended schedd: the paper's, on a descriptor
+    /// table far smaller than the population, with service that takes
+    /// real time. Blind (Aloha) submits fill the table while the schedd
+    /// pauses between two services, and the next service then cannot
+    /// get its descriptor: the schedd crashes and every connected
+    /// submission is lost. Ethernet's sense probe reads the free
+    /// descriptors and defers instead.
     fn config(&self, seed: u64) -> GriddConfig {
         GriddConfig {
             slots: (self.clients / 4).max(1) as u64,
             service: self.service,
-            crash_overloads: self.crash_overloads,
             downtime: Duration::from_secs(3),
             deadline: Duration::from_secs(8),
             plan: arena_plan(seed),
@@ -911,8 +898,8 @@ mod tests {
         assert_eq!(t.verb(0, &spec(&["submit"])), Verb::Unknown);
     }
 
-    /// `clients` clients pushing two jobs each at a calm daemon (no
-    /// crashes, no forced kills: pure throughput).
+    /// `clients` clients pushing two jobs each at a daemon with no
+    /// forced kills.
     fn population(
         discipline: Discipline,
         clients: usize,
@@ -922,7 +909,6 @@ mod tests {
         let handle = gridd::start(GriddConfig {
             slots,
             service: Duration::from_millis(service_ms),
-            crash_overloads: u32::MAX,
             backlog: clients.max(64) * 2,
             ..GriddConfig::default()
         })
@@ -976,7 +962,7 @@ mod tests {
     /// the caller remembered to overwrite it.
     #[test]
     fn fixed_swarm_never_backs_off() {
-        // One slot, eight clients: most submits are refused busy.
+        // One descriptor, eight clients: no submit is ever served.
         let (report, _) = population(Discipline::Fixed, 8, 1, 40);
         assert!(
             count(

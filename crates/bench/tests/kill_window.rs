@@ -59,7 +59,6 @@ fn live_daemon_matches_sim_kill_accounting() {
     let cfg = GriddConfig {
         slots: 2,
         service: Duration::from_millis(500),
-        crash_overloads: 100,
         downtime: Duration::from_secs(2),
         deadline: Duration::from_secs(5),
         plan: FaultPlan::new(99).with(FaultSpec::once(

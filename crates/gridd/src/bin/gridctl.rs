@@ -4,8 +4,8 @@
 //! gridctl ADDR CLIENT submit JOB        print the job id
 //! gridctl ADDR CLIENT put NAME DATA...  store DATA (joined by spaces)
 //! gridctl ADDR CLIENT get NAME          print the file contents
-//! gridctl ADDR CLIENT df                print the free-slot count
-//! gridctl ADDR CLIENT sense N           exit 0 iff free slots >= N
+//! gridctl ADDR CLIENT df                print the free-descriptor count
+//! gridctl ADDR CLIENT sense N           exit 0 iff free descriptors >= N
 //! gridctl ADDR CLIENT stats             print the metrics JSON
 //! ```
 //!

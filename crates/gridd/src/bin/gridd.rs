@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! gridd [--listen ADDR] [--faults PLAN.json]
-//!       [--slots N] [--service-ms MS] [--crash-overloads N]
-//!       [--downtime-ms MS] [--deadline-ms MS] [--print-addr]
+//!       [--slots N] [--service-ms MS] [--downtime-ms MS]
+//!       [--deadline-ms MS] [--print-addr]
 //! ```
 //!
 //! Binds (default `127.0.0.1:7177`; `:0` picks a free port), prints
@@ -19,8 +19,8 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage: gridd [--listen ADDR] [--faults PLAN.json] \
-         [--slots N] [--service-ms MS] [--crash-overloads N] \
-         [--downtime-ms MS] [--deadline-ms MS] [--print-addr]"
+         [--slots N] [--service-ms MS] [--downtime-ms MS] \
+         [--deadline-ms MS] [--print-addr]"
     );
     ExitCode::from(2)
 }
@@ -46,7 +46,6 @@ fn main() -> ExitCode {
             "--listen" => cfg.listen = next_parse!(String),
             "--slots" => cfg.slots = next_parse!(u64),
             "--service-ms" => cfg.service = Duration::from_millis(next_parse!(u64)),
-            "--crash-overloads" => cfg.crash_overloads = next_parse!(u32),
             "--downtime-ms" => cfg.downtime = Duration::from_millis(next_parse!(u64)),
             "--deadline-ms" => cfg.deadline = Duration::from_millis(next_parse!(u64)),
             "--faults" => {

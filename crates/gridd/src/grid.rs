@@ -1,11 +1,11 @@
 //! The daemon's physics, with no socket in it and one clock.
 //!
 //! A [`Grid`] is everything about gridd that is *model* rather than
-//! *wiring*: the schedd's slot pool with its overload crashes and
-//! downtime, the file server (the simulator's own
-//! [`simgrid::KeyStore`] behind a byte-capacity check), the fault
-//! plan — its lasting kinds compiled to the simulator's own window
-//! table ([`simgrid::faults::FaultWindows`]), its state kinds kept as a
+//! *wiring*: the schedd (the simulator's own [`simgrid::Schedd`]), the
+//! file server (the simulator's own [`simgrid::KeyStore`] behind a
+//! byte-capacity check), the fault plan — its lasting kinds compiled to
+//! the simulator's own window table
+//! ([`simgrid::faults::FaultWindows`]), its state kinds kept as a
 //! trigger schedule — the plan's RNG stream and the per-client
 //! counters. It reads no clock and keeps no timer: the reactor
 //! ([`crate::server`]) hands it each event with `now` — a
@@ -22,26 +22,27 @@
 //! * [`Effect::Wake`]`(t, id)` asks for [`Grid::on_timer`]`(now, id)`
 //!   once `t` has come — never earlier, later is fine. A timer is
 //!   never cancelled: one that outlived its purpose (the peer hung
-//!   up, the store service was aborted) is recognised and ignored.
+//!   up, the store service was aborted, the schedd crashed) is
+//!   recognised and ignored.
 //! * The plan's timer, [`TimerId::Plan`], is the one exception to
 //!   asking: the reactor fires it once, unasked, when the daemon
 //!   starts. From then on the core asks for it at the plan's next
 //!   state trigger, one trigger at a time.
-//! * A wake named [`TimerId::Conn`] *holds* that connection until it
-//!   fires: the request it arrived with is stalled by a latency spike
-//!   or holds a schedd slot for its service time, and no further
-//!   request from that peer may be put to the core meanwhile. File
-//!   operations do not hold: a connection may have several queued at
-//!   the file server at once, as one simulated client's parallel
-//!   fetches are. Their replies come in the order asked; a sense read
-//!   (`df`, `stat`) is answered on the spot, past any file operation
-//!   the same connection still waits for — sensing is free.
+//! * A connection is *held* — no further request from that peer may be
+//!   put to the core — while a latency spike stalls the request it
+//!   arrived with, until the wake named [`TimerId::Conn`] fires; and
+//!   from an [`Effect::Hold`] until the core owes it no answer: a
+//!   submission waits at the schedd, unanswered, until it is served or
+//!   lost. File operations do not hold: a connection may have several
+//!   queued at the file server at once, as one simulated client's
+//!   parallel fetches are. Their replies come in the order asked; a
+//!   sense read (`df`, `stat`) is answered on the spot, past any file
+//!   operation the same connection still waits for — sensing is free.
 //! * [`Grid::on_hangup`] — a connection with requests outstanding
-//!   died. Its operations leave the file server's queue as a cancelled
-//!   client's leave the simulated one, freeing the server for the next
-//!   job if one was being served. A submission in service keeps its
-//!   slot to the end of its service time and is accounted then, reply
-//!   or no reply.
+//!   died. Its submission leaves the schedd and its operations leave
+//!   the file server's queue, as a cancelled client's leave the
+//!   simulated ones, freeing either server for the next job if one was
+//!   being served. Neither is accounted.
 //!
 //! ## Faults
 //!
@@ -49,15 +50,15 @@
 //! `schedd-restart` and `black-hole` trigger of the plan due at or
 //! before that event's instant, each at its own instant, through
 //! [`Grid::inject_fault`] — the simulator's hook, with the
-//! simulator's reading. A kill crashes the schedd unless it is down
-//! already, for whatever reason: then it does nothing and counts no
-//! crash. A restart brings it up at once, whatever took it down, with
-//! overload pressure cleared. A black hole is the file server's own kind: while it lasts, a `put`
-//! or `get` waits in the FIFO unanswered, and when it closes the
-//! waiting operations are served in arrival order. One whose peer
-//! hangs up, or is reaped by the reactor's idle patrol, leaves the
-//! queue. The daemon has one file server, so a black hole's `server`
-//! name is not read.
+//! simulator's reading, on the same [`simgrid::Schedd`]: a kill
+//! crashes the schedd unless it is down already, for whatever reason
+//! (then it does nothing and counts no crash); a restart brings it up
+//! at once, whatever took it down. A black hole is the file server's
+//! own kind: while it lasts, a `put` or `get` waits in the FIFO
+//! unanswered, and when it closes the waiting operations are served in
+//! arrival order. One whose peer hangs up, or is reaped by the
+//! reactor's idle patrol, leaves the queue. The daemon has one file
+//! server, so a black hole's `server` name is not read.
 //!
 //! ## Arrival and now
 //!
@@ -65,29 +66,39 @@
 //! arrived. Its window lookups — message loss, a free-space lie — are
 //! judged at the instant it **arrived**: a stalled request belongs to
 //! the windows it arrived in. The schedd's and the file server's
-//! *state* — down or up, slots free, a hole open — is judged when it
-//! is **served**. A put lands, and is refused by an ENOSPC window or a
-//! full disk, when its service *ends*, as in the simulator.
+//! *state* — down or up, descriptors free, a hole open — is judged
+//! when it is **served**. A put lands, and is refused by an ENOSPC
+//! window or a full disk, when its service *ends*, as in the
+//! simulator.
 //!
 //! ## The schedd
 //!
-//! A pool of [`GriddConfig::slots`] service slots; a `submit` holds one
-//! for [`GriddConfig::service`]. With none free the submission is
-//! refused and overload pressure rises; enough of it
-//! ([`GriddConfig::crash_overloads`]) crashes the schedd for
-//! [`GriddConfig::downtime`]. A `schedd-kill` crashes it too, for the
-//! spec's downtime or that one. Every crash starts a new *epoch*: the
-//! slots of the jobs in service are free at once, and those jobs
-//! complete as lost when their service time is up. This slot bucket
-//! is the live arena's schedd and the only implementation of itself;
-//! the paper's FD-table schedd is [`simgrid::Schedd`], which
-//! `gridworld`'s submission world drives.
+//! The paper's Condor schedd, [`simgrid::Schedd`] — the one
+//! `gridworld`'s submission world drives — with constants that are a
+//! pure function of [`GriddConfig`] (`schedd_params`): a descriptor
+//! table of [`GriddConfig::slots`], one descriptor per submission
+//! attempt and one for the service itself, an accept backlog of
+//! `slots`, [`GriddConfig::service`] per job on an idle machine with
+//! the simulator's ratio of bookkeeping gap to service, and
+//! [`GriddConfig::downtime`] after a crash. A `submit` opens an
+//! attempt and connects: a full table or backlog refuses it
+//! (`submit_busy`), a down schedd too (`submit_down`). Otherwise it
+//! waits, held, in the schedd's FIFO, and is answered when it is
+//! served (`submit_ok`, `"{job}@{n}"`) or when a crash — a service
+//! that cannot get its descriptor, or a `schedd-kill` — fails it
+//! (`submit_lost`, at the crash instant). `df` reads the free
+//! descriptors, as the simulated Ethernet client's
+//! `cut -f2 /proc/sys/fs/file-nr` does, whether or not the schedd is
+//! up.
 
 use crate::proto::{ErrCode, Request, Response};
 use crate::server::GriddConfig;
 use retry::{Dur, Time};
 use simgrid::faults::{FaultKind, FaultSpec, FaultWindows};
-use simgrid::{KeyStore, Series, SeriesSet, Served, ServerKind, SimRng, Started, StoreOp};
+use simgrid::{
+    KeyStore, Schedd, ScheddEffect, ScheddParams, ScheddTimer, Series, SeriesSet, Served,
+    ServerKind, SimRng, Started, StoreOp,
+};
 use std::collections::HashMap;
 
 /// The reactor's name for one connection; never reused while the
@@ -97,9 +108,10 @@ pub type ConnId = u64;
 /// Names a timer the core asked for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TimerId {
-    /// Whatever `conn` is held for — a latency stall or a submission's
-    /// service time — is due.
+    /// The latency stall that holds `conn` is over.
     Conn(ConnId),
+    /// One of the schedd's own timers.
+    Schedd(ScheddTimer),
     /// The file server's service with this sequence number ends.
     Store(u64),
     /// The fault plan's next state trigger is due.
@@ -109,10 +121,15 @@ pub enum TimerId {
 /// What the reactor must do for the core.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Effect {
-    /// Send the response; the connection is held no longer.
+    /// Send the response. A held connection that it leaves owed no
+    /// answer is held no longer.
     Reply(ConnId, Response),
     /// Close the connection without answering.
     Close(ConnId),
+    /// The request just put on the connection is answered later: hold
+    /// the connection until the core owes it no answer. Comes before
+    /// that answer, even when one call gives both.
+    Hold(ConnId),
     /// Call [`Grid::on_timer`] with this id once this instant has come.
     Wake(Time, TimerId),
 }
@@ -125,12 +142,13 @@ pub struct ClientSnapshot {
     pub client: u32,
     /// Jobs accepted and serviced to completion.
     pub submit_ok: u64,
-    /// Submissions refused for lack of a free slot.
+    /// Submissions refused for lack of a free descriptor or a place in
+    /// the backlog.
     pub submit_busy: u64,
     /// Submissions rejected while the schedd was down.
     pub submit_down: u64,
-    /// Jobs accepted but lost to a mid-service crash (overload-driven
-    /// or a forced `schedd-kill`).
+    /// Jobs accepted but lost to a crash while they waited or were
+    /// served (descriptor starvation or a forced `schedd-kill`).
     pub submit_lost: u64,
     /// Carrier-sense reads (`df`/`stat`).
     pub df_calls: u64,
@@ -164,24 +182,16 @@ impl ClientSnapshot {
     }
 }
 
-/// Why a connection is held.
-enum Hold {
-    /// A latency spike holds the request it arrived with.
-    Stalled { req: Request, arrived: Time },
-    /// A submission in service, stamped with the epoch that took it.
-    Service {
-        client: u32,
-        epoch: u64,
-        job_id: String,
-    },
+/// A submission at the schedd: the connection it answers, the client
+/// it counts for and the job id it is answered with.
+struct Job {
+    conn: ConnId,
+    client: u32,
+    id: String,
 }
 
 /// The daemon's state machine. See the module docs for the contract.
 pub struct Grid {
-    slots: u64,
-    service: Dur,
-    crash_overloads: u32,
-    downtime: Dur,
     deadline: Dur,
     disk_bytes: usize,
     windows: FaultWindows,
@@ -191,21 +201,59 @@ pub struct Grid {
     triggers: Vec<FaultSpec>,
     /// The plan's private stream (message-loss draws).
     rng: SimRng,
-    /// Slots held by jobs of the current epoch.
-    in_service: u64,
-    /// Consecutive-ish refusals for lack of a slot: a refusal adds
-    /// one, a grant takes one away.
-    overload: u32,
-    /// Crashes so far, by overload or by a kill: the schedd's epoch.
+    schedd: Schedd<Job>,
+    /// Schedd crashes so far, by starvation or by a kill.
     crashes: u64,
-    /// Crashed: down until then, unless a restart comes first.
-    down_until: Option<Time>,
     /// Jobs accepted so far (numbers the job ids).
     jobs: u64,
     store: KeyStore<String, Vec<u8>, (ConnId, u32)>,
     disk_used: usize,
     clients: HashMap<u32, ClientSnapshot>,
-    holds: HashMap<ConnId, Hold>,
+    /// Requests a latency spike holds, and when each arrived.
+    stalled: HashMap<ConnId, (Request, Time)>,
+}
+
+/// The schedd's constants, a pure function of the daemon's: a table of
+/// `slots` descriptors, one per attempt and one for the service; a
+/// backlog of `slots`, so that the table binds first; `service` per job
+/// with no CPU competition, and the simulator's default ratio of
+/// bookkeeping gap to service time; `downtime` after a crash.
+fn schedd_params(cfg: &GriddConfig) -> ScheddParams {
+    let sim = ScheddParams::default();
+    let service = Dur::from_std(cfg.service);
+    ScheddParams {
+        fd_capacity: cfg.slots,
+        fds_per_attempt: 1,
+        schedd_service_fds: 1,
+        backlog: usize::try_from(cfg.slots).unwrap_or(usize::MAX),
+        base_service: service,
+        service_gap: service * sim.service_gap.as_micros() / sim.base_service.as_micros(),
+        restart_downtime: Dur::from_std(cfg.downtime),
+        ..sim
+    }
+}
+
+/// Carry out what the schedd answered: a wake becomes a core timer, a
+/// served or failed job its connection's reply, a crash is counted.
+fn answer(
+    clients: &mut HashMap<u32, ClientSnapshot>,
+    crashes: &mut u64,
+    out: &mut Vec<Effect>,
+    fx: ScheddEffect<Job>,
+) {
+    match fx {
+        ScheddEffect::Wake(at, timer) => out.push(Effect::Wake(at, TimerId::Schedd(timer))),
+        ScheddEffect::Served { job, .. } => {
+            counters(clients, job.client).submit_ok += 1;
+            out.push(Effect::Reply(job.conn, Response::Ok { info: job.id }));
+        }
+        ScheddEffect::Failed(job) => {
+            counters(clients, job.client).submit_lost += 1;
+            let lost = err(ErrCode::Down, "job lost in schedd crash");
+            out.push(Effect::Reply(job.conn, lost));
+        }
+        ScheddEffect::Crashed => *crashes += 1,
+    }
 }
 
 fn counters(clients: &mut HashMap<u32, ClientSnapshot>, client: u32) -> &mut ClientSnapshot {
@@ -223,7 +271,7 @@ fn err(code: ErrCode, msg: impl Into<String>) -> Response {
 }
 
 impl Grid {
-    /// A freshly started daemon: full slot pool, empty file server,
+    /// A freshly started daemon: an idle schedd, an empty file server,
     /// the plan counted from `Time::ZERO`.
     pub fn new(cfg: &GriddConfig) -> Grid {
         let triggers = cfg.plan.specs.iter().filter(|spec| {
@@ -235,19 +283,13 @@ impl Grid {
             )
         });
         Grid {
-            slots: cfg.slots,
-            service: Dur::from_std(cfg.service),
-            crash_overloads: cfg.crash_overloads,
-            downtime: Dur::from_std(cfg.downtime),
             deadline: Dur::from_std(cfg.deadline),
             disk_bytes: cfg.disk_bytes,
             windows: cfg.plan.windows(),
             triggers: triggers.cloned().collect(),
             rng: cfg.plan.rng(),
-            in_service: 0,
-            overload: 0,
+            schedd: Schedd::new(schedd_params(cfg), 0),
             crashes: 0,
-            down_until: None,
             jobs: 0,
             store: KeyStore::new(
                 Dur::from_std(cfg.file_service),
@@ -256,31 +298,12 @@ impl Grid {
             ),
             disk_used: 0,
             clients: HashMap::new(),
-            holds: HashMap::new(),
+            stalled: HashMap::new(),
         }
     }
 
     fn client(&mut self, id: u32) -> &mut ClientSnapshot {
         counters(&mut self.clients, id)
-    }
-
-    /// Is the schedd up at `now`? A crash downtime that has run out
-    /// ends here, with overload pressure cleared.
-    fn up(&mut self, now: Time) -> bool {
-        if self.down_until.is_some_and(|until| now >= until) {
-            self.down_until = None;
-            self.overload = 0;
-        }
-        self.down_until.is_none()
-    }
-
-    /// The schedd crashes at `now` for `downtime`: every job in service
-    /// is lost (a new epoch), and its slot with it.
-    fn crash(&mut self, now: Time, downtime: Dur) {
-        self.overload = 0;
-        self.crashes += 1;
-        self.in_service = 0;
-        self.down_until = Some(now + downtime);
     }
 
     /// A fault fires at `now`: the simulator's
@@ -289,14 +312,10 @@ impl Grid {
     /// for [`GriddConfig::downtime`]). The kinds that are windows, or that
     /// change a VM, change nothing here.
     pub fn inject_fault(&mut self, now: Time, kind: &FaultKind, out: &mut Vec<Effect>) {
+        let fx = &mut |fx| answer(&mut self.clients, &mut self.crashes, out, fx);
         match kind {
-            FaultKind::ScheddKill { downtime } if self.up(now) => {
-                self.crash(now, downtime.unwrap_or(self.downtime));
-            }
-            FaultKind::ScheddRestart => {
-                self.down_until = None;
-                self.overload = 0;
-            }
+            FaultKind::ScheddKill { downtime } => self.schedd.kill(now, *downtime, fx),
+            FaultKind::ScheddRestart => self.schedd.restart(now, fx),
             FaultKind::ServerBlackHole { enable, .. } => {
                 let kind = if *enable {
                     ServerKind::BlackHole
@@ -335,7 +354,7 @@ impl Grid {
     }
 
     /// Per-client counters in client order, and the schedd crashes so
-    /// far: overload crashes plus the forced kills that hit — the
+    /// far: starvation crashes plus the forced kills that hit — the
     /// accounting the simulator uses.
     pub fn snapshot(&self) -> (Vec<ClientSnapshot>, u64) {
         let mut clients: Vec<ClientSnapshot> = self.clients.values().cloned().collect();
@@ -375,7 +394,7 @@ impl Grid {
         } else {
             // The stall is bounded like every wait on a connection.
             let until = now + extra.min(self.deadline);
-            self.holds.insert(conn, Hold::Stalled { req, arrived: now });
+            self.stalled.insert(conn, (req, now));
             out.push(Effect::Wake(until, TimerId::Conn(conn)));
         }
     }
@@ -384,7 +403,16 @@ impl Grid {
     pub fn on_timer(&mut self, now: Time, id: TimerId, out: &mut Vec<Effect>) {
         self.apply_plan(now, out);
         match id {
-            TimerId::Conn(conn) => self.release(now, conn, out),
+            TimerId::Conn(conn) => {
+                // Absent when the peer hung up first.
+                if let Some((req, arrived)) = self.stalled.remove(&conn) {
+                    self.serve(now, arrived, conn, req, out);
+                }
+            }
+            TimerId::Schedd(timer) => {
+                let fx = &mut |fx| answer(&mut self.clients, &mut self.crashes, out, fx);
+                self.schedd.on_timer(now, timer, fx);
+            }
             TimerId::Store(seq) => {
                 let next = self.finish_store(now, seq, out);
                 self.run_store(now, next, out);
@@ -397,38 +425,12 @@ impl Grid {
         }
     }
 
-    /// What `conn` was held for is due.
-    fn release(&mut self, now: Time, conn: ConnId, out: &mut Vec<Effect>) {
-        match self.holds.remove(&conn) {
-            None => {} // the peer hung up first
-            Some(Hold::Stalled { req, arrived }) => self.serve(now, arrived, conn, req, out),
-            Some(Hold::Service {
-                client,
-                epoch,
-                job_id,
-            }) => {
-                let resp = if epoch == self.crashes {
-                    self.in_service -= 1;
-                    self.client(client).submit_ok += 1;
-                    Response::Ok { info: job_id }
-                } else {
-                    // A crash (overload or forced kill) took the job,
-                    // and its slot was freed with it.
-                    self.client(client).submit_lost += 1;
-                    err(ErrCode::Down, "job lost in schedd crash")
-                };
-                out.push(Effect::Reply(conn, resp));
-            }
-        }
-    }
-
     /// Connection `conn`, with requests outstanding, is gone.
     pub fn on_hangup(&mut self, now: Time, conn: ConnId, out: &mut Vec<Effect>) {
         self.apply_plan(now, out);
-        // A slot is held, and accounted, to the end of service.
-        if !matches!(self.holds.get(&conn), Some(Hold::Service { .. })) {
-            self.holds.remove(&conn);
-        }
+        self.stalled.remove(&conn);
+        let fx = &mut |fx| answer(&mut self.clients, &mut self.crashes, out, fx);
+        self.schedd.leave(now, |job| job.conn == conn, fx);
         let next = self.store.leave(|&(c, _)| c == conn);
         self.run_store(now, next, out);
     }
@@ -453,23 +455,13 @@ impl Grid {
             return;
         }
         let resp = match req {
-            Request::Submit { client, job } => match self.submit(now, client, &job) {
-                Ok(hold) => {
-                    // The slot is held for the service time: this is
-                    // where concurrent aggressive clients collide.
-                    self.holds.insert(conn, hold);
-                    out.push(Effect::Wake(now + self.service, TimerId::Conn(conn)));
-                    return;
-                }
+            Request::Submit { client, job } => match self.submit(now, conn, client, job, out) {
+                Ok(()) => return,
                 Err(refusal) => refusal,
             },
             Request::Df { client } => {
                 self.client(client).df_calls += 1;
-                let free = if self.up(now) {
-                    self.slots - self.in_service
-                } else {
-                    0
-                };
+                let free = self.schedd.fds().free();
                 // An active free-space lie skews the estimate — the
                 // attack on carrier sense itself.
                 let lied = (free as i64).saturating_add(self.windows.df_delta(arrived));
@@ -502,35 +494,42 @@ impl Grid {
         out.push(Effect::Reply(conn, resp));
     }
 
-    /// A submission: a refusal to send back, or the hold that keeps
-    /// its slot.
-    fn submit(&mut self, now: Time, client: u32, job: &str) -> Result<Hold, Response> {
-        if !self.up(now) {
-            self.client(client).submit_down += 1;
-            return Err(err(ErrCode::Down, "schedd is down"));
+    /// A submission opens an attempt and connects to the schedd, where
+    /// it waits, held, to be served or lost; or it is refused, with the
+    /// reply to send back.
+    fn submit(
+        &mut self,
+        now: Time,
+        conn: ConnId,
+        client: u32,
+        job: String,
+        out: &mut Vec<Effect>,
+    ) -> Result<(), Response> {
+        if self.schedd.open_attempt().is_err() {
+            self.client(client).submit_busy += 1;
+            return Err(err(ErrCode::Busy, "no free descriptors"));
         }
-        if self.in_service >= self.slots {
-            self.overload += 1;
-            if self.overload < self.crash_overloads {
-                self.client(client).submit_busy += 1;
-                return Err(err(ErrCode::Busy, "no free service slots"));
-            }
-            // The stampede starved the schedd: it crashes, every job
-            // in service is lost, and the service goes dark.
-            self.crash(now, self.downtime);
-            self.client(client).submit_down += 1;
-            return Err(err(ErrCode::Down, "schedd crashed under load"));
+        let id = format!("{job}@{}", self.jobs + 1);
+        // Before anything the schedd answers: a service that starves
+        // at once fails this very job.
+        out.push(Effect::Hold(conn));
+        let fx = &mut |fx| answer(&mut self.clients, &mut self.crashes, out, fx);
+        if self
+            .schedd
+            .arrive(now, Job { conn, client, id }, fx)
+            .is_ok()
+        {
+            self.jobs += 1;
+            return Ok(());
         }
-        self.in_service += 1;
-        // A grant relieves pressure but does not erase it: sustained
-        // overload still accumulates toward a crash while slots churn.
-        self.overload = self.overload.saturating_sub(1);
-        self.jobs += 1;
-        Ok(Hold::Service {
-            client,
-            epoch: self.crashes,
-            job_id: format!("{job}@{}", self.jobs),
-        })
+        out.pop(); // refused, with nothing answered: no hold
+        if self.schedd.is_up() {
+            self.client(client).submit_busy += 1;
+            Err(err(ErrCode::Busy, "the schedd's backlog is full"))
+        } else {
+            self.client(client).submit_down += 1;
+            Err(err(ErrCode::Down, "schedd is down"))
+        }
     }
 
     /// The file server started a service (or did not): one that costs

@@ -4,6 +4,7 @@
 use super::*;
 use crate::tests::quick_config;
 use simgrid::faults::{FaultKind, FaultPlan, FaultSpec};
+use std::collections::HashSet;
 use std::time::Duration;
 
 fn ms(n: u64) -> Time {
@@ -14,13 +15,23 @@ fn ms(n: u64) -> Time {
 /// wait in `wakes` and fire, in the order of their instants (then
 /// of asking), as the clock is moved past them; every reply and
 /// close is logged with the instant it happened. As the reactor
-/// does, the bench fires the plan's timer once, unasked, at start.
+/// does, the bench fires the plan's timer once, unasked, at start,
+/// and holds a connection from an [`Effect::Hold`] until its answer,
+/// or from a stall's wake until it fires: no request may arrive on a
+/// held connection.
 struct Bench {
     grid: Grid,
     wakes: Vec<(Time, u64, TimerId)>,
     asked: u64,
     log: Vec<(Time, Effect)>,
+    held: HashSet<ConnId>,
+    /// Every reply, inline or later, as it came: when, to whom, and
+    /// its error code (`None`: not an error).
+    answers: Vec<Answer>,
 }
+
+/// One reply: when, to whom, and its error code (`None`: not an error).
+type Answer = (Time, ConnId, Option<ErrCode>);
 
 impl Bench {
     fn new(cfg: &GriddConfig) -> Bench {
@@ -29,20 +40,37 @@ impl Bench {
             wakes: vec![(Time::ZERO, 0, TimerId::Plan)],
             asked: 1,
             log: Vec::new(),
+            held: HashSet::new(),
+            answers: Vec::new(),
         }
     }
 
-    /// File what the core answered at `now`; returns the part that
-    /// is not timers.
+    /// File what the core answered at `now`; returns the replies and
+    /// closes.
     fn absorb(&mut self, now: Time, effects: Vec<Effect>) -> Vec<Effect> {
         let mut rest = Vec::new();
         for e in effects {
-            if let Effect::Wake(at, id) = e {
-                assert!(at >= now, "a timer in the past: {at:?} < {now:?}");
-                self.wakes.push((at, self.asked, id));
-                self.asked += 1;
-            } else {
-                rest.push(e);
+            match e {
+                Effect::Wake(at, id) => {
+                    assert!(at >= now, "a timer in the past: {at:?} < {now:?}");
+                    if let TimerId::Conn(conn) = id {
+                        self.held.insert(conn);
+                    }
+                    self.wakes.push((at, self.asked, id));
+                    self.asked += 1;
+                }
+                Effect::Hold(conn) => {
+                    assert!(self.held.insert(conn), "{conn} held twice");
+                }
+                Effect::Reply(conn, ref resp) => {
+                    self.held.remove(&conn);
+                    self.answers.push((now, conn, code(resp)));
+                    rest.push(e);
+                }
+                Effect::Close(conn) => {
+                    self.held.remove(&conn);
+                    rest.push(e);
+                }
             }
         }
         rest
@@ -56,6 +84,9 @@ impl Bench {
                 return;
             };
             self.wakes.remove(0);
+            if let TimerId::Conn(conn) = id {
+                self.held.remove(&conn);
+            }
             let mut out = Vec::new();
             self.grid.on_timer(at, id, &mut out);
             for e in self.absorb(at, out) {
@@ -68,6 +99,7 @@ impl Bench {
     /// answered on the spot (nothing: the connection is held).
     fn send(&mut self, at: Time, conn: ConnId, req: Request) -> Vec<Effect> {
         self.advance(at);
+        assert!(!self.held.contains(&conn), "{conn} is held");
         let mut out = Vec::new();
         self.grid.on_request(at, conn, req, &mut out);
         self.absorb(at, out)
@@ -75,6 +107,7 @@ impl Bench {
 
     fn hangup(&mut self, at: Time, conn: ConnId) {
         self.advance(at);
+        self.held.remove(&conn);
         let mut out = Vec::new();
         self.grid.on_hangup(at, conn, &mut out);
         for e in self.absorb(at, out) {
@@ -326,43 +359,149 @@ fn a_full_disk_refuses_puts_but_not_overwrites_that_fit() {
     assert_eq!((me.put_ok, me.put_err), (2, 1));
 }
 
+/// A bare [`simgrid::Schedd`] under the daemon's constants
+/// (`schedd_params`), driven as the daemon drives its own: each
+/// submit opens an attempt and connects, and its wakes fire in the
+/// order of their instants (then of asking).
+struct Bare {
+    schedd: Schedd<ConnId>,
+    filed: Filed,
+}
+
+/// What a bare schedd answered.
+#[derive(Default)]
+struct Filed {
+    wakes: Vec<(Time, u64, ScheddTimer)>,
+    asked: u64,
+    answers: Vec<Answer>,
+    crashes: Vec<Time>,
+}
+
+impl Filed {
+    /// File what the schedd answered at `now` as the bench files the
+    /// daemon's replies: a served job is not an error, a failed one is
+    /// `down`.
+    fn file(&mut self, now: Time, fx: ScheddEffect<ConnId>) {
+        match fx {
+            ScheddEffect::Wake(at, timer) => {
+                self.wakes.push((at, self.asked, timer));
+                self.asked += 1;
+            }
+            ScheddEffect::Served { job, .. } => self.answers.push((now, job, None)),
+            ScheddEffect::Failed(job) => self.answers.push((now, job, Some(ErrCode::Down))),
+            ScheddEffect::Crashed => self.crashes.push(now),
+        }
+    }
+}
+
+impl Bare {
+    fn new(cfg: &GriddConfig) -> Bare {
+        Bare {
+            schedd: Schedd::new(schedd_params(cfg), 0),
+            filed: Filed::default(),
+        }
+    }
+
+    fn advance(&mut self, to: Time) {
+        loop {
+            let wakes = &mut self.filed.wakes;
+            wakes.sort_by_key(|&(at, n, _)| (at, n));
+            let Some(&(at, _, timer)) = wakes.first().filter(|w| w.0 <= to) else {
+                return;
+            };
+            wakes.remove(0);
+            let filed = &mut self.filed;
+            self.schedd
+                .on_timer(at, timer, &mut |fx| filed.file(at, fx));
+        }
+    }
+
+    fn submit(&mut self, at: Time, conn: ConnId) {
+        self.advance(at);
+        if self.schedd.open_attempt().is_err() {
+            self.filed.answers.push((at, conn, Some(ErrCode::Busy)));
+            return;
+        }
+        let filed = &mut self.filed;
+        if self
+            .schedd
+            .arrive(at, conn, &mut |fx| filed.file(at, fx))
+            .is_err()
+        {
+            let code = if self.schedd.is_up() {
+                ErrCode::Busy
+            } else {
+                ErrCode::Down
+            };
+            self.filed.answers.push((at, conn, Some(code)));
+        }
+    }
+}
+
+/// Item 10(d)'s differential, fig2's crash knee on virtual time. A
+/// blind burst fills the three-descriptor table while the schedd pauses
+/// between two services (30 ms service, a 5 ms gap): the next service
+/// cannot get its descriptor, and the schedd crashes at the gap's end.
+/// Every connected submission is lost at that instant — the promoted
+/// head, then the queue in arrival order — and the table is whole
+/// again, so `df` reads it free while the schedd is down. A bare
+/// `simgrid::Schedd` under the same constants, given the same calls,
+/// answers the same, at the same instants.
 #[test]
-fn overload_crashes_the_schedd_and_df_sees_it() {
+fn a_blind_burst_across_a_gap_starves_the_schedd_as_the_simulators_does() {
     let mut cfg = quick_config();
-    cfg.slots = 1;
-    cfg.service = Duration::from_millis(500);
-    cfg.crash_overloads = 2;
+    cfg.slots = 3;
+    let burst: [(u64, ConnId); 6] = [(0, 1), (10, 2), (10, 3), (31, 4), (32, 5), (33, 6)];
+    let later: [(u64, ConnId); 2] = [(100, 7), (335, 8)];
     let mut b = Bench::new(&cfg);
-    // Occupy the only slot.
-    assert!(b.send(ms(0), 1, submit(1, "hog")).is_empty());
-    // First overloaded submit: busy. Second: crash.
+    let mut bare = Bare::new(&cfg);
+    for &(at, conn) in &burst {
+        b.send(ms(at), conn, submit(conn as u32, &format!("j{conn}")));
+        bare.submit(ms(at), conn);
+    }
+    // Job 1 was served at 30 ms; jobs 2, 4 and 5 fill the table.
+    assert_eq!(b.df(ms(34)), 0);
+    assert_eq!(b.grid.snapshot().1, 0);
+    b.advance(ms(35));
+    assert_eq!(b.grid.snapshot().1, 1, "the starvation crash, at 35 ms");
+    assert_eq!(b.df(ms(36)), 3, "the crash gave every descriptor back");
+    for &(at, conn) in &later {
+        b.send(ms(at), conn, submit(conn as u32, &format!("j{conn}")));
+        bare.submit(ms(at), conn);
+    }
+    assert_eq!(b.df(ms(340)), 1, "job 8 is in service");
+    b.advance(ms(1000));
+    bare.advance(ms(1000));
+
+    let (busy, down) = (Some(ErrCode::Busy), Some(ErrCode::Down));
+    let expected = [
+        (ms(10), 3, busy),  // the table is full
+        (ms(30), 1, None),  // served
+        (ms(33), 6, busy),  // full again, in the gap
+        (ms(35), 2, down),  // the promoted head...
+        (ms(35), 4, down),  // ...then the queue, in arrival order
+        (ms(35), 5, down),  //
+        (ms(100), 7, down), // still down
+        (ms(365), 8, None), // up at 335 ms, served 30 ms later
+    ];
+    // The bench's own `df` reads answer on connection 99.
+    let submits: Vec<Answer> = b.answers.iter().filter(|a| a.1 != 99).copied().collect();
+    assert_eq!(submits, expected);
     assert_eq!(
-        refused(&b.send(ms(100), 2, submit(0, "j1")), 2),
-        ErrCode::Busy
+        bare.filed.answers, submits,
+        "the daemon is the simulator's schedd"
     );
-    assert_eq!(
-        refused(&b.send(ms(100), 2, submit(0, "j2")), 2),
-        ErrCode::Down
-    );
-    // Carrier sense reads zero while the schedd is down.
-    assert_eq!(b.df(ms(101)), 0);
-    assert_eq!(b.df(ms(399)), 0);
-    // After downtime the schedd is back with a full pool: the
-    // crash freed the hog's slot along with the hog.
-    assert_eq!(b.df(ms(400)), 1, "crashed at 100 ms, down for 300");
-    assert!(b.send(ms(400), 2, submit(0, "j3")).is_empty());
-    // The in-flight job was lost in the crash.
-    b.advance(ms(900));
-    let (at, resp) = b.answer(1).expect("the hog hears back");
-    assert_eq!((at, code(resp)), (ms(500), Some(ErrCode::Down)));
+    assert_eq!(bare.filed.crashes, [ms(35)]);
+    let lost: Vec<u64> = [2, 4, 5].map(|c| b.row(c).submit_lost).to_vec();
+    assert_eq!(lost, [1, 1, 1]);
     let done = Response::Ok {
-        info: "j3@2".into(),
+        info: "j8@5".into(),
     };
-    assert_eq!(b.answer(2), Some((ms(900), &done)));
-    assert_eq!(b.grid.snapshot().1, 1);
-    assert_eq!(b.row(1).submit_lost, 1);
-    let me = b.row(0);
-    assert_eq!((me.submit_busy, me.submit_down, me.submit_ok), (1, 1, 1));
+    assert_eq!(
+        b.answer(8),
+        Some((ms(365), &done)),
+        "jobs 1, 2, 4, 5 came first"
+    );
 }
 
 #[test]
@@ -386,7 +525,7 @@ fn fault_plan_drives_enospc_and_lies() {
     let windowed = b.send(ms(1), 1, put(3, "x", b"data"));
     assert_eq!(refused(&windowed, 1), ErrCode::Enospc);
     assert_eq!(b.row(3).put_err, 1);
-    // 2 real free slots + a 40-slot lie.
+    // 2 real free descriptors + a 40-descriptor lie.
     assert_eq!(b.df(ms(1)), 42);
 }
 
@@ -396,7 +535,9 @@ fn forced_schedd_kill_window_rejects_submits() {
     cfg.plan = FaultPlan::new(5).with(kill(Time::ZERO, 3_600_000));
     let mut b = Bench::new(&cfg);
     assert_eq!(refused(&b.send(ms(1), 1, submit(0, "j")), 1), ErrCode::Down);
-    assert_eq!(b.df(ms(1)), 0);
+    // `df` reads the descriptor table, which does not know the schedd
+    // is down: the refused attempt gave its descriptor back.
+    assert_eq!(b.df(ms(1)), 2);
     // The file server is a different service: still up.
     let stored = Response::Ok {
         info: "2 bytes".into(),
@@ -407,55 +548,53 @@ fn forced_schedd_kill_window_rejects_submits() {
     );
 }
 
-/// A forced `schedd-kill` window opening mid-service must lose the
-/// in-service job (`submit_lost`), not complete it as `submit_ok`;
-/// and the window closing must hand back a *full* slot pool with
-/// the overload streak cleared.
+/// A forced `schedd-kill` landing mid-service loses the job in service
+/// (`submit_lost`) at the kill's instant, not when its service would
+/// have ended, and gives its descriptors back; the schedd refuses
+/// submits until the downtime is over.
 #[test]
-fn forced_kill_loses_in_service_job_and_refills_slot_pool() {
+fn a_forced_kill_loses_the_job_in_service_at_once() {
     let mut cfg = quick_config();
     cfg.service = Duration::from_millis(500);
-    // Kill window [150 ms, 450 ms): opens while the victim job is
-    // in service, closes before its service time is up.
+    // Down over [150 ms, 450 ms), while the victim is in service.
     cfg.plan = FaultPlan::new(7).with(kill(ms(150), 300));
     let mut b = Bench::new(&cfg);
     assert!(b.send(ms(0), 1, submit(1, "victim")).is_empty());
-    assert_eq!(b.df(ms(149)), 1);
-    assert_eq!(b.df(ms(150)), 0, "window must read as down");
-    assert_eq!(
-        refused(&b.send(ms(250), 2, submit(0, "rejected")), 2),
-        ErrCode::Down
-    );
-    assert_eq!(b.df(ms(449)), 0);
-    // The window has exited: the pool is back to full strength,
-    // including the slot the lost job was holding.
-    assert_eq!(b.df(ms(450)), 2, "slot pool must refill after the window");
-    // The victim was mid-service when the window opened: its
-    // completion lands in a later crash epoch and is lost.
-    b.advance(ms(500));
+    assert_eq!(b.df(ms(149)), 0, "its attempt and its service");
+    assert_eq!(b.df(ms(150)), 2, "both given back by the crash");
     match b.answer(1) {
         Some((at, Response::Err { code, msg })) => {
-            assert_eq!((at, *code), (ms(500), ErrCode::Down));
+            assert_eq!((at, *code), (ms(150), ErrCode::Down));
             assert!(msg.contains("lost"), "want a lost-job message, got {msg}");
         }
         other => panic!("victim must lose its job, got {other:?}"),
     }
-    assert_eq!(b.df(ms(500)), 2, "and the lost job returns no second slot");
+    let rejected = b.send(ms(250), 2, submit(0, "rejected"));
+    assert_eq!(refused(&rejected, 2), ErrCode::Down);
+    assert_eq!(
+        refused(&b.send(ms(449), 2, submit(0, "early")), 2),
+        ErrCode::Down
+    );
+    assert!(
+        b.send(ms(450), 2, submit(0, "after")).is_empty(),
+        "up again"
+    );
+    b.advance(ms(2000));
     let (_, crashes) = b.grid.snapshot();
-    assert_eq!(crashes, 1, "the forced window counts as one crash");
+    assert_eq!(crashes, 1, "the forced kill counts as one crash");
     let victim = b.row(1);
     assert_eq!((victim.submit_lost, victim.submit_ok), (1, 0), "{victim:?}");
+    let me = b.row(0);
+    assert_eq!((me.submit_down, me.submit_ok), (2, 1), "{me:?}");
 }
 
-/// Regression: a submit stalled by a latency spike *across the end*
-/// of a kill's downtime is judged by the schedd that serves it — up
-/// again — and the restart that ended the downtime happened once.
-/// Judging the schedd by arrival instants re-opened the outage, and
-/// the next request "closed" it again: a second refill with a job in
-/// service.
+/// A submit stalled by a latency spike *across the end* of a kill's
+/// downtime is judged by the schedd that serves it — up again — and is
+/// admitted once, into a table the schedd's own service shares.
 #[test]
-fn a_submit_stalled_across_a_kill_windows_end_does_not_refill_the_pool_twice() {
+fn a_submit_stalled_across_a_kills_downtime_is_admitted_once() {
     let mut cfg = quick_config();
+    cfg.slots = 3;
     cfg.service = Duration::from_secs(1);
     cfg.plan = FaultPlan::new(7)
         .with(kill(ms(100), 100))
@@ -471,27 +610,39 @@ fn a_submit_stalled_across_a_kill_windows_end_does_not_refill_the_pool_twice() {
     // Arrives while the schedd is down, inside the spike: held until
     // 150 + 150 ms, when the schedd is up again.
     assert!(b.send(ms(150), 1, submit(1, "stalled")).is_empty());
-    // The outage is over; a long job takes one of two slots.
+    // The outage is over; a long job is served at once.
     assert!(b.send(ms(210), 2, submit(2, "long")).is_empty());
     assert_eq!(b.df(ms(250)), 1);
     b.advance(ms(300));
-    assert_eq!(b.answer(1), None, "served at 300 ms, and in service");
-    assert_eq!(b.df(ms(310)), 0, "two jobs in service");
+    assert_eq!(b.answer(1), None, "admitted at 300 ms, and queued");
+    assert_eq!(b.df(ms(310)), 0, "two attempts and one service");
     let third = b.send(ms(330), 4, submit(4, "third"));
-    assert_eq!(refused(&third, 4), ErrCode::Busy, "never more than `slots`");
-    b.advance(ms(2000));
+    assert_eq!(refused(&third, 4), ErrCode::Busy, "the table is full");
+    b.advance(ms(3000));
     assert_eq!(b.row(1).submit_ok + b.row(2).submit_ok, 2);
-    assert_eq!(b.df(ms(2000)), 2);
+    assert_eq!(b.df(ms(3000)), 3);
+    assert_eq!(b.grid.snapshot().1, 1);
 }
 
+/// A peer that hangs up takes its submission out of the schedd, as a
+/// cancelled simulated client leaves it: its descriptors come back at
+/// once, it is never accounted, and the schedd pauses its gap before
+/// the next job.
 #[test]
-fn a_submission_outlives_its_connection() {
+fn a_hangup_takes_its_submission_out_of_the_schedd() {
     let mut b = Bench::new(&quick_config());
     assert!(b.send(ms(0), 1, submit(1, "j")).is_empty());
+    assert_eq!(b.df(ms(4)), 0);
     b.hangup(ms(5), 1);
-    assert_eq!(b.df(ms(29)), 1, "the slot is held to the end of service");
-    assert_eq!(b.df(ms(30)), 2);
-    assert_eq!(b.row(1).submit_ok, 1, "accounted though nobody listens");
+    assert_eq!(b.df(ms(5)), 2, "attempt and service given back");
+    assert!(b.send(ms(6), 2, submit(2, "next")).is_empty());
+    b.advance(ms(100));
+    assert_eq!(b.answer(1), None);
+    let done = Response::Ok {
+        info: "next@2".into(),
+    };
+    assert_eq!(b.answer(2), Some((ms(40), &done)), "after the 5 ms gap");
+    assert_eq!((b.row(1).submit_ok, b.row(1).submit_lost), (0, 0));
 }
 
 /// A black hole is the file server's own kind. While it lasts, a
@@ -539,78 +690,104 @@ fn a_black_hole_holds_file_requests_until_it_closes() {
 }
 
 /// The simulator's kill rule: a kill that finds the schedd down, from
-/// an overload crash or an earlier kill, does nothing — no crash
+/// a starvation crash or an earlier kill, does nothing — no crash
 /// counted, and the outage it found ends when it would have.
 #[test]
 fn a_kill_while_down_does_nothing() {
     let mut cfg = quick_config();
-    cfg.slots = 1;
-    cfg.service = Duration::from_millis(500);
-    cfg.crash_overloads = 1;
+    cfg.service = Duration::from_millis(600); // a 100 ms gap
     cfg.plan = FaultPlan::new(1)
-        .with(kill(ms(100), 1000))
-        .with(kill(ms(400), 100))
-        .with(kill(ms(450), 1000));
+        .with(kill(ms(800), 1000))
+        .with(kill(ms(1010), 100))
+        .with(kill(ms(1050), 1000));
     let mut b = Bench::new(&cfg);
-    assert!(b.send(ms(0), 1, submit(1, "hog")).is_empty());
-    // The first refusal crashes the schedd: down over [10, 310) ms.
+    assert!(b.send(ms(0), 1, submit(1, "a")).is_empty());
+    // Two blind submits fill the table in the gap after job 1: the
+    // schedd starves at 700 ms and is down over [700, 1000) ms.
+    assert!(b.send(ms(610), 2, submit(2, "b")).is_empty());
+    assert!(b.send(ms(620), 3, submit(3, "c")).is_empty());
+    b.advance(ms(700));
+    assert_eq!(b.grid.snapshot().1, 1);
+    let down = b.send(ms(999), 4, submit(4, "d"));
+    assert_eq!(refused(&down, 4), ErrCode::Down);
+    assert_eq!(b.grid.snapshot().1, 1, "the kill at 800 ms found it down");
+    assert!(b.send(ms(1000), 4, submit(4, "e")).is_empty(), "up again");
+    // The kill at 1010 ms hits, and loses job "e"; the one at 1050 ms
+    // finds the schedd down.
+    let down = b.send(ms(1109), 5, submit(5, "f"));
+    assert_eq!(refused(&down, 5), ErrCode::Down);
+    assert_eq!(b.grid.snapshot().1, 2);
+    assert!(
+        b.send(ms(1110), 5, submit(5, "g")).is_empty(),
+        "the 100 ms kill's only"
+    );
+    assert_eq!(b.grid.snapshot().1, 2);
+    let lost: Vec<u64> = [1, 2, 3, 4].map(|c| b.row(c).submit_lost).to_vec();
+    assert_eq!(lost, [0, 1, 1, 1], "job 1 was served first");
+}
+
+/// A trigger applies before any event at its instant, the schedd's
+/// own restart wake included: a kill at the very instant a downtime
+/// ends finds the schedd down, and the downtime ends as it would have.
+#[test]
+fn a_kill_at_the_instant_a_downtime_ends_finds_the_schedd_down() {
+    let mut cfg = quick_config();
+    cfg.plan = FaultPlan::new(1)
+        .with(kill(ms(100), 100))
+        .with(kill(ms(200), 1000));
+    let mut b = Bench::new(&cfg);
     assert_eq!(
-        refused(&b.send(ms(10), 2, submit(2, "j")), 2),
+        refused(&b.send(ms(199), 1, submit(1, "a")), 1),
         ErrCode::Down
     );
-    assert_eq!(b.df(ms(309)), 0);
-    assert_eq!(b.df(ms(310)), 1, "the kill at 100 ms found it down");
-    assert_eq!(b.grid.snapshot().1, 1, "and counted no crash");
-    // The kill at 400 ms hits; the one at 450 ms finds it down.
-    assert_eq!(b.df(ms(400)), 0);
-    assert_eq!(b.df(ms(499)), 0);
-    assert_eq!(b.df(ms(500)), 1, "down for the first kill's 100 ms only");
-    assert_eq!(b.grid.snapshot().1, 2);
-    let (_, resp) = b.answer(1).expect("the hog hears back");
-    assert_eq!(
-        code(resp),
-        Some(ErrCode::Down),
-        "lost in the overload crash"
+    assert!(
+        b.send(ms(200), 1, submit(1, "b")).is_empty(),
+        "up at 200 ms"
     );
+    assert_eq!(b.grid.snapshot().1, 1);
 }
 
 /// A restart brings the schedd up at once, whatever took it down, and
-/// clears overload pressure even on a running schedd.
+/// the wake that was to end a downtime a restart cut short does not end
+/// a later one.
 #[test]
-fn a_restart_ends_any_downtime_and_clears_overload() {
+fn a_restart_ends_any_downtime_and_no_stale_wake_ends_a_later_one() {
     let mut cfg = quick_config();
-    cfg.slots = 1;
-    cfg.service = Duration::from_secs(1);
-    cfg.crash_overloads = 2;
+    cfg.downtime = Duration::from_secs(10);
     cfg.plan = FaultPlan::new(1)
         .with(restart(ms(100)))
         .with(kill(ms(200), 10_000))
         .with(restart(ms(300)))
-        .with(restart(ms(500)));
+        .with(FaultSpec::once(
+            ms(400),
+            FaultKind::ScheddKill { downtime: None },
+        ));
     let mut b = Bench::new(&cfg);
-    assert!(b.send(ms(0), 1, submit(1, "hog")).is_empty());
+    assert!(
+        b.send(ms(100), 1, submit(1, "a")).is_empty(),
+        "a restart while up"
+    );
+    b.advance(ms(200));
     assert_eq!(
-        refused(&b.send(ms(10), 2, submit(2, "a")), 2),
-        ErrCode::Busy
+        b.answer(1).map(|(at, r)| (at, code(r))),
+        Some((ms(130), None))
     );
     assert_eq!(
-        refused(&b.send(ms(20), 2, submit(2, "b")), 2),
+        refused(&b.send(ms(299), 2, submit(2, "b")), 2),
         ErrCode::Down
     );
-    assert_eq!(b.df(ms(99)), 0);
-    assert_eq!(b.df(ms(100)), 1, "an overload downtime ended early");
-    assert_eq!(b.df(ms(200)), 0);
-    assert_eq!(b.df(ms(300)), 1, "a kill's ten seconds ended early");
-    assert!(b.send(ms(400), 3, submit(3, "c")).is_empty());
-    assert_eq!(
-        refused(&b.send(ms(410), 4, submit(4, "d")), 4),
-        ErrCode::Busy
+    assert!(
+        b.send(ms(300), 2, submit(2, "c")).is_empty(),
+        "ten seconds cut short"
     );
-    // Without the restart at 500 ms, this second refusal would crash.
+    // Killed again at 400 ms, for the daemon's ten seconds: the first
+    // kill's wake at 10.2 s finds the schedd down for another 0.2 s.
+    b.advance(ms(10_200));
     assert_eq!(
-        refused(&b.send(ms(510), 4, submit(4, "e")), 4),
-        ErrCode::Busy
+        refused(&b.send(ms(10_300), 3, submit(3, "d")), 3),
+        ErrCode::Down
     );
+    assert!(b.send(ms(10_400), 3, submit(3, "e")).is_empty());
     assert_eq!(b.grid.snapshot().1, 2);
 }
 
@@ -649,10 +826,23 @@ fn a_trigger_due_by_an_inputs_instant_applies_before_it() {
     let mut grid = Grid::new(&cfg);
     let mut out = Vec::new();
     grid.on_request(ms(99), 1, submit(1, "a"), &mut out);
-    assert_eq!(out, [Effect::Wake(ms(129), TimerId::Conn(1))]);
+    let done = TimerId::Schedd(ScheddTimer::ServiceDone(1));
+    assert_eq!(out, [Effect::Hold(1), Effect::Wake(ms(129), done)]);
     out.clear();
+    // The kill at 100 ms comes first: it loses job "a", then "b" finds
+    // the schedd down.
     grid.on_request(ms(100), 2, submit(2, "b"), &mut out);
-    assert_eq!(refused(&out, 2), ErrCode::Down);
+    let restart = TimerId::Schedd(ScheddTimer::Restart);
+    let lost = err(ErrCode::Down, "job lost in schedd crash");
+    let down = err(ErrCode::Down, "schedd is down");
+    assert_eq!(
+        out,
+        [
+            Effect::Reply(1, lost),
+            Effect::Wake(ms(1100), restart),
+            Effect::Reply(2, down)
+        ]
+    );
     out.clear();
     grid.on_request(ms(150), 3, put(3, "f", b"x"), &mut out);
     assert_eq!(out, [Effect::Wake(ms(200), TimerId::Store(1))]);

@@ -13,8 +13,8 @@
 //! * [`poll`] — the readiness layer: epoll wrapper, timer wheel,
 //!   cross-thread waker, listener-backlog widening;
 //! * [`grid`] — the daemon's physics with no socket in it and one
-//!   clock: slot-pool schedd with crash epochs, the simulator's own
-//!   key store and fault-window table, counters; driven by
+//!   clock: the simulator's own schedd, key store and fault-window
+//!   table, counters; driven by
 //!   `on_request` / `on_timer` / `on_hangup` with explicit instants,
 //!   and by the fault plan's own timer through `inject_fault`;
 //! * [`server`] — the reactor around it: one epoll event loop over
@@ -47,12 +47,12 @@ mod tests {
     use std::net::TcpStream;
     use std::time::{Duration, Instant};
 
-    /// A small schedd with short holds, for this crate's tests.
+    /// A small schedd with short services, for this crate's tests: a
+    /// two-descriptor table serves one job at a time.
     pub(crate) fn quick_config() -> GriddConfig {
         GriddConfig {
             slots: 2,
             service: Duration::from_millis(30),
-            crash_overloads: 3,
             downtime: Duration::from_millis(300),
             deadline: Duration::from_secs(2),
             ..GriddConfig::default()
@@ -214,13 +214,13 @@ mod tests {
     #[test]
     fn shutdown_is_bounded_with_inflight_service() {
         let mut cfg = quick_config();
-        cfg.slots = 1;
         cfg.service = Duration::from_secs(30);
         let h = start(cfg).unwrap();
         let addr = h.addr().to_string();
         let c = GridClient::new(addr.clone(), 0);
         let bg = std::thread::spawn(move || GridClient::new(addr, 2).submit("parked"));
-        // Each read is a round trip; the slot is taken once it reads 0.
+        // Each read is a round trip; the job is in service once the
+        // two-descriptor table reads 0.
         while c.df().unwrap() != 0 {}
         let t0 = Instant::now();
         h.shutdown();

@@ -19,7 +19,7 @@
 //! | `submit` | client id, job name       | `ok` (job id)          |
 //! | `put`    | client id, file name, data| `ok` (bytes stored)    |
 //! | `get`    | client id, file name      | `data` (file contents) |
-//! | `df`     | client id                 | `free` (free slots)    |
+//! | `df`     | client id                 | `free` (free FDs)      |
 //! | `stat`   | client id, file name      | `free` (1 if it exists)|
 //! | `stats`  | —                         | `stats` (metrics JSON) |
 //!
@@ -104,8 +104,9 @@ pub enum Response {
     },
     /// Free capacity (for `df`).
     Free {
-        /// Free schedd slots right now (possibly a lie under a
-        /// `free-space-lie` fault window).
+        /// Free descriptors in the schedd's table right now (possibly
+        /// a lie under a `free-space-lie` fault window), or 1 / 0 for a
+        /// `stat` that finds / misses its key.
         slots: u64,
     },
     /// Per-client counters (for `stats`).

@@ -14,8 +14,9 @@
 //! what was framed before it, and a wake becomes a timer-wheel entry
 //! that calls [`Grid::on_timer`] back, so every delay is a timer and
 //! never a sleeping thread. A wake that names a connection holds it
-//! until it fires: frame parsing pauses and read interest drops, so TCP
-//! backpressure reaches the peer.
+//! until it fires, and a hold holds it until the core owes it no
+//! answer: meanwhile frame parsing pauses and read interest drops, so
+//! TCP backpressure reaches the peer.
 //!
 //! ## What a wake-up costs
 //!
@@ -36,7 +37,7 @@
 //! * **`epoll_ctl` only when interest changes.** Each connection
 //!   remembers the interest set epoll holds for it. A served verb
 //!   changes nothing; a `submit` pays its two real changes (the hold
-//!   drops read interest, the timer restores it).
+//!   drops read interest, its answer restores it).
 //! * **One read per event.** One loop-owned buffer; a `read` that does
 //!   not fill it has emptied the socket and ends the read loop — epoll
 //!   is level-triggered, so whatever lands later raises a new event.
@@ -98,12 +99,13 @@ pub struct GriddConfig {
     /// dropped (the overloaded schedd refusing service). The cap's
     /// only home: no fault plan overrides it.
     pub backlog: usize,
-    /// Schedd service-slot pool (token bucket capacity).
+    /// The schedd's descriptor table: one descriptor per submission
+    /// attempt and one for the service, so `slots - 1` submissions can
+    /// wait while one is served (see [`crate::grid`], "The schedd").
+    /// With one, every service starves and crashes the schedd.
     pub slots: u64,
-    /// How long one submission holds a slot.
+    /// How long the schedd takes to serve one submission.
     pub service: Duration,
-    /// Consecutive no-slot submissions that crash the schedd.
-    pub crash_overloads: u32,
     /// How long a crashed schedd stays down (also the default for
     /// `schedd-kill` specs without an explicit downtime).
     pub downtime: Duration,
@@ -134,7 +136,6 @@ impl Default for GriddConfig {
             backlog: 4096,
             slots: 4,
             service: Duration::from_millis(150),
-            crash_overloads: 6,
             downtime: Duration::from_millis(1500),
             deadline: Duration::from_secs(10),
             disk_bytes: 16 << 20,
@@ -182,7 +183,7 @@ impl GriddHandle {
     }
 
     /// Point-in-time per-client counters plus the global schedd crash
-    /// count — overload crashes *and* the forced kills that hit a
+    /// count — starvation crashes *and* the forced kills that hit a
     /// running schedd, the same accounting the simulator uses — the
     /// structured twin of the `stats` verb.
     pub fn snapshot(&self) -> (Vec<ClientSnapshot>, u64) {
@@ -251,8 +252,8 @@ enum TimerEv {
     /// Per-connection idle patrol.
     Deadline { idx: usize, gen: u64 },
     /// A timer the core asked for ([`Effect::Wake`]). It fires whether
-    /// or not the connection it concerns survived: a slot must return
-    /// and a job must be accounted either way.
+    /// or not the connection it concerns survived: the core recognises
+    /// one that outlived its purpose.
     Core(TimerId),
 }
 
@@ -266,8 +267,9 @@ struct Conn {
     out_pos: usize,
     /// Requests put to the core and not yet answered.
     owed: u32,
-    /// A core timer naming this connection is pending: frames are not
-    /// parsed and the socket is not read until it fires.
+    /// The core holds this connection — a timer naming it is pending,
+    /// or it is owed the answer to a request the core put on hold:
+    /// frames are not parsed and the socket is not read until then.
     held: bool,
     last_activity: Instant,
     /// The last flush left bytes the socket would not take. Until a
@@ -308,6 +310,9 @@ struct EventLoop {
     tick: Instant,
     /// Reused buffer for the core's answers.
     effects: Vec<Effect>,
+    /// Reused buffer for the connections an answer released from a
+    /// [`Effect::Hold`].
+    released: Vec<ConnId>,
     /// Connections with something framed (or a close pending) that no
     /// flush has seen yet; emptied after every event and fired timer.
     dirty: Vec<ConnId>,
@@ -344,6 +349,7 @@ impl EventLoop {
             timers,
             tick,
             effects: Vec::new(),
+            released: Vec::new(),
             dirty: Vec::new(),
             read_buf: vec![0; READ_BUF].into_boxed_slice(),
             events: Vec::new(),
@@ -508,9 +514,12 @@ impl EventLoop {
     // ------------------------------------------------------------ core
 
     /// Put one event to the core, on the clock reading of the event
-    /// being handled, and carry out what it answers.
+    /// being handled, and carry out what it answers. A connection that
+    /// an answer leaves owed nothing is held no longer: it goes back to
+    /// parsing what it has buffered once every answer is carried out.
     fn ask(&mut self, event: impl FnOnce(&mut Grid, Time, &mut Vec<Effect>)) {
         let mut effects = std::mem::take(&mut self.effects);
+        let mut released = std::mem::take(&mut self.released);
         event(
             &mut self.inner.grid(),
             self.inner.time(self.tick),
@@ -522,6 +531,10 @@ impl EventLoop {
                     let Some(idx) = self.live(id) else { continue };
                     let conn = self.conns[idx].as_mut().expect("live conn");
                     conn.owed -= 1;
+                    if conn.held && conn.owed == 0 {
+                        conn.held = false;
+                        released.push(id);
+                    }
                     if conn.closing {
                         continue; // nothing is framed behind a close
                     }
@@ -539,11 +552,10 @@ impl EventLoop {
                         self.close_after_flush(idx);
                     }
                 }
+                Effect::Hold(id) => self.hold(id),
                 Effect::Wake(at, id) => {
                     if let TimerId::Conn(conn) = id {
-                        if let Some(idx) = self.live(conn) {
-                            self.conns[idx].as_mut().expect("live conn").held = true;
-                        }
+                        self.hold(conn);
                     }
                     let at = self.inner.start + Duration::from_micros(at.as_micros());
                     self.timers.schedule(at, TimerEv::Core(id));
@@ -551,8 +563,22 @@ impl EventLoop {
             }
         }
         // Carrying out an effect can put a further event to the core;
-        // the innermost call leaves its buffer behind for reuse.
+        // the innermost call leaves its buffers behind for reuse.
         self.effects = effects;
+        for id in released.drain(..) {
+            if let Some(idx) = self.live(id) {
+                self.drain_frames(idx);
+            }
+        }
+        self.released = released;
+    }
+
+    /// Parse no further frame from connection `id` until the core
+    /// releases it.
+    fn hold(&mut self, id: ConnId) {
+        if let Some(idx) = self.live(id) {
+            self.conns[idx].as_mut().expect("live conn").held = true;
+        }
     }
 
     /// A timer the core asked for is due. One that names a connection
@@ -561,7 +587,7 @@ impl EventLoop {
     fn on_core_timer(&mut self, id: TimerId) {
         let held = match id {
             TimerId::Conn(conn) => self.live(conn),
-            TimerId::Store(_) | TimerId::Plan => None,
+            TimerId::Schedd(_) | TimerId::Store(_) | TimerId::Plan => None,
         };
         if let Some(idx) = held {
             self.conns[idx].as_mut().expect("live conn").held = false;

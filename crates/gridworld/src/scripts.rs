@@ -130,14 +130,15 @@ pub fn reader_ethernet() -> Script {
 /// Budgets of one live-arena unit: `try for 6 seconds or 8 times`.
 const ARENA_UNIT_BUDGET: Dur = Dur::from_secs(6);
 const ARENA_UNIT_ATTEMPTS: u32 = 8;
-/// Free schedd slots under which the live-arena Ethernet client defers.
+/// Free schedd descriptors under which the live-arena Ethernet client
+/// defers.
 pub const ARENA_SENSE_THRESHOLD: u64 = 1;
 
 /// The script one live-arena client runs against a real `gridd`:
 /// `jobs` sequential submission units, each an attempt- and
 /// time-budgeted `try` whose failure the `catch` absorbs so the next
 /// unit still runs. The Ethernet variant senses the carrier the way
-/// [`submit_ethernet`] does — read the schedd's free slots, defer
+/// [`submit_ethernet`] does — read the schedd's free descriptors, defer
 /// while there are none — turning a stampede into a deferral.
 /// `${client}` comes in through the environment, so one parsed script
 /// serves the whole population.

@@ -149,6 +149,11 @@ impl<J> Schedd<J> {
         }
     }
 
+    /// Is the schedd up? A down one refuses every connection.
+    pub fn is_up(&self) -> bool {
+        self.up
+    }
+
     /// The descriptor table — what the carrier-sense probe reads.
     pub fn fds(&self) -> &FdTable {
         &self.fds
