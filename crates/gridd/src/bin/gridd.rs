@@ -9,7 +9,7 @@
 //! Binds (default `127.0.0.1:7177`; `:0` picks a free port), prints
 //! `gridd listening on ADDR` (stdout, flushed — machine-readable with
 //! `--print-addr`, which prints *only* the address), then serves until
-//! killed.
+//! killed. A `--slots` below 2 (a table that can serve no job) exits 2.
 
 use gridd::GriddConfig;
 use std::io::Write as _;
@@ -78,6 +78,10 @@ fn main() -> ExitCode {
 
     let handle = match gridd::start(cfg) {
         Ok(h) => h,
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            eprintln!("gridd: {e}");
+            return ExitCode::from(2);
+        }
         Err(e) => {
             eprintln!("gridd: cannot bind: {e}");
             return ExitCode::FAILURE;

@@ -31,9 +31,9 @@
 //! * A connection is *held* — no further request from that peer may be
 //!   put to the core — while a latency spike stalls the request it
 //!   arrived with, until the wake named [`TimerId::Conn`] fires; and
-//!   from an [`Effect::Hold`] until the core owes it no answer: a
-//!   submission waits at the schedd, unanswered, until it is served or
-//!   lost. File operations do not hold: a connection may have several
+//!   from an [`Effect::Hold`] until the [`Effect::Release`] that
+//!   follows its answer: a submission waits at the schedd, unanswered,
+//!   until it is served or lost. File operations do not hold: a connection may have several
 //!   queued at the file server at once, as one simulated client's
 //!   parallel fetches are. Their replies come in the order asked; a
 //!   sense read (`df`, `stat`) is answered on the spot, past any file
@@ -121,15 +121,17 @@ pub enum TimerId {
 /// What the reactor must do for the core.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Effect {
-    /// Send the response. A held connection that it leaves owed no
-    /// answer is held no longer.
+    /// Send the response.
     Reply(ConnId, Response),
     /// Close the connection without answering.
     Close(ConnId),
     /// The request just put on the connection is answered later: hold
-    /// the connection until the core owes it no answer. Comes before
-    /// that answer, even when one call gives both.
+    /// the connection until the [`Effect::Release`] that follows that
+    /// answer. Comes before the answer, even when one call gives both.
     Hold(ConnId),
+    /// The request that held the connection has just been answered:
+    /// it is held no longer.
+    Release(ConnId),
     /// Call [`Grid::on_timer`] with this id once this instant has come.
     Wake(Time, TimerId),
 }
@@ -213,18 +215,30 @@ pub struct Grid {
     stalled: HashMap<ConnId, (Request, Time)>,
 }
 
+/// Descriptors one submission attempt pins.
+const ATTEMPT_FDS: u64 = 1;
+/// Descriptors the schedd takes to serve one submission.
+const SERVICE_FDS: u64 = 1;
+
+/// The free descriptors one submission needs to be served: its
+/// attempt's and the service's. A smaller table starves every service,
+/// so [`crate::start`] refuses it; a carrier-sensing client that reads
+/// fewer free defers.
+pub const SERVE_FDS: u64 = ATTEMPT_FDS + SERVICE_FDS;
+
 /// The schedd's constants, a pure function of the daemon's: a table of
-/// `slots` descriptors, one per attempt and one for the service; a
-/// backlog of `slots`, so that the table binds first; `service` per job
-/// with no CPU competition, and the simulator's default ratio of
-/// bookkeeping gap to service time; `downtime` after a crash.
+/// `slots` descriptors, [`ATTEMPT_FDS`] per attempt and [`SERVICE_FDS`]
+/// for the service; a backlog of `slots`, so that the table binds
+/// first; `service` per job with no CPU competition, and the
+/// simulator's default ratio of bookkeeping gap to service time;
+/// `downtime` after a crash.
 fn schedd_params(cfg: &GriddConfig) -> ScheddParams {
     let sim = ScheddParams::default();
     let service = Dur::from_std(cfg.service);
     ScheddParams {
         fd_capacity: cfg.slots,
-        fds_per_attempt: 1,
-        schedd_service_fds: 1,
+        fds_per_attempt: ATTEMPT_FDS,
+        schedd_service_fds: SERVICE_FDS,
         backlog: usize::try_from(cfg.slots).unwrap_or(usize::MAX),
         base_service: service,
         service_gap: service * sim.service_gap.as_micros() / sim.base_service.as_micros(),
@@ -246,11 +260,13 @@ fn answer(
         ScheddEffect::Served { job, .. } => {
             counters(clients, job.client).submit_ok += 1;
             out.push(Effect::Reply(job.conn, Response::Ok { info: job.id }));
+            out.push(Effect::Release(job.conn));
         }
         ScheddEffect::Failed(job) => {
             counters(clients, job.client).submit_lost += 1;
             let lost = err(ErrCode::Down, "job lost in schedd crash");
             out.push(Effect::Reply(job.conn, lost));
+            out.push(Effect::Release(job.conn));
         }
         ScheddEffect::Crashed => *crashes += 1,
     }
@@ -510,19 +526,19 @@ impl Grid {
             return Err(err(ErrCode::Busy, "no free descriptors"));
         }
         let id = format!("{job}@{}", self.jobs + 1);
-        // Before anything the schedd answers: a service that starves
-        // at once fails this very job.
-        out.push(Effect::Hold(conn));
+        let mark = out.len();
         let fx = &mut |fx| answer(&mut self.clients, &mut self.crashes, out, fx);
         if self
             .schedd
             .arrive(now, Job { conn, client, id }, fx)
             .is_ok()
         {
+            // Before anything the schedd answered: a service that
+            // starves at once fails this very job.
+            out.insert(mark, Effect::Hold(conn));
             self.jobs += 1;
             return Ok(());
         }
-        out.pop(); // refused, with nothing answered: no hold
         if self.schedd.is_up() {
             self.client(client).submit_busy += 1;
             Err(err(ErrCode::Busy, "the schedd's backlog is full"))

@@ -16,7 +16,8 @@ fn ms(n: u64) -> Time {
 /// of asking), as the clock is moved past them; every reply and
 /// close is logged with the instant it happened. As the reactor
 /// does, the bench fires the plan's timer once, unasked, at start,
-/// and holds a connection from an [`Effect::Hold`] until its answer,
+/// and holds a connection from an [`Effect::Hold`] until its
+/// [`Effect::Release`], which must follow the held request's answer,
 /// or from a stall's wake until it fires: no request may arrive on a
 /// held connection.
 struct Bench {
@@ -62,8 +63,12 @@ impl Bench {
                 Effect::Hold(conn) => {
                     assert!(self.held.insert(conn), "{conn} held twice");
                 }
+                Effect::Release(conn) => {
+                    assert!(self.held.remove(&conn), "{conn} released unheld");
+                    let last = self.answers.last().map(|&(_, c, _)| c);
+                    assert_eq!(last, Some(conn), "{conn} released before its answer");
+                }
                 Effect::Reply(conn, ref resp) => {
-                    self.held.remove(&conn);
                     self.answers.push((now, conn, code(resp)));
                     rest.push(e);
                 }
@@ -839,6 +844,7 @@ fn a_trigger_due_by_an_inputs_instant_applies_before_it() {
         out,
         [
             Effect::Reply(1, lost),
+            Effect::Release(1),
             Effect::Wake(ms(1100), restart),
             Effect::Reply(2, down)
         ]

@@ -87,6 +87,20 @@ mod tests {
         assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
     }
 
+    /// A table smaller than one submission's attempt plus its service
+    /// starves every service: the daemon refuses it.
+    #[test]
+    fn a_table_that_can_serve_no_job_is_refused() {
+        for slots in [0, grid::SERVE_FDS - 1] {
+            let cfg = GriddConfig {
+                slots,
+                ..quick_config()
+            };
+            let refused = start(cfg).err().expect("no schedd that cannot serve");
+            assert_eq!(refused.kind(), std::io::ErrorKind::InvalidInput);
+        }
+    }
+
     /// Pipeline `reqs` (a `None` is a well-formed frame with an unknown
     /// verb tag) in one write.
     fn pipeline(s: &mut TcpStream, reqs: &[Option<Request>]) {

@@ -14,8 +14,8 @@
 //! what was framed before it, and a wake becomes a timer-wheel entry
 //! that calls [`Grid::on_timer`] back, so every delay is a timer and
 //! never a sleeping thread. A wake that names a connection holds it
-//! until it fires, and a hold holds it until the core owes it no
-//! answer: meanwhile frame parsing pauses and read interest drops, so
+//! until it fires, and a hold holds it until the core releases it,
+//! once the held request is answered: meanwhile frame parsing pauses and read interest drops, so
 //! TCP backpressure reaches the peer.
 //!
 //! ## What a wake-up costs
@@ -73,7 +73,7 @@
 //! lock, so a second loop would only add contention on it; one loop
 //! serves the 1000-client arena with room to spare.
 
-use crate::grid::{ClientSnapshot, ConnId, Effect, Grid, TimerId};
+use crate::grid::{ClientSnapshot, ConnId, Effect, Grid, TimerId, SERVE_FDS};
 use crate::poll::{set_nonblocking, waker, Epoll, Event, TimerWheel, WakeRx, Waker};
 use crate::proto::{clear_and_trim, ErrCode, FrameBuf, Request, Response};
 use retry::Time;
@@ -102,7 +102,8 @@ pub struct GriddConfig {
     /// The schedd's descriptor table: one descriptor per submission
     /// attempt and one for the service, so `slots - 1` submissions can
     /// wait while one is served (see [`crate::grid`], "The schedd").
-    /// With one, every service starves and crashes the schedd.
+    /// [`start`] refuses fewer than [`SERVE_FDS`], with which every
+    /// service would starve and crash the schedd.
     pub slots: u64,
     /// How long the schedd takes to serve one submission.
     pub service: Duration,
@@ -209,6 +210,12 @@ pub fn start(cfg: GriddConfig) -> io::Result<GriddHandle> {
             "gridd runs one event loop; threads must be 0 or 1",
         ));
     }
+    if cfg.slots < SERVE_FDS {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("a schedd of fewer than {SERVE_FDS} slots can serve no job"),
+        ));
+    }
     let listener = TcpListener::bind(&cfg.listen)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
@@ -310,8 +317,8 @@ struct EventLoop {
     tick: Instant,
     /// Reused buffer for the core's answers.
     effects: Vec<Effect>,
-    /// Reused buffer for the connections an answer released from a
-    /// [`Effect::Hold`].
+    /// Reused buffer for the connections an [`Effect::Release`] ended
+    /// the hold of.
     released: Vec<ConnId>,
     /// Connections with something framed (or a close pending) that no
     /// flush has seen yet; emptied after every event and fired timer.
@@ -514,9 +521,9 @@ impl EventLoop {
     // ------------------------------------------------------------ core
 
     /// Put one event to the core, on the clock reading of the event
-    /// being handled, and carry out what it answers. A connection that
-    /// an answer leaves owed nothing is held no longer: it goes back to
-    /// parsing what it has buffered once every answer is carried out.
+    /// being handled, and carry out what it answers. A connection the
+    /// core releases goes back to parsing what it has buffered once
+    /// every answer is carried out.
     fn ask(&mut self, event: impl FnOnce(&mut Grid, Time, &mut Vec<Effect>)) {
         let mut effects = std::mem::take(&mut self.effects);
         let mut released = std::mem::take(&mut self.released);
@@ -531,10 +538,6 @@ impl EventLoop {
                     let Some(idx) = self.live(id) else { continue };
                     let conn = self.conns[idx].as_mut().expect("live conn");
                     conn.owed -= 1;
-                    if conn.held && conn.owed == 0 {
-                        conn.held = false;
-                        released.push(id);
-                    }
                     if conn.closing {
                         continue; // nothing is framed behind a close
                     }
@@ -553,6 +556,12 @@ impl EventLoop {
                     }
                 }
                 Effect::Hold(id) => self.hold(id),
+                Effect::Release(id) => {
+                    if let Some(idx) = self.live(id) {
+                        self.conns[idx].as_mut().expect("live conn").held = false;
+                        released.push(id);
+                    }
+                }
                 Effect::Wake(at, id) => {
                     if let TimerId::Conn(conn) = id {
                         self.hold(conn);
@@ -1018,6 +1027,51 @@ mod tests {
         let [reads, writes, changes, _] = spent(&lp, before);
         assert_eq!(changes, 2, "the hold, and its release");
         assert_eq!((reads, writes), (1, 1));
+    }
+
+    /// A hold ends with the held request's own answer. A `put` waits
+    /// in a black hole that never closes; the `submit` pipelined behind
+    /// it is held, served and answered; then the `df` behind that is
+    /// parsed and answered at once, while the `put` still waits.
+    #[test]
+    fn a_hold_ends_with_its_own_answer_not_with_the_last_one_owed() {
+        use simgrid::faults::{FaultKind, FaultSpec};
+        let hole = FaultKind::ServerBlackHole {
+            server: "fs".into(),
+            enable: true,
+        };
+        let cfg = GriddConfig {
+            service: Duration::from_millis(5),
+            plan: FaultPlan::new(1).with(FaultSpec::once(Time::ZERO, hole)),
+            ..GriddConfig::default()
+        };
+        let (mut lp, addr, _waker) = hand_loop(&cfg);
+        let mut peer = connect(&mut lp, addr);
+        let mut wire = Vec::new();
+        let (name, data) = ("f".to_string(), b"x".to_vec());
+        Request::Put {
+            client: 9,
+            name,
+            data,
+        }
+        .encode_frame(&mut wire);
+        let job = "j".to_string();
+        Request::Submit { client: 9, job }.encode_frame(&mut wire);
+        Request::Df { client: 9 }.encode_frame(&mut wire);
+        peer.write_all(&wire).unwrap();
+        turn_until(&mut lp, |lp| row(lp, 9).submit_ok == 1);
+        assert_eq!(
+            row(&lp, 9).df_calls,
+            1,
+            "parsed in the turn that answered the submit"
+        );
+        assert!(matches!(reply(&mut peer), Response::Ok { info } if info.starts_with("j@")));
+        assert!(matches!(reply(&mut peer), Response::Free { .. }));
+        assert_eq!(
+            row(&lp, 9).put_ok + row(&lp, 9).put_err,
+            0,
+            "the put still waits"
+        );
     }
 
     /// A reply that a timer produces does not wait for a socket event:
