@@ -53,10 +53,11 @@
 use crate::swarm::{self, Harness, SwarmReport, Verb};
 use ftsh::vm::{CommandSpec, Vm};
 use ftshlint::check::{bytecode_envelope, check_with, WorkflowSpec};
+use gridd::grid::SERVE_FDS;
 use gridd::{ClientSnapshot, GriddConfig, Request};
 use gridworld::coord::{allreduce_text, rank_unit_vm, AllReduceParams, RankPolicy};
 use gridworld::figures::{by_name_with_plan, Scale};
-use gridworld::scripts::{arena_script, ARENA_SENSE_THRESHOLD};
+use gridworld::scripts::arena_script;
 use gridworld::NextUnit;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{ClientKillInfo, FaultKind, FaultPlan, FaultSpec};
@@ -300,7 +301,7 @@ impl LiveOptions {
         }
     }
 
-    /// CI smoke arena: 3 concurrent clients, 3 jobs each, 1 descriptor,
+    /// CI smoke arena: 3 concurrent clients, 3 jobs each, 2 descriptors,
     /// slower service.
     pub fn quick() -> LiveOptions {
         LiveOptions {
@@ -349,8 +350,9 @@ fn arena_plan(seed: u64) -> FaultPlan {
 /// applied.
 pub const ARENA_BACKOFF: (Dur, Dur) = (Dur::from_millis(100), Dur::from_secs(2));
 
-/// The arena's verb table: `sense` reads the schedd's free descriptors;
-/// `submit <job>` commits the job.
+/// The arena's verb table: `sense` reads the schedd's free descriptors,
+/// and is busy below [`SERVE_FDS`], what one submission needs to be
+/// served; `submit <job>` commits the job.
 pub struct ArenaVerbs;
 
 impl Harness for ArenaVerbs {
@@ -359,7 +361,7 @@ impl Harness for ArenaVerbs {
         match (spec.program(), spec.argv.get(1)) {
             ("sense", None) => Verb::Sense {
                 requests: vec![Request::Df { client }],
-                busy_below: ARENA_SENSE_THRESHOLD,
+                busy_below: SERVE_FDS,
             },
             ("submit", Some(job)) => Verb::Act(Request::Submit {
                 client,
@@ -397,10 +399,13 @@ impl Study for LiveOptions {
     /// pauses between two services, and the next service then cannot
     /// get its descriptor: the schedd crashes and every connected
     /// submission is lost. Ethernet's sense probe reads the free
-    /// descriptors and defers instead.
+    /// descriptors and defers while fewer than [`SERVE_FDS`] are free,
+    /// the attempt's and the service's: it leaves the next service its
+    /// descriptor. The table is a quarter of the population, and never
+    /// smaller than one that can serve a job.
     fn config(&self, seed: u64) -> GriddConfig {
         GriddConfig {
-            slots: (self.clients / 4).max(1) as u64,
+            slots: (self.clients as u64 / 4).max(SERVE_FDS),
             service: self.service,
             downtime: Duration::from_secs(3),
             deadline: Duration::from_secs(8),
@@ -416,7 +421,7 @@ impl Study for LiveOptions {
     /// burst. The watchdog is the script's worst-case envelope under
     /// that policy, past the last start.
     fn population(&self, discipline: Discipline, seed: u64) -> io::Result<Population<ArenaVerbs>> {
-        let script = arena_script(discipline, self.jobs);
+        let script = arena_script(discipline, self.jobs, SERVE_FDS);
         let stagger = Duration::from_millis((self.clients as u64 / 2).max(200));
         let n = self.clients.max(1);
         let (base, cap) = ARENA_BACKOFF;
@@ -862,15 +867,16 @@ mod tests {
         let (verb, result, evs) = dry_run(&mut t, &spec(&["sense"]), &free(3));
         let sense = Verb::Sense {
             requests: vec![Request::Df { client: 0 }],
-            busy_below: 1,
+            busy_below: 2,
         };
         assert_eq!(verb, sense);
         assert_eq!(result, Some(Ok(CmdResult::ok("3"))));
         assert_eq!(evs, [TraceEv::CarrierSense { free: 3 }]);
-        // Zero slots: the read is recorded as a deferral.
-        let (_, result, evs) = dry_run(&mut t, &spec(&["sense"]), &free(0));
-        assert_eq!(result, Some(Ok(CmdResult::ok("0"))));
-        assert_eq!(evs, [TraceEv::CarrierSense { free: 0 }, TraceEv::Deferral]);
+        // One slot, what the next service needs: the read is recorded
+        // as a deferral.
+        let (_, result, evs) = dry_run(&mut t, &spec(&["sense"]), &free(1));
+        assert_eq!(result, Some(Ok(CmdResult::ok("1"))));
+        assert_eq!(evs, [TraceEv::CarrierSense { free: 1 }, TraceEv::Deferral]);
         // submit -> submit; ok succeeds, err fails, neither is traced
         // by the driver.
         let ok = Response::Ok { info: "id".into() };
@@ -962,8 +968,8 @@ mod tests {
     /// the caller remembered to overwrite it.
     #[test]
     fn fixed_swarm_never_backs_off() {
-        // One descriptor, eight clients: no submit is ever served.
-        let (report, _) = population(Discipline::Fixed, 8, 1, 40);
+        // Two descriptors, eight clients: one job at a time is served.
+        let (report, _) = population(Discipline::Fixed, 8, 2, 40);
         assert!(
             count(
                 &report,

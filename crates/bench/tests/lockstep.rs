@@ -27,6 +27,7 @@ use ftsh::tree::gen;
 use ftsh::tree::TreeVm;
 use ftsh::vm::{CmdResult, Effect, Vm, VmStatus};
 use ftsh::{parse, pretty, Env, LogSummary, Script};
+use gridd::grid::SERVE_FDS;
 use gridworld::coord::{
     allreduce_script, allreduce_text, dag_job_script, AllReduceParams, DagParams, DagSpec,
 };
@@ -68,7 +69,7 @@ fn scenario_cases() -> Vec<Case> {
         }
         cases.push(Case {
             name: format!("arena/{label}"),
-            script: arena_script(d, 4),
+            script: arena_script(d, 4, SERVE_FDS),
             backoff: d.backoff_within(arena.0, arena.1),
         });
         cases.push(Case {
@@ -392,7 +393,7 @@ fn live_scripts_lint_without_errors() {
         ..ftshlint::Options::default()
     };
     for d in Discipline::ALL {
-        let arena = arena_text(d, 4);
+        let arena = arena_text(d, 4, SERVE_FDS);
         let rank = allreduce_text(d, 4, Dur::from_secs(600), Dur::from_secs(60));
         for (what, src) in [("arena", &arena), ("allreduce", &rank)] {
             let script = parse(src).unwrap_or_else(|e| panic!("{what}/{d}: {e}"));

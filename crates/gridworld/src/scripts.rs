@@ -130,23 +130,20 @@ pub fn reader_ethernet() -> Script {
 /// Budgets of one live-arena unit: `try for 6 seconds or 8 times`.
 const ARENA_UNIT_BUDGET: Dur = Dur::from_secs(6);
 const ARENA_UNIT_ATTEMPTS: u32 = 8;
-/// Free schedd descriptors under which the live-arena Ethernet client
-/// defers.
-pub const ARENA_SENSE_THRESHOLD: u64 = 1;
 
 /// The script one live-arena client runs against a real `gridd`:
 /// `jobs` sequential submission units, each an attempt- and
 /// time-budgeted `try` whose failure the `catch` absorbs so the next
 /// unit still runs. The Ethernet variant senses the carrier the way
 /// [`submit_ethernet`] does — read the schedd's free descriptors, defer
-/// while there are none — turning a stampede into a deferral.
-/// `${client}` comes in through the environment, so one parsed script
-/// serves the whole population.
+/// while fewer than `threshold` are free — turning a stampede into a
+/// deferral. `${client}` comes in through the environment, so one
+/// parsed script serves the whole population.
 ///
 /// ```text
 /// try for 6 seconds or 8 times
 ///   sense -> free
-///   if ${free} .lt. 1
+///   if ${free} .lt. 2
 ///     failure
 ///   else
 ///     submit job-${client}-1
@@ -155,7 +152,7 @@ pub const ARENA_SENSE_THRESHOLD: u64 = 1;
 ///   success
 /// end
 /// ```
-pub fn arena_text(discipline: Discipline, jobs: usize) -> String {
+pub fn arena_text(discipline: Discipline, jobs: usize, threshold: u64) -> String {
     let mut s = String::new();
     for k in 1..=jobs {
         let _ = writeln!(
@@ -165,10 +162,7 @@ pub fn arena_text(discipline: Discipline, jobs: usize) -> String {
         );
         let submit = format!("submit job-${{client}}-{k}");
         if discipline.uses_carrier_sense() {
-            let _ = writeln!(
-                s,
-                "  sense -> free\n  if ${{free}} .lt. {ARENA_SENSE_THRESHOLD}"
-            );
+            let _ = writeln!(s, "  sense -> free\n  if ${{free}} .lt. {threshold}");
             let _ = writeln!(s, "    failure\n  else\n    {submit}\n  end");
         } else {
             let _ = writeln!(s, "  {submit}");
@@ -179,8 +173,8 @@ pub fn arena_text(discipline: Discipline, jobs: usize) -> String {
 }
 
 /// [`arena_text`], parsed.
-pub fn arena_script(discipline: Discipline, jobs: usize) -> Script {
-    parse(&arena_text(discipline, jobs)).expect("generated script parses")
+pub fn arena_script(discipline: Discipline, jobs: usize, threshold: u64) -> Script {
+    parse(&arena_text(discipline, jobs, threshold)).expect("generated script parses")
 }
 
 /// Build a client's VM under a discipline: the discipline's backoff
@@ -251,19 +245,19 @@ mod tests {
 
     #[test]
     fn arena_script_is_one_budgeted_unit_per_job() {
-        let aloha = arena_text(Discipline::Aloha, 3);
+        let aloha = arena_text(Discipline::Aloha, 3, 2);
         assert_eq!(aloha.matches("try for 6 seconds or 8 times").count(), 3);
         assert!(aloha.contains("submit job-${client}-3"));
         assert!(!aloha.contains("sense"), "aloha submits blind");
-        assert_eq!(aloha, arena_text(Discipline::Fixed, 3));
-        let eth = arena_text(Discipline::Ethernet, 3);
+        assert_eq!(aloha, arena_text(Discipline::Fixed, 3, 2));
+        let eth = arena_text(Discipline::Ethernet, 3, 2);
         assert_eq!(
-            eth.matches("  sense -> free\n  if ${free} .lt. 1\n")
+            eth.matches("  sense -> free\n  if ${free} .lt. 2\n")
                 .count(),
             3
         );
         assert_eq!(eth.matches("    submit job-${client}-").count(), 3);
-        assert_eq!(arena_script(Discipline::Ethernet, 3).len(), 3);
+        assert_eq!(arena_script(Discipline::Ethernet, 3, 2).len(), 3);
     }
 
     #[test]
