@@ -222,11 +222,11 @@ pub fn run<S: Study>(study: &S, seed: u64, out_dir: &Path) -> io::Result<Report>
     )?;
     let (confirms, reading) = study.verdict(sim, &aloha, &ethernet);
     let report = Report {
-        confirms,
-        reading,
         aloha,
         ethernet,
         sim,
+        confirms,
+        reading,
     };
     std::fs::write(
         out_dir.join(format!("{}.md", study.name())),
