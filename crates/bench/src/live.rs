@@ -378,7 +378,9 @@ impl Study for LiveOptions {
     const TITLE: &'static str = "Live arena vs. simulation (fig2/fig3)";
     const COLUMNS: &'static [&'static str] = &[
         "live jobs done",
-        "live failed submits",
+        "live busy submits",
+        "live down submits",
+        "live lost submits",
         "live sense reads",
         "schedd crashes",
         "dispatch (verbs/s)",
@@ -489,11 +491,15 @@ impl Study for LiveOptions {
         )
     }
 
+    /// The failed submits split three ways: refused busy, refused
+    /// down, and lost in a crash.
     fn cells(&self, out: &Outcome, sim: f64) -> String {
         format!(
-            "{} | {} | {} | {} | {:.0} | {:.1} | {sim:.0}",
+            "{} | {} | {} | {} | {} | {} | {:.0} | {:.1} | {sim:.0}",
             out.total(|c| c.submit_ok),
-            out.total(|c| c.submit_busy + c.submit_down + c.submit_lost),
+            out.total(|c| c.submit_busy),
+            out.total(|c| c.submit_down),
+            out.total(|c| c.submit_lost),
             out.total(|c| c.df_calls),
             out.crashes,
             out.dispatch_rate,
@@ -501,20 +507,20 @@ impl Study for LiveOptions {
         )
     }
 
-    /// Per-client completions per discipline, in the same metrics
-    /// shape every figure uses.
+    /// Per-client submits per discipline by outcome (done, busy,
+    /// down, lost), in the same metrics shape every figure uses.
     fn series(&self, aloha: &Outcome, ethernet: &Outcome) -> SeriesSet {
-        let mut set = SeriesSet::new(
-            "Live arena: jobs completed per client",
-            "client",
-            "jobs completed",
-        );
+        let mut set = SeriesSet::new("Live arena: submits per client", "client", "submits");
+        let counts =
+            |c: &ClientSnapshot| [c.submit_ok, c.submit_busy, c.submit_down, c.submit_lost];
         for out in [aloha, ethernet] {
-            let mut s = Series::new(out.discipline.label());
-            for c in &out.clients {
-                s.push_xy(c.client as f64, c.submit_ok as f64);
+            for (i, name) in ["done", "busy", "down", "lost"].into_iter().enumerate() {
+                let mut s = Series::new(format!("{} {name}", out.discipline.label()));
+                for c in &out.clients {
+                    s.push_xy(c.client as f64, counts(c)[i] as f64);
+                }
+                set.add(s);
             }
-            set.add(s);
         }
         set
     }
@@ -1209,16 +1215,17 @@ mod tests {
 
     // Rendered by the two renderers this one replaced, from outcomes
     // with the same counts as the ones below; the arena's verdict line
-    // has since gained the numbers its rule read.
+    // has since gained the numbers its rule read, and its table splits
+    // the failed submits into busy, down and lost.
     const ARENA_3: &str = "\
 # Live arena vs. simulation (fig2/fig3)
 
 3 concurrent real clients x 3 jobs, seed 2003.
 
-| discipline | live jobs done | live failed submits | live sense reads | schedd crashes | dispatch (verbs/s) | wall (s) | sim jobs (full sim) |
-|---|---|---|---|---|---|---|---|
-| Aloha | 3 | 18 | 0 | 4 | 12 | 14.3 | 1111 |
-| Ethernet | 8 | 4 | 27 | 1 | 31 | 9.0 | 2222 |
+| discipline | live jobs done | live busy submits | live down submits | live lost submits | live sense reads | schedd crashes | dispatch (verbs/s) | wall (s) | sim jobs (full sim) |
+|---|---|---|---|---|---|---|---|---|---|
+| Aloha | 3 | 13 | 3 | 2 | 0 | 4 | 12 | 14.3 | 1111 |
+| Ethernet | 8 | 3 | 1 | 0 | 27 | 1 | 31 | 9.0 | 2222 |
 
 Sim predicts Ethernet > Aloha; the live daemon **CONFIRMS** it: (1) sim jobs 2222 > 1111 holds; (2) live jobs 8 > 3 holds; (3) failed submits per job, 2·4·3 = 24 ≤ 18·8 = 144 holds.
 ";
@@ -1227,10 +1234,10 @@ Sim predicts Ethernet > Aloha; the live daemon **CONFIRMS** it: (1) sim jobs 222
 
 1000 concurrent real clients x 4 jobs, seed 2003.
 
-| discipline | live jobs done | live failed submits | live sense reads | schedd crashes | dispatch (verbs/s) | wall (s) | sim jobs (full sim) |
-|---|---|---|---|---|---|---|---|
-| Aloha | 2300 | 7285 | 0 | 37 | 2216 | 61.8 | 1111 |
-| Ethernet | 1999 | 74 | 9800 | 0 | 1987 | 58.0 | 2222 |
+| discipline | live jobs done | live busy submits | live down submits | live lost submits | live sense reads | schedd crashes | dispatch (verbs/s) | wall (s) | sim jobs (full sim) |
+|---|---|---|---|---|---|---|---|---|---|
+| Aloha | 2300 | 5900 | 1350 | 35 | 0 | 37 | 2216 | 61.8 | 1111 |
+| Ethernet | 1999 | 71 | 2 | 1 | 9800 | 0 | 1987 | 58.0 | 2222 |
 
 Sim predicts Ethernet > Aloha; the live daemon **DOES NOT CONFIRM** it: (1) sim jobs 2222 > 1111 holds; (2) live jobs 1999 > 2300 fails; (3) failed submits per job, 2·74·2300 = 340400 ≤ 7285·1999 = 14562715 holds.
 ";
@@ -1259,8 +1266,7 @@ Sim predicts Ethernet ≤ Aloha on time-to-global-completion; the live daemon **
 Sim predicts Ethernet ≤ Aloha on time-to-global-completion; the live daemon **DOES NOT CONFIRM** it.
 ";
 
-    /// Both studies' tables, byte for byte as before the two live
-    /// harnesses became one: every column is a sum over the snapshot
+    /// Both studies' tables: every column is a sum over the snapshot
     /// rows or an outcome field, in both verdicts.
     #[test]
     fn one_renderer_draws_both_studies_tables() {

@@ -77,17 +77,17 @@
 //! `gridworld`'s submission world drives — with constants that are a
 //! pure function of [`GriddConfig`] (`schedd_params`): a descriptor
 //! table of [`GriddConfig::slots`], one descriptor per submission
-//! attempt and one for the service itself, an accept backlog of
-//! `slots`, [`GriddConfig::service`] per job on an idle machine with
-//! the simulator's ratio of bookkeeping gap to service, and
-//! [`GriddConfig::downtime`] after a crash. A `submit` opens an
-//! attempt and connects: a full table or backlog refuses it
-//! (`submit_busy`), a down schedd too (`submit_down`). Otherwise it
-//! waits, held, in the schedd's FIFO, and is answered when it is
-//! served (`submit_ok`, `"{job}@{n}"`) or when a crash — a service
-//! that cannot get its descriptor, or a `schedd-kill` — fails it
-//! (`submit_lost`, at the crash instant). `df` reads the free
-//! descriptors, as the simulated Ethernet client's
+//! attempt and one for the service itself, no attempt startup,
+//! [`GriddConfig::service`] per job on an idle machine with the
+//! simulator's ratio of bookkeeping gap to service, and
+//! [`GriddConfig::downtime`] after a crash. A `submit` launches an
+//! attempt ([`simgrid::Schedd::launch`]), which connects at once: a
+//! full table refuses it (`submit_busy`), a down schedd too
+//! (`submit_down`). Otherwise it waits, held, in the schedd's FIFO,
+//! and is answered when it is served (`submit_ok`, `"{job}@{n}"`) or
+//! when a crash — a service that cannot get its descriptor, or a
+//! `schedd-kill` — fails it (`submit_lost`, at the crash instant).
+//! `df` reads the free descriptors, as the simulated Ethernet client's
 //! `cut -f2 /proc/sys/fs/file-nr` does, whether or not the schedd is
 //! up.
 
@@ -96,7 +96,7 @@ use crate::server::GriddConfig;
 use retry::{Dur, Time};
 use simgrid::faults::{FaultKind, FaultSpec, FaultWindows};
 use simgrid::{
-    KeyStore, Schedd, ScheddEffect, ScheddParams, ScheddTimer, Series, SeriesSet, Served,
+    KeyStore, Refusal, Schedd, ScheddEffect, ScheddParams, ScheddTimer, Series, SeriesSet, Served,
     ServerKind, SimRng, Started, StoreOp,
 };
 use std::collections::HashMap;
@@ -144,8 +144,7 @@ pub struct ClientSnapshot {
     pub client: u32,
     /// Jobs accepted and serviced to completion.
     pub submit_ok: u64,
-    /// Submissions refused for lack of a free descriptor or a place in
-    /// the backlog.
+    /// Submissions refused for lack of a free descriptor.
     pub submit_busy: u64,
     /// Submissions rejected while the schedd was down.
     pub submit_down: u64,
@@ -228,8 +227,8 @@ pub const SERVE_FDS: u64 = ATTEMPT_FDS + SERVICE_FDS;
 
 /// The schedd's constants, a pure function of the daemon's: a table of
 /// `slots` descriptors, [`ATTEMPT_FDS`] per attempt and [`SERVICE_FDS`]
-/// for the service; a backlog of `slots`, so that the table binds
-/// first; `service` per job with no CPU competition, and the
+/// for the service; no attempt startup, so a submit connects when it
+/// arrives; `service` per job with no CPU competition, and the
 /// simulator's default ratio of bookkeeping gap to service time;
 /// `downtime` after a crash.
 fn schedd_params(cfg: &GriddConfig) -> ScheddParams {
@@ -238,8 +237,8 @@ fn schedd_params(cfg: &GriddConfig) -> ScheddParams {
     ScheddParams {
         fd_capacity: cfg.slots,
         fds_per_attempt: ATTEMPT_FDS,
+        attempt_startup: Dur::ZERO,
         schedd_service_fds: SERVICE_FDS,
-        backlog: usize::try_from(cfg.slots).unwrap_or(usize::MAX),
         base_service: service,
         service_gap: service * sim.service_gap.as_micros() / sim.base_service.as_micros(),
         restart_downtime: Dur::from_std(cfg.downtime),
@@ -262,6 +261,9 @@ fn answer(
             out.push(Effect::Reply(job.conn, Response::Ok { info: job.id }));
             out.push(Effect::Release(job.conn));
         }
+        // With no startup an attempt connects inside `launch`, which
+        // answers a down schedd itself.
+        ScheddEffect::Refused(_) => unreachable!("the daemon's attempts have no startup"),
         ScheddEffect::Failed(job) => {
             counters(clients, job.client).submit_lost += 1;
             let lost = err(ErrCode::Down, "job lost in schedd crash");
@@ -510,9 +512,9 @@ impl Grid {
         out.push(Effect::Reply(conn, resp));
     }
 
-    /// A submission opens an attempt and connects to the schedd, where
-    /// it waits, held, to be served or lost; or it is refused, with the
-    /// reply to send back.
+    /// A submission launches an attempt at the schedd, where it waits,
+    /// held, to be served or lost; or it is refused, with the reply to
+    /// send back.
     fn submit(
         &mut self,
         now: Time,
@@ -521,30 +523,25 @@ impl Grid {
         job: String,
         out: &mut Vec<Effect>,
     ) -> Result<(), Response> {
-        if self.schedd.open_attempt().is_err() {
-            self.client(client).submit_busy += 1;
-            return Err(err(ErrCode::Busy, "no free descriptors"));
-        }
         let id = format!("{job}@{}", self.jobs + 1);
         let mark = out.len();
         let fx = &mut |fx| answer(&mut self.clients, &mut self.crashes, out, fx);
-        if self
-            .schedd
-            .arrive(now, Job { conn, client, id }, fx)
-            .is_ok()
-        {
-            // Before anything the schedd answered: a service that
-            // starves at once fails this very job.
-            out.insert(mark, Effect::Hold(conn));
-            self.jobs += 1;
-            return Ok(());
-        }
-        if self.schedd.is_up() {
-            self.client(client).submit_busy += 1;
-            Err(err(ErrCode::Busy, "the schedd's backlog is full"))
-        } else {
-            self.client(client).submit_down += 1;
-            Err(err(ErrCode::Down, "schedd is down"))
+        match self.schedd.launch(now, Job { conn, client, id }, fx) {
+            Ok(()) => {
+                // Before anything the schedd answered: a service that
+                // starves at once fails this very job.
+                out.insert(mark, Effect::Hold(conn));
+                self.jobs += 1;
+                Ok(())
+            }
+            Err(Refusal::Full) => {
+                self.client(client).submit_busy += 1;
+                Err(err(ErrCode::Busy, "no free descriptors"))
+            }
+            Err(Refusal::Down) => {
+                self.client(client).submit_down += 1;
+                Err(err(ErrCode::Down, "schedd is down"))
+            }
         }
     }
 

@@ -366,8 +366,8 @@ fn a_full_disk_refuses_puts_but_not_overwrites_that_fit() {
 
 /// A bare [`simgrid::Schedd`] under the daemon's constants
 /// (`schedd_params`), driven as the daemon drives its own: each
-/// submit opens an attempt and connects, and its wakes fire in the
-/// order of their instants (then of asking).
+/// submit launches an attempt, and its wakes fire in the order of
+/// their instants (then of asking).
 struct Bare {
     schedd: Schedd<ConnId>,
     filed: Filed,
@@ -394,6 +394,7 @@ impl Filed {
             }
             ScheddEffect::Served { job, .. } => self.answers.push((now, job, None)),
             ScheddEffect::Failed(job) => self.answers.push((now, job, Some(ErrCode::Down))),
+            ScheddEffect::Refused(_) => unreachable!("the daemon's attempts have no startup"),
             ScheddEffect::Crashed => self.crashes.push(now),
         }
     }
@@ -423,23 +424,13 @@ impl Bare {
 
     fn submit(&mut self, at: Time, conn: ConnId) {
         self.advance(at);
-        if self.schedd.open_attempt().is_err() {
-            self.filed.answers.push((at, conn, Some(ErrCode::Busy)));
-            return;
-        }
         let filed = &mut self.filed;
-        if self
-            .schedd
-            .arrive(at, conn, &mut |fx| filed.file(at, fx))
-            .is_err()
-        {
-            let code = if self.schedd.is_up() {
-                ErrCode::Busy
-            } else {
-                ErrCode::Down
-            };
-            self.filed.answers.push((at, conn, Some(code)));
-        }
+        let code = match self.schedd.launch(at, conn, &mut |fx| filed.file(at, fx)) {
+            Ok(()) => return,
+            Err(Refusal::Full) => ErrCode::Busy,
+            Err(Refusal::Down) => ErrCode::Down,
+        };
+        self.filed.answers.push((at, conn, Some(code)));
     }
 }
 

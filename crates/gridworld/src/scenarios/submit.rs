@@ -10,10 +10,11 @@
 //! wakes on the run's queue and turns what it answers into completed
 //! commands and trace records.
 //!
-//! Attempt lifecycle: allocate FDs (or fail to even start), one second
-//! of client-side startup, then connect. A down schedd or a full
-//! accept backlog refuses the connection; otherwise the submission
-//! waits its turn at the schedd.
+//! Attempt lifecycle: the schedd's own ([`Schedd::launch`]). A
+//! `condor_submit` pins its descriptors (or fails after
+//! `connect_fail_delay`), starts up and connects; a down schedd
+//! refuses it. The startup must be nonzero: with none, `launch`
+//! connects inside `exec`, where a crash could not answer.
 //!
 //! The Ethernet client reads the free-descriptor count
 //! (`cut -f2 /proc/sys/fs/file-nr`) and defers below a threshold of
@@ -30,11 +31,8 @@ use crate::scripts::{submit_script, unit_vm};
 use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
-use simgrid::hash::IdHasher;
 use simgrid::trace::{SharedSink, TraceEv};
 use simgrid::{Schedd, ScheddEffect, ScheddParams, ScheddTimer, Series, SimRng};
-use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
 
 /// Parameters of the submission scenario. Defaults reproduce the
 /// paper's setup (see DESIGN.md, experiments E1–E3).
@@ -46,8 +44,6 @@ pub struct SubmitParams {
     pub discipline: Discipline,
     /// The schedd and the descriptor table it shares with the clients.
     pub schedd: ScheddParams,
-    /// Client-side startup time of `condor_submit` before it connects.
-    pub attempt_startup: Dur,
     /// How quickly a refused/failed attempt reports back.
     pub connect_fail_delay: Dur,
     /// Ethernet carrier-sense threshold (free FDs).
@@ -75,7 +71,6 @@ impl Default for SubmitParams {
             n_clients: 400,
             discipline: Discipline::Ethernet,
             schedd: ScheddParams::default(),
-            attempt_startup: Dur::from_secs(1),
             connect_fail_delay: Dur::from_millis(200),
             threshold: 1000,
             success_think: Dur::from_secs(1),
@@ -92,14 +87,6 @@ impl Default for SubmitParams {
 /// Scenario events.
 #[derive(Debug)]
 pub enum SubmitEv {
-    /// A submission attempt finished its client-side startup and is
-    /// ready to connect.
-    AttemptReady {
-        /// Owning client.
-        client: ClientId,
-        /// Its command token.
-        token: CmdToken,
-    },
     /// One of the schedd's own timers went off.
     Schedd(ScheddTimer),
     /// Periodic metrics sample.
@@ -114,9 +101,6 @@ struct SubmitWorld {
     params: SubmitParams,
     rng: SimRng,
     schedd: Schedd<Conn>,
-    /// Attempts in their client-side startup: they hold descriptors
-    /// but have not connected yet.
-    starting: HashSet<Conn, BuildHasherDefault<IdHasher>>,
     /// Sojourn (connect-to-served) times of completed submissions, in
     /// seconds.
     sojourns: Vec<f64>,
@@ -125,8 +109,8 @@ struct SubmitWorld {
 }
 
 /// Carry out what the schedd answered: a wake goes on the run's
-/// queue, a served or failed job completes its `condor_submit`, a
-/// crash is counted and recorded.
+/// queue, a served, refused or failed job completes its
+/// `condor_submit`, a crash is counted and recorded.
 fn apply(
     ctx: &mut Ctx<'_, SubmitEv>,
     out: &mut SubmitOutcome,
@@ -143,6 +127,10 @@ fn apply(
             out.jobs_submitted += 1;
             ctx.complete(client, token, CmdResult::succeed());
         }
+        ScheddEffect::Refused((client, token)) => {
+            out.failed_connects += 1;
+            ctx.complete(client, token, CmdResult::fail());
+        }
         ScheddEffect::Failed((client, token)) => ctx.complete(client, token, CmdResult::fail()),
         ScheddEffect::Crashed => {
             out.crashes += 1;
@@ -153,10 +141,14 @@ fn apply(
 
 impl SubmitWorld {
     fn new(params: SubmitParams) -> SubmitWorld {
+        assert!(
+            !params.schedd.attempt_startup.is_zero(),
+            "the submission world needs a nonzero attempt_startup: \
+             a zero one connects inside exec, where a crash cannot answer"
+        );
         SubmitWorld {
             rng: SimRng::new(params.seed),
             schedd: Schedd::new(params.schedd, params.n_clients),
-            starting: HashSet::default(),
             sojourns: Vec::new(),
             out: SubmitOutcome {
                 fd_series: Series::new("available FDs"),
@@ -194,21 +186,17 @@ impl CommandWorld for SubmitWorld {
                 ExecOutcome::At(ctx.now() + self.params.probe_cost, ctx.count(free))
             }
             "condor_submit" => {
-                // The attempt's own descriptors: without them the
-                // process cannot even be loaded and run.
-                if self.schedd.open_attempt().is_err() {
-                    self.out.failed_connects += 1;
-                    return ExecOutcome::At(
-                        ctx.now() + self.params.connect_fail_delay,
-                        CmdResult::fail(),
-                    );
+                let now = ctx.now();
+                let launched = self.schedd.launch(now, (client, token), &mut |fx| {
+                    apply(ctx, &mut self.out, &mut self.sojourns, fx);
+                });
+                if launched.is_ok() {
+                    return ExecOutcome::Held;
                 }
-                self.starting.insert((client, token));
-                ctx.schedule(
-                    ctx.now() + self.params.attempt_startup,
-                    SubmitEv::AttemptReady { client, token },
-                );
-                ExecOutcome::Held
+                // No room for the attempt's own descriptors: the
+                // process cannot even be loaded and run.
+                self.out.failed_connects += 1;
+                ExecOutcome::At(now + self.params.connect_fail_delay, CmdResult::fail())
             }
             _ => ExecOutcome::Now(CmdResult::fail()),
         }
@@ -216,10 +204,6 @@ impl CommandWorld for SubmitWorld {
 
     fn cancelled(&mut self, ctx: &mut Ctx<'_, SubmitEv>, client: ClientId, token: CmdToken) {
         let conn = (client, token);
-        if self.starting.remove(&conn) {
-            self.schedd.close_attempt();
-            return;
-        }
         self.schedd.leave(ctx.now(), |&j| j == conn, &mut |fx| {
             apply(ctx, &mut self.out, &mut self.sojourns, fx);
         });
@@ -238,20 +222,6 @@ impl CommandWorld for SubmitWorld {
     fn on_event(&mut self, ctx: &mut Ctx<'_, SubmitEv>, ev: SubmitEv) {
         let now = ctx.now();
         match ev {
-            SubmitEv::AttemptReady { client, token } => {
-                let conn = (client, token);
-                if !self.starting.remove(&conn) {
-                    return; // cancelled while starting up
-                }
-                let arrived = self.schedd.arrive(now, conn, &mut |fx| {
-                    apply(ctx, &mut self.out, &mut self.sojourns, fx);
-                });
-                if arrived.is_err() {
-                    // Connection refused.
-                    self.out.failed_connects += 1;
-                    ctx.complete(client, token, CmdResult::fail());
-                }
-            }
             SubmitEv::Schedd(timer) => {
                 self.schedd.on_timer(now, timer, &mut |fx| {
                     apply(ctx, &mut self.out, &mut self.sojourns, fx);
@@ -320,7 +290,8 @@ pub struct SubmitOutcome {
     pub early_units: u64,
 }
 
-/// Run the scenario for `duration` of virtual time.
+/// Run the scenario for `duration` of virtual time. Panics if
+/// `params.schedd.attempt_startup` is zero (see the module docs).
 ///
 /// ```
 /// use gridworld::{run_submission, SubmitParams};
@@ -486,6 +457,19 @@ mod tests {
         );
         let f = quick(Discipline::Fixed, 450);
         assert_eq!(f.client_totals.backoffs, 0, "fixed clients never back off");
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero attempt_startup")]
+    fn a_zero_attempt_startup_is_refused() {
+        let params = SubmitParams {
+            schedd: ScheddParams {
+                attempt_startup: Dur::ZERO,
+                ..ScheddParams::default()
+            },
+            ..SubmitParams::default()
+        };
+        run_submission(params, Dur::from_secs(1));
     }
 
     #[test]

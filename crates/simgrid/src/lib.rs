@@ -26,7 +26,7 @@
 //!   [`FdTable`] it shares with its clients, with a bookkeeping gap
 //!   between services and a crash when a service cannot get its
 //!   transient descriptors. Clockless like the rest: the submission
-//!   world of the first scenario drives it.
+//!   world of the first scenario and the live daemon drive it.
 //!
 //! [`faults`] holds the fault-plan language and the one compiler from
 //! a plan to time windows ([`faults::FaultWindows`]) that the
@@ -65,7 +65,7 @@ pub use postmortem::TraceSummary;
 pub use prefetch::prefetch;
 pub use resources::disk::{DiskBuffer, FileId, WriteError};
 pub use resources::fdtable::{FdExhausted, FdTable};
-pub use resources::schedd::{Schedd, ScheddEffect, ScheddParams, ScheddTimer};
+pub use resources::schedd::{Refusal, Schedd, ScheddEffect, ScheddParams, ScheddTimer};
 pub use resources::server::{Admission, FileServer, ServerKind};
 pub use resources::store::{Finished, KeyStore, Served, Started, StoreOp};
 pub use rng::SimRng;

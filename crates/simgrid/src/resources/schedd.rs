@@ -7,8 +7,14 @@
 //! clients: every running submission *attempt* pins
 //! [`fds_per_attempt`](ScheddParams::fds_per_attempt) descriptors for
 //! its lifetime (stdio, the job file, libraries, its socket), and an
-//! accepted submission keeps them pinned while it waits. The schedd
-//! serves one submission at a time in arrival order — a
+//! accepted submission keeps them pinned while it waits.
+//!
+//! An attempt enters only through [`Schedd::launch`]: it pins its
+//! descriptors, runs its [`attempt_startup`](ScheddParams::attempt_startup)
+//! and connects, in launch order. There is no accept backlog: every
+//! waiting job holds its own descriptors, so the table binds first.
+//!
+//! The schedd serves one submission at a time in arrival order — a
 //! [`FileServer`] — and needs a burst of
 //! [`schedd_service_fds`](ScheddParams::schedd_service_fds) transient
 //! descriptors for each one. When that burst cannot be allocated the
@@ -19,21 +25,21 @@
 //! ([`service_gap`](ScheddParams::service_gap)) — the window in which
 //! aggressive clients can steal the descriptors it needs. When a
 //! service ends, the server promotes the next job at once; that job
-//! takes its transient descriptors only when the gap is over. Until
-//! then it still counts against the accept backlog.
+//! takes its transient descriptors only when the gap is over.
 //!
 //! Like [`KeyStore`](super::store::KeyStore), the schedd reads no
 //! clock. Each call takes `now` and answers through `fx` with
 //! [`ScheddEffect`]s, in the order they happen: a wake at an instant
 //! for one of its own [`ScheddTimer`]s (the caller comes back with
-//! [`Schedd::on_timer`] then), a job served, a job failed, or a crash.
-//! A timer that no longer applies — its job left, or the schedd
+//! [`Schedd::on_timer`] then), a job served, refused or failed, or a
+//! crash. A timer that no longer applies — its job left, or the schedd
 //! crashed meanwhile — is ignored, so a wake already on a queue needs
 //! no unscheduling.
 
-use super::fdtable::{FdExhausted, FdTable};
+use super::fdtable::FdTable;
 use super::server::{FileServer, ServerKind};
 use retry::{Dur, Time};
+use std::collections::VecDeque;
 
 /// The schedd's constants and the table it shares with its clients.
 /// Each has its only home here: no fault plan overrides one.
@@ -43,13 +49,12 @@ pub struct ScheddParams {
     pub fd_capacity: u64,
     /// Descriptors pinned by one running submission attempt.
     pub fds_per_attempt: u64,
+    /// An attempt's client-side startup, from pinning to connecting.
+    pub attempt_startup: Dur,
     /// Transient descriptors the schedd needs while servicing one
     /// submission; failing to get them kills the schedd (the crash
     /// knee).
     pub schedd_service_fds: u64,
-    /// Maximum connections the schedd will hold (accept backlog);
-    /// beyond this, connections are refused quickly.
-    pub backlog: usize,
     /// Base time to service one submission on an idle machine.
     pub base_service: Dur,
     /// CPU competition: service time scales by `1 + processes / this`.
@@ -66,8 +71,8 @@ impl Default for ScheddParams {
         ScheddParams {
             fd_capacity: 8000,
             fds_per_attempt: 20,
+            attempt_startup: Dur::from_secs(1),
             schedd_service_fds: 50,
-            backlog: 1000,
             base_service: Dur::from_millis(300),
             cpu_scale: 400.0,
             service_gap: Dur::from_millis(50),
@@ -81,6 +86,8 @@ impl Default for ScheddParams {
 /// named.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScheddTimer {
+    /// The attempt with this launch number is done starting: connect.
+    Connect(u64),
     /// The service with this sequence number ran its course.
     ServiceDone(u64),
     /// The bookkeeping gap is over: serve the next job.
@@ -102,11 +109,22 @@ pub enum ScheddEffect<J> {
         /// When it connected.
         since: Time,
     },
+    /// The job's attempt connected to a down schedd; its descriptors are back.
+    Refused(J),
     /// The schedd died with the job connected; its attempt's
     /// descriptors are back in the table.
     Failed(J),
     /// The schedd crashed. Comes before the failures it causes.
     Crashed,
+}
+
+/// Why [`Schedd::launch`] turned an attempt away.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Refusal {
+    /// No room in the table for the attempt's descriptors.
+    Full,
+    /// With no startup, it connected at once to a down schedd.
+    Down,
 }
 
 /// The schedd and the descriptor table it shares with its clients.
@@ -118,6 +136,11 @@ pub struct Schedd<J> {
     /// Time to serve one submission under the run's CPU competition.
     service: Dur,
     fds: FdTable,
+    /// Attempts in their startup, by launch number: they hold their
+    /// descriptors but have not connected.
+    starting: VecDeque<(u64, J)>,
+    /// Attempts launched with a startup so far (numbers them).
+    launched: u64,
     /// Connected submissions and when each connected. The job in its
     /// serving slot is in service only while `in_service`; otherwise
     /// it is the promoted head, waiting out the gap.
@@ -140,6 +163,8 @@ impl<J> Schedd<J> {
         Schedd {
             service: params.base_service.mul_f64(factor),
             fds: FdTable::new(params.fd_capacity),
+            starting: VecDeque::new(),
+            launched: 0,
             server: FileServer::new(ServerKind::Normal),
             up: true,
             down_until: Time::ZERO,
@@ -149,45 +174,45 @@ impl<J> Schedd<J> {
         }
     }
 
-    /// Is the schedd up? A down one refuses every connection.
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
     /// The descriptor table — what the carrier-sense probe reads.
     pub fn fds(&self) -> &FdTable {
         &self.fds
     }
 
-    /// A submission attempt starts: pin its descriptors, or fail if
-    /// the table cannot hold them (the process cannot even be loaded).
-    pub fn open_attempt(&mut self) -> Result<(), FdExhausted> {
-        self.fds.alloc(self.params.fds_per_attempt)
+    /// Launch an attempt for `job`: pin its descriptors, or refuse it
+    /// with nothing pinned. It connects after its startup, on a
+    /// [`ScheddTimer::Connect`] wake, or at once when there is none.
+    pub fn launch(
+        &mut self,
+        now: Time,
+        job: J,
+        fx: &mut impl FnMut(ScheddEffect<J>),
+    ) -> Result<(), Refusal> {
+        if self.fds.alloc(self.params.fds_per_attempt).is_err() {
+            return Err(Refusal::Full);
+        }
+        let startup = self.params.attempt_startup;
+        if startup.is_zero() {
+            return self.connect(now, job, fx).map_err(|_| Refusal::Down);
+        }
+        self.launched += 1;
+        self.starting.push_back((self.launched, job));
+        let connect = ScheddTimer::Connect(self.launched);
+        fx(ScheddEffect::Wake(now + startup, connect));
+        Ok(())
     }
 
-    /// An attempt that never connected ends: unpin its descriptors.
-    pub fn close_attempt(&mut self) {
-        self.fds.release(self.params.fds_per_attempt);
-    }
-
-    /// Connections the backlog holds: the accept queue, plus a
-    /// promoted head still waiting out the gap.
-    fn waiting(&self) -> usize {
-        self.server.queue_len() + usize::from(self.server.is_busy() && !self.in_service)
-    }
-
-    /// An open attempt connects with `job`. A down schedd or a full
-    /// backlog refuses it: its descriptors are unpinned and the job
-    /// comes back as `Err`. Otherwise it queues, and is served at once
-    /// if the schedd is idle and no gap is pending.
-    pub fn arrive(
+    /// The attempt for `job` connects: refused by a down schedd (its
+    /// descriptors unpinned, the job handed back), otherwise queued,
+    /// and served at once if the schedd is idle and no gap is pending.
+    fn connect(
         &mut self,
         now: Time,
         job: J,
         fx: &mut impl FnMut(ScheddEffect<J>),
     ) -> Result<(), J> {
-        if !self.up || self.waiting() >= self.params.backlog {
-            self.close_attempt();
+        if !self.up {
+            self.fds.release(self.params.fds_per_attempt);
             return Err(job);
         }
         self.server.connect((job, now));
@@ -198,21 +223,27 @@ impl<J> Schedd<J> {
     }
 
     /// The job `is_job` picks out gives up (its client's deadline
-    /// fired), wherever it waits; a job not here is ignored. One that
-    /// was in service returns the transient descriptors and starts a
-    /// gap, unless one is already pending. A promoted head leaving
-    /// during its gap does neither: the next in line takes its place.
+    /// fired), wherever it is, even in its startup; a job not here is
+    /// ignored. One that was in service returns the transient
+    /// descriptors too and starts a gap, unless one is already
+    /// pending. A promoted head leaving during its gap does neither:
+    /// the next in line takes its place.
     pub fn leave(
         &mut self,
         now: Time,
         mut is_job: impl FnMut(&J) -> bool,
         fx: &mut impl FnMut(ScheddEffect<J>),
     ) {
+        if let Some(i) = self.starting.iter().position(|(_, j)| is_job(j)) {
+            self.starting.remove(i);
+            self.fds.release(self.params.fds_per_attempt);
+            return;
+        }
         let in_service = self.in_service && self.server.serving().is_some_and(|(j, _)| is_job(j));
         if self.server.disconnect(|(j, _)| is_job(j)).job.is_none() {
             return;
         }
-        self.close_attempt();
+        self.fds.release(self.params.fds_per_attempt);
         if in_service {
             self.end_service();
             if !self.gap_pending {
@@ -229,6 +260,15 @@ impl<J> Schedd<J> {
         fx: &mut impl FnMut(ScheddEffect<J>),
     ) {
         match timer {
+            ScheddTimer::Connect(n) => {
+                let Ok(i) = self.starting.binary_search_by_key(&n, |&(k, _)| k) else {
+                    return; // it left during its startup
+                };
+                let (_, job) = self.starting.remove(i).expect("index from the search");
+                if let Err(job) = self.connect(now, job, fx) {
+                    fx(ScheddEffect::Refused(job));
+                }
+            }
             ScheddTimer::ServiceDone(seq) => {
                 if !self.in_service {
                     return;
@@ -237,7 +277,7 @@ impl<J> Schedd<J> {
                     return; // its job left, or the schedd died meanwhile
                 };
                 self.end_service();
-                self.close_attempt();
+                self.fds.release(self.params.fds_per_attempt);
                 fx(ScheddEffect::Served { job, since });
                 self.start_gap(now, fx);
             }
@@ -303,7 +343,8 @@ impl<J> Schedd<J> {
 
     /// The schedd dies: every connected job fails — the one in service
     /// (or the promoted head) first, then the queue in arrival order —
-    /// and all their descriptors return to the table.
+    /// and all their descriptors return to the table. Attempts still in
+    /// their startup are not connected: they keep theirs.
     fn crash(&mut self, now: Time, down: Dur, fx: &mut impl FnMut(ScheddEffect<J>)) {
         fx(ScheddEffect::Crashed);
         self.up = false;
@@ -324,17 +365,18 @@ mod tests {
 
     type Fx = ScheddEffect<u32>;
 
+    const STARTUP: Dur = Dur::from_millis(50);
     const SERVICE: Dur = Dur::from_secs(1);
     const GAP: Dur = Dur::from_millis(100);
     const DOWN: Dur = Dur::from_secs(10);
 
     /// One descriptor per attempt, two per service, no CPU competition.
-    fn schedd(fd_capacity: u64, backlog: usize) -> Schedd<u32> {
+    fn schedd(fd_capacity: u64, attempt_startup: Dur) -> Schedd<u32> {
         let params = ScheddParams {
             fd_capacity,
             fds_per_attempt: 1,
+            attempt_startup,
             schedd_service_fds: 2,
-            backlog,
             base_service: SERVICE,
             cpu_scale: 1.0,
             service_gap: GAP,
@@ -354,21 +396,22 @@ mod tests {
         (r, seen)
     }
 
-    /// Open an attempt for `job` and connect it at `now`: admitted.
+    fn launch(s: &mut Schedd<u32>, now: Time, job: u32) -> (Result<(), Refusal>, Vec<Fx>) {
+        effects(|mut fx| s.launch(now, job, &mut fx))
+    }
+
+    /// Launch an attempt for `job` at `now`: admitted.
     fn admit(s: &mut Schedd<u32>, now: Time, job: u32) -> Vec<Fx> {
-        s.open_attempt().expect("room for the attempt");
-        let (admitted, fx) = effects(|mut fx| s.arrive(now, job, &mut fx));
+        let (admitted, fx) = launch(s, now, job);
         assert_eq!(admitted, Ok(()), "job {job}");
         fx
     }
 
-    /// Open an attempt for `job` and connect it at `now`: refused, its
-    /// attempt's descriptors unpinned again.
-    fn refuse(s: &mut Schedd<u32>, now: Time, job: u32) {
+    /// Launch an attempt for `job` at `now`: refused, with nothing
+    /// pinned and nothing answered.
+    fn refuse(s: &mut Schedd<u32>, now: Time, job: u32, why: Refusal) {
         let in_use = s.fds().in_use();
-        s.open_attempt().expect("room for the attempt");
-        let (admitted, fx) = effects(|mut fx| s.arrive(now, job, &mut fx));
-        assert_eq!((admitted, fx), (Err(job), vec![]));
+        assert_eq!(launch(s, now, job), (Err(why), vec![]), "job {job}");
         assert_eq!(s.fds().in_use(), in_use);
     }
 
@@ -397,29 +440,27 @@ mod tests {
     }
 
     #[test]
-    fn a_promoted_head_waiting_out_the_gap_counts_against_the_backlog() {
-        let mut s = schedd(100, 1);
+    fn a_promoted_head_takes_its_transient_descriptors_when_the_gap_is_over() {
+        let mut s = schedd(100, Dur::ZERO);
         let done = wake(at(1000), ScheddTimer::ServiceDone(1));
         assert_eq!(admit(&mut s, at(0), 1), [done]);
         assert_eq!(admit(&mut s, at(0), 2), [], "queues");
-        refuse(&mut s, at(0), 3); // the queue is full
 
         let gap = wake(at(1100), ScheddTimer::GapOver);
         let fx = timer(&mut s, at(1000), ScheddTimer::ServiceDone(1));
         assert_eq!(fx, [served(1, at(0)), gap]);
         // Job 2 left the queue but still waits out the gap.
-        refuse(&mut s, at(1000), 4);
         assert_eq!(s.fds().in_use(), 1, "only job 2's attempt is pinned");
 
         let done = wake(at(2100), ScheddTimer::ServiceDone(2));
         assert_eq!(timer(&mut s, at(1100), ScheddTimer::GapOver), [done]);
         assert_eq!(s.fds().in_use(), 3, "job 2 took its transient descriptors");
-        assert_eq!(admit(&mut s, at(1100), 5), [], "job 2 is in service");
+        assert_eq!(admit(&mut s, at(1100), 3), [], "job 2 is in service");
     }
 
     #[test]
     fn a_crash_fails_the_job_in_service_then_the_queue_in_arrival_order() {
-        let mut s = schedd(100, 10);
+        let mut s = schedd(100, Dur::ZERO);
         for job in 1..=3 {
             admit(&mut s, at(0), job);
         }
@@ -438,26 +479,34 @@ mod tests {
         );
         assert_eq!(s.fds().in_use(), 0, "every descriptor is back");
         assert_eq!(timer(&mut s, at(1000), ScheddTimer::ServiceDone(1)), []);
-        refuse(&mut s, at(2000), 4); // down
+        refuse(&mut s, at(2000), 4, Refusal::Down);
         assert_eq!(timer(&mut s, at(10_500), ScheddTimer::Restart), []);
         let done = wake(at(11_500), ScheddTimer::ServiceDone(3));
         assert_eq!(admit(&mut s, at(10_500), 5), [done]);
     }
 
+    /// Jobs 1 and 2 connect at 50 ms; job 1 is served at 1050 ms and
+    /// the gap runs to 1150 ms. Jobs 3 and 4 connect at 1100 ms, and
+    /// job 5, still starting, holds the last descriptor but one when
+    /// the gap ends: the service cannot get its two.
     #[test]
     fn starvation_crashes_with_the_promoted_head_first() {
-        let mut s = schedd(5, 10);
+        let mut s = schedd(5, STARTUP);
         admit(&mut s, at(0), 1);
         admit(&mut s, at(0), 2);
-        timer(&mut s, at(1000), ScheddTimer::ServiceDone(1));
-        admit(&mut s, at(1000), 3);
-        admit(&mut s, at(1000), 4);
-        s.open_attempt().unwrap();
+        timer(&mut s, at(50), ScheddTimer::Connect(1));
+        timer(&mut s, at(50), ScheddTimer::Connect(2));
+        timer(&mut s, at(1050), ScheddTimer::ServiceDone(1));
+        admit(&mut s, at(1050), 3);
+        admit(&mut s, at(1050), 4);
+        timer(&mut s, at(1100), ScheddTimer::Connect(3));
+        timer(&mut s, at(1100), ScheddTimer::Connect(4));
+        admit(&mut s, at(1100), 5);
         assert_eq!(s.fds().free(), 1, "no room for a service's two");
         let failed = ScheddEffect::Failed;
-        let restart = wake(at(11_100), ScheddTimer::Restart);
+        let restart = wake(at(11_150), ScheddTimer::Restart);
         assert_eq!(
-            timer(&mut s, at(1100), ScheddTimer::GapOver),
+            timer(&mut s, at(1150), ScheddTimer::GapOver),
             [
                 ScheddEffect::Crashed,
                 failed(2),
@@ -466,14 +515,78 @@ mod tests {
                 restart
             ]
         );
-        assert_eq!(s.fds().in_use(), 1, "the unconnected attempt keeps its own");
-        s.close_attempt();
+        assert_eq!(s.fds().in_use(), 1, "the starting attempt keeps its own");
+        let refused = ScheddEffect::Refused(5);
+        assert_eq!(timer(&mut s, at(1150), ScheddTimer::Connect(5)), [refused]);
         assert_eq!(s.fds().in_use(), 0);
     }
 
     #[test]
+    fn attempts_connect_in_launch_order() {
+        let mut s = schedd(100, STARTUP);
+        for job in 1..=3 {
+            let connect = wake(at(50), ScheddTimer::Connect(u64::from(job)));
+            assert_eq!(admit(&mut s, at(0), job), [connect]);
+        }
+        assert_eq!(s.fds().in_use(), 3, "each starting attempt pins its own");
+        let done = wake(at(1050), ScheddTimer::ServiceDone(1));
+        assert_eq!(timer(&mut s, at(50), ScheddTimer::Connect(1)), [done]);
+        assert_eq!(timer(&mut s, at(50), ScheddTimer::Connect(2)), []);
+        assert_eq!(timer(&mut s, at(50), ScheddTimer::Connect(3)), []);
+        let gap = wake(at(1150), ScheddTimer::GapOver);
+        let fx = timer(&mut s, at(1050), ScheddTimer::ServiceDone(1));
+        assert_eq!(fx, [served(1, at(50)), gap]);
+        let done = wake(at(2150), ScheddTimer::ServiceDone(2));
+        assert_eq!(timer(&mut s, at(1150), ScheddTimer::GapOver), [done]);
+        let gap = wake(at(2250), ScheddTimer::GapOver);
+        let fx = timer(&mut s, at(2150), ScheddTimer::ServiceDone(2));
+        assert_eq!(fx, [served(2, at(50)), gap], "job 2 before job 3");
+    }
+
+    #[test]
+    fn a_leave_during_startup_returns_the_descriptors_and_voids_its_connect() {
+        let mut s = schedd(100, STARTUP);
+        admit(&mut s, at(0), 1);
+        admit(&mut s, at(10), 2);
+        assert_eq!(leave(&mut s, at(20), 1), []);
+        assert_eq!(s.fds().in_use(), 1, "only job 2's attempt is pinned");
+        assert_eq!(timer(&mut s, at(50), ScheddTimer::Connect(1)), []);
+        assert_eq!(s.fds().in_use(), 1, "job 1's wake connected nothing");
+        let done = wake(at(1060), ScheddTimer::ServiceDone(1));
+        assert_eq!(timer(&mut s, at(60), ScheddTimer::Connect(2)), [done]);
+        let gap = wake(at(1160), ScheddTimer::GapOver);
+        let fx = timer(&mut s, at(1060), ScheddTimer::ServiceDone(1));
+        assert_eq!(fx, [served(2, at(60)), gap]);
+    }
+
+    #[test]
+    fn a_kill_during_startup_fails_no_starting_attempt_which_is_refused_on_connect() {
+        let mut s = schedd(100, STARTUP);
+        admit(&mut s, at(0), 1);
+        let restart = wake(at(10_010), ScheddTimer::Restart);
+        assert_eq!(kill(&mut s, at(10), None), [ScheddEffect::Crashed, restart]);
+        assert_eq!(s.fds().in_use(), 1, "the starting attempt keeps its own");
+        let fx = timer(&mut s, at(50), ScheddTimer::Connect(1));
+        assert_eq!(fx, [ScheddEffect::Refused(1)]);
+        assert_eq!(s.fds().in_use(), 0);
+    }
+
+    /// Two starting attempts fill a table of two; with no startup, a
+    /// job in service and one queued fill a table of four.
+    #[test]
+    fn a_full_table_refuses_a_launch_and_pins_nothing() {
+        for (capacity, startup) in [(2, STARTUP), (4, Dur::ZERO)] {
+            let mut s = schedd(capacity, startup);
+            admit(&mut s, at(0), 1);
+            admit(&mut s, at(0), 2);
+            refuse(&mut s, at(0), 3, Refusal::Full);
+            assert_eq!(s.fds().free(), 0);
+        }
+    }
+
+    #[test]
     fn a_service_done_after_its_job_left_is_ignored() {
-        let mut s = schedd(100, 10);
+        let mut s = schedd(100, Dur::ZERO);
         admit(&mut s, at(0), 1);
         admit(&mut s, at(0), 2);
         let gap = wake(at(600), ScheddTimer::GapOver);
@@ -491,7 +604,7 @@ mod tests {
 
     #[test]
     fn a_promoted_head_leaving_during_its_gap_frees_only_its_attempt() {
-        let mut s = schedd(100, 10);
+        let mut s = schedd(100, Dur::ZERO);
         for job in 1..=3 {
             admit(&mut s, at(0), job);
         }
@@ -504,7 +617,7 @@ mod tests {
 
     #[test]
     fn a_kill_while_down_does_nothing() {
-        let mut s = schedd(100, 10);
+        let mut s = schedd(100, Dur::ZERO);
         admit(&mut s, at(0), 1);
         let fx = kill(&mut s, at(100), Some(Dur::from_secs(5)));
         assert_eq!(fx.first(), Some(&ScheddEffect::Crashed));
@@ -514,12 +627,12 @@ mod tests {
             [],
             "no second crash or restart"
         );
-        refuse(&mut s, at(300), 2); // still down
+        refuse(&mut s, at(300), 2, Refusal::Down); // still down
     }
 
     #[test]
     fn a_forced_restart_resumes_a_waiting_head_only_without_a_pending_gap() {
-        let mut s = schedd(100, 10);
+        let mut s = schedd(100, Dur::ZERO);
         admit(&mut s, at(0), 1);
         admit(&mut s, at(0), 2);
         timer(&mut s, at(1000), ScheddTimer::ServiceDone(1));
@@ -536,14 +649,14 @@ mod tests {
     /// for the current downtime, and the schedd stays down until 12 s.
     #[test]
     fn a_stale_restart_wake_does_not_end_a_later_downtime() {
-        let mut s = schedd(100, 10);
+        let mut s = schedd(100, Dur::ZERO);
         let first = kill(&mut s, at(0), None);
         assert_eq!(first.last(), Some(&wake(at(10_000), ScheddTimer::Restart)));
         restart(&mut s, at(1000));
         let second = kill(&mut s, at(2000), None);
         assert_eq!(second.last(), Some(&wake(at(12_000), ScheddTimer::Restart)));
         assert_eq!(timer(&mut s, at(10_000), ScheddTimer::Restart), []);
-        refuse(&mut s, at(11_000), 1); // still down
+        refuse(&mut s, at(11_000), 1, Refusal::Down); // still down
         assert_eq!(timer(&mut s, at(12_000), ScheddTimer::Restart), []);
         let done = wake(at(13_000), ScheddTimer::ServiceDone(3));
         assert_eq!(admit(&mut s, at(12_000), 2), [done]);
@@ -551,7 +664,7 @@ mod tests {
 
     #[test]
     fn a_forced_restart_brings_the_schedd_up_before_its_restart_wake() {
-        let mut s = schedd(100, 10);
+        let mut s = schedd(100, Dur::ZERO);
         kill(&mut s, at(0), None);
         assert_eq!(restart(&mut s, at(100)), []);
         let done = wake(at(1200), ScheddTimer::ServiceDone(2));

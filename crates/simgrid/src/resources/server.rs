@@ -83,12 +83,6 @@ impl<J> FileServer<J> {
         self.serving.is_some()
     }
 
-    /// Jobs waiting in the accept queue (a black hole's hung ones
-    /// included).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Sequence number of the latest service started.
     pub(crate) fn seq(&self) -> u64 {
         self.seq
@@ -200,6 +194,14 @@ pub struct Disconnect<J> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<J> FileServer<J> {
+        /// Jobs waiting in the accept queue (a black hole's hung ones
+        /// included).
+        fn queue_len(&self) -> usize {
+            self.queue.len()
+        }
+    }
 
     #[test]
     fn normal_server_serves_one_and_queues_rest() {
