@@ -1,7 +1,7 @@
 //! Regenerate the paper's figures.
 //!
 //! ```text
-//! figures [--quick] [--seed N] [--out DIR] [fig1 fig2 ... | all | claims]
+//! figures [--quick | --full] [--chart] [--seed N] [--out DIR] [fig1 fig2 ... | all | claims]
 //! figures --trace OUT.jsonl [--seed N] [figs...]
 //! figures --faults PLAN.json [figs...]
 //! figures --stats [--quick] [--seed N] [--out DIR] [figs...]
@@ -18,7 +18,7 @@
 //! (`egbench::workspace_root`); outside one, a run without `--out`
 //! exits 2 and writes nothing. Default scale is `--full` (paper-size
 //! populations and windows); `--quick` runs the reduced versions used
-//! in CI.
+//! in CI. `--chart` also prints each figure as a terminal plot.
 //!
 //! `claims` is a figure set like `all`: it runs every figure a shape
 //! claim of EXPERIMENTS.md reads (`gridworld::claims`), writes their
@@ -360,12 +360,10 @@ fn vm_bench() -> VmStats {
     }
 }
 
-/// Parse `"<key>": <float>` out of `BENCH_budget.json` (flat object,
-/// no serde in the workspace).
-fn parse_budget(text: &str, key: &str) -> Option<f64> {
-    let tail = text.split(&format!("\"{key}\"")).nth(1)?;
-    let val = tail.split(':').nth(1)?;
-    val.split([',', '}', '\n']).next()?.trim().parse().ok()
+/// The cap `key` of the `BENCH_budget.json` document `text`.
+fn parse_budget(text: &str, key: &str) -> Result<f64, String> {
+    let doc = simgrid::json::parse(text)?;
+    simgrid::json::Fields::of(&doc)?.num(key)
 }
 
 /// The perf baseline harness behind `--stats`; it writes
@@ -529,9 +527,12 @@ fn run_stats(mut figs: Vec<String>, scale: Scale, seed: u64, dir: &Path) -> Exit
             vm.forall_iter_ratio_800_over_50,
         ),
     ] {
-        let Some(budget) = parse_budget(&text, key) else {
-            eprintln!("   cannot parse {key} from {}", budget_path.display());
-            return ExitCode::FAILURE;
+        let budget = match parse_budget(&text, key) {
+            Ok(budget) => budget,
+            Err(e) => {
+                eprintln!("   cannot read {key} from {}: {e}", budget_path.display());
+                return ExitCode::FAILURE;
+            }
         };
         if measured > budget {
             eprintln!(
@@ -659,7 +660,7 @@ fn trace_path_for(base: &str, name: &str, single: bool) -> String {
     }
 }
 
-const USAGE: &str = "usage: figures [--quick] [--seed N] [--out DIR] [--stats] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | claims | ablation-threshold | ablation-channel]
+const USAGE: &str = "usage: figures [--quick | --full] [--chart] [--seed N] [--out DIR] [--stats] [--trace OUT.jsonl] [--faults PLAN.json] [fig1..fig9 | all | ablations | coord | claims | ablation-threshold | ablation-channel]
        figures --live [--quick | --live-clients N] [--min-dispatch V] [--seed N] [--out DIR]
        figures --coord-live [--seed N] [--out DIR]
        figures postmortem TRACE.jsonl [--timeline] [--rounds] [--client N]";
@@ -894,5 +895,30 @@ fn judge_claims(
     } else {
         eprintln!("   claims that fail: {}", failed.join(", "));
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_budget;
+
+    #[test]
+    fn budget_caps_are_read_as_json() {
+        let tracked = include_str!("../../../../BENCH_budget.json");
+        for key in [
+            "max_allocs_per_tick",
+            "max_calls_allocs_per_call",
+            "max_forall_iter_ratio_800_over_50",
+        ] {
+            assert!(parse_budget(tracked, key).unwrap() > 0.0, "{key}");
+        }
+        // The whole document is read: a cap is a top-level field, not
+        // the first number after its name, and a document that does not
+        // parse is refused.
+        let doc = r#"{"old": {"max_allocs_per_tick": 9}, "max_allocs_per_tick": 0.5}"#;
+        assert_eq!(parse_budget(doc, "max_allocs_per_tick"), Ok(0.5));
+        assert!(parse_budget(r#"{"max_allocs_per_tick": 0.5"#, "max_allocs_per_tick").is_err());
+        let e = parse_budget(r#"{"cap": "0.5"}"#, "cap").unwrap_err();
+        assert!(e.contains("\"cap\""), "{e}");
     }
 }

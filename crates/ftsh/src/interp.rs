@@ -55,11 +55,6 @@ impl VmDriver {
         &self.vm
     }
 
-    /// Mutable access to the VM, e.g. to reseed it between runs.
-    pub fn vm_mut(&mut self) -> &mut Vm {
-        &mut self.vm
-    }
-
     /// Install a structured-trace sink on the underlying VM; every
     /// attempt, backoff, and command boundary is recorded as it
     /// happens. `client` labels this driver's records when several

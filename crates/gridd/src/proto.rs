@@ -130,8 +130,6 @@ pub enum ErrCode {
     Down,
     /// No free capacity right now; retrying later may succeed.
     Busy,
-    /// Refused outright (backlog full, sense below threshold).
-    Refused,
     /// The file server has no space (`enospc` window).
     Enospc,
     /// No such file.
@@ -146,18 +144,18 @@ impl ErrCode {
         match self {
             ErrCode::Down => "down",
             ErrCode::Busy => "busy",
-            ErrCode::Refused => "refused",
             ErrCode::Enospc => "enospc",
             ErrCode::NotFound => "not-found",
             ErrCode::Bad => "bad",
         }
     }
 
+    /// The code's wire tag. Tag 2 is retired and decodes as
+    /// [`ProtoError::BadTag`]: a new code takes a new tag.
     fn to_u8(self) -> u8 {
         match self {
             ErrCode::Down => 0,
             ErrCode::Busy => 1,
-            ErrCode::Refused => 2,
             ErrCode::Enospc => 3,
             ErrCode::NotFound => 4,
             ErrCode::Bad => 5,
@@ -168,7 +166,6 @@ impl ErrCode {
         Ok(match b {
             0 => ErrCode::Down,
             1 => ErrCode::Busy,
-            2 => ErrCode::Refused,
             3 => ErrCode::Enospc,
             4 => ErrCode::NotFound,
             5 => ErrCode::Bad,
@@ -895,7 +892,6 @@ mod tests {
         for code in [
             ErrCode::Down,
             ErrCode::Busy,
-            ErrCode::Refused,
             ErrCode::Enospc,
             ErrCode::NotFound,
             ErrCode::Bad,
@@ -903,5 +899,8 @@ mod tests {
             assert_eq!(ErrCode::from_u8(code.to_u8()), Ok(code));
             assert!(!code.as_str().is_empty());
         }
+        // Tag 2 is retired; the other codes keep their tags.
+        assert_eq!(ErrCode::from_u8(2), Err(ProtoError::BadTag(2)));
+        assert_eq!(ErrCode::Enospc.to_u8(), 3);
     }
 }

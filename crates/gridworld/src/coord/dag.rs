@@ -19,9 +19,9 @@
 //! [`FaultKind::ClientKill`] specs kill a job outright (a restart
 //! delay re-runs it from scratch; its published outputs survive).
 //!
-//! The spec round-trips through JSON exactly like
-//! [`simgrid::faults::FaultPlan`], so DAGs are data, not
-//! code.
+//! The spec is read from JSON ([`DagSpec::parse_json`]) through the
+//! same reader as [`simgrid::faults::FaultPlan`], so DAGs are data,
+//! not code.
 
 use crate::coord::{coord_vm, schedule_done, store_reply, Store, StoreDone};
 use crate::driver::{staggered_starts, ClientId, CommandWorld, Ctx, ExecOutcome, SimDriver};
@@ -30,9 +30,9 @@ use ftsh::vm::{CmdResult, CmdToken, CommandSpec, Vm};
 use ftsh::Script;
 use retry::{Discipline, Dur, Time};
 use simgrid::faults::{FaultKind, FaultPlan};
-use simgrid::json::{self, Value};
+use simgrid::json::{self, Fields};
 use simgrid::trace::SharedSink;
-use simgrid::{json_escape, Series, Served, SimRng, StoreOp};
+use simgrid::{Series, Served, SimRng, StoreOp};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -166,84 +166,32 @@ impl DagSpec {
         Ok(())
     }
 
-    /// Serialize to the same hand-rolled JSON dialect as
-    /// [`FaultPlan::to_json`](simgrid::faults::FaultPlan::to_json).
-    /// Runtimes are integer microseconds (`runtime_us`).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\"jobs\": [");
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let list = |keys: &[String]| {
-                let mut l = String::from("[");
-                for (i, k) in keys.iter().enumerate() {
-                    if i > 0 {
-                        l.push_str(", ");
-                    }
-                    l.push('"');
-                    l.push_str(&json_escape(k));
-                    l.push('"');
-                }
-                l.push(']');
-                l
-            };
-            let _ = write!(
-                s,
-                "{{\"name\": \"{}\", \"runtime_us\": {}, \"inputs\": {}, \"outputs\": {}}}",
-                json_escape(&j.name),
-                j.runtime.as_micros(),
-                list(&j.inputs),
-                list(&j.outputs),
-            );
-        }
-        s.push_str("]}");
-        s
-    }
-
-    /// Parse a spec back from [`to_json`](DagSpec::to_json) output (or
-    /// anything shaped like it). Unknown fields are ignored.
+    /// Parse a workflow from JSON:
+    ///
+    /// ```json
+    /// {"jobs": [
+    ///   {"name": "extract", "runtime_us": 2000000, "outputs": ["raw"]},
+    ///   {"name": "align", "runtime_us": 3000000, "inputs": ["raw"], "outputs": ["band"]}
+    /// ]}
+    /// ```
+    ///
+    /// Each job needs a `name` and a `runtime_us` (integer
+    /// microseconds); `inputs` and `outputs` are lists of store keys,
+    /// empty when absent or `null`. Unknown fields are ignored. Fields
+    /// follow [`simgrid::json`]'s rules, and an error names the job's
+    /// index and the field (`jobs[1]: missing field "name"`).
     pub fn parse_json(text: &str) -> Result<DagSpec, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_object().ok_or("spec must be a JSON object")?;
-        let jobs = json::get(obj, "jobs")
-            .and_then(Value::as_array)
-            .ok_or("spec needs a \"jobs\" array")?;
-        let mut out = Vec::new();
-        for (i, jv) in jobs.iter().enumerate() {
-            let j = jv
-                .as_object()
-                .ok_or_else(|| format!("job {i} must be an object"))?;
-            let name = json::get(j, "name")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("job {i} needs a \"name\""))?
-                .to_string();
-            let us = json::get(j, "runtime_us")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("job {name:?} needs \"runtime_us\""))?;
-            let keys = |field: &str| -> Result<Vec<String>, String> {
-                match json::get(j, field) {
-                    None => Ok(Vec::new()),
-                    Some(v) => v
-                        .as_array()
-                        .ok_or_else(|| format!("job {name:?}: {field} must be an array"))?
-                        .iter()
-                        .map(|k| {
-                            k.as_str()
-                                .map(str::to_string)
-                                .ok_or_else(|| format!("job {name:?}: {field} must hold strings"))
-                        })
-                        .collect(),
-                }
-            };
-            out.push(DagJob {
+        let doc = json::parse(text)?;
+        let jobs = Fields::of(&doc)?.objects("jobs", |f| {
+            let keys = |k| f.opt(k, Fields::texts).map(Option::unwrap_or_default);
+            Ok(DagJob {
+                name: f.text("name")?.into(),
+                runtime: Dur::from_micros(f.int("runtime_us")?),
                 inputs: keys("inputs")?,
                 outputs: keys("outputs")?,
-                name,
-                runtime: Dur::from_micros(us),
-            });
-        }
-        Ok(DagSpec { jobs: out })
+            })
+        })?;
+        Ok(DagSpec { jobs })
     }
 }
 
@@ -662,12 +610,53 @@ mod tests {
     use simgrid::faults::FaultSpec;
 
     #[test]
-    fn spec_json_round_trips() {
-        let spec = DagSpec::diamond();
-        let text = spec.to_json();
-        let back = DagSpec::parse_json(&text).expect("parses");
-        assert_eq!(spec, back);
-        assert_eq!(back.to_json(), text, "stable serialization");
+    fn spec_json_reads_the_diamond() {
+        let text = r#"{"jobs": [
+            {"name": "extract", "runtime_us": 2000000, "inputs": [], "outputs": ["raw"]},
+            {"name": "align-a", "runtime_us": 2000000, "inputs": ["raw"], "outputs": ["band-a"]},
+            {"name": "align-b", "runtime_us": 3000000, "inputs": ["raw"], "outputs": ["band-b"]},
+            {"name": "align-c", "runtime_us": 1000000, "inputs": ["raw"], "outputs": ["band-c"]},
+            {"name": "merge", "runtime_us": 2000000,
+             "inputs": ["band-a", "band-b", "band-c"], "outputs": ["mosaic"]},
+            {"name": "stats", "runtime_us": 1000000, "inputs": ["mosaic"], "outputs": ["report"]},
+            {"name": "render", "runtime_us": 2000000, "inputs": ["mosaic"], "outputs": ["image"]},
+            {"name": "archive", "runtime_us": 1000000,
+             "inputs": ["report", "image"], "outputs": ["archive"]}
+        ]}"#;
+        assert_eq!(
+            DagSpec::parse_json(text).expect("parses"),
+            DagSpec::diamond()
+        );
+    }
+
+    #[test]
+    fn spec_json_refuses_a_mistyped_field_by_job_and_name() {
+        let spec = |second: &str| {
+            DagSpec::parse_json(&format!(
+                r#"{{"jobs": [{{"name": "a", "runtime_us": 1}}, {second}]}}"#
+            ))
+        };
+        for (job, field) in [
+            (r#"{"name": "b", "runtime_us": "5"}"#, "runtime_us"),
+            (r#"{"name": "b", "runtime_us": -1}"#, "runtime_us"),
+            // An integer literal only.
+            (r#"{"name": "b", "runtime_us": 2.0}"#, "runtime_us"),
+            (r#"{"name": "b", "runtime_us": 1e6}"#, "runtime_us"),
+            (r#"{"runtime_us": 1}"#, "name"),
+            (
+                r#"{"name": "b", "runtime_us": 1, "inputs": ["k", 3]}"#,
+                "inputs",
+            ),
+        ] {
+            let e = spec(job).unwrap_err();
+            assert!(
+                e.starts_with("jobs[1]: ") && e.contains(&format!("{field:?}")),
+                "{job}: {e}"
+            );
+        }
+        // Null key lists read as empty, as absent ones do.
+        let b = spec(r#"{"name": "b", "runtime_us": 1, "inputs": null, "outputs": null}"#);
+        assert!(b.unwrap().jobs[1].inputs.is_empty());
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //! world unperturbed.
 //!
 //! Plans serialize to a small JSON document (`PLAN.json`) consumed by
-//! `figures --faults` and the conformance harness; see
-//! [`FaultPlan::to_json`] for the schema.
+//! `figures --faults`, `gridd --faults` and the conformance harness;
+//! [`FaultPlan::parse_json`] gives its schema, and [`FaultPlan::to_json`]
+//! writes it. Each kind lists its parameters once (`FaultKind::params`):
+//! the trace's `detail` string and the plan's JSON print that list.
 
+use crate::json::{self, Fields};
+use crate::metrics::json_escape;
 use crate::rng::SimRng;
 use retry::{Dur, Time};
 use std::fmt::Write as _;
@@ -138,69 +142,97 @@ impl FaultKind {
     /// the `FaultInjected` trace event).
     pub fn detail(&self) -> String {
         let mut s = String::new();
-        match self {
-            FaultKind::ScheddKill { downtime } => match downtime {
-                Some(d) => {
-                    let _ = write!(s, "downtime_us={}", d.as_micros());
-                }
-                None => s.push_str("downtime_us=default"),
-            },
-            FaultKind::ScheddRestart => {}
-            FaultKind::EnospcWindow { duration } => {
-                let _ = write!(s, "duration_us={}", duration.as_micros());
+        self.params(|key, value| {
+            if !s.is_empty() {
+                s.push(' ');
             }
+            let _ = write!(s, "{key}=");
+            value.write(&mut s, false);
+        });
+        s
+    }
+
+    /// Each of the kind's parameters, in order, as its key and value:
+    /// the one list [`FaultKind::detail`] and [`FaultPlan::to_json`]
+    /// print.
+    fn params(&self, mut put: impl FnMut(&'static str, Param<'_>)) {
+        let us = |d: &Dur| Param::Uint(d.as_micros());
+        let maybe = |d: &Option<Dur>, unset| d.as_ref().map_or(Param::Unset(unset), us);
+        let client = |c: &usize| Param::Uint(*c as u64);
+        match self {
+            FaultKind::ScheddKill { downtime } => put("downtime_us", maybe(downtime, "default")),
+            FaultKind::ScheddRestart => {}
+            FaultKind::EnospcWindow { duration } => put("duration_us", us(duration)),
             FaultKind::FreeSpaceLie {
                 delta_bytes,
                 duration,
             } => {
-                let _ = write!(
-                    s,
-                    "delta_bytes={delta_bytes} duration_us={}",
-                    duration.as_micros()
-                );
+                put("delta_bytes", Param::Int(*delta_bytes));
+                put("duration_us", us(duration));
             }
             FaultKind::ServerBlackHole { server, enable } => {
-                let _ = write!(s, "server={server} enable={enable}");
+                put("server", Param::Text(server));
+                put("enable", Param::Flag(*enable));
             }
             FaultKind::MsgLoss {
                 channel,
                 probability,
                 duration,
             } => {
-                let _ = write!(
-                    s,
-                    "channel={channel} probability={probability} duration_us={}",
-                    duration.as_micros()
-                );
+                put("channel", Param::Text(channel));
+                put("probability", Param::Num(*probability));
+                put("duration_us", us(duration));
             }
             FaultKind::LatencySpike {
                 channel,
                 extra,
                 duration,
             } => {
-                let _ = write!(
-                    s,
-                    "channel={channel} extra_us={} duration_us={}",
-                    extra.as_micros(),
-                    duration.as_micros()
-                );
+                put("channel", Param::Text(channel));
+                put("extra_us", us(extra));
+                put("duration_us", us(duration));
             }
-            FaultKind::ClockSkew { client, skew_us } => {
-                let _ = write!(s, "client={client} skew_us={skew_us}");
+            FaultKind::ClockSkew { client: c, skew_us } => {
+                put("client", client(c));
+                put("skew_us", Param::Int(*skew_us));
             }
-            FaultKind::ClientKill { client, restart } => match restart {
-                Some(d) => {
-                    let _ = write!(s, "client={client} restart_us={}", d.as_micros());
-                }
-                None => {
-                    let _ = write!(s, "client={client} restart_us=none");
-                }
-            },
+            FaultKind::ClientKill { client: c, restart } => {
+                put("client", client(c));
+                put("restart_us", maybe(restart, "none"));
+            }
             FaultKind::CmdFailFirst { program, n } => {
-                let _ = write!(s, "program={program} n={n}");
+                put("program", Param::Text(program));
+                put("n", Param::Uint(u64::from(*n)));
             }
         }
-        s
+    }
+}
+
+/// One fault parameter's value, as [`FaultKind::params`] lists it.
+#[derive(Clone, Copy)]
+enum Param<'a> {
+    Int(i64),
+    Uint(u64),
+    Num(f64),
+    Flag(bool),
+    Text(&'a str),
+    /// An unset `Option`: `null` in JSON, this word in a `detail`.
+    Unset(&'static str),
+}
+
+impl Param<'_> {
+    /// Append the value as JSON (`json`) or as a `detail` prints it.
+    fn write(self, out: &mut String, json: bool) {
+        let _ = match self {
+            Param::Int(n) => write!(out, "{n}"),
+            Param::Uint(n) => write!(out, "{n}"),
+            Param::Num(x) => write!(out, "{x}"),
+            Param::Flag(b) => write!(out, "{b}"),
+            Param::Text(s) if json => write!(out, "\"{}\"", json_escape(s)),
+            Param::Text(s) => write!(out, "{s}"),
+            Param::Unset(_) if json => write!(out, "null"),
+            Param::Unset(word) => write!(out, "{word}"),
+        };
     }
 }
 
@@ -432,27 +464,9 @@ impl FaultPlan {
             .sum()
     }
 
-    /// Serialize as the `PLAN.json` document:
-    ///
-    /// ```json
-    /// {
-    ///   "seed": 42,
-    ///   "specs": [
-    ///     {"kind": "schedd-kill", "at_us": 60000000,
-    ///      "every_us": 120000000, "count": 5, "downtime_us": 30000000},
-    ///     {"kind": "black-hole", "at_us": 10000000,
-    ///      "server": "yyy", "enable": true}
-    ///   ]
-    /// }
-    /// ```
-    ///
-    /// Kind-specific fields: `downtime_us` (schedd-kill, null for the
-    /// scenario default); `duration_us` (enospc-window, free-space-lie,
-    /// msg-loss, latency-spike); `delta_bytes` (free-space-lie);
-    /// `server`, `enable` (black-hole); `channel`, `probability`
-    /// (msg-loss); `extra_us` (latency-spike); `client`, `skew_us`
-    /// (clock-skew); `client`, `restart_us` (client-kill, null for no
-    /// restart); `program`, `n` (cmd-fail-first).
+    /// Serialize as the `PLAN.json` document
+    /// ([`FaultPlan::parse_json`] gives the schema): one spec per line,
+    /// its kind's parameters in `FaultKind::params` order.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(out, "{{\n  \"seed\": {},\n  \"specs\": [", self.seed);
@@ -475,118 +489,65 @@ impl FaultPlan {
                     spec.count
                 );
             }
-            match &spec.kind {
-                FaultKind::ScheddKill { downtime } => match downtime {
-                    Some(d) => {
-                        let _ = write!(out, ", \"downtime_us\": {}", d.as_micros());
-                    }
-                    None => out.push_str(", \"downtime_us\": null"),
-                },
-                FaultKind::ScheddRestart => {}
-                FaultKind::EnospcWindow { duration } => {
-                    let _ = write!(out, ", \"duration_us\": {}", duration.as_micros());
-                }
-                FaultKind::FreeSpaceLie {
-                    delta_bytes,
-                    duration,
-                } => {
-                    let _ = write!(
-                        out,
-                        ", \"delta_bytes\": {delta_bytes}, \"duration_us\": {}",
-                        duration.as_micros()
-                    );
-                }
-                FaultKind::ServerBlackHole { server, enable } => {
-                    let _ = write!(
-                        out,
-                        ", \"server\": \"{}\", \"enable\": {enable}",
-                        crate::metrics::json_escape(server)
-                    );
-                }
-                FaultKind::MsgLoss {
-                    channel,
-                    probability,
-                    duration,
-                } => {
-                    let _ = write!(
-                        out,
-                        ", \"channel\": \"{}\", \"probability\": {probability}, \"duration_us\": {}",
-                        crate::metrics::json_escape(channel),
-                        duration.as_micros()
-                    );
-                }
-                FaultKind::LatencySpike {
-                    channel,
-                    extra,
-                    duration,
-                } => {
-                    let _ = write!(
-                        out,
-                        ", \"channel\": \"{}\", \"extra_us\": {}, \"duration_us\": {}",
-                        crate::metrics::json_escape(channel),
-                        extra.as_micros(),
-                        duration.as_micros()
-                    );
-                }
-                FaultKind::ClockSkew { client, skew_us } => {
-                    let _ = write!(out, ", \"client\": {client}, \"skew_us\": {skew_us}");
-                }
-                FaultKind::ClientKill { client, restart } => {
-                    let _ = write!(out, ", \"client\": {client}");
-                    match restart {
-                        Some(d) => {
-                            let _ = write!(out, ", \"restart_us\": {}", d.as_micros());
-                        }
-                        None => out.push_str(", \"restart_us\": null"),
-                    }
-                }
-                FaultKind::CmdFailFirst { program, n } => {
-                    let _ = write!(
-                        out,
-                        ", \"program\": \"{}\", \"n\": {n}",
-                        crate::metrics::json_escape(program)
-                    );
-                }
-            }
+            spec.kind.params(|key, value| {
+                let _ = write!(out, ", \"{key}\": ");
+                value.write(&mut out, true);
+            });
             out.push('}');
         }
         out.push_str("\n  ]\n}\n");
         out
     }
 
-    /// Parse a `PLAN.json` document (the format [`to_json`] emits). A
-    /// plan whose specs fire more than 2^20 triggers in all is refused,
-    /// naming the spec that crosses the bound: arming expands every
-    /// repeat ([`FaultSpec::triggers`]).
+    /// Parse a `PLAN.json` document:
     ///
-    /// [`to_json`]: FaultPlan::to_json
+    /// ```json
+    /// {
+    ///   "seed": 42,
+    ///   "specs": [
+    ///     {"kind": "schedd-kill", "at_us": 60000000,
+    ///      "every_us": 120000000, "count": 5, "downtime_us": 30000000},
+    ///     {"kind": "black-hole", "at_us": 10000000,
+    ///      "server": "yyy", "enable": true}
+    ///   ]
+    /// }
+    /// ```
+    ///
+    /// `seed` (default 0), `specs` (default none), and each spec's
+    /// `at_us` (default 0), `every_us` and `count` (default 1) are
+    /// optional. Kind-specific fields: `downtime_us` (schedd-kill,
+    /// optional: the scenario default); `duration_us` (enospc-window,
+    /// free-space-lie, msg-loss, latency-spike); `delta_bytes`
+    /// (free-space-lie); `server`, `enable` (black-hole); `channel`,
+    /// `probability` in [0, 1] (msg-loss); `extra_us` (latency-spike);
+    /// `client`, `skew_us` (clock-skew); `client`, `restart_us`
+    /// (client-kill, optional: no restart); `program`, `n`
+    /// (cmd-fail-first). Fields follow [`crate::json`]'s rules: absent
+    /// and `null` read alike, and an integer is an integer literal in
+    /// its field's range (`n` and `count` fit 32 bits). A plan whose
+    /// specs fire more than 2^20 triggers in all is refused, naming the
+    /// spec that crosses the bound: arming expands every repeat
+    /// ([`FaultSpec::triggers`]).
     pub fn parse_json(text: &str) -> Result<FaultPlan, String> {
-        let v = json::parse(text)?;
-        let obj = v.as_object().ok_or("plan must be a JSON object")?;
-        let seed = match json::get(obj, "seed") {
-            Some(v) => v.as_u64().ok_or("\"seed\" must be an integer")?,
-            None => 0,
-        };
-        let mut specs = Vec::new();
-        if let Some(sv) = json::get(obj, "specs") {
-            let arr = sv.as_array().ok_or("\"specs\" must be an array")?;
-            let mut triggers = 0;
-            for (i, s) in arr.iter().enumerate() {
-                let spec = parse_spec(s).map_err(|e| format!("specs[{i}]: {e}"))?;
-                triggers += if spec.every.is_some() {
-                    u64::from(spec.count)
-                } else {
-                    1
-                };
+        let doc = json::parse(text)?;
+        let f = Fields::of(&doc)?;
+        let mut triggers = 0;
+        let specs = f.opt("specs", |f, key| {
+            f.objects(key, |s| {
+                let spec = parse_spec(s)?;
+                triggers += spec.every.map_or(1, |_| u64::from(spec.count));
                 if triggers > MAX_TRIGGERS {
                     return Err(format!(
-                        "specs[{i}]: the plan fires more than {MAX_TRIGGERS} triggers in all"
+                        "the plan fires more than {MAX_TRIGGERS} triggers in all"
                     ));
                 }
-                specs.push(spec);
-            }
-        }
-        Ok(FaultPlan { seed, specs })
+                Ok(spec)
+            })
+        })?;
+        Ok(FaultPlan {
+            seed: f.opt("seed", Fields::int)?.unwrap_or(0),
+            specs: specs.unwrap_or_default(),
+        })
     }
 }
 
@@ -690,58 +651,28 @@ impl FaultWindows {
     }
 }
 
-fn parse_spec(v: &json::Value) -> Result<FaultSpec, String> {
-    let obj = v.as_object().ok_or("spec must be an object")?;
-    let text = |k: &str| -> Result<String, String> {
-        json::get(obj, k)
-            .and_then(|v| v.as_str().map(str::to_string))
-            .ok_or(format!("missing string field {k:?}"))
-    };
-    let int = |k: &str| -> Result<i64, String> {
-        json::get(obj, k)
-            .and_then(json::Value::as_i64)
-            .ok_or(format!("missing integer field {k:?}"))
-    };
-    let uint = |k: &str| -> Result<u64, String> {
-        json::get(obj, k)
-            .and_then(json::Value::as_u64)
-            .ok_or(format!("missing non-negative integer field {k:?}"))
-    };
-    let dur = |k: &str| -> Result<Dur, String> { Ok(Dur::from_micros(uint(k)?)) };
-    // A count too wide for `u32` is refused, never truncated.
-    let narrow = |k: &str, v: u64| -> Result<u32, String> {
-        u32::try_from(v).map_err(|_| format!("{k:?} must fit in 32 bits, got {v}"))
-    };
-
-    let kind = match text("kind")?.as_str() {
+fn parse_spec(f: Fields) -> Result<FaultSpec, String> {
+    let dur = |key| f.int(key).map(Dur::from_micros);
+    let opt_dur = |key| f.opt(key, Fields::int).map(|us| us.map(Dur::from_micros));
+    let kind = match f.text("kind")? {
         "schedd-kill" => FaultKind::ScheddKill {
-            downtime: match json::get(obj, "downtime_us") {
-                None | Some(json::Value::Null) => None,
-                Some(v) => Some(Dur::from_micros(
-                    v.as_u64()
-                        .ok_or("\"downtime_us\" must be an integer or null")?,
-                )),
-            },
+            downtime: opt_dur("downtime_us")?,
         },
         "schedd-restart" => FaultKind::ScheddRestart,
         "enospc-window" => FaultKind::EnospcWindow {
             duration: dur("duration_us")?,
         },
         "free-space-lie" => FaultKind::FreeSpaceLie {
-            delta_bytes: int("delta_bytes")?,
+            delta_bytes: f.int("delta_bytes")?,
             duration: dur("duration_us")?,
         },
         "black-hole" => FaultKind::ServerBlackHole {
-            server: text("server")?,
-            enable: json::get(obj, "enable")
-                .and_then(json::Value::as_bool)
-                .ok_or("missing bool field \"enable\"")?,
+            server: f.text("server")?.into(),
+            enable: f.flag("enable")?,
         },
         "msg-loss" => {
-            let channel = text("channel")?;
-            let probability = json::get(obj, "probability")
-                .and_then(json::Value::as_f64)
-                .ok_or("missing number field \"probability\"")?;
+            let channel = f.text("channel")?.into();
+            let probability = f.num("probability")?;
             if !(0.0..=1.0).contains(&probability) {
                 return Err(format!(
                     "\"probability\" must be in [0, 1], got {probability}"
@@ -754,49 +685,28 @@ fn parse_spec(v: &json::Value) -> Result<FaultSpec, String> {
             }
         }
         "latency-spike" => FaultKind::LatencySpike {
-            channel: text("channel")?,
+            channel: f.text("channel")?.into(),
             extra: dur("extra_us")?,
             duration: dur("duration_us")?,
         },
         "clock-skew" => FaultKind::ClockSkew {
-            client: uint("client")? as usize,
-            skew_us: int("skew_us")?,
+            client: f.int("client")?,
+            skew_us: f.int("skew_us")?,
         },
         "client-kill" => FaultKind::ClientKill {
-            client: uint("client")? as usize,
-            restart: match json::get(obj, "restart_us") {
-                None | Some(json::Value::Null) => None,
-                Some(v) => Some(Dur::from_micros(
-                    v.as_u64()
-                        .ok_or("\"restart_us\" must be an integer or null")?,
-                )),
-            },
+            client: f.int("client")?,
+            restart: opt_dur("restart_us")?,
         },
         "cmd-fail-first" => FaultKind::CmdFailFirst {
-            program: text("program")?,
-            n: narrow("n", uint("n")?)?,
+            program: f.text("program")?.into(),
+            n: f.int("n")?,
         },
         other => return Err(format!("unknown fault kind {other:?}")),
     };
-
     Ok(FaultSpec {
-        at: Time::from_micros(uint("at_us").unwrap_or(0)),
-        every: match json::get(obj, "every_us") {
-            None | Some(json::Value::Null) => None,
-            Some(v) => Some(Dur::from_micros(
-                v.as_u64()
-                    .ok_or("\"every_us\" must be an integer or null")?,
-            )),
-        },
-        count: match json::get(obj, "count") {
-            None | Some(json::Value::Null) => 1,
-            Some(v) => narrow(
-                "count",
-                v.as_u64()
-                    .ok_or("\"count\" must be a non-negative integer or null")?,
-            )?
-            .max(1),
-        },
+        at: Time::from_micros(f.opt("at_us", Fields::int)?.unwrap_or(0)),
+        every: opt_dur("every_us")?,
+        count: f.opt("count", Fields::int)?.map_or(1, |n: u32| n.max(1)),
         kind,
     })
 }
@@ -804,9 +714,6 @@ fn parse_spec(v: &json::Value) -> Result<FaultSpec, String> {
 /// The most triggers a parsed plan may fire, over all its specs. The
 /// figures' and the arena's plans fire at most 10.
 const MAX_TRIGGERS: u64 = 1 << 20;
-
-/// The JSON reader plans parse with; it lives in [`crate::json`].
-pub use crate::json;
 
 #[cfg(test)]
 mod tests {
@@ -954,6 +861,77 @@ mod tests {
     /// Parse a plan holding the one spec `spec`.
     fn one_spec(spec: &str) -> Result<FaultPlan, String> {
         FaultPlan::parse_json(&format!("{{\"specs\": [{spec}]}}"))
+    }
+
+    #[test]
+    fn parse_rejects_a_mistyped_at_us() {
+        // A malformed instant must not fire the spec at T+0.
+        for at in ["-5", "\"10\"", "1.5", "1e3", "true"] {
+            let e =
+                one_spec(&format!(r#"{{"kind": "schedd-restart", "at_us": {at}}}"#)).unwrap_err();
+            assert!(
+                e.starts_with("specs[0]: ") && e.contains("\"at_us\""),
+                "{at}: {e}"
+            );
+        }
+        // Absent or null, the first trigger is T+0.
+        for spec in [
+            r#"{"kind": "schedd-restart"}"#,
+            r#"{"kind": "schedd-restart", "at_us": null}"#,
+        ] {
+            assert_eq!(one_spec(spec).unwrap().specs[0].at, Time::ZERO, "{spec}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_integral_floats_in_integer_fields() {
+        // One integer rule for every document: an integer literal,
+        // never a float that happens to be integral.
+        for (doc, field) in [
+            (r#"{"seed": 2.0}"#.to_string(), "seed"),
+            (
+                format!(
+                    "{{\"specs\": [{}]}}",
+                    r#"{"kind": "enospc-window", "duration_us": 1e3}"#
+                ),
+                "duration_us",
+            ),
+            (
+                format!(
+                    "{{\"specs\": [{}]}}",
+                    r#"{"kind": "schedd-restart", "every_us": 1, "count": 2.0}"#
+                ),
+                "count",
+            ),
+            (
+                format!(
+                    "{{\"specs\": [{}]}}",
+                    r#"{"kind": "cmd-fail-first", "program": "a", "n": 1e0}"#
+                ),
+                "n",
+            ),
+        ] {
+            let e = FaultPlan::parse_json(&doc).unwrap_err();
+            assert!(
+                e.contains(&format!("{field:?} is not an integer")),
+                "{doc}: {e}"
+            );
+        }
+    }
+
+    #[test]
+    fn null_seed_and_specs_read_as_absent() {
+        // `null` reads as the field's default, as an absent field does.
+        let p = FaultPlan::parse_json(r#"{"seed": null, "specs": null}"#).unwrap();
+        assert_eq!(p, FaultPlan::new(0));
+        let kill = one_spec(r#"{"kind": "client-kill", "client": 1, "restart_us": null}"#).unwrap();
+        assert_eq!(
+            kill.specs[0].kind,
+            FaultKind::ClientKill {
+                client: 1,
+                restart: None
+            }
+        );
     }
 
     #[test]

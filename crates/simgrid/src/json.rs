@@ -1,12 +1,24 @@
 //! Minimal recursive JSON reader — the one parser behind every
 //! hand-rolled document in the workspace: `PLAN.json` fault plans,
-//! `DagSpec` workflows, and the structured-trace JSONL lines. The
-//! workspace deliberately carries no serde dependency.
+//! `DagSpec` workflows, the structured-trace JSONL lines and
+//! `BENCH_budget.json`. The workspace deliberately carries no serde
+//! dependency.
 //!
-//! Integers are exact: a literal with no fraction or exponent that
-//! fits an `i64` stays one ([`Value::Int`]) instead of being rounded
-//! through `f64`, so microsecond timestamps and counters above 2^53
-//! survive a round trip.
+//! Every reader looks its fields up through [`Fields`], so every
+//! document follows one set of rules:
+//!
+//! * an absent field and a `null` one read alike ([`Fields::opt`]
+//!   makes a field optional; a required one is missing either way);
+//! * an integer field takes an integer literal (no fraction, no
+//!   exponent) that fits the field's type: `2.0`, `1e3` and `-1` for
+//!   an unsigned field are refused, never rounded or wrapped;
+//! * every error names the field, and a list of objects names the
+//!   item (`specs[2]: …`).
+//!
+//! Integers are exact: a literal that fits an `i64` stays one
+//! ([`Value::Int`]) instead of being rounded through `f64`, so
+//! microsecond timestamps and counters above 2^53 survive a round
+//! trip.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,25 +77,101 @@ impl Value {
             _ => None,
         }
     }
-    /// The number as an integer, `None` for fractions and for
-    /// non-literal integers (`1e3`, `2.0`) beyond exact `f64` integer
-    /// range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            Value::Num(n) if n.fract() == 0.0 && n.abs() <= 9e15 => Some(*n as i64),
-            _ => None,
-        }
-    }
-    /// The number as a non-negative integer, or `None`.
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().and_then(|n| u64::try_from(n).ok())
-    }
 }
 
-/// Look up `key` in an object's fields (first match wins).
-pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+/// An object's fields, read by name and type: the one lookup every
+/// document reader in the workspace uses. Getters are required fields;
+/// wrap one in [`Fields::opt`] for an optional field.
+#[derive(Clone, Copy, Debug)]
+pub struct Fields<'a>(&'a [(String, Value)]);
+
+impl<'a> Fields<'a> {
+    /// The fields of `v`, which must be an object.
+    pub fn of(v: &'a Value) -> Result<Fields<'a>, String> {
+        v.as_object()
+            .map(Fields)
+            .ok_or_else(|| "expected a JSON object".to_string())
+    }
+
+    /// The field's value (first match wins), `None` when it is absent
+    /// or `null`.
+    fn value(&self, key: &str) -> Option<&'a Value> {
+        let v = self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+        v.filter(|v| !matches!(v, Value::Null))
+    }
+
+    /// The field read by `read`, which answers `None` when the value
+    /// is not `what`.
+    fn read<T>(
+        &self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self
+            .value(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        read(v).ok_or_else(|| format!("field {key:?} is not {what}"))
+    }
+
+    /// `read(self, key)`, or `None` when the field is absent or `null`.
+    pub fn opt<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Self, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        self.value(key).map(|_| read(self, key)).transpose()
+    }
+
+    /// A string field.
+    pub fn text(&self, key: &str) -> Result<&'a str, String> {
+        self.read(key, "a string", Value::as_str)
+    }
+
+    /// A boolean field.
+    pub fn flag(&self, key: &str) -> Result<bool, String> {
+        self.read(key, "a bool", Value::as_bool)
+    }
+
+    /// A number field, integer or not.
+    pub fn num(&self, key: &str) -> Result<f64, String> {
+        self.read(key, "a number", Value::as_f64)
+    }
+
+    /// An integer field as a `T` (`u64`, `u32`, `usize`, `i64`, …),
+    /// refusing a value outside `T`'s range.
+    pub fn int<T: TryFrom<i64>>(&self, key: &str) -> Result<T, String> {
+        let n = self.read(key, "an integer", |v| match v {
+            Value::Int(n) => Some(*n),
+            _ => None,
+        })?;
+        T::try_from(n).map_err(|_| format!("field {key:?} is out of range: {n}"))
+    }
+
+    /// A list-of-strings field.
+    pub fn texts(&self, key: &str) -> Result<Vec<String>, String> {
+        let items = self.read(key, "an array", Value::as_array)?;
+        let strs = items.iter().map(|v| v.as_str().map(str::to_string));
+        strs.collect::<Option<_>>()
+            .ok_or_else(|| format!("field {key:?} holds a non-string"))
+    }
+
+    /// A list-of-objects field, each item read by `read`; an item's
+    /// error is prefixed with `key[i]: `.
+    pub fn objects<T>(
+        &self,
+        key: &str,
+        mut read: impl FnMut(Fields<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.read(key, "an array", Value::as_array)?;
+        let each = items.iter().enumerate();
+        each.map(|(i, v)| {
+            Fields::of(v)
+                .and_then(&mut read)
+                .map_err(|e| format!("{key}[{i}]: {e}"))
+        })
+        .collect()
+    }
 }
 
 /// Parse one complete JSON document (trailing data is an error).
@@ -235,32 +323,56 @@ mod tests {
     #[test]
     fn integer_literals_stay_exact() {
         let big = i64::MAX - 1;
-        let v = parse(&format!("[{big}, -7, 2.0, 1e3, 0.5, 18446744073709551615]")).unwrap();
-        let items = v.as_array().unwrap();
-        assert_eq!(items[0], Value::Int(big));
-        assert_eq!(items[0].as_u64(), Some(big as u64));
-        assert_eq!(items[1].as_i64(), Some(-7));
-        assert_eq!(items[1].as_u64(), None);
-        // Not integer literals, but integral: still readable as such.
-        assert_eq!(items[2].as_i64(), Some(2));
-        assert_eq!(items[3].as_u64(), Some(1000));
-        assert_eq!((items[4].as_i64(), items[4].as_f64()), (None, Some(0.5)));
-        // Past `i64`: a float, and too large to be trusted as an integer.
-        assert_eq!(items[5].as_i64(), None);
-        assert_eq!(items[1].as_f64(), Some(-7.0));
+        let doc = format!(
+            r#"{{"big": {big}, "neg": -7, "two": 2.0, "k": 1e3, "half": 0.5, "huge": 18446744073709551615}}"#
+        );
+        let v = parse(&doc).unwrap();
+        let f = Fields::of(&v).unwrap();
+        assert_eq!(f.int::<i64>("big"), Ok(big));
+        assert_eq!(f.int::<u64>("big"), Ok(big as u64));
+        assert_eq!(f.int::<i64>("neg"), Ok(-7));
+        assert_eq!(f.num("neg"), Ok(-7.0));
+        let e = f.int::<u64>("neg").unwrap_err();
+        assert!(e.contains("\"neg\"") && e.contains("out of range"), "{e}");
+        // Integral, but not integer literals: one rule for every
+        // document, so no reader rounds a float into a count.
+        for key in ["two", "k", "half", "huge"] {
+            let e = f.int::<i64>(key).unwrap_err();
+            assert_eq!(e, format!("field {key:?} is not an integer"));
+        }
+        assert_eq!((f.num("k"), f.num("half")), (Ok(1000.0), Ok(0.5)));
+        // Past `u32`: refused, never truncated.
+        assert!(f.int::<u32>("big").unwrap_err().contains("\"big\""));
+    }
+
+    #[test]
+    fn absent_and_null_fields_read_alike() {
+        let v = parse(r#"{"a": null, "b": 3, "a": 4}"#).unwrap();
+        let f = Fields::of(&v).unwrap();
+        for key in ["a", "z"] {
+            assert_eq!(f.int::<u64>(key), Err(format!("missing field {key:?}")));
+            assert_eq!(f.opt(key, Fields::int::<u64>), Ok(None));
+        }
+        assert_eq!(f.opt("b", Fields::int::<u64>), Ok(Some(3)));
+        assert!(f.opt("b", Fields::text).unwrap_err().contains("\"b\""));
     }
 
     #[test]
     fn nested_documents_and_errors() {
-        let v = parse(r#" {"a": [true, null, "x\n\u0041"], "b": {"c": 1}} "#).unwrap();
-        let obj = v.as_object().unwrap();
-        let a = get(obj, "a").and_then(Value::as_array).unwrap();
+        let v =
+            parse(r#" {"a": [true, null, "x\n\u0041"], "b": {"c": 1}, "l": ["p", "q"]} "#).unwrap();
+        let f = Fields::of(&v).unwrap();
+        let a = f.read("a", "an array", Value::as_array).unwrap();
         assert_eq!(a[0].as_bool(), Some(true));
         assert_eq!(a[1], Value::Null);
         assert_eq!(a[2].as_str(), Some("x\nA"));
-        let b = get(obj, "b").and_then(Value::as_object).unwrap();
-        assert_eq!(get(b, "c"), Some(&Value::Int(1)));
-        assert!(get(obj, "z").is_none());
+        assert_eq!(f.texts("l"), Ok(vec!["p".to_string(), "q".to_string()]));
+        assert_eq!(f.texts("a"), Err("field \"a\" holds a non-string".into()));
+        let e = f.objects("b", |_| Ok(())).unwrap_err();
+        assert_eq!(e, "field \"b\" is not an array");
+        let e = f.objects("l", |_| Ok(())).unwrap_err();
+        assert_eq!(e, "l[0]: expected a JSON object");
+        assert!(Fields::of(&a[0]).is_err());
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "1 2", "\"open", "nul"] {
             assert!(parse(bad).is_err(), "{bad:?}");
         }

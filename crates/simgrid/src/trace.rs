@@ -29,7 +29,7 @@
 //!   per-point buffers in point order to match the sequential run
 //!   exactly.
 
-use crate::json::{self, Value};
+use crate::json::{self, Fields};
 use crate::metrics::json_escape;
 use retry::{Dur, Time};
 use std::collections::VecDeque;
@@ -275,65 +275,37 @@ impl TraceRecord {
 
     /// Parse one JSONL line produced by [`to_json_line`]. Returns an
     /// error message naming the missing, malformed or out-of-range
-    /// field: a trace file may come from anyone.
+    /// field: a trace file may come from anyone. Fields follow
+    /// [`crate::json`]'s rules; `budget_us` absent or `null` is an
+    /// unbounded `try`.
     ///
     /// [`to_json_line`]: TraceRecord::to_json_line
     pub fn parse_json_line(line: &str) -> Result<TraceRecord, String> {
         let doc = json::parse(line)?;
-        let fields = doc.as_object().ok_or("expected a JSON object")?;
-        let field = |k: &str| json::get(fields, k).ok_or_else(|| format!("missing field {k:?}"));
-        let opt_num = |k: &str| -> Result<Option<i64>, String> {
-            match field(k)? {
-                Value::Int(n) => Ok(Some(*n)),
-                Value::Null => Ok(None),
-                _ => Err(format!("field {k:?} is not an integer or null")),
-            }
-        };
-        let num = |k: &str| opt_num(k)?.ok_or_else(|| format!("field {k:?} is not an integer"));
-        let uint = |k: &str| in_range::<u64>(k, num(k)?);
-        let attempt = || in_range::<u32>("attempt", num("attempt")?);
-        let text = |k: &str| -> Result<String, String> {
-            let s = field(k)?.as_str();
-            Ok(s.ok_or_else(|| format!("field {k:?} is not a string"))?
-                .to_string())
-        };
-        let texts = |k: &str| -> Result<Vec<String>, String> {
-            let items = field(k)?.as_array();
-            let items = items.ok_or_else(|| format!("field {k:?} is not an array"))?;
-            let strs = items.iter().map(|v| v.as_str().map(str::to_string));
-            strs.collect::<Option<_>>()
-                .ok_or_else(|| format!("field {k:?} holds a non-string"))
-        };
-        let flag = |k: &str| -> Result<bool, String> {
-            let b = field(k)?.as_bool();
-            b.ok_or_else(|| format!("field {k:?} is not a bool"))
-        };
-        let tag = text("ev")?;
-        let ev = match tag.as_str() {
+        let f = Fields::of(&doc)?;
+        let text = |k| f.text(k).map(str::to_string);
+        let ev = match f.text("ev")? {
             "attempt-start" => TraceEv::AttemptStart {
-                attempt: attempt()?,
-                budget: match opt_num("budget_us")? {
-                    Some(us) => Some(Dur::from_micros(in_range("budget_us", us)?)),
-                    None => None,
-                },
+                attempt: f.int("attempt")?,
+                budget: f.opt("budget_us", Fields::int)?.map(Dur::from_micros),
             },
             "attempt-ok" => TraceEv::AttemptOk {
-                attempt: attempt()?,
+                attempt: f.int("attempt")?,
             },
             "backoff" => TraceEv::Backoff {
-                attempt: attempt()?,
-                delay: Dur::from_micros(uint("delay_us")?),
+                attempt: f.int("attempt")?,
+                delay: Dur::from_micros(f.int("delay_us")?),
             },
             "try-exhausted" => TraceEv::TryExhausted,
             "try-timeout" => TraceEv::TryTimeout,
             "catch" => TraceEv::CatchEntered,
             "cmd-start" => TraceEv::CmdStart {
                 program: text("program")?,
-                args: texts("args")?,
+                args: f.texts("args")?,
             },
             "cmd-end" => TraceEv::CmdEnd {
                 program: text("program")?,
-                ok: flag("ok")?,
+                ok: f.flag("ok")?,
             },
             "cmd-killed" => TraceEv::CmdKilled {
                 program: text("program")?,
@@ -342,14 +314,14 @@ impl TraceRecord {
                 value: text("value")?,
             },
             "forall-spawn" => TraceEv::ForAllSpawn {
-                branches: uint("branches")?,
+                branches: f.int("branches")?,
             },
             "var-set" => TraceEv::VarSet {
                 name: text("name")?,
             },
-            "unit-done" => TraceEv::UnitDone { ok: flag("ok")? },
+            "unit-done" => TraceEv::UnitDone { ok: f.flag("ok")? },
             "carrier-sense" => TraceEv::CarrierSense {
-                free: uint("free")?,
+                free: f.int("free")?,
             },
             "deferral" => TraceEv::Deferral,
             "collision" => TraceEv::Collision,
@@ -360,22 +332,17 @@ impl TraceRecord {
                 detail: text("detail")?,
             },
             "queue-clamps" => TraceEv::QueueClamps {
-                count: uint("count")?,
+                count: f.int("count")?,
             },
             other => return Err(format!("unknown ev tag {other:?}")),
         };
         Ok(TraceRecord {
-            t: Time::from_micros(uint("t")?),
-            client: num("client")?,
-            task: num("task")?,
+            t: Time::from_micros(f.int("t")?),
+            client: f.int("client")?,
+            task: f.int("task")?,
             ev,
         })
     }
-}
-
-/// `n` as field `k`'s type, or an error naming the field.
-fn in_range<T: TryFrom<i64>>(k: &str, n: i64) -> Result<T, String> {
-    T::try_from(n).map_err(|_| format!("field {k:?} is out of range: {n}"))
 }
 
 /// Receives trace records. Implementations must be cheap: emission
@@ -740,6 +707,19 @@ mod tests {
         // The ids are signed on purpose: -1 is NO_ID.
         let ok = "{\"t\":0,\"client\":-1,\"task\":-1,\"ev\":\"deferral\"}";
         assert_eq!(TraceRecord::parse_json_line(ok).unwrap().client, NO_ID);
+    }
+
+    #[test]
+    fn an_absent_budget_reads_as_unbounded() {
+        // An absent `budget_us` reads as `null`: an unbounded `try`.
+        let line = "{\"t\":1,\"client\":0,\"task\":0,\"ev\":\"attempt-start\",\"attempt\":2}";
+        let r = TraceRecord::parse_json_line(line).unwrap();
+        let unbounded = TraceEv::AttemptStart {
+            attempt: 2,
+            budget: None,
+        };
+        assert_eq!(r.ev, unbounded);
+        assert!(r.to_json_line().ends_with(",\"budget_us\":null}"));
     }
 
     #[test]
